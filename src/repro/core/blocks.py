@@ -164,10 +164,13 @@ def merge_overlapping(ranges: Sequence[BlockRange]) -> List[BlockRange]:
 class IntervalSet:
     """A mutable set of block ids stored as disjoint inclusive intervals.
 
-    Used by the backward/forward scans of §III.D ("iteratively move backward
-    and forward to find intersected partitions ... until the remaining blocks
-    become empty"): the *remaining blocks* of the scanned partition are kept
-    here and progressively subtracted as covering partitions are found.
+    The vocabulary of the backward/forward scans of §III.D ("iteratively
+    move backward and forward to find intersected partitions ... until the
+    remaining blocks become empty"): the *remaining blocks* of the scanned
+    partition are kept here and progressively subtracted as covering
+    partitions are found.  The partition graph now answers the same question
+    from its per-block writer index; the scans survive as the brute-force
+    oracle in ``tests/core/test_writer_index.py``.
     """
 
     def __init__(self, ranges: Iterable[BlockRange] = ()) -> None:

@@ -6,8 +6,9 @@ update) of the paper:
 * every stage contributes *partition nodes* (plus a ``sync`` node for
   matrix--vector stages);
 * a connection exists between two partitions of different stages when they are
-  the *closest pair of overlapped blocks*; connections are discovered with
-  backward/forward scans driven by a range-intersection algorithm;
+  the *closest pair of overlapped blocks*; the closest earlier and later
+  writer of each block is read off a per-block writer index, so wiring a
+  partition costs O(blocks it spans), independent of the circuit's depth;
 * removing a stage reconnects its predecessors to its successors when their
   block ranges overlap;
 * a *frontier* list collects the partitions of newly inserted gates and the
@@ -19,9 +20,9 @@ update) of the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, TextIO
 
-from .blocks import BlockRange, IntervalSet
+from .blocks import BlockRange
 from .stage import Stage
 
 __all__ = ["PartitionNode", "PartitionGraph", "GraphStats"]
@@ -80,6 +81,27 @@ class PartitionNode:
         return f"PartitionNode({self.name()})"
 
 
+def _slot(writers: List[PartitionNode], seq: int) -> int:
+    """Index of the first writer whose stage has ``seq`` or a later one.
+
+    ``writers`` is one block's entry of the writer index, sorted by stage
+    seq.  Hand-rolled like ``BlockDirectory._bisect_seq``: ``bisect`` only
+    grew ``key=`` in Python 3.10 and this package supports 3.9.
+    """
+    # Fast path: a circuit under construction appends stages, so the probed
+    # seq lies past every registered writer.
+    if not writers or writers[-1].stage.seq < seq:
+        return len(writers)
+    lo, hi = 0, len(writers) - 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if writers[mid].stage.seq < seq:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class GraphStats:
     """Lightweight counters describing the current partition graph."""
 
@@ -121,6 +143,16 @@ class PartitionGraph:
         self._frontiers: Set[PartitionNode] = set()
         self._full_range = full_block_range
         self._num_nodes = 0
+        #: writer index: for every block id, the partition nodes that
+        #: *declare* that block, sorted by stage seq.  One entry per block a
+        #: node spans; sync barriers write nothing and are not listed (their
+        #: stage's partitions cover every block, which is what ends a walk in
+        #: either direction at a full-read stage).  Like the held-blocks
+        #: ``BlockDirectory`` the lists survive renumbering because inserts
+        #: and removals never permute surviving stages.
+        self._writers: List[List[PartitionNode]] = [
+            [] for _ in range(full_block_range.last + 1)
+        ]
         #: seq-maintenance hooks: fired after a stage enters the global order
         #: (its seq is valid) and after it leaves it.  The simulator uses
         #: these to attach/detach stage stores to its block directory.  Both
@@ -189,9 +221,14 @@ class PartitionGraph:
             num_frontiers=len(self._frontiers),
         )
 
-    def _reindex(self) -> None:
-        for i, s in enumerate(self._stages):
-            s.seq = i
+    def num_stages(self) -> int:
+        return len(self._stages)
+
+    def _renumber(self, start: int) -> None:
+        """Re-assign seqs from ``start`` on; earlier stages keep theirs."""
+        stages = self._stages
+        for i in range(start, len(stages)):
+            stages[i].seq = i
 
     # ------------------------------------------------------------------
     # stage insertion
@@ -205,7 +242,7 @@ class PartitionGraph:
         if not 0 <= position <= len(self._stages):
             raise IndexError(f"stage position {position} out of range")
         self._stages.insert(position, stage)
-        self._reindex()
+        self._renumber(position)
         if self._on_stage_inserted is not None:
             self._on_stage_inserted(stage)
         nodes = self._create_nodes(stage)
@@ -242,70 +279,59 @@ class PartitionGraph:
         self._num_nodes += len(created)
         return created
 
-    # -- connection scans -------------------------------------------------
-
-    def _writers_of(self, stage: Stage) -> List[PartitionNode]:
-        """Nodes of ``stage`` that write blocks (never the sync node)."""
-        return self._nodes_by_stage.get(stage.uid, [])
-
-    def _connect_backward(self, node: PartitionNode, scan_range: BlockRange) -> List[PartitionNode]:
-        """Find and connect the closest preceding writers covering ``scan_range``."""
-        remaining = IntervalSet.from_range(scan_range)
-        preds: List[PartitionNode] = []
-        pos = node.stage.seq
-        for stage in reversed(self._stages[:pos]):
-            if not remaining:
-                break
-            for q in self._writers_of(stage):
-                if remaining and remaining.intersects(q.block_range):
-                    q.succs.add(node)
-                    node.preds.add(q)
-                    preds.append(q)
-                    remaining.subtract(q.block_range)
-            if stage.writes_all_blocks():
-                # a matvec stage rewrites everything: nothing older can be the
-                # closest writer of any still-remaining block
-                break
-        return preds
-
-    def _connect_forward(self, node: PartitionNode, scan_range: BlockRange) -> List[PartitionNode]:
-        """Find and connect the closest following readers of ``scan_range``."""
-        remaining = IntervalSet.from_range(scan_range)
-        succs: List[PartitionNode] = []
-        pos = node.stage.seq
-        for stage in self._stages[pos + 1 :]:
-            if not remaining:
-                break
-            sync = self._sync_by_stage.get(stage.uid)
-            if sync is not None:
-                # the stage reads everything: connect and stop (it also
-                # rewrites every block, shadowing all remaining ones)
-                node.succs.add(sync)
-                sync.preds.add(node)
-                succs.append(sync)
-                break
-            for q in self._writers_of(stage):
-                if remaining and remaining.intersects(q.block_range):
-                    node.succs.add(q)
-                    q.preds.add(node)
-                    succs.append(q)
-                    remaining.subtract(q.block_range)
-        return succs
+    # -- connections: closest writers via the writer index ------------------
 
     def _connect_partition(self, node: PartitionNode) -> None:
-        preds = self._connect_backward(node, node.block_range)
-        succs = self._connect_forward(node, node.block_range)
+        """Register ``node`` and connect it to each block's closest writers.
+
+        The closest earlier writer of a block becomes a predecessor, the
+        closest later one a successor; a later stage that reads everything
+        is entered through its sync barrier instead.
+        """
+        seq = node.stage.seq
+        sync_by_stage = self._sync_by_stage
+        preds: Set[PartitionNode] = set()
+        succs: Set[PartitionNode] = set()
+        blocks = node.block_range
+        for writers in self._writers[blocks.first : blocks.last + 1]:
+            i = _slot(writers, seq)
+            if i:
+                preds.add(writers[i - 1])
+            if i < len(writers):
+                later = writers[i]
+                succs.add(sync_by_stage[later.stage.uid] or later)
+            writers.insert(i, node)
+        for q in preds:
+            q.succs.add(node)
+        node.preds.update(preds)
+        for q in succs:
+            q.preds.add(node)
+        node.succs.update(succs)
         self._prune_transitive(node, preds, succs)
 
     def _connect_sync(self, node: PartitionNode) -> None:
         # The sync barrier reads the entire previous state vector.
-        self._connect_backward(node, self._full_range)
+        seq = node.stage.seq
+        for writers in self._writers:
+            i = _slot(writers, seq)
+            if i:
+                q = writers[i - 1]
+                q.succs.add(node)
+                node.preds.add(q)
+
+    def _unregister(self, stage: Stage) -> None:
+        """Drop the writer-index entries of ``stage`` (its seq still valid)."""
+        seq = stage.seq
+        for node in self._nodes_by_stage[stage.uid]:
+            blocks = node.block_range
+            for writers in self._writers[blocks.first : blocks.last + 1]:
+                del writers[_slot(writers, seq)]
 
     def _prune_transitive(
         self,
         node: PartitionNode,
-        preds: Sequence[PartitionNode],
-        succs: Sequence[PartitionNode],
+        preds: Iterable[PartitionNode],
+        succs: Set[PartitionNode],
     ) -> None:
         """Remove pred->succ edges now mediated by ``node`` (§III.D, Fig. 9).
 
@@ -316,10 +342,9 @@ class PartitionGraph:
         write = node.write_range
         if write is None:
             return
-        succ_set = set(succs)
         for a in preds:
             for c in list(a.succs):
-                if c not in succ_set or c is node:
+                if c not in succs or c is node:
                     continue
                 overlap = a.block_range.intersection(c.read_range)
                 if overlap is None:
@@ -338,16 +363,17 @@ class PartitionGraph:
 
         ``stage_map`` maps the other graph's stage uids to the stages this
         graph should hold (fresh clones with empty stores).  Connectivity is
-        copied verbatim in O(nodes + edges) instead of re-running the
-        insertion scans per stage (O(S) per partition), which is what makes
-        forking a deep circuit cheap.  Frontiers are *not* mirrored: a fork
-        inherits computed state, not pending work.
+        copied verbatim in O(nodes + edges) instead of re-wiring stage by
+        stage, and the writer index is translated through the same node map
+        in O(entries), which is what makes forking a deep circuit cheap.
+        Frontiers are *not* mirrored: a fork inherits computed state, not
+        pending work.
         """
         if self._stages:
             raise ValueError("mirror_from requires an empty graph")
         for stage in other._stages:
             self._stages.append(stage_map[stage.uid])
-        self._reindex()
+        self._renumber(0)
         node_map: Dict[int, PartitionNode] = {}
         for stage in other._stages:
             clone_stage = stage_map[stage.uid]
@@ -378,6 +404,9 @@ class PartitionGraph:
                 succ_clone = node_map[succ.uid]
                 clone.succs.add(succ_clone)
                 succ_clone.preds.add(clone)
+        self._writers = [
+            [node_map[n.uid] for n in writers] for writers in other._writers
+        ]
 
     # ------------------------------------------------------------------
     # stage removal
@@ -390,7 +419,7 @@ class PartitionGraph:
         adds to the frontier (§III.E: "for each removed gate, we add all
         successors of removed partitions to the frontier list").
         """
-        if stage not in self._stages:
+        if stage.uid not in self._nodes_by_stage:
             raise KeyError(f"stage {stage!r} is not in the graph")
         removed = self.stage_nodes(stage)
         removed_set = set(removed)
@@ -419,11 +448,13 @@ class PartitionGraph:
             node.preds.clear()
             node.succs.clear()
             self._frontiers.discard(node)
-        self._stages.remove(stage)
+        self._unregister(stage)
+        position = stage.seq
+        del self._stages[position]
         self._nodes_by_stage.pop(stage.uid, None)
         self._sync_by_stage.pop(stage.uid, None)
         self._num_nodes -= len(removed)
-        self._reindex()
+        self._renumber(position)
         if self._on_stage_removed is not None:
             self._on_stage_removed(stage)
         for node in downstream:

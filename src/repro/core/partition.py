@@ -19,6 +19,7 @@ level).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -129,19 +130,35 @@ def derive_partitions(
     """Partition layout of a gate on a ``2**qubit_count`` state vector.
 
     Superposition actions delegate to :func:`matvec_partitions`; identity
-    actions (nothing touched) produce no partitions at all.
+    actions (nothing touched) produce no partitions at all.  The layout of a
+    non-superposition action depends only on its orbit-unit types, the
+    qubits and the geometry, so results are shared process-wide under that
+    key and a repeated gate shape costs O(2**len(qubits)), not O(2**n).
     """
     block_size = validate_block_size(block_size)
-    dim = 1 << qubit_count
     if isinstance(action, MatVecAction):
         return matvec_partitions(qubit_count, block_size)
-
     layout = unit_layout_of(action)
-    if layout.num_types == 0:
-        return []
+    return list(
+        _enumerate_partitions(
+            layout.unit_locals, tuple(qubits), qubit_count, block_size
+        )
+    )
+
+
+@lru_cache(maxsize=1024)
+def _enumerate_partitions(
+    unit_locals: Tuple[Tuple[int, ...], ...],
+    qubits: Tuple[int, ...],
+    qubit_count: int,
+    block_size: int,
+) -> Tuple[PartitionSpec, ...]:
+    """Enumerate every orbit unit, chunk into tasks, merge into partitions."""
+    if not unit_locals:
+        return ()
 
     free = _free_values(qubit_count, qubits)
-    n_units = layout.num_types * free.shape[0]
+    n_units = len(unit_locals) * free.shape[0]
     if n_units > MAX_ENUMERATED_UNITS:
         raise MemoryError(
             f"refusing to enumerate {n_units} orbit units "
@@ -150,7 +167,7 @@ def derive_partitions(
 
     mins_parts = []
     maxs_parts = []
-    for unit in layout.unit_locals:
+    for unit in unit_locals:
         offsets = [_deposit_local(l, qubits) for l in unit]
         off_min, off_max = min(offsets), max(offsets)
         mins_parts.append(free | np.int64(off_min))
@@ -193,7 +210,7 @@ def derive_partitions(
     partitions.append(
         PartitionSpec(BlockRange(cur_first, cur_last), cur_tasks, cur_units)
     )
-    return partitions
+    return tuple(partitions)
 
 
 def matvec_partitions(qubit_count: int, block_size: int) -> List[PartitionSpec]:

@@ -45,7 +45,7 @@ from .cow import (
 )
 from .exceptions import CircuitError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan, build_execution_plan
-from .gates import Gate, compose_actions, is_superposition_gate
+from .gates import Gate, compose_actions
 from .graph import PartitionGraph, PartitionNode
 from .kernels import (
     HAVE_NUMBA,
@@ -66,6 +66,7 @@ from .stage import (
     ResetStage,
     Stage,
     UnitaryStage,
+    gate_action,
 )
 from .transport import StorageTransport, TransportFailure, make_transport
 
@@ -621,7 +622,7 @@ class QTaskSimulator(CircuitObserver):
             stage = self._make_dynamic_stage(gate)
             self._insert_stage(handle, net, stage)
             return
-        if is_superposition_gate(gate):
+        if gate_action(gate).creates_superposition:
             stage = self._matvec.get(net.uid)
             if stage is not None:
                 stage.add_gate(gate)
@@ -740,7 +741,7 @@ class QTaskSimulator(CircuitObserver):
         if len(set(candidate.qubits) | set(gate.qubits)) > self.max_fused_qubits:
             return False
         action, union_qubits = compose_actions(
-            candidate.action, candidate.qubits, gate.action(), gate.qubits
+            candidate.action, candidate.qubits, gate_action(gate), gate.qubits
         )
         members = list(self._stage_handles[candidate.uid]) + [handle]
         fused = FusedUnitaryStage(
@@ -841,6 +842,11 @@ class QTaskSimulator(CircuitObserver):
             # net not found (should not happen): append at the end
             return sum(len(s) for s in self._net_stages.values()) + within
         net_stages = self._net_stages
+        if idx == len(self._net_uid_order) - 1:
+            # Building a circuit appends to its last net: every stage is
+            # filed under exactly one net, so the stages of all earlier
+            # nets are the graph's minus this net's.
+            return self.graph.num_stages() - len(net_stages[net.uid]) + within
         pos = 0
         for uid in self._net_uid_order[:idx]:
             stages = net_stages.get(uid)
@@ -872,14 +878,15 @@ class QTaskSimulator(CircuitObserver):
             return
         new_gate = handle.gate
         if isinstance(stage, MatVecStage):
-            if is_superposition_gate(new_gate) and stage.retune_gate(
+            if gate_action(new_gate).creates_superposition and stage.retune_gate(
                 old_gate, new_gate
             ):
                 self.graph.touch_stage(stage)
                 return
         elif isinstance(stage, FusedUnitaryStage):
             members = self._stage_handles[stage.uid]
-            if not is_superposition_gate(new_gate) and stage.recompose(
+            superposition = gate_action(new_gate).creates_superposition
+            if not superposition and stage.recompose(
                 [h.gate for h in members]
             ):
                 self.graph.touch_stage(stage)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from .blocks import BlockRange, aligned_block_runs, num_blocks
 from .classical import OutcomeRecord
 from .cow import BlockStore
 from .exec_plan import RUN_ACTION, RUN_COLLAPSE, RUN_COPY, RUN_SLICE, RunSpec
-from .gates import Action, Gate, MatVecAction, fuse_gate_actions
+from .gates import Action, Gate, MatVecAction, classify_matrix, fuse_gate_actions
 from .kernels import (
     StateReader,
     apply_gate_dense,
@@ -37,6 +38,7 @@ from .ops import CGate
 from .partition import PartitionSpec, derive_partitions, matvec_partitions
 
 __all__ = [
+    "gate_action",
     "Stage",
     "UnitaryStage",
     "FusedUnitaryStage",
@@ -66,6 +68,23 @@ MATVEC_COMBINE_LIMIT = 0
 MAX_RUN_BLOCKS = 64
 
 _stage_counter = itertools.count()
+
+
+@lru_cache(maxsize=1024)
+def _classified(spec, params: Tuple[float, ...]) -> Action:
+    return classify_matrix(spec.matrix(*params))
+
+
+def gate_action(gate: Gate) -> Action:
+    """``gate.action()``, classified once per distinct ``(gate type, params)``.
+
+    A circuit repeats a few dozen gate shapes hundreds of times and an
+    action does not depend on the qubits, so the engine classifies through
+    this bounded cache.  It lives here rather than in ``Gate.action()``
+    because the dense baselines replay circuits through that method and
+    must keep paying for classification on every gate.
+    """
+    return _classified(gate.spec, gate.params)
 
 
 class Stage:
@@ -194,20 +213,21 @@ class UnitaryStage(Stage):
     ) -> None:
         super().__init__(qubit_count, block_size, copy_on_write)
         self.gate = gate
-        self.action: Action = gate.action()
-        if self.action.creates_superposition:
+        action = gate_action(gate)
+        if action.creates_superposition:
             raise ValueError(
                 f"gate {gate} creates superposition; it belongs in a MatVecStage"
             )
-        self._finalize_action(self.action, gate.qubits)
+        self._finalize_action(action, gate.qubits)
 
     def _finalize_action(self, action: Action, qubits: Sequence[int]) -> None:
         """Shared constructor tail: bind the action and derive partitions."""
-        self.action = action
+        self.action: Action = action
         self.qubits: Tuple[int, ...] = tuple(qubits)
         self._specs = derive_partitions(
             action, self.qubits, self.qubit_count, self.block_size
         )
+        self._total_blocks = sum(len(s.block_range) for s in self._specs)
 
     def partition_specs(self) -> List[PartitionSpec]:
         return list(self._specs)
@@ -220,7 +240,7 @@ class UnitaryStage(Stage):
 
     def total_block_count(self) -> int:
         """Total number of blocks over all partitions (net-ordering heuristic)."""
-        return sum(len(s.block_range) for s in self._specs)
+        return self._total_blocks
 
     def clone_for_fork(self) -> "UnitaryStage":
         # Bypass __init__: gate, classified action and partition layout are
@@ -233,6 +253,7 @@ class UnitaryStage(Stage):
         clone.action = self.action
         clone.qubits = self.qubits
         clone._specs = self._specs
+        clone._total_blocks = self._total_blocks
         return clone
 
     def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
@@ -256,7 +277,7 @@ class UnitaryStage(Stage):
         """
         if tuple(gate.qubits) != self.qubits:
             return False
-        action = gate.action()
+        action = gate_action(gate)
         if action.creates_superposition:
             return False
         specs = derive_partitions(
@@ -264,8 +285,9 @@ class UnitaryStage(Stage):
         )
         if specs != self._specs:
             return False
+        # same qubits, same layout: only the bound action changes
         self.gate = gate
-        self._finalize_action(action, gate.qubits)
+        self.action = action
         return True
 
 
@@ -340,7 +362,7 @@ class FusedUnitaryStage(UnitaryStage):
             return False
         self.gates = tuple(gates)
         self.gate = self.gates[0]
-        self._finalize_action(action, qubits)
+        self.action = action
         return True
 
 
@@ -645,7 +667,7 @@ class ClassicallyControlledStage(DynamicStage):
     ) -> None:
         super().__init__(op, qubit_count, block_size, copy_on_write, record)
         self.gate = op.gate
-        self.action: Action = self.gate.action()
+        self.action: Action = gate_action(self.gate)
         self.qubits: Tuple[int, ...] = tuple(self.gate.qubits)
         if self.action.creates_superposition:
             self._specs = matvec_partitions(qubit_count, block_size)

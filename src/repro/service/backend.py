@@ -279,12 +279,13 @@ class Backend:
         """Validate, enqueue and return an async :class:`Job`.
 
         ``shots > 0`` samples a measurement histogram (trajectory sampling
-        via ``run_shots`` when the circuit has classical bits, state
-        sampling via ``counts`` otherwise); ``observable`` additionally
-        evaluates an expectation value; ``return_state`` attaches the final
-        state vector.  ``key`` overrides the derived circuit-family hash
-        (two structurally different builders can share a warm base by
-        sharing a key -- don't, unless they really build the same circuit).
+        via ``run_shots`` when the circuit measures, resets or branches on
+        classical bits, state sampling via ``counts`` otherwise);
+        ``observable`` additionally evaluates an expectation value;
+        ``return_state`` attaches the final state vector.  ``key`` overrides
+        the derived circuit-family hash (two structurally different builders
+        can share a warm base by sharing a key -- don't, unless they really
+        build the same circuit).
 
         Raises :class:`CircuitValidationError` for requests outside the
         declared configuration and :class:`QueueFullError` /
@@ -470,7 +471,10 @@ class Backend:
                 fork, hit = self.pool.lease(request.key, warmed_factory)
                 counts = None
                 if request.shots > 0:
-                    if fork.circuit.num_clbits > 0:
+                    # Trajectories only when something collapses or branches:
+                    # a declared-but-unused creg must not turn the histogram
+                    # into all-zero classical registers.
+                    if fork.circuit.has_dynamic_ops:
                         counts = fork.run_shots(request.shots, seed=request.seed)
                     else:
                         counts = fork.counts(request.shots, seed=request.seed)

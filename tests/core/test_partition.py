@@ -139,6 +139,8 @@ def test_enumeration_guard_raises_for_huge_requests():
 
     original = partition_module.MAX_ENUMERATED_UNITS
     partition_module.MAX_ENUMERATED_UNITS = 4
+    # the guard protects the enumerator, i.e. the miss path of the layout cache
+    partition_module._enumerate_partitions.cache_clear()
     try:
         with pytest.raises(MemoryError):
             derive_partitions(Gate("x", (0,)).action(), (0,), 5, 2)

@@ -125,6 +125,19 @@ def test_observable_and_state(backend):
     assert result.counts is None  # shots=0
 
 
+def test_unused_creg_does_not_change_the_histogram(backend):
+    """A declared creg without measure/reset/if samples the state, not clbits."""
+    with_creg = BELL.replace("qreg q[2];\n", "qreg q[2];\ncreg c[2];\n")
+    assert "creg" in with_creg
+    plain = backend.run(BELL, shots=200, seed=11).result(timeout=60)
+    declared = backend.run(with_creg, shots=200, seed=11).result(timeout=60)
+    assert declared.counts == plain.counts
+    assert set(plain.counts) == {"00", "11"}
+    with QTask.from_qasm(BELL, num_workers=1) as session:
+        session.update_state()
+        assert declared.counts == session.counts(200, seed=11)
+
+
 def test_warm_pool_hit_visible_in_result_and_prometheus(backend):
     first = backend.run(GHZ, shots=16, seed=0).result(timeout=60)
     second = backend.run(GHZ, shots=16, seed=0).result(timeout=60)

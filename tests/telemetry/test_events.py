@@ -70,7 +70,11 @@ def _build_sim(num_qubits, levels, **kwargs):
 def test_scripted_fault_leaves_injection_and_retry_events():
     rng = random.Random(12)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4)
+    # One worker: with more, another chunk's publish can take the scripted
+    # occurrence 2 and nothing is retried run-granular (~1% of runs).
+    sim = _build_sim(
+        5, levels, kernel_backend="numpy", block_size=4, num_workers=1
+    )
     faults.install(FaultPlan(script=[("cow.publish", 1), ("cow.publish", 2)]))
     try:
         sim.update_state()
