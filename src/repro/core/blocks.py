@@ -19,6 +19,7 @@ __all__ = [
     "num_blocks",
     "block_of",
     "block_bounds",
+    "MAX_RUN_BLOCKS",
     "aligned_block_runs",
     "BlockRange",
     "IntervalSet",
@@ -60,6 +61,13 @@ def block_bounds(block: int, block_size: int, dim: int) -> Tuple[int, int]:
     lo = block * block_size
     hi = min(dim, lo + block_size) - 1
     return lo, hi
+
+
+#: Cap (in blocks, a power of two) on one kernel run.  Partition block ranges
+#: are decomposed into aligned power-of-two runs of at most this many blocks,
+#: and it is also the most blocks one zero-copy published output array may
+#: span -- the granularity at which rewritten blocks release their memory.
+MAX_RUN_BLOCKS = 64
 
 
 def aligned_block_runs(first: int, last: int, max_blocks: int) -> List[Tuple[int, int]]:

@@ -89,6 +89,17 @@ _DTYPE = np.complex128
 _READ_CACHE_BLOCKS = 128
 
 
+def _id_runs(ids: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """Index spans ``(i, j)`` of ``ids`` that hold consecutive block ids."""
+    i, n = 0, len(ids)
+    while i < n:
+        j = i
+        while j + 1 < n and ids[j + 1] == ids[j] + 1:
+            j += 1
+        yield i, j
+        i = j + 1
+
+
 class BlockStore:
     """Sparse per-stage storage of state-vector blocks.
 
@@ -269,11 +280,7 @@ class BlockStore:
         if not pending:
             return
         cache = self._read_cache
-        i = 0
-        while i < len(pending):
-            j = i
-            while j + 1 < len(pending) and pending[j + 1] == pending[j] + 1:
-                j += 1
+        for i, j in _id_runs(pending):
             run = pending[i : j + 1]
             arrays = [blocks[b] for b in run]
             handles = remote.write_range(self, run[0], arrays)
@@ -285,7 +292,6 @@ class BlockStore:
                 for b, arr, handle in zip(run, arrays, handles):
                     cache[b] = arr
                     blocks[b] = handle
-            i = j + 1
         while len(cache) > _READ_CACHE_BLOCKS:
             try:
                 cache.pop(next(iter(cache)))
@@ -426,34 +432,7 @@ class BlockStore:
             )
         if not 0 <= block < self.n_blocks:
             raise ValueError(f"block {block} out of range [0, {self.n_blocks})")
-        blocks = self._blocks
-        is_new = block not in blocks
-        self._release_shared(block)
-        if self._remote is not None:
-            if self._batch_depth > 0:
-                # Defer the ship: hold the array locally until the batch
-                # closes.  The flush serialises later, so honour ``copy``.
-                if copy and np.may_share_memory(arr, values):
-                    arr = arr.copy()
-                blocks[block] = arr
-                self._read_cache.pop(block, None)
-                with self._batch_lock:
-                    self._pending_publish.add(block)
-            else:
-                # Serialisation copies regardless, so ``copy`` is moot here.
-                epoch = self._epoch
-                handle = self._remote.write_range(self, block, (arr,))[0]
-                with self._batch_lock:
-                    if self._epoch != epoch:
-                        return  # forsaken mid-ship; discard the handle
-                    blocks[block] = handle
-                self._read_cache.pop(block, None)
-        else:
-            if copy and np.may_share_memory(arr, values):
-                arr = arr.copy()
-            blocks[block] = arr
-        if is_new and self._directory is not None:
-            self._directory._on_write(self._dir_owner, block)
+        self._publish((block,), (self._owned(arr, values, copy),))
 
     def write_range(self, lo: int, values: np.ndarray, *, copy: bool = True) -> None:
         """Write a block-aligned contiguous range starting at index ``lo``.
@@ -472,14 +451,6 @@ class BlockStore:
         arr = np.asarray(values, dtype=_DTYPE)
         if arr.ndim != 1:
             raise ValueError(f"expected a 1-D amplitude range, got shape {arr.shape}")
-        if (
-            copy
-            and (self._remote is None or self._batch_depth > 0)
-            and np.may_share_memory(arr, values)
-        ):
-            # Local stores and open batches hold on to the array; only an
-            # immediate ship serialises right away and can skip the copy.
-            arr = arr.copy()
         size = self._block_len
         n = arr.shape[0]
         if n % size != 0:
@@ -493,35 +464,84 @@ class BlockStore:
             raise ValueError(
                 f"blocks [{first}, {last}] out of range [0, {self.n_blocks})"
             )
-        blocks = self._blocks
-        new_blocks: List[int] = []
+        arr = self._owned(arr, values, copy)
+        self._publish(
+            range(first, last + 1),
+            [arr[offset : offset + size] for offset in range(0, n, size)],
+        )
+
+    def write_blocks(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
+        """Publish ``rows[i]`` as the contents of ``blocks[i]``, zero-copy.
+
+        The slab kernels' publish: any set of distinct blocks (a whole
+        operation group's outputs, contiguous or not) lands with one fault
+        check, one dict update and one directory notification.  The rows
+        are adopted as they are -- ``write_range(copy=False)``'s contract:
+        whole-block ``complex128`` rows of freshly computed arrays the
+        caller never touches again.  How much memory a row pins is the
+        caller's choice of backing array (kernels cut their outputs at
+        :data:`~repro.core.blocks.MAX_RUN_BLOCKS` blocks).
+        """
+        # Fires before any mutation; see write_block.
+        if faults.ACTIVE is not None:
+            faults.fire("cow.publish")
+        if len(rows) != len(blocks):
+            raise ValueError(f"{len(blocks)} blocks but {len(rows)} rows")
+        shape = (self._block_len,)
+        if any(r.shape != shape or r.dtype != _DTYPE for r in rows):
+            raise ValueError(
+                f"every row must be {self._block_len} complex128 amplitudes"
+            )
+        if blocks and not (0 <= min(blocks) and max(blocks) < self.n_blocks):
+            raise ValueError(f"block ids out of range [0, {self.n_blocks})")
+        self._publish(blocks, rows)
+
+    def _owned(self, arr: np.ndarray, values, copy: bool) -> np.ndarray:
+        """``arr`` detached from the caller's ``values`` when ``copy`` asks.
+
+        Local stores and open batches hold on to the array; an immediate
+        remote ship serialises right away, so there the copy is moot.
+        """
+        if (
+            copy
+            and (self._remote is None or self._batch_depth > 0)
+            and np.may_share_memory(arr, values)
+        ):
+            return arr.copy()
+        return arr
+
+    def _publish(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
+        """Bind ``rows[i]`` as the payload of ``blocks[i]``.
+
+        The one mutation path behind every ``write_*``: local stores and
+        open batches keep the arrays (a batch also registers them for its
+        closing flush), an immediate remote publish ships one
+        ``write_range`` per contiguous id run and keeps the handles.
+        """
+        held = self._blocks
+        new_blocks = [b for b in blocks if b not in held]
+        payloads: Sequence[object] = rows
         if self._remote is not None:
-            views = [arr[offset : offset + size] for offset in range(0, n, size)]
             if self._batch_depth > 0:
-                handles = views
                 with self._batch_lock:
-                    self._pending_publish.update(range(first, last + 1))
+                    self._pending_publish.update(blocks)
             else:
                 epoch = self._epoch
-                handles = self._remote.write_range(self, first, views)
+                payloads = []
+                for i, j in _id_runs(blocks):
+                    payloads.extend(
+                        self._remote.write_range(self, blocks[i], rows[i : j + 1])
+                    )
                 with self._batch_lock:
                     if self._epoch != epoch:
                         return  # forsaken mid-ship; discard the handles
             cache_pop = self._read_cache.pop
-            for i, block in enumerate(range(first, last + 1)):
-                if block not in blocks:
-                    new_blocks.append(block)
-                self._release_shared(block)
-                blocks[block] = handles[i]
-                cache_pop(block, None)
-        else:
-            block = first
-            for offset in range(0, n, size):
-                if block not in blocks:
-                    new_blocks.append(block)
-                self._release_shared(block)
-                blocks[block] = arr[offset : offset + size]
-                block += 1
+            for b in blocks:
+                cache_pop(b, None)
+        if self._shared:
+            for b in blocks:
+                self._release_shared(b)
+        held.update(zip(blocks, payloads))
         if new_blocks and self._directory is not None:
             self._directory._on_write_many(self._dir_owner, new_blocks)
 
@@ -577,7 +597,8 @@ class BlockStore:
         """
         if self._remote is not None:
             return self._fetch_blocks(first, last)
-        return [self.get_block(b) for b in range(first, last + 1)]
+        blocks = self._blocks
+        return [blocks[b] for b in range(first, last + 1)]
 
     def prefetch(self, first: int, last: int) -> None:
         """Warm the read cache with held blocks ``[first, last]`` (remote only)."""
@@ -692,11 +713,12 @@ class _ResolvingReader:
     """The one read-side implementation behind every block resolver.
 
     Subclasses provide ``dim``/``block_size``/``n_blocks`` attributes and a
-    single ``resolve_store`` method; range reads, gathers, full-vector
-    materialisation and remote prefetching all derive from it.  Range reads
-    batch maximal same-owner block runs: a run of never-written blocks
-    becomes one dense zero allocation (:meth:`InitialStateStore.read_dense`)
-    and a run owned by one store becomes one
+    single ``resolve_store`` method; block-list reads, range reads, gathers,
+    full-vector materialisation and remote prefetching all derive from it
+    through one loop, :meth:`read_blocks`.  Reads batch maximal same-owner
+    runs of consecutive blocks: a run of never-written blocks becomes one
+    dense zero allocation (:meth:`InitialStateStore.read_dense`, which
+    caches nothing) and a run owned by one store becomes one
     :meth:`BlockStore.get_block_many` call -- which, on a remote transport,
     is one round-trip per shard instead of one per block.
 
@@ -711,6 +733,10 @@ class _ResolvingReader:
         """The store holding the current contents of ``block``."""
         raise NotImplementedError
 
+    def resolve_stores(self, blocks: Sequence[int]) -> List[BlockStore]:
+        """:meth:`resolve_store` for each of ``blocks``, in order."""
+        return [self.resolve_store(b) for b in blocks]
+
     def resolve_block(self, block: int) -> np.ndarray:
         got = self.resolve_store(block).get_block(block)
         assert got is not None
@@ -721,62 +747,71 @@ class _ResolvingReader:
             raise ValueError(f"invalid index range [{lo}, {hi}] for dim {self.dim}")
 
     def owner_runs(
-        self, first: int, last: int
-    ) -> Iterator[Tuple[BlockStore, int, int]]:
-        """Maximal runs ``(store, first_block, last_block)`` of same-owner blocks."""
-        run_store: Optional[BlockStore] = None
-        run_first = first
-        for b in range(first, last + 1):
-            store = self.resolve_store(b)
-            if store is not run_store:
-                if run_store is not None:
-                    yield run_store, run_first, b - 1
-                run_store, run_first = store, b
-        if run_store is not None:
-            yield run_store, run_first, last
+        self, blocks: Sequence[int]
+    ) -> List[Tuple[BlockStore, int, int]]:
+        """``blocks`` cut into maximal ``(store, first_block, last_block)`` runs.
 
-    def read_range(self, lo: int, hi: int) -> np.ndarray:
-        """Return amplitudes for the inclusive index range ``[lo, hi]``."""
-        self._check_range(lo, hi)
+        A run is a stretch of the list with consecutive ids and one owner.
+        """
+        stores = self.resolve_stores(blocks)
+        runs: List[Tuple[BlockStore, int, int]] = []
+        i, n = 0, len(stores)
+        while i < n:
+            store = stores[i]
+            j = i
+            while (
+                j + 1 < n
+                and stores[j + 1] is store
+                and blocks[j + 1] == blocks[j] + 1
+            ):
+                j += 1
+            runs.append((store, blocks[i], blocks[j]))
+            i = j + 1
+        return runs
+
+    def read_blocks(self, blocks: Sequence[int]) -> np.ndarray:
+        """Whole blocks ``blocks``, concatenated in list order.
+
+        The result is always a fresh array the caller owns (kernels compute
+        in it and publish it zero-copy).
+        """
         block_size = self.block_size
-        first = lo // block_size
-        last = hi // block_size
         parts: List[np.ndarray] = []
-        for store, rf, rl in self.owner_runs(first, last):
+        for store, first, last in self.owner_runs(blocks):
             if isinstance(store, InitialStateStore):
                 # whole run in one allocation, no per-block zero caching
-                rlo = max(lo, rf * block_size)
-                rhi = min(hi, (rl + 1) * block_size - 1, self.dim - 1)
-                parts.append(store.read_dense(rlo, rhi))
-                continue
-            for b, blk in zip(range(rf, rl + 1), store.get_block_many(rf, rl)):
-                blo, bhi = block_bounds(b, block_size, self.dim)
-                s = max(lo, blo) - blo
-                e = min(hi, bhi) - blo
-                parts.append(blk[s : e + 1])
+                parts.append(
+                    store.read_dense(
+                        first * block_size,
+                        min(self.dim, (last + 1) * block_size) - 1,
+                    )
+                )
+            else:
+                parts.extend(store.get_block_many(first, last))
         if len(parts) == 1:
             return np.array(parts[0], copy=True)
         return np.concatenate(parts)
 
+    def read_range(self, lo: int, hi: int) -> np.ndarray:
+        """Return amplitudes for the inclusive index range ``[lo, hi]``."""
+        self._check_range(lo, hi)
+        first = lo // self.block_size
+        buf = self.read_blocks(range(first, hi // self.block_size + 1))
+        base = first * self.block_size
+        return buf[lo - base : hi - base + 1]
+
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Fancy-indexed read of arbitrary amplitude indices."""
         idx = np.asarray(indices, dtype=np.int64)
-        out = np.empty(idx.shape, dtype=_DTYPE)
         if idx.size == 0:
-            return out
+            return np.empty(idx.shape, dtype=_DTYPE)
         blocks = idx // self.block_size
-        order = np.argsort(blocks, kind="stable")
-        sorted_idx = idx[order]
-        sorted_blocks = blocks[order]
-        boundaries = np.flatnonzero(np.diff(sorted_blocks)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [idx.size]))
-        for s, e in zip(starts, ends):
-            b = int(sorted_blocks[s])
-            blk = self.resolve_block(b)
-            local = sorted_idx[s:e] - b * self.block_size
-            out[order[s:e]] = blk[local]
-        return out
+        held = np.unique(blocks)
+        buf = self.read_blocks(held.tolist())
+        return buf[
+            np.searchsorted(held, blocks) * min(self.dim, self.block_size)
+            + (idx - blocks * self.block_size)
+        ]
 
     def full_vector(self) -> np.ndarray:
         """Materialise the whole state vector (mostly for queries/tests)."""
@@ -788,7 +823,7 @@ class _ResolvingReader:
         Resolution groups the range into owner runs so each remote store
         sees one batched fetch; local stores are skipped entirely.
         """
-        for store, rf, rl in self.owner_runs(first, last):
+        for store, rf, rl in self.owner_runs(range(first, last + 1)):
             if store.is_remote_backed:
                 store.prefetch(rf, rl)
 
@@ -928,41 +963,40 @@ class BlockDirectory:
 
     # -- resolution -------------------------------------------------------
 
-    def resolve_store(self, block: int, before_seq: int) -> BlockStore:
-        """The store owning ``block`` as of stage sequence ``before_seq``.
+    def resolve_stores(
+        self, blocks: Sequence[int], before_seq: int
+    ) -> List[BlockStore]:
+        """The store owning each of ``blocks`` as of stage sequence ``before_seq``.
 
-        O(log W) in the number of writers of the block; falls back to the
-        initial-state store when no stage with ``seq < before_seq`` holds it.
+        O(log W) per block in the number of its writers; a block no stage
+        with ``seq < before_seq`` holds resolves to the initial-state store.
         """
-        lst = self._writers.get(block)
-        if lst:
-            lo = self._bisect_seq(lst, before_seq)
-            while lo:
-                store = lst[lo - 1].store
-                if store.has_block(block):
-                    return store
-                lo -= 1  # racing drop: fall back to the next older writer
-        return self.initial
+        writers = self._writers
+        bisect = self._bisect_seq
+        initial = self.initial
+        out: List[BlockStore] = []
+        for block in blocks:
+            found = initial
+            lst = writers.get(block)
+            if lst:
+                lo = bisect(lst, before_seq)
+                while lo:
+                    store = lst[lo - 1].store
+                    if store.has_block(block):
+                        found = store
+                        break
+                    lo -= 1  # racing drop: fall back to the next older writer
+            out.append(found)
+        return out
+
+    def resolve_store(self, block: int, before_seq: int) -> BlockStore:
+        """:meth:`resolve_stores` for a single block."""
+        return self.resolve_stores((block,), before_seq)[0]
 
     def resolve_block(self, block: int, before_seq: int) -> np.ndarray:
         got = self.resolve_store(block, before_seq).get_block(block)
         assert got is not None
         return got
-
-    def owner_runs(
-        self, first: int, last: int, before_seq: int
-    ) -> Iterator[Tuple[BlockStore, int, int]]:
-        """Maximal runs ``(store, first_block, last_block)`` of same-owner blocks."""
-        run_store: Optional[BlockStore] = None
-        run_first = first
-        for b in range(first, last + 1):
-            store = self.resolve_store(b, before_seq)
-            if store is not run_store:
-                if run_store is not None:
-                    yield run_store, run_first, b - 1
-                run_store, run_first = store, b
-        if run_store is not None:
-            yield run_store, run_first, last
 
     def writers_of(self, block: int) -> Tuple[object, ...]:
         """The current owners of ``block`` in seq order (for introspection)."""
@@ -989,6 +1023,9 @@ class DirectoryReader(_ResolvingReader):
 
     def resolve_store(self, block: int) -> BlockStore:
         return self.directory.resolve_store(block, self.before_seq)
+
+    def resolve_stores(self, blocks: Sequence[int]) -> List[BlockStore]:
+        return self.directory.resolve_stores(blocks, self.before_seq)
 
 
 @dataclass(frozen=True)

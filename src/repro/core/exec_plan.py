@@ -138,8 +138,17 @@ class RunTable:
     def num_runs(self) -> int:
         return int(self.los.shape[0])
 
-    def groups(self) -> Iterator[Tuple[PlanOp, np.ndarray]]:
-        """Yield ``(op, run_indices)`` per distinct operation, in op order."""
+    def groups(self) -> Iterator[Tuple[PlanOp, object]]:
+        """Yield ``(op, run_indices)`` per distinct operation, in op order.
+
+        ``run_indices`` indexes :attr:`los` / :attr:`his`: an index array,
+        or ``slice(None)`` for the common single-operation table (nothing
+        to search for).
+        """
+        if len(self.ops) == 1:
+            if self.num_runs:
+                yield self.ops[0], slice(None)
+            return
         for op_id, op in enumerate(self.ops):
             idx = np.flatnonzero(self.op_ids == op_id)
             if idx.size:
@@ -151,8 +160,9 @@ class RunTable:
         Remote-backed stores prefetch these before executing a chunk so the
         chunk pays one transport round-trip per contiguous span instead of
         one per cache-missing block (address resolution stays block-granular
-        -- this only batches the fetch; aligned runs read within their own
-        range, so the output spans are also the input spans).
+        -- this only batches the fetch).  A hint, not a contract: a chunk
+        whose monomial runs read mirror ranges outside these spans fetches
+        the rest when it gathers its inputs.
         """
         n = self.num_runs
         if n == 0:
@@ -206,7 +216,7 @@ class StagePlan:
         "has_sync",
         "block_ranges",
         "block_writes",
-        "_static_runs",
+        "_static_table",
         "emitted_runs",
         "num_chunks",
     )
@@ -218,9 +228,9 @@ class StagePlan:
         #: block ranges of the stage's affected (non-sync) partition nodes
         self.block_ranges: List[object] = []
         self.block_writes = 0
-        #: runs emitted at build time for static stages; ``None`` defers
+        #: table emitted at build time for static stages; ``None`` defers
         #: emission to execution time (after ``prepare`` ran)
-        self._static_runs: Optional[List[RunSpec]] = None
+        self._static_table: Optional[RunTable] = None
         #: filled in by the executing task body (one writer, read after join)
         self.emitted_runs = 0
         self.num_chunks = 0
@@ -228,19 +238,15 @@ class StagePlan:
     def freeze_static(self) -> None:
         """Pre-emit the runs of a stage whose emission is input-independent."""
         if getattr(self.stage, "plan_static", False):
-            self._static_runs = self._emit()
-
-    def _emit(self) -> List[RunSpec]:
-        runs: List[RunSpec] = []
-        for br in self.block_ranges:
-            runs.extend(self.stage.emit_runs(br))
-        return runs
+            self._static_table = self.stage.emit_table(self.block_ranges)
 
     def build_table(self) -> RunTable:
         """The stage's run table (static, or emitted now, post-``prepare``)."""
-        runs = self._static_runs if self._static_runs is not None else self._emit()
-        self.emitted_runs = len(runs)
-        return RunTable.from_runs(runs)
+        table = self._static_table
+        if table is None:
+            table = self.stage.emit_table(self.block_ranges)
+        self.emitted_runs = table.num_runs
+        return table
 
 
 class ExecutionPlan:
@@ -327,6 +333,11 @@ class PlanReport:
     executor-visible chunks those became, which backend executed them and
     how often a requested backend had to fall back.  ``runs_per_plan`` is
     the headline number -- the dispatch work one executor task now absorbs.
+    ``runs_fallback`` counts the runs a backend handed to the per-run
+    :func:`~repro.core.kernels.execute_run` instead of batching them (the
+    numpy backend: dense matrix--vector actions only, so 0 on default
+    sessions); fault-recovery re-execution is ``backend_fallbacks`` /
+    ``run_retries``, not this.
     """
 
     backend: str
@@ -341,6 +352,7 @@ class PlanReport:
     run_retries: int = 0
     #: whole-update re-executions after a fault escaped every lower layer
     update_retries: int = 0
+    runs_fallback: int = 0
     #: circuit-breaker ladder transitions, oldest first; each entry is a
     #: dict with ``from``/``to``/``reason``/``update`` keys
     backend_transitions: Tuple[Dict[str, object], ...] = ()
@@ -357,6 +369,7 @@ class PlanReport:
             "requested_backend": self.requested_backend,
             "plans_built": self.plans_built,
             "runs_batched": self.runs_batched,
+            "runs_fallback": self.runs_fallback,
             "plan_chunks": self.plan_chunks,
             "backend_fallbacks": self.backend_fallbacks,
             "updates_planned": self.updates_planned,

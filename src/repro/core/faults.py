@@ -9,7 +9,8 @@ a :class:`FaultPlan` is a seeded schedule of synthetic failures at named
 ====================  =====================================================
 site                  where it fires
 ====================  =====================================================
-``kernel.run``        per-run kernel execution (``core.kernels.execute_run``)
+``kernel.run``        kernel execution: once per run (``kernels.execute_run``),
+                      once per operation group on the slab backend
 ``pool.worker``       process-pool worker chunk body (raises in the child)
 ``pool.worker.kill``  process-pool worker SIGKILLs itself mid-chunk
 ``pool.ship``         SharedMemory ship (parent -> workers)

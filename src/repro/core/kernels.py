@@ -21,20 +21,30 @@ import atexit
 import logging
 import os
 import time
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from functools import lru_cache
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..telemetry import session as tsession
 from ..telemetry.tracing import NULL_SPAN as _NO_SPAN
 from . import faults
+from .blocks import MAX_RUN_BLOCKS
 from .faults import FaultInjected
 from .exec_plan import (
     RUN_ACTION,
     RUN_COLLAPSE,
     RUN_COPY,
     RUN_SLICE,
-    PlanOp,
     RunSpec,
     RunTable,
 )
@@ -287,10 +297,10 @@ def apply_action_run(
 def execute_run(reader: StateReader, store, spec: RunSpec) -> None:
     """Execute one :class:`~repro.core.exec_plan.RunSpec` against a store.
 
-    The run-granular counterpart of the plan backends below, and the body of
+    The run-granular counterpart of the plan backends below: the body of
     the legacy per-run task path (``Stage.block_tasks`` wraps one closure
-    around each spec).  Every backend's fallback path funnels through here,
-    so the two execution modes share the exact kernels.
+    around each spec), of the simulator's fault fallback, and the reference
+    the batching backends must match bit for bit.
     """
     if faults.ACTIVE is not None:
         faults.fire("kernel.run")
@@ -544,9 +554,12 @@ class KernelBackend:
     #: retries the chunk through :func:`execute_run` and counts a fallback.
     failure_safe = False
 
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
+    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
+        """Execute every run of ``table``; returns how many of them went
+        one by one through :func:`execute_run` (``runs_fallback``)."""
         for spec in iter_table_runs(table):
             execute_run(reader, store, spec)
+        return table.num_runs
 
     def close(self) -> None:
         """Release backend resources (no-op by default)."""
@@ -556,134 +569,195 @@ class KernelBackend:
         return {}
 
 
-class NumpyBatchBackend(KernelBackend):
-    """Default backend: vectorised-numpy execution grouped by action.
+# -- slab execution ---------------------------------------------------------
+#
+# The numpy backend executes an operation group -- the runs of one table
+# that share one operation -- as a *slab*: the input blocks gathered into
+# one buffer, one multiply over it, one publish.  What makes that a single
+# array op is a per-amplitude index table.  It depends only on the
+# operation's index structure (qubits + local permutation, or the collapsed
+# qubit), the blocks the runs cover and the geometry -- never on phases,
+# factors or scale -- so tables are shared process-wide under that key, the
+# key family of ``partition._enumerate_partitions``.
 
-    Homogeneous groups -- same classified action, same run length, every
-    gate qubit below the run alignment (so the per-period local pattern is
-    identical across runs) -- execute as a handful of stacked array ops:
-    one ``(runs, n)`` source matrix, one broadcast multiply (plus one
-    in-period gather for monomial actions), one view-publishing write per
-    run.  Anything inhomogeneous falls back to the per-run reference loop,
-    keeping output bit-identical to the legacy path by construction.
+
+class _SlabTable(NamedTuple):
+    """Index structure of one slab (arrays read-only, compact dtypes)."""
+
+    #: output block ids, in run order
+    out_ids: List[int]
+    #: input block ids, ascending.  *Not* ``out_ids`` in general: a monomial
+    #: or reset run reads the mirror range of another run of its partition,
+    #: which ``RunTable.split`` may have put in another chunk.
+    in_ids: List[int]
+    #: ``int32`` position, in the gathered input, of the source of each
+    #: written amplitude; ``None`` when the gather is the identity
+    srcpos: Optional[np.ndarray]
+    #: ``uint8``/``uint16`` local index whose phase / factor multiplies each
+    #: output amplitude; ``None`` when the coefficient is one scalar
+    local: Optional[np.ndarray]
+    #: ``int32`` output positions written, the rest stay zero (collapse);
+    #: ``None`` when every amplitude is written
+    keep: Optional[np.ndarray]
+
+
+@lru_cache(maxsize=256)
+def _slab_table(
+    kind: int, key, los: bytes, his: bytes, block_size: int, dim: int
+) -> _SlabTable:
+    """The table of runs ``los``/``his`` (``int64`` bytes) under one operation.
+
+    A slab never exceeds ``MAX_RUN_BLOCKS`` blocks, so the entry bound is a
+    memory bound: at most 10 bytes per amplitude of 64 blocks per entry.
+    """
+    block_len = min(dim, block_size)
+    bounds = zip(
+        np.frombuffer(los, np.int64).tolist(), np.frombuffer(his, np.int64).tolist()
+    )
+    out_ids = np.concatenate(
+        [np.arange(lo // block_size, hi // block_size + 1) for lo, hi in bounds]
+    )
+    idx = (out_ids[:, None] * block_size + np.arange(block_len)).reshape(-1)
+    src = idx
+    local = keep = None
+    if kind == RUN_ACTION:
+        qubits, perm = key
+        local = extract_local(idx, qubits)
+        if perm is not None:
+            inv = np.empty(len(perm), dtype=np.int64)
+            inv[list(perm)] = np.arange(len(perm))
+            local = inv[local]
+            src = replace_local(idx, qubits, local)
+        k = len(qubits)
+        local = local.astype(
+            np.uint8 if k <= 8 else np.uint16 if k <= 16 else np.int64
+        )
+    elif kind == RUN_COLLAPSE:
+        qubit, outcome, move = key
+        # measure keeps the amplitudes already at ``outcome``; reset keeps
+        # the |0> side and fills it from the ``outcome`` side
+        keep = np.flatnonzero((idx >> qubit) & 1 == (0 if move else outcome))
+        src = idx[keep] | (outcome << qubit)
+        keep = None if keep.size == idx.size else keep.astype(np.int32)
+    in_blocks = src // block_size
+    in_ids = np.unique(in_blocks)
+    srcpos: Optional[np.ndarray] = (
+        np.searchsorted(in_ids, in_blocks) * block_len + src % block_size
+    ).astype(np.int32)
+    if np.array_equal(srcpos, np.arange(idx.size)):
+        srcpos = None
+    for arr in (srcpos, local, keep):
+        if arr is not None:
+            arr.setflags(write=False)
+    return _SlabTable(out_ids.tolist(), in_ids.tolist(), srcpos, local, keep)
+
+
+def _slab_bounds(
+    los: np.ndarray, his: np.ndarray, block_size: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Cut a group's runs into slabs of at most ``MAX_RUN_BLOCKS`` blocks.
+
+    A slab's output is one array the store adopts zero-copy; the cap keeps
+    what a surviving block view can pin where the per-run path has it (no
+    run exceeds the cap, so every slab holds at least one).
+    """
+    counts = his // block_size - los // block_size + 1
+    if int(counts.sum()) <= MAX_RUN_BLOCKS:
+        yield los, his
+        return
+    start = held = 0
+    for i, count in enumerate(counts.tolist()):
+        if held + count > MAX_RUN_BLOCKS:
+            yield los[start:i], his[start:i]
+            start, held = i, 0
+        held += count
+    yield los[start:], his[start:]
+
+
+class NumpyBatchBackend(KernelBackend):
+    """Default backend: one gather, one multiply, one publish per group.
+
+    The owners of all input blocks of a group are resolved in one pass and
+    gathered into one buffer (``reader.read_blocks``, so the reader must be
+    a block resolver of :mod:`repro.core.cow`), a shared :class:`_SlabTable`
+    turns the diagonal / monomial / collapse operation into one
+    (gather-)multiply over it, and one ``store.write_blocks`` publishes
+    every output block.  The table carries no alignment, equal-length or
+    qubit-position condition, so every run shape takes this path, and each
+    amplitude is the product of the same two operands as in
+    :func:`execute_run`: output is bit-identical to the per-run reference.
+    Only dense matrix--vector actions (``MatVecStage(combine_limit>0)``)
+    have no slab form and run one by one.
     """
 
     name = "numpy"
 
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
-        for op, idx in table.groups():
-            los = table.los[idx]
-            his = table.his[idx]
-            if op.kind == RUN_ACTION and isinstance(op.op, DiagonalAction):
-                self._diagonal_group(reader, store, op, los, his)
-            elif op.kind == RUN_ACTION and isinstance(op.op, MonomialAction):
-                self._monomial_group(reader, store, op, los, his)
-            else:
-                for lo, hi in zip(los, his):
-                    execute_run(
-                        reader,
-                        store,
-                        RunSpec(op.kind, int(lo), int(hi), op.qubits, op.op),
-                    )
+    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
+        block_size, dim = store.block_size, store.dim
+        block_len = min(dim, block_size)
+        per_run = 0
+        for op, sel in table.groups():
+            los, his = table.los[sel], table.his[sel]
+            kind, payload = op.kind, op.op
+            key = coeffs = None
+            if kind == RUN_ACTION:
+                if isinstance(payload, DiagonalAction):
+                    key = (op.qubits, None)
+                    coeffs = np.asarray(payload.phases, dtype=_DTYPE)
+                elif isinstance(payload, MonomialAction):
+                    key = (op.qubits, payload.perm)
+                    coeffs = np.asarray(payload.factors, dtype=_DTYPE)
+                else:
+                    for lo, hi in zip(los.tolist(), his.tolist()):
+                        execute_run(
+                            reader, store, RunSpec(kind, lo, hi, op.qubits, payload)
+                        )
+                    per_run += los.shape[0]
+                    continue
+            elif kind == RUN_COLLAPSE:
+                qubit, outcome, coeffs, move = payload
+                key = (qubit, outcome, move)
+            if faults.ACTIVE is not None:
+                faults.fire("kernel.run")
+            ids: List[int] = []
+            rows: List[np.ndarray] = []
+            for slab_los, slab_his in _slab_bounds(los, his, block_size):
+                t = _slab_table(
+                    kind, key, slab_los.tobytes(), slab_his.tobytes(),
+                    block_size, dim,
+                )
+                ids += t.out_ids
+                if kind == RUN_SLICE:
+                    # payload is a prepared full vector, rebound (never
+                    # mutated) by the next prepare(): views are safe
+                    rows += [
+                        payload[b * block_size : b * block_size + block_len]
+                        for b in t.out_ids
+                    ]
+                else:
+                    rows += self._slab(reader, t, coeffs, block_len)
+            store.write_blocks(ids, rows)
+        return per_run
 
     @staticmethod
-    def _stack_alignment(
-        los: np.ndarray, n: int, qubits: Sequence[int]
-    ) -> int:
-        """Shared alignment ``nb`` when the runs can stack, else -1.
-
-        Stacking requires every run of the group to be an aligned power-of-
-        two range of the same length with all gate qubits below the
-        alignment -- then the per-period local pattern (and with it the
-        phase/gather table) is the same for every run.
-        """
-        nb = _range_alignment(int(los[0]), n)
-        if nb < 0 or (qubits and max(qubits) >= nb):
-            return -1
-        if np.any(los % n != 0):
-            return -1
-        return nb
-
-    def _fallback(self, reader, store, op: PlanOp, los, his, sel) -> None:
-        for j in sel:
-            execute_run(
-                reader,
-                store,
-                RunSpec(op.kind, int(los[j]), int(his[j]), op.qubits, op.op),
-            )
-
-    def _read_stack(self, reader, los, sel, n: int) -> np.ndarray:
-        src = np.empty((sel.shape[0], n), dtype=_DTYPE)
-        for i, j in enumerate(sel):
-            lo = int(los[j])
-            src[i] = reader.read_range(lo, lo + n - 1)
-        return src
-
-    def _diagonal_group(self, reader, store, op: PlanOp, los, his) -> None:
-        qubits = op.qubits
-        action = op.op
-        phases = np.asarray(action.phases, dtype=_DTYPE)
-        lengths = his - los + 1
-        for n in np.unique(lengths):
-            sel = np.flatnonzero(lengths == n)
-            n = int(n)
-            nb = self._stack_alignment(los[sel], n, qubits)
-            if nb < 0 or sel.shape[0] < 2:
-                self._fallback(reader, store, op, los, his, sel)
-                continue
-            period, local = _local_pattern(int(los[sel[0]]), nb, qubits)
-            row = phases[local]
-            src = self._read_stack(reader, los, sel, n)
-            if period == 1:
-                out = src * row[0]
-            else:
-                out = (src.reshape(sel.shape[0], -1, period) * row).reshape(
-                    sel.shape[0], n
-                )
-            for i, j in enumerate(sel):
-                store.write_range(int(los[j]), out[i], copy=False)
-
-    def _monomial_group(self, reader, store, op: PlanOp, los, his) -> None:
-        qubits = op.qubits
-        action = op.op
-        perm = np.asarray(action.perm, dtype=np.int64)
-        factors = np.asarray(action.factors, dtype=_DTYPE)
-        lengths = his - los + 1
-        for n in np.unique(lengths):
-            sel = np.flatnonzero(lengths == n)
-            n = int(n)
-            nb = self._stack_alignment(los[sel], n, qubits)
-            if nb < 0 or sel.shape[0] < 2:
-                self._fallback(reader, store, op, los, his, sel)
-                continue
-            # With every gate qubit below the alignment the source pattern
-            # stays inside each run (start == lo), so one in-period gather
-            # plus one broadcast multiply covers the whole stack.
-            inv = np.empty(perm.shape[0], dtype=np.int64)
-            inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
-            lo0 = int(los[sel[0]])
-            period, local_out = _local_pattern(lo0, nb, qubits)
-            local_src = inv[local_out]
-            pattern = replace_local(
-                np.arange(lo0, lo0 + period, dtype=np.int64), qubits, local_src
-            )
-            offsets = pattern - lo0
-            if not np.all((offsets >= 0) & (offsets < period)):
-                # defensive: cannot happen with qubits < nb, but never batch
-                # a run the per-run fast path would route through a gather
-                self._fallback(reader, store, op, los, his, sel)
-                continue
-            row_factors = factors[local_src]
-            src = self._read_stack(reader, los, sel, n)
-            if period == 1:
-                out = src * row_factors[0]
-            else:
-                stacked = src.reshape(sel.shape[0], -1, period)
-                out = (stacked[:, :, offsets] * row_factors).reshape(
-                    sel.shape[0], n
-                )
-            for i, j in enumerate(sel):
-                store.write_range(int(los[j]), out[i], copy=False)
+    def _slab(reader, t: _SlabTable, coeffs, block_len: int) -> List[np.ndarray]:
+        """Output rows of one slab; ``coeffs`` is a phase / factor vector,
+        the collapse scale, or ``None`` for an identity copy."""
+        if not t.in_ids:  # collapses to zero: never reads its input
+            return list(np.zeros((len(t.out_ids), block_len), dtype=_DTYPE))
+        vals = reader.read_blocks(t.in_ids)
+        if t.srcpos is not None:
+            vals = vals.take(t.srcpos)
+        # ``vals`` is a fresh array either way: multiply in place
+        if t.local is not None:
+            np.multiply(vals, coeffs.take(t.local), out=vals)
+        elif coeffs is not None:
+            np.multiply(vals, coeffs, out=vals)
+        if t.keep is not None:
+            out = np.zeros(len(t.out_ids) * block_len, dtype=_DTYPE)
+            out[t.keep] = vals
+            vals = out
+        return list(vals.reshape(-1, block_len))
 
 
 # -- numba backend ----------------------------------------------------------
@@ -737,25 +811,30 @@ class NumbaBackend(KernelBackend):
             self._monomial = _monomial_loop
             self._matvec = _matvec_accum_loop
 
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
+    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
+        per_run = 0
         for spec in iter_table_runs(table):
             if spec.kind != RUN_ACTION:
                 execute_run(reader, store, spec)
+                per_run += 1
             elif isinstance(spec.op, DiagonalAction):
-                self._run_diagonal(reader, store, spec)
+                per_run += self._run_diagonal(reader, store, spec)
             elif isinstance(spec.op, MonomialAction):
-                self._run_monomial(reader, store, spec)
+                per_run += self._run_monomial(reader, store, spec)
             elif isinstance(spec.op, MatVecAction):
                 self._run_matvec(reader, store, spec)
             else:  # pragma: no cover - defensive
                 execute_run(reader, store, spec)
+                per_run += 1
+        return per_run
 
-    def _run_diagonal(self, reader, store, spec: RunSpec) -> None:
+    def _run_diagonal(self, reader, store, spec: RunSpec) -> int:
+        """Jitted diagonal run; returns 1 when it went through execute_run."""
         n = spec.hi - spec.lo + 1
         nb = _range_alignment(spec.lo, n)
         if nb < 0:
             execute_run(reader, store, spec)
-            return
+            return 1
         period, local = _local_pattern(spec.lo, nb, spec.qubits)
         table = np.ascontiguousarray(
             np.asarray(spec.op.phases, dtype=_DTYPE)[local]
@@ -766,13 +845,14 @@ class NumbaBackend(KernelBackend):
         out = np.empty(n, dtype=_DTYPE)
         self._diag(src, table, period, out)
         store.write_range(spec.lo, out, copy=False)
+        return 0
 
-    def _run_monomial(self, reader, store, spec: RunSpec) -> None:
+    def _run_monomial(self, reader, store, spec: RunSpec) -> int:
         n = spec.hi - spec.lo + 1
         mirror = _monomial_mirror(spec.lo, n, spec.qubits, spec.op)
         if mirror is None:
             execute_run(reader, store, spec)
-            return
+            return 1
         start, period = mirror
         perm = np.asarray(spec.op.perm, dtype=np.int64)
         inv = np.empty(perm.shape[0], dtype=np.int64)
@@ -796,6 +876,7 @@ class NumbaBackend(KernelBackend):
         out = np.empty(n, dtype=_DTYPE)
         self._monomial(src, offsets, factors, period, out)
         store.write_range(spec.lo, out, copy=False)
+        return 0
 
     def _run_matvec(self, reader, store, spec: RunSpec) -> None:
         # Gathers stay in numpy (they walk the block-resolving reader); the
@@ -1203,7 +1284,7 @@ class ProcessPoolBackend(KernelBackend):
         finally:
             self._release_segments(shm_in, shm_out)
 
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
+    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
         import multiprocessing as mp
         import multiprocessing.pool as mp_pool
 
@@ -1235,8 +1316,7 @@ class ProcessPoolBackend(KernelBackend):
             or getattr(store, "is_remote_backed", False)
         ):
             self.local_runs += table.num_runs
-            self._inner.execute_plan(reader, store, table)
-            return
+            return self._inner.execute_plan(reader, store, table)
 
         retryable = (
             FaultInjected,
@@ -1281,6 +1361,7 @@ class ProcessPoolBackend(KernelBackend):
         self.local_runs += len(local)
         for spec in local:
             execute_run(reader, store, spec)
+        return len(local)
 
 
 # -- backend selection ------------------------------------------------------

@@ -262,6 +262,10 @@ class QTaskSimulator(CircuitObserver):
         self._plan_chunks = m.counter(
             "plan.chunks", help="executor-visible plan chunks"
         )
+        self._runs_fallback = m.counter(
+            "plan.runs_fallback",
+            help="runs a backend executed one by one instead of batched",
+        )
         self._updates_planned = m.counter(
             "plan.updates_planned", help="updates through the plan pipeline"
         )
@@ -1347,7 +1351,7 @@ class QTaskSimulator(CircuitObserver):
             self._run_chunk_fallback(sp, chunk)
             return
         try:
-            backend.execute_plan(sp.reader, sp.stage.store, chunk)
+            per_run = backend.execute_plan(sp.reader, sp.stage.store, chunk)
         except Exception as exc:
             # Environmental failures (a torn-down worker pool mid-run) and
             # injected faults must not lose the update: chunk writes are
@@ -1379,6 +1383,8 @@ class QTaskSimulator(CircuitObserver):
                 )
             self._run_chunk_fallback(sp, chunk)
         else:
+            if per_run:
+                self._runs_fallback.inc(per_run)
             with self._breaker_lock:
                 self._consecutive_chunk_failures = 0
 
@@ -1647,6 +1653,7 @@ class QTaskSimulator(CircuitObserver):
             requested_backend=requested,
             plans_built=self._plans_built.value,
             runs_batched=self._runs_batched.value,
+            runs_fallback=self._runs_fallback.value,
             plan_chunks=self._plan_chunks.value,
             backend_fallbacks=self._backend_fallbacks.value,
             updates_planned=self._updates_planned.value,
@@ -1763,7 +1770,8 @@ class QTaskSimulator(CircuitObserver):
             (
                 f"  backend {self.plan_report().backend}"
                 f" (requested {self.plan_report().requested_backend}),"
-                f" {self._plan_chunks.value} chunks total"
+                f" {self._plan_chunks.value} chunks total,"
+                f" {self._runs_fallback.value} runs executed one by one"
             ),
         ]
         events = self.telemetry.events.events(since=self._update_event_mark)

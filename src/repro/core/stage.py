@@ -23,10 +23,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import BlockRange, aligned_block_runs, num_blocks
+from .blocks import MAX_RUN_BLOCKS, BlockRange, aligned_block_runs, num_blocks
 from .classical import OutcomeRecord
 from .cow import BlockStore
-from .exec_plan import RUN_ACTION, RUN_COLLAPSE, RUN_COPY, RUN_SLICE, RunSpec
+from .exec_plan import (
+    RUN_ACTION,
+    RUN_COLLAPSE,
+    RUN_COPY,
+    RUN_SLICE,
+    PlanOp,
+    RunSpec,
+    RunTable,
+)
 from .gates import Action, Gate, MatVecAction, classify_matrix, fuse_gate_actions
 from .kernels import (
     StateReader,
@@ -60,13 +68,6 @@ __all__ = [
 #: ``combine_limit`` constructor argument (see DESIGN.md "Notes on fidelity").
 MATVEC_COMBINE_LIMIT = 0
 
-#: Cap (in blocks, a power of two) on one batched block-run task.  Partition
-#: block ranges are decomposed into aligned power-of-two runs of at most this
-#: many blocks: each run is one kernel call plus one zero-copy range write
-#: instead of one closure + copy per block, while staying small enough that
-#: partitions still split into a few parallelisable chunks.
-MAX_RUN_BLOCKS = 64
-
 _stage_counter = itertools.count()
 
 
@@ -85,6 +86,40 @@ def gate_action(gate: Gate) -> Action:
     must keep paying for classification on every gate.
     """
     return _classified(gate.spec, gate.params)
+
+
+def _aligned_runs(
+    block_range: BlockRange, block_size: int, dim: int
+) -> List[Tuple[int, int]]:
+    return [
+        (fb * block_size, min(dim, (lb + 1) * block_size) - 1)
+        for fb, lb in aligned_block_runs(
+            block_range.first, block_range.last, MAX_RUN_BLOCKS
+        )
+    ]
+
+
+@lru_cache(maxsize=4096)
+def _packed_run_bounds(
+    block_ranges: Tuple[BlockRange, ...], block_size: int, dim: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(los, his, op_ids)`` of a single-operation table over ``block_ranges``.
+
+    The aligned runs depend on nothing but the ranges and the geometry, and
+    an update re-plans the same partitions of the same layouts again and
+    again, so the packed (read-only) arrays are shared under that key.
+    """
+    runs = [
+        run
+        for block_range in block_ranges
+        for run in _aligned_runs(block_range, block_size, dim)
+    ]
+    los = np.array([lo for lo, _ in runs], dtype=np.int64)
+    his = np.array([hi for _, hi in runs], dtype=np.int64)
+    op_ids = np.zeros(len(runs), dtype=np.int32)
+    for arr in (los, his, op_ids):
+        arr.setflags(write=False)
+    return los, his, op_ids
 
 
 class Stage:
@@ -139,6 +174,13 @@ class Stage:
         """
         raise NotImplementedError
 
+    def emit_table(self, block_ranges: Sequence[BlockRange]) -> RunTable:
+        """The runs recomputing the given partitions, packed for a backend."""
+        runs: List[RunSpec] = []
+        for block_range in block_ranges:
+            runs.extend(self.emit_runs(block_range))
+        return RunTable.from_runs(runs)
+
     def block_tasks(
         self, reader: StateReader, block_range: BlockRange
     ) -> List[Callable[[], None]]:
@@ -183,14 +225,7 @@ class Stage:
 
     def _aligned_runs(self, block_range: BlockRange) -> List[Tuple[int, int]]:
         """``(lo, hi)`` amplitude bounds of each aligned power-of-two run."""
-        block_size = self.block_size
-        dim = self.dim
-        return [
-            (fb * block_size, min(dim, (lb + 1) * block_size) - 1)
-            for fb, lb in aligned_block_runs(
-                block_range.first, block_range.last, MAX_RUN_BLOCKS
-            )
-        ]
+        return _aligned_runs(block_range, self.block_size, self.dim)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.label()}, seq={self.seq})"
@@ -263,6 +298,15 @@ class UnitaryStage(Stage):
             RunSpec(RUN_ACTION, lo, hi, qubits, action)
             for lo, hi in self._aligned_runs(block_range)
         ]
+
+    def emit_table(self, block_ranges: Sequence[BlockRange]) -> RunTable:
+        # One operation for every run: no RunSpec per run, no re-packing.
+        los, his, op_ids = _packed_run_bounds(
+            tuple(block_ranges), self.block_size, self.dim
+        )
+        return RunTable(
+            los, his, op_ids, [PlanOp(RUN_ACTION, self.qubits, self.action)]
+        )
 
     def retune(self, gate: Gate) -> bool:
         """Rebind to a retuned gate when the partition layout is unchanged.

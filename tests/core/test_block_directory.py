@@ -99,7 +99,7 @@ def test_writers_sorted_by_seq_regardless_of_write_order():
 
 def test_owner_runs_groups_consecutive_blocks():
     _, a, b, d = _directory_with_layers()
-    runs = list(d.owner_runs(0, 7, 2))
+    runs = DirectoryReader(d, 2).owner_runs(range(8))
     assert runs == [(d.initial, 0, 0), (a.store, 1, 1), (b.store, 2, 2),
                     (d.initial, 3, 7)]
 

@@ -206,6 +206,54 @@ def test_chain_gather_property(writes, idx):
     np.testing.assert_allclose(chain.gather(np.array(idx)), dense[np.array(idx)])
 
 
+def test_reads_of_never_written_blocks_cache_nothing_in_the_initial_store():
+    """Regression: ``gather()`` used to resolve never-written blocks through
+    ``InitialStateStore.get_block``, which allocates *and keeps* one zero
+    block per block touched -- memory ``allocated_bytes()`` reports as 0."""
+    init, _, _, chain = _chain_with_layers()
+    idx = np.array([0, 1, 13, 31, 20], dtype=np.int64)
+    np.testing.assert_array_equal(chain.gather(idx), [1.0, 0.0, 0.0, 0.0, 0.0])
+    out = chain.read_blocks([7, 0, 3])
+    assert out.shape == (12,)
+    assert out[4] == 1.0 and np.count_nonzero(out) == 1
+    np.testing.assert_array_equal(chain.read_range(12, 19), np.zeros(8))
+    assert init._blocks == {}
+
+
+def test_read_blocks_follows_list_order_and_returns_owned_memory():
+    _, a, b, chain = _chain_with_layers()
+    out = chain.read_blocks([2, 0, 1])
+    np.testing.assert_array_equal(out[:4], 99.0)
+    assert out[4] == 1.0
+    np.testing.assert_array_equal(out[8:], 10.0)
+    single = chain.read_blocks([1])
+    single[:] = -1  # a fresh array even for a single held block
+    assert a.get_block(1)[0] == 10.0
+    # consecutive same-owner blocks are one run, a gap or another owner cuts
+    runs = chain.owner_runs([1, 2, 3, 4, 6])
+    assert [(first, last) for _, first, last in runs] == [(1, 1), (2, 2), (3, 4), (6, 6)]
+    assert runs[0][0] is a and runs[1][0] is b
+
+
+def test_write_blocks_publishes_scattered_blocks_zero_copy():
+    s = _store()
+    out = np.arange(12, dtype=complex)
+    rows = list(out.reshape(3, 4))
+    s.write_blocks([5, 0, 6], rows)
+    assert s.stored_blocks() == (0, 5, 6)
+    assert s.get_block(5) is rows[0]  # adopted, not copied
+    np.testing.assert_array_equal(s.get_block(6), [8, 9, 10, 11])
+    with pytest.raises(ValueError):
+        s.write_blocks([1, 2], rows)
+    with pytest.raises(ValueError):
+        s.write_blocks([1], [np.zeros(3, dtype=complex)])
+    with pytest.raises(ValueError):
+        s.write_blocks([1], [np.zeros(4, dtype=float)])
+    with pytest.raises(ValueError):
+        s.write_blocks([8], [np.zeros(4, dtype=complex)])
+    assert s.stored_blocks() == (0, 5, 6)
+
+
 # ---------------------------------------------------------------------------
 # MemoryReport
 # ---------------------------------------------------------------------------

@@ -141,10 +141,27 @@ class TestBuildExecutionPlan:
         plan, _ = _plan_for(sim)
         (sp,) = plan.stage_plans
         assert sp.stage.plan_static
-        assert sp._static_runs is not None
+        assert sp._static_table is not None
         table = sp.build_table()
-        assert table.num_runs == len(sp._static_runs)
+        assert table is sp._static_table
         assert sp.emitted_runs == table.num_runs
+
+    def test_static_table_equals_the_packed_emit_runs(self):
+        # the packed-bounds fast path and the RunSpec path describe one table
+        sim = _simulator(
+            [[Gate("h", (q,)) for q in range(6)], [Gate("cx", (1, 4))]],
+            num_qubits=6,
+            block_size=4,
+        )
+        plan, _ = _plan_for(sim)
+        sp = next(sp for sp in plan.stage_plans if sp.stage.plan_static)
+        table = sp.build_table()
+        runs = [r for br in sp.block_ranges for r in sp.stage.emit_runs(br)]
+        reference = RunTable.from_runs(runs)
+        assert list(table.los) == list(reference.los)
+        assert list(table.his) == list(reference.his)
+        assert list(table.op_ids) == list(reference.op_ids)
+        assert table.ops == reference.ops
 
     def test_block_writes_match_affected_blocks(self):
         sim = _simulator([[Gate("h", (q,)) for q in range(4)]])

@@ -1,0 +1,528 @@
+"""Slab execution equals the per-run reference, bit for bit.
+
+``NumpyBatchBackend.execute_plan`` runs each operation group of a run table
+as one gather, one multiply and one publish; the base
+``KernelBackend.execute_plan`` is the run-by-run loop it replaced.  Every
+amplitude is the product of the same two operands on both paths, so the
+comparison here is ``np.array_equal``, never ``allclose`` -- over drawn
+tables at the backend boundary, and over drawn circuits at the session
+boundary (where worker threads, the sharded transport and chaos-mode fault
+injection come into play).
+"""
+
+from __future__ import annotations
+
+import os
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import faults
+from repro.core.blocks import MAX_RUN_BLOCKS, aligned_block_runs
+from repro.core.cow import (
+    BlockDirectory,
+    BlockStore,
+    DirectoryReader,
+    InitialStateStore,
+    StoreChain,
+)
+from repro.core.exec_plan import (
+    RUN_ACTION,
+    RUN_COLLAPSE,
+    RUN_COPY,
+    RUN_SLICE,
+    RunSpec,
+    RunTable,
+)
+from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.gates import DiagonalAction, MonomialAction
+from repro.core.kernels import KernelBackend, NumpyBatchBackend, _slab_table
+from repro.core.simulator import QTaskSimulator
+from repro.core.transport import LOCAL_TRANSPORT, ShardedTransport
+
+from ..conftest import random_levels
+from ..test_trajectory_properties import build_dynamic_circuit
+
+HAVE_FORK = hasattr(os, "fork")
+
+SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@pytest.fixture()
+def no_plan():
+    """Park whatever plan (chaos-mode or none) surrounds the test."""
+    previous = faults.install(None)
+    yield
+    faults.install(previous)
+
+
+# ---------------------------------------------------------------------------
+# drawing a stage input, a run table and the two executions of it
+# ---------------------------------------------------------------------------
+
+
+class _Owner:
+    """Minimal stage stand-in: a store plus a global sequence index."""
+
+    def __init__(self, seq, store):
+        self.seq = seq
+        self.store = store
+
+
+def _amps(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _stage_input(rng, dim, block_size, transport, directory):
+    """Two earlier stages holding random blocks over the initial state."""
+    initial = InitialStateStore(dim, block_size)
+    block_len = min(dim, block_size)
+    stores = []
+    for _ in range(2):
+        store = BlockStore(dim, block_size, transport=transport)
+        for b in np.flatnonzero(rng.random(store.n_blocks) < 0.6):
+            store.write_block(int(b), _amps(rng, block_len))
+        stores.append(store)
+    if not directory:
+        return StoreChain([initial] + stores), stores
+    index = BlockDirectory(initial)
+    for seq, store in enumerate(stores):
+        index.attach(_Owner(seq, store))
+    return DirectoryReader(index, 2), stores
+
+
+def _random_op(rng, kind, n, dim):
+    """``(run kind, qubits, payload)`` of one drawn operation."""
+    if kind == "copy":
+        return RUN_COPY, (), None
+    if kind == "slice":
+        return RUN_SLICE, (), _amps(rng, dim)
+    if kind in ("measure", "reset"):
+        op = (int(rng.integers(n)), int(rng.integers(2)), 1.25, kind == "reset")
+        return RUN_COLLAPSE, (), op
+    k = int(rng.integers(1, min(4, n) + 1))
+    # anywhere in the register, in any order: most draws put a qubit at or
+    # above the alignment of the short runs
+    qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+    coeffs = tuple(np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << k)))
+    if kind == "diagonal":
+        return RUN_ACTION, qubits, DiagonalAction(num_qubits=k, phases=coeffs)
+    perm = tuple(int(p) for p in rng.permutation(1 << k))
+    return (
+        RUN_ACTION,
+        qubits,
+        MonomialAction(num_qubits=k, perm=perm, factors=coeffs),
+    )
+
+
+def _random_table(rng, kinds, n, block_size):
+    """Aligned runs over random disjoint block ranges, one range set per op."""
+    dim = 1 << n
+    n_blocks = max(1, dim // block_size)
+    owner = rng.integers(-1, len(kinds), size=n_blocks)  # -1: not written
+    if not np.any(owner >= 0):
+        owner[int(rng.integers(n_blocks))] = 0
+    runs = []
+    for op_id, kind in enumerate(kinds):
+        run_kind, qubits, payload = _random_op(rng, kind, n, dim)
+        mine = np.flatnonzero(owner == op_id)
+        # maximal block ranges -> aligned power-of-two runs of mixed lengths
+        for piece in np.split(mine, np.flatnonzero(np.diff(mine) > 1) + 1):
+            if piece.size == 0:
+                continue
+            for fb, lb in aligned_block_runs(
+                int(piece[0]), int(piece[-1]), MAX_RUN_BLOCKS
+            ):
+                runs.append(
+                    RunSpec(
+                        run_kind,
+                        fb * block_size,
+                        min(dim, (lb + 1) * block_size) - 1,
+                        qubits,
+                        payload,
+                    )
+                )
+    return RunTable.from_runs(runs)
+
+
+def _execute(backend, reader, table, transport, parts, batch):
+    out = BlockStore(reader.dim, reader.block_size, transport=transport)
+    per_run = 0
+    for chunk in table.split(parts):
+        if batch:
+            with out.publish_batch():
+                per_run += backend.execute_plan(reader, out, chunk)
+        else:
+            per_run += backend.execute_plan(reader, out, chunk)
+    return out, per_run
+
+
+def _assert_same_blocks(got, want):
+    assert got.stored_blocks() == want.stored_blocks()
+    for b in want.stored_blocks():
+        assert np.array_equal(got.get_block(b), want.get_block(b)), b
+
+
+def _release(*stores):
+    for store in stores:
+        store.release_remote()
+
+
+KINDS = st.lists(
+    st.sampled_from(
+        ["diagonal", "monomial", "diagonal", "monomial",
+         "measure", "reset", "copy", "slice"]
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 11),
+    log_block=st.integers(1, 8),
+    kinds=KINDS,
+    parts=st.integers(1, 5),
+    directory=st.booleans(),
+    sharded=st.booleans(),
+    batch=st.booleans(),
+)
+@settings(max_examples=150, **SETTINGS)
+def test_slab_plan_equals_per_run_plan(
+    seed, n, log_block, kinds, parts, directory, sharded, batch
+):
+    rng = np.random.default_rng(seed)
+    block_size = 1 << log_block  # n < log_block: one short block
+    transport = (
+        ShardedTransport(2) if sharded and HAVE_FORK else LOCAL_TRANSPORT
+    )
+    reader, inputs = _stage_input(rng, 1 << n, block_size, transport, directory)
+    table = _random_table(rng, kinds, n, block_size)
+    want, ref_per_run = _execute(
+        KernelBackend(), reader, table, transport, parts, batch
+    )
+    got, per_run = _execute(
+        NumpyBatchBackend(), reader, table, transport, parts, batch
+    )
+    try:
+        _assert_same_blocks(got, want)
+        assert ref_per_run == table.num_runs
+        assert per_run == 0
+        # never-written inputs are served densely, not materialised
+        assert not _initial_of(reader)._blocks
+    finally:
+        _release(got, want, *inputs)
+
+
+def _initial_of(reader):
+    if isinstance(reader, StoreChain):
+        return reader._stores[0]
+    return reader.directory.initial
+
+
+# ---------------------------------------------------------------------------
+# named corners of the same property
+# ---------------------------------------------------------------------------
+
+
+def _chain_over(state, block_size):
+    store = BlockStore(state.shape[0], block_size)
+    store.write_range(0, state)
+    return StoreChain([InitialStateStore(state.shape[0], block_size), store])
+
+
+def test_split_chunk_reads_sources_outside_its_own_runs():
+    """cx(control 0, target 4): every run's sources sit 16 amplitudes away,
+    i.e. in a block the other chunk writes."""
+    n, block_size = 5, 4
+    rng = np.random.default_rng(3)
+    reader = _chain_over(_amps(rng, 1 << n), block_size)
+    cx = MonomialAction(
+        num_qubits=2, perm=(0, 3, 2, 1), factors=(1.0, 1.0, 1.0, 1.0)
+    )
+    table = RunTable.from_runs(
+        [RunSpec(RUN_ACTION, 4 * b, 4 * b + 3, (0, 4), cx) for b in range(8)]
+    )
+    head, tail = table.split(2)
+    assert int(head.his.max()) < 16 <= int(tail.los.min())
+    want, _ = _execute(KernelBackend(), reader, table, None, 2, False)
+    got, _ = _execute(NumpyBatchBackend(), reader, table, None, 2, False)
+    _assert_same_blocks(got, want)
+
+
+def test_single_short_block_when_dim_is_below_block_size():
+    rng = np.random.default_rng(4)
+    held = BlockStore(8, 256)
+    held.write_block(0, _amps(rng, 8))
+    reader = StoreChain([InitialStateStore(8, 256), held])
+    swap = MonomialAction(
+        num_qubits=2, perm=(0, 2, 1, 3), factors=(1.0, 1j, -1j, 1.0)
+    )
+    table = RunTable.from_runs([RunSpec(RUN_ACTION, 0, 7, (2, 0), swap)])
+    want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
+    got, _ = _execute(NumpyBatchBackend(), reader, table, None, 1, False)
+    assert got.get_block(0).shape == (8,)
+    _assert_same_blocks(got, want)
+
+
+def test_output_arrays_span_at_most_max_run_blocks():
+    """One group of 512 blocks publishes zero-copy out of >= 8 arrays."""
+    n, block_size = 10, 2
+    rng = np.random.default_rng(5)
+    reader = _chain_over(_amps(rng, 1 << n), block_size)
+    rz = DiagonalAction(num_qubits=1, phases=(np.exp(-0.4j), np.exp(0.4j)))
+    table = RunTable.from_runs(
+        [
+            RunSpec(RUN_ACTION, fb * block_size, (lb + 1) * block_size - 1, (9,), rz)
+            for fb, lb in aligned_block_runs(0, 511, MAX_RUN_BLOCKS)
+        ]
+    )
+    got, _ = _execute(NumpyBatchBackend(), reader, table, None, 1, False)
+    want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
+    _assert_same_blocks(got, want)
+    backing = set()
+    for b in got.stored_blocks():
+        owner = got.get_block(b)
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.size <= MAX_RUN_BLOCKS * block_size
+        backing.add(id(owner))
+    assert len(backing) >= 512 // MAX_RUN_BLOCKS
+
+
+# ---------------------------------------------------------------------------
+# fault sites: fire before anything happened, re-execution converges
+# ---------------------------------------------------------------------------
+
+
+class _CountingReader(StoreChain):
+    reads = 0
+
+    def read_blocks(self, blocks):
+        self.reads += 1
+        return super().read_blocks(blocks)
+
+
+def _fault_case():
+    rng = np.random.default_rng(6)
+    state = _amps(rng, 64)
+    held = BlockStore(64, 4)
+    held.write_range(0, state)
+    reader = _CountingReader([InitialStateStore(64, 4), held])
+    rz = DiagonalAction(num_qubits=1, phases=(np.exp(-0.3j), np.exp(0.3j)))
+    table = RunTable.from_runs(
+        [RunSpec(RUN_ACTION, 0, 15, (5,), rz), RunSpec(RUN_ACTION, 32, 47, (5,), rz)]
+    )
+    # the output store already holds an older result, tracked by a directory
+    out = BlockStore(64, 4)
+    directory = BlockDirectory(InitialStateStore(64, 4))
+    directory.attach(_Owner(0, out))
+    out.write_range(0, _amps(rng, 16))
+    return reader, table, out, directory
+
+
+def _snapshot(out, directory):
+    return (
+        {b: id(arr) for b, arr in out._blocks.items()},
+        {b: directory.writers_of(b) for b in range(out.n_blocks)},
+    )
+
+
+@pytest.mark.parametrize("site", ["kernel.run", "cow.publish"])
+def test_injected_fault_leaves_the_store_untouched_and_retry_converges(site):
+    reader, table, out, directory = _fault_case()
+    before = _snapshot(out, directory)
+    previous = faults.install(FaultPlan(script=[(site, 1)]))
+    try:
+        with faults.armed():
+            with pytest.raises(FaultInjected):
+                NumpyBatchBackend().execute_plan(reader, out, table)
+            assert _snapshot(out, directory) == before
+            # kernel.run fires once per group, before any read
+            assert reader.reads == (0 if site == "kernel.run" else 1)
+            NumpyBatchBackend().execute_plan(reader, out, table)
+    finally:
+        faults.install(previous)
+    want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
+    for b in want.stored_blocks():
+        assert np.array_equal(out.get_block(b), want.get_block(b))
+    assert directory.writers_of(8) != ()
+
+
+def test_session_recovers_from_a_failed_slab_publish(no_plan):
+    levels = random_levels(random.Random(21), 5, 4)
+
+    def run(script):
+        sim = _sim(levels)
+        faults.install(FaultPlan(script=script) if script else None)
+        try:
+            sim.update_state()
+            return sim.state().copy(), sim.statistics()
+        finally:
+            faults.install(None)
+            sim.close()
+
+    clean, _ = run(None)
+    recovered, stats = run([("cow.publish", 1)])
+    assert stats["backend_fallbacks"] == 1
+    assert stats["runs_fallback"] == 0
+    assert np.array_equal(recovered, clean)
+
+
+def _sim(levels, num_qubits=5, **knobs):
+    from repro.core.circuit import Circuit
+
+    circuit = Circuit(num_qubits)
+    circuit.from_levels(levels)
+    knobs.setdefault("block_size", 4)
+    knobs.setdefault("num_workers", 1)
+    knobs.setdefault("kernel_backend", "numpy")
+    return QTaskSimulator(circuit, **knobs)
+
+
+# ---------------------------------------------------------------------------
+# the shared table cache
+# ---------------------------------------------------------------------------
+
+
+def test_stages_with_one_layout_share_one_table():
+    _slab_table.cache_clear()
+    rng = np.random.default_rng(8)
+    reader = _chain_over(_amps(rng, 64), 4)
+    backend = NumpyBatchBackend()
+
+    def stage_table(theta, qubit=4):
+        rz = DiagonalAction(
+            num_qubits=1, phases=(np.exp(-1j * theta), np.exp(1j * theta))
+        )
+        return RunTable.from_runs(
+            [RunSpec(RUN_ACTION, 0, 31, (qubit,), rz),
+             RunSpec(RUN_ACTION, 48, 63, (qubit,), rz)]
+        )
+
+    backend.execute_plan(reader, BlockStore(64, 4), stage_table(0.3))
+    assert _slab_table.cache_info().currsize == 1
+    # another stage, other angle, other backend instance: same index table
+    NumpyBatchBackend().execute_plan(reader, BlockStore(64, 4), stage_table(0.9))
+    info = _slab_table.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    # another qubit (or other blocks) is another table
+    backend.execute_plan(reader, BlockStore(64, 4), stage_table(0.3, qubit=3))
+    assert _slab_table.cache_info().currsize == 2
+
+
+def test_tables_are_compact_read_only_and_the_cache_is_bounded():
+    _slab_table.cache_clear()
+    cx = (0, 3, 2, 1)
+    bound = _slab_table.cache_info().maxsize
+    for b in range(bound + 40):
+        lo = np.array([64 * b], dtype=np.int64)
+        table = _slab_table(
+            RUN_ACTION, ((0, 5), cx), lo.tobytes(), (lo + 63).tobytes(), 16, 1 << 15
+        )
+        assert _slab_table.cache_info().currsize <= bound
+    assert _slab_table.cache_info().currsize == bound
+    assert table.local.dtype == np.uint8 and table.srcpos.dtype == np.int32
+    assert not table.local.flags.writeable and not table.srcpos.flags.writeable
+    # a slab is at most MAX_RUN_BLOCKS blocks, so an entry is at most
+    # 10 bytes per amplitude of that many blocks
+    assert table.local.nbytes + table.srcpos.nbytes <= 10 * 64
+    rz = _slab_table(RUN_ACTION, ((5,), None), lo.tobytes(), (lo + 63).tobytes(), 16, 1 << 15)
+    assert rz.srcpos is None and rz.keep is None  # a diagonal gathers nothing
+    assert rz.in_ids == rz.out_ids == table.out_ids
+
+
+# ---------------------------------------------------------------------------
+# session boundary: workers, transports, chaos
+# ---------------------------------------------------------------------------
+
+
+def _check_sessions_agree(seed, **knobs):
+    levels = random_levels(random.Random(seed), 6, 5)
+    slab = _sim(levels, 6, **knobs)
+    reference = _sim(levels, 6, **dict(knobs, kernel_backend=KernelBackend()))
+    try:
+        slab.update_state()
+        reference.update_state()
+        assert np.array_equal(slab.state(), reference.state())
+        # an incremental edit re-plans a subset of the partitions
+        for sim in (slab, reference):
+            net = sim.circuit.insert_net()
+            sim.circuit.insert_gate("cx", net, 0, 5)
+            sim.circuit.insert_gate("rz", net, 3, params=(0.77,))
+            sim.update_state()
+        assert np.array_equal(slab.state(), reference.state())
+        assert slab.statistics()["runs_fallback"] == 0
+    finally:
+        slab.close()
+        reference.close()
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    block_size=st.sampled_from([2, 4, 16]),
+    num_workers=st.sampled_from([1, 4]),
+    block_directory=st.booleans(),
+    fusion=st.booleans(),
+)
+@settings(max_examples=25, **SETTINGS)
+def test_sessions_agree_with_the_per_run_reference_backend(
+    seed, block_size, num_workers, block_directory, fusion
+):
+    """Runs under whatever transport / fault plan the environment set
+    (``QTASK_STORE_TRANSPORT``, ``QTASK_FAULT_P``): recovery re-executes
+    through the per-run path, so even then the states are identical."""
+    _check_sessions_agree(
+        seed,
+        block_size=block_size,
+        num_workers=num_workers,
+        block_directory=block_directory,
+        fusion=fusion,
+    )
+
+
+@pytest.mark.parametrize("block_directory", [True, False])
+@pytest.mark.parametrize("num_workers", [1, 4])
+def test_dense_mode_sessions_agree_with_the_reference_backend(
+    no_plan, block_directory, num_workers
+):
+    # copy_on_write=False publishes every block of every stage one by one
+    # after the kernels ran; at chaos-mode rates that alone exhausts the
+    # update-level retries, so this corner runs with the plan parked.
+    _check_sessions_agree(
+        20260927,
+        block_size=4,
+        num_workers=num_workers,
+        block_directory=block_directory,
+        copy_on_write=False,
+    )
+
+
+@pytest.mark.parametrize("circuit_seed", [0, 1, 2])
+@pytest.mark.parametrize("num_workers", [1, 4])
+def test_dynamic_trajectories_agree_with_the_reference_backend(
+    circuit_seed, num_workers
+):
+    ckt = build_dynamic_circuit(circuit_seed)
+    states = []
+    for backend in ("numpy", KernelBackend()):
+        sim = QTaskSimulator(
+            ckt, seed=5, block_size=4, num_workers=num_workers,
+            kernel_backend=backend,
+        )
+        try:
+            sim.update_state()
+            states.append((sim.state().copy(), sim.outcomes.recorded_outcomes()))
+            if backend == "numpy":
+                assert sim.statistics()["runs_fallback"] == 0
+        finally:
+            sim.close()
+    assert states[0][1] == states[1][1]
+    assert np.array_equal(states[0][0], states[1][0])

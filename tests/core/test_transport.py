@@ -280,6 +280,30 @@ class TestPublishBatch:
         assert t.bytes_shipped > shipped0
         store.release_remote()
 
+    def test_write_blocks_ships_one_range_per_contiguous_run(self):
+        t = ShardedTransport(1)
+        calls = []
+        ship = t.write_range
+        t.write_range = lambda store, first, arrays: (
+            calls.append((first, len(arrays))) or ship(store, first, arrays)
+        )
+        store = BlockStore(64, 4, transport=t)
+        rows = list(np.arange(20, dtype=np.complex128).reshape(5, 4))
+        store.write_blocks([3, 4, 5, 9, 10], rows)
+        assert calls == [(3, 3), (9, 2)]
+        assert not any(isinstance(h, np.ndarray) for h in store._blocks.values())
+        # inside a batch nothing ships until the close, then one run each
+        del calls[:]
+        with store.publish_batch():
+            store.write_blocks([12, 0, 13], rows[:3])
+            assert calls == []
+            np.testing.assert_array_equal(store.get_block(0), rows[1])
+        assert calls == [(0, 1), (12, 2)]
+        store._read_cache.clear()
+        np.testing.assert_array_equal(store.get_block(13), rows[2])
+        np.testing.assert_array_equal(store.get_block(10), rows[4])
+        store.release_remote()
+
     def test_batch_is_a_no_op_on_local_stores(self):
         store = BlockStore(16, 4)
         with store.publish_batch():

@@ -36,6 +36,7 @@ GOLDEN_KEYS = {
     "requested_backend",
     "run_retries",
     "runs_batched",
+    "runs_fallback",
     "runs_per_plan",
     "store_bytes_shipped",
     "store_remote_reads",
@@ -77,10 +78,13 @@ def test_statistics_values_reflect_the_registry_counters(session):
     assert stats["update_retries"] == 0
     assert stats["backend_fallbacks"] == 0
     assert stats["backend"] == "numpy"
+    # the numpy backend batches every run shape: nothing goes run by run
+    assert stats["runs_fallback"] == 0
     assert stats["last_elapsed_seconds"] > 0.0
     # every plain count is a real int, not a Counter/Gauge leaking through
     for key in (
-        "plans_built", "runs_batched", "plan_chunks", "updates_planned",
+        "plans_built", "runs_batched", "runs_fallback", "plan_chunks",
+        "updates_planned",
         "run_retries", "update_retries", "backend_fallbacks", "task_retries",
         "num_updates", "store_remote_reads", "store_bytes_shipped",
         "store_shard_restarts", "store_transitions",
@@ -95,3 +99,44 @@ def test_statistics_keys_stable_across_updates(session):
     session.update_state()
     assert set(session.simulator.statistics()) == GOLDEN_KEYS
     assert session.simulator.statistics()["num_updates"] == 2
+
+
+def _dynamic_session(backend):
+    """Every run kind the default pipeline emits, on small blocks."""
+    ckt = QTask(6, block_size=4, kernel_backend=backend, seed=11)
+    c = ckt.add_classical_register("c", 1)
+    nets = [ckt.insert_net() for _ in range(6)]
+    for q in ckt.qubits():
+        ckt.insert_gate("h", nets[0], q)            # prepared slices
+    ckt.insert_gate("rz", nets[1], 5, params=(0.3,))  # diagonal above every run
+    ckt.insert_gate("cx", nets[1], 0, 4)            # monomial across blocks
+    ckt.measure(nets[2], 2, c[0])                   # collapse
+    ckt.c_if("x", nets[3], 3, condition=(c, 1))     # action or identity copy
+    ckt.reset(nets[4], 5)                           # moving collapse
+    ckt.insert_gate("swap", nets[5], 1, 5)
+    ckt.update_state()
+    return ckt
+
+
+def test_numpy_backend_hands_no_run_to_the_per_run_path():
+    ckt = _dynamic_session("numpy")
+    try:
+        stats = ckt.statistics()
+        assert stats["runs_batched"] > stats["plans_built"]
+        assert stats["runs_fallback"] == 0
+        assert ckt.plan_report().runs_fallback == 0
+        assert "0 runs executed one by one" in ckt.explain_last_update()
+    finally:
+        ckt.close()
+
+
+def test_reference_backend_counts_every_run_as_per_run():
+    from repro.core.kernels import KernelBackend
+
+    ckt = _dynamic_session(KernelBackend())
+    try:
+        stats = ckt.statistics()
+        # (chaos legs re-plan on injected faults, hence not an equality)
+        assert 0 < stats["runs_fallback"] <= stats["runs_batched"]
+    finally:
+        ckt.close()
