@@ -1,10 +1,11 @@
-"""Deep-circuit incremental-update A/B: block directory vs. linear chain.
+"""Deep-circuit incremental-update A/B: indexed resolution vs. linear chain.
 
-The block directory (``repro.core.cow.BlockDirectory``) replaces the naive
-O(S) backwards store-chain walk with an O(log W) per-block ownership lookup
-(S = stages, W = writers of the block).  Its payoff grows with circuit
+``block_directory=True`` resolves block reads through the partition graph's
+writer index (``PartitionGraph.plan_sources`` once per update,
+``repro.core.cow.IndexReader`` per read) instead of the naive O(S)
+backwards store-chain walk (S = stages).  Its payoff grows with circuit
 *depth*: in a deep circuit most blocks were last written far in the past, so
-every read in chain mode walks hundreds of stores while the directory jumps
+every read in chain mode walks hundreds of stores while the index jumps
 straight to the owner.
 
 The workload is the synthesis-loop pattern of the paper's incremental

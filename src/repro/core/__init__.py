@@ -4,9 +4,8 @@ from .blocks import DEFAULT_BLOCK_SIZE, BlockRange, IntervalSet
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import ClassicalRegister, OutcomeRecord
 from .cow import (
-    BlockDirectory,
     BlockStore,
-    DirectoryReader,
+    IndexReader,
     InitialStateStore,
     MemoryReport,
     StoreChain,
@@ -66,9 +65,8 @@ __all__ = [
     "MeasureStage",
     "ResetStage",
     "ClassicallyControlledStage",
-    "BlockDirectory",
     "BlockStore",
-    "DirectoryReader",
+    "IndexReader",
     "InitialStateStore",
     "MemoryReport",
     "StoreChain",

@@ -14,21 +14,16 @@ Two resolution strategies are provided:
   stores backwards until one holds the block.  O(S) per read for S stages,
   used by tests/benchmarks as the ground truth and by the simulator's legacy
   ``block_directory=False`` mode.
-* :class:`BlockDirectory` + :class:`DirectoryReader` -- a simulator-owned
-  index mapping each block id to the ordered list of stage *owners* that have
-  materialised it.  "Which store owns block b as of stage k?" becomes a
-  binary search over b's writers (O(log W), W = writers of b) instead of an
-  O(S) chain walk, and building a per-stage reader is O(1) instead of an
-  O(S) store-list copy.  The directory is maintained incrementally by the
-  stores themselves on every ``write_block``/``drop_block``/``clear`` (stores
-  carry an optional back-reference installed by
-  :meth:`BlockDirectory.attach`).
-
-Directory entries are kept sorted by the owner's ``seq`` (its position in the
-global stage order).  Stage insertion/removal renumbers seqs, but never
-changes the *relative* order of surviving stages, so the per-block sorted
-lists stay sorted without any fix-up; removal purges the departing owner's
-entries via :meth:`BlockDirectory.detach`.
+* :class:`IndexReader` -- resolution through the partition graph's writer
+  index (:mod:`repro.core.graph`), the only per-block ownership structure:
+  for every block id, the seq-sorted partitions that *declare* it.  With
+  copy-on-write a stage's store holds only blocks its partitions declare, so
+  "which store holds block b as of stage k?" is the closest earlier declarer
+  of b -- which an update's plan reads off the index once per block and hands
+  to the stage's reader as a table.  Stores know nothing of the index: they
+  carry no back-reference and report no writes, and a declarer that holds
+  nothing (not executed yet, forsaken, left half-written by a failed update)
+  is stepped over at read time.
 
 Writes are single-copy: ``write_block`` copies at most once (``np.asarray``'s
 dtype conversion already produces owned memory), and both ``write_block`` and
@@ -54,8 +49,8 @@ store's dict (the hot paths short-circuit around the transport entirely, so
 the in-process case pays nothing), while
 :class:`~repro.core.transport.ShardedTransport` places block ranges across
 forked shard processes and the dict holds lightweight handles.  All the
-ownership bookkeeping above -- directory notifications, shared markers,
-export refcounts -- is transport-agnostic; remote stores additionally keep a
+ownership bookkeeping above -- shared markers, export refcounts -- is
+transport-agnostic; remote stores additionally keep a
 small bounded read cache so plan execution does not re-fetch a block per
 run.
 """
@@ -77,8 +72,7 @@ __all__ = [
     "BlockStore",
     "InitialStateStore",
     "StoreChain",
-    "BlockDirectory",
-    "DirectoryReader",
+    "IndexReader",
     "MemoryReport",
 ]
 
@@ -124,9 +118,6 @@ class BlockStore:
         # Precomputing it keeps the hot write path free of per-call
         # block_bounds arithmetic.
         self._block_len = min(self.dim, self.block_size)
-        #: optional :class:`BlockDirectory` back-reference (see attach())
-        self._directory: Optional["BlockDirectory"] = None
-        self._dir_owner: Optional[object] = None
         #: blocks adopted from another store (block id -> origin store);
         #: rebinding such a block on first write releases the origin's ref
         self._shared: Dict[int, "BlockStore"] = {}
@@ -201,12 +192,10 @@ class BlockStore:
 
         The recovery path after shard loss: the payloads are already gone
         (dead or respawned-empty shards), so only the local bookkeeping --
-        dict entries, directory ownership, shared markers, export refs --
-        is torn down, and the caller re-executes from the initial state.
-        Optionally rebinds the store to ``transport``.
+        dict entries, shared markers, export refs -- is torn down, and the
+        caller re-executes from the initial state.  Optionally rebinds the
+        store to ``transport``.
         """
-        if self._directory is not None and self._blocks:
-            self._directory._on_clear(self._dir_owner, tuple(self._blocks))
         self._blocks.clear()
         self._shared.clear()
         with self._export_lock:
@@ -331,7 +320,6 @@ class BlockStore:
             # Shard-side aliasing needs every payload shipped first.
             other._flush_pending()
         blocks = self._blocks
-        new_blocks: List[int] = []
         shared_ids: List[int] = []
         # Published blocks are immutable by contract (kernels allocate
         # fresh outputs and stores rebind); the transport enforces it for
@@ -339,8 +327,6 @@ class BlockStore:
         # payloads).
         other.transport.seal(other, tuple(other._blocks))
         for b, arr in other._blocks.items():
-            if b not in blocks:
-                new_blocks.append(b)
             self._release_shared(b)
             blocks[b] = arr
             self._shared[b] = other
@@ -350,8 +336,6 @@ class BlockStore:
                 self._read_cache.pop(b, None)
             self._remote.share(other, self, shared_ids)
         other._export_retain(shared_ids)
-        if new_blocks and self._directory is not None:
-            self._directory._on_write_many(self._dir_owner, new_blocks)
         return len(shared_ids)
 
     def _copy_from(self, other: "BlockStore") -> int:
@@ -440,8 +424,7 @@ class BlockStore:
         With ``copy=False`` the per-block entries are *views* of ``values``
         (the zero-copy publish path for kernel outputs); the caller must not
         mutate ``values`` afterwards.  With ``copy=True`` the range is copied
-        once as a whole, never block by block.  Directory notification is
-        batched: one update covers every newly owned block of the range.
+        once as a whole, never block by block.
         """
         # Fires before any mutation; see write_block.
         if faults.ACTIVE is not None:
@@ -475,7 +458,7 @@ class BlockStore:
 
         The slab kernels' publish: any set of distinct blocks (a whole
         operation group's outputs, contiguous or not) lands with one fault
-        check, one dict update and one directory notification.  The rows
+        check and one dict update.  The rows
         are adopted as they are -- ``write_range(copy=False)``'s contract:
         whole-block ``complex128`` rows of freshly computed arrays the
         caller never touches again.  How much memory a row pins is the
@@ -518,8 +501,6 @@ class BlockStore:
         closing flush), an immediate remote publish ships one
         ``write_range`` per contiguous id run and keeps the handles.
         """
-        held = self._blocks
-        new_blocks = [b for b in blocks if b not in held]
         payloads: Sequence[object] = rows
         if self._remote is not None:
             if self._batch_depth > 0:
@@ -541,9 +522,7 @@ class BlockStore:
         if self._shared:
             for b in blocks:
                 self._release_shared(b)
-        held.update(zip(blocks, payloads))
-        if new_blocks and self._directory is not None:
-            self._directory._on_write_many(self._dir_owner, new_blocks)
+        self._blocks.update(zip(blocks, payloads))
 
     def drop_block(self, block: int) -> None:
         if self._blocks.pop(block, None) is not None:
@@ -556,12 +535,8 @@ class BlockStore:
                     self._remote.release(self, (block,))
                 except TransportFailure:  # pragma: no cover - best effort
                     pass
-            if self._directory is not None:
-                self._directory._on_drop(self._dir_owner, block)
 
     def clear(self) -> None:
-        if self._directory is not None and self._blocks:
-            self._directory._on_clear(self._dir_owner, tuple(self._blocks))
         for b in tuple(self._shared):
             self._release_shared(b)
         if self._remote is not None and self._blocks:
@@ -722,9 +697,8 @@ class _ResolvingReader:
     :meth:`BlockStore.get_block_many` call -- which, on a remote transport,
     is one round-trip per shard instead of one per block.
 
-    Historically :class:`StoreChain` and :class:`DirectoryReader` each
-    carried their own copy of this logic; they are now pure resolution
-    strategies.
+    :class:`StoreChain` and :class:`IndexReader` are pure resolution
+    strategies on top of it.
     """
 
     __slots__ = ()
@@ -855,177 +829,56 @@ class StoreChain(_ResolvingReader):
         raise LookupError(f"block {block} resolved by no store in the chain")
 
 
-class BlockDirectory:
-    """Index of block ownership across all stages of one simulator.
+class IndexReader(_ResolvingReader):
+    """A :class:`StateReader` over a writer index "as of" one stage.
 
-    For every block id the directory keeps the list of *owners* (objects
-    exposing ``.seq`` and ``.store``, in practice stages) whose store
-    currently holds that block, sorted by ``seq``.  Resolution "as of"
-    sequence ``k`` is a binary search for the rightmost owner with
-    ``seq < k``; blocks nobody wrote fall back to the initial state.
+    ``index`` is the partition graph (anything with its ``holder(block,
+    before_seq)``): the one per-block ownership structure, listing the
+    stages that *declare* each block.  ``before_seq`` is exclusive -- a
+    stage reads the output of stages strictly before it; ``sys.maxsize``
+    reads the final state.
 
-    Maintenance is push-based: :meth:`attach` installs a back-reference on
-    the owner's store, whose ``write_block``/``drop_block``/``clear`` then
-    report ownership changes.  Entries survive stage re-sequencing because
-    insertion/removal never reorders surviving stages relative to each
-    other, so seq-sorted lists stay sorted under renumbering.
-
-    Mutations take a lock (they happen on worker threads during execution);
-    lookups are lock-free, which is safe because the partition task graph
-    already orders every write of a block before any read that must see it.
+    ``sources`` is the table an update's plan resolved once for the stage
+    (``PartitionGraph.plan_sources``): block id -> the store of the closest
+    earlier declarer.  A planned block costs one dict lookup per read.  The
+    index itself is searched only for a block outside the table or one
+    whose planned store holds nothing -- before a first update, after a
+    failed one, once a store was forsaken -- and the search steps to the
+    next older declarer that does hold it, ending at ``initial``.
     """
 
-    def __init__(self, initial: BlockStore) -> None:
+    __slots__ = (
+        "index", "initial", "before_seq", "sources",
+        "dim", "block_size", "n_blocks",
+    )
+
+    def __init__(
+        self,
+        index,
+        initial: BlockStore,
+        before_seq: int,
+        sources: Optional[Dict[int, BlockStore]] = None,
+    ) -> None:
+        self.index = index
         self.initial = initial
+        self.before_seq = before_seq
+        self.sources: Dict[int, BlockStore] = {} if sources is None else sources
         self.dim = initial.dim
         self.block_size = initial.block_size
         self.n_blocks = initial.n_blocks
-        self._writers: Dict[int, List[object]] = {}
-        self._lock = threading.Lock()
-
-    # -- owner lifecycle --------------------------------------------------
-
-    def attach(self, owner) -> None:
-        """Start tracking ``owner.store`` (adopting any blocks it holds)."""
-        store = owner.store
-        store._directory = self
-        store._dir_owner = owner
-        for b in store.stored_blocks():
-            self._on_write(owner, b)
-
-    def detach(self, owner) -> None:
-        """Stop tracking ``owner.store`` and purge its entries."""
-        store = owner.store
-        store._directory = None
-        store._dir_owner = None
-        with self._lock:
-            for b in store.stored_blocks():
-                lst = self._writers.get(b)
-                if lst is not None and owner in lst:
-                    lst.remove(owner)
-
-    # -- store callbacks --------------------------------------------------
-
-    @staticmethod
-    def _bisect_seq(lst: List[object], seq: int) -> int:
-        """Index of the first owner with ``.seq >= seq`` (bisect_left by seq).
-
-        Hand-rolled because :func:`bisect.bisect_left` only grew ``key=`` in
-        Python 3.10 and this package supports 3.9.
-        """
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if lst[mid].seq < seq:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _insert_sorted(self, lst: List[object], owner) -> None:
-        # Fast path: owners usually arrive in seq order (stage execution,
-        # fork adoption), making the insert a plain append.
-        if not lst or lst[-1].seq < owner.seq:
-            lst.append(owner)
-            return
-        lst.insert(self._bisect_seq(lst, owner.seq), owner)
-
-    def _on_write(self, owner, block: int) -> None:
-        with self._lock:
-            lst = self._writers.get(block)
-            if lst is None:
-                lst = self._writers[block] = []
-            if owner not in lst:
-                self._insert_sorted(lst, owner)
-
-    def _on_write_many(self, owner, blocks: Sequence[int]) -> None:
-        writers = self._writers
-        with self._lock:
-            for block in blocks:
-                lst = writers.get(block)
-                if lst is None:
-                    writers[block] = [owner]
-                elif owner not in lst:
-                    self._insert_sorted(lst, owner)
-
-    def _on_drop(self, owner, block: int) -> None:
-        with self._lock:
-            lst = self._writers.get(block)
-            if lst is not None and owner in lst:
-                lst.remove(owner)
-
-    def _on_clear(self, owner, blocks: Sequence[int]) -> None:
-        with self._lock:
-            for b in blocks:
-                lst = self._writers.get(b)
-                if lst is not None and owner in lst:
-                    lst.remove(owner)
-
-    # -- resolution -------------------------------------------------------
-
-    def resolve_stores(
-        self, blocks: Sequence[int], before_seq: int
-    ) -> List[BlockStore]:
-        """The store owning each of ``blocks`` as of stage sequence ``before_seq``.
-
-        O(log W) per block in the number of its writers; a block no stage
-        with ``seq < before_seq`` holds resolves to the initial-state store.
-        """
-        writers = self._writers
-        bisect = self._bisect_seq
-        initial = self.initial
-        out: List[BlockStore] = []
-        for block in blocks:
-            found = initial
-            lst = writers.get(block)
-            if lst:
-                lo = bisect(lst, before_seq)
-                while lo:
-                    store = lst[lo - 1].store
-                    if store.has_block(block):
-                        found = store
-                        break
-                    lo -= 1  # racing drop: fall back to the next older writer
-            out.append(found)
-        return out
-
-    def resolve_store(self, block: int, before_seq: int) -> BlockStore:
-        """:meth:`resolve_stores` for a single block."""
-        return self.resolve_stores((block,), before_seq)[0]
-
-    def resolve_block(self, block: int, before_seq: int) -> np.ndarray:
-        got = self.resolve_store(block, before_seq).get_block(block)
-        assert got is not None
-        return got
-
-    def writers_of(self, block: int) -> Tuple[object, ...]:
-        """The current owners of ``block`` in seq order (for introspection)."""
-        return tuple(self._writers.get(block, ()))
-
-
-class DirectoryReader(_ResolvingReader):
-    """A :class:`StateReader` view of a directory "as of" one stage.
-
-    Construction is O(1) -- unlike :class:`StoreChain` there is no store
-    list to copy -- and every block lookup is an O(log W) directory
-    resolution.  ``before_seq`` is exclusive: a stage reads the output of
-    stages strictly before it.
-    """
-
-    __slots__ = ("directory", "before_seq", "dim", "block_size", "n_blocks")
-
-    def __init__(self, directory: BlockDirectory, before_seq: int) -> None:
-        self.directory = directory
-        self.before_seq = before_seq
-        self.dim = directory.dim
-        self.block_size = directory.block_size
-        self.n_blocks = directory.n_blocks
-
-    def resolve_store(self, block: int) -> BlockStore:
-        return self.directory.resolve_store(block, self.before_seq)
 
     def resolve_stores(self, blocks: Sequence[int]) -> List[BlockStore]:
-        return self.directory.resolve_stores(blocks, self.before_seq)
+        planned = self.sources.get
+        out: List[BlockStore] = []
+        for block in blocks:
+            store = planned(block)
+            if store is None or not store.has_block(block):
+                store = self.index.holder(block, self.before_seq) or self.initial
+            out.append(store)
+        return out
+
+    def resolve_store(self, block: int) -> BlockStore:
+        return self.resolve_stores((block,))[0]
 
 
 @dataclass(frozen=True)

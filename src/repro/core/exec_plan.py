@@ -221,9 +221,10 @@ class StagePlan:
         "num_chunks",
     )
 
-    def __init__(self, stage, reader) -> None:
+    def __init__(self, stage) -> None:
         self.stage = stage
-        self.reader = reader
+        #: the stage-input view, attached once the block ranges are known
+        self.reader = None
         self.has_sync = False
         #: block ranges of the stage's affected (non-sync) partition nodes
         self.block_ranges: List[object] = []
@@ -278,7 +279,7 @@ class ExecutionPlan:
 
 def build_execution_plan(
     affected: Sequence[object],
-    reader_for: Callable[[object], object],
+    attach_readers: Callable[[List[StagePlan]], None],
 ) -> ExecutionPlan:
     """Compile the affected partition nodes into one plan per stage.
 
@@ -290,6 +291,9 @@ def build_execution_plan(
     Coarsening node edges to stage edges only *adds* ordering (edges always
     point from earlier to later stages, partitions of one stage never
     depend on each other), so the plan DAG is a correct, smaller schedule.
+    ``attach_readers`` then gives every stage plan (seq ascending, block
+    ranges complete) its input reader -- this is where block sources are
+    resolved, once per update.
     """
     plans: Dict[int, StagePlan] = {}
     order: List[StagePlan] = []
@@ -298,7 +302,7 @@ def build_execution_plan(
         uid = node.stage.uid
         sp = plans.get(uid)
         if sp is None:
-            sp = plans[uid] = StagePlan(node.stage, reader_for(node.stage))
+            sp = plans[uid] = StagePlan(node.stage)
             order.append(sp)
         if node.is_sync:
             sp.has_sync = True
@@ -306,6 +310,7 @@ def build_execution_plan(
             sp.block_ranges.append(node.block_range)
             sp.block_writes += len(node.block_range)
             block_writes += len(node.block_range)
+    attach_readers(order)
     for sp in order:
         sp.freeze_static()
 

@@ -20,9 +20,12 @@ update) of the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Set, TextIO
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple,
+)
 
 from .blocks import BlockRange
+from .cow import BlockStore
 from .stage import Stage
 
 __all__ = ["PartitionNode", "PartitionGraph", "GraphStats"]
@@ -85,8 +88,8 @@ def _slot(writers: List[PartitionNode], seq: int) -> int:
     """Index of the first writer whose stage has ``seq`` or a later one.
 
     ``writers`` is one block's entry of the writer index, sorted by stage
-    seq.  Hand-rolled like ``BlockDirectory._bisect_seq``: ``bisect`` only
-    grew ``key=`` in Python 3.10 and this package supports 3.9.
+    seq.  Hand-rolled: ``bisect`` only grew ``key=`` in Python 3.10 and this
+    package supports 3.9.
     """
     # Fast path: a circuit under construction appends stages, so the probed
     # seq lies past every registered writer.
@@ -147,17 +150,19 @@ class PartitionGraph:
         #: *declare* that block, sorted by stage seq.  One entry per block a
         #: node spans; sync barriers write nothing and are not listed (their
         #: stage's partitions cover every block, which is what ends a walk in
-        #: either direction at a full-read stage).  Like the held-blocks
-        #: ``BlockDirectory`` the lists survive renumbering because inserts
-        #: and removals never permute surviving stages.
+        #: either direction at a full-read stage).  The lists survive
+        #: renumbering because inserts and removals never permute surviving
+        #: stages.  Wiring reads the closest writers off it and block reads
+        #: resolve through it (``holder`` / ``plan_sources``): with
+        #: copy-on-write a store holds only blocks its stage declares.
         self._writers: List[List[PartitionNode]] = [
             [] for _ in range(full_block_range.last + 1)
         ]
         #: seq-maintenance hooks: fired after a stage enters the global order
-        #: (its seq is valid) and after it leaves it.  The simulator uses
-        #: these to attach/detach stage stores to its block directory.  Both
-        #: events renumber stage seqs, but never permute surviving stages
-        #: relative to each other -- an invariant the directory relies on.
+        #: (its seq is valid) and after it leaves it.  The simulator binds
+        #: and releases per-stage session state there.  Both events renumber
+        #: stage seqs, but never permute surviving stages relative to each
+        #: other -- an invariant the writer index relies on.
         self._on_stage_inserted = on_stage_inserted
         self._on_stage_removed = on_stage_removed
 
@@ -352,6 +357,61 @@ class PartitionGraph:
                 if overlap.first >= write.first and overlap.last <= write.last:
                     a.succs.discard(c)
                     c.preds.discard(a)
+
+    # ------------------------------------------------------------------
+    # block resolution: which store holds a block, read off the index
+    # ------------------------------------------------------------------
+
+    def holder(self, block: int, before_seq: int) -> Optional[BlockStore]:
+        """The store holding ``block`` as of stage sequence ``before_seq``.
+
+        That is the closest declarer of ``block`` with ``seq < before_seq``
+        whose store holds it; a declarer holding nothing (not executed yet,
+        forsaken, half-written by a failed update) is stepped over.
+        ``None`` when no stage holds the block: it is still the initial
+        state's.
+        """
+        writers = self._writers[block]
+        i = _slot(writers, before_seq)
+        while i:
+            i -= 1
+            store = writers[i].stage.store
+            if store.has_block(block):
+                return store
+        return None
+
+    def plan_sources(
+        self,
+        stage_ranges: Iterable[Tuple[Stage, Sequence[BlockRange]]],
+        initial: BlockStore,
+    ) -> List[Dict[int, BlockStore]]:
+        """Per stage, the store its input holds each recomputed block in.
+
+        ``stage_ranges`` lists an update's affected stages, seq ascending,
+        each with the block ranges of its affected partitions.  One table
+        per entry maps every block of those ranges to the store of its
+        closest earlier declarer (``initial`` when there is none) -- where
+        the block will be held by the time the stage runs.  The index is
+        searched once per block per update: every declarer downstream of an
+        affected one is affected too, so the next stage in the pass that
+        recomputes the block sits in the slot right after.
+        """
+        cursor = [-1] * len(self._writers)
+        tables: List[Dict[int, BlockStore]] = []
+        for stage, ranges in stage_ranges:
+            seq = stage.seq
+            sources: Dict[int, BlockStore] = {}
+            for blocks in ranges:
+                block = blocks.first
+                for writers in self._writers[block : blocks.last + 1]:
+                    i = cursor[block]
+                    if not (0 <= i < len(writers) and writers[i].stage is stage):
+                        i = _slot(writers, seq)
+                    sources[block] = writers[i - 1].stage.store if i else initial
+                    cursor[block] = i + 1
+                    block += 1
+            tables.append(sources)
+        return tables
 
     # ------------------------------------------------------------------
     # graph mirroring (session forking)

@@ -92,7 +92,7 @@ class StateReader(Protocol):
     """Anything that can serve gate-input amplitudes.
 
     Implemented by :class:`~repro.core.cow.StoreChain`,
-    :class:`~repro.core.cow.DirectoryReader` and :class:`ArrayReader`.
+    :class:`~repro.core.cow.IndexReader` and :class:`ArrayReader`.
     """
 
     def read_range(self, lo: int, hi: int) -> np.ndarray: ...

@@ -80,22 +80,28 @@ def unit_layout_of(action: Action) -> UnitLayout:
 
     Diagonal actions contribute single-amplitude units for every touched
     local state; monomial actions contribute one unit per permutation cycle
-    plus single-amplitude units for phase-only fixed points.
+    plus single-amplitude units for phase-only fixed points.  Derived once
+    per distinct action: actions are frozen values and the engine hands out
+    one per gate shape (``stage.gate_action``), so a circuit's few dozen
+    shapes are looked up, not re-derived on every insert.
     """
+    if not isinstance(action, (DiagonalAction, MonomialAction)):
+        raise TypeError(
+            "unit layout is only defined for non-superposition actions, "
+            f"got {type(action)!r}"
+        )
+    return _unit_layout(action)
+
+
+@lru_cache(maxsize=1024)
+def _unit_layout(action: Action) -> UnitLayout:
     if isinstance(action, DiagonalAction):
         return UnitLayout(tuple((l,) for l in action.touched_locals()))
-    if isinstance(action, MonomialAction):
-        units: List[Tuple[int, ...]] = []
-        in_cycle = set()
-        for cyc in action.orbits():
-            if len(cyc) == 1:
-                units.append(cyc)
-            else:
-                units.append(tuple(sorted(cyc)))
-            in_cycle.update(cyc)
-        return UnitLayout(tuple(units))
-    raise TypeError(
-        f"unit layout is only defined for non-superposition actions, got {type(action)!r}"
+    return UnitLayout(
+        tuple(
+            cyc if len(cyc) == 1 else tuple(sorted(cyc))
+            for cyc in action.orbits()
+        )
     )
 
 

@@ -6,10 +6,12 @@ Calling :meth:`QTaskSimulator.update_state` re-simulates exactly the
 partitions affected by the modifiers issued since the previous update (found
 by DFS from the frontier list, §III.E), executing them as a Taskflow-style
 task graph on the configured executor.  Stage inputs are resolved through
-the simulator-owned :class:`~repro.core.cow.BlockDirectory` (O(log W) block
-ownership lookups; ``block_directory=False`` falls back to the legacy O(S)
-store-chain walk for A/B comparison), and partition bodies execute as
-batched aligned block runs feeding the strided kernels.
+the partition graph's writer index: an update's plan reads each recomputed
+block's source store off it once (``PartitionGraph.plan_sources``) and the
+kernels look sources up in that table; reads outside an update search the
+index as of a stage seq (``block_directory=False`` keeps the O(S)
+store-chain walk, the oracle of the property tests).  Partition bodies
+execute as batched aligned block runs feeding the strided kernels.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -36,13 +38,7 @@ from .faults import FaultInjected
 from .blocks import BlockRange, DEFAULT_BLOCK_SIZE, num_blocks, validate_block_size
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import OutcomeRecord
-from .cow import (
-    BlockDirectory,
-    DirectoryReader,
-    InitialStateStore,
-    MemoryReport,
-    StoreChain,
-)
+from .cow import IndexReader, InitialStateStore, MemoryReport, StoreChain
 from .exceptions import CircuitError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan, build_execution_plan
 from .gates import Gate, compose_actions
@@ -130,10 +126,10 @@ class QTaskSimulator(CircuitObserver):
         self.circuit = circuit
         self.block_size = validate_block_size(block_size)
         self.copy_on_write = bool(copy_on_write)
-        #: Resolve block reads through the O(log W) block directory instead
-        #: of the legacy O(S) store-chain walk.  ``False`` keeps the linear
-        #: chain alive as the pre-directory baseline for A/B benchmarks and
-        #: the directory==chain property tests; results are bit-identical.
+        #: Resolve block reads through the partition graph's writer index
+        #: instead of the legacy O(S) store-chain walk.  ``False`` keeps the
+        #: linear chain alive as the baseline for A/B benchmarks and the
+        #: index==chain property tests; results are bit-identical.
         self.block_directory = bool(block_directory)
         #: Fuse runs of consecutive non-superposition stages into single
         #: diagonal/monomial stages over the union qubit support.  Fusion
@@ -179,10 +175,6 @@ class QTaskSimulator(CircuitObserver):
         self._init_store_state(fell_back=st_fell_back)
 
         self._initial = InitialStateStore(self.dim, self.block_size)
-        #: block-ownership index: block id -> stages holding it, seq-sorted.
-        #: Maintained push-style by the stage stores through the partition
-        #: graph's insert/remove hooks (see BlockDirectory in core.cow).
-        self._directory = BlockDirectory(self._initial)
         self.graph = PartitionGraph(
             BlockRange(0, self.n_blocks - 1),
             on_stage_inserted=self._on_stage_entered,
@@ -378,8 +370,8 @@ class QTaskSimulator(CircuitObserver):
         """A child simulator sharing this one's computed state copy-on-write.
 
         The child gets its own circuit (a structural clone with fresh
-        handles), its own stages, partition graph, block directory and
-        observables engine -- but every stage store *adopts* the parent
+        handles), its own stages, partition graph (writer index included)
+        and observables engine -- but every stage store *adopts* the parent
         stage's blocks by reference (:meth:`BlockStore.share_from`), so
         forking costs O(stages + stored blocks) bookkeeping and zero block
         copies.  The first write a child update makes to a block rebinds the
@@ -448,7 +440,6 @@ class QTaskSimulator(CircuitObserver):
         child._init_fault_tolerance()
         child._init_store_state(fell_back=st_fell_back)
         child._initial = InitialStateStore(child.dim, child.block_size)
-        child._directory = BlockDirectory(child._initial)
         child.graph = PartitionGraph(
             BlockRange(0, child.n_blocks - 1),
             on_stage_inserted=child._on_stage_entered,
@@ -473,8 +464,8 @@ class QTaskSimulator(CircuitObserver):
         child.outcomes = self.outcomes.clone()
         child._dynamic_stages = {}
 
-        # Mirror the parent's stages in its exact global order (the block
-        # directory's seq-based resolution depends on it) and clone the
+        # Mirror the parent's stages in its exact global order (seq-based
+        # block resolution depends on it) and clone the
         # partition-graph topology verbatim -- O(nodes + edges), no
         # insertion scans.
         stage_map: Dict[int, Stage] = {}
@@ -499,7 +490,7 @@ class QTaskSimulator(CircuitObserver):
             child._matvec[net_map[net_uid].uid] = stage_map[stage.uid]
 
         # Adopt the parent's computed blocks copy-on-write (zero copies);
-        # the attached directory learns the ownership via store callbacks.
+        # the mirrored writer index already lists every adopting stage.
         for stage in self.graph.stages:
             stage_map[stage.uid].store.share_from(stage.store)
 
@@ -512,7 +503,7 @@ class QTaskSimulator(CircuitObserver):
         return child
 
     # ------------------------------------------------------------------
-    # partition-graph hooks: keep the block directory in sync
+    # partition-graph hooks: per-stage session state
     # ------------------------------------------------------------------
 
     def _on_stage_entered(self, stage: Stage) -> None:
@@ -522,8 +513,6 @@ class QTaskSimulator(CircuitObserver):
             if isinstance(stage, ClassicallyControlledStage):
                 stage.bind_clbit_lookup(self._clbit_value_asof)
             self._dynamic_stages[stage.uid] = stage
-        if self.block_directory:
-            self._directory.attach(stage)
 
     def _clbit_value_asof(self, bit: int, before_seq: int) -> int:
         """The value of ``bit`` at program point ``before_seq``.
@@ -565,8 +554,6 @@ class QTaskSimulator(CircuitObserver):
             self._restore_clbit(stage.op.clbit)
         elif isinstance(stage, ResetStage):
             self.outcomes.discard_op(stage.op.op_index)
-        if self.block_directory:
-            self._directory.detach(stage)
         stage.store.release_remote()
 
     def _restore_clbit(self, clbit: int) -> None:
@@ -1167,34 +1154,50 @@ class QTaskSimulator(CircuitObserver):
                         exc,
                     )
 
-    def _reader_for(self, stage: Stage, stage_order: List[Stage]):
-        """The stage-input view: everything written strictly before ``stage``.
+    def _reader_asof(self, before_seq: int):
+        """A view of everything written by stages before ``before_seq``.
 
-        Directory mode returns an O(1) :class:`DirectoryReader` (resolution
-        is an O(log W) lookup per block); legacy mode builds the O(S) store
-        chain the paper's naive formulation implies.
+        Index mode searches the writer index per block; legacy mode builds
+        the O(S) store chain the paper's naive formulation implies.
         """
         if self.block_directory:
-            return DirectoryReader(self._directory, stage.seq)
-        stores = [self._initial] + [s.store for s in stage_order[: stage.seq]]
+            return IndexReader(self.graph, self._initial, before_seq)
+        stores = [self._initial]
+        stores.extend(s.store for s in self.graph.stages[:before_seq])
         return StoreChain(stores)
 
+    def _attach_plan_readers(self, stage_plans: List[StagePlan]) -> None:
+        """Give every stage plan its input reader (``plan.build`` time).
+
+        Index mode resolves the source store of every block the update
+        recomputes in one pass over the writer index, so the kernels' reads
+        are table lookups.
+        """
+        if not self.block_directory:
+            for sp in stage_plans:
+                sp.reader = self._reader_asof(sp.stage.seq)
+            return
+        tables = self.graph.plan_sources(
+            [(sp.stage, sp.block_ranges) for sp in stage_plans], self._initial
+        )
+        for sp, sources in zip(stage_plans, tables):
+            sp.reader = IndexReader(
+                self.graph, self._initial, sp.stage.seq, sources
+            )
+
     def _execute(self, affected: List[PartitionNode]) -> int:
-        stage_order = self.graph.stages
         if not self.copy_on_write:
             # Dense mode re-simulates everything: drop previously materialised
             # blocks so no stale copy can shadow the recomputation.
-            for stage in stage_order:
+            for stage in self.graph.stages:
                 stage.store.clear()
         if self._backend is not None:
-            return self._execute_plan(affected, stage_order)
-        return self._execute_legacy(affected, stage_order)
+            return self._execute_plan(affected)
+        return self._execute_legacy(affected)
 
     # -- plan pipeline (kernel_backend != "legacy") ---------------------------
 
-    def _execute_plan(
-        self, affected: List[PartitionNode], stage_order: List[Stage]
-    ) -> int:
+    def _execute_plan(self, affected: List[PartitionNode]) -> int:
         """Compile the frontier into one plan per stage and batch-execute it.
 
         One executor task per affected *stage* (not per partition): the task
@@ -1207,15 +1210,11 @@ class QTaskSimulator(CircuitObserver):
         tel = self.telemetry
         if tel.tracer.enabled:
             with tel.tracer.span("plan.build") as pspan:
-                plan = build_execution_plan(
-                    affected, lambda stage: self._reader_for(stage, stage_order)
-                )
+                plan = build_execution_plan(affected, self._attach_plan_readers)
                 pspan.set("stages", plan.num_stages)
                 pspan.set("runs", plan.total_runs())
         else:
-            plan = build_execution_plan(
-                affected, lambda stage: self._reader_for(stage, stage_order)
-            )
+            plan = build_execution_plan(affected, self._attach_plan_readers)
         # Parent span for executor-side task spans: the enclosing ``update``
         # span on this thread (None when tracing is off).
         parent_span = tel.tracer.current_span_id()
@@ -1227,7 +1226,8 @@ class QTaskSimulator(CircuitObserver):
             # and re-activates this session's telemetry (and span parent)
             # inside whichever worker thread steals the task.
             body.trace_context = (tel, parent_span)
-            tasks[sp.stage.uid] = graph.emplace(body, name=sp.stage.label())
+            # named lazily: only a failing task or a graph dump formats it
+            tasks[sp.stage.uid] = graph.emplace(body, name=sp.stage.label)
         for pred_uid, succ_uid in plan.edges:
             tasks[pred_uid].precede(tasks[succ_uid])
         self.executor.run(graph)
@@ -1455,13 +1455,11 @@ class QTaskSimulator(CircuitObserver):
 
     # -- legacy per-run task path (kernel_backend == "legacy") ----------------
 
-    def _execute_legacy(
-        self, affected: List[PartitionNode], stage_order: List[Stage]
-    ) -> int:
+    def _execute_legacy(self, affected: List[PartitionNode]) -> int:
         readers: Dict[int, object] = {}
         for node in affected:
             if node.stage.uid not in readers:
-                readers[node.stage.uid] = self._reader_for(node.stage, stage_order)
+                readers[node.stage.uid] = self._reader_asof(node.stage.seq)
 
         graph = TaskGraph("update_state")
         tasks: Dict[int, object] = {}
@@ -1541,17 +1539,14 @@ class QTaskSimulator(CircuitObserver):
 
     def _full_chain(self):
         """A reader over the final state (all stages applied)."""
-        if self.block_directory:
-            return DirectoryReader(self._directory, sys.maxsize)
-        stores = [self._initial] + [s.store for s in self.graph.stages]
-        return StoreChain(stores)
+        return self._reader_asof(sys.maxsize)
 
     def state_reader(self):
         """A block-resolving :class:`StateReader` over the final state.
 
         The reader serves the state as of the last ``update_state`` call
-        through the COW block resolution (O(1) construction in directory
-        mode), which is how the observables engine reads amplitudes without
+        through the COW block resolution (O(1) construction in index mode),
+        which is how the observables engine reads amplitudes without
         materialising the full vector.
         """
         return self._full_chain()

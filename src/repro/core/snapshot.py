@@ -13,8 +13,8 @@ full edit history (fusion decisions, within-net heuristics, retunes), which
 the final circuit alone cannot reproduce.  Instead the stage table is
 reconstructed *directly*, in the checkpointed global order, the way
 :meth:`~repro.core.simulator.QTaskSimulator.fork` rebuilds a child -- so the
-loaded blocks land in stores whose sequence positions match the ownership
-the block directory will derive.
+loaded blocks land in stores at the sequence positions the rebuilt writer
+index resolves them through.
 
 File format (version 1)::
 
@@ -45,7 +45,7 @@ from ..parallel import Executor, make_executor
 from .blocks import BlockRange, num_blocks
 from .circuit import Circuit, GateHandle
 from .classical import OutcomeRecord
-from .cow import BlockDirectory, InitialStateStore
+from .cow import InitialStateStore
 from .exceptions import CheckpointError
 from .gates import Gate
 from .graph import PartitionGraph
@@ -389,7 +389,6 @@ def restore_simulator(
     sim._init_store_state(fell_back=st_fell_back)
 
     sim._initial = InitialStateStore(sim.dim, sim.block_size)
-    sim._directory = BlockDirectory(sim._initial)
     sim.graph = PartitionGraph(
         BlockRange(0, sim.n_blocks - 1),
         on_stage_inserted=sim._on_stage_entered,
@@ -419,8 +418,8 @@ def restore_simulator(
     # Rebuild the stage table in the checkpointed global order.  Each
     # insert_stage call re-derives the partition-graph connectivity from
     # the final stage sequence (the honest reconstruction -- there is no
-    # source graph to mirror), and the graph's insertion hook binds dynamic
-    # records and attaches stores to the block directory.
+    # source graph to mirror) together with the writer index, and the
+    # graph's insertion hook binds dynamic records.
     nets = circuit.nets()
     for i, entry in enumerate(header["stages"]):
         members = [handles[g] for g in entry["gates"]]
@@ -438,8 +437,7 @@ def restore_simulator(
             sim._num_fused += 1
 
     # Load the block payloads (stage order, ascending block id), verifying
-    # each CRC.  Stage seqs are final here, so the block directory learns
-    # the ownership at the correct sequence positions.
+    # each CRC.
     block_len = min(sim.dim, sim.block_size)
     block_bytes = block_len * np.dtype(_DTYPE).itemsize
     offset = 0

@@ -1,7 +1,7 @@
 """Storage transports: where a :class:`~repro.core.cow.BlockStore` keeps bytes.
 
-The COW store tracks *which* blocks a stage owns (dict entries, directory
-notifications, share refcounts); a :class:`StorageTransport` decides *where*
+The COW store tracks *which* blocks a stage owns (dict entries, share
+refcounts); a :class:`StorageTransport` decides *where*
 the block payloads live.  Two placements ship:
 
 * :class:`LocalTransport` -- the handle **is** the numpy array.  Every read

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..core import faults
 from ..core.faults import FaultInjected
@@ -49,14 +49,22 @@ __all__ = [
 _TASK_FAULT_RETRIES = 3
 
 
-def _attach_task_context(exc: BaseException, label: Optional[str]) -> None:
+def _attach_task_context(
+    exc: BaseException, label: Union[None, str, Callable[[], str]]
+) -> None:
     """Stamp the failing task's identity onto ``exc`` before re-raising.
 
     Sets ``exc.task_label`` (first failure wins) and, on Python >= 3.11,
     adds a traceback note -- so the exception surfacing from ``run()``
-    says *which* stage/task died instead of arriving bare.
+    says *which* stage/task died instead of arriving bare.  ``label`` may
+    be a callable: work units carry their label unformatted and only a
+    failure pays for the string.
     """
-    if not label or getattr(exc, "task_label", None) is not None:
+    if label is None or getattr(exc, "task_label", None) is not None:
+        return
+    if not isinstance(label, str):
+        label = label()
+    if not label:
         return
     try:
         exc.task_label = label
@@ -240,15 +248,18 @@ class _Work:
         task: Optional[Task] = None,
         parent: Optional["_Join"] = None,
         state: Optional[_RunState] = None,
-        label: Optional[str] = None,
+        label: Optional[Callable[[], str]] = None,
     ):
         self.fn = fn
         self.task = task
         self.parent = parent
         self.state = state
         #: human-readable identity (task name, or parent task name for
-        #: subflow children) attached to any exception this unit raises
-        self.label = label if label is not None else (task.name if task else None)
+        #: subflow children) attached to any exception this unit raises;
+        #: a thunk, formatted by ``_attach_task_context`` on failure only
+        if label is None and task is not None:
+            label = lambda: task.name
+        self.label = label
 
 
 class _Join:
@@ -368,7 +379,7 @@ class WorkStealingExecutor(Executor):
         if state:
             state.task_added(len(children))
         join = _Join(len(children), lambda: self._release_successors(task, state, worker_id))
-        label = f"{task.name}[subflow]"
+        label = lambda: f"{task.name}[subflow]"
         if len(children) == 1:
             # Batched block-run bodies usually hand back a single fat child;
             # run it inline on this worker instead of a queue round-trip.

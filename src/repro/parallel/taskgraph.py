@@ -12,7 +12,7 @@ subflow with tasks ``G6-0``/``G6-1``).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..core.exceptions import ExecutorError
 
@@ -24,15 +24,33 @@ _task_counter = itertools.count()
 class Task:
     """A node of a :class:`TaskGraph`."""
 
-    __slots__ = ("fn", "name", "uid", "successors", "predecessors", "graph")
+    __slots__ = ("fn", "_name", "uid", "successors", "predecessors", "graph")
 
-    def __init__(self, fn: Optional[Callable[[], object]], name: str = "") -> None:
+    def __init__(
+        self,
+        fn: Optional[Callable[[], object]],
+        name: Union[str, Callable[[], str]] = "",
+    ) -> None:
         self.fn = fn
         self.uid = next(_task_counter)
-        self.name = name or f"task-{self.uid}"
+        self._name = name or f"task-{self.uid}"
         self.successors: List["Task"] = []
         self.predecessors: List["Task"] = []
         self.graph: Optional["TaskGraph"] = None
+
+    @property
+    def name(self) -> str:
+        """The task's label.
+
+        A task may be named by a zero-argument callable, which is called
+        the first time somebody asks: an update names one task per stage
+        and nothing reads the names unless a task fails or the graph is
+        dumped.
+        """
+        name = self._name
+        if not isinstance(name, str):
+            name = self._name = name()
+        return name
 
     # -- graph construction -------------------------------------------------
 
@@ -81,7 +99,11 @@ class TaskGraph:
 
     # -- construction -------------------------------------------------------
 
-    def emplace(self, fn: Optional[Callable[[], object]], name: str = "") -> Task:
+    def emplace(
+        self,
+        fn: Optional[Callable[[], object]],
+        name: Union[str, Callable[[], str]] = "",
+    ) -> Task:
         """Create a task in this graph (Taskflow's ``emplace``)."""
         t = Task(fn, name)
         t.graph = self

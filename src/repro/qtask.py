@@ -122,8 +122,8 @@ class QTask:
     ) -> "QTask":
         """A cheap child session sharing this session's state copy-on-write.
 
-        The child has its own circuit (fresh handles), simulator, block
-        directory and observables cache, but its stage stores reference the
+        The child has its own circuit (fresh handles), simulator, partition
+        graph and observables cache, but its stage stores reference the
         parent's computed blocks until first write -- forking copies no
         amplitudes.  Edits on either session never perturb the other, and
         both run on the *shared* executor by default, so many forks can

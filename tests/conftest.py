@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 from repro.core import faults
+from repro.core.blocks import BlockRange
 from repro.core.circuit import Circuit
+from repro.core.cow import StoreChain
 from repro.core.gates import Gate, embed_gate_matrix
+from repro.core.graph import PartitionGraph
+from repro.core.partition import PartitionSpec
+from repro.core.stage import Stage
 
 # ---------------------------------------------------------------------------
 # chaos mode: QTASK_FAULT_P=<p> runs the whole suite under an armed fault
@@ -104,6 +109,14 @@ def random_levels(rng: random.Random, num_qubits: int, num_levels: int) -> List[
     return [lvl for lvl in levels if lvl] or [[Gate("h", (0,))]]
 
 
+@pytest.fixture()
+def no_plan():
+    """Park whatever plan (chaos-mode or none) surrounds the test."""
+    previous = faults.install(None)
+    yield
+    faults.install(previous)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(12345)
@@ -112,3 +125,38 @@ def rng() -> random.Random:
 @pytest.fixture
 def np_rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+# ---------------------------------------------------------------------------
+# a writer index over bare stores (block-resolution tests below the session)
+# ---------------------------------------------------------------------------
+
+
+class DeclaringStage(Stage):
+    """A stage that only declares block ranges; its store is written by hand."""
+
+    def __init__(self, qubit_count, block_size, ranges, store=None) -> None:
+        super().__init__(qubit_count, block_size)
+        self.ranges = [BlockRange(first, last) for first, last in ranges]
+        if store is not None:
+            self.store = store
+
+    def partition_specs(self):
+        return [PartitionSpec(r, 1, 0) for r in self.ranges]
+
+    def label(self) -> str:
+        return f"declares{[r.to_tuple() for r in self.ranges]}"
+
+
+def index_over(stages: Sequence[Stage]) -> PartitionGraph:
+    """A partition graph (the writer index) holding ``stages`` in order."""
+    graph = PartitionGraph(BlockRange(0, stages[0].n_blocks - 1))
+    for position, stage in enumerate(stages):
+        graph.insert_stage(stage, position)
+    return graph
+
+
+def newest_holder(initial, stages: Sequence[Stage], block: int, before_seq: int):
+    """Brute force: the newest store before ``before_seq`` holding ``block``."""
+    stores = [initial] + [s.store for s in stages[:before_seq]]
+    return StoreChain(stores).resolve_store(block)

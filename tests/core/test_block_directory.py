@@ -1,127 +1,212 @@
-"""Unit tests for the block directory, directory readers and store writes."""
+"""Unit tests for block resolution through the writer index, and store writes.
+
+The index is the partition graph: ``holder`` answers "which store holds
+block b as of stage k", ``plan_sources`` resolves an update's reads once,
+and :class:`IndexReader` serves amplitudes through either.  Stores know
+nothing of the index, so every case here writes stores by hand.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.blocks import aligned_block_runs
-from repro.core.cow import (
-    BlockDirectory,
-    BlockStore,
-    DirectoryReader,
-    InitialStateStore,
-    StoreChain,
-)
+from repro.core.blocks import BlockRange, aligned_block_runs
+from repro.core.cow import BlockStore, IndexReader, InitialStateStore, StoreChain
+
+from ..conftest import DeclaringStage, index_over, newest_holder
 
 
-class _Owner:
-    """Minimal stage stand-in: a store plus a global sequence index."""
-
-    def __init__(self, seq, dim=32, block=4):
-        self.seq = seq
-        self.store = BlockStore(dim, block)
+def _stage(*ranges, qubits=5, block=4):
+    return DeclaringStage(qubits, block, ranges)
 
 
-def _directory_with_layers():
-    """initial |0..0>, seq0 writes blocks 1-2, seq1 overwrites block 2."""
+def _index_with_layers():
+    """initial |0..0>, seq0 declares+writes blocks 1-2, seq1 overwrites block 2."""
     init = InitialStateStore(32, 4)
-    directory = BlockDirectory(init)
-    a, b = _Owner(0), _Owner(1)
-    directory.attach(a)
-    directory.attach(b)
+    a, b = _stage((1, 2)), _stage((2, 2))
+    graph = index_over([a, b])
     a.store.write_block(1, np.full(4, 10.0, dtype=complex))
     a.store.write_block(2, np.full(4, 20.0, dtype=complex))
     b.store.write_block(2, np.full(4, 99.0, dtype=complex))
-    return init, a, b, directory
+    return init, a, b, graph
+
+
+def _resolve(graph, init, block, before_seq):
+    return IndexReader(graph, init, before_seq).resolve_store(block)
 
 
 # ---------------------------------------------------------------------------
-# directory maintenance + resolution
+# as-of resolution over the index
 # ---------------------------------------------------------------------------
 
 
 def test_resolve_store_picks_most_recent_writer():
-    init, a, b, d = _directory_with_layers()
-    assert d.resolve_store(2, 2) is b.store
-    assert d.resolve_store(2, 1) is a.store   # "as of" seq 1: b excluded
-    assert d.resolve_store(1, 2) is a.store
-    assert d.resolve_store(0, 2) is init      # nobody wrote block 0
-    assert d.resolve_store(2, 0) is init      # before any writer
+    init, a, b, g = _index_with_layers()
+    assert _resolve(g, init, 2, 2) is b.store
+    assert _resolve(g, init, 2, 1) is a.store   # "as of" seq 1: b excluded
+    assert _resolve(g, init, 1, 2) is a.store
+    assert _resolve(g, init, 0, 2) is init      # nobody declares block 0
+    assert _resolve(g, init, 2, 0) is init      # before any writer
+    assert g.holder(0, 2) is None and g.holder(2, 0) is None
 
 
 def test_resolve_block_values():
-    _, _, _, d = _directory_with_layers()
-    assert d.resolve_block(2, 2)[0] == 99.0
-    assert d.resolve_block(2, 1)[0] == 20.0
-    assert d.resolve_block(0, 2)[0] == 1.0
+    init, _, _, g = _index_with_layers()
+    assert IndexReader(g, init, 2).resolve_block(2)[0] == 99.0
+    assert IndexReader(g, init, 1).resolve_block(2)[0] == 20.0
+    assert IndexReader(g, init, 2).resolve_block(0)[0] == 1.0
 
 
-def test_drop_and_clear_update_directory():
-    _, a, b, d = _directory_with_layers()
+def test_a_declarer_holding_nothing_is_stepped_over():
+    """No store callbacks: drop/clear/forsake simply stop holding."""
+    init, a, b, g = _index_with_layers()
     b.store.drop_block(2)
-    assert d.resolve_store(2, 2) is a.store
+    assert _resolve(g, init, 2, 2) is a.store
     a.store.clear()
-    assert d.resolve_store(2, 2) is d.initial
-    assert d.writers_of(1) == ()
+    assert _resolve(g, init, 2, 2) is init
+    assert g.holder(1, 2) is None
+    b.store.write_block(2, np.full(4, 5.0, dtype=complex))
+    b.store.forsake_blocks()
+    assert _resolve(g, init, 2, 2) is init
 
 
-def test_detach_purges_entries():
-    _, a, b, d = _directory_with_layers()
-    d.detach(a)
-    assert d.resolve_store(1, 2) is d.initial
-    assert d.resolve_store(2, 2) is b.store
-    # a detached store no longer reports writes
+def test_removed_stage_leaves_the_index():
+    init, a, b, g = _index_with_layers()
+    g.remove_stage(a)
+    assert _resolve(g, init, 1, 2) is init
+    assert _resolve(g, init, 2, 2) is b.store
+    # a removed stage's store is out of every later resolution
     a.store.write_block(3, np.zeros(4, dtype=complex))
-    assert d.writers_of(3) == ()
+    assert g.holder(3, 2) is None
 
 
-def test_attach_adopts_existing_blocks():
+def test_stage_entering_with_held_blocks_resolves():
     init = InitialStateStore(32, 4)
-    d = BlockDirectory(init)
-    o = _Owner(0)
+    o = _stage((5, 5))
     o.store.write_block(5, np.full(4, 7.0, dtype=complex))
-    d.attach(o)
-    assert d.resolve_store(5, 1) is o.store
+    g = index_over([o])
+    assert _resolve(g, init, 5, 1) is o.store
 
 
-def test_writers_sorted_by_seq_regardless_of_write_order():
+def test_resolution_follows_stage_order_not_write_order():
     init = InitialStateStore(32, 4)
-    d = BlockDirectory(init)
-    owners = [_Owner(s) for s in (3, 0, 2, 1)]
-    for o in owners:
-        d.attach(o)
-        o.store.write_block(0, np.full(4, float(o.seq), dtype=complex))
-    assert [o.seq for o in d.writers_of(0)] == [0, 1, 2, 3]
-    for k in range(5):
-        expect = init if k == 0 else d.resolve_store(0, k)
-        if k:
-            assert expect.get_block(0)[0] == k - 1
+    stages = [_stage((0, 0)) for _ in range(4)]
+    g = index_over(stages[:1])
+    # enter out of order (positions 1, 1, 1 push earlier arrivals back) ...
+    for stage in stages[1:]:
+        g.insert_stage(stage, 1)
+    order = g.stages
+    assert [s.seq for s in order] == [0, 1, 2, 3]
+    # ... and write in yet another order
+    for stage in (order[3], order[0], order[2], order[1]):
+        stage.store.write_block(0, np.full(4, float(stage.seq), dtype=complex))
+    assert _resolve(g, init, 0, 0) is init
+    for k in range(1, 5):
+        assert _resolve(g, init, 0, k).get_block(0)[0] == k - 1
 
 
 def test_owner_runs_groups_consecutive_blocks():
-    _, a, b, d = _directory_with_layers()
-    runs = DirectoryReader(d, 2).owner_runs(range(8))
-    assert runs == [(d.initial, 0, 0), (a.store, 1, 1), (b.store, 2, 2),
-                    (d.initial, 3, 7)]
+    init, a, b, g = _index_with_layers()
+    runs = IndexReader(g, init, 2).owner_runs(range(8))
+    assert runs == [(init, 0, 0), (a.store, 1, 1), (b.store, 2, 2), (init, 3, 7)]
 
 
 # ---------------------------------------------------------------------------
-# DirectoryReader == StoreChain
+# planned sources: resolved once, looked up per read
 # ---------------------------------------------------------------------------
 
 
-def test_directory_reader_matches_chain():
-    init, a, b, d = _directory_with_layers()
+class _CountingIndex:
+    """Forwards to a graph and counts the per-block searches."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.searches = 0
+
+    def holder(self, block, before_seq):
+        self.searches += 1
+        return self.graph.holder(block, before_seq)
+
+
+def _planned_case():
+    """Three stages rewriting blocks 0-3; the last two are the update."""
+    init = InitialStateStore(32, 4)
+    stages = [_stage((0, 3)), _stage((0, 1), (3, 3)), _stage((0, 3))]
+    g = index_over(stages)
+    for stage in stages:
+        for r in stage.ranges:
+            for blk in r:
+                stage.store.write_block(
+                    blk, np.full(4, 10.0 * stage.seq + blk, dtype=complex)
+                )
+    return init, stages, g
+
+
+def test_plan_sources_lists_the_closest_earlier_declarer():
+    init, (s0, s1, s2), g = _planned_case()
+    t1, t2 = g.plan_sources([(s1, s1.ranges), (s2, s2.ranges)], init)
+    assert t1 == {0: s0.store, 1: s0.store, 3: s0.store}
+    assert t2 == {0: s1.store, 1: s1.store, 2: s0.store, 3: s1.store}
+    # the first stage of a circuit reads the initial state
+    (t0,) = g.plan_sources([(s0, s0.ranges)], init)
+    assert t0 == {blk: init for blk in range(4)}
+    # only the recomputed ranges are planned: memory is O(affected blocks)
+    (part,) = g.plan_sources([(s2, [BlockRange(2, 3)])], init)
+    assert part == {2: s0.store, 3: s1.store}
+
+
+def test_planned_sources_equal_the_newest_holder_scan():
+    init, stages, g = _planned_case()
+    tables = g.plan_sources([(s, s.ranges) for s in stages], init)
+    for stage, table in zip(stages, tables):
+        for blk, store in table.items():
+            assert store is newest_holder(init, stages, blk, stage.seq)
+
+
+def test_planned_read_never_searches_the_index():
+    init, (s0, s1, s2), g = _planned_case()
+    (table,) = g.plan_sources([(s2, s2.ranges)], init)
+    index = _CountingIndex(g)
+    reader = IndexReader(index, init, s2.seq, table)
+    np.testing.assert_array_equal(
+        reader.read_blocks([0, 1, 2, 3]),
+        StoreChain([init, s0.store, s1.store]).read_blocks([0, 1, 2, 3]),
+    )
+    assert index.searches == 0
+    # a block outside the table is searched for, as of the stage
+    assert reader.resolve_store(5) is init
+    assert index.searches == 1
+
+
+def test_planned_source_holding_nothing_falls_back_to_the_older_holder():
+    init, (s0, s1, s2), g = _planned_case()
+    (table,) = g.plan_sources([(s2, s2.ranges)], init)
+    s1.store.drop_block(1)       # e.g. a failed publish left s1 half-written
+    index = _CountingIndex(g)
+    reader = IndexReader(index, init, s2.seq, table)
+    assert reader.resolve_stores([0, 1, 2]) == [s1.store, s0.store, s0.store]
+    assert index.searches == 1   # only the block whose source held nothing
+    s0.store.clear()
+    assert reader.resolve_store(1) is init
+
+
+# ---------------------------------------------------------------------------
+# IndexReader == StoreChain
+# ---------------------------------------------------------------------------
+
+
+def test_index_reader_matches_chain():
+    init, a, b, g = _index_with_layers()
     chain = StoreChain([init, a.store, b.store])
-    reader = DirectoryReader(d, 2)
+    reader = IndexReader(g, init, 2)
     np.testing.assert_array_equal(reader.full_vector(), chain.full_vector())
     np.testing.assert_array_equal(reader.read_range(5, 11), chain.read_range(5, 11))
     idx = np.array([0, 31, 8, 5, 8, 1], dtype=np.int64)
     np.testing.assert_array_equal(reader.gather(idx), chain.gather(idx))
 
 
-def test_directory_reader_invalid_range():
-    _, _, _, d = _directory_with_layers()
-    reader = DirectoryReader(d, 2)
+def test_index_reader_invalid_range():
+    init, _, _, g = _index_with_layers()
+    reader = IndexReader(g, init, 2)
     with pytest.raises(ValueError):
         reader.read_range(-1, 3)
     with pytest.raises(ValueError):
@@ -130,9 +215,9 @@ def test_directory_reader_invalid_range():
         reader.read_range(0, 32)
 
 
-def test_directory_reader_returns_copy():
-    _, _, b, d = _directory_with_layers()
-    out = DirectoryReader(d, 2).read_range(8, 11)
+def test_index_reader_returns_copy():
+    init, _, b, g = _index_with_layers()
+    out = IndexReader(g, init, 2).read_range(8, 11)
     out[:] = -1
     assert b.store.get_block(2)[0] == 99.0
 

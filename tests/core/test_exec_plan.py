@@ -99,13 +99,7 @@ def _simulator(levels, num_qubits=4, **kwargs):
 
 def _plan_for(sim):
     affected = sim.graph.affected_nodes()
-    stage_order = sim.graph.stages
-    return (
-        build_execution_plan(
-            affected, lambda stage: sim._reader_for(stage, stage_order)
-        ),
-        affected,
-    )
+    return build_execution_plan(affected, sim._attach_plan_readers), affected
 
 
 class TestBuildExecutionPlan:
@@ -186,6 +180,37 @@ class TestBuildExecutionPlan:
         rz_plans = [sp for sp in plan.stage_plans if sp.stage.seq == 1]
         assert len(rz_plans) == 1
         assert len(rz_plans[0].block_ranges) == len(rz_nodes)
+
+
+def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
+    """Stage tasks are named lazily; only tracing or a failure needs text.
+
+    (Chaos mode parked: a fallback event names its stage.)
+    """
+    from repro.core.stage import UnitaryStage
+
+    calls = []
+    label = UnitaryStage.label
+    monkeypatch.setattr(
+        UnitaryStage, "label", lambda self: calls.append(1) or label(self)
+    )
+    levels = [[Gate("x", (q,)) for q in range(4)], [Gate("cz", (0, 3))]]
+    for tracing in (False, True):
+        sim = _simulator(levels, kernel_backend="numpy", num_workers=1,
+                         tracing=tracing)
+        try:
+            del calls[:]
+            sim.update_state()
+            named = {
+                r.attrs["stage"] for r in sim.telemetry.tracer.spans()
+                if r.name == "run.chunk"
+            }
+            if tracing:
+                assert named == {label(s) for s in sim.graph.stages}
+            else:
+                assert not calls and not named
+        finally:
+            sim.close()
 
 
 # ---------------------------------------------------------------------------

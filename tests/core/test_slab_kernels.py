@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import faults
 from repro.core.blocks import MAX_RUN_BLOCKS, aligned_block_runs
-from repro.core.cow import (
-    BlockDirectory,
-    BlockStore,
-    DirectoryReader,
-    InitialStateStore,
-    StoreChain,
-)
+from repro.core.cow import BlockStore, IndexReader, InitialStateStore, StoreChain
 from repro.core.exec_plan import (
     RUN_ACTION,
     RUN_COLLAPSE,
@@ -43,7 +37,7 @@ from repro.core.kernels import KernelBackend, NumpyBatchBackend, _slab_table
 from repro.core.simulator import QTaskSimulator
 from repro.core.transport import LOCAL_TRANSPORT, ShardedTransport
 
-from ..conftest import random_levels
+from ..conftest import DeclaringStage, index_over, random_levels
 from ..test_trajectory_properties import build_dynamic_circuit
 
 HAVE_FORK = hasattr(os, "fork")
@@ -54,33 +48,23 @@ SETTINGS = dict(
 )
 
 
-@pytest.fixture()
-def no_plan():
-    """Park whatever plan (chaos-mode or none) surrounds the test."""
-    previous = faults.install(None)
-    yield
-    faults.install(previous)
-
-
 # ---------------------------------------------------------------------------
 # drawing a stage input, a run table and the two executions of it
 # ---------------------------------------------------------------------------
-
-
-class _Owner:
-    """Minimal stage stand-in: a store plus a global sequence index."""
-
-    def __init__(self, seq, store):
-        self.seq = seq
-        self.store = store
 
 
 def _amps(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-def _stage_input(rng, dim, block_size, transport, directory):
-    """Two earlier stages holding random blocks over the initial state."""
+def _stage_input(rng, dim, block_size, transport, indexed):
+    """Two earlier stages holding random blocks over the initial state.
+
+    The indexed reader is the one an update hands a kernel: both stages
+    declare every block and hold ~60% of them, so the planned source of a
+    block is the newer stage and the reads that find it empty fall back to
+    the older holder.
+    """
     initial = InitialStateStore(dim, block_size)
     block_len = min(dim, block_size)
     stores = []
@@ -89,12 +73,16 @@ def _stage_input(rng, dim, block_size, transport, directory):
         for b in np.flatnonzero(rng.random(store.n_blocks) < 0.6):
             store.write_block(int(b), _amps(rng, block_len))
         stores.append(store)
-    if not directory:
+    if not indexed:
         return StoreChain([initial] + stores), stores
-    index = BlockDirectory(initial)
-    for seq, store in enumerate(stores):
-        index.attach(_Owner(seq, store))
-    return DirectoryReader(index, 2), stores
+    everything = [(0, initial.n_blocks - 1)]
+    stages = [
+        DeclaringStage(dim.bit_length() - 1, block_size, everything, store)
+        for store in stores + [None]
+    ]
+    graph = index_over(stages)
+    (sources,) = graph.plan_sources([(stages[2], stages[2].ranges)], initial)
+    return IndexReader(graph, initial, 2, sources), stores
 
 
 def _random_op(rng, kind, n, dim):
@@ -190,20 +178,20 @@ KINDS = st.lists(
     log_block=st.integers(1, 8),
     kinds=KINDS,
     parts=st.integers(1, 5),
-    directory=st.booleans(),
+    indexed=st.booleans(),
     sharded=st.booleans(),
     batch=st.booleans(),
 )
 @settings(max_examples=150, **SETTINGS)
 def test_slab_plan_equals_per_run_plan(
-    seed, n, log_block, kinds, parts, directory, sharded, batch
+    seed, n, log_block, kinds, parts, indexed, sharded, batch
 ):
     rng = np.random.default_rng(seed)
     block_size = 1 << log_block  # n < log_block: one short block
     transport = (
         ShardedTransport(2) if sharded and HAVE_FORK else LOCAL_TRANSPORT
     )
-    reader, inputs = _stage_input(rng, 1 << n, block_size, transport, directory)
+    reader, inputs = _stage_input(rng, 1 << n, block_size, transport, indexed)
     table = _random_table(rng, kinds, n, block_size)
     want, ref_per_run = _execute(
         KernelBackend(), reader, table, transport, parts, batch
@@ -224,7 +212,7 @@ def test_slab_plan_equals_per_run_plan(
 def _initial_of(reader):
     if isinstance(reader, StoreChain):
         return reader._stores[0]
-    return reader.directory.initial
+    return reader.initial
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +308,26 @@ def _fault_case():
     table = RunTable.from_runs(
         [RunSpec(RUN_ACTION, 0, 15, (5,), rz), RunSpec(RUN_ACTION, 32, 47, (5,), rz)]
     )
-    # the output store already holds an older result, tracked by a directory
+    # the output store already holds an older result
     out = BlockStore(64, 4)
-    directory = BlockDirectory(InitialStateStore(64, 4))
-    directory.attach(_Owner(0, out))
     out.write_range(0, _amps(rng, 16))
-    return reader, table, out, directory
+    return reader, table, out
 
 
-def _snapshot(out, directory):
-    return (
-        {b: id(arr) for b, arr in out._blocks.items()},
-        {b: directory.writers_of(b) for b in range(out.n_blocks)},
-    )
+def _snapshot(out):
+    return {b: id(arr) for b, arr in out._blocks.items()}
 
 
 @pytest.mark.parametrize("site", ["kernel.run", "cow.publish"])
 def test_injected_fault_leaves_the_store_untouched_and_retry_converges(site):
-    reader, table, out, directory = _fault_case()
-    before = _snapshot(out, directory)
+    reader, table, out = _fault_case()
+    before = _snapshot(out)
     previous = faults.install(FaultPlan(script=[(site, 1)]))
     try:
         with faults.armed():
             with pytest.raises(FaultInjected):
                 NumpyBatchBackend().execute_plan(reader, out, table)
-            assert _snapshot(out, directory) == before
+            assert _snapshot(out) == before
             # kernel.run fires once per group, before any read
             assert reader.reads == (0 if site == "kernel.run" else 1)
             NumpyBatchBackend().execute_plan(reader, out, table)
@@ -353,7 +336,7 @@ def test_injected_fault_leaves_the_store_untouched_and_retry_converges(site):
     want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
     for b in want.stored_blocks():
         assert np.array_equal(out.get_block(b), want.get_block(b))
-    assert directory.writers_of(8) != ()
+    assert out.has_block(8)
 
 
 def test_session_recovers_from_a_failed_slab_publish(no_plan):

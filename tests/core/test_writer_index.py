@@ -15,8 +15,9 @@ Three things are pinned here:
   under the ``(unit layout, qubits, geometry)`` key; the enumerator behind
   the cache must give the same layout for any drawn action.
 * **Held blocks lie inside declared ranges** (``copy_on_write=True``): the
-  invariant that lets ``BlockDirectory`` later be rebased on the writer
-  index, which indexes *declared* writers.
+  invariant block resolution rests on -- reads resolve through the writer
+  index, which lists *declared* writers (``test_block_sources.py`` pins the
+  resolution itself).
 """
 
 import random
@@ -36,6 +37,7 @@ from repro.core.gates import DiagonalAction, Gate, MonomialAction
 from repro.core.graph import PartitionGraph
 from repro.core.partition import (
     _enumerate_partitions,
+    _unit_layout,
     derive_partitions,
     unit_layout_of,
 )
@@ -260,7 +262,8 @@ def test_indexed_wiring_equals_scan_wiring(
     )
     indexed = QTask(num_qubits, **knobs)
     with scan_wired():
-        oracle = QTask(num_qubits, **knobs)
+        # the scans keep no index to resolve reads through: chain walk
+        oracle = QTask(num_qubits, block_directory=False, **knobs)
     assert type(indexed.simulator.graph) is PartitionGraph
     assert type(oracle.simulator.graph) is ScanWiredGraph
     opened = [indexed, oracle]
@@ -405,6 +408,7 @@ def test_engine_classifies_each_gate_shape_once(monkeypatch):
 
     monkeypatch.setattr(stage_module, "classify_matrix", counting)
     stage_module._classified.cache_clear()
+    _unit_layout.cache_clear()
     with QTask(6, block_size=4, num_workers=1) as session:
         net = session.insert_net()
         for q in range(6):
@@ -413,6 +417,10 @@ def test_engine_classifies_each_gate_shape_once(monkeypatch):
             session.insert_gate("cp", session.insert_net(), q, q + 1, params=[0.5])
         session.insert_gate("cp", session.insert_net(), 0, 5, params=[0.25])
     assert len(calls) == 3  # h, cp(0.5), cp(0.25)
+    # ... and one unit-layout derivation per distinct non-superposition
+    # action: the other four cp(0.5) inserts look theirs up
+    layouts = _unit_layout.cache_info()
+    assert (layouts.misses, layouts.hits) == (2, 4)
     # The cache is the engine's: the dense baselines replay circuits through
     # Gate.action(), which must keep classifying afresh.
     gate = Gate("cp", (0, 1), (0.5,))

@@ -132,6 +132,43 @@ def test_work_stealing_executor_propagates_exceptions():
         ex.close()
 
 
+@pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
+def test_task_names_are_formatted_only_for_a_failure(factory):
+    """A callable name costs nothing until an error needs the label."""
+    formatted = []
+
+    def namer(label):
+        def name():
+            formatted.append(label)
+            return label
+        return name
+
+    def boom():
+        raise ValueError("boom")
+
+    fine = TaskGraph()
+    fine.emplace(lambda: None, namer("quiet"))
+    fine.emplace(lambda: [lambda: None, lambda: None], namer("quiet-subflow"))
+    failing = TaskGraph()
+    failing.emplace(boom, namer("loud"))
+    sub = TaskGraph()
+    sub.emplace(lambda: [boom, lambda: None], namer("parent"))
+    ex = factory()
+    try:
+        ex.run(fine)
+        assert formatted == []
+        with pytest.raises(ValueError) as err:
+            ex.run(failing)
+        assert err.value.task_label == "loud"
+        with pytest.raises(ValueError) as err:
+            ex.run(sub)
+        assert err.value.task_label in ("parent", "parent[subflow]")
+    finally:
+        ex.close()
+    assert set(formatted) == {"loud", "parent"}
+    assert formatted.count("loud") == 1  # cached after the first call
+
+
 def test_sequential_executor_nested_subflows():
     seen = []
     g = TaskGraph()

@@ -1,11 +1,11 @@
-"""Property tests: block-directory resolution == naive reversed-chain walk.
+"""Property tests: writer-index resolution == naive reversed-chain walk.
 
-Two oracles back the O(log W) block directory:
+Two oracles back block resolution through the partition graph's index:
 
 * a *twin simulator* running the legacy ``block_directory=False`` store-chain
   mode through the same random modifier sequence must produce identical
   states, and
-* after every update, a :class:`DirectoryReader` built "as of" each stage
+* after every update, an :class:`IndexReader` built "as of" each stage
   must agree with a freshly constructed naive :class:`StoreChain` over the
   same stage prefix -- block by block, for the full vector and for gathers.
 
@@ -13,13 +13,15 @@ Both are exercised with and without fusion and copy-on-write, on the
 sequential and the work-stealing executor.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.circuit import Circuit
-from repro.core.cow import DirectoryReader, StoreChain
+from repro.core.cow import IndexReader, StoreChain
 from repro.core.simulator import QTaskSimulator
 
 from .test_properties import _apply_modifier, levels_strategy, modifier_strategy
@@ -32,19 +34,19 @@ COMMON_SETTINGS = dict(
 
 
 def assert_directory_matches_naive_walk(sim: QTaskSimulator) -> None:
-    """Directory-resolved reads == reversed-chain walk, for every stage view."""
+    """Index-resolved reads == reversed-chain walk, for every stage view."""
     stages = sim.graph.stages
     stores = [s.store for s in stages]
     for prefix in range(len(stages) + 1):
         chain = StoreChain([sim._initial] + stores[:prefix])
-        reader = DirectoryReader(sim._directory, prefix)
+        reader = IndexReader(sim.graph, sim._initial, prefix)
         np.testing.assert_array_equal(reader.full_vector(), chain.full_vector())
         for b in range(sim.n_blocks):
             np.testing.assert_array_equal(
                 reader.resolve_block(b), chain.resolve_block(b)
             )
     idx = np.arange(sim.dim, dtype=np.int64)[:: max(1, sim.dim // 16)]
-    full = DirectoryReader(sim._directory, len(stages))
+    full = IndexReader(sim.graph, sim._initial, sys.maxsize)
     np.testing.assert_array_equal(
         full.gather(idx), StoreChain([sim._initial] + stores).gather(idx)
     )
@@ -87,7 +89,7 @@ def test_directory_matches_chain_under_modifiers(fusion, cow, num_qubits, data):
 @settings(**COMMON_SETTINGS)
 @given(num_qubits=st.integers(2, 4), data=st.data())
 def test_directory_consistent_on_both_executors(workers, num_qubits, data):
-    """The directory index stays exact under parallel block writes."""
+    """Resolution stays exact under parallel block writes."""
     lv = data.draw(levels_strategy(num_qubits))
     mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=4))
     ckt = Circuit(num_qubits)
@@ -105,7 +107,7 @@ def test_directory_consistent_on_both_executors(workers, num_qubits, data):
 @settings(**COMMON_SETTINGS)
 @given(num_qubits=st.integers(2, 4), data=st.data())
 def test_directory_purged_after_clearing_circuit(num_qubits, data):
-    """Removing every net leaves no stale ownership entries behind."""
+    """Removing every net leaves no ownership entries behind."""
     lv = data.draw(levels_strategy(num_qubits))
     ckt = Circuit(num_qubits)
     sim = QTaskSimulator(ckt, block_size=2, num_workers=1, block_directory=True)
@@ -115,7 +117,8 @@ def test_directory_purged_after_clearing_circuit(num_qubits, data):
         ckt.remove_net(net)
     sim.update_state()
     for b in range(sim.n_blocks):
-        assert sim._directory.writers_of(b) == ()
+        assert sim.graph.holder(b, sys.maxsize) is None
+    assert not any(sim.graph._writers)
     state = sim.state()
     assert state[0] == 1.0
     assert np.all(state[1:] == 0.0)
