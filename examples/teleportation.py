@@ -76,6 +76,7 @@ def main() -> None:
     # -- trajectory sampling ------------------------------------------------
     shots = 2000
     counts = ckt.run_shots(shots, seed=7)
+    simulated = ckt.telemetry.metrics.get("shots.trajectories").value
     if trace_out:
         trace = ckt.export_trace(trace_out)
         print(f"\nwrote {len(trace['traceEvents'])} trace events "
@@ -85,7 +86,10 @@ def main() -> None:
     # The verification bit c2 must follow the message statistics; the Bell
     # record (c1, c0) is uniform.  Bitstrings read c2 c1 c0, left to right.
     ones = sum(n for bits, n in counts.items() if bits[0] == "1")
-    print(f"\n{shots} trajectories: counts = {dict(sorted(counts.items()))}")
+    print(f"\n{shots} shots: counts = {dict(sorted(counts.items()))}")
+    print(f"shots.trajectories = {simulated}: every distinct outcome path was "
+          "simulated once (per fork), not once per shot")
+    assert simulated < shots
     print(f"empirical P(c2=1) = {ones / shots:.4f}  (analytic {p1:.4f})")
     sigma = math.sqrt(p1 * (1 - p1) / shots)
     assert abs(ones / shots - p1) < 6 * sigma, "teleported statistics off"

@@ -25,11 +25,36 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ClassicalRegister", "OutcomeRecord"]
+__all__ = ["ClassicalRegister", "OutcomeRecord", "decide_outcome"]
+
+
+def decide_outcome(
+    op_index: int,
+    forced: Optional[int],
+    p0: float,
+    p1: float,
+    draw: Callable[[], float],
+) -> int:
+    """The outcome of dynamic operation ``op_index``, given its masses.
+
+    The one rule every collapse follows, whether the operation executes
+    (:meth:`OutcomeRecord.choose`) or ``run_shots`` only asks where another
+    shot's draw would leave a simulated path
+    (:meth:`OutcomeRecord.first_choice`).  A ``forced`` outcome wins
+    unconditionally; otherwise ``draw()`` (a uniform in ``[0, 1)``, asked
+    for only when needed) picks by inverse CDF over the unnormalised masses
+    ``p0``/``p1``.
+    """
+    if forced is not None:
+        return int(forced) & 1
+    total = p0 + p1
+    if total <= 0.0:
+        raise ValueError(f"dynamic op {op_index}: zero total probability mass")
+    return 0 if draw() * total < p0 else 1
 
 
 @dataclass(frozen=True)
@@ -106,6 +131,19 @@ class OutcomeRecord:
         self._op_outcomes.clear()
         self._streams.clear()
 
+    def branch(self, seed, dropped_ops: Iterable[int]) -> None:
+        """Continue this trajectory under a new seed from a later operation.
+
+        Bits and the recorded outcomes of every operation outside
+        ``dropped_ops`` are kept -- they are the shared prefix -- while the
+        dropped operations forget theirs and every keyed stream restarts, so
+        whatever re-executes draws the first value ``seed`` keys for it.
+        """
+        self.seed = self._materialise_seed(seed)
+        self._streams.clear()
+        for op in dropped_ops:
+            self._op_outcomes.pop(op, None)
+
     def ensure_bits(self, num_bits: int) -> None:
         """Grow the declared bit count (late classical-register declaration)."""
         self.num_bits = max(self.num_bits, int(num_bits))
@@ -147,7 +185,7 @@ class OutcomeRecord:
         self._op_outcomes = dict(outcomes)
         self._streams = {}
         for op, state in streams.items():
-            gen = np.random.default_rng((self.seed, int(op)))
+            gen = self.keyed_stream(self.seed, op)
             gen.bit_generator.state = copy.deepcopy(state)
             self._streams[op] = gen
 
@@ -200,24 +238,44 @@ class OutcomeRecord:
         trajectories across every simulator configuration that computes the
         same masses.
         """
-        forced = self._forced.get(op_index)
-        if forced is not None:
-            outcome = int(forced) & 1
-        else:
-            total = p0 + p1
-            if total <= 0.0:
-                raise ValueError(
-                    f"dynamic op {op_index}: zero total probability mass"
-                )
-            stream = self._streams.get(op_index)
-            if stream is None:
-                stream = self._streams[op_index] = np.random.default_rng(
-                    (self.seed, int(op_index))
-                )
-            u = stream.random()
-            outcome = 0 if u * total < p0 else 1
+        outcome = decide_outcome(
+            op_index,
+            self._forced.get(op_index),
+            p0,
+            p1,
+            lambda: self._stream(op_index).random(),
+        )
         self._op_outcomes[op_index] = outcome
         return outcome
+
+    def _stream(self, op_index: int) -> np.random.Generator:
+        stream = self._streams.get(op_index)
+        if stream is None:
+            stream = self._streams[op_index] = self.keyed_stream(
+                self.seed, op_index
+            )
+        return stream
+
+    @staticmethod
+    def keyed_stream(seed: int, op_index: int) -> np.random.Generator:
+        """The random stream trajectory ``seed`` keys for ``op_index``."""
+        return np.random.default_rng((seed, int(op_index)))
+
+    def first_choice(self, seed: int, op_index: int, p0: float, p1: float) -> int:
+        """What trajectory ``seed`` chooses the first time it runs ``op_index``.
+
+        Nothing is drawn from, or recorded in, this record: the answer is
+        :meth:`choose`'s for a freshly reseeded record with the same forced
+        table, which is how ``run_shots`` finds where a shot leaves a
+        simulated path without executing it.
+        """
+        return decide_outcome(
+            op_index,
+            self._forced.get(op_index),
+            p0,
+            p1,
+            lambda: self.keyed_stream(seed, op_index).random(),
+        )
 
     def outcome_of(self, op_index: int) -> Optional[int]:
         """The most recent outcome of a dynamic op (``None`` if never run)."""

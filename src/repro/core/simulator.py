@@ -928,8 +928,8 @@ class QTaskSimulator(CircuitObserver):
         """Live measure/reset/classically-controlled stages."""
         return len(self._dynamic_stages)
 
-    def reset_trajectory(self, seed=None) -> None:
-        """Re-arm every dynamic operation for a fresh trajectory.
+    def reset_trajectory(self, seed=None, from_op: Optional[int] = None) -> None:
+        """Re-arm the dynamic operations for a fresh trajectory.
 
         Clears the outcome record (reseeding its keyed randomness with
         ``seed``) and marks every dynamic stage -- including its sync
@@ -937,12 +937,47 @@ class QTaskSimulator(CircuitObserver):
         :meth:`update_state` re-collapses from the first measurement onward
         while the unitary prefix stays cached (copy-on-write makes the
         re-collapse exactly as incremental as a gate update at the same
-        depth).  This is the primitive :meth:`repro.QTask.run_shots` drives
-        once per shot on its forked sessions.
+        depth).
+
+        With ``from_op`` (the ``op_index`` of a measure or reset) the new
+        trajectory shares the current one's prefix: bits and outcomes of the
+        operations executing before ``from_op`` are kept, and only the
+        dynamic stages from it onward are re-armed and redrawn under
+        ``seed``.  :meth:`repro.QTask.run_shots` branches this way wherever a
+        shot's draw leaves a path it has already simulated.
         """
-        self.outcomes.reseed(seed)
-        for stage in self._dynamic_stages.values():
+        stages = self._dynamic_stages_from(from_op)
+        if from_op is None:
+            self.outcomes.reseed(seed)
+        else:
+            self.outcomes.branch(seed, [s.op.op_index for s in stages])
+        for stage in stages:
             self.graph.touch_stage_full(stage)
+
+    def _dynamic_stages_from(self, from_op: Optional[int]) -> List[DynamicStage]:
+        """Dynamic stages in execution order, from ``from_op``'s stage on."""
+        stages = sorted(self._dynamic_stages.values(), key=lambda s: s.seq)
+        if from_op is None:
+            return stages
+        for i, stage in enumerate(stages):
+            if stage.op.op_index == from_op:
+                return stages[i:]
+        raise CircuitError(f"no dynamic operation has op_index {from_op}")
+
+    def collapse_path(
+        self, from_op: Optional[int] = None
+    ) -> List[Tuple[int, float, float, int]]:
+        """``(op_index, p0, p1, outcome)`` per measure/reset, execution order.
+
+        The masses are the ones each collapse last drew against, so right
+        after an update they describe the trajectory the session holds;
+        ``from_op`` starts the list at that operation.
+        """
+        return [
+            (s.op.op_index, *s.masses, s.outcome)
+            for s in self._dynamic_stages_from(from_op)
+            if isinstance(s, (MeasureStage, ResetStage)) and s.masses is not None
+        ]
 
     # ------------------------------------------------------------------
     # state update (full or incremental)

@@ -609,11 +609,13 @@ class _CollapseStage(DynamicStage):
     # DynamicStage.clone_for_fork) still answer `.outcome` with None
     _outcome: Optional[int] = None
     _scale: float = 1.0
+    _masses: Optional[Tuple[float, float]] = None
 
     def __init__(self, op, *args, **kwargs) -> None:
         super().__init__(op, *args, **kwargs)
         self._outcome = None
         self._scale = 1.0
+        self._masses = None
 
     @property
     def qubit(self) -> int:
@@ -623,6 +625,11 @@ class _CollapseStage(DynamicStage):
     def outcome(self) -> Optional[int]:
         """The most recently drawn outcome (``None`` before first execution)."""
         return self._outcome
+
+    @property
+    def masses(self) -> Optional[Tuple[float, float]]:
+        """The unnormalised ``(p0, p1)`` the last ``prepare`` drew against."""
+        return self._masses
 
     def partition_specs(self) -> List[PartitionSpec]:
         return matvec_partitions(self.qubit_count, self.block_size)
@@ -639,6 +646,7 @@ class _CollapseStage(DynamicStage):
         p0, p1 = measured_masses(reader, self.qubit, self.dim, self.block_size)
         outcome = self.record.choose(self.op.op_index, p0, p1)
         mass = p1 if outcome else p0
+        self._masses = (p0, p1)
         self._outcome = outcome
         self._scale = 1.0 / math.sqrt(mass)
         self._record_outcome(outcome)

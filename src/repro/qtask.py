@@ -369,15 +369,23 @@ class QTask:
 
         Returns a histogram over the classical register bits (leftmost
         character = highest clbit), one entry per shot.  Each shot is an
-        independent trajectory: the session is forked copy-on-write (the
-        unitary prefix before the first measurement is computed once and
-        shared across the whole fleet), the fork's keyed randomness is
-        re-seeded with ``(seed, shot_index)``, and only the collapse cone is
-        re-simulated per shot.  Shot outcomes therefore depend only on
-        ``seed`` and the shot index -- never on the fleet size, executor
-        width or scheduling -- and the shots of a fleet run on the session's
-        shared executor in parallel (one fork per worker by default; cap
-        with ``num_forks``).
+        independent trajectory keyed ``(seed, shot_index)``: its outcomes
+        depend only on those two -- never on the fleet size, executor width
+        or scheduling.  The session is forked copy-on-write (the unitary
+        prefix before the first measurement is computed once and shared
+        across the whole fleet) and the shots are dealt round-robin to the
+        forks, which run on the session's shared executor in parallel (one
+        fork per worker by default; cap with ``num_forks``).
+
+        A fork does not replay its shots one by one.  Collapse masses depend
+        only on the outcomes before them and draws only on
+        ``(seed, shot, op)``, so after simulating one shot the fork knows,
+        without executing anything, at which operation every other shot
+        first draws a different outcome.  Shots that never do are tallied
+        with the simulated one; the rest branch off at their operation --
+        deepest first, so the prefix held in the fork stays the one they
+        share -- re-simulating from there only.  Every distinct outcome
+        path is simulated once per fork.
         """
         if shots < 0:
             raise ValueError(f"shots must be non-negative, got {shots}")
@@ -393,38 +401,76 @@ class QTask:
         workers = max(1, int(getattr(executor, "num_workers", 1)))
         limit = workers if num_forks is None else max(1, int(num_forks))
         fleet = min(shots, limit)
-        # Each fork updates on its own sequential executor: one shot is one
-        # coarse task, and the shared pool parallelises across forks.
-        forks = [self.fork(executor=SequentialExecutor()) for _ in range(fleet)]
-        n_clbits = self.circuit.num_clbits
-
+        clbits = range(self.circuit.num_clbits)
+        # Trajectory spans land on the *parent* session's tracer: one
+        # exported timeline for the whole fleet.
         tracer = self.simulator.telemetry.tracer
+        forks: List[QTask] = []
 
-        def run_chunk(fork_id: int) -> List[str]:
+        def walk(fork_id: int) -> Tuple[Dict[str, int], int]:
             child = forks[fork_id]
-            out: List[str] = []
-            for shot in range(fork_id, shots, fleet):
-                if tracer.enabled:
-                    # Shot spans land on the *parent* session's tracer (one
-                    # exported timeline for the whole fleet), tagged with
-                    # the shot index and which fork ran it.
-                    with tracer.span("shot", {"shot": shot, "fork": fork_id}):
-                        child.simulator.reset_trajectory((base_seed, shot))
-                        child.update_state()
-                else:
-                    child.simulator.reset_trajectory((base_seed, shot))
+            sim, record = child.simulator, child.outcomes
+            mine = range(fork_id, shots, fleet)  # dealt round-robin
+            seeds = {
+                shot: OutcomeRecord._materialise_seed((base_seed, shot))
+                for shot in mine
+            }
+            tally: Dict[str, int] = {}
+            trajectories = 0
+            # (op to branch at, the shots that branch there); popping the
+            # last entry visits the deepest pending branch first
+            pending: List[Tuple[Optional[int], List[int]]] = [(None, list(mine))]
+            while pending:
+                from_op, group = pending.pop()
+                lead = group[0]
+                with tracer.span("shot") as span:
+                    sim.reset_trajectory((base_seed, lead), from_op=from_op)
                     child.update_state()
-                out.append(child.outcomes.bitstring(range(n_clbits)))
-            return out
+                    path = sim.collapse_path(from_op)
+                    if from_op is not None:
+                        # the whole group drew the same (other) outcome there
+                        path = path[1:]
+                    branches: Dict[int, List[int]] = {}
+                    for shot in group[1:]:
+                        for op, p0, p1, outcome in path:
+                            if record.first_choice(seeds[shot], op, p0, p1) != outcome:
+                                branches.setdefault(op, []).append(shot)
+                                break
+                    followers = len(group) - sum(map(len, branches.values()))
+                    bits = record.bitstring(clbits)
+                    tally[bits] = tally.get(bits, 0) + followers
+                    trajectories += 1
+                    pending += [
+                        (op, branches[op]) for op, *_ in path if op in branches
+                    ]
+                    span.set("shot", lead)
+                    span.set("fork", fork_id)
+                    span.set("from_op", from_op)
+                    span.set("shots", followers)
+            return tally, trajectories
 
         counts: Dict[str, int] = {}
+        executed = 0
         try:
-            for chunk in executor.map(run_chunk, list(range(fleet))):
-                for bits in chunk:
-                    counts[bits] = counts.get(bits, 0) + 1
+            # Each fork updates on its own sequential executor: a walk is one
+            # coarse task, and the shared pool parallelises across forks.
+            for _ in range(fleet):
+                forks.append(self.fork(executor=SequentialExecutor()))
+            for tally, trajectories in executor.map(walk, list(range(fleet))):
+                executed += trajectories
+                for bits, n in tally.items():
+                    counts[bits] = counts.get(bits, 0) + n
         finally:
             for child in forks:
                 child.close()
+        metrics = self.simulator.telemetry.metrics
+        metrics.counter(
+            "shots.requested", help="shots asked of run_shots"
+        ).inc(shots)
+        metrics.counter(
+            "shots.trajectories",
+            help="outcome paths run_shots simulated (one per fork that met it)",
+        ).inc(executed)
         return counts
 
     # -- state update -------------------------------------------------------------

@@ -55,6 +55,35 @@ def reference_state(num_qubits: int, levels: Sequence[Sequence[Gate]]) -> np.nda
     return psi
 
 
+def replay_trajectories(session, shots: int, seed: int):
+    """``run_shots`` the slow way: one fork, one whole replay per shot.
+
+    Yields ``(bitstring, recorded outcomes)`` per shot.  Built from the
+    public primitives only, so it stays an independent oracle for however
+    ``run_shots`` shares work between shots.
+    """
+    clbits = range(session.num_clbits)
+    child = session.fork()
+    try:
+        for shot in range(shots):
+            child.simulator.reset_trajectory((seed, shot))
+            child.update_state()
+            yield (
+                child.outcomes.bitstring(clbits),
+                child.outcomes.recorded_outcomes(),
+            )
+    finally:
+        child.close()
+
+
+def replay_shots(session, shots: int, seed: int) -> dict:
+    """The histogram :func:`replay_trajectories` adds up to."""
+    counts: dict = {}
+    for bits, _ in replay_trajectories(session, shots, seed):
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
 def circuit_levels(circuit: Circuit) -> List[List[Gate]]:
     """Extract the (non-empty) gate levels currently in a circuit."""
     return [[h.gate for h in net.gates] for net in circuit.nets() if net.gates]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ import pytest
 from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
 from repro.core.circuit import Circuit
-from repro.core.classical import ClassicalRegister, OutcomeRecord
+from repro.core.classical import ClassicalRegister, OutcomeRecord, decide_outcome
 from repro.core.cow import BlockStore
 from repro.core.exceptions import CircuitError, NetDependencyError
 from repro.core.gates import Gate
 from repro.core.kernels import ArrayReader, collapse_run, measured_masses
 from repro.core.ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from repro.core.simulator import QTaskSimulator
+from repro.core.transport import TransportFailure
+
+from ..conftest import replay_shots
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +58,39 @@ class TestOutcomeRecord:
         rec = OutcomeRecord(1, seed=3, forced={0: 1})
         assert rec.choose(0, 1.0, 0.0) == 1  # would be 0 by mass
         assert rec.outcome_of(0) == 1
+
+    def test_first_choice_is_what_a_fresh_record_would_choose(self):
+        asked = OutcomeRecord(1, seed=5, forced={3: 1})
+        asked.choose(0, 0.5, 0.5)  # its own streams are not consulted
+        for seed in range(40):
+            fresh = OutcomeRecord(1, seed=seed)
+            assert asked.first_choice(fresh.seed, 0, 0.3, 0.7) == fresh.choose(
+                0, 0.3, 0.7
+            )
+        assert asked.first_choice(9, 3, 1.0, 0.0) == 1  # forced ops never branch
+        assert asked.outcome_of(3) is None  # and nothing is recorded
+        with pytest.raises(ValueError):
+            asked.first_choice(9, 1, 0.0, 0.0)
+
+    def test_decide_outcome_draws_only_when_it_has_to(self):
+        def no_draw():
+            raise AssertionError("drawn")
+
+        assert decide_outcome(0, 1, 1.0, 0.0, no_draw) == 1
+        with pytest.raises(ValueError, match="op 4"):
+            decide_outcome(4, None, 0.0, 0.0, no_draw)
+        assert decide_outcome(0, None, 0.25, 0.75, lambda: 0.2) == 0
+        assert decide_outcome(0, None, 0.25, 0.75, lambda: 0.25) == 1
+
+    def test_branch_keeps_the_prefix_and_restarts_the_streams(self):
+        rec = OutcomeRecord(2, seed=1)
+        rec.set_bit(0, 1)
+        first = [rec.choose(op, 0.5, 0.5) for op in range(3)]
+        rec.branch(2, [1, 2])
+        assert rec.get_bit(0) == 1
+        assert [rec.outcome_of(op) for op in range(3)] == [first[0], None, None]
+        fresh = OutcomeRecord(2, seed=2)
+        assert rec.choose(1, 0.5, 0.5) == fresh.choose(1, 0.5, 0.5)
 
     def test_bits_and_values(self):
         rec = OutcomeRecord(3)
@@ -474,6 +511,129 @@ class TestTrajectoriesAndForks:
         assert ckt.run_shots(0) == {}
         with pytest.raises(ValueError):
             ckt.run_shots(-1)
+        ckt.close()
+
+
+def trajectories_of(session) -> int:
+    return session.telemetry.metrics.get("shots.trajectories").value
+
+
+class TestRunShotsWalk:
+    """``run_shots`` simulates each distinct outcome path once per fork."""
+
+    def test_no_collapse_ops_is_one_tally(self):
+        ckt = build_qtask(2, 2, seed=0)
+        n1, n2 = ckt.insert_net(), ckt.insert_net()
+        ckt.insert_gate("h", n1, 0)
+        ckt.c_if("x", n2, 1, condition=((0,), 1))  # reads a bit nobody writes
+        ckt.update_state()
+        updates = ckt.simulator.statistics()["num_updates"]
+        assert ckt.run_shots(50, seed=3, num_forks=1) == {"00": 50}
+        assert trajectories_of(ckt) == 1
+        assert ckt.telemetry.metrics.get("shots.requested").value == 50
+        assert ckt.simulator.statistics()["num_updates"] == updates
+        ckt.close()
+
+    def test_deterministic_collapse_never_branches(self):
+        ckt = build_qtask(2, 1, seed=0)
+        n1, n2, n3 = (ckt.insert_net() for _ in range(3))
+        ckt.insert_gate("h", n1, 0)
+        ckt.measure(n2, 0, 0)
+        ckt.reset(n3, 0)  # the measurement left one side with zero mass
+        counts = ckt.run_shots(64, seed=11, num_forks=1)
+        assert counts == replay_shots(ckt, 64, 11)
+        assert set(counts) == {"0", "1"}
+        assert trajectories_of(ckt) == 2
+        ckt.close()
+
+    def test_forced_outcomes_never_branch(self):
+        ckt = build_qtask(2, 2, seed=0)
+        n1, n2 = ckt.insert_net(), ckt.insert_net()
+        ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("h", n1, 1)
+        forced = ckt.measure(n2, 0, 0)
+        ckt.measure(n2, 1, 1)
+        ckt.outcomes.force_outcomes({forced.gate.op_index: 1})
+        counts = ckt.run_shots(40, seed=2, num_forks=1)
+        assert counts == replay_shots(ckt, 40, 2)
+        assert set(counts) == {"01", "11"}
+        assert trajectories_of(ckt) == 2
+        ckt.close()
+
+    def test_rewritten_clbit_and_c_if_before_its_measurement(self):
+        ckt = build_qtask(2, 2, seed=0)
+        early, n1, m1, n2, m2, m3 = (ckt.insert_net() for _ in range(6))
+        ckt.c_if("x", early, 1, condition=((0,), 1))  # c0 is still 0 here
+        ckt.insert_gate("h", n1, 0)
+        ckt.measure(m1, 0, 0)
+        ckt.insert_gate("h", n2, 0)
+        ckt.measure(m2, 0, 0)  # second writer of c0: the later one wins
+        ckt.measure(m3, 1, 1)
+        for num_forks in (1, 3):
+            counts = ckt.run_shots(60, seed=8, num_forks=num_forks)
+            assert counts == replay_shots(ckt, 60, 8)
+        assert set(counts) == {"00", "01"}
+        ckt.close()
+
+    def test_parent_with_pending_modifiers(self):
+        ckt = build_qtask(3, 2, seed=4)
+        n1, n2 = ckt.insert_net(), ckt.insert_net()
+        ckt.insert_gate("h", n1, 0)
+        ckt.measure(n2, 0, 0)
+        # never updated: the fork flushes the pending build
+        assert ckt.run_shots(30, seed=6) == replay_shots(ckt, 30, 6)
+        n3, n4 = ckt.insert_net(), ckt.insert_net()
+        ckt.insert_gate("ry", n3, 1, params=[1.1])
+        ckt.measure(n4, 1, 1)
+        # updated once, then edited: the edit is part of every shot
+        counts = ckt.run_shots(30, seed=6)
+        assert counts == replay_shots(ckt, 30, 6)
+        assert any(bits[0] == "1" for bits in counts)
+        ckt.close()
+
+    def test_reset_trajectory_from_unknown_op_raises(self):
+        ckt = build_qtask(1, 1, seed=0)
+        ckt.measure(ckt.insert_net(), 0, 0)
+        ckt.update_state()
+        with pytest.raises(CircuitError, match="op_index 5"):
+            ckt.simulator.reset_trajectory(1, from_op=5)
+        ckt.close()
+
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            "local",
+            pytest.param(
+                "sharded",
+                marks=pytest.mark.skipif(
+                    not hasattr(os, "fork"), reason="needs os.fork"
+                ),
+            ),
+        ],
+    )
+    def test_a_failing_fork_leaks_no_earlier_fork(self, monkeypatch, transport):
+        ckt = build_qtask(3, 1, seed=0, num_workers=3, store_transport=transport)
+        n1, n2 = ckt.insert_net(), ckt.insert_net()
+        ckt.insert_gate("h", n1, 0)
+        ckt.measure(n2, 0, 0)
+        ckt.update_state()
+        shards = ckt.simulator._store_transport.shard_report
+        before = shards()
+        real_fork, built = QTask.fork, []
+
+        def second_fork_fails(self, **kwargs):
+            if len(built) == 1:
+                raise TransportFailure("shard spawn failed")
+            built.append(real_fork(self, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(QTask, "fork", second_fork_fails)
+        with pytest.raises(TransportFailure, match="spawn failed"):
+            ckt.run_shots(9, seed=1)
+        (child,) = built
+        # closed: off its circuit, and its shard-side payloads are dropped
+        assert child.simulator not in child.circuit._observers
+        assert shards() == before
         ckt.close()
 
 

@@ -9,6 +9,7 @@ backend is available, whose ``pool.chunk`` spans carry worker pids.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -203,3 +204,45 @@ def test_sweep_runner_merges_fleet_metrics():
             merged.counter("plan.updates_planned").value
         )
     ckt.close()
+
+
+def test_run_shots_records_one_shot_span_per_executed_trajectory(tmp_path):
+    """A ``shot`` span is a simulated outcome path, not a requested shot."""
+    ckt = QTask(3, num_clbits=2, block_size=2, num_workers=2, tracing=True)
+    try:
+        n1, n2, n3, n4 = (ckt.insert_net() for _ in range(4))
+        ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("h", n1, 1)
+        first = ckt.measure(n2, 0, 0).gate.op_index
+        ckt.c_if("x", n3, 2, condition=((0,), 1))
+        second = ckt.measure(n4, 1, 1).gate.op_index
+        counts = ckt.run_shots(40, seed=3)
+        assert sum(counts.values()) == 40 and len(counts) == 4
+
+        shot_spans = [r for r in ckt.telemetry.tracer.spans() if r.name == "shot"]
+        metrics = ckt.telemetry.metrics
+        assert metrics.get("shots.requested").value == 40
+        assert metrics.get("shots.trajectories").value == len(shot_spans)
+        # two forks, four outcome paths each: far fewer updates than shots
+        assert 4 <= len(shot_spans) <= 8
+        assert sum(r.attrs["shots"] for r in shot_spans) == 40
+        for r in shot_spans:
+            assert set(r.attrs) == {"shot", "fork", "from_op", "shots"}
+            assert r.attrs["shot"] % 2 == r.attrs["fork"]  # dealt round-robin
+            assert r.attrs["shots"] >= 1
+        # each fork starts one path from scratch and branches into the rest
+        assert [r.attrs["from_op"] for r in shot_spans].count(None) == 2
+        assert {r.attrs["from_op"] for r in shot_spans} == {None, first, second}
+
+        text = metrics.prometheus_text()
+        assert re.search(r"^qtask_shots_requested\{[^}]*\} 40$", text, re.M)
+        assert re.search(
+            rf"^qtask_shots_trajectories\{{[^}}]*\}} {len(shot_spans)}$", text, re.M
+        )
+        path = str(tmp_path / "shots.json")
+        ckt.export_trace(path)
+        with open(path) as fh:
+            events = json.load(fh)["traceEvents"]
+        assert sum(e["name"] == "shot" for e in events) == len(shot_spans)
+    finally:
+        ckt.close()

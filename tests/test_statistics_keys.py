@@ -140,3 +140,20 @@ def test_reference_backend_counts_every_run_as_per_run():
         assert 0 < stats["runs_fallback"] <= stats["runs_batched"]
     finally:
         ckt.close()
+
+
+def test_run_shots_counters_live_in_the_registry_not_in_statistics():
+    """``shots.*`` are registry counters; the statistics() contract is
+    untouched by sampling (the parent session does no update work)."""
+    ckt = _dynamic_session("numpy")
+    try:
+        ckt.run_shots(12, seed=1)
+        assert set(ckt.simulator.statistics()) == GOLDEN_KEYS
+        counters = ckt.telemetry_report()["counters"]
+        assert counters["shots.requested"] == 12
+        assert 1 <= counters["shots.trajectories"] <= 12
+        text = ckt.telemetry.metrics.prometheus_text()
+        assert "qtask_shots_requested" in text
+        assert "qtask_shots_trajectories" in text
+    finally:
+        ckt.close()

@@ -9,24 +9,36 @@ The acceptance bar of the dynamic-circuit subsystem:
   comparison is deterministic);
 * ``run_shots`` histograms on teleportation and a repeat-until-success-style
   branch circuit pass a chi-square test against the analytic outcome
-  probabilities.
+  probabilities;
+* ``run_shots`` -- which simulates each distinct outcome path once and
+  branches the session where a shot's draw leaves it -- returns exactly the
+  histogram of replaying every shot from scratch, over drawn circuits and
+  the whole configuration space.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
+from repro.core import faults
 from repro.core.circuit import Circuit
+from repro.core.faults import FaultPlan
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
-from .conftest import random_level
+from .conftest import random_level, replay_shots, replay_trajectories
+
+HAVE_FORK = hasattr(os, "fork")
 
 # every incremental-engine knob combination the equivalence bar names
 KNOB_MATRIX = [
@@ -231,21 +243,184 @@ def test_rus_branch_counts_chi_square():
 
 def test_run_shots_shares_unitary_prefix_copy_on_write():
     """Trajectory re-collapse re-simulates only the cone after the measure."""
-    ckt = QTask(6, num_clbits=1, block_size=4, seed=1)
-    nets = [ckt.insert_net() for _ in range(4)]
+    ckt = QTask(6, num_clbits=2, block_size=4, seed=1)
+    nets = [ckt.insert_net() for _ in range(6)]
     for q in range(6):
         ckt.insert_gate("h", nets[0], q)
     for q in range(0, 6, 2):
         ckt.insert_gate("cx", nets[1], q, q + 1)
-    ckt.insert_gate("rz", nets[2], 0, params=[0.3])
-    ckt.measure(nets[3], 0, 0)
+    for q in range(6):
+        ckt.insert_gate("rz", nets[2], q, params=[0.3 + q])
+    first = ckt.measure(nets[3], 0, 0).gate.op_index
+    ckt.insert_gate("h", nets[4], 2)
+    second = ckt.measure(nets[5], 2, 1).gate.op_index
     ckt.update_state()
     child = ckt.fork()
     child.simulator.reset_trajectory((1, 0))
     report = child.update_state()
-    # only the measure stage's partitions (plus sync) re-executed: the
-    # unitary prefix is served copy-on-write from the parent
+    # only the dynamic stages' cone re-executed: the unitary prefix is
+    # served copy-on-write from the parent
     assert report.affected_fraction < 0.5
     assert report.was_incremental
+    # branching at the second measurement keeps the first one's outcome and
+    # bit, and re-executes no stage before the second
+    kept = child.outcomes.outcome_of(first)
+    (branch_seq,) = (
+        s.seq
+        for s in child.simulator._dynamic_stages.values()
+        if s.op.op_index == second
+    )
+    child.simulator.reset_trajectory((1, 1), from_op=second)
+    assert child.outcomes.outcome_of(second) is None
+    affected = child.simulator.graph.affected_nodes()
+    assert affected and min(n.stage.seq for n in affected) == branch_seq
+    branched = child.update_state()
+    assert branched.affected_partitions < report.affected_partitions
+    assert child.outcomes.outcome_of(first) == kept == child.outcomes.get_bit(0)
+    assert child.outcomes.outcome_of(second) == child.outcomes.get_bit(1)
+    assert [op for op, *_ in child.simulator.collapse_path(second)] == [second]
     child.close()
     ckt.close()
+
+
+# ---------------------------------------------------------------------------
+# run_shots == one replay per shot
+# ---------------------------------------------------------------------------
+
+#: (name, arity, parameter count): diagonal, monomial and superposition gates
+SHOT_GATES = [
+    ("z", 1, 0), ("rz", 1, 1), ("cz", 2, 0),
+    ("x", 1, 0), ("cx", 2, 0), ("swap", 2, 0),
+    ("h", 1, 0), ("ry", 1, 1), ("rx", 1, 1),
+]
+SHOT_CLBITS = 3
+
+
+def build_shot_session(rng: random.Random, num_qubits: int, **knobs) -> QTask:
+    """Measure / reset / c_if nets interleaved with random unitary nets.
+
+    Every qubit starts in a superposition, so most collapses are a real
+    coin flip and 24 shots spread over many outcome paths.
+    """
+    ckt = QTask(num_qubits, num_clbits=SHOT_CLBITS, **knobs)
+    spread = ckt.insert_net()
+    for q in range(num_qubits):
+        ckt.insert_gate("ry", spread, q, params=[rng.uniform(0.8, 2.4)])
+
+    def gate_args(free):
+        name, arity, n_params = rng.choice(SHOT_GATES)
+        qubits = [free.pop(rng.randrange(len(free))) for _ in range(arity)]
+        return name, qubits, [rng.uniform(0.1, 3.0) for _ in range(n_params)]
+
+    for _ in range(rng.randint(4, 10)):
+        net = ckt.insert_net()
+        kind = rng.choice(["gates", "gates", "measure", "measure", "reset", "c_if"])
+        if kind == "gates":
+            free = list(range(num_qubits))
+            for _ in range(rng.randint(1, 3)):
+                if len(free) < 2:
+                    break
+                name, qubits, params = gate_args(free)
+                ckt.insert_gate(name, net, *qubits, params=params)
+        elif kind == "measure":
+            ckt.measure(net, rng.randrange(num_qubits), rng.randrange(SHOT_CLBITS))
+        elif kind == "reset":
+            ckt.reset(net, rng.randrange(num_qubits))
+        else:
+            name, qubits, params = gate_args(list(range(num_qubits)))
+            bits = rng.sample(range(SHOT_CLBITS), rng.randint(1, 2))
+            ckt.c_if(
+                name, net, *qubits, params=params,
+                condition=(bits, rng.randrange(1 << len(bits))),
+            )
+    return ckt
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(3, 8),
+    block_size=st.sampled_from([2, 4, 16, 64, 256]),
+    fusion=st.booleans(),
+    copy_on_write=st.booleans(),
+    sharded=st.booleans(),
+    num_workers=st.sampled_from([1, 4]),
+    force=st.booleans(),
+)
+def test_run_shots_equals_one_replay_per_shot(
+    seed, num_qubits, block_size, fusion, copy_on_write, sharded, num_workers,
+    force,
+):
+    # Chaos mode is parked (hypothesis draws differ from run to run, so an
+    # armed plan would hand every later test a different stretch of the
+    # seeded fault streams); recovery under faults is scripted below.
+    parked = faults.install(None)
+    rng = random.Random(seed)
+    knobs = dict(
+        block_size=block_size, fusion=fusion, copy_on_write=copy_on_write,
+        num_workers=num_workers, seed=seed % 1000,
+    )
+    if sharded and HAVE_FORK:
+        knobs["store_transport"] = "sharded"
+    ckt = build_shot_session(rng, num_qubits, **knobs)
+    shots, shot_seed = 24, seed % 9973
+    try:
+        if force:
+            # A forced operation never branches.  (The first collapse's
+            # masses hang on no earlier outcome, so the side it just took
+            # has mass on every trajectory.)
+            ckt.update_state()
+            for op, _, _, outcome in ckt.simulator.collapse_path()[:1]:
+                ckt.outcomes.force_outcomes({op: outcome})
+        trajectories = list(replay_trajectories(ckt, shots, shot_seed))
+        expected = Counter(bits for bits, _ in trajectories)
+        paths = {tuple(sorted(outcomes.items())) for _, outcomes in trajectories}
+        walked = ckt.telemetry.metrics.counter("shots.trajectories")
+        for num_forks in (1, 2, 3, 4, None):
+            before = walked.value
+            assert ckt.run_shots(shots, seed=shot_seed, num_forks=num_forks) == expected
+            if num_forks == 1:
+                # one update per distinct outcome path, never one per shot
+                assert walked.value - before == len(paths) <= shots
+            else:
+                assert len(paths) <= walked.value - before <= shots
+    finally:
+        ckt.close()
+        faults.install(parked)
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="sharded transport needs os.fork")
+def test_run_shots_survives_store_recovery_mid_walk(no_plan, monkeypatch):
+    """A branch replayed from scratch redraws the prefix it branched from.
+
+    Losing the shards mid-walk re-executes *every* stage of the fork, the
+    ones before the branch point included; those replay the recorded
+    prefix and the rest draw the branching shot's own first values, so the
+    histogram does not move.
+    """
+    ckt = build_rus_branch(seed=9, block_size=2, num_workers=1,
+                           store_transport="sharded")
+    held_prefixes = []
+    recover = QTaskSimulator._recover_store_transport
+
+    def spy(self, reason):
+        held_prefixes.append(self.outcomes.recorded_outcomes())
+        recover(self, reason)
+
+    monkeypatch.setattr(QTaskSimulator, "_recover_store_transport", spy)
+    try:
+        ckt.update_state()
+        expected = replay_shots(ckt, 40, 77)
+        # Five consecutive store.shard faults are one TransportFailure; the
+        # walk's second update (evaluations 15-18) branches at the reset.
+        faults.install(FaultPlan(script=[("store.shard", i) for i in range(15, 20)]))
+        counts = ckt.run_shots(40, seed=77, num_forks=1)
+        faults.uninstall()
+        assert len(held_prefixes) == 1 and held_prefixes[0]  # lost mid-branch
+        assert counts == expected
+    finally:
+        ckt.close()
