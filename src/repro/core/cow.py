@@ -223,6 +223,19 @@ class BlockStore:
         except TransportFailure:  # pragma: no cover - teardown best effort
             pass
 
+    def release(self) -> None:
+        """Session teardown: drop every payload reference this store holds.
+
+        Shard-side payloads are freed (:meth:`release_remote`) and the local
+        bindings forgotten with two dict clears -- no per-block work, a
+        forked session is closed once per service job.  Arrays another
+        store adopted live on through that store's own references; the
+        origins' export counts are left as they are.
+        """
+        self.release_remote()
+        self._blocks.clear()
+        self._shared.clear()
+
     # -- publish batching (remote transports) ------------------------------
 
     @contextlib.contextmanager

@@ -26,7 +26,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .blocks import BlockRange, DEFAULT_BLOCK_SIZE, num_blocks, validate_block_s
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import OutcomeRecord
 from .cow import IndexReader, InitialStateStore, MemoryReport, StoreChain
-from .exceptions import CircuitError
+from .exceptions import CircuitError, QTaskError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan, build_execution_plan
 from .gates import Gate, compose_actions
 from .graph import PartitionGraph, PartitionNode
@@ -105,6 +105,10 @@ class UpdateReport:
 
 class QTaskSimulator(CircuitObserver):
     """Incremental task-parallel simulator attached to a circuit."""
+
+    #: set by :meth:`close`; a class default because ``fork`` and checkpoint
+    #: restore assemble sessions without ``__init__``
+    _closed = False
 
     def __init__(
         self,
@@ -322,14 +326,20 @@ class QTaskSimulator(CircuitObserver):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the circuit and release the executor (if owned)."""
+        """Detach from the circuit, drop the state, release the executor.
+
+        Every stage store is cleared, so the session's blocks are freed here
+        by reference count instead of whenever the cyclic collector reaches
+        the simulator <-> stage cycle; arrays a fork adopted live on through
+        the fork's own references.  Reads of a closed session raise.
+        """
+        self._closed = True
         self.circuit.unregister_observer(self)
-        if self._store_transport.is_remote:
-            # Free this session's shard payloads; the shard processes are
+        for stage in self.graph.stages:
+            # Shard payloads too; the shard processes themselves are
             # module-shared (a fork fleet keeps using them) and are reaped
             # by shutdown_shard_runtimes() at exit.
-            for stage in self.graph.stages:
-                stage.store.release_remote()
+            stage.store.release()
         if self._owns_executor:
             self.executor.close()
 
@@ -580,14 +590,15 @@ class QTaskSimulator(CircuitObserver):
         if listener in self._dirty_listeners:
             self._dirty_listeners.remove(listener)
 
-    def _notify_dirty(self, blocks: Iterable[int]) -> None:
+    def _notify_dirty(self, blocks: Sequence[int]) -> None:
+        """Hand listeners the dirty block ids as one index array."""
         if not self._dirty_listeners:
             return
-        blocks = tuple(blocks)
-        if not blocks:
+        ids = np.asarray(blocks, dtype=np.intp)
+        if not ids.size:
             return
         for listener in self._dirty_listeners:
-            listener(blocks)
+            listener(ids)
 
     # ------------------------------------------------------------------
     # CircuitObserver callbacks: maintain stages + partition graph
@@ -1134,13 +1145,18 @@ class QTaskSimulator(CircuitObserver):
             report.executed_block_writes = self._execute_with_recovery(affected)
             if self._dirty_listeners:
                 if self.copy_on_write:
-                    dirty: Set[int] = set()
-                    for node in affected:
-                        if not node.is_sync:
-                            dirty.update(node.block_range.blocks())
+                    written = np.zeros(self.n_blocks, dtype=bool)
+                    # many partitions share few distinct ranges
+                    for first, last in {
+                        (node.block_range.first, node.block_range.last)
+                        for node in affected
+                        if not node.is_sync
+                    }:
+                        written[first : last + 1] = True
+                    dirty = np.flatnonzero(written)
                 else:
                     # dense mode rewrites (and back-fills) whole vectors
-                    dirty = set(range(self.n_blocks))
+                    dirty = np.arange(self.n_blocks)
                 self._notify_dirty(dirty)
         self.graph.clear_frontiers()
         report.elapsed_seconds = time.perf_counter() - start
@@ -1195,6 +1211,9 @@ class QTaskSimulator(CircuitObserver):
         Index mode searches the writer index per block; legacy mode builds
         the O(S) store chain the paper's naive formulation implies.
         """
+        if self._closed:
+            # close() emptied the stores: every block would resolve to |0...0>
+            raise QTaskError("session is closed")
         if self.block_directory:
             return IndexReader(self.graph, self._initial, before_seq)
         stores = [self._initial]

@@ -1,10 +1,10 @@
 """Observables subsystem: Pauli expectations, marginals and shot sampling.
 
 Everything here evaluates measurement queries *block-wise* against the
-simulator's copy-on-write stores -- the same data layout, kernels and dirty
-frontier the incremental update uses -- so observables inherit qTask's
-incrementality: a localised circuit edit invalidates only the per-block
-partials its dirty blocks cover.
+simulator's copy-on-write stores -- the same data layout, batched block reads
+and dirty frontier the incremental update uses -- so observables inherit
+qTask's incrementality: a localised circuit edit invalidates only the
+per-block partials its dirty blocks cover.
 
 See :mod:`repro.observables.pauli` for the observable vocabulary,
 :mod:`repro.observables.engine` for the evaluation engine, and

@@ -1,41 +1,46 @@
 """Incremental observables: expectations, marginals and shot sampling.
 
 :class:`ObservablesEngine` answers measurement queries about a simulator's
-*current* state (the one produced by the last ``update_state``) without ever
-materialising the full ``2^n`` vector:
+*current* state (the one produced by the last ``update_state``), reading
+only the blocks whose cached results are missing, each query in one gather:
 
-* ``expectation(obs)`` evaluates ``<psi|H|psi>`` term by term, block by
-  block.  Z-only (diagonal) terms read per-block probabilities and bit-parity
-  signs; terms with X/Y factors are monomial actions evaluated with the very
-  strided kernels the simulator uses for permutation gates
-  (:func:`repro.core.kernels.apply_action_range`), reading the state through
-  the COW block resolution.
+* ``expectation(obs)`` evaluates ``<psi|H|psi>`` from per-(term, block)
+  partials.  The ±1/±i factor of a Pauli string splits into a within-block
+  table times a block-id table, so one query gathers the blocks some term
+  misses (plus their X/Y flip partners) with a single ``read_blocks`` and
+  computes every missing partial of every term sharing a flip mask with one
+  matmul (see :meth:`ObservablesEngine.expectation_value`).
 * ``sample(shots)`` / ``counts(shots)`` draw measurement shots via a lazily
   maintained Fenwick prefix-sum tree over per-block probability masses
   (:class:`repro.observables.sampling.PrefixSumTree`).
-* ``marginal_probabilities(qubits)`` folds per-block probabilities onto a
-  qubit subset with one bincount per block.
+* ``marginal_probabilities(qubits)`` folds the gathered probabilities onto
+  a qubit subset with one bincount.
 
-All per-block results -- the (term, block) partial expectations and the
-per-block probability masses feeding the sampling tree -- are cached, and the
-cache is invalidated by exactly the dirty frontier the incremental update
-already computes: the simulator reports every block (re)written by an update
-or orphaned by a stage removal through its dirty-listener hook, and only
-those entries are recomputed on the next query.  A parameter-retune sweep
-that touches the tail of a circuit therefore re-evaluates only the partials
-its dirty blocks invalidated.
+All per-block results -- one partial array plus validity bitmap per term,
+and the per-block probability masses feeding the sampling tree -- are
+cached, and the cache is invalidated by exactly the dirty frontier the
+incremental update already computes: the simulator reports every block
+(re)written by an update or orphaned by a stage removal through its
+dirty-listener hook, and only those entries are recomputed on the next
+query.  A parameter-retune sweep that touches the tail of a circuit
+therefore re-evaluates only the partials its dirty blocks invalidated.
+
+``dense_expectation`` / ``statevector_counts`` at the bottom are the dense
+baselines' path and the tests' oracle; they share no code with the engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.blocks import block_bounds
+from ..core.exceptions import QubitIndexError
 from ..core.gates import extract_local
 from ..core.kernels import ArrayReader, StateReader, apply_action_range
-from .pauli import PauliLike, PauliString, PauliSum, as_pauli_sum
+from ..telemetry.tracing import NULL_SPAN
+from .pauli import PauliLike, PauliString, PauliSum, as_pauli_sum, pauli_phases
 from .sampling import PrefixSumTree
 
 __all__ = ["ObservablesEngine", "dense_expectation", "statevector_counts"]
@@ -82,13 +87,53 @@ def _term_partial(
     return complex(np.vdot(psi, out))
 
 
+@lru_cache(maxsize=256)
+def _phase_table(
+    letters: Tuple[Tuple[int, str], ...], size: int, flip: int
+) -> np.ndarray:
+    """:func:`~repro.observables.pauli.pauli_phases`, value-keyed and shared.
+
+    Like ``kernels._slab_table`` the key is the table's content -- bit
+    positions, letters, length, flip -- so every term, engine and fork that
+    needs the same factor reads one read-only array.  An entry is 16 bytes
+    per amplitude of a block (the within-block table ``L``) or per block of
+    the state (the block-id table ``H``).
+    """
+    table = pauli_phases(letters, size, flip)
+    table.setflags(write=False)
+    return table
+
+
+class _TermCache(NamedTuple):
+    """Per-block partials of one unit-coefficient Pauli string.
+
+    ``partials[b]`` is ``sum_j conj(psi[b, j]) (P psi)[b, j]`` wherever
+    ``valid[b]``; ``low`` / ``high`` are the ``L`` / ``H`` phase tables and
+    ``flip_low`` / ``flip_high`` the X/Y mask split at the block boundary.
+    """
+
+    flip_low: int
+    flip_high: int
+    low: np.ndarray
+    high: np.ndarray
+    partials: np.ndarray
+    valid: np.ndarray
+
+    def copy(self) -> "_TermCache":
+        """Own partials and validity, shared (read-only) phase tables."""
+        return self._replace(
+            partials=self.partials.copy(), valid=self.valid.copy()
+        )
+
+
 class ObservablesEngine:
     """Measurement queries over one simulator's COW-resolved state.
 
     Created lazily by :attr:`repro.core.simulator.QTaskSimulator.observables`
     (one engine per simulator); direct construction is useful in tests.  With
-    ``cache=False`` every query recomputes from the block stores -- the A/B
-    baseline for the caching ablation.
+    ``cache=False`` nothing is kept between queries: the same code runs with
+    no partial and no block mass ever valid, so every query recomputes from
+    the block stores -- the A/B baseline for the caching ablation.
     """
 
     def __init__(self, simulator, *, cache: bool = True) -> None:
@@ -97,15 +142,25 @@ class ObservablesEngine:
         self.dim = simulator.dim
         self.block_size = simulator.block_size
         self.n_blocks = simulator.n_blocks
-        #: (term key, block) -> partial expectation of the unit-coefficient term
-        self._term_partials: Dict[_TermKey, Dict[int, complex]] = {}
-        #: term key -> its X/Y flip mask restricted to the *block-id* bits:
-        #: the partial for block b reads amplitudes from block b ^ mask, so a
-        #: dirty block d also invalidates the partial of d ^ mask.
-        self._term_block_flip: Dict[_TermKey, int] = {}
+        self.num_qubits = self.dim.bit_length() - 1
+        #: amplitudes per block, and the qubit index of block-id bit 0
+        self._block_len = min(self.dim, self.block_size)
+        self._block_bits = self._block_len.bit_length() - 1
+        self._cols = np.arange(self._block_len)
+        #: term key -> array-backed partials of the unit-coefficient term
+        self._terms: Dict[_TermKey, _TermCache] = {}
         #: per-block probability masses, lazily pushed into the Fenwick tree
         self._tree = PrefixSumTree(self.n_blocks)
-        self._stale_blocks: Set[int] = set(range(self.n_blocks))
+        self._stale = np.ones(self.n_blocks, dtype=bool)
+        metrics = simulator.telemetry.metrics
+        self._partials_computed = metrics.counter(
+            "observe.partials_computed",
+            help="(term, block) expectation partials evaluated",
+        )
+        self._blocks_gathered = metrics.counter(
+            "observe.blocks_gathered",
+            help="state blocks read by observable queries",
+        )
         simulator.add_dirty_listener(self.mark_blocks_dirty)
 
     # -- invalidation (driven by the simulator's dirty frontier) -----------
@@ -119,26 +174,26 @@ class ObservablesEngine:
         """
         if not self.cache:
             return
-        blocks = set(blocks)
-        if not blocks:
+        idx = (
+            blocks
+            if isinstance(blocks, np.ndarray)
+            else np.fromiter(blocks, dtype=np.intp)
+        )
+        if not idx.size:
             return
-        self._stale_blocks.update(blocks)
-        for key, partials in self._term_partials.items():
+        self._stale[idx] = True
+        for entry in self._terms.values():
             # An X/Y term's partial for block b is computed from amplitudes
-            # in the flip-partner block b ^ mask, so a dirty block also
-            # invalidates its partner's cached partial (mask 0 for Z-only
-            # terms: the partial is block-local).
-            mask = self._term_block_flip[key]
-            for b in blocks:
-                partials.pop(b, None)
-                if mask:
-                    partials.pop(b ^ mask, None)
+            # in the flip-partner block b ^ flip_high, so a dirty block also
+            # invalidates its partner's partial (flip_high is 0 for terms
+            # whose X/Y factors all sit below the block boundary).
+            entry.valid[idx] = False
+            entry.valid[idx ^ entry.flip_high] = False
 
     def invalidate(self) -> None:
         """Drop every cached result (all blocks stale)."""
-        self._term_partials.clear()
-        self._term_block_flip.clear()
-        self._stale_blocks = set(range(self.n_blocks))
+        self._terms.clear()
+        self._stale[:] = True
 
     def clone_for(self, simulator) -> "ObservablesEngine":
         """A new engine for ``simulator`` seeded with this engine's caches.
@@ -151,74 +206,147 @@ class ObservablesEngine:
         """
         clone = ObservablesEngine(simulator, cache=self.cache)
         if self.cache:
-            clone._term_partials = {
-                key: dict(partials) for key, partials in self._term_partials.items()
-            }
-            clone._term_block_flip = dict(self._term_block_flip)
+            clone._terms = {key: e.copy() for key, e in self._terms.items()}
             clone._tree.build(self._tree.values())
-            clone._stale_blocks = set(self._stale_blocks)
+            clone._stale = self._stale.copy()
         return clone
 
     @property
     def cached_partials(self) -> int:
         """Number of live (term, block) cache entries (for statistics)."""
-        return sum(len(p) for p in self._term_partials.values())
+        return sum(int(np.count_nonzero(e.valid)) for e in self._terms.values())
+
+    # -- the one read path ---------------------------------------------------
+
+    def _observe(self, query: str, terms: int = 0):
+        """The ``observe`` span of one query (the null span when not tracing)."""
+        tracer = self.simulator.telemetry.tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        return tracer.span(
+            "observe",
+            {"query": query, "terms": terms, "blocks_missing": 0, "blocks_gathered": 0},
+        )
+
+    def _gather(self, reader: StateReader, ids: np.ndarray, span) -> np.ndarray:
+        """Blocks ``ids`` as the rows of one freshly read slab."""
+        self._blocks_gathered.inc(int(ids.size))
+        if span is not NULL_SPAN:
+            span.attrs["blocks_gathered"] += int(ids.size)
+        return reader.read_blocks(ids.tolist()).reshape(ids.size, self._block_len)
+
+    def _probability_rows(
+        self, reader: StateReader, ids: np.ndarray, span
+    ) -> np.ndarray:
+        amps = self._gather(reader, ids, span)
+        return (amps.conj() * amps).real
 
     # -- expectation values -------------------------------------------------
+
+    def _check_support(self, obs: PauliSum) -> None:
+        for term in obs.terms:
+            # paulis are sorted by qubit: the last one is the highest
+            if term.paulis and term.paulis[-1][0] >= self.num_qubits:
+                raise QubitIndexError(
+                    f"Pauli string {term} acts on qubit {term.paulis[-1][0]}, "
+                    f"outside [0, {self.num_qubits})"
+                )
+
+    def _term_entry(
+        self, term: PauliString, terms: Dict[_TermKey, _TermCache]
+    ) -> _TermCache:
+        entry = terms.get(term.key)
+        if entry is None:
+            bits = self._block_bits
+            flip = term.flip_mask()
+            flip_low, flip_high = flip & (self._block_len - 1), flip >> bits
+            entry = terms[term.key] = _TermCache(
+                flip_low,
+                flip_high,
+                _phase_table(
+                    tuple((q, l) for q, l in term.paulis if q < bits),
+                    self._block_len, flip_low,
+                ),
+                _phase_table(
+                    tuple((q - bits, l) for q, l in term.paulis if q >= bits),
+                    self.n_blocks, flip_high,
+                ),
+                np.zeros(self.n_blocks, dtype=np.complex128),
+                np.zeros(self.n_blocks, dtype=bool),
+            )
+        return entry
+
+    def _fill_partials(
+        self, reader: StateReader, entries: Sequence[_TermCache], span
+    ) -> None:
+        """Compute every partial ``entries`` miss: one gather, one matmul per
+        flip mask (see :meth:`expectation_value`)."""
+        groups: Dict[Tuple[int, int], List[_TermCache]] = {}
+        for entry in entries:
+            groups.setdefault((entry.flip_low, entry.flip_high), []).append(entry)
+        work = []
+        missed = np.zeros(self.n_blocks, dtype=bool)
+        partners = np.zeros(self.n_blocks, dtype=bool)
+        for (flip_low, flip_high), members in groups.items():
+            missing = np.flatnonzero(
+                ~np.logical_and.reduce([e.valid for e in members])
+            )
+            if missing.size:
+                work.append((flip_low, flip_high, members, missing))
+                missed[missing] = True
+                partners[missing ^ flip_high] = True
+        if not work:
+            return
+        ids = np.flatnonzero(missed | partners)
+        span.set("blocks_missing", int(np.count_nonzero(missed)))
+        rows = self._gather(reader, ids, span)
+        position = np.empty(self.n_blocks, dtype=np.intp)
+        position[ids] = np.arange(ids.size)
+        for flip_low, flip_high, members, missing in work:
+            own = rows if missing.size == ids.size else rows[position[missing]]
+            source = own
+            if flip_low or flip_high:
+                source = rows[
+                    position[missing ^ flip_high][:, None], self._cols ^ flip_low
+                ]
+            low = np.stack([e.low for e in members])
+            high = np.stack([e.high[missing] for e in members])
+            values = high * ((own.conj() * source) @ low.T).T
+            for entry, row in zip(members, values):
+                entry.partials[missing] = row
+                entry.valid[missing] = True
+            self._partials_computed.inc(len(members) * int(missing.size))
 
     def expectation_value(self, observable: PauliLike) -> complex:
         """``<psi|H|psi>`` as a complex number (complex coefficients allowed).
 
-        Evaluation is *block-major*: each block's amplitudes (and, for
-        diagonal terms, its probability vector) are read once and shared
-        across every term of the sum, so a k-term Hamiltonian costs one COW
-        block resolution per block, not k.
+        A Pauli string ``P`` with X/Y flip mask ``f`` maps ``|k>`` to
+        ``phase(k) |k ^ f>``, and ``phase`` is a product of single-bit
+        factors, so with ``f`` split at the block boundary into
+        ``(f_low, f_high)`` the partial of block ``b`` is::
+
+            H(b) * sum_j conj(psi[b, j]) * L(j) * psi[b ^ f_high, j ^ f_low]
+
+        ``L`` (bits inside a block) is the same for every block and ``H``
+        depends on the block id alone.  One query therefore gathers the
+        blocks some term misses, plus their flip partners, with a single
+        ``read_blocks``; per flip mask it forms one product slab and one
+        matmul against the stacked ``L`` tables, which yields every missing
+        partial of every term sharing the mask; then it sums the per-term
+        arrays.  Z-only strings (and the identity) are the mask 0, whose
+        product slab is the probability slab.
         """
         obs = as_pauli_sum(observable)
+        self._check_support(obs)
         reader = self.simulator.state_reader()
-        caches: Dict[_TermKey, Optional[Dict[int, complex]]] = {}
-        for term in obs.terms:
-            caches[term.key] = self._term_cache(term)
-        actions = {
-            term.key: term.action()
-            for term in obs.terms
-            if not (term.is_identity or term.is_diagonal)
-        }
-        total = 0.0 + 0.0j
-        totals: Dict[_TermKey, complex] = {t.key: 0.0 + 0.0j for t in obs.terms}
-        for b in range(self.n_blocks):
-            lo, hi = block_bounds(b, self.block_size, self.dim)
-            psi: Optional[np.ndarray] = None
-            probs: Optional[np.ndarray] = None
-            for term in obs.terms:
-                cache = caches[term.key]
-                partial = cache.get(b) if cache is not None else None
-                if partial is None:
-                    if psi is None:
-                        psi = np.asarray(
-                            reader.read_range(lo, hi), dtype=np.complex128
-                        )
-                    if probs is None and (term.is_identity or term.is_diagonal):
-                        probs = (psi.conj() * psi).real
-                    partial = _term_partial(
-                        term, reader, lo, hi,
-                        psi=psi, probs=probs, action=actions.get(term.key),
-                    )
-                    if cache is not None:
-                        cache[b] = partial
-                totals[term.key] += partial
-        for term in obs.terms:
-            total += term.coefficient * totals[term.key]
-        return total
-
-    def _term_cache(self, term: PauliString) -> Optional[Dict[int, complex]]:
-        if not self.cache:
-            return None
-        cache = self._term_partials.setdefault(term.key, {})
-        if term.key not in self._term_block_flip:
-            block_len = min(self.dim, self.block_size)
-            self._term_block_flip[term.key] = term.flip_mask() // block_len
-        return cache
+        terms = self._terms if self.cache else {}
+        entries = [self._term_entry(term, terms) for term in obs.terms]
+        with self._observe("expectation", len(entries)) as span:
+            self._fill_partials(reader, entries, span)
+            total = 0.0 + 0.0j
+            for term, entry in zip(obs.terms, entries):
+                total += term.coefficient * entry.partials.sum()
+        return complex(total)
 
     def expectation(self, observable: PauliLike) -> float:
         """``<psi|H|psi>`` for a Hermitian observable (the real part).
@@ -232,68 +360,65 @@ class ObservablesEngine:
 
     # -- probabilities ------------------------------------------------------
 
-    def _block_probs(self, block: int, reader: StateReader) -> np.ndarray:
-        lo, hi = block_bounds(block, self.block_size, self.dim)
-        amps = np.asarray(reader.read_range(lo, hi), dtype=np.complex128)
-        return (amps.conj() * amps).real
-
-    def _refresh_tree(self, reader: StateReader) -> None:
-        stale = self._stale_blocks if self.cache else set(range(self.n_blocks))
-        if not stale:
+    def _refresh_tree(self, reader: StateReader, span) -> None:
+        """Recompute the masses of the stale blocks."""
+        stale = np.flatnonzero(self._stale) if self.cache else np.arange(self.n_blocks)
+        if not stale.size:
             return
-        if len(stale) > self.n_blocks // 2:
-            sums = np.array(
-                [
-                    float(self._block_probs(b, reader).sum())
-                    if b in stale
-                    else self._tree.value(b)
-                    for b in range(self.n_blocks)
-                ]
-            )
+        span.set("blocks_missing", int(stale.size))
+        masses = self._probability_rows(reader, stale, span).sum(axis=1)
+        if stale.size > self.n_blocks // 2:
+            sums = self._tree.values()
+            sums[stale] = masses
             self._tree.build(sums)
         else:
-            for b in stale:
-                self._tree.set(b, float(self._block_probs(b, reader).sum()))
+            for b, mass in zip(stale.tolist(), masses.tolist()):
+                self._tree.set(b, mass)
         if self.cache:
-            self._stale_blocks.clear()
+            self._stale[:] = False
 
     def block_probability(self, block: int) -> float:
         """Total probability mass inside one data block."""
         if not 0 <= block < self.n_blocks:
             raise IndexError(f"block {block} out of range [0, {self.n_blocks})")
         reader = self.simulator.state_reader()
-        if self.cache and block not in self._stale_blocks:
+        if self.cache and not self._stale[block]:
             return self._tree.value(block)
-        return float(self._block_probs(block, reader).sum())
+        with self._observe("block_probability") as span:
+            span.set("blocks_missing", 1)
+            probs = self._probability_rows(reader, np.array([block]), span)
+            return float(probs[0].sum())
 
     def total_probability(self) -> float:
         """``sum_i |psi_i|^2`` accumulated block-wise (the squared norm)."""
-        self._refresh_tree(self.simulator.state_reader())
-        return self._tree.total()
+        reader = self.simulator.state_reader()
+        with self._observe("total_probability") as span:
+            self._refresh_tree(reader, span)
+            return self._tree.total()
 
     def marginal_probabilities(self, qubits: Sequence[int]) -> np.ndarray:
         """Outcome distribution of measuring ``qubits`` (qubits[0] = bit 0).
 
         Returns an array of length ``2^k``; entry ``m`` is the probability
         that qubit ``qubits[j]`` reads bit ``j`` of ``m``.  Accumulated with
-        one weighted bincount per block.
+        one weighted bincount over the gathered state.
         """
         qs = tuple(int(q) for q in qubits)
         if len(set(qs)) != len(qs):
             raise ValueError(f"duplicate qubits in marginal: {qubits}")
-        n = self.dim.bit_length() - 1
         for q in qs:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for {n} qubits")
-        k = len(qs)
-        out = np.zeros(1 << k, dtype=np.float64)
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(
+                    f"qubit {q} out of range for {self.num_qubits} qubits"
+                )
         reader = self.simulator.state_reader()
-        for b in range(self.n_blocks):
-            lo, hi = block_bounds(b, self.block_size, self.dim)
-            probs = self._block_probs(b, reader)
-            local = extract_local(np.arange(lo, hi + 1, dtype=np.int64), qs)
-            out += np.bincount(local, weights=probs, minlength=1 << k)
-        return out
+        with self._observe("marginal_probabilities") as span:
+            span.set("blocks_missing", self.n_blocks)
+            probs = self._probability_rows(reader, np.arange(self.n_blocks), span)
+            local = extract_local(np.arange(self.dim, dtype=np.int64), qs)
+            return np.bincount(
+                local, weights=probs.reshape(-1), minlength=1 << len(qs)
+            )
 
     # -- shot sampling ------------------------------------------------------
 
@@ -302,32 +427,36 @@ class ObservablesEngine:
 
         Each draw binary-searches the per-block Fenwick tree for its block
         and then a within-block cumulative sum for its index, so only the
-        blocks actually hit by draws are materialised.
+        blocks actually hit by draws are materialised (in one gather).
         """
         if shots < 0:
             raise ValueError(f"shots must be non-negative, got {shots}")
         rng = np.random.default_rng(seed)
         reader = self.simulator.state_reader()
-        self._refresh_tree(reader)
-        total = self._tree.total()
-        if total <= 0.0:
-            raise ValueError("cannot sample from a zero-norm state")
-        draws = rng.random(shots) * total
-        blocks, residuals = self._tree.find(draws)
-        out = np.empty(shots, dtype=np.int64)
-        order = np.argsort(blocks, kind="stable")
-        sorted_blocks = blocks[order]
-        boundaries = np.flatnonzero(np.diff(sorted_blocks)) + 1
-        starts = np.concatenate(([0], boundaries)) if shots else np.empty(0, np.int64)
-        ends = np.concatenate((boundaries, [shots])) if shots else starts
-        for s, e in zip(starts, ends):
-            b = int(sorted_blocks[s])
-            cum = np.cumsum(self._block_probs(b, reader))
-            sel = order[s:e]
-            local = np.searchsorted(cum, residuals[sel], side="right")
-            local = np.minimum(local, cum.shape[0] - 1)
-            out[sel] = b * self.block_size + local
-        return out
+        with self._observe("sample") as span:
+            self._refresh_tree(reader, span)
+            total = self._tree.total()
+            if total <= 0.0:
+                raise ValueError("cannot sample from a zero-norm state")
+            if not shots:
+                return np.empty(0, dtype=np.int64)
+            draws = rng.random(shots) * total
+            blocks, residuals = self._tree.find(draws)
+            out = np.empty(shots, dtype=np.int64)
+            order = np.argsort(blocks, kind="stable")
+            sorted_blocks = blocks[order]
+            boundaries = np.flatnonzero(np.diff(sorted_blocks)) + 1
+            starts = np.concatenate(([0], boundaries))
+            ends = np.concatenate((boundaries, [shots]))
+            hit = sorted_blocks[starts]
+            probs = self._probability_rows(reader, hit, span)
+            for b, row, s, e in zip(hit.tolist(), probs, starts, ends):
+                cum = np.cumsum(row)
+                sel = order[s:e]
+                local = np.searchsorted(cum, residuals[sel], side="right")
+                local = np.minimum(local, cum.shape[0] - 1)
+                out[sel] = b * self.block_size + local
+            return out
 
     def counts(
         self, shots: int, *, seed: Optional[int] = None
@@ -337,7 +466,7 @@ class ObservablesEngine:
         Bitstrings follow the usual convention: leftmost character is the
         highest qubit.
         """
-        n = self.dim.bit_length() - 1
+        n = self.num_qubits
         samples = self.sample(shots, seed=seed)
         values, freqs = np.unique(samples, return_counts=True)
         return {

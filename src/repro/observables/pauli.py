@@ -10,10 +10,11 @@ a *non-superposition* operator in the paper's gate classification -- a
 Z-only string is a :class:`~repro.core.gates.DiagonalAction` (signs on the
 diagonal) and any string containing X or Y is a
 :class:`~repro.core.gates.MonomialAction` (a bit-flip permutation with ±1/±i
-factors).  The expectation engine therefore evaluates ``<psi|P|psi>`` with
-the very same strided block kernels the simulator already uses for
-permutation/diagonal gates, block by block, never materialising the 2^n
-operator (or a second state vector).
+factors).  The dense evaluation therefore computes ``<psi|P|psi>`` with the
+very same strided kernels the simulator uses for permutation/diagonal gates;
+the block-wise engine goes one step further and uses that the factors are a
+product of single-bit functions (:func:`pauli_phases`).  Neither
+materialises the 2^n operator.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "PauliString",
     "PauliSum",
     "as_pauli_sum",
+    "pauli_phases",
     "maxcut_hamiltonian",
     "ising_hamiltonian",
 ]
@@ -42,6 +44,32 @@ _LETTERS = ("X", "Y", "Z")
 MAX_ACTION_QUBITS = 16
 
 PauliLike = Union["PauliString", "PauliSum", str]
+
+
+def pauli_phases(
+    letters: Iterable[Tuple[int, str]], size: int, flip: int = 0
+) -> np.ndarray:
+    """The ±1/±i factor a Pauli product picks up on each basis state.
+
+    ``letters`` pairs a *bit position* with a Pauli letter.  Acting on
+    ``|k>``, Z contributes ``(-1)^bit``, Y contributes ``i (-1)^bit`` and X
+    contributes 1 (X and Y also flip the bit, which is the caller's
+    business).  Entry ``x`` of the result is that product evaluated at
+    ``k = x ^ flip`` -- with ``flip`` the string's X/Y mask this is the
+    factor of the *source* amplitude that lands on ``x``.  The product of
+    single-bit functions is why it splits into a table over the low bits
+    times a table over the high bits, which is what the expectation engine
+    exploits.  This is the one definition of the convention;
+    :meth:`PauliString.action` is built on it.
+    """
+    source = np.arange(size, dtype=np.int64) ^ flip
+    factors = np.ones(size, dtype=complex)
+    for bit, letter in letters:
+        if letter == "Z":
+            factors *= 1.0 - 2.0 * ((source >> bit) & 1)
+        elif letter == "Y":
+            factors *= 1j * (1.0 - 2.0 * ((source >> bit) & 1))
+    return factors
 
 
 def _normalise_paulis(
@@ -162,21 +190,12 @@ class PauliString:
                 f"{MAX_ACTION_QUBITS}; split the observable into smaller terms"
             )
         dim = 1 << k
-        local = np.arange(dim, dtype=np.int64)
-        factors = np.ones(dim, dtype=complex)
-        flip = 0
-        for j, (_, letter) in enumerate(self.paulis):
-            bit = (local >> j) & 1
-            if letter == "Z":
-                factors *= 1.0 - 2.0 * bit
-            elif letter == "Y":
-                flip |= 1 << j
-                factors *= 1j * (1.0 - 2.0 * bit)
-            else:  # X
-                flip |= 1 << j
+        letters = tuple((j, l) for j, (_, l) in enumerate(self.paulis))
+        factors = pauli_phases(letters, dim)
+        flip = sum(1 << j for j, l in letters if l != "Z")
         if flip == 0:
             return DiagonalAction(num_qubits=k, phases=tuple(factors))
-        perm = local ^ flip
+        perm = np.arange(dim, dtype=np.int64) ^ flip
         return MonomialAction(
             num_qubits=k,
             perm=tuple(int(p) for p in perm),

@@ -304,3 +304,75 @@ def test_update_report_elapsed_positive():
     report = sim.update_state()
     assert report.elapsed_seconds > 0
     sim.close()
+
+
+# ---------------------------------------------------------------------------
+# close() releases the state
+# ---------------------------------------------------------------------------
+
+
+def test_close_frees_the_blocks_without_a_collection(no_plan):
+    """A closed session's blocks go by reference count: the simulator sits
+    in a reference cycle with its stages, so without the explicit release
+    they would live until the next gen-2 cyclic collection."""
+    import gc
+    import weakref
+
+    from repro import QTask
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # weakrefs to payload arrays only mean something in-process
+        parent = QTask(6, block_size=4, num_workers=1, store_transport="local")
+        net = parent.insert_net()
+        for q in range(6):
+            parent.insert_gate("h", net, q)
+        net = parent.insert_net()
+        angles = [
+            parent.insert_gate("ry", net, q, params=[0.2 + 0.1 * q])
+            for q in range(6)
+        ]
+        parent.update_state()
+        child = parent.fork()  # adopts every parent block by reference
+        child.update_gate(child.handle_for(angles[0]), 1.7)
+        child.update_state()   # rebinds the last stage's blocks on the child
+        child_state = child.state()
+
+        last_stage = parent.simulator.graph.stages[-1]
+        owned = weakref.ref(last_stage.store.get_block(0))   # parent-only now
+        adopted = weakref.ref(parent.simulator.graph.stages[0].store.get_block(0))
+        assert parent.memory_report().allocated_bytes > 0
+
+        parent.close()
+        assert parent.memory_report().allocated_bytes == 0
+        assert owned() is None           # freed here, no gc.collect()
+        assert adopted() is not None     # the fork's reference keeps it
+        np.testing.assert_array_equal(child.state(), child_state)
+        assert child.memory_report().shared_bytes > 0
+
+        child.close()
+        assert child.memory_report().allocated_bytes == 0
+        assert adopted() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_reads_of_a_closed_session_raise(no_plan):
+    from repro.core.exceptions import QTaskError
+
+    ckt, sim = make_sim(3, BELL_LEVELS, block_size=2, num_workers=1)
+    sim.update_state()
+    sim.expectation("ZZI")  # even a fully cached answer is refused afterwards
+    sim.close()
+    for read in (
+        sim.state,
+        lambda: sim.amplitude(0),
+        sim.norm,
+        lambda: sim.expectation("ZZI"),
+        lambda: sim.counts(8, seed=1),
+        lambda: sim.marginal_probabilities((0,)),
+    ):
+        with pytest.raises(QTaskError, match="session is closed"):
+            read()

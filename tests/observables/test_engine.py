@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
+from repro.core.exceptions import QubitIndexError
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 from repro.observables import (
@@ -170,12 +171,51 @@ class TestExpectation:
         sim.close()
 
 
+class TestSupportValidation:
+    """A Pauli on a qubit the register lacks used to be a silent identity (Z)
+    or an incidental reader error (X/Y)."""
+
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            PauliString({7: "Z"}),
+            PauliString({7: "X"}),
+            PauliString({0: "Z", 4: "Y"}),
+            PauliSum([PauliString({0: "Z"}), PauliString({1: "X", 9: "Z"})]),
+            "ZIIII",
+        ],
+    )
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_pauli_beyond_the_register_is_rejected(self, rng, observable, cache):
+        ckt, sim = build_sim(rng, 4, block_size=4, observable_cache=cache)
+        with pytest.raises(QubitIndexError, match="outside"):
+            sim.expectation(observable)
+        # rejected before anything was read or cached
+        assert sim.statistics()["cached_observable_partials"] == 0
+        top = PauliString({3: "Z"})
+        assert abs(sim.expectation(top) - dense_expectation(sim.state(), top)) < 1e-10
+        sim.close()
+
+
 class TestNormAndMarginals:
     def test_blockwise_norm_is_one(self, rng):
         for block_size in (2, 16):
             ckt, sim = build_sim(rng, 4, block_size=block_size)
             assert abs(sim.norm() - 1.0) < 1e-10
             sim.close()
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_block_probability_is_the_blocks_mass(self, rng, cache):
+        ckt, sim = build_sim(rng, 4, block_size=4, observable_cache=cache)
+        masses = sim.probabilities().reshape(sim.n_blocks, -1).sum(axis=1)
+        engine = sim.observables
+        for warm in (False, True):  # stale, then served from the tree
+            for b in range(sim.n_blocks):
+                assert abs(engine.block_probability(b) - masses[b]) < 1e-12
+            assert abs(engine.total_probability() - 1.0) < 1e-10
+        with pytest.raises(IndexError):
+            engine.block_probability(sim.n_blocks)
+        sim.close()
 
     def test_marginals_match_full_distribution(self, rng):
         ckt, sim = build_sim(rng, 4, block_size=4)

@@ -1,0 +1,381 @@
+"""The slab observables engine equals the dense evaluation, whatever happened.
+
+``ObservablesEngine.expectation_value`` computes every missing (term, block)
+partial from one gather and one matmul per flip mask, and keeps the partials
+in per-term arrays invalidated by the update's dirty frontier.  Three answers
+must agree to 1e-10 after every step of a random session -- inserts,
+removals, retunes, measure / reset / ``c_if``, forks with edits on either
+side, checkpoint -> restore, queries with modifiers still pending:
+
+* the session's own (caching) engine,
+* a ``cache=False`` engine on the same simulator (the same code with nothing
+  valid), and
+* the dense path, term by term on ``state()`` (``dense_expectation``, which
+  shares no code with the slab routine).
+
+The drawn Pauli sums mix X / Y / Z with an identity term and complex
+coefficients, on supports below, above and straddling the block boundary;
+block sizes run from 2 to 256, so a register smaller than one block is
+included.  The deterministic half pins what one query costs: one
+``read_blocks`` when anything is missing, none when nothing is.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import QTask
+from repro.core import faults
+from repro.observables import (
+    ObservablesEngine,
+    PauliString,
+    PauliSum,
+    PrefixSumTree,
+    dense_expectation,
+)
+
+from ..core.test_writer_index import NUM_CLBITS, apply_op, draw_op
+
+HAVE_FORK = hasattr(os, "fork")
+
+SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+#: sessions checked after every step (a fork beyond this replaces the oldest)
+MAX_LIVE = 3
+
+
+# ---------------------------------------------------------------------------
+# drawing observables
+# ---------------------------------------------------------------------------
+
+
+def draw_term(rng, qubits, max_weight=3):
+    support = rng.sample(qubits, rng.randint(1, min(max_weight, len(qubits))))
+    return PauliString(
+        {q: rng.choice("XYZ") for q in support},
+        coefficient=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+    )
+
+
+def draw_observable(rng, num_qubits, block_len):
+    """Identity + supports below / above / straddling the block boundary."""
+    bits = min(block_len, 1 << num_qubits).bit_length() - 1
+    low, high = list(range(bits)), list(range(bits, num_qubits))
+    terms = [PauliString((), coefficient=complex(rng.uniform(-1, 1), 0.5))]
+    if low:
+        terms.append(draw_term(rng, low))
+    if high:
+        terms.append(draw_term(rng, high))
+    if low and high:
+        straddling = {rng.choice(low): rng.choice("XYZ"),
+                      rng.choice(high): rng.choice("XY")}
+        terms.append(PauliString(straddling, coefficient=1.5 - 0.25j))
+    terms += [draw_term(rng, list(range(num_qubits))) for _ in range(2)]
+    return PauliSum(terms)
+
+
+def dense_value(state, obs) -> complex:
+    """``sum_t c_t <P_t>`` with every ``<P_t>`` from the dense path."""
+    return sum(
+        t.coefficient * dense_expectation(state, PauliString(t.paulis))
+        for t in obs.terms
+    )
+
+
+# ---------------------------------------------------------------------------
+# the property
+# ---------------------------------------------------------------------------
+
+
+class Checked:
+    """A live session with the uncached engine that shadows it."""
+
+    def __init__(self, session):
+        self.session = session
+        self.uncached = ObservablesEngine(session.simulator, cache=False)
+
+    def check(self, observables, context):
+        sim = self.session.simulator
+        engine = sim.observables
+        state = sim.state()
+        for obs in observables:
+            want = dense_value(state, obs)
+            got = engine.expectation_value(obs)
+            assert abs(got - want) < 1e-10, (context, got, want)
+            assert abs(self.uncached.expectation_value(obs) - want) < 1e-10, context
+            if engine.cache:
+                # a query leaves every partial of its terms valid ...
+                assert all(engine._terms[t.key].valid.all() for t in obs.terms)
+        # ... and the uncached engine keeps nothing
+        assert self.uncached.cached_partials == 0
+
+
+@settings(max_examples=25, **SETTINGS)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(3, 10),
+    block_bits=st.integers(1, 8),
+    fusion=st.booleans(),
+    copy_on_write=st.booleans(),
+    sharded=st.booleans(),
+)
+def test_slab_engine_equals_dense_and_uncached(
+    seed, num_qubits, block_bits, fusion, copy_on_write, sharded,
+    tmp_path_factory,
+):
+    # Chaos mode is parked: hypothesis draws differ from run to run, so an
+    # armed plan would hand every later test a different stretch of the
+    # seeded fault streams.
+    parked = faults.install(None)
+    rng = random.Random(seed)
+    # at most 64 blocks, so a step stays cheap at 10 qubits
+    block_size = 1 << max(block_bits, num_qubits - 6)
+    knobs = dict(
+        num_clbits=NUM_CLBITS, block_size=block_size, num_workers=1,
+        fusion=fusion, copy_on_write=copy_on_write, seed=seed % 1000,
+    )
+    if sharded and HAVE_FORK:
+        knobs["store_transport"] = "sharded"
+    first = draw_observable(rng, num_qubits, block_size)
+    # shares terms with ``first``: within one flip mask, terms first seen at
+    # different times carry different validity bitmaps
+    second = PauliSum(first.terms[::2]) + draw_observable(rng, num_qubits, block_size)
+    opened = [QTask(num_qubits, **knobs)]
+    live = [Checked(opened[0])]
+    try:
+        for step in range(24):
+            slot = rng.randrange(len(live))
+            session = live[slot].session
+            op = draw_op(rng, session)
+            if op[0] == "restore":
+                path = str(tmp_path_factory.mktemp("slab_observables") / "s.ckpt")
+                session.checkpoint(path)
+                opened.append(QTask.restore(path, num_workers=1))
+                live[slot] = Checked(opened[-1])
+            elif op[0] == "fork":
+                # the parent stays live: later steps edit either side
+                opened.append(apply_op(session, op))
+                live.append(Checked(opened[-1]))
+                del live[:-MAX_LIVE]
+            else:
+                apply_op(session, op)
+            # modifiers may be pending here: the engine answers for whatever
+            # ``state()`` reads
+            asked = rng.choice([(first,), (second,), (first, second)])
+            for checked in live:
+                checked.check(asked, (step, op))
+        for checked in live:
+            checked.session.update_state()
+            checked.check((first, second), "final")
+    finally:
+        for session in opened:
+            session.close()
+        faults.install(parked)
+
+
+# ---------------------------------------------------------------------------
+# what one query costs
+# ---------------------------------------------------------------------------
+
+
+def count_reads(sim):
+    """Route ``sim.state_reader()`` through a reader that offers *only*
+    ``read_blocks`` and records every call's block ids."""
+    calls = []
+    real = type(sim).state_reader
+
+    class OnlyReadBlocks:
+        def read_blocks(self, blocks):
+            calls.append(list(blocks))
+            return real(sim).read_blocks(blocks)
+
+    sim.state_reader = OnlyReadBlocks
+    return calls
+
+
+def layered_session(num_qubits=6, block_size=4, **kwargs):
+    session = QTask(num_qubits, block_size=block_size, num_workers=1, **kwargs)
+    net = session.insert_net()
+    for q in range(num_qubits):
+        session.insert_gate("h", net, q)
+    net = session.insert_net()
+    for q in range(0, num_qubits - 1, 2):
+        session.insert_gate("cx", net, q, q + 1)
+    net = session.insert_net()
+    handles = [
+        session.insert_gate("ry", net, q, params=[0.3 + 0.2 * q])
+        for q in range(num_qubits)
+    ]
+    session.update_state()
+    return session, handles
+
+
+MIXED = PauliSum([
+    PauliString((), coefficient=0.5),
+    PauliString({0: "Z", 1: "Z"}, coefficient=-0.5),
+    PauliString({1: "Z", 4: "Z"}, coefficient=0.75),
+    PauliString({0: "X", 5: "Y"}, coefficient=1.25),   # flips block bit 3
+    PauliString({1: "Y", 3: "Z"}, coefficient=-2.0),   # flips inside a block
+    PauliString({2: "X", 3: "X"}, coefficient=0.3),    # flips block bit 0 and 1
+])
+
+
+def test_one_gather_when_dirty_none_when_clean(no_plan):
+    session, handles = layered_session()
+    with session:
+        sim = session.simulator
+        calls = count_reads(sim)
+        want = dense_expectation(sim.state(), MIXED)
+        assert abs(session.expectation(MIXED) - want) < 1e-10
+        assert calls == [list(range(sim.n_blocks))]      # fully dirty: one gather
+        assert abs(session.expectation(MIXED) - want) < 1e-10
+        assert len(calls) == 1                           # clean: none
+        session.update_gate(handles[-1], 1.1)            # ry on the top qubit
+        session.update_state()
+        assert abs(
+            session.expectation(MIXED) - dense_expectation(sim.state(), MIXED)
+        ) < 1e-10
+        assert len(calls) == 2
+
+
+def test_uncached_engine_runs_the_same_slab_routine(no_plan):
+    session, _ = layered_session()
+    twin, _ = layered_session(observable_cache=False)
+    with session, twin:
+        cached_calls = count_reads(session.simulator)
+        uncached_calls = count_reads(twin.simulator)
+        assert session.expectation(MIXED) == twin.expectation(MIXED)
+        assert cached_calls == uncached_calls == [list(range(16))]
+        # nothing is ever valid without the cache: same gather again
+        assert twin.expectation(MIXED) == session.expectation(MIXED)
+        assert len(cached_calls) == 1 and len(uncached_calls) == 2
+        assert twin.statistics()["cached_observable_partials"] == 0
+
+
+def test_partial_query_gathers_missing_blocks_and_their_partners(no_plan):
+    session, _ = layered_session()
+    with session:
+        sim = session.simulator
+        engine = sim.observables
+        term = PauliString({0: "X", 5: "Y"})             # partner = block ^ 8
+        want = dense_expectation(sim.state(), term)
+        session.expectation(term)
+        calls = count_reads(sim)
+        engine.mark_blocks_dirty([3])
+        assert abs(session.expectation(term) - want) < 1e-10
+        # partials 3 and 11 were dropped; each reads the other's block
+        assert calls == [[3, 11]]
+        # the fill does not lean on partials having been dropped in pairs:
+        # one missing partial still brings its partner block along
+        engine._terms[term.key].valid[3] = False
+        assert abs(session.expectation(term) - want) < 1e-10
+        assert calls == [[3, 11], [3, 11]]
+
+
+def test_cached_partials_counts_exactly_the_valid_entries(no_plan):
+    session, _ = layered_session()
+    with session:
+        sim = session.simulator
+        engine = sim.observables
+        n_terms, n_blocks = len(MIXED.terms), sim.n_blocks
+        session.expectation(MIXED)
+        assert engine.cached_partials == n_terms * n_blocks
+        assert session.statistics()["cached_observable_partials"] == n_terms * n_blocks
+        # any iterable of ints; X0*Y5 also loses 2 ^ 8 and 5 ^ 8, X2*X3 also
+        # loses 2 ^ 3 and 5 ^ 3, the other four lose blocks 2 and 5 only
+        engine.mark_blocks_dirty(iter({2, 5}))
+        assert engine.cached_partials == n_terms * n_blocks - (4 * 2 + 4 + 4)
+        entry = engine._terms[PauliString({2: "X", 3: "X"}).key]
+        assert sorted(np.flatnonzero(~entry.valid)) == [1, 2, 5, 6]
+        session.expectation(MIXED)
+        assert engine.cached_partials == n_terms * n_blocks
+        engine.invalidate()
+        assert engine.cached_partials == 0
+
+
+def test_fork_owns_its_partials_and_validity(no_plan):
+    session, handles = layered_session()
+    with session:
+        before = session.expectation(MIXED)
+        warm = session.simulator.observables.cached_partials
+        with session.fork() as child:
+            child.update_gate(child.handle_for(handles[0]), 2.2)
+            child.update_state()
+            assert child.simulator.observables.cached_partials < warm
+            assert abs(
+                child.expectation(MIXED)
+                - dense_expectation(child.state(), MIXED)
+            ) < 1e-10
+            # nothing the child dropped or recomputed shows on the parent
+            assert session.simulator.observables.cached_partials == warm
+            assert session.expectation(MIXED) == before
+
+
+# ---------------------------------------------------------------------------
+# sampling keeps its draw arithmetic
+# ---------------------------------------------------------------------------
+
+
+def reference_sample(sim, shots, seed):
+    """``sample`` as it was before the slab gather: one read and one
+    ``.sum()`` per block, one read per hit block."""
+    reader = sim.state_reader()
+    size = min(sim.dim, sim.block_size)
+
+    def probs(block):
+        lo = block * sim.block_size
+        amps = reader.read_range(lo, lo + size - 1)
+        return (amps.conj() * amps).real
+
+    tree = PrefixSumTree(sim.n_blocks)
+    tree.build(np.array([float(probs(b).sum()) for b in range(sim.n_blocks)]))
+    draws = np.random.default_rng(seed).random(shots) * tree.total()
+    blocks, residuals = tree.find(draws)
+    out = np.empty(shots, dtype=np.int64)
+    for b in np.unique(blocks):
+        sel = np.flatnonzero(blocks == b)
+        cum = np.cumsum(probs(int(b)))
+        local = np.searchsorted(cum, residuals[sel], side="right")
+        out[sel] = b * sim.block_size + np.minimum(local, cum.shape[0] - 1)
+    return out
+
+
+@pytest.mark.parametrize("block_size", [2, 4, 16, 256])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 2024])
+def test_samples_equal_the_per_block_loop(block_size, seed, no_plan):
+    session, _ = layered_session(num_qubits=6, block_size=block_size)
+    with session:
+        sim = session.simulator
+        np.testing.assert_array_equal(
+            session.sample(300, seed=seed), reference_sample(sim, 300, seed)
+        )
+        # the vectorised block masses are the per-block sums, bit for bit
+        state = sim.state().reshape(sim.n_blocks, -1)
+        assert sim.observables._tree.values().tolist() == [
+            float((row.conj() * row).real.sum()) for row in state
+        ]
+
+
+def test_counts_equal_the_parent_commits(no_plan):
+    """Histograms recorded at the commit before the slab engine."""
+    session, handles = layered_session(num_qubits=3, block_size=2)
+    with session:
+        assert session.counts(500, seed=1) == {
+            "000": 4, "001": 18, "010": 22, "011": 47,
+            "100": 33, "101": 81, "110": 103, "111": 192,
+        }
+        session.update_gate(handles[0], 2.0)
+        session.update_state()
+        assert session.counts(200, seed=3) == {
+            "000": 2, "001": 3, "010": 1, "011": 23,
+            "100": 1, "101": 43, "110": 8, "111": 119,
+        }

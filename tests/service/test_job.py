@@ -99,6 +99,22 @@ def test_job_error_propagates_through_result(backend):
     assert backend.status()["jobs"]["failed"] == 1
 
 
+def test_observable_beyond_the_register_fails_the_job(backend):
+    """A Pauli on a qubit the circuit lacks is an ERROR, not a wrong DONE."""
+    from repro.core.exceptions import QubitIndexError
+
+    for observable in ("ZII", "XII"):  # 3-qubit labels on the 2-qubit BELL
+        job = backend.run(BELL, observable=observable)
+        with pytest.raises(QubitIndexError, match="qubit 2"):
+            job.result(timeout=60)
+        assert job.status() is JobStatus.ERROR
+    assert backend.status()["jobs"]["failed"] == 2
+    # the warm family session is unharmed
+    assert backend.run(BELL, observable="ZZ").result(timeout=60).expectation == (
+        pytest.approx(1.0)
+    )
+
+
 def test_failed_build_is_not_cached(backend):
     calls = []
 

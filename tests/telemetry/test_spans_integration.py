@@ -246,3 +246,61 @@ def test_run_shots_records_one_shot_span_per_executed_trajectory(tmp_path):
         assert sum(e["name"] == "shot" for e in events) == len(shot_spans)
     finally:
         ckt.close()
+
+
+def test_engine_queries_record_one_observe_span_each():
+    """Every observables query is one ``observe`` span saying what it read."""
+    ckt = QTask(6, block_size=4, num_workers=1, tracing=True)
+    try:
+        net = ckt.insert_net()
+        for q in ckt.qubits():
+            ckt.insert_gate("h", net, q)
+        angle = ckt.insert_gate("p", ckt.insert_net(), 5, params=[0.4])
+        ckt.update_state()
+        n_blocks = ckt.simulator.n_blocks
+        observable = "ZZIIII"
+        tracer = ckt.telemetry.tracer
+
+        def observe_spans():
+            return [r for r in tracer.spans() if r.name == "observe"]
+
+        ckt.expectation(observable)               # everything missing
+        ckt.expectation(observable)               # everything cached
+        ckt.update_gate(angle, 1.3)               # a phase on the top qubit ...
+        ckt.update_state()                        # ... rewrites the upper half
+        ckt.expectation(observable)
+        ckt.counts(16, seed=2)
+        ckt.marginal_probabilities((0, 5))
+        spans = observe_spans()
+        assert [r.attrs["query"] for r in spans] == [
+            "expectation", "expectation", "expectation",
+            "sample", "marginal_probabilities",
+        ]
+        for r in spans:
+            assert set(r.attrs) == {
+                "query", "terms", "blocks_missing", "blocks_gathered",
+            }
+        full, cached, half, sample, marginal = (r.attrs for r in spans)
+        assert (full["terms"], full["blocks_missing"], full["blocks_gathered"]) == (
+            1, n_blocks, n_blocks
+        )
+        assert (cached["blocks_missing"], cached["blocks_gathered"]) == (0, 0)
+        assert half["blocks_missing"] == half["blocks_gathered"] == n_blocks // 2
+        # the tree refresh reads every block, the draws a few more
+        assert sample["blocks_missing"] == n_blocks
+        assert n_blocks < sample["blocks_gathered"] <= 2 * n_blocks
+        assert marginal["blocks_gathered"] == n_blocks
+
+        counters = ckt.telemetry_report()["counters"]
+        assert counters["observe.partials_computed"] == n_blocks + n_blocks // 2
+        assert counters["observe.blocks_gathered"] == sum(
+            r.attrs["blocks_gathered"] for r in spans
+        )
+        text = ckt.telemetry.metrics.prometheus_text()
+        assert re.search(
+            rf"^qtask_observe_partials_computed\{{[^}}]*\}} {n_blocks * 3 // 2}$",
+            text, re.M,
+        )
+        assert "qtask_observe_blocks_gathered" in text
+    finally:
+        ckt.close()

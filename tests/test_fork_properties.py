@@ -126,6 +126,7 @@ def test_fork_retune_equals_fresh_build(fusion, block_directory):
 def test_edits_never_cross_fork_boundary(seed, fork_first):
     """Child edits leave the parent bit-identical, and vice versa."""
     rng = np.random.default_rng(seed)
+    observable = "ZZII"  # this session is 4 qubits wide, OBSERVABLE is 5
     with QTask(4, num_workers=1, fusion=bool(seed % 2)) as parent:
         rz_handles, rx_handles = _build_workload(parent)
         if not fork_first:
@@ -133,7 +134,7 @@ def test_edits_never_cross_fork_boundary(seed, fork_first):
         child = parent.fork()  # flushes pending modifiers when fork_first
         try:
             parent_state = parent.state()
-            parent_exp = parent.expectation(OBSERVABLE)
+            parent_exp = parent.expectation(observable)
             child_net = child.insert_net()
 
             # -- child edits: retune + insert + remove
@@ -145,18 +146,18 @@ def test_edits_never_cross_fork_boundary(seed, fork_first):
             child.update_state()
 
             np.testing.assert_array_equal(parent.state(), parent_state)
-            assert parent.expectation(OBSERVABLE) == parent_exp
+            assert parent.expectation(observable) == parent_exp
 
             # -- parent edits: the child must be equally unperturbed
             child_state = child.state()
-            child_exp = child.expectation(OBSERVABLE)
+            child_exp = child.expectation(observable)
             parent.update_gate(rz_handles[1], float(rng.uniform(0.1, 6.0)))
             parent_net = parent.insert_net()
             parent.insert_gate("x", parent_net, 0)
             parent.update_state()
 
             np.testing.assert_array_equal(child.state(), child_state)
-            assert child.expectation(OBSERVABLE) == child_exp
+            assert child.expectation(observable) == child_exp
 
             # Both sides still agree with their own dense ground truth.
             np.testing.assert_allclose(

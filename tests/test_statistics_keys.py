@@ -157,3 +157,16 @@ def test_run_shots_counters_live_in_the_registry_not_in_statistics():
         assert "qtask_shots_trajectories" in text
     finally:
         ckt.close()
+
+
+def test_observe_counters_live_in_the_registry_not_in_statistics(session):
+    """``observe.*`` are registry counters next to the one golden key."""
+    keys = set(session.simulator.statistics())
+    session.expectation("ZZIII")
+    stats = session.simulator.statistics()
+    assert set(stats) == keys  # whatever the backend adds, the engine adds none
+    n_blocks = session.simulator.n_blocks
+    assert stats["cached_observable_partials"] == n_blocks
+    counters = session.telemetry_report()["counters"]
+    assert counters["observe.partials_computed"] == n_blocks
+    assert counters["observe.blocks_gathered"] == n_blocks
