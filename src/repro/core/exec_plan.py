@@ -1,11 +1,11 @@
 """Batch-major execution plans: the dirty frontier as run tables.
 
 Prior to this module, every incremental update turned each affected
-partition node into its own executor task, and each task spawned one Python
+partition into its own executor task, and each task spawned one Python
 closure per aligned block run (``Stage.block_tasks``) -- thousands of
 closures, task-graph nodes and dependency counters for a deep dirty cone,
-all dispatched under the GIL.  The plan layer compiles that frontier *once*
-into a handful of batch-major structures instead:
+all dispatched under the GIL.  The plan layer describes that frontier *once*
+as a handful of batch-major structures instead:
 
 * :class:`RunSpec` -- one aligned kernel run, described as data (kind,
   amplitude range, qubit tuple, classified action / payload) rather than as
@@ -20,8 +20,10 @@ into a handful of batch-major structures instead:
   drawn at execution time) the runs are emitted eagerly at plan-build time;
   dynamic and matrix--vector stages defer emission until after their
   ``prepare`` ran, exactly like the legacy path.
-* :class:`ExecutionPlan` -- every stage plan of one update plus the
-  stage-granular dependency edges derived from the partition graph.
+* :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
+  order by the partition graph's frontier sweep
+  (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
+  source pass (``PartitionGraph.plan_sources``) reads off the writer index.
 
 The executors then receive one task per *stage* (optionally split into at
 most ``Executor.subflow_width`` chunk subflows) instead of one per
@@ -36,8 +38,8 @@ cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +54,6 @@ __all__ = [
     "StagePlan",
     "ExecutionPlan",
     "PlanReport",
-    "build_execution_plan",
 ]
 
 #: Apply a classified (diagonal/monomial/matvec) action to the range.
@@ -221,14 +222,21 @@ class StagePlan:
         "num_chunks",
     )
 
-    def __init__(self, stage) -> None:
+    def __init__(
+        self,
+        stage,
+        block_ranges: Sequence[object] = (),
+        has_sync: bool = False,
+        block_writes: int = 0,
+    ) -> None:
         self.stage = stage
-        #: the stage-input view, attached once the block ranges are known
+        #: the stage-input view, attached once the block sources are resolved
         self.reader = None
-        self.has_sync = False
-        #: block ranges of the stage's affected (non-sync) partition nodes
-        self.block_ranges: List[object] = []
-        self.block_writes = 0
+        #: the stage reads everything: its ``prepare`` runs before its runs
+        self.has_sync = has_sync
+        #: block ranges of the stage's affected partitions, ascending
+        self.block_ranges = block_ranges
+        self.block_writes = block_writes
         #: table emitted at build time for static stages; ``None`` defers
         #: emission to execution time (after ``prepare`` ran)
         self._static_table: Optional[RunTable] = None
@@ -253,80 +261,57 @@ class StagePlan:
 class ExecutionPlan:
     """One update's worth of stage plans plus stage-granular dependencies."""
 
-    __slots__ = ("stage_plans", "edges", "block_writes")
+    __slots__ = (
+        "stage_plans",
+        "edges",
+        "block_writes",
+        "affected_partitions",
+        "written",
+        "first_seq",
+        "stages_swept",
+    )
 
     def __init__(
         self,
         stage_plans: List[StagePlan],
-        edges: List[Tuple[int, int]],
-        block_writes: int,
+        *,
+        block_writes: int = 0,
+        affected_partitions: int = 0,
+        written: int = 0,
+        first_seq: int = 0,
+        stages_swept: int = 0,
     ) -> None:
+        #: affected stages, seq ascending
         self.stage_plans = stage_plans
-        #: ``(pred stage uid, succ stage uid)`` pairs, deduplicated
-        self.edges = edges
+        #: ``(pred, succ)`` positions in :attr:`stage_plans`, deduplicated;
+        #: filled in once the block sources are resolved
+        self.edges: List[Tuple[int, int]] = []
         self.block_writes = block_writes
+        #: affected partitions plus one per affected sync barrier
+        self.affected_partitions = affected_partitions
+        #: bitmask of the blocks the affected partitions write
+        self.written = written
+        #: where the sweep started and how many stages it looked at
+        self.first_seq = first_seq
+        self.stages_swept = stages_swept
 
     @property
     def num_stages(self) -> int:
         return len(self.stage_plans)
+
+    def static_runs(self) -> int:
+        """Runs already emitted at plan time (the frozen static tables)."""
+        return sum(
+            sp._static_table.num_runs
+            for sp in self.stage_plans
+            if sp._static_table is not None
+        )
 
     def total_runs(self) -> int:
         return sum(sp.emitted_runs for sp in self.stage_plans)
 
     def total_chunks(self) -> int:
         return sum(sp.num_chunks for sp in self.stage_plans)
-
-
-def build_execution_plan(
-    affected: Sequence[object],
-    attach_readers: Callable[[List[StagePlan]], None],
-) -> ExecutionPlan:
-    """Compile the affected partition nodes into one plan per stage.
-
-    ``affected`` must be in the partition graph's topological order (stage
-    seq ascending, sync nodes leading their stage -- exactly what
-    ``PartitionGraph.affected_nodes`` returns).  The frontier is walked
-    once: each node folds into its stage's :class:`StagePlan`, and every
-    cross-stage partition edge collapses onto one stage-granular edge.
-    Coarsening node edges to stage edges only *adds* ordering (edges always
-    point from earlier to later stages, partitions of one stage never
-    depend on each other), so the plan DAG is a correct, smaller schedule.
-    ``attach_readers`` then gives every stage plan (seq ascending, block
-    ranges complete) its input reader -- this is where block sources are
-    resolved, once per update.
-    """
-    plans: Dict[int, StagePlan] = {}
-    order: List[StagePlan] = []
-    block_writes = 0
-    for node in affected:
-        uid = node.stage.uid
-        sp = plans.get(uid)
-        if sp is None:
-            sp = plans[uid] = StagePlan(node.stage)
-            order.append(sp)
-        if node.is_sync:
-            sp.has_sync = True
-        else:
-            sp.block_ranges.append(node.block_range)
-            sp.block_writes += len(node.block_range)
-            block_writes += len(node.block_range)
-    attach_readers(order)
-    for sp in order:
-        sp.freeze_static()
-
-    edge_set: set = set()
-    edges: List[Tuple[int, int]] = []
-    for node in affected:
-        pred_uid = node.stage.uid
-        for succ in node.succs:
-            succ_uid = succ.stage.uid
-            if succ_uid == pred_uid or succ_uid not in plans:
-                continue
-            key = (pred_uid, succ_uid)
-            if key not in edge_set:
-                edge_set.add(key)
-                edges.append(key)
-    return ExecutionPlan(order, edges, block_writes)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +29,13 @@ from .gates import Action, DiagonalAction, MatVecAction, MonomialAction
 
 __all__ = [
     "PartitionSpec",
+    "PartitionLayout",
     "UnitLayout",
     "unit_layout_of",
+    "layout_of",
+    "derive_layout",
     "derive_partitions",
+    "matvec_layout",
     "matvec_partitions",
 ]
 
@@ -50,6 +54,31 @@ class PartitionSpec:
     @property
     def num_blocks(self) -> int:
         return len(self.block_range)
+
+
+class PartitionLayout(NamedTuple):
+    """A stage's partitions plus their block sets as Python-int bitmasks.
+
+    Bit ``b`` of ``masks[k]`` is set when partition ``k`` spans block ``b``;
+    ``cover`` is their union.  The partition graph's frontier sweep tests
+    "does this partition read a stale block" as one ``mask & dirty``.
+    """
+
+    specs: Tuple[PartitionSpec, ...]
+    masks: Tuple[int, ...]
+    cover: int
+
+
+def layout_of(specs: Sequence[PartitionSpec]) -> PartitionLayout:
+    """The :class:`PartitionLayout` of a list of partition specs."""
+    masks = tuple(
+        (1 << (s.block_range.last + 1)) - (1 << s.block_range.first)
+        for s in specs
+    )
+    cover = 0
+    for mask in masks:
+        cover |= mask
+    return PartitionLayout(tuple(specs), masks, cover)
 
 
 @dataclass(frozen=True)
@@ -127,29 +156,37 @@ def _deposit_local(local: int, qubits: Sequence[int]) -> int:
     return out
 
 
+def derive_layout(
+    action: Action,
+    qubits: Sequence[int],
+    qubit_count: int,
+    block_size: int,
+) -> PartitionLayout:
+    """Partition layout of a gate on a ``2**qubit_count`` state vector.
+
+    Superposition actions delegate to :func:`matvec_layout`; identity
+    actions (nothing touched) produce no partitions at all.  The layout of a
+    non-superposition action depends only on its orbit-unit types, the
+    qubits and the geometry, so results (block masks included) are shared
+    process-wide under that key and a repeated gate shape costs
+    O(2**len(qubits)), not O(2**n).
+    """
+    block_size = validate_block_size(block_size)
+    if isinstance(action, MatVecAction):
+        return matvec_layout(qubit_count, block_size)
+    return _enumerate_partitions(
+        unit_layout_of(action).unit_locals, tuple(qubits), qubit_count, block_size
+    )
+
+
 def derive_partitions(
     action: Action,
     qubits: Sequence[int],
     qubit_count: int,
     block_size: int,
 ) -> List[PartitionSpec]:
-    """Partition layout of a gate on a ``2**qubit_count`` state vector.
-
-    Superposition actions delegate to :func:`matvec_partitions`; identity
-    actions (nothing touched) produce no partitions at all.  The layout of a
-    non-superposition action depends only on its orbit-unit types, the
-    qubits and the geometry, so results are shared process-wide under that
-    key and a repeated gate shape costs O(2**len(qubits)), not O(2**n).
-    """
-    block_size = validate_block_size(block_size)
-    if isinstance(action, MatVecAction):
-        return matvec_partitions(qubit_count, block_size)
-    layout = unit_layout_of(action)
-    return list(
-        _enumerate_partitions(
-            layout.unit_locals, tuple(qubits), qubit_count, block_size
-        )
-    )
+    """The partition specs of :func:`derive_layout`, as the caller's own list."""
+    return list(derive_layout(action, qubits, qubit_count, block_size).specs)
 
 
 @lru_cache(maxsize=1024)
@@ -158,10 +195,10 @@ def _enumerate_partitions(
     qubits: Tuple[int, ...],
     qubit_count: int,
     block_size: int,
-) -> Tuple[PartitionSpec, ...]:
+) -> PartitionLayout:
     """Enumerate every orbit unit, chunk into tasks, merge into partitions."""
     if not unit_locals:
-        return ()
+        return layout_of(())
 
     free = _free_values(qubit_count, qubits)
     n_units = len(unit_locals) * free.shape[0]
@@ -216,15 +253,21 @@ def _enumerate_partitions(
     partitions.append(
         PartitionSpec(BlockRange(cur_first, cur_last), cur_tasks, cur_units)
     )
-    return tuple(partitions)
+    return layout_of(partitions)
 
 
-def matvec_partitions(qubit_count: int, block_size: int) -> List[PartitionSpec]:
+@lru_cache(maxsize=64)
+def matvec_layout(qubit_count: int, block_size: int) -> PartitionLayout:
     """One single-block partition per data block (the MxV layout of Fig. 4)."""
     block_size = validate_block_size(block_size)
     dim = 1 << qubit_count
     nb = num_blocks(dim, block_size)
     per_block_units = min(block_size, dim)
-    return [
-        PartitionSpec(BlockRange(b, b), 1, per_block_units) for b in range(nb)
-    ]
+    return layout_of(
+        [PartitionSpec(BlockRange(b, b), 1, per_block_units) for b in range(nb)]
+    )
+
+
+def matvec_partitions(qubit_count: int, block_size: int) -> List[PartitionSpec]:
+    """The partition specs of :func:`matvec_layout`, as the caller's own list."""
+    return list(matvec_layout(qubit_count, block_size).specs)

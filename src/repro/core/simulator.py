@@ -3,15 +3,16 @@
 :class:`QTaskSimulator` observes a :class:`~repro.core.circuit.Circuit` and
 maintains, across circuit modifiers, the partition task graph of §III.C-D.
 Calling :meth:`QTaskSimulator.update_state` re-simulates exactly the
-partitions affected by the modifiers issued since the previous update (found
-by DFS from the frontier list, §III.E), executing them as a Taskflow-style
+partitions affected by the modifiers issued since the previous update (the
+partition graph's frontier sweep, §III.E), executing them as a Taskflow-style
 task graph on the configured executor.  Stage inputs are resolved through
-the partition graph's writer index: an update's plan reads each recomputed
-block's source store off it once (``PartitionGraph.plan_sources``) and the
-kernels look sources up in that table; reads outside an update search the
-index as of a stage seq (``block_directory=False`` keeps the O(S)
-store-chain walk, the oracle of the property tests).  Partition bodies
-execute as batched aligned block runs feeding the strided kernels.
+the same writer index the sweep runs on: an update's plan reads each
+recomputed block's source store off it once (``PartitionGraph.plan_sources``,
+which also yields the task edges) and the kernels look sources up in that
+table; reads outside an update search the index as of a stage seq
+(``block_directory=False`` keeps the O(S) store-chain walk, the oracle of the
+property tests).  Partition bodies execute as batched aligned block runs
+feeding the strided kernels.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -40,7 +41,7 @@ from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import OutcomeRecord
 from .cow import IndexReader, InitialStateStore, MemoryReport, StoreChain
 from .exceptions import CircuitError, QTaskError
-from .exec_plan import ExecutionPlan, PlanReport, StagePlan, build_execution_plan
+from .exec_plan import ExecutionPlan, PlanReport, StagePlan
 from .gates import Gate, compose_actions
 from .graph import PartitionGraph, PartitionNode
 from .kernels import (
@@ -109,6 +110,9 @@ class QTaskSimulator(CircuitObserver):
     #: set by :meth:`close`; a class default because ``fork`` and checkpoint
     #: restore assemble sessions without ``__init__``
     _closed = False
+    #: ``(first seq, stages swept, stages planned)`` of the last update's
+    #: frontier sweep, for :meth:`explain_last_update`
+    _last_sweep = (0, 0, 0)
 
     def __init__(
         self,
@@ -206,8 +210,8 @@ class QTaskSimulator(CircuitObserver):
         self._net_uid_order: List[int] = []
 
         self.last_update: UpdateReport = UpdateReport()
-        #: completed ``update_state`` calls; with the frontier set this is
-        #: the state epoch fork fleets use to detect a diverged base session
+        #: completed ``update_state`` calls; with "is anything pending" this
+        #: is the state epoch fork fleets use to detect a diverged base session
         self._num_updates = 0
 
         #: per-trajectory classical state: measurement outcomes, classical
@@ -368,7 +372,7 @@ class QTaskSimulator(CircuitObserver):
         guaranteed to describe the same simulated state; fork fleets compare
         epochs to detect that their base session has diverged.
         """
-        return self._num_updates, bool(self.graph.frontiers)
+        return self._num_updates, self.graph.has_pending
 
     def fork(
         self,
@@ -400,7 +404,7 @@ class QTaskSimulator(CircuitObserver):
         ``forked_gate_map`` (parent handle uid -> child handle).
         """
         # The forked state is "the state after all issued modifiers".
-        if self.graph.frontiers or self._num_updates == 0:
+        if self.graph.has_pending or self._num_updates == 0:
             self.update_state()
         circuit, gate_map, net_map = self.circuit.clone()
 
@@ -475,9 +479,8 @@ class QTaskSimulator(CircuitObserver):
         child._dynamic_stages = {}
 
         # Mirror the parent's stages in its exact global order (seq-based
-        # block resolution depends on it) and clone the
-        # partition-graph topology verbatim -- O(nodes + edges), no
-        # insertion scans.
+        # block resolution depends on it) together with their layout
+        # records and the writer index -- O(stages + index entries).
         stage_map: Dict[int, Stage] = {}
         for stage in self.graph.stages:
             child_stage = stage.clone_for_fork()
@@ -943,12 +946,12 @@ class QTaskSimulator(CircuitObserver):
         """Re-arm the dynamic operations for a fresh trajectory.
 
         Clears the outcome record (reseeding its keyed randomness with
-        ``seed``) and marks every dynamic stage -- including its sync
-        barrier, where outcomes are drawn -- as a frontier, so the next
-        :meth:`update_state` re-collapses from the first measurement onward
-        while the unitary prefix stays cached (copy-on-write makes the
-        re-collapse exactly as incremental as a gate update at the same
-        depth).
+        ``seed``) and marks every dynamic stage dirty -- a touched collapse
+        re-runs whole, sync barrier (where outcomes are drawn) included -- so
+        the next :meth:`update_state` re-collapses from the first
+        measurement onward while the unitary prefix stays cached
+        (copy-on-write makes the re-collapse exactly as incremental as a
+        gate update at the same depth).
 
         With ``from_op`` (the ``op_index`` of a measure or reset) the new
         trajectory shares the current one's prefix: bits and outcomes of the
@@ -963,7 +966,7 @@ class QTaskSimulator(CircuitObserver):
         else:
             self.outcomes.branch(seed, [s.op.op_index for s in stages])
         for stage in stages:
-            self.graph.touch_stage_full(stage)
+            self.graph.touch_stage(stage)
 
     def _dynamic_stages_from(self, from_op: Optional[int]) -> List[DynamicStage]:
         """Dynamic stages in execution order, from ``from_op``'s stage on."""
@@ -1120,51 +1123,83 @@ class QTaskSimulator(CircuitObserver):
         target = self._store_transport
         for stage in self.graph.stages:
             stage.store.forsake_blocks(target)
-            self.graph.touch_stage_full(stage)
+            self.graph.touch_stage(stage)
         # Derived caches hold values computed from the lost blocks.
         self._notify_dirty(range(self.n_blocks))
 
     def _update_state_impl(self) -> UpdateReport:
         start = time.perf_counter()
-        if self.copy_on_write:
-            affected = self.graph.affected_nodes()
-        else:
-            affected = sorted(
-                self.graph.all_nodes(),
-                key=lambda n: (n.stage.seq, 0 if n.is_sync else 1, n.block_range.first),
-            )
-            if not self.graph.frontiers and self._num_updates > 0:
-                affected = []
-        total_nodes = self.graph.num_nodes()
+        plan = self._build_plan()
         report = UpdateReport(
-            affected_partitions=len(affected),
-            total_partitions=total_nodes,
+            affected_partitions=plan.affected_partitions,
+            total_partitions=self.graph.num_nodes(),
             was_incremental=self._num_updates > 0,
         )
-        if affected:
-            report.executed_block_writes = self._execute_with_recovery(affected)
+        if plan.stage_plans:
+            report.executed_block_writes = self._execute_with_recovery(plan)
             if self._dirty_listeners:
                 if self.copy_on_write:
-                    written = np.zeros(self.n_blocks, dtype=bool)
-                    # many partitions share few distinct ranges
-                    for first, last in {
-                        (node.block_range.first, node.block_range.last)
-                        for node in affected
-                        if not node.is_sync
-                    }:
-                        written[first : last + 1] = True
-                    dirty = np.flatnonzero(written)
+                    # the blocks the affected partitions wrote, bit by bit
+                    bits = np.frombuffer(
+                        plan.written.to_bytes((self.n_blocks + 7) // 8, "little"),
+                        dtype=np.uint8,
+                    )
+                    dirty = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
                 else:
                     # dense mode rewrites (and back-fills) whole vectors
                     dirty = np.arange(self.n_blocks)
                 self._notify_dirty(dirty)
-        self.graph.clear_frontiers()
+        # only now: an update that raised keeps its dirt for the next one
+        self.graph.clear_pending()
         report.elapsed_seconds = time.perf_counter() - start
         self.last_update = report
+        self._last_sweep = (plan.first_seq, plan.stages_swept, plan.num_stages)
         self._num_updates += 1
         return report
 
-    def _execute_with_recovery(self, affected: List[PartitionNode]) -> int:
+    def _build_plan(self) -> ExecutionPlan:
+        """Sweep the pending dirt into stage plans and resolve their inputs.
+
+        One pass, inside the ``plan.build`` span: the partition graph's
+        frontier sweep emits the affected stages in seq order, the writer
+        index gives every recomputed block's source store and with it the
+        stage-granular task edges, and static stages freeze their run
+        tables.  With copy-on-write off every stage depends on the whole
+        previous vector, so anything pending (or a first update) plans
+        everything.
+        """
+        tracer = self.telemetry.tracer
+        if not tracer.enabled:
+            return self._build_plan_impl()
+        with tracer.span("plan.build") as span:
+            plan = self._build_plan_impl()
+            span.set("first_seq", plan.first_seq)
+            span.set("stages_swept", plan.stages_swept)
+            span.set("stages", plan.num_stages)
+            span.set("runs", plan.static_runs())
+        return plan
+
+    def _build_plan_impl(self) -> ExecutionPlan:
+        graph = self.graph
+        if self.copy_on_write:
+            plan = graph.sweep()
+        elif graph.has_pending or self._num_updates == 0:
+            plan = graph.sweep(everything=True)
+        else:
+            plan = ExecutionPlan([])
+        stage_plans = plan.stage_plans
+        tables, plan.edges = graph.plan_sources(
+            [(sp.stage, sp.block_ranges) for sp in stage_plans], self._initial
+        )
+        for sp, sources in zip(stage_plans, tables):
+            if self.block_directory:
+                sp.reader = IndexReader(graph, self._initial, sp.stage.seq, sources)
+            else:
+                sp.reader = self._reader_asof(sp.stage.seq)
+            sp.freeze_static()
+        return plan
+
+    def _execute_with_recovery(self, plan: ExecutionPlan) -> int:
         """Run ``_execute`` inside the fault envelope.
 
         The armed scope is what lets an installed :class:`FaultPlan` fire
@@ -1179,13 +1214,13 @@ class QTaskSimulator(CircuitObserver):
         here before giving up.
         """
         if faults.ACTIVE is None:
-            return self._execute(affected)
+            return self._execute(plan)
         with faults.armed():
             attempt = 0
             rollback = self.outcomes.snapshot()
             while True:
                 try:
-                    return self._execute(affected)
+                    return self._execute(plan)
                 except FaultInjected as exc:
                     attempt += 1
                     if attempt > _UPDATE_FAULT_RETRIES:
@@ -1220,60 +1255,38 @@ class QTaskSimulator(CircuitObserver):
         stores.extend(s.store for s in self.graph.stages[:before_seq])
         return StoreChain(stores)
 
-    def _attach_plan_readers(self, stage_plans: List[StagePlan]) -> None:
-        """Give every stage plan its input reader (``plan.build`` time).
-
-        Index mode resolves the source store of every block the update
-        recomputes in one pass over the writer index, so the kernels' reads
-        are table lookups.
-        """
-        if not self.block_directory:
-            for sp in stage_plans:
-                sp.reader = self._reader_asof(sp.stage.seq)
-            return
-        tables = self.graph.plan_sources(
-            [(sp.stage, sp.block_ranges) for sp in stage_plans], self._initial
-        )
-        for sp, sources in zip(stage_plans, tables):
-            sp.reader = IndexReader(
-                self.graph, self._initial, sp.stage.seq, sources
-            )
-
-    def _execute(self, affected: List[PartitionNode]) -> int:
+    def _execute(self, plan: ExecutionPlan) -> int:
         if not self.copy_on_write:
             # Dense mode re-simulates everything: drop previously materialised
             # blocks so no stale copy can shadow the recomputation.
             for stage in self.graph.stages:
                 stage.store.clear()
         if self._backend is not None:
-            return self._execute_plan(affected)
-        return self._execute_legacy(affected)
+            self._execute_plan(plan)
+        else:
+            self._execute_legacy(plan)
+        block_writes = plan.block_writes
+        if not self.copy_on_write:
+            block_writes += self._fill_dense_blocks(plan)
+        return block_writes
 
     # -- plan pipeline (kernel_backend != "legacy") ---------------------------
 
-    def _execute_plan(self, affected: List[PartitionNode]) -> int:
-        """Compile the frontier into one plan per stage and batch-execute it.
+    def _execute_plan(self, plan: ExecutionPlan) -> None:
+        """Batch-execute the plan, one executor task per affected *stage*.
 
-        One executor task per affected *stage* (not per partition): the task
-        runs the stage's ``prepare`` when its sync barrier is affected,
-        materialises the stage's run table, and hands it -- split into at
-        most ``Executor.subflow_width`` chunk subflows -- to the kernel
-        backend.  Stage-granular edges reproduce the partition graph's
-        ordering (edges only ever point to later stages).
+        The task runs the stage's ``prepare`` when its sync barrier is
+        affected, materialises the stage's run table, and hands it -- split
+        into at most ``Executor.subflow_width`` chunk subflows -- to the
+        kernel backend.  The plan's stage-granular edges reproduce the
+        partition graph's ordering (edges only ever point to later stages).
         """
         tel = self.telemetry
-        if tel.tracer.enabled:
-            with tel.tracer.span("plan.build") as pspan:
-                plan = build_execution_plan(affected, self._attach_plan_readers)
-                pspan.set("stages", plan.num_stages)
-                pspan.set("runs", plan.total_runs())
-        else:
-            plan = build_execution_plan(affected, self._attach_plan_readers)
         # Parent span for executor-side task spans: the enclosing ``update``
         # span on this thread (None when tracing is off).
         parent_span = tel.tracer.current_span_id()
         graph = TaskGraph("update_state")
-        tasks: Dict[int, object] = {}
+        tasks = []
         for sp in plan.stage_plans:
             body = self._make_plan_body(sp)
             # Trace context rides on the closure: Executor._guarded sees it
@@ -1281,21 +1294,15 @@ class QTaskSimulator(CircuitObserver):
             # inside whichever worker thread steals the task.
             body.trace_context = (tel, parent_span)
             # named lazily: only a failing task or a graph dump formats it
-            tasks[sp.stage.uid] = graph.emplace(body, name=sp.stage.label)
-        for pred_uid, succ_uid in plan.edges:
-            tasks[pred_uid].precede(tasks[succ_uid])
+            tasks.append(graph.emplace(body, name=sp.stage.label))
+        for pred, succ in plan.edges:
+            tasks[pred].precede(tasks[succ])
         self.executor.run(graph)
 
         self._plans_built.inc(plan.num_stages)
         self._runs_batched.inc(plan.total_runs())
         self._plan_chunks.inc(plan.total_chunks())
         self._updates_planned.inc()
-
-        block_writes = plan.block_writes
-        if not self.copy_on_write:
-            readers = {sp.stage.uid: sp.reader for sp in plan.stage_plans}
-            block_writes += self._fill_dense_blocks(affected, readers)
-        return block_writes
 
     def _sync_prepare_runner(self, stage: Stage, reader):
         """An idempotent ``prepare`` thunk for sync (collapse) stages.
@@ -1509,48 +1516,40 @@ class QTaskSimulator(CircuitObserver):
 
     # -- legacy per-run task path (kernel_backend == "legacy") ----------------
 
-    def _execute_legacy(self, affected: List[PartitionNode]) -> int:
-        readers: Dict[int, object] = {}
-        for node in affected:
-            if node.stage.uid not in readers:
-                readers[node.stage.uid] = self._reader_asof(node.stage.seq)
+    def _execute_legacy(self, plan: ExecutionPlan) -> None:
+        """One task per affected partition, ordered stage by stage.
 
+        A stage's partitions follow its sync barrier's ``prepare`` (when it
+        has one) and join in a placeholder tail; the plan's stage-granular
+        edges run from a predecessor's tail to the successor's first tasks.
+        """
         graph = TaskGraph("update_state")
-        tasks: Dict[int, object] = {}
-        block_writes = 0
-
-        for node in affected:
-            reader = readers[node.stage.uid]
-            if node.is_sync:
-                task = graph.emplace(
-                    self._make_sync_body(node, reader), name=node.name()
+        heads, tails = [], []
+        for sp in plan.stage_plans:
+            stage, reader = sp.stage, sp.reader
+            tasks = [
+                graph.emplace(
+                    self._make_partition_body(stage, reader, block_range),
+                    name=PartitionNode(stage, block_range).name,
                 )
-            else:
-                task = graph.emplace(
-                    self._make_partition_body(node, reader), name=node.name()
+                for block_range in sp.block_ranges
+            ]
+            tail = graph.placeholder()
+            tail.succeed(*tasks)
+            if sp.has_sync:
+                sync = graph.emplace(
+                    self._sync_prepare_runner(stage, reader),
+                    name=self.graph.sync_node(stage).name,
                 )
-                block_writes += len(node.block_range)
-            tasks[node.uid] = task
-
-        affected_ids = set(tasks)
-        for node in affected:
-            for succ in node.succs:
-                if succ.uid in affected_ids:
-                    tasks[node.uid].precede(tasks[succ.uid])
-
+                sync.precede(*tasks)
+                tasks = [sync]
+            heads.append(tasks)
+            tails.append(tail)
+        for pred, succ in plan.edges:
+            tails[pred].precede(*heads[succ])
         self.executor.run(graph)
 
-        if not self.copy_on_write:
-            block_writes += self._fill_dense_blocks(affected, readers)
-        return block_writes
-
-    def _make_sync_body(self, node: PartitionNode, reader):
-        return self._sync_prepare_runner(node.stage, reader)
-
-    def _make_partition_body(self, node: PartitionNode, reader):
-        stage = node.stage
-        block_range = node.block_range
-
+    def _make_partition_body(self, stage: Stage, reader, block_range: BlockRange):
         def body():
             # One closure per batched block run; single-run subflows are
             # executed inline by the executors themselves.
@@ -1558,11 +1557,7 @@ class QTaskSimulator(CircuitObserver):
 
         return body
 
-    def _fill_dense_blocks(
-        self,
-        affected: List[PartitionNode],
-        readers: Dict[int, object],
-    ) -> int:
+    def _fill_dense_blocks(self, plan: ExecutionPlan) -> int:
         """In non-COW mode every affected stage materialises its full vector.
 
         Blocks a stage's partitions did not write are copied from the stage
@@ -1571,20 +1566,13 @@ class QTaskSimulator(CircuitObserver):
         produce.
         """
         added = 0
-        seen_stages: Dict[int, Stage] = {}
-        covered: Dict[int, set] = {}
-        for node in affected:
-            if node.is_sync:
-                continue
-            seen_stages[node.stage.uid] = node.stage
-            covered.setdefault(node.stage.uid, set()).update(node.block_range.blocks())
-        for uid, stage in sorted(seen_stages.items(), key=lambda kv: kv[1].seq):
-            reader = readers[uid]
-            for b in range(stage.n_blocks):
-                if b in covered[uid]:
-                    continue
-                stage.store.write_block(b, reader.resolve_block(b))
-                added += 1
+        for sp in plan.stage_plans:
+            covered = {b for blocks in sp.block_ranges for b in blocks}
+            store = sp.stage.store
+            for b in range(self.n_blocks):
+                if b not in covered:
+                    store.write_block(b, sp.reader.resolve_block(b))
+                    added += 1
         return added
 
     # ------------------------------------------------------------------
@@ -1715,7 +1703,9 @@ class QTaskSimulator(CircuitObserver):
         """Counters describing the simulator's current incremental state.
 
         Combines the partition-graph shape (``num_stages``, ``num_nodes``,
-        ``num_edges``, ``num_frontiers``) with the configuration knobs
+        ``num_edges`` -- derived from the writer index on every call --
+        and ``num_frontiers``, the stages carrying pending dirt) with the
+        configuration knobs
         (block size/workers/COW/fusion/directory/observable cache) and the
         outcome of the most recent update (affected partitions, elapsed
         seconds), so benchmark rows and debugging sessions can snapshot one
@@ -1800,8 +1790,11 @@ class QTaskSimulator(CircuitObserver):
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
 
-        Renders the update report, the plan pipeline's view of it, and --
-        the part no counter can answer -- the time-ordered recovery events
+        Renders the update report, what the frontier sweep looked at
+        ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
+        and ``N`` stages were affected -- the ``plan.build`` span's
+        numbers), the plan pipeline's view of it, and -- the part no
+        counter can answer -- the time-ordered recovery events
         (faults, retries, fallbacks, breaker transitions, respawns) that
         fired during the update.
         """
@@ -1815,6 +1808,11 @@ class QTaskSimulator(CircuitObserver):
                 f" ({report.affected_fraction:.1%}),"
                 f" {report.executed_block_writes} block writes,"
                 f" {report.elapsed_seconds * 1e3:.2f} ms"
+            ),
+            (
+                f"  swept stages {self._last_sweep[0]}"
+                f"..{self._last_sweep[0] + self._last_sweep[1]},"
+                f" planned {self._last_sweep[2]}"
             ),
             (
                 f"  backend {self.plan_report().backend}"

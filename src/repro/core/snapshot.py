@@ -195,7 +195,7 @@ def save_checkpoint(sim: QTaskSimulator, path: str) -> str:
     checkpoint always describes a fully computed state -- the same contract
     session forking uses.
     """
-    if sim.graph.frontiers or sim._num_updates == 0:
+    if sim.graph.has_pending or sim._num_updates == 0:
         sim.update_state()
     with sim.telemetry.tracer.span("checkpoint.save") as span:
         header, payload = _build_header(sim)
@@ -416,10 +416,9 @@ def restore_simulator(
     sim._dynamic_stages = {}
 
     # Rebuild the stage table in the checkpointed global order.  Each
-    # insert_stage call re-derives the partition-graph connectivity from
-    # the final stage sequence (the honest reconstruction -- there is no
-    # source graph to mirror) together with the writer index, and the
-    # graph's insertion hook binds dynamic records.
+    # insert_stage call records the stage's layout and lists it in the
+    # writer index (there is no source graph to mirror), and the graph's
+    # insertion hook binds dynamic records.
     nets = circuit.nets()
     for i, entry in enumerate(header["stages"]):
         members = [handles[g] for g in entry["gates"]]
@@ -465,9 +464,9 @@ def restore_simulator(
             "payload bytes"
         )
 
-    # The inserted stages all joined the frontier; the checkpointed state
-    # is computed, so there is no pending work.
-    sim.graph.clear_frontiers()
+    # Every inserted stage marked itself dirty; the checkpointed state is
+    # computed, so there is no pending work.
+    sim.graph.clear_pending()
     sim._num_updates = max(1, int(header["num_updates"]))
     circuit.register_observer(sim)
     duration = time.perf_counter() - t0

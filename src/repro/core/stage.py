@@ -43,7 +43,13 @@ from .kernels import (
     measured_masses,
 )
 from .ops import CGate
-from .partition import PartitionSpec, derive_partitions, matvec_partitions
+from .partition import (
+    PartitionLayout,
+    PartitionSpec,
+    derive_layout,
+    layout_of,
+    matvec_layout,
+)
 
 __all__ = [
     "gate_action",
@@ -141,8 +147,13 @@ class Stage:
 
     # -- interface ----------------------------------------------------------
 
-    def partition_specs(self) -> List[PartitionSpec]:
+    def partition_layout(self) -> PartitionLayout:
+        """The partitions with their block masks (what the graph records)."""
         raise NotImplementedError
+
+    def partition_specs(self) -> List[PartitionSpec]:
+        """The layout's partition specs, as the caller's own list."""
+        return list(self.partition_layout().specs)
 
     def label(self) -> str:
         raise NotImplementedError
@@ -259,13 +270,12 @@ class UnitaryStage(Stage):
         """Shared constructor tail: bind the action and derive partitions."""
         self.action: Action = action
         self.qubits: Tuple[int, ...] = tuple(qubits)
-        self._specs = derive_partitions(
+        self._layout = derive_layout(
             action, self.qubits, self.qubit_count, self.block_size
         )
-        self._total_blocks = sum(len(s.block_range) for s in self._specs)
 
-    def partition_specs(self) -> List[PartitionSpec]:
-        return list(self._specs)
+    def partition_layout(self) -> PartitionLayout:
+        return self._layout
 
     def label(self) -> str:
         return str(self.gate)
@@ -275,7 +285,8 @@ class UnitaryStage(Stage):
 
     def total_block_count(self) -> int:
         """Total number of blocks over all partitions (net-ordering heuristic)."""
-        return self._total_blocks
+        # partitions are disjoint: the blocks are the bits of the cover mask
+        return bin(self._layout.cover).count("1")
 
     def clone_for_fork(self) -> "UnitaryStage":
         # Bypass __init__: gate, classified action and partition layout are
@@ -287,8 +298,7 @@ class UnitaryStage(Stage):
         clone.gate = self.gate
         clone.action = self.action
         clone.qubits = self.qubits
-        clone._specs = self._specs
-        clone._total_blocks = self._total_blocks
+        clone._layout = self._layout
         return clone
 
     def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
@@ -324,10 +334,10 @@ class UnitaryStage(Stage):
         action = gate_action(gate)
         if action.creates_superposition:
             return False
-        specs = derive_partitions(
+        layout = derive_layout(
             action, gate.qubits, self.qubit_count, self.block_size
         )
-        if specs != self._specs:
+        if layout.specs != self._layout.specs:
             return False
         # same qubits, same layout: only the bound action changes
         self.gate = gate
@@ -399,10 +409,10 @@ class FusedUnitaryStage(UnitaryStage):
             return False
         if tuple(qubits) != self.qubits:
             return False
-        specs = derive_partitions(
+        layout = derive_layout(
             action, qubits, self.qubit_count, self.block_size
         )
-        if specs != self._specs:
+        if layout.specs != self._layout.specs:
             return False
         self.gates = tuple(gates)
         self.gate = self.gates[0]
@@ -498,10 +508,10 @@ class MatVecStage(Stage):
 
     # -- Stage interface ------------------------------------------------------
 
-    def partition_specs(self) -> List[PartitionSpec]:
+    def partition_layout(self) -> PartitionLayout:
         if self.is_empty:
-            return []
-        return matvec_partitions(self.qubit_count, self.block_size)
+            return layout_of(())
+        return matvec_layout(self.qubit_count, self.block_size)
 
     def label(self) -> str:
         return "MxV{" + ",".join(str(g) for g in self.gates) + "}"
@@ -631,8 +641,8 @@ class _CollapseStage(DynamicStage):
         """The unnormalised ``(p0, p1)`` the last ``prepare`` drew against."""
         return self._masses
 
-    def partition_specs(self) -> List[PartitionSpec]:
-        return matvec_partitions(self.qubit_count, self.block_size)
+    def partition_layout(self) -> PartitionLayout:
+        return matvec_layout(self.qubit_count, self.block_size)
 
     def writes_all_blocks(self) -> bool:
         return True
@@ -722,12 +732,12 @@ class ClassicallyControlledStage(DynamicStage):
         self.action: Action = gate_action(self.gate)
         self.qubits: Tuple[int, ...] = tuple(self.gate.qubits)
         if self.action.creates_superposition:
-            self._specs = matvec_partitions(qubit_count, block_size)
+            self._layout = matvec_layout(qubit_count, block_size)
         else:
             # Condition-false executions must rewrite the same blocks the
             # condition-true layout writes (identity copies), so the layout
             # -- and with it the graph topology -- is condition-independent.
-            self._specs = derive_partitions(
+            self._layout = derive_layout(
                 self.action, self.qubits, qubit_count, block_size
             )
         self._prepared: Optional[np.ndarray] = None
@@ -738,7 +748,7 @@ class ClassicallyControlledStage(DynamicStage):
         clone.gate = self.gate
         clone.action = self.action
         clone.qubits = self.qubits
-        clone._specs = self._specs
+        clone._layout = self._layout
         clone._prepared = None
         return clone
 
@@ -758,8 +768,8 @@ class ClassicallyControlledStage(DynamicStage):
             self.record.value_of(self.op.condition_bits) == self.op.condition_value
         )
 
-    def partition_specs(self) -> List[PartitionSpec]:
-        return list(self._specs)
+    def partition_layout(self) -> PartitionLayout:
+        return self._layout
 
     def writes_all_blocks(self) -> bool:
         return self.action.creates_superposition

@@ -176,9 +176,7 @@ class SequentialExecutor(Executor):
     num_workers = 1
 
     def run(self, graph: TaskGraph) -> None:
-        graph.validate()
-        order = graph.topological_order()
-        for task in order:
+        for task in graph.validate():
             try:
                 sub = self._guarded(task.run)
                 # Subflow: run spawned callables depth-first, children of one

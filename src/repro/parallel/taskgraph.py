@@ -137,11 +137,16 @@ class TaskGraph:
     def sinks(self) -> List[Task]:
         return [t for t in self._tasks if not t.successors]
 
-    def validate(self) -> None:
-        """Raise :class:`ExecutorError` when the graph contains a cycle."""
+    def validate(self) -> List[Task]:
+        """Raise :class:`ExecutorError` when the graph contains a cycle.
+
+        Returns the topological order the check computed, so an executor
+        that runs tasks in that order pays for one Kahn pass, not two.
+        """
         order = self.topological_order()
         if len(order) != len(self._tasks):
             raise ExecutorError(f"task graph '{self.name}' contains a cycle")
+        return order
 
     def topological_order(self) -> List[Task]:
         """Kahn topological order (tasks not reachable from sources included)."""

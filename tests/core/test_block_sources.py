@@ -24,12 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import QTask
-from repro.baselines.dense import DenseReferenceSimulator
 from repro.core import faults
 from repro.core.cow import IndexReader, StoreChain
-from repro.core.exec_plan import build_execution_plan
 from repro.core.faults import FaultPlan
 
+from ..conftest import dense_state as _dense_state
 from ..conftest import newest_holder
 from .test_writer_index import (
     NUM_CLBITS,
@@ -83,20 +82,21 @@ def update_and_check_planned_sources(session):
     """Plan the pending update the way ``update_state`` will, run it, and
     compare every planned source with the scan over the updated stores."""
     sim = session.simulator
-    if sim.copy_on_write:
-        affected = sim.graph.affected_nodes()
-    elif sim.graph.frontiers or sim._num_updates == 0:
-        affected = sim.graph.all_nodes()  # dense mode re-simulates everything
-    else:
-        affected = []
-    plan = build_execution_plan(affected, sim._attach_plan_readers)
+    plan = sim._build_plan()  # sweeping is pure: the update builds its own
     session.update_state()
-    for sp in plan.stage_plans:
+    for succ, sp in enumerate(plan.stage_plans):
         declared = {b for r in sp.block_ranges for b in r}
         # O(affected blocks): exactly the recomputed ranges are planned
         assert set(sp.reader.sources) == declared
         for block, store in sp.reader.sources.items():
             assert_same_source(sim, store, block, sp.stage.seq, sp.stage)
+        # the task edges are the planned stages among those sources
+        planned = {
+            plan.stage_plans[pred].stage.store
+            for pred, s in plan.edges if s == succ
+        }
+        stores = {q.stage.store for q in plan.stage_plans}
+        assert planned == set(sp.reader.sources.values()) & stores
     return plan
 
 
@@ -205,15 +205,6 @@ def test_plan_memory_is_the_affected_blocks_not_the_register(no_plan):
 # ---------------------------------------------------------------------------
 # the fallback: a declaring stage that holds nothing
 # ---------------------------------------------------------------------------
-
-
-def _dense_state(session):
-    dense = DenseReferenceSimulator(
-        session.circuit,
-        forced_outcomes=session.simulator.outcomes.recorded_outcomes(),
-    )
-    dense.update_state()
-    return dense.state()
 
 
 def _declared(sim, stage):

@@ -1,4 +1,4 @@
-"""Unit tests for the plan layer: run tables and frontier compilation."""
+"""Unit tests for the plan layer: run tables and the swept frontier as a plan."""
 
 from __future__ import annotations
 
@@ -12,10 +12,11 @@ from repro.core.exec_plan import (
     PlanReport,
     RunSpec,
     RunTable,
-    build_execution_plan,
 )
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
+
+from ..conftest import plan_nodes
 
 
 def _spec(lo, hi, op, qubits=(0,), kind=RUN_ACTION):
@@ -85,7 +86,7 @@ class TestRunTable:
 
 
 # ---------------------------------------------------------------------------
-# build_execution_plan over a real partition graph
+# the execution plan of a real partition graph (sweep + sources + freeze)
 # ---------------------------------------------------------------------------
 
 
@@ -98,8 +99,9 @@ def _simulator(levels, num_qubits=4, **kwargs):
 
 
 def _plan_for(sim):
-    affected = sim.graph.affected_nodes()
-    return build_execution_plan(affected, sim._attach_plan_readers), affected
+    """The plan ``update_state`` would build, and the nodes it covers."""
+    plan = sim._build_plan()
+    return plan, plan_nodes(sim.graph, plan)
 
 
 class TestBuildExecutionPlan:
@@ -123,11 +125,19 @@ class TestBuildExecutionPlan:
              [Gate("cx", (2, 3))], [Gate("rz", (0,), (0.5,))]]
         )
         plan, _ = _plan_for(sim)
-        seq_of = {sp.stage.uid: sp.stage.seq for sp in plan.stage_plans}
-        assert len(set(plan.edges)) == len(plan.edges)
-        for pred, succ in plan.edges:
-            assert pred != succ
-            assert seq_of[pred] < seq_of[succ]
+        assert plan.edges and len(set(plan.edges)) == len(plan.edges)
+        for pred, succ in plan.edges:  # positions in plan.stage_plans
+            assert pred < succ
+        # a stage waits for exactly the planned stages its blocks come from
+        for succ, sp in enumerate(plan.stage_plans):
+            sources = {
+                store for store in sp.reader.sources.values()
+                if store is not sim._initial
+            }
+            assert sources == {
+                plan.stage_plans[pred].stage.store
+                for pred, s in plan.edges if s == succ
+            }
 
     def test_static_stage_runs_frozen_at_build_time(self):
         # z is diagonal -> UnitaryStage, whose emission is input-independent

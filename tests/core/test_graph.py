@@ -1,4 +1,8 @@
-"""Tests for the partition graph: connections, modifiers, frontiers (§III.D/E)."""
+"""Tests for the partition graph: connections, modifiers, frontiers (§III.D/E).
+
+Connections are the graph's derived view (``edges()``: closest-overlap pairs
+read off the writer index); the affected set is the frontier sweep.
+"""
 
 import io
 
@@ -10,6 +14,8 @@ from repro.core.gates import Gate
 from repro.core.graph import PartitionGraph
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import MatVecStage, UnitaryStage
+
+from ..conftest import plan_nodes
 
 
 def build_paper_simulator(block=4):
@@ -38,6 +44,15 @@ def stage_of(sim, handle):
     return sim._gate_stage[handle.uid]
 
 
+def preds_of(graph, node):
+    return [pred for pred, succ in graph.edges() if succ == node]
+
+
+def affected_nodes(sim):
+    """The partitions (and sync barriers) the next update would re-simulate."""
+    return plan_nodes(sim.graph, sim.graph.sweep())
+
+
 # ---------------------------------------------------------------------------
 # graph construction on the paper example (Figure 4 / Figure 12)
 # ---------------------------------------------------------------------------
@@ -47,10 +62,11 @@ def test_paper_graph_node_counts():
     ckt, sim, nets, handles = build_paper_simulator()
     graph = sim.graph
     # 8 MxV partitions + 1 sync + 1 (G6) + 2 (G7) + 2 (G8) + 2 (G9) = 16 nodes
-    assert len(graph.all_nodes()) == 16
+    assert len(graph.all_nodes()) == graph.num_nodes() == 16
     stats = graph.stats()
     assert stats.num_stages == 5
-    assert stats.num_frontiers > 0   # nothing simulated yet
+    assert stats.num_frontiers == 5   # nothing simulated yet: every stage dirty
+    assert len(affected_nodes(sim)) == 16
 
 
 def test_paper_graph_partition_ranges():
@@ -72,14 +88,14 @@ def test_paper_graph_sync_precedes_all_matvec_partitions():
     partitions = graph.partition_nodes(h_stage)
     assert len(partitions) == 8
     for p in partitions:
-        assert sync in p.preds
+        assert preds_of(graph, p) == [sync]
 
 
 def test_paper_graph_g6_depends_on_upper_half_mxv_partitions():
     ckt, sim, nets, handles = build_paper_simulator()
     graph = sim.graph
     g6 = graph.partition_nodes(stage_of(sim, handles["G6"]))[0]
-    pred_ranges = sorted(p.block_range.first for p in g6.preds)
+    pred_ranges = sorted(p.block_range.first for p in preds_of(graph, g6))
     # G6 covers blocks 4..7, whose closest writers are MxV4..MxV7
     assert pred_ranges == [4, 5, 6, 7]
 
@@ -92,14 +108,21 @@ def test_paper_graph_g8_first_partition_successor_of_g6():
     # the second G8 partition [6,7] overlaps G6's [4,7]... its closest writer
     # could be G7's [6,7]; the first G8 partition [2,3] must read MxV blocks
     g8_low = min(g8_parts, key=lambda p: p.block_range.first)
-    assert all(pred.stage is graph.stages[0] for pred in g8_low.preds)
+    assert all(pred.stage is graph.stages[0] for pred in preds_of(graph, g8_low))
+    # ... and the second one reads what G7's [6,7] wrote, not G6's [4,7]
+    g8_high = max(g8_parts, key=lambda p: p.block_range.first)
+    g7_stage = stage_of(sim, handles["G7"])
+    assert {pred.stage for pred in preds_of(graph, g8_high)} == {g7_stage}
+    assert g6 not in preds_of(graph, g8_high)
 
 
 def test_paper_graph_edges_always_point_forward():
     ckt, sim, nets, handles = build_paper_simulator()
-    for node in sim.graph.all_nodes():
-        for succ in node.succs:
-            assert succ.stage.seq >= node.stage.seq
+    edges = sim.graph.edges()
+    assert edges and len(edges) == len(set(edges)) == sim.graph.stats().num_edges
+    for node, succ in edges:
+        assert succ.stage.seq >= node.stage.seq
+        assert (succ.stage is node.stage) == node.is_sync
 
 
 def test_dump_graph_produces_dot():
@@ -120,18 +143,27 @@ def test_dump_graph_produces_dot():
 def test_remove_gate_reconnects_and_sets_frontier():
     ckt, sim, nets, handles = build_paper_simulator()
     sim.update_state()
-    assert sim.graph.frontiers == set()
+    assert not sim.graph.has_pending and sim.graph.stats().num_frontiers == 0
 
+    g7_low, g7_high = sim.graph.partition_nodes(stage_of(sim, handles["G7"]))
     g8_stage = stage_of(sim, handles["G8"])
+    g8_high = sim.graph.partition_nodes(g8_stage)[1]
     g9_stage = stage_of(sim, handles["G9"])
+    g9_low, g9_high = sim.graph.partition_nodes(g9_stage)
+    # G9's [5,7] reads block 5 from G7's [4,5] and blocks 6-7 from G8's [6,7]
+    assert set(preds_of(sim.graph, g9_high)) == {g7_low, g8_high}
     ckt.remove_gate(handles["G8"])
 
     # frontier = successors of the removed partitions (G9 partitions here)
-    frontier_stages = {n.stage for n in sim.graph.frontiers}
-    assert g9_stage in frontier_stages
+    assert sim.graph.has_pending and sim.graph.stats().num_frontiers == 1
+    assert affected_nodes(sim) == [g9_low, g9_high]
     assert g8_stage not in sim.graph.stages
-    # the removed stage's nodes are fully detached
+    # the removed stage's nodes are gone, its neighbours reconnected (Fig. 7)
     assert all(g8_stage is not n.stage for n in sim.graph.all_nodes())
+    assert all(
+        g8_stage is not n.stage for edge in sim.graph.edges() for n in edge
+    )
+    assert set(preds_of(sim.graph, g9_high)) == {g7_low, g7_high}
 
 
 def test_insert_gate_after_removal_matches_paper_frontier():
@@ -141,8 +173,7 @@ def test_insert_gate_after_removal_matches_paper_frontier():
     sim.update_state()
     ckt.remove_gate(handles["G8"])
     g10 = ckt.insert_gate("cx", nets[3], 2, 1)
-    affected = sim.graph.affected_nodes()
-    labels = {(n.stage.label(), n.block_range.to_tuple()) for n in affected}
+    affected = affected_nodes(sim)
     g10_stage = stage_of(sim, g10)
     g9_stage = stage_of(sim, handles["G9"])
     assert {n.stage for n in affected} == {g10_stage, g9_stage}
@@ -154,11 +185,14 @@ def test_insert_gate_after_removal_matches_paper_frontier():
 def test_affected_nodes_cleared_after_update():
     ckt, sim, nets, handles = build_paper_simulator()
     sim.update_state()
-    assert sim.graph.affected_nodes() == []
+    assert affected_nodes(sim) == []
     ckt.remove_gate(handles["G7"])
-    assert sim.graph.affected_nodes() != []
-    sim.update_state()
-    assert sim.graph.affected_nodes() == []
+    assert affected_nodes(sim) != []
+    # sweeping is a pure function of the pending dirt: asking changes nothing
+    assert affected_nodes(sim) == affected_nodes(sim)
+    report = sim.update_state()
+    assert report.affected_partitions > 0
+    assert affected_nodes(sim) == []
 
 
 def test_removing_final_gate_affects_nothing_downstream():
@@ -167,7 +201,7 @@ def test_removing_final_gate_affects_nothing_downstream():
     ckt, sim, nets, handles = build_paper_simulator()
     sim.update_state()
     ckt.remove_gate(handles["G9"])
-    assert sim.graph.affected_nodes() == []
+    assert affected_nodes(sim) == [] and not sim.graph.has_pending
     sim.update_state()   # still a no-op, and the state query stays consistent
     assert abs(sum(abs(a) ** 2 for a in sim.state()) - 1.0) < 1e-9
 
@@ -179,9 +213,11 @@ def test_inserting_superposition_gate_into_existing_net_touches_stage():
     ckt.insert_gate("h", net, 0)
     sim.update_state()
     ckt.insert_gate("h", net, 2)   # joins the existing MatVecStage
-    affected = sim.graph.affected_nodes()
+    affected = affected_nodes(sim)
     assert affected, "adding a gate to a matvec stage must mark it affected"
     assert all(isinstance(n.stage, MatVecStage) for n in affected)
+    # a stage behind a sync barrier is affected whole, barrier included
+    assert affected == sim.graph.stage_nodes(sim.graph.stages[0])
     assert len(sim.graph.stages) == 1
 
 
@@ -194,7 +230,7 @@ def test_removing_one_of_two_superposition_gates_keeps_stage():
     sim.update_state()
     ckt.remove_gate(h0)
     assert len(sim.graph.stages) == 1
-    assert sim.graph.affected_nodes(), "stage must be re-simulated"
+    assert affected_nodes(sim), "stage must be re-simulated"
 
 
 def test_removing_last_superposition_gate_removes_stage():
@@ -205,6 +241,8 @@ def test_removing_last_superposition_gate_removes_stage():
     sim.update_state()
     ckt.remove_gate(h0)
     assert sim.graph.stages == []
+    # the index forgets what the stage registered, not what it answers now
+    assert sim.graph.num_nodes() == 0 and not any(sim.graph._writers)
 
 
 def test_remove_net_dismantles_all_its_stages():

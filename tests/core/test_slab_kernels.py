@@ -81,7 +81,7 @@ def _stage_input(rng, dim, block_size, transport, indexed):
         for store in stores + [None]
     ]
     graph = index_over(stages)
-    (sources,) = graph.plan_sources([(stages[2], stages[2].ranges)], initial)
+    (sources,), _ = graph.plan_sources([(stages[2], stages[2].ranges)], initial)
     return IndexReader(graph, initial, 2, sources), stores
 
 

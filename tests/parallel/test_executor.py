@@ -212,6 +212,25 @@ def test_executor_rejects_cyclic_graph():
         SequentialExecutor().run(g)
 
 
+@pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
+def test_executor_orders_a_graph_once_per_run(factory, monkeypatch):
+    """Cycle check and execution order come from one Kahn pass."""
+    passes = []
+    kahn = TaskGraph.topological_order
+    monkeypatch.setattr(
+        TaskGraph, "topological_order",
+        lambda self: passes.append(self.name) or kahn(self),
+    )
+    log = []
+    ex = factory()
+    try:
+        ex.run(diamond_graph(log))
+    finally:
+        ex.close()
+    assert sorted(log) == ["a", "b", "c", "d"] and log[0] == "a" and log[-1] == "d"
+    assert passes == ["diamond"]
+
+
 def test_make_executor_selects_implementation():
     assert isinstance(make_executor(1), SequentialExecutor)
     assert isinstance(make_executor(0), SequentialExecutor)

@@ -149,8 +149,38 @@ def test_telemetry_report_is_consistent_with_statistics():
         ckt.close()
 
 
+def test_plan_build_span_and_explain_report_the_same_sweep():
+    """``plan.build`` covers sweep + sources + freeze, and says what it swept."""
+    ckt, sim = build_cascade(
+        6, 12, block_size=4, num_workers=1, kernel_backend="numpy", tracing=True,
+    )
+    try:
+        sim.update_state()
+        assert "swept stages 0..13, planned 13" in sim.explain_last_update()
+        handle = [h for h in ckt.gates() if h.gate.name == "rz"][3]
+        ckt.update_gate(handle, 0.7)
+        seq = sim._gate_stage[handle.uid].seq
+        report = sim.update_state()
+        full, retune = [
+            r.attrs for r in sim.telemetry.tracer.spans() if r.name == "plan.build"
+        ]
+        assert (full["first_seq"], full["stages_swept"], full["stages"]) == (0, 13, 13)
+        # the retuned stage is where the sweep starts; every later stage is
+        # looked at, the ones sharing its blocks are planned
+        assert retune["first_seq"] == seq > 0
+        assert retune["stages_swept"] == 13 - seq
+        assert 1 <= retune["stages"] <= retune["stages_swept"]
+        assert retune["stages"] == sim.statistics()["plans_built"] - 13
+        assert 0 < retune["runs"] <= report.executed_block_writes
+        line = f"swept stages {seq}..13, planned {retune['stages']}"
+        assert line in sim.explain_last_update()
+    finally:
+        sim.close()
+
+
 def test_forked_sessions_keep_their_own_tagged_registry():
-    parent = QTask(5, num_workers=2)
+    # plan.* counters belong to the plan pipeline: pin a backend that has one
+    parent = QTask(5, num_workers=2, kernel_backend="numpy")
     net = parent.insert_net()
     for q in parent.qubits():
         parent.insert_gate("h", net, q)
@@ -177,7 +207,8 @@ def test_forked_sessions_keep_their_own_tagged_registry():
 def test_sweep_runner_merges_fleet_metrics():
     from repro.parallel.sweep import SweepRunner
 
-    ckt = QTask(5, num_workers=2)
+    # counts plan.updates_planned: pin a backend with a plan pipeline
+    ckt = QTask(5, num_workers=2, kernel_backend="numpy")
     net = ckt.insert_net()
     for q in ckt.qubits():
         ckt.insert_gate("h", net, q)

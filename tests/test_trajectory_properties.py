@@ -272,8 +272,8 @@ def test_run_shots_shares_unitary_prefix_copy_on_write():
     )
     child.simulator.reset_trajectory((1, 1), from_op=second)
     assert child.outcomes.outcome_of(second) is None
-    affected = child.simulator.graph.affected_nodes()
-    assert affected and min(n.stage.seq for n in affected) == branch_seq
+    swept = child.simulator.graph.sweep()
+    assert swept.first_seq == branch_seq == swept.stage_plans[0].stage.seq
     branched = child.update_state()
     assert branched.affected_partitions < report.affected_partitions
     assert child.outcomes.outcome_of(first) == kept == child.outcomes.get_bit(0)
