@@ -240,7 +240,7 @@ def main(argv=None):
                         help="fork fleet size (default: one per worker)")
     parser.add_argument("--kernel-backend", default=None,
                         help="kernel backend for the fleet (auto, numpy, "
-                             "numba, process, legacy); the process backend "
+                             "numba, process); the process backend "
                              "sidesteps the GIL entirely on multi-core hosts")
     parser.add_argument("--repeats", type=int, default=2,
                         help="A/B repetitions; the median speedup is reported")

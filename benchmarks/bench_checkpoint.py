@@ -47,7 +47,7 @@ from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 from repro.core.snapshot import restore_simulator, save_checkpoint
 
-#: gates of the low-qubit cascade (same family as bench_plan_batch)
+#: gates of the low-qubit cascade
 _CASCADE = ["rz", "x", "rz", "y"]
 
 

@@ -41,7 +41,7 @@ from repro.core.circuit import Circuit
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
-#: gates of the low-qubit cascade (same family as bench_plan_batch)
+#: gates of the low-qubit cascade
 _CASCADE = ["rz", "x", "rz", "y"]
 
 

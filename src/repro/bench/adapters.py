@@ -130,33 +130,13 @@ class SimulatorFactory:
         return self.builder(circuit)
 
 
-def qtask_factory(
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_workers: Optional[int] = None,
-    copy_on_write: bool = True,
-    fusion: bool = False,
-    max_fused_qubits: int = 4,
-    block_directory: bool = True,
-    observable_cache: bool = True,
-    kernel_backend: Optional[str] = None,
-    store_transport: Optional[object] = None,
-    name: str = "qTask",
-) -> SimulatorFactory:
+def qtask_factory(*, name: str = "qTask", **knobs) -> SimulatorFactory:
+    """A qTask column; ``knobs`` are the :class:`QTaskSimulator` keywords."""
+
     def build(circuit: Circuit) -> SimulatorAdapter:
-        sim = QTaskSimulator(
-            circuit,
-            block_size=block_size,
-            num_workers=num_workers,
-            copy_on_write=copy_on_write,
-            fusion=fusion,
-            max_fused_qubits=max_fused_qubits,
-            block_directory=block_directory,
-            observable_cache=observable_cache,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
+        return SimulatorAdapter(
+            name, QTaskSimulator(circuit, **knobs), incremental=True
         )
-        return SimulatorAdapter(name, sim, incremental=True)
 
     return SimulatorFactory(name=name, builder=build)
 

@@ -11,9 +11,9 @@ stage that wrote it (ultimately the |0...0> initial state).  This is the
 Two resolution strategies are provided:
 
 * :class:`StoreChain` -- the naive reference: walk an ordered sequence of
-  stores backwards until one holds the block.  O(S) per read for S stages,
-  used by tests/benchmarks as the ground truth and by the simulator's legacy
-  ``block_directory=False`` mode.
+  stores backwards until one holds the block.  O(S) per read for S stages;
+  the tests build it over a session's actual stores as the ground truth.
+  The simulator never does.
 * :class:`IndexReader` -- resolution through the partition graph's writer
   index (:mod:`repro.core.graph`), the only per-block ownership structure:
   for every block id, the seq-sorted partitions that *declare* it.  With

@@ -1,16 +1,13 @@
 """Batch-major execution plans: the dirty frontier as run tables.
 
-Prior to this module, every incremental update turned each affected
-partition into its own executor task, and each task spawned one Python
-closure per aligned block run (``Stage.block_tasks``) -- thousands of
-closures, task-graph nodes and dependency counters for a deep dirty cone,
-all dispatched under the GIL.  The plan layer describes that frontier *once*
-as a handful of batch-major structures instead:
+One executor task per affected partition and one Python closure per aligned
+block run means thousands of closures, task-graph nodes and dependency
+counters for a deep dirty cone, all dispatched under the GIL.  The plan layer
+describes that frontier *once* as a handful of batch-major structures instead:
 
 * :class:`RunSpec` -- one aligned kernel run, described as data (kind,
   amplitude range, qubit tuple, classified action / payload) rather than as
-  a closure.  Stages emit these through ``Stage.emit_runs``, the single
-  shared path behind both the legacy per-run tasks and the plan pipeline.
+  a closure.  Stages emit these through ``Stage.emit_runs``.
 * :class:`RunTable` -- the runs of one stage packed into contiguous arrays
   (``los``/``his``/``op_ids``) plus a deduplicated operation table, the
   shape a vectorised or compiled kernel backend consumes whole.
@@ -19,7 +16,7 @@ as a handful of batch-major structures instead:
   static stages (plain unitary/fused stages, whose runs depend on nothing
   drawn at execution time) the runs are emitted eagerly at plan-build time;
   dynamic and matrix--vector stages defer emission until after their
-  ``prepare`` ran, exactly like the legacy path.
+  ``prepare`` ran.
 * :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
   order by the partition graph's frontier sweep
   (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
@@ -331,7 +328,9 @@ class PlanReport:
     """
 
     backend: str
-    requested_backend: str
+    #: the session's ``kernel_backend`` knob by name; ``None`` when it named
+    #: none (``make_backend`` then chose: environment variable, else auto)
+    requested_backend: Optional[str]
     plans_built: int
     runs_batched: int
     plan_chunks: int

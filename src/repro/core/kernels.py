@@ -298,9 +298,9 @@ def execute_run(reader: StateReader, store, spec: RunSpec) -> None:
     """Execute one :class:`~repro.core.exec_plan.RunSpec` against a store.
 
     The run-granular counterpart of the plan backends below: the body of
-    the legacy per-run task path (``Stage.block_tasks`` wraps one closure
-    around each spec), of the simulator's fault fallback, and the reference
-    the batching backends must match bit for bit.
+    the base :class:`KernelBackend` loop and of the simulator's fault
+    fallback, and the reference the batching backends must match bit for
+    bit.
     """
     if faults.ACTIVE is not None:
         faults.fire("kernel.run")
@@ -1368,25 +1368,24 @@ class ProcessPoolBackend(KernelBackend):
 
 
 def available_backends() -> List[str]:
-    """Backend names constructible on this host (plus always ``legacy``)."""
-    names = ["numpy", "legacy"]
+    """Backend names constructible on this host."""
+    names = ["numpy"]
     if HAVE_NUMBA:
-        names.insert(1, "numba")
+        names.append("numba")
     if hasattr(os, "fork"):
-        names.insert(-1, "process")
+        names.append("process")
     return names
 
 
 def make_backend(
     name: Optional[str] = None, **kwargs
-) -> Tuple[Optional[KernelBackend], bool]:
+) -> Tuple[KernelBackend, bool]:
     """Resolve a backend spec to ``(backend, fell_back)``.
 
     ``None`` reads the ``QTASK_KERNEL_BACKEND`` environment variable
-    (default ``auto``).  ``auto`` picks numba when importable, else numpy.
-    ``legacy`` returns ``(None, False)`` -- the caller keeps the per-run
-    task path.  Requesting an unavailable backend (numba without the
-    package, process without fork) substitutes numpy and reports
+    (default ``auto``), the only place it is read.  ``auto`` picks numba
+    when importable, else numpy.  Requesting an unavailable backend (numba
+    without the package, process without fork) substitutes numpy and reports
     ``fell_back=True`` instead of raising, so a knob setting is portable
     across hosts.  A :class:`KernelBackend` *instance* passes through
     unchanged, so callers can inject a pre-configured backend (custom
@@ -1397,8 +1396,6 @@ def make_backend(
     if name is None:
         name = os.environ.get("QTASK_KERNEL_BACKEND", "auto")
     name = str(name).lower()
-    if name == "legacy":
-        return None, False
     if name == "auto":
         if HAVE_NUMBA:  # pragma: no cover - needs numba
             return NumbaBackend(**kwargs), False
@@ -1418,5 +1415,5 @@ def make_backend(
             return NumpyBatchBackend(), True
     raise ValueError(
         f"unknown kernel backend {name!r}; expected one of "
-        "auto/numpy/numba/process/legacy"
+        "auto/numpy/numba/process"
     )

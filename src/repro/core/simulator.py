@@ -9,10 +9,9 @@ task graph on the configured executor.  Stage inputs are resolved through
 the same writer index the sweep runs on: an update's plan reads each
 recomputed block's source store off it once (``PartitionGraph.plan_sources``,
 which also yields the task edges) and the kernels look sources up in that
-table; reads outside an update search the index as of a stage seq
-(``block_directory=False`` keeps the O(S) store-chain walk, the oracle of the
-property tests).  Partition bodies execute as batched aligned block runs
-feeding the strided kernels.
+table; reads outside an update search the index as of a stage seq.  Each
+affected stage's partitions execute as one run table handed to the kernel
+backend.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import sys
 import threading
 import time
@@ -39,16 +37,14 @@ from .faults import FaultInjected
 from .blocks import BlockRange, DEFAULT_BLOCK_SIZE, num_blocks, validate_block_size
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import OutcomeRecord
-from .cow import IndexReader, InitialStateStore, MemoryReport, StoreChain
+from .cow import IndexReader, InitialStateStore, MemoryReport
 from .exceptions import CircuitError, QTaskError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan
 from .gates import Gate, compose_actions
-from .graph import PartitionGraph, PartitionNode
+from .graph import PartitionGraph
 from .kernels import (
     HAVE_NUMBA,
     KernelBackend,
-    NumbaBackend,
-    NumpyBatchBackend,
     execute_run,
     iter_table_runs,
     make_backend,
@@ -73,7 +69,19 @@ logger = logging.getLogger(__name__)
 
 #: circuit-breaker degradation ladder, most capable first; a tripped
 #: breaker quarantines the current backend and walks one rung down
-_BACKEND_LADDER: Tuple[str, ...] = ("process", "numba", "numpy", "legacy")
+_BACKEND_LADDER: Tuple[str, ...] = ("process", "numba", "numpy")
+
+#: the constructor knobs that define a session durably: ``fork`` hands them to
+#: the child, a checkpoint header stores them and ``statistics()`` reports
+#: them.  Execution resources (executor, kernel backend, store transport) are
+#: not durable state; a fork shares them and a restore may override them.
+DURABLE_KNOBS: Tuple[str, ...] = (
+    "block_size",
+    "copy_on_write",
+    "fusion",
+    "max_fused_qubits",
+    "observable_cache",
+)
 
 #: bounded per-run re-executions inside the run-granular fallback loop
 _RUN_FAULT_RETRIES = 5
@@ -107,13 +115,6 @@ class UpdateReport:
 class QTaskSimulator(CircuitObserver):
     """Incremental task-parallel simulator attached to a circuit."""
 
-    #: set by :meth:`close`; a class default because ``fork`` and checkpoint
-    #: restore assemble sessions without ``__init__``
-    _closed = False
-    #: ``(first seq, stages swept, stages planned)`` of the last update's
-    #: frontier sweep, for :meth:`explain_last_update`
-    _last_sweep = (0, 0, 0)
-
     def __init__(
         self,
         circuit: Circuit,
@@ -124,61 +125,102 @@ class QTaskSimulator(CircuitObserver):
         copy_on_write: bool = True,
         fusion: bool = False,
         max_fused_qubits: int = 4,
-        block_directory: bool = True,
         observable_cache: bool = True,
         kernel_backend: Optional[str] = None,
         store_transport: Optional[object] = None,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
+        self._assemble(circuit, locals())  # the keywords above, by name
+        circuit.register_observer(self)
+        self._sync_existing()
+
+    def _assemble(
+        self,
+        circuit: Circuit,
+        knobs: Dict[str, object],
+        parent: Optional["QTaskSimulator"] = None,
+    ) -> None:
+        """Assign every attribute of a session, once; stages are the caller's.
+
+        The one routine behind a new session, a fork and a checkpoint
+        restore.  ``knobs`` maps ``__init__`` keywords to values: the
+        :data:`DURABLE_KNOBS` are required, an absent execution knob means
+        what ``None`` means to ``__init__``.  A fork passes itself as
+        ``parent``: the child then shares the parent's executor, kernel
+        backend and store transport unless ``knobs`` name its own, reports
+        to the parent's telemetry and starts from a clone of its outcomes.
+        """
         self.circuit = circuit
-        self.block_size = validate_block_size(block_size)
-        self.copy_on_write = bool(copy_on_write)
-        #: Resolve block reads through the partition graph's writer index
-        #: instead of the legacy O(S) store-chain walk.  ``False`` keeps the
-        #: linear chain alive as the baseline for A/B benchmarks and the
-        #: index==chain property tests; results are bit-identical.
-        self.block_directory = bool(block_directory)
+        self.block_size = validate_block_size(knobs["block_size"])
+        self.copy_on_write = bool(knobs["copy_on_write"])
         #: Fuse runs of consecutive non-superposition stages into single
         #: diagonal/monomial stages over the union qubit support.  Fusion
         #: relies on the net invariant (gates in one net are qubit-disjoint),
         #: so it is disabled for circuits built with
         #: ``allow_net_dependencies=True``, where within-net order is
         #: heuristic and fusing could reorder dependent gates.
-        self.fusion = bool(fusion) and not circuit.allow_net_dependencies
-        self.max_fused_qubits = int(max_fused_qubits)
+        self.fusion = bool(knobs["fusion"]) and not circuit.allow_net_dependencies
+        self.max_fused_qubits = int(knobs["max_fused_qubits"])
+        #: cache per-(term, block) observable partials across updates; with
+        #: ``False`` the (lazily created) observables engine recomputes every
+        #: query from the block stores (the caching-ablation baseline).
+        self.observable_cache = bool(knobs["observable_cache"])
         self.dim = 1 << circuit.num_qubits
         self.n_blocks = num_blocks(self.dim, self.block_size)
-        if executor is not None and num_workers is not None:
+
+        executor = knobs.get("executor")
+        if executor is not None and knobs.get("num_workers") is not None:
             raise CircuitError("pass either an executor or num_workers, not both")
-        self._owns_executor = executor is None
-        self.executor: Executor = executor or make_executor(num_workers)
+        if parent is None:
+            self._owns_executor = executor is None
+            self.executor: Executor = executor or make_executor(
+                knobs.get("num_workers")
+            )
+        else:  # a fork owns only an executor of its own
+            self._owns_executor = executor is not None
+            self.executor = executor or parent.executor
 
-        #: requested backend spec: "auto" | "numpy" | "numba" | "process" |
-        #: "legacy"; ``None`` defers to the ``QTASK_KERNEL_BACKEND``
-        #: environment variable (default "auto"), which is how CI runs the
-        #: whole suite under each backend without touching call sites.
-        self.kernel_backend = (
-            kernel_backend
-            if kernel_backend is not None
-            else os.environ.get("QTASK_KERNEL_BACKEND", "auto")
-        )
-        self._backend, fell_back = make_backend(self.kernel_backend)
+        #: requested backend spec ("auto" | "numpy" | "numba" | "process" or
+        #: a :class:`KernelBackend` instance); ``None`` leaves the choice to
+        #: ``make_backend`` (the ``QTASK_KERNEL_BACKEND`` environment
+        #: variable, default "auto"), which is how CI runs the whole suite
+        #: under each backend without touching call sites.  Backends are
+        #: stateless or hold a module-level worker pool, so a fork without a
+        #: spec of its own funnels its plans through the parent's.
+        spec = knobs.get("kernel_backend")
+        if spec is None and parent is not None:
+            spec = parent.kernel_backend
+            self._backend, fell_back = parent._backend, False
+        else:
+            self._backend, fell_back = make_backend(spec)
+        self.kernel_backend = spec
 
-        #: requested store transport spec: "local" | "sharded" (or a
+        #: requested store transport spec ("local" | "sharded" or a
         #: :class:`~repro.core.transport.StorageTransport` instance);
-        #: ``None`` defers to the ``QTASK_STORE_TRANSPORT`` environment
-        #: variable (default "local"), mirroring the kernel-backend knob so
-        #: CI can run the whole suite against the sharded store without
-        #: touching call sites.
-        self.store_transport = (
-            store_transport
-            if store_transport is not None
-            else os.environ.get("QTASK_STORE_TRANSPORT", "local")
-        )
-        self._store_transport, st_fell_back = make_transport(self.store_transport)
+        #: ``None`` leaves the choice to ``make_transport`` (the
+        #: ``QTASK_STORE_TRANSPORT`` environment variable, default "local").
+        #: A fork's stage stores adopt the parent's blocks by reference,
+        #: which only works when both sides resolve payloads through the
+        #: same placement (``share_from`` copies across transport
+        #: boundaries), so a fork without a spec of its own shares the
+        #: parent's transport and a fleet aliases one set of shard payloads.
+        spec = knobs.get("store_transport")
+        if spec is None and parent is not None:
+            spec = parent.store_transport
+            self._store_transport, st_fell_back = parent._store_transport, False
+        else:
+            self._store_transport, st_fell_back = make_transport(spec)
+        self.store_transport = spec
 
-        self._init_telemetry(tracing=tracing, fell_back=fell_back)
+        # A fork gets its own registry (counters start at zero) tagged with
+        # the parent session's id, so fleet aggregation can merge fork stats
+        # back instead of losing them -- see SweepRunner.merged_metrics().
+        self._init_telemetry(
+            tracing=knobs.get("tracing"),
+            parent=parent.telemetry if parent is not None else None,
+            fell_back=fell_back,
+        )
         self._init_fault_tolerance()
         self._init_store_state(fell_back=st_fell_back)
 
@@ -190,7 +232,9 @@ class QTaskSimulator(CircuitObserver):
         )
 
         #: stages of each net, in within-net order
-        self._net_stages: Dict[int, List[Stage]] = {}
+        self._net_stages: Dict[int, List[Stage]] = {
+            net.uid: [] for net in circuit.nets()
+        }
         #: the (single) matvec stage of each net, when present
         self._matvec: Dict[int, MatVecStage] = {}
         #: stage owning each gate handle
@@ -209,31 +253,35 @@ class QTaskSimulator(CircuitObserver):
         self._net_index: Optional[Dict[int, int]] = None
         self._net_uid_order: List[int] = []
 
+        #: set by :meth:`close`
+        self._closed = False
         self.last_update: UpdateReport = UpdateReport()
+        #: ``(first seq, stages swept, stages planned)`` of the last update's
+        #: frontier sweep, for :meth:`explain_last_update`
+        self._last_sweep = (0, 0, 0)
         #: completed ``update_state`` calls; with "is anything pending" this
         #: is the state epoch fork fleets use to detect a diverged base session
         self._num_updates = 0
 
         #: per-trajectory classical state: measurement outcomes, classical
         #: bits and the keyed randomness that draws collapses.  Dynamic
-        #: stages hold a reference to this record; forks clone their own.
-        self.outcomes = OutcomeRecord(circuit.num_clbits, seed=seed)
+        #: stages hold a reference to this record (the graph's insertion hook
+        #: binds it); a fork starts from a verbatim copy of its parent's, so
+        #: re-collapses stay fork-local.
+        self.outcomes = (
+            parent.outcomes.clone()
+            if parent is not None
+            else OutcomeRecord(circuit.num_clbits, seed=knobs.get("seed"))
+        )
         #: live dynamic stages, in no particular order (trajectory re-arming)
         self._dynamic_stages: Dict[int, DynamicStage] = {}
 
-        #: cache per-(term, block) observable partials across updates; with
-        #: ``False`` the (lazily created) observables engine recomputes every
-        #: query from the block stores (the caching-ablation baseline).
-        self.observable_cache = bool(observable_cache)
         #: dirty-block listeners: callables receiving the ids of every block
         #: (re)written by an update or orphaned by a stage removal.  The
         #: observables engine registers here so its per-block caches are
         #: invalidated by exactly the frontier the incremental update scopes.
         self._dirty_listeners: List[Callable[[Iterable[int]], None]] = []
         self._observables = None
-
-        circuit.register_observer(self)
-        self._sync_existing()
 
     def _init_telemetry(
         self,
@@ -409,74 +457,16 @@ class QTaskSimulator(CircuitObserver):
         circuit, gate_map, net_map = self.circuit.clone()
 
         child = QTaskSimulator.__new__(QTaskSimulator)
-        child.circuit = circuit
-        child.block_size = self.block_size
-        child.copy_on_write = self.copy_on_write
-        child.block_directory = self.block_directory
-        child.fusion = self.fusion
-        child.max_fused_qubits = self.max_fused_qubits
-        child.dim = self.dim
-        child.n_blocks = self.n_blocks
-        child._owns_executor = executor is not None
-        child.executor = executor if executor is not None else self.executor
-        # The kernel backend is shared by default (backends are stateless or
-        # hold a module-level worker pool), so a run_shots / SweepRunner
-        # fleet funnels every fork's plans through one set of workers; pass
-        # ``kernel_backend`` to give a child a different engine.
-        if kernel_backend is None:
-            child.kernel_backend = self.kernel_backend
-            child._backend = self._backend
-            fell_back = False
-        else:
-            child.kernel_backend = kernel_backend
-            child._backend, fell_back = make_backend(kernel_backend)
-        # The store transport is shared by default: the child's stage stores
-        # adopt the parent's blocks by reference, which only works when both
-        # sides resolve payloads through the same placement (share_from
-        # falls back to copying across transport boundaries).  A fleet of
-        # forks therefore aliases one set of shard payloads; pass
-        # ``store_transport`` to rehome a child explicitly.
-        if store_transport is None:
-            child.store_transport = self.store_transport
-            child._store_transport = self._store_transport
-            st_fell_back = False
-        else:
-            child.store_transport = store_transport
-            child._store_transport, st_fell_back = make_transport(store_transport)
-        # The child gets its own registry (counters start at zero) tagged
-        # with this session's id, so fleet aggregation can merge fork stats
-        # back instead of losing them -- see SweepRunner.merged_metrics().
-        child._init_telemetry(
+        knobs = {name: getattr(self, name) for name in DURABLE_KNOBS}
+        knobs.update(
+            executor=executor,
+            kernel_backend=kernel_backend,
+            store_transport=store_transport,
             tracing=self.telemetry.tracer.enabled,
-            parent=self.telemetry,
-            fell_back=fell_back,
         )
-        child._init_fault_tolerance()
-        child._init_store_state(fell_back=st_fell_back)
-        child._initial = InitialStateStore(child.dim, child.block_size)
-        child.graph = PartitionGraph(
-            BlockRange(0, child.n_blocks - 1),
-            on_stage_inserted=child._on_stage_entered,
-            on_stage_removed=child._on_stage_left,
-        )
-        child._net_stages = {net.uid: [] for net in circuit.nets()}
-        child._matvec = {}
-        child._gate_stage = {}
-        child._stage_handles = {}
-        child._stage_net = {}
+        child._assemble(circuit, knobs, parent=self)
         child._num_fused = self._num_fused
-        child._net_index = None
-        child._net_uid_order = []
-        child.last_update = UpdateReport()
         child._num_updates = self._num_updates
-        child.observable_cache = self.observable_cache
-        child._dirty_listeners = []
-        child._observables = None
-        # The child's trajectory starts as a verbatim copy of the parent's
-        # classical state; the mirror hook below rebinds every cloned
-        # dynamic stage to this record, so re-collapses stay fork-local.
-        child.outcomes = self.outcomes.clone()
-        child._dynamic_stages = {}
 
         # Mirror the parent's stages in its exact global order (seq-based
         # block resolution depends on it) together with their layout
@@ -1192,10 +1182,7 @@ class QTaskSimulator(CircuitObserver):
             [(sp.stage, sp.block_ranges) for sp in stage_plans], self._initial
         )
         for sp, sources in zip(stage_plans, tables):
-            if self.block_directory:
-                sp.reader = IndexReader(graph, self._initial, sp.stage.seq, sources)
-            else:
-                sp.reader = self._reader_asof(sp.stage.seq)
+            sp.reader = IndexReader(graph, self._initial, sp.stage.seq, sources)
             sp.freeze_static()
         return plan
 
@@ -1241,19 +1228,11 @@ class QTaskSimulator(CircuitObserver):
                     )
 
     def _reader_asof(self, before_seq: int):
-        """A view of everything written by stages before ``before_seq``.
-
-        Index mode searches the writer index per block; legacy mode builds
-        the O(S) store chain the paper's naive formulation implies.
-        """
+        """A writer-index view of everything written before ``before_seq``."""
         if self._closed:
             # close() emptied the stores: every block would resolve to |0...0>
             raise QTaskError("session is closed")
-        if self.block_directory:
-            return IndexReader(self.graph, self._initial, before_seq)
-        stores = [self._initial]
-        stores.extend(s.store for s in self.graph.stages[:before_seq])
-        return StoreChain(stores)
+        return IndexReader(self.graph, self._initial, before_seq)
 
     def _execute(self, plan: ExecutionPlan) -> int:
         if not self.copy_on_write:
@@ -1261,16 +1240,11 @@ class QTaskSimulator(CircuitObserver):
             # blocks so no stale copy can shadow the recomputation.
             for stage in self.graph.stages:
                 stage.store.clear()
-        if self._backend is not None:
-            self._execute_plan(plan)
-        else:
-            self._execute_legacy(plan)
+        self._execute_plan(plan)
         block_writes = plan.block_writes
         if not self.copy_on_write:
             block_writes += self._fill_dense_blocks(plan)
         return block_writes
-
-    # -- plan pipeline (kernel_backend != "legacy") ---------------------------
 
     def _execute_plan(self, plan: ExecutionPlan) -> None:
         """Batch-execute the plan, one executor task per affected *stage*.
@@ -1373,10 +1347,7 @@ class QTaskSimulator(CircuitObserver):
                 "run.chunk",
                 {
                     "stage": sp.stage.label(),
-                    "backend": (
-                        self._backend.name if self._backend is not None
-                        else "legacy"
-                    ),
+                    "backend": self._backend.name,
                     "runs": chunk.num_runs,
                     "amps": amps,
                 },
@@ -1406,11 +1377,6 @@ class QTaskSimulator(CircuitObserver):
 
     def _execute_chunk(self, sp: StagePlan, chunk) -> None:
         backend = self._backend
-        if backend is None:
-            # The breaker degraded this session to legacy mid-update;
-            # remaining chunks of the in-flight plan run run-granular.
-            self._run_chunk_fallback(sp, chunk)
-            return
         try:
             per_run = backend.execute_plan(sp.reader, sp.stage.store, chunk)
         except Exception as exc:
@@ -1479,10 +1445,11 @@ class QTaskSimulator(CircuitObserver):
         Quarantines the current backend for the rest of this session and
         swaps in the next constructible rung of ``_BACKEND_LADDER``; the
         transition is recorded for :meth:`plan_report`/:meth:`statistics`.
-        Returns ``False`` only from the bottom rung (legacy), which cannot
-        fail environmentally and has nowhere left to go.
+        Returns ``False`` only from the bottom rung (in-process numpy),
+        which cannot fail environmentally and has nowhere left to go; its
+        failing chunks keep falling back run-granular.
         """
-        current = self._backend.name if self._backend is not None else "legacy"
+        current = self._backend.name
         try:
             idx = _BACKEND_LADDER.index(current)
         except ValueError:
@@ -1490,12 +1457,7 @@ class QTaskSimulator(CircuitObserver):
         for name in _BACKEND_LADDER[idx + 1 :]:
             if name == "numba" and not HAVE_NUMBA:
                 continue
-            if name == "legacy":
-                self._backend = None
-            elif name == "numba":  # pragma: no cover - needs numba
-                self._backend = NumbaBackend()
-            else:
-                self._backend = NumpyBatchBackend()
+            self._backend, _ = make_backend(name)
             self._consecutive_chunk_failures = 0
             transition = {
                 "from": current,
@@ -1513,49 +1475,6 @@ class QTaskSimulator(CircuitObserver):
             )
             return True
         return False
-
-    # -- legacy per-run task path (kernel_backend == "legacy") ----------------
-
-    def _execute_legacy(self, plan: ExecutionPlan) -> None:
-        """One task per affected partition, ordered stage by stage.
-
-        A stage's partitions follow its sync barrier's ``prepare`` (when it
-        has one) and join in a placeholder tail; the plan's stage-granular
-        edges run from a predecessor's tail to the successor's first tasks.
-        """
-        graph = TaskGraph("update_state")
-        heads, tails = [], []
-        for sp in plan.stage_plans:
-            stage, reader = sp.stage, sp.reader
-            tasks = [
-                graph.emplace(
-                    self._make_partition_body(stage, reader, block_range),
-                    name=PartitionNode(stage, block_range).name,
-                )
-                for block_range in sp.block_ranges
-            ]
-            tail = graph.placeholder()
-            tail.succeed(*tasks)
-            if sp.has_sync:
-                sync = graph.emplace(
-                    self._sync_prepare_runner(stage, reader),
-                    name=self.graph.sync_node(stage).name,
-                )
-                sync.precede(*tasks)
-                tasks = [sync]
-            heads.append(tasks)
-            tails.append(tail)
-        for pred, succ in plan.edges:
-            tails[pred].precede(*heads[succ])
-        self.executor.run(graph)
-
-    def _make_partition_body(self, stage: Stage, reader, block_range: BlockRange):
-        def body():
-            # One closure per batched block run; single-run subflows are
-            # executed inline by the executors themselves.
-            return stage.block_tasks(reader, block_range)
-
-        return body
 
     def _fill_dense_blocks(self, plan: ExecutionPlan) -> int:
         """In non-COW mode every affected stage materialises its full vector.
@@ -1579,29 +1498,25 @@ class QTaskSimulator(CircuitObserver):
     # queries
     # ------------------------------------------------------------------
 
-    def _full_chain(self):
-        """A reader over the final state (all stages applied)."""
-        return self._reader_asof(sys.maxsize)
-
     def state_reader(self):
         """A block-resolving :class:`StateReader` over the final state.
 
         The reader serves the state as of the last ``update_state`` call
-        through the COW block resolution (O(1) construction in index mode),
+        through the COW block resolution (O(1) construction),
         which is how the observables engine reads amplitudes without
         materialising the full vector.
         """
-        return self._full_chain()
+        return self._reader_asof(sys.maxsize)
 
     def state(self) -> np.ndarray:
         """The full state vector after the last ``update_state`` call."""
-        return self._full_chain().full_vector()
+        return self._reader_asof(sys.maxsize).full_vector()
 
     def amplitude(self, basis_state: int) -> complex:
         if not 0 <= basis_state < self.dim:
             raise IndexError(f"basis state {basis_state} out of range")
-        chain = self._full_chain()
-        return complex(chain.read_range(basis_state, basis_state)[0])
+        reader = self._reader_asof(sys.maxsize)
+        return complex(reader.read_range(basis_state, basis_state)[0])
 
     def probabilities(self) -> np.ndarray:
         amps = self.state()
@@ -1677,16 +1592,14 @@ class QTaskSimulator(CircuitObserver):
         compiled, runs batched into them, executor-visible chunks, the
         backend that executed them and how often execution fell back (an
         unavailable requested backend at construction, or a runtime
-        failure of a failure-safe backend).  Under
-        ``kernel_backend="legacy"`` every counter stays zero and the
-        backend reads ``"legacy"``.
+        failure of a failure-safe backend).  ``requested_backend`` is
+        ``None`` when the session named none.
         """
-        backend = self._backend
         requested = self.kernel_backend
         if isinstance(requested, KernelBackend):
             requested = requested.name
         return PlanReport(
-            backend=backend.name if backend is not None else "legacy",
+            backend=self._backend.name,
             requested_backend=requested,
             plans_built=self._plans_built.value,
             runs_batched=self._runs_batched.value,
@@ -1705,24 +1618,19 @@ class QTaskSimulator(CircuitObserver):
         Combines the partition-graph shape (``num_stages``, ``num_nodes``,
         ``num_edges`` -- derived from the writer index on every call --
         and ``num_frontiers``, the stages carrying pending dirt) with the
-        configuration knobs
-        (block size/workers/COW/fusion/directory/observable cache) and the
+        configuration knobs (:data:`DURABLE_KNOBS` and the worker count) and the
         outcome of the most recent update (affected partitions, elapsed
         seconds), so benchmark rows and debugging sessions can snapshot one
         dict instead of poking internals.
         """
         stats = self.graph.stats().as_dict()
+        stats.update((name, getattr(self, name)) for name in DURABLE_KNOBS)
         stats.update(
             {
-                "block_size": self.block_size,
                 "num_updates": self._num_updates,
                 "num_workers": self.executor.num_workers,
-                "copy_on_write": self.copy_on_write,
-                "block_directory": self.block_directory,
-                "fusion": self.fusion,
                 "num_fused_stages": self._num_fused,
                 "num_dynamic_stages": self.num_dynamic_stages,
-                "observable_cache": self.observable_cache,
                 "cached_observable_partials": (
                     self._observables.cached_partials
                     if self._observables is not None
@@ -1748,8 +1656,7 @@ class QTaskSimulator(CircuitObserver):
         # attempt/respawn counters the kernel backend keeps (the process
         # backend reports shipping retries, pool respawns and timeouts).
         stats["task_retries"] = getattr(self.executor, "task_retries", 0)
-        if self._backend is not None:
-            stats.update(self._backend.backend_stats())
+        stats.update(self._backend.backend_stats())
         self._refresh_gauges(stats)
         return stats
 

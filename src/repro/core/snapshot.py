@@ -41,17 +41,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel import Executor, make_executor
-from .blocks import BlockRange, num_blocks
+from ..parallel import Executor
 from .circuit import Circuit, GateHandle
-from .classical import OutcomeRecord
-from .cow import InitialStateStore
 from .exceptions import CheckpointError
 from .gates import Gate
-from .graph import PartitionGraph
-from .kernels import KernelBackend, make_backend
 from .ops import CGate, MeasureOp, ResetOp
-from .simulator import QTaskSimulator, UpdateReport
+from .simulator import DURABLE_KNOBS, QTaskSimulator
 from .stage import (
     ClassicallyControlledStage,
     FusedUnitaryStage,
@@ -60,12 +55,7 @@ from .stage import (
     ResetStage,
     UnitaryStage,
 )
-from .transport import (
-    TransportFailure,
-    decode_block,
-    encode_block,
-    make_transport,
-)
+from .transport import TransportFailure, decode_block, encode_block
 
 __all__ = ["CHECKPOINT_MAGIC", "save_checkpoint", "restore_simulator"]
 
@@ -102,9 +92,6 @@ def _encode_op(gate) -> Dict[str, object]:
 def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarray]]:
     """The JSON header plus the block arrays, in payload order."""
     circuit = sim.circuit
-    requested = sim.kernel_backend
-    if isinstance(requested, KernelBackend):
-        requested = requested.name
 
     nets_json: List[List[Dict[str, object]]] = []
     flat_index: Dict[int, int] = {}
@@ -165,13 +152,8 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
         "registers": registers,
         "allow_net_dependencies": circuit.allow_net_dependencies,
         "knobs": {
-            "block_size": sim.block_size,
-            "copy_on_write": sim.copy_on_write,
-            "fusion": sim.fusion,
-            "max_fused_qubits": sim.max_fused_qubits,
-            "block_directory": sim.block_directory,
-            "observable_cache": sim.observable_cache,
-            "kernel_backend": requested,
+            **{name: getattr(sim, name) for name in DURABLE_KNOBS},
+            "kernel_backend": sim.plan_report().requested_backend,
             "store_transport": sim._store_transport.name,
         },
         "num_updates": sim._num_updates,
@@ -356,64 +338,34 @@ def restore_simulator(
     """
     t0 = time.perf_counter()
     header, payload = _read_file(path)
-    knobs = header["knobs"]
     circuit, handles = _rebuild_circuit(header)
-
-    sim = QTaskSimulator.__new__(QTaskSimulator)
-    sim.circuit = circuit
-    sim.block_size = int(knobs["block_size"])
-    sim.copy_on_write = bool(knobs["copy_on_write"])
-    sim.block_directory = bool(knobs["block_directory"])
-    sim.fusion = bool(knobs["fusion"])
-    sim.max_fused_qubits = int(knobs["max_fused_qubits"])
-    sim.dim = 1 << circuit.num_qubits
-    sim.n_blocks = num_blocks(sim.dim, sim.block_size)
-    sim._owns_executor = executor is None
-    sim.executor = executor if executor is not None else make_executor(num_workers)
-    sim.kernel_backend = (
-        kernel_backend if kernel_backend is not None else knobs["kernel_backend"]
-    )
-    sim._backend, fell_back = make_backend(sim.kernel_backend)
-    # Placement is execution-layer state like the executor: the restored
-    # session re-ships its loaded blocks through whichever transport it is
-    # given (override) or the checkpointed spec.  Old checkpoints predate
-    # the knob and restore as local.
-    sim.store_transport = (
-        store_transport
-        if store_transport is not None
-        else knobs.get("store_transport", "local")
-    )
-    sim._store_transport, st_fell_back = make_transport(sim.store_transport)
-    sim._init_telemetry(fell_back=fell_back)
-    sim._init_fault_tolerance()
-    sim._init_store_state(fell_back=st_fell_back)
-
-    sim._initial = InitialStateStore(sim.dim, sim.block_size)
-    sim.graph = PartitionGraph(
-        BlockRange(0, sim.n_blocks - 1),
-        on_stage_inserted=sim._on_stage_entered,
-        on_stage_removed=sim._on_stage_left,
-    )
-    sim._net_stages = {net.uid: [] for net in circuit.nets()}
-    sim._matvec = {}
-    sim._gate_stage = {}
-    sim._stage_handles = {}
-    sim._stage_net = {}
-    sim._num_fused = 0
-    sim._net_index = None
-    sim._net_uid_order = []
-    sim.last_update = UpdateReport()
-    sim._num_updates = 0
-    sim.observable_cache = bool(knobs["observable_cache"])
-    sim._dirty_listeners = []
-    sim._observables = None
-
     rec = header["outcomes"]
-    sim.outcomes = OutcomeRecord(int(rec["num_bits"]), seed=int(rec["seed"]))
+    # The durable knobs come from the header; whatever else an older file
+    # lists there (knobs since deleted, whose settings read bit-identically)
+    # is ignored.  Execution resources are not durable state: an override
+    # wins, else the checkpointed spec -- absent in files that predate the
+    # store-transport knob, and a checkpointed ``"legacy"`` backend (a path
+    # this version no longer has) restores as the default spec.
+    saved = header["knobs"]
+    knobs = {name: saved[name] for name in DURABLE_KNOBS}
+    backend = kernel_backend
+    if backend is None and saved["kernel_backend"] != "legacy":
+        backend = saved["kernel_backend"]
+    transport = store_transport
+    if transport is None:
+        transport = saved.get("store_transport")
+    knobs.update(
+        executor=executor,
+        num_workers=num_workers,
+        kernel_backend=backend,
+        store_transport=transport,
+        seed=int(rec["seed"]),
+    )
+    sim = QTaskSimulator.__new__(QTaskSimulator)
+    sim._assemble(circuit, knobs)
     sim.outcomes._bits = {int(b): int(v) for b, v in rec["bits"]}
     sim.outcomes._op_outcomes = {int(i): int(v) for i, v in rec["ops"]}
     sim.outcomes._forced = {int(i): int(v) for i, v in rec["forced"]}
-    sim._dynamic_stages = {}
 
     # Rebuild the stage table in the checkpointed global order.  Each
     # insert_stage call records the stage's layout and lists it in the

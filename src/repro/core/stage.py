@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,12 +36,7 @@ from .exec_plan import (
     RunTable,
 )
 from .gates import Action, Gate, MatVecAction, classify_matrix, fuse_gate_actions
-from .kernels import (
-    StateReader,
-    apply_gate_dense,
-    execute_run,
-    measured_masses,
-)
+from .kernels import StateReader, apply_gate_dense, measured_masses
 from .ops import CGate
 from .partition import (
     PartitionLayout,
@@ -178,9 +173,7 @@ class Stage:
     def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
         """The kernel runs recomputing one partition, as data.
 
-        This is the single shared path behind both execution modes: the
-        legacy per-run task path wraps each spec in a closure
-        (:meth:`block_tasks`), and the plan pipeline packs them into a
+        The plan pipeline packs them into a
         :class:`~repro.core.exec_plan.RunTable` for a kernel backend.
         """
         raise NotImplementedError
@@ -192,18 +185,8 @@ class Stage:
             runs.extend(self.emit_runs(block_range))
         return RunTable.from_runs(runs)
 
-    def block_tasks(
-        self, reader: StateReader, block_range: BlockRange
-    ) -> List[Callable[[], None]]:
-        """Callables that compute and store the blocks of one partition."""
-        store = self.store
-        return [
-            (lambda spec=spec: execute_run(reader, store, spec))
-            for spec in self.emit_runs(block_range)
-        ]
-
     def prepare(self, reader: StateReader) -> None:
-        """Hook executed once per update before the stage's block tasks."""
+        """Hook executed once per update before the stage's runs."""
 
     def clone_for_fork(self) -> "Stage":
         """A fresh stage applying the same gates with an *empty* store.

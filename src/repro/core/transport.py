@@ -645,12 +645,12 @@ class ShardedTransport(StorageTransport):
 def make_transport(spec=None) -> Tuple[StorageTransport, bool]:
     """Resolve a transport spec to ``(transport, fell_back)``.
 
-    ``None`` reads ``QTASK_STORE_TRANSPORT`` (default ``local``).  A
-    :class:`StorageTransport` *instance* passes through unchanged so callers
-    can inject a pre-configured transport (custom shard count) or share one
-    across sessions.  Requesting ``sharded`` on a host without ``fork``
-    substitutes local and reports ``fell_back=True`` -- knob settings stay
-    portable, matching ``make_backend``.
+    ``None`` reads ``QTASK_STORE_TRANSPORT`` (default ``local``), the only
+    place it is read.  A :class:`StorageTransport` *instance* passes through
+    unchanged so callers can inject a pre-configured transport (custom shard
+    count) or share one across sessions.  Requesting ``sharded`` on a host
+    without ``fork`` substitutes local and reports ``fell_back=True`` -- knob
+    settings stay portable, matching ``make_backend``.
     """
     if isinstance(spec, StorageTransport):
         return spec, False

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
-from .core.blocks import DEFAULT_BLOCK_SIZE
 from .core.circuit import Circuit, GateHandle, NetHandle
 from .core.classical import ClassicalRegister, OutcomeRecord
 from .core.cow import MemoryReport
@@ -41,40 +40,12 @@ __all__ = ["QTask"]
 class QTask:
     """Incremental quantum circuit simulator with the paper's API surface."""
 
-    def __init__(
-        self,
-        num_qubits: int,
-        *,
-        num_clbits: int = 0,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        num_workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
-        copy_on_write: bool = True,
-        fusion: bool = False,
-        max_fused_qubits: int = 4,
-        block_directory: bool = True,
-        observable_cache: bool = True,
-        kernel_backend: Optional[str] = None,
-        store_transport: Optional[object] = None,
-        seed: Optional[int] = None,
-        tracing: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, num_qubits: int, *, num_clbits: int = 0, **knobs) -> None:
+        """A fresh session; ``knobs`` are the
+        :class:`~repro.core.simulator.QTaskSimulator` keywords (``block_size``,
+        ``num_workers``, ``fusion``, ``kernel_backend``, ``seed``, ...)."""
         self.circuit = Circuit(num_qubits, num_clbits=num_clbits)
-        self.simulator = QTaskSimulator(
-            self.circuit,
-            block_size=block_size,
-            num_workers=num_workers,
-            executor=executor,
-            copy_on_write=copy_on_write,
-            fusion=fusion,
-            max_fused_qubits=max_fused_qubits,
-            block_directory=block_directory,
-            observable_cache=observable_cache,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
-            seed=seed,
-            tracing=tracing,
-        )
+        self.simulator = QTaskSimulator(self.circuit, **knobs)
         #: parent handle uid -> this session's handle (forked sessions only)
         self._fork_gate_map: Optional[Dict[int, GateHandle]] = None
 
@@ -552,8 +523,7 @@ class QTask:
         plans compiled across every update so far, the kernel runs batched
         into them, the executor-visible chunks they were split into, the
         backend that executed them and any fallbacks -- ``runs_per_plan``
-        is the dispatch work one executor task absorbs compared to the
-        legacy one-task-per-partition path.
+        is the dispatch work one executor task absorbs.
         """
         return self.simulator.plan_report()
 
@@ -561,8 +531,8 @@ class QTask:
         """A flat dict snapshot of the simulator's incremental state.
 
         Includes the partition-graph shape (stages/nodes/edges/frontiers),
-        every configuration knob (block size, workers, COW, fusion, block
-        directory, observable cache, kernel backend) and the last update's
+        every configuration knob (block size, workers, COW, fusion,
+        observable cache, kernel backend) and the last update's
         outcome plus the plan-pipeline counters -- the record benchmarks
         and bug reports attach to a run.
         """

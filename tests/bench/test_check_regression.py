@@ -28,71 +28,69 @@ checker = _load_checker()
 
 
 @pytest.fixture()
-def chain_entry():
+def entry():
     manifest = checker.load_manifest(
         os.path.join(REPO_ROOT, "benchmarks", "manifest.json")
     )
     by_name = {e["name"]: e for e in manifest["benchmarks"]}
-    return by_name["chain_depth"]
+    return by_name["checkpoint"]
 
 
 @pytest.fixture()
 def baseline():
-    with open(os.path.join(REPO_ROOT, "BENCH_chain_depth.json")) as fh:
+    with open(os.path.join(REPO_ROOT, "BENCH_checkpoint.json")) as fh:
         return json.load(fh)
 
 
 class TestCompareEntry:
-    def test_identical_json_passes(self, chain_entry, baseline):
-        assert checker.compare_entry(chain_entry, baseline, dict(baseline)) == []
+    def test_identical_json_passes(self, entry, baseline):
+        assert checker.compare_entry(entry, baseline, dict(baseline)) == []
 
-    def test_failed_correctness_gate_trips(self, chain_entry, baseline):
+    def test_failed_correctness_gate_trips(self, entry, baseline):
         fresh = dict(baseline)
         fresh["passed"] = False
-        failures = checker.compare_entry(chain_entry, baseline, fresh)
+        failures = checker.compare_entry(entry, baseline, fresh)
         assert any("correctness gate" in f for f in failures)
 
-    def test_accuracy_regression_trips(self, chain_entry, baseline):
+    def test_accuracy_regression_trips(self, entry, baseline):
         fresh = dict(baseline)
-        fresh["amplitude_max_abs_diff"] = 1e-6  # way above the 1e-9 floor
-        failures = checker.compare_entry(chain_entry, baseline, fresh)
-        assert any("amplitude_max_abs_diff" in f for f in failures)
+        fresh["state_max_abs_diff"] = 1e-6  # way above the 1e-9 floor
+        failures = checker.compare_entry(entry, baseline, fresh)
+        assert any("state_max_abs_diff" in f for f in failures)
 
-    def test_small_jitter_under_floor_passes(self, chain_entry, baseline):
+    def test_small_jitter_under_floor_passes(self, entry, baseline):
         fresh = dict(baseline)
-        fresh["amplitude_max_abs_diff"] = 5e-10  # below the absolute floor
-        assert checker.compare_entry(chain_entry, baseline, fresh) == []
+        fresh["state_max_abs_diff"] = 5e-10  # below the absolute floor
+        assert checker.compare_entry(entry, baseline, fresh) == []
 
-    def test_thirty_percent_tolerance(self, chain_entry):
-        base = {"passed": True, "amplitude_max_abs_diff": 1e-7,
-                "state_max_abs_diff": 0.0}
-        ok = dict(base, amplitude_max_abs_diff=1.2e-7)       # +20%: fine
-        bad = dict(base, amplitude_max_abs_diff=1.4e-7)      # +40%: regression
-        assert checker.compare_entry(chain_entry, base, ok) == []
-        failures = checker.compare_entry(chain_entry, base, bad)
+    def test_thirty_percent_tolerance(self, entry):
+        base = {"passed": True, "state_max_abs_diff": 1e-7}
+        ok = dict(base, state_max_abs_diff=1.2e-7)       # +20%: fine
+        bad = dict(base, state_max_abs_diff=1.4e-7)      # +40%: regression
+        assert checker.compare_entry(entry, base, ok) == []
+        failures = checker.compare_entry(entry, base, bad)
         assert len(failures) == 1
 
-    def test_missing_metric_trips(self, chain_entry, baseline):
+    def test_missing_metric_trips(self, entry, baseline):
         fresh = dict(baseline)
         del fresh["state_max_abs_diff"]
-        failures = checker.compare_entry(chain_entry, baseline, fresh)
+        failures = checker.compare_entry(entry, baseline, fresh)
         assert any(
             "missing accuracy metric" in f and "state_max_abs_diff" in f
             for f in failures
         )
 
-    def test_no_baseline_gates_on_floor(self, chain_entry):
-        fresh = {"passed": True, "amplitude_max_abs_diff": 0.0,
-                 "state_max_abs_diff": 2e-9}
-        failures = checker.compare_entry(chain_entry, None, fresh)
+    def test_no_baseline_gates_on_floor(self, entry):
+        fresh = {"passed": True, "state_max_abs_diff": 2e-9}
+        failures = checker.compare_entry(entry, None, fresh)
         assert any("state_max_abs_diff" in f for f in failures)
 
-    def test_wallclock_is_informational(self, chain_entry, baseline):
+    def test_wallclock_is_informational(self, entry, baseline):
         fresh = dict(baseline)
-        fresh["speedup"] = 0.01  # catastrophic slowdown: still not a gate
-        assert checker.compare_entry(chain_entry, baseline, fresh) == []
-        lines = checker.wallclock_report(chain_entry, baseline, fresh)
-        assert any("speedup" in line for line in lines)
+        fresh["speedup_restore_vs_resim"] = 0.01  # catastrophic: still not a gate
+        assert checker.compare_entry(entry, baseline, fresh) == []
+        lines = checker.wallclock_report(entry, baseline, fresh)
+        assert any("speedup_restore_vs_resim" in line for line in lines)
 
 
 class TestMainExitCodes:
@@ -103,15 +101,15 @@ class TestMainExitCodes:
 
     def test_degraded_json_exits_nonzero(self, tmp_path, baseline):
         degraded = dict(baseline)
-        degraded["amplitude_max_abs_diff"] = 1e-3
+        degraded["state_max_abs_diff"] = 1e-3
         degraded["passed"] = False
         fresh = self._write(tmp_path, degraded)
-        rc = checker.main(["--only", "chain_depth", "--fresh", f"chain_depth={fresh}"])
+        rc = checker.main(["--only", "checkpoint", "--fresh", f"checkpoint={fresh}"])
         assert rc == 1
 
     def test_faithful_json_exits_zero(self, tmp_path, baseline):
         fresh = self._write(tmp_path, dict(baseline))
-        rc = checker.main(["--only", "chain_depth", "--fresh", f"chain_depth={fresh}"])
+        rc = checker.main(["--only", "checkpoint", "--fresh", f"checkpoint={fresh}"])
         assert rc == 0
 
     def test_informational_never_fails(self, tmp_path, baseline):
@@ -119,15 +117,15 @@ class TestMainExitCodes:
         degraded["passed"] = False
         fresh = self._write(tmp_path, degraded)
         rc = checker.main([
-            "--only", "chain_depth", "--fresh", f"chain_depth={fresh}",
+            "--only", "checkpoint", "--fresh", f"checkpoint={fresh}",
             "--informational",
         ])
         assert rc == 0
 
     def test_missing_fresh_file_fails(self, tmp_path):
         rc = checker.main([
-            "--only", "chain_depth",
-            "--fresh", f"chain_depth={tmp_path}/does_not_exist.json",
+            "--only", "checkpoint",
+            "--fresh", f"checkpoint={tmp_path}/does_not_exist.json",
         ])
         assert rc == 1
 
@@ -148,16 +146,12 @@ class TestManifest:
         manifest = checker.load_manifest(
             os.path.join(REPO_ROOT, "benchmarks", "manifest.json")
         )
-        # plan_batch keeps its speedup gate ARMED in CI: it A/Bs dispatch
-        # overhead within one process on one host, so unlike cross-host
-        # wall-clock comparisons it is robust to runner noise, and the plan
-        # pipeline's whole reason to exist is that threshold.  telemetry
-        # gates on an overhead *ceiling* (same one-host robustness) and
-        # shard_scale on the exactness of the per-shard memory split, and
-        # service on exact counts parity (counts_mismatch_fraction == 0)
-        # with latency/throughput purely informational, so none of those
-        # has a --min-speedup knob at all.
-        armed = {"plan_batch": "1.5"}
+        # telemetry gates on an overhead *ceiling* (an A/B within one
+        # process on one host, robust to runner noise), shard_scale on the
+        # exactness of the per-shard memory split, and service on exact
+        # counts parity (counts_mismatch_fraction == 0) with
+        # latency/throughput purely informational, so none of those has a
+        # --min-speedup knob at all.
         for entry in manifest["benchmarks"]:
             assert os.path.exists(os.path.join(REPO_ROOT, entry["script"]))
             args = entry.get("args", [])
@@ -172,6 +166,5 @@ class TestManifest:
             else:
                 # min-speedup 0 makes the benchmark's `passed` accuracy-only
                 assert "--min-speedup" in args
-                expected = armed.get(entry["name"], "0")
-                assert args[args.index("--min-speedup") + 1] == expected
+                assert args[args.index("--min-speedup") + 1] == "0"
             assert entry.get("accuracy_metrics"), entry["name"]

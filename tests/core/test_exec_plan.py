@@ -94,7 +94,7 @@ def _simulator(levels, num_qubits=4, **kwargs):
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
     kwargs.setdefault("block_size", 4)
-    kwargs.setdefault("kernel_backend", "legacy")
+    kwargs.setdefault("kernel_backend", "numpy")
     return QTaskSimulator(circuit, **kwargs)
 
 
@@ -243,5 +243,5 @@ class TestPlanReport:
         assert report.as_dict()["runs_per_plan"] == 10.0
 
     def test_zero_plans_zero_ratio(self):
-        report = PlanReport("legacy", "legacy", 0, 0, 0, 0, 0)
+        report = PlanReport("numpy", "numpy", 0, 0, 0, 0, 0)
         assert report.runs_per_plan == 0.0

@@ -59,26 +59,28 @@ def _build_sim(num_qubits, levels, *, kernel_backend, num_workers=2, **knobs):
     )
 
 
+# Factories for the ``kernel_backend=`` knob.  The first leg is the
+# run-granular reference loop (the base ``KernelBackend``, every run through
+# ``execute_run``) under the id the test floor pins for the deleted per-run
+# path it replaces.
 CHAOS_BACKENDS = [
-    pytest.param("legacy", id="legacy"),
-    pytest.param("numpy", id="numpy"),
+    pytest.param(KernelBackend, id="legacy"),
+    pytest.param(lambda: "numpy", id="numpy"),
     pytest.param(
-        "numba",
+        NumbaBackend,
         id="numba",
         marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
     ),
-    pytest.param("process", id="process", marks=needs_fork),
-]
-
-
-def _chaos_backend(spec):
-    if spec == "process":
+    pytest.param(
         # no ship threshold so the fork/SharedMemory path runs even for
         # these tiny states; short backoff keeps retries cheap
-        return ProcessPoolBackend(num_workers=2, min_ship_amps=0, retry_backoff=0.01)
-    if spec == "numba":  # pragma: no cover - needs numba
-        return NumbaBackend()
-    return spec
+        lambda: ProcessPoolBackend(
+            num_workers=2, min_ship_amps=0, retry_backoff=0.01
+        ),
+        id="process",
+        marks=needs_fork,
+    ),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_chaos_parity_against_dense(backend):
     rng = random.Random(20260807)
     levels = random_levels(rng, num_qubits, 6)
     sim = _build_sim(
-        num_qubits, levels, kernel_backend=_chaos_backend(backend), block_size=4
+        num_qubits, levels, kernel_backend=backend(), block_size=4
     )
     plan = FaultPlan(
         seed=1, probability=0.05, probabilities={"pool.worker.kill": 0.0}
@@ -337,7 +339,7 @@ def test_breaker_degrades_persistently_failing_backend():
         transitions = stats["backend_transitions"]
         assert transitions, "breaker never tripped"
         assert transitions[0]["from"] == "broken"
-        assert transitions[0]["to"] in ("numba", "numpy", "legacy")
+        assert transitions[0]["to"] in ("numba", "numpy")
         assert "OSError" in transitions[0]["reason"]
         assert stats["backend_fallbacks"] >= sim.breaker_threshold
         assert broken.attempts >= sim.breaker_threshold

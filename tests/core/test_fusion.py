@@ -14,7 +14,7 @@ from repro.core.gates import (
     embed_gate_matrix,
     fuse_gate_actions,
 )
-from repro.core.kernels import ArrayReader, apply_action_range
+from repro.core.kernels import ArrayReader, apply_action_range, execute_run
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import FusedUnitaryStage
 
@@ -122,8 +122,8 @@ def test_fuse_gate_actions_random_runs(rng):
 def run_stage(stage, reader):
     stage.prepare(reader)
     for spec in stage.partition_specs():
-        for task in stage.block_tasks(reader, spec.block_range):
-            task()
+        for run in stage.emit_runs(spec.block_range):
+            execute_run(reader, stage.store, run)
 
 
 def test_fused_stage_matches_dense(np_rng):

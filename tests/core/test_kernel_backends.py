@@ -53,10 +53,13 @@ class TestMakeBackend:
         assert isinstance(backend, NumpyBatchBackend)
         assert not fell_back
 
-    def test_legacy_is_none(self):
-        backend, fell_back = make_backend("legacy")
-        assert backend is None
-        assert not fell_back
+    def test_legacy_is_rejected(self, monkeypatch):
+        """Knob and env both raise the error naming the four valid specs."""
+        with pytest.raises(ValueError, match="auto/numpy/numba/process$"):
+            _simulator([[Gate("h", (0,))]], kernel_backend="legacy")
+        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "legacy")
+        with pytest.raises(ValueError, match="auto/numpy/numba/process$"):
+            _simulator([[Gate("h", (0,))]])
 
     def test_auto_never_falls_back(self):
         backend, fell_back = make_backend("auto")
@@ -77,24 +80,25 @@ class TestMakeBackend:
         assert fell_back
 
     def test_env_var_drives_default(self, monkeypatch):
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "legacy")
-        sim = _simulator([[Gate("h", (0,))]])
-        assert sim.kernel_backend == "legacy"
-        assert sim._backend is None
         monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")
+        sim = _simulator([[Gate("h", (0,))]])
+        assert sim.kernel_backend is None  # the session named no spec
+        assert sim._backend.name == "numpy"
+        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numba")
         sim2 = _simulator([[Gate("h", (0,))]])
-        assert sim2._backend is not None
-        assert sim2._backend.name == "numpy"
+        assert sim2._backend.name == ("numba" if HAVE_NUMBA else "numpy")
+        assert sim2.plan_report().backend_fallbacks == (0 if HAVE_NUMBA else 1)
 
     def test_explicit_knob_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")
-        sim = _simulator([[Gate("h", (0,))]], kernel_backend="legacy")
-        assert sim._backend is None
+        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "cuda")  # never read
+        sim = _simulator([[Gate("h", (0,))]], kernel_backend="numpy")
+        assert sim._backend.name == "numpy"
+        assert sim.plan_report().requested_backend == "numpy"
 
     def test_available_backends_contents(self):
         names = available_backends()
         assert "numpy" in names
-        assert "legacy" in names
+        assert "legacy" not in names
         assert ("numba" in names) == HAVE_NUMBA
         assert ("process" in names) == hasattr(os, "fork")
 
@@ -126,10 +130,10 @@ class TestNumbaBackend:
             NumbaBackend()
 
     def test_interpreted_kernels_match_legacy(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
-        sim._backend = NumbaBackend(jit=False)
+        """... the run-granular reference loop (the base ``KernelBackend``)."""
+        sim = _simulator(_mixed_levels(), kernel_backend=NumbaBackend(jit=False))
         sim.update_state()
-        ref = _simulator(_mixed_levels(), kernel_backend="legacy")
+        ref = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
         ref.update_state()
         np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
 
@@ -149,28 +153,28 @@ class TestProcessPoolBackend:
     def test_forced_shipping_matches_legacy(self):
         # local store transport: remote-backed stores deliberately bypass
         # SharedMemory shipping, and shipping is what this test forces
+        # ("legacy": the run-granular reference loop)
         sim = _simulator(
-            _mixed_levels(), kernel_backend="legacy", store_transport="local"
+            _mixed_levels(),
+            kernel_backend=ProcessPoolBackend(num_workers=2, min_ship_amps=0),
+            store_transport="local",
         )
-        sim._backend = ProcessPoolBackend(num_workers=2, min_ship_amps=0)
         sim.update_state()
         assert sim._backend.shipped_runs > 0
-        ref = _simulator(_mixed_levels(), kernel_backend="legacy")
+        ref = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
         ref.update_state()
         np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
 
     def test_small_tables_stay_in_parent(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
         backend = ProcessPoolBackend(num_workers=2)  # default threshold
-        sim._backend = backend
+        sim = _simulator(_mixed_levels(), kernel_backend=backend)
         sim.update_state()
         # every table here is far below min_ship_amps: nothing crosses
         assert backend.shipped_runs == 0
 
     def test_single_worker_never_ships(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
         backend = ProcessPoolBackend(num_workers=1, min_ship_amps=0)
-        sim._backend = backend
+        sim = _simulator(_mixed_levels(), kernel_backend=backend)
         sim.update_state()
         assert backend.shipped_runs == 0
 
@@ -202,17 +206,15 @@ class _FragileBackend(KernelBackend):
 
 class TestFailureSafety:
     def test_failure_safe_backend_falls_back_per_run(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
-        sim._backend = _ExplodingBackend()
+        sim = _simulator(_mixed_levels(), kernel_backend=_ExplodingBackend())
         sim.update_state()
-        ref = _simulator(_mixed_levels(), kernel_backend="legacy")
+        ref = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
         ref.update_state()
         np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
         assert sim.plan_report().backend_fallbacks > 0
 
     def test_non_failure_safe_backend_propagates(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
-        sim._backend = _FragileBackend()
+        sim = _simulator(_mixed_levels(), kernel_backend=_FragileBackend())
         with pytest.raises(RuntimeError, match="boom"):
             sim.update_state()
 
@@ -245,18 +247,11 @@ class TestPlanStatistics:
             assert key in stats
         assert stats["backend"] == "numpy"
 
-    def test_legacy_backend_reports_zero_plans(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
-        sim.update_state()
-        report = sim.plan_report()
-        assert report.backend == "legacy"
-        assert report.plans_built == 0
-
     def test_fork_inherits_backend(self):
         sim = _simulator(_mixed_levels(), kernel_backend="numpy")
         sim.update_state()
         child = sim.fork()
         assert child._backend is sim._backend
         assert child.plan_report().updates_planned == 0
-        child2 = sim.fork(kernel_backend="legacy")
-        assert child2._backend is None
+        child2 = sim.fork(kernel_backend=KernelBackend())
+        assert child2.plan_report().backend == "base"

@@ -452,12 +452,11 @@ def _check_sessions_agree(seed, **knobs):
     seed=st.integers(0, 10**6),
     block_size=st.sampled_from([2, 4, 16]),
     num_workers=st.sampled_from([1, 4]),
-    block_directory=st.booleans(),
     fusion=st.booleans(),
 )
 @settings(max_examples=25, **SETTINGS)
 def test_sessions_agree_with_the_per_run_reference_backend(
-    seed, block_size, num_workers, block_directory, fusion
+    seed, block_size, num_workers, fusion
 ):
     """Runs under whatever transport / fault plan the environment set
     (``QTASK_STORE_TRANSPORT``, ``QTASK_FAULT_P``): recovery re-executes
@@ -466,15 +465,14 @@ def test_sessions_agree_with_the_per_run_reference_backend(
         seed,
         block_size=block_size,
         num_workers=num_workers,
-        block_directory=block_directory,
         fusion=fusion,
     )
 
 
-@pytest.mark.parametrize("block_directory", [True, False])
+@pytest.mark.parametrize("fusion", [True, False])
 @pytest.mark.parametrize("num_workers", [1, 4])
 def test_dense_mode_sessions_agree_with_the_reference_backend(
-    no_plan, block_directory, num_workers
+    no_plan, fusion, num_workers
 ):
     # copy_on_write=False publishes every block of every stage one by one
     # after the kernels ran; at chaos-mode rates that alone exhausts the
@@ -483,7 +481,7 @@ def test_dense_mode_sessions_agree_with_the_reference_backend(
         20260927,
         block_size=4,
         num_workers=num_workers,
-        block_directory=block_directory,
+        fusion=fusion,
         copy_on_write=False,
     )
 

@@ -27,7 +27,8 @@ import pytest
 from repro import CheckpointError, QTask
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.simulator import QTaskSimulator
+from repro.core.kernels import KernelBackend
+from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator
 from repro.core.snapshot import (
     CHECKPOINT_MAGIC,
     restore_simulator,
@@ -49,27 +50,14 @@ def _fill_session(session: QTask, levels) -> None:
     session.circuit.from_levels(levels)
 
 
+# the ids are the ones the test floor pins: "chain" marked the corners that
+# also turned the since-deleted store-chain knob off
 KNOB_COMBOS = [
-    pytest.param(
-        dict(block_size=4),
-        id="defaults-bs4",
-    ),
-    pytest.param(
-        dict(block_size=4, fusion=True),
-        id="fusion-bs4",
-    ),
-    pytest.param(
-        dict(block_size=8, block_directory=False),
-        id="chain-bs8",
-    ),
-    pytest.param(
-        dict(block_size=4, copy_on_write=False),
-        id="dense-bs4",
-    ),
-    pytest.param(
-        dict(block_size=16, fusion=True, block_directory=False),
-        id="fusion-chain-bs16",
-    ),
+    pytest.param(dict(block_size=4), id="defaults-bs4"),
+    pytest.param(dict(block_size=4, fusion=True), id="fusion-bs4"),
+    pytest.param(dict(block_size=8), id="chain-bs8"),
+    pytest.param(dict(block_size=4, copy_on_write=False), id="dense-bs4"),
+    pytest.param(dict(block_size=16, fusion=True), id="fusion-chain-bs16"),
 ]
 
 
@@ -220,9 +208,9 @@ def test_restore_kernel_backend_override(tmp_path):
         s.update_state()
         s.checkpoint(path)
 
-    restored = QTask.restore(path, num_workers=1, kernel_backend="legacy")
+    restored = QTask.restore(path, num_workers=1, kernel_backend=KernelBackend())
     try:
-        assert restored.statistics()["backend"] == "legacy"
+        assert restored.statistics()["backend"] == "base"
         net = restored.insert_net()
         restored.insert_gate("cx", net, 0, num_qubits - 1)
         restored.update_state()
@@ -252,6 +240,31 @@ def test_direct_simulator_round_trip(tmp_path):
         np.testing.assert_array_equal(restored.state(), expected)
     finally:
         restored.close()
+
+
+def test_new_forked_and_restored_sessions_are_assembled_alike(tmp_path):
+    """One assembler: a fresh session, its fork and its restore carry the same
+    instance attributes and the same durable-knob values."""
+    knobs = dict(fusion=True, copy_on_write=False, observable_cache=False,
+                 block_size=4)
+    circuit = Circuit(5)
+    circuit.from_levels(random_levels(random.Random(36), 5, 4))
+    fresh = QTaskSimulator(circuit, num_workers=1, **knobs)
+    fresh.update_state()
+    fork = fresh.fork()
+    restored = restore_simulator(
+        save_checkpoint(fresh, str(tmp_path / "sim.qtckpt")), num_workers=1
+    )
+    try:
+        assert set(vars(fork)) - {"forked_gate_map"} == set(vars(fresh))
+        assert set(vars(restored)) == set(vars(fresh))
+        for sim in (fresh, fork, restored):
+            assert {name: getattr(sim, name) for name in DURABLE_KNOBS} == dict(
+                knobs, max_fused_qubits=4
+            )
+    finally:
+        for sim in (fork, restored, fresh):
+            sim.close()
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +350,13 @@ def test_truncated_header_raises_checkpoint_error(tmp_path):
         QTask.restore(path)
 
 
-def test_unknown_version_raises_checkpoint_error(tmp_path):
-    path, _ = _checkpointed_session(tmp_path)
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of a checkpoint file, in place."""
     raw = open(path, "rb").read()
     offset = len(CHECKPOINT_MAGIC)
     (header_len,) = struct.unpack_from("<Q", raw, offset)
     header = json.loads(raw[offset + 8 : offset + 8 + header_len].decode("utf-8"))
-    header["version"] = 999
+    edit(header)
     new_header = json.dumps(header).encode("utf-8")
     patched = (
         raw[:offset]
@@ -352,8 +365,36 @@ def test_unknown_version_raises_checkpoint_error(tmp_path):
         + raw[offset + 8 + header_len :]
     )
     open(path, "wb").write(patched)
+
+
+def test_unknown_version_raises_checkpoint_error(tmp_path):
+    path, _ = _checkpointed_session(tmp_path)
+    _rewrite_header(path, lambda header: header.update(version=999))
     with pytest.raises(CheckpointError, match="version"):
         QTask.restore(path)
+
+
+def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
+    """A version-1 file written when ``block_directory`` and the ``legacy``
+    backend existed: the key is ignored, the backend is the default spec."""
+    path, state = _checkpointed_session(tmp_path)
+    _rewrite_header(
+        path,
+        lambda header: header["knobs"].update(
+            block_directory=False, kernel_backend="legacy"
+        ),
+    )
+    restored = QTask.restore(path, num_workers=1)
+    try:
+        np.testing.assert_array_equal(restored.state(), state)
+        assert restored.simulator.kernel_backend is None
+        net = restored.insert_net()
+        restored.insert_gate("cx", net, 0, 4)
+        restored.update_state()
+        expected = reference_state(5, circuit_levels(restored.circuit))
+        assert_states_close(restored.state(), expected, atol=1e-10)
+    finally:
+        restored.close()
 
 
 def test_garbage_json_header_raises_checkpoint_error(tmp_path):

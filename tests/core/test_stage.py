@@ -6,6 +6,7 @@ import pytest
 from repro.core.blocks import BlockRange
 from repro.core.cow import InitialStateStore, StoreChain
 from repro.core.gates import Gate, embed_gate_matrix, gate_matrix
+from repro.core.kernels import execute_run
 from repro.core.stage import MatVecStage, UnitaryStage
 
 
@@ -20,8 +21,8 @@ def make_chain(n, block=4, state=None):
 def run_stage(stage, reader):
     stage.prepare(reader)
     for spec in stage.partition_specs():
-        for task in stage.block_tasks(reader, spec.block_range):
-            task()
+        for run in stage.emit_runs(spec.block_range):
+            execute_run(reader, stage.store, run)
 
 
 def resolved_output(stage, reader_chain):

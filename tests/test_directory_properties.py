@@ -1,13 +1,14 @@
 """Property tests: writer-index resolution == naive reversed-chain walk.
 
-Two oracles back block resolution through the partition graph's index:
+Two oracles back block resolution through the partition graph's index,
+after every update of a random modifier sequence:
 
-* a *twin simulator* running the legacy ``block_directory=False`` store-chain
-  mode through the same random modifier sequence must produce identical
-  states, and
-* after every update, an :class:`IndexReader` built "as of" each stage
-  must agree with a freshly constructed naive :class:`StoreChain` over the
-  same stage prefix -- block by block, for the full vector and for gathers.
+* the session's state and amplitudes are bit-identical to a freshly
+  constructed naive :class:`StoreChain` over its *actual* stage stores (and
+  match the dense reference), and
+* an :class:`IndexReader` built "as of" each stage agrees with the chain over
+  the same stage prefix -- block by block, for the full vector and for
+  gathers.
 
 Both are exercised with and without fusion and copy-on-write, on the
 sequential and the work-stealing executor.
@@ -24,6 +25,7 @@ from repro.core.circuit import Circuit
 from repro.core.cow import IndexReader, StoreChain
 from repro.core.simulator import QTaskSimulator
 
+from .conftest import circuit_levels, reference_state
 from .test_properties import _apply_modifier, levels_strategy, modifier_strategy
 
 COMMON_SETTINGS = dict(
@@ -47,9 +49,12 @@ def assert_directory_matches_naive_walk(sim: QTaskSimulator) -> None:
             )
     idx = np.arange(sim.dim, dtype=np.int64)[:: max(1, sim.dim // 16)]
     full = IndexReader(sim.graph, sim._initial, sys.maxsize)
-    np.testing.assert_array_equal(
-        full.gather(idx), StoreChain([sim._initial] + stores).gather(idx)
-    )
+    chain = StoreChain([sim._initial] + stores)
+    np.testing.assert_array_equal(full.gather(idx), chain.gather(idx))
+    # what the session serves is the walk's answer, bit for bit
+    np.testing.assert_array_equal(sim.state(), chain.full_vector())
+    for basis in (0, sim.dim - 1):
+        assert sim.amplitude(basis) == chain.read_range(basis, basis)[0]
 
 
 @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
@@ -57,32 +62,24 @@ def assert_directory_matches_naive_walk(sim: QTaskSimulator) -> None:
 @settings(**COMMON_SETTINGS)
 @given(num_qubits=st.integers(2, 4), data=st.data())
 def test_directory_matches_chain_under_modifiers(fusion, cow, num_qubits, data):
-    """Directory and legacy chain modes stay bit-identical through modifiers."""
+    """Index reads equal the chain walk (and dense) through modifiers."""
     lv = data.draw(levels_strategy(num_qubits))
     mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=5))
-    ckt_d, ckt_c = Circuit(num_qubits), Circuit(num_qubits)
-    sim_d = QTaskSimulator(ckt_d, block_size=2, num_workers=1,
-                           copy_on_write=cow, fusion=fusion,
-                           block_directory=True)
-    sim_c = QTaskSimulator(ckt_c, block_size=2, num_workers=1,
-                           copy_on_write=cow, fusion=fusion,
-                           block_directory=False)
-    ckt_d.from_levels(lv)
-    ckt_c.from_levels(lv)
-    sim_d.update_state()
-    sim_c.update_state()
-    np.testing.assert_array_equal(sim_d.state(), sim_c.state())
+    ckt = Circuit(num_qubits)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=1,
+                         copy_on_write=cow, fusion=fusion)
+    ckt.from_levels(lv)
+    sim.update_state()
+    assert_directory_matches_naive_walk(sim)
     for mod in mods:
-        _apply_modifier(ckt_d, mod, num_qubits)
-        _apply_modifier(ckt_c, mod, num_qubits)
-        sim_d.update_state()
-        sim_c.update_state()
-        np.testing.assert_array_equal(sim_d.state(), sim_c.state())
-        for basis in (0, sim_d.dim - 1):
-            assert sim_d.amplitude(basis) == sim_c.amplitude(basis)
-        assert_directory_matches_naive_walk(sim_d)
-    sim_d.close()
-    sim_c.close()
+        _apply_modifier(ckt, mod, num_qubits)
+        sim.update_state()
+        assert_directory_matches_naive_walk(sim)
+        np.testing.assert_allclose(
+            sim.state(), reference_state(num_qubits, circuit_levels(ckt)),
+            atol=1e-10,
+        )
+    sim.close()
 
 
 @pytest.mark.parametrize("workers", [1, 3], ids=["sequential", "workstealing"])
@@ -93,8 +90,7 @@ def test_directory_consistent_on_both_executors(workers, num_qubits, data):
     lv = data.draw(levels_strategy(num_qubits))
     mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=4))
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(ckt, block_size=2, num_workers=workers,
-                         block_directory=True)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=workers)
     ckt.from_levels(lv)
     sim.update_state()
     for mod in mods:
@@ -110,7 +106,7 @@ def test_directory_purged_after_clearing_circuit(num_qubits, data):
     """Removing every net leaves no ownership entries behind."""
     lv = data.draw(levels_strategy(num_qubits))
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(ckt, block_size=2, num_workers=1, block_directory=True)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=1)
     ckt.from_levels(lv)
     sim.update_state()
     for net in list(ckt.nets()):

@@ -32,7 +32,7 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (fusion, block_directory) corners exercised for fork equivalence.
+#: (fusion, copy_on_write) corners exercised for fork equivalence.
 CONFIGS = [
     (False, True),
     (True, True),
@@ -66,13 +66,18 @@ def _build_workload(session):
     return rz_handles, rx_handles
 
 
-@pytest.mark.parametrize("fusion,block_directory", CONFIGS)
-def test_fresh_fork_matches_parent_exactly(fusion, block_directory):
+@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
+def test_fresh_fork_matches_parent_exactly(fusion, copy_on_write):
     with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-               block_directory=block_directory) as parent:
+               copy_on_write=copy_on_write) as parent:
         _build_workload(parent)
         parent.update_state()
         parent_state = parent.state()
+        np.testing.assert_allclose(
+            parent_state,
+            reference_state(N_QUBITS, circuit_levels(parent.circuit)),
+            atol=1e-10,
+        )
         child = parent.fork()
         try:
             assert child.is_fork and not parent.is_fork
@@ -87,11 +92,11 @@ def test_fresh_fork_matches_parent_exactly(fusion, block_directory):
             child.close()
 
 
-@pytest.mark.parametrize("fusion,block_directory", CONFIGS)
-def test_fork_retune_equals_fresh_build(fusion, block_directory):
+@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
+def test_fork_retune_equals_fresh_build(fusion, copy_on_write):
     """fork + update_gate == building the edited circuit from scratch."""
     with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-               block_directory=block_directory) as parent:
+               copy_on_write=copy_on_write) as parent:
         rz_handles, rx_handles = _build_workload(parent)
         parent.update_state()
         child = parent.fork()
@@ -104,7 +109,7 @@ def test_fork_retune_equals_fresh_build(fusion, block_directory):
             assert report.was_incremental
 
             with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-                       block_directory=block_directory) as fresh:
+                       copy_on_write=copy_on_write) as fresh:
                 rz2, rx2 = _build_workload(fresh)
                 for i, h in enumerate(rz2):
                     fresh.update_gate(h, 1.1 + 0.2 * i)

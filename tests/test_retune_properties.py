@@ -27,15 +27,8 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (fusion, copy_on_write, block_directory) corners exercised per example.
-CONFIGS = [
-    (False, True, True),
-    (True, True, True),
-    (False, False, True),
-    (False, True, False),
-    (True, True, False),
-    (True, False, True),
-]
+#: (fusion, copy_on_write) corners exercised per example.
+CONFIGS = [(False, True), (True, True), (False, False), (True, False)]
 
 _PARAM_GATES = ["rz", "rx", "ry", "p"]
 
@@ -77,15 +70,10 @@ def param_levels_strategy(draw, num_qubits, max_levels=4):
     return levels
 
 
-def build(num_qubits, levels, *, fusion, cow, directory):
+def build(num_qubits, levels, *, fusion, cow):
     ckt = Circuit(num_qubits)
     sim = QTaskSimulator(
-        ckt,
-        block_size=2,
-        num_workers=1,
-        fusion=fusion,
-        copy_on_write=cow,
-        block_directory=directory,
+        ckt, block_size=2, num_workers=1, fusion=fusion, copy_on_write=cow
     )
     ckt.from_levels(levels)
     sim.update_state()
@@ -104,12 +92,10 @@ def param_handles(ckt):
 )
 def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
     """The satellite invariant: retune == remove+insert == dense to 1e-10."""
-    fusion, cow, directory = config
+    fusion, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt_a, sim_a = build(num_qubits, levels, fusion=fusion, cow=cow,
-                         directory=directory)
-    ckt_b, sim_b = build(num_qubits, levels, fusion=fusion, cow=cow,
-                         directory=directory)
+    ckt_a, sim_a = build(num_qubits, levels, fusion=fusion, cow=cow)
+    ckt_b, sim_b = build(num_qubits, levels, fusion=fusion, cow=cow)
     n_edits = data.draw(st.integers(1, 3))
     for _ in range(n_edits):
         handles_a = param_handles(ckt_a)
@@ -150,10 +136,9 @@ def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
 )
 def test_expectation_tracks_retunes(num_qubits, data, config):
     """Cached block-wise expectations match the dense ground truth per edit."""
-    fusion, cow, directory = config
+    fusion, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt, sim = build(num_qubits, levels, fusion=fusion, cow=cow,
-                     directory=directory)
+    ckt, sim = build(num_qubits, levels, fusion=fusion, cow=cow)
     obs = PauliSum(
         [
             PauliString({0: "Z"}, coefficient=0.75),

@@ -16,13 +16,13 @@ GOLDEN_KEYS = {
     "backend",
     "backend_fallbacks",
     "backend_transitions",
-    "block_directory",
     "block_size",
     "cached_observable_partials",
     "copy_on_write",
     "fusion",
     "last_affected_partitions",
     "last_elapsed_seconds",
+    "max_fused_qubits",
     "num_dynamic_stages",
     "num_edges",
     "num_frontiers",
@@ -69,8 +69,7 @@ def session():
 
 def _core_keys(session):
     """``statistics()`` keys minus the backend's own ``backend_stats()``."""
-    backend = session.simulator._backend
-    extras = set(backend.backend_stats()) if backend is not None else set()
+    extras = set(session.simulator._backend.backend_stats())
     return set(session.simulator.statistics()) - extras
 
 

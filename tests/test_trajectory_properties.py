@@ -3,7 +3,7 @@
 The acceptance bar of the dynamic-circuit subsystem:
 
 * for seeded runs, the incremental engine -- under **every** combination of
-  the fusion / block-directory / copy-on-write knobs and several block sizes
+  the fusion / copy-on-write knobs and several block sizes
   -- produces amplitudes matching the dense reference oracle to 1e-10 per
   trajectory (the oracle replays the recorded collapse outcomes, so the
   comparison is deterministic);
@@ -42,13 +42,13 @@ HAVE_FORK = hasattr(os, "fork")
 
 # every incremental-engine knob combination the equivalence bar names
 KNOB_MATRIX = [
-    dict(fusion=False, block_directory=True, copy_on_write=True, block_size=4),
-    dict(fusion=True, block_directory=True, copy_on_write=True, block_size=4),
-    dict(fusion=False, block_directory=False, copy_on_write=True, block_size=4),
-    dict(fusion=True, block_directory=False, copy_on_write=True, block_size=8),
-    dict(fusion=False, block_directory=True, copy_on_write=False, block_size=4),
-    dict(fusion=True, block_directory=True, copy_on_write=False, block_size=16),
-    dict(fusion=False, block_directory=False, copy_on_write=False, block_size=2),
+    dict(fusion=False, copy_on_write=True, block_size=4),
+    dict(fusion=True, copy_on_write=True, block_size=4),
+    dict(fusion=False, copy_on_write=True, block_size=16),
+    dict(fusion=True, copy_on_write=True, block_size=8),
+    dict(fusion=False, copy_on_write=False, block_size=4),
+    dict(fusion=True, copy_on_write=False, block_size=16),
+    dict(fusion=False, copy_on_write=False, block_size=2),
 ]
 
 

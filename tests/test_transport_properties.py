@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import QTask
 from repro.core.circuit import Circuit
+from repro.core.kernels import KernelBackend
 from repro.core.simulator import QTaskSimulator
 
 from .conftest import circuit_levels, random_levels, reference_state
@@ -37,7 +38,7 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (fusion, block_directory) corners exercised for transport equivalence.
+#: (fusion, copy_on_write) corners exercised for transport equivalence.
 CONFIGS = [
     (False, True),
     (True, True),
@@ -67,14 +68,14 @@ def _sim_pair(levels, *, num_qubits=N_QUBITS, **knobs):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fusion,block_directory", CONFIGS)
+@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
 @given(seed=st.integers(0, 10**6))
 @settings(**COMMON_SETTINGS)
-def test_sharded_matches_local_and_dense(fusion, block_directory, seed):
+def test_sharded_matches_local_and_dense(fusion, copy_on_write, seed):
     rng = random.Random(seed)
     levels = random_levels(rng, N_QUBITS, 4)
     local, sharded = _sim_pair(
-        levels, block_size=4, fusion=fusion, block_directory=block_directory
+        levels, block_size=4, fusion=fusion, copy_on_write=copy_on_write
     )
     try:
         local.update_state()
@@ -96,7 +97,12 @@ def test_sharded_matches_local_and_dense(fusion, block_directory, seed):
 
 
 @pytest.mark.parametrize("block_size", [2, 4, 16])
-@pytest.mark.parametrize("kernel_backend", ["numpy", "legacy"])
+@pytest.mark.parametrize(
+    "kernel_backend",
+    # "legacy": the id the test floor pins, now on the run-granular reference
+    # loop (every run through ``execute_run``: per-block remote publishes)
+    ["numpy", pytest.param(KernelBackend(), id="legacy")],
+)
 def test_sharded_parity_across_block_size_and_backend(block_size, kernel_backend):
     rng = random.Random(20260807)
     levels = random_levels(rng, N_QUBITS, 5)
