@@ -17,6 +17,14 @@ Run directly for a quick speedup table::
 or under pytest-benchmark for statistically robust numbers::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fusion.py
+
+What the table measures is ``update_state`` alone -- not the insert-time
+cost of fusing, which is where fusion loses (see ROADMAP item 2).  Since the
+update coalesces swept runs of diagonal / monomial stages at plan time
+whatever the ``fusion`` knob says, the unfused side executes composed slabs
+too and fusion's edge here is what is left of it: composing at insert
+instead of at plan time (1.6-2.2x, was 5-10x before coalescing).  The gate
+is a floor under that, kept until the knob is deleted.
 """
 
 import statistics
@@ -139,9 +147,9 @@ def main():
         print(f"{name:<12} {n:>6} {gates:>6} {stages:>14} "
               f"{best_unfused:>12.4f} {best_fused:>10.4f} "
               f"{speedup:>7.2f}x")
-    passed = worst >= 1.5
+    passed = worst >= 1.2
     print(f"minimum speedup: {worst:.2f}x "
-          f"({'PASS' if passed else 'FAIL'} >= 1.5x target)")
+          f"({'PASS' if passed else 'FAIL'} >= 1.2x target)")
     return passed
 
 

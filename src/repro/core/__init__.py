@@ -8,7 +8,6 @@ from .cow import (
     IndexReader,
     InitialStateStore,
     MemoryReport,
-    StoreChain,
 )
 from .exceptions import (
     CheckpointError,
@@ -69,7 +68,6 @@ __all__ = [
     "IndexReader",
     "InitialStateStore",
     "MemoryReport",
-    "StoreChain",
     "QTaskError",
     "CircuitError",
     "NetDependencyError",

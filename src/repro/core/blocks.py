@@ -20,8 +20,12 @@ __all__ = [
     "block_of",
     "block_bounds",
     "MAX_RUN_BLOCKS",
+    "MAX_RUN_QUBITS",
+    "MAX_RUN_STAGES",
     "aligned_block_runs",
     "BlockRange",
+    "mask_blocks",
+    "mask_ranges",
     "IntervalSet",
     "ranges_intersect",
     "intersect_ranges",
@@ -68,6 +72,16 @@ def block_bounds(block: int, block_size: int, dim: int) -> Tuple[int, int]:
 #: and it is also the most blocks one zero-copy published output array may
 #: span -- the granularity at which rewritten blocks release their memory.
 MAX_RUN_BLOCKS = 64
+
+#: Caps on one coalesced run of swept diagonal / monomial stages (the plan
+#: executes it as a single composed action).  The union of the members'
+#: qubits stays at or below ``MAX_RUN_QUBITS`` so the composed phase /
+#: permutation table (``2**12`` entries, 64 KB of factors) fits in cache and
+#: the slab tables' compact local-index dtypes hold; a run takes at most
+#: ``MAX_RUN_STAGES`` members so that an edit inside it recomposes a bounded
+#: number of actions.
+MAX_RUN_QUBITS = 12
+MAX_RUN_STAGES = 64
 
 
 def aligned_block_runs(first: int, last: int, max_blocks: int) -> List[Tuple[int, int]]:
@@ -142,6 +156,30 @@ class BlockRange:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.first}, {self.last}]"
+
+
+def mask_blocks(mask: int) -> List[int]:
+    """The block ids whose bits are set in ``mask``, ascending."""
+    blocks: List[int] = []
+    while mask:
+        low = mask & -mask
+        blocks.append(low.bit_length() - 1)
+        mask ^= low
+    return blocks
+
+
+def mask_ranges(mask: int) -> List[BlockRange]:
+    """The maximal runs of set bits of ``mask`` as block ranges, ascending."""
+    ranges: List[BlockRange] = []
+    base = 0
+    while mask:
+        zeros = (mask & -mask).bit_length() - 1
+        mask >>= zeros
+        ones = (~mask & (mask + 1)).bit_length() - 1
+        ranges.append(BlockRange(base + zeros, base + zeros + ones - 1))
+        mask >>= ones
+        base += zeros + ones
+    return ranges
 
 
 def ranges_intersect(a: BlockRange, b: BlockRange) -> bool:

@@ -8,22 +8,23 @@ write; every other block is implicitly inherited from the closest preceding
 stage that wrote it (ultimately the |0...0> initial state).  This is the
 *copy-on-write data optimization* of §III.F.3.
 
-Two resolution strategies are provided:
+Reads resolve through :class:`IndexReader`: the partition graph's writer
+index (:mod:`repro.core.graph`) is the only per-block ownership structure --
+for every block id, the seq-sorted partitions that *declare* it.  With
+copy-on-write a stage's store holds only blocks its partitions declare, so
+"which store holds block b as of stage k?" is the closest earlier declarer
+of b -- which an update's plan reads off the index once per block and hands
+to the stage's reader as a table.  Stores know nothing of the index: they
+carry no back-reference and report no writes, and a declarer that holds
+nothing (not executed yet, forsaken, left half-written by a failed update,
+or a member of a coalesced run whose later run-mate declares the block too)
+is stepped over at read time.  (The naive reference -- walk the stores
+backwards until one holds the block -- is ``tests/conftest.py::StoreChain``.)
 
-* :class:`StoreChain` -- the naive reference: walk an ordered sequence of
-  stores backwards until one holds the block.  O(S) per read for S stages;
-  the tests build it over a session's actual stores as the ground truth.
-  The simulator never does.
-* :class:`IndexReader` -- resolution through the partition graph's writer
-  index (:mod:`repro.core.graph`), the only per-block ownership structure:
-  for every block id, the seq-sorted partitions that *declare* it.  With
-  copy-on-write a stage's store holds only blocks its partitions declare, so
-  "which store holds block b as of stage k?" is the closest earlier declarer
-  of b -- which an update's plan reads off the index once per block and hands
-  to the stage's reader as a table.  Stores know nothing of the index: they
-  carry no back-reference and report no writes, and a declarer that holds
-  nothing (not executed yet, forsaken, left half-written by a failed update)
-  is stepped over at read time.
+A coalesced run of stages (:mod:`repro.core.exec_plan`) computes every block
+of its members' union cover once and publishes it through a
+:class:`RoutedStore`: each block lands in the store of the *last* member that
+declares it, and earlier members keep nothing for it.
 
 Writes are single-copy: ``write_block`` copies at most once (``np.asarray``'s
 dtype conversion already produces owned memory), and both ``write_block`` and
@@ -65,13 +66,19 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import faults
-from .blocks import BlockRange, block_bounds, num_blocks, validate_block_size
+from .blocks import (
+    BlockRange,
+    block_bounds,
+    mask_blocks,
+    num_blocks,
+    validate_block_size,
+)
 from .transport import LOCAL_TRANSPORT, StorageTransport, TransportFailure
 
 __all__ = [
     "BlockStore",
     "InitialStateStore",
-    "StoreChain",
+    "RoutedStore",
     "IndexReader",
     "MemoryReport",
 ]
@@ -98,7 +105,7 @@ class BlockStore:
     """Sparse per-stage storage of state-vector blocks.
 
     Only blocks written by this stage's partitions are present; everything
-    else resolves to an earlier store through :class:`StoreChain`.
+    else resolves to an earlier store through :class:`IndexReader`.
     """
 
     def __init__(
@@ -538,16 +545,32 @@ class BlockStore:
         self._blocks.update(zip(blocks, payloads))
 
     def drop_block(self, block: int) -> None:
-        if self._blocks.pop(block, None) is not None:
-            self._release_shared(block)
-            if self._remote is not None:
-                with self._batch_lock:
-                    self._pending_publish.discard(block)
-                self._read_cache.pop(block, None)
-                try:
-                    self._remote.release(self, (block,))
-                except TransportFailure:  # pragma: no cover - best effort
-                    pass
+        self.drop_blocks((block,))
+
+    def drop_blocks(self, blocks: Iterable[int]) -> None:
+        """Forget ``blocks`` (those held), with one transport release."""
+        held = [b for b in blocks if self._blocks.pop(b, None) is not None]
+        if not held:
+            return
+        for b in held:
+            self._release_shared(b)
+        if self._remote is not None:
+            with self._batch_lock:
+                self._pending_publish.difference_update(held)
+            for b in held:
+                self._read_cache.pop(b, None)
+            try:
+                self._remote.release(self, tuple(held))
+            except TransportFailure:  # pragma: no cover - best effort
+                pass
+
+    def keep_only(self, owned: int) -> None:
+        """Drop every held block whose bit is not set in ``owned``.
+
+        A stage coalesced into a run keeps only the blocks it is the run's
+        last declarer of; a copy from before it joined the run goes here.
+        """
+        self.drop_blocks([b for b in self._blocks if not (owned >> b) & 1])
 
     def clear(self) -> None:
         for b in tuple(self._shared):
@@ -697,6 +720,73 @@ class InitialStateStore(BlockStore):
         return 0
 
 
+class RoutedStore:
+    """The write surface of a coalesced run: blocks land in their owners.
+
+    ``stores`` are the member stages' stores in seq order and ``owned[i]``
+    the bitmask of the blocks ``stores[i]`` owns -- those its stage is the
+    run's last declarer of.  Kernels, the run-granular fallback, the publish
+    fault site and remote publish batching see the ``write_*`` /
+    ``publish_batch`` surface of a :class:`BlockStore`; every published
+    block is handed to the store that owns it, so after the run each block
+    is held by the newest stage that declares it and every read through the
+    writer index resolves as if the members had run one by one.
+    """
+
+    def __init__(self, stores: Sequence[BlockStore], owned: Sequence[int]) -> None:
+        self._stores = list(stores)
+        self._owned = list(owned)
+        self._owner: Dict[int, BlockStore] = {
+            block: store
+            for store, mask in zip(stores, owned)
+            for block in mask_blocks(mask)
+        }
+        self.dim = stores[0].dim
+        self.block_size = stores[0].block_size
+
+    @property
+    def is_remote_backed(self) -> bool:
+        return self._stores[0].is_remote_backed
+
+    @contextlib.contextmanager
+    def publish_batch(self):
+        """One open batch on every owning store (see ``BlockStore``)."""
+        with contextlib.ExitStack() as stack:
+            for store, mask in zip(self._stores, self._owned):
+                if mask:
+                    stack.enter_context(store.publish_batch())
+            yield
+
+    def write_blocks(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
+        """``BlockStore.write_blocks``, one call per owning store."""
+        owner = self._owner
+        routed: Dict[BlockStore, Tuple[List[int], List[np.ndarray]]] = {}
+        for block, row in zip(blocks, rows):
+            ids, held = routed.setdefault(owner[block], ([], []))
+            ids.append(block)
+            held.append(row)
+        for store, (ids, held) in routed.items():
+            store.write_blocks(ids, held)
+
+    def write_range(self, lo: int, values: np.ndarray, *, copy: bool = True) -> None:
+        """``BlockStore.write_range``: the range's blocks, each to its owner
+        (one publish per owning store, not one per stretch of the range)."""
+        if lo % self.block_size != 0:
+            raise ValueError(f"range start {lo} is not block aligned")
+        arr = np.asarray(values, dtype=_DTYPE)
+        if copy and np.may_share_memory(arr, values):
+            arr = arr.copy()
+        size = min(self.dim, self.block_size)
+        first = lo // self.block_size
+        rows = [arr[i : i + size] for i in range(0, arr.shape[0], size)]
+        self.write_blocks(range(first, first + len(rows)), rows)
+
+    def settle(self) -> None:
+        """Drop what members hold of blocks a later run-mate now owns."""
+        for store, mask in zip(self._stores, self._owned):
+            store.keep_only(mask)
+
+
 class _ResolvingReader:
     """The one read-side implementation behind every block resolver.
 
@@ -710,8 +800,8 @@ class _ResolvingReader:
     :meth:`BlockStore.get_block_many` call -- which, on a remote transport,
     is one round-trip per shard instead of one per block.
 
-    :class:`StoreChain` and :class:`IndexReader` are pure resolution
-    strategies on top of it.
+    :class:`IndexReader` (and the tests' ``StoreChain`` oracle) are pure
+    resolution strategies on top of it.
     """
 
     __slots__ = ()
@@ -813,33 +903,6 @@ class _ResolvingReader:
         for store, rf, rl in self.owner_runs(range(first, last + 1)):
             if store.is_remote_backed:
                 store.prefetch(rf, rl)
-
-
-class StoreChain(_ResolvingReader):
-    """Resolve blocks across an ordered sequence of stores.
-
-    ``stores[0]`` is the oldest (usually an :class:`InitialStateStore`) and
-    ``stores[-1]`` the most recent stage.  Reading block ``b`` walks the chain
-    backwards until a store holds ``b``.
-    """
-
-    def __init__(self, stores: Sequence[BlockStore]) -> None:
-        if not stores:
-            raise ValueError("StoreChain needs at least one store")
-        dims = {s.dim for s in stores}
-        sizes = {s.block_size for s in stores}
-        if len(dims) != 1 or len(sizes) != 1:
-            raise ValueError("all stores in a chain must share dim and block size")
-        self._stores: List[BlockStore] = list(stores)
-        self.dim = stores[0].dim
-        self.block_size = stores[0].block_size
-        self.n_blocks = stores[0].n_blocks
-
-    def resolve_store(self, block: int) -> BlockStore:
-        for store in reversed(self._stores):
-            if store.has_block(block):
-                return store
-        raise LookupError(f"block {block} resolved by no store in the chain")
 
 
 class IndexReader(_ResolvingReader):

@@ -16,7 +16,11 @@ describes that frontier *once* as a handful of batch-major structures instead:
   static stages (plain unitary/fused stages, whose runs depend on nothing
   drawn at execution time) the runs are emitted eagerly at plan-build time;
   dynamic and matrix--vector stages defer emission until after their
-  ``prepare`` ran.
+  ``prepare`` ran.  A *coalesced run* -- consecutive static stages swept
+  whole -- is one stage plan too (:meth:`StagePlan.for_run`): one table
+  applying the members' composed action to the union of their covers, read
+  as of the first member and published through a store that routes every
+  block to the last member declaring it.
 * :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
   order by the partition graph's frontier sweep
   (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
@@ -206,14 +210,17 @@ class RunTable:
 
 
 class StagePlan:
-    """Everything one stage contributes to an update's execution plan."""
+    """Everything one stage -- or one coalesced run of stages -- contributes
+    to an update's execution plan."""
 
     __slots__ = (
         "stage",
+        "members",
+        "store",
         "reader",
         "has_sync",
         "block_ranges",
-        "block_writes",
+        "mask",
         "_static_table",
         "emitted_runs",
         "num_chunks",
@@ -224,16 +231,23 @@ class StagePlan:
         stage,
         block_ranges: Sequence[object] = (),
         has_sync: bool = False,
-        block_writes: int = 0,
+        mask: int = 0,
     ) -> None:
+        #: the stage whose input the plan reads (a run's first member)
         self.stage = stage
+        #: the stages the plan executes, seq ascending
+        self.members: Tuple[object, ...] = (stage,)
+        #: where the plan's kernels publish
+        self.store = stage.store
         #: the stage-input view, attached once the block sources are resolved
         self.reader = None
         #: the stage reads everything: its ``prepare`` runs before its runs
         self.has_sync = has_sync
-        #: block ranges of the stage's affected partitions, ascending
+        #: block ranges of the affected partitions (of a run: of the union of
+        #: the members' covers), ascending
         self.block_ranges = block_ranges
-        self.block_writes = block_writes
+        #: the blocks of :attr:`block_ranges` as a bitmask
+        self.mask = mask
         #: table emitted at build time for static stages; ``None`` defers
         #: emission to execution time (after ``prepare`` ran)
         self._static_table: Optional[RunTable] = None
@@ -241,9 +255,39 @@ class StagePlan:
         self.emitted_runs = 0
         self.num_chunks = 0
 
+    @classmethod
+    def for_run(
+        cls,
+        members: Sequence[object],
+        block_ranges: Sequence[object],
+        mask: int,
+        table: RunTable,
+        store,
+    ) -> "StagePlan":
+        """One plan standing for consecutive stages, each planned whole:
+        ``table`` computes every block any of them writes (``block_ranges`` /
+        ``mask``) from the first one's input, ``store`` hands each block to
+        the member owning it.
+        """
+        run = cls(members[0], block_ranges, False, mask)
+        run.members = tuple(members)
+        run.store = store
+        run._static_table = table
+        return run
+
+    @property
+    def block_writes(self) -> int:
+        """Blocks the plan publishes."""
+        return bin(self.mask).count("1")
+
+    def label(self) -> str:
+        head = self.stage.label()
+        extra = len(self.members) - 1
+        return f"{head} (+{extra} coalesced)" if extra else head
+
     def freeze_static(self) -> None:
         """Pre-emit the runs of a stage whose emission is input-independent."""
-        if getattr(self.stage, "plan_static", False):
+        if self._static_table is None and getattr(self.stage, "plan_static", False):
             self._static_table = self.stage.emit_table(self.block_ranges)
 
     def build_table(self) -> RunTable:
@@ -261,7 +305,6 @@ class ExecutionPlan:
     __slots__ = (
         "stage_plans",
         "edges",
-        "block_writes",
         "affected_partitions",
         "written",
         "first_seq",
@@ -272,19 +315,18 @@ class ExecutionPlan:
         self,
         stage_plans: List[StagePlan],
         *,
-        block_writes: int = 0,
         affected_partitions: int = 0,
         written: int = 0,
         first_seq: int = 0,
         stages_swept: int = 0,
     ) -> None:
-        #: affected stages, seq ascending
+        #: affected stages (and coalesced runs of them), seq ascending
         self.stage_plans = stage_plans
         #: ``(pred, succ)`` positions in :attr:`stage_plans`, deduplicated;
         #: filled in once the block sources are resolved
         self.edges: List[Tuple[int, int]] = []
-        self.block_writes = block_writes
-        #: affected partitions plus one per affected sync barrier
+        #: affected partitions plus one per affected sync barrier, counted
+        #: per member stage whether or not the stages were coalesced
         self.affected_partitions = affected_partitions
         #: bitmask of the blocks the affected partitions write
         self.written = written
@@ -295,6 +337,26 @@ class ExecutionPlan:
     @property
     def num_stages(self) -> int:
         return len(self.stage_plans)
+
+    @property
+    def block_writes(self) -> int:
+        """Blocks the plan's kernels publish (a run's union cover, once)."""
+        return sum(sp.block_writes for sp in self.stage_plans)
+
+    def runs(self) -> List[StagePlan]:
+        """The stage plans that stand for more than one stage."""
+        return [sp for sp in self.stage_plans if len(sp.members) > 1]
+
+    def coalesced(self) -> Tuple[int, int, int, int]:
+        """``(stages, runs, largest run, widest union in qubits)`` of the
+        coalesced runs."""
+        runs = self.runs()
+        return (
+            sum(len(sp.members) for sp in runs),
+            len(runs),
+            max((len(sp.members) for sp in runs), default=0),
+            max((len(sp._static_table.ops[0].qubits) for sp in runs), default=0),
+        )
 
     def static_runs(self) -> int:
         """Runs already emitted at plan time (the frozen static tables)."""
@@ -342,6 +404,9 @@ class PlanReport:
     #: whole-update re-executions after a fault escaped every lower layer
     update_retries: int = 0
     runs_fallback: int = 0
+    #: stages that executed as members of a coalesced run (``plans_built``
+    #: counts such a run once)
+    stages_coalesced: int = 0
     #: circuit-breaker ladder transitions, oldest first; each entry is a
     #: dict with ``from``/``to``/``reason``/``update`` keys
     backend_transitions: Tuple[Dict[str, object], ...] = ()
@@ -359,6 +424,7 @@ class PlanReport:
             "plans_built": self.plans_built,
             "runs_batched": self.runs_batched,
             "runs_fallback": self.runs_fallback,
+            "stages_coalesced": self.stages_coalesced,
             "plan_chunks": self.plan_chunks,
             "backend_fallbacks": self.backend_fallbacks,
             "updates_planned": self.updates_planned,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "controlled_matrix",
     "embed_gate_matrix",
     "compose_actions",
+    "compose_run",
     "fuse_gate_actions",
     "extract_local",
     "replace_local",
@@ -96,6 +98,11 @@ def replace_local(
 # ---------------------------------------------------------------------------
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class Action:
     """Base class describing how a gate acts on the state vector."""
@@ -122,6 +129,11 @@ class DiagonalAction(Action):
     def creates_superposition(self) -> bool:
         return False
 
+    @cached_property
+    def phase_array(self) -> np.ndarray:
+        """:attr:`phases` as a read-only ``complex128`` array, built once."""
+        return _frozen(np.asarray(self.phases, dtype=complex))
+
     def touched_locals(self) -> Tuple[int, ...]:
         """Local indices whose amplitude actually changes."""
         return tuple(
@@ -144,6 +156,11 @@ class MonomialAction(Action):
     @property
     def creates_superposition(self) -> bool:
         return False
+
+    @cached_property
+    def factor_array(self) -> np.ndarray:
+        """:attr:`factors` as a read-only ``complex128`` array, built once."""
+        return _frozen(np.asarray(self.factors, dtype=complex))
 
     def touched_locals(self) -> Tuple[int, ...]:
         out = []
@@ -531,30 +548,75 @@ def classify_gate(gate: Gate) -> Action:
 # one per gate.
 
 
-def _as_union_monomial(
-    action: Action, qubits: Sequence[int], union: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Express ``action`` as ``(perm, factors)`` over the ``union`` support.
+@lru_cache(maxsize=512)
+def _union_locals(k: int, bits: Tuple[int, ...]) -> np.ndarray:
+    """Local index on ``bits`` of each of the ``2**k`` union-local indices."""
+    return _frozen(extract_local(np.arange(1 << k, dtype=np.int64), bits))
 
-    ``union`` must contain every qubit of ``qubits``.  Diagonal actions map to
-    the identity permutation with their phases as factors; monomial actions
-    permute only the bits corresponding to ``qubits``.
+
+@lru_cache(maxsize=512)
+def _union_sources(k: int, bits: Tuple[int, ...], perm: Tuple[int, ...]) -> np.ndarray:
+    """Where a local permutation on ``bits`` *takes* each union-local index
+    from (the inverse of where it sends it)."""
+    base = np.arange(1 << k, dtype=np.int64)
+    moved = np.asarray(perm, dtype=np.int64).take(_union_locals(k, bits))
+    sources = np.empty_like(base)
+    sources[replace_local(base, bits, moved)] = base
+    return _frozen(sources)
+
+
+def compose_run(
+    parts: Sequence[Tuple[Action, Sequence[int]]]
+) -> Tuple[Action, Tuple[int, ...]]:
+    """One action equal to applying every ``(action, qubits)`` part in order.
+
+    The result acts on the sorted union of the parts' qubits.  All parts
+    must be non-superposition actions: diagonals multiply into one phase
+    table, a monomial part also composes into the running permutation, and
+    a permutation that collapses to the identity is classified back to a
+    :class:`DiagonalAction`.  Array algebra over the ``2**k`` union-local
+    indices off cached index tables -- one gather and one multiply per
+    diagonal part, two more gathers per permuting one: this is what lets an
+    update execute a run of swept stages as one slab.
     """
-    dim = 1 << len(union)
-    pos = {q: j for j, q in enumerate(union)}
-    bits = [pos[q] for q in qubits]
-    base = np.arange(dim, dtype=np.int64)
-    local = extract_local(base, bits)
-    if isinstance(action, DiagonalAction):
-        phases = np.asarray(action.phases, dtype=complex)
-        return base.copy(), phases[local]
-    if isinstance(action, MonomialAction):
-        perm = np.asarray(action.perm, dtype=np.int64)
-        factors = np.asarray(action.factors, dtype=complex)
-        return replace_local(base, bits, perm[local]), factors[local]
-    raise TypeError(
-        f"only non-superposition actions compose, got {type(action).__name__}"
-    )
+    union = tuple(sorted({q for _, qubits in parts for q in qubits}))
+    k = len(union)
+    position = {q: j for j, q in enumerate(union)}
+    # Pull form, indexed by where an amplitude ends up: the composition so
+    # far puts ``factors[j] * input[source[j]]`` at index ``j``.  A diagonal
+    # part then scales in place, whatever was permuted before it.
+    source: Optional[np.ndarray] = None  # ``None``: nothing has moved yet
+    factors = np.ones(1 << k, dtype=complex)
+    for action, qubits in parts:
+        bits = tuple(position[q] for q in qubits)
+        local = _union_locals(k, bits)
+        if isinstance(action, DiagonalAction):
+            factors *= action.phase_array.take(local)
+        elif isinstance(action, MonomialAction):
+            pull = _union_sources(k, bits, action.perm)
+            factors *= action.factor_array.take(local)
+            factors = factors.take(pull)
+            source = pull if source is None else source.take(pull)
+        else:
+            raise TypeError(
+                f"only non-superposition actions compose, got {type(action).__name__}"
+            )
+    base = np.arange(1 << k, dtype=np.int64)
+    if source is None or np.array_equal(source, base):
+        composed: Action = DiagonalAction(num_qubits=k, phases=tuple(factors.tolist()))
+        composed.__dict__["phase_array"] = _frozen(factors)  # seeds the cache
+    else:
+        # back to the actions' push form: index ``l`` moves to ``perm[l]``
+        # and picks up ``factors[l]`` on the way
+        perm = np.empty_like(base)
+        perm[source] = base
+        pushed = np.empty_like(factors)
+        pushed[source] = factors
+        composed = MonomialAction(
+            num_qubits=k, perm=tuple(perm.tolist()), factors=tuple(pushed.tolist())
+        )
+        composed.__dict__["factor_array"] = _frozen(pushed)
+    return composed, union
 
 
 def compose_actions(
@@ -567,43 +629,22 @@ def compose_actions(
 
     Returns ``(action, union_qubits)`` such that applying ``action`` on
     ``union_qubits`` equals applying ``first`` on ``first_qubits`` and *then*
-    ``second`` on ``second_qubits``.  diagonal∘diagonal multiplies phase
-    tables, monomial∘monomial composes permutations and factors, and a
-    diagonal absorbs into a monomial's factors; when the composed permutation
-    collapses to the identity the result is classified back to a
-    :class:`DiagonalAction`.
+    ``second`` on ``second_qubits`` (:func:`compose_run` of the two).
     """
-    union = tuple(sorted(set(first_qubits) | set(second_qubits)))
-    perm_a, fact_a = _as_union_monomial(first, first_qubits, union)
-    perm_b, fact_b = _as_union_monomial(second, second_qubits, union)
-    # amplitude at l moves to perm_a[l] (picking up fact_a[l]) and then to
-    # perm_b[perm_a[l]] (picking up fact_b[perm_a[l]]).
-    perm = perm_b[perm_a]
-    factors = fact_a * fact_b[perm_a]
-    k = len(union)
-    if np.array_equal(perm, np.arange(1 << k, dtype=np.int64)):
-        return DiagonalAction(num_qubits=k, phases=tuple(factors)), union
-    return (
-        MonomialAction(num_qubits=k, perm=tuple(int(p) for p in perm),
-                       factors=tuple(factors)),
-        union,
-    )
+    return compose_run(((first, first_qubits), (second, second_qubits)))
 
 
 def fuse_gate_actions(gates: Sequence[Gate]) -> Tuple[Action, Tuple[int, ...]]:
     """Fused action of a run of non-superposition gates, in application order."""
     if not gates:
         raise ValueError("cannot fuse an empty gate run")
-    action: Action = gates[0].action()
-    qubits: Tuple[int, ...] = gates[0].qubits
-    if action.creates_superposition:
-        raise ValueError(f"gate {gates[0]} creates superposition; cannot fuse")
-    for g in gates[1:]:
-        nxt = g.action()
-        if nxt.creates_superposition:
+    parts = [(g.action(), g.qubits) for g in gates]
+    for g, (action, _) in zip(gates, parts):
+        if action.creates_superposition:
             raise ValueError(f"gate {g} creates superposition; cannot fuse")
-        action, qubits = compose_actions(action, qubits, nxt, g.qubits)
-    return action, qubits
+    if len(parts) == 1:
+        return parts[0]
+    return compose_run(parts)
 
 
 def is_superposition_gate(gate: Gate) -> bool:

@@ -19,6 +19,12 @@ update) of the paper:
   from the paper's frontier list over closest-overlap edges -- are found by
   one forward sweep in seq order that carries the dirty block set along
   (:meth:`PartitionGraph.sweep`);
+* consecutive stages an update executed as one **coalesced run** are on
+  record (:meth:`PartitionGraph.runs`): within a run each block is held by
+  the last member declaring it only, so the state *between* two members is
+  not available and a run is recomputed whole or not at all -- the sweep
+  widens to every member as soon as dirt reaches the run, and a modifier
+  landing in a run dissolves the record and marks every member dirty;
 * nodes and edges are a *derived view* of the index, computed on demand for
   statistics, DOT export and tests.
 """
@@ -35,7 +41,7 @@ from .exec_plan import ExecutionPlan, StagePlan
 from .partition import PartitionSpec
 from .stage import Stage
 
-__all__ = ["PartitionNode", "PartitionGraph", "GraphStats"]
+__all__ = ["PartitionNode", "PartitionGraph", "GraphStats", "StageRun"]
 
 
 class PartitionNode(NamedTuple):
@@ -71,6 +77,15 @@ class StageLayout(NamedTuple):
     @property
     def num_nodes(self) -> int:
         return len(self.specs) + self.full_read
+
+
+class StageRun(NamedTuple):
+    """Consecutive stages the last update executed as one coalesced run."""
+
+    #: seq ascending and seq-adjacent for as long as the record lives
+    members: Tuple[Stage, ...]
+    #: union of the members' block covers
+    cover: int
 
 
 def _slot(writers: List[Stage], seq: int) -> int:
@@ -146,6 +161,11 @@ class PartitionGraph:
         self._writers: List[List[Stage]] = [
             [] for _ in range(full_block_range.last + 1)
         ]
+        #: the coalesced run each member stage was last executed in.  An
+        #: earlier member holds nothing of a block a later one declares, so
+        #: no stage of a recorded run carries pending dirt of its own: a
+        #: modifier that lands in a run dissolves the record first.
+        self._run_of: Dict[Stage, StageRun] = {}
         #: seq-maintenance hooks: fired after a stage enters the global order
         #: (its seq is valid) and after it leaves it.  The simulator binds
         #: and releases per-stage session state there.  Both events renumber
@@ -185,6 +205,59 @@ class PartitionGraph:
     def clear_pending(self) -> None:
         self._pending.clear()
 
+    def runs(self) -> List[StageRun]:
+        """The coalesced runs on record, in stage order (read-only view)."""
+        heads = [
+            run for stage, run in self._run_of.items() if run.members[0] is stage
+        ]
+        return sorted(heads, key=lambda run: run.members[0].seq)
+
+    def record_runs(self, plans: Sequence[StagePlan]) -> None:
+        """Note how a completed update executed the stages of ``plans``.
+
+        A plan standing for several stages becomes their run record; a stage
+        that ran alone holds every block it declares and is on no record.
+        Either way whatever record the stage was on before is superseded: a
+        run met by an update is re-planned whole.
+        """
+        for sp in plans:
+            if len(sp.members) > 1:
+                self._enter_run(sp.members, sp.mask)
+            else:
+                self._run_of.pop(sp.stage, None)
+
+    def adopt_runs(self, spans: Sequence[Sequence[int]]) -> None:
+        """Re-enter run records from ``(first seq, member count)`` pairs
+        (a checkpoint header's)."""
+        layouts = self._layouts
+        for first, count in spans:
+            members = tuple(self._stages[first : first + count])
+            if first < 0 or count < 2 or len(members) != count:
+                raise ValueError(f"no run of {count} stages at seq {first}")
+            cover = 0
+            for stage in members:
+                cover |= layouts[stage.uid].cover
+            self._enter_run(members, cover)
+
+    def _enter_run(self, members: Tuple[Stage, ...], cover: int) -> None:
+        run = StageRun(members, cover)
+        for stage in members:
+            self._run_of[stage] = run
+
+    def _dissolve_run(self, stage: Stage) -> None:
+        """Forget the run ``stage`` is on record in, if any.
+
+        What a member holds is only the run's final answer for the blocks it
+        declares last, so once the run stops being one unit every member has
+        to recompute: each gets its whole cover marked dirty.
+        """
+        run = self._run_of.get(stage)
+        if run is None:
+            return
+        for member in run.members:
+            del self._run_of[member]
+            self._mark(member, self._layouts[member.uid].cover)
+
     def stats(self) -> GraphStats:
         return GraphStats(
             num_stages=len(self._stages),
@@ -212,10 +285,18 @@ class PartitionGraph:
 
         Records its layout, lists it in the writer index under every block
         it declares, and marks those blocks dirty on it: all partitions of a
-        newly inserted gate are frontiers (§III.E).
+        newly inserted gate are frontiers (§III.E).  Landing strictly inside
+        a recorded run dissolves it.
         """
         if not 0 <= position <= len(self._stages):
             raise IndexError(f"stage position {position} out of range")
+        if position < len(self._stages):
+            follower = self._stages[position]
+            run = self._run_of.get(follower)
+            if run is not None and run.members[0] is not follower:
+                # strictly between two members of a run (before its head or
+                # after its tail the run stays one unit)
+                self._dissolve_run(follower)
         self._stages.insert(position, stage)
         self._renumber(position)
         if self._on_stage_inserted is not None:
@@ -243,11 +324,14 @@ class PartitionGraph:
         list.  Here the removed stage's blocks -- and any dirt still pending
         on it -- are re-anchored onto the stage now at its position, from
         where the sweep carries them to the closest later declarers.  A
-        removed last stage leaves nothing to recompute.
+        removed last stage leaves nothing to recompute -- unless it was on a
+        run record: then it held blocks its run-mates declare too, and the
+        dissolved run's remaining members recompute them.
         """
-        layout = self._layouts.pop(stage.uid, None)
-        if layout is None:
+        if stage.uid not in self._layouts:
             raise KeyError(f"stage {stage!r} is not in the graph")
+        self._dissolve_run(stage)
+        layout = self._layouts.pop(stage.uid)
         position = stage.seq
         for spec in layout.specs:
             blocks = spec.block_range
@@ -268,6 +352,7 @@ class PartitionGraph:
         Used when the stage keeps its layout but not its output: a retune, a
         matvec stage gaining or losing a member gate, a re-armed collapse.
         """
+        self._dissolve_run(stage)
         self._mark(stage, self._layouts[stage.uid].cover)
 
     # ------------------------------------------------------------------
@@ -285,7 +370,12 @@ class PartitionGraph:
         barrier is affected whole (barrier included) as soon as anything it
         reads is stale: its blocks are computed from one shared prepared
         input / drawn outcome.  That is reachability from the frontier list
-        over closest-overlap edges without storing either.
+        over closest-overlap edges without storing either -- widened to
+        recorded runs: when the dirt at a run's first member meets the union
+        of the members' covers, every block of that union counts as stale
+        and every member is swept whole (which over-approximates the paper's
+        set by the members, and their successors, the dirt alone would not
+        have reached).
 
         ``everything`` plans every partition of every stage (the dense-mode
         ablation, where scoping is unsound).  The sweep changes nothing:
@@ -299,13 +389,16 @@ class PartitionGraph:
         else:
             return ExecutionPlan([])
         layouts = self._layouts
+        run_of = self._run_of
         plans: List[StagePlan] = []
         written = 0
         affected = 0
-        block_writes = 0
         for stage in self._stages[first:]:
             if stage in pending:
                 dirty |= pending[stage]
+            run = run_of.get(stage)
+            if run is not None and run.members[0] is stage and run.cover & dirty:
+                dirty |= run.cover
             specs, masks, cover, full_read = layouts[stage.uid]
             if not cover & dirty:
                 continue
@@ -322,13 +415,9 @@ class PartitionGraph:
             dirty |= hit
             written |= hit
             affected += len(ranges) + full_read
-            # partitions of one stage are disjoint: blocks = bits of ``hit``
-            writes = bin(hit).count("1")
-            block_writes += writes
-            plans.append(StagePlan(stage, ranges, full_read, writes))
+            plans.append(StagePlan(stage, ranges, full_read, hit))
         return ExecutionPlan(
             plans,
-            block_writes=block_writes,
             affected_partitions=affected,
             written=written,
             first_seq=first,
@@ -358,38 +447,40 @@ class PartitionGraph:
         return None
 
     def plan_sources(
-        self,
-        stage_ranges: Sequence[Tuple[Stage, Sequence[BlockRange]]],
-        initial: BlockStore,
+        self, plans: Sequence[StagePlan], initial: BlockStore
     ) -> Tuple[List[Dict[int, BlockStore]], List[Tuple[int, int]]]:
-        """Per stage, where its input holds each recomputed block -- and
-        with that, which planned stages it has to wait for.
+        """Per stage plan, where its input holds each recomputed block --
+        and with that, which planned stages it has to wait for.
 
-        ``stage_ranges`` lists an update's affected stages, seq ascending,
-        each with the block ranges of its affected partitions.  One table
-        per entry maps every block of those ranges to the store of its
-        closest earlier declarer (``initial`` when there is none) -- where
-        the block will be held by the time the stage runs.  When that
-        declarer is itself in ``stage_ranges`` it is a predecessor task: the
-        second result lists those ``(pred, succ)`` positions, once each.
-        The index is searched once per block per update: every declarer
-        downstream of an affected one is affected too, so the next stage in
-        the pass that recomputes the block sits in the slot right after.
+        ``plans`` lists an update's stage plans, seq ascending.  One table
+        per plan maps every block of its ranges to the store of the closest
+        declarer before the plan's (first) stage (``initial`` when there is
+        none) -- where the block will be held by the time the plan runs: a
+        declarer inside an earlier run is that run's last one for the block,
+        which is the member holding it.  When that declarer is itself
+        planned it is a predecessor task: the second result lists those
+        ``(pred, succ)`` positions, once each.  The index is searched once
+        per block per update: every declarer downstream of an affected one
+        is affected too, so the next plan in the pass that recomputes the
+        block starts in the slot right after.
         """
-        position = {stage: k for k, (stage, _) in enumerate(stage_ranges)}
+        position = {
+            stage: k for k, sp in enumerate(plans) for stage in sp.members
+        }
         cursor = [-1] * len(self._writers)
         tables: List[Dict[int, BlockStore]] = []
         edges: List[Tuple[int, int]] = []
-        for succ, (stage, ranges) in enumerate(stage_ranges):
-            seq = stage.seq
+        for succ, sp in enumerate(plans):
+            seq = sp.stage.seq
+            last = sp.members[-1].seq
             sources: Dict[int, BlockStore] = {}
             preds = set()
             source = None
-            for blocks in ranges:
+            for blocks in sp.block_ranges:
                 block = blocks.first
                 for writers in self._writers[block : blocks.last + 1]:
                     i = cursor[block]
-                    if not (0 <= i < len(writers) and writers[i] is stage):
+                    if not (0 <= i < len(writers) and seq <= writers[i].seq <= last):
                         i = _slot(writers, seq)
                     if i:
                         if writers[i - 1] is not source:
@@ -399,7 +490,11 @@ class PartitionGraph:
                         sources[block] = source.store
                     else:
                         sources[block] = initial
-                    cursor[block] = i + 1
+                    i += 1
+                    if last != seq:  # step over the run-mates declaring it too
+                        while i < len(writers) and writers[i].seq <= last:
+                            i += 1
+                    cursor[block] = i
                     block += 1
             tables.append(sources)
             edges.extend((pred, succ) for pred in sorted(preds))
@@ -417,8 +512,9 @@ class PartitionGraph:
         (empty) graph should hold: fresh clones with empty stores.  Layout
         records are immutable and shared; the index is translated entry by
         entry -- O(stages + index entries), which is what makes forking a
-        deep circuit cheap.  Pending dirt is *not* mirrored: a fork inherits
-        computed state, not pending work.
+        deep circuit cheap.  Run records are translated too (the clones
+        adopt stores that hold what the records say).  Pending dirt is *not*
+        mirrored: a fork inherits computed state, not pending work.
         """
         if self._stages:
             raise ValueError("mirror_from requires an empty graph")
@@ -433,6 +529,10 @@ class PartitionGraph:
             [stage_map[stage.uid] for stage in writers]
             for writers in other._writers
         ]
+        for run in other.runs():
+            self._enter_run(
+                tuple(stage_map[stage.uid] for stage in run.members), run.cover
+            )
 
     # ------------------------------------------------------------------
     # derived view: nodes and closest-overlap edges, on demand

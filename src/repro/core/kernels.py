@@ -65,7 +65,6 @@ __all__ = [
     "apply_monomial_range",
     "apply_matvec_range",
     "apply_action_range",
-    "apply_action_run",
     "apply_gate_dense",
     "apply_matrix_dense",
     "measured_masses",
@@ -91,8 +90,8 @@ logger = logging.getLogger(__name__)
 class StateReader(Protocol):
     """Anything that can serve gate-input amplitudes.
 
-    Implemented by :class:`~repro.core.cow.StoreChain`,
-    :class:`~repro.core.cow.IndexReader` and :class:`ArrayReader`.
+    Implemented by :class:`~repro.core.cow.IndexReader` (and the tests'
+    ``StoreChain`` oracle) and :class:`ArrayReader`.
     """
 
     def read_range(self, lo: int, hi: int) -> np.ndarray: ...
@@ -164,7 +163,7 @@ def apply_diagonal_range(
 ) -> np.ndarray:
     """Output amplitudes of ``[lo, hi]`` for a diagonal gate."""
     src = np.asarray(reader.read_range(lo, hi), dtype=_DTYPE)
-    phases = np.asarray(action.phases, dtype=_DTYPE)
+    phases = action.phase_array
     n = hi - lo + 1
     nb = _range_alignment(lo, n)
     if nb >= 0:
@@ -192,7 +191,7 @@ def apply_monomial_range(
     so the reads stay within the partition's index span.
     """
     perm = np.asarray(action.perm, dtype=np.int64)
-    factors = np.asarray(action.factors, dtype=_DTYPE)
+    factors = action.factor_array
     dim = perm.shape[0]
     inv = np.empty(dim, dtype=np.int64)
     inv[perm] = np.arange(dim, dtype=np.int64)
@@ -273,27 +272,6 @@ def apply_action_range(
     raise TypeError(f"unknown action type {type(action)!r}")
 
 
-def apply_action_run(
-    reader: StateReader,
-    store,
-    lo: int,
-    hi: int,
-    qubits: Sequence[int],
-    action,
-) -> None:
-    """Compute ``[lo, hi]`` and publish the result into ``store`` zero-copy.
-
-    This is the run-granular entry point used by batched block-run tasks:
-    one kernel invocation covers a whole aligned run of blocks (keeping the
-    strided fast paths, which only need the range to be an aligned power of
-    two) and the freshly allocated output is handed to
-    ``BlockStore.write_range(..., copy=False)``, so the store keeps views of
-    the kernel output instead of copying it block by block.
-    """
-    out = apply_action_range(reader, lo, hi, qubits, action)
-    store.write_range(lo, out, copy=False)
-
-
 def execute_run(reader: StateReader, store, spec: RunSpec) -> None:
     """Execute one :class:`~repro.core.exec_plan.RunSpec` against a store.
 
@@ -306,7 +284,11 @@ def execute_run(reader: StateReader, store, spec: RunSpec) -> None:
         faults.fire("kernel.run")
     kind = spec.kind
     if kind == RUN_ACTION:
-        apply_action_run(reader, store, spec.lo, spec.hi, spec.qubits, spec.op)
+        # One kernel invocation covers the whole aligned run (the strided
+        # fast paths only need an aligned power-of-two range) and its fresh
+        # output is published zero-copy: the store keeps views of it.
+        out = apply_action_range(reader, spec.lo, spec.hi, spec.qubits, spec.op)
+        store.write_range(spec.lo, out, copy=False)
     elif kind == RUN_SLICE:
         # op is a prepared full vector, rebound (never mutated) by the next
         # prepare() -- its slices are safe to publish zero-copy.
@@ -703,10 +685,10 @@ class NumpyBatchBackend(KernelBackend):
             if kind == RUN_ACTION:
                 if isinstance(payload, DiagonalAction):
                     key = (op.qubits, None)
-                    coeffs = np.asarray(payload.phases, dtype=_DTYPE)
+                    coeffs = payload.phase_array
                 elif isinstance(payload, MonomialAction):
                     key = (op.qubits, payload.perm)
-                    coeffs = np.asarray(payload.factors, dtype=_DTYPE)
+                    coeffs = payload.factor_array
                 else:
                     for lo, hi in zip(los.tolist(), his.tolist()):
                         execute_run(
@@ -836,9 +818,7 @@ class NumbaBackend(KernelBackend):
             execute_run(reader, store, spec)
             return 1
         period, local = _local_pattern(spec.lo, nb, spec.qubits)
-        table = np.ascontiguousarray(
-            np.asarray(spec.op.phases, dtype=_DTYPE)[local]
-        )
+        table = np.ascontiguousarray(spec.op.phase_array[local])
         src = np.ascontiguousarray(
             np.asarray(reader.read_range(spec.lo, spec.hi), dtype=_DTYPE)
         )
@@ -867,9 +847,7 @@ class NumbaBackend(KernelBackend):
             local_src,
         )
         offsets = np.ascontiguousarray(pattern - start)
-        factors = np.ascontiguousarray(
-            np.asarray(spec.op.factors, dtype=_DTYPE)[local_src]
-        )
+        factors = np.ascontiguousarray(spec.op.factor_array[local_src])
         src = np.ascontiguousarray(
             np.asarray(reader.read_range(start, start + n - 1), dtype=_DTYPE)
         )

@@ -11,7 +11,9 @@ recomputed block's source store off it once (``PartitionGraph.plan_sources``,
 which also yields the task edges) and the kernels look sources up in that
 table; reads outside an update search the index as of a stage seq.  Each
 affected stage's partitions execute as one run table handed to the kernel
-backend.
+backend, and a swept run of consecutive diagonal / monomial stages executes
+as one table applying their composed action (``_coalesce``): only the last
+member declaring a block publishes it.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -34,10 +36,18 @@ from ..telemetry import Telemetry
 from ..telemetry import session as tsession
 from . import faults
 from .faults import FaultInjected
-from .blocks import BlockRange, DEFAULT_BLOCK_SIZE, num_blocks, validate_block_size
+from .blocks import (
+    DEFAULT_BLOCK_SIZE,
+    MAX_RUN_QUBITS,
+    MAX_RUN_STAGES,
+    BlockRange,
+    mask_ranges,
+    num_blocks,
+    validate_block_size,
+)
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import OutcomeRecord
-from .cow import IndexReader, InitialStateStore, MemoryReport
+from .cow import IndexReader, InitialStateStore, MemoryReport, RoutedStore
 from .exceptions import CircuitError, QTaskError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan
 from .gates import Gate, compose_actions
@@ -59,6 +69,7 @@ from .stage import (
     ResetStage,
     Stage,
     UnitaryStage,
+    coalesced_table,
     gate_action,
 )
 from .transport import StorageTransport, TransportFailure, make_transport
@@ -256,9 +267,11 @@ class QTaskSimulator(CircuitObserver):
         #: set by :meth:`close`
         self._closed = False
         self.last_update: UpdateReport = UpdateReport()
-        #: ``(first seq, stages swept, stages planned)`` of the last update's
-        #: frontier sweep, for :meth:`explain_last_update`
+        #: ``(first seq, stages swept, stage plans)`` of the last update's
+        #: frontier sweep and the ``(stages, runs, largest run, widest union
+        #: in qubits)`` it coalesced, for :meth:`explain_last_update`
         self._last_sweep = (0, 0, 0)
+        self._last_coalesced = (0, 0, 0, 0)
         #: completed ``update_state`` calls; with "is anything pending" this
         #: is the state epoch fork fleets use to detect a diverged base session
         self._num_updates = 0
@@ -313,6 +326,10 @@ class QTaskSimulator(CircuitObserver):
         self._runs_fallback = m.counter(
             "plan.runs_fallback",
             help="runs a backend executed one by one instead of batched",
+        )
+        self._stages_coalesced = m.counter(
+            "plan.stages_coalesced",
+            help="stages executed as members of a coalesced run",
         )
         self._updates_planned = m.counter(
             "plan.updates_planned", help="updates through the plan pipeline"
@@ -1139,11 +1156,16 @@ class QTaskSimulator(CircuitObserver):
                     # dense mode rewrites (and back-fills) whole vectors
                     dirty = np.arange(self.n_blocks)
                 self._notify_dirty(dirty)
-        # only now: an update that raised keeps its dirt for the next one
+        # only now: an update that raised keeps its dirt -- and the runs its
+        # stages were last executed in -- for the next one
         self.graph.clear_pending()
+        for sp in plan.runs():
+            sp.store.settle()
+        self.graph.record_runs(plan.stage_plans)
         report.elapsed_seconds = time.perf_counter() - start
         self.last_update = report
         self._last_sweep = (plan.first_seq, plan.stages_swept, plan.num_stages)
+        self._last_coalesced = plan.coalesced()
         self._num_updates += 1
         return report
 
@@ -1151,40 +1173,107 @@ class QTaskSimulator(CircuitObserver):
         """Sweep the pending dirt into stage plans and resolve their inputs.
 
         One pass, inside the ``plan.build`` span: the partition graph's
-        frontier sweep emits the affected stages in seq order, the writer
-        index gives every recomputed block's source store and with it the
-        stage-granular task edges, and static stages freeze their run
+        frontier sweep emits the affected stages in seq order, swept runs
+        of static stages coalesce into one plan each, the writer index
+        gives every recomputed block's source store and with it the
+        plan-granular task edges, and static stages freeze their run
         tables.  With copy-on-write off every stage depends on the whole
         previous vector, so anything pending (or a first update) plans
-        everything.
+        everything -- stage by stage: a dense-mode stage holds the whole
+        vector, there is nothing for a run-mate to elide.
         """
         tracer = self.telemetry.tracer
         if not tracer.enabled:
             return self._build_plan_impl()
         with tracer.span("plan.build") as span:
             plan = self._build_plan_impl()
+            coalesced, runs, _, _ = plan.coalesced()
             span.set("first_seq", plan.first_seq)
             span.set("stages_swept", plan.stages_swept)
             span.set("stages", plan.num_stages)
-            span.set("runs", plan.static_runs())
+            span.set("runs", runs)
+            span.set("coalesced_stages", coalesced)
+            span.set("kernel_runs", plan.static_runs())
         return plan
 
     def _build_plan_impl(self) -> ExecutionPlan:
         graph = self.graph
         if self.copy_on_write:
             plan = graph.sweep()
+            self._coalesce(plan)
         elif graph.has_pending or self._num_updates == 0:
             plan = graph.sweep(everything=True)
         else:
             plan = ExecutionPlan([])
         stage_plans = plan.stage_plans
-        tables, plan.edges = graph.plan_sources(
-            [(sp.stage, sp.block_ranges) for sp in stage_plans], self._initial
-        )
+        tables, plan.edges = graph.plan_sources(stage_plans, self._initial)
         for sp, sources in zip(stage_plans, tables):
             sp.reader = IndexReader(graph, self._initial, sp.stage.seq, sources)
             sp.freeze_static()
         return plan
+
+    def _coalesce(self, plan: ExecutionPlan) -> None:
+        """Turn every swept run of static stages into one stage plan.
+
+        A run is a maximal sequence of seq-adjacent stage plans whose stages
+        are static (diagonal / monomial actions) and swept whole, cut where
+        the union of the members' qubits would pass ``MAX_RUN_QUBITS`` or
+        the member count ``MAX_RUN_STAGES``.  It executes as one table --
+        the members' composed action over the union of their covers, read
+        as of the first member -- and each block is published to the last
+        member declaring it (``RoutedStore``); what that costs later is the
+        sweep's widening, see ``PartitionGraph.sweep``.
+        """
+        merged: List[StagePlan] = []
+        group: List[StagePlan] = []
+        qubits: set = set()
+
+        def close() -> None:
+            merged.append(self._run_plan(group) if len(group) > 1 else group[0])
+            group.clear()
+            qubits.clear()
+
+        for sp in plan.stage_plans:
+            stage = sp.stage
+            if stage.plan_static and sp.mask == stage.partition_layout().cover:
+                if group and (
+                    stage.seq != group[-1].stage.seq + 1
+                    or len(group) == MAX_RUN_STAGES
+                    or len(qubits.union(stage.qubits)) > MAX_RUN_QUBITS
+                ):
+                    close()
+                group.append(sp)
+                qubits.update(stage.qubits)
+            else:
+                if group:
+                    close()
+                merged.append(sp)
+        if group:
+            close()
+        plan.stage_plans = merged
+
+    @staticmethod
+    def _run_plan(group: Sequence[StagePlan]) -> StagePlan:
+        """The one plan executing ``group``; decides who owns which block."""
+        cover = 0
+        for sp in group:
+            cover |= sp.mask
+        owned = [0] * len(group)
+        unowned = cover
+        for i in range(len(group) - 1, -1, -1):  # the last declarer owns
+            owned[i] = group[i].mask & unowned
+            unowned &= ~owned[i]
+            if not unowned:
+                break
+        members = [sp.stage for sp in group]
+        ranges = mask_ranges(cover)
+        return StagePlan.for_run(
+            members,
+            ranges,
+            cover,
+            coalesced_table(members, ranges),
+            RoutedStore([stage.store for stage in members], owned),
+        )
 
     def _execute_with_recovery(self, plan: ExecutionPlan) -> int:
         """Run ``_execute`` inside the fault envelope.
@@ -1247,7 +1336,8 @@ class QTaskSimulator(CircuitObserver):
         return block_writes
 
     def _execute_plan(self, plan: ExecutionPlan) -> None:
-        """Batch-execute the plan, one executor task per affected *stage*.
+        """Batch-execute the plan, one executor task per stage plan -- an
+        affected *stage*, or a coalesced run of them.
 
         The task runs the stage's ``prepare`` when its sync barrier is
         affected, materialises the stage's run table, and hands it -- split
@@ -1268,12 +1358,13 @@ class QTaskSimulator(CircuitObserver):
             # inside whichever worker thread steals the task.
             body.trace_context = (tel, parent_span)
             # named lazily: only a failing task or a graph dump formats it
-            tasks.append(graph.emplace(body, name=sp.stage.label))
+            tasks.append(graph.emplace(body, name=sp.label))
         for pred, succ in plan.edges:
             tasks[pred].precede(tasks[succ])
         self.executor.run(graph)
 
         self._plans_built.inc(plan.num_stages)
+        self._stages_coalesced.inc(plan.coalesced()[0])
         self._runs_batched.inc(plan.total_runs())
         self._plan_chunks.inc(plan.total_chunks())
         self._updates_planned.inc()
@@ -1314,7 +1405,7 @@ class QTaskSimulator(CircuitObserver):
             if run_prepare is not None:
                 if tel.tracer.enabled:
                     with tel.tracer.span(
-                        "stage.prepare", {"stage": sp.stage.label()}
+                        "stage.prepare", {"stage": sp.label()}
                     ):
                         run_prepare()
                 else:
@@ -1346,7 +1437,7 @@ class QTaskSimulator(CircuitObserver):
             with self.telemetry.tracer.span(
                 "run.chunk",
                 {
-                    "stage": sp.stage.label(),
+                    "stage": sp.label(),
                     "backend": self._backend.name,
                     "runs": chunk.num_runs,
                     "amps": amps,
@@ -1357,7 +1448,7 @@ class QTaskSimulator(CircuitObserver):
             self._run_plan_chunk_impl(sp, chunk)
 
     def _run_plan_chunk_impl(self, sp: StagePlan, chunk) -> None:
-        store = sp.stage.store
+        store = sp.store
         if store.is_remote_backed:
             # Batch-fetch the chunk's input spans into the store read caches
             # up front: one transport round-trip per contiguous span instead
@@ -1378,7 +1469,7 @@ class QTaskSimulator(CircuitObserver):
     def _execute_chunk(self, sp: StagePlan, chunk) -> None:
         backend = self._backend
         try:
-            per_run = backend.execute_plan(sp.reader, sp.stage.store, chunk)
+            per_run = backend.execute_plan(sp.reader, sp.store, chunk)
         except Exception as exc:
             # Environmental failures (a torn-down worker pool mid-run) and
             # injected faults must not lose the update: chunk writes are
@@ -1390,7 +1481,7 @@ class QTaskSimulator(CircuitObserver):
             self._backend_fallbacks.inc()
             tsession.emit_event(
                 "chunk.fallback",
-                stage=sp.stage.label(),
+                stage=sp.label(),
                 backend=backend.name,
                 reason=f"{type(exc).__name__}: {exc}",
             )
@@ -1426,7 +1517,7 @@ class QTaskSimulator(CircuitObserver):
             attempt = 0
             while True:
                 try:
-                    execute_run(sp.reader, sp.stage.store, spec)
+                    execute_run(sp.reader, sp.store, spec)
                     break
                 except FaultInjected:
                     attempt += 1
@@ -1435,7 +1526,7 @@ class QTaskSimulator(CircuitObserver):
                     self._run_retries.inc()
                     tsession.emit_event(
                         "run.retry",
-                        stage=sp.stage.label(),
+                        stage=sp.label(),
                         attempt=attempt,
                     )
 
@@ -1604,6 +1695,7 @@ class QTaskSimulator(CircuitObserver):
             plans_built=self._plans_built.value,
             runs_batched=self._runs_batched.value,
             runs_fallback=self._runs_fallback.value,
+            stages_coalesced=self._stages_coalesced.value,
             plan_chunks=self._plan_chunks.value,
             backend_fallbacks=self._backend_fallbacks.value,
             updates_planned=self._updates_planned.value,
@@ -1699,13 +1791,15 @@ class QTaskSimulator(CircuitObserver):
 
         Renders the update report, what the frontier sweep looked at
         ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
-        and ``N`` stages were affected -- the ``plan.build`` span's
-        numbers), the plan pipeline's view of it, and -- the part no
-        counter can answer -- the time-ordered recovery events
+        and the affected stages became ``N`` stage plans) and what it
+        coalesced ("coalesced N stages into R runs") -- the ``plan.build``
+        span's numbers --, the plan pipeline's view of it, and -- the part
+        no counter can answer -- the time-ordered recovery events
         (faults, retries, fallbacks, breaker transitions, respawns) that
         fired during the update.
         """
         report = self.last_update
+        coalesced, runs, largest, widest = self._last_coalesced
         lines = [
             f"update #{self._num_updates - 1}"
             if self._num_updates else "no update yet",
@@ -1721,6 +1815,8 @@ class QTaskSimulator(CircuitObserver):
                 f"..{self._last_sweep[0] + self._last_sweep[1]},"
                 f" planned {self._last_sweep[2]}"
             ),
+            f"  coalesced {coalesced} stages into {runs} runs"
+            + (f" (largest {largest}, union <= {widest} qubits)" if runs else ""),
             (
                 f"  backend {self.plan_report().backend}"
                 f" (requested {self.plan_report().requested_backend}),"

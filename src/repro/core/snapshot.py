@@ -5,7 +5,9 @@ to resume *without re-simulating*: the circuit (nets, gates, dynamic ops
 with their program-order ``op_index``, classical registers), the simulator's
 configuration knobs, the global stage order with each stage's kind and
 member gates, every materialised copy-on-write block (with a per-block CRC),
-and the trajectory's classical state (seed, bits, recorded outcomes).
+the coalesced runs on record (which stage holds a block inside a run is
+only right next to them), and the trajectory's classical state (seed, bits,
+recorded outcomes).
 
 Restoration deliberately does **not** replay circuit modifiers through the
 observer protocol: the original session's stage layout is a product of its
@@ -159,6 +161,10 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
         "num_updates": sim._num_updates,
         "nets": nets_json,
         "stages": stages_json,
+        # coalesced runs as (first stage position, member count)
+        "runs": [
+            [run.members[0].seq, len(run.members)] for run in sim.graph.runs()
+        ],
         "outcomes": {
             "num_bits": outcomes.num_bits,
             "seed": outcomes.seed,
@@ -417,8 +423,16 @@ def restore_simulator(
         )
 
     # Every inserted stage marked itself dirty; the checkpointed state is
-    # computed, so there is no pending work.
+    # computed, so there is no pending work.  The runs on record explain why
+    # some declarers hold nothing; a file from before there were runs lists
+    # none, and its stages hold every block they declare.
     sim.graph.clear_pending()
+    try:
+        sim.graph.adopt_runs(header.get("runs", ()))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r} has a corrupt run table: {exc}"
+        ) from exc
     sim._num_updates = max(1, int(header["num_updates"]))
     circuit.register_observer(sim)
     duration = time.perf_counter() - t0

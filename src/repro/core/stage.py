@@ -35,7 +35,14 @@ from .exec_plan import (
     RunSpec,
     RunTable,
 )
-from .gates import Action, Gate, MatVecAction, classify_matrix, fuse_gate_actions
+from .gates import (
+    Action,
+    Gate,
+    MatVecAction,
+    classify_matrix,
+    compose_run,
+    fuse_gate_actions,
+)
 from .kernels import StateReader, apply_gate_dense, measured_masses
 from .ops import CGate
 from .partition import (
@@ -48,6 +55,7 @@ from .partition import (
 
 __all__ = [
     "gate_action",
+    "coalesced_table",
     "Stage",
     "UnitaryStage",
     "FusedUnitaryStage",
@@ -401,6 +409,25 @@ class FusedUnitaryStage(UnitaryStage):
         self.gate = self.gates[0]
         self.action = action
         return True
+
+
+def coalesced_table(
+    members: Sequence[UnitaryStage], block_ranges: Sequence[BlockRange]
+) -> RunTable:
+    """One table doing the work of consecutive ``members`` in one pass.
+
+    Its single operation is the members' actions composed in stage order
+    (:func:`~repro.core.gates.compose_run`, over the union of their qubits);
+    ``block_ranges`` must span the union of the members' covers, which is
+    closed under the composed permutation -- an amplitude moves only within
+    the cover of the member moving it.
+    """
+    head = members[0]
+    action, qubits = compose_run([(s.action, s.qubits) for s in members])
+    los, his, op_ids = _packed_run_bounds(
+        tuple(block_ranges), head.block_size, head.dim
+    )
+    return RunTable(los, his, op_ids, [PlanOp(RUN_ACTION, qubits, action)])
 
 
 class MatVecStage(Stage):

@@ -11,7 +11,7 @@ import pytest
 from repro.core import faults
 from repro.core.blocks import BlockRange
 from repro.core.circuit import Circuit
-from repro.core.cow import StoreChain
+from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.gates import Gate, embed_gate_matrix
 from repro.core.graph import PartitionGraph
 from repro.core.partition import PartitionSpec, layout_of
@@ -197,6 +197,35 @@ def index_over(stages: Sequence[Stage]) -> PartitionGraph:
     return graph
 
 
+class StoreChain(_ResolvingReader):
+    """The naive block resolver: walk the stores backwards.
+
+    ``stores[0]`` is the oldest (usually an ``InitialStateStore``) and
+    ``stores[-1]`` the most recent stage.  Reading block ``b`` walks the
+    chain backwards until a store holds ``b`` -- O(S) per read, the ground
+    truth the writer index is checked against.  The simulator never builds
+    one.
+    """
+
+    def __init__(self, stores: Sequence[BlockStore]) -> None:
+        if not stores:
+            raise ValueError("StoreChain needs at least one store")
+        dims = {s.dim for s in stores}
+        sizes = {s.block_size for s in stores}
+        if len(dims) != 1 or len(sizes) != 1:
+            raise ValueError("all stores in a chain must share dim and block size")
+        self._stores: List[BlockStore] = list(stores)
+        self.dim = stores[0].dim
+        self.block_size = stores[0].block_size
+        self.n_blocks = stores[0].n_blocks
+
+    def resolve_store(self, block: int) -> BlockStore:
+        for store in reversed(self._stores):
+            if store.has_block(block):
+                return store
+        raise LookupError(f"block {block} resolved by no store in the chain")
+
+
 def newest_holder(initial, stages: Sequence[Stage], block: int, before_seq: int):
     """Brute force: the newest store before ``before_seq`` holding ``block``."""
     stores = [initial] + [s.store for s in stages[:before_seq]]
@@ -209,9 +238,17 @@ def newest_holder(initial, stages: Sequence[Stage], block: int, before_seq: int)
 
 
 def plan_nodes(graph, plan) -> list:
-    """The graph's nodes an execution plan covers, in execution order."""
+    """The graph's nodes an execution plan covers, in execution order.
+
+    A coalesced run covers every node of every member: only stages swept
+    whole coalesce.
+    """
     nodes = []
     for sp in plan.stage_plans:
+        if len(sp.members) > 1:
+            for stage in sp.members:
+                nodes += graph.stage_nodes(stage)
+            continue
         wanted = set(sp.block_ranges)
         nodes += [
             node for node in graph.stage_nodes(sp.stage)
@@ -298,9 +335,22 @@ class FrontierOracle:
       of each block it declared *when it was first seen* (entered through
       the sync barrier where there is one),
 
-    then answers with :func:`closest_writer_reachability` from those seeds.
-    A completed update (``state_epoch``) empties the list.  Create it on a
-    session with nothing pending, or on one that has never updated.
+    then answers with :func:`closest_writer_reachability` from those seeds
+    -- widened to coalesced runs.  The runs the last completed update
+    executed are read off the public ``graph.runs()`` view; the widening
+    rule itself is applied from outside:
+
+    * a run a modifier landed in (a member removed or rebound, a new stage
+      strictly between two members) is dissolved, and every surviving
+      member is seeded whole;
+    * a run the closure reaches at all (any member partition) is affected
+      whole: every member partition is seeded and the closure taken again,
+      until nothing grows.
+
+    A completed update (``state_epoch``) empties the list and is when the
+    runs are read: call :meth:`expected` after every update, before the next
+    modifier.  Create it on a session with nothing pending, or on one that
+    has never updated.
     """
 
     def __init__(self, session) -> None:
@@ -308,8 +358,13 @@ class FrontierOracle:
         self.epoch = self.sim.state_epoch[0]
         #: (stage, gates, declared ranges, has a sync barrier), last seen order
         self.known: list = self._look() if self.epoch else []
+        #: member tuples of the runs believed intact
+        self.runs: list = self._runs() if self.epoch else []
         #: (stage, (first, last), is_sync)
         self.seeds: set = set()
+
+    def _runs(self) -> list:
+        return [run.members for run in self.sim.graph.runs()]
 
     def _look(self) -> list:
         return [
@@ -327,6 +382,7 @@ class FrontierOracle:
         if sim.state_epoch[0] != self.epoch:
             self.epoch = sim.state_epoch[0]
             self.seeds.clear()
+            self.runs = self._runs()
         now = self._look()
         before = {entry[0]: entry for entry in self.known}
         alive = {entry[0]: i for i, entry in enumerate(now)}
@@ -349,15 +405,220 @@ class FrontierOracle:
                             )
                             break
         # new stages, and stages whose gates were rebound
+        rebound = set()
         for stage, gates, ranges, _ in now:
             seen = before.get(stage)
             if seen is None or len(seen[1]) != len(gates) or any(
                 a is not b for a, b in zip(seen[1], gates)
             ):
+                rebound.add(stage)
                 self.seeds.update((stage, r, False) for r in ranges)
+        # runs a modifier landed in: every surviving member, whole
+        ranges_of = {stage: ranges for stage, _, ranges, _ in now}
+        intact = []
+        for members in self.runs:
+            at = [alive.get(stage) for stage in members]
+            if (
+                None in at
+                or at != list(range(at[0], at[0] + len(at)))
+                or rebound.intersection(members)
+            ):
+                self.seeds.update(
+                    (stage, r, False)
+                    for stage in members if stage in alive
+                    for r in ranges_of[stage]
+                )
+            else:
+                intact.append(members)
+        self.runs = intact
         self.known = now
         seeds = {(stage.seq, r, is_sync) for stage, r, is_sync in self.seeds}
         if not sim.copy_on_write and (sim.graph.has_pending or self.epoch == 0):
             # dense mode re-simulates every partition of every stage
             seeds = {(stage.seq, r, False) for stage, _, ranges, _ in now for r in ranges}
-        return closest_writer_reachability([entry[0] for entry in now], seeds)
+        stages = [entry[0] for entry in now]
+        reached = closest_writer_reachability(stages, seeds)
+        # runs the closure meets: whole or not at all
+        grown = True
+        while grown:
+            grown = False
+            for members in intact:
+                nodes = {
+                    (stage.seq, r, False)
+                    for stage in members for r in ranges_of[stage]
+                }
+                if nodes & reached and not nodes <= reached:
+                    seeds |= nodes
+                    grown = True
+            if grown:
+                reached = closest_writer_reachability(stages, seeds)
+        return reached
+
+
+# ---------------------------------------------------------------------------
+# the shared modifier generator: one drawn op, applied to a session
+# ---------------------------------------------------------------------------
+
+NUM_CLBITS = 2
+
+
+def session_handles(session):
+    return [h for net in session.nets() for h in net.gates]
+
+
+def draw_op(rng, session, gate=random_gate):
+    """One modifier, as indices into the session's current structure."""
+    nets = session.nets()
+    handles = session_handles(session)
+    n = session.num_qubits
+    kind = rng.choices(
+        ["net", "gate", "remove", "retune", "measure", "reset", "c_if",
+         "update", "fork", "restore"],
+        weights=[4, 12, 4, 2, 1, 1, 1, 3, 1, 1],
+    )[0]
+    if kind == "net" or not nets:
+        # None appends; an index inserts mid-circuit, after that net
+        after = rng.choice([None] + list(range(len(nets)))) if nets else None
+        return ("net", after)
+    if kind == "remove":
+        return ("remove", rng.randrange(len(handles))) if handles else ("update",)
+    if kind == "retune":
+        tunable = [
+            i for i, h in enumerate(handles)
+            if isinstance(h.gate, Gate) and h.gate.params
+        ]
+        if not tunable:
+            return ("update",)
+        i = rng.choice(tunable)
+        params = tuple(
+            rng.choice([0.0, np.pi, rng.uniform(0, 2 * np.pi)])
+            for _ in handles[i].gate.params
+        )
+        return ("retune", i, params)
+    if kind in ("update", "fork", "restore"):
+        return (kind,)
+    net_index = rng.randrange(len(nets))
+    net = nets[net_index]
+    free = sorted(set(range(n)) - net.qubits_in_use())
+    free_clbits = sorted(set(range(NUM_CLBITS)) - net.clbits_in_use())
+    if not free:
+        return ("net", None)
+    if kind == "measure" and free_clbits:
+        return ("measure", net_index, rng.choice(free), rng.choice(free_clbits))
+    if kind == "reset":
+        return ("reset", net_index, rng.choice(free))
+    if kind == "c_if" and free_clbits:
+        bit = rng.choice(free_clbits)
+        return ("c_if", net_index, gate(rng, free), (bit,), rng.randrange(2))
+    return ("gate", net_index, gate(rng, free))
+
+
+def apply_op(session, op):
+    """Apply ``op`` to ``session``; returns the session to continue on."""
+    kind = op[0]
+    nets = session.nets()
+    if kind == "net":
+        session.insert_net(None if op[1] is None else nets[op[1]])
+    elif kind == "gate":
+        session.insert_gate(op[2], nets[op[1]])
+    elif kind == "remove":
+        session.remove_gate(session_handles(session)[op[1]])
+    elif kind == "retune":
+        session.update_gate(session_handles(session)[op[1]], *op[2])
+    elif kind == "measure":
+        session.measure(nets[op[1]], op[2], op[3])
+    elif kind == "reset":
+        session.reset(nets[op[1]], op[2])
+    elif kind == "c_if":
+        session.c_if(op[2], nets[op[1]], condition=(op[3], op[4]))
+    elif kind == "update":
+        session.update_state()
+    elif kind == "fork":
+        return session.fork()
+    return session
+
+
+# ---------------------------------------------------------------------------
+# from-outside invariants of a computed session (nothing pending)
+# ---------------------------------------------------------------------------
+
+
+def _declared_blocks(graph, stage) -> set:
+    return {b for node in graph.partition_nodes(stage) for b in node.block_range}
+
+
+def assert_held_blocks_declared(session):
+    """``held <= declared``: what resolving reads through the index rests on."""
+    graph = session.simulator.graph
+    for stage in graph.stages:
+        held = set(stage.store.stored_blocks())
+        assert held <= _declared_blocks(graph, stage), (
+            stage, sorted(held - _declared_blocks(graph, stage))
+        )
+
+
+def assert_held_blocks_are_prefix_states(session, *, atol: float = 1e-10):
+    """Every block a stage holds is the state just after that stage.
+
+    The dense oracle is stepped through the stages in execution order
+    (replaying the recorded outcomes) and each held block compared with the
+    prefix state's slice.  ``state() == dense`` only looks at the newest
+    holder of each block; this also catches a stale copy left behind in an
+    earlier stage and a block published to the wrong stage.
+    """
+    from repro.baselines.dense import DenseReferenceSimulator
+
+    sim = session.simulator
+    dense = DenseReferenceSimulator(
+        session.circuit, forced_outcomes=sim.outcomes.recorded_outcomes()
+    )
+    dense.outcomes.begin_pass()
+    state = dense._fresh_state()
+    size = min(sim.dim, sim.block_size)
+    for stage in sim.graph.stages:
+        ops = [stage.op] if hasattr(stage, "op") else stage.gate_list()
+        for op in ops:
+            state = dense._apply_operation(state, op)
+        for block in stage.store.stored_blocks():
+            np.testing.assert_allclose(
+                stage.store.get_block(block),
+                state[block * size : (block + 1) * size],
+                atol=atol, rtol=0,
+                err_msg=f"block {block} held by {stage!r}",
+            )
+
+
+def assert_runs_are_consistent(session):
+    """The run records agree with the stage order and with the stores.
+
+    Members are seq-adjacent static stages; each holds exactly the blocks it
+    owns (declares, with no later member declaring them too); and whatever
+    the runs elide, every block's newest declarer holds it.
+    """
+    sim = session.simulator
+    graph = sim.graph
+    stages = graph.stages
+    declared = {stage: _declared_blocks(graph, stage) for stage in stages}
+    seen: set = set()
+    for run in graph.runs():
+        members = run.members
+        assert len(members) >= 2 and not seen.intersection(members), members
+        seen.update(members)
+        first = members[0].seq
+        assert list(members) == stages[first : first + len(members)], members
+        later: set = set()
+        for stage in reversed(members):
+            assert stage.plan_static, stage
+            held = set(stage.store.stored_blocks())
+            assert held == declared[stage] - later, (
+                stage, sorted(held), sorted(declared[stage] - later)
+            )
+            later |= declared[stage]
+        assert later == {
+            b for b in range(sim.n_blocks) if run.cover >> b & 1
+        }, members
+    newest: dict = {}
+    for stage in stages:
+        newest.update((block, stage) for block in declared[stage])
+    for block, stage in newest.items():
+        assert stage.store.has_block(block), (block, stage)

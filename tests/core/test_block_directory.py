@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import BlockRange, aligned_block_runs
-from repro.core.cow import BlockStore, IndexReader, InitialStateStore, StoreChain
+from repro.core.cow import BlockStore, IndexReader, InitialStateStore
+from repro.core.exec_plan import StagePlan
 
-from ..conftest import DeclaringStage, index_over, newest_holder
+from ..conftest import DeclaringStage, StoreChain, index_over, newest_holder
 
 
 def _stage(*ranges, qubits=5, block=4):
@@ -143,25 +144,25 @@ def _planned_case():
 
 def test_plan_sources_lists_the_closest_earlier_declarer():
     init, (s0, s1, s2), g = _planned_case()
-    (t1, t2), edges = g.plan_sources([(s1, s1.ranges), (s2, s2.ranges)], init)
+    (t1, t2), edges = g.plan_sources([StagePlan(s1, s1.ranges), StagePlan(s2, s2.ranges)], init)
     assert t1 == {0: s0.store, 1: s0.store, 3: s0.store}
     assert t2 == {0: s1.store, 1: s1.store, 2: s0.store, 3: s1.store}
     # s1 is planned and a source of s2: one edge; s0 is not planned: none
     assert edges == [(0, 1)]
     # the first stage of a circuit reads the initial state
-    (t0,), edges = g.plan_sources([(s0, s0.ranges)], init)
+    (t0,), edges = g.plan_sources([StagePlan(s0, s0.ranges)], init)
     assert t0 == {blk: init for blk in range(4)} and edges == []
     # only the recomputed ranges are planned: memory is O(affected blocks)
-    (part,), _ = g.plan_sources([(s2, [BlockRange(2, 3)])], init)
+    (part,), _ = g.plan_sources([StagePlan(s2, [BlockRange(2, 3)])], init)
     assert part == {2: s0.store, 3: s1.store}
     # every planned source is a predecessor, once, by position
-    _, edges = g.plan_sources([(s, s.ranges) for s in (s0, s1, s2)], init)
+    _, edges = g.plan_sources([StagePlan(s, s.ranges) for s in (s0, s1, s2)], init)
     assert edges == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_planned_sources_equal_the_newest_holder_scan():
     init, stages, g = _planned_case()
-    tables, _ = g.plan_sources([(s, s.ranges) for s in stages], init)
+    tables, _ = g.plan_sources([StagePlan(s, s.ranges) for s in stages], init)
     for stage, table in zip(stages, tables):
         for blk, store in table.items():
             assert store is newest_holder(init, stages, blk, stage.seq)
@@ -169,7 +170,7 @@ def test_planned_sources_equal_the_newest_holder_scan():
 
 def test_planned_read_never_searches_the_index():
     init, (s0, s1, s2), g = _planned_case()
-    (table,), _ = g.plan_sources([(s2, s2.ranges)], init)
+    (table,), _ = g.plan_sources([StagePlan(s2, s2.ranges)], init)
     index = _CountingIndex(g)
     reader = IndexReader(index, init, s2.seq, table)
     np.testing.assert_array_equal(
@@ -184,7 +185,7 @@ def test_planned_read_never_searches_the_index():
 
 def test_planned_source_holding_nothing_falls_back_to_the_older_holder():
     init, (s0, s1, s2), g = _planned_case()
-    (table,), _ = g.plan_sources([(s2, s2.ranges)], init)
+    (table,), _ = g.plan_sources([StagePlan(s2, s2.ranges)], init)
     s1.store.drop_block(1)       # e.g. a failed publish left s1 half-written
     index = _CountingIndex(g)
     reader = IndexReader(index, init, s2.seq, table)

@@ -24,17 +24,18 @@ from hypothesis import strategies as st
 
 from repro import QTask
 from repro.core import faults
-from repro.core.cow import IndexReader, StoreChain
+from repro.core.cow import IndexReader
 from repro.core.faults import FaultPlan
 
-from ..conftest import dense_state as _dense_state
-from ..conftest import newest_holder
-from .test_writer_index import (
+from ..conftest import (
     NUM_CLBITS,
+    StoreChain,
     apply_op,
     assert_held_blocks_declared,
     draw_op,
+    newest_holder,
 )
+from ..conftest import dense_state as _dense_state
 
 HAVE_FORK = hasattr(os, "fork")
 
@@ -78,24 +79,35 @@ def assert_asof_reads_equal_the_scan(sim):
 
 
 def update_and_check_planned_sources(session):
-    """Plan the pending update the way ``update_state`` will, run it, and
-    compare every planned source with the scan over the updated stores."""
+    """Run the pending update, look at the plan it executed (the last one it
+    built: a recovery re-plans), and compare every planned source with the
+    scan over the updated stores."""
     sim = session.simulator
-    plan = sim._build_plan()  # sweeping is pure: the update builds its own
-    session.update_state()
+    built = []
+    build = sim._build_plan
+    sim._build_plan = lambda: built.append(build()) or built[-1]
+    try:
+        session.update_state()
+    finally:
+        del sim._build_plan  # the instance attribute shadowing the method
+    plan = built[-1]
+    member_stores = [{m.store for m in sp.members} for sp in plan.stage_plans]
     for succ, sp in enumerate(plan.stage_plans):
         declared = {b for r in sp.block_ranges for b in r}
-        # O(affected blocks): exactly the recomputed ranges are planned
+        # O(affected blocks): exactly the recomputed ranges are planned -- of
+        # a coalesced run, the union of its members' covers, once
         assert set(sp.reader.sources) == declared
         for block, store in sp.reader.sources.items():
+            # ... read as of the plan's first stage: a source inside an
+            # earlier run is that run's last declarer, the one that holds it
             assert_same_source(sim, store, block, sp.stage.seq, sp.stage)
         # the task edges are the planned stages among those sources
-        planned = {
-            plan.stage_plans[pred].stage.store
-            for pred, s in plan.edges if s == succ
+        sources = set(sp.reader.sources.values())
+        preds = {pred for pred, s in plan.edges if s == succ}
+        assert preds == {
+            k for k, stores in enumerate(member_stores) if sources & stores
         }
-        stores = {q.stage.store for q in plan.stage_plans}
-        assert planned == set(sp.reader.sources.values()) & stores
+        assert not sources & member_stores[succ]
     return plan
 
 
@@ -178,25 +190,53 @@ def test_planned_and_asof_sources_equal_the_newest_holder_scan(
 
 
 def test_plan_memory_is_the_affected_blocks_not_the_register(no_plan):
-    """A retune deep in a circuit plans only its cone's blocks."""
-    with QTask(6, block_size=4, num_workers=1) as session:
+    """A retune deep in a circuit plans only its cone's blocks.
+
+    Built one update per stage nothing coalesces and the cone is the
+    paper's; built in one update the static stages are one run, the retune
+    re-plans all of it -- and still holds each block of the union cover
+    once, not once per member.
+    """
+    def build(session, stepwise):
         net = session.insert_net()
         for q in range(6):
             session.insert_gate("h", net, q)
         handle = None
         for q in range(6):
+            if stepwise:
+                session.update_state()
             handle = session.insert_gate(
                 "rz", session.insert_net(), q, params=[0.1 * (q + 1)]
             )
+        if stepwise:
+            session.update_state()
         session.insert_gate("cx", session.insert_net(), 4, 5)
         session.update_state()
-        session.update_gate(handle, 1.3)  # rz on qubit 5: upper half only
-        plan = update_and_check_planned_sources(session)
+        return handle
+
+    with QTask(6, block_size=4, num_workers=1) as session:
+        handle = build(session, stepwise=True)
         sim = session.simulator
+        assert sim.graph.runs() == []
+        session.update_gate(handle, 1.3)  # the last rz, on qubit 5
+        plan = update_and_check_planned_sources(session)
         planned = sum(len(sp.reader.sources) for sp in plan.stage_plans)
         assert planned == plan.block_writes
-        assert planned < sim.n_blocks * plan.num_stages
-        assert 0 < planned < sim.n_blocks * sim.graph.num_stages()
+        # the retuned stage and the cx behind it, nothing upstream: less
+        # than a register per affected stage, let alone per stage
+        affected = [m.seq for sp in plan.stage_plans for m in sp.members]
+        assert affected == [6, 7]
+        assert 0 < planned < sim.n_blocks * len(affected)
+
+    with QTask(6, block_size=4, num_workers=1) as session:
+        handle = build(session, stepwise=False)
+        sim = session.simulator
+        assert [len(run.members) for run in sim.graph.runs()] == [7]
+        session.update_gate(handle, 1.3)
+        plan = update_and_check_planned_sources(session)
+        (sp,) = plan.stage_plans
+        assert len(sp.members) == 7
+        assert len(sp.reader.sources) == plan.block_writes == sim.n_blocks
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from repro.core.blocks import (
     block_bounds,
     block_of,
     intersect_ranges,
+    mask_blocks,
+    mask_ranges,
     merge_overlapping,
     num_blocks,
     ranges_intersect,
@@ -191,3 +193,13 @@ def test_merge_overlapping_preserves_membership_and_disjointness(ranges):
     # merged ranges are sorted and non-adjacent
     for a, b in zip(merged, merged[1:]):
         assert a.last + 1 < b.first
+
+
+@given(st.sets(st.integers(0, 200)))
+def test_mask_blocks_and_ranges_read_a_bitmask_back(blocks):
+    mask = sum(1 << b for b in blocks)
+    assert mask_blocks(mask) == sorted(blocks)
+    ranges = mask_ranges(mask)
+    assert [b for r in ranges for b in r] == sorted(blocks)
+    # maximal: consecutive ranges never touch
+    assert all(a.last + 1 < b.first for a, b in zip(ranges, ranges[1:]))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cow import BlockStore, InitialStateStore, MemoryReport, StoreChain
+from repro.core.cow import BlockStore, InitialStateStore, MemoryReport, RoutedStore
+
+from ..conftest import StoreChain
 
 
 def _store(dim=32, block=4):
@@ -359,3 +361,58 @@ def test_memory_report_accounts_shared_bytes():
     both = MemoryReport.from_stores([parent, child])
     assert both.allocated_bytes == 5 * 64
     assert both.owned_bytes == 3 * 64  # de-duplicated fleet footprint
+
+
+# ---------------------------------------------------------------------------
+# RoutedStore: the write surface of a coalesced run
+# ---------------------------------------------------------------------------
+
+
+def _routed():
+    """Three member stores over 8 blocks: a owns 0-1, b nothing, c 2-3 and 6."""
+    a, b, c = _store(), _store(), _store()
+    return (a, b, c), RoutedStore([a, b, c], [0b11, 0, 0b1001100])
+
+
+def test_routed_store_hands_each_block_to_its_owner():
+    (a, b, c), routed = _routed()
+    assert (routed.dim, routed.block_size, routed.is_remote_backed) == (32, 4, False)
+    rows = [np.full(4, float(blk), dtype=complex) for blk in (6, 0, 3)]
+    routed.write_blocks([6, 0, 3], rows)
+    assert a.stored_blocks() == (0,) and c.stored_blocks() == (3, 6)
+    assert b.stored_blocks() == ()
+    assert c.get_block(6) is rows[0]  # adopted zero-copy, like write_blocks
+    # a range is cut per block, whoever owns which: blocks 0-3 in one call
+    values = np.arange(16, dtype=complex)
+    routed.write_range(0, values, copy=False)
+    assert a.stored_blocks() == (0, 1) and c.stored_blocks() == (2, 3, 6)
+    np.testing.assert_array_equal(c.get_block(2), values[8:12])
+    assert np.shares_memory(c.get_block(2), values)
+    routed.write_range(0, values[:8])  # copy=True detaches from the caller
+    assert not np.shares_memory(a.get_block(1), values)
+    with routed.publish_batch():  # local stores: a no-op that still nests
+        routed.write_blocks([1], [np.ones(4, dtype=complex)])
+    np.testing.assert_array_equal(a.get_block(1), np.ones(4))
+
+
+def test_routed_store_rejects_what_a_store_rejects():
+    _, routed = _routed()
+    with pytest.raises(ValueError, match="block aligned"):
+        routed.write_range(2, np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError, match="complex128"):
+        routed.write_range(0, np.zeros(6, dtype=complex))  # not whole blocks
+    with pytest.raises(KeyError):
+        routed.write_blocks([4], [np.zeros(4, dtype=complex)])  # nobody owns 4
+
+
+def test_routed_store_settle_drops_what_members_do_not_own():
+    (a, b, c), routed = _routed()
+    for store in (a, b, c):  # copies from when each stage ran alone
+        for blk in range(4):
+            store.write_block(blk, np.full(4, 9.0, dtype=complex))
+    routed.settle()
+    assert a.stored_blocks() == (0, 1)
+    assert b.stored_blocks() == ()
+    assert c.stored_blocks() == (2, 3)
+    a.keep_only(0)
+    assert a.stored_blocks() == ()

@@ -106,18 +106,32 @@ def _plan_for(sim):
 
 class TestBuildExecutionPlan:
     def test_one_plan_per_stage(self):
+        # ... or per coalesced run of stages: every affected stage is a
+        # member of exactly one plan, and the four adjacent rz stages --
+        # static, swept whole -- share one
         sim = _simulator([[Gate("h", (q,)) for q in range(4)],
                           [Gate("rz", (q,), (0.3,)) for q in range(4)]])
         plan, affected = _plan_for(sim)
         stage_uids = {node.stage.uid for node in affected}
-        assert plan.num_stages == len(stage_uids)
-        assert len({sp.stage.uid for sp in plan.stage_plans}) == plan.num_stages
+        members = [s.uid for sp in plan.stage_plans for s in sp.members]
+        assert sorted(members) == sorted(stage_uids) and len(stage_uids) == 5
+        assert [len(sp.members) for sp in plan.stage_plans] == [1, 4]
+        assert all(sp.stage is sp.members[0] for sp in plan.stage_plans)
+        # dense mode holds whole vectors per stage: nothing to coalesce
+        dense = _simulator([[Gate("h", (q,)) for q in range(4)],
+                            [Gate("rz", (q,), (0.3,)) for q in range(4)]],
+                           copy_on_write=False)
+        plan, _ = _plan_for(dense)
+        assert [len(sp.members) for sp in plan.stage_plans] == [1] * 5
 
     def test_stage_plans_in_topological_stage_order(self):
-        sim = _simulator([[Gate("h", (0,))], [Gate("x", (0,))], [Gate("z", (0,))]])
+        # plans by seq, and within a run the members by seq, no gaps
+        sim = _simulator([[Gate("h", (0,))], [Gate("x", (0,))], [Gate("z", (0,))],
+                          [Gate("h", (1,))], [Gate("s", (1,))]])
         plan, _ = _plan_for(sim)
-        seqs = [sp.stage.seq for sp in plan.stage_plans]
-        assert seqs == sorted(seqs)
+        seqs = [s.seq for sp in plan.stage_plans for s in sp.members]
+        assert seqs == [0, 1, 2, 3, 4]
+        assert [len(sp.members) for sp in plan.stage_plans] == [1, 2, 1, 1]
 
     def test_edges_point_forward_and_are_unique(self):
         sim = _simulator(
@@ -128,16 +142,20 @@ class TestBuildExecutionPlan:
         assert plan.edges and len(set(plan.edges)) == len(plan.edges)
         for pred, succ in plan.edges:  # positions in plan.stage_plans
             assert pred < succ
-        # a stage waits for exactly the planned stages its blocks come from
+        # a plan waits for exactly the planned stages its blocks come from:
+        # every source store belongs to a member of a predecessor, and every
+        # predecessor is the source of something
+        assert [len(sp.members) for sp in plan.stage_plans] == [1, 3]
         for succ, sp in enumerate(plan.stage_plans):
             sources = {
                 store for store in sp.reader.sources.values()
                 if store is not sim._initial
             }
-            assert sources == {
-                plan.stage_plans[pred].stage.store
-                for pred, s in plan.edges if s == succ
-            }
+            preds = [plan.stage_plans[pred] for pred, s in plan.edges if s == succ]
+            assert sources <= {m.store for pred in preds for m in pred.members}
+            assert all(
+                sources & {m.store for m in pred.members} for pred in preds
+            )
 
     def test_static_stage_runs_frozen_at_build_time(self):
         # z is diagonal -> UnitaryStage, whose emission is input-independent
@@ -204,7 +222,8 @@ def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
     monkeypatch.setattr(
         UnitaryStage, "label", lambda self: calls.append(1) or label(self)
     )
-    levels = [[Gate("x", (q,)) for q in range(4)], [Gate("cz", (0, 3))]]
+    levels = [[Gate("x", (q,)) for q in range(4)], [Gate("h", (0,))],
+              [Gate("cz", (0, 3))]]
     for tracing in (False, True):
         sim = _simulator(levels, kernel_backend="numpy", num_workers=1,
                          tracing=tracing)
@@ -216,7 +235,12 @@ def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
                 if r.name == "run.chunk"
             }
             if tracing:
-                assert named == {label(s) for s in sim.graph.stages}
+                # one chunk per stage plan: a coalesced run is named after
+                # its first member, a stage that ran alone after itself
+                x0, h, cz = (sim.graph.stages[i] for i in (0, 4, 5))
+                assert named == {
+                    f"{label(x0)} (+3 coalesced)", h.label(), label(cz)
+                }
             else:
                 assert not calls and not named
         finally:

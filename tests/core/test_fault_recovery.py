@@ -25,6 +25,7 @@ import pytest
 from repro.core import faults
 from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.gates import Gate
 from repro.core.kernels import (
     HAVE_NUMBA,
     KernelBackend,
@@ -375,15 +376,25 @@ def _shm_entries():
 def test_sigkilled_worker_is_respawned_and_update_completes():
     """A worker SIGKILLing itself mid-chunk costs a timeout + respawn, not
     the update."""
-    rng = random.Random(16)
-    levels = random_levels(rng, 6, 4)
+    # Something to ship: the static stages coalesce into one run whose
+    # table, on 128 two-amplitude blocks, is two kernel runs (the backend
+    # ships from two up; one executor worker keeps the table one chunk);
+    # the permutations stay on qubits 0-2, so each run reads its own
+    # aligned range.
+    levels = [
+        [Gate("h", (q,)) for q in range(8)],
+        [Gate("rz", (q,), (0.2 + 0.1 * q,)) for q in range(8)],
+        [Gate("cx", (0, 1)), Gate("cz", (5, 7))],
+        [Gate("x", (2,)), Gate("t", (6,))],
+    ]
     backend = ProcessPoolBackend(
         num_workers=2, min_ship_amps=0, ship_timeout=2.0, retry_backoff=0.01
     )
     # pin the local store transport: remote-backed stores deliberately skip
     # SharedMemory shipping, which is the very path under test here
     sim = _build_sim(
-        6, levels, kernel_backend=backend, block_size=4, store_transport="local"
+        8, levels, kernel_backend=backend, block_size=2, num_workers=1,
+        store_transport="local",
     )
     faults.install(FaultPlan(script=[("pool.worker.kill", 1)]))
     try:
@@ -392,7 +403,7 @@ def test_sigkilled_worker_is_respawned_and_update_completes():
         assert stats["pool_timeouts"] >= 1
         assert stats["pool_respawns"] >= 1
         assert stats["pool_retries"] >= 1
-        expected = reference_state(6, levels)
+        expected = reference_state(8, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
     finally:
         faults.uninstall()

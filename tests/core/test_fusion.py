@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.cow import InitialStateStore, StoreChain
+from repro.core.cow import InitialStateStore
 from repro.core.gates import (
     DiagonalAction,
     Gate,
     MonomialAction,
     compose_actions,
+    compose_run,
     embed_gate_matrix,
     fuse_gate_actions,
 )
@@ -18,7 +19,7 @@ from repro.core.kernels import ArrayReader, apply_action_range, execute_run
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import FusedUnitaryStage
 
-from ..conftest import assert_states_close, reference_state
+from ..conftest import StoreChain, assert_states_close, reference_state
 
 
 def dense_op(gates, n):
@@ -112,6 +113,45 @@ def test_fuse_gate_actions_random_runs(rng):
         np.testing.assert_allclose(
             action_as_matrix(action, qubits, 3), dense_op(gates, 3), atol=1e-10
         )
+
+
+def test_compose_run_is_the_one_algebra(rng):
+    """Any number of parts in one call == the dense product == pairwise
+    ``compose_actions``; the array forms it seeds equal the tuple fields."""
+    pool = [
+        Gate("z", (0,)), Gate("s", (4,)), Gate("x", (3,)), Gate("y", (1,)),
+        Gate("cx", (0, 4)), Gate("cz", (1, 2)), Gate("swap", (2, 3)),
+        Gate("rz", (1,), (0.3,)), Gate("cp", (4, 0), (1.1,)), Gate("ccx", (3, 1, 2)),
+    ]
+    for length in (1, 2, 7, 40):
+        gates = [rng.choice(pool) for _ in range(length)]
+        parts = [(g.action(), g.qubits) for g in gates]
+        action, qubits = compose_run(parts)
+        assert qubits == tuple(sorted({q for g in gates for q in g.qubits}))
+        np.testing.assert_allclose(
+            action_as_matrix(action, qubits, 5), dense_op(gates, 5), atol=1e-10
+        )
+        pairwise, pair_qubits = parts[0]
+        for nxt, nxt_qubits in parts[1:]:
+            pairwise, pair_qubits = compose_actions(
+                pairwise, pair_qubits, nxt, nxt_qubits
+            )
+        np.testing.assert_allclose(
+            action_as_matrix(pairwise, pair_qubits, 5),
+            action_as_matrix(action, qubits, 5), atol=1e-10,
+        )
+        if isinstance(action, DiagonalAction):
+            assert action.phase_array.tolist() == list(action.phases)
+        else:
+            assert action.factor_array.tolist() == list(action.factors)
+            assert sorted(action.perm) == list(range(1 << len(qubits)))
+        assert not (action.phase_array if isinstance(action, DiagonalAction)
+                    else action.factor_array).flags.writeable
+    # x then x: the permutation collapses, the result is classified back
+    undone, _ = compose_run([(Gate("x", (2,)).action(), (2,))] * 2)
+    assert isinstance(undone, DiagonalAction) and undone.touched_locals() == ()
+    with pytest.raises(TypeError):
+        compose_run([(Gate("z", (0,)).action(), (0,)), (Gate("h", (0,)).action(), (0,))])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.core.graph import PartitionGraph
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import MatVecStage, UnitaryStage
 
-from ..conftest import plan_nodes
+from ..conftest import assert_states_close, plan_nodes, reference_state
 
 
 def build_paper_simulator(block=4):
@@ -140,23 +140,37 @@ def test_dump_graph_produces_dot():
 # ---------------------------------------------------------------------------
 
 
+def cx_stages(sim, handles):
+    return [stage_of(sim, handles[name]) for name in ("G6", "G7", "G8", "G9")]
+
+
 def test_remove_gate_reconnects_and_sets_frontier():
     ckt, sim, nets, handles = build_paper_simulator()
     sim.update_state()
     assert not sim.graph.has_pending and sim.graph.stats().num_frontiers == 0
+    # G6-G9 are consecutive permutation stages: the update ran them as one
+    # coalesced run, and that is on record
+    g6_stage, g7_stage, g8_stage, g9_stage = cx_stages(sim, handles)
+    (run,) = sim.graph.runs()
+    assert run.members == (g6_stage, g7_stage, g8_stage, g9_stage)
 
-    g7_low, g7_high = sim.graph.partition_nodes(stage_of(sim, handles["G7"]))
-    g8_stage = stage_of(sim, handles["G8"])
+    (g6,) = sim.graph.partition_nodes(g6_stage)
+    g7_low, g7_high = sim.graph.partition_nodes(g7_stage)
     g8_high = sim.graph.partition_nodes(g8_stage)[1]
-    g9_stage = stage_of(sim, handles["G9"])
     g9_low, g9_high = sim.graph.partition_nodes(g9_stage)
     # G9's [5,7] reads block 5 from G7's [4,5] and blocks 6-7 from G8's [6,7]
     assert set(preds_of(sim.graph, g9_high)) == {g7_low, g8_high}
     ckt.remove_gate(handles["G8"])
 
-    # frontier = successors of the removed partitions (G9 partitions here)
-    assert sim.graph.has_pending and sim.graph.stats().num_frontiers == 1
-    assert affected_nodes(sim) == [g9_low, g9_high]
+    # the paper's frontier = successors of the removed partitions (G9
+    # partitions here) ...
+    affected = affected_nodes(sim)
+    assert sim.graph.has_pending and {g9_low, g9_high} <= set(affected)
+    # ... widened to the run the removal landed in, exactly: G8 held what
+    # G9 read but G6 and G7 kept nothing G8 declared too, so the dissolved
+    # run's remaining members all recompute (one dirt anchor each)
+    assert affected == [g6, g7_low, g7_high, g9_low, g9_high]
+    assert sim.graph.stats().num_frontiers == 3 and sim.graph.runs() == []
     assert g8_stage not in sim.graph.stages
     # the removed stage's nodes are gone, its neighbours reconnected (Fig. 7)
     assert all(g8_stage is not n.stage for n in sim.graph.all_nodes())
@@ -171,15 +185,26 @@ def test_insert_gate_after_removal_matches_paper_frontier():
     G10's partitions plus G9's partitions (4 partitions, 24 amplitudes)."""
     ckt, sim, nets, handles = build_paper_simulator()
     sim.update_state()
+    g6_stage, g7_stage, _, g9_stage = cx_stages(sim, handles)
     ckt.remove_gate(handles["G8"])
     g10 = ckt.insert_gate("cx", nets[3], 2, 1)
     affected = affected_nodes(sim)
     g10_stage = stage_of(sim, g10)
-    g9_stage = stage_of(sim, handles["G9"])
-    assert {n.stage for n in affected} == {g10_stage, g9_stage}
-    assert len(affected) == 4
+    # the paper's frontier, as a subset: G10's and G9's partitions
+    paper = [n for n in affected if n.stage in (g10_stage, g9_stage)]
+    assert len(paper) == 4
+    assert paper == (
+        sim.graph.partition_nodes(g10_stage) + sim.graph.partition_nodes(g9_stage)
+    )
     # G10 partitions span blocks [1,3] and [5,7] as in Figure 8
     assert node_ranges(sim.graph, g10_stage) == [(1, 3), (5, 7)]
+    # the exact widened set: that frontier plus the members of the run
+    # G6-G9 the removal dissolved (G6: 1 partition, G7: 2)
+    assert {n.stage for n in affected} == {g6_stage, g7_stage, g10_stage, g9_stage}
+    assert len(affected) == 7
+    sim.update_state()
+    levels = [[h.gate for h in net.gates] for net in ckt.nets()]
+    assert_states_close(sim.state(), reference_state(5, levels))
 
 
 def test_affected_nodes_cleared_after_update():
@@ -197,13 +222,39 @@ def test_affected_nodes_cleared_after_update():
 
 def test_removing_final_gate_affects_nothing_downstream():
     """Removing the last gate leaves no downstream partition to recompute;
-    the output simply resolves through the remaining stages."""
+    the output simply resolves through the remaining stages -- when those
+    hold it.  The members of a coalesced run keep nothing of a block a later
+    member declares, so removing a run's tail makes the others recompute."""
     ckt, sim, nets, handles = build_paper_simulator()
+    # last stages that ran alone (a superposition stage, and a gate that
+    # stage keeps out of the cx run): the paper's statement as it stands
+    barrier = ckt.insert_gate("h", ckt.insert_net(), 4)
+    alone = ckt.insert_gate("cx", ckt.insert_net(), 1, 0)
     sim.update_state()
+    g6_stage, g7_stage, g8_stage, g9_stage = cx_stages(sim, handles)
+    assert [run.members for run in sim.graph.runs()] == [
+        (g6_stage, g7_stage, g8_stage, g9_stage)
+    ]
+    for handle in (alone, barrier):
+        ckt.remove_gate(handle)
+        assert affected_nodes(sim) == [] and not sim.graph.has_pending
+        sim.update_state()   # a no-op, and the state query stays consistent
+        assert abs(sum(abs(a) ** 2 for a in sim.state()) - 1.0) < 1e-9
+
+    # the final gate as the tail of the run G6-G9: the paper's frontier is
+    # empty (nothing is downstream of G9) ...
     ckt.remove_gate(handles["G9"])
-    assert affected_nodes(sim) == [] and not sim.graph.has_pending
-    sim.update_state()   # still a no-op, and the state query stays consistent
-    assert abs(sum(abs(a) ** 2 for a in sim.state()) - 1.0) < 1e-9
+    downstream = [n for n in affected_nodes(sim) if n.stage.seq > g9_stage.seq]
+    assert downstream == []
+    # ... and the exact widened set is the dissolved run's other members,
+    # whole: G9 held blocks 1-3 and 5-7 for them
+    assert affected_nodes(sim) == [
+        node for stage in (g6_stage, g7_stage, g8_stage)
+        for node in sim.graph.partition_nodes(stage)
+    ]
+    sim.update_state()
+    levels = [[h.gate for h in net.gates] for net in ckt.nets()]
+    assert_states_close(sim.state(), reference_state(5, levels))
 
 
 def test_inserting_superposition_gate_into_existing_net_touches_stage():

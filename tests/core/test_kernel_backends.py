@@ -154,14 +154,23 @@ class TestProcessPoolBackend:
         # local store transport: remote-backed stores deliberately bypass
         # SharedMemory shipping, and shipping is what this test forces
         # ("legacy": the run-granular reference loop)
+        # The static stages coalesce into one run.  On 128 two-amplitude
+        # blocks its table has two kernel runs (the backend ships from two
+        # up; one executor worker, so the table stays one chunk), and with
+        # the permutations kept to qubits 0-2 each run reads its own aligned
+        # range -- what a worker can be handed.
+        levels = _mixed_levels(8)[:3] + [[Gate("cx", (0, 1))], [Gate("cx", (1, 2))]]
+        knobs = dict(num_qubits=8, block_size=2, num_workers=1)
         sim = _simulator(
-            _mixed_levels(),
+            levels,
             kernel_backend=ProcessPoolBackend(num_workers=2, min_ship_amps=0),
             store_transport="local",
+            **knobs,
         )
         sim.update_state()
         assert sim._backend.shipped_runs > 0
-        ref = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
+        assert sim.statistics()["stages_coalesced"] == 12
+        ref = _simulator(levels, kernel_backend=KernelBackend(), **knobs)
         ref.update_state()
         np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import faults
 from repro.core.blocks import MAX_RUN_BLOCKS, aligned_block_runs
-from repro.core.cow import BlockStore, IndexReader, InitialStateStore, StoreChain
+from repro.core.cow import BlockStore, IndexReader, InitialStateStore
 from repro.core.exec_plan import (
     RUN_ACTION,
     RUN_COLLAPSE,
@@ -30,6 +30,7 @@ from repro.core.exec_plan import (
     RUN_SLICE,
     RunSpec,
     RunTable,
+    StagePlan,
 )
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import DiagonalAction, MonomialAction
@@ -37,7 +38,7 @@ from repro.core.kernels import KernelBackend, NumpyBatchBackend, _slab_table
 from repro.core.simulator import QTaskSimulator
 from repro.core.transport import LOCAL_TRANSPORT, ShardedTransport
 
-from ..conftest import DeclaringStage, index_over, random_levels
+from ..conftest import DeclaringStage, StoreChain, index_over, random_levels
 from ..test_trajectory_properties import build_dynamic_circuit
 
 HAVE_FORK = hasattr(os, "fork")
@@ -81,7 +82,7 @@ def _stage_input(rng, dim, block_size, transport, indexed):
         for store in stores + [None]
     ]
     graph = index_over(stages)
-    (sources,), _ = graph.plan_sources([(stages[2], stages[2].ranges)], initial)
+    (sources,), _ = graph.plan_sources([StagePlan(stages[2], stages[2].ranges)], initial)
     return IndexReader(graph, initial, 2, sources), stores
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import BlockRange
-from repro.core.cow import InitialStateStore, StoreChain
+from repro.core.cow import InitialStateStore
 from repro.core.gates import Gate, embed_gate_matrix, gate_matrix
 from repro.core.kernels import execute_run
 from repro.core.stage import MatVecStage, UnitaryStage
+
+from ..conftest import StoreChain
 
 
 def make_chain(n, block=4, state=None):

@@ -13,7 +13,13 @@ Four things are pinned here:
   measure/reset/``c_if``, fusion on and off, copy-on-write on and off, forks,
   checkpoint/restore -- and after every step the frontier sweep must name
   the same ``(stage seq, block range, is_sync)`` set; whenever nothing is
-  pending the state must equal the dense reference.
+  pending the state must equal the dense reference.  The oracle widens the
+  paper's closure to the coalesced runs it meets (by its own reading of
+  which runs the modifiers left intact), and after every completed update
+  every block any stage *holds* must equal the dense prefix state after
+  that stage and the run records must agree with the stores
+  (``conftest.assert_held_blocks_are_prefix_states`` /
+  ``assert_runs_are_consistent``).
 * **The index lists exactly the declaring stages**, by seq, after every step.
 * **Cached derivation == enumerator.**  ``derive_partitions`` shares results
   under the ``(unit layout, qubits, geometry)`` key; the enumerator behind
@@ -47,10 +53,17 @@ from repro.core.partition import (
 )
 
 from ..conftest import (
+    NUM_CLBITS,
     FrontierOracle,
+    apply_op,
+    assert_held_blocks_are_prefix_states,
+    assert_held_blocks_declared,
+    assert_runs_are_consistent,
     closest_writer_reachability,
     dense_state,
+    draw_op,
     random_gate,
+    session_handles,
     swept_nodes,
 )
 
@@ -80,26 +93,9 @@ def assert_index_matches_stage_order(graph):
     assert graph.num_nodes() == len(graph.all_nodes())
 
 
-def assert_held_blocks_declared(session):
-    graph = session.simulator.graph
-    for stage in graph.stages:
-        declared = {
-            b for node in graph.partition_nodes(stage) for b in node.block_range
-        }
-        held = set(stage.store.stored_blocks())
-        assert held <= declared, (stage, sorted(held - declared))
-
-
 # ---------------------------------------------------------------------------
 # a pair of sessions driven through one modifier sequence
 # ---------------------------------------------------------------------------
-
-NUM_CLBITS = 2
-
-
-def session_handles(session):
-    return [h for net in session.nets() for h in net.gates]
-
 
 def mostly_classical_gate(rng, qubits):
     """Diagonal and permutation gates, now and then anything.
@@ -116,78 +112,6 @@ def mostly_classical_gate(rng, qubits):
     name = rng.choice(["x", "y", "z", "s", "t", "rz", "p"])
     params = (rng.uniform(0, 2 * np.pi),) if name in ("rz", "p") else ()
     return Gate(name, (rng.choice(list(qubits)),), params)
-
-
-def draw_op(rng, session, gate=random_gate):
-    """One modifier, as indices into the session's current structure."""
-    nets = session.nets()
-    handles = session_handles(session)
-    n = session.num_qubits
-    kind = rng.choices(
-        ["net", "gate", "remove", "retune", "measure", "reset", "c_if",
-         "update", "fork", "restore"],
-        weights=[4, 12, 4, 2, 1, 1, 1, 3, 1, 1],
-    )[0]
-    if kind == "net" or not nets:
-        # None appends; an index inserts mid-circuit, after that net
-        after = rng.choice([None] + list(range(len(nets)))) if nets else None
-        return ("net", after)
-    if kind == "remove":
-        return ("remove", rng.randrange(len(handles))) if handles else ("update",)
-    if kind == "retune":
-        tunable = [
-            i for i, h in enumerate(handles)
-            if isinstance(h.gate, Gate) and h.gate.params
-        ]
-        if not tunable:
-            return ("update",)
-        i = rng.choice(tunable)
-        params = tuple(
-            rng.choice([0.0, np.pi, rng.uniform(0, 2 * np.pi)])
-            for _ in handles[i].gate.params
-        )
-        return ("retune", i, params)
-    if kind in ("update", "fork", "restore"):
-        return (kind,)
-    net_index = rng.randrange(len(nets))
-    net = nets[net_index]
-    free = sorted(set(range(n)) - net.qubits_in_use())
-    free_clbits = sorted(set(range(NUM_CLBITS)) - net.clbits_in_use())
-    if not free:
-        return ("net", None)
-    if kind == "measure" and free_clbits:
-        return ("measure", net_index, rng.choice(free), rng.choice(free_clbits))
-    if kind == "reset":
-        return ("reset", net_index, rng.choice(free))
-    if kind == "c_if" and free_clbits:
-        bit = rng.choice(free_clbits)
-        return ("c_if", net_index, gate(rng, free), (bit,), rng.randrange(2))
-    return ("gate", net_index, gate(rng, free))
-
-
-def apply_op(session, op):
-    """Apply ``op`` to ``session``; returns the session to continue on."""
-    kind = op[0]
-    nets = session.nets()
-    if kind == "net":
-        session.insert_net(None if op[1] is None else nets[op[1]])
-    elif kind == "gate":
-        session.insert_gate(op[2], nets[op[1]])
-    elif kind == "remove":
-        session.remove_gate(session_handles(session)[op[1]])
-    elif kind == "retune":
-        session.update_gate(session_handles(session)[op[1]], *op[2])
-    elif kind == "measure":
-        session.measure(nets[op[1]], op[2], op[3])
-    elif kind == "reset":
-        session.reset(nets[op[1]], op[2])
-    elif kind == "c_if":
-        session.c_if(op[2], nets[op[1]], condition=(op[3], op[4]))
-    elif kind == "update":
-        session.update_state()
-    elif kind == "fork":
-        return session.fork()
-    return session
 
 
 @settings(max_examples=150, **COMMON_SETTINGS)
@@ -257,8 +181,12 @@ def test_sweep_equals_closest_writer_reachability(
                 np.testing.assert_allclose(
                     session.state(), dense_state(session), atol=1e-10
                 )
+                assert_held_blocks_are_prefix_states(session)
+                assert_runs_are_consistent(session)
         session.update_state()
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
+        assert_held_blocks_are_prefix_states(session)
+        assert_runs_are_consistent(session)
     finally:
         for opened_session in opened:
             opened_session.close()
@@ -291,17 +219,33 @@ def test_failed_update_keeps_its_pending_dirt(no_plan):
 
 
 def test_removed_anchor_hands_its_inherited_dirt_on():
-    """Remove a stage, then the stage its dirt was anchored on."""
-    with QTask(4, block_size=2, num_workers=1) as session:
+    """Remove a stage, then the stage its dirt was anchored on.
+
+    Built one update per stage, so no two stages share a coalesced run and
+    the swept set is the paper's exactly; built in one update, the three
+    diagonal stages are one run and the same removals sweep its survivor
+    whole.
+    """
+    def build(session, stepwise):
         nets = [session.insert_net() for _ in range(4)]
         for q in range(4):
             session.insert_gate("h", nets[0], q)
-        low = session.insert_gate("z", nets[1], 1)    # odd blocks
-        high = session.insert_gate("z", nets[2], 3)   # upper half
-        last = session.insert_gate("rz", nets[3], 0, params=[0.3])  # every block
+        handles = []
+        for net, (name, qubit, params) in zip(
+            nets[1:], [("z", 1, ()), ("z", 3, ()), ("rz", 0, [0.3])]
+        ):
+            if stepwise:
+                session.update_state()
+            # z[q1]: odd blocks; z[q3]: upper half; rz[q0]: every block
+            handles.append(session.insert_gate(name, net, qubit, params=params))
         session.update_state()
+        return handles
+
+    with QTask(4, block_size=2, num_workers=1) as session:
+        low, high, last = build(session, stepwise=True)
         oracle = FrontierOracle(session)
         graph = session.simulator.graph
+        assert graph.runs() == []
         session.remove_gate(low)    # blocks 1 and 3 land on `high`, not its own
         session.remove_gate(high)   # ... and must travel on with high's blocks
         assert graph.stats().num_frontiers == 1
@@ -315,6 +259,22 @@ def test_removed_anchor_hands_its_inherited_dirt_on():
         assert graph.has_pending
         session.remove_gate(last)
         assert not graph.has_pending and not oracle.expected()
+
+    with QTask(4, block_size=2, num_workers=1) as session:
+        low, high, last = build(session, stepwise=False)
+        oracle = FrontierOracle(session)
+        graph = session.simulator.graph
+        assert [len(run.members) for run in graph.runs()] == [3]
+        session.remove_gate(low)
+        session.remove_gate(high)
+        # the survivor of the dissolved run recomputes whole: it holds the
+        # run's answer, not the state after the two stages before it
+        assert graph.stats().num_frontiers == 1 and graph.runs() == []
+        assert swept_nodes(session) == oracle.expected() == {
+            (1, (block, block), False) for block in range(8)
+        }
+        session.update_state()
+        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
 
 
 def test_mid_circuit_edits_do_not_move_pending_dirt():

@@ -40,7 +40,7 @@ from repro.observables import (
     dense_expectation,
 )
 
-from ..core.test_writer_index import NUM_CLBITS, apply_op, draw_op
+from ..conftest import NUM_CLBITS, apply_op, draw_op
 
 HAVE_FORK = hasattr(os, "fork")
 

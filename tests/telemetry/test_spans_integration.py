@@ -95,9 +95,13 @@ def test_pool_worker_spans_carry_worker_pids():
     except BackendUnavailable as exc:
         pytest.skip(f"process backend unavailable: {exc}")
     # local store transport: remote-backed stores deliberately bypass
-    # SharedMemory shipping, and pool.ship spans only exist on that path
+    # SharedMemory shipping, and pool.ship spans only exist on that path.
+    # The cascade coalesces into one run; on 128 two-amplitude blocks its
+    # table is two kernel runs (the backend ships from two up), and the
+    # composed permutation acts on qubits 0-2 only, so each run reads its
+    # own aligned range -- what a worker can be handed.
     ckt, sim = build_cascade(
-        8, 24, block_size=16, num_workers=1,
+        8, 24, block_size=2, num_workers=1,
         kernel_backend=backend, tracing=True, store_transport="local",
     )
     try:
@@ -150,13 +154,18 @@ def test_telemetry_report_is_consistent_with_statistics():
 
 
 def test_plan_build_span_and_explain_report_the_same_sweep():
-    """``plan.build`` covers sweep + sources + freeze, and says what it swept."""
+    """``plan.build`` covers sweep + coalesce + sources + freeze, and says
+    what it swept and what it coalesced."""
     ckt, sim = build_cascade(
         6, 12, block_size=4, num_workers=1, kernel_backend="numpy", tracing=True,
     )
     try:
         sim.update_state()
-        assert "swept stages 0..13, planned 13" in sim.explain_last_update()
+        # 13 stages swept; the 12 static ones behind the H stage are one run
+        explained = sim.explain_last_update()
+        assert "swept stages 0..13, planned 2" in explained
+        assert "coalesced 12 stages into 1 runs (largest 12, union <= 3 qubits)" \
+            in explained
         handle = [h for h in ckt.gates() if h.gate.name == "rz"][3]
         ckt.update_gate(handle, 0.7)
         seq = sim._gate_stage[handle.uid].seq
@@ -164,16 +173,22 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         full, retune = [
             r.attrs for r in sim.telemetry.tracer.spans() if r.name == "plan.build"
         ]
-        assert (full["first_seq"], full["stages_swept"], full["stages"]) == (0, 13, 13)
-        # the retuned stage is where the sweep starts; every later stage is
-        # looked at, the ones sharing its blocks are planned
-        assert retune["first_seq"] == seq > 0
-        assert retune["stages_swept"] == 13 - seq
-        assert 1 <= retune["stages"] <= retune["stages_swept"]
-        assert retune["stages"] == sim.statistics()["plans_built"] - 13
-        assert 0 < retune["runs"] <= report.executed_block_writes
-        line = f"swept stages {seq}..13, planned {retune['stages']}"
-        assert line in sim.explain_last_update()
+        assert (full["first_seq"], full["stages_swept"], full["stages"]) == (0, 13, 2)
+        assert (full["runs"], full["coalesced_stages"]) == (1, 12)
+        # the retune landed in the run: the sweep starts at the run's first
+        # member (seq 1), not at the retuned stage, and re-plans the run whole
+        assert seq > 1 and retune["first_seq"] == 1
+        assert retune["stages_swept"] == 12
+        assert (retune["stages"], retune["runs"], retune["coalesced_stages"]) == (
+            1, 1, 12
+        )
+        assert retune["stages"] == sim.statistics()["plans_built"] - 2
+        assert sim.statistics()["stages_coalesced"] == 24
+        assert 0 < retune["kernel_runs"] <= report.executed_block_writes
+        assert report.affected_partitions == sim.graph.num_nodes() - 17  # - H
+        explained = sim.explain_last_update()
+        assert "swept stages 1..13, planned 1" in explained
+        assert "coalesced 12 stages into 1 runs" in explained
     finally:
         sim.close()
 

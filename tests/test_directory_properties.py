@@ -22,10 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.circuit import Circuit
-from repro.core.cow import IndexReader, StoreChain
+from repro.core.cow import IndexReader
 from repro.core.simulator import QTaskSimulator
 
-from .conftest import circuit_levels, reference_state
+from .conftest import StoreChain, circuit_levels, reference_state
 from .test_properties import _apply_modifier, levels_strategy, modifier_strategy
 
 COMMON_SETTINGS = dict(

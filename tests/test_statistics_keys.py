@@ -39,6 +39,7 @@ GOLDEN_KEYS = {
     "runs_batched",
     "runs_fallback",
     "runs_per_plan",
+    "stages_coalesced",
     "store_bytes_shipped",
     "store_remote_reads",
     "store_shard_restarts",
@@ -105,7 +106,7 @@ def _check_numpy_pipeline_counters(stats):
     # every plain count is a real int, not a Counter/Gauge leaking through
     for key in (
         "plans_built", "runs_batched", "runs_fallback", "plan_chunks",
-        "updates_planned",
+        "stages_coalesced", "updates_planned",
         "run_retries", "update_retries", "backend_fallbacks", "task_retries",
         "num_updates", "store_remote_reads", "store_bytes_shipped",
         "store_shard_restarts", "store_transitions",
@@ -152,15 +153,27 @@ def test_numpy_backend_hands_no_run_to_the_per_run_path():
 
 
 def test_reference_backend_counts_every_run_as_per_run():
+    """... the runs of a coalesced table included: it is an ordinary table,
+    so the per-run loop executes it too -- to the slab path's state, bit for
+    bit -- and one plan stands for the two stages it coalesced."""
+    import numpy as np
+
     from repro.core.kernels import KernelBackend
 
-    ckt = _dynamic_session(KernelBackend())
+    ckt, slab = _dynamic_session(KernelBackend()), _dynamic_session("numpy")
     try:
         stats = ckt.statistics()
         # (chaos legs re-plan on injected faults, hence not an equality)
         assert 0 < stats["runs_fallback"] <= stats["runs_batched"]
+        # rz[q5] and cx[q0, q4] share a net: adjacent, static, swept whole
+        runs = ckt.simulator.graph.runs()
+        assert [len(run.members) for run in runs] == [2]
+        assert stats["stages_coalesced"] >= 2
+        assert stats["plans_built"] >= stats["num_stages"] - 1
+        assert np.array_equal(ckt.state(), slab.state())
     finally:
         ckt.close()
+        slab.close()
 
 
 def test_run_shots_counters_live_in_the_registry_not_in_statistics():
