@@ -9,14 +9,13 @@ then compare
 * **restore** -- ``restore_simulator(path)`` + ``state()`` (pure I/O and
   reconstruction; no kernels run), against
 * **re-simulate** -- rebuilding the circuit, re-attaching a fresh
-  simulator (which re-derives the whole stage table, including fusion)
-  and paying the full ``update_state``.
+  simulator (which re-derives the whole stage table) and paying the full
+  ``update_state``.
 
-The workload runs with gate fusion on: the checkpoint then captures the
-*derived* stage structure -- a handful of fused stages instead of
-hundreds of gate stages -- so restore skips both the incremental
-fusion re-derivation and the simulation itself, while the checkpoint
-stays small (few stages => few block payloads).
+The checkpoint captures the *derived* stage structure and the coalesced
+runs on record, so restore skips both the stage derivation and the
+simulation itself, while the checkpoint stays small (inside a run only the
+last declarer of a block holds it => few block payloads).
 
 Correctness is part of the benchmark: the restored state must match the
 re-simulated state to 1e-10, and an incremental edit applied after restore
@@ -64,13 +63,11 @@ def build_circuit(num_qubits, num_stages):
 
 
 def make_sim(num_qubits, num_stages, block_size):
-    """Build circuit + simulator (fusion on: the stage table is derived)."""
+    """Build circuit + simulator (the stage table is derived on attach)."""
     return QTaskSimulator(
         build_circuit(num_qubits, num_stages),
         block_size=block_size,
         num_workers=1,
-        fusion=True,
-        max_fused_qubits=4,
     )
 
 
@@ -98,8 +95,7 @@ def run_ab(num_qubits=14, num_stages=160, block_size=64):
         restore_s = time.perf_counter() - t0
 
         # re-simulate pays everything a crashed session would: rebuilding
-        # the circuit, re-attaching (stage derivation + fusion) and the
-        # full update
+        # the circuit, re-attaching (stage derivation) and the full update
         t0 = time.perf_counter()
         resim = make_sim(num_qubits, num_stages, block_size)
         try:

@@ -63,8 +63,6 @@ def _run_side(num_qubits, num_stages, block_size, transport):
         build_circuit(num_qubits, num_stages),
         block_size=block_size,
         num_workers=2,
-        fusion=True,
-        max_fused_qubits=4,
         store_transport=transport,
     )
     try:

@@ -23,9 +23,9 @@ per benchmark.
 Usage::
 
     python benchmarks/check_regression.py                      # run + gate
-    python benchmarks/check_regression.py --only chain_depth
+    python benchmarks/check_regression.py --only checkpoint
     python benchmarks/check_regression.py --informational --out-dir bench-out
-    python benchmarks/check_regression.py --fresh chain_depth=f.json  # no re-run
+    python benchmarks/check_regression.py --fresh checkpoint=f.json  # no re-run
 """
 
 from __future__ import annotations

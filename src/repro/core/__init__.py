@@ -38,7 +38,6 @@ from .simulator import QTaskSimulator, UpdateReport
 from .stage import (
     ClassicallyControlledStage,
     DynamicStage,
-    FusedUnitaryStage,
     MatVecStage,
     MeasureStage,
     ResetStage,
@@ -94,7 +93,6 @@ __all__ = [
     "matvec_partitions",
     "QTaskSimulator",
     "UpdateReport",
-    "FusedUnitaryStage",
     "MatVecStage",
     "Stage",
     "UnitaryStage",

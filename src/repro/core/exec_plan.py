@@ -13,7 +13,7 @@ describes that frontier *once* as a handful of batch-major structures instead:
   shape a vectorised or compiled kernel backend consumes whole.
 * :class:`StagePlan` -- one affected stage: its reader, whether its sync
   barrier (``prepare``) must run, and the block ranges to recompute.  For
-  static stages (plain unitary/fused stages, whose runs depend on nothing
+  static stages (plain unitary stages, whose runs depend on nothing
   drawn at execution time) the runs are emitted eagerly at plan-build time;
   dynamic and matrix--vector stages defer emission until after their
   ``prepare`` ran.  A *coalesced run* -- consecutive static stages swept

@@ -54,9 +54,7 @@ __all__ = [
     "is_superposition_gate",
     "controlled_matrix",
     "embed_gate_matrix",
-    "compose_actions",
     "compose_run",
-    "fuse_gate_actions",
     "extract_local",
     "replace_local",
 ]
@@ -537,15 +535,15 @@ def classify_gate(gate: Gate) -> Action:
 
 
 # ---------------------------------------------------------------------------
-# Action composition (stage fusion)
+# Action composition (coalesced runs)
 # ---------------------------------------------------------------------------
 #
 # Non-superposition actions form a monoid under composition: a diagonal is a
 # monomial with the identity permutation, and composing two monomials yields
-# another monomial.  Fusing a run of consecutive diagonal/monomial gates into
-# one action over the union of their qubit supports lets the simulator run
-# one stage (one partition layout, one set of CoW block writes) instead of
-# one per gate.
+# another monomial.  Composing a swept run of consecutive diagonal/monomial
+# stages into one action over the union of their qubit supports lets an
+# update execute one plan (one table, one set of CoW block writes) instead
+# of one per stage.
 
 
 @lru_cache(maxsize=512)
@@ -617,34 +615,6 @@ def compose_run(
         )
         composed.__dict__["factor_array"] = _frozen(pushed)
     return composed, union
-
-
-def compose_actions(
-    first: Action,
-    first_qubits: Sequence[int],
-    second: Action,
-    second_qubits: Sequence[int],
-) -> Tuple[Action, Tuple[int, ...]]:
-    """Fuse two non-superposition actions into one over the union support.
-
-    Returns ``(action, union_qubits)`` such that applying ``action`` on
-    ``union_qubits`` equals applying ``first`` on ``first_qubits`` and *then*
-    ``second`` on ``second_qubits`` (:func:`compose_run` of the two).
-    """
-    return compose_run(((first, first_qubits), (second, second_qubits)))
-
-
-def fuse_gate_actions(gates: Sequence[Gate]) -> Tuple[Action, Tuple[int, ...]]:
-    """Fused action of a run of non-superposition gates, in application order."""
-    if not gates:
-        raise ValueError("cannot fuse an empty gate run")
-    parts = [(g.action(), g.qubits) for g in gates]
-    for g, (action, _) in zip(gates, parts):
-        if action.creates_superposition:
-            raise ValueError(f"gate {g} creates superposition; cannot fuse")
-    if len(parts) == 1:
-        return parts[0]
-    return compose_run(parts)
 
 
 def is_superposition_gate(gate: Gate) -> bool:

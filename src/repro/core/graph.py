@@ -182,14 +182,6 @@ class PartitionGraph:
     def stages(self) -> List[Stage]:
         return list(self._stages)
 
-    def stage_at(self, position: int) -> Stage:
-        """The stage at ``position`` in the global order (no list copy)."""
-        return self._stages[position]
-
-    def stages_after(self, position: int) -> List[Stage]:
-        """Stages at or after ``position`` (copies only the tail)."""
-        return self._stages[position:]
-
     def num_stages(self) -> int:
         return len(self._stages)
 

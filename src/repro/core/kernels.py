@@ -1361,24 +1361,21 @@ def make_backend(
     """Resolve a backend spec to ``(backend, fell_back)``.
 
     ``None`` reads the ``QTASK_KERNEL_BACKEND`` environment variable
-    (default ``auto``), the only place it is read.  ``auto`` picks numba
-    when importable, else numpy.  Requesting an unavailable backend (numba
-    without the package, process without fork) substitutes numpy and reports
-    ``fell_back=True`` instead of raising, so a knob setting is portable
-    across hosts.  A :class:`KernelBackend` *instance* passes through
-    unchanged, so callers can inject a pre-configured backend (custom
-    timeouts, ship thresholds) where a name would lose the knobs.
+    (default ``auto``), the only place it is read.  ``auto`` is numpy,
+    whatever is installed: the slab path is the measured one.  Requesting an
+    unavailable backend (numba without the package, process without fork)
+    substitutes numpy and reports ``fell_back=True`` instead of raising, so
+    a knob setting is portable across hosts.  A :class:`KernelBackend`
+    *instance* passes through unchanged, so callers can inject a
+    pre-configured backend (custom timeouts, ship thresholds) where a name
+    would lose the knobs.
     """
     if isinstance(name, KernelBackend):
         return name, False
     if name is None:
         name = os.environ.get("QTASK_KERNEL_BACKEND", "auto")
     name = str(name).lower()
-    if name == "auto":
-        if HAVE_NUMBA:  # pragma: no cover - needs numba
-            return NumbaBackend(**kwargs), False
-        return NumpyBatchBackend(), False
-    if name == "numpy":
+    if name in ("auto", "numpy"):
         return NumpyBatchBackend(), False
     if name in ("numba", "process"):
         cls = NumbaBackend if name == "numba" else ProcessPoolBackend

@@ -50,7 +50,7 @@ from .classical import OutcomeRecord
 from .cow import IndexReader, InitialStateStore, MemoryReport, RoutedStore
 from .exceptions import CircuitError, QTaskError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan
-from .gates import Gate, compose_actions
+from .gates import Gate
 from .graph import PartitionGraph
 from .kernels import (
     HAVE_NUMBA,
@@ -63,7 +63,6 @@ from .ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from .stage import (
     ClassicallyControlledStage,
     DynamicStage,
-    FusedUnitaryStage,
     MatVecStage,
     MeasureStage,
     ResetStage,
@@ -89,8 +88,6 @@ _BACKEND_LADDER: Tuple[str, ...] = ("process", "numba", "numpy")
 DURABLE_KNOBS: Tuple[str, ...] = (
     "block_size",
     "copy_on_write",
-    "fusion",
-    "max_fused_qubits",
     "observable_cache",
 )
 
@@ -134,8 +131,6 @@ class QTaskSimulator(CircuitObserver):
         executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
         copy_on_write: bool = True,
-        fusion: bool = False,
-        max_fused_qubits: int = 4,
         observable_cache: bool = True,
         kernel_backend: Optional[str] = None,
         store_transport: Optional[object] = None,
@@ -165,14 +160,6 @@ class QTaskSimulator(CircuitObserver):
         self.circuit = circuit
         self.block_size = validate_block_size(knobs["block_size"])
         self.copy_on_write = bool(knobs["copy_on_write"])
-        #: Fuse runs of consecutive non-superposition stages into single
-        #: diagonal/monomial stages over the union qubit support.  Fusion
-        #: relies on the net invariant (gates in one net are qubit-disjoint),
-        #: so it is disabled for circuits built with
-        #: ``allow_net_dependencies=True``, where within-net order is
-        #: heuristic and fusing could reorder dependent gates.
-        self.fusion = bool(knobs["fusion"]) and not circuit.allow_net_dependencies
-        self.max_fused_qubits = int(knobs["max_fused_qubits"])
         #: cache per-(term, block) observable partials across updates; with
         #: ``False`` the (lazily created) observables engine recomputes every
         #: query from the block stores (the caching-ablation baseline).
@@ -250,17 +237,12 @@ class QTaskSimulator(CircuitObserver):
         self._matvec: Dict[int, MatVecStage] = {}
         #: stage owning each gate handle
         self._gate_stage: Dict[int, Stage] = {}
-        #: gate handles whose gates each stage applies (member list for fused
-        #: stages; single-element for unitary stages)
+        #: gate handles whose gates each stage applies (the members of a
+        #: matvec stage; one handle for every other stage)
         self._stage_handles: Dict[int, List[GateHandle]] = {}
-        #: uid of the net each stage is filed under (a fused stage is filed
-        #: under the net of its most recently fused member)
-        self._stage_net: Dict[int, int] = {}
-        #: number of live fused stages (lets insertions skip conflict scans)
-        self._num_fused = 0
         #: cached net-order index (net uid -> position) used by
-        #: _global_position/_dissolve_conflicting; invalidated whenever a net
-        #: is inserted or removed instead of being rebuilt on every gate.
+        #: _global_position; invalidated whenever a net is inserted or
+        #: removed instead of being rebuilt on every gate.
         self._net_index: Optional[Dict[int, int]] = None
         self._net_uid_order: List[int] = []
 
@@ -482,7 +464,6 @@ class QTaskSimulator(CircuitObserver):
             tracing=self.telemetry.tracer.enabled,
         )
         child._assemble(circuit, knobs, parent=self)
-        child._num_fused = self._num_fused
         child._num_updates = self._num_updates
 
         # Mirror the parent's stages in its exact global order (seq-based
@@ -496,9 +477,6 @@ class QTaskSimulator(CircuitObserver):
             child._stage_handles[child_stage.uid] = members
             for child_handle in members:
                 child._gate_stage[child_handle.uid] = child_stage
-            child._stage_net[child_stage.uid] = net_map[
-                self._stage_net[stage.uid]
-            ].uid
         child.graph.mirror_from(self.graph, stage_map)
         for net_uid, stages in self._net_stages.items():
             child_net = net_map.get(net_uid)
@@ -640,11 +618,6 @@ class QTaskSimulator(CircuitObserver):
                 stage.add_gate(gate)
                 self._gate_stage[handle.uid] = stage
                 self._stage_handles[stage.uid].append(handle)
-                if self.fusion:
-                    # The gate joins a stage that executes earlier than its
-                    # insertion time would suggest; fused runs downstream that
-                    # pulled an earlier-net gate past this point must split.
-                    self._dissolve_conflicting(stage.seq + 1, net, gate)
                 self.graph.touch_stage(stage)
                 return
             stage = MatVecStage(
@@ -656,7 +629,7 @@ class QTaskSimulator(CircuitObserver):
         stage = UnitaryStage(
             gate, circuit.num_qubits, self.block_size, self.copy_on_write
         )
-        self._insert_stage(handle, net, stage, try_fusion=self.fusion)
+        self._insert_stage(handle, net, stage)
 
     def _make_dynamic_stage(self, op) -> DynamicStage:
         """Build the stage for a measure/reset/classically-controlled op."""
@@ -687,157 +660,23 @@ class QTaskSimulator(CircuitObserver):
                 return i
         return len(stages)
 
-    def _insert_stage(
-        self,
-        handle: GateHandle,
-        net: NetHandle,
-        stage: Stage,
-        *,
-        try_fusion: bool = False,
-    ) -> None:
-        within, position = self._place(net, stage, handle.gate)
-        if try_fusion and position > 0:
-            candidate = self.graph.stage_at(position - 1)
-            if self._fuse_into(candidate, handle, net, position):
-                return
-        self._net_stages[net.uid].insert(within, stage)
+    def _insert_stage(self, handle: GateHandle, net: NetHandle, stage: Stage) -> None:
+        """File ``stage`` under ``net`` and enter it into the global order."""
+        stages = self._net_stages.setdefault(net.uid, [])
+        if isinstance(stage, MatVecStage):
+            within = 0  # the matvec stage always leads its net
+        elif isinstance(stage, DynamicStage):
+            # Dynamic ops are qubit- and clbit-disjoint from their net
+            # mates (the extended net invariant), so appending keeps the
+            # block-count heuristic of the unitary stages untouched.
+            within = len(stages)
+        else:
+            within = self._heuristic_position(stages, stage)
+        position = self._global_position(net, within)
+        stages.insert(within, stage)
         self.graph.insert_stage(stage, position)
         self._gate_stage[handle.uid] = stage
         self._stage_handles[stage.uid] = [handle]
-        self._stage_net[stage.uid] = net.uid
-
-    def _place(self, net: NetHandle, stage: Stage, gate: Gate) -> Tuple[int, int]:
-        """Within-net and global insertion slots for ``stage``.
-
-        With fusion enabled, any fused stage at or after the chosen slot that
-        holds a member from an earlier net overlapping ``gate``'s qubits is
-        dissolved first (the member must execute before ``gate`` but no longer
-        would), and the slot is recomputed against the new layout.
-        """
-        while True:
-            stages = self._net_stages.setdefault(net.uid, [])
-            if isinstance(stage, MatVecStage):
-                within = 0  # the matvec stage always leads its net
-            elif isinstance(stage, DynamicStage):
-                # Dynamic ops are qubit- and clbit-disjoint from their net
-                # mates (the extended net invariant), so appending keeps the
-                # block-count heuristic of the unitary stages untouched.
-                within = len(stages)
-            else:
-                within = self._heuristic_position(stages, stage)
-            position = self._global_position(net, within)
-            if not self.fusion or not self._dissolve_conflicting(position, net, gate):
-                return within, position
-
-    # ------------------------------------------------------------------
-    # stage fusion (runs of consecutive non-superposition gates)
-    # ------------------------------------------------------------------
-
-    def _fuse_into(
-        self,
-        candidate: Stage,
-        handle: GateHandle,
-        net: NetHandle,
-        position: int,
-    ) -> bool:
-        """Fuse ``handle``'s gate into the immediately preceding stage.
-
-        The fused stage takes the candidate's slot in the global order (the
-        two are adjacent, so composing their actions preserves the execution
-        order) and is filed under the new gate's net, which keeps every
-        earlier-net member ahead of all later insertion points.
-        """
-        if not isinstance(candidate, UnitaryStage):
-            return False
-        gate = handle.gate
-        if len(set(candidate.qubits) | set(gate.qubits)) > self.max_fused_qubits:
-            return False
-        action, union_qubits = compose_actions(
-            candidate.action, candidate.qubits, gate_action(gate), gate.qubits
-        )
-        members = list(self._stage_handles[candidate.uid]) + [handle]
-        fused = FusedUnitaryStage(
-            [h.gate for h in members],
-            self.circuit.num_qubits,
-            self.block_size,
-            self.copy_on_write,
-            action=action,
-            qubits=union_qubits,
-        )
-        cand_net_uid = self._stage_net.pop(candidate.uid)
-        cand_list = self._net_stages[cand_net_uid]
-        # A candidate from another net can only precede slot `position` when
-        # this net contributes nothing before it, so the fused stage leads
-        # this net's list; otherwise it takes the candidate's own index.
-        index = cand_list.index(candidate) if cand_net_uid == net.uid else 0
-        cand_list.remove(candidate)
-        self._stage_handles.pop(candidate.uid)
-        self.graph.remove_stage(candidate)
-        self._net_stages[net.uid].insert(index, fused)
-        self.graph.insert_stage(fused, position - 1)
-        for h in members:
-            self._gate_stage[h.uid] = fused
-        self._stage_handles[fused.uid] = members
-        self._stage_net[fused.uid] = net.uid
-        if not isinstance(candidate, FusedUnitaryStage):
-            self._num_fused += 1
-        return True
-
-    def _dissolve_conflicting(self, position: int, net: NetHandle, gate: Gate) -> bool:
-        """Dissolve fused stages at/after ``position`` that ``gate`` invalidates.
-
-        A fused stage downstream of the insertion slot may hold a member from
-        a net *earlier* than ``net``; if that member shares qubits with
-        ``gate`` it must execute before it, which the fused placement no
-        longer guarantees.  Returns True when anything was dissolved.
-        """
-        if not self._num_fused:
-            return False
-        candidates = [
-            s
-            for s in self.graph.stages_after(position)
-            if isinstance(s, FusedUnitaryStage)
-        ]
-        if not candidates:
-            return False
-        qubits = set(gate.qubits)
-        net_positions = self._net_positions()
-        net_pos = net_positions[net.uid]
-        conflicting: List[FusedUnitaryStage] = []
-        for stage in candidates:
-            for h in self._stage_handles[stage.uid]:
-                if qubits.intersection(h.gate.qubits) and (
-                    net_positions[h.net.uid] < net_pos
-                ):
-                    conflicting.append(stage)
-                    break
-        for stage in conflicting:
-            if stage.uid in self._stage_handles:  # not already dissolved
-                self._dissolve(stage)
-        return bool(conflicting)
-
-    def _dissolve(
-        self, stage: FusedUnitaryStage, skip: Optional[GateHandle] = None
-    ) -> None:
-        """Replace a fused stage with individual stages for its members.
-
-        Each member is re-inserted through the normal placement path of its
-        own net (no re-fusion), so net-order semantics are restored exactly.
-        """
-        handles = self._stage_handles.pop(stage.uid)
-        net_uid = self._stage_net.pop(stage.uid)
-        self._net_stages[net_uid].remove(stage)
-        self._num_fused -= 1
-        self.graph.remove_stage(stage)
-        for h in handles:
-            self._gate_stage.pop(h.uid, None)
-        for h in handles:
-            if h is skip:
-                continue
-            single = UnitaryStage(
-                h.gate, self.circuit.num_qubits, self.block_size, self.copy_on_write
-            )
-            self._insert_stage(h, h.net, single)
 
     def _net_positions(self) -> Dict[int, int]:
         """Net uid -> circuit position, rebuilt only after net insert/remove."""
@@ -895,18 +734,9 @@ class QTaskSimulator(CircuitObserver):
             ):
                 self.graph.touch_stage(stage)
                 return
-        elif isinstance(stage, FusedUnitaryStage):
-            members = self._stage_handles[stage.uid]
-            superposition = gate_action(new_gate).creates_superposition
-            if not superposition and stage.recompose(
-                [h.gate for h in members]
-            ):
-                self.graph.touch_stage(stage)
-                return
-        else:
-            if stage.retune(new_gate):
-                self.graph.touch_stage(stage)
-                return
+        elif stage.retune(new_gate):
+            self.graph.touch_stage(stage)
+            return
         # Classification or partition layout changed: rebuild this gate's
         # stage via the remove+insert path.  The removal path must see the
         # *old* gate (matvec stages look members up by value).
@@ -920,10 +750,6 @@ class QTaskSimulator(CircuitObserver):
         if stage is None:
             return
         net = handle.net
-        if isinstance(stage, FusedUnitaryStage):
-            # Removing one member splits the run back into single-gate stages.
-            self._dissolve(stage, skip=handle)
-            return
         if isinstance(stage, MatVecStage):
             stage.remove_gate(handle.gate)
             members = self._stage_handles.get(stage.uid)
@@ -937,7 +763,6 @@ class QTaskSimulator(CircuitObserver):
         if stage in stages:
             stages.remove(stage)
         self._stage_handles.pop(stage.uid, None)
-        self._stage_net.pop(stage.uid, None)
         self.graph.remove_stage(stage)
 
     # ------------------------------------------------------------------
@@ -1721,7 +1546,6 @@ class QTaskSimulator(CircuitObserver):
             {
                 "num_updates": self._num_updates,
                 "num_workers": self.executor.num_workers,
-                "num_fused_stages": self._num_fused,
                 "num_dynamic_stages": self.num_dynamic_stages,
                 "cached_observable_partials": (
                     self._observables.cached_partials

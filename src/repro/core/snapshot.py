@@ -11,7 +11,7 @@ recorded outcomes).
 
 Restoration deliberately does **not** replay circuit modifiers through the
 observer protocol: the original session's stage layout is a product of its
-full edit history (fusion decisions, within-net heuristics, retunes), which
+full edit history (within-net heuristics, retunes), which
 the final circuit alone cannot reproduce.  Instead the stage table is
 reconstructed *directly*, in the checkpointed global order, the way
 :meth:`~repro.core.simulator.QTaskSimulator.fork` rebuilds a child -- so the
@@ -51,7 +51,6 @@ from .ops import CGate, MeasureOp, ResetOp
 from .simulator import DURABLE_KNOBS, QTaskSimulator
 from .stage import (
     ClassicallyControlledStage,
-    FusedUnitaryStage,
     MatVecStage,
     MeasureStage,
     ResetStage,
@@ -104,7 +103,6 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
             entries.append(_encode_op(handle.gate))
         nets_json.append(entries)
 
-    net_position = {net.uid: i for i, net in enumerate(circuit.nets())}
     block_len = min(sim.dim, sim.block_size)
     stages_json: List[Dict[str, object]] = []
     payload: List[np.ndarray] = []
@@ -133,7 +131,6 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
         entry: Dict[str, object] = {
             "kind": stage.kind,
             "gates": [flat_index[h.uid] for h in members],
-            "net": net_position[sim._stage_net[stage.uid]],
             "blocks": blocks_json,
         }
         if isinstance(stage, MatVecStage):
@@ -294,8 +291,6 @@ def _build_stage(entry, members: List[GateHandle], sim: QTaskSimulator):
     try:
         if kind == "unitary":
             return UnitaryStage(members[0].gate, *args)
-        if kind == "fused":
-            return FusedUnitaryStage([h.gate for h in members], *args)
         if kind == "matvec":
             return MatVecStage(
                 [h.gate for h in members],
@@ -328,7 +323,8 @@ def restore_simulator(
     """Reconstruct a :class:`QTaskSimulator` from a checkpoint file.
 
     The restored session holds the checkpointed computed state (no
-    re-simulation happens) and is immediately editable: subsequent circuit
+    re-simulation happens, except for an older file with ``"fused"`` stage
+    entries) and is immediately editable: subsequent circuit
     modifiers re-simulate incrementally from the loaded blocks, exactly as
     they would have in the original session.  Execution resources are not
     part of the durable state -- pass ``executor``/``num_workers``/
@@ -377,21 +373,38 @@ def restore_simulator(
     # insert_stage call records the stage's layout and lists it in the
     # writer index (there is no source graph to mirror), and the graph's
     # insertion hook binds dynamic records.
-    nets = circuit.nets()
-    for i, entry in enumerate(header["stages"]):
+    entries, runs = header["stages"], header.get("runs", ())
+    for entry in entries:
+        gates = entry["gates"]
+        if not gates or not all(0 <= g < len(handles) for g in gates):
+            raise CheckpointError(
+                f"checkpoint {path!r} has a {entry['kind']!r} stage naming "
+                f"gates {gates!r} of {len(handles)}"
+            )
+    # Versions up to PR 21 could compose adjacent gates at insert time into
+    # one "fused" stage, filed under the net of its last member -- a slot
+    # single stages cannot keep (a member of an earlier net may not stay
+    # behind a later net's stages).  Such a table, and the blocks and runs
+    # filed by it, are of no use: the stages are placed as for a new session
+    # and simulated once, here, on the recorded trajectory (collapses replay
+    # their outcomes instead of redrawing).
+    if any(entry["kind"] == "fused" for entry in entries):
+        entries, runs, payload = [], (), b""
+        sim._sync_existing()
+        forced = sim.outcomes.replace_forced(sim.outcomes.recorded_outcomes())
+        sim.update_state()
+        sim.outcomes.replace_forced(forced)
+    for i, entry in enumerate(entries):
         members = [handles[g] for g in entry["gates"]]
         stage = _build_stage(entry, members, sim)
-        net = nets[int(entry["net"])]
+        net = members[0].net
         sim._net_stages[net.uid].append(stage)
         sim.graph.insert_stage(stage, i)
         sim._stage_handles[stage.uid] = members
         for h in members:
             sim._gate_stage[h.uid] = stage
-        sim._stage_net[stage.uid] = net.uid
         if isinstance(stage, MatVecStage):
             sim._matvec[net.uid] = stage
-        elif isinstance(stage, FusedUnitaryStage):
-            sim._num_fused += 1
 
     # Load the block payloads (stage order, ascending block id), verifying
     # each CRC.
@@ -399,7 +412,7 @@ def restore_simulator(
     block_bytes = block_len * np.dtype(_DTYPE).itemsize
     offset = 0
     stages = sim.graph.stages
-    for entry, stage in zip(header["stages"], stages):
+    for entry, stage in zip(entries, stages):
         for b, crc in entry["blocks"]:
             chunk = payload[offset : offset + block_bytes]
             if len(chunk) != block_bytes:
@@ -428,7 +441,7 @@ def restore_simulator(
     # none, and its stages hold every block they declare.
     sim.graph.clear_pending()
     try:
-        sim.graph.adopt_runs(header.get("runs", ()))
+        sim.graph.adopt_runs(runs)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint {path!r} has a corrupt run table: {exc}"

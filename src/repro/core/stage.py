@@ -41,7 +41,6 @@ from .gates import (
     MatVecAction,
     classify_matrix,
     compose_run,
-    fuse_gate_actions,
 )
 from .kernels import StateReader, apply_gate_dense, measured_masses
 from .ops import CGate
@@ -58,7 +57,6 @@ __all__ = [
     "coalesced_table",
     "Stage",
     "UnitaryStage",
-    "FusedUnitaryStage",
     "MatVecStage",
     "DynamicStage",
     "MeasureStage",
@@ -255,12 +253,8 @@ class UnitaryStage(Stage):
             raise ValueError(
                 f"gate {gate} creates superposition; it belongs in a MatVecStage"
             )
-        self._finalize_action(action, gate.qubits)
-
-    def _finalize_action(self, action: Action, qubits: Sequence[int]) -> None:
-        """Shared constructor tail: bind the action and derive partitions."""
         self.action: Action = action
-        self.qubits: Tuple[int, ...] = tuple(qubits)
+        self.qubits: Tuple[int, ...] = tuple(gate.qubits)
         self._layout = derive_layout(
             action, self.qubits, self.qubit_count, self.block_size
         )
@@ -332,81 +326,6 @@ class UnitaryStage(Stage):
             return False
         # same qubits, same layout: only the bound action changes
         self.gate = gate
-        self.action = action
-        return True
-
-
-class FusedUnitaryStage(UnitaryStage):
-    """A run of consecutive non-superposition gates fused into one action.
-
-    The member gates' classified actions are composed (in application order)
-    into a single :class:`~repro.core.gates.DiagonalAction` or
-    :class:`~repro.core.gates.MonomialAction` over the union of their qubit
-    supports, so the whole run costs one stage -- one partition layout, one
-    state vector, one set of CoW block writes -- instead of one per gate.
-    """
-
-    kind = "fused"
-
-    def __init__(
-        self,
-        gates: Sequence[Gate],
-        qubit_count: int,
-        block_size: int,
-        copy_on_write: bool = True,
-        *,
-        action: Optional[Action] = None,
-        qubits: Optional[Sequence[int]] = None,
-    ) -> None:
-        Stage.__init__(self, qubit_count, block_size, copy_on_write)
-        if not gates:
-            raise ValueError("a fused stage needs at least one gate")
-        if (action is None) != (qubits is None):
-            raise ValueError("pass action and qubits together, or neither")
-        self.gates: Tuple[Gate, ...] = tuple(gates)
-        self.gate = self.gates[0]
-        if action is None:
-            # caller may instead compose incrementally (one compose per
-            # insert instead of re-fusing the whole run) and pass the result
-            action, qubits = fuse_gate_actions(self.gates)
-        self._finalize_action(action, qubits)
-
-    def label(self) -> str:
-        return "fused{" + ";".join(str(g) for g in self.gates) + "}"
-
-    def gate_list(self) -> Tuple[Gate, ...]:
-        return self.gates
-
-    def retune(self, gate: Gate) -> bool:  # pragma: no cover - guard
-        raise TypeError("retune a fused stage through recompose()")
-
-    def clone_for_fork(self) -> "FusedUnitaryStage":
-        clone = super().clone_for_fork()
-        clone.gates = self.gates
-        return clone
-
-    def recompose(self, gates: Sequence[Gate]) -> bool:
-        """Re-fuse the member run in place after one member was retuned.
-
-        The composed action is rebuilt from the (updated) member gates; when
-        its union support and partition layout are unchanged the fused stage
-        keeps its identity and graph nodes.  Returns ``False`` when the new
-        composition changes either (e.g. a retune that cancels the run to
-        the identity), in which case the caller dissolves and rebuilds.
-        """
-        try:
-            action, qubits = fuse_gate_actions(gates)
-        except ValueError:
-            return False
-        if tuple(qubits) != self.qubits:
-            return False
-        layout = derive_layout(
-            action, qubits, self.qubit_count, self.block_size
-        )
-        if layout.specs != self._layout.specs:
-            return False
-        self.gates = tuple(gates)
-        self.gate = self.gates[0]
         self.action = action
         return True
 

@@ -43,7 +43,7 @@ class QTask:
     def __init__(self, num_qubits: int, *, num_clbits: int = 0, **knobs) -> None:
         """A fresh session; ``knobs`` are the
         :class:`~repro.core.simulator.QTaskSimulator` keywords (``block_size``,
-        ``num_workers``, ``fusion``, ``kernel_backend``, ``seed``, ...)."""
+        ``num_workers``, ``copy_on_write``, ``kernel_backend``, ``seed``, ...)."""
         self.circuit = Circuit(num_qubits, num_clbits=num_clbits)
         self.simulator = QTaskSimulator(self.circuit, **knobs)
         #: parent handle uid -> this session's handle (forked sessions only)
@@ -531,7 +531,7 @@ class QTask:
         """A flat dict snapshot of the simulator's incremental state.
 
         Includes the partition-graph shape (stages/nodes/edges/frontiers),
-        every configuration knob (block size, workers, COW, fusion,
+        every configuration knob (block size, workers, COW,
         observable cache, kernel backend) and the last update's
         outcome plus the plan-pipeline counters -- the record benchmarks
         and bug reports attach to a run.

@@ -16,7 +16,8 @@ from repro.qasm.levelize import levelize
 FACTORIES = [
     qtask_factory(),
     qtask_factory(observable_cache=False, name="qTask-nocache"),
-    qtask_factory(fusion=True, name="qTask-fused"),
+    # the id is historical (the knob it named is gone): a many-block corner
+    qtask_factory(block_size=4, name="qTask-fused"),
     qulacs_like_factory(),
     qiskit_like_factory(),
 ]

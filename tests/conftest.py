@@ -8,13 +8,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro import QTask
 from repro.core import faults
 from repro.core.blocks import BlockRange
-from repro.core.circuit import Circuit
+from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.gates import Gate, embed_gate_matrix
 from repro.core.graph import PartitionGraph
 from repro.core.partition import PartitionSpec, layout_of
+from repro.core.simulator import QTaskSimulator
 from repro.core.stage import Stage
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,44 @@ def random_level(rng: random.Random, num_qubits: int, *, density: float = 0.7) -
 def random_levels(rng: random.Random, num_qubits: int, num_levels: int) -> List[List[Gate]]:
     levels = [random_level(rng, num_qubits) for _ in range(num_levels)]
     return [lvl for lvl in levels if lvl] or [[Gate("h", (0,))]]
+
+
+# ---------------------------------------------------------------------------
+# the one build axis the property files cross: batched or stepwise
+# ---------------------------------------------------------------------------
+
+
+class _UpdateAfterEachGate(CircuitObserver):
+    def __init__(self, sim) -> None:
+        self.sim = sim
+
+    def on_gate_inserted(self, circuit, handle) -> None:
+        self.sim.update_state()
+
+
+#: the (stepwise, copy_on_write) corners the equivalence files cross
+BUILD_CORNERS = [(False, True), (True, True), (False, False), (True, False)]
+
+
+def open_session(target, *, stepwise: bool = False, **knobs):
+    """``QTask(target, **knobs)`` for a qubit count, ``QTaskSimulator(target,
+    **knobs)`` for an (empty) circuit -- built stepwise on request.
+
+    A circuit inserted whole and updated once is swept whole: its adjacent
+    diagonal / monomial stages execute as coalesced runs.  ``stepwise``
+    updates after every gate inserted from here on, so a stage is planned
+    by itself -- the paper's per-stage path, no run on record.  Both must
+    land on the dense oracle's state.  The corners' ``fusion`` / ``fused``
+    ids are historical: the boolean used to select insert-time fusion.
+    """
+    if isinstance(target, Circuit):
+        session = sim = QTaskSimulator(target, **knobs)
+    else:
+        session = QTask(target, **knobs)
+        sim = session.simulator
+    if stepwise:
+        sim.circuit.register_observer(_UpdateAfterEachGate(sim))
+    return session
 
 
 @pytest.fixture()

@@ -34,6 +34,7 @@ from ..conftest import (
     assert_held_blocks_declared,
     draw_op,
     newest_holder,
+    open_session,
 )
 from ..conftest import dense_state as _dense_state
 
@@ -121,12 +122,12 @@ def update_and_check_planned_sources(session):
     seed=st.integers(0, 2**32 - 1),
     num_qubits=st.integers(3, 5),
     block_size=st.sampled_from([2, 4, 8]),
-    fusion=st.booleans(),
+    stepwise=st.booleans(),
     copy_on_write=st.booleans(),
     sharded=st.booleans(),
 )
 def test_planned_and_asof_sources_equal_the_newest_holder_scan(
-    seed, num_qubits, block_size, fusion, copy_on_write, sharded,
+    seed, num_qubits, block_size, stepwise, copy_on_write, sharded,
     tmp_path_factory,
 ):
     # Chaos mode is parked: hypothesis draws differ from run to run, so an
@@ -138,11 +139,11 @@ def test_planned_and_asof_sources_equal_the_newest_holder_scan(
     rng = random.Random(seed)
     knobs = dict(
         num_clbits=NUM_CLBITS, block_size=block_size, num_workers=1,
-        fusion=fusion, copy_on_write=copy_on_write, seed=seed % 1000,
+        stepwise=stepwise, copy_on_write=copy_on_write, seed=seed % 1000,
     )
     if sharded and HAVE_FORK:
         knobs["store_transport"] = "sharded"
-    indexed = QTask(num_qubits, **knobs)
+    indexed = open_session(num_qubits, **knobs)
     opened = [indexed]
     try:
         for _ in range(30):

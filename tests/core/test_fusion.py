@@ -1,25 +1,36 @@
-"""Tests for the stage-fusion engine: action composition, fused stages,
-strided kernels and the simulator's greedy fusion / dissolution machinery."""
+"""Tests for composing adjacent gates: the ``compose_run`` algebra, the one
+table a coalesced run executes, the strided kernels, and what a session does
+with a run of diagonal / monomial stages.
+
+Several names say "fuse": they predate the deletion of insert-time fusion
+and are what the test floor pins.  Composition happens at plan time only
+(``tests/core/test_coalesced_runs.py`` pins its scoping rules)."""
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.core.circuit import Circuit
-from repro.core.cow import InitialStateStore
+from repro import QTask
+from repro.core.blocks import mask_ranges
+from repro.core.cow import BlockStore, InitialStateStore
 from repro.core.gates import (
     DiagonalAction,
     Gate,
     MonomialAction,
-    compose_actions,
     compose_run,
     embed_gate_matrix,
-    fuse_gate_actions,
 )
-from repro.core.kernels import ArrayReader, apply_action_range, execute_run
-from repro.core.simulator import QTaskSimulator
-from repro.core.stage import FusedUnitaryStage
+from repro.core.kernels import (
+    ArrayReader,
+    NumpyBatchBackend,
+    apply_action_range,
+)
+from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator
+from repro.core.stage import UnitaryStage, coalesced_table
 
-from ..conftest import StoreChain, assert_states_close, reference_state
+from ..conftest import StoreChain
+from .test_coalesced_runs import assert_computed, built, run_lengths
 
 
 def dense_op(gates, n):
@@ -40,43 +51,42 @@ def action_as_matrix(action, qubits, n):
     return out
 
 
+def compose(*gates, n=None, atol=1e-12):
+    """``compose_run`` over ``gates``; with ``n``, checked against the dense
+    product on ``n`` qubits."""
+    action, qubits = compose_run([(g.action(), g.qubits) for g in gates])
+    if n is not None:
+        np.testing.assert_allclose(
+            action_as_matrix(action, qubits, n), dense_op(gates, n), atol=atol
+        )
+    return action, qubits
+
+
 # ---------------------------------------------------------------------------
-# compose_actions: the fusion algebra
+# compose_run: the algebra
 # ---------------------------------------------------------------------------
 
 
 def test_diagonal_diagonal_composes_to_diagonal():
-    a, b = Gate("s", (0,)), Gate("t", (1,))
-    action, qubits = compose_actions(a.action(), a.qubits, b.action(), b.qubits)
+    action, qubits = compose(Gate("s", (0,)), Gate("t", (1,)), n=2)
     assert isinstance(action, DiagonalAction)
     assert qubits == (0, 1)
-    np.testing.assert_allclose(
-        action_as_matrix(action, qubits, 2), dense_op([a, b], 2), atol=1e-12
-    )
 
 
 def test_monomial_monomial_composes_to_monomial():
-    a, b = Gate("cx", (0, 1)), Gate("swap", (1, 2))
-    action, qubits = compose_actions(a.action(), a.qubits, b.action(), b.qubits)
+    action, qubits = compose(Gate("cx", (0, 1)), Gate("swap", (1, 2)), n=3)
     assert isinstance(action, MonomialAction)
     assert qubits == (0, 1, 2)
-    np.testing.assert_allclose(
-        action_as_matrix(action, qubits, 3), dense_op([a, b], 3), atol=1e-12
-    )
 
 
 def test_diagonal_absorbs_into_monomial_factors():
-    a, b = Gate("x", (0,)), Gate("rz", (0,), (0.7,))
-    action, qubits = compose_actions(a.action(), a.qubits, b.action(), b.qubits)
+    action, _ = compose(Gate("x", (0,)), Gate("rz", (0,), (0.7,)), n=1)
     assert isinstance(action, MonomialAction)
-    np.testing.assert_allclose(
-        action_as_matrix(action, qubits, 1), dense_op([a, b], 1), atol=1e-12
-    )
 
 
 def test_involution_collapses_to_identity_diagonal():
     a = Gate("x", (1,))
-    action, qubits = compose_actions(a.action(), a.qubits, a.action(), a.qubits)
+    action, qubits = compose(a, a)
     # x . x == identity: permutation vanishes, classified back to diagonal
     assert isinstance(action, DiagonalAction)
     assert action.touched_locals() == ()
@@ -84,23 +94,23 @@ def test_involution_collapses_to_identity_diagonal():
 
 def test_composition_is_order_sensitive():
     a, b = Gate("x", (0,)), Gate("s", (0,))
-    ab, q = compose_actions(a.action(), a.qubits, b.action(), b.qubits)
-    ba, _ = compose_actions(b.action(), b.qubits, a.action(), a.qubits)
+    ab, q = compose(a, b)
+    ba, _ = compose(b, a)
     assert not np.allclose(
         action_as_matrix(ab, q, 1), action_as_matrix(ba, q, 1), atol=1e-12
     )
 
 
 def test_fuse_gate_actions_rejects_superposition():
-    with pytest.raises(ValueError):
-        fuse_gate_actions([Gate("h", (0,))])
-    with pytest.raises(ValueError):
-        fuse_gate_actions([Gate("z", (0,)), Gate("h", (0,))])
-    with pytest.raises(ValueError):
-        fuse_gate_actions([])
+    # (a historical name: the algebra is ``compose_run``)
+    with pytest.raises(TypeError):
+        compose(Gate("h", (0,)))
+    with pytest.raises(TypeError):
+        compose(Gate("z", (0,)), Gate("h", (0,)))
 
 
 def test_fuse_gate_actions_random_runs(rng):
+    # (a historical name: the algebra is ``compose_run``)
     pool = [
         Gate("z", (0,)), Gate("s", (1,)), Gate("t", (2,)), Gate("x", (0,)),
         Gate("y", (2,)), Gate("cx", (0, 2)), Gate("cz", (1, 2)),
@@ -108,16 +118,12 @@ def test_fuse_gate_actions_random_runs(rng):
         Gate("cp", (2, 0), (1.1,)), Gate("ccx", (0, 1, 2)),
     ]
     for _ in range(25):
-        gates = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
-        action, qubits = fuse_gate_actions(gates)
-        np.testing.assert_allclose(
-            action_as_matrix(action, qubits, 3), dense_op(gates, 3), atol=1e-10
-        )
+        compose(*(rng.choice(pool) for _ in range(rng.randint(2, 5))), n=3, atol=1e-10)
 
 
 def test_compose_run_is_the_one_algebra(rng):
-    """Any number of parts in one call == the dense product == pairwise
-    ``compose_actions``; the array forms it seeds equal the tuple fields."""
+    """Any number of parts in one call == the dense product == composing
+    pair by pair; the array forms it seeds equal the tuple fields."""
     pool = [
         Gate("z", (0,)), Gate("s", (4,)), Gate("x", (3,)), Gate("y", (1,)),
         Gate("cx", (0, 4)), Gate("cz", (1, 2)), Gate("swap", (2, 3)),
@@ -125,19 +131,13 @@ def test_compose_run_is_the_one_algebra(rng):
     ]
     for length in (1, 2, 7, 40):
         gates = [rng.choice(pool) for _ in range(length)]
-        parts = [(g.action(), g.qubits) for g in gates]
-        action, qubits = compose_run(parts)
+        action, qubits = compose(*gates, n=5, atol=1e-10)
         assert qubits == tuple(sorted({q for g in gates for q in g.qubits}))
+        pairwise = (gates[0].action(), gates[0].qubits)
+        for nxt in gates[1:]:
+            pairwise = compose_run([pairwise, (nxt.action(), nxt.qubits)])
         np.testing.assert_allclose(
-            action_as_matrix(action, qubits, 5), dense_op(gates, 5), atol=1e-10
-        )
-        pairwise, pair_qubits = parts[0]
-        for nxt, nxt_qubits in parts[1:]:
-            pairwise, pair_qubits = compose_actions(
-                pairwise, pair_qubits, nxt, nxt_qubits
-            )
-        np.testing.assert_allclose(
-            action_as_matrix(pairwise, pair_qubits, 5),
+            action_as_matrix(*pairwise, 5),
             action_as_matrix(action, qubits, 5), atol=1e-10,
         )
         if isinstance(action, DiagonalAction):
@@ -148,44 +148,45 @@ def test_compose_run_is_the_one_algebra(rng):
         assert not (action.phase_array if isinstance(action, DiagonalAction)
                     else action.factor_array).flags.writeable
     # x then x: the permutation collapses, the result is classified back
-    undone, _ = compose_run([(Gate("x", (2,)).action(), (2,))] * 2)
-    assert isinstance(undone, DiagonalAction) and undone.touched_locals() == ()
-    with pytest.raises(TypeError):
-        compose_run([(Gate("z", (0,)).action(), (0,)), (Gate("h", (0,)).action(), (0,))])
 
 
 # ---------------------------------------------------------------------------
-# FusedUnitaryStage
+# the one table of a coalesced run (what a fused stage used to be)
 # ---------------------------------------------------------------------------
 
 
-def run_stage(stage, reader):
-    stage.prepare(reader)
-    for spec in stage.partition_specs():
-        for run in stage.emit_runs(spec.block_range):
-            execute_run(reader, stage.store, run)
+def run_table(gates, n, block_size):
+    members = [UnitaryStage(g, n, block_size) for g in gates]
+    cover = 0
+    for stage in members:
+        cover |= stage.partition_layout().cover
+    return coalesced_table(members, mask_ranges(cover)), cover
 
 
 def test_fused_stage_matches_dense(np_rng):
     n = 4
     gates = [Gate("z", (3,)), Gate("cx", (3, 1)), Gate("s", (1,))]
-    stage = FusedUnitaryStage(gates, n, 4)
+    table, _ = run_table(gates, n, 4)
     psi = np_rng.normal(size=16) + 1j * np_rng.normal(size=16)
     init = InitialStateStore(16, 4)
     for b in range(4):
         init._blocks[b] = psi[b * 4 : (b + 1) * 4].copy()
-    chain = StoreChain([init])
-    run_stage(stage, chain)
-    out = StoreChain([init, stage.store]).full_vector()
-    np.testing.assert_allclose(out, dense_op(gates, n) @ psi, atol=1e-10)
+    out = BlockStore(16, 4)
+    NumpyBatchBackend().execute_plan(StoreChain([init]), out, table)
+    np.testing.assert_allclose(
+        StoreChain([init, out]).full_vector(), dense_op(gates, n) @ psi, atol=1e-10
+    )
 
 
 def test_fused_stage_label_and_gate_list():
-    gates = [Gate("z", (0,)), Gate("x", (1,))]
-    stage = FusedUnitaryStage(gates, 3, 4)
-    assert stage.gate_list() == tuple(gates)
-    assert stage.label().startswith("fused{")
-    assert stage.kind == "fused"
+    # (a historical name) one operation, over the members' union, and only
+    # the blocks some member writes: x(1) permutes inside every block, a
+    # lone z(2) would leave the blocks with bit 2 clear alone
+    table, cover = run_table([Gate("z", (2,)), Gate("x", (1,))], 3, 4)
+    assert len(table.ops) == 1 and table.ops[0].qubits == (1, 2)
+    assert cover == 0b11 and table.num_runs == 1
+    table, cover = run_table([Gate("z", (2,)), Gate("s", (2,))], 3, 4)
+    assert cover == 0b10 and (table.los[0], table.his[0]) == (4, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -224,101 +225,77 @@ def test_unaligned_range_falls_back_to_gather(np_rng):
 
 
 # ---------------------------------------------------------------------------
-# simulator-level fusion
+# sessions: a swept run of diagonal / monomial stages is one plan
 # ---------------------------------------------------------------------------
 
 
-def make_fused_sim(n, levels, **kwargs):
-    ckt = Circuit(n)
-    sim = QTaskSimulator(ckt, fusion=True, **kwargs)
-    ckt.from_levels(levels)
-    return ckt, sim
-
-
 def test_consecutive_diagonal_run_fuses_into_one_stage():
-    levels = [[Gate("z", (0,))], [Gate("s", (0,))], [Gate("cp", (0, 1), (0.4,))]]
-    ckt, sim = make_fused_sim(3, levels, block_size=4)
-    stats = sim.statistics()
-    assert stats["num_stages"] == 1
-    assert stats["num_fused_stages"] == 1
-    sim.update_state()
-    assert_states_close(sim.state(), reference_state(3, levels), atol=1e-10)
-    sim.close()
-
-
-def test_fusion_respects_max_fused_qubits():
-    levels = [[Gate("cz", (0, 1))], [Gate("cz", (2, 3))], [Gate("cz", (4, 5))]]
-    ckt, sim = make_fused_sim(6, levels, block_size=4, max_fused_qubits=4)
-    # the third cz would push the union to 6 qubits: a new stage must start
-    assert sim.statistics()["num_stages"] == 2
-    sim.close()
+    # (a historical name: three stages stay three stages, and run as one plan)
+    session, _ = built(
+        [[("z", (0,), ())], [("s", (0,), ())], [("cp", (0, 1), (0.4,))]], 3
+    )
+    with session:
+        session.update_state()
+        stats = session.statistics()
+        assert (stats["num_stages"], stats["plans_built"]) == (3, 1)
+        assert run_lengths(session) == [3]
+        assert_computed(session)
 
 
 def test_superposition_gate_breaks_the_run():
-    levels = [[Gate("z", (0,))], [Gate("h", (1,))], [Gate("s", (0,))]]
-    ckt, sim = make_fused_sim(3, levels, block_size=4)
-    stats = sim.statistics()
-    assert stats["num_fused_stages"] == 0
-    assert stats["num_stages"] == 3
-    sim.update_state()
-    assert_states_close(sim.state(), reference_state(3, levels), atol=1e-10)
-    sim.close()
+    session, _ = built([[("z", (0,), ())], [("h", (1,), ())], [("s", (0,), ())]], 3)
+    with session:
+        session.update_state()
+        assert session.statistics()["plans_built"] == 3
+        assert run_lengths(session) == []
+        assert_computed(session)
 
 
 def test_removing_a_member_dissolves_the_fused_stage():
-    ckt = Circuit(3)
-    sim = QTaskSimulator(ckt, block_size=4, fusion=True)
-    n1, n2, n3 = ckt.insert_net(), ckt.insert_net(), ckt.insert_net()
-    g1 = ckt.insert_gate("z", n1, 0)
-    g2 = ckt.insert_gate("cx", n2, 0, 1)
-    g3 = ckt.insert_gate("s", n3, 1)
-    assert sim.statistics()["num_fused_stages"] == 1
-    sim.update_state()
-    ckt.remove_gate(g2)
-    assert sim.statistics()["num_fused_stages"] == 0
-    assert sim.statistics()["num_stages"] == 2
-    sim.update_state()
-    assert_states_close(
-        sim.state(),
-        reference_state(3, [[g1.gate], [g3.gate]]),
-        atol=1e-10,
+    # (a historical name: the record of the run is what dissolves)
+    session, handles = built(
+        [[("z", (0,), ())], [("cx", (0, 1), ())], [("s", (1,), ())]], 3
     )
-    sim.close()
+    with session:
+        session.update_state()
+        assert run_lengths(session) == [3]
+        session.remove_gate(handles[1])
+        assert run_lengths(session) == []
+        assert session.statistics()["num_stages"] == 2
+        session.update_state()
+        assert run_lengths(session) == [2]
+        assert_computed(session)
 
 
 def test_mid_circuit_insert_dissolves_conflicting_fusion():
-    ckt = Circuit(3)
-    sim = QTaskSimulator(ckt, block_size=4, fusion=True)
-    n1 = ckt.insert_net()
-    n2 = ckt.insert_net()
-    n3 = ckt.insert_net()
-    ckt.insert_gate("z", n1, 0)
-    ckt.insert_gate("cx", n3, 0, 1)  # fuses with the z across the empty net
-    assert sim.statistics()["num_fused_stages"] == 1
-    sim.update_state()
-    # a gate on qubit 0 lands between the fused members: the run must split
-    ckt.insert_gate("x", n2, 0)
-    sim.update_state()
-    expected = reference_state(
-        3, [[Gate("z", (0,))], [Gate("x", (0,))], [Gate("cx", (0, 1))]]
-    )
-    assert_states_close(sim.state(), expected, atol=1e-10)
-    sim.close()
-
-
-def test_fusion_disabled_for_dependent_nets():
-    ckt = Circuit(2, allow_net_dependencies=True)
-    sim = QTaskSimulator(ckt, fusion=True)
-    assert sim.fusion is False
-    sim.close()
+    # (a historical name) z and cx coalesce across the empty net between them
+    with QTask(3, block_size=4, num_workers=1) as session:
+        n1, n2, n3 = (session.insert_net() for _ in range(3))
+        session.insert_gate("z", n1, 0)
+        session.insert_gate("cx", n3, 0, 1)
+        session.update_state()
+        assert run_lengths(session) == [2]
+        # a gate on qubit 0 lands between the members: the run must split
+        session.insert_gate("x", n2, 0)
+        assert run_lengths(session) == []
+        session.update_state()
+        assert [s.label() for s in session.simulator.graph.stages] == [
+            "z[q0]", "x[q0]", "cx[q0, q1]"
+        ]
+        assert run_lengths(session) == [3]
+        assert_computed(session)
 
 
 def test_fusion_knob_in_statistics_and_facade():
-    from repro import QTask
-
-    with QTask(3, fusion=True, max_fused_qubits=5) as ckt:
-        stats = ckt.statistics()
-        assert stats["fusion"] is True
-        assert ckt.simulator.max_fused_qubits == 5
-    with QTask(3) as ckt:
-        assert ckt.statistics()["fusion"] is False
+    # (a historical name) the knobs are gone from every surface
+    for knob in ({"fusion": True}, {"max_fused_qubits": 5}):
+        with pytest.raises(TypeError):
+            QTask(3, **knob)
+    keywords = inspect.signature(QTaskSimulator.__init__).parameters.values()
+    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 9
+    assert DURABLE_KNOBS == ("block_size", "copy_on_write", "observable_cache")
+    with QTask(3) as session:
+        stats = session.statistics()
+        assert not {"fusion", "max_fused_qubits", "num_fused_stages"} & set(stats)
+        with pytest.raises(TypeError):
+            session.fork(fusion=True)

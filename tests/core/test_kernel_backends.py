@@ -61,12 +61,16 @@ class TestMakeBackend:
         with pytest.raises(ValueError, match="auto/numpy/numba/process$"):
             _simulator([[Gate("h", (0,))]])
 
-    def test_auto_never_falls_back(self):
-        backend, fell_back = make_backend("auto")
-        assert backend is not None
-        assert not fell_back
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert backend.name == expected
+    def test_auto_never_falls_back(self, monkeypatch):
+        """``auto`` (and no spec at all) is numpy, whatever is installed."""
+        import repro.core.kernels as kernels
+
+        monkeypatch.delenv("QTASK_KERNEL_BACKEND", raising=False)
+        for have_numba in (kernels.HAVE_NUMBA, True):
+            monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
+            for spec in ("auto", None):
+                backend, fell_back = make_backend(spec)
+                assert type(backend) is NumpyBatchBackend and not fell_back
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ from repro.core.kernels import KernelBackend, NumpyBatchBackend, _slab_table
 from repro.core.simulator import QTaskSimulator
 from repro.core.transport import LOCAL_TRANSPORT, ShardedTransport
 
-from ..conftest import DeclaringStage, StoreChain, index_over, random_levels
+from ..conftest import DeclaringStage, StoreChain, index_over, open_session, random_levels
 from ..test_trajectory_properties import build_dynamic_circuit
 
 HAVE_FORK = hasattr(os, "fork")
@@ -364,11 +364,12 @@ def _sim(levels, num_qubits=5, **knobs):
     from repro.core.circuit import Circuit
 
     circuit = Circuit(num_qubits)
-    circuit.from_levels(levels)
     knobs.setdefault("block_size", 4)
     knobs.setdefault("num_workers", 1)
     knobs.setdefault("kernel_backend", "numpy")
-    return QTaskSimulator(circuit, **knobs)
+    sim = open_session(circuit, **knobs)
+    circuit.from_levels(levels)
+    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +454,11 @@ def _check_sessions_agree(seed, **knobs):
     seed=st.integers(0, 10**6),
     block_size=st.sampled_from([2, 4, 16]),
     num_workers=st.sampled_from([1, 4]),
-    fusion=st.booleans(),
+    stepwise=st.booleans(),
 )
 @settings(max_examples=25, **SETTINGS)
 def test_sessions_agree_with_the_per_run_reference_backend(
-    seed, block_size, num_workers, fusion
+    seed, block_size, num_workers, stepwise
 ):
     """Runs under whatever transport / fault plan the environment set
     (``QTASK_STORE_TRANSPORT``, ``QTASK_FAULT_P``): recovery re-executes
@@ -466,14 +467,14 @@ def test_sessions_agree_with_the_per_run_reference_backend(
         seed,
         block_size=block_size,
         num_workers=num_workers,
-        fusion=fusion,
+        stepwise=stepwise,
     )
 
 
-@pytest.mark.parametrize("fusion", [True, False])
+@pytest.mark.parametrize("stepwise", [True, False])
 @pytest.mark.parametrize("num_workers", [1, 4])
 def test_dense_mode_sessions_agree_with_the_reference_backend(
-    no_plan, fusion, num_workers
+    no_plan, stepwise, num_workers
 ):
     # copy_on_write=False publishes every block of every stage one by one
     # after the kernels ran; at chaos-mode rates that alone exhausts the
@@ -482,7 +483,7 @@ def test_dense_mode_sessions_agree_with_the_reference_backend(
         20260927,
         block_size=4,
         num_workers=num_workers,
-        fusion=fusion,
+        stepwise=stepwise,
         copy_on_write=False,
     )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import struct
 
 import numpy as np
@@ -36,8 +37,13 @@ from repro.core.snapshot import (
 )
 
 from ..conftest import (
+    assert_held_blocks_are_prefix_states,
+    assert_held_blocks_declared,
+    assert_runs_are_consistent,
     assert_states_close,
     circuit_levels,
+    dense_state,
+    open_session,
     random_levels,
     reference_state,
 )
@@ -50,14 +56,16 @@ def _fill_session(session: QTask, levels) -> None:
     session.circuit.from_levels(levels)
 
 
-# the ids are the ones the test floor pins: "chain" marked the corners that
-# also turned the since-deleted store-chain knob off
+# the ids are the ones the test floor pins: "fusion" marks the corners built
+# one update per gate (``conftest.open_session``; it used to select
+# insert-time fusion), "chain" marked the corners that also turned the
+# since-deleted store-chain knob off
 KNOB_COMBOS = [
     pytest.param(dict(block_size=4), id="defaults-bs4"),
-    pytest.param(dict(block_size=4, fusion=True), id="fusion-bs4"),
+    pytest.param(dict(block_size=4, stepwise=True), id="fusion-bs4"),
     pytest.param(dict(block_size=8), id="chain-bs8"),
     pytest.param(dict(block_size=4, copy_on_write=False), id="dense-bs4"),
-    pytest.param(dict(block_size=16, fusion=True), id="fusion-chain-bs16"),
+    pytest.param(dict(block_size=16, stepwise=True), id="fusion-chain-bs16"),
 ]
 
 
@@ -72,19 +80,25 @@ def test_round_trip_preserves_state_and_structure(tmp_path, knobs):
     rng = random.Random(20260807)
     levels = random_levels(rng, num_qubits, 6)
     path = str(tmp_path / "session.qtckpt")
-    with QTask(num_qubits, num_workers=1, **knobs) as session:
+    with open_session(num_qubits, num_workers=1, **knobs) as session:
         _fill_session(session, levels)
         session.update_state()
         original_state = session.state().copy()
         original_stats = session.statistics()
         assert session.checkpoint(path) == path
+    headers = []
+    _rewrite_header(path, headers.append)  # an edit that only looks
+    assert set(headers[0]["knobs"]) == {
+        *DURABLE_KNOBS, "kernel_backend", "store_transport"
+    }
+    assert "fused" not in {entry["kind"] for entry in headers[0]["stages"]}
 
     restored = QTask.restore(path, num_workers=1)
     try:
         # the checkpointed amplitudes load bit-exactly, without simulating
         np.testing.assert_array_equal(restored.state(), original_state)
         stats = restored.statistics()
-        for key in ("num_stages", "num_nodes", "block_size", "num_fused_stages"):
+        for key in ("num_stages", "num_nodes", "block_size"):
             assert stats[key] == original_stats[key], key
         assert stats["num_updates"] >= 1
         assert stats["plans_built"] == 0  # nothing was re-simulated
@@ -245,8 +259,7 @@ def test_direct_simulator_round_trip(tmp_path):
 def test_new_forked_and_restored_sessions_are_assembled_alike(tmp_path):
     """One assembler: a fresh session, its fork and its restore carry the same
     instance attributes and the same durable-knob values."""
-    knobs = dict(fusion=True, copy_on_write=False, observable_cache=False,
-                 block_size=4)
+    knobs = dict(copy_on_write=False, observable_cache=False, block_size=4)
     circuit = Circuit(5)
     circuit.from_levels(random_levels(random.Random(36), 5, 4))
     fresh = QTaskSimulator(circuit, num_workers=1, **knobs)
@@ -259,9 +272,9 @@ def test_new_forked_and_restored_sessions_are_assembled_alike(tmp_path):
         assert set(vars(fork)) - {"forked_gate_map"} == set(vars(fresh))
         assert set(vars(restored)) == set(vars(fresh))
         for sim in (fresh, fork, restored):
-            assert {name: getattr(sim, name) for name in DURABLE_KNOBS} == dict(
-                knobs, max_fused_qubits=4
-            )
+            assert {name: getattr(sim, name) for name in DURABLE_KNOBS} == knobs
+            # a stage's net is its handle's net: nobody keeps a second record
+            assert not hasattr(sim, "_stage_net")
     finally:
         for sim in (fork, restored, fresh):
             sim.close()
@@ -375,19 +388,22 @@ def test_unknown_version_raises_checkpoint_error(tmp_path):
 
 
 def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
-    """A version-1 file written when ``block_directory`` and the ``legacy``
-    backend existed: the key is ignored, the backend is the default spec."""
+    """A version-1 file written when ``block_directory``, ``fusion`` /
+    ``max_fused_qubits`` and the ``legacy`` backend existed: the keys are
+    ignored, the backend is the default spec, nothing is re-simulated."""
     path, state = _checkpointed_session(tmp_path)
     _rewrite_header(
         path,
         lambda header: header["knobs"].update(
-            block_directory=False, kernel_backend="legacy"
+            block_directory=False, kernel_backend="legacy",
+            fusion=True, max_fused_qubits=4,
         ),
     )
     restored = QTask.restore(path, num_workers=1)
     try:
         np.testing.assert_array_equal(restored.state(), state)
         assert restored.simulator.kernel_backend is None
+        assert restored.statistics()["plans_built"] == 0
         net = restored.insert_net()
         restored.insert_gate("cx", net, 0, 4)
         restored.update_state()
@@ -395,6 +411,71 @@ def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
         assert_states_close(restored.state(), expected, atol=1e-10)
     finally:
         restored.close()
+
+
+FUSED_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "..", "data", "fused_pr21.qtckpt"
+)
+
+
+def test_checkpoint_with_fused_stages_restores_and_survives_edits():
+    """A file written at PR 21 (``316896e``) with ``fusion=True``: header
+    names both deleted knobs, stage table ``matvec, unitary(t), fused(z, s,
+    cp), measure, fused(x, cx)``, the measurement on its second draw.
+    Written there by::
+
+        with QTask(4, num_clbits=1, block_size=4, num_workers=1, seed=6,
+                   fusion=True, max_fused_qubits=4) as s:
+            n = [s.insert_net() for _ in range(8)]
+            s.insert_gate("h", n[0], 0); s.insert_gate("h", n[0], 2)
+            s.insert_gate("z", n[1], 0)
+            s.insert_gate("s", n[3], 0)   # fuses with z across the empty net
+            s.insert_gate("cp", n[4], 0, 1, params=(0.4,))  # diagonal run
+            s.measure(n[5], 2, 0)
+            s.insert_gate("x", n[6], 1)
+            s.insert_gate("cx", n[7], 1, 3)                 # permuting run
+            s.update_state()              # the measurement draws 1
+            s.insert_gate("t", n[2], 3)   # lands ahead of the run holding z
+            s.update_state()              # ... and it draws again: 0
+            s.checkpoint("tests/data/fused_pr21.qtckpt")
+
+    The members come back as single stages in net order, the recorded
+    trajectory is replayed, and an edit where a fused stage used to be --
+    between ``z`` (an earlier net) and the run it sat in -- lands in order.
+    """
+    def check(session):
+        np.testing.assert_array_equal(session.state(), dense_state(session))
+        assert_held_blocks_declared(session)
+        assert_held_blocks_are_prefix_states(session)
+        assert_runs_are_consistent(session)
+
+    with QTask.restore(FUSED_FIXTURE, num_workers=1) as session:
+        assert [s.label() for s in session.simulator.graph.stages] == [
+            "MxV{h[q0],h[q2]}", "z[q0]", "t[q3]", "s[q0]", "cp(0.4)[q0, q1]",
+            "measure[q2->c0]", "x[q1]", "cx[q1, q3]",
+        ]
+        assert session.outcomes.recorded_outcomes() == {0: 0}
+        assert session.statistics()["num_updates"] == 2
+        check(session)
+        nets = session.nets()
+        s, cp = nets[3].gates[0], nets[4].gates[0]
+        session.insert_gate("y", nets[2], 0)  # after z, before s
+        session.update_gate(cp, 1.3)
+        session.remove_gate(s)
+        session.update_state()
+        assert session.simulator.last_update.was_incremental
+        check(session)
+        session.remove_gate(nets[7].gates[0])  # half of the permuting run
+        session.update_state()
+        check(session)
+
+
+@pytest.mark.parametrize("gates", [[], [2, 99], [-1]])
+def test_fused_stage_naming_no_such_gates_is_a_checkpoint_error(tmp_path, gates):
+    path = shutil.copy(FUSED_FIXTURE, tmp_path / "fused.qtckpt")
+    _rewrite_header(path, lambda header: header["stages"][2].update(gates=gates))
+    with pytest.raises(CheckpointError, match="fused"):
+        QTask.restore(path)
 
 
 def test_garbage_json_header_raises_checkpoint_error(tmp_path):

@@ -8,7 +8,7 @@ from repro.core.circuit import Circuit
 from repro.core.exceptions import GateArityError, StaleHandleError
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
-from repro.core.stage import FusedUnitaryStage, MatVecStage, UnitaryStage
+from repro.core.stage import MatVecStage, UnitaryStage
 
 from ..conftest import circuit_levels, reference_state
 
@@ -134,27 +134,11 @@ class TestSimulatorRetune:
         assert_matches_reference(sim, ckt)
         sim.close()
 
-    def test_fused_stage_recomposes_in_place(self):
-        ckt = Circuit(3)
-        sim = QTaskSimulator(ckt, block_size=2, num_workers=1, fusion=True)
-        ckt.append_level([Gate("h", (q,)) for q in range(3)])
-        ckt.append_level([Gate("cx", (0, 1))])
-        _, (h,) = ckt.append_level([Gate("rz", (1,), (0.5,))])
-        ckt.append_level([Gate("cx", (0, 1))])
-        sim.update_state()
-        stage = sim._gate_stage[h.uid]
-        assert isinstance(stage, FusedUnitaryStage)
-        ckt.update_gate(h, 2.2)
-        assert sim._gate_stage[h.uid] is stage  # recomposed, not rebuilt
-        assert stage.gates[1].params == (2.2,)
-        sim.update_state()
-        assert_matches_reference(sim, ckt)
-        sim.close()
-
     def test_fused_stage_identity_collapse_restructures(self):
-        """A retune that collapses the fused run to the identity must rebuild."""
+        """A retune that collapses a member of a coalesced run (cx, rz, cx)
+        to the identity rebuilds its stage.  (The name is historical.)"""
         ckt = Circuit(2)
-        sim = QTaskSimulator(ckt, block_size=2, num_workers=1, fusion=True)
+        sim = QTaskSimulator(ckt, block_size=2, num_workers=1)
         ckt.append_level([Gate("h", (0,)), Gate("h", (1,))])
         ckt.append_level([Gate("cx", (0, 1))])
         _, (h,) = ckt.append_level([Gate("rz", (1,), (0.5,))])

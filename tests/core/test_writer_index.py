@@ -10,7 +10,8 @@ Four things are pinned here:
   ``partition_specs()`` and ``reads_all_blocks()``, then a DFS.  A session
   is driven through a random modifier sequence -- mid-circuit nets, inserts,
   removals, retunes (classification crossovers included), matvec stages,
-  measure/reset/``c_if``, fusion on and off, copy-on-write on and off, forks,
+  measure/reset/``c_if``, one modifier per update and batches of them
+  (``eager``: whether runs coalesce), copy-on-write on and off, forks,
   checkpoint/restore -- and after every step the frontier sweep must name
   the same ``(stage seq, block range, is_sync)`` set; whenever nothing is
   pending the state must equal the dense reference.  The oracle widens the
@@ -119,7 +120,6 @@ def mostly_classical_gate(rng, qubits):
     seed=st.integers(0, 2**32 - 1),
     num_qubits=st.integers(3, 6),
     block_size=st.sampled_from([2, 2, 4, 4, 8, 16, 256]),
-    fusion=st.booleans(),
     copy_on_write=st.booleans(),
     eager=st.booleans(),
     prebuilt=st.booleans(),
@@ -127,7 +127,7 @@ def mostly_classical_gate(rng, qubits):
     gate=st.sampled_from([random_gate, mostly_classical_gate]),
 )
 def test_sweep_equals_closest_writer_reachability(
-    seed, num_qubits, block_size, fusion, copy_on_write, eager, prebuilt,
+    seed, num_qubits, block_size, copy_on_write, eager, prebuilt,
     removal_bias, gate, tmp_path_factory,
 ):
     # Chaos mode is parked: hypothesis draws differ from run to run, so an
@@ -137,7 +137,7 @@ def test_sweep_equals_closest_writer_reachability(
     rng = random.Random(seed)
     session = QTask(
         num_qubits, num_clbits=NUM_CLBITS, block_size=block_size, num_workers=1,
-        fusion=fusion, copy_on_write=copy_on_write, seed=seed % 1000,
+        copy_on_write=copy_on_write, seed=seed % 1000,
     )
     if prebuilt:  # something to remove from the first step on
         for _ in range(6):

@@ -40,7 +40,7 @@ from repro.observables import (
     dense_expectation,
 )
 
-from ..conftest import NUM_CLBITS, apply_op, draw_op
+from ..conftest import NUM_CLBITS, apply_op, draw_op, open_session
 
 HAVE_FORK = hasattr(os, "fork")
 
@@ -124,12 +124,12 @@ class Checked:
     seed=st.integers(0, 2**32 - 1),
     num_qubits=st.integers(3, 10),
     block_bits=st.integers(1, 8),
-    fusion=st.booleans(),
+    stepwise=st.booleans(),
     copy_on_write=st.booleans(),
     sharded=st.booleans(),
 )
 def test_slab_engine_equals_dense_and_uncached(
-    seed, num_qubits, block_bits, fusion, copy_on_write, sharded,
+    seed, num_qubits, block_bits, stepwise, copy_on_write, sharded,
     tmp_path_factory,
 ):
     # Chaos mode is parked: hypothesis draws differ from run to run, so an
@@ -141,7 +141,7 @@ def test_slab_engine_equals_dense_and_uncached(
     block_size = 1 << max(block_bits, num_qubits - 6)
     knobs = dict(
         num_clbits=NUM_CLBITS, block_size=block_size, num_workers=1,
-        fusion=fusion, copy_on_write=copy_on_write, seed=seed % 1000,
+        stepwise=stepwise, copy_on_write=copy_on_write, seed=seed % 1000,
     )
     if sharded and HAVE_FORK:
         knobs["store_transport"] = "sharded"
@@ -149,7 +149,7 @@ def test_slab_engine_equals_dense_and_uncached(
     # shares terms with ``first``: within one flip mask, terms first seen at
     # different times carry different validity bitmaps
     second = PauliSum(first.terms[::2]) + draw_observable(rng, num_qubits, block_size)
-    opened = [QTask(num_qubits, **knobs)]
+    opened = [open_session(num_qubits, **knobs)]
     live = [Checked(opened[0])]
     try:
         for step in range(24):

@@ -1,7 +1,7 @@
 """Backend parity: every kernel backend computes the same states.
 
 A kernel backend must be a pure execution-strategy change: for any circuit,
-any knob combination (fusion, copy-on-write, block size) and any modifier
+any knob combination (build order, copy-on-write, block size) and any modifier
 sequence, the batched backends, the run-granular reference loop and the
 dense oracle must agree to 1e-10.  Backends that need an unavailable
 runtime (numba jit, fork) skip cleanly instead of failing.
@@ -26,28 +26,34 @@ from repro.core.kernels import (
 )
 from repro.core.simulator import QTaskSimulator
 
-from .conftest import circuit_levels, dense_state, random_levels, reference_state
+from .conftest import (
+    circuit_levels,
+    dense_state,
+    open_session,
+    random_levels,
+    reference_state,
+)
 
 ATOL = 1e-10
 
 # knob combinations exercising every structural code path the plan layer
-# interacts with: fusion (FusedUnitaryStage emission), COW vs dense stores
-# (the dense back-fill after a plan run) and block sizes from sub-gate to
-# whole-state.  The ids are the ones the test floor pins: "chain" marked the
-# corners that also turned the since-deleted store-chain knob off.
+# interacts with: one update for the whole circuit (coalesced runs) vs one
+# per gate (``conftest.open_session``), COW vs dense stores (the dense
+# back-fill after a plan run) and block sizes from sub-gate to whole-state.
+# The ids are the ones the test floor pins: "fusion" marks the stepwise
+# corners (it used to select insert-time fusion), "chain" marked the corners
+# that also turned the since-deleted store-chain knob off.
 KNOB_COMBOS = [
+    pytest.param(dict(copy_on_write=True, block_size=4), id="defaults-bs4"),
     pytest.param(
-        dict(fusion=False, copy_on_write=True, block_size=4), id="defaults-bs4"
+        dict(stepwise=True, copy_on_write=True, block_size=4), id="fusion-bs4"
     ),
-    pytest.param(dict(fusion=True, copy_on_write=True, block_size=4), id="fusion-bs4"),
-    pytest.param(dict(fusion=False, copy_on_write=True, block_size=8), id="chain-bs8"),
+    pytest.param(dict(copy_on_write=True, block_size=8), id="chain-bs8"),
     pytest.param(
-        dict(fusion=True, copy_on_write=False, block_size=4),
+        dict(stepwise=True, copy_on_write=False, block_size=4),
         id="fusion-chain-dense-bs4",
     ),
-    pytest.param(
-        dict(fusion=False, copy_on_write=False, block_size=16), id="dense-bs16"
-    ),
+    pytest.param(dict(copy_on_write=False, block_size=16), id="dense-bs16"),
 ]
 
 # Each leg is a factory for the ``kernel_backend=`` knob.  The first is the
@@ -79,8 +85,9 @@ BACKENDS = [
 
 def _build(levels, num_qubits, backend, knobs) -> QTaskSimulator:
     circuit = Circuit(num_qubits)
+    sim = open_session(circuit, kernel_backend=backend(), **knobs)
     circuit.from_levels(levels)
-    return QTaskSimulator(circuit, kernel_backend=backend(), **knobs)
+    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +134,7 @@ def test_incremental_insert_matches_dense(backend):
     "knobs",
     [
         pytest.param(dict(block_size=4), id="defaults"),
-        pytest.param(dict(block_size=4, fusion=True), id="fusion"),
+        pytest.param(dict(block_size=4, stepwise=True), id="fusion"),
         pytest.param(dict(block_size=8, copy_on_write=False), id="dense-bs8"),
     ],
 )
@@ -143,8 +150,8 @@ def test_retune_sequence_matches_dense(backend, knobs):
             [Gate("rz", (q,), (0.1 + 0.2 * layer + 0.05 * q,)) for q in range(num_qubits)]
         )
         levels.append([Gate("cx", (q, q + 1)) for q in range(0, num_qubits - 1, 2)])
+    sim = open_session(circuit, kernel_backend=backend(), **knobs)
     circuit.from_levels(levels)
-    sim = QTaskSimulator(circuit, kernel_backend=backend(), **knobs)
     sim.update_state()
     handles = [h for h in circuit.gates() if h.gate.name == "rz"]
     rng = random.Random(3)

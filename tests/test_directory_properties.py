@@ -10,8 +10,8 @@ after every update of a random modifier sequence:
   the same stage prefix -- block by block, for the full vector and for
   gathers.
 
-Both are exercised with and without fusion and copy-on-write, on the
-sequential and the work-stealing executor.
+Both are exercised built in one update and stepwise, with and without
+copy-on-write, on the sequential and the work-stealing executor.
 """
 
 import sys
@@ -25,7 +25,7 @@ from repro.core.circuit import Circuit
 from repro.core.cow import IndexReader
 from repro.core.simulator import QTaskSimulator
 
-from .conftest import StoreChain, circuit_levels, reference_state
+from .conftest import StoreChain, circuit_levels, open_session, reference_state
 from .test_properties import _apply_modifier, levels_strategy, modifier_strategy
 
 COMMON_SETTINGS = dict(
@@ -57,17 +57,18 @@ def assert_directory_matches_naive_walk(sim: QTaskSimulator) -> None:
         assert sim.amplitude(basis) == chain.read_range(basis, basis)[0]
 
 
-@pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+# the ids are historical: the axis is ``conftest.open_session``'s build order
+@pytest.mark.parametrize("stepwise", [False, True], ids=["unfused", "fused"])
 @pytest.mark.parametrize("cow", [True, False], ids=["cow", "dense"])
 @settings(**COMMON_SETTINGS)
 @given(num_qubits=st.integers(2, 4), data=st.data())
-def test_directory_matches_chain_under_modifiers(fusion, cow, num_qubits, data):
+def test_directory_matches_chain_under_modifiers(stepwise, cow, num_qubits, data):
     """Index reads equal the chain walk (and dense) through modifiers."""
     lv = data.draw(levels_strategy(num_qubits))
     mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=5))
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(ckt, block_size=2, num_workers=1,
-                         copy_on_write=cow, fusion=fusion)
+    sim = open_session(ckt, block_size=2, num_workers=1,
+                       copy_on_write=cow, stepwise=stepwise)
     ckt.from_levels(lv)
     sim.update_state()
     assert_directory_matches_naive_walk(sim)

@@ -7,7 +7,7 @@ The fork invariants:
 * edits on the child never perturb the parent, and edits on the parent
   never perturb the child -- in both directions, to machine precision;
 * ``fork + retune`` equals a fresh build of the edited circuit to 1e-10,
-  with fusion and the block directory independently on and off;
+  built in one update or stepwise, with copy-on-write on and off;
 * ``memory_report()`` shows forked sessions *sharing* blocks: a fleet of
   forks owns (almost) nothing beyond the parent until it diverges, i.e.
   memory grows sublinearly in the number of forks.
@@ -24,21 +24,13 @@ from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 from repro.observables import dense_expectation
 
-from .conftest import circuit_levels, reference_state
+from .conftest import BUILD_CORNERS, circuit_levels, open_session, reference_state
 
 COMMON_SETTINGS = dict(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-#: (fusion, copy_on_write) corners exercised for fork equivalence.
-CONFIGS = [
-    (False, True),
-    (True, True),
-    (False, False),
-    (True, False),
-]
 
 N_QUBITS = 5
 OBSERVABLE = "ZZ" + "I" * (N_QUBITS - 2)
@@ -66,10 +58,10 @@ def _build_workload(session):
     return rz_handles, rx_handles
 
 
-@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
-def test_fresh_fork_matches_parent_exactly(fusion, copy_on_write):
-    with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-               copy_on_write=copy_on_write) as parent:
+@pytest.mark.parametrize("stepwise,copy_on_write", BUILD_CORNERS)
+def test_fresh_fork_matches_parent_exactly(stepwise, copy_on_write):
+    with open_session(N_QUBITS, num_workers=1, stepwise=stepwise,
+                      copy_on_write=copy_on_write) as parent:
         _build_workload(parent)
         parent.update_state()
         parent_state = parent.state()
@@ -92,11 +84,11 @@ def test_fresh_fork_matches_parent_exactly(fusion, copy_on_write):
             child.close()
 
 
-@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
-def test_fork_retune_equals_fresh_build(fusion, copy_on_write):
+@pytest.mark.parametrize("stepwise,copy_on_write", BUILD_CORNERS)
+def test_fork_retune_equals_fresh_build(stepwise, copy_on_write):
     """fork + update_gate == building the edited circuit from scratch."""
-    with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-               copy_on_write=copy_on_write) as parent:
+    with open_session(N_QUBITS, num_workers=1, stepwise=stepwise,
+                      copy_on_write=copy_on_write) as parent:
         rz_handles, rx_handles = _build_workload(parent)
         parent.update_state()
         child = parent.fork()
@@ -108,8 +100,8 @@ def test_fork_retune_equals_fresh_build(fusion, copy_on_write):
             report = child.update_state()
             assert report.was_incremental
 
-            with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-                       copy_on_write=copy_on_write) as fresh:
+            with open_session(N_QUBITS, num_workers=1, stepwise=stepwise,
+                              copy_on_write=copy_on_write) as fresh:
                 rz2, rx2 = _build_workload(fresh)
                 for i, h in enumerate(rz2):
                     fresh.update_gate(h, 1.1 + 0.2 * i)
@@ -132,7 +124,7 @@ def test_edits_never_cross_fork_boundary(seed, fork_first):
     """Child edits leave the parent bit-identical, and vice versa."""
     rng = np.random.default_rng(seed)
     observable = "ZZII"  # this session is 4 qubits wide, OBSERVABLE is 5
-    with QTask(4, num_workers=1, fusion=bool(seed % 2)) as parent:
+    with open_session(4, num_workers=1, stepwise=bool(seed % 2)) as parent:
         rz_handles, rx_handles = _build_workload(parent)
         if not fork_first:
             parent.update_state()
@@ -333,7 +325,7 @@ def test_fork_flushes_pending_modifiers():
 
 def test_fork_matches_dense_expectation_ground_truth():
     """Block-wise expectations on a retuned fork match dense evaluation."""
-    with QTask(N_QUBITS, num_workers=1, fusion=True) as parent:
+    with open_session(N_QUBITS, num_workers=1, stepwise=True) as parent:
         rz_handles, _ = _build_workload(parent)
         parent.update_state()
         parent.expectation(OBSERVABLE)

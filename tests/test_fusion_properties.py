@@ -1,10 +1,12 @@
-"""Property tests: fused and unfused simulation are indistinguishable.
+"""Property tests: however a circuit's updates are cut, the state is one.
 
-The stage-fusion engine must be a pure optimisation: for any circuit, any
-block size and any executor, enabling ``fusion`` may change how many stages
-exist but never the simulated state.  These tests drive both simulators with
-the same random circuits (mixing diagonal, monomial and superposition gates)
-and compare final states, including across incremental modifier sequences.
+Adjacent diagonal / monomial stages swept by one update execute as a single
+composed run; the same circuit built one update per gate
+(``conftest.open_session(stepwise=True)``) runs every stage by itself.  For
+any circuit, block size and executor the two must agree with each other and
+with the dense oracle, also across incremental modifier sequences.  (The
+file and test names predate the deletion of insert-time fusion, whose
+on/off comparison this used to be; the test floor pins them.)
 """
 
 import random
@@ -13,14 +15,14 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.simulator import QTaskSimulator
 from repro.parallel import SequentialExecutor, WorkStealingExecutor
 
 from .conftest import (
+    apply_op,
     assert_states_close,
-    circuit_levels,
-    random_gate,
-    random_level,
+    dense_state,
+    draw_op,
+    open_session,
     random_levels,
     reference_state,
 )
@@ -31,14 +33,10 @@ EXECUTORS = {
 }
 
 
-def simulate(n, levels, *, fusion, block_size, executor=None, max_fused_qubits=4):
+def simulate(n, levels, *, stepwise, block_size, executor=None):
     ckt = Circuit(n)
-    sim = QTaskSimulator(
-        ckt,
-        block_size=block_size,
-        executor=executor,
-        fusion=fusion,
-        max_fused_qubits=max_fused_qubits,
+    sim = open_session(
+        ckt, block_size=block_size, executor=executor, stepwise=stepwise
     )
     try:
         ckt.from_levels(levels)
@@ -56,91 +54,58 @@ def test_fused_equals_unfused_on_random_circuits(executor_kind):
         n = rng.randint(2, 7)
         levels = random_levels(rng, n, rng.randint(1, 8))
         block_size = rng.choice([2, 4, 16, 64, 256])
-        max_fused = rng.randint(2, 8)
         with EXECUTORS[executor_kind]() as ex:
-            unfused = simulate(
-                n, levels, fusion=False, block_size=block_size, executor=ex
-            )
-            fused = simulate(
-                n,
-                levels,
-                fusion=True,
-                block_size=block_size,
-                executor=ex,
-                max_fused_qubits=max_fused,
+            coalesced, stepwise = (
+                simulate(n, levels, stepwise=flag, block_size=block_size, executor=ex)
+                for flag in (False, True)
             )
         np.testing.assert_allclose(
-            fused,
-            unfused,
-            atol=1e-10,
-            rtol=0.0,
-            err_msg=f"trial {trial}: n={n} B={block_size} cap={max_fused}",
+            coalesced, stepwise, atol=1e-10, rtol=0.0,
+            err_msg=f"trial {trial}: n={n} B={block_size}",
         )
 
 
 def test_fused_matches_dense_reference_on_random_circuits(rng):
-    """Fused simulation also agrees with the independent dense ground truth."""
-    for _ in range(15):
+    """Both cuts also agree with the independent dense ground truth."""
+    for trial in range(15):
         n = rng.randint(2, 6)
         levels = random_levels(rng, n, rng.randint(1, 6))
-        block_size = rng.choice([4, 16, 64])
-        fused = simulate(n, levels, fusion=True, block_size=block_size)
-        assert_states_close(fused, reference_state(n, levels), atol=1e-9)
+        state = simulate(
+            n, levels, stepwise=bool(trial % 2), block_size=rng.choice([4, 16, 64])
+        )
+        assert_states_close(state, reference_state(n, levels), atol=1e-9)
 
 
 def test_fused_equals_unfused_across_incremental_modifiers():
-    """Random insert/remove sequences keep fused == unfused after each update."""
+    """Random insert / remove / retune sequences: the batched and the
+    stepwise session agree with each other and the oracle after each update."""
     rng = random.Random(777)
     for trial in range(12):
         n = rng.randint(3, 6)
         levels = random_levels(rng, n, rng.randint(2, 5))
         block_size = rng.choice([4, 16, 64])
-        sims = []
-        for fusion in (False, True):
-            ckt = Circuit(n)
-            sim = QTaskSimulator(ckt, block_size=block_size, fusion=fusion)
-            ckt.from_levels(levels)
-            sim.update_state()
-            sims.append((ckt, sim))
+        sessions = [
+            open_session(n, block_size=block_size, stepwise=flag)
+            for flag in (False, True)
+        ]
         try:
+            for session in sessions:
+                session.circuit.from_levels(levels)
+                session.update_state()
             for step in range(rng.randint(2, 5)):
-                op = rng.random()
-                plan = None
-                nets0 = sims[0][0].nets()
-                if op < 0.4 and nets0:
-                    pos = rng.randrange(len(nets0) + 1)
-                    level = random_level(rng, n) or [random_gate(rng, range(n))]
-                    plan = ("insert_net", pos, level)
-                elif op < 0.7 and sims[0][0].gates():
-                    plan = ("remove_gate", rng.randrange(len(sims[0][0].gates())))
-                elif nets0:
-                    plan = ("remove_net", rng.randrange(len(nets0)))
-                if plan is None:
-                    continue
-                for ckt, sim in sims:
-                    if plan[0] == "insert_net":
-                        _, pos, level = plan
-                        nets = ckt.nets()
-                        after = nets[pos - 1] if pos > 0 else None
-                        net = (
-                            ckt.insert_net(after)
-                            if after is not None
-                            else ckt.prepend_net()
-                        )
-                        for g in level:
-                            ckt.insert_gate(g, net)
-                    elif plan[0] == "remove_gate":
-                        ckt.remove_gate(ckt.gates()[plan[1]])
-                    else:
-                        ckt.remove_net(ckt.nets()[plan[1]])
-                    sim.update_state()
-                states = [sim.state() for _, sim in sims]
+                op = draw_op(rng, sessions[0])
+                if op[0] not in ("net", "gate", "remove", "retune"):
+                    continue  # same structure on both sides, one trajectory
+                for session in sessions:
+                    apply_op(session, op)
+                    session.update_state()
+                    assert_states_close(
+                        session.state(), dense_state(session), atol=1e-9
+                    )
                 np.testing.assert_allclose(
-                    states[1], states[0], atol=1e-10, rtol=0.0,
-                    err_msg=f"trial {trial} step {step} plan {plan[0]}",
+                    sessions[1].state(), sessions[0].state(), atol=1e-10, rtol=0.0,
+                    err_msg=f"trial {trial} step {step} op {op}",
                 )
-                ref = reference_state(n, circuit_levels(sims[0][0]))
-                assert_states_close(states[1], ref, atol=1e-9)
         finally:
-            for _, sim in sims:
-                sim.close()
+            for session in sessions:
+                session.close()

@@ -4,9 +4,9 @@ The retune invariant: for any circuit and any parameter change,
 
     ``update_gate``  ==  ``remove_gate`` + ``insert_gate``  ==  dense baseline
 
-to 1e-10, with fusion, copy-on-write and the block directory independently
-on and off -- and the block-wise expectation engine must agree with the
-dense ground truth on the resulting states.
+to 1e-10, built in one update or stepwise, with copy-on-write on and off
+-- and the block-wise expectation engine must agree with the dense ground
+truth on the resulting states.
 """
 
 import numpy as np
@@ -16,19 +16,15 @@ from hypothesis import strategies as st
 
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.simulator import QTaskSimulator
 from repro.observables import PauliString, PauliSum, dense_expectation
 
-from .conftest import circuit_levels, reference_state
+from .conftest import BUILD_CORNERS, circuit_levels, open_session, reference_state
 
 COMMON_SETTINGS = dict(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-#: (fusion, copy_on_write) corners exercised per example.
-CONFIGS = [(False, True), (True, True), (False, False), (True, False)]
 
 _PARAM_GATES = ["rz", "rx", "ry", "p"]
 
@@ -70,10 +66,10 @@ def param_levels_strategy(draw, num_qubits, max_levels=4):
     return levels
 
 
-def build(num_qubits, levels, *, fusion, cow):
+def build(num_qubits, levels, *, stepwise, cow):
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(
-        ckt, block_size=2, num_workers=1, fusion=fusion, copy_on_write=cow
+    sim = open_session(
+        ckt, block_size=2, num_workers=1, stepwise=stepwise, copy_on_write=cow
     )
     ckt.from_levels(levels)
     sim.update_state()
@@ -88,14 +84,14 @@ def param_handles(ckt):
 @given(
     num_qubits=st.integers(2, 4),
     data=st.data(),
-    config=st.sampled_from(CONFIGS),
+    config=st.sampled_from(BUILD_CORNERS),
 )
 def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
     """The satellite invariant: retune == remove+insert == dense to 1e-10."""
-    fusion, cow = config
+    stepwise, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt_a, sim_a = build(num_qubits, levels, fusion=fusion, cow=cow)
-    ckt_b, sim_b = build(num_qubits, levels, fusion=fusion, cow=cow)
+    ckt_a, sim_a = build(num_qubits, levels, stepwise=stepwise, cow=cow)
+    ckt_b, sim_b = build(num_qubits, levels, stepwise=stepwise, cow=cow)
     n_edits = data.draw(st.integers(1, 3))
     for _ in range(n_edits):
         handles_a = param_handles(ckt_a)
@@ -132,13 +128,13 @@ def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
 @given(
     num_qubits=st.integers(2, 4),
     data=st.data(),
-    config=st.sampled_from(CONFIGS),
+    config=st.sampled_from(BUILD_CORNERS),
 )
 def test_expectation_tracks_retunes(num_qubits, data, config):
     """Cached block-wise expectations match the dense ground truth per edit."""
-    fusion, cow = config
+    stepwise, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt, sim = build(num_qubits, levels, fusion=fusion, cow=cow)
+    ckt, sim = build(num_qubits, levels, stepwise=stepwise, cow=cow)
     obs = PauliSum(
         [
             PauliString({0: "Z"}, coefficient=0.75),

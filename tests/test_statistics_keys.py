@@ -19,14 +19,11 @@ GOLDEN_KEYS = {
     "block_size",
     "cached_observable_partials",
     "copy_on_write",
-    "fusion",
     "last_affected_partitions",
     "last_elapsed_seconds",
-    "max_fused_qubits",
     "num_dynamic_stages",
     "num_edges",
     "num_frontiers",
-    "num_fused_stages",
     "num_nodes",
     "num_stages",
     "num_updates",

@@ -3,7 +3,8 @@
 The acceptance bar of the dynamic-circuit subsystem:
 
 * for seeded runs, the incremental engine -- under **every** combination of
-  the fusion / copy-on-write knobs and several block sizes
+  build order (batched / stepwise), the copy-on-write knob and several
+  block sizes
   -- produces amplitudes matching the dense reference oracle to 1e-10 per
   trajectory (the oracle replays the recorded collapse outcomes, so the
   comparison is deterministic);
@@ -36,26 +37,29 @@ from repro.core.faults import FaultPlan
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
-from .conftest import random_level, replay_shots, replay_trajectories
+from .conftest import open_session, random_level, replay_shots, replay_trajectories
 
 HAVE_FORK = hasattr(os, "fork")
 
 # every incremental-engine knob combination the equivalence bar names
+# (``stepwise``: one update per gate instead of one for the whole circuit,
+# see ``conftest.open_session``)
 KNOB_MATRIX = [
-    dict(fusion=False, copy_on_write=True, block_size=4),
-    dict(fusion=True, copy_on_write=True, block_size=4),
-    dict(fusion=False, copy_on_write=True, block_size=16),
-    dict(fusion=True, copy_on_write=True, block_size=8),
-    dict(fusion=False, copy_on_write=False, block_size=4),
-    dict(fusion=True, copy_on_write=False, block_size=16),
-    dict(fusion=False, copy_on_write=False, block_size=2),
+    dict(stepwise=False, copy_on_write=True, block_size=4),
+    dict(stepwise=True, copy_on_write=True, block_size=4),
+    dict(stepwise=False, copy_on_write=True, block_size=16),
+    dict(stepwise=True, copy_on_write=True, block_size=8),
+    dict(stepwise=False, copy_on_write=False, block_size=4),
+    dict(stepwise=True, copy_on_write=False, block_size=16),
+    dict(stepwise=False, copy_on_write=False, block_size=2),
 ]
 
 
-def build_dynamic_circuit(seed: int, num_qubits: int = 4) -> Circuit:
-    """A random unitary/dynamic interleaving over ``num_qubits`` qubits."""
+def build_dynamic_circuit(seed: int, num_qubits: int = 4, into=None) -> Circuit:
+    """A random unitary/dynamic interleaving over ``num_qubits`` qubits
+    (inserted into the empty circuit ``into`` when given)."""
     rng = random.Random(seed)
-    ckt = Circuit(num_qubits, num_clbits=num_qubits)
+    ckt = Circuit(num_qubits, num_clbits=num_qubits) if into is None else into
     for round_idx in range(3):
         for _ in range(2):
             level = random_level(rng, num_qubits, density=0.8)
@@ -80,11 +84,12 @@ def build_dynamic_circuit(seed: int, num_qubits: int = 4) -> Circuit:
 @pytest.mark.parametrize("trajectory_seed", [7, 41])
 def test_incremental_matches_dense_across_all_knobs(circuit_seed, trajectory_seed):
     """Every knob combination reproduces the dense oracle per trajectory."""
-    ckt = build_dynamic_circuit(circuit_seed)
     reference_outcomes = None
     for knobs in KNOB_MATRIX:
-        sim = QTaskSimulator(ckt, seed=trajectory_seed, **knobs)
+        ckt = Circuit(4, num_clbits=4)
+        sim = open_session(ckt, seed=trajectory_seed, **knobs)
         try:
+            build_dynamic_circuit(circuit_seed, into=ckt)
             sim.update_state()
             state = sim.state()
             outcomes = sim.outcomes.recorded_outcomes()
@@ -108,13 +113,13 @@ def test_incremental_matches_dense_across_all_knobs(circuit_seed, trajectory_see
 def test_incremental_edits_match_dense_per_trajectory(knobs):
     """Retunes/inserts around measurements stay oracle-exact incrementally."""
     ckt = Circuit(4, num_clbits=2)
+    sim = open_session(ckt, seed=23, **knobs)
     n1, n2, n3, n4 = (ckt.insert_net() for _ in range(4))
     theta = ckt.insert_gate(Gate("ry", (0,), (0.9,)), n1)
     ckt.insert_gate(Gate("h", (1,)), n1)
     ckt.insert_gate(Gate("cx", (0, 2)), n2)
     ckt.insert_measure(n3, 0, 0)
     ckt.insert_cgate("x", n4, 3, condition=((0,), 1))
-    sim = QTaskSimulator(ckt, seed=23, **knobs)
     try:
         sim.update_state()
         for step, angle in enumerate((1.7, 0.4, 2.9)):
@@ -302,7 +307,7 @@ def build_shot_session(rng: random.Random, num_qubits: int, **knobs) -> QTask:
     Every qubit starts in a superposition, so most collapses are a real
     coin flip and 24 shots spread over many outcome paths.
     """
-    ckt = QTask(num_qubits, num_clbits=SHOT_CLBITS, **knobs)
+    ckt = open_session(num_qubits, num_clbits=SHOT_CLBITS, **knobs)
     spread = ckt.insert_net()
     for q in range(num_qubits):
         ckt.insert_gate("ry", spread, q, params=[rng.uniform(0.8, 2.4)])
@@ -345,14 +350,14 @@ def build_shot_session(rng: random.Random, num_qubits: int, **knobs) -> QTask:
     seed=st.integers(0, 2**32 - 1),
     num_qubits=st.integers(3, 8),
     block_size=st.sampled_from([2, 4, 16, 64, 256]),
-    fusion=st.booleans(),
+    stepwise=st.booleans(),
     copy_on_write=st.booleans(),
     sharded=st.booleans(),
     num_workers=st.sampled_from([1, 4]),
     force=st.booleans(),
 )
 def test_run_shots_equals_one_replay_per_shot(
-    seed, num_qubits, block_size, fusion, copy_on_write, sharded, num_workers,
+    seed, num_qubits, block_size, stepwise, copy_on_write, sharded, num_workers,
     force,
 ):
     # Chaos mode is parked (hypothesis draws differ from run to run, so an
@@ -361,7 +366,7 @@ def test_run_shots_equals_one_replay_per_shot(
     parked = faults.install(None)
     rng = random.Random(seed)
     knobs = dict(
-        block_size=block_size, fusion=fusion, copy_on_write=copy_on_write,
+        block_size=block_size, stepwise=stepwise, copy_on_write=copy_on_write,
         num_workers=num_workers, seed=seed % 1000,
     )
     if sharded and HAVE_FORK:

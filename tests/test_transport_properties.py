@@ -22,9 +22,14 @@ from hypothesis import strategies as st
 from repro import QTask
 from repro.core.circuit import Circuit
 from repro.core.kernels import KernelBackend
-from repro.core.simulator import QTaskSimulator
 
-from .conftest import circuit_levels, random_levels, reference_state
+from .conftest import (
+    BUILD_CORNERS,
+    circuit_levels,
+    open_session,
+    random_levels,
+    reference_state,
+)
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="sharded transport needs fork"
@@ -38,14 +43,6 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (fusion, copy_on_write) corners exercised for transport equivalence.
-CONFIGS = [
-    (False, True),
-    (True, True),
-    (False, False),
-    (True, False),
-]
-
 N_QUBITS = 5
 
 
@@ -54,12 +51,12 @@ def _sim_pair(levels, *, num_qubits=N_QUBITS, **knobs):
     sims = []
     for transport in ("local", "sharded"):
         circuit = Circuit(num_qubits)
-        circuit.from_levels(levels)
         sims.append(
-            QTaskSimulator(
+            open_session(
                 circuit, store_transport=transport, num_workers=2, **knobs
             )
         )
+        circuit.from_levels(levels)
     return sims
 
 
@@ -68,14 +65,14 @@ def _sim_pair(levels, *, num_qubits=N_QUBITS, **knobs):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
+@pytest.mark.parametrize("stepwise,copy_on_write", BUILD_CORNERS)
 @given(seed=st.integers(0, 10**6))
 @settings(**COMMON_SETTINGS)
-def test_sharded_matches_local_and_dense(fusion, copy_on_write, seed):
+def test_sharded_matches_local_and_dense(stepwise, copy_on_write, seed):
     rng = random.Random(seed)
     levels = random_levels(rng, N_QUBITS, 4)
     local, sharded = _sim_pair(
-        levels, block_size=4, fusion=fusion, copy_on_write=copy_on_write
+        levels, block_size=4, stepwise=stepwise, copy_on_write=copy_on_write
     )
     try:
         local.update_state()
