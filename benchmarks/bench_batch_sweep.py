@@ -77,11 +77,10 @@ def sweep_points(gamma_handles, beta_handles, gammas, betas, steps):
 
 
 def run_batched(num_qubits, rounds, steps, block_size, observable,
-                *, num_workers, num_forks=None, kernel_backend=None):
+                *, num_workers, num_forks=None):
     """The fleet mode: fork + SweepRunner on a shared work-stealing pool."""
     gammas, betas = list(BASE_GAMMAS[:rounds]), list(BASE_BETAS[:rounds])
-    session = QTask(num_qubits, block_size=block_size, num_workers=num_workers,
-                    kernel_backend=kernel_backend)
+    session = QTask(num_qubits, block_size=block_size, num_workers=num_workers)
     try:
         gamma_handles, beta_handles = build_qaoa(
             session.circuit, num_qubits, rounds, gammas, betas
@@ -94,7 +93,6 @@ def run_batched(num_qubits, rounds, steps, block_size, observable,
         )
         runner = SweepRunner(
             session, handles, observable=observable, num_forks=num_forks,
-            kernel_backend=kernel_backend,
         )
         try:
             t0 = time.perf_counter()
@@ -134,7 +132,7 @@ def _fleet_memory(session, runner):
 
 
 def run_ab(num_qubits=16, rounds=3, steps=8, block_size=256, num_workers=4,
-           num_forks=None, kernel_backend=None):
+           num_forks=None):
     """Sequential vs batched vs dense ground truth, one measured record."""
     edges = [e for group in ring_edges(num_qubits) for e in group]
     observable = maxcut_hamiltonian(edges)
@@ -145,7 +143,6 @@ def run_ab(num_qubits=16, rounds=3, steps=8, block_size=256, num_workers=4,
     batched_seconds, batched_exp, extra = run_batched(
         num_qubits, rounds, steps, block_size, observable,
         num_workers=num_workers, num_forks=num_forks,
-        kernel_backend=kernel_backend,
     )
     dense_seconds, dense_exp, _ = run_dense(
         num_qubits, rounds, steps, block_size, observable
@@ -166,7 +163,6 @@ def run_ab(num_qubits=16, rounds=3, steps=8, block_size=256, num_workers=4,
         "num_workers": num_workers,
         "num_forks": extra["num_forks"],
         "kernel_backend": extra["plan_report"]["backend"],
-        "requested_kernel_backend": kernel_backend or "auto",
         "plan_report": extra["plan_report"],
         "available_cpus": available_cpus(),
         "sequential_seconds": seq_seconds,
@@ -238,10 +234,6 @@ def main(argv=None):
                         help="work-stealing pool size for the batched mode")
     parser.add_argument("--forks", type=int, default=None,
                         help="fork fleet size (default: one per worker)")
-    parser.add_argument("--kernel-backend", default=None,
-                        help="kernel backend for the fleet (auto, numpy, "
-                             "numba, process); the process backend "
-                             "sidesteps the GIL entirely on multi-core hosts")
     parser.add_argument("--repeats", type=int, default=2,
                         help="A/B repetitions; the median speedup is reported")
     parser.add_argument("--out", default="BENCH_batch_sweep.json",
@@ -257,7 +249,7 @@ def main(argv=None):
 
     runs = [
         run_ab(args.qubits, args.rounds, args.steps, args.block_size,
-               args.workers, args.forks, args.kernel_backend)
+               args.workers, args.forks)
         for _ in range(args.repeats)
     ]
     median = statistics.median(r["speedup_vs_sequential"] for r in runs)

@@ -64,7 +64,6 @@ def build_cascade(num_qubits, num_stages, *, block_size, tracing):
         ckt,
         block_size=block_size,
         num_workers=1,
-        kernel_backend="numpy",
         tracing=tracing,
     )
     return ckt, sim

@@ -380,7 +380,7 @@ class PlanReport:
     The :class:`~repro.core.cow.MemoryReport` sibling for execution plans:
     how many plans were compiled, how many runs they batched, how many
     executor-visible chunks those became, which backend executed them and
-    how often a requested backend had to fall back.  ``runs_per_plan`` is
+    how often a faulted chunk fell back run-granular.  ``runs_per_plan`` is
     the headline number -- the dispatch work one executor task now absorbs.
     ``runs_fallback`` counts the runs a backend handed to the per-run
     :func:`~repro.core.kernels.execute_run` instead of batching them (the
@@ -390,16 +390,13 @@ class PlanReport:
     """
 
     backend: str
-    #: the session's ``kernel_backend`` knob by name; ``None`` when it named
-    #: none (``make_backend`` then chose: environment variable, else auto)
-    requested_backend: Optional[str]
     plans_built: int
     runs_batched: int
     plan_chunks: int
     backend_fallbacks: int
     updates_planned: int
-    #: per-run re-executions after an injected/environmental fault inside
-    #: the run-granular fallback loop
+    #: per-run re-executions after an injected fault inside the
+    #: run-granular fallback loop
     run_retries: int = 0
     #: whole-update re-executions after a fault escaped every lower layer
     update_retries: int = 0
@@ -407,9 +404,6 @@ class PlanReport:
     #: stages that executed as members of a coalesced run (``plans_built``
     #: counts such a run once)
     stages_coalesced: int = 0
-    #: circuit-breaker ladder transitions, oldest first; each entry is a
-    #: dict with ``from``/``to``/``reason``/``update`` keys
-    backend_transitions: Tuple[Dict[str, object], ...] = ()
 
     @property
     def runs_per_plan(self) -> float:
@@ -420,7 +414,6 @@ class PlanReport:
     def as_dict(self) -> Dict[str, object]:
         return {
             "backend": self.backend,
-            "requested_backend": self.requested_backend,
             "plans_built": self.plans_built,
             "runs_batched": self.runs_batched,
             "runs_fallback": self.runs_fallback,
@@ -431,5 +424,4 @@ class PlanReport:
             "runs_per_plan": self.runs_per_plan,
             "run_retries": self.run_retries,
             "update_retries": self.update_retries,
-            "backend_transitions": list(self.backend_transitions),
         }

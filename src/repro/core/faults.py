@@ -1,24 +1,20 @@
 """Seeded fault injection for chaos-testing the execution stack.
 
-The fault-tolerance machinery (retries, the backend degradation ladder,
-pool respawn, checkpoint recovery) is only trustworthy if every failure
-path can be exercised *deterministically*.  This module provides that:
+The fault-tolerance machinery (run / task / update retries, the store
+breaker, shard respawn, checkpoint recovery) is only trustworthy if every
+failure path can be exercised *deterministically*.  This module provides that:
 a :class:`FaultPlan` is a seeded schedule of synthetic failures at named
 **fault sites** threaded through the hot paths:
 
-====================  =====================================================
-site                  where it fires
-====================  =====================================================
-``kernel.run``        kernel execution: once per run (``kernels.execute_run``),
-                      once per operation group on the slab backend
-``pool.worker``       process-pool worker chunk body (raises in the child)
-``pool.worker.kill``  process-pool worker SIGKILLs itself mid-chunk
-``pool.ship``         SharedMemory ship (parent -> workers)
-``pool.receive``      SharedMemory receive (workers -> parent)
-``executor.task``     work-stealing executor task body
-``cow.publish``       block publish into a :class:`~repro.core.cow.BlockStore`
-``store.shard``       sharded-transport round-trip (parent side, before send)
-====================  =====================================================
+=================  ========================================================
+site               where it fires
+=================  ========================================================
+``kernel.run``     kernel execution: once per run (``kernels.execute_run``),
+                   once per operation group on the slab backend
+``executor.task``  work-stealing executor task body
+``cow.publish``    block publish into a :class:`~repro.core.cow.BlockStore`
+``store.shard``    sharded-transport round-trip (parent side, before send)
+=================  ========================================================
 
 Design constraints (all load-bearing):
 
@@ -37,9 +33,7 @@ Design constraints (all load-bearing):
   per-site ``random.Random`` stream keyed ``(seed, site)``, so the k-th
   *armed* evaluation of a site fires identically across runs for a given
   seed, independent of what other sites did.  Scripted triggers fire on
-  exact armed-occurrence indices.  Worker-side decisions are made in the
-  parent and shipped with the chunk so pool scheduling cannot perturb
-  them.
+  exact armed-occurrence indices.
 """
 
 from __future__ import annotations
@@ -70,10 +64,6 @@ __all__ = [
 #: rejects unknown sites so a typo'd probability map fails loudly.
 FAULT_SITES: Tuple[str, ...] = (
     "kernel.run",
-    "pool.worker",
-    "pool.worker.kill",
-    "pool.ship",
-    "pool.receive",
     "executor.task",
     "cow.publish",
     "store.shard",
@@ -94,9 +84,8 @@ class FaultInjected(RuntimeError):
         self.occurrence = occurrence
 
     def __reduce__(self):
-        # Pool workers raise these across the process boundary; default
-        # exception pickling would replay __init__ with the formatted
-        # message as ``site`` and drop ``occurrence``.
+        # Default exception pickling would replay __init__ with the
+        # formatted message as ``site`` and drop ``occurrence``.
         return (FaultInjected, (self.site, self.occurrence))
 
 
@@ -112,13 +101,13 @@ class FaultPlan:
         Default per-evaluation firing probability applied to every site
         not listed in ``probabilities``.
     probabilities:
-        Per-site overrides, e.g. ``{"pool.ship": 0.2}``.  A site mapped
+        Per-site overrides, e.g. ``{"cow.publish": 0.2}``.  A site mapped
         to ``0.0`` never fires probabilistically.
     script:
         Exact triggers: an iterable of ``(site, occurrence)`` pairs; the
         plan fires on that site's N-th armed evaluation (1-based),
         regardless of probabilities.  This is how tests stage "the
-        second ship of the third update dies" scenarios.
+        second publish of the third update dies" scenarios.
     """
 
     def __init__(
@@ -228,8 +217,8 @@ ACTIVE: Optional[FaultPlan] = None
 
 #: Armed-scope depth.  Process-global (not thread-local) on purpose: the
 #: thread that arms a scope (``update_state``) is not the thread that hits
-#: the sites -- executor workers and the process-pool parent path run on
-#: pool threads -- so a thread-local flag would never fire there.
+#: the sites -- executor workers run the tasks -- so a thread-local flag
+#: would never fire there.
 _armed_depth = 0
 _armed_lock = threading.Lock()
 
@@ -294,10 +283,6 @@ def plan_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[FaultPla
     * ``QTASK_FAULT_SEED`` — seed (default 0).
     * ``QTASK_FAULT_SITES`` — optional comma-separated whitelist; listed
       sites get ``QTASK_FAULT_P``, everything else 0.
-
-    ``pool.worker.kill`` is never enabled probabilistically from the
-    environment unless explicitly whitelisted: a SIGKILL storm turns a
-    chaos smoke run into a pure respawn benchmark.
     """
     env = os.environ if environ is None else environ
     raw_p = env.get("QTASK_FAULT_P", "").strip()
@@ -312,5 +297,4 @@ def plan_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[FaultPla
         sites: Sequence[str] = [s.strip() for s in raw_sites.split(",") if s.strip()]
         probabilities = {site: p for site in sites}
         return FaultPlan(seed, probability=0.0, probabilities=probabilities)
-    probabilities = {"pool.worker.kill": 0.0}
-    return FaultPlan(seed, probability=p, probabilities=probabilities)
+    return FaultPlan(seed, probability=p)

@@ -17,13 +17,8 @@ Three families of kernels mirror the paper's gate classification (§III.C):
 
 from __future__ import annotations
 
-import atexit
-import logging
-import os
-import time
 from functools import lru_cache
 from typing import (
-    Dict,
     Iterator,
     List,
     NamedTuple,
@@ -35,11 +30,8 @@ from typing import (
 
 import numpy as np
 
-from ..telemetry import session as tsession
-from ..telemetry.tracing import NULL_SPAN as _NO_SPAN
 from . import faults
 from .blocks import MAX_RUN_BLOCKS
-from .faults import FaultInjected
 from .exec_plan import (
     RUN_ACTION,
     RUN_COLLAPSE,
@@ -71,20 +63,11 @@ __all__ = [
     "collapse_run",
     "execute_run",
     "iter_table_runs",
-    "BackendUnavailable",
     "KernelBackend",
     "NumpyBatchBackend",
-    "NumbaBackend",
-    "ProcessPoolBackend",
-    "make_backend",
-    "available_backends",
-    "shutdown_process_pools",
-    "HAVE_NUMBA",
 ]
 
 _DTYPE = np.complex128
-
-logger = logging.getLogger(__name__)
 
 
 class StateReader(Protocol):
@@ -465,26 +448,9 @@ def apply_gate_dense(state: np.ndarray, gate, num_qubits: int) -> np.ndarray:
 # A backend consumes one RunTable (the runs of one stage, or a chunk of
 # them) at a time through ``execute_plan(reader, store, table)``.  Runs of
 # one table write disjoint ranges, so a backend is free to reorder or batch
-# them; reads go through the block-resolving reader either way, so all
-# backends observe the same stage input and produce bit-identical output.
-
-#: optional dependency -- the numba backend degrades to unavailable when the
-#: import fails (missing wheel, broken LLVM shared object, version skew);
-#: anything else propagates so a genuinely broken environment fails loudly.
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except ImportError:  # pragma: no cover - the common case in this container
-    _numba = None
-except (OSError, AttributeError) as _numba_exc:  # pragma: no cover
-    # A present-but-broken install (e.g. llvmlite loading a bad .so).
-    logger.warning("numba import failed, jit backend unavailable: %s", _numba_exc)
-    _numba = None
-
-HAVE_NUMBA = _numba is not None
-
-
-class BackendUnavailable(RuntimeError):
-    """Raised when a requested kernel backend cannot run on this host."""
+# them; reads go through the block-resolving reader either way, so the slab
+# backend and the reference loop observe the same stage input and produce
+# bit-identical output.
 
 
 def iter_table_runs(table: RunTable) -> Iterator[RunSpec]:
@@ -495,46 +461,15 @@ def iter_table_runs(table: RunTable) -> Iterator[RunSpec]:
         yield RunSpec(op.kind, int(los[i]), int(his[i]), op.qubits, op.op)
 
 
-def _monomial_mirror(
-    lo: int, n: int, qubits: Sequence[int], action: MonomialAction
-) -> Optional[Tuple[int, int]]:
-    """``(start, period)`` of the contiguous-mirror fast path, else ``None``.
-
-    Mirrors the eligibility test inside :func:`apply_monomial_range` exactly
-    -- the process-pool backend uses it to decide which source range to ship
-    to a worker (the worker then deterministically takes the same branch).
-    """
-    nb = _range_alignment(lo, n)
-    if nb < 0:
-        return None
-    perm = np.asarray(action.perm, dtype=np.int64)
-    inv = np.empty(perm.shape[0], dtype=np.int64)
-    inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
-    period, local_out = _local_pattern(lo, nb, qubits)
-    local_src = inv[local_out]
-    pattern = replace_local(
-        np.arange(lo, lo + period, dtype=np.int64), qubits, local_src
-    )
-    start = int(pattern[0]) & ~(period - 1)
-    offsets = pattern - start
-    if np.all((offsets >= 0) & (offsets < period)):
-        return start, period
-    return None
-
-
 class KernelBackend:
     """Interface: execute one compiled run table against a stage store.
 
-    The base implementation is the run-granular reference loop -- every
-    backend's fallback path and the behaviour contract the batched
-    implementations must be bit-identical to.
+    The base implementation is the run-granular reference loop -- what a
+    faulted chunk falls back to and the behaviour contract the slab backend
+    must be bit-identical to.
     """
 
     name = "base"
-    #: ``True`` for backends whose ``execute_plan`` may fail at runtime for
-    #: environmental reasons (a broken worker pool); the simulator then
-    #: retries the chunk through :func:`execute_run` and counts a fallback.
-    failure_safe = False
 
     def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
         """Execute every run of ``table``; returns how many of them went
@@ -542,13 +477,6 @@ class KernelBackend:
         for spec in iter_table_runs(table):
             execute_run(reader, store, spec)
         return table.num_runs
-
-    def close(self) -> None:
-        """Release backend resources (no-op by default)."""
-
-    def backend_stats(self) -> Dict[str, int]:
-        """Informational counters merged into ``statistics()`` (may be empty)."""
-        return {}
 
 
 # -- slab execution ---------------------------------------------------------
@@ -740,655 +668,3 @@ class NumpyBatchBackend(KernelBackend):
             out[t.keep] = vals
             vals = out
         return list(vals.reshape(-1, block_len))
-
-
-# -- numba backend ----------------------------------------------------------
-#
-# The loop kernels are plain Python functions; when numba imports they are
-# njit-wrapped at backend construction, otherwise ``NumbaBackend(jit=False)``
-# runs them as interpreted loops (slow, but it lets the parity suite exercise
-# the exact loop logic on hosts without numba).
-
-
-def _diag_loop(src, table, period, out):  # pragma: no cover - jitted
-    for i in range(src.shape[0]):
-        out[i] = src[i] * table[i % period]
-
-
-def _monomial_loop(src, offsets, factors, period, out):  # pragma: no cover
-    for i in range(src.shape[0]):
-        j = i % period
-        out[i] = src[i - j + offsets[j]] * factors[j]
-
-
-def _matvec_accum_loop(cols, srcs, out):  # pragma: no cover - jitted
-    d = cols.shape[0]
-    n = cols.shape[1]
-    for l in range(d):
-        for i in range(n):
-            out[i] += cols[l, i] * srcs[l, i]
-
-
-class NumbaBackend(KernelBackend):
-    """Optional backend: njit'd diagonal/monomial/matvec inner loops.
-
-    Auto-detected and importable-failure-safe: constructing it raises
-    :class:`BackendUnavailable` when numba is missing, and
-    :func:`make_backend` then substitutes the numpy backend.  ``jit=False``
-    runs the same loop kernels interpreted (parity testing without numba).
-    """
-
-    name = "numba"
-
-    def __init__(self, *, jit: bool = True) -> None:
-        if jit and not HAVE_NUMBA:
-            raise BackendUnavailable("numba is not importable on this host")
-        self.jitted = bool(jit) and HAVE_NUMBA
-        if self.jitted:  # pragma: no cover - needs numba
-            self._diag = _numba.njit(cache=False)(_diag_loop)
-            self._monomial = _numba.njit(cache=False)(_monomial_loop)
-            self._matvec = _numba.njit(cache=False)(_matvec_accum_loop)
-        else:
-            self._diag = _diag_loop
-            self._monomial = _monomial_loop
-            self._matvec = _matvec_accum_loop
-
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
-        per_run = 0
-        for spec in iter_table_runs(table):
-            if spec.kind != RUN_ACTION:
-                execute_run(reader, store, spec)
-                per_run += 1
-            elif isinstance(spec.op, DiagonalAction):
-                per_run += self._run_diagonal(reader, store, spec)
-            elif isinstance(spec.op, MonomialAction):
-                per_run += self._run_monomial(reader, store, spec)
-            elif isinstance(spec.op, MatVecAction):
-                self._run_matvec(reader, store, spec)
-            else:  # pragma: no cover - defensive
-                execute_run(reader, store, spec)
-                per_run += 1
-        return per_run
-
-    def _run_diagonal(self, reader, store, spec: RunSpec) -> int:
-        """Jitted diagonal run; returns 1 when it went through execute_run."""
-        n = spec.hi - spec.lo + 1
-        nb = _range_alignment(spec.lo, n)
-        if nb < 0:
-            execute_run(reader, store, spec)
-            return 1
-        period, local = _local_pattern(spec.lo, nb, spec.qubits)
-        table = np.ascontiguousarray(spec.op.phase_array[local])
-        src = np.ascontiguousarray(
-            np.asarray(reader.read_range(spec.lo, spec.hi), dtype=_DTYPE)
-        )
-        out = np.empty(n, dtype=_DTYPE)
-        self._diag(src, table, period, out)
-        store.write_range(spec.lo, out, copy=False)
-        return 0
-
-    def _run_monomial(self, reader, store, spec: RunSpec) -> int:
-        n = spec.hi - spec.lo + 1
-        mirror = _monomial_mirror(spec.lo, n, spec.qubits, spec.op)
-        if mirror is None:
-            execute_run(reader, store, spec)
-            return 1
-        start, period = mirror
-        perm = np.asarray(spec.op.perm, dtype=np.int64)
-        inv = np.empty(perm.shape[0], dtype=np.int64)
-        inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
-        _, local_out = _local_pattern(
-            spec.lo, _range_alignment(spec.lo, n), spec.qubits
-        )
-        local_src = inv[local_out]
-        pattern = replace_local(
-            np.arange(spec.lo, spec.lo + period, dtype=np.int64),
-            spec.qubits,
-            local_src,
-        )
-        offsets = np.ascontiguousarray(pattern - start)
-        factors = np.ascontiguousarray(spec.op.factor_array[local_src])
-        src = np.ascontiguousarray(
-            np.asarray(reader.read_range(start, start + n - 1), dtype=_DTYPE)
-        )
-        out = np.empty(n, dtype=_DTYPE)
-        self._monomial(src, offsets, factors, period, out)
-        store.write_range(spec.lo, out, copy=False)
-        return 0
-
-    def _run_matvec(self, reader, store, spec: RunSpec) -> None:
-        # Gathers stay in numpy (they walk the block-resolving reader); the
-        # jitted loop does the dense accumulation, in the same ascending
-        # column order -- and with the same all-zero-column skip -- as
-        # apply_matvec_range, so results match bit for bit.
-        m = np.asarray(spec.op.matrix, dtype=_DTYPE)
-        dim = m.shape[0]
-        idx = np.arange(spec.lo, spec.hi + 1, dtype=np.int64)
-        local_out = extract_local(idx, spec.qubits)
-        cols: List[np.ndarray] = []
-        srcs: List[np.ndarray] = []
-        for l_in in range(dim):
-            col = m[local_out, l_in]
-            if not np.any(np.abs(col) > 0.0):
-                continue
-            src_idx = replace_local(idx, spec.qubits, np.full_like(idx, l_in))
-            cols.append(col)
-            srcs.append(np.asarray(reader.gather(src_idx), dtype=_DTYPE))
-        out = np.zeros(idx.shape[0], dtype=_DTYPE)
-        if cols:
-            self._matvec(
-                np.ascontiguousarray(np.stack(cols)),
-                np.ascontiguousarray(np.stack(srcs)),
-                out,
-            )
-        store.write_range(spec.lo, out, copy=False)
-
-
-# -- process-pool backend ---------------------------------------------------
-#
-# Fork-based worker processes fed through SharedMemory: the parent
-# materialises each shippable run's source range into one shared input
-# buffer, workers apply the classified actions and write the outputs into a
-# shared output buffer at the same offsets, and the parent publishes the
-# results into the stage store.  Only fork is supported (spawn would
-# re-import the host application); pools are module-level and shared across
-# simulators so a fleet of forked sessions reuses one set of workers.
-
-_process_pools: Dict[int, object] = {}
-
-
-def _get_fork_pool(workers: int):
-    import multiprocessing as mp
-
-    pool = _process_pools.get(workers)
-    if pool is None:
-        ctx = mp.get_context("fork")
-        pool = ctx.Pool(processes=workers)
-        _process_pools[workers] = pool
-    return pool
-
-
-def _pool_alive(pool) -> bool:
-    """``True`` while every worker process of ``pool`` is still running.
-
-    The watchdog check: a SIGKILLed or OOM-killed worker shows up here as a
-    dead ``Process`` even while the pool object happily accepts new work
-    (plain ``multiprocessing.Pool`` repopulates lazily and loses any task
-    the dead worker held).
-    """
-    procs = getattr(pool, "_pool", None)
-    if not procs:
-        return False
-    return all(p.is_alive() for p in procs)
-
-
-def _respawn_fork_pool(workers: int):
-    """Tear down the shared pool for ``workers`` and start a fresh one."""
-    pool = _process_pools.pop(workers, None)
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-    return _get_fork_pool(workers)
-
-
-def shutdown_process_pools() -> None:
-    """Terminate every shared fork pool (registered atexit)."""
-    for pool in _process_pools.values():
-        pool.terminate()
-        pool.join()
-    _process_pools.clear()
-
-
-atexit.register(shutdown_process_pools)
-
-
-class _OffsetReader:
-    """Serve one contiguous amplitude window ``[base_lo, base_lo + len)``.
-
-    The reader a pool worker wraps around its shipped source slice; the
-    parent only ships runs whose kernel reads stay inside the window, so
-    ``gather`` never sees an out-of-window index.
-    """
-
-    __slots__ = ("base_lo", "arr")
-
-    def __init__(self, base_lo: int, arr: np.ndarray) -> None:
-        self.base_lo = base_lo
-        self.arr = arr
-
-    def read_range(self, lo: int, hi: int) -> np.ndarray:  # pragma: no cover
-        return self.arr[lo - self.base_lo : hi + 1 - self.base_lo]
-
-    def gather(self, indices: np.ndarray) -> np.ndarray:  # pragma: no cover
-        return self.arr[np.asarray(indices, dtype=np.int64) - self.base_lo]
-
-    def full_vector(self) -> np.ndarray:  # pragma: no cover - never shipped
-        raise RuntimeError("full-vector reads are not shipped to pool workers")
-
-
-def _pool_apply_chunk(args):  # pragma: no cover - runs in fork workers
-    """Worker body: apply classified actions to shipped source windows.
-
-    ``directive`` is the parent-side fault decision for this chunk (the
-    parent evaluates the plan so injection stays deterministic regardless
-    of pool scheduling): ``"raise"`` simulates a worker crash as a clean
-    exception, ``"kill"`` SIGKILLs this worker mid-chunk -- a genuine
-    abrupt death the parent-side watchdog/timeout must recover from.
-    """
-    from multiprocessing import shared_memory
-
-    in_name, out_name, total, rows, ops, directive, trace = args
-    kind, occurrence = directive if directive else (None, 0)
-    if kind == "kill":
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
-    # Worker-side span timing: perf_counter is CLOCK_MONOTONIC on Linux, and
-    # fork children share the parent's timebase, so the record the parent
-    # adopts lines up with parent-side spans on one timeline.
-    t0 = time.perf_counter() if trace else 0.0
-    shm_in = shared_memory.SharedMemory(name=in_name)
-    try:
-        shm_out = shared_memory.SharedMemory(name=out_name)
-    except OSError:
-        # Failing to attach the second segment must not leak the first:
-        # the child holds an mmap + fd on shm_in until close().
-        shm_in.close()
-        raise
-    # Attaching registers the segments with this process's resource tracker,
-    # which would double-count them against the parent's unlink; the parent
-    # owns both segments' lifetimes, so hand tracking back immediately.
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm_in._name, "shared_memory")
-        resource_tracker.unregister(shm_out._name, "shared_memory")
-    except (ImportError, AttributeError, KeyError, ValueError) as exc:
-        # Tracker internals vary across CPython versions; an unregister
-        # miss only risks a spurious tracker warning at exit, never a leak.
-        logger.warning("shared-memory tracker unregister failed: %s", exc)
-    try:
-        if kind == "raise":
-            raise FaultInjected("pool.worker", occurrence)
-        src_all = np.ndarray((total,), dtype=_DTYPE, buffer=shm_in.buf)
-        out_all = np.ndarray((total,), dtype=_DTYPE, buffer=shm_out.buf)
-        amps = 0
-        for offset, base_lo, lo, hi, op_id in rows:
-            qubits, action = ops[op_id]
-            n = hi - lo + 1
-            amps += n
-            reader = _OffsetReader(base_lo, src_all[offset : offset + n])
-            out_all[offset : offset + n] = apply_action_range(
-                reader, lo, hi, qubits, action
-            )
-    finally:
-        shm_in.close()
-        shm_out.close()
-    if trace:
-        return (os.getpid(), t0, time.perf_counter() - t0, len(rows), amps)
-    return None
-
-
-class ProcessPoolBackend(KernelBackend):
-    """Shared-memory process-pool backend: real cores instead of the GIL.
-
-    Ships diagonal runs (whose only read is their own range) and
-    contiguous-mirror monomial runs to fork workers; everything else -- and
-    any table smaller than ``min_ship_amps`` amplitudes, where the
-    serialise/launch overhead dominates -- executes in-parent through the
-    numpy backend.  Worker count comes from ``num_workers``, the
-    ``QTASK_PROCESS_WORKERS`` environment variable, or ``os.cpu_count()``.
-
-    Every shipped table runs under a fault envelope: the blocking wait is
-    bounded by ``ship_timeout`` seconds, a failed attempt (worker
-    exception, SIGKILLed worker, broken pipe, timeout) is retried up to
-    ``max_attempts`` times with exponential backoff, and a watchdog checks
-    worker liveness before each attempt and respawns the shared fork pool
-    when any worker died.  Only after the last attempt fails does the
-    error propagate -- and the simulator then falls back to per-run
-    execution (``failure_safe``) and, repeatedly, down the backend ladder.
-    """
-
-    name = "process"
-    failure_safe = True
-
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        *,
-        min_ship_amps: int = 1 << 14,
-        ship_timeout: float = 60.0,
-        max_attempts: int = 3,
-        retry_backoff: float = 0.05,
-    ) -> None:
-        if not hasattr(os, "fork"):
-            raise BackendUnavailable(
-                "process backend needs the fork start method"
-            )
-        if num_workers is None:
-            env = os.environ.get("QTASK_PROCESS_WORKERS")
-            num_workers = int(env) if env else (os.cpu_count() or 1)
-        self.num_workers = max(1, int(num_workers))
-        self.min_ship_amps = int(min_ship_amps)
-        self.ship_timeout = float(ship_timeout)
-        self.max_attempts = max(1, int(max_attempts))
-        self.retry_backoff = float(retry_backoff)
-        self._inner = NumpyBatchBackend()
-        #: informational counters (read by plan statistics; GIL-atomic
-        #: increments are accurate enough for reporting)
-        self.shipped_runs = 0
-        self.local_runs = 0
-        self.retries = 0
-        self.respawns = 0
-        self.timeouts = 0
-        try:
-            self._pool = _get_fork_pool(self.num_workers)
-        except (OSError, ValueError, RuntimeError) as exc:
-            logger.warning("could not start fork pool: %s", exc)
-            raise BackendUnavailable(f"could not start fork pool: {exc}") from exc
-
-    def backend_stats(self) -> Dict[str, int]:
-        return {
-            "shipped_runs": self.shipped_runs,
-            "local_runs": self.local_runs,
-            "pool_retries": self.retries,
-            "pool_respawns": self.respawns,
-            "pool_timeouts": self.timeouts,
-        }
-
-    def _shippable(self, spec: RunSpec) -> Optional[int]:
-        """Source-window base of a worker-safe run, else ``None``."""
-        if spec.kind != RUN_ACTION:
-            return None
-        n = spec.hi - spec.lo + 1
-        if isinstance(spec.op, DiagonalAction):
-            return spec.lo
-        if isinstance(spec.op, MonomialAction):
-            mirror = _monomial_mirror(spec.lo, n, spec.qubits, spec.op)
-            if mirror is not None:
-                return mirror[0]
-        return None
-
-    def _ensure_pool(self) -> None:
-        """Watchdog: respawn the shared fork pool if any worker died."""
-        if not _pool_alive(self._pool):
-            logger.warning(
-                "process backend found dead pool worker(s); respawning pool"
-            )
-            self._pool = _respawn_fork_pool(self.num_workers)
-            self.respawns += 1
-            tsession.emit_event("pool.respawn", reason="dead_worker")
-
-    def _abandon_pool(self) -> None:
-        """Replace the pool outright (used after a hung/timed-out map)."""
-        self._pool = _respawn_fork_pool(self.num_workers)
-        self.respawns += 1
-        tsession.emit_event("pool.respawn", reason="abandoned")
-
-    @staticmethod
-    def _release_segments(*segments) -> None:
-        """Close + unlink each segment independently.
-
-        Each step runs in its own ``try`` so a failure on one segment (or a
-        double-unlink on a retry path) can never leak the others into
-        /dev/shm.
-        """
-        for shm in segments:
-            if shm is None:
-                continue
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover - close on a dead map
-                pass
-            try:
-                shm.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-
-    def _ship_once(self, reader, store, shippable, ops, total) -> None:
-        """One ship/execute/receive attempt over fresh shm segments."""
-        import multiprocessing as mp
-        from multiprocessing import shared_memory
-
-        tel = tsession.current()
-        tracer = tel.tracer if tel is not None else None
-        tracing = tracer is not None and tracer.enabled
-        nbytes = total * np.dtype(_DTYPE).itemsize
-        shm_in = None
-        shm_out = None
-        try:
-            with (
-                tracer.span(
-                    "pool.ship",
-                    {"runs": len(shippable), "amps": total,
-                     "workers": self.num_workers},
-                )
-                if tracing
-                else _NO_SPAN
-            ):
-                shm_in = shared_memory.SharedMemory(create=True, size=nbytes)
-                shm_out = shared_memory.SharedMemory(create=True, size=nbytes)
-                src_all = np.ndarray((total,), dtype=_DTYPE, buffer=shm_in.buf)
-                for offset, base_lo, lo, hi, _ in shippable:
-                    n = hi - lo + 1
-                    src_all[offset : offset + n] = reader.read_range(
-                        base_lo, base_lo + n - 1
-                    )
-                if faults.ACTIVE is not None:
-                    faults.fire("pool.ship")
-                stride = -(-len(shippable) // self.num_workers)
-                chunks = [
-                    shippable[i : i + stride]
-                    for i in range(0, len(shippable), stride)
-                ]
-                jobs = []
-                for chunk in chunks:
-                    # Worker-fault decisions are drawn in the parent and
-                    # shipped with the chunk so pool scheduling cannot
-                    # perturb the seeded stream; ``pool.worker.kill`` turns
-                    # into a real SIGKILL.
-                    directive = None
-                    if faults.ACTIVE is not None and faults.is_armed():
-                        hit, occ = faults.ACTIVE.should_fire("pool.worker.kill")
-                        if hit:
-                            directive = ("kill", occ)
-                        else:
-                            hit, occ = faults.ACTIVE.should_fire("pool.worker")
-                            if hit:
-                                directive = ("raise", occ)
-                    if directive is not None:
-                        tsession.emit_event(
-                            "fault.injected",
-                            site=(
-                                "pool.worker.kill"
-                                if directive[0] == "kill"
-                                else "pool.worker"
-                            ),
-                            occurrence=directive[1],
-                        )
-                    jobs.append(
-                        (shm_in.name, shm_out.name, total, chunk, ops,
-                         directive, tracing)
-                    )
-                try:
-                    results = self._pool.map_async(_pool_apply_chunk, jobs).get(
-                        timeout=self.ship_timeout
-                    )
-                except mp.TimeoutError:
-                    # A SIGKILLed worker's tasks are silently lost by
-                    # multiprocessing.Pool; the bounded wait is what turns
-                    # that hang into a retryable failure.  Abandon the
-                    # wedged pool.
-                    self.timeouts += 1
-                    tsession.emit_event(
-                        "pool.timeout", seconds=self.ship_timeout
-                    )
-                    self._abandon_pool()
-                    raise
-                if tracing:
-                    # Re-home the workers' chunk spans (timed in the fork
-                    # children on the shared monotonic clock) under this
-                    # ship span.
-                    parent = tracer.current_span_id()
-                    for rec in results:
-                        if rec is None:
-                            continue
-                        pid, start, duration, n_rows, amps = rec
-                        tracer.adopt(
-                            "pool.chunk", start, duration,
-                            parent_id=parent, pid=pid,
-                            thread_id=pid, thread_name=f"pool-worker-{pid}",
-                            attrs={"runs": n_rows, "amps": amps},
-                        )
-            with (
-                tracer.span("pool.receive", {"amps": total})
-                if tracing
-                else _NO_SPAN
-            ):
-                if faults.ACTIVE is not None:
-                    faults.fire("pool.receive")
-                # One heap copy of the shared output, then view-publish per
-                # run (the store must never keep views into soon-unlinked
-                # shm).
-                out_all = np.array(
-                    np.ndarray((total,), dtype=_DTYPE, buffer=shm_out.buf),
-                    copy=True,
-                )
-                for offset, _, lo, hi, _ in shippable:
-                    n = hi - lo + 1
-                    store.write_range(
-                        lo, out_all[offset : offset + n], copy=False
-                    )
-        finally:
-            self._release_segments(shm_in, shm_out)
-
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
-        import multiprocessing as mp
-        import multiprocessing.pool as mp_pool
-
-        shippable: List[Tuple[int, int, int, int, int]] = []  # rows
-        ops: List[Tuple[Tuple[int, ...], object]] = []
-        op_index: Dict[int, int] = {}
-        local: List[RunSpec] = []
-        total = 0
-        for spec in iter_table_runs(table):
-            base_lo = self._shippable(spec)
-            if base_lo is None:
-                local.append(spec)
-                continue
-            op_id = op_index.get(id(spec.op))
-            if op_id is None:
-                op_id = op_index[id(spec.op)] = len(ops)
-                ops.append((spec.qubits, spec.op))
-            n = spec.hi - spec.lo + 1
-            shippable.append((total, base_lo, spec.lo, spec.hi, op_id))
-            total += n
-        if (
-            self.num_workers < 2
-            or len(shippable) < 2
-            or total < self.min_ship_amps
-            # A remote-backed store already pays one serialisation hop per
-            # block; shipping through SharedMemory would fetch every input
-            # from the shards only to re-ship the outputs back -- strictly
-            # worse than executing in-process against the read cache.
-            or getattr(store, "is_remote_backed", False)
-        ):
-            self.local_runs += table.num_runs
-            return self._inner.execute_plan(reader, store, table)
-
-        retryable = (
-            FaultInjected,
-            mp.TimeoutError,
-            OSError,
-            ValueError,  # "Pool not running" after a concurrent teardown
-            mp_pool.MaybeEncodingError,
-        )
-        last_exc: Optional[BaseException] = None
-        for attempt in range(self.max_attempts):
-            self._ensure_pool()
-            try:
-                self._ship_once(reader, store, shippable, ops, total)
-                break
-            except retryable as exc:
-                last_exc = exc
-                if attempt + 1 >= self.max_attempts:
-                    logger.warning(
-                        "process backend giving up after %d attempt(s): %s",
-                        self.max_attempts,
-                        exc,
-                    )
-                    raise
-                self.retries += 1
-                tsession.emit_event(
-                    "pool.retry",
-                    attempt=attempt + 1,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-                delay = self.retry_backoff * (2**attempt)
-                logger.warning(
-                    "process backend attempt %d/%d failed (%s); "
-                    "retrying in %.3fs",
-                    attempt + 1,
-                    self.max_attempts,
-                    exc,
-                    delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-        self.shipped_runs += len(shippable)
-        self.local_runs += len(local)
-        for spec in local:
-            execute_run(reader, store, spec)
-        return len(local)
-
-
-# -- backend selection ------------------------------------------------------
-
-
-def available_backends() -> List[str]:
-    """Backend names constructible on this host."""
-    names = ["numpy"]
-    if HAVE_NUMBA:
-        names.append("numba")
-    if hasattr(os, "fork"):
-        names.append("process")
-    return names
-
-
-def make_backend(
-    name: Optional[str] = None, **kwargs
-) -> Tuple[KernelBackend, bool]:
-    """Resolve a backend spec to ``(backend, fell_back)``.
-
-    ``None`` reads the ``QTASK_KERNEL_BACKEND`` environment variable
-    (default ``auto``), the only place it is read.  ``auto`` is numpy,
-    whatever is installed: the slab path is the measured one.  Requesting an
-    unavailable backend (numba without the package, process without fork)
-    substitutes numpy and reports ``fell_back=True`` instead of raising, so
-    a knob setting is portable across hosts.  A :class:`KernelBackend`
-    *instance* passes through unchanged, so callers can inject a
-    pre-configured backend (custom timeouts, ship thresholds) where a name
-    would lose the knobs.
-    """
-    if isinstance(name, KernelBackend):
-        return name, False
-    if name is None:
-        name = os.environ.get("QTASK_KERNEL_BACKEND", "auto")
-    name = str(name).lower()
-    if name in ("auto", "numpy"):
-        return NumpyBatchBackend(), False
-    if name in ("numba", "process"):
-        cls = NumbaBackend if name == "numba" else ProcessPoolBackend
-        try:
-            return cls(**kwargs), False
-        except BackendUnavailable as exc:
-            logger.warning(
-                "kernel backend %r unavailable (%s); substituting numpy",
-                name,
-                exc,
-            )
-            return NumpyBatchBackend(), True
-    raise ValueError(
-        f"unknown kernel backend {name!r}; expected one of "
-        "auto/numpy/numba/process"
-    )

@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
@@ -53,11 +52,10 @@ from .exec_plan import ExecutionPlan, PlanReport, StagePlan
 from .gates import Gate
 from .graph import PartitionGraph
 from .kernels import (
-    HAVE_NUMBA,
     KernelBackend,
+    NumpyBatchBackend,
     execute_run,
     iter_table_runs,
-    make_backend,
 )
 from .ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from .stage import (
@@ -76,10 +74,6 @@ from .transport import StorageTransport, TransportFailure, make_transport
 __all__ = ["UpdateReport", "QTaskSimulator"]
 
 logger = logging.getLogger(__name__)
-
-#: circuit-breaker degradation ladder, most capable first; a tripped
-#: breaker quarantines the current backend and walks one rung down
-_BACKEND_LADDER: Tuple[str, ...] = ("process", "numba", "numpy")
 
 #: the constructor knobs that define a session durably: ``fork`` hands them to
 #: the child, a checkpoint header stores them and ``statistics()`` reports
@@ -132,7 +126,7 @@ class QTaskSimulator(CircuitObserver):
         num_workers: Optional[int] = None,
         copy_on_write: bool = True,
         observable_cache: bool = True,
-        kernel_backend: Optional[str] = None,
+        kernel_backend: Optional[object] = None,
         store_transport: Optional[object] = None,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
@@ -179,20 +173,23 @@ class QTaskSimulator(CircuitObserver):
             self._owns_executor = executor is not None
             self.executor = executor or parent.executor
 
-        #: requested backend spec ("auto" | "numpy" | "numba" | "process" or
-        #: a :class:`KernelBackend` instance); ``None`` leaves the choice to
-        #: ``make_backend`` (the ``QTASK_KERNEL_BACKEND`` environment
-        #: variable, default "auto"), which is how CI runs the whole suite
-        #: under each backend without touching call sites.  Backends are
-        #: stateless or hold a module-level worker pool, so a fork without a
-        #: spec of its own funnels its plans through the parent's.
+        #: what executes the run tables: the numpy slab backend unless the
+        #: session was handed a :class:`KernelBackend` instance (the seam the
+        #: tests use to run a session on the reference loop).  "auto" and
+        #: "numpy" are accepted spellings of ``None``; backends are
+        #: stateless, so a fork without one of its own shares the parent's.
         spec = knobs.get("kernel_backend")
-        if spec is None and parent is not None:
-            spec = parent.kernel_backend
-            self._backend, fell_back = parent._backend, False
+        if isinstance(spec, KernelBackend):
+            self._backend = spec
+        elif spec is not None and spec not in ("auto", "numpy"):
+            raise ValueError(
+                f"unknown kernel backend {spec!r}; expected None, 'auto', "
+                "'numpy' or a KernelBackend instance"
+            )
+        elif parent is not None:
+            self._backend = parent._backend
         else:
-            self._backend, fell_back = make_backend(spec)
-        self.kernel_backend = spec
+            self._backend = NumpyBatchBackend()
 
         #: requested store transport spec ("local" | "sharded" or a
         #: :class:`~repro.core.transport.StorageTransport` instance);
@@ -217,9 +214,7 @@ class QTaskSimulator(CircuitObserver):
         self._init_telemetry(
             tracing=knobs.get("tracing"),
             parent=parent.telemetry if parent is not None else None,
-            fell_back=fell_back,
         )
-        self._init_fault_tolerance()
         self._init_store_state(fell_back=st_fell_back)
 
         self._initial = InitialStateStore(self.dim, self.block_size)
@@ -283,7 +278,6 @@ class QTaskSimulator(CircuitObserver):
         *,
         tracing: Optional[bool] = None,
         parent: Optional[Telemetry] = None,
-        fell_back: bool = False,
     ) -> None:
         """One telemetry bundle per session; plan counters live in it.
 
@@ -320,30 +314,18 @@ class QTaskSimulator(CircuitObserver):
             "recovery.backend_fallbacks",
             help="chunk executions that fell back run-granular",
         )
-        if fell_back:
-            self._backend_fallbacks.inc()
-        self._update_seconds = m.histogram(
-            "update.seconds", unit="s", help="update_state wall time"
-        )
-        #: event-log high-water mark when the last update began, so
-        #: ``explain_last_update`` can scope "what recovery did" exactly.
-        self._update_event_mark = 0
-
-    def _init_fault_tolerance(self) -> None:
-        """Per-session recovery state: retry counters + the circuit breaker."""
-        #: consecutive chunk failures that trip the breaker; tune per session
-        self.breaker_threshold = 3
-        self._breaker_lock = threading.Lock()
-        self._consecutive_chunk_failures = 0
-        #: ladder transitions, oldest first ({from, to, reason, update})
-        self._backend_transitions: List[Dict[str, object]] = []
-        m = self.telemetry.metrics
         self._run_retries = m.counter(
             "recovery.run_retries", help="per-run fault retries"
         )
         self._update_retries = m.counter(
             "recovery.update_retries", help="whole-update fault retries"
         )
+        self._update_seconds = m.histogram(
+            "update.seconds", unit="s", help="update_state wall time"
+        )
+        #: event-log high-water mark when the last update began, so
+        #: ``explain_last_update`` can scope "what recovery did" exactly.
+        self._update_event_mark = 0
 
     def _init_store_state(self, *, fell_back: bool = False) -> None:
         """Per-session store-transport recovery state (the store breaker)."""
@@ -425,7 +407,7 @@ class QTaskSimulator(CircuitObserver):
         self,
         *,
         executor: Optional[Executor] = None,
-        kernel_backend: Optional[str] = None,
+        kernel_backend: Optional[object] = None,
         store_transport: Optional[object] = None,
     ) -> "QTaskSimulator":
         """A child simulator sharing this one's computed state copy-on-write.
@@ -910,8 +892,8 @@ class QTaskSimulator(CircuitObserver):
         store forsakes its bookkeeping and every stage becomes a full
         frontier for the caller to re-execute.  The first failure respawns;
         reaching ``store_breaker_threshold`` trips the store breaker, which
-        swaps this session to the local transport for good and emits the
-        same ``breaker.transition`` event the backend ladder uses.
+        swaps this session to the local transport for good and emits a
+        ``breaker.transition`` event.
         """
         self._store_failures += 1
         transport = self._store_transport
@@ -1111,8 +1093,7 @@ class QTaskSimulator(CircuitObserver):
         the attempt boundary, because a re-executed collapse would otherwise
         advance its keyed stream one extra draw and fork the trajectory away
         from a clean run's.  Anything the per-run and chunk-level layers
-        could not absorb -- including an exhausted backend ladder -- lands
-        here before giving up.
+        could not absorb lands here before giving up.
         """
         if faults.ACTIVE is None:
             return self._execute(plan)
@@ -1295,14 +1276,10 @@ class QTaskSimulator(CircuitObserver):
         backend = self._backend
         try:
             per_run = backend.execute_plan(sp.reader, sp.store, chunk)
-        except Exception as exc:
-            # Environmental failures (a torn-down worker pool mid-run) and
-            # injected faults must not lose the update: chunk writes are
-            # deterministic overwrites, so re-executing run-granular
-            # in-process is always safe.  Genuine programming errors from a
-            # non-failure-safe backend still propagate.
-            if not backend.failure_safe and not isinstance(exc, FaultInjected):
-                raise
+        except FaultInjected as exc:
+            # An injected fault must not lose the update: chunk writes are
+            # deterministic overwrites, so re-executing run-granular is
+            # always safe.  Anything else is a programming error.
             self._backend_fallbacks.inc()
             tsession.emit_event(
                 "chunk.fallback",
@@ -1310,26 +1287,10 @@ class QTaskSimulator(CircuitObserver):
                 backend=backend.name,
                 reason=f"{type(exc).__name__}: {exc}",
             )
-            with self._breaker_lock:
-                self._consecutive_chunk_failures += 1
-                tripped = (
-                    self._consecutive_chunk_failures >= self.breaker_threshold
-                )
-                if tripped:
-                    self._degrade_backend(f"{type(exc).__name__}: {exc}")
-            if not tripped:
-                logger.warning(
-                    "backend %r failed on a plan chunk (%s); falling back "
-                    "to run-granular execution",
-                    backend.name,
-                    exc,
-                )
             self._run_chunk_fallback(sp, chunk)
         else:
             if per_run:
                 self._runs_fallback.inc(per_run)
-            with self._breaker_lock:
-                self._consecutive_chunk_failures = 0
 
     def _run_chunk_fallback(self, sp: StagePlan, chunk) -> None:
         """Run-granular chunk execution with bounded per-run fault retries.
@@ -1354,43 +1315,6 @@ class QTaskSimulator(CircuitObserver):
                         stage=sp.label(),
                         attempt=attempt,
                     )
-
-    def _degrade_backend(self, reason: str) -> bool:
-        """Walk the breaker ladder one rung down (caller holds breaker lock).
-
-        Quarantines the current backend for the rest of this session and
-        swaps in the next constructible rung of ``_BACKEND_LADDER``; the
-        transition is recorded for :meth:`plan_report`/:meth:`statistics`.
-        Returns ``False`` only from the bottom rung (in-process numpy),
-        which cannot fail environmentally and has nowhere left to go; its
-        failing chunks keep falling back run-granular.
-        """
-        current = self._backend.name
-        try:
-            idx = _BACKEND_LADDER.index(current)
-        except ValueError:
-            idx = 0  # custom backend: degrade into the standard ladder
-        for name in _BACKEND_LADDER[idx + 1 :]:
-            if name == "numba" and not HAVE_NUMBA:
-                continue
-            self._backend, _ = make_backend(name)
-            self._consecutive_chunk_failures = 0
-            transition = {
-                "from": current,
-                "to": name,
-                "reason": reason,
-                "update": self._num_updates,
-            }
-            self._backend_transitions.append(transition)
-            tsession.emit_event("breaker.transition", **transition)
-            logger.warning(
-                "circuit breaker tripped: backend %r -> %r (%s)",
-                current,
-                name,
-                reason,
-            )
-            return True
-        return False
 
     def _fill_dense_blocks(self, plan: ExecutionPlan) -> int:
         """In non-COW mode every affected stage materialises its full vector.
@@ -1506,17 +1430,11 @@ class QTaskSimulator(CircuitObserver):
 
         The :meth:`memory_report` sibling for execution plans: plans
         compiled, runs batched into them, executor-visible chunks, the
-        backend that executed them and how often execution fell back (an
-        unavailable requested backend at construction, or a runtime
-        failure of a failure-safe backend).  ``requested_backend`` is
-        ``None`` when the session named none.
+        backend that executed them and how often a faulted chunk fell back
+        to run-granular execution.
         """
-        requested = self.kernel_backend
-        if isinstance(requested, KernelBackend):
-            requested = requested.name
         return PlanReport(
             backend=self._backend.name,
-            requested_backend=requested,
             plans_built=self._plans_built.value,
             runs_batched=self._runs_batched.value,
             runs_fallback=self._runs_fallback.value,
@@ -1526,7 +1444,6 @@ class QTaskSimulator(CircuitObserver):
             updates_planned=self._updates_planned.value,
             run_retries=self._run_retries.value,
             update_retries=self._update_retries.value,
-            backend_transitions=tuple(dict(t) for t in self._backend_transitions),
         )
 
     def statistics(self) -> Dict[str, object]:
@@ -1568,11 +1485,8 @@ class QTaskSimulator(CircuitObserver):
             }
         )
         stats.update(self.plan_report().as_dict())
-        # Recovery visibility: executor-level fault retries plus whatever
-        # attempt/respawn counters the kernel backend keeps (the process
-        # backend reports shipping retries, pool respawns and timeouts).
+        # Recovery visibility: executor-level fault retries.
         stats["task_retries"] = getattr(self.executor, "task_retries", 0)
-        stats.update(self._backend.backend_stats())
         self._refresh_gauges(stats)
         return stats
 
@@ -1580,8 +1494,8 @@ class QTaskSimulator(CircuitObserver):
         """Mirror point-in-time statistics into the registry as gauges.
 
         Counters already live in the registry; the graph shape, last-update
-        outcome and executor/pool mirrors are point-in-time readings, so
-        they surface as gauges -- refreshed on every ``statistics()`` /
+        outcome and executor / transport mirrors are point-in-time readings,
+        so they surface as gauges -- refreshed on every ``statistics()`` /
         ``telemetry_report()`` call rather than written on the hot path.
         """
         m = self.telemetry.metrics
@@ -1597,14 +1511,8 @@ class QTaskSimulator(CircuitObserver):
             stats["last_elapsed_seconds"]
         )
         m.gauge("executor.task_retries").set(stats["task_retries"])
-        for key in (
-            "shipped_runs", "local_runs",
-            "pool_retries", "pool_respawns", "pool_timeouts",
-        ):
-            if key in stats:
-                m.gauge(f"pool.{key}").set(stats[key])
         # Transport counters live on the (possibly shared) transport object;
-        # mirror them into this session's registry like the pool stats.
+        # mirror them into this session's registry.
         m.gauge("store.remote_reads").set(stats["store_remote_reads"])
         m.gauge("store.bytes_shipped").set(stats["store_bytes_shipped"])
         m.gauge("store.shard_restarts").set(stats["store_shard_restarts"])
@@ -1642,8 +1550,7 @@ class QTaskSimulator(CircuitObserver):
             f"  coalesced {coalesced} stages into {runs} runs"
             + (f" (largest {largest}, union <= {widest} qubits)" if runs else ""),
             (
-                f"  backend {self.plan_report().backend}"
-                f" (requested {self.plan_report().requested_backend}),"
+                f"  backend {self._backend.name},"
                 f" {self._plan_chunks.value} chunks total,"
                 f" {self._runs_fallback.value} runs executed one by one"
             ),

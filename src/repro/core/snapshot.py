@@ -152,7 +152,6 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
         "allow_net_dependencies": circuit.allow_net_dependencies,
         "knobs": {
             **{name: getattr(sim, name) for name in DURABLE_KNOBS},
-            "kernel_backend": sim.plan_report().requested_backend,
             "store_transport": sim._store_transport.name,
         },
         "num_updates": sim._num_updates,
@@ -317,7 +316,7 @@ def restore_simulator(
     *,
     executor: Optional[Executor] = None,
     num_workers: Optional[int] = None,
-    kernel_backend: Optional[str] = None,
+    kernel_backend: Optional[object] = None,
     store_transport: Optional[object] = None,
 ) -> QTaskSimulator:
     """Reconstruct a :class:`QTaskSimulator` from a checkpoint file.
@@ -328,8 +327,7 @@ def restore_simulator(
     modifiers re-simulate incrementally from the loaded blocks, exactly as
     they would have in the original session.  Execution resources are not
     part of the durable state -- pass ``executor``/``num_workers``/
-    ``kernel_backend`` to override the checkpointed backend spec (the
-    requested backend is restored, not any mid-session degradation).
+    ``kernel_backend``/``store_transport`` as to a new session.
 
     Trajectory randomness follows fork semantics: recorded outcomes and
     classical bits are restored verbatim, but the keyed per-op random
@@ -344,22 +342,19 @@ def restore_simulator(
     rec = header["outcomes"]
     # The durable knobs come from the header; whatever else an older file
     # lists there (knobs since deleted, whose settings read bit-identically)
-    # is ignored.  Execution resources are not durable state: an override
-    # wins, else the checkpointed spec -- absent in files that predate the
-    # store-transport knob, and a checkpointed ``"legacy"`` backend (a path
-    # this version no longer has) restores as the default spec.
+    # is ignored, the ``kernel_backend`` name older files carry included.
+    # Execution resources are not durable state: a transport override wins,
+    # else the checkpointed spec (absent in files that predate the
+    # store-transport knob).
     saved = header["knobs"]
     knobs = {name: saved[name] for name in DURABLE_KNOBS}
-    backend = kernel_backend
-    if backend is None and saved["kernel_backend"] != "legacy":
-        backend = saved["kernel_backend"]
     transport = store_transport
     if transport is None:
         transport = saved.get("store_transport")
     knobs.update(
         executor=executor,
         num_workers=num_workers,
-        kernel_backend=backend,
+        kernel_backend=kernel_backend,
         store_transport=transport,
         seed=int(rec["seed"]),
     )

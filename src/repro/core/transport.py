@@ -19,12 +19,12 @@ the block payloads live.  Two placements ship:
   shard (per-shard refcounting falls out of CPython refcounts on the shared
   ``bytes`` objects) while the parent keeps its usual shared/owned markers.
 
-Shard processes are module-level and shared across simulators, exactly like
-the kernel process pools of ``core/kernels``: one fleet of forked sessions
-reuses one set of shards, and ``atexit`` reaps them.  A SIGKILLed shard
-surfaces as :class:`TransportFailure` on the next round-trip; the simulator's
-recovery stack respawns the shard (or falls back to local past the store
-breaker threshold) and re-executes from the initial state.
+Shard processes are module-level and shared across simulators: one fleet of
+forked sessions reuses one set of shards, and ``atexit`` reaps them.  A
+SIGKILLed shard surfaces as :class:`TransportFailure` on the next
+round-trip; the simulator's recovery stack respawns the shard (or falls back
+to local past the store breaker threshold) and re-executes from the initial
+state.
 
 The ``store.shard`` fault site fires parent-side before every shard
 round-trip.  Injected faults are retried in place (each evaluation redraws
@@ -312,10 +312,9 @@ def _shard_main(conn) -> None:  # pragma: no cover - runs in fork children
 class _ShardRuntime:
     """One fleet of shard processes, shared across transports.
 
-    Mirrors the module-level kernel process pools: every simulator (and
-    every fork of it) selecting ``num_shards`` shards talks to the same
-    processes, with per-shard locks serialising the duplex pipes across
-    executor worker threads.
+    Every simulator (and every fork of it) selecting ``num_shards`` shards
+    talks to the same processes, with per-shard locks serialising the duplex
+    pipes across executor worker threads.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -650,7 +649,7 @@ def make_transport(spec=None) -> Tuple[StorageTransport, bool]:
     unchanged so callers can inject a pre-configured transport (custom shard
     count) or share one across sessions.  Requesting ``sharded`` on a host
     without ``fork`` substitutes local and reports ``fell_back=True`` -- knob
-    settings stay portable, matching ``make_backend``.
+    settings stay portable.
     """
     if isinstance(spec, StorageTransport):
         return spec, False

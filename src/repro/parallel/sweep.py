@@ -71,7 +71,7 @@ class SweepRunner:
         observable=None,
         num_forks: Optional[int] = None,
         nested_parallelism: bool = False,
-        kernel_backend: Optional[str] = None,
+        kernel_backend: Optional[object] = None,
         store_transport: Optional[object] = None,
     ) -> None:
         self.session = session
@@ -81,9 +81,7 @@ class SweepRunner:
             raise ValueError(f"num_forks must be positive, got {num_forks}")
         self.num_forks = num_forks
         #: kernel backend handed to every fleet member; ``None`` inherits the
-        #: base session's backend object (the default -- with the process
-        #: backend the whole fleet then shares one set of fork workers, which
-        #: is what lets a sweep scale with real cores instead of the GIL).
+        #: base session's backend object
         self.kernel_backend = kernel_backend
         #: store transport handed to every fleet member; ``None`` inherits
         #: the base session's transport *object*, so a sharded fleet aliases

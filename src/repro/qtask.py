@@ -88,7 +88,7 @@ class QTask:
         self,
         *,
         executor: Optional[Executor] = None,
-        kernel_backend: Optional[str] = None,
+        kernel_backend: Optional[object] = None,
         store_transport: Optional[object] = None,
     ) -> "QTask":
         """A cheap child session sharing this session's state copy-on-write.
@@ -169,7 +169,7 @@ class QTask:
         *,
         executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
+        kernel_backend: Optional[object] = None,
         store_transport: Optional[object] = None,
     ) -> "QTask":
         """Resume a session from a :meth:`checkpoint` file, without re-simulating.
@@ -177,9 +177,8 @@ class QTask:
         The restored session holds the checkpointed computed state and is
         immediately editable -- subsequent modifiers re-simulate
         incrementally from the loaded blocks.  Execution resources are not
-        durable state: pass ``executor``/``num_workers``/``kernel_backend``
-        to override what the checkpoint requested (a backend the original
-        session had *degraded* to is not restored; the requested spec is).
+        durable state: pass ``executor``/``num_workers``/``kernel_backend``/
+        ``store_transport`` as to a new session.
         Raises :class:`~repro.core.exceptions.CheckpointError` on corrupt,
         truncated or incompatible files.
         """
@@ -569,7 +568,7 @@ class QTask:
 
         Shows what the update touched, which backend executed it, and the
         time-ordered recovery events (injected faults, retries, fallbacks,
-        breaker transitions, pool respawns) that fired during it.
+        breaker transitions, shard respawns) that fired during it.
         """
         return self.simulator.explain_last_update()
 

@@ -32,13 +32,12 @@ __all__ = ["SessionPool", "RECOVERY_EVENT_KINDS"]
 
 #: event kinds on a base session's recovery log that mark it *unstable* --
 #: an unstable warm session is evicted before a merely old one, because its
-#: shards/backends have already misbehaved and a rebuild is likely cheaper
+#: shards have already misbehaved and a rebuild is likely cheaper
 #: than another recovery cycle
 RECOVERY_EVENT_KINDS: Tuple[str, ...] = (
     "update.retry",
     "store.recovery",
     "breaker.transition",
-    "pool.respawn",
     "chunk.fallback",
 )
 

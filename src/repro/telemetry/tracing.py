@@ -5,11 +5,9 @@ implicit through a thread-local "current span" -- opening a span inside
 another (on the same thread) nests it; crossing a thread boundary is
 explicit via :meth:`Tracer.attach`/:meth:`Tracer.detach` (the executor
 threads a ``(telemetry, parent_span_id)`` tuple on task closures and
-attaches it inside ``_guarded``).  Crossing the process-pool fork boundary
-is done by value: workers time their chunk with ``perf_counter`` (which is
-``CLOCK_MONOTONIC`` on Linux, so fork children share the parent's
-timebase), ship ``(name, start, duration, pid, attrs)`` records back with
-their results, and the parent re-homes them with :meth:`Tracer.adopt`.
+attaches it inside ``_guarded``).  A span timed outside any ``with`` block
+(the checkpoint restore, whose tracer does not exist when it starts) is
+recorded by value with :meth:`Tracer.adopt`.
 
 The disabled path is a single attribute check returning a module-level
 null span -- no allocation, no branches downstream.  Enabled spans land in
@@ -204,7 +202,7 @@ class Tracer:
     def detach(self, prev: Optional[int]) -> None:
         self._tls.span = prev
 
-    # -- cross-process adoption ----------------------------------------------
+    # -- adoption of spans timed elsewhere ------------------------------------
 
     def adopt(
         self,
@@ -215,13 +213,12 @@ class Tracer:
         parent_id: Optional[int],
         pid: int,
         thread_id: int = 0,
-        thread_name: str = "pool-worker",
+        thread_name: str = "main",
         attrs: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Record a span measured elsewhere (e.g. in a pool worker).
+        """Record a span measured elsewhere (e.g. before the tracer existed).
 
-        ``start`` must be a ``perf_counter`` reading from the same machine
-        (fork children share the parent's monotonic timebase on Linux).
+        ``start`` must be a ``perf_counter`` reading from the same machine.
         Returns the assigned span id.
         """
         span_id = next(self._ids)

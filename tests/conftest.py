@@ -15,6 +15,7 @@ from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.gates import Gate, embed_gate_matrix
 from repro.core.graph import PartitionGraph
+from repro.core.kernels import KernelBackend
 from repro.core.partition import PartitionSpec, layout_of
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import Stage
@@ -155,6 +156,20 @@ def random_levels(rng: random.Random, num_qubits: int, num_levels: int) -> List[
 # ---------------------------------------------------------------------------
 # the one build axis the property files cross: batched or stepwise
 # ---------------------------------------------------------------------------
+
+
+class FaultingBackend(KernelBackend):
+    """A backend whose every chunk dies with an injected fault, so every
+    chunk of every update takes the simulator's run-granular fallback."""
+
+    name = "faulting"
+
+    def __init__(self):
+        self.attempts = 0
+
+    def execute_plan(self, reader, store, table):
+        self.attempts += 1
+        raise faults.FaultInjected("kernel.run", self.attempts)
 
 
 class _UpdateAfterEachGate(CircuitObserver):

@@ -256,7 +256,6 @@ class TestPlanReport:
     def test_runs_per_plan(self):
         report = PlanReport(
             backend="numpy",
-            requested_backend="auto",
             plans_built=4,
             runs_batched=40,
             plan_chunks=4,
@@ -267,5 +266,5 @@ class TestPlanReport:
         assert report.as_dict()["runs_per_plan"] == 10.0
 
     def test_zero_plans_zero_ratio(self):
-        report = PlanReport("numpy", "numpy", 0, 0, 0, 0, 0)
+        report = PlanReport("numpy", 0, 0, 0, 0, 0)
         assert report.runs_per_plan == 0.0

@@ -5,9 +5,7 @@ plans from ``repro.core.faults``:
 
 * per-run retries and the chunk fallback (``run_retries``),
 * executor task-body retries (``task_retries``),
-* the circuit-breaker backend degradation ladder (``backend_transitions``),
-* process-pool ship timeouts + pool respawn after a SIGKILLed worker,
-* SharedMemory segment cleanup on every failure path.
+* whole-update retries (``update_retries``).
 
 The invariant throughout: with faults firing at every site, the final
 state still equals the dense reference to 1e-10 and every recovery action
@@ -16,6 +14,7 @@ is visible in ``statistics()``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 
@@ -25,23 +24,17 @@ import pytest
 from repro.core import faults
 from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
-from repro.core.gates import Gate
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    KernelBackend,
-    NumbaBackend,
-    NumpyBatchBackend,
-    ProcessPoolBackend,
-)
+from repro.core.kernels import KernelBackend
 from repro.core.simulator import QTaskSimulator
 
-from ..conftest import circuit_levels, random_levels, reference_state
+from ..conftest import (
+    FaultingBackend,
+    circuit_levels,
+    random_levels,
+    reference_state,
+)
 
 ATOL = 1e-10
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork start method unavailable"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -52,7 +45,7 @@ def _no_leaked_plan():
     faults.install(previous)
 
 
-def _build_sim(num_qubits, levels, *, kernel_backend, num_workers=2, **knobs):
+def _build_sim(num_qubits, levels, *, kernel_backend=None, num_workers=2, **knobs):
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
     return QTaskSimulator(
@@ -60,27 +53,16 @@ def _build_sim(num_qubits, levels, *, kernel_backend, num_workers=2, **knobs):
     )
 
 
-# Factories for the ``kernel_backend=`` knob.  The first leg is the
-# run-granular reference loop (the base ``KernelBackend``, every run through
-# ``execute_run``) under the id the test floor pins for the deleted per-run
-# path it replaces.
+# Session knobs per leg; the ids are the ones the test floor pins.  "legacy"
+# is the run-granular reference loop (the base ``KernelBackend``, every run
+# through ``execute_run``), under the id of the deleted per-run path it
+# replaces.  "process" named the deleted fork-pool backend; the leg keeps the
+# wide fan-out it stood for: four workers over 32 two-amplitude blocks, so
+# every table splits into chunk subflows that draw from the sites at once.
 CHAOS_BACKENDS = [
-    pytest.param(KernelBackend, id="legacy"),
-    pytest.param(lambda: "numpy", id="numpy"),
-    pytest.param(
-        NumbaBackend,
-        id="numba",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    ),
-    pytest.param(
-        # no ship threshold so the fork/SharedMemory path runs even for
-        # these tiny states; short backoff keeps retries cheap
-        lambda: ProcessPoolBackend(
-            num_workers=2, min_ship_amps=0, retry_backoff=0.01
-        ),
-        id="process",
-        marks=needs_fork,
-    ),
+    pytest.param(dict(kernel_backend=KernelBackend(), block_size=4), id="legacy"),
+    pytest.param(dict(kernel_backend="numpy", block_size=4), id="numpy"),
+    pytest.param(dict(num_workers=4, block_size=2), id="process"),
 ]
 
 
@@ -95,12 +77,8 @@ def test_chaos_parity_against_dense(backend):
     num_qubits = 6
     rng = random.Random(20260807)
     levels = random_levels(rng, num_qubits, 6)
-    sim = _build_sim(
-        num_qubits, levels, kernel_backend=backend(), block_size=4
-    )
-    plan = FaultPlan(
-        seed=1, probability=0.05, probabilities={"pool.worker.kill": 0.0}
-    )
+    sim = _build_sim(num_qubits, levels, **backend)
+    plan = FaultPlan(seed=1, probability=0.05)
     faults.install(plan)
     try:
         sim.update_state()
@@ -128,9 +106,7 @@ def test_chaos_parity_high_rate_numpy():
     rng = random.Random(99)
     levels = random_levels(rng, num_qubits, 5)
     sim = _build_sim(num_qubits, levels, kernel_backend="numpy", block_size=4)
-    plan = FaultPlan(
-        seed=3, probability=0.2, probabilities={"pool.worker.kill": 0.0}
-    )
+    plan = FaultPlan(seed=3, probability=0.2)
     faults.install(plan)
     try:
         sim.update_state()
@@ -310,59 +286,36 @@ def test_update_level_retry_preserves_trajectory():
 
 
 # ---------------------------------------------------------------------------
-# circuit breaker: a persistently failing backend degrades down the ladder
+# what is left where the backend ladder and the fork pool were
 # ---------------------------------------------------------------------------
 
 
-class _BrokenBackend(KernelBackend):
-    """A backend whose plan path always dies with an infrastructure error."""
-
-    name = "broken"
-    failure_safe = True
-
-    def __init__(self):
-        self.attempts = 0
-
-    def execute_plan(self, reader, store, table):
-        self.attempts += 1
-        raise OSError("worker pool torn down")
-
-
 def test_breaker_degrades_persistently_failing_backend():
+    """Historical id: there is no ladder to walk.  A backend failing on
+    every chunk stays the session's backend -- every chunk of every update
+    asks it first, falls back run-granular, and nothing is quarantined."""
     rng = random.Random(15)
     levels = random_levels(rng, 5, 6)  # several stages => several chunks
-    broken = _BrokenBackend()
+    broken = FaultingBackend()
     sim = _build_sim(5, levels, kernel_backend=broken, block_size=4)
     try:
         sim.update_state()
         stats = sim.statistics()
-        # the breaker tripped after breaker_threshold consecutive failures
-        transitions = stats["backend_transitions"]
-        assert transitions, "breaker never tripped"
-        assert transitions[0]["from"] == "broken"
-        assert transitions[0]["to"] in ("numba", "numpy")
-        assert "OSError" in transitions[0]["reason"]
-        assert stats["backend_fallbacks"] >= sim.breaker_threshold
-        assert broken.attempts >= sim.breaker_threshold
-        # the session finished on a healthy rung with the exact state
-        assert stats["backend"] != "broken"
+        assert stats["backend"] == "faulting"
+        assert stats["backend_fallbacks"] == broken.attempts == stats["plan_chunks"]
         expected = reference_state(5, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-        # later updates stay on the degraded rung (quarantine is sticky)
         before = broken.attempts
         net = sim.circuit.insert_net()
         sim.circuit.insert_gate("h", net, 0)
         sim.update_state()
-        assert broken.attempts == before
+        assert broken.attempts > before
+        assert sim.statistics()["backend"] == "faulting"
+        assert not sim.telemetry.events.events(kind="breaker.transition")
         expected = reference_state(5, circuit_levels(sim.circuit))
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
     finally:
         sim.close()
-
-
-# ---------------------------------------------------------------------------
-# process pool: SIGKILLed workers, ship timeouts, /dev/shm hygiene
-# ---------------------------------------------------------------------------
 
 
 def _shm_entries():
@@ -372,60 +325,21 @@ def _shm_entries():
         return None
 
 
-@needs_fork
-def test_sigkilled_worker_is_respawned_and_update_completes():
-    """A worker SIGKILLing itself mid-chunk costs a timeout + respawn, not
-    the update."""
-    # Something to ship: the static stages coalesce into one run whose
-    # table, on 128 two-amplitude blocks, is two kernel runs (the backend
-    # ships from two up; one executor worker keeps the table one chunk);
-    # the permutations stay on qubits 0-2, so each run reads its own
-    # aligned range.
-    levels = [
-        [Gate("h", (q,)) for q in range(8)],
-        [Gate("rz", (q,), (0.2 + 0.1 * q,)) for q in range(8)],
-        [Gate("cx", (0, 1)), Gate("cz", (5, 7))],
-        [Gate("x", (2,)), Gate("t", (6,))],
-    ]
-    backend = ProcessPoolBackend(
-        num_workers=2, min_ship_amps=0, ship_timeout=2.0, retry_backoff=0.01
-    )
-    # pin the local store transport: remote-backed stores deliberately skip
-    # SharedMemory shipping, which is the very path under test here
-    sim = _build_sim(
-        8, levels, kernel_backend=backend, block_size=2, num_workers=1,
-        store_transport="local",
-    )
-    faults.install(FaultPlan(script=[("pool.worker.kill", 1)]))
-    try:
-        sim.update_state()
-        stats = sim.statistics()
-        assert stats["pool_timeouts"] >= 1
-        assert stats["pool_respawns"] >= 1
-        assert stats["pool_retries"] >= 1
-        expected = reference_state(8, levels)
-        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-    finally:
-        faults.uninstall()
-        sim.close()
-
-
-@needs_fork
 def test_no_shared_memory_leaks_under_ship_faults():
-    """Every SharedMemory segment is unlinked even when ships/receives die."""
+    """Historical id: nothing is shipped anywhere.  Updates under fire at
+    the kernel and publish sites run in this process alone -- no
+    shared-memory segment and no child process, during or after."""
     before = _shm_entries()
     if before is None:
         pytest.skip("no /dev/shm on this platform")
+    children = set(multiprocessing.active_children())
     rng = random.Random(18)
     levels = random_levels(rng, 6, 4)
-    backend = ProcessPoolBackend(num_workers=2, min_ship_amps=0, retry_backoff=0.01)
-    sim = _build_sim(
-        6, levels, kernel_backend=backend, block_size=4, store_transport="local"
-    )
+    sim = _build_sim(6, levels, block_size=4, store_transport="local")
     faults.install(
         FaultPlan(
             seed=2,
-            probabilities={"pool.ship": 0.3, "pool.receive": 0.3},
+            probabilities={"kernel.run": 0.3, "cow.publish": 0.3},
         )
     )
     try:
@@ -433,10 +347,11 @@ def test_no_shared_memory_leaks_under_ship_faults():
             net = sim.circuit.insert_net()
             sim.circuit.insert_gate("h", net, 0)
             sim.update_state()
+            assert _shm_entries() == before
+            assert set(multiprocessing.active_children()) == children
         expected = reference_state(6, circuit_levels(sim.circuit))
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
     finally:
         faults.uninstall()
         sim.close()
-    leaked = _shm_entries() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    assert _shm_entries() == before

@@ -70,17 +70,17 @@ def test_site_streams_are_independent():
     """Draining one site's stream does not shift another site's draws."""
     lone = FaultPlan(seed=7, probability=0.25)
     mixed = FaultPlan(seed=7, probability=0.25)
-    expected = [lone.should_fire("pool.ship")[0] for _ in range(100)]
+    expected = [lone.should_fire("cow.publish")[0] for _ in range(100)]
     got = []
     for _ in range(100):
         mixed.should_fire("kernel.run")  # interleave noise on another site
-        got.append(mixed.should_fire("pool.ship")[0])
+        got.append(mixed.should_fire("cow.publish")[0])
     assert got == expected
 
 
 def test_scripted_trigger_fires_on_exact_occurrence():
-    plan = FaultPlan(script=[("pool.ship", 3), ("pool.ship", 5)])
-    decisions = [plan.should_fire("pool.ship") for _ in range(6)]
+    plan = FaultPlan(script=[("cow.publish", 3), ("cow.publish", 5)])
+    decisions = [plan.should_fire("cow.publish") for _ in range(6)]
     assert [d[0] for d in decisions] == [False, False, True, False, True, False]
     assert [d[1] for d in decisions] == [1, 2, 3, 4, 5, 6]
     # other sites are untouched
@@ -166,16 +166,16 @@ def test_fire_with_no_plan_is_noop_even_when_armed():
 
 
 # ---------------------------------------------------------------------------
-# cross-process transport
+# pickling
 # ---------------------------------------------------------------------------
 
 
 def test_fault_injected_pickles_faithfully():
-    """Pool workers raise FaultInjected across the process boundary."""
-    original = FaultInjected("pool.worker", 7)
+    """Site and occurrence survive a pickle round trip."""
+    original = FaultInjected("store.shard", 7)
     clone = pickle.loads(pickle.dumps(original))
     assert isinstance(clone, FaultInjected)
-    assert clone.site == "pool.worker"
+    assert clone.site == "store.shard"
     assert clone.occurrence == 7
     assert str(clone) == str(original)
 
@@ -192,22 +192,25 @@ def test_plan_from_env_disabled_without_probability():
 
 
 def test_plan_from_env_excludes_worker_kill_by_default():
+    """Historical id: no site is excluded by default, because the one that
+    was (a pool worker SIGKILLing itself) left with the pool sites."""
     plan = faults.plan_from_env({"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SEED": "9"})
     assert plan is not None
     assert plan.seed == 9
-    # every site fires at p=1 except the SIGKILL site
-    fired, _ = plan.should_fire("kernel.run")
-    assert fired
-    fired, _ = plan.should_fire("pool.worker.kill")
-    assert not fired
+    assert FAULT_SITES == ("kernel.run", "executor.task", "cow.publish", "store.shard")
+    for site in FAULT_SITES:
+        fired, _ = plan.should_fire(site)
+        assert fired
+    with pytest.raises(ValueError, match="unknown fault site"):
+        plan.should_fire("pool.worker.kill")
 
 
 def test_plan_from_env_site_whitelist():
     plan = faults.plan_from_env(
-        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "pool.ship, pool.worker.kill"}
+        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "cow.publish, store.shard"}
     )
-    assert plan.should_fire("pool.ship")[0]
-    assert plan.should_fire("pool.worker.kill")[0]  # explicit opt-in
+    assert plan.should_fire("cow.publish")[0]
+    assert plan.should_fire("store.shard")[0]
     assert not plan.should_fire("kernel.run")[0]
 
 

@@ -1,26 +1,30 @@
-"""Unit tests for the pluggable kernel backends and their selection."""
+"""Unit tests for the kernel backend seam: the ``kernel_backend`` keyword,
+the run-granular fallback of a faulted chunk and the plan statistics.
+
+There is one execution strategy (the numpy slab backend) plus the base
+``KernelBackend`` reference loop.  Several ids below predate that -- the test
+floor pins them -- and say so where the name no longer describes the body.
+"""
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 
 import numpy as np
 import pytest
 
+import repro.core.kernels as kernels
+from repro import QTask
 from repro.core.circuit import Circuit
+from repro.core.faults import FaultInjected
 from repro.core.gates import Gate
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    BackendUnavailable,
-    KernelBackend,
-    NumbaBackend,
-    NumpyBatchBackend,
-    ProcessPoolBackend,
-    available_backends,
-    iter_table_runs,
-    make_backend,
-)
+from repro.core.kernels import KernelBackend, NumpyBatchBackend, iter_table_runs
 from repro.core.simulator import QTaskSimulator
+from repro.parallel import SweepRunner, WorkStealingExecutor
+
+from ..conftest import FaultingBackend
+
+ACCEPTED = "expected None, 'auto', 'numpy' or a KernelBackend instance$"
 
 
 def _simulator(levels, num_qubits=6, **kwargs):
@@ -42,69 +46,68 @@ def _mixed_levels(num_qubits=6):
     return levels
 
 
+def _reference_state(levels=None, **knobs):
+    ref = _simulator(levels or _mixed_levels(), kernel_backend=KernelBackend(), **knobs)
+    ref.update_state()
+    return ref.state()
+
+
 # ---------------------------------------------------------------------------
-# selection: make_backend / available_backends / env knob
+# the ``kernel_backend`` keyword: None (or its spellings) or an instance
+# (the class name is historical: ``make_backend`` is gone, the few lines left
+# of spec resolution live in ``QTaskSimulator._assemble``)
 # ---------------------------------------------------------------------------
 
 
 class TestMakeBackend:
     def test_numpy(self):
-        backend, fell_back = make_backend("numpy")
-        assert isinstance(backend, NumpyBatchBackend)
-        assert not fell_back
+        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
+        assert type(sim._backend) is NumpyBatchBackend
 
-    def test_legacy_is_rejected(self, monkeypatch):
-        """Knob and env both raise the error naming the four valid specs."""
-        with pytest.raises(ValueError, match="auto/numpy/numba/process$"):
+    def test_legacy_is_rejected(self):
+        with pytest.raises(ValueError, match=ACCEPTED):
             _simulator([[Gate("h", (0,))]], kernel_backend="legacy")
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "legacy")
-        with pytest.raises(ValueError, match="auto/numpy/numba/process$"):
-            _simulator([[Gate("h", (0,))]])
 
-    def test_auto_never_falls_back(self, monkeypatch):
-        """``auto`` (and no spec at all) is numpy, whatever is installed."""
-        import repro.core.kernels as kernels
+    @pytest.mark.parametrize("name", ["process", "numba"])
+    def test_deleted_names_are_rejected(self, name):
+        with pytest.raises(ValueError, match=ACCEPTED):
+            QTask(3, kernel_backend=name)
 
-        monkeypatch.delenv("QTASK_KERNEL_BACKEND", raising=False)
-        for have_numba in (kernels.HAVE_NUMBA, True):
-            monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
-            for spec in ("auto", None):
-                backend, fell_back = make_backend(spec)
-                assert type(backend) is NumpyBatchBackend and not fell_back
+    def test_auto_never_falls_back(self):
+        """``auto`` and no spec at all are the slab backend, and a clean
+        update on it never takes the run-granular fallback."""
+        for spec in ("auto", None):
+            sim = _simulator(_mixed_levels(), kernel_backend=spec)
+            sim.update_state()
+            assert type(sim._backend) is NumpyBatchBackend
+            assert sim.plan_report().backend_fallbacks == 0
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            make_backend("cuda")
-
-    def test_numba_without_numba_falls_back_to_numpy(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: no fallback to observe")
-        backend, fell_back = make_backend("numba")
-        assert isinstance(backend, NumpyBatchBackend)
-        assert fell_back
+        for spec in ("cuda", 42):
+            with pytest.raises(ValueError, match=ACCEPTED):
+                _simulator([[Gate("h", (0,))]], kernel_backend=spec)
 
     def test_env_var_drives_default(self, monkeypatch):
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")
+        """Historical id: nothing reads ``QTASK_KERNEL_BACKEND`` any more, so
+        a value the keyword would reject changes nothing."""
+        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "legacy")
         sim = _simulator([[Gate("h", (0,))]])
-        assert sim.kernel_backend is None  # the session named no spec
         assert sim._backend.name == "numpy"
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numba")
-        sim2 = _simulator([[Gate("h", (0,))]])
-        assert sim2._backend.name == ("numba" if HAVE_NUMBA else "numpy")
-        assert sim2.plan_report().backend_fallbacks == (0 if HAVE_NUMBA else 1)
 
     def test_explicit_knob_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "cuda")  # never read
-        sim = _simulator([[Gate("h", (0,))]], kernel_backend="numpy")
-        assert sim._backend.name == "numpy"
-        assert sim.plan_report().requested_backend == "numpy"
+        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")  # never read
+        backend = KernelBackend()
+        sim = _simulator([[Gate("h", (0,))]], kernel_backend=backend)
+        assert sim._backend is backend
 
     def test_available_backends_contents(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "legacy" not in names
-        assert ("numba" in names) == HAVE_NUMBA
-        assert ("process" in names) == hasattr(os, "fork")
+        """Historical id: the backends there are, are the module's two classes."""
+        classes = {
+            name for name, obj in vars(kernels).items()
+            if isinstance(obj, type) and issubclass(obj, KernelBackend)
+        }
+        assert classes == {"KernelBackend", "NumpyBatchBackend"}
+        assert classes <= set(kernels.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -122,96 +125,102 @@ def test_iter_table_runs_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# numba backend (interpreted kernels run everywhere; jit needs numba)
+# ids the test floor pins for the deleted numba and process-pool backends,
+# over corners their removal leaves behind
 # ---------------------------------------------------------------------------
+
+
+class _FaultsOncePublished(NumpyBatchBackend):
+    """The slab backend reporting an injected fault after it published."""
+
+    def execute_plan(self, reader, store, table):
+        super().execute_plan(reader, store, table)
+        raise FaultInjected("kernel.run", 0)
 
 
 class TestNumbaBackend:
-    def test_jit_unavailable_raises(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: jit construction succeeds")
-        with pytest.raises(BackendUnavailable):
-            NumbaBackend()
+    def test_jit_unavailable_raises(self, tmp_path):
+        """The name is rejected wherever the keyword is taken, not only by
+        the constructor."""
+        path = str(tmp_path / "s.qtckpt")
+        with QTask(3, block_size=4, num_workers=1) as session:
+            net = session.insert_net()
+            gate = session.insert_gate("rz", net, 0, params=[0.1])
+            session.update_state()
+            session.checkpoint(path)
+            with pytest.raises(ValueError, match=ACCEPTED):
+                session.fork(kernel_backend="numba")
+            with pytest.raises(ValueError, match=ACCEPTED):
+                QTask.restore(path, kernel_backend="numba")
+            with SweepRunner(session, [gate], kernel_backend="numba") as runner:
+                with pytest.raises(ValueError, match=ACCEPTED):
+                    runner.run([[0.2]])
 
     def test_interpreted_kernels_match_legacy(self):
-        """... the run-granular reference loop (the base ``KernelBackend``)."""
-        sim = _simulator(_mixed_levels(), kernel_backend=NumbaBackend(jit=False))
+        """A chunk that faults *after* publishing is re-executed run by run
+        over its own output: the writes are plain overwrites, so the state
+        is the reference loop's and no block is held twice."""
+        sim = _simulator(_mixed_levels(), kernel_backend=_FaultsOncePublished())
         sim.update_state()
-        ref = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
-        ref.update_state()
-        np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# process-pool backend
-# ---------------------------------------------------------------------------
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="process backend needs the fork start method"
-)
-
-
-@needs_fork
-class TestProcessPoolBackend:
-    def test_forced_shipping_matches_legacy(self):
-        # local store transport: remote-backed stores deliberately bypass
-        # SharedMemory shipping, and shipping is what this test forces
-        # ("legacy": the run-granular reference loop)
-        # The static stages coalesce into one run.  On 128 two-amplitude
-        # blocks its table has two kernel runs (the backend ships from two
-        # up; one executor worker, so the table stays one chunk), and with
-        # the permutations kept to qubits 0-2 each run reads its own aligned
-        # range -- what a worker can be handed.
-        levels = _mixed_levels(8)[:3] + [[Gate("cx", (0, 1))], [Gate("cx", (1, 2))]]
-        knobs = dict(num_qubits=8, block_size=2, num_workers=1)
-        sim = _simulator(
-            levels,
-            kernel_backend=ProcessPoolBackend(num_workers=2, min_ship_amps=0),
-            store_transport="local",
-            **knobs,
+        np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
+        report = sim.plan_report()
+        assert report.backend_fallbacks == report.plan_chunks > 0
+        clean = _simulator(_mixed_levels())
+        clean.update_state()
+        assert (
+            sim.memory_report().allocated_bytes
+            == clean.memory_report().allocated_bytes
         )
-        sim.update_state()
-        assert sim._backend.shipped_runs > 0
-        assert sim.statistics()["stages_coalesced"] == 12
-        ref = _simulator(levels, kernel_backend=KernelBackend(), **knobs)
-        ref.update_state()
-        np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
 
+
+class TestProcessPoolBackend:
     def test_small_tables_stay_in_parent(self):
-        backend = ProcessPoolBackend(num_workers=2)  # default threshold
-        sim = _simulator(_mixed_levels(), kernel_backend=backend)
-        sim.update_state()
-        # every table here is far below min_ship_amps: nothing crosses
-        assert backend.shipped_runs == 0
+        """A one-run table is never split, however wide the executor."""
+        executor = WorkStealingExecutor(4)
+        try:
+            # one block: every stage's table is a single run
+            sim = _simulator(
+                _mixed_levels(2), num_qubits=2, block_size=4, executor=executor
+            )
+            sim.update_state()
+            report = sim.plan_report()
+            assert report.runs_batched == report.plan_chunks == report.plans_built
+            np.testing.assert_allclose(
+                sim.state(),
+                _reference_state(_mixed_levels(2), num_qubits=2),
+                atol=1e-10,
+            )
+        finally:
+            executor.close()
 
     def test_single_worker_never_ships(self):
-        backend = ProcessPoolBackend(num_workers=1, min_ship_amps=0)
-        sim = _simulator(_mixed_levels(), kernel_backend=backend)
+        """One worker: every table, many runs or not, is one chunk."""
+        sim = _simulator(_mixed_levels(), num_workers=1)
         sim.update_state()
-        assert backend.shipped_runs == 0
+        report = sim.plan_report()
+        assert report.runs_batched > report.plans_built
+        assert report.plan_chunks == report.plans_built
 
     def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("QTASK_PROCESS_WORKERS", "3")
-        assert ProcessPoolBackend().num_workers == 3
+        """Nothing reads ``QTASK_PROCESS_WORKERS``: an unparsable value is
+        harmless and an update starts no process."""
+        monkeypatch.setenv("QTASK_PROCESS_WORKERS", "many")
+        before = set(multiprocessing.active_children())
+        sim = _simulator(_mixed_levels(), num_workers=2, store_transport="local")
+        sim.update_state()
+        assert sim.executor.num_workers == 2
+        assert set(multiprocessing.active_children()) == before
+        sim.close()
 
 
 # ---------------------------------------------------------------------------
-# failure-safe execution: a crashing backend degrades, never corrupts
+# a failing chunk: an injected fault falls back run-granular, anything else
+# is a programming error and propagates
 # ---------------------------------------------------------------------------
-
-
-class _ExplodingBackend(KernelBackend):
-    name = "exploding"
-    failure_safe = True
-
-    def execute_plan(self, reader, store, table):
-        raise RuntimeError("boom")
 
 
 class _FragileBackend(KernelBackend):
     name = "fragile"
-    failure_safe = False
 
     def execute_plan(self, reader, store, table):
         raise RuntimeError("boom")
@@ -219,17 +228,18 @@ class _FragileBackend(KernelBackend):
 
 class TestFailureSafety:
     def test_failure_safe_backend_falls_back_per_run(self):
-        sim = _simulator(_mixed_levels(), kernel_backend=_ExplodingBackend())
+        sim = _simulator(_mixed_levels(), kernel_backend=FaultingBackend())
         sim.update_state()
-        ref = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
-        ref.update_state()
-        np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
+        np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
         assert sim.plan_report().backend_fallbacks > 0
+        fallbacks = sim.telemetry.events.events(kind="chunk.fallback")
+        assert {e.fields["backend"] for e in fallbacks} == {"faulting"}
 
     def test_non_failure_safe_backend_propagates(self):
         sim = _simulator(_mixed_levels(), kernel_backend=_FragileBackend())
         with pytest.raises(RuntimeError, match="boom"):
             sim.update_state()
+        assert sim.plan_report().backend_fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +266,13 @@ class TestPlanStatistics:
         sim = _simulator(_mixed_levels(), kernel_backend="numpy")
         sim.update_state()
         stats = sim.statistics()
-        for key in ("backend", "plans_built", "runs_batched", "runs_per_plan"):
-            assert key in stats
+        report = sim.plan_report().as_dict()
+        assert set(report) == {
+            "backend", "plans_built", "runs_batched", "runs_fallback",
+            "stages_coalesced", "plan_chunks", "backend_fallbacks",
+            "updates_planned", "runs_per_plan", "run_retries", "update_retries",
+        }
+        assert {key: stats[key] for key in report} == report
         assert stats["backend"] == "numpy"
 
     def test_fork_inherits_backend(self):

@@ -88,9 +88,7 @@ def test_round_trip_preserves_state_and_structure(tmp_path, knobs):
         assert session.checkpoint(path) == path
     headers = []
     _rewrite_header(path, headers.append)  # an edit that only looks
-    assert set(headers[0]["knobs"]) == {
-        *DURABLE_KNOBS, "kernel_backend", "store_transport"
-    }
+    assert set(headers[0]["knobs"]) == {*DURABLE_KNOBS, "store_transport"}
     assert "fused" not in {entry["kind"] for entry in headers[0]["stages"]}
 
     restored = QTask.restore(path, num_workers=1)
@@ -389,26 +387,45 @@ def test_unknown_version_raises_checkpoint_error(tmp_path):
 
 def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
     """A version-1 file written when ``block_directory``, ``fusion`` /
-    ``max_fused_qubits`` and the ``legacy`` backend existed: the keys are
-    ignored, the backend is the default spec, nothing is re-simulated."""
+    ``max_fused_qubits`` and the ``legacy`` / ``numba`` / ``process``
+    backends existed (until the field left the header every file named a
+    backend or ``None``): the keys are ignored, the backend is the default,
+    nothing is re-simulated."""
     path, state = _checkpointed_session(tmp_path)
-    _rewrite_header(
-        path,
-        lambda header: header["knobs"].update(
-            block_directory=False, kernel_backend="legacy",
-            fusion=True, max_fused_qubits=4,
-        ),
-    )
+    for backend in ("legacy", "numba", "process", "numpy", None):
+        _rewrite_header(
+            path,
+            lambda header: header["knobs"].update(
+                block_directory=False, kernel_backend=backend,
+                fusion=True, max_fused_qubits=4,
+            ),
+        )
+        restored = QTask.restore(path, num_workers=1)
+        try:
+            np.testing.assert_array_equal(restored.state(), state)
+            np.testing.assert_array_equal(restored.state(), dense_state(restored))
+            assert restored.statistics()["backend"] == "numpy"
+            assert restored.statistics()["plans_built"] == 0
+            net = restored.insert_net()
+            restored.insert_gate("cx", net, 0, 4)
+            restored.update_state()
+            expected = reference_state(5, circuit_levels(restored.circuit))
+            assert_states_close(restored.state(), expected, atol=1e-10)
+        finally:
+            restored.close()
+
+
+def test_header_without_a_backend_name_restores(tmp_path):
+    """What this version writes: the header's knobs name no kernel backend."""
+    path, state = _checkpointed_session(tmp_path)
+    headers = []
+    _rewrite_header(path, headers.append)  # an edit that only looks
+    assert "kernel_backend" not in headers[0]["knobs"]
     restored = QTask.restore(path, num_workers=1)
     try:
         np.testing.assert_array_equal(restored.state(), state)
-        assert restored.simulator.kernel_backend is None
-        assert restored.statistics()["plans_built"] == 0
-        net = restored.insert_net()
-        restored.insert_gate("cx", net, 0, 4)
-        restored.update_state()
-        expected = reference_state(5, circuit_levels(restored.circuit))
-        assert_states_close(restored.state(), expected, atol=1e-10)
+        np.testing.assert_array_equal(restored.state(), dense_state(restored))
+        assert restored.statistics()["backend"] == "numpy"
     finally:
         restored.close()
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core import faults
 from repro.core.circuit import Circuit
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 from repro.telemetry import EventLog
@@ -139,23 +139,28 @@ def test_explain_last_update_clean_run_reports_no_events():
 
 
 def test_breaker_transition_is_logged():
+    """Historical id: the one breaker left guards the store transport.  A
+    publish storm on a local-transport session is absorbed chunk by chunk:
+    every fallback is logged with its backend, no transition ever is."""
     rng = random.Random(5)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4)
-    # storm one site long enough to trip the chunk breaker
+    sim = _build_sim(
+        5, levels, kernel_backend="numpy", block_size=4, store_transport="local"
+    )
     faults.install(FaultPlan(script=[("cow.publish", i) for i in range(1, 40)]))
     try:
         sim.update_state()
-        transitions = sim.telemetry.events.events(kind="breaker.transition")
-        assert transitions
-        assert transitions[0].fields["to"] != transitions[0].fields["from"]
-    except Exception:
-        # an unrecoverable storm may surface FaultInjected; the event log
-        # must still hold the injection trail
-        assert sim.telemetry.events.events(kind="fault.injected")
+    except FaultInjected:
+        pass  # a storm past every retry bound surfaces; the trail stays
     finally:
         faults.uninstall()
         sim.close()
+    events = sim.telemetry.events
+    assert events.events(kind="fault.injected")
+    fallbacks = events.events(kind="chunk.fallback")
+    assert fallbacks and {e.fields["backend"] for e in fallbacks} == {"numpy"}
+    assert not events.events(kind="breaker.transition")
+    assert sim.statistics()["backend"] == "numpy"
 
 
 def test_checkpoint_save_and_restore_emit_events(tmp_path):

@@ -1,10 +1,9 @@
-"""End-to-end tracing: spans nest across executor tasks and pool workers.
+"""End-to-end tracing: spans nest across executor tasks.
 
 The acceptance scenario for the telemetry subsystem: a traced incremental
 update on a deep cascade must export a valid chrome-trace JSON whose
 ``run.chunk`` spans nest under ``plan.build``/``update`` even when they
-executed on different executor worker threads -- and, when the process
-backend is available, whose ``pool.chunk`` spans carry worker pids.
+executed on different executor worker threads.
 """
 
 import json
@@ -16,7 +15,6 @@ import pytest
 
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.kernels import BackendUnavailable, ProcessPoolBackend
 from repro.core.simulator import QTaskSimulator
 from repro.qtask import QTask
 
@@ -69,13 +67,6 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
                 parent.start + parent.duration + 1e-6
             )
 
-        # chunks really ran on >= 2 distinct executor worker threads
-        chunk_threads = {
-            r.thread_name for r in by_name["run.chunk"]
-            if r.thread_name.startswith("qtask-worker-")
-        }
-        assert len(chunk_threads) >= 2
-
         # the export is valid chrome-trace JSON mirroring those spans
         path = str(tmp_path / "cascade.json")
         trace = sim.telemetry.tracer.export_chrome_trace(path)
@@ -84,41 +75,43 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert len(slices) == len(spans)
         assert min(e["ts"] for e in slices) == 0.0
+
+        # chunks really ran on >= 2 distinct executor worker threads.  Which
+        # worker takes a chunk subflow is a race the second one can lose on
+        # a loaded host, so it gets a bounded number of further retunes.
+        def chunk_threads():
+            return {
+                r.thread_name for r in sim.telemetry.tracer.spans()
+                if r.name == "run.chunk"
+                and r.thread_name.startswith("qtask-worker-")
+            }
+
+        for attempt in range(200):
+            if len(chunk_threads()) >= 2:
+                break
+            ckt.update_gate(handle, 0.7 + 0.01 * (attempt + 1))
+            sim.update_state()
+        assert len(chunk_threads()) >= 2
     finally:
         sim.close()
 
 
 def test_pool_worker_spans_carry_worker_pids():
-    """Process-backend spans: ship/receive in the parent, chunks by pid."""
-    try:
-        backend = ProcessPoolBackend(num_workers=2, min_ship_amps=1)
-    except BackendUnavailable as exc:
-        pytest.skip(f"process backend unavailable: {exc}")
-    # local store transport: remote-backed stores deliberately bypass
-    # SharedMemory shipping, and pool.ship spans only exist on that path.
-    # The cascade coalesces into one run; on 128 two-amplitude blocks its
-    # table is two kernel runs (the backend ships from two up), and the
-    # composed permutation acts on qubits 0-2 only, so each run reads its
-    # own aligned range -- what a worker can be handed.
+    """Historical id: the only workers are the executor's threads.  Every
+    span of a traced multi-worker update carries this process's pid and one
+    of the engine's span names -- nothing is timed in another process."""
     ckt, sim = build_cascade(
-        8, 24, block_size=2, num_workers=1,
-        kernel_backend=backend, tracing=True, store_transport="local",
+        8, 24, block_size=2, num_workers=2, tracing=True, store_transport="local",
     )
     try:
         sim.update_state()
+        ckt.update_gate(next(h for h in ckt.gates() if h.gate.name == "rz"), 0.77)
+        sim.update_state()
         spans = sim.telemetry.tracer.spans()
-        ships = [r for r in spans if r.name == "pool.ship"]
-        chunks = [r for r in spans if r.name == "pool.chunk"]
-        receives = [r for r in spans if r.name == "pool.receive"]
-        assert ships and chunks and receives
-        ship_ids = {r.span_id for r in ships}
-        parent_pid = os.getpid()
-        for chunk in chunks:
-            assert chunk.parent_id in ship_ids
-            assert chunk.pid != parent_pid  # measured inside a fork worker
-            assert chunk.attrs["runs"] >= 1
-        # at least one ship fanned out to a real worker process
-        assert {r.pid for r in chunks} - {parent_pid}
+        assert {r.name for r in spans} == {
+            "update", "plan.build", "stage.prepare", "run.chunk",
+        }
+        assert {r.pid for r in spans} == {os.getpid()}
     finally:
         sim.close()
 

@@ -92,18 +92,18 @@ def test_ring_buffer_bounds_and_drop_count():
 
 def test_adopt_rehomes_foreign_records():
     tracer = Tracer(enabled=True)
-    with tracer.span("pool.ship") as ship:
+    with tracer.span("update") as update:
         sid = tracer.adopt(
-            "pool.chunk", 123.0, 0.004,
-            parent_id=ship.span_id, pid=99999,
-            thread_id=99999, thread_name="pool-worker-99999",
+            "checkpoint.restore", 123.0, 0.004,
+            parent_id=update.span_id, pid=99999,
+            thread_id=99999, thread_name="elsewhere-99999",
             attrs={"rows": 8},
         )
-    chunk = next(r for r in tracer.spans() if r.name == "pool.chunk")
-    assert chunk.span_id == sid
-    assert chunk.parent_id == ship.span_id
-    assert chunk.pid == 99999
-    assert chunk.attrs == {"rows": 8}
+    adopted = next(r for r in tracer.spans() if r.name == "checkpoint.restore")
+    assert adopted.span_id == sid
+    assert adopted.parent_id == update.span_id
+    assert adopted.pid == 99999
+    assert adopted.attrs == {"rows": 8}
 
 
 def test_chrome_trace_export_round_trips(tmp_path):

@@ -1,15 +1,13 @@
-"""Backend parity: every kernel backend computes the same states.
+"""Backend parity: every way a run table executes computes the same states.
 
-A kernel backend must be a pure execution-strategy change: for any circuit,
-any knob combination (build order, copy-on-write, block size) and any modifier
-sequence, the batched backends, the run-granular reference loop and the
-dense oracle must agree to 1e-10.  Backends that need an unavailable
-runtime (numba jit, fork) skip cleanly instead of failing.
+How a table is executed must not show in the result: for any circuit, any
+knob combination (build order, copy-on-write, block size) and any modifier
+sequence, the slab backend, the run-granular reference loop, the fallback
+of a faulted chunk and the dense oracle must agree to 1e-10.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
@@ -18,15 +16,11 @@ import pytest
 from repro import QTask
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    KernelBackend,
-    NumbaBackend,
-    ProcessPoolBackend,
-)
+from repro.core.kernels import KernelBackend
 from repro.core.simulator import QTaskSimulator
 
 from .conftest import (
+    FaultingBackend,
     circuit_levels,
     dense_state,
     open_session,
@@ -56,36 +50,31 @@ KNOB_COMBOS = [
     pytest.param(dict(copy_on_write=False, block_size=16), id="dense-bs16"),
 ]
 
-# Each leg is a factory for the ``kernel_backend=`` knob.  The first is the
-# run-granular reference loop (the base ``KernelBackend``: every run through
-# ``execute_run``, which is also what chunk fallback and the batching backends'
-# unbatched runs execute).  It carries the id of the deleted per-run execution
-# path whose ``execute_run`` coverage it inherits, so the ids the test floor
-# pins stay valid.
+# Each leg is a factory for the session knobs that pick how run tables
+# execute; the ids are the ones the test floor pins, two of them historical.
+# "legacy" is the run-granular reference loop (the base ``KernelBackend``:
+# every run through ``execute_run``) under the id of the deleted per-run path.
+# "numba-interp" named the deleted numba backend's interpreted mode: the leg
+# is now a backend faulting on every chunk, so every chunk of every update
+# goes through the simulator's ``_run_chunk_fallback``.  "process"
+# named the deleted fork-pool backend: the leg keeps the multi-worker fan-out
+# it alone forced on every host -- the slab backend on a two-worker
+# work-stealing executor, every table split into chunk subflows.
+def _reference_loop():
+    return dict(kernel_backend=KernelBackend())
+
+
 BACKENDS = [
-    pytest.param(KernelBackend, id="legacy"),
-    pytest.param(lambda: "numpy", id="numpy"),
-    pytest.param(lambda: NumbaBackend(jit=False), id="numba-interp"),
-    pytest.param(
-        lambda: NumbaBackend(jit=True),
-        id="numba-jit",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    ),
-    pytest.param(
-        # forced shipping: two workers and no size threshold, so the
-        # fork/SharedMemory path runs even for these tiny states
-        lambda: ProcessPoolBackend(num_workers=2, min_ship_amps=0),
-        id="process",
-        marks=pytest.mark.skipif(
-            not hasattr(os, "fork"), reason="fork start method unavailable"
-        ),
-    ),
+    pytest.param(_reference_loop, id="legacy"),
+    pytest.param(lambda: dict(kernel_backend="numpy"), id="numpy"),
+    pytest.param(lambda: dict(kernel_backend=FaultingBackend()), id="numba-interp"),
+    pytest.param(lambda: dict(num_workers=2), id="process"),
 ]
 
 
 def _build(levels, num_qubits, backend, knobs) -> QTaskSimulator:
     circuit = Circuit(num_qubits)
-    sim = open_session(circuit, kernel_backend=backend(), **knobs)
+    sim = open_session(circuit, **backend(), **knobs)
     circuit.from_levels(levels)
     return sim
 
@@ -150,7 +139,7 @@ def test_retune_sequence_matches_dense(backend, knobs):
             [Gate("rz", (q,), (0.1 + 0.2 * layer + 0.05 * q,)) for q in range(num_qubits)]
         )
         levels.append([Gate("cx", (q, q + 1)) for q in range(0, num_qubits - 1, 2)])
-    sim = open_session(circuit, kernel_backend=backend(), **knobs)
+    sim = open_session(circuit, **backend(), **knobs)
     circuit.from_levels(levels)
     sim.update_state()
     handles = [h for h in circuit.gates() if h.gate.name == "rz"]
@@ -170,7 +159,7 @@ def test_retune_sequence_matches_dense(backend, knobs):
 
 def _dynamic_session(seed, backend, **knobs) -> QTask:
     knobs.setdefault("block_size", 4)
-    ckt = QTask(3, num_clbits=2, seed=seed, kernel_backend=backend(), **knobs)
+    ckt = QTask(3, num_clbits=2, seed=seed, **backend(), **knobs)
     n1, n2, n3, n4, n5 = (ckt.insert_net() for _ in range(5))
     ckt.insert_gate("h", n1, 0)
     ckt.insert_gate("cx", n2, 0, 1)
@@ -187,7 +176,7 @@ def _dynamic_session(seed, backend, **knobs) -> QTask:
 def test_dynamic_trajectory_matches_legacy(backend, seed):
     """Same seed, same outcome bits as the run-granular reference loop; the
     state is the dense oracle's under those outcomes."""
-    ref = _dynamic_session(seed, KernelBackend)
+    ref = _dynamic_session(seed, _reference_loop)
     ref.update_state()
     got = _dynamic_session(seed, backend)
     got.update_state()

@@ -10,12 +10,10 @@ import pytest
 
 from repro.qtask import QTask
 
-#: the statistics() contract; a kernel backend may add its own
-#: ``backend_stats()`` counters on top (the process backend does)
+#: the statistics() contract, whatever the backend instance
 GOLDEN_KEYS = {
     "backend",
     "backend_fallbacks",
-    "backend_transitions",
     "block_size",
     "cached_observable_partials",
     "copy_on_write",
@@ -31,7 +29,6 @@ GOLDEN_KEYS = {
     "observable_cache",
     "plan_chunks",
     "plans_built",
-    "requested_backend",
     "run_retries",
     "runs_batched",
     "runs_fallback",
@@ -59,24 +56,18 @@ def _built_session(**knobs):
 
 @pytest.fixture()
 def session():
-    """Whatever backend the environment selects (the CI backend matrix)."""
+    """A default session."""
     ckt = _built_session()
     yield ckt
     ckt.close()
 
 
-def _core_keys(session):
-    """``statistics()`` keys minus the backend's own ``backend_stats()``."""
-    extras = set(session.simulator._backend.backend_stats())
-    return set(session.simulator.statistics()) - extras
-
-
 def test_statistics_keys_are_exactly_the_golden_set(session):
-    assert _core_keys(session) == GOLDEN_KEYS
+    assert set(session.simulator.statistics()) == GOLDEN_KEYS
 
 
 def test_statistics_values_reflect_the_registry_counters():
-    # the numpy pipeline's counters: pinned, whatever the environment selects
+    # the slab pipeline's counters, pinned
     session = _built_session(kernel_backend="numpy")
     try:
         _check_numpy_pipeline_counters(session.simulator.statistics())
@@ -116,7 +107,7 @@ def test_statistics_keys_stable_across_updates(session):
     net = session.insert_net()
     session.insert_gate("cx", net, 0, 1)
     session.update_state()
-    assert _core_keys(session) == GOLDEN_KEYS
+    assert set(session.simulator.statistics()) == GOLDEN_KEYS
     assert session.simulator.statistics()["num_updates"] == 2
 
 
