@@ -3,8 +3,8 @@
 qTask is a state-vector quantum circuit simulator with first-class support
 for *incremental* simulation: after inserting or removing gates, only the
 partitions of the state computation affected by the modification are
-re-simulated.  See ``DESIGN.md`` for the system inventory and
-``EXPERIMENTS.md`` for the reproduced evaluation.
+re-simulated.  See ``docs/architecture.md`` for the system inventory and
+``benchmarks/ledger/README.md`` for how it is measured.
 
 Quick start::
 

@@ -16,7 +16,9 @@ running on the same machine and runtime as qTask:
 * :class:`DenseReferenceSimulator` -- an intentionally naive full-matrix
   simulator used as ground truth in the test suite.
 
-See DESIGN.md ("Substitutions") for the justification of this substitution.
+See docs/architecture.md for where they sit beside the engine; the ledger
+(benchmarks/ledger/README.md) takes every ratio against
+:class:`QulacsLikeSimulator` in the same process.
 """
 
 from .base import BaselineResult, BaselineSimulator

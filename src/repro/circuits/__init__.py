@@ -3,9 +3,8 @@
 QASMBench itself is a collection of OpenQASM files that is not bundled here;
 these generators synthesize circuits of the same *families* -- same algorithm,
 same qubit count, comparable gate count and gate mix -- which is what drives
-the partitioning and incrementality behaviour the paper measures (see
-DESIGN.md, "Substitutions").  Real QASMBench files can still be loaded through
-:mod:`repro.qasm` when available.
+the partitioning and incrementality behaviour the paper measures.  Real
+QASMBench files can still be loaded through :mod:`repro.qasm` when available.
 
 The catalog (:mod:`repro.circuits.catalog`) maps the 20 benchmark names of
 Table III to generator invocations.

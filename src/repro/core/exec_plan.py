@@ -5,16 +5,21 @@ block run means thousands of closures, task-graph nodes and dependency
 counters for a deep dirty cone, all dispatched under the GIL.  The plan layer
 describes that frontier *once* as a handful of batch-major structures instead:
 
+* :class:`RunTable` -- the runs of one stage packed into contiguous arrays
+  (``los``/``his``/``op_ids``) plus an operation table, the shape a
+  vectorised or compiled kernel backend consumes whole.  Every stage kind
+  applies one operation (``Stage.plan_op``) to all of its runs, so
+  ``Stage.emit_table`` is the bounds of the planned block ranges -- shared
+  per range tuple and geometry -- plus that one :class:`PlanOp`; nothing is
+  built per run.
 * :class:`RunSpec` -- one aligned kernel run, described as data (kind,
   amplitude range, qubit tuple, classified action / payload) rather than as
-  a closure.  Stages emit these through ``Stage.emit_runs``.
-* :class:`RunTable` -- the runs of one stage packed into contiguous arrays
-  (``los``/``his``/``op_ids``) plus a deduplicated operation table, the
-  shape a vectorised or compiled kernel backend consumes whole.
+  a closure: a row of a table, what the run-granular reference loop and a
+  faulted chunk's fallback execute one by one.
 * :class:`StagePlan` -- one affected stage: its reader, whether its sync
   barrier (``prepare``) must run, and the block ranges to recompute.  For
-  static stages (plain unitary stages, whose runs depend on nothing
-  drawn at execution time) the runs are emitted eagerly at plan-build time;
+  static stages (plain unitary stages, whose operation depends on nothing
+  drawn at execution time) the table is emitted eagerly at plan-build time;
   dynamic and matrix--vector stages defer emission until after their
   ``prepare`` ran.  A *coalesced run* -- consecutive static stages swept
   whole -- is one stage plan too (:meth:`StagePlan.for_run`): one table
@@ -85,7 +90,7 @@ class RunSpec(NamedTuple):
 
 
 class PlanOp(NamedTuple):
-    """One deduplicated operation of a run table (shared by many runs)."""
+    """One operation of a run table (shared by many runs)."""
 
     kind: int
     qubits: Tuple[int, ...]
@@ -96,11 +101,11 @@ class RunTable:
     """The runs of one stage packed into contiguous arrays.
 
     ``los``/``his`` are the inclusive amplitude bounds per run and
-    ``op_ids[i]`` indexes the deduplicated :attr:`ops` table -- the batch-
-    major layout kernel backends consume whole (grouping runs by operation
-    lets the numpy backend execute a homogeneous group in a handful of
-    stacked array ops, and gives compiled backends plain int64 arrays to
-    iterate without touching Python objects).
+    ``op_ids[i]`` indexes the :attr:`ops` table -- the batch-major layout
+    kernel backends consume whole (grouping runs by operation lets the
+    numpy backend execute a homogeneous group in a handful of stacked array
+    ops, and gives compiled backends plain int64 arrays to iterate without
+    touching Python objects).  The tables stages emit hold one operation.
     """
 
     __slots__ = ("los", "his", "op_ids", "ops")
@@ -116,25 +121,6 @@ class RunTable:
         self.his = his
         self.op_ids = op_ids
         self.ops = ops
-
-    @classmethod
-    def from_runs(cls, runs: Sequence[RunSpec]) -> "RunTable":
-        n = len(runs)
-        los = np.empty(n, dtype=np.int64)
-        his = np.empty(n, dtype=np.int64)
-        op_ids = np.empty(n, dtype=np.int32)
-        ops: List[PlanOp] = []
-        index: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-        for i, r in enumerate(runs):
-            los[i] = r.lo
-            his[i] = r.hi
-            key = (r.kind, id(r.op), r.qubits)
-            op_id = index.get(key)
-            if op_id is None:
-                op_id = index[key] = len(ops)
-                ops.append(PlanOp(r.kind, r.qubits, r.op))
-            op_ids[i] = op_id
-        return cls(los, his, op_ids, ops)
 
     @property
     def num_runs(self) -> int:
@@ -222,6 +208,7 @@ class StagePlan:
         "block_ranges",
         "mask",
         "_static_table",
+        "recomposed",
         "emitted_runs",
         "num_chunks",
     )
@@ -251,6 +238,9 @@ class StagePlan:
         #: table emitted at build time for static stages; ``None`` defers
         #: emission to execution time (after ``prepare`` ran)
         self._static_table: Optional[RunTable] = None
+        #: a run whose composed operation was not in the cache: composing
+        #: it was part of building this plan
+        self.recomposed = False
         #: filled in by the executing task body (one writer, read after join)
         self.emitted_runs = 0
         self.num_chunks = 0
@@ -263,6 +253,7 @@ class StagePlan:
         mask: int,
         table: RunTable,
         store,
+        recomposed: bool = False,
     ) -> "StagePlan":
         """One plan standing for consecutive stages, each planned whole:
         ``table`` computes every block any of them writes (``block_ranges`` /
@@ -273,6 +264,7 @@ class StagePlan:
         run.members = tuple(members)
         run.store = store
         run._static_table = table
+        run.recomposed = recomposed
         return run
 
     @property
@@ -286,7 +278,7 @@ class StagePlan:
         return f"{head} (+{extra} coalesced)" if extra else head
 
     def freeze_static(self) -> None:
-        """Pre-emit the runs of a stage whose emission is input-independent."""
+        """Pre-emit the table of a stage whose operation is input-independent."""
         if self._static_table is None and getattr(self.stage, "plan_static", False):
             self._static_table = self.stage.emit_table(self.block_ranges)
 
@@ -347,15 +339,16 @@ class ExecutionPlan:
         """The stage plans that stand for more than one stage."""
         return [sp for sp in self.stage_plans if len(sp.members) > 1]
 
-    def coalesced(self) -> Tuple[int, int, int, int]:
-        """``(stages, runs, largest run, widest union in qubits)`` of the
-        coalesced runs."""
+    def coalesced(self) -> Tuple[int, int, int, int, int]:
+        """``(stages, runs, largest run, widest union in qubits, runs
+        recomposed)`` of the coalesced runs."""
         runs = self.runs()
         return (
             sum(len(sp.members) for sp in runs),
             len(runs),
             max((len(sp.members) for sp in runs), default=0),
             max((len(sp._static_table.ops[0].qubits) for sp in runs), default=0),
+            sum(sp.recomposed for sp in runs),
         )
 
     def static_runs(self) -> int:

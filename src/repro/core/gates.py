@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -55,6 +57,8 @@ __all__ = [
     "controlled_matrix",
     "embed_gate_matrix",
     "compose_run",
+    "ComposedRuns",
+    "composed_runs",
     "extract_local",
     "replace_local",
 ]
@@ -615,6 +619,66 @@ def compose_run(
         )
         composed.__dict__["factor_array"] = _frozen(pushed)
     return composed, union
+
+
+RunParts = Tuple[Tuple[Action, Tuple[int, ...]], ...]
+
+
+class ComposedRuns:
+    """:func:`compose_run` results, kept by the *value* of what was composed.
+
+    The key is the ordered tuple of the parts themselves -- each member's
+    ``(action, qubits)``; actions are frozen values that hash and compare by
+    their phases / permutation / factors -- never an ``id()`` and never a
+    stage.  So a run whose members did not change since it was last planned
+    composes nothing, and neither does the same run planned by another
+    session (a fresh build of the same circuit, a fork, a restore); a
+    retuned, reordered, moved or edited run is another key and misses.
+
+    The bound is an entry count, least recently used first out, and with it
+    a memory bound: a composite over ``MAX_RUN_QUBITS`` = 12 qubits is at
+    most ~0.4 MB (a monomial's two 4 096-entry tuples of boxed ints /
+    complexes plus its 64 KB factor array; a diagonal is ~0.23 MB), so
+    ``maxsize`` = 64 entries hold at most ~26 MB (ceiling: 32 MB) whatever
+    is planned -- the keys' own members are a few hundred bytes each.
+    Lookups from concurrently planning sessions are serialised by a lock;
+    composing happens outside it (two planners missing on one run both
+    compose it, either result is the value).
+    """
+
+    def __init__(self, maxsize: int = 64) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[RunParts, Tuple[Action, Tuple[int, ...]]]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def lookup(self, parts: RunParts) -> Tuple[Action, Tuple[int, ...], bool]:
+        """``compose_run(parts)`` plus whether this lookup had to compose."""
+        entries = self._entries
+        with self._lock:
+            composed = entries.get(parts)
+            if composed is not None:
+                entries.move_to_end(parts)
+                return composed + (False,)
+        composed = compose_run(parts)
+        with self._lock:
+            entries[parts] = composed
+            while len(entries) > self.maxsize:
+                entries.popitem(last=False)
+        return composed + (True,)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The process-wide instance the plan pipeline composes through.  Filled
+#: lazily, one entry per distinct run an update plans.
+composed_runs = ComposedRuns()
 
 
 def is_superposition_gate(gate: Gate) -> bool:

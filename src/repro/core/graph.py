@@ -482,11 +482,9 @@ class PartitionGraph:
                         sources[block] = source.store
                     else:
                         sources[block] = initial
-                    i += 1
-                    if last != seq:  # step over the run-mates declaring it too
-                        while i < len(writers) and writers[i].seq <= last:
-                            i += 1
-                    cursor[block] = i
+                    # past the plan's own declarers of the block (a run's
+                    # mates declare it too)
+                    cursor[block] = i + 1 if last == seq else _slot(writers, last + 1)
                     block += 1
             tables.append(sources)
             edges.extend((pred, succ) for pred in sorted(preds))

@@ -246,9 +246,10 @@ class QTaskSimulator(CircuitObserver):
         self.last_update: UpdateReport = UpdateReport()
         #: ``(first seq, stages swept, stage plans)`` of the last update's
         #: frontier sweep and the ``(stages, runs, largest run, widest union
-        #: in qubits)`` it coalesced, for :meth:`explain_last_update`
+        #: in qubits, runs recomposed)`` it coalesced, for
+        #: :meth:`explain_last_update`
         self._last_sweep = (0, 0, 0)
-        self._last_coalesced = (0, 0, 0, 0)
+        self._last_coalesced = (0, 0, 0, 0, 0)
         #: completed ``update_state`` calls; with "is anything pending" this
         #: is the state epoch fork fleets use to detect a diverged base session
         self._num_updates = 0
@@ -994,12 +995,13 @@ class QTaskSimulator(CircuitObserver):
             return self._build_plan_impl()
         with tracer.span("plan.build") as span:
             plan = self._build_plan_impl()
-            coalesced, runs, _, _ = plan.coalesced()
+            coalesced, runs, _, _, recomposed = plan.coalesced()
             span.set("first_seq", plan.first_seq)
             span.set("stages_swept", plan.stages_swept)
             span.set("stages", plan.num_stages)
             span.set("runs", runs)
             span.set("coalesced_stages", coalesced)
+            span.set("runs_recomposed", recomposed)
             span.set("kernel_runs", plan.static_runs())
         return plan
 
@@ -1074,12 +1076,14 @@ class QTaskSimulator(CircuitObserver):
                 break
         members = [sp.stage for sp in group]
         ranges = mask_ranges(cover)
+        table, recomposed = coalesced_table(members, ranges)
         return StagePlan.for_run(
             members,
             ranges,
             cover,
-            coalesced_table(members, ranges),
+            table,
             RoutedStore([stage.store for stage in members], owned),
+            recomposed,
         )
 
     def _execute_with_recovery(self, plan: ExecutionPlan) -> int:
@@ -1524,14 +1528,15 @@ class QTaskSimulator(CircuitObserver):
         Renders the update report, what the frontier sweep looked at
         ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
         and the affected stages became ``N`` stage plans) and what it
-        coalesced ("coalesced N stages into R runs") -- the ``plan.build``
-        span's numbers --, the plan pipeline's view of it, and -- the part
-        no counter can answer -- the time-ordered recovery events
-        (faults, retries, fallbacks, breaker transitions, respawns) that
-        fired during the update.
+        coalesced ("coalesced N stages into R runs (M recomposed, ...)": M
+        of the runs were not in the composite cache and were composed for
+        this plan) -- the ``plan.build`` span's numbers --, the plan
+        pipeline's view of it, and -- the part no counter can answer -- the
+        time-ordered recovery events (faults, retries, fallbacks, breaker
+        transitions, respawns) that fired during the update.
         """
         report = self.last_update
-        coalesced, runs, largest, widest = self._last_coalesced
+        coalesced, runs, largest, widest, recomposed = self._last_coalesced
         lines = [
             f"update #{self._num_updates - 1}"
             if self._num_updates else "no update yet",
@@ -1548,7 +1553,12 @@ class QTaskSimulator(CircuitObserver):
                 f" planned {self._last_sweep[2]}"
             ),
             f"  coalesced {coalesced} stages into {runs} runs"
-            + (f" (largest {largest}, union <= {widest} qubits)" if runs else ""),
+            + (
+                f" ({recomposed} recomposed, largest {largest},"
+                f" union <= {widest} qubits)"
+                if runs
+                else ""
+            ),
             (
                 f"  backend {self._backend.name},"
                 f" {self._plan_chunks.value} chunks total,"

@@ -8,7 +8,7 @@ A stage owns
 * the gate(s) it applies,
 * its partition layout (:mod:`repro.core.partition`),
 * its copy-on-write block store (:mod:`repro.core.cow`), and
-* the numpy kernels that compute a partition's output blocks.
+* the one operation (:meth:`Stage.plan_op`) its kernel runs apply.
 
 Stages know nothing about graph connectivity or scheduling; that is the job of
 :mod:`repro.core.graph` and :mod:`repro.core.simulator`.
@@ -40,7 +40,7 @@ from .gates import (
     Gate,
     MatVecAction,
     classify_matrix,
-    compose_run,
+    composed_runs,
 )
 from .kernels import StateReader, apply_gate_dense, measured_masses
 from .ops import CGate
@@ -72,7 +72,7 @@ __all__ = [
 #: the faster prepared path (sequential reshape contraction over the full
 #: input, then per-block stores) is always used -- in Python the row-gather
 #: path is dominated by per-call overhead.  Tests exercise both paths via the
-#: ``combine_limit`` constructor argument (see DESIGN.md "Notes on fidelity").
+#: ``combine_limit`` constructor argument.
 MATVEC_COMBINE_LIMIT = 0
 
 _stage_counter = itertools.count()
@@ -170,26 +170,36 @@ class Stage:
         """True when this stage's input is the whole previous state vector."""
         return False
 
-    #: ``True`` when :meth:`emit_runs` depends only on the stage's bound
+    #: ``True`` when :meth:`plan_op` depends only on the stage's bound
     #: gates -- never on execution-time state (``prepare`` results, drawn
-    #: outcomes, classical bits).  Static stages can have their runs
+    #: outcomes, classical bits).  Static stages can have their table
     #: compiled into an execution plan *before* the update runs.
     plan_static: bool = False
 
-    def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
-        """The kernel runs recomputing one partition, as data.
+    def plan_op(self) -> PlanOp:
+        """The one operation every kernel run of this stage applies.
 
-        The plan pipeline packs them into a
-        :class:`~repro.core.exec_plan.RunTable` for a kernel backend.
+        Asked strictly after :meth:`prepare` (the sync node precedes every
+        partition), so prepared vectors, drawn outcomes and conditions are
+        final; payloads are rebound, never mutated, by the next update.
         """
         raise NotImplementedError
 
     def emit_table(self, block_ranges: Sequence[BlockRange]) -> RunTable:
-        """The runs recomputing the given partitions, packed for a backend."""
-        runs: List[RunSpec] = []
-        for block_range in block_ranges:
-            runs.extend(self.emit_runs(block_range))
-        return RunTable.from_runs(runs)
+        """The aligned runs recomputing the given partitions, packed for a
+        backend: shared bounds per range tuple, one operation for all."""
+        los, his, op_ids = _packed_run_bounds(
+            tuple(block_ranges), self.block_size, self.dim
+        )
+        return RunTable(los, his, op_ids, [self.plan_op()])
+
+    def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
+        """One partition's kernel runs, one by one (the tables' reference)."""
+        kind, qubits, op = self.plan_op()
+        return [
+            RunSpec(kind, lo, hi, qubits, op)
+            for lo, hi in _aligned_runs(block_range, self.block_size, self.dim)
+        ]
 
     def prepare(self, reader: StateReader) -> None:
         """Hook executed once per update before the stage's runs."""
@@ -222,10 +232,6 @@ class Stage:
                 f"full write expects {self.dim} amplitudes, got {arr.shape[0]}"
             )
         self.store.write_range(0, arr)
-
-    def _aligned_runs(self, block_range: BlockRange) -> List[Tuple[int, int]]:
-        """``(lo, hi)`` amplitude bounds of each aligned power-of-two run."""
-        return _aligned_runs(block_range, self.block_size, self.dim)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.label()}, seq={self.seq})"
@@ -286,22 +292,8 @@ class UnitaryStage(Stage):
         clone._layout = self._layout
         return clone
 
-    def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
-        qubits = self.qubits
-        action = self.action
-        return [
-            RunSpec(RUN_ACTION, lo, hi, qubits, action)
-            for lo, hi in self._aligned_runs(block_range)
-        ]
-
-    def emit_table(self, block_ranges: Sequence[BlockRange]) -> RunTable:
-        # One operation for every run: no RunSpec per run, no re-packing.
-        los, his, op_ids = _packed_run_bounds(
-            tuple(block_ranges), self.block_size, self.dim
-        )
-        return RunTable(
-            los, his, op_ids, [PlanOp(RUN_ACTION, self.qubits, self.action)]
-        )
+    def plan_op(self) -> PlanOp:
+        return PlanOp(RUN_ACTION, self.qubits, self.action)
 
     def retune(self, gate: Gate) -> bool:
         """Rebind to a retuned gate when the partition layout is unchanged.
@@ -332,21 +324,27 @@ class UnitaryStage(Stage):
 
 def coalesced_table(
     members: Sequence[UnitaryStage], block_ranges: Sequence[BlockRange]
-) -> RunTable:
-    """One table doing the work of consecutive ``members`` in one pass.
+) -> Tuple[RunTable, bool]:
+    """One table doing the work of consecutive ``members`` in one pass, and
+    whether composing it was paid for now.
 
     Its single operation is the members' actions composed in stage order
-    (:func:`~repro.core.gates.compose_run`, over the union of their qubits);
-    ``block_ranges`` must span the union of the members' covers, which is
-    closed under the composed permutation -- an amplitude moves only within
-    the cover of the member moving it.
+    (:func:`~repro.core.gates.compose_run`, over the union of their qubits),
+    taken from :data:`~repro.core.gates.composed_runs` under the members'
+    ``(action, qubits)`` values: only a run not planned before (or edited
+    since) composes.  ``block_ranges`` must span the union of the members'
+    covers, which is closed under the composed permutation -- an amplitude
+    moves only within the cover of the member moving it.
     """
     head = members[0]
-    action, qubits = compose_run([(s.action, s.qubits) for s in members])
+    action, qubits, recomposed = composed_runs.lookup(
+        tuple((s.action, s.qubits) for s in members)
+    )
     los, his, op_ids = _packed_run_bounds(
         tuple(block_ranges), head.block_size, head.dim
     )
-    return RunTable(los, his, op_ids, [PlanOp(RUN_ACTION, qubits, action)])
+    table = RunTable(los, his, op_ids, [PlanOp(RUN_ACTION, qubits, action)])
+    return table, recomposed
 
 
 class MatVecStage(Stage):
@@ -467,22 +465,17 @@ class MatVecStage(Stage):
             state = apply_gate_dense(state, g, self.qubit_count)
         self._prepared = state
 
-    def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
-        # Emission happens strictly after prepare() (the sync node precedes
-        # every partition), so _prepared is final here; it is rebound (never
-        # mutated) by the next prepare(), so slice runs stay zero-copy safe.
+    def plan_op(self) -> PlanOp:
+        # _prepared is rebound (never mutated) by the next prepare(), so
+        # slice runs stay zero-copy safe.
         if self._prepared is not None:
-            prepared = self._prepared
-            return [
-                RunSpec(RUN_SLICE, lo, hi, (), prepared)
-                for lo, hi in self._aligned_runs(block_range)
-            ]
+            return PlanOp(RUN_SLICE, (), self._prepared)
         qubits = self.combined_qubits()
-        action = MatVecAction(num_qubits=len(qubits), matrix=self.combined_matrix())
-        return [
-            RunSpec(RUN_ACTION, lo, hi, qubits, action)
-            for lo, hi in self._aligned_runs(block_range)
-        ]
+        return PlanOp(
+            RUN_ACTION,
+            qubits,
+            MatVecAction(num_qubits=len(qubits), matrix=self.combined_matrix()),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +586,13 @@ class _CollapseStage(DynamicStage):
     def _record_outcome(self, outcome: int) -> None:
         pass
 
-    def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
-        # Emitted strictly after prepare() (the sync node precedes every
-        # partition), so the drawn outcome and scale are final here.
+    def plan_op(self) -> PlanOp:
         outcome = self._outcome
         if outcome is None:  # pragma: no cover - defensive
             raise RuntimeError(f"{self!r} executed before its prepare()")
-        op = (self.qubit, outcome, self._scale, self._move)
-        return [
-            RunSpec(RUN_COLLAPSE, lo, hi, (), op)
-            for lo, hi in self._aligned_runs(block_range)
-        ]
+        return PlanOp(
+            RUN_COLLAPSE, (), (self.qubit, outcome, self._scale, self._move)
+        )
 
 
 class MeasureStage(_CollapseStage):
@@ -715,24 +704,14 @@ class ClassicallyControlledStage(DynamicStage):
             state = apply_gate_dense(state, self.gate, self.qubit_count)
         self._prepared = state
 
-    def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
+    def plan_op(self) -> PlanOp:
         # The condition (and, for superposition gates, the prepared vector)
-        # is resolved at emission time -- strictly after every controlling
-        # measurement ran, courtesy of the partition dependencies.
+        # is resolved here -- strictly after every controlling measurement
+        # ran, courtesy of the partition dependencies.
         if self.action.creates_superposition:
-            prepared = self._prepared
-            if prepared is None:  # pragma: no cover - defensive
+            if self._prepared is None:  # pragma: no cover - defensive
                 raise RuntimeError(f"{self!r} executed before its prepare()")
-            return [
-                RunSpec(RUN_SLICE, lo, hi, (), prepared)
-                for lo, hi in self._aligned_runs(block_range)
-            ]
+            return PlanOp(RUN_SLICE, (), self._prepared)
         if self.condition_met():
-            return [
-                RunSpec(RUN_ACTION, lo, hi, self.qubits, self.action)
-                for lo, hi in self._aligned_runs(block_range)
-            ]
-        return [
-            RunSpec(RUN_COPY, lo, hi, (), None)
-            for lo, hi in self._aligned_runs(block_range)
-        ]
+            return PlanOp(RUN_ACTION, self.qubits, self.action)
+        return PlanOp(RUN_COPY, (), None)

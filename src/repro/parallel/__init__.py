@@ -19,7 +19,8 @@ This package reproduces that structure in Python:
 
 The GIL obviously limits speedups for tiny tasks; the numpy kernels release
 the GIL during the heavy array work, which is where the available parallelism
-lives (see DESIGN.md, "Substitutions").
+lives (see docs/architecture.md, section 4: a stage plan's chunks run as
+subflows on the executor's worker threads).
 """
 
 from .taskgraph import Task, TaskGraph

@@ -13,6 +13,7 @@ from repro.core import faults
 from repro.core.blocks import BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
+from repro.core.exec_plan import PlanOp, RunSpec, RunTable
 from repro.core.gates import Gate, embed_gate_matrix
 from repro.core.graph import PartitionGraph
 from repro.core.kernels import KernelBackend
@@ -279,6 +280,32 @@ class StoreChain(_ResolvingReader):
             if store.has_block(block):
                 return store
         raise LookupError(f"block {block} resolved by no store in the chain")
+
+
+def table_from_runs(runs: Sequence[RunSpec]) -> RunTable:
+    """Pack loose runs into a table, one operation per distinct ``(kind,
+    payload identity, qubits)``.
+
+    The multi-operation reference the kernel tests build tables with
+    (``RunTable.from_runs`` until PR 24): stages emit single-operation
+    tables off shared bounds, so nothing in ``src/`` packs run by run.
+    """
+    n = len(runs)
+    los = np.empty(n, dtype=np.int64)
+    his = np.empty(n, dtype=np.int64)
+    op_ids = np.empty(n, dtype=np.int32)
+    ops: List[PlanOp] = []
+    index: dict = {}
+    for i, r in enumerate(runs):
+        los[i] = r.lo
+        his[i] = r.hi
+        key = (r.kind, id(r.op), r.qubits)
+        op_id = index.get(key)
+        if op_id is None:
+            op_id = index[key] = len(ops)
+            ops.append(PlanOp(r.kind, r.qubits, r.op))
+        op_ids[i] = op_id
+    return RunTable(los, his, op_ids, ops)
 
 
 def newest_holder(initial, stages: Sequence[Stage], block: int, before_seq: int):

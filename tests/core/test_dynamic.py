@@ -573,6 +573,9 @@ class TestRunShotsWalk:
             counts = ckt.run_shots(60, seed=8, num_forks=num_forks)
             assert counts == replay_shots(ckt, 60, 8)
         assert set(counts) == {"00", "01"}
+        # outcome prefixes are shared: fewer simulated paths than shots
+        requested = ckt.telemetry.metrics.get("shots.requested").value
+        assert trajectories_of(ckt) < requested == 120
         ckt.close()
 
     def test_parent_with_pending_modifiers(self):

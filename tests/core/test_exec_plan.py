@@ -11,12 +11,11 @@ from repro.core.exec_plan import (
     RUN_COPY,
     PlanReport,
     RunSpec,
-    RunTable,
 )
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
-from ..conftest import plan_nodes
+from ..conftest import plan_nodes, table_from_runs
 
 
 def _spec(lo, hi, op, qubits=(0,), kind=RUN_ACTION):
@@ -31,7 +30,7 @@ def _spec(lo, hi, op, qubits=(0,), kind=RUN_ACTION):
 class TestRunTable:
     def test_from_runs_packs_bounds(self):
         op = object()
-        table = RunTable.from_runs([_spec(0, 3, op), _spec(8, 11, op)])
+        table = table_from_runs([_spec(0, 3, op), _spec(8, 11, op)])
         np.testing.assert_array_equal(table.los, [0, 8])
         np.testing.assert_array_equal(table.his, [3, 11])
         assert table.num_runs == 2
@@ -44,25 +43,25 @@ class TestRunTable:
             _spec(8, 11, op_a),
             _spec(12, 15, op_a),
         ]
-        table = RunTable.from_runs(runs)
+        table = table_from_runs(runs)
         assert len(table.ops) == 2
         np.testing.assert_array_equal(table.op_ids, [0, 1, 0, 0])
 
     def test_same_payload_different_qubits_not_merged(self):
         op = object()
-        table = RunTable.from_runs([_spec(0, 3, op, (0,)), _spec(4, 7, op, (1,))])
+        table = table_from_runs([_spec(0, 3, op, (0,)), _spec(4, 7, op, (1,))])
         assert len(table.ops) == 2
 
     def test_same_payload_different_kind_not_merged(self):
         op = object()
-        table = RunTable.from_runs(
+        table = table_from_runs(
             [_spec(0, 3, op, (), RUN_ACTION), _spec(4, 7, op, (), RUN_COPY)]
         )
         assert len(table.ops) == 2
 
     def test_groups_yield_runs_by_op(self):
         op_a, op_b = object(), object()
-        table = RunTable.from_runs(
+        table = table_from_runs(
             [_spec(0, 3, op_a), _spec(4, 7, op_b), _spec(8, 11, op_a)]
         )
         got = {id(op.op): list(idx) for op, idx in table.groups()}
@@ -71,7 +70,7 @@ class TestRunTable:
     @pytest.mark.parametrize("parts", [1, 2, 3, 5, 100])
     def test_split_covers_every_run_once(self, parts):
         op = object()
-        table = RunTable.from_runs([_spec(4 * i, 4 * i + 3, op) for i in range(5)])
+        table = table_from_runs([_spec(4 * i, 4 * i + 3, op) for i in range(5)])
         chunks = table.split(parts)
         assert len(chunks) <= max(1, parts)
         los = np.concatenate([c.los for c in chunks])
@@ -80,7 +79,7 @@ class TestRunTable:
         assert all(c.ops is table.ops for c in chunks)
 
     def test_split_empty_table(self):
-        table = RunTable.from_runs([])
+        table = table_from_runs([])
         assert table.num_runs == 0
         assert len(table.split(4)) == 1
 
@@ -179,7 +178,7 @@ class TestBuildExecutionPlan:
         sp = next(sp for sp in plan.stage_plans if sp.stage.plan_static)
         table = sp.build_table()
         runs = [r for br in sp.block_ranges for r in sp.stage.emit_runs(br)]
-        reference = RunTable.from_runs(runs)
+        reference = table_from_runs(runs)
         assert list(table.los) == list(reference.los)
         assert list(table.his) == list(reference.his)
         assert list(table.op_ids) == list(reference.op_ids)

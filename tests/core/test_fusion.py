@@ -160,7 +160,8 @@ def run_table(gates, n, block_size):
     cover = 0
     for stage in members:
         cover |= stage.partition_layout().cover
-    return coalesced_table(members, mask_ranges(cover)), cover
+    table, _recomposed = coalesced_table(members, mask_ranges(cover))
+    return table, cover
 
 
 def test_fused_stage_matches_dense(np_rng):

@@ -22,7 +22,7 @@ from repro.core.kernels import KernelBackend, NumpyBatchBackend, iter_table_runs
 from repro.core.simulator import QTaskSimulator
 from repro.parallel import SweepRunner, WorkStealingExecutor
 
-from ..conftest import FaultingBackend
+from ..conftest import FaultingBackend, table_from_runs
 
 ACCEPTED = "expected None, 'auto', 'numpy' or a KernelBackend instance$"
 
@@ -73,9 +73,10 @@ class TestMakeBackend:
         with pytest.raises(ValueError, match=ACCEPTED):
             QTask(3, kernel_backend=name)
 
-    def test_auto_never_falls_back(self):
+    def test_auto_never_falls_back(self, no_plan):
         """``auto`` and no spec at all are the slab backend, and a clean
-        update on it never takes the run-granular fallback."""
+        update on it (chaos plan parked: an injected ``kernel.run`` fault is
+        a fallback) never takes the run-granular fallback."""
         for spec in ("auto", None):
             sim = _simulator(_mixed_levels(), kernel_backend=spec)
             sim.update_state()
@@ -116,11 +117,11 @@ class TestMakeBackend:
 
 
 def test_iter_table_runs_roundtrip():
-    from repro.core.exec_plan import RUN_ACTION, RunSpec, RunTable
+    from repro.core.exec_plan import RUN_ACTION, RunSpec
 
     op = object()
     runs = [RunSpec(RUN_ACTION, 4 * i, 4 * i + 3, (0,), op) for i in range(3)]
-    table = RunTable.from_runs(runs)
+    table = table_from_runs(runs)
     assert list(iter_table_runs(table)) == runs
 
 

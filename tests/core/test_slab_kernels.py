@@ -29,7 +29,6 @@ from repro.core.exec_plan import (
     RUN_COPY,
     RUN_SLICE,
     RunSpec,
-    RunTable,
     StagePlan,
 )
 from repro.core.faults import FaultInjected, FaultPlan
@@ -38,7 +37,14 @@ from repro.core.kernels import KernelBackend, NumpyBatchBackend, _slab_table
 from repro.core.simulator import QTaskSimulator
 from repro.core.transport import LOCAL_TRANSPORT, ShardedTransport
 
-from ..conftest import DeclaringStage, StoreChain, index_over, open_session, random_levels
+from ..conftest import (
+    DeclaringStage,
+    StoreChain,
+    index_over,
+    open_session,
+    random_levels,
+    table_from_runs,
+)
 from ..test_trajectory_properties import build_dynamic_circuit
 
 HAVE_FORK = hasattr(os, "fork")
@@ -137,7 +143,7 @@ def _random_table(rng, kinds, n, block_size):
                         payload,
                     )
                 )
-    return RunTable.from_runs(runs)
+    return table_from_runs(runs)
 
 
 def _execute(backend, reader, table, transport, parts, batch):
@@ -236,7 +242,7 @@ def test_split_chunk_reads_sources_outside_its_own_runs():
     cx = MonomialAction(
         num_qubits=2, perm=(0, 3, 2, 1), factors=(1.0, 1.0, 1.0, 1.0)
     )
-    table = RunTable.from_runs(
+    table = table_from_runs(
         [RunSpec(RUN_ACTION, 4 * b, 4 * b + 3, (0, 4), cx) for b in range(8)]
     )
     head, tail = table.split(2)
@@ -254,7 +260,7 @@ def test_single_short_block_when_dim_is_below_block_size():
     swap = MonomialAction(
         num_qubits=2, perm=(0, 2, 1, 3), factors=(1.0, 1j, -1j, 1.0)
     )
-    table = RunTable.from_runs([RunSpec(RUN_ACTION, 0, 7, (2, 0), swap)])
+    table = table_from_runs([RunSpec(RUN_ACTION, 0, 7, (2, 0), swap)])
     want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
     got, _ = _execute(NumpyBatchBackend(), reader, table, None, 1, False)
     assert got.get_block(0).shape == (8,)
@@ -267,7 +273,7 @@ def test_output_arrays_span_at_most_max_run_blocks():
     rng = np.random.default_rng(5)
     reader = _chain_over(_amps(rng, 1 << n), block_size)
     rz = DiagonalAction(num_qubits=1, phases=(np.exp(-0.4j), np.exp(0.4j)))
-    table = RunTable.from_runs(
+    table = table_from_runs(
         [
             RunSpec(RUN_ACTION, fb * block_size, (lb + 1) * block_size - 1, (9,), rz)
             for fb, lb in aligned_block_runs(0, 511, MAX_RUN_BLOCKS)
@@ -306,7 +312,7 @@ def _fault_case():
     held.write_range(0, state)
     reader = _CountingReader([InitialStateStore(64, 4), held])
     rz = DiagonalAction(num_qubits=1, phases=(np.exp(-0.3j), np.exp(0.3j)))
-    table = RunTable.from_runs(
+    table = table_from_runs(
         [RunSpec(RUN_ACTION, 0, 15, (5,), rz), RunSpec(RUN_ACTION, 32, 47, (5,), rz)]
     )
     # the output store already holds an older result
@@ -387,7 +393,7 @@ def test_stages_with_one_layout_share_one_table():
         rz = DiagonalAction(
             num_qubits=1, phases=(np.exp(-1j * theta), np.exp(1j * theta))
         )
-        return RunTable.from_runs(
+        return table_from_runs(
             [RunSpec(RUN_ACTION, 0, 31, (qubit,), rz),
              RunSpec(RUN_ACTION, 48, 63, (qubit,), rz)]
         )

@@ -4,10 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import BlockRange
-from repro.core.cow import InitialStateStore
-from repro.core.gates import Gate, embed_gate_matrix, gate_matrix
-from repro.core.kernels import execute_run
-from repro.core.stage import MatVecStage, UnitaryStage
+from repro.core.classical import OutcomeRecord
+from repro.core.cow import BlockStore, InitialStateStore
+from repro.core.exec_plan import RUN_ACTION, RUN_COLLAPSE, RUN_COPY, RUN_SLICE
+from repro.core.gates import Gate, MatVecAction, embed_gate_matrix, gate_matrix
+from repro.core.kernels import (
+    KernelBackend,
+    NumpyBatchBackend,
+    execute_run,
+    iter_table_runs,
+)
+from repro.core.ops import CGate, MeasureOp, ResetOp
+from repro.core.stage import (
+    ClassicallyControlledStage,
+    MatVecStage,
+    MeasureStage,
+    ResetStage,
+    UnitaryStage,
+)
 
 from ..conftest import StoreChain
 
@@ -183,3 +197,111 @@ def test_stage_write_full_helper():
     stage.write_full(vec)
     assert stage.store.num_stored_blocks == 2
     np.testing.assert_allclose(stage.store.get_block(1), [4, 5, 6, 7])
+
+
+# ---------------------------------------------------------------------------
+# the one emitter: every stage kind is one operation over shared bounds
+# ---------------------------------------------------------------------------
+
+
+def _dynamic(cls, op, *, bits=(), forced=None):
+    op.op_index = 0
+    record = OutcomeRecord(1, seed=3, forced=forced)
+    for bit, value in bits:
+        record.set_bit(bit, value)
+    return cls(op, 4, 4, record=record)
+
+
+#: kind -> (stage factory, the operation kind its table holds)
+STAGE_KINDS = {
+    "unitary-monomial": (lambda: UnitaryStage(Gate("cx", (3, 1)), 4, 4), RUN_ACTION),
+    "unitary-diagonal": (
+        lambda: UnitaryStage(Gate("rz", (0,), (0.7,)), 4, 4), RUN_ACTION),
+    "matvec-prepared": (
+        lambda: MatVecStage([Gate("h", (1,)), Gate("rx", (3,), (0.4,))], 4, 4),
+        RUN_SLICE,
+    ),
+    "matvec-combined": (
+        lambda: MatVecStage(
+            [Gate("h", (1,)), Gate("rx", (3,), (0.4,))], 4, 4, combine_limit=8
+        ),
+        RUN_ACTION,
+    ),
+    "measure": (lambda: _dynamic(MeasureStage, MeasureOp(2, 0)), RUN_COLLAPSE),
+    "reset": (
+        lambda: _dynamic(ResetStage, ResetOp(1), forced={0: 1}), RUN_COLLAPSE),
+    "c_if-taken": (
+        lambda: _dynamic(
+            ClassicallyControlledStage, CGate(Gate("x", (2,)), (0,), 1), bits=[(0, 1)]
+        ),
+        RUN_ACTION,
+    ),
+    "c_if-not-taken": (
+        lambda: _dynamic(
+            ClassicallyControlledStage, CGate(Gate("x", (2,)), (0,), 1), bits=[(0, 0)]
+        ),
+        RUN_COPY,
+    ),
+    "c_if-superposition": (
+        lambda: _dynamic(
+            ClassicallyControlledStage, CGate(Gate("h", (1,)), (0,), 1), bits=[(0, 1)]
+        ),
+        RUN_SLICE,
+    ),
+}
+
+
+def _same_payload(a, b) -> bool:
+    if isinstance(a, MatVecAction):
+        return isinstance(b, MatVecAction) and np.array_equal(a.matrix, b.matrix)
+    if isinstance(a, np.ndarray):
+        return a is b
+    return a == b
+
+
+@pytest.mark.parametrize("kind", sorted(STAGE_KINDS))
+def test_emit_table_is_the_per_partition_runs_under_one_operation(kind):
+    """``emit_table`` == the partition-by-partition ``emit_runs`` reference,
+    row for row, whichever partitions are asked for; it holds one operation;
+    and the slab backend executes it bit for bit like the run-granular loop."""
+    factory, op_kind = STAGE_KINDS[kind]
+    stage = factory()
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    reader = make_chain(4, 4, psi)
+    stage.prepare(reader)
+    every = [spec.block_range for spec in stage.partition_specs()]
+    assert every
+    for ranges in (every, every[::2], every[-1:]):
+        table = stage.emit_table(ranges)
+        rows = list(iter_table_runs(table))
+        reference = [run for br in ranges for run in stage.emit_runs(br)]
+        assert len(table.ops) == 1 and table.ops[0].kind == op_kind
+        assert not table.op_ids.any()
+        assert [r[:4] for r in rows] == [r[:4] for r in reference]
+        assert all(_same_payload(r.op, ref.op) for r, ref in zip(rows, reference))
+        # the bounds are shared per range tuple: asking again builds nothing
+        assert stage.emit_table(list(ranges)).los is table.los
+        outputs = []
+        for backend in (KernelBackend(), NumpyBatchBackend()):
+            out = BlockStore(16, 4)
+            backend.execute_plan(reader, out, table)
+            outputs.append(out)
+        loop, slab = outputs
+        assert loop.stored_blocks() == slab.stored_blocks() != ()
+        for block in loop.stored_blocks():
+            assert loop.get_block(block).tobytes() == slab.get_block(block).tobytes()
+
+
+def test_combined_matvec_builds_one_action_per_table():
+    """``combine_limit > 0``: the kron of the members is formed once per
+    table, not once per partition."""
+    stage = MatVecStage([Gate("h", (1,)), Gate("rx", (3,), (0.4,))], 4, 4,
+                        combine_limit=8)
+    calls = []
+    combined = stage.combined_matrix
+    stage.combined_matrix = lambda: calls.append(1) or combined()
+    stage.prepare(make_chain(4))
+    table = stage.emit_table([s.block_range for s in stage.partition_specs()])
+    assert table.num_runs == 4 and len(calls) == 1

@@ -16,7 +16,10 @@ import pytest
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
+from repro.observables import dense_expectation, maxcut_hamiltonian
 from repro.qtask import QTask
+
+from ..conftest import replay_shots
 
 _CASCADE = ["rz", "x", "rz", "y"]
 
@@ -157,8 +160,11 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         # 13 stages swept; the 12 static ones behind the H stage are one run
         explained = sim.explain_last_update()
         assert "swept stages 0..13, planned 2" in explained
-        assert "coalesced 12 stages into 1 runs (largest 12, union <= 3 qubits)" \
-            in explained
+        assert re.search(
+            r"coalesced 12 stages into 1 runs \([01] recomposed, largest 12,"
+            r" union <= 3 qubits\)",
+            explained,
+        )
         handle = [h for h in ckt.gates() if h.gate.name == "rz"][3]
         ckt.update_gate(handle, 0.7)
         seq = sim._gate_stage[handle.uid].seq
@@ -283,6 +289,10 @@ def test_run_shots_records_one_shot_span_per_executed_trajectory(tmp_path):
         with open(path) as fh:
             events = json.load(fh)["traceEvents"]
         assert sum(e["name"] == "shot" for e in events) == len(shot_spans)
+        # sharing outcome prefixes changes no histogram (what CI's "Shots
+        # share their outcome prefix" step scripted): every shot replayed
+        # from scratch on a fork tallies the same
+        assert counts == replay_shots(ckt, 40, 3)
     finally:
         ckt.close()
 
@@ -341,5 +351,19 @@ def test_engine_queries_record_one_observe_span_each():
             text, re.M,
         )
         assert "qtask_observe_blocks_gathered" in text
+
+        # a many-term observable still reads each dirty block once, for all
+        # of its terms, and lands on the dense evaluation of state() (what
+        # CI's "Slab observables" step scripted)
+        maxcut = maxcut_hamiltonian([(q, (q + 1) % 6) for q in range(6)])
+        ckt.expectation(maxcut)
+        ckt.update_gate(angle, 0.5)
+        ckt.update_state()
+        got = ckt.expectation(maxcut)
+        assert abs(got - dense_expectation(ckt.state(), maxcut)) < 1e-10
+        first, retuned = (r.attrs for r in observe_spans()[-2:])
+        assert first["terms"] == retuned["terms"] == len(maxcut.terms) > 1
+        assert first["blocks_gathered"] == n_blocks
+        assert retuned["blocks_missing"] == retuned["blocks_gathered"] == n_blocks // 2
     finally:
         ckt.close()
