@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Batched sweep: fork a session into a fleet and sweep a grid in parallel.
+"""Batched sweep: evaluate a parameter grid on a fork of a built session.
 
-Where ``variational_sweep.py`` retunes one session point after point, this
-example forks the base session into copy-on-write children
-(:meth:`repro.QTask.fork` -- zero amplitude copies; ``memory_report`` shows
-the fleet *sharing* the parent's blocks) and lets :class:`repro.SweepRunner`
-deal a (gamma, beta) grid across the fleet on the shared work-stealing
-executor.  Results come back in submission order, each with the expectation
-value, the serving fork and the incrementally re-simulated fraction.
+Where ``variational_sweep.py`` retunes the session itself point after point,
+this example lets :class:`repro.SweepRunner` fork the base session once,
+copy-on-write (:meth:`repro.QTask.fork` -- zero amplitude copies), and
+evaluate a (gamma, beta) grid on the fork, leaving the base session as it
+was.  Results come back in submission order, each with the expectation value
+and the incrementally re-simulated fraction.
 
 Run with::
 
@@ -48,7 +47,7 @@ def main() -> None:
     edges, gamma_handles, beta_handles = build_qaoa(ckt, num_qubits, 0.4, 0.9)
     cost = maxcut_hamiltonian(edges)
     ckt.update_state()
-    ckt.expectation(cost)  # warm the observables cache the forks inherit
+    ckt.expectation(cost)  # warm the observables cache the fork inherits
 
     # A 4x4 (gamma, beta) grid; every point sets all handles absolutely.
     grid = [
@@ -62,25 +61,17 @@ def main() -> None:
         results = runner.run(grid)
 
         print(f"{'point':>5} {'gamma':>6} {'beta':>6} {'<cost>':>9} "
-              f"{'fork':>4} {'re-simulated':>12}")
+              f"{'re-simulated':>12}")
         for r in results:
             gamma, beta = r.params[0] / 2, r.params[-1] / 2
             print(f"{r.index:>5} {gamma:>6.2f} {beta:>6.2f} "
-                  f"{r.expectation:>9.4f} {r.fork:>4} "
+                  f"{r.expectation:>9.4f} "
                   f"{r.affected_fraction * 100:>11.1f}%")
 
         best = max(results, key=lambda r: r.expectation)
         print(f"\nbest point: #{best.index} "
               f"(gamma={best.params[0] / 2:.2f}, "
               f"beta={best.params[-1] / 2:.2f}) -> {best.expectation:.4f}")
-
-        # The fleet shares the parent's amplitudes copy-on-write.
-        fleet = [child.memory_report() for child, _ in runner._forks]
-        base = ckt.memory_report()
-        owned = sum(m.owned_bytes for m in fleet)
-        print(f"fleet memory: {len(fleet)} forks own {owned} bytes beyond "
-              f"the base session's {base.allocated_bytes} "
-              f"({sum(m.shared_bytes for m in fleet)} bytes shared)")
 
     ckt.close()
 

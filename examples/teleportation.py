@@ -88,7 +88,7 @@ def main() -> None:
     ones = sum(n for bits, n in counts.items() if bits[0] == "1")
     print(f"\n{shots} shots: counts = {dict(sorted(counts.items()))}")
     print(f"shots.trajectories = {simulated}: every distinct outcome path was "
-          "simulated once (per fork), not once per shot")
+          "simulated once, not once per shot")
     assert simulated < shots
     print(f"empirical P(c2=1) = {ones / shots:.4f}  (analytic {p1:.4f})")
     sigma = math.sqrt(p1 * (1 - p1) / shots)

@@ -10,7 +10,7 @@ chunks executed by the shared work-stealing executor.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,13 +23,22 @@ from ..core.kernels import (
     extract_local,
     replace_local,
 )
-from ..parallel import Executor, SequentialExecutor, chunk_indices, make_executor
+from ..parallel import Executor, SequentialExecutor, make_executor
 from .base import BaselineSimulator
 
 __all__ = ["QulacsLikeSimulator"]
 
 #: Below this many amplitudes threading is pure overhead.
 _MIN_PARALLEL_DIM = 1 << 12
+
+
+def chunk_indices(total: int, chunk: int) -> List[Tuple[int, int]]:
+    """Split ``range(total)`` into ``(start, stop)`` chunks of size ``chunk``."""
+    if total < 0:
+        raise ValueError(f"total must be non-negative, got {total}")
+    if chunk <= 0:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    return [(s, min(total, s + chunk)) for s in range(0, total, chunk)]
 
 
 class QulacsLikeSimulator(BaselineSimulator):

@@ -323,8 +323,9 @@ class BlockStore:
         The arrays are shared, not copied: both stores reference the same
         (read-only) memory until this store's first write to a block rebinds
         its entry.  ``other`` refcounts each exported block so memory
-        attribution stays honest while forks diverge.  Returns the number of
-        blocks adopted.
+        attribution stays honest while forks diverge.  Both stores must
+        place payloads through the same transport (a fork shares its
+        parent's).  Returns the number of blocks adopted.
         """
         if other.dim != self.dim or other.block_size != self.block_size:
             raise ValueError(
@@ -333,9 +334,10 @@ class BlockStore:
                 f"vs ({self.dim}, {self.block_size})"
             )
         if self._remote is not other._remote:
-            # Stores on different transports cannot alias payloads; fall
-            # back to materialised copies (no shared accounting).
-            return self._copy_from(other)
+            raise ValueError(
+                "can only share blocks between stores on the same transport, "
+                f"got {other.transport.name!r} vs {self.transport.name!r}"
+            )
         if other._remote is not None:
             # Shard-side aliasing needs every payload shipped first.
             other._flush_pending()
@@ -357,16 +359,6 @@ class BlockStore:
             self._remote.share(other, self, shared_ids)
         other._export_retain(shared_ids)
         return len(shared_ids)
-
-    def _copy_from(self, other: "BlockStore") -> int:
-        """Cross-transport adoption: materialise and rewrite each block."""
-        count = 0
-        for b in other.stored_blocks():
-            arr = other.get_block(b)
-            assert arr is not None
-            self.write_block(b, arr, copy=True)
-            count += 1
-        return count
 
     def _export_retain(self, blocks: Sequence[int]) -> None:
         if not blocks:

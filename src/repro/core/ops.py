@@ -11,7 +11,7 @@ session forks: it is assigned by the circuit at first insertion, in program
 order, and preserved by :meth:`Circuit.clone`.  The per-trajectory random
 stream of a collapse (see :class:`~repro.core.classical.OutcomeRecord`) is
 keyed by it, which is what makes seeded trajectories reproducible across
-COW/block-size knobs and fork fleets.
+COW/block-size knobs and forks.
 """
 
 from __future__ import annotations

@@ -147,8 +147,8 @@ class QTaskSimulator(CircuitObserver):
         restore.  ``knobs`` maps ``__init__`` keywords to values: the
         :data:`DURABLE_KNOBS` are required, an absent execution knob means
         what ``None`` means to ``__init__``.  A fork passes itself as
-        ``parent``: the child then shares the parent's executor, kernel
-        backend and store transport unless ``knobs`` name its own, reports
+        ``parent``: the child then shares the parent's kernel backend and
+        store transport, and its executor unless ``knobs`` name one, reports
         to the parent's telemetry and starts from a clone of its outcomes.
         """
         self.circuit = circuit
@@ -177,17 +177,17 @@ class QTaskSimulator(CircuitObserver):
         #: session was handed a :class:`KernelBackend` instance (the seam the
         #: tests use to run a session on the reference loop).  "auto" and
         #: "numpy" are accepted spellings of ``None``; backends are
-        #: stateless, so a fork without one of its own shares the parent's.
+        #: stateless, so a fork shares its parent's.
         spec = knobs.get("kernel_backend")
-        if isinstance(spec, KernelBackend):
+        if parent is not None:
+            self._backend = parent._backend
+        elif isinstance(spec, KernelBackend):
             self._backend = spec
         elif spec is not None and spec not in ("auto", "numpy"):
             raise ValueError(
                 f"unknown kernel backend {spec!r}; expected None, 'auto', "
                 "'numpy' or a KernelBackend instance"
             )
-        elif parent is not None:
-            self._backend = parent._backend
         else:
             self._backend = NumpyBatchBackend()
 
@@ -197,20 +197,20 @@ class QTaskSimulator(CircuitObserver):
         #: ``QTASK_STORE_TRANSPORT`` environment variable, default "local").
         #: A fork's stage stores adopt the parent's blocks by reference,
         #: which only works when both sides resolve payloads through the
-        #: same placement (``share_from`` copies across transport
-        #: boundaries), so a fork without a spec of its own shares the
-        #: parent's transport and a fleet aliases one set of shard payloads.
-        spec = knobs.get("store_transport")
-        if spec is None and parent is not None:
-            spec = parent.store_transport
+        #: same placement (``share_from`` raises across transports), so a
+        #: fork shares its parent's transport object.
+        if parent is not None:
+            self.store_transport = parent.store_transport
             self._store_transport, st_fell_back = parent._store_transport, False
         else:
-            self._store_transport, st_fell_back = make_transport(spec)
-        self.store_transport = spec
+            self.store_transport = knobs.get("store_transport")
+            self._store_transport, st_fell_back = make_transport(
+                self.store_transport
+            )
 
         # A fork gets its own registry (counters start at zero) tagged with
-        # the parent session's id, so fleet aggregation can merge fork stats
-        # back instead of losing them -- see SweepRunner.merged_metrics().
+        # the parent session's id, so aggregation can merge fork stats back
+        # instead of losing them -- see SweepRunner.merged_metrics().
         self._init_telemetry(
             tracing=knobs.get("tracing"),
             parent=parent.telemetry if parent is not None else None,
@@ -251,7 +251,7 @@ class QTaskSimulator(CircuitObserver):
         self._last_sweep = (0, 0, 0)
         self._last_coalesced = (0, 0, 0, 0, 0)
         #: completed ``update_state`` calls; with "is anything pending" this
-        #: is the state epoch fork fleets use to detect a diverged base session
+        #: is the state epoch a sweep's fork uses to detect a diverged base
         self._num_updates = 0
 
         #: per-trajectory classical state: measurement outcomes, classical
@@ -371,7 +371,7 @@ class QTaskSimulator(CircuitObserver):
         self.circuit.unregister_observer(self)
         for stage in self.graph.stages:
             # Shard payloads too; the shard processes themselves are
-            # module-shared (a fork fleet keeps using them) and are reaped
+            # module-shared (live forks keep using them) and are reaped
             # by shutdown_shard_runtimes() at exit.
             stage.store.release()
         if self._owns_executor:
@@ -399,18 +399,13 @@ class QTaskSimulator(CircuitObserver):
         """``(completed updates, edits pending)`` -- the session's version.
 
         Two observations of the same epoch with no pending edits are
-        guaranteed to describe the same simulated state; fork fleets compare
-        epochs to detect that their base session has diverged.
+        guaranteed to describe the same simulated state;
+        :class:`~repro.parallel.sweep.SweepRunner` compares epochs to detect
+        that its base session has diverged from its fork.
         """
         return self._num_updates, self.graph.has_pending
 
-    def fork(
-        self,
-        *,
-        executor: Optional[Executor] = None,
-        kernel_backend: Optional[object] = None,
-        store_transport: Optional[object] = None,
-    ) -> "QTaskSimulator":
+    def fork(self, *, executor: Optional[Executor] = None) -> "QTaskSimulator":
         """A child simulator sharing this one's computed state copy-on-write.
 
         The child gets its own circuit (a structural clone with fresh
@@ -422,14 +417,13 @@ class QTaskSimulator(CircuitObserver):
         child's entry, leaving the parent untouched; edits on either side
         never perturb the other.
 
-        By default the child *shares the parent's executor* (``close()`` on
-        the child will not shut it down), which is what lets a
-        :class:`~repro.parallel.sweep.SweepRunner` fan many forked sessions
-        out across one work-stealing pool; pass ``executor`` to give the
-        child its own instead (a sweep typically hands each fork a
-        :class:`~repro.parallel.SequentialExecutor` so parallelism lives at
-        the sweep level, not nested inside each update).  Pending modifiers
-        on this simulator are flushed first so the forked state is well
+        The child always runs on this simulator's kernel backend and store
+        transport.  By default it also *shares the executor* (``close()`` on
+        the child will not shut it down); pass ``executor`` to give the
+        child its own instead (``run_shots`` and
+        :class:`~repro.parallel.sweep.SweepRunner` hand their one fork a
+        :class:`~repro.parallel.SequentialExecutor`).  Pending modifiers on
+        this simulator are flushed first so the forked state is well
         defined; the child's gate-handle translation table is exposed as
         ``forked_gate_map`` (parent handle uid -> child handle).
         """
@@ -440,12 +434,7 @@ class QTaskSimulator(CircuitObserver):
 
         child = QTaskSimulator.__new__(QTaskSimulator)
         knobs = {name: getattr(self, name) for name in DURABLE_KNOBS}
-        knobs.update(
-            executor=executor,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
-            tracing=self.telemetry.tracer.enabled,
-        )
+        knobs.update(executor=executor, tracing=self.telemetry.tracer.enabled)
         child._assemble(circuit, knobs, parent=self)
         child._num_updates = self._num_updates
 

@@ -13,19 +13,17 @@ This package reproduces that structure in Python:
   work-stealing scheduler (per-worker deques, LIFO pop / FIFO steal),
 * :class:`~repro.parallel.executor.SequentialExecutor` -- a deterministic
   single-threaded executor used for tests and as the 1-core datapoint of the
-  scalability experiments,
-* :func:`~repro.parallel.parallel_for.parallel_for` -- the chunked
-  parallel-for used for intra-gate parallelism.
+  scalability experiments.
 
 The GIL obviously limits speedups for tiny tasks; the numpy kernels release
 the GIL during the heavy array work, which is where the available parallelism
 lives (see docs/architecture.md, section 4: a stage plan's chunks run as
-subflows on the executor's worker threads).
+subflows on the executor's worker threads -- the paper's intra-gate
+parallel-for).
 """
 
 from .taskgraph import Task, TaskGraph
 from .executor import Executor, SequentialExecutor, WorkStealingExecutor, make_executor
-from .parallel_for import parallel_for, chunk_indices
 from .sweep import SweepPoint, SweepResult, SweepRunner
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "SequentialExecutor",
     "WorkStealingExecutor",
     "make_executor",
-    "parallel_for",
-    "chunk_indices",
     "SweepPoint",
     "SweepResult",
     "SweepRunner",

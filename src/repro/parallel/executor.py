@@ -10,11 +10,13 @@ experiments (Figs. 17/18).
 
 ``run`` is re-entrant: every invocation carries its own :class:`_RunState`
 (pending counter plus dependency map), so independent graphs can execute
-concurrently on one shared worker pool -- the execution model behind
-session forking and :class:`~repro.parallel.sweep.SweepRunner`.  A ``run``
-issued *from a worker thread* (e.g. a forked session's ``update_state``
-inside a sweep task) does not block the pool: the worker keeps taking and
-executing queued work from any run until its own graph completes.
+concurrently on one shared worker pool (e.g. a session and a fork sharing
+its executor, updated from two threads).  A ``run`` issued *from a worker
+thread* does not block the pool: the worker keeps taking and executing
+queued work from any run until its own graph completes.  Nested runs stay
+supported, but nothing in the package issues one any more: ``run_shots``
+and :class:`~repro.parallel.sweep.SweepRunner` update their one fork on a
+:class:`SequentialExecutor` from the calling thread.
 
 Subflow children execute in spawn order on both executors (depth-first for
 nested spawns), so order-sensitive subflows observe the same schedule under

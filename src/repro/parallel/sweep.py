@@ -1,23 +1,16 @@
-"""Batched parameter sweeps over forked copy-on-write sessions.
+"""Parameter sweeps over one forked copy-on-write session.
 
 A variational workload evaluates the same circuit at many parameter points.
-PR 3's retune path makes each point cheap *sequentially* (``update_gate`` +
-incremental ``update_state``); :class:`SweepRunner` makes the points cheap
-*concurrently*: it forks the base session into a small fleet of
-copy-on-write children (:meth:`repro.QTask.fork` -- zero amplitude copies,
-shared executor), deals the grid across the fleet round-robin, and runs one
-chunk per fork as tasks on the shared
-:class:`~repro.parallel.executor.WorkStealingExecutor`.  Each fork carries
-its own observables cache, so per-point expectations stay incremental
-within a chunk, and every nested ``update_state`` issued from a sweep task
-re-enters the same executor (worker threads help instead of blocking, see
-``WorkStealingExecutor._wait``).
-
-Results are gathered back in submission order regardless of which fork or
-worker computed them.
+The retune path makes each point cheap (``update_gate`` + incremental
+``update_state``); :class:`SweepRunner` packages it without touching the base
+session: it forks the base session once (:meth:`repro.QTask.fork` -- zero
+amplitude copies) onto a :class:`~repro.parallel.executor.SequentialExecutor`
+and evaluates the points on that fork in submission order.  The fork carries
+its own observables cache, so per-point expectations stay incremental from
+one point to the next.
 
 Points must set parameters *absolutely* (every handle gets a value at every
-point) -- that is what makes dealing points across forks order-independent.
+point), so a point's result does not depend on the points before it.
 """
 
 from __future__ import annotations
@@ -25,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .executor import SequentialExecutor
 
 __all__ = ["SweepPoint", "SweepResult", "SweepRunner"]
 
@@ -41,12 +36,11 @@ class SweepResult:
     expectation: Optional[float]
     counts: Optional[Dict[str, int]]
     seconds: float
-    fork: int
     affected_fraction: float = 0.0
 
 
 class SweepRunner:
-    """Fan a grid of ``update_gate`` variants across forked sessions.
+    """Evaluate a grid of ``update_gate`` variants on a forked session.
 
     ``session`` is a :class:`repro.QTask` (or anything exposing ``fork`` /
     ``update_gate`` / ``update_state`` / ``expectation`` / ``counts``);
@@ -58,56 +52,26 @@ class SweepRunner:
     >>> runner = SweepRunner(ckt, [g1, g2], observable="ZZ")   # doctest: +SKIP
     >>> results = runner.run([(0.1, 0.5), (0.2, 0.4)])         # doctest: +SKIP
 
-    The fork fleet is created lazily on first use (at most
-    ``num_forks`` children, default the executor's worker count) and reused
-    across ``run`` calls; :meth:`close` releases it.
+    The fork is created lazily on first use, reused across ``run`` calls
+    and rebuilt when the base session's ``state_epoch`` moves; :meth:`close`
+    releases it.
     """
 
-    def __init__(
-        self,
-        session,
-        handles: Sequence[object],
-        *,
-        observable=None,
-        num_forks: Optional[int] = None,
-        nested_parallelism: bool = False,
-        kernel_backend: Optional[object] = None,
-        store_transport: Optional[object] = None,
-    ) -> None:
+    def __init__(self, session, handles: Sequence[object], *, observable=None) -> None:
         self.session = session
         self.handles = list(handles)
         self.observable = observable
-        if num_forks is not None and num_forks < 1:
-            raise ValueError(f"num_forks must be positive, got {num_forks}")
-        self.num_forks = num_forks
-        #: kernel backend handed to every fleet member; ``None`` inherits the
-        #: base session's backend object
-        self.kernel_backend = kernel_backend
-        #: store transport handed to every fleet member; ``None`` inherits
-        #: the base session's transport *object*, so a sharded fleet aliases
-        #: one set of shard payloads instead of spawning processes per fork.
-        self.store_transport = store_transport
-        #: with False (default) each fork updates on its own
-        #: SequentialExecutor -- one sweep point is one coarse task and the
-        #: shared pool parallelises *across* forks, which is both faster
-        #: (no nested-run scheduling) and exactly one point per worker.
-        #: True keeps the forks on the shared pool, so a single point's
-        #: partitions also spread over idle workers (useful when the grid
-        #: is smaller than the pool).
-        self.nested_parallelism = bool(nested_parallelism)
-        #: (forked session, its mirrors of ``handles``) per fleet member
-        self._forks: List[Tuple[object, List[object]]] = []
-        #: the base session's state epoch the current fleet was forked from
-        self._fleet_epoch: Optional[Tuple[int, bool]] = None
+        #: (forked session, its mirrors of ``handles``), once forked
+        self._fork: Optional[Tuple[object, List[object]]] = None
+        #: the base session's state epoch the fork was taken at
+        self._fork_epoch: Optional[Tuple[int, bool]] = None
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Close every forked session (the shared executor stays alive)."""
-        for child, _ in self._forks:
-            child.close()
-        self._forks.clear()
+        """Close the forked session (the base session stays open)."""
+        self._drop_fork()
         self._closed = True
 
     def __enter__(self) -> "SweepRunner":
@@ -116,20 +80,15 @@ class SweepRunner:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def active_forks(self) -> int:
-        return len(self._forks)
-
     def merged_metrics(self):
-        """Fleet-wide metrics: base session + every live fork, merged.
+        """Metrics of the base session and the live fork, merged.
 
-        Forked sessions own their own registries (tagged with the base
-        session's id), so their counters are not silently lost when the
-        fleet is rebuilt or closed mid-sweep -- but they are also not
-        visible on the base session.  This folds the whole family into one
-        fresh :class:`~repro.telemetry.MetricsRegistry` (counters and
-        histograms accumulate; gauges keep the base session's reading)
-        without mutating any live registry.
+        The forked session owns its own registry (tagged with the base
+        session's id), so its counters are not visible on the base
+        session.  This folds both into one fresh
+        :class:`~repro.telemetry.MetricsRegistry` (counters and histograms
+        accumulate; gauges keep the base session's reading) without
+        mutating either live registry.
         """
         from ..telemetry import MetricsRegistry
 
@@ -139,33 +98,29 @@ class SweepRunner:
             parent_session_id=base.parent_session_id,
         )
         merged.merge(base)
-        for child, _ in self._forks:
-            merged.merge(child.simulator.telemetry.metrics)
+        if self._fork is not None:
+            merged.merge(self._fork[0].simulator.telemetry.metrics)
         return merged
 
-    def _ensure_forks(self, wanted: int) -> None:
-        from .executor import SequentialExecutor
+    def _drop_fork(self) -> None:
+        if self._fork is not None:
+            self._fork[0].close()
+            self._fork = None
 
-        # The fleet snapshots the base session at fork time; if the session
-        # was edited since (pending modifiers or further updates), cached
-        # forks describe a stale state -- rebuild the whole fleet rather
-        # than silently mixing base states across points.
+    def _ensure_fork(self) -> Tuple[object, List[object]]:
+        # The fork snapshots the base session at fork time; if the session
+        # was edited since (pending modifiers or further updates), the fork
+        # describes a stale state -- rebuild it rather than silently serve
+        # points from an old base state.
         epoch = getattr(self.session.simulator, "state_epoch", None)
-        if self._forks and epoch != self._fleet_epoch:
-            for child, _ in self._forks:
-                child.close()
-            self._forks.clear()
-        while len(self._forks) < wanted:
-            inner = None if self.nested_parallelism else SequentialExecutor()
-            child = self.session.fork(
-                executor=inner,
-                kernel_backend=self.kernel_backend,
-                store_transport=self.store_transport,
-            )
-            mirrored = [child.handle_for(h) for h in self.handles]
-            self._forks.append((child, mirrored))
-        # fork() flushes pending parent modifiers, so read the epoch after.
-        self._fleet_epoch = getattr(self.session.simulator, "state_epoch", None)
+        if self._fork is not None and epoch != self._fork_epoch:
+            self._drop_fork()
+        if self._fork is None:
+            child = self.session.fork(executor=SequentialExecutor())
+            self._fork = (child, [child.handle_for(h) for h in self.handles])
+            # fork() flushes pending parent modifiers, so read the epoch after.
+            self._fork_epoch = getattr(self.session.simulator, "state_epoch", None)
+        return self._fork
 
     # -- the sweep ----------------------------------------------------------
 
@@ -188,13 +143,11 @@ class SweepRunner:
         shots: int = 0,
         seed: Optional[int] = None,
     ) -> List[SweepResult]:
-        """Evaluate every point, batched across the fork fleet.
+        """Evaluate every point on the fork, in submission order.
 
         ``observable`` overrides the runner-level one for this call; with
         ``shots > 0`` each result also carries a measurement histogram
-        (seeded per point index, so results are reproducible regardless of
-        which fork served the point).  Results come back in submission
-        order.
+        (seeded per point index, so results are reproducible).
         """
         if self._closed:
             raise RuntimeError("SweepRunner is closed")
@@ -202,54 +155,27 @@ class SweepRunner:
         if not points:
             return []
         obs = self.observable if observable is None else observable
-        executor = self.session.simulator.executor
-        workers = max(1, int(getattr(executor, "num_workers", 1)))
-        limit = workers if self.num_forks is None else self.num_forks
-        fleet = max(1, min(len(points), limit))
-        self._ensure_forks(fleet)
-
-        # Round-robin deal: fork f serves points f, f+fleet, ...  Points set
-        # every handle absolutely, so a fork's chunk is history-independent.
-        chunks: List[List[Tuple[int, SweepPoint]]] = [
-            [(i, p) for i, p in enumerate(points) if i % fleet == f]
-            for f in range(fleet)
-        ]
-
-        def run_chunk(fork_id: int) -> List[SweepResult]:
-            child, mirrored = self._forks[fork_id]
-            out: List[SweepResult] = []
-            for index, point in chunks[fork_id]:
-                t0 = time.perf_counter()
-                self._apply_point(child, mirrored, point)
-                child.update_state()
-                expectation = (
-                    child.expectation(obs) if obs is not None else None
+        child, mirrored = self._ensure_fork()
+        results: List[SweepResult] = []
+        for index, point in enumerate(points):
+            t0 = time.perf_counter()
+            self._apply_point(child, mirrored, point)
+            child.update_state()
+            expectation = child.expectation(obs) if obs is not None else None
+            counts = (
+                child.counts(shots, seed=None if seed is None else seed + index)
+                if shots
+                else None
+            )
+            values = point if isinstance(point, (list, tuple)) else (point,)
+            results.append(
+                SweepResult(
+                    index=index,
+                    params=tuple(values),
+                    expectation=expectation,
+                    counts=counts,
+                    seconds=time.perf_counter() - t0,
+                    affected_fraction=child.simulator.last_update.affected_fraction,
                 )
-                counts = (
-                    child.counts(
-                        shots, seed=None if seed is None else seed + index
-                    )
-                    if shots
-                    else None
-                )
-                values = point if isinstance(point, (list, tuple)) else (point,)
-                out.append(
-                    SweepResult(
-                        index=index,
-                        params=tuple(values),
-                        expectation=expectation,
-                        counts=counts,
-                        seconds=time.perf_counter() - t0,
-                        fork=fork_id,
-                        affected_fraction=(
-                            child.simulator.last_update.affected_fraction
-                        ),
-                    )
-                )
-            return out
-
-        results: List[Optional[SweepResult]] = [None] * len(points)
-        for chunk_results in executor.map(run_chunk, list(range(fleet))):
-            for result in chunk_results:
-                results[result.index] = result
-        return results  # type: ignore[return-value]
+            )
+        return results

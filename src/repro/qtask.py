@@ -84,24 +84,18 @@ class QTask:
 
         return cls.from_program(parse_qasm(text), **knobs)
 
-    def fork(
-        self,
-        *,
-        executor: Optional[Executor] = None,
-        kernel_backend: Optional[object] = None,
-        store_transport: Optional[object] = None,
-    ) -> "QTask":
+    def fork(self, *, executor: Optional[Executor] = None) -> "QTask":
         """A cheap child session sharing this session's state copy-on-write.
 
         The child has its own circuit (fresh handles), simulator, partition
         graph and observables cache, but its stage stores reference the
         parent's computed blocks until first write -- forking copies no
-        amplitudes.  Edits on either session never perturb the other, and
-        both run on the *shared* executor by default, so many forks can
-        update concurrently (see :class:`~repro.parallel.sweep.SweepRunner`);
-        pass ``executor`` to give the child its own (e.g. a
-        :class:`~repro.parallel.SequentialExecutor` when the parallelism
-        lives one level up, across forks).
+        amplitudes.  Edits on either session never perturb the other.  The
+        child always runs on its parent's kernel backend and store
+        transport; it shares the parent's executor unless ``executor``
+        gives it its own (``run_shots`` and
+        :class:`~repro.parallel.sweep.SweepRunner` hand their one fork a
+        :class:`~repro.parallel.SequentialExecutor`).
 
         Translate parent gate handles with :meth:`handle_for`::
 
@@ -115,11 +109,7 @@ class QTask:
         before forking so the inherited state is well defined.
         """
         child = QTask.__new__(QTask)
-        child.simulator = self.simulator.fork(
-            executor=executor,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
-        )
+        child.simulator = self.simulator.fork(executor=executor)
         child.circuit = child.simulator.circuit
         child._fork_gate_map = child.simulator.forked_gate_map
         return child
@@ -328,26 +318,19 @@ class QTask:
             bits = bits.bits
         return self.simulator.outcomes.value_of(bits)
 
-    def run_shots(
-        self,
-        shots: int,
-        *,
-        seed: Optional[int] = None,
-        num_forks: Optional[int] = None,
-    ) -> Dict[str, int]:
+    def run_shots(self, shots: int, *, seed: Optional[int] = None) -> Dict[str, int]:
         """Sample ``shots`` trajectories of a dynamic circuit.
 
         Returns a histogram over the classical register bits (leftmost
         character = highest clbit), one entry per shot.  Each shot is an
         independent trajectory keyed ``(seed, shot_index)``: its outcomes
-        depend only on those two -- never on the fleet size, executor width
-        or scheduling.  The session is forked copy-on-write (the unitary
-        prefix before the first measurement is computed once and shared
-        across the whole fleet) and the shots are dealt round-robin to the
-        forks, which run on the session's shared executor in parallel (one
-        fork per worker by default; cap with ``num_forks``).
+        depend only on those two -- never on the executor width or
+        scheduling.  The session is forked once, copy-on-write (the unitary
+        prefix before the first measurement is computed once and shared),
+        onto a :class:`~repro.parallel.SequentialExecutor`, and the fork
+        walks every shot on the calling thread.
 
-        A fork does not replay its shots one by one.  Collapse masses depend
+        The walk does not replay shots one by one.  Collapse masses depend
         only on the outcomes before them and draws only on
         ``(seed, shot, op)``, so after simulating one shot the fork knows,
         without executing anything, at which operation every other shot
@@ -355,7 +338,7 @@ class QTask:
         with the simulated one; the rest branch off at their operation --
         deepest first, so the prefix held in the fork stays the one they
         share -- re-simulating from there only.  Every distinct outcome
-        path is simulated once per fork.
+        path is simulated exactly once.
         """
         if shots < 0:
             raise ValueError(f"shots must be non-negative, got {shots}")
@@ -367,29 +350,22 @@ class QTask:
         if shots == 0:
             return {}
         base_seed = OutcomeRecord._materialise_seed(seed)
-        executor = self.simulator.executor
-        workers = max(1, int(getattr(executor, "num_workers", 1)))
-        limit = workers if num_forks is None else max(1, int(num_forks))
-        fleet = min(shots, limit)
+        seeds = [
+            OutcomeRecord._materialise_seed((base_seed, shot))
+            for shot in range(shots)
+        ]
         clbits = range(self.circuit.num_clbits)
-        # Trajectory spans land on the *parent* session's tracer: one
-        # exported timeline for the whole fleet.
+        # Trajectory spans land on the *parent* session's tracer.
         tracer = self.simulator.telemetry.tracer
-        forks: List[QTask] = []
-
-        def walk(fork_id: int) -> Tuple[Dict[str, int], int]:
-            child = forks[fork_id]
+        counts: Dict[str, int] = {}
+        trajectories = 0
+        with self.fork(executor=SequentialExecutor()) as child:
             sim, record = child.simulator, child.outcomes
-            mine = range(fork_id, shots, fleet)  # dealt round-robin
-            seeds = {
-                shot: OutcomeRecord._materialise_seed((base_seed, shot))
-                for shot in mine
-            }
-            tally: Dict[str, int] = {}
-            trajectories = 0
             # (op to branch at, the shots that branch there); popping the
             # last entry visits the deepest pending branch first
-            pending: List[Tuple[Optional[int], List[int]]] = [(None, list(mine))]
+            pending: List[Tuple[Optional[int], List[int]]] = [
+                (None, list(range(shots)))
+            ]
             while pending:
                 from_op, group = pending.pop()
                 lead = group[0]
@@ -408,39 +384,22 @@ class QTask:
                                 break
                     followers = len(group) - sum(map(len, branches.values()))
                     bits = record.bitstring(clbits)
-                    tally[bits] = tally.get(bits, 0) + followers
+                    counts[bits] = counts.get(bits, 0) + followers
                     trajectories += 1
                     pending += [
                         (op, branches[op]) for op, *_ in path if op in branches
                     ]
                     span.set("shot", lead)
-                    span.set("fork", fork_id)
                     span.set("from_op", from_op)
                     span.set("shots", followers)
-            return tally, trajectories
-
-        counts: Dict[str, int] = {}
-        executed = 0
-        try:
-            # Each fork updates on its own sequential executor: a walk is one
-            # coarse task, and the shared pool parallelises across forks.
-            for _ in range(fleet):
-                forks.append(self.fork(executor=SequentialExecutor()))
-            for tally, trajectories in executor.map(walk, list(range(fleet))):
-                executed += trajectories
-                for bits, n in tally.items():
-                    counts[bits] = counts.get(bits, 0) + n
-        finally:
-            for child in forks:
-                child.close()
         metrics = self.simulator.telemetry.metrics
         metrics.counter(
             "shots.requested", help="shots asked of run_shots"
         ).inc(shots)
         metrics.counter(
             "shots.trajectories",
-            help="outcome paths run_shots simulated (one per fork that met it)",
-        ).inc(executed)
+            help="distinct outcome paths run_shots simulated",
+        ).inc(trajectories)
         return counts
 
     # -- state update -------------------------------------------------------------

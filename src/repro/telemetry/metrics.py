@@ -18,9 +18,9 @@ Design constraints:
   executor's task granularity, not per amplitude).  ``Histogram.observe``
   is a bisect into a fixed bucket table.
 * **Mergeable.** Forked sessions get their *own* registry tagged with the
-  parent's session id; :meth:`MetricsRegistry.merge` folds a fleet's
-  registries into one, which is how ``SweepRunner`` aggregates fleet-wide
-  stats instead of silently dropping them when forks close.
+  parent's session id; :meth:`MetricsRegistry.merge` folds several
+  sessions' registries into one, which is how ``SweepRunner`` reports its
+  base session and its fork together instead of dropping the fork's stats.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ class MetricsRegistry:
             lines.append(f"{ident}_count{labels} {metric.count}")
         return "\n".join(lines) + "\n"
 
-    # -- fleet aggregation ---------------------------------------------------
+    # -- cross-session aggregation -------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other``'s metrics into this registry (in place).

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cow import BlockStore, InitialStateStore, MemoryReport, RoutedStore
+from repro.core.transport import StorageTransport
 
 from ..conftest import StoreChain
 
@@ -344,6 +345,24 @@ def test_share_from_rejects_mismatched_geometry():
     b = BlockStore(32, 8)
     with pytest.raises(ValueError, match="identical dim"):
         b.share_from(a)
+
+
+class _ElsewhereTransport(StorageTransport):
+    """A remote placement no test ever reaches: the share must refuse first."""
+
+    name = "elsewhere"
+    is_remote = True
+
+
+def test_share_from_rejects_stores_on_different_transports():
+    local = BlockStore(32, 4)
+    local.write_block(0, np.ones(4, dtype=complex))
+    remote = BlockStore(32, 4, transport=_ElsewhereTransport())
+    for child, parent in ((remote, local), (local, remote)):
+        with pytest.raises(ValueError, match="same transport"):
+            child.share_from(parent)
+    assert local.exported_block_refs() == {}
+    assert not remote.stored_blocks() and local.shared_block_count == 0
 
 
 def test_memory_report_accounts_shared_bytes():

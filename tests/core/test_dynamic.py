@@ -18,7 +18,6 @@ from repro.core.gates import Gate
 from repro.core.kernels import ArrayReader, collapse_run, measured_masses
 from repro.core.ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from repro.core.simulator import QTaskSimulator
-from repro.core.transport import TransportFailure
 
 from ..conftest import replay_shots
 
@@ -486,19 +485,23 @@ class TestTrajectoriesAndForks:
         ckt.close()
 
     def test_run_shots_deterministic_across_fleet_sizes(self):
-        ckt = build_qtask(2, 2, seed=5, num_workers=2)
-        n1, n2, n3 = (ckt.insert_net() for _ in range(3))
-        ckt.insert_gate("h", n1, 0)
-        ckt.insert_gate("cx", n2, 0, 1)
-        ckt.measure(n3, 0, 0)
-        ckt.measure(n3, 1, 1)
-        counts_a = ckt.run_shots(120, seed=17)
-        counts_b = ckt.run_shots(120, seed=17, num_forks=1)
-        counts_c = ckt.run_shots(120, seed=17, num_forks=3)
-        assert counts_a == counts_b == counts_c
-        assert set(counts_a) <= {"00", "11"}
-        assert sum(counts_a.values()) == 120
-        ckt.close()
+        """Historical id: there is no fleet; counts do not depend on the
+        session's executor width, and ``num_forks`` is not a keyword."""
+        seen = []
+        for num_workers in (1, 2, 4):
+            ckt = build_qtask(2, 2, seed=5, num_workers=num_workers)
+            n1, n2, n3 = (ckt.insert_net() for _ in range(3))
+            ckt.insert_gate("h", n1, 0)
+            ckt.insert_gate("cx", n2, 0, 1)
+            ckt.measure(n3, 0, 0)
+            ckt.measure(n3, 1, 1)
+            seen.append(ckt.run_shots(120, seed=17))
+            with pytest.raises(TypeError, match="num_forks"):
+                ckt.run_shots(120, seed=17, num_forks=1)
+            ckt.close()
+        assert seen[0] == seen[1] == seen[2]
+        assert set(seen[0]) <= {"00", "11"}
+        assert sum(seen[0].values()) == 120
 
     def test_run_shots_requires_clbits(self):
         ckt = build_qtask(1, 0)
@@ -519,7 +522,7 @@ def trajectories_of(session) -> int:
 
 
 class TestRunShotsWalk:
-    """``run_shots`` simulates each distinct outcome path once per fork."""
+    """``run_shots`` simulates each distinct outcome path exactly once."""
 
     def test_no_collapse_ops_is_one_tally(self):
         ckt = build_qtask(2, 2, seed=0)
@@ -528,7 +531,7 @@ class TestRunShotsWalk:
         ckt.c_if("x", n2, 1, condition=((0,), 1))  # reads a bit nobody writes
         ckt.update_state()
         updates = ckt.simulator.statistics()["num_updates"]
-        assert ckt.run_shots(50, seed=3, num_forks=1) == {"00": 50}
+        assert ckt.run_shots(50, seed=3) == {"00": 50}
         assert trajectories_of(ckt) == 1
         assert ckt.telemetry.metrics.get("shots.requested").value == 50
         assert ckt.simulator.statistics()["num_updates"] == updates
@@ -540,7 +543,7 @@ class TestRunShotsWalk:
         ckt.insert_gate("h", n1, 0)
         ckt.measure(n2, 0, 0)
         ckt.reset(n3, 0)  # the measurement left one side with zero mass
-        counts = ckt.run_shots(64, seed=11, num_forks=1)
+        counts = ckt.run_shots(64, seed=11)
         assert counts == replay_shots(ckt, 64, 11)
         assert set(counts) == {"0", "1"}
         assert trajectories_of(ckt) == 2
@@ -554,7 +557,7 @@ class TestRunShotsWalk:
         forced = ckt.measure(n2, 0, 0)
         ckt.measure(n2, 1, 1)
         ckt.outcomes.force_outcomes({forced.gate.op_index: 1})
-        counts = ckt.run_shots(40, seed=2, num_forks=1)
+        counts = ckt.run_shots(40, seed=2)
         assert counts == replay_shots(ckt, 40, 2)
         assert set(counts) == {"01", "11"}
         assert trajectories_of(ckt) == 2
@@ -569,10 +572,12 @@ class TestRunShotsWalk:
         ckt.insert_gate("h", n2, 0)
         ckt.measure(m2, 0, 0)  # second writer of c0: the later one wins
         ckt.measure(m3, 1, 1)
-        for num_forks in (1, 3):
-            counts = ckt.run_shots(60, seed=8, num_forks=num_forks)
-            assert counts == replay_shots(ckt, 60, 8)
-        assert set(counts) == {"00", "01"}
+        expected = replay_shots(ckt, 60, 8)
+        assert ckt.run_shots(60, seed=8) == expected
+        walked = trajectories_of(ckt)
+        assert ckt.run_shots(60, seed=8) == expected
+        assert trajectories_of(ckt) == 2 * walked  # the same paths again
+        assert set(expected) == {"00", "01"}
         # outcome prefixes are shared: fewer simulated paths than shots
         requested = ckt.telemetry.metrics.get("shots.requested").value
         assert trajectories_of(ckt) < requested == 120
@@ -615,6 +620,8 @@ class TestRunShotsWalk:
         ],
     )
     def test_a_failing_fork_leaks_no_earlier_fork(self, monkeypatch, transport):
+        """Historical id: the walk's one fork raises mid-walk (after it has
+        simulated and published a path) and is closed on the way out."""
         ckt = build_qtask(3, 1, seed=0, num_workers=3, store_transport=transport)
         n1, n2 = ckt.insert_net(), ckt.insert_net()
         ckt.insert_gate("h", n1, 0)
@@ -623,17 +630,25 @@ class TestRunShotsWalk:
         shards = ckt.simulator._store_transport.shard_report
         before = shards()
         real_fork, built = QTask.fork, []
+        real_reset = QTaskSimulator.reset_trajectory
 
-        def second_fork_fails(self, **kwargs):
-            if len(built) == 1:
-                raise TransportFailure("shard spawn failed")
+        def recording_fork(self, **kwargs):
             built.append(real_fork(self, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(QTask, "fork", second_fork_fails)
-        with pytest.raises(TransportFailure, match="spawn failed"):
+        def second_path_fails(self, *args, **kwargs):
+            if kwargs.get("from_op") is not None:
+                raise RuntimeError("walk failed")
+            return real_reset(self, *args, **kwargs)
+
+        monkeypatch.setattr(QTask, "fork", recording_fork)
+        monkeypatch.setattr(QTaskSimulator, "reset_trajectory", second_path_fails)
+        with pytest.raises(RuntimeError, match="walk failed"):
             ckt.run_shots(9, seed=1)
         (child,) = built
+        assert child.simulator.statistics()["num_updates"] > (
+            ckt.simulator.statistics()["num_updates"]
+        )
         # closed: off its circuit, and its shard-side payloads are dropped
         assert child.simulator not in child.circuit._observers
         assert shards() == before

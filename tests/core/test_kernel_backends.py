@@ -142,7 +142,7 @@ class _FaultsOncePublished(NumpyBatchBackend):
 class TestNumbaBackend:
     def test_jit_unavailable_raises(self, tmp_path):
         """The name is rejected wherever the keyword is taken, not only by
-        the constructor."""
+        the constructor; a fork and a sweep take no backend at all."""
         path = str(tmp_path / "s.qtckpt")
         with QTask(3, block_size=4, num_workers=1) as session:
             net = session.insert_net()
@@ -150,12 +150,13 @@ class TestNumbaBackend:
             session.update_state()
             session.checkpoint(path)
             with pytest.raises(ValueError, match=ACCEPTED):
-                session.fork(kernel_backend="numba")
-            with pytest.raises(ValueError, match=ACCEPTED):
                 QTask.restore(path, kernel_backend="numba")
-            with SweepRunner(session, [gate], kernel_backend="numba") as runner:
-                with pytest.raises(ValueError, match=ACCEPTED):
-                    runner.run([[0.2]])
+            with pytest.raises(TypeError, match="kernel_backend"):
+                session.fork(kernel_backend="numba")
+            with pytest.raises(TypeError, match="kernel_backend"):
+                session.simulator.fork(kernel_backend=KernelBackend())
+            with pytest.raises(TypeError, match="kernel_backend"):
+                SweepRunner(session, [gate], kernel_backend="numba")
 
     def test_interpreted_kernels_match_legacy(self):
         """A chunk that faults *after* publishing is re-executed run by run
@@ -282,5 +283,12 @@ class TestPlanStatistics:
         child = sim.fork()
         assert child._backend is sim._backend
         assert child.plan_report().updates_planned == 0
-        child2 = sim.fork(kernel_backend=KernelBackend())
+        # a parent on the reference loop forks onto the reference loop
+        reference = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
+        reference.update_state()
+        child2 = reference.fork()
+        assert child2._backend is reference._backend
         assert child2.plan_report().backend == "base"
+        child2.circuit.update_gate(child2.circuit.gates()[6], 1.234)
+        child2.update_state()
+        assert child2.plan_report().updates_planned == 1

@@ -5,14 +5,13 @@ import time
 
 import pytest
 
+from repro.baselines.statevector import chunk_indices
 from repro.core.exceptions import ExecutorError
 from repro.parallel import (
     SequentialExecutor,
     TaskGraph,
     WorkStealingExecutor,
-    chunk_indices,
     make_executor,
-    parallel_for,
 )
 from repro.parallel.workqueue import StealScheduler, WorkDeque
 
@@ -248,7 +247,9 @@ def test_executor_context_manager():
 
 
 # ---------------------------------------------------------------------------
-# parallel_for and chunking
+# chunked map (the dense baseline's intra-gate parallel-for); the
+# ``parallel_for`` id is historical -- the helper left the package, and the
+# body drives ``executor.map`` over ``chunk_indices`` as the baseline does
 # ---------------------------------------------------------------------------
 
 
@@ -278,12 +279,11 @@ def test_parallel_for_visits_every_index_once(workers):
             for i in range(start, stop):
                 hits[i] += 1
 
-    ex = None if workers is None else make_executor(workers)
+    ex = SequentialExecutor() if workers is None else make_executor(workers)
     try:
-        parallel_for(body, 100, 7, ex)
+        ex.map(lambda se: body(*se), chunk_indices(100, 7))
     finally:
-        if ex:
-            ex.close()
+        ex.close()
     assert hits == [1] * 100
 
 

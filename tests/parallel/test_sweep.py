@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import QTask, SweepRunner
+from repro.parallel import SequentialExecutor
 
 N_QUBITS = 5
 OBSERVABLE = "Z" * N_QUBITS
@@ -68,28 +69,37 @@ def test_sweep_matches_sequential_reference(num_workers):
 
 
 def test_sweep_gathers_in_submission_order_across_forks():
+    """Historical id: there is one fork, and it serves the points in
+    submission order -- the first point's update re-simulates from the base
+    state, every later one only the cone its retune dirtied."""
     with QTask(N_QUBITS, num_workers=4) as session:
         handles = _build(session)
         points = _grid(handles, 11)
         with SweepRunner(session, handles, observable=OBSERVABLE) as runner:
             results = runner.run(points)
-            assert runner.active_forks > 1
+            child, _ = runner._fork
             assert [r.index for r in results] == list(range(11))
-            # every fleet member served a share of the grid
-            assert {r.fork for r in results} == set(range(runner.active_forks))
+            assert [r.params for r in results] == points
+            # one incremental update per point, all of them on the one fork
+            assert child.simulator.statistics()["num_updates"] == (
+                session.simulator.statistics()["num_updates"] + len(points)
+            )
+            assert isinstance(child.simulator.executor, SequentialExecutor)
 
 
 def test_sweep_results_independent_of_fleet_size():
-    with QTask(N_QUBITS, num_workers=4) as session:
-        handles = _build(session)
-        points = _grid(handles, 6)
-        with SweepRunner(session, handles, observable=OBSERVABLE,
-                         num_forks=1) as solo:
-            solo_results = solo.run(points, shots=128, seed=99)
-        with SweepRunner(session, handles, observable=OBSERVABLE,
-                         num_forks=3) as fleet:
-            fleet_results = fleet.run(points, shots=128, seed=99)
-        for a, b in zip(solo_results, fleet_results):
+    """Historical id: results do not depend on the base executor's width."""
+    points = None
+    runs = []
+    for num_workers in (1, 2, 4):
+        with QTask(N_QUBITS, num_workers=num_workers) as session:
+            handles = _build(session)
+            points = points or _grid(handles, 6)
+            with SweepRunner(session, handles, observable=OBSERVABLE) as runner:
+                runs.append(runner.run(points, shots=128, seed=99))
+    first = runs[0]
+    for other in runs[1:]:
+        for a, b in zip(first, other):
             assert a.expectation == pytest.approx(b.expectation, abs=1e-10)
             # shot seeds are per point index, so histograms agree too
             assert a.counts == b.counts
@@ -139,12 +149,14 @@ def test_sweep_validation_and_lifecycle():
         runner.close()
         with pytest.raises(RuntimeError, match="closed"):
             runner.run(_grid(handles, 1))
-        with pytest.raises(ValueError, match="num_forks"):
-            SweepRunner(session, handles, num_forks=0)
+        for removed in ("num_forks", "nested_parallelism", "kernel_backend",
+                        "store_transport"):
+            with pytest.raises(TypeError, match=removed):
+                SweepRunner(session, handles, **{removed: None})
 
 
 def test_sweep_fleet_refreshes_after_parent_edits():
-    """Parent edits between run() calls must not be served from stale forks."""
+    """Parent edits between run() calls must not be served from a stale fork."""
     with QTask(N_QUBITS, num_workers=2) as session:
         net = session.insert_net()
         g = session.insert_gate("rx", net, 0, params=[0.2])
@@ -164,25 +176,36 @@ def test_sweep_fleet_refreshes_after_parent_edits():
             session.insert_gate("x", net3, 0)
             third = runner.run([(0.0,), (0.0,)])
             assert third[0].expectation == pytest.approx(1.0, abs=1e-10)
-            # No edits: the fleet is reused, not rebuilt.
-            fleet = [child for child, _ in runner._forks]
+            # Each edit moved the base session's state epoch: a fresh fork.
+            child, _ = runner._fork
+            assert runner._fork_epoch == session.simulator.state_epoch
+            # No edits: the fork is reused, not rebuilt.
             runner.run([(0.1,), (0.2,)])
-            assert [child for child, _ in runner._forks] == fleet
+            assert runner._fork[0] is child
+            # A rebuilt fork closes the one it replaces.
+            session.insert_gate("x", session.insert_net(), 0)
+            runner.run([(0.0,)])
+            assert runner._fork[0] is not child
+            assert child.simulator._closed
 
 
 def test_sweep_nested_parallelism_matches_default():
-    """Forks updating on the shared pool (nested runs) give equal results."""
+    """Historical id: ``nested_parallelism`` is gone.  The one fork updates
+    on its own sequential executor whatever the base executor is, and the
+    results equal a plain sequential loop's."""
     with QTask(N_QUBITS, num_workers=4) as session:
         handles = _build(session)
         session.update_state()
+        session.expectation(OBSERVABLE)
         points = _grid(handles, 5)
-        with SweepRunner(session, handles, observable=OBSERVABLE,
-                         nested_parallelism=True) as nested:
-            nested_results = nested.run(points)
-        with SweepRunner(session, handles, observable=OBSERVABLE) as flat:
-            flat_results = flat.run(points)
-        for a, b in zip(nested_results, flat_results):
-            assert a.expectation == pytest.approx(b.expectation, abs=1e-10)
+        with SweepRunner(session, handles, observable=OBSERVABLE) as runner:
+            results = runner.run(points)
+            assert isinstance(runner._fork[0].simulator.executor,
+                              SequentialExecutor)
+        for r, e in zip(results, _sequential_reference(points)):
+            assert r.expectation == pytest.approx(e, abs=1e-10)
+        with pytest.raises(TypeError, match="nested_parallelism"):
+            SweepRunner(session, handles, nested_parallelism=True)
 
 
 def test_sweep_exceptions_propagate():
