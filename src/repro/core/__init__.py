@@ -1,6 +1,6 @@
 """Core qTask machinery: gates, partitions, COW storage, graph, simulator."""
 
-from .blocks import DEFAULT_BLOCK_SIZE, BlockRange, IntervalSet
+from .blocks import DEFAULT_BLOCK_SIZE, BlockRange
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import ClassicalRegister, OutcomeRecord
 from .cow import (
@@ -48,7 +48,6 @@ from .stage import (
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "BlockRange",
-    "IntervalSet",
     "Circuit",
     "CircuitObserver",
     "GateHandle",

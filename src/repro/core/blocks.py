@@ -4,14 +4,14 @@ qTask divides every state vector into disjoint, equal-size *blocks* whose size
 ``B`` is a power of two (§III.C).  Partitions are runs of consecutive blocks,
 and the incremental machinery reasons exclusively in terms of inclusive block
 ranges ``[first, last]``.  This module provides the small but heavily used
-vocabulary for that reasoning: :class:`BlockRange`, interval sets, and the
+vocabulary for that reasoning: :class:`BlockRange`, block bitmasks, and the
 range-intersection helpers used by the circuit modifiers (§III.D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -26,7 +26,6 @@ __all__ = [
     "BlockRange",
     "mask_blocks",
     "mask_ranges",
-    "IntervalSet",
     "ranges_intersect",
     "intersect_ranges",
     "merge_overlapping",
@@ -205,71 +204,3 @@ def merge_overlapping(ranges: Sequence[BlockRange]) -> List[BlockRange]:
         else:
             out.append(r)
     return out
-
-
-class IntervalSet:
-    """A mutable set of block ids stored as disjoint inclusive intervals.
-
-    The vocabulary of the backward/forward scans of §III.D ("iteratively
-    move backward and forward to find intersected partitions ... until the
-    remaining blocks become empty"): the *remaining blocks* of the scanned
-    partition are kept here and progressively subtracted as covering
-    partitions are found.  The partition graph now answers the same question
-    from its per-block writer index; the scans survive as the brute-force
-    oracle in ``tests/core/test_writer_index.py``.
-    """
-
-    def __init__(self, ranges: Iterable[BlockRange] = ()) -> None:
-        self._ranges: List[BlockRange] = merge_overlapping(list(ranges))
-
-    @classmethod
-    def from_range(cls, r: BlockRange) -> "IntervalSet":
-        return cls([r])
-
-    def __bool__(self) -> bool:
-        return bool(self._ranges)
-
-    def __len__(self) -> int:
-        return sum(len(r) for r in self._ranges)
-
-    def __iter__(self) -> Iterator[int]:
-        for r in self._ranges:
-            yield from r
-
-    def ranges(self) -> Tuple[BlockRange, ...]:
-        return tuple(self._ranges)
-
-    def copy(self) -> "IntervalSet":
-        s = IntervalSet()
-        s._ranges = list(self._ranges)
-        return s
-
-    def intersects(self, r: BlockRange) -> bool:
-        return any(x.intersects(r) for x in self._ranges)
-
-    def intersection(self, r: BlockRange) -> List[BlockRange]:
-        out = []
-        for x in self._ranges:
-            i = x.intersection(r)
-            if i is not None:
-                out.append(i)
-        return out
-
-    def add(self, r: BlockRange) -> None:
-        self._ranges = merge_overlapping(self._ranges + [r])
-
-    def subtract(self, r: BlockRange) -> None:
-        """Remove every block in ``r`` from the set."""
-        out: List[BlockRange] = []
-        for x in self._ranges:
-            if not x.intersects(r):
-                out.append(x)
-                continue
-            if x.first < r.first:
-                out.append(BlockRange(x.first, min(x.last, r.first - 1)))
-            if x.last > r.last:
-                out.append(BlockRange(max(x.first, r.last + 1), x.last))
-        self._ranges = out
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return "{" + ", ".join(str(r) for r in self._ranges) + "}"

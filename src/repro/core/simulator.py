@@ -164,14 +164,6 @@ class QTaskSimulator(CircuitObserver):
         executor = knobs.get("executor")
         if executor is not None and knobs.get("num_workers") is not None:
             raise CircuitError("pass either an executor or num_workers, not both")
-        if parent is None:
-            self._owns_executor = executor is None
-            self.executor: Executor = executor or make_executor(
-                knobs.get("num_workers")
-            )
-        else:  # a fork owns only an executor of its own
-            self._owns_executor = executor is not None
-            self.executor = executor or parent.executor
 
         #: what executes the run tables: the numpy slab backend unless the
         #: session was handed a :class:`KernelBackend` instance (the seam the
@@ -207,6 +199,16 @@ class QTaskSimulator(CircuitObserver):
             self._store_transport, st_fell_back = make_transport(
                 self.store_transport
             )
+
+        # Last of the knobs: a rejected one above must not leak worker threads.
+        if parent is None:
+            self._owns_executor = executor is None
+            self.executor: Executor = executor or make_executor(
+                knobs.get("num_workers")
+            )
+        else:  # a fork owns only an executor of its own
+            self._owns_executor = executor is not None
+            self.executor = executor or parent.executor
 
         # A fork gets its own registry (counters start at zero) tagged with
         # the parent session's id, so aggregation can merge fork stats back

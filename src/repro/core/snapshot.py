@@ -360,6 +360,33 @@ def restore_simulator(
     )
     sim = QTaskSimulator.__new__(QTaskSimulator)
     sim._assemble(circuit, knobs)
+    try:
+        loaded = _load_state(sim, path, header, payload, handles)
+    except BaseException:
+        sim.close()  # a rejected file must not keep the executor running
+        raise
+    circuit.register_observer(sim)
+    duration = time.perf_counter() - t0
+    if sim.telemetry.tracer.enabled:
+        sim.telemetry.tracer.adopt(
+            "checkpoint.restore", t0, duration,
+            parent_id=None, pid=os.getpid(),
+            thread_id=0, thread_name="main",
+            attrs={"path": path},
+        )
+    sim.telemetry.events.emit(
+        "checkpoint.restore",
+        path=path,
+        bytes=loaded,
+        seconds=duration,
+    )
+    return sim
+
+
+def _load_state(sim, path, header, payload, handles) -> int:
+    """Fill an assembled simulator with a checkpoint's stages and blocks;
+    returns the payload bytes loaded."""
+    rec = header["outcomes"]
     sim.outcomes._bits = {int(b): int(v) for b, v in rec["bits"]}
     sim.outcomes._op_outcomes = {int(i): int(v) for i, v in rec["ops"]}
     sim.outcomes._forced = {int(i): int(v) for i, v in rec["forced"]}
@@ -442,19 +469,4 @@ def restore_simulator(
             f"checkpoint {path!r} has a corrupt run table: {exc}"
         ) from exc
     sim._num_updates = max(1, int(header["num_updates"]))
-    circuit.register_observer(sim)
-    duration = time.perf_counter() - t0
-    if sim.telemetry.tracer.enabled:
-        sim.telemetry.tracer.adopt(
-            "checkpoint.restore", t0, duration,
-            parent_id=None, pid=os.getpid(),
-            thread_id=0, thread_name="main",
-            attrs={"path": path},
-        )
-    sim.telemetry.events.emit(
-        "checkpoint.restore",
-        path=path,
-        bytes=len(payload),
-        seconds=duration,
-    )
-    return sim
+    return offset

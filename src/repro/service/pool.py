@@ -145,6 +145,7 @@ class SessionPool:
 
         if creator:
             start = time.perf_counter()
+            session = None
             try:
                 session = factory()
                 session.update_state()  # warm: compute the full base state
@@ -152,6 +153,8 @@ class SessionPool:
                 entry.session = session
                 entry.owned_bytes = session.memory_report().owned_bytes
             except BaseException as exc:
+                if session is not None:
+                    session.close()
                 entry.error = exc
                 with self._lock:
                     entry.leases -= 1

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import random
-from typing import List, Optional, Sequence, Tuple
+import threading
+from typing import List, Sequence
 
 import numpy as np
 import pytest
 
 from repro import QTask
-from repro.core import faults
+from repro.core import faults, transport
 from repro.core.blocks import BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
@@ -204,6 +207,38 @@ def open_session(target, *, stepwise: bool = False, **knobs):
     if stepwise:
         sim.circuit.register_observer(_UpdateAfterEachGate(sim))
     return session
+
+
+def worker_threads() -> set:
+    """The work-stealing executors' worker threads alive now."""
+    return {t for t in threading.enumerate() if t.name.startswith("qtask-worker")}
+
+
+def _leaks(threads_before, children_before) -> list:
+    """Worker threads and child processes started since the snapshot.
+
+    The shared shard runtimes' processes are not leaks: forked sessions
+    reuse them across tests and ``atexit`` reaps them.
+    """
+    shards = {p for rt in transport._shard_runtimes.values() for p in rt._procs}
+    children = [
+        p for p in multiprocessing.active_children()
+        if p not in children_before and p not in shards
+    ]
+    return sorted(worker_threads() - threads_before, key=str) + children
+
+
+@pytest.fixture(autouse=True)
+def leak_audit():
+    """Fail a test that leaves an executor thread or a child process running."""
+    threads = worker_threads()
+    children = set(multiprocessing.active_children())
+    yield
+    if _leaks(threads, children):
+        gc.collect()  # finalizers first: only what outlives them is a leak
+        leaked = _leaks(threads, children)
+        if leaked:
+            pytest.fail(f"left running: {leaked}", pytrace=False)
 
 
 @pytest.fixture()
@@ -537,87 +572,9 @@ class FrontierOracle:
         return reached
 
 
-# ---------------------------------------------------------------------------
-# the shared modifier generator: one drawn op, applied to a session
-# ---------------------------------------------------------------------------
-
-NUM_CLBITS = 2
-
-
 def session_handles(session):
+    """Every gate handle of a session, in circuit order."""
     return [h for net in session.nets() for h in net.gates]
-
-
-def draw_op(rng, session, gate=random_gate):
-    """One modifier, as indices into the session's current structure."""
-    nets = session.nets()
-    handles = session_handles(session)
-    n = session.num_qubits
-    kind = rng.choices(
-        ["net", "gate", "remove", "retune", "measure", "reset", "c_if",
-         "update", "fork", "restore"],
-        weights=[4, 12, 4, 2, 1, 1, 1, 3, 1, 1],
-    )[0]
-    if kind == "net" or not nets:
-        # None appends; an index inserts mid-circuit, after that net
-        after = rng.choice([None] + list(range(len(nets)))) if nets else None
-        return ("net", after)
-    if kind == "remove":
-        return ("remove", rng.randrange(len(handles))) if handles else ("update",)
-    if kind == "retune":
-        tunable = [
-            i for i, h in enumerate(handles)
-            if isinstance(h.gate, Gate) and h.gate.params
-        ]
-        if not tunable:
-            return ("update",)
-        i = rng.choice(tunable)
-        params = tuple(
-            rng.choice([0.0, np.pi, rng.uniform(0, 2 * np.pi)])
-            for _ in handles[i].gate.params
-        )
-        return ("retune", i, params)
-    if kind in ("update", "fork", "restore"):
-        return (kind,)
-    net_index = rng.randrange(len(nets))
-    net = nets[net_index]
-    free = sorted(set(range(n)) - net.qubits_in_use())
-    free_clbits = sorted(set(range(NUM_CLBITS)) - net.clbits_in_use())
-    if not free:
-        return ("net", None)
-    if kind == "measure" and free_clbits:
-        return ("measure", net_index, rng.choice(free), rng.choice(free_clbits))
-    if kind == "reset":
-        return ("reset", net_index, rng.choice(free))
-    if kind == "c_if" and free_clbits:
-        bit = rng.choice(free_clbits)
-        return ("c_if", net_index, gate(rng, free), (bit,), rng.randrange(2))
-    return ("gate", net_index, gate(rng, free))
-
-
-def apply_op(session, op):
-    """Apply ``op`` to ``session``; returns the session to continue on."""
-    kind = op[0]
-    nets = session.nets()
-    if kind == "net":
-        session.insert_net(None if op[1] is None else nets[op[1]])
-    elif kind == "gate":
-        session.insert_gate(op[2], nets[op[1]])
-    elif kind == "remove":
-        session.remove_gate(session_handles(session)[op[1]])
-    elif kind == "retune":
-        session.update_gate(session_handles(session)[op[1]], *op[2])
-    elif kind == "measure":
-        session.measure(nets[op[1]], op[2], op[3])
-    elif kind == "reset":
-        session.reset(nets[op[1]], op[2])
-    elif kind == "c_if":
-        session.c_if(op[2], nets[op[1]], condition=(op[3], op[4]))
-    elif kind == "update":
-        session.update_state()
-    elif kind == "fork":
-        return session.fork()
-    return session
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +618,16 @@ def assert_held_blocks_are_prefix_states(session, *, atol: float = 1e-10):
         ops = [stage.op] if hasattr(stage, "op") else stage.gate_list()
         for op in ops:
             state = dense._apply_operation(state, op)
-        for block in stage.store.stored_blocks():
+        held = stage.store.stored_blocks()
+        if not held:
+            continue
+        got = np.concatenate([stage.store.get_block(b) for b in held])
+        want = np.concatenate([state[b * size : (b + 1) * size] for b in held])
+        # (numpy's assert costs more than the whole comparison: on a miss only)
+        if not np.abs(got - want).max() <= atol:
             np.testing.assert_allclose(
-                stage.store.get_block(block),
-                state[block * size : (block + 1) * size],
-                atol=atol, rtol=0,
-                err_msg=f"block {block} held by {stage!r}",
+                got, want, atol=atol, rtol=0,
+                err_msg=f"blocks {held} held by {stage!r}",
             )
 
 

@@ -3,9 +3,10 @@
 An update resolves, at plan time, the store every recomputed block is read
 from (``PartitionGraph.plan_sources``); reads outside an update search the
 same index as of a stage seq.  Neither consults the stores, so both are
-checked here against the brute-force answer -- walk the stage stores
-backwards until one holds the block (:class:`StoreChain`) -- after every
-step of a random session, whose state must also match the dense reference.
+checked here against the brute-force answer -- the newest stage store
+holding the block (``conftest.newest_holder``, a scan over the stores) --
+after every update of the state machine in ``tests/machine.py``, whose
+sessions must also match the dense reference.
 
 The second half pins the fallback: a stage that declares a block but holds
 nothing is stepped over, and the read lands on the next older holder.
@@ -14,180 +15,36 @@ nothing is stepped over, and the read lands on the next older holder.
 from __future__ import annotations
 
 import os
-import random
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import QTask
 from repro.core import faults
 from repro.core.cow import IndexReader
 from repro.core.faults import FaultPlan
 
-from ..conftest import (
-    NUM_CLBITS,
-    StoreChain,
-    apply_op,
-    assert_held_blocks_declared,
-    draw_op,
-    newest_holder,
-    open_session,
+from ..conftest import assert_held_blocks_declared, dense_state, newest_holder
+from ..machine import (
+    MODIFIERS,
+    assert_reads_equal_the_scan,
+    run_machine,
+    update_and_check_planned_sources,
 )
-from ..conftest import dense_state as _dense_state
 
 HAVE_FORK = hasattr(os, "fork")
 
-SETTINGS = dict(
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-
 
 # ---------------------------------------------------------------------------
-# the brute-force answers
+# the property: the state machine, whose update rule checks both
 # ---------------------------------------------------------------------------
 
 
-def assert_same_source(sim, store, block, before_seq, context):
-    """``store`` is where a newest-holder scan finds ``block``.
-
-    With copy-on-write that is an identity; a dense-mode stage also holds
-    copies of blocks it never declared, so there the newest holder is a
-    later store with the same amplitudes.
-    """
-    want = newest_holder(sim._initial, sim.graph.stages, block, before_seq)
-    if sim.copy_on_write:
-        assert store is want, (context, block)
-    else:
-        assert np.array_equal(store.get_block(block), want.get_block(block)), (
-            context, block,
-        )
-
-
-def assert_asof_reads_equal_the_scan(sim):
-    """Every stage view, and the final state, block by block."""
-    stages = sim.graph.stages
-    stores = [sim._initial] + [s.store for s in stages]
-    for before_seq in list(range(len(stages) + 1)) + [sys.maxsize]:
-        reader = IndexReader(sim.graph, sim._initial, before_seq)
-        chain = StoreChain(stores[: min(before_seq, len(stages)) + 1])
-        for block, store in enumerate(reader.resolve_stores(range(sim.n_blocks))):
-            assert_same_source(sim, store, block, before_seq, "as-of")
-        assert np.array_equal(reader.full_vector(), chain.full_vector())
-
-
-def update_and_check_planned_sources(session):
-    """Run the pending update, look at the plan it executed (the last one it
-    built: a recovery re-plans), and compare every planned source with the
-    scan over the updated stores."""
-    sim = session.simulator
-    built = []
-    build = sim._build_plan
-    sim._build_plan = lambda: built.append(build()) or built[-1]
-    try:
-        session.update_state()
-    finally:
-        del sim._build_plan  # the instance attribute shadowing the method
-    plan = built[-1]
-    member_stores = [{m.store for m in sp.members} for sp in plan.stage_plans]
-    for succ, sp in enumerate(plan.stage_plans):
-        declared = {b for r in sp.block_ranges for b in r}
-        # O(affected blocks): exactly the recomputed ranges are planned -- of
-        # a coalesced run, the union of its members' covers, once
-        assert set(sp.reader.sources) == declared
-        for block, store in sp.reader.sources.items():
-            # ... read as of the plan's first stage: a source inside an
-            # earlier run is that run's last declarer, the one that holds it
-            assert_same_source(sim, store, block, sp.stage.seq, sp.stage)
-        # the task edges are the planned stages among those sources
-        sources = set(sp.reader.sources.values())
-        preds = {pred for pred, s in plan.edges if s == succ}
-        assert preds == {
-            k for k, stores in enumerate(member_stores) if sources & stores
-        }
-        assert not sources & member_stores[succ]
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# the property
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=25, **SETTINGS)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    num_qubits=st.integers(3, 5),
-    block_size=st.sampled_from([2, 4, 8]),
-    stepwise=st.booleans(),
-    copy_on_write=st.booleans(),
-    sharded=st.booleans(),
-)
-def test_planned_and_asof_sources_equal_the_newest_holder_scan(
-    seed, num_qubits, block_size, stepwise, copy_on_write, sharded,
-    tmp_path_factory,
-):
-    # Chaos mode is parked: hypothesis draws differ from run to run, so an
-    # armed plan would hand every later test a different stretch of the
-    # seeded fault streams (and dense mode's block-by-block publishes
-    # exhaust the update retries at chaos rates anyway).  The fallback
-    # under faults is pinned by the scripted cases below.
-    parked = faults.install(None)
-    rng = random.Random(seed)
-    knobs = dict(
-        num_clbits=NUM_CLBITS, block_size=block_size, num_workers=1,
-        stepwise=stepwise, copy_on_write=copy_on_write, seed=seed % 1000,
-    )
-    if sharded and HAVE_FORK:
-        knobs["store_transport"] = "sharded"
-    indexed = open_session(num_qubits, **knobs)
-    opened = [indexed]
-    try:
-        for _ in range(30):
-            op = draw_op(rng, indexed)
-            if op[0] in ("update", "fork", "restore"):
-                # fork and checkpoint flush pending modifiers themselves:
-                # do it here, where the plan can be looked at
-                update_and_check_planned_sources(indexed)
-            if op[0] == "restore":
-                path = str(tmp_path_factory.mktemp("block_sources") / "s.ckpt")
-                indexed.checkpoint(path)
-                indexed = QTask.restore(path, num_workers=1)
-                opened.append(indexed)
-            else:
-                indexed = apply_op(indexed, op)
-                if op[0] == "fork":
-                    opened.append(indexed)
-            if op[0] in ("update", "fork", "restore"):
-                assert_asof_reads_equal_the_scan(indexed.simulator)
-                np.testing.assert_allclose(
-                    indexed.state(), _dense_state(indexed), atol=1e-10,
-                    err_msg=str(op),
-                )
-                if copy_on_write:
-                    assert_held_blocks_declared(indexed)
-            else:
-                # modifiers pending: declared-but-empty stages are stepped
-                # over, removed ones are gone -- still the scan's answer
-                sim = indexed.simulator
-                final = sim.state_reader()
-                if copy_on_write:
-                    for block, store in enumerate(
-                        final.resolve_stores(range(sim.n_blocks))
-                    ):
-                        assert_same_source(sim, store, block, sys.maxsize, op)
-        update_and_check_planned_sources(indexed)
-        assert_asof_reads_equal_the_scan(indexed.simulator)
-        np.testing.assert_allclose(
-            indexed.state(), _dense_state(indexed), atol=1e-10
-        )
-    finally:
-        for session in opened:
-            session.close()
-        faults.install(parked)
+def test_planned_and_asof_sources_equal_the_newest_holder_scan(tmp_path):
+    # injected faults: a recovery re-plans, and the plan it runs is checked
+    run_machine(tmp_path, rules=MODIFIERS | {"inject_fault"}, num_workers=1,
+                max_examples=25, steps=30)
 
 
 def test_plan_memory_is_the_affected_blocks_not_the_register(no_plan):
@@ -294,7 +151,7 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
                 IndexReader(sim.graph, sim._initial, c_if_stage.seq)
                 .resolve_block(block),
             )
-        np.testing.assert_allclose(session.state(), _dense_state(session), atol=1e-10)
+        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
     finally:
         session.close()
 
@@ -344,8 +201,8 @@ def test_forsaken_stores_after_shard_loss_read_from_older_holders(no_plan):
         stats = session.statistics()
         assert stats["store_transport"] == "local"
         assert stats["store_transitions"] == 1
-        assert_asof_reads_equal_the_scan(sim)
-        np.testing.assert_allclose(session.state(), _dense_state(session), atol=1e-10)
+        assert_reads_equal_the_scan(sim)
+        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
     finally:
         session.close()
 
@@ -394,7 +251,7 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
         first_try = [h for h in holes if h[0] >= 1]
         assert first_try and all(ok for _, _, ok in holes)
         assert_held_blocks_declared(session)
-        assert_asof_reads_equal_the_scan(sim)
-        np.testing.assert_allclose(session.state(), _dense_state(session), atol=1e-10)
+        assert_reads_equal_the_scan(sim)
+        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
     finally:
         session.close()

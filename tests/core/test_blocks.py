@@ -1,4 +1,4 @@
-"""Tests for block arithmetic, block ranges and interval sets."""
+"""Tests for block arithmetic, block ranges and block sets."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.blocks import (
     BlockRange,
     DEFAULT_BLOCK_SIZE,
-    IntervalSet,
     block_bounds,
     block_of,
     intersect_ranges,
@@ -108,57 +107,58 @@ def test_merge_overlapping_empty():
 
 
 # ---------------------------------------------------------------------------
-# IntervalSet
+# block sets: ranges merged, intersected, and as bitmasks (the ids are
+# historical: they named a range-list set class the engine no longer uses)
 # ---------------------------------------------------------------------------
+
+
+def mask_of(r: BlockRange) -> int:
+    return ((1 << len(r)) - 1) << r.first
 
 
 def test_interval_set_basic_membership():
-    s = IntervalSet([BlockRange(0, 3), BlockRange(6, 8)])
-    assert len(s) == 7
-    assert sorted(s) == [0, 1, 2, 3, 6, 7, 8]
+    merged = merge_overlapping([BlockRange(6, 8), BlockRange(0, 3)])
+    assert sum(len(r) for r in merged) == 7
+    assert [b for r in merged for b in r] == [0, 1, 2, 3, 6, 7, 8]
 
 
 def test_interval_set_subtract_middle_splits():
-    s = IntervalSet.from_range(BlockRange(0, 9))
-    s.subtract(BlockRange(3, 5))
-    assert s.ranges() == (BlockRange(0, 2), BlockRange(6, 9))
+    mask = mask_of(BlockRange(0, 9)) & ~mask_of(BlockRange(3, 5))
+    assert mask_ranges(mask) == [BlockRange(0, 2), BlockRange(6, 9)]
 
 
 def test_interval_set_subtract_everything_empties():
-    s = IntervalSet.from_range(BlockRange(2, 4))
-    s.subtract(BlockRange(0, 10))
-    assert not s
-    assert len(s) == 0
+    mask = mask_of(BlockRange(2, 4)) & ~mask_of(BlockRange(0, 10))
+    assert mask == 0 and mask_ranges(mask) == [] and mask_blocks(mask) == []
 
 
 def test_interval_set_subtract_disjoint_is_noop():
-    s = IntervalSet.from_range(BlockRange(2, 4))
-    s.subtract(BlockRange(6, 9))
-    assert s.ranges() == (BlockRange(2, 4),)
+    mask = mask_of(BlockRange(2, 4)) & ~mask_of(BlockRange(6, 9))
+    assert mask_ranges(mask) == [BlockRange(2, 4)]
 
 
 def test_interval_set_intersects_and_intersection():
-    s = IntervalSet([BlockRange(0, 2), BlockRange(5, 7)])
-    assert s.intersects(BlockRange(2, 5))
-    assert s.intersection(BlockRange(2, 5)) == [BlockRange(2, 2), BlockRange(5, 5)]
-    assert not s.intersects(BlockRange(3, 4))
+    ranges = [BlockRange(0, 2), BlockRange(5, 7)]
+    hits = [r.intersection(BlockRange(2, 5)) for r in ranges]
+    assert hits == [BlockRange(2, 2), BlockRange(5, 5)]
+    assert all(r.intersection(BlockRange(3, 4)) is None for r in ranges)
 
 
 def test_interval_set_add_merges():
-    s = IntervalSet([BlockRange(0, 1)])
-    s.add(BlockRange(2, 3))
-    assert s.ranges() == (BlockRange(0, 3),)
+    mask = mask_of(BlockRange(0, 1)) | mask_of(BlockRange(2, 3))
+    assert mask_ranges(mask) == [BlockRange(0, 3)]
 
 
 def test_interval_set_copy_is_independent():
-    s = IntervalSet.from_range(BlockRange(0, 5))
-    c = s.copy()
-    c.subtract(BlockRange(0, 5))
-    assert len(s) == 6 and len(c) == 0
+    ranges = [BlockRange(2, 5), BlockRange(0, 3)]
+    merged = merge_overlapping(ranges)
+    merged.clear()
+    assert ranges == [BlockRange(2, 5), BlockRange(0, 3)]
+    assert merge_overlapping(ranges) == [BlockRange(0, 5)]
 
 
 # ---------------------------------------------------------------------------
-# property-based: IntervalSet.subtract behaves like set difference
+# property-based: block-set arithmetic behaves like Python sets
 # ---------------------------------------------------------------------------
 
 range_strategy = st.tuples(
@@ -169,14 +169,17 @@ range_strategy = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(initial=st.lists(range_strategy, max_size=5), removals=st.lists(range_strategy, max_size=5))
 def test_interval_set_subtract_matches_python_sets(initial, removals):
-    s = IntervalSet(initial)
+    mask = 0
     expected = set()
     for r in initial:
+        mask |= mask_of(r)
         expected.update(r.blocks())
+    assert mask_ranges(mask) == merge_overlapping(initial)
     for r in removals:
-        s.subtract(r)
+        mask &= ~mask_of(r)
         expected.difference_update(r.blocks())
-    assert set(s) == expected
+    assert mask_blocks(mask) == sorted(expected)
+    assert {b for r in mask_ranges(mask) for b in r} == expected
 
 
 @settings(max_examples=60, deadline=None)

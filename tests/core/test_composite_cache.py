@@ -79,12 +79,18 @@ def parts_of(gates, *, shared=True):
 
 
 def as_bytes(action, qubits):
-    """Everything a composed operation is, down to the bits."""
+    """Everything a composed operation is, down to the bits -- but for the
+    sign of zero: the key is the value, and rz(0) and p(0) classify to equal
+    phases (1-0j, 1+0j) and (1+0j, 1+0j), so what another test cached first
+    may carry either sign.  (``+ 0.0`` turns -0.0 into 0.0.)"""
     if isinstance(action, DiagonalAction):
-        body = ("diag", action.phases, action.phase_array.tobytes())
+        body = ("diag", action.phases, (action.phase_array + 0.0).tobytes())
     else:
         assert isinstance(action, MonomialAction)
-        body = ("mono", action.perm, action.factors, action.factor_array.tobytes())
+        body = (
+            "mono", action.perm, action.factors,
+            (action.factor_array + 0.0).tobytes(),
+        )
     return (action.num_qubits, tuple(qubits)) + body
 
 

@@ -94,6 +94,7 @@ def _simulator(levels, num_qubits=4, **kwargs):
     circuit.from_levels(levels)
     kwargs.setdefault("block_size", 4)
     kwargs.setdefault("kernel_backend", "numpy")
+    kwargs.setdefault("num_workers", 1)  # no worker pool to leave behind
     return QTaskSimulator(circuit, **kwargs)
 
 

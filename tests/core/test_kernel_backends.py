@@ -47,9 +47,11 @@ def _mixed_levels(num_qubits=6):
 
 
 def _reference_state(levels=None, **knobs):
-    ref = _simulator(levels or _mixed_levels(), kernel_backend=KernelBackend(), **knobs)
-    ref.update_state()
-    return ref.state()
+    with _simulator(
+        levels or _mixed_levels(), kernel_backend=KernelBackend(), **knobs
+    ) as ref:
+        ref.update_state()
+        return ref.state()
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +63,8 @@ def _reference_state(levels=None, **knobs):
 
 class TestMakeBackend:
     def test_numpy(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
-        assert type(sim._backend) is NumpyBatchBackend
+        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
+            assert type(sim._backend) is NumpyBatchBackend
 
     def test_legacy_is_rejected(self):
         with pytest.raises(ValueError, match=ACCEPTED):
@@ -78,10 +80,10 @@ class TestMakeBackend:
         update on it (chaos plan parked: an injected ``kernel.run`` fault is
         a fallback) never takes the run-granular fallback."""
         for spec in ("auto", None):
-            sim = _simulator(_mixed_levels(), kernel_backend=spec)
-            sim.update_state()
-            assert type(sim._backend) is NumpyBatchBackend
-            assert sim.plan_report().backend_fallbacks == 0
+            with _simulator(_mixed_levels(), kernel_backend=spec) as sim:
+                sim.update_state()
+                assert type(sim._backend) is NumpyBatchBackend
+                assert sim.plan_report().backend_fallbacks == 0
 
     def test_unknown_name_raises(self):
         for spec in ("cuda", 42):
@@ -92,14 +94,14 @@ class TestMakeBackend:
         """Historical id: nothing reads ``QTASK_KERNEL_BACKEND`` any more, so
         a value the keyword would reject changes nothing."""
         monkeypatch.setenv("QTASK_KERNEL_BACKEND", "legacy")
-        sim = _simulator([[Gate("h", (0,))]])
-        assert sim._backend.name == "numpy"
+        with _simulator([[Gate("h", (0,))]]) as sim:
+            assert sim._backend.name == "numpy"
 
     def test_explicit_knob_beats_env(self, monkeypatch):
         monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")  # never read
         backend = KernelBackend()
-        sim = _simulator([[Gate("h", (0,))]], kernel_backend=backend)
-        assert sim._backend is backend
+        with _simulator([[Gate("h", (0,))]], kernel_backend=backend) as sim:
+            assert sim._backend is backend
 
     def test_available_backends_contents(self):
         """Historical id: the backends there are, are the module's two classes."""
@@ -162,17 +164,18 @@ class TestNumbaBackend:
         """A chunk that faults *after* publishing is re-executed run by run
         over its own output: the writes are plain overwrites, so the state
         is the reference loop's and no block is held twice."""
-        sim = _simulator(_mixed_levels(), kernel_backend=_FaultsOncePublished())
-        sim.update_state()
-        np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
-        report = sim.plan_report()
-        assert report.backend_fallbacks == report.plan_chunks > 0
-        clean = _simulator(_mixed_levels())
-        clean.update_state()
-        assert (
-            sim.memory_report().allocated_bytes
-            == clean.memory_report().allocated_bytes
-        )
+        with _simulator(
+            _mixed_levels(), kernel_backend=_FaultsOncePublished()
+        ) as sim, _simulator(_mixed_levels()) as clean:
+            sim.update_state()
+            np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
+            report = sim.plan_report()
+            assert report.backend_fallbacks == report.plan_chunks > 0
+            clean.update_state()
+            assert (
+                sim.memory_report().allocated_bytes
+                == clean.memory_report().allocated_bytes
+            )
 
 
 class TestProcessPoolBackend:
@@ -230,18 +233,18 @@ class _FragileBackend(KernelBackend):
 
 class TestFailureSafety:
     def test_failure_safe_backend_falls_back_per_run(self):
-        sim = _simulator(_mixed_levels(), kernel_backend=FaultingBackend())
-        sim.update_state()
-        np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
-        assert sim.plan_report().backend_fallbacks > 0
-        fallbacks = sim.telemetry.events.events(kind="chunk.fallback")
-        assert {e.fields["backend"] for e in fallbacks} == {"faulting"}
+        with _simulator(_mixed_levels(), kernel_backend=FaultingBackend()) as sim:
+            sim.update_state()
+            np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
+            assert sim.plan_report().backend_fallbacks > 0
+            fallbacks = sim.telemetry.events.events(kind="chunk.fallback")
+            assert {e.fields["backend"] for e in fallbacks} == {"faulting"}
 
     def test_non_failure_safe_backend_propagates(self):
-        sim = _simulator(_mixed_levels(), kernel_backend=_FragileBackend())
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.update_state()
-        assert sim.plan_report().backend_fallbacks == 0
+        with _simulator(_mixed_levels(), kernel_backend=_FragileBackend()) as sim:
+            with pytest.raises(RuntimeError, match="boom"):
+                sim.update_state()
+            assert sim.plan_report().backend_fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +254,24 @@ class TestFailureSafety:
 
 class TestPlanStatistics:
     def test_counters_accumulate_across_updates(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
-        sim.update_state()
-        first = sim.plan_report()
-        assert first.updates_planned == 1
-        assert first.plans_built > 0
-        assert first.runs_batched >= first.plans_built
-        handle = sim.circuit.gates()[6]  # an rz of the second level
-        sim.circuit.update_gate(handle, 1.234)
-        sim.update_state()
-        second = sim.plan_report()
-        assert second.updates_planned == 2
-        assert second.plans_built > first.plans_built
+        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
+            sim.update_state()
+            first = sim.plan_report()
+            assert first.updates_planned == 1
+            assert first.plans_built > 0
+            assert first.runs_batched >= first.plans_built
+            handle = sim.circuit.gates()[6]  # an rz of the second level
+            sim.circuit.update_gate(handle, 1.234)
+            sim.update_state()
+            second = sim.plan_report()
+            assert second.updates_planned == 2
+            assert second.plans_built > first.plans_built
 
     def test_statistics_merges_plan_report(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
-        sim.update_state()
-        stats = sim.statistics()
-        report = sim.plan_report().as_dict()
+        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
+            sim.update_state()
+            stats = sim.statistics()
+            report = sim.plan_report().as_dict()
         assert set(report) == {
             "backend", "plans_built", "runs_batched", "runs_fallback",
             "stages_coalesced", "plan_chunks", "backend_fallbacks",
@@ -278,17 +281,17 @@ class TestPlanStatistics:
         assert stats["backend"] == "numpy"
 
     def test_fork_inherits_backend(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
-        sim.update_state()
-        child = sim.fork()
-        assert child._backend is sim._backend
-        assert child.plan_report().updates_planned == 0
+        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
+            sim.update_state()
+            with sim.fork() as child:
+                assert child._backend is sim._backend
+                assert child.plan_report().updates_planned == 0
         # a parent on the reference loop forks onto the reference loop
-        reference = _simulator(_mixed_levels(), kernel_backend=KernelBackend())
-        reference.update_state()
-        child2 = reference.fork()
-        assert child2._backend is reference._backend
-        assert child2.plan_report().backend == "base"
-        child2.circuit.update_gate(child2.circuit.gates()[6], 1.234)
-        child2.update_state()
-        assert child2.plan_report().updates_planned == 1
+        with _simulator(_mixed_levels(), kernel_backend=KernelBackend()) as reference:
+            reference.update_state()
+            with reference.fork() as child2:
+                assert child2._backend is reference._backend
+                assert child2.plan_report().backend == "base"
+                child2.circuit.update_gate(child2.circuit.gates()[6], 1.234)
+                child2.update_state()
+                assert child2.plan_report().updates_planned == 1

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import QTask
 from repro.core.circuit import Circuit
+from repro.core.exceptions import CheckpointError
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 from repro.parallel import SequentialExecutor, WorkStealingExecutor
@@ -13,6 +15,7 @@ from ..conftest import (
     circuit_levels,
     random_levels,
     reference_state,
+    worker_threads,
 )
 
 
@@ -378,3 +381,26 @@ def test_reads_of_a_closed_session_raise(no_plan):
     ):
         with pytest.raises(QTaskError, match="session is closed"):
             read()
+
+
+@pytest.mark.parametrize(
+    "open_rejected",
+    [
+        pytest.param(lambda path: QTask(3, kernel_backend="numba"), id="kernel_backend"),
+        pytest.param(lambda path: QTask(3, store_transport="bogus"), id="store_transport"),
+        pytest.param(lambda path: QTask.restore(path), id="corrupt_checkpoint"),
+    ],
+)
+def test_a_rejected_session_leaves_no_worker_running(open_rejected, tmp_path):
+    """A knob or a file refused after the executor would have started."""
+    path = tmp_path / "s.qtckpt"
+    with QTask(3, block_size=2, num_workers=1) as session:
+        session.insert_gate("h", session.insert_net(), 0)
+        session.checkpoint(str(path))
+    payload = bytearray(path.read_bytes())
+    payload[-1] ^= 0xFF  # a checksum mismatch in the last block
+    path.write_bytes(bytes(payload))
+    before = worker_threads()
+    with pytest.raises((ValueError, CheckpointError)):
+        open_rejected(str(path))
+    assert worker_threads() == before

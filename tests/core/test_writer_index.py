@@ -7,18 +7,18 @@ Four things are pinned here:
   keeps the paper's frontier list by watching a session's stage list from
   outside and answers with ``closest_writer_reachability`` -- nodes and
   closest-overlap edges built from scratch from ``graph.stages``,
-  ``partition_specs()`` and ``reads_all_blocks()``, then a DFS.  A session
-  is driven through a random modifier sequence -- mid-circuit nets, inserts,
+  ``partition_specs()`` and ``reads_all_blocks()``, then a DFS.  The state
+  machine (``tests/machine.py``, its ``MODIFIERS`` rules on one worker)
+  drives sessions through mid-circuit nets, inserts, runs of removals, net
   removals, retunes (classification crossovers included), matvec stages,
-  measure/reset/``c_if``, one modifier per update and batches of them
-  (``eager``: whether runs coalesce), copy-on-write on and off, forks,
-  checkpoint/restore -- and after every step the frontier sweep must name
-  the same ``(stage seq, block range, is_sync)`` set; whenever nothing is
-  pending the state must equal the dense reference.  The oracle widens the
-  paper's closure to the coalesced runs it meets (by its own reading of
-  which runs the modifiers left intact), and after every completed update
+  measure/reset/``c_if``, one modifier per update and batches of them,
+  forks and checkpoint/restore, and after every step the
+  frontier sweep must name the same ``(stage seq, block range, is_sync)``
+  set.  The oracle widens the paper's closure to the coalesced runs it
+  meets (by its own reading of which runs the modifiers left intact).
+  Whenever nothing is pending the state must equal the dense reference,
   every block any stage *holds* must equal the dense prefix state after
-  that stage and the run records must agree with the stores
+  that stage, and the run records must agree with the stores
   (``conftest.assert_held_blocks_are_prefix_states`` /
   ``assert_runs_are_consistent``).
 * **The index lists exactly the declaring stages**, by seq, after every step.
@@ -31,8 +31,6 @@ Four things are pinned here:
   index, which lists *declared* writers (``test_block_sources.py`` pins the
   resolution itself).
 """
-
-import random
 
 import numpy as np
 import pytest
@@ -54,19 +52,13 @@ from repro.core.partition import (
 )
 
 from ..conftest import (
-    NUM_CLBITS,
     FrontierOracle,
-    apply_op,
-    assert_held_blocks_are_prefix_states,
-    assert_held_blocks_declared,
-    assert_runs_are_consistent,
     closest_writer_reachability,
     dense_state,
-    draw_op,
-    random_gate,
     session_handles,
     swept_nodes,
 )
+from ..machine import MODIFIERS, assert_index_matches_stage_order, run_machine
 
 COMMON_SETTINGS = dict(
     deadline=None,
@@ -83,114 +75,14 @@ def wiring(graph):
     return {(node_key(pred), node_key(succ)) for pred, succ in graph.edges()}
 
 
-def assert_index_matches_stage_order(graph):
-    """Each block's entry lists exactly its declaring stages, by seq."""
-    expected = [[] for _ in graph._writers]
-    for stage in graph.stages:
-        for node in graph.partition_nodes(stage):
-            for block in node.block_range:
-                expected[block].append(stage)
-    assert graph._writers == expected
-    assert graph.num_nodes() == len(graph.all_nodes())
-
-
 # ---------------------------------------------------------------------------
-# a pair of sessions driven through one modifier sequence
+# the machine: every modifier, fork and restore, on the sequential executor
 # ---------------------------------------------------------------------------
 
-def mostly_classical_gate(rng, qubits):
-    """Diagonal and permutation gates, now and then anything.
 
-    A stage that reads everything is affected whole by any dirt upstream and
-    dirties everything downstream: circuits full of them hide scoping bugs.
-    """
-    if rng.random() < 0.1:
-        return random_gate(rng, qubits)
-    if len(qubits) >= 2 and rng.random() < 0.5:
-        name = rng.choice(["cx", "cz", "swap", "cp", "crz", "rzz"])
-        params = () if name in ("cx", "cz", "swap") else (rng.uniform(0, 2 * np.pi),)
-        return Gate(name, tuple(rng.sample(list(qubits), 2)), params)
-    name = rng.choice(["x", "y", "z", "s", "t", "rz", "p"])
-    params = (rng.uniform(0, 2 * np.pi),) if name in ("rz", "p") else ()
-    return Gate(name, (rng.choice(list(qubits)),), params)
-
-
-@settings(max_examples=150, **COMMON_SETTINGS)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    num_qubits=st.integers(3, 6),
-    block_size=st.sampled_from([2, 2, 4, 4, 8, 16, 256]),
-    copy_on_write=st.booleans(),
-    eager=st.booleans(),
-    prebuilt=st.booleans(),
-    removal_bias=st.sampled_from([0.0, 0.4]),
-    gate=st.sampled_from([random_gate, mostly_classical_gate]),
-)
-def test_sweep_equals_closest_writer_reachability(
-    seed, num_qubits, block_size, copy_on_write, eager, prebuilt,
-    removal_bias, gate, tmp_path_factory,
-):
-    # Chaos mode is parked: hypothesis draws differ from run to run, so an
-    # armed plan would hand every later test a different stretch of the
-    # seeded fault streams.  A failing update is pinned by the case below.
-    parked = faults.install(None)
-    rng = random.Random(seed)
-    session = QTask(
-        num_qubits, num_clbits=NUM_CLBITS, block_size=block_size, num_workers=1,
-        copy_on_write=copy_on_write, seed=seed % 1000,
-    )
-    if prebuilt:  # something to remove from the first step on
-        for _ in range(6):
-            net, free = session.insert_net(), list(range(num_qubits))
-            while free and rng.random() < 0.7:
-                placed = session.insert_gate(gate(rng, free), net).gate
-                free = [q for q in free if q not in placed.qubits]
-        session.update_state()
-    oracle = FrontierOracle(session)
-    opened = [session]
-    removed_at = None
-    try:
-        for _ in range(30):
-            op = draw_op(rng, session, gate)
-            handles = session_handles(session)
-            if handles and rng.random() < removal_bias:
-                # runs of removals, mostly of neighbours in circuit order:
-                # dirt handed on from anchor to anchor
-                if removed_at is None or removed_at >= len(handles):
-                    removed_at = rng.randrange(len(handles))
-                op = ("remove", removed_at)
-            removed_at = op[1] if op[0] == "remove" else None
-            if op[0] == "restore":
-                path = str(tmp_path_factory.mktemp("writer_index") / "s.ckpt")
-                session.checkpoint(path)
-                session = QTask.restore(path, num_workers=1)
-            else:
-                session = apply_op(session, op)
-            if session is not opened[-1]:  # forked or restored: computed state
-                opened.append(session)
-                oracle = FrontierOracle(session)
-            graph = session.simulator.graph
-            assert swept_nodes(session) == oracle.expected(), op
-            assert_index_matches_stage_order(graph)
-            if eager:  # one modifier per update instead of a batch
-                session.update_state()
-                assert not swept_nodes(session) and not oracle.expected(), op
-            if not graph.has_pending and session.simulator.state_epoch[0]:
-                if copy_on_write:
-                    assert_held_blocks_declared(session)
-                np.testing.assert_allclose(
-                    session.state(), dense_state(session), atol=1e-10
-                )
-                assert_held_blocks_are_prefix_states(session)
-                assert_runs_are_consistent(session)
-        session.update_state()
-        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
-        assert_held_blocks_are_prefix_states(session)
-        assert_runs_are_consistent(session)
-    finally:
-        for opened_session in opened:
-            opened_session.close()
-        faults.install(parked)
+def test_sweep_equals_closest_writer_reachability(tmp_path):
+    run_machine(tmp_path, rules=MODIFIERS, num_workers=1, store_transport=None,
+                max_examples=150, steps=30)
 
 
 def test_failed_update_keeps_its_pending_dirt(no_plan):
@@ -215,6 +107,30 @@ def test_failed_update_keeps_its_pending_dirt(no_plan):
         assert swept_nodes(session) == pending == oracle.expected()
         session.update_state()
         assert not swept_nodes(session) and not oracle.expected()
+        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
+
+
+def test_a_partly_hit_stage_dirties_its_whole_partitions(no_plan):
+    """3 qubits in blocks of 2 (block bits q1, q2), one update per stage so
+    nothing coalesces.  Retuning p[q1] dirties blocks 1 and 3; x[q1] pairs
+    blocks (0, 1) and (2, 3), so both its partitions re-run and blocks 0
+    and 2 change too; z[q2]'s block-2 partition is reached only through
+    that rewrite."""
+    with QTask(3, block_size=2, num_workers=1) as session:
+        net = session.insert_net()
+        for q in range(3):
+            session.insert_gate("h", net, q)
+        session.update_state()
+        phase = session.insert_gate("p", session.insert_net(), 1, params=[0.3])
+        for name, qubit in (("x", 1), ("z", 2)):
+            session.update_state()
+            session.insert_gate(name, session.insert_net(), qubit)
+        session.update_state()
+        oracle = FrontierOracle(session)
+        session.update_gate(phase, 1.1)
+        swept = swept_nodes(session)
+        assert swept == oracle.expected() and (3, (2, 2), False) in swept
+        session.update_state()
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
 
 

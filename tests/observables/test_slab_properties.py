@@ -3,9 +3,10 @@
 ``ObservablesEngine.expectation_value`` computes every missing (term, block)
 partial from one gather and one matmul per flip mask, and keeps the partials
 in per-term arrays invalidated by the update's dirty frontier.  Three answers
-must agree to 1e-10 after every step of a random session -- inserts,
-removals, retunes, measure / reset / ``c_if``, forks with edits on either
-side, checkpoint -> restore, queries with modifiers still pending:
+must agree to 1e-10 after every step of the state machine in
+``tests/machine.py`` -- inserts, removals, retunes, measure / reset /
+``c_if``, forks with edits on either side, checkpoint -> restore, injected
+faults, queries with modifiers still pending:
 
 * the session's own (caching) engine,
 * a ``cache=False`` engine on the same simulator (the same code with nothing
@@ -22,164 +23,24 @@ included.  The deterministic half pins what one query costs: one
 
 from __future__ import annotations
 
-import os
-import random
-
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import QTask
-from repro.core import faults
-from repro.observables import (
-    ObservablesEngine,
-    PauliString,
-    PauliSum,
-    PrefixSumTree,
-    dense_expectation,
-)
+from repro.observables import PauliString, PauliSum, PrefixSumTree, dense_expectation
 
-from ..conftest import NUM_CLBITS, apply_op, draw_op, open_session
-
-HAVE_FORK = hasattr(os, "fork")
-
-SETTINGS = dict(
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-
-#: sessions checked after every step (a fork beyond this replaces the oldest)
-MAX_LIVE = 3
+from ..machine import MODIFIERS, run_machine
 
 
 # ---------------------------------------------------------------------------
-# drawing observables
+# the property: the state machine's expectation invariant
 # ---------------------------------------------------------------------------
 
 
-def draw_term(rng, qubits, max_weight=3):
-    support = rng.sample(qubits, rng.randint(1, min(max_weight, len(qubits))))
-    return PauliString(
-        {q: rng.choice("XYZ") for q in support},
-        coefficient=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-    )
-
-
-def draw_observable(rng, num_qubits, block_len):
-    """Identity + supports below / above / straddling the block boundary."""
-    bits = min(block_len, 1 << num_qubits).bit_length() - 1
-    low, high = list(range(bits)), list(range(bits, num_qubits))
-    terms = [PauliString((), coefficient=complex(rng.uniform(-1, 1), 0.5))]
-    if low:
-        terms.append(draw_term(rng, low))
-    if high:
-        terms.append(draw_term(rng, high))
-    if low and high:
-        straddling = {rng.choice(low): rng.choice("XYZ"),
-                      rng.choice(high): rng.choice("XY")}
-        terms.append(PauliString(straddling, coefficient=1.5 - 0.25j))
-    terms += [draw_term(rng, list(range(num_qubits))) for _ in range(2)]
-    return PauliSum(terms)
-
-
-def dense_value(state, obs) -> complex:
-    """``sum_t c_t <P_t>`` with every ``<P_t>`` from the dense path."""
-    return sum(
-        t.coefficient * dense_expectation(state, PauliString(t.paulis))
-        for t in obs.terms
-    )
-
-
-# ---------------------------------------------------------------------------
-# the property
-# ---------------------------------------------------------------------------
-
-
-class Checked:
-    """A live session with the uncached engine that shadows it."""
-
-    def __init__(self, session):
-        self.session = session
-        self.uncached = ObservablesEngine(session.simulator, cache=False)
-
-    def check(self, observables, context):
-        sim = self.session.simulator
-        engine = sim.observables
-        state = sim.state()
-        for obs in observables:
-            want = dense_value(state, obs)
-            got = engine.expectation_value(obs)
-            assert abs(got - want) < 1e-10, (context, got, want)
-            assert abs(self.uncached.expectation_value(obs) - want) < 1e-10, context
-            if engine.cache:
-                # a query leaves every partial of its terms valid ...
-                assert all(engine._terms[t.key].valid.all() for t in obs.terms)
-        # ... and the uncached engine keeps nothing
-        assert self.uncached.cached_partials == 0
-
-
-@settings(max_examples=25, **SETTINGS)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    num_qubits=st.integers(3, 10),
-    block_bits=st.integers(1, 8),
-    stepwise=st.booleans(),
-    copy_on_write=st.booleans(),
-    sharded=st.booleans(),
-)
-def test_slab_engine_equals_dense_and_uncached(
-    seed, num_qubits, block_bits, stepwise, copy_on_write, sharded,
-    tmp_path_factory,
-):
-    # Chaos mode is parked: hypothesis draws differ from run to run, so an
-    # armed plan would hand every later test a different stretch of the
-    # seeded fault streams.
-    parked = faults.install(None)
-    rng = random.Random(seed)
-    # at most 64 blocks, so a step stays cheap at 10 qubits
-    block_size = 1 << max(block_bits, num_qubits - 6)
-    knobs = dict(
-        num_clbits=NUM_CLBITS, block_size=block_size, num_workers=1,
-        stepwise=stepwise, copy_on_write=copy_on_write, seed=seed % 1000,
-    )
-    if sharded and HAVE_FORK:
-        knobs["store_transport"] = "sharded"
-    first = draw_observable(rng, num_qubits, block_size)
-    # shares terms with ``first``: within one flip mask, terms first seen at
-    # different times carry different validity bitmaps
-    second = PauliSum(first.terms[::2]) + draw_observable(rng, num_qubits, block_size)
-    opened = [open_session(num_qubits, **knobs)]
-    live = [Checked(opened[0])]
-    try:
-        for step in range(24):
-            slot = rng.randrange(len(live))
-            session = live[slot].session
-            op = draw_op(rng, session)
-            if op[0] == "restore":
-                path = str(tmp_path_factory.mktemp("slab_observables") / "s.ckpt")
-                session.checkpoint(path)
-                opened.append(QTask.restore(path, num_workers=1))
-                live[slot] = Checked(opened[-1])
-            elif op[0] == "fork":
-                # the parent stays live: later steps edit either side
-                opened.append(apply_op(session, op))
-                live.append(Checked(opened[-1]))
-                del live[:-MAX_LIVE]
-            else:
-                apply_op(session, op)
-            # modifiers may be pending here: the engine answers for whatever
-            # ``state()`` reads
-            asked = rng.choice([(first,), (second,), (first, second)])
-            for checked in live:
-                checked.check(asked, (step, op))
-        for checked in live:
-            checked.session.update_state()
-            checked.check((first, second), "final")
-    finally:
-        for session in opened:
-            session.close()
-        faults.install(parked)
+def test_slab_engine_equals_dense_and_uncached(tmp_path):
+    # the session's own engine caches (the uncached one is the machine's)
+    run_machine(tmp_path, rules=MODIFIERS | {"expectation", "inject_fault"},
+                observable_cache=True, max_examples=25, steps=24)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ import threading
 
 import pytest
 
+from repro.core import faults
+from repro.core.faults import FaultInjected, FaultPlan
 from repro.qtask import QTask
 from repro.service import SessionPool
 from repro.telemetry import MetricsRegistry
+
+from ..conftest import worker_threads
 
 
 def make_factory(num_qubits=2, calls=None):
@@ -55,6 +59,28 @@ def test_forks_are_isolated_from_base():
         assert hit is True
         assert fork2.num_gates == 1  # just the base's h, not the x
         fork2.close()
+        pool.release("a")
+    finally:
+        pool.close()
+
+
+def test_failed_warm_update_closes_the_base_and_the_next_lease_rebuilds(no_plan):
+    pool = SessionPool()
+    calls = []
+    before = worker_threads()
+    try:
+        # every publish fails: the base's warm update_state() raises
+        faults.install(FaultPlan(probabilities={"cow.publish": 1.0}))
+        try:
+            with pytest.raises(FaultInjected):
+                pool.lease("a", make_factory(calls=calls))
+        finally:
+            faults.install(None)
+        assert worker_threads() == before
+        assert "a" not in pool.keys()
+        fork, hit = pool.lease("a", make_factory(calls=calls))
+        assert hit is False and len(calls) == 2
+        fork.close()
         pool.release("a")
     finally:
         pool.close()

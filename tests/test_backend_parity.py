@@ -90,10 +90,10 @@ def test_random_circuit_matches_dense(backend, knobs):
     num_qubits = 6
     rng = random.Random(20260807)
     levels = random_levels(rng, num_qubits, 8)
-    sim = _build(levels, num_qubits, backend, knobs)
-    sim.update_state()
-    expected = reference_state(num_qubits, levels)
-    np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
+    with _build(levels, num_qubits, backend, knobs) as sim:
+        sim.update_state()
+        expected = reference_state(num_qubits, levels)
+        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -101,17 +101,17 @@ def test_incremental_insert_matches_dense(backend):
     num_qubits = 5
     rng = random.Random(7)
     levels = random_levels(rng, num_qubits, 5)
-    sim = _build(levels, num_qubits, backend, dict(block_size=4))
-    sim.update_state()
-    # grow the circuit after the first update: the dirty frontier is a
-    # suffix cone, so plans now cover a strict subset of the stages
-    net = sim.circuit.insert_net()
-    sim.circuit.insert_gate("cx", net, 0, num_qubits - 1)
-    net2 = sim.circuit.insert_net()
-    sim.circuit.insert_gate("rz", net2, 2, params=[0.917])
-    sim.update_state()
-    expected = reference_state(num_qubits, circuit_levels(sim.circuit))
-    np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
+    with _build(levels, num_qubits, backend, dict(block_size=4)) as sim:
+        sim.update_state()
+        # grow the circuit after the first update: the dirty frontier is a
+        # suffix cone, so plans now cover a strict subset of the stages
+        net = sim.circuit.insert_net()
+        sim.circuit.insert_gate("cx", net, 0, num_qubits - 1)
+        net2 = sim.circuit.insert_net()
+        sim.circuit.insert_gate("rz", net2, 2, params=[0.917])
+        sim.update_state()
+        expected = reference_state(num_qubits, circuit_levels(sim.circuit))
+        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +139,17 @@ def test_retune_sequence_matches_dense(backend, knobs):
             [Gate("rz", (q,), (0.1 + 0.2 * layer + 0.05 * q,)) for q in range(num_qubits)]
         )
         levels.append([Gate("cx", (q, q + 1)) for q in range(0, num_qubits - 1, 2)])
-    sim = open_session(circuit, **backend(), **knobs)
-    circuit.from_levels(levels)
-    sim.update_state()
-    handles = [h for h in circuit.gates() if h.gate.name == "rz"]
-    rng = random.Random(3)
-    for step in range(3):
-        for h in rng.sample(handles, 4):
-            circuit.update_gate(h, rng.uniform(0, 2 * np.pi))
+    with open_session(circuit, **backend(), **knobs) as sim:
+        circuit.from_levels(levels)
         sim.update_state()
-        expected = reference_state(num_qubits, circuit_levels(circuit))
-        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
+        handles = [h for h in circuit.gates() if h.gate.name == "rz"]
+        rng = random.Random(3)
+        for step in range(3):
+            for h in rng.sample(handles, 4):
+                circuit.update_gate(h, rng.uniform(0, 2 * np.pi))
+            sim.update_state()
+            expected = reference_state(num_qubits, circuit_levels(circuit))
+            np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +198,30 @@ def test_forked_sessions_match_dense(backend):
     num_qubits = 5
     rng = random.Random(99)
     levels = random_levels(rng, num_qubits, 6)
-    sim = _build(levels, num_qubits, backend, dict(block_size=4))
-    sim.update_state()
-    handles = [h for h in sim.circuit.gates() if h.gate.params]
-    if not handles:
-        net = sim.circuit.insert_net()
-        handles = [sim.circuit.insert_gate("rz", net, 0, params=[0.4])]
+    with _build(levels, num_qubits, backend, dict(block_size=4)) as sim:
         sim.update_state()
-    child = sim.fork()
-    mirrored = child.circuit.gates()[sim.circuit.gates().index(handles[0])]
-    child.circuit.update_gate(mirrored, 2.468)
-    child.update_state()
-    np.testing.assert_allclose(
-        child.state(),
-        reference_state(num_qubits, circuit_levels(child.circuit)),
-        atol=ATOL,
-        rtol=0,
-    )
-    # the parent's state is untouched by the child's retune
-    np.testing.assert_allclose(
-        sim.state(),
-        reference_state(num_qubits, circuit_levels(sim.circuit)),
-        atol=ATOL,
-        rtol=0,
-    )
+        handles = [h for h in sim.circuit.gates() if h.gate.params]
+        if not handles:
+            net = sim.circuit.insert_net()
+            handles = [sim.circuit.insert_gate("rz", net, 0, params=[0.4])]
+            sim.update_state()
+        with sim.fork() as child:
+            mirrored = child.circuit.gates()[sim.circuit.gates().index(handles[0])]
+            child.circuit.update_gate(mirrored, 2.468)
+            child.update_state()
+            np.testing.assert_allclose(
+                child.state(),
+                reference_state(num_qubits, circuit_levels(child.circuit)),
+                atol=ATOL,
+                rtol=0,
+            )
+        # the parent's state is untouched by the child's retune
+        np.testing.assert_allclose(
+            sim.state(),
+            reference_state(num_qubits, circuit_levels(sim.circuit)),
+            atol=ATOL,
+            rtol=0,
+        )
 
 
 # ---------------------------------------------------------------------------

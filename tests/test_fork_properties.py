@@ -15,22 +15,12 @@ The fork invariants:
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import QTask
-from repro.core.circuit import Circuit
-from repro.core.gates import Gate
-from repro.core.simulator import QTaskSimulator
 from repro.observables import dense_expectation
 
 from .conftest import BUILD_CORNERS, circuit_levels, open_session, reference_state
-
-COMMON_SETTINGS = dict(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+from .machine import EDITS, run_machine
 
 N_QUBITS = 5
 OBSERVABLE = "ZZ" + "I" * (N_QUBITS - 2)
@@ -118,57 +108,10 @@ def test_fork_retune_equals_fresh_build(stepwise, copy_on_write):
             child.close()
 
 
-@settings(**COMMON_SETTINGS)
-@given(seed=st.integers(0, 10_000), fork_first=st.booleans())
-def test_edits_never_cross_fork_boundary(seed, fork_first):
-    """Child edits leave the parent bit-identical, and vice versa."""
-    rng = np.random.default_rng(seed)
-    observable = "ZZII"  # this session is 4 qubits wide, OBSERVABLE is 5
-    with open_session(4, num_workers=1, stepwise=bool(seed % 2)) as parent:
-        rz_handles, rx_handles = _build_workload(parent)
-        if not fork_first:
-            parent.update_state()
-        child = parent.fork()  # flushes pending modifiers when fork_first
-        try:
-            parent_state = parent.state()
-            parent_exp = parent.expectation(observable)
-            child_net = child.insert_net()
-
-            # -- child edits: retune + insert + remove
-            child.update_gate(
-                child.handle_for(rz_handles[0]), float(rng.uniform(0.1, 6.0))
-            )
-            child.insert_gate("h", child_net, 1)
-            child.remove_gate(child.handle_for(rx_handles[-1]))
-            child.update_state()
-
-            np.testing.assert_array_equal(parent.state(), parent_state)
-            assert parent.expectation(observable) == parent_exp
-
-            # -- parent edits: the child must be equally unperturbed
-            child_state = child.state()
-            child_exp = child.expectation(observable)
-            parent.update_gate(rz_handles[1], float(rng.uniform(0.1, 6.0)))
-            parent_net = parent.insert_net()
-            parent.insert_gate("x", parent_net, 0)
-            parent.update_state()
-
-            np.testing.assert_array_equal(child.state(), child_state)
-            assert child.expectation(observable) == child_exp
-
-            # Both sides still agree with their own dense ground truth.
-            np.testing.assert_allclose(
-                parent.state(),
-                reference_state(4, circuit_levels(parent.circuit)),
-                atol=1e-9,
-            )
-            np.testing.assert_allclose(
-                child.state(),
-                reference_state(4, circuit_levels(child.circuit)),
-                atol=1e-9,
-            )
-        finally:
-            child.close()
+def test_edits_never_cross_fork_boundary():
+    """Edits on either side of a fork (and closing one) leave every other
+    session bit-identical: the machine's untouched-session check."""
+    run_machine(rules=EDITS | {"fork", "close_fork"}, max_examples=10, steps=12)
 
 
 def test_fork_of_fork_is_isolated():

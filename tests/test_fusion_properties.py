@@ -17,15 +17,8 @@ import pytest
 from repro.core.circuit import Circuit
 from repro.parallel import SequentialExecutor, WorkStealingExecutor
 
-from .conftest import (
-    apply_op,
-    assert_states_close,
-    dense_state,
-    draw_op,
-    open_session,
-    random_levels,
-    reference_state,
-)
+from .conftest import assert_states_close, open_session, random_levels, reference_state
+from .machine import EDITS, run_machine
 
 EXECUTORS = {
     "sequential": lambda: SequentialExecutor(),
@@ -77,35 +70,7 @@ def test_fused_matches_dense_reference_on_random_circuits(rng):
 
 
 def test_fused_equals_unfused_across_incremental_modifiers():
-    """Random insert / remove / retune sequences: the batched and the
-    stepwise session agree with each other and the oracle after each update."""
-    rng = random.Random(777)
-    for trial in range(12):
-        n = rng.randint(3, 6)
-        levels = random_levels(rng, n, rng.randint(2, 5))
-        block_size = rng.choice([4, 16, 64])
-        sessions = [
-            open_session(n, block_size=block_size, stepwise=flag)
-            for flag in (False, True)
-        ]
-        try:
-            for session in sessions:
-                session.circuit.from_levels(levels)
-                session.update_state()
-            for step in range(rng.randint(2, 5)):
-                op = draw_op(rng, sessions[0])
-                if op[0] not in ("net", "gate", "remove", "retune"):
-                    continue  # same structure on both sides, one trajectory
-                for session in sessions:
-                    apply_op(session, op)
-                    session.update_state()
-                    assert_states_close(
-                        session.state(), dense_state(session), atol=1e-9
-                    )
-                np.testing.assert_allclose(
-                    sessions[1].state(), sessions[0].state(), atol=1e-10, rtol=0.0,
-                    err_msg=f"trial {trial} step {step} op {op}",
-                )
-        finally:
-            for session in sessions:
-                session.close()
+    """Random insert / remove / retune sequences on a stepwise session (one
+    update per inserted gate) land on the dense oracle after every update
+    (the other ``EDITS`` ids draw it and the batched corner alike)."""
+    run_machine(rules=EDITS, stepwise=True, max_examples=12, steps=8)

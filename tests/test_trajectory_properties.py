@@ -22,12 +22,9 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
@@ -37,7 +34,8 @@ from repro.core.faults import FaultPlan
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
-from .conftest import open_session, random_level, replay_shots, replay_trajectories
+from .conftest import open_session, random_level, replay_shots
+from .machine import DYNAMIC, run_machine
 
 HAVE_FORK = hasattr(os, "fork")
 
@@ -292,107 +290,11 @@ def test_run_shots_shares_unitary_prefix_copy_on_write():
 # run_shots == one replay per shot
 # ---------------------------------------------------------------------------
 
-#: (name, arity, parameter count): diagonal, monomial and superposition gates
-SHOT_GATES = [
-    ("z", 1, 0), ("rz", 1, 1), ("cz", 2, 0),
-    ("x", 1, 0), ("cx", 2, 0), ("swap", 2, 0),
-    ("h", 1, 0), ("ry", 1, 1), ("rx", 1, 1),
-]
-SHOT_CLBITS = 3
 
-
-def build_shot_session(rng: random.Random, num_qubits: int, **knobs) -> QTask:
-    """Measure / reset / c_if nets interleaved with random unitary nets.
-
-    Every qubit starts in a superposition, so most collapses are a real
-    coin flip and 24 shots spread over many outcome paths.
-    """
-    ckt = open_session(num_qubits, num_clbits=SHOT_CLBITS, **knobs)
-    spread = ckt.insert_net()
-    for q in range(num_qubits):
-        ckt.insert_gate("ry", spread, q, params=[rng.uniform(0.8, 2.4)])
-
-    def gate_args(free):
-        name, arity, n_params = rng.choice(SHOT_GATES)
-        qubits = [free.pop(rng.randrange(len(free))) for _ in range(arity)]
-        return name, qubits, [rng.uniform(0.1, 3.0) for _ in range(n_params)]
-
-    for _ in range(rng.randint(4, 10)):
-        net = ckt.insert_net()
-        kind = rng.choice(["gates", "gates", "measure", "measure", "reset", "c_if"])
-        if kind == "gates":
-            free = list(range(num_qubits))
-            for _ in range(rng.randint(1, 3)):
-                if len(free) < 2:
-                    break
-                name, qubits, params = gate_args(free)
-                ckt.insert_gate(name, net, *qubits, params=params)
-        elif kind == "measure":
-            ckt.measure(net, rng.randrange(num_qubits), rng.randrange(SHOT_CLBITS))
-        elif kind == "reset":
-            ckt.reset(net, rng.randrange(num_qubits))
-        else:
-            name, qubits, params = gate_args(list(range(num_qubits)))
-            bits = rng.sample(range(SHOT_CLBITS), rng.randint(1, 2))
-            ckt.c_if(
-                name, net, *qubits, params=params,
-                condition=(bits, rng.randrange(1 << len(bits))),
-            )
-    return ckt
-
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    num_qubits=st.integers(3, 8),
-    block_size=st.sampled_from([2, 4, 16, 64, 256]),
-    stepwise=st.booleans(),
-    copy_on_write=st.booleans(),
-    sharded=st.booleans(),
-    num_workers=st.sampled_from([1, 2, 4]),
-    force=st.booleans(),
-)
-def test_run_shots_equals_one_replay_per_shot(
-    seed, num_qubits, block_size, stepwise, copy_on_write, sharded, num_workers,
-    force,
-):
-    # Chaos mode is parked (hypothesis draws differ from run to run, so an
-    # armed plan would hand every later test a different stretch of the
-    # seeded fault streams); recovery under faults is scripted below.
-    parked = faults.install(None)
-    rng = random.Random(seed)
-    knobs = dict(
-        block_size=block_size, stepwise=stepwise, copy_on_write=copy_on_write,
-        num_workers=num_workers, seed=seed % 1000,
-    )
-    if sharded and HAVE_FORK:
-        knobs["store_transport"] = "sharded"
-    ckt = build_shot_session(rng, num_qubits, **knobs)
-    shots, shot_seed = 24, seed % 9973
-    try:
-        if force:
-            # A forced operation never branches.  (The first collapse's
-            # masses hang on no earlier outcome, so the side it just took
-            # has mass on every trajectory.)
-            ckt.update_state()
-            for op, _, _, outcome in ckt.simulator.collapse_path()[:1]:
-                ckt.outcomes.force_outcomes({op: outcome})
-        trajectories = list(replay_trajectories(ckt, shots, shot_seed))
-        expected = Counter(bits for bits, _ in trajectories)
-        paths = {tuple(sorted(outcomes.items())) for _, outcomes in trajectories}
-        walked = ckt.telemetry.metrics.counter("shots.trajectories")
-        before = walked.value
-        assert ckt.run_shots(shots, seed=shot_seed) == expected
-        # one update per distinct outcome path, never one per shot, whatever
-        # the session's executor width
-        assert walked.value - before == len(paths) <= shots
-    finally:
-        ckt.close()
-        faults.install(parked)
+def test_run_shots_equals_one_replay_per_shot():
+    """Over drawn dynamic circuits and the whole knob space, forced
+    outcomes included (``tests/machine.py``'s ``run_shots`` rule)."""
+    run_machine(rules=DYNAMIC | {"update_gate", "run_shots"}, max_examples=30, steps=12)
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="sharded transport needs os.fork")

@@ -30,6 +30,7 @@ from .conftest import (
     random_levels,
     reference_state,
 )
+from .machine import EDITS, run_machine
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="sharded transport needs fork"
@@ -61,36 +62,16 @@ def _sim_pair(levels, *, num_qubits=N_QUBITS, **knobs):
 
 
 # ---------------------------------------------------------------------------
-# state equivalence: sharded == local == dense, initial and incremental
+# state equivalence: sharded == dense, initial and incremental
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("stepwise,copy_on_write", BUILD_CORNERS)
-@given(seed=st.integers(0, 10**6))
-@settings(**COMMON_SETTINGS)
-def test_sharded_matches_local_and_dense(stepwise, copy_on_write, seed):
-    rng = random.Random(seed)
-    levels = random_levels(rng, N_QUBITS, 4)
-    local, sharded = _sim_pair(
-        levels, block_size=4, stepwise=stepwise, copy_on_write=copy_on_write
-    )
-    try:
-        local.update_state()
-        sharded.update_state()
-        expected = reference_state(N_QUBITS, circuit_levels(local.circuit))
-        np.testing.assert_allclose(local.state(), expected, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(sharded.state(), expected, atol=ATOL, rtol=0)
-        # incremental growth: insert the same gate into both, update again
-        for sim in (local, sharded):
-            net = sim.circuit.insert_net()
-            sim.circuit.insert_gate("cx", net, 0, N_QUBITS - 1)
-            sim.update_state()
-        expected = reference_state(N_QUBITS, circuit_levels(local.circuit))
-        np.testing.assert_allclose(sharded.state(), expected, atol=ATOL, rtol=0)
-        np.testing.assert_allclose(sharded.state(), local.state(), atol=ATOL)
-    finally:
-        local.close()
-        sharded.close()
+def test_sharded_matches_local_and_dense(stepwise, copy_on_write):
+    """Sharded sessions against the dense oracle and the naive chain walk,
+    built whole and grown incrementally."""
+    run_machine(rules=EDITS, store_transport="sharded", stepwise=stepwise,
+                copy_on_write=copy_on_write, max_examples=5, steps=8)
 
 
 @pytest.mark.parametrize("block_size", [2, 4, 16])
@@ -117,30 +98,10 @@ def test_sharded_parity_across_block_size_and_backend(block_size, kernel_backend
         sharded.close()
 
 
-@given(seed=st.integers(0, 10**6))
-@settings(**COMMON_SETTINGS)
-def test_retune_parity(seed):
-    """update_gate + incremental update: both transports track the edit."""
-    rng = random.Random(seed)
-    levels = random_levels(rng, N_QUBITS, 3)
-    levels.append([])  # retunable tail level, inserted via the circuit API
-    local, sharded = _sim_pair(levels[:-1], block_size=4)
-    try:
-        handles = []
-        for sim in (local, sharded):
-            net = sim.circuit.insert_net()
-            handles.append(sim.circuit.insert_gate("rz", net, 2, params=[0.3]))
-            sim.update_state()
-        theta = rng.uniform(0, 2 * np.pi)
-        for sim, handle in zip((local, sharded), handles):
-            sim.circuit.update_gate(handle, theta)
-            sim.update_state()
-        np.testing.assert_allclose(sharded.state(), local.state(), atol=ATOL)
-        expected = reference_state(N_QUBITS, circuit_levels(local.circuit))
-        np.testing.assert_allclose(sharded.state(), expected, atol=ATOL, rtol=0)
-    finally:
-        local.close()
-        sharded.close()
+def test_retune_parity():
+    """update_gate + incremental update: the sharded session tracks the edit."""
+    run_machine(rules={"insert_net", "insert_gate", "update_gate"},
+                store_transport="sharded", max_examples=5, steps=8)
 
 
 # ---------------------------------------------------------------------------
