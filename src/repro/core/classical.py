@@ -297,9 +297,9 @@ class OutcomeRecord:
     def replace_forced(self, outcomes: Mapping[int, int]) -> Dict[int, int]:
         """Swap the forced-outcome table wholesale, returning the old one.
 
-        Store-transport recovery re-executes the whole circuit with the
-        recorded trajectory forced (so collapses replay instead of
-        redrawing), then restores whatever forcing the caller had.
+        Restoring a checkpoint with ``fused`` stages re-simulates the whole
+        circuit with the recorded trajectory forced (so collapses replay
+        instead of redrawing), then restores whatever forcing it had.
         """
         previous = self._forced
         self._forced = {int(k): int(v) & 1 for k, v in outcomes.items()}

@@ -16,7 +16,7 @@ copy-on-write a stage's store holds only blocks its partitions declare, so
 of b -- which an update's plan reads off the index once per block and hands
 to the stage's reader as a table.  Stores know nothing of the index: they
 carry no back-reference and report no writes, and a declarer that holds
-nothing (not executed yet, forsaken, left half-written by a failed update,
+nothing (not executed yet, left half-written by a failed update,
 or a member of a coalesced run whose later run-mate declares the block too)
 is stepped over at read time.  (The naive reference -- walk the stores
 backwards until one holds the block -- is ``tests/conftest.py::StoreChain``.)
@@ -42,26 +42,13 @@ to the freshly computed array and drops the reference -- copy-on-first-write
 with zero copies at fork time.  :class:`MemoryReport` splits the accounting
 into owned and shared bytes so a fleet of forked sessions can demonstrate
 sublinear memory growth.
-
-Where the block *payloads* live is delegated to a
-:class:`~repro.core.transport.StorageTransport`: the default
-:class:`~repro.core.transport.LocalTransport` keeps the numpy arrays in the
-store's dict (the hot paths short-circuit around the transport entirely, so
-the in-process case pays nothing), while
-:class:`~repro.core.transport.ShardedTransport` places block ranges across
-forked shard processes and the dict holds lightweight handles.  All the
-ownership bookkeeping above -- shared markers, export refcounts -- is
-transport-agnostic; remote stores additionally keep a
-small bounded read cache so plan execution does not re-fetch a block per
-run.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +60,6 @@ from .blocks import (
     num_blocks,
     validate_block_size,
 )
-from .transport import LOCAL_TRANSPORT, StorageTransport, TransportFailure
 
 __all__ = [
     "BlockStore",
@@ -85,21 +71,6 @@ __all__ = [
 
 _DTYPE = np.complex128
 
-#: bounded per-store read cache for remote transports (blocks, not bytes);
-#: sized to cover a full MAX_RUN_BLOCKS batch with headroom
-_READ_CACHE_BLOCKS = 128
-
-
-def _id_runs(ids: Sequence[int]) -> Iterator[Tuple[int, int]]:
-    """Index spans ``(i, j)`` of ``ids`` that hold consecutive block ids."""
-    i, n = 0, len(ids)
-    while i < n:
-        j = i
-        while j + 1 < n and ids[j + 1] == ids[j] + 1:
-            j += 1
-        yield i, j
-        i = j + 1
-
 
 class BlockStore:
     """Sparse per-stage storage of state-vector blocks.
@@ -108,17 +79,11 @@ class BlockStore:
     else resolves to an earlier store through :class:`IndexReader`.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        block_size: int,
-        transport: Optional[StorageTransport] = None,
-    ) -> None:
+    def __init__(self, dim: int, block_size: int) -> None:
         self.dim = int(dim)
         self.block_size = validate_block_size(block_size)
         self.n_blocks = num_blocks(self.dim, self.block_size)
-        #: block id -> payload handle: the array itself on a local
-        #: transport, an opaque remote handle otherwise
+        #: block id -> the block's amplitudes
         self._blocks: Dict[int, np.ndarray] = {}
         # Every block has the same length: dim is a power of two, so it is
         # either a multiple of the block size or smaller than one block.
@@ -133,187 +98,17 @@ class BlockStore:
         #: forked sessions release refs from worker threads)
         self._export_refs: Dict[int, int] = {}
         self._export_lock = threading.Lock()
-        #: payload placement; ``_remote`` is the single hot-path branch --
-        #: ``None`` means every read/write goes straight at the dict
-        self.transport: StorageTransport = LOCAL_TRANSPORT
-        self._remote: Optional[StorageTransport] = None
-        self._tid: Optional[int] = None
-        self._read_cache: Dict[int, np.ndarray] = {}
-        #: publish batching (remote only): while a batch is open, writes
-        #: bind the local array into ``_blocks`` and register here; the
-        #: closing of the outermost batch ships every pending block in
-        #: contiguous runs -- one transport round-trip per run instead of
-        #: one per kernel publish
-        self._batch_lock = threading.Lock()
-        self._batch_depth = 0
-        self._pending_publish: set = set()
-        #: bumped by :meth:`forsake_blocks` (under ``_batch_lock``).  Remote
-        #: ships capture the epoch before the round-trip and discard their
-        #: handle rebind when it moved: a straggler chunk racing the
-        #: transport-recovery path must not resurrect remote handles in a
-        #: store that was just forsaken (and possibly rebound to local).
-        self._epoch = 0
-        if transport is not None:
-            self.bind_transport(transport)
-
-    # -- transport binding -------------------------------------------------
-
-    @property
-    def is_remote_backed(self) -> bool:
-        """True when block payloads live outside this process."""
-        return self._remote is not None
-
-    def bind_transport(self, transport: Optional[StorageTransport]) -> None:
-        """Adopt ``transport`` for payload placement.
-
-        Stores are bound when their stage enters a simulator -- before any
-        block is written -- so this is normally a pure attribute swap; held
-        blocks are migrated (materialise + rewrite) for the defensive case.
-        """
-        if transport is None or transport is self.transport:
-            return
-        existing: List[Tuple[int, np.ndarray]] = []
-        if self._blocks:
-            existing = [(b, self.get_block(b)) for b in self.stored_blocks()]
-            for b in tuple(self._shared):
-                self._release_shared(b)
-            if self._remote is not None:
-                try:
-                    self._remote.release(self, tuple(self._blocks))
-                except TransportFailure:  # pragma: no cover - best effort
-                    pass
-            self._blocks.clear()
-        self.transport = transport
-        self._remote = transport if transport.is_remote else None
-        with self._batch_lock:
-            self._pending_publish.clear()
-        self._read_cache.clear()
-        self._tid = transport.attach_store(self) if self._remote is not None else None
-        for b, arr in existing:
-            self.write_block(b, arr, copy=True)
-
-    def forsake_blocks(
-        self, transport: Optional[StorageTransport] = None
-    ) -> None:
-        """Forget every block without any transport round-trips.
-
-        The recovery path after shard loss: the payloads are already gone
-        (dead or respawned-empty shards), so only the local bookkeeping --
-        dict entries, shared markers, export refs -- is torn down, and the
-        caller re-executes from the initial state.  Optionally rebinds the
-        store to ``transport``.
-        """
-        self._blocks.clear()
-        self._shared.clear()
-        with self._export_lock:
-            self._export_refs.clear()
-        with self._batch_lock:
-            self._epoch += 1
-            self._pending_publish.clear()
-        self._read_cache.clear()
-        if transport is not None and transport is not self.transport:
-            self.transport = transport
-            self._remote = transport if transport.is_remote else None
-            self._tid = (
-                transport.attach_store(self) if self._remote is not None else None
-            )
-
-    def release_remote(self) -> None:
-        """Free shard-side payloads at store teardown; local stores no-op."""
-        if self._remote is None:
-            return
-        with self._batch_lock:
-            self._pending_publish.clear()
-        self._read_cache.clear()
-        try:
-            self._remote.detach_store(self)
-        except TransportFailure:  # pragma: no cover - teardown best effort
-            pass
 
     def release(self) -> None:
-        """Session teardown: drop every payload reference this store holds.
+        """Session teardown: drop every block reference this store holds.
 
-        Shard-side payloads are freed (:meth:`release_remote`) and the local
-        bindings forgotten with two dict clears -- no per-block work, a
-        forked session is closed once per service job.  Arrays another
-        store adopted live on through that store's own references; the
-        origins' export counts are left as they are.
+        Two dict clears -- no per-block work, a forked session is closed
+        once per service job.  Arrays another store adopted live on through
+        that store's own references; the origins' export counts are left as
+        they are.
         """
-        self.release_remote()
         self._blocks.clear()
         self._shared.clear()
-
-    # -- publish batching (remote transports) ------------------------------
-
-    @contextlib.contextmanager
-    def publish_batch(self):
-        """Defer remote publishes until the outermost batch closes.
-
-        Within the batch, written blocks stay as local arrays in ``_blocks``
-        (reads see them directly, exactly as on a local transport); the last
-        exit ships them in contiguous runs.  Concurrent chunk tasks of one
-        stage nest their batches, so a whole stage wave usually ships once.
-        Local stores pay a no-op.
-        """
-        if self._remote is None:
-            yield
-            return
-        with self._batch_lock:
-            self._batch_depth += 1
-        try:
-            yield
-        finally:
-            with self._batch_lock:
-                self._batch_depth -= 1
-                flush = self._batch_depth == 0
-            if flush:
-                self._flush_pending()
-
-    def _flush_pending(self) -> None:
-        """Ship every batched publish, one ``write_range`` per contiguous run.
-
-        The shipped arrays seed the read cache: downstream stages reading a
-        block this stage just published never pay a transport round-trip.
-        """
-        if self._remote is None:
-            return
-        blocks = self._blocks
-        remote = self._remote
-        with self._batch_lock:
-            epoch = self._epoch
-            pending = sorted(
-                b for b in self._pending_publish
-                if isinstance(blocks.get(b), np.ndarray)
-            )
-            self._pending_publish.clear()
-        if not pending:
-            return
-        cache = self._read_cache
-        for i, j in _id_runs(pending):
-            run = pending[i : j + 1]
-            arrays = [blocks[b] for b in run]
-            handles = remote.write_range(self, run[0], arrays)
-            with self._batch_lock:
-                if self._epoch != epoch:
-                    # Forsaken mid-flush (transport recovery on another
-                    # thread); drop the rebinds, re-execution rewrites.
-                    return
-                for b, arr, handle in zip(run, arrays, handles):
-                    cache[b] = arr
-                    blocks[b] = handle
-        while len(cache) > _READ_CACHE_BLOCKS:
-            try:
-                cache.pop(next(iter(cache)))
-            except (StopIteration, KeyError, RuntimeError):  # pragma: no cover
-                break
-
-    def _local_payload(self, block: int) -> Optional[np.ndarray]:
-        """Read-cache hit or pending (batched, unshipped) payload, if any."""
-        got = self._read_cache.get(block)
-        if got is not None:
-            return got
-        held = self._blocks.get(block)
-        return held if isinstance(held, np.ndarray) else None
 
     # -- cross-store sharing (session forking) ----------------------------
 
@@ -323,9 +118,8 @@ class BlockStore:
         The arrays are shared, not copied: both stores reference the same
         (read-only) memory until this store's first write to a block rebinds
         its entry.  ``other`` refcounts each exported block so memory
-        attribution stays honest while forks diverge.  Both stores must
-        place payloads through the same transport (a fork shares its
-        parent's).  Returns the number of blocks adopted.
+        attribution stays honest while forks diverge.  Returns the number of
+        blocks adopted.
         """
         if other.dim != self.dim or other.block_size != self.block_size:
             raise ValueError(
@@ -333,30 +127,17 @@ class BlockStore:
                 f"and block size, got ({other.dim}, {other.block_size}) "
                 f"vs ({self.dim}, {self.block_size})"
             )
-        if self._remote is not other._remote:
-            raise ValueError(
-                "can only share blocks between stores on the same transport, "
-                f"got {other.transport.name!r} vs {self.transport.name!r}"
-            )
-        if other._remote is not None:
-            # Shard-side aliasing needs every payload shipped first.
-            other._flush_pending()
         blocks = self._blocks
         shared_ids: List[int] = []
-        # Published blocks are immutable by contract (kernels allocate
-        # fresh outputs and stores rebind); the transport enforces it for
-        # shared memory (setflags locally, a no-op for immutable shard
-        # payloads).
-        other.transport.seal(other, tuple(other._blocks))
         for b, arr in other._blocks.items():
+            # Published blocks are immutable by contract (kernels allocate
+            # fresh outputs and stores rebind); sealing enforces it for
+            # memory two stores now share.
+            arr.setflags(write=False)
             self._release_shared(b)
             blocks[b] = arr
             self._shared[b] = other
             shared_ids.append(b)
-        if self._remote is not None and shared_ids:
-            for b in shared_ids:
-                self._read_cache.pop(b, None)
-            self._remote.share(other, self, shared_ids)
         other._export_retain(shared_ids)
         return len(shared_ids)
 
@@ -491,70 +272,29 @@ class BlockStore:
             raise ValueError(f"block ids out of range [0, {self.n_blocks})")
         self._publish(blocks, rows)
 
-    def _owned(self, arr: np.ndarray, values, copy: bool) -> np.ndarray:
-        """``arr`` detached from the caller's ``values`` when ``copy`` asks.
-
-        Local stores and open batches hold on to the array; an immediate
-        remote ship serialises right away, so there the copy is moot.
-        """
-        if (
-            copy
-            and (self._remote is None or self._batch_depth > 0)
-            and np.may_share_memory(arr, values)
-        ):
+    @staticmethod
+    def _owned(arr: np.ndarray, values, copy: bool) -> np.ndarray:
+        """``arr`` detached from the caller's ``values`` when ``copy`` asks."""
+        if copy and np.may_share_memory(arr, values):
             return arr.copy()
         return arr
 
     def _publish(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
-        """Bind ``rows[i]`` as the payload of ``blocks[i]``.
-
-        The one mutation path behind every ``write_*``: local stores and
-        open batches keep the arrays (a batch also registers them for its
-        closing flush), an immediate remote publish ships one
-        ``write_range`` per contiguous id run and keeps the handles.
-        """
-        payloads: Sequence[object] = rows
-        if self._remote is not None:
-            if self._batch_depth > 0:
-                with self._batch_lock:
-                    self._pending_publish.update(blocks)
-            else:
-                epoch = self._epoch
-                payloads = []
-                for i, j in _id_runs(blocks):
-                    payloads.extend(
-                        self._remote.write_range(self, blocks[i], rows[i : j + 1])
-                    )
-                with self._batch_lock:
-                    if self._epoch != epoch:
-                        return  # forsaken mid-ship; discard the handles
-            cache_pop = self._read_cache.pop
-            for b in blocks:
-                cache_pop(b, None)
+        """Bind ``rows[i]`` as the contents of ``blocks[i]``: the one
+        mutation path behind every ``write_*``."""
         if self._shared:
             for b in blocks:
                 self._release_shared(b)
-        self._blocks.update(zip(blocks, payloads))
+        self._blocks.update(zip(blocks, rows))
 
     def drop_block(self, block: int) -> None:
         self.drop_blocks((block,))
 
     def drop_blocks(self, blocks: Iterable[int]) -> None:
-        """Forget ``blocks`` (those held), with one transport release."""
-        held = [b for b in blocks if self._blocks.pop(b, None) is not None]
-        if not held:
-            return
-        for b in held:
-            self._release_shared(b)
-        if self._remote is not None:
-            with self._batch_lock:
-                self._pending_publish.difference_update(held)
-            for b in held:
-                self._read_cache.pop(b, None)
-            try:
-                self._remote.release(self, tuple(held))
-            except TransportFailure:  # pragma: no cover - best effort
-                pass
+        """Forget ``blocks`` (those held)."""
+        for b in blocks:
+            if self._blocks.pop(b, None) is not None:
+                self._release_shared(b)
 
     def keep_only(self, owned: int) -> None:
         """Drop every held block whose bit is not set in ``owned``.
@@ -567,14 +307,6 @@ class BlockStore:
     def clear(self) -> None:
         for b in tuple(self._shared):
             self._release_shared(b)
-        if self._remote is not None and self._blocks:
-            with self._batch_lock:
-                self._pending_publish.clear()
-            self._read_cache.clear()
-            try:
-                self._remote.release(self, tuple(self._blocks))
-            except TransportFailure:  # pragma: no cover - best effort
-                pass
         self._blocks.clear()
 
     # -- read side --------------------------------------------------------
@@ -583,61 +315,13 @@ class BlockStore:
         return block in self._blocks
 
     def get_block(self, block: int) -> Optional[np.ndarray]:
-        got = self._blocks.get(block)
-        if got is None or self._remote is None:
-            return got
-        local = self._local_payload(block)
-        if local is not None:
-            return local
-        return self._fetch_blocks(block, block)[0]
+        return self._blocks.get(block)
 
     def get_block_many(self, first: int, last: int) -> List[np.ndarray]:
-        """Payloads of the contiguous held blocks ``[first, last]``.
-
-        The batched read path of the unified reader: a remote store turns a
-        whole same-owner run into one transport round-trip per shard
-        instead of a fetch per block.
-        """
-        if self._remote is not None:
-            return self._fetch_blocks(first, last)
+        """The contiguous held blocks ``[first, last]`` (one owner run of the
+        unified reader)."""
         blocks = self._blocks
         return [blocks[b] for b in range(first, last + 1)]
-
-    def prefetch(self, first: int, last: int) -> None:
-        """Warm the read cache with held blocks ``[first, last]`` (remote only)."""
-        if self._remote is not None:
-            self._fetch_blocks(first, last)
-
-    def _fetch_blocks(self, first: int, last: int) -> List[np.ndarray]:
-        """Fetch ``[first, last]`` from the transport, via the read cache.
-
-        Worker threads may race on the cache dict; every operation used is
-        GIL-atomic, so the worst case is a duplicate fetch, never a torn
-        read.
-        """
-        cache = self._read_cache
-        out: List[np.ndarray] = []
-        b = first
-        while b <= last:
-            cached = self._local_payload(b)
-            if cached is not None:
-                out.append(cached)
-                b += 1
-                continue
-            run_end = b
-            while run_end < last and self._local_payload(run_end + 1) is None:
-                run_end += 1
-            fetched = self._remote.read_range(self, b, run_end)
-            out.extend(fetched)
-            for bb, arr in zip(range(b, run_end + 1), fetched):
-                cache[bb] = arr
-            b = run_end + 1
-        while len(cache) > _READ_CACHE_BLOCKS:
-            try:
-                cache.pop(next(iter(cache)))
-            except (StopIteration, KeyError, RuntimeError):  # pragma: no cover
-                break
-        return out
 
     def stored_blocks(self) -> Tuple[int, ...]:
         return tuple(sorted(self._blocks))
@@ -665,9 +349,6 @@ class InitialStateStore(BlockStore):
     store never allocates memory unless a block is explicitly requested, so an
     empty circuit costs (almost) nothing.
     """
-
-    def __init__(self, dim: int, block_size: int) -> None:
-        super().__init__(dim, block_size)
 
     def has_block(self, block: int) -> bool:  # every block is defined here
         return 0 <= block < self.n_blocks
@@ -717,9 +398,9 @@ class RoutedStore:
 
     ``stores`` are the member stages' stores in seq order and ``owned[i]``
     the bitmask of the blocks ``stores[i]`` owns -- those its stage is the
-    run's last declarer of.  Kernels, the run-granular fallback, the publish
-    fault site and remote publish batching see the ``write_*`` /
-    ``publish_batch`` surface of a :class:`BlockStore`; every published
+    run's last declarer of.  Kernels, the run-granular fallback and the
+    publish fault site see the ``write_*`` surface of a
+    :class:`BlockStore`; every published
     block is handed to the store that owns it, so after the run each block
     is held by the newest stage that declares it and every read through the
     writer index resolves as if the members had run one by one.
@@ -735,19 +416,6 @@ class RoutedStore:
         }
         self.dim = stores[0].dim
         self.block_size = stores[0].block_size
-
-    @property
-    def is_remote_backed(self) -> bool:
-        return self._stores[0].is_remote_backed
-
-    @contextlib.contextmanager
-    def publish_batch(self):
-        """One open batch on every owning store (see ``BlockStore``)."""
-        with contextlib.ExitStack() as stack:
-            for store, mask in zip(self._stores, self._owned):
-                if mask:
-                    stack.enter_context(store.publish_batch())
-            yield
 
     def write_blocks(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
         """``BlockStore.write_blocks``, one call per owning store."""
@@ -783,14 +451,12 @@ class _ResolvingReader:
     """The one read-side implementation behind every block resolver.
 
     Subclasses provide ``dim``/``block_size``/``n_blocks`` attributes and a
-    single ``resolve_store`` method; block-list reads, range reads, gathers,
-    full-vector materialisation and remote prefetching all derive from it
-    through one loop, :meth:`read_blocks`.  Reads batch maximal same-owner
-    runs of consecutive blocks: a run of never-written blocks becomes one
-    dense zero allocation (:meth:`InitialStateStore.read_dense`, which
-    caches nothing) and a run owned by one store becomes one
-    :meth:`BlockStore.get_block_many` call -- which, on a remote transport,
-    is one round-trip per shard instead of one per block.
+    single ``resolve_store`` method; block-list reads, range reads, gathers
+    and full-vector materialisation all derive from it through one loop,
+    :meth:`read_blocks`.  Reads batch maximal same-owner runs of consecutive
+    blocks: a run of never-written blocks becomes one dense zero allocation
+    (:meth:`InitialStateStore.read_dense`, which caches nothing) and a run
+    owned by one store becomes one :meth:`BlockStore.get_block_many` call.
 
     :class:`IndexReader` (and the tests' ``StoreChain`` oracle) are pure
     resolution strategies on top of it.
@@ -886,16 +552,6 @@ class _ResolvingReader:
         """Materialise the whole state vector (mostly for queries/tests)."""
         return self.read_range(0, self.dim - 1)
 
-    def prefetch_blocks(self, first: int, last: int) -> None:
-        """Warm remote read caches for blocks ``[first, last]`` (best effort).
-
-        Resolution groups the range into owner runs so each remote store
-        sees one batched fetch; local stores are skipped entirely.
-        """
-        for store, rf, rl in self.owner_runs(range(first, last + 1)):
-            if store.is_remote_backed:
-                store.prefetch(rf, rl)
-
 
 class IndexReader(_ResolvingReader):
     """A :class:`StateReader` over a writer index "as of" one stage.
@@ -911,7 +567,7 @@ class IndexReader(_ResolvingReader):
     earlier declarer.  A planned block costs one dict lookup per read.  The
     index itself is searched only for a block outside the table or one
     whose planned store holds nothing -- before a first update, after a
-    failed one, once a store was forsaken -- and the search steps to the
+    failed one -- and the search steps to the
     next older declarer that does hold it, ending at ``initial``.
     """
 
@@ -958,12 +614,6 @@ class MemoryReport:
     (blocks adopted by :meth:`BlockStore.share_from` and not yet rewritten),
     so ``owned_bytes`` is the marginal footprint of this session -- the
     number a fleet of forked sessions sums to show sublinear memory growth.
-
-    On a remote transport, ``transport`` names the placement and ``shards``
-    holds the per-shard occupancy (``shard``/``alive``/``blocks``/
-    ``owned_bytes``/``shared_bytes`` each); the shard-side owned bytes of
-    one session sum to the same total the local transport reports, which
-    the shard-scale benchmark gates on.
     """
 
     num_stores: int
@@ -973,8 +623,6 @@ class MemoryReport:
     dense_bytes: int
     shared_blocks: int = 0
     shared_bytes: int = 0
-    transport: str = "local"
-    shards: Tuple[Dict[str, int], ...] = ()
 
     @property
     def owned_bytes(self) -> int:
@@ -993,10 +641,7 @@ class MemoryReport:
         return self.allocated_bytes / 2**30
 
     @staticmethod
-    def from_stores(
-        stores: Iterable[BlockStore],
-        transport: Optional[StorageTransport] = None,
-    ) -> "MemoryReport":
+    def from_stores(stores: Iterable[BlockStore]) -> "MemoryReport":
         stores = list(stores)
         stored = sum(s.num_stored_blocks for s in stores)
         total = sum(s.n_blocks for s in stores)
@@ -1004,12 +649,6 @@ class MemoryReport:
         dense = sum(s.dim * np.dtype(_DTYPE).itemsize for s in stores)
         shared = sum(s.shared_block_count for s in stores)
         shared_b = sum(s.shared_bytes() for s in stores)
-        shards: Tuple[Dict[str, int], ...] = ()
-        name = "local"
-        if transport is not None:
-            name = transport.name
-            if transport.is_remote:
-                shards = tuple(transport.shard_report())
         return MemoryReport(
             num_stores=len(stores),
             stored_blocks=stored,
@@ -1018,6 +657,4 @@ class MemoryReport:
             dense_bytes=dense,
             shared_blocks=shared,
             shared_bytes=shared_b,
-            transport=name,
-            shards=shards,
         )

@@ -142,36 +142,6 @@ class RunTable:
             if idx.size:
                 yield op, idx
 
-    def block_spans(self, block_size: int) -> List[Tuple[int, int]]:
-        """Merged, sorted block spans covering every run's amplitude range.
-
-        Remote-backed stores prefetch these before executing a chunk so the
-        chunk pays one transport round-trip per contiguous span instead of
-        one per cache-missing block (address resolution stays block-granular
-        -- this only batches the fetch).  A hint, not a contract: a chunk
-        whose monomial runs read mirror ranges outside these spans fetches
-        the rest when it gathers its inputs.
-        """
-        n = self.num_runs
-        if n == 0:
-            return []
-        first = self.los // int(block_size)
-        last = self.his // int(block_size)
-        order = np.argsort(first, kind="stable")
-        spans: List[Tuple[int, int]] = []
-        cur_f = int(first[order[0]])
-        cur_l = int(last[order[0]])
-        for i in order[1:]:
-            f = int(first[i])
-            l = int(last[i])
-            if f <= cur_l + 1:
-                cur_l = max(cur_l, l)
-            else:
-                spans.append((cur_f, cur_l))
-                cur_f, cur_l = f, l
-        spans.append((cur_f, cur_l))
-        return spans
-
     def split(self, parts: int) -> List["RunTable"]:
         """At most ``parts`` contiguous sub-tables covering every run.
 

@@ -1,7 +1,7 @@
 """Seeded fault injection for chaos-testing the execution stack.
 
-The fault-tolerance machinery (run / task / update retries, the store
-breaker, shard respawn, checkpoint recovery) is only trustworthy if every
+The fault-tolerance machinery (run / task / update retries, the
+run-granular chunk fallback, checkpoint recovery) is only trustworthy if every
 failure path can be exercised *deterministically*.  This module provides that:
 a :class:`FaultPlan` is a seeded schedule of synthetic failures at named
 **fault sites** threaded through the hot paths:
@@ -13,7 +13,6 @@ site               where it fires
                    once per operation group on the slab backend
 ``executor.task``  work-stealing executor task body
 ``cow.publish``    block publish into a :class:`~repro.core.cow.BlockStore`
-``store.shard``    sharded-transport round-trip (parent side, before send)
 =================  ========================================================
 
 Design constraints (all load-bearing):
@@ -66,7 +65,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "kernel.run",
     "executor.task",
     "cow.publish",
-    "store.shard",
 )
 
 

@@ -425,7 +425,7 @@ class PartitionGraph:
 
         That is the closest declarer of ``block`` with ``seq < before_seq``
         whose store holds it; a declarer holding nothing (not executed yet,
-        forsaken, half-written by a failed update) is stepped over.
+        half-written by a failed update) is stepped over.
         ``None`` when no stage holds the block: it is still the initial
         state's.
         """

@@ -69,7 +69,6 @@ from .stage import (
     coalesced_table,
     gate_action,
 )
-from .transport import StorageTransport, TransportFailure, make_transport
 
 __all__ = ["UpdateReport", "QTaskSimulator"]
 
@@ -77,8 +76,8 @@ logger = logging.getLogger(__name__)
 
 #: the constructor knobs that define a session durably: ``fork`` hands them to
 #: the child, a checkpoint header stores them and ``statistics()`` reports
-#: them.  Execution resources (executor, kernel backend, store transport) are
-#: not durable state; a fork shares them and a restore may override them.
+#: them.  Execution resources (executor, kernel backend) are not durable
+#: state; a fork shares them and a restore may override them.
 DURABLE_KNOBS: Tuple[str, ...] = (
     "block_size",
     "copy_on_write",
@@ -90,11 +89,6 @@ _RUN_FAULT_RETRIES = 5
 
 #: bounded whole-update re-executions (the outermost recovery layer)
 _UPDATE_FAULT_RETRIES = 3
-
-#: bounded store-transport recoveries per update: attempt 1 respawns dead
-#: shards, attempt 2 trips the store breaker (sharded -> local), after which
-#: no further TransportFailure is possible -- 3 is pure headroom
-_STORE_RECOVERY_RETRIES = 3
 
 
 @dataclass
@@ -127,7 +121,6 @@ class QTaskSimulator(CircuitObserver):
         copy_on_write: bool = True,
         observable_cache: bool = True,
         kernel_backend: Optional[object] = None,
-        store_transport: Optional[object] = None,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
@@ -147,8 +140,8 @@ class QTaskSimulator(CircuitObserver):
         restore.  ``knobs`` maps ``__init__`` keywords to values: the
         :data:`DURABLE_KNOBS` are required, an absent execution knob means
         what ``None`` means to ``__init__``.  A fork passes itself as
-        ``parent``: the child then shares the parent's kernel backend and
-        store transport, and its executor unless ``knobs`` name one, reports
+        ``parent``: the child then shares the parent's kernel backend, and
+        its executor unless ``knobs`` name one, reports
         to the parent's telemetry and starts from a clone of its outcomes.
         """
         self.circuit = circuit
@@ -183,23 +176,6 @@ class QTaskSimulator(CircuitObserver):
         else:
             self._backend = NumpyBatchBackend()
 
-        #: requested store transport spec ("local" | "sharded" or a
-        #: :class:`~repro.core.transport.StorageTransport` instance);
-        #: ``None`` leaves the choice to ``make_transport`` (the
-        #: ``QTASK_STORE_TRANSPORT`` environment variable, default "local").
-        #: A fork's stage stores adopt the parent's blocks by reference,
-        #: which only works when both sides resolve payloads through the
-        #: same placement (``share_from`` raises across transports), so a
-        #: fork shares its parent's transport object.
-        if parent is not None:
-            self.store_transport = parent.store_transport
-            self._store_transport, st_fell_back = parent._store_transport, False
-        else:
-            self.store_transport = knobs.get("store_transport")
-            self._store_transport, st_fell_back = make_transport(
-                self.store_transport
-            )
-
         # Last of the knobs: a rejected one above must not leak worker threads.
         if parent is None:
             self._owns_executor = executor is None
@@ -217,7 +193,6 @@ class QTaskSimulator(CircuitObserver):
             tracing=knobs.get("tracing"),
             parent=parent.telemetry if parent is not None else None,
         )
-        self._init_store_state(fell_back=st_fell_back)
 
         self._initial = InitialStateStore(self.dim, self.block_size)
         self.graph = PartitionGraph(
@@ -330,33 +305,6 @@ class QTaskSimulator(CircuitObserver):
         #: ``explain_last_update`` can scope "what recovery did" exactly.
         self._update_event_mark = 0
 
-    def _init_store_state(self, *, fell_back: bool = False) -> None:
-        """Per-session store-transport recovery state (the store breaker)."""
-        #: transport failures that trip the sharded -> local store breaker;
-        #: failure #1 respawns dead shards, failure #threshold falls back
-        self.store_breaker_threshold = 2
-        self._store_failures = 0
-        #: store-breaker transitions, oldest first ({from, to, reason, update})
-        self._store_transitions: List[Dict[str, object]] = []
-        #: the sharded transport this session ever used, if any -- counters
-        #: (remote_reads / bytes_shipped / shard_restarts) keep reporting
-        #: from it even after the breaker swapped the live transport to local
-        self._store_remote = (
-            self._store_transport if self._store_transport.is_remote else None
-        )
-        if fell_back:
-            # "sharded" requested on a fork-less host: record the substitution
-            # the same way the breaker would, minus the event (no telemetry
-            # session is active during construction).
-            self._store_transitions.append(
-                {
-                    "from": "sharded",
-                    "to": self._store_transport.name,
-                    "reason": "transport unavailable",
-                    "update": 0,
-                }
-            )
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -372,9 +320,6 @@ class QTaskSimulator(CircuitObserver):
         self._closed = True
         self.circuit.unregister_observer(self)
         for stage in self.graph.stages:
-            # Shard payloads too; the shard processes themselves are
-            # module-shared (live forks keep using them) and are reaped
-            # by shutdown_shard_runtimes() at exit.
             stage.store.release()
         if self._owns_executor:
             self.executor.close()
@@ -419,8 +364,8 @@ class QTaskSimulator(CircuitObserver):
         child's entry, leaving the parent untouched; edits on either side
         never perturb the other.
 
-        The child always runs on this simulator's kernel backend and store
-        transport.  By default it also *shares the executor* (``close()`` on
+        The child always runs on this simulator's kernel backend.  By
+        default it also *shares the executor* (``close()`` on
         the child will not shut it down); pass ``executor`` to give the
         child its own instead (``run_shots`` and
         :class:`~repro.parallel.sweep.SweepRunner` hand their one fork a
@@ -479,7 +424,6 @@ class QTaskSimulator(CircuitObserver):
     # ------------------------------------------------------------------
 
     def _on_stage_entered(self, stage: Stage) -> None:
-        stage.store.bind_transport(self._store_transport)
         if isinstance(stage, DynamicStage):
             stage.bind_record(self.outcomes)
             if isinstance(stage, ClassicallyControlledStage):
@@ -526,7 +470,6 @@ class QTaskSimulator(CircuitObserver):
             self._restore_clbit(stage.op.clbit)
         elif isinstance(stage, ResetStage):
             self.outcomes.discard_op(stage.op.op_index)
-        stage.store.release_remote()
 
     def _restore_clbit(self, clbit: int) -> None:
         """Rebind ``clbit`` to the last surviving measurement that wrote it."""
@@ -818,120 +761,16 @@ class QTaskSimulator(CircuitObserver):
         try:
             if tel.tracer.enabled:
                 with tel.tracer.span("update") as span:
-                    report = self._update_with_store_recovery()
+                    report = self._update_state_impl()
                     span.set("affected", report.affected_partitions)
                     span.set("block_writes", report.executed_block_writes)
                     span.set("update", self._num_updates - 1)
             else:
-                report = self._update_with_store_recovery()
+                report = self._update_state_impl()
             self._update_seconds.observe(report.elapsed_seconds)
             return report
         finally:
             tsession.deactivate(prev)
-
-    def _update_with_store_recovery(self) -> UpdateReport:
-        """Run the update inside the store-transport recovery envelope.
-
-        With a remote transport, any read or publish can surface a
-        :class:`TransportFailure` (a SIGKILLed shard, an escalated run of
-        ``store.shard`` faults).  Remote payloads are then gone wholesale,
-        so recovery is coarse: :meth:`_recover_store_transport` respawns the
-        dead shards (or, past the store breaker threshold, falls back to
-        the local transport), forsakes every stage store and re-marks every
-        stage a full frontier.  The re-execution replays the *recorded*
-        trajectory -- outcomes are temporarily forced so re-collapses land
-        on the values already observed instead of redrawing -- and the
-        caller's forcing table is restored afterwards.  The local transport
-        cannot fail, so the common path is one straight call.
-        """
-        transport = self._store_transport
-        if not transport.is_remote:
-            return self._update_state_impl()
-        rollback = self.outcomes.snapshot()
-        recorded = self.outcomes.recorded_outcomes()
-        saved_forced: Optional[Dict[int, int]] = None
-        attempt = 0
-        try:
-            if not transport.healthy():
-                self._recover_store_transport(
-                    "shard process died between updates"
-                )
-                saved_forced = self.outcomes.replace_forced(recorded)
-            while True:
-                try:
-                    return self._update_state_impl()
-                except TransportFailure as exc:
-                    attempt += 1
-                    if attempt > _STORE_RECOVERY_RETRIES:
-                        raise
-                    self._recover_store_transport(
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    self.outcomes.restore(rollback)
-                    forced = self.outcomes.replace_forced(recorded)
-                    if saved_forced is None:
-                        saved_forced = forced
-        finally:
-            if saved_forced is not None:
-                self.outcomes.replace_forced(saved_forced)
-
-    def _recover_store_transport(self, reason: str) -> None:
-        """Respawn-or-fallback after a transport failure, then rebuild.
-
-        A dead shard loses its span and a respawn purges the survivors (one
-        consistent, empty placement for every store on the runtime), so the
-        previously computed blocks are unconditionally gone: every stage
-        store forsakes its bookkeeping and every stage becomes a full
-        frontier for the caller to re-execute.  The first failure respawns;
-        reaching ``store_breaker_threshold`` trips the store breaker, which
-        swaps this session to the local transport for good and emits a
-        ``breaker.transition`` event.
-        """
-        self._store_failures += 1
-        transport = self._store_transport
-        recovered = False
-        if (
-            transport.is_remote
-            and self._store_failures < self.store_breaker_threshold
-        ):
-            try:
-                recovered = transport.respawn_dead()
-            except TransportFailure:  # pragma: no cover - respawn raced
-                recovered = False
-        if not recovered and transport.is_remote:
-            self._store_transport, _ = make_transport("local")
-            transition = {
-                "from": transport.name,
-                "to": self._store_transport.name,
-                "reason": reason,
-                "update": self._num_updates,
-            }
-            self._store_transitions.append(transition)
-            tsession.emit_event("breaker.transition", **transition)
-            logger.warning(
-                "store breaker tripped: transport %r -> %r (%s)",
-                transition["from"],
-                transition["to"],
-                reason,
-            )
-        else:
-            logger.warning(
-                "store transport failure (%s); shards respawned, "
-                "re-executing from the initial state",
-                reason,
-            )
-        tsession.emit_event(
-            "store.recovery",
-            reason=reason,
-            transport=self._store_transport.name,
-            failures=self._store_failures,
-        )
-        target = self._store_transport
-        for stage in self.graph.stages:
-            stage.store.forsake_blocks(target)
-            self.graph.touch_stage(stage)
-        # Derived caches hold values computed from the lost blocks.
-        self._notify_dirty(range(self.n_blocks))
 
     def _update_state_impl(self) -> UpdateReport:
         start = time.perf_counter()
@@ -1244,25 +1083,6 @@ class QTaskSimulator(CircuitObserver):
                     "amps": amps,
                 },
             ):
-                self._run_plan_chunk_impl(sp, chunk)
-        else:
-            self._run_plan_chunk_impl(sp, chunk)
-
-    def _run_plan_chunk_impl(self, sp: StagePlan, chunk) -> None:
-        store = sp.store
-        if store.is_remote_backed:
-            # Batch-fetch the chunk's input spans into the store read caches
-            # up front: one transport round-trip per contiguous span instead
-            # of one per cache-missing block inside the kernels.
-            prefetch = getattr(sp.reader, "prefetch_blocks", None)
-            if prefetch is not None:
-                for first, last in chunk.block_spans(self.block_size):
-                    prefetch(first, last)
-            # Symmetrically, batch the output side: kernel publishes stay
-            # local for the duration of the chunk and ship in contiguous
-            # runs when the batch closes (one round-trip per run, not one
-            # per publish).
-            with store.publish_batch():
                 self._execute_chunk(sp, chunk)
         else:
             self._execute_chunk(sp, chunk)
@@ -1415,10 +1235,7 @@ class QTaskSimulator(CircuitObserver):
         cost, and ``savings_fraction`` the headroom between the two (the
         §III.F.3 copy-on-write saving).
         """
-        return MemoryReport.from_stores(
-            (s.store for s in self.graph.stages),
-            transport=self._store_transport,
-        )
+        return MemoryReport.from_stores(s.store for s in self.graph.stages)
 
     def plan_report(self) -> PlanReport:
         """Dispatch-overhead accounting of the plan pipeline.
@@ -1466,17 +1283,9 @@ class QTaskSimulator(CircuitObserver):
                 ),
                 "last_affected_partitions": self.last_update.affected_partitions,
                 "last_elapsed_seconds": self.last_update.elapsed_seconds,
-                "store_transport": self._store_transport.name,
-                "store_remote_reads": getattr(
-                    self._store_remote, "remote_reads", 0
-                ),
-                "store_bytes_shipped": getattr(
-                    self._store_remote, "bytes_shipped", 0
-                ),
-                "store_shard_restarts": getattr(
-                    self._store_remote, "shard_restarts", 0
-                ),
-                "store_transitions": len(self._store_transitions),
+                # 0: blocks stay in process; kept while the ledger reads them
+                "store_remote_reads": 0,
+                "store_bytes_shipped": 0,
             }
         )
         stats.update(self.plan_report().as_dict())
@@ -1489,7 +1298,7 @@ class QTaskSimulator(CircuitObserver):
         """Mirror point-in-time statistics into the registry as gauges.
 
         Counters already live in the registry; the graph shape, last-update
-        outcome and executor / transport mirrors are point-in-time readings,
+        outcome and executor mirror are point-in-time readings,
         so they surface as gauges -- refreshed on every ``statistics()`` /
         ``telemetry_report()`` call rather than written on the hot path.
         """
@@ -1506,12 +1315,6 @@ class QTaskSimulator(CircuitObserver):
             stats["last_elapsed_seconds"]
         )
         m.gauge("executor.task_retries").set(stats["task_retries"])
-        # Transport counters live on the (possibly shared) transport object;
-        # mirror them into this session's registry.
-        m.gauge("store.remote_reads").set(stats["store_remote_reads"])
-        m.gauge("store.bytes_shipped").set(stats["store_bytes_shipped"])
-        m.gauge("store.shard_restarts").set(stats["store_shard_restarts"])
-        m.gauge("store.transitions").set(stats["store_transitions"])
 
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
@@ -1523,8 +1326,8 @@ class QTaskSimulator(CircuitObserver):
         of the runs were not in the composite cache and were composed for
         this plan) -- the ``plan.build`` span's numbers --, the plan
         pipeline's view of it, and -- the part no counter can answer -- the
-        time-ordered recovery events (faults, retries, fallbacks, breaker
-        transitions, respawns) that fired during the update.
+        time-ordered recovery events (faults, retries, chunk fallbacks,
+        trajectory rollbacks) that fired during the update.
         """
         report = self.last_update
         coalesced, runs, largest, widest, recomposed = self._last_coalesced

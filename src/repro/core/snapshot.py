@@ -39,6 +39,7 @@ import json
 import os
 import struct
 import time
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,14 +57,40 @@ from .stage import (
     ResetStage,
     UnitaryStage,
 )
-from .transport import TransportFailure, decode_block, encode_block
 
-__all__ = ["CHECKPOINT_MAGIC", "save_checkpoint", "restore_simulator"]
+__all__ = [
+    "CHECKPOINT_MAGIC",
+    "save_checkpoint",
+    "restore_simulator",
+    "encode_block",
+    "decode_block",
+]
 
 CHECKPOINT_MAGIC = b"QTCKPT01"
 _VERSION = 1
 _DTYPE = np.complex128
 _LEN_STRUCT = struct.Struct("<Q")
+
+
+def encode_block(arr: np.ndarray) -> Tuple[bytes, int]:
+    """One block's payload: ``(raw little-endian complex128 bytes, crc32)``."""
+    raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
+    return raw, zlib.crc32(raw) & 0xFFFFFFFF
+
+
+def decode_block(raw: bytes, crc: int, expect_len: Optional[int] = None) -> np.ndarray:
+    """A read-only array viewing ``raw``, after checking its CRC and length.
+
+    Raises :class:`CheckpointError` on a mismatch.
+    """
+    if zlib.crc32(raw) & 0xFFFFFFFF != int(crc):
+        raise CheckpointError("block payload failed CRC verification")
+    arr = np.frombuffer(raw, dtype=_DTYPE)
+    if expect_len is not None and arr.shape[0] != expect_len:
+        raise CheckpointError(
+            f"block payload holds {arr.shape[0]} amplitudes, expected {expect_len}"
+        )
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +150,6 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
                     f"stage {stage!r} block {b} has shape {arr.shape}, "
                     f"expected ({block_len},)"
                 )
-            # The checkpoint block codec doubles as the shard wire format
-            # (core/transport): raw complex128 bytes + CRC32 per block.
             raw, crc = encode_block(arr)
             blocks_json.append([int(b), crc])
             payload.append(arr)
@@ -150,10 +175,7 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
         "anon_clbits": anon_clbits,
         "registers": registers,
         "allow_net_dependencies": circuit.allow_net_dependencies,
-        "knobs": {
-            **{name: getattr(sim, name) for name in DURABLE_KNOBS},
-            "store_transport": sim._store_transport.name,
-        },
+        "knobs": {name: getattr(sim, name) for name in DURABLE_KNOBS},
         "num_updates": sim._num_updates,
         "nets": nets_json,
         "stages": stages_json,
@@ -317,7 +339,6 @@ def restore_simulator(
     executor: Optional[Executor] = None,
     num_workers: Optional[int] = None,
     kernel_backend: Optional[object] = None,
-    store_transport: Optional[object] = None,
 ) -> QTaskSimulator:
     """Reconstruct a :class:`QTaskSimulator` from a checkpoint file.
 
@@ -327,7 +348,7 @@ def restore_simulator(
     modifiers re-simulate incrementally from the loaded blocks, exactly as
     they would have in the original session.  Execution resources are not
     part of the durable state -- pass ``executor``/``num_workers``/
-    ``kernel_backend``/``store_transport`` as to a new session.
+    ``kernel_backend`` as to a new session.
 
     Trajectory randomness follows fork semantics: recorded outcomes and
     classical bits are restored verbatim, but the keyed per-op random
@@ -342,20 +363,14 @@ def restore_simulator(
     rec = header["outcomes"]
     # The durable knobs come from the header; whatever else an older file
     # lists there (knobs since deleted, whose settings read bit-identically)
-    # is ignored, the ``kernel_backend`` name older files carry included.
-    # Execution resources are not durable state: a transport override wins,
-    # else the checkpointed spec (absent in files that predate the
-    # store-transport knob).
+    # is ignored, the kernel backend and store transport names older files
+    # carry included.
     saved = header["knobs"]
     knobs = {name: saved[name] for name in DURABLE_KNOBS}
-    transport = store_transport
-    if transport is None:
-        transport = saved.get("store_transport")
     knobs.update(
         executor=executor,
         num_workers=num_workers,
         kernel_backend=kernel_backend,
-        store_transport=transport,
         seed=int(rec["seed"]),
     )
     sim = QTaskSimulator.__new__(QTaskSimulator)
@@ -444,7 +459,7 @@ def _load_state(sim, path, header, payload, handles) -> int:
                 )
             try:
                 arr = decode_block(chunk, crc, block_len)
-            except TransportFailure as exc:
+            except CheckpointError as exc:
                 raise CheckpointError(
                     f"checksum mismatch on block {b} of stage {stage!r}; "
                     f"checkpoint {path!r} is corrupt"

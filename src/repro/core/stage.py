@@ -218,14 +218,8 @@ class Stage:
     # -- helpers --------------------------------------------------------------
 
     def write_full(self, vector: np.ndarray) -> None:
-        """Store an entire state vector (used by non-COW mode and matvec).
-
-        Publishes through :meth:`~repro.core.cow.BlockStore.write_range`,
-        the single transport-mediated path: with a remote store transport
-        the vector is split into per-block payloads and shipped to the
-        owning shards in one round-trip per shard, never held as local
-        arrays.
-        """
+        """Store an entire state vector (used by non-COW mode and matvec),
+        copied once through :meth:`~repro.core.cow.BlockStore.write_range`."""
         arr = np.asarray(vector).reshape(-1)
         if arr.shape[0] != self.dim:
             raise ValueError(
@@ -537,17 +531,21 @@ class _CollapseStage(DynamicStage):
 
     #: reset relocates surviving amplitudes to the |0> subspace
     _move: bool = False
-    # class-level defaults so forked clones (which bypass this __init__, see
-    # DynamicStage.clone_for_fork) still answer `.outcome` with None
-    _outcome: Optional[int] = None
-    _scale: float = 1.0
-    _masses: Optional[Tuple[float, float]] = None
 
     def __init__(self, op, *args, **kwargs) -> None:
         super().__init__(op, *args, **kwargs)
-        self._outcome = None
+        self._outcome: Optional[int] = None
         self._scale = 1.0
-        self._masses = None
+        self._masses: Optional[Tuple[float, float]] = None
+
+    def clone_for_fork(self) -> "_CollapseStage":
+        # The fork holds this stage's blocks, so it holds the collapse that
+        # wrote them: the same outcome, scale and masses.
+        clone = super().clone_for_fork()
+        clone._outcome = self._outcome
+        clone._scale = self._scale
+        clone._masses = self._masses
+        return clone
 
     @property
     def qubit(self) -> int:

@@ -91,9 +91,8 @@ class QTask:
         graph and observables cache, but its stage stores reference the
         parent's computed blocks until first write -- forking copies no
         amplitudes.  Edits on either session never perturb the other.  The
-        child always runs on its parent's kernel backend and store
-        transport; it shares the parent's executor unless ``executor``
-        gives it its own (``run_shots`` and
+        child always runs on its parent's kernel backend; it shares the
+        parent's executor unless ``executor`` gives it its own (``run_shots`` and
         :class:`~repro.parallel.sweep.SweepRunner` hand their one fork a
         :class:`~repro.parallel.SequentialExecutor`).
 
@@ -160,15 +159,14 @@ class QTask:
         executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
         kernel_backend: Optional[object] = None,
-        store_transport: Optional[object] = None,
     ) -> "QTask":
         """Resume a session from a :meth:`checkpoint` file, without re-simulating.
 
         The restored session holds the checkpointed computed state and is
         immediately editable -- subsequent modifiers re-simulate
         incrementally from the loaded blocks.  Execution resources are not
-        durable state: pass ``executor``/``num_workers``/``kernel_backend``/
-        ``store_transport`` as to a new session.
+        durable state: pass ``executor``/``num_workers``/``kernel_backend``
+        as to a new session.
         Raises :class:`~repro.core.exceptions.CheckpointError` on corrupt,
         truncated or incompatible files.
         """
@@ -180,7 +178,6 @@ class QTask:
             executor=executor,
             num_workers=num_workers,
             kernel_backend=kernel_backend,
-            store_transport=store_transport,
         )
         session.circuit = session.simulator.circuit
         session._fork_gate_map = None
@@ -526,8 +523,8 @@ class QTask:
         """A human-readable account of the most recent update.
 
         Shows what the update touched, which backend executed it, and the
-        time-ordered recovery events (injected faults, retries, fallbacks,
-        breaker transitions, shard respawns) that fired during it.
+        time-ordered recovery events (injected faults, retries, chunk
+        fallbacks, trajectory rollbacks) that fired during it.
         """
         return self.simulator.explain_last_update()
 

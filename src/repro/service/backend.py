@@ -124,7 +124,7 @@ class Backend:
         self.configuration = BackendConfiguration.coerce(configuration)
         cfg = self.configuration
         #: extra QTask constructor knobs applied to every pooled base
-        #: session (``block_size``, ``copy_on_write``, ``store_transport``, ...)
+        #: session (``block_size``, ``copy_on_write``, ``seed``, ...)
         self._session_knobs = dict(session_knobs or {})
         self._owns_executor = executor is None
         self._executor = (

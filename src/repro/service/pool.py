@@ -15,8 +15,8 @@ the first place: a base session's cost is its
 itself, excluding what it shares with live forks), summed across entries
 and bounded by ``memory_budget_bytes``.  When the pool is over budget or
 over ``max_sessions``, idle entries (zero leased forks) are evicted --
-most-unstable first (recovery events recorded on the base session: shard
-respawns, breaker transitions, retries), then least-recently-used.
+most-unstable first (recovery events recorded on the base session:
+update retries, chunk fallbacks), then least-recently-used.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ __all__ = ["SessionPool", "RECOVERY_EVENT_KINDS"]
 
 #: event kinds on a base session's recovery log that mark it *unstable* --
 #: an unstable warm session is evicted before a merely old one, because its
-#: shards have already misbehaved and a rebuild is likely cheaper
+#: updates have already needed recovery and a rebuild is likely cheaper
 #: than another recovery cycle
 RECOVERY_EVENT_KINDS: Tuple[str, ...] = (
     "update.retry",
-    "store.recovery",
-    "breaker.transition",
     "chunk.fallback",
 )
 

@@ -11,8 +11,7 @@ the Prometheus text dump) read the registry.
 
 Design constraints:
 
-* **Zero dependencies** -- stdlib only, importable everywhere (including
-  shard processes).
+* **Zero dependencies** -- stdlib only, importable everywhere.
 * **Cheap writes.** ``Counter.inc`` is an unlocked integer add (GIL-atomic
   enough for reporting; the simulator's counters are written under the
   executor's task granularity, not per amplitude).  ``Histogram.observe``

@@ -147,10 +147,9 @@ class TestManifest:
             os.path.join(REPO_ROOT, "benchmarks", "manifest.json")
         )
         # telemetry gates on an overhead *ceiling* (an A/B within one
-        # process on one host, robust to runner noise), shard_scale on the
-        # exactness of the per-shard memory split, and service on exact
+        # process on one host, robust to runner noise) and service on exact
         # counts parity (counts_mismatch_fraction == 0) with
-        # latency/throughput purely informational, so none of those has a
+        # latency/throughput purely informational, so neither has a
         # --min-speedup knob at all.
         for entry in manifest["benchmarks"]:
             assert os.path.exists(os.path.join(REPO_ROOT, entry["script"]))
@@ -158,8 +157,6 @@ class TestManifest:
             if entry["name"] == "telemetry":
                 assert "--max-overhead" in args
                 assert args[args.index("--max-overhead") + 1] == "0.02"
-            elif entry["name"] == "shard_scale":
-                assert "--shards" in args
             elif entry["name"] == "service":
                 assert "--jobs" in args
                 assert "counts_mismatch_fraction" in entry["accuracy_metrics"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import random
 import threading
 from typing import List, Sequence
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import QTask
-from repro.core import faults, transport
+from repro.core import faults
 from repro.core.blocks import BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
@@ -214,31 +215,38 @@ def worker_threads() -> set:
     return {t for t in threading.enumerate() if t.name.startswith("qtask-worker")}
 
 
-def _leaks(threads_before, children_before) -> list:
-    """Worker threads and child processes started since the snapshot.
+def shm_entries() -> set:
+    """The names in ``/dev/shm`` (none on a platform without it)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:  # pragma: no cover - platform without /dev/shm
+        return set()
 
-    The shared shard runtimes' processes are not leaks: forked sessions
-    reuse them across tests and ``atexit`` reaps them.
-    """
-    shards = {p for rt in transport._shard_runtimes.values() for p in rt._procs}
+
+def _leaks(threads_before, children_before, shm_before) -> list:
+    """Worker threads, child processes and shared-memory entries created
+    since the snapshot."""
     children = [
-        p for p in multiprocessing.active_children()
-        if p not in children_before and p not in shards
+        p for p in multiprocessing.active_children() if p not in children_before
     ]
-    return sorted(worker_threads() - threads_before, key=str) + children
+    return (
+        sorted(worker_threads() - threads_before, key=str)
+        + children
+        + sorted(shm_entries() - shm_before)
+    )
 
 
 @pytest.fixture(autouse=True)
 def leak_audit():
-    """Fail a test that leaves an executor thread or a child process running."""
-    threads = worker_threads()
-    children = set(multiprocessing.active_children())
+    """Fail a test that leaves an executor thread, a child process or a
+    ``/dev/shm`` entry behind."""
+    before = worker_threads(), set(multiprocessing.active_children()), shm_entries()
     yield
-    if _leaks(threads, children):
+    if _leaks(*before):
         gc.collect()  # finalizers first: only what outlives them is a leak
-        leaked = _leaks(threads, children)
+        leaked = _leaks(*before)
         if leaked:
-            pytest.fail(f"left running: {leaked}", pytrace=False)
+            pytest.fail(f"left behind: {leaked}", pytrace=False)
 
 
 @pytest.fixture()

@@ -58,7 +58,7 @@ def test_resolve_block_values():
 
 
 def test_a_declarer_holding_nothing_is_stepped_over():
-    """No store callbacks: drop/clear/forsake simply stop holding."""
+    """No store callbacks: drop/clear/release simply stop holding."""
     init, a, b, g = _index_with_layers()
     b.store.drop_block(2)
     assert _resolve(g, init, 2, 2) is a.store
@@ -66,7 +66,7 @@ def test_a_declarer_holding_nothing_is_stepped_over():
     assert _resolve(g, init, 2, 2) is init
     assert g.holder(1, 2) is None
     b.store.write_block(2, np.full(4, 5.0, dtype=complex))
-    b.store.forsake_blocks()
+    b.store.release()
     assert _resolve(g, init, 2, 2) is init
 
 

@@ -14,11 +14,9 @@ nothing is stepped over, and the read lands on the next older holder.
 
 from __future__ import annotations
 
-import os
 import sys
 
 import numpy as np
-import pytest
 
 from repro import QTask
 from repro.core import faults
@@ -32,9 +30,6 @@ from ..machine import (
     run_machine,
     update_and_check_planned_sources,
 )
-
-HAVE_FORK = hasattr(os, "fork")
-
 
 # ---------------------------------------------------------------------------
 # the property: the state machine, whose update rule checks both
@@ -151,57 +146,6 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
                 IndexReader(sim.graph, sim._initial, c_if_stage.seq)
                 .resolve_block(block),
             )
-        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
-    finally:
-        session.close()
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-def test_forsaken_stores_after_shard_loss_read_from_older_holders(no_plan):
-    """Sharded -> local breaker leg: every store is forsaken mid-update.
-
-    Right after the forsaking no declarer holds anything, so every read
-    lands on the oldest holder there is, the initial state; the
-    re-execution then rebuilds every source before it is read.
-    """
-    session = QTask(
-        5, block_size=4, num_workers=1, store_transport="sharded", seed=1
-    )
-    try:
-        net = session.insert_net()
-        for q in range(5):
-            session.insert_gate("h", net, q)
-        for q in range(0, 4, 2):
-            session.insert_gate("cx", session.insert_net(), q, q + 1)
-        session.update_state()
-        sim = session.simulator
-        session.insert_gate("rz", session.insert_net(), 4, params=[0.4])
-
-        seen = []
-        recover = sim._recover_store_transport
-
-        def spy(reason):
-            recover(reason)
-            held = [s.store.num_stored_blocks for s in sim.graph.stages]
-            resolved = sim.state_reader().resolve_stores(range(sim.n_blocks))
-            seen.append((held, resolved))
-
-        sim._recover_store_transport = spy
-        # 5 consecutive store.shard faults make one TransportFailure; two
-        # failures reach the store breaker threshold
-        faults.install(FaultPlan(script=[("store.shard", i) for i in range(1, 11)]))
-        try:
-            update_and_check_planned_sources(session)
-        finally:
-            faults.install(None)
-        assert len(seen) == 2
-        for held, resolved in seen:
-            assert not any(held)
-            assert all(store is sim._initial for store in resolved)
-        stats = session.statistics()
-        assert stats["store_transport"] == "local"
-        assert stats["store_transitions"] == 1
-        assert_reads_equal_the_scan(sim)
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
     finally:
         session.close()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cow import BlockStore, InitialStateStore, MemoryReport, RoutedStore
-from repro.core.transport import StorageTransport
 
 from ..conftest import StoreChain
 
@@ -257,6 +256,25 @@ def test_write_blocks_publishes_scattered_blocks_zero_copy():
     assert s.stored_blocks() == (0, 5, 6)
 
 
+def test_write_blocks_returns_the_arrays_themselves():
+    """No copy on the way in: ``write_blocks`` keeps the rows it is given."""
+    s = _store()
+    rows = [np.full(4, float(b), dtype=complex) for b in range(3)]
+    s.write_blocks([2, 3, 4], rows)
+    assert all(s.get_block(b) is row for b, row in zip((2, 3, 4), rows))
+
+
+def test_read_blocks_returns_stored_arrays():
+    """No copy on the way out: ``get_block`` / ``get_block_many`` hand the
+    stored arrays back as they are."""
+    s = _store()
+    arr = np.arange(4, dtype=complex)
+    s.write_block(1, arr, copy=False)
+    (got,) = s.get_block_many(1, 1)
+    assert got is arr
+    assert s.get_block(1) is arr
+
+
 # ---------------------------------------------------------------------------
 # MemoryReport
 # ---------------------------------------------------------------------------
@@ -347,22 +365,14 @@ def test_share_from_rejects_mismatched_geometry():
         b.share_from(a)
 
 
-class _ElsewhereTransport(StorageTransport):
-    """A remote placement no test ever reaches: the share must refuse first."""
-
-    name = "elsewhere"
-    is_remote = True
-
-
-def test_share_from_rejects_stores_on_different_transports():
-    local = BlockStore(32, 4)
-    local.write_block(0, np.ones(4, dtype=complex))
-    remote = BlockStore(32, 4, transport=_ElsewhereTransport())
-    for child, parent in ((remote, local), (local, remote)):
-        with pytest.raises(ValueError, match="same transport"):
-            child.share_from(parent)
-    assert local.exported_block_refs() == {}
-    assert not remote.stored_blocks() and local.shared_block_count == 0
+def test_share_from_seals_the_origins_blocks():
+    """The seal is on the arrays themselves: the origin's own references
+    turn read-only too, so neither side can write what the other reads."""
+    parent = BlockStore(32, 4)
+    parent.write_range(0, np.arange(8, dtype=complex), copy=False)
+    assert parent.get_block(0).flags.writeable
+    BlockStore(32, 4).share_from(parent)
+    assert not any(parent.get_block(b).flags.writeable for b in (0, 1))
 
 
 def test_memory_report_accounts_shared_bytes():
@@ -395,7 +405,7 @@ def _routed():
 
 def test_routed_store_hands_each_block_to_its_owner():
     (a, b, c), routed = _routed()
-    assert (routed.dim, routed.block_size, routed.is_remote_backed) == (32, 4, False)
+    assert (routed.dim, routed.block_size) == (32, 4)
     rows = [np.full(4, float(blk), dtype=complex) for blk in (6, 0, 3)]
     routed.write_blocks([6, 0, 3], rows)
     assert a.stored_blocks() == (0,) and c.stored_blocks() == (3, 6)
@@ -409,9 +419,6 @@ def test_routed_store_hands_each_block_to_its_owner():
     assert np.shares_memory(c.get_block(2), values)
     routed.write_range(0, values[:8])  # copy=True detaches from the caller
     assert not np.shares_memory(a.get_block(1), values)
-    with routed.publish_batch():  # local stores: a no-op that still nests
-        routed.write_blocks([1], [np.ones(4, dtype=complex)])
-    np.testing.assert_array_equal(a.get_block(1), np.ones(4))
 
 
 def test_routed_store_rejects_what_a_store_rejects():

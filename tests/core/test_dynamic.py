@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -607,28 +606,14 @@ class TestRunShotsWalk:
             ckt.simulator.reset_trajectory(1, from_op=5)
         ckt.close()
 
-    @pytest.mark.parametrize(
-        "transport",
-        [
-            "local",
-            pytest.param(
-                "sharded",
-                marks=pytest.mark.skipif(
-                    not hasattr(os, "fork"), reason="needs os.fork"
-                ),
-            ),
-        ],
-    )
-    def test_a_failing_fork_leaks_no_earlier_fork(self, monkeypatch, transport):
+    def test_a_failing_fork_leaks_no_earlier_fork(self, monkeypatch):
         """Historical id: the walk's one fork raises mid-walk (after it has
         simulated and published a path) and is closed on the way out."""
-        ckt = build_qtask(3, 1, seed=0, num_workers=3, store_transport=transport)
+        ckt = build_qtask(3, 1, seed=0, num_workers=3)
         n1, n2 = ckt.insert_net(), ckt.insert_net()
         ckt.insert_gate("h", n1, 0)
         ckt.measure(n2, 0, 0)
         ckt.update_state()
-        shards = ckt.simulator._store_transport.shard_report
-        before = shards()
         real_fork, built = QTask.fork, []
         real_reset = QTaskSimulator.reset_trajectory
 
@@ -649,9 +634,9 @@ class TestRunShotsWalk:
         assert child.simulator.statistics()["num_updates"] > (
             ckt.simulator.statistics()["num_updates"]
         )
-        # closed: off its circuit, and its shard-side payloads are dropped
+        # closed: off its circuit, and its stores hold nothing
         assert child.simulator not in child.circuit._observers
-        assert shards() == before
+        assert not any(s.store.stored_blocks() for s in child.simulator.graph.stages)
         ckt.close()
 
 
@@ -814,6 +799,9 @@ class TestProgramPointConditions:
             assert probs[1] == pytest.approx(0.0, abs=1e-12)  # q1 never flips
 
     def test_forked_collapse_stage_outcome_is_none(self):
+        """Historical id: a forked collapse stage is its parent's -- the
+        fork holds the blocks the collapse wrote, so it answers with the
+        same outcome and masses before it has executed anything."""
         from repro.core.stage import MeasureStage
 
         ckt = build_qtask(1, 1, seed=0)
@@ -822,9 +810,12 @@ class TestProgramPointConditions:
         ckt.measure(n2, 0, 0)
         ckt.update_state()
         child = ckt.fork()
-        stages = [
-            s for s in child.simulator.graph.stages if isinstance(s, MeasureStage)
-        ]
-        assert stages and stages[0].outcome is None
+        (mine, theirs) = (
+            [s for s in sim.graph.stages if isinstance(s, MeasureStage)]
+            for sim in (child.simulator, ckt.simulator)
+        )
+        assert len(mine) == len(theirs) == 1 and mine[0] is not theirs[0]
+        assert mine[0].outcome == theirs[0].outcome is not None
+        assert mine[0].masses == theirs[0].masses is not None
         child.close()
         ckt.close()

@@ -32,6 +32,7 @@ from ..conftest import (
     circuit_levels,
     random_levels,
     reference_state,
+    shm_entries,
 )
 
 ATOL = 1e-10
@@ -311,31 +312,22 @@ def test_breaker_degrades_persistently_failing_backend():
         sim.update_state()
         assert broken.attempts > before
         assert sim.statistics()["backend"] == "faulting"
-        assert not sim.telemetry.events.events(kind="breaker.transition")
         expected = reference_state(5, circuit_levels(sim.circuit))
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
     finally:
         sim.close()
 
 
-def _shm_entries():
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - platform without /dev/shm
-        return None
-
-
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 def test_no_shared_memory_leaks_under_ship_faults():
     """Historical id: nothing is shipped anywhere.  Updates under fire at
     the kernel and publish sites run in this process alone -- no
     shared-memory segment and no child process, during or after."""
-    before = _shm_entries()
-    if before is None:
-        pytest.skip("no /dev/shm on this platform")
+    before = shm_entries()
     children = set(multiprocessing.active_children())
     rng = random.Random(18)
     levels = random_levels(rng, 6, 4)
-    sim = _build_sim(6, levels, block_size=4, store_transport="local")
+    sim = _build_sim(6, levels, block_size=4)
     faults.install(
         FaultPlan(
             seed=2,
@@ -347,11 +339,11 @@ def test_no_shared_memory_leaks_under_ship_faults():
             net = sim.circuit.insert_net()
             sim.circuit.insert_gate("h", net, 0)
             sim.update_state()
-            assert _shm_entries() == before
+            assert shm_entries() == before
             assert set(multiprocessing.active_children()) == children
         expected = reference_state(6, circuit_levels(sim.circuit))
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
     finally:
         faults.uninstall()
         sim.close()
-    assert _shm_entries() == before
+    assert shm_entries() == before

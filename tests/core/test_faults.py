@@ -172,10 +172,10 @@ def test_fire_with_no_plan_is_noop_even_when_armed():
 
 def test_fault_injected_pickles_faithfully():
     """Site and occurrence survive a pickle round trip."""
-    original = FaultInjected("store.shard", 7)
+    original = FaultInjected("cow.publish", 7)
     clone = pickle.loads(pickle.dumps(original))
     assert isinstance(clone, FaultInjected)
-    assert clone.site == "store.shard"
+    assert clone.site == "cow.publish"
     assert clone.occurrence == 7
     assert str(clone) == str(original)
 
@@ -197,20 +197,21 @@ def test_plan_from_env_excludes_worker_kill_by_default():
     plan = faults.plan_from_env({"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SEED": "9"})
     assert plan is not None
     assert plan.seed == 9
-    assert FAULT_SITES == ("kernel.run", "executor.task", "cow.publish", "store.shard")
+    assert FAULT_SITES == ("kernel.run", "executor.task", "cow.publish")
     for site in FAULT_SITES:
         fired, _ = plan.should_fire(site)
         assert fired
-    with pytest.raises(ValueError, match="unknown fault site"):
-        plan.should_fire("pool.worker.kill")
+    for gone in ("pool.worker.kill", "store.shard"):
+        with pytest.raises(ValueError, match="unknown fault site"):
+            plan.should_fire(gone)
 
 
 def test_plan_from_env_site_whitelist():
     plan = faults.plan_from_env(
-        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "cow.publish, store.shard"}
+        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "cow.publish, executor.task"}
     )
     assert plan.should_fire("cow.publish")[0]
-    assert plan.should_fire("store.shard")[0]
+    assert plan.should_fire("executor.task")[0]
     assert not plan.should_fire("kernel.run")[0]
 
 

@@ -293,7 +293,7 @@ def test_fusion_knob_in_statistics_and_facade():
         with pytest.raises(TypeError):
             QTask(3, **knob)
     keywords = inspect.signature(QTaskSimulator.__init__).parameters.values()
-    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 9
+    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 8
     assert DURABLE_KNOBS == ("block_size", "copy_on_write", "observable_cache")
     with QTask(3) as session:
         stats = session.statistics()

@@ -211,7 +211,7 @@ class TestProcessPoolBackend:
         harmless and an update starts no process."""
         monkeypatch.setenv("QTASK_PROCESS_WORKERS", "many")
         before = set(multiprocessing.active_children())
-        sim = _simulator(_mixed_levels(), num_workers=2, store_transport="local")
+        sim = _simulator(_mixed_levels(), num_workers=2)
         sim.update_state()
         assert sim.executor.num_workers == 2
         assert set(multiprocessing.active_children()) == before

@@ -6,13 +6,12 @@ as one gather, one multiply and one publish; the base
 amplitude is the product of the same two operands on both paths, so the
 comparison here is ``np.array_equal``, never ``allclose`` -- over drawn
 tables at the backend boundary, and over drawn circuits at the session
-boundary (where worker threads, the sharded transport and chaos-mode fault
-injection come into play).
+boundary (where worker threads and chaos-mode fault injection come into
+play).
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
@@ -35,7 +34,6 @@ from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import DiagonalAction, MonomialAction
 from repro.core.kernels import KernelBackend, NumpyBatchBackend, _slab_table
 from repro.core.simulator import QTaskSimulator
-from repro.core.transport import LOCAL_TRANSPORT, ShardedTransport
 
 from ..conftest import (
     DeclaringStage,
@@ -46,8 +44,6 @@ from ..conftest import (
     table_from_runs,
 )
 from ..test_trajectory_properties import build_dynamic_circuit
-
-HAVE_FORK = hasattr(os, "fork")
 
 SETTINGS = dict(
     deadline=None,
@@ -64,7 +60,7 @@ def _amps(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-def _stage_input(rng, dim, block_size, transport, indexed):
+def _stage_input(rng, dim, block_size, indexed):
     """Two earlier stages holding random blocks over the initial state.
 
     The indexed reader is the one an update hands a kernel: both stages
@@ -76,12 +72,12 @@ def _stage_input(rng, dim, block_size, transport, indexed):
     block_len = min(dim, block_size)
     stores = []
     for _ in range(2):
-        store = BlockStore(dim, block_size, transport=transport)
+        store = BlockStore(dim, block_size)
         for b in np.flatnonzero(rng.random(store.n_blocks) < 0.6):
             store.write_block(int(b), _amps(rng, block_len))
         stores.append(store)
     if not indexed:
-        return StoreChain([initial] + stores), stores
+        return StoreChain([initial] + stores)
     everything = [(0, initial.n_blocks - 1)]
     stages = [
         DeclaringStage(dim.bit_length() - 1, block_size, everything, store)
@@ -89,7 +85,7 @@ def _stage_input(rng, dim, block_size, transport, indexed):
     ]
     graph = index_over(stages)
     (sources,), _ = graph.plan_sources([StagePlan(stages[2], stages[2].ranges)], initial)
-    return IndexReader(graph, initial, 2, sources), stores
+    return IndexReader(graph, initial, 2, sources)
 
 
 def _random_op(rng, kind, n, dim):
@@ -146,15 +142,11 @@ def _random_table(rng, kinds, n, block_size):
     return table_from_runs(runs)
 
 
-def _execute(backend, reader, table, transport, parts, batch):
-    out = BlockStore(reader.dim, reader.block_size, transport=transport)
+def _execute(backend, reader, table, parts):
+    out = BlockStore(reader.dim, reader.block_size)
     per_run = 0
     for chunk in table.split(parts):
-        if batch:
-            with out.publish_batch():
-                per_run += backend.execute_plan(reader, out, chunk)
-        else:
-            per_run += backend.execute_plan(reader, out, chunk)
+        per_run += backend.execute_plan(reader, out, chunk)
     return out, per_run
 
 
@@ -162,11 +154,6 @@ def _assert_same_blocks(got, want):
     assert got.stored_blocks() == want.stored_blocks()
     for b in want.stored_blocks():
         assert np.array_equal(got.get_block(b), want.get_block(b)), b
-
-
-def _release(*stores):
-    for store in stores:
-        store.release_remote()
 
 
 KINDS = st.lists(
@@ -186,34 +173,20 @@ KINDS = st.lists(
     kinds=KINDS,
     parts=st.integers(1, 5),
     indexed=st.booleans(),
-    sharded=st.booleans(),
-    batch=st.booleans(),
 )
 @settings(max_examples=150, **SETTINGS)
-def test_slab_plan_equals_per_run_plan(
-    seed, n, log_block, kinds, parts, indexed, sharded, batch
-):
+def test_slab_plan_equals_per_run_plan(seed, n, log_block, kinds, parts, indexed):
     rng = np.random.default_rng(seed)
     block_size = 1 << log_block  # n < log_block: one short block
-    transport = (
-        ShardedTransport(2) if sharded and HAVE_FORK else LOCAL_TRANSPORT
-    )
-    reader, inputs = _stage_input(rng, 1 << n, block_size, transport, indexed)
+    reader = _stage_input(rng, 1 << n, block_size, indexed)
     table = _random_table(rng, kinds, n, block_size)
-    want, ref_per_run = _execute(
-        KernelBackend(), reader, table, transport, parts, batch
-    )
-    got, per_run = _execute(
-        NumpyBatchBackend(), reader, table, transport, parts, batch
-    )
-    try:
-        _assert_same_blocks(got, want)
-        assert ref_per_run == table.num_runs
-        assert per_run == 0
-        # never-written inputs are served densely, not materialised
-        assert not _initial_of(reader)._blocks
-    finally:
-        _release(got, want, *inputs)
+    want, ref_per_run = _execute(KernelBackend(), reader, table, parts)
+    got, per_run = _execute(NumpyBatchBackend(), reader, table, parts)
+    _assert_same_blocks(got, want)
+    assert ref_per_run == table.num_runs
+    assert per_run == 0
+    # never-written inputs are served densely, not materialised
+    assert not _initial_of(reader)._blocks
 
 
 def _initial_of(reader):
@@ -247,8 +220,8 @@ def test_split_chunk_reads_sources_outside_its_own_runs():
     )
     head, tail = table.split(2)
     assert int(head.his.max()) < 16 <= int(tail.los.min())
-    want, _ = _execute(KernelBackend(), reader, table, None, 2, False)
-    got, _ = _execute(NumpyBatchBackend(), reader, table, None, 2, False)
+    want, _ = _execute(KernelBackend(), reader, table, 2)
+    got, _ = _execute(NumpyBatchBackend(), reader, table, 2)
     _assert_same_blocks(got, want)
 
 
@@ -261,8 +234,8 @@ def test_single_short_block_when_dim_is_below_block_size():
         num_qubits=2, perm=(0, 2, 1, 3), factors=(1.0, 1j, -1j, 1.0)
     )
     table = table_from_runs([RunSpec(RUN_ACTION, 0, 7, (2, 0), swap)])
-    want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
-    got, _ = _execute(NumpyBatchBackend(), reader, table, None, 1, False)
+    want, _ = _execute(KernelBackend(), reader, table, 1)
+    got, _ = _execute(NumpyBatchBackend(), reader, table, 1)
     assert got.get_block(0).shape == (8,)
     _assert_same_blocks(got, want)
 
@@ -279,8 +252,8 @@ def test_output_arrays_span_at_most_max_run_blocks():
             for fb, lb in aligned_block_runs(0, 511, MAX_RUN_BLOCKS)
         ]
     )
-    got, _ = _execute(NumpyBatchBackend(), reader, table, None, 1, False)
-    want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
+    got, _ = _execute(NumpyBatchBackend(), reader, table, 1)
+    want, _ = _execute(KernelBackend(), reader, table, 1)
     _assert_same_blocks(got, want)
     backing = set()
     for b in got.stored_blocks():
@@ -340,7 +313,7 @@ def test_injected_fault_leaves_the_store_untouched_and_retry_converges(site):
             NumpyBatchBackend().execute_plan(reader, out, table)
     finally:
         faults.install(previous)
-    want, _ = _execute(KernelBackend(), reader, table, None, 1, False)
+    want, _ = _execute(KernelBackend(), reader, table, 1)
     for b in want.stored_blocks():
         assert np.array_equal(out.get_block(b), want.get_block(b))
     assert out.has_block(8)
@@ -431,7 +404,7 @@ def test_tables_are_compact_read_only_and_the_cache_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# session boundary: workers, transports, chaos
+# session boundary: workers, chaos
 # ---------------------------------------------------------------------------
 
 
@@ -466,8 +439,8 @@ def _check_sessions_agree(seed, **knobs):
 def test_sessions_agree_with_the_per_run_reference_backend(
     seed, block_size, num_workers, stepwise
 ):
-    """Runs under whatever transport / fault plan the environment set
-    (``QTASK_STORE_TRANSPORT``, ``QTASK_FAULT_P``): recovery re-executes
+    """Runs under whatever fault plan the environment set
+    (``QTASK_FAULT_P``): recovery re-executes
     through the per-run path, so even then the states are identical."""
     _check_sessions_agree(
         seed,

@@ -16,6 +16,7 @@ The checkpoint contract (``repro.core.snapshot``):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -32,6 +33,8 @@ from repro.core.kernels import KernelBackend
 from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator
 from repro.core.snapshot import (
     CHECKPOINT_MAGIC,
+    decode_block,
+    encode_block,
     restore_simulator,
     save_checkpoint,
 )
@@ -88,7 +91,7 @@ def test_round_trip_preserves_state_and_structure(tmp_path, knobs):
         assert session.checkpoint(path) == path
     headers = []
     _rewrite_header(path, headers.append)  # an edit that only looks
-    assert set(headers[0]["knobs"]) == {*DURABLE_KNOBS, "store_transport"}
+    assert set(headers[0]["knobs"]) == set(DURABLE_KNOBS)
     assert "fused" not in {entry["kind"] for entry in headers[0]["stages"]}
 
     restored = QTask.restore(path, num_workers=1)
@@ -485,6 +488,100 @@ def test_checkpoint_with_fused_stages_restores_and_survives_edits():
         session.remove_gate(nets[7].gates[0])  # half of the permuting run
         session.update_state()
         check(session)
+
+
+SHARDED_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "..", "data", "sharded_pr26.qtckpt"
+)
+
+
+def test_checkpoint_written_on_the_sharded_transport_restores_bit_identically():
+    """A file written at ``848d36d``, the last version with a store
+    transport, with ``store_transport="sharded"`` (its header names the
+    knob).  Written there by::
+
+        with QTask(4, num_clbits=2, block_size=4, num_workers=1, seed=4,
+                   store_transport="sharded") as s:
+            n = [s.insert_net() for _ in range(8)]
+            for q in (0, 1, 3):
+                s.insert_gate("h", n[0], q)
+            s.insert_gate("t", n[1], 0)
+            s.insert_gate("cp", n[2], 0, 3, params=(0.7,))  # a run with t, cx
+            s.insert_gate("cx", n[2], 1, 2)
+            s.measure(n[3], 0, 0)                           # draws 1
+            s.c_if("x", n[4], 2, condition=([0], 1))        # ... so x fires
+            s.reset(n[5], 1)
+            s.insert_gate("rz", n[6], 2, params=(0.3,))
+            s.measure(n[7], 3, 1)
+            s.update_state()
+            s.update_gate(n[6].gates[0], 1.1)
+            s.update_state()
+            s.checkpoint("tests/data/sharded_pr26.qtckpt")
+
+    The state restores to the bit, with nothing re-simulated (the digest is
+    the parent's ``state().tobytes()``), and stays editable.
+    """
+    with QTask.restore(SHARDED_FIXTURE, num_workers=1) as session:
+        assert hashlib.sha256(session.state().tobytes()).hexdigest() == (
+            "bd81651cdc43d5b45b6288256ab2fd8a5b58f1666cd1ef8367efd568047e217e"
+        )
+        np.testing.assert_array_equal(session.state(), dense_state(session))
+        stats = session.statistics()
+        assert (stats["plans_built"], stats["num_updates"]) == (0, 2)
+        assert session.outcomes.recorded_outcomes() == {0: 1, 2: 1, 3: 0}
+        assert [(run.members[0].seq, len(run.members))
+                for run in session.simulator.graph.runs()] == [(1, 3)]
+        assert_held_blocks_declared(session)
+        assert_held_blocks_are_prefix_states(session)
+        assert_runs_are_consistent(session)
+        nets = session.nets()
+        session.update_gate(nets[2].gates[0], 0.0)  # cp(0): the identity
+        session.remove_gate(nets[1].gates[0])  # t, the head of the run
+        session.update_state()
+        assert session.simulator.last_update.was_incremental
+        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
+
+
+def test_store_transport_is_gone_from_every_entry_point(tmp_path):
+    path = str(tmp_path / "s.qtckpt")
+    with QTask(3, num_workers=1) as session:
+        session.insert_gate("h", session.insert_net(), 0)
+        session.checkpoint(path)
+    for spec in ("local", "sharded", None):
+        with pytest.raises(TypeError, match="store_transport"):
+            QTask(3, store_transport=spec)
+        with pytest.raises(TypeError, match="store_transport"):
+            QTaskSimulator(Circuit(3), store_transport=spec)
+        with pytest.raises(TypeError, match="store_transport"):
+            QTask.restore(path, store_transport=spec)
+
+
+class TestCodec:
+    """The checkpoint block codec: raw complex128 bytes plus a CRC32."""
+
+    def test_roundtrip(self):
+        arr = np.arange(8, dtype=np.complex128) * (1 + 2j)
+        raw, crc = encode_block(arr)
+        np.testing.assert_array_equal(decode_block(raw, crc, 8), arr)
+
+    def test_decoded_view_is_read_only(self):
+        raw, crc = encode_block(np.ones(4, dtype=np.complex128))
+        assert not decode_block(raw, crc).flags.writeable
+
+    def test_crc_mismatch_raises(self):
+        raw, crc = encode_block(np.ones(4, dtype=np.complex128))
+        with pytest.raises(CheckpointError, match="CRC"):
+            decode_block(raw, crc ^ 1)
+
+    def test_corrupt_payload_raises(self):
+        raw, crc = encode_block(np.ones(4, dtype=np.complex128))
+        with pytest.raises(CheckpointError, match="CRC"):
+            decode_block(bytes([raw[0] ^ 0xFF]) + raw[1:], crc)
+
+    def test_length_mismatch_raises(self):
+        raw, crc = encode_block(np.ones(4, dtype=np.complex128))
+        with pytest.raises(CheckpointError, match="expected 8"):
+            decode_block(raw, crc, expect_len=8)
 
 
 @pytest.mark.parametrize("gates", [[], [2, 99], [-1]])

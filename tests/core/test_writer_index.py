@@ -81,8 +81,7 @@ def wiring(graph):
 
 
 def test_sweep_equals_closest_writer_reachability(tmp_path):
-    run_machine(tmp_path, rules=MODIFIERS, num_workers=1, store_transport=None,
-                max_examples=150, steps=30)
+    run_machine(tmp_path, rules=MODIFIERS, num_workers=1, max_examples=150, steps=30)
 
 
 def test_failed_update_keeps_its_pending_dirt(no_plan):

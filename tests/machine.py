@@ -61,8 +61,6 @@ from repro.core.cow import IndexReader
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
 from repro.core.kernels import KernelBackend
-from repro.core.stage import MeasureStage, ResetStage
-from repro.core.transport import _SHARD_FAULT_RETRIES, TransportFailure
 from repro.observables import (
     ObservablesEngine,
     PauliString,
@@ -84,8 +82,6 @@ from .conftest import (
     swept_nodes,
 )
 
-HAVE_FORK = hasattr(os, "fork")
-
 NUM_CLBITS = 2
 #: sessions open at once (root, forks, restores)
 MAX_LIVE = 3
@@ -100,7 +96,6 @@ KNOBS = dict(
     observable_cache=st.booleans(),
     num_workers=st.sampled_from([1, 2]),
     kernel_backend=st.sampled_from([None, KernelBackend()]),
-    store_transport=st.sampled_from([None, "sharded"] if HAVE_FORK else [None]),
     seed=st.integers(0, 999),
     tracing=st.booleans(),
     stepwise=st.booleans(),
@@ -131,7 +126,6 @@ ABSORBED_BY = {
     "kernel.run": RETRIES,
     "cow.publish": RETRIES,
     "executor.task": ("task_retries", "update_retries"),
-    "store.shard": ("shard_fault_trips",),
 }
 
 
@@ -356,10 +350,7 @@ def update_and_check_planned_sources(session):
 
 def _recoveries(session) -> dict:
     stats = session.statistics()
-    counts = {key: stats[key] for key in RETRIES}
-    remote = session.simulator._store_remote
-    counts["shard_fault_trips"] = getattr(remote, "fault_trips", 0)
-    return counts
+    return {key: stats[key] for key in RETRIES}
 
 
 class _Stepwise(CircuitObserver):
@@ -596,12 +587,6 @@ class SessionMachine(RuleBasedStateMachine):
     )
     def inject_fault(self, session, site, count):
         """The first ``count`` evaluations of ``site`` fail in one update."""
-        if site == "store.shard":
-            # Five in a row escalate to a store recovery, left to the scripted
-            # tests: its respawn purges every session's payloads on the shared
-            # shard runtime, and its replay forces pre-update outcomes that a
-            # pending edit may have made impossible (both open defects).
-            count = min(count, _SHARD_FAULT_RETRIES - 1)
         pending = swept_nodes(session)
         before = _recoveries(session)
         plan = FaultPlan(script=[(site, i) for i in range(1, count + 1)])
@@ -609,7 +594,7 @@ class SessionMachine(RuleBasedStateMachine):
         try:
             session.update_state()
             failed = False
-        except (FaultInjected, TransportFailure):
+        except FaultInjected:
             failed = True
         finally:
             faults.install(previous)
@@ -673,13 +658,9 @@ class SessionMachine(RuleBasedStateMachine):
         if force:
             # A forced operation never branches.  (The first collapse's
             # masses hang on no earlier outcome, so the side it just took
-            # has mass on every trajectory.  It is looked up among the
-            # stages: ``collapse_path`` leaves out what a fork has not run.)
+            # has mass on every trajectory.)
             session.update_state()
-            collapses = [
-                s.op.op_index for s in session.simulator._dynamic_stages_from(None)
-                if isinstance(s, (MeasureStage, ResetStage))
-            ]
+            collapses = [op for op, *_ in session.simulator.collapse_path()]
             forced = record.replace_forced({
                 **record._forced,
                 **{op: record.outcome_of(op) for op in collapses[:1]},

@@ -1,6 +1,7 @@
 """SessionPool: warm-hit accounting, budgets, eviction, lease pinning."""
 
 import threading
+import time
 
 import pytest
 
@@ -144,7 +145,7 @@ def test_unstable_sessions_evicted_first():
         # mark "b" (the *most recent*) unstable: recovery events on its base
         entry_b = pool._entries["b"]
         entry_b.session.telemetry.events.emit("update.retry", attempt=1)
-        entry_b.session.telemetry.events.emit("breaker.transition", to="open")
+        entry_b.session.telemetry.events.emit("chunk.fallback", backend="numpy")
         forkc, _ = pool.lease("c", make_factory())
         forkc.close()
         pool.release("c")
@@ -190,6 +191,52 @@ def test_concurrent_leases_build_base_once():
         assert len(calls) == 1  # exactly one thread built the base
         assert results.count(False) == 1 and results.count(True) == 7
     finally:
+        pool.close()
+
+
+def test_a_raising_factory_fails_every_waiter_and_leaves_no_entry():
+    """Eight leases of one cold key share the one build; when it raises,
+    each gets that error (no waiter is wedged), the key is gone, and the
+    next lease builds afresh."""
+    release = threading.Event()
+    calls = []
+
+    def factory():
+        calls.append(1)
+        assert release.wait(10)
+        raise RuntimeError("build failed")
+
+    pool = SessionPool()
+    errors = []
+
+    def lease():
+        try:
+            pool.lease("k", factory)
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=lease) for _ in range(8)]
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 10
+        # every lease has joined the one entry before the build fails
+        while pool._entries.get("k") is None or pool._entries["k"].leases < 8:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1 and len(errors) == 8
+        assert all(exc is errors[0] for exc in errors)
+        assert "k" not in pool.keys()
+        fork, hit = pool.lease("k", make_factory())
+        assert hit is False and fork.num_gates == 2
+        fork.close()
+        pool.release("k")
+    finally:
+        release.set()
         pool.close()
 
 

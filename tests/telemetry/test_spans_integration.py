@@ -103,9 +103,7 @@ def test_pool_worker_spans_carry_worker_pids():
     """Historical id: the only workers are the executor's threads.  Every
     span of a traced multi-worker update carries this process's pid and one
     of the engine's span names -- nothing is timed in another process."""
-    ckt, sim = build_cascade(
-        8, 24, block_size=2, num_workers=2, tracing=True, store_transport="local",
-    )
+    ckt, sim = build_cascade(8, 24, block_size=2, num_workers=2, tracing=True)
     try:
         sim.update_state()
         ckt.update_gate(next(h for h in ckt.gates() if h.gate.name == "rz"), 0.77)

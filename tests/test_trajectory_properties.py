@@ -20,7 +20,6 @@ The acceptance bar of the dynamic-circuit subsystem:
 from __future__ import annotations
 
 import math
-import os
 import random
 
 import numpy as np
@@ -28,16 +27,11 @@ import pytest
 
 from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
-from repro.core import faults
 from repro.core.circuit import Circuit
-from repro.core.faults import FaultPlan
 from repro.core.gates import Gate
-from repro.core.simulator import QTaskSimulator
 
-from .conftest import open_session, random_level, replay_shots
+from .conftest import open_session, random_level
 from .machine import DYNAMIC, run_machine
-
-HAVE_FORK = hasattr(os, "fork")
 
 # every incremental-engine knob combination the equivalence bar names
 # (``stepwise``: one update per gate instead of one for the whole circuit,
@@ -286,6 +280,22 @@ def test_run_shots_shares_unitary_prefix_copy_on_write():
     ckt.close()
 
 
+def test_a_fresh_fork_has_its_parents_collapse_path():
+    """A fork holds its parent's collapsed blocks, so it holds the collapses
+    that wrote them: same operations, masses and outcomes before the fork
+    has executed anything."""
+    ckt = build_rus_branch(seed=9, block_size=2)
+    try:
+        ckt.update_state()
+        path = ckt.simulator.collapse_path()
+        assert len(path) == 4  # measure, reset, measure, measure
+        with ckt.fork() as child:
+            assert child.simulator.collapse_path() == path
+            assert child.simulator.collapse_path(path[1][0]) == path[1:]
+    finally:
+        ckt.close()
+
+
 # ---------------------------------------------------------------------------
 # run_shots == one replay per shot
 # ---------------------------------------------------------------------------
@@ -295,36 +305,3 @@ def test_run_shots_equals_one_replay_per_shot():
     """Over drawn dynamic circuits and the whole knob space, forced
     outcomes included (``tests/machine.py``'s ``run_shots`` rule)."""
     run_machine(rules=DYNAMIC | {"update_gate", "run_shots"}, max_examples=30, steps=12)
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="sharded transport needs os.fork")
-def test_run_shots_survives_store_recovery_mid_walk(no_plan, monkeypatch):
-    """A branch replayed from scratch redraws the prefix it branched from.
-
-    Losing the shards mid-walk re-executes *every* stage of the fork, the
-    ones before the branch point included; those replay the recorded
-    prefix and the rest draw the branching shot's own first values, so the
-    histogram does not move.
-    """
-    ckt = build_rus_branch(seed=9, block_size=2, num_workers=1,
-                           store_transport="sharded")
-    held_prefixes = []
-    recover = QTaskSimulator._recover_store_transport
-
-    def spy(self, reason):
-        held_prefixes.append(self.outcomes.recorded_outcomes())
-        recover(self, reason)
-
-    monkeypatch.setattr(QTaskSimulator, "_recover_store_transport", spy)
-    try:
-        ckt.update_state()
-        expected = replay_shots(ckt, 40, 77)
-        # Five consecutive store.shard faults are one TransportFailure; the
-        # walk's second update (evaluations 15-18) branches at the reset.
-        faults.install(FaultPlan(script=[("store.shard", i) for i in range(15, 20)]))
-        counts = ckt.run_shots(40, seed=77)
-        faults.uninstall()
-        assert len(held_prefixes) == 1 and held_prefixes[0]  # lost mid-branch
-        assert counts == expected
-    finally:
-        ckt.close()
