@@ -71,6 +71,10 @@ __all__ = [
 
 _DTYPE = np.complex128
 
+#: guards every store's export counts; they change only when a session
+#: forks or a fork rebinds an adopted block, so all stores share one lock
+_EXPORT_LOCK = threading.Lock()
+
 
 class BlockStore:
     """Sparse per-stage storage of state-vector blocks.
@@ -94,10 +98,9 @@ class BlockStore:
         #: rebinding such a block on first write releases the origin's ref
         self._shared: Dict[int, "BlockStore"] = {}
         #: per-block count of live references other stores hold to blocks
-        #: exported by :meth:`share_from` (mutated under ``_export_lock``:
+        #: exported by :meth:`share_from` (mutated under ``_EXPORT_LOCK``:
         #: forked sessions release refs from worker threads)
         self._export_refs: Dict[int, int] = {}
-        self._export_lock = threading.Lock()
 
     def release(self) -> None:
         """Session teardown: drop every block reference this store holds.
@@ -144,13 +147,13 @@ class BlockStore:
     def _export_retain(self, blocks: Sequence[int]) -> None:
         if not blocks:
             return
-        with self._export_lock:
+        with _EXPORT_LOCK:
             refs = self._export_refs
             for b in blocks:
                 refs[b] = refs.get(b, 0) + 1
 
     def _export_release(self, block: int) -> None:
-        with self._export_lock:
+        with _EXPORT_LOCK:
             n = self._export_refs.get(block, 0) - 1
             if n <= 0:
                 self._export_refs.pop(block, None)
@@ -177,12 +180,12 @@ class BlockStore:
 
     def exported_block_refs(self) -> Dict[int, int]:
         """Live per-block reference counts held by sharing stores."""
-        with self._export_lock:
+        with _EXPORT_LOCK:
             return dict(self._export_refs)
 
     @property
     def num_exported_blocks(self) -> int:
-        with self._export_lock:
+        with _EXPORT_LOCK:
             return len(self._export_refs)
 
     # -- write side -------------------------------------------------------

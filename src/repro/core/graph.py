@@ -273,41 +273,67 @@ class PartitionGraph:
     # ------------------------------------------------------------------
 
     def insert_stage(self, stage: Stage, position: int) -> None:
-        """Insert ``stage`` at ``position`` in the global order.
+        """Insert ``stage`` at ``position``: a batch of one."""
+        self.insert_stages([(position, stage)])
 
-        Records its layout, lists it in the writer index under every block
-        it declares, and marks those blocks dirty on it: all partitions of a
-        newly inserted gate are frontiers (§III.E).  Landing strictly inside
-        a recorded run dissolves it.
+    def insert_stages(self, placed: Sequence[Tuple[int, Stage]]) -> None:
+        """Enter a batch of stages into the global order, in one pass.
+
+        ``placed`` lists ``(position, stage)`` by ascending position in the
+        resulting order; the stages already in the graph keep their relative
+        order.  Renumbers once, dissolves a run a new stage lands
+        strictly inside, records each new stage's layout, lists it in the
+        writer index and marks its blocks dirty on it: all partitions of a
+        newly inserted gate are frontiers (§III.E).
         """
-        if not 0 <= position <= len(self._stages):
-            raise IndexError(f"stage position {position} out of range")
-        if position < len(self._stages):
-            follower = self._stages[position]
-            run = self._run_of.get(follower)
-            if run is not None and run.members[0] is not follower:
-                # strictly between two members of a run (before its head or
-                # after its tail the run stays one unit)
-                self._dissolve_run(follower)
-        self._stages.insert(position, stage)
-        self._renumber(position)
-        if self._on_stage_inserted is not None:
-            self._on_stage_inserted(stage)
-        declared = stage.partition_layout()
-        layout = StageLayout(
-            *declared, bool(declared.specs) and stage.reads_all_blocks()
-        )
-        self._layouts[stage.uid] = layout
-        self._num_nodes += layout.num_nodes
-        seq = stage.seq
-        for spec in layout.specs:
-            blocks = spec.block_range
-            for writers in self._writers[blocks.first : blocks.last + 1]:
-                if writers and writers[-1].seq > seq:
-                    writers.insert(_slot(writers, seq), stage)
-                else:
-                    writers.append(stage)
-        self._mark(stage, layout.cover)
+        if not placed:
+            return
+        old = self._stages
+        merged: List[Stage] = []
+        taken = 0
+        tail = len(old) + len(placed)  # position of the first new stage
+        # behind every old one
+        for position, stage in placed:
+            cut = taken + position - len(merged)
+            if not taken <= cut <= len(old):
+                raise IndexError(f"stage position {position} out of range")
+            merged.extend(old[taken:cut])
+            taken = cut
+            if taken < len(old):
+                follower = old[taken]
+                run = self._run_of.get(follower)
+                if run is not None and run.members[0] is not follower:
+                    # strictly between two members of a run (before its head
+                    # or after its tail the run stays one unit)
+                    self._dissolve_run(follower)
+            else:
+                tail = min(tail, position)
+            merged.append(stage)
+        merged.extend(old[taken:])
+        self._stages = merged
+        self._renumber(placed[0][0])
+        dirt: Dict[Stage, int] = {}
+        for _, stage in placed:
+            if self._on_stage_inserted is not None:
+                self._on_stage_inserted(stage)
+            declared = stage.partition_layout()
+            layout = StageLayout(
+                *declared, bool(declared.specs) and stage.reads_all_blocks()
+            )
+            self._layouts[stage.uid] = layout
+            self._num_nodes += layout.num_nodes
+            seq = stage.seq
+            behind = seq >= tail  # every entry so far precedes it
+            for spec in layout.specs:
+                blocks = spec.block_range
+                for writers in self._writers[blocks.first : blocks.last + 1]:
+                    if behind or not writers or writers[-1].seq < seq:
+                        writers.append(stage)
+                    else:
+                        writers.insert(_slot(writers, seq), stage)
+            if layout.cover:
+                dirt[stage] = layout.cover
+        self._pending.update(dirt)
 
     def remove_stage(self, stage: Stage) -> None:
         """Remove ``stage``; its blocks become stale for whatever follows.

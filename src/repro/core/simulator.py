@@ -68,6 +68,7 @@ from .stage import (
     UnitaryStage,
     coalesced_table,
     gate_action,
+    gate_shape,
 )
 
 __all__ = ["UpdateReport", "QTaskSimulator"]
@@ -89,6 +90,32 @@ _RUN_FAULT_RETRIES = 5
 
 #: bounded whole-update re-executions (the outermost recovery layer)
 _UPDATE_FAULT_RETRIES = 3
+
+
+def _net_order(stages: Sequence[Stage]) -> List[Stage]:
+    """A net's stages in the paper's within-net order, by one sort.
+
+    ``stages`` is the net's order followed by its new stages in insert
+    order; the result equals inserting the new ones one by one.  The
+    matrix--vector stage leads; the paper orders the other gates "in an
+    increasing order of block count in partitions" (ties: insert order).  A
+    dynamic stage stays behind what was there before it: it sorts as the
+    widest non-superposition stage before it.
+    """
+    keyed = []
+    widest = -1
+    for t, stage in enumerate(stages):
+        if isinstance(stage, MatVecStage):
+            key = (-2, t)
+        elif isinstance(stage, UnitaryStage):
+            count = stage.total_block_count()
+            widest = max(widest, count)
+            key = (count, t)
+        else:
+            key = (widest, t)
+        keyed.append((key, stage))
+    keyed.sort(key=lambda entry: entry[0])
+    return [stage for _, stage in keyed]
 
 
 @dataclass
@@ -195,13 +222,14 @@ class QTaskSimulator(CircuitObserver):
         )
 
         self._initial = InitialStateStore(self.dim, self.block_size)
-        self.graph = PartitionGraph(
+        #: read through :attr:`graph`, which wires queued inserts first
+        self._graph = PartitionGraph(
             BlockRange(0, self.n_blocks - 1),
             on_stage_inserted=self._on_stage_entered,
             on_stage_removed=self._on_stage_left,
         )
 
-        #: stages of each net, in within-net order
+        #: wired stages of each net, in within-net order
         self._net_stages: Dict[int, List[Stage]] = {
             net.uid: [] for net in circuit.nets()
         }
@@ -212,11 +240,13 @@ class QTaskSimulator(CircuitObserver):
         #: gate handles whose gates each stage applies (the members of a
         #: matvec stage; one handle for every other stage)
         self._stage_handles: Dict[int, List[GateHandle]] = {}
-        #: cached net-order index (net uid -> position) used by
-        #: _global_position; invalidated whenever a net is inserted or
-        #: removed instead of being rebuilt on every gate.
-        self._net_index: Optional[Dict[int, int]] = None
-        self._net_uid_order: List[int] = []
+        #: stages built since the last wiring, in insert order, with the uid
+        #: of their net; :meth:`_wire` files them all at the next graph read
+        self._queued: Dict[Stage, int] = {}
+        #: gates inserted since the last wiring (a matvec member included)
+        self._inserted = 0
+        #: ``(gates, stages, nets)`` the last update wired before planning
+        self._last_wired = (0, 0, 0)
 
         #: set by :meth:`close`
         self._closed = False
@@ -316,10 +346,11 @@ class QTaskSimulator(CircuitObserver):
         by reference count instead of whenever the cyclic collector reaches
         the simulator <-> stage cycle; arrays a fork adopted live on through
         the fork's own references.  Reads of a closed session raise.
+        Queued inserts are dropped unwired.
         """
         self._closed = True
         self.circuit.unregister_observer(self)
-        for stage in self.graph.stages:
+        for stage in [*self._graph.stages, *self._queued]:
             stage.store.release()
         if self._owns_executor:
             self.executor.close()
@@ -333,9 +364,18 @@ class QTaskSimulator(CircuitObserver):
     def _sync_existing(self) -> None:
         """Adopt gates already present in the circuit at attach time."""
         for net in self.circuit.nets():
-            self._net_stages.setdefault(net.uid, [])
             for handle in net.gates:
                 self.on_gate_inserted(self.circuit, handle)
+
+    @property
+    def graph(self) -> PartitionGraph:
+        """The partition graph, with every queued insert wired into it."""
+        self._wire()
+        return self._graph
+
+    def _has_edits(self) -> bool:
+        """True when the next update has modifiers to apply."""
+        return bool(self._inserted) or self._graph.has_pending
 
     # ------------------------------------------------------------------
     # session forking (copy-on-write children)
@@ -375,7 +415,7 @@ class QTaskSimulator(CircuitObserver):
         ``forked_gate_map`` (parent handle uid -> child handle).
         """
         # The forked state is "the state after all issued modifiers".
-        if self.graph.has_pending or self._num_updates == 0:
+        if self._has_edits() or self._num_updates == 0:
             self.update_state()
         circuit, gate_map, net_map = self.circuit.clone()
 
@@ -389,14 +429,14 @@ class QTaskSimulator(CircuitObserver):
         # block resolution depends on it) together with their layout
         # records and the writer index -- O(stages + index entries).
         stage_map: Dict[int, Stage] = {}
-        for stage in self.graph.stages:
+        for stage in self._graph.stages:
             child_stage = stage.clone_for_fork()
             stage_map[stage.uid] = child_stage
             members = [gate_map[h.uid] for h in self._stage_handles[stage.uid]]
             child._stage_handles[child_stage.uid] = members
             for child_handle in members:
                 child._gate_stage[child_handle.uid] = child_stage
-        child.graph.mirror_from(self.graph, stage_map)
+        child._graph.mirror_from(self._graph, stage_map)
         for net_uid, stages in self._net_stages.items():
             child_net = net_map.get(net_uid)
             if child_net is not None:
@@ -408,7 +448,7 @@ class QTaskSimulator(CircuitObserver):
 
         # Adopt the parent's computed blocks copy-on-write (zero copies);
         # the mirrored writer index already lists every adopting stage.
-        for stage in self.graph.stages:
+        for stage in self._graph.stages:
             stage_map[stage.uid].store.share_from(stage.store)
 
         # A warm observables cache is valid verbatim (identical state).
@@ -511,42 +551,41 @@ class QTaskSimulator(CircuitObserver):
 
     def on_net_inserted(self, circuit: Circuit, net: NetHandle, position: int) -> None:
         self._net_stages.setdefault(net.uid, [])
-        self._net_index = None
 
     def on_net_removed(self, circuit: Circuit, net: NetHandle,
                        removed_gates: Sequence[GateHandle]) -> None:
-        # Individual gate removals already dismantled the net's stages.
+        # Individual gate removals already wired and dismantled its stages.
         self._net_stages.pop(net.uid, None)
         self._matvec.pop(net.uid, None)
-        self._net_index = None
 
     def on_gate_inserted(self, circuit: Circuit, handle: GateHandle) -> None:
-        net = handle.net
-        self._net_stages.setdefault(net.uid, [])
+        """Build the gate's stage -- classification and layout errors raise
+        here -- and queue it: :meth:`_wire` files every queued stage at the
+        next graph read.  A superposition gate joins its net's matvec stage.
+        """
         gate = handle.gate
+        net_uid = handle.net.uid
+        args = (circuit.num_qubits, self.block_size, self.copy_on_write)
         if is_dynamic_op(gate):
             self.outcomes.ensure_bits(circuit.num_clbits)
             stage = self._make_dynamic_stage(gate)
-            self._insert_stage(handle, net, stage)
-            return
-        if gate_action(gate).creates_superposition:
-            stage = self._matvec.get(net.uid)
+        elif gate_shape(gate, *args[:2])[0].creates_superposition:
+            stage = self._matvec.get(net_uid)
             if stage is not None:
                 stage.add_gate(gate)
                 self._gate_stage[handle.uid] = stage
                 self._stage_handles[stage.uid].append(handle)
-                self.graph.touch_stage(stage)
+                self._inserted += 1
+                if stage not in self._queued:
+                    self._graph.touch_stage(stage)
                 return
-            stage = MatVecStage(
-                [gate], circuit.num_qubits, self.block_size, self.copy_on_write
-            )
-            self._matvec[net.uid] = stage
-            self._insert_stage(handle, net, stage)
-            return
-        stage = UnitaryStage(
-            gate, circuit.num_qubits, self.block_size, self.copy_on_write
-        )
-        self._insert_stage(handle, net, stage)
+            stage = self._matvec[net_uid] = MatVecStage([gate], *args)
+        else:
+            stage = UnitaryStage(gate, *args)
+        self._gate_stage[handle.uid] = stage
+        self._stage_handles[stage.uid] = [handle]
+        self._queued[stage] = net_uid
+        self._inserted += 1
 
     def _make_dynamic_stage(self, op) -> DynamicStage:
         """Build the stage for a measure/reset/classically-controlled op."""
@@ -559,68 +598,32 @@ class QTaskSimulator(CircuitObserver):
             return ClassicallyControlledStage(op, *args, record=self.outcomes)
         raise CircuitError(f"unknown dynamic operation {op!r}")
 
-    def _heuristic_position(self, stages: List[Stage], new_stage: UnitaryStage) -> int:
-        """Within-net position: matvec first, then ascending block count.
-
-        The paper connects a net's non-superposition gates "in an increasing
-        order of block count in partitions" so large partitions (which fan out
-        widely) are deferred.  New stages are placed at their sorted position
-        without reordering existing stages.
+    def _wire(self) -> Tuple[int, int, int]:
+        """Wire every queued stage into the partition graph, in one batch:
+        each net with new stages sorted once (:func:`_net_order`), the global
+        order rebuilt once, one :meth:`PartitionGraph.insert_stages` call.
+        Returns the ``modify`` span's ``(gates inserted, stages, nets)``.
         """
-        start = 0
-        if stages and isinstance(stages[0], MatVecStage):
-            start = 1
-        new_count = new_stage.total_block_count()
-        for i in range(start, len(stages)):
-            other = stages[i]
-            if isinstance(other, UnitaryStage) and other.total_block_count() > new_count:
-                return i
-        return len(stages)
-
-    def _insert_stage(self, handle: GateHandle, net: NetHandle, stage: Stage) -> None:
-        """File ``stage`` under ``net`` and enter it into the global order."""
-        stages = self._net_stages.setdefault(net.uid, [])
-        if isinstance(stage, MatVecStage):
-            within = 0  # the matvec stage always leads its net
-        elif isinstance(stage, DynamicStage):
-            # Dynamic ops are qubit- and clbit-disjoint from their net
-            # mates (the extended net invariant), so appending keeps the
-            # block-count heuristic of the unitary stages untouched.
-            within = len(stages)
-        else:
-            within = self._heuristic_position(stages, stage)
-        position = self._global_position(net, within)
-        stages.insert(within, stage)
-        self.graph.insert_stage(stage, position)
-        self._gate_stage[handle.uid] = stage
-        self._stage_handles[stage.uid] = [handle]
-
-    def _net_positions(self) -> Dict[int, int]:
-        """Net uid -> circuit position, rebuilt only after net insert/remove."""
-        cache = self._net_index
-        if cache is None:
-            self._net_uid_order = [n.uid for n in self.circuit.nets()]
-            cache = {uid: i for i, uid in enumerate(self._net_uid_order)}
-            self._net_index = cache
-        return cache
-
-    def _global_position(self, net: NetHandle, within: int) -> int:
-        idx = self._net_positions().get(net.uid)
-        if idx is None:
-            # net not found (should not happen): append at the end
-            return sum(len(s) for s in self._net_stages.values()) + within
-        net_stages = self._net_stages
-        if idx == len(self._net_uid_order) - 1:
-            # Building a circuit appends to its last net: every stage is
-            # filed under exactly one net, so the stages of all earlier
-            # nets are the graph's minus this net's.
-            return self.graph.num_stages() - len(net_stages[net.uid]) + within
-        pos = 0
-        for uid in self._net_uid_order[:idx]:
-            stages = net_stages.get(uid)
-            if stages:
-                pos += len(stages)
-        return pos + within
+        if not self._inserted:
+            return (0, 0, 0)
+        queued = self._queued
+        with self.telemetry.tracer.span("modify") as span:
+            by_net: Dict[int, List[Stage]] = {}
+            for stage, net_uid in queued.items():
+                by_net.setdefault(net_uid, []).append(stage)
+            net_stages = self._net_stages
+            for net_uid, new in by_net.items():
+                net_stages[net_uid] = _net_order(net_stages[net_uid] + new)
+            order = [s for net in self.circuit.nets() for s in net_stages[net.uid]]
+            self._graph.insert_stages(
+                [(i, stage) for i, stage in enumerate(order) if stage in queued]
+            )
+            wired = (self._inserted, len(queued), len(by_net))
+            for key, value in zip(("inserted", "stages", "nets"), wired):
+                span.set(key, value)
+        queued.clear()
+        self._inserted = 0
+        return wired
 
     def on_gate_updated(
         self, circuit: Circuit, handle: GateHandle, old_gate: Gate
@@ -644,15 +647,16 @@ class QTaskSimulator(CircuitObserver):
         stage = self._gate_stage.get(handle.uid)
         if stage is None:
             return
+        graph = self.graph
         new_gate = handle.gate
         if isinstance(stage, MatVecStage):
             if gate_action(new_gate).creates_superposition and stage.retune_gate(
                 old_gate, new_gate
             ):
-                self.graph.touch_stage(stage)
+                graph.touch_stage(stage)
                 return
         elif stage.retune(new_gate):
-            self.graph.touch_stage(stage)
+            graph.touch_stage(stage)
             return
         # Classification or partition layout changed: rebuild this gate's
         # stage via the remove+insert path.  The removal path must see the
@@ -666,6 +670,7 @@ class QTaskSimulator(CircuitObserver):
         stage = self._gate_stage.pop(handle.uid, None)
         if stage is None:
             return
+        graph = self.graph  # the stage may still be queued
         net = handle.net
         if isinstance(stage, MatVecStage):
             stage.remove_gate(handle.gate)
@@ -673,14 +678,14 @@ class QTaskSimulator(CircuitObserver):
             if members is not None and handle in members:
                 members.remove(handle)
             if not stage.is_empty:
-                self.graph.touch_stage(stage)
+                graph.touch_stage(stage)
                 return
             self._matvec.pop(net.uid, None)
         stages = self._net_stages.get(net.uid, [])
         if stage in stages:
             stages.remove(stage)
         self._stage_handles.pop(stage.uid, None)
-        self.graph.remove_stage(stage)
+        graph.remove_stage(stage)
 
     # ------------------------------------------------------------------
     # trajectories (dynamic circuits)
@@ -689,6 +694,7 @@ class QTaskSimulator(CircuitObserver):
     @property
     def num_dynamic_stages(self) -> int:
         """Live measure/reset/classically-controlled stages."""
+        self._wire()
         return len(self._dynamic_stages)
 
     def reset_trajectory(self, seed=None, from_op: Optional[int] = None) -> None:
@@ -715,10 +721,11 @@ class QTaskSimulator(CircuitObserver):
         else:
             self.outcomes.branch(seed, [s.op.op_index for s in stages])
         for stage in stages:
-            self.graph.touch_stage(stage)
+            self._graph.touch_stage(stage)
 
     def _dynamic_stages_from(self, from_op: Optional[int]) -> List[DynamicStage]:
         """Dynamic stages in execution order, from ``from_op``'s stage on."""
+        self._wire()  # a queued stage is registered, and gets its seq, there
         stages = sorted(self._dynamic_stages.values(), key=lambda s: s.seq)
         if from_op is None:
             return stages
@@ -777,7 +784,7 @@ class QTaskSimulator(CircuitObserver):
         plan = self._build_plan()
         report = UpdateReport(
             affected_partitions=plan.affected_partitions,
-            total_partitions=self.graph.num_nodes(),
+            total_partitions=self._graph.num_nodes(),
             was_incremental=self._num_updates > 0,
         )
         if plan.stage_plans:
@@ -796,10 +803,10 @@ class QTaskSimulator(CircuitObserver):
                 self._notify_dirty(dirty)
         # only now: an update that raised keeps its dirt -- and the runs its
         # stages were last executed in -- for the next one
-        self.graph.clear_pending()
+        self._graph.clear_pending()
         for sp in plan.runs():
             sp.store.settle()
-        self.graph.record_runs(plan.stage_plans)
+        self._graph.record_runs(plan.stage_plans)
         report.elapsed_seconds = time.perf_counter() - start
         self.last_update = report
         self._last_sweep = (plan.first_seq, plan.stages_swept, plan.num_stages)
@@ -818,8 +825,10 @@ class QTaskSimulator(CircuitObserver):
         tables.  With copy-on-write off every stage depends on the whole
         previous vector, so anything pending (or a first update) plans
         everything -- stage by stage: a dense-mode stage holds the whole
-        vector, there is nothing for a run-mate to elide.
+        vector, there is nothing for a run-mate to elide.  Queued inserts
+        are wired first, in the ``modify`` span before it.
         """
+        self._last_wired = self._wire()
         tracer = self.telemetry.tracer
         if not tracer.enabled:
             return self._build_plan_impl()
@@ -836,7 +845,7 @@ class QTaskSimulator(CircuitObserver):
         return plan
 
     def _build_plan_impl(self) -> ExecutionPlan:
-        graph = self.graph
+        graph = self._graph
         if self.copy_on_write:
             plan = graph.sweep()
             self._coalesce(plan)
@@ -961,13 +970,13 @@ class QTaskSimulator(CircuitObserver):
         if self._closed:
             # close() emptied the stores: every block would resolve to |0...0>
             raise QTaskError("session is closed")
-        return IndexReader(self.graph, self._initial, before_seq)
+        return IndexReader(self._graph, self._initial, before_seq)
 
     def _execute(self, plan: ExecutionPlan) -> int:
         if not self.copy_on_write:
             # Dense mode re-simulates everything: drop previously materialised
             # blocks so no stale copy can shadow the recomputation.
-            for stage in self.graph.stages:
+            for stage in self._graph.stages:
                 stage.store.clear()
         self._execute_plan(plan)
         block_writes = plan.block_writes
@@ -1319,7 +1328,10 @@ class QTaskSimulator(CircuitObserver):
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
 
-        Renders the update report, what the frontier sweep looked at
+        Renders the update report, the batch of inserts it wired first
+        ("wired G inserted gates as S stages in N nets": the ``modify``
+        span's numbers; 0 when nothing was queued), what the frontier
+        sweep looked at
         ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
         and the affected stages became ``N`` stage plans) and what it
         coalesced ("coalesced N stages into R runs (M recomposed, ...)": M
@@ -1331,6 +1343,7 @@ class QTaskSimulator(CircuitObserver):
         """
         report = self.last_update
         coalesced, runs, largest, widest, recomposed = self._last_coalesced
+        inserted, wired, nets = self._last_wired
         lines = [
             f"update #{self._num_updates - 1}"
             if self._num_updates else "no update yet",
@@ -1340,6 +1353,10 @@ class QTaskSimulator(CircuitObserver):
                 f" ({report.affected_fraction:.1%}),"
                 f" {report.executed_block_writes} block writes,"
                 f" {report.elapsed_seconds * 1e3:.2f} ms"
+            ),
+            (
+                f"  wired {inserted} inserted gates as {wired} stages"
+                f" in {nets} nets"
             ),
             (
                 f"  swept stages {self._last_sweep[0]}"

@@ -201,7 +201,7 @@ def save_checkpoint(sim: QTaskSimulator, path: str) -> str:
     checkpoint always describes a fully computed state -- the same contract
     session forking uses.
     """
-    if sim.graph.has_pending or sim._num_updates == 0:
+    if sim._has_edits() or sim._num_updates == 0:
         sim.update_state()
     with sim.telemetry.tracer.span("checkpoint.save") as span:
         header, payload = _build_header(sim)
@@ -406,8 +406,8 @@ def _load_state(sim, path, header, payload, handles) -> int:
     sim.outcomes._op_outcomes = {int(i): int(v) for i, v in rec["ops"]}
     sim.outcomes._forced = {int(i): int(v) for i, v in rec["forced"]}
 
-    # Rebuild the stage table in the checkpointed global order.  Each
-    # insert_stage call records the stage's layout and lists it in the
+    # Rebuild the stage table in the checkpointed global order.  One
+    # insert_stages batch records the layouts and lists the stages in the
     # writer index (there is no source graph to mirror), and the graph's
     # insertion hook binds dynamic records.
     entries, runs = header["stages"], header.get("runs", ())
@@ -431,24 +431,25 @@ def _load_state(sim, path, header, payload, handles) -> int:
         forced = sim.outcomes.replace_forced(sim.outcomes.recorded_outcomes())
         sim.update_state()
         sim.outcomes.replace_forced(forced)
-    for i, entry in enumerate(entries):
+    stages = []
+    for entry in entries:
         members = [handles[g] for g in entry["gates"]]
         stage = _build_stage(entry, members, sim)
         net = members[0].net
         sim._net_stages[net.uid].append(stage)
-        sim.graph.insert_stage(stage, i)
         sim._stage_handles[stage.uid] = members
         for h in members:
             sim._gate_stage[h.uid] = stage
         if isinstance(stage, MatVecStage):
             sim._matvec[net.uid] = stage
+        stages.append(stage)
+    sim._graph.insert_stages(list(enumerate(stages)))
 
     # Load the block payloads (stage order, ascending block id), verifying
     # each CRC.
     block_len = min(sim.dim, sim.block_size)
     block_bytes = block_len * np.dtype(_DTYPE).itemsize
     offset = 0
-    stages = sim.graph.stages
     for entry, stage in zip(entries, stages):
         for b, crc in entry["blocks"]:
             chunk = payload[offset : offset + block_bytes]
@@ -476,9 +477,9 @@ def _load_state(sim, path, header, payload, handles) -> int:
     # computed, so there is no pending work.  The runs on record explain why
     # some declarers hold nothing; a file from before there were runs lists
     # none, and its stages hold every block they declare.
-    sim.graph.clear_pending()
+    sim._graph.clear_pending()
     try:
-        sim.graph.adopt_runs(runs)
+        sim._graph.adopt_runs(runs)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint {path!r} has a corrupt run table: {exc}"

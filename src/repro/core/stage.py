@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import MAX_RUN_BLOCKS, BlockRange, aligned_block_runs, num_blocks
+from .blocks import MAX_RUN_BLOCKS, BlockRange, aligned_block_runs
 from .classical import OutcomeRecord
 from .cow import BlockStore
 from .exec_plan import (
@@ -54,6 +54,7 @@ from .partition import (
 
 __all__ = [
     "gate_action",
+    "gate_shape",
     "coalesced_table",
     "Stage",
     "UnitaryStage",
@@ -93,6 +94,21 @@ def gate_action(gate: Gate) -> Action:
     must keep paying for classification on every gate.
     """
     return _classified(gate.spec, gate.params)
+
+
+@lru_cache(maxsize=1024)
+def gate_shape(
+    gate: Gate, qubit_count: int, block_size: int
+) -> Tuple[Action, PartitionLayout]:
+    """``(gate_action(gate), partition layout)`` of a gate on ``2**qubit_count``
+    amplitudes in ``block_size`` blocks -- one lookup per stage built.
+
+    Gates are frozen values, so the key is the gate itself; the layout of a
+    superposition gate is the matrix--vector one.  1 024 entries, the bound
+    of the layout cache behind it: it keeps at most as many layouts alive.
+    """
+    action = gate_action(gate)
+    return action, derive_layout(action, gate.qubits, qubit_count, block_size)
 
 
 def _aligned_runs(
@@ -141,9 +157,11 @@ class Stage:
         self.block_size = block_size
         self.copy_on_write = copy_on_write
         self.store = BlockStore(self.dim, block_size)
-        self.n_blocks = num_blocks(self.dim, block_size)
+        self.n_blocks = self.store.n_blocks
         #: sequence index in the simulator's global stage order (maintained
-        #: externally by the partition graph)
+        #: externally by the partition graph).  A stage the simulator has
+        #: queued but not wired into the graph yet keeps its stale value
+        #: (-1 when it never entered) until the next graph read wires it.
         self.seq: int = -1
 
     # -- interface ----------------------------------------------------------
@@ -248,16 +266,13 @@ class UnitaryStage(Stage):
     ) -> None:
         super().__init__(qubit_count, block_size, copy_on_write)
         self.gate = gate
-        action = gate_action(gate)
+        action, self._layout = gate_shape(gate, qubit_count, block_size)
         if action.creates_superposition:
             raise ValueError(
                 f"gate {gate} creates superposition; it belongs in a MatVecStage"
             )
         self.action: Action = action
-        self.qubits: Tuple[int, ...] = tuple(gate.qubits)
-        self._layout = derive_layout(
-            action, self.qubits, self.qubit_count, self.block_size
-        )
+        self.qubits: Tuple[int, ...] = gate.qubits
 
     def partition_layout(self) -> PartitionLayout:
         return self._layout
@@ -300,14 +315,11 @@ class UnitaryStage(Stage):
         angles, permutation/superposition crossovers): the caller must then
         rebuild the stage through the remove+insert path.
         """
-        if tuple(gate.qubits) != self.qubits:
+        if gate.qubits != self.qubits:
             return False
-        action = gate_action(gate)
+        action, layout = gate_shape(gate, self.qubit_count, self.block_size)
         if action.creates_superposition:
             return False
-        layout = derive_layout(
-            action, gate.qubits, self.qubit_count, self.block_size
-        )
         if layout.specs != self._layout.specs:
             return False
         # same qubits, same layout: only the bound action changes
@@ -645,17 +657,12 @@ class ClassicallyControlledStage(DynamicStage):
     ) -> None:
         super().__init__(op, qubit_count, block_size, copy_on_write, record)
         self.gate = op.gate
-        self.action: Action = gate_action(self.gate)
-        self.qubits: Tuple[int, ...] = tuple(self.gate.qubits)
-        if self.action.creates_superposition:
-            self._layout = matvec_layout(qubit_count, block_size)
-        else:
-            # Condition-false executions must rewrite the same blocks the
-            # condition-true layout writes (identity copies), so the layout
-            # -- and with it the graph topology -- is condition-independent.
-            self._layout = derive_layout(
-                self.action, self.qubits, qubit_count, block_size
-            )
+        # A superposition gate gets the matrix--vector layout.  Otherwise
+        # condition-false executions rewrite the blocks the condition-true
+        # layout writes (identity copies), so the layout -- and with it the
+        # graph topology -- is condition-independent.
+        self.action, self._layout = gate_shape(self.gate, qubit_count, block_size)
+        self.qubits: Tuple[int, ...] = self.gate.qubits
         self._prepared: Optional[np.ndarray] = None
 
     def clone_for_fork(self) -> "ClassicallyControlledStage":

@@ -318,6 +318,7 @@ def test_fork_restore_and_fresh_build_replan_without_recomposing(tmp_path):
         retune_the_first_ry(session)
         assert coalesced(session) == (1, 0)
     # classify every gate anew: the members are equal values in new objects
+    stage_module.gate_shape.cache_clear()
     stage_module._classified.cache_clear()
     with QTask.restore(path, num_workers=1) as restored:
         retune_the_first_ry(restored)

@@ -211,6 +211,7 @@ def test_mid_circuit_edits_do_not_move_pending_dirt():
             (1, (1, 3), False), (1, (5, 7), False)
         }
         session.insert_gate("z", nets[1], 3)  # ... and back
+        session.simulator.graph  # an insert is queued until a graph read
         assert stage.seq == 2
         assert swept_nodes(session) == oracle.expected()
         assert {(2, (1, 3), False), (2, (5, 7), False)} <= swept_nodes(session)
@@ -361,6 +362,7 @@ def test_engine_classifies_each_gate_shape_once(monkeypatch):
         return classify(matrix)
 
     monkeypatch.setattr(stage_module, "classify_matrix", counting)
+    stage_module.gate_shape.cache_clear()  # the per-gate cache in front
     stage_module._classified.cache_clear()
     _unit_layout.cache_clear()
     with QTask(6, block_size=4, num_workers=1) as session:

@@ -110,7 +110,7 @@ def test_pool_worker_spans_carry_worker_pids():
         sim.update_state()
         spans = sim.telemetry.tracer.spans()
         assert {r.name for r in spans} == {
-            "update", "plan.build", "stage.prepare", "run.chunk",
+            "update", "modify", "plan.build", "stage.prepare", "run.chunk",
         }
         assert {r.pid for r in spans} == {os.getpid()}
     finally:
@@ -188,6 +188,61 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         assert "coalesced 12 stages into 1 runs" in explained
     finally:
         sim.close()
+
+
+def test_one_modify_span_per_wired_batch():
+    """Inserts are queued and wired in one batch at the next graph read:
+    a whole build is one ``modify`` span inside its ``update`` (ahead of
+    ``plan.build``), a stepwise build one per gate, and a queued batch a
+    closing session drops unwired is none."""
+    levels = [
+        [Gate("h", (q,)) for q in range(5)],
+        [Gate("cx", (0, 1)), Gate("rz", (3,), (0.4,))],
+        [Gate("cp", (1, 4), (0.2,)), Gate("x", (2,))],
+    ]
+
+    def build(stepwise):
+        session = QTask(5, block_size=4, num_workers=1, tracing=True)
+        for level in levels:
+            net = session.insert_net()
+            for gate in level:
+                session.insert_gate(gate, net)
+                if stepwise:
+                    session.update_state()
+        if not stepwise:
+            session.update_state()
+        return session
+
+    with build(stepwise=False) as whole:
+        spans = whole.telemetry.tracer.spans()
+        (modify,) = [r for r in spans if r.name == "modify"]
+        (update,) = [r for r in spans if r.name == "update"]
+        (plan,) = [r for r in spans if r.name == "plan.build"]
+        # the five H gates are one matvec stage
+        assert modify.attrs == {"inserted": whole.num_gates, "stages": 5, "nets": 3}
+        assert modify.parent_id == update.span_id == plan.parent_id
+        assert modify.start + modify.duration <= plan.start
+        assert "wired 9 inserted gates as 5 stages in 3 nets" in (
+            whole.explain_last_update()
+        )
+        rz = next(h for h in whole.circuit.gates() if h.gate.name == "rz")
+        whole.update_gate(rz, 0.9)  # not an insert
+        whole.update_state()
+        assert "wired 0 inserted gates" in whole.explain_last_update()
+        assert len([r for r in whole.telemetry.tracer.spans()
+                    if r.name == "modify"]) == 1
+    with build(stepwise=True) as stepwise:
+        spans = stepwise.telemetry.tracer.spans()
+        updates = {r.span_id for r in spans if r.name == "update"}
+        modifies = [r for r in spans if r.name == "modify"]
+        # the four later H gates join the wired matvec stage: no new stage
+        assert [r.attrs["stages"] for r in modifies] == [1, 0, 0, 0, 0, 1, 1, 1, 1]
+        assert all(r.attrs["inserted"] == 1 for r in modifies)
+        assert {r.parent_id for r in modifies} == updates
+    session = QTask(3, num_workers=1, tracing=True)
+    session.insert_gate("x", session.insert_net(), 0)
+    session.close()
+    assert session.telemetry.tracer.spans() == []
 
 
 def test_forked_sessions_keep_their_own_tagged_registry():
