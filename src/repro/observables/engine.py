@@ -31,6 +31,7 @@ baselines' path and the tests' oracle; they share no code with the engine.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -134,6 +135,11 @@ class ObservablesEngine:
     ``cache=False`` nothing is kept between queries: the same code runs with
     no partial and no block mass ever valid, so every query recomputes from
     the block stores -- the A/B baseline for the caching ablation.
+
+    Every query holds the engine's lock while it reads or fills the caches,
+    so concurrent readers of one settled session (the service reads a warm
+    base from several dispatcher threads, and ``run_shots`` forks clone its
+    caches) never see a half-filled partial or a half-built tree.
     """
 
     def __init__(self, simulator, *, cache: bool = True) -> None:
@@ -152,6 +158,8 @@ class ObservablesEngine:
         #: per-block probability masses, lazily pushed into the Fenwick tree
         self._tree = PrefixSumTree(self.n_blocks)
         self._stale = np.ones(self.n_blocks, dtype=bool)
+        #: guards ``_terms``, ``_tree`` and ``_stale``
+        self._lock = threading.Lock()
         metrics = simulator.telemetry.metrics
         self._partials_computed = metrics.counter(
             "observe.partials_computed",
@@ -181,19 +189,22 @@ class ObservablesEngine:
         )
         if not idx.size:
             return
-        self._stale[idx] = True
-        for entry in self._terms.values():
-            # An X/Y term's partial for block b is computed from amplitudes
-            # in the flip-partner block b ^ flip_high, so a dirty block also
-            # invalidates its partner's partial (flip_high is 0 for terms
-            # whose X/Y factors all sit below the block boundary).
-            entry.valid[idx] = False
-            entry.valid[idx ^ entry.flip_high] = False
+        with self._lock:
+            self._stale[idx] = True
+            for entry in self._terms.values():
+                # An X/Y term's partial for block b is computed from
+                # amplitudes in the flip-partner block b ^ flip_high, so a
+                # dirty block also invalidates its partner's partial
+                # (flip_high is 0 for terms whose X/Y factors all sit below
+                # the block boundary).
+                entry.valid[idx] = False
+                entry.valid[idx ^ entry.flip_high] = False
 
     def invalidate(self) -> None:
         """Drop every cached result (all blocks stale)."""
-        self._terms.clear()
-        self._stale[:] = True
+        with self._lock:
+            self._terms.clear()
+            self._stale[:] = True
 
     def clone_for(self, simulator) -> "ObservablesEngine":
         """A new engine for ``simulator`` seeded with this engine's caches.
@@ -206,15 +217,19 @@ class ObservablesEngine:
         """
         clone = ObservablesEngine(simulator, cache=self.cache)
         if self.cache:
-            clone._terms = {key: e.copy() for key, e in self._terms.items()}
-            clone._tree.build(self._tree.values())
-            clone._stale = self._stale.copy()
+            with self._lock:
+                clone._terms = {key: e.copy() for key, e in self._terms.items()}
+                clone._tree.build(self._tree.values())
+                clone._stale = self._stale.copy()
         return clone
 
     @property
     def cached_partials(self) -> int:
         """Number of live (term, block) cache entries (for statistics)."""
-        return sum(int(np.count_nonzero(e.valid)) for e in self._terms.values())
+        with self._lock:
+            return sum(
+                int(np.count_nonzero(e.valid)) for e in self._terms.values()
+            )
 
     # -- the one read path ---------------------------------------------------
 
@@ -339,13 +354,14 @@ class ObservablesEngine:
         obs = as_pauli_sum(observable)
         self._check_support(obs)
         reader = self.simulator.state_reader()
-        terms = self._terms if self.cache else {}
-        entries = [self._term_entry(term, terms) for term in obs.terms]
-        with self._observe("expectation", len(entries)) as span:
-            self._fill_partials(reader, entries, span)
-            total = 0.0 + 0.0j
-            for term, entry in zip(obs.terms, entries):
-                total += term.coefficient * entry.partials.sum()
+        with self._lock:
+            terms = self._terms if self.cache else {}
+            entries = [self._term_entry(term, terms) for term in obs.terms]
+            with self._observe("expectation", len(entries)) as span:
+                self._fill_partials(reader, entries, span)
+                total = 0.0 + 0.0j
+                for term, entry in zip(obs.terms, entries):
+                    total += term.coefficient * entry.partials.sum()
         return complex(total)
 
     def expectation(self, observable: PauliLike) -> float:
@@ -361,7 +377,7 @@ class ObservablesEngine:
     # -- probabilities ------------------------------------------------------
 
     def _refresh_tree(self, reader: StateReader, span) -> None:
-        """Recompute the masses of the stale blocks."""
+        """Recompute the masses of the stale blocks (lock held)."""
         stale = np.flatnonzero(self._stale) if self.cache else np.arange(self.n_blocks)
         if not stale.size:
             return
@@ -382,8 +398,9 @@ class ObservablesEngine:
         if not 0 <= block < self.n_blocks:
             raise IndexError(f"block {block} out of range [0, {self.n_blocks})")
         reader = self.simulator.state_reader()
-        if self.cache and not self._stale[block]:
-            return self._tree.value(block)
+        with self._lock:
+            if self.cache and not self._stale[block]:
+                return self._tree.value(block)
         with self._observe("block_probability") as span:
             span.set("blocks_missing", 1)
             probs = self._probability_rows(reader, np.array([block]), span)
@@ -392,7 +409,7 @@ class ObservablesEngine:
     def total_probability(self) -> float:
         """``sum_i |psi_i|^2`` accumulated block-wise (the squared norm)."""
         reader = self.simulator.state_reader()
-        with self._observe("total_probability") as span:
+        with self._lock, self._observe("total_probability") as span:
             self._refresh_tree(reader, span)
             return self._tree.total()
 
@@ -433,7 +450,7 @@ class ObservablesEngine:
             raise ValueError(f"shots must be non-negative, got {shots}")
         rng = np.random.default_rng(seed)
         reader = self.simulator.state_reader()
-        with self._observe("sample") as span:
+        with self._lock, self._observe("sample") as span:
             self._refresh_tree(reader, span)
             total = self._tree.total()
             if total <= 0.0:

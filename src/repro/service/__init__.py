@@ -6,8 +6,9 @@ traffic; this package is the step from library to service.  The
 :class:`BackendConfiguration` (basis gates, ``max_shots``, a memory-derived
 ``n_qubits`` cap), admits them to a bounded queue with health-based
 backpressure, executes them as async :class:`Job` objects on one shared
-work-stealing executor, and serves every job a copy-on-write fork from the
-:class:`SessionPool` of warm base sessions -- see ``docs/service.md``.
+work-stealing executor, and serves every job by reading the pinned warm
+base session of its circuit family in the :class:`SessionPool` -- see
+``docs/service.md``.
 """
 
 from .backend import Backend

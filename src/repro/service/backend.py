@@ -9,19 +9,26 @@ full queue means a typed :class:`~repro.service.errors.QueueFullError`
 bound when the rolled-up ``update.seconds`` p95 or the recovery event
 stream says the engine is struggling.
 
-A small dispatcher pool (``max_concurrent_jobs`` threads) drains the queue;
-each job leases a copy-on-write fork of a warm base session from the
-:class:`~repro.service.pool.SessionPool`, so all simulation work of every
-concurrent job lands on ONE shared work-stealing executor (the executor's
-``run`` is re-entrant; external threads park while workers help-execute).
+A warm job is a lookup.  QASM text is parsed, validated and keyed once:
+its parse is cached by the text's digest, so a resubmitted circuit skips
+the parser.  A small dispatcher pool (``max_concurrent_jobs`` threads)
+drains the queue; each job pins the warm base session of its circuit
+family in the :class:`~repro.service.pool.SessionPool` and reads it
+directly -- ``counts``, ``expectation`` and ``state`` need no fork, since a
+pinned base is warm and never edited, and a dynamic job's ``run_shots``
+forks once for its own walk.  All simulation work of every concurrent job
+lands on ONE shared work-stealing executor (the executor's ``run`` is
+re-entrant; external threads park while workers help-execute).
 
-Telemetry is first-class: every request runs under a ``job.run`` span,
-each finished job's session metrics merge into a per-tenant
+Telemetry is first-class: every request runs under a ``job.run`` span
+(with ``service.lease`` / ``service.build`` under it and ``qasm.parse`` at
+submission), each base build's session metrics merge into a per-tenant
 :class:`~repro.telemetry.metrics.MetricsRegistry` rollup
-(:meth:`Backend.tenant_metrics`), and :meth:`Backend.prometheus_text`
-exposes the whole backend -- service counters, pool gauges, latency
-histograms and the engine's rolled-up ``update.seconds`` -- in Prometheus
-text format.
+(:meth:`Backend.tenant_metrics`), every finished job folds the recovery
+events it recorded into the backend's health, and
+:meth:`Backend.prometheus_text` exposes the whole backend -- service
+counters, pool gauges, latency histograms and the engine's rolled-up
+``update.seconds`` -- in Prometheus text format.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import itertools
 import queue
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Union
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from ..core.exceptions import QTaskError
 from ..parallel import Executor, WorkStealingExecutor
 from ..qasm.parser import ParsedProgram, parse_qasm
 from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.session import Telemetry
+from ..telemetry.session import Telemetry, collect_forks
 from ..qtask import QTask
 from .config import BackendConfiguration
 from .errors import (
@@ -49,7 +57,7 @@ from .errors import (
     QueueFullError,
 )
 from .job import Job, JobResult, JobStatus
-from .pool import RECOVERY_EVENT_KINDS, SessionPool
+from .pool import SessionPool, recovery_events
 
 __all__ = ["Backend"]
 
@@ -57,6 +65,10 @@ __all__ = ["Backend"]
 #: program, or a builder callable ``(session: QTask) -> None`` that inserts
 #: gates into a fresh session of ``num_qubits`` qubits
 CircuitLike = Union[str, ParsedProgram, Callable[[QTask], None]]
+
+#: QASM requests whose parse a backend keeps (by text digest, least
+#: recently submitted out first)
+PARSE_CACHE_SIZE = 256
 
 
 def _op_fingerprint(op) -> str:
@@ -154,25 +166,32 @@ class Backend:
             help="1 while recent jobs recorded recovery events")
         self._gauge_p95 = m.gauge(
             "service.update_p95_seconds", unit="s",
-            help="rolled-up update.seconds p95 across finished jobs")
+            help="rolled-up update.seconds p95 across base builds")
         self._hist_job = m.histogram(
             "service.job_seconds", unit="s",
             help="job execution wall time (excludes queue wait)")
         self._hist_queue_wait = m.histogram(
             "service.queue_wait_seconds", unit="s",
             help="time jobs spent waiting in the admission queue")
-        #: engine-latency rollup merged from every finished job's session;
-        #: drives p95-based load shedding (same name as the per-session
-        #: histogram so fleet dashboards aggregate naturally)
+        #: engine-latency rollup merged from every base session's warming
+        #: build (a warm read updates nothing); drives p95-based load
+        #: shedding (same name as the per-session histogram so fleet
+        #: dashboards aggregate naturally)
         self._update_rollup = m.histogram(
             "update.seconds", unit="s",
-            help="update_state wall time, rolled up across jobs")
+            help="update_state wall time, rolled up across base builds")
 
         self.pool = SessionPool(
             max_sessions=cfg.max_pool_sessions,
             memory_budget_bytes=cfg.pool_memory_budget_bytes,
             registry=m,
         )
+        #: sha256 of QASM text -> (pool key, base factory) of its parsed,
+        #: validated program
+        self._parsed: "OrderedDict[bytes, Tuple[str, Callable[[], QTask]]]" = (
+            OrderedDict()
+        )
+        self._parsed_lock = threading.Lock()
         self._tenant_registries: Dict[str, MetricsRegistry] = {}
         self._tenant_lock = threading.Lock()
         self._degraded = False
@@ -218,23 +237,50 @@ class Backend:
                     f"gate {name!r} is outside this backend's basis gates"
                 )
 
-    def _normalise_circuit(self, circuit: CircuitLike, key, num_qubits):
-        """Returns ``(key, factory)``; raises CircuitValidationError."""
-        knobs = dict(self._session_knobs)
-        knobs["executor"] = self._executor
-        if isinstance(circuit, str):
+    def _knobs(self) -> Dict[str, object]:
+        return {**self._session_knobs, "executor": self._executor}
+
+    def _program_entry(self, program: ParsedProgram):
+        """``(key, factory)`` of a program; raises CircuitValidationError."""
+        self._validate_program(program)
+        knobs = self._knobs()
+        return _program_key(program), lambda: QTask.from_program(program, **knobs)
+
+    def _parse(self, text: str):
+        """``(key, factory)`` of QASM text, parsed once per distinct text.
+
+        A hit skips the parser, the validation and the key: the
+        configuration is frozen, so a cached validation stays valid.  Text
+        that does not parse or validate is not cached and raises every time.
+        """
+        data = text.encode()
+        digest = hashlib.sha256(data).digest()
+        with self._parsed_lock:
+            entry = self._parsed.get(digest)
+            if entry is not None:
+                self._parsed.move_to_end(digest)
+                return entry
+        with self.telemetry.tracer.span("qasm.parse", {"bytes": len(data)}) as span:
             try:
-                program = parse_qasm(circuit)
+                program = parse_qasm(text)
             except QTaskError as exc:
                 raise CircuitValidationError(f"unparsable QASM: {exc}") from exc
-            circuit = program
-        if isinstance(circuit, ParsedProgram):
-            program = circuit
-            self._validate_program(program)
-            if key is None:
-                key = _program_key(program)
-            factory = lambda: QTask.from_program(program, **knobs)  # noqa: E731
-            return key, factory
+            span.set("ops", program.num_gates)
+        entry = self._program_entry(program)
+        with self._parsed_lock:
+            self._parsed[digest] = entry
+            if len(self._parsed) > PARSE_CACHE_SIZE:
+                self._parsed.popitem(last=False)
+        return entry
+
+    def _normalise_circuit(self, circuit: CircuitLike, key, num_qubits):
+        """Returns ``(key, factory)``; raises CircuitValidationError."""
+        if isinstance(circuit, (str, ParsedProgram)):
+            derived, factory = (
+                self._parse(circuit) if isinstance(circuit, str)
+                else self._program_entry(circuit)
+            )
+            return (derived if key is None else key), factory
         if callable(circuit):
             if num_qubits is None:
                 raise CircuitValidationError(
@@ -250,6 +296,7 @@ class Backend:
                 qual = getattr(circuit, "__qualname__", repr(circuit))
                 key = f"builder:{mod}.{qual}/{num_qubits}"
             builder = circuit
+            knobs = self._knobs()
 
             def factory() -> QTask:
                 session = QTask(num_qubits, **knobs)
@@ -313,12 +360,14 @@ class Backend:
         return self.telemetry.metrics.prometheus_text()
 
     def tenant_metrics(self, tenant: str) -> MetricsRegistry:
-        """The rollup registry accumulated from ``tenant``'s finished jobs.
+        """The rollup registry accumulated from ``tenant``'s jobs.
 
-        Counters and histograms from every job session (update latencies,
-        kernel runs, COW adoption counts, ...) accumulated via
-        :meth:`~repro.telemetry.metrics.MetricsRegistry.merge`; inspect with
-        ``as_dict()`` or ``prometheus_text()``.
+        Counters and histograms of every base session ``tenant``'s jobs
+        built (update latencies, kernel runs, COW adoption counts, ...),
+        accumulated via :meth:`~repro.telemetry.metrics.MetricsRegistry.merge`,
+        plus the ``recovery.*`` counters of their ``run_shots`` walks; a
+        warm read adds nothing.  Inspect with ``as_dict()`` or
+        ``prometheus_text()``.
         """
         with self._tenant_lock:
             reg = self._tenant_registries.get(tenant)
@@ -450,8 +499,12 @@ class Backend:
         )
         self._hist_queue_wait.observe(queue_seconds)
         self._gauge_active.set(self._gauge_active.value + 1)
-        fork = None
-        hit = False
+        tracer = self.telemetry.tracer
+        pinned = False
+        # recovery events the job recorded: its base build's, if it built
+        # one, and its run_shots walk fork's
+        troubled = 0
+        walks: Sequence[Telemetry] = ()
         started = time.perf_counter()
         try:
             def warmed_factory() -> QTask:
@@ -459,33 +512,46 @@ class Backend:
                 # a no-op) so the base session's telemetry -- the expensive
                 # full update's latency, any recovery events the build hit --
                 # feeds the rollup that drives admission control.
-                session = request.factory()
-                session.update_state()
-                self._absorb_session_telemetry(session, request.tenant)
+                nonlocal troubled
+                with tracer.span("service.build", {"key": request.key}):
+                    session = request.factory()
+                    try:
+                        session.update_state()
+                    except BaseException:
+                        session.close()
+                        raise
+                    # one observables engine before concurrent readers share it
+                    session.simulator.observables
+                troubled += self._absorb_build(session, request.tenant)
                 return session
 
-            with self.telemetry.tracer.span(
+            with tracer.span(
                 "job.run",
                 {"job": job.job_id, "tenant": request.tenant, "key": request.key},
             ):
-                fork, hit = self.pool.lease(request.key, warmed_factory)
+                with tracer.span("service.lease", {"key": request.key}) as span:
+                    base, hit = self.pool.pin(request.key, warmed_factory)
+                    pinned = True
+                    span.set("hit", hit)
+                # The pinned base is warm and nobody edits it: read it.
                 counts = None
                 if request.shots > 0:
                     # Trajectories only when something collapses or branches:
                     # a declared-but-unused creg must not turn the histogram
                     # into all-zero classical registers.
-                    if fork.circuit.has_dynamic_ops:
-                        counts = fork.run_shots(request.shots, seed=request.seed)
+                    if base.circuit.has_dynamic_ops:
+                        with collect_forks() as walks:
+                            counts = base.run_shots(request.shots, seed=request.seed)
                     else:
-                        counts = fork.counts(request.shots, seed=request.seed)
+                        counts = base.counts(request.shots, seed=request.seed)
                 expectation = (
-                    fork.expectation(request.observable)
+                    base.expectation(request.observable)
                     if request.observable is not None else None
                 )
-                statevector = None
-                if request.return_state:
-                    fork.update_state()
-                    statevector = np.array(fork.state(), copy=True)
+                statevector = (
+                    np.array(base.state(), copy=True)
+                    if request.return_state else None
+                )
             elapsed = time.perf_counter() - started
             job._finish(JobResult(
                 job_id=job.job_id,
@@ -505,17 +571,17 @@ class Backend:
             self._jobs_failed.inc()
             job._fail(exc)
         finally:
-            if fork is not None:
-                self._absorb_session_telemetry(fork, request.tenant)
-                fork.close()
-                self.pool.release(request.key)
+            if pinned:
+                self.pool.unpin(request.key)
+                troubled += self._absorb_walks(walks, request.tenant)
+                self._fold_health(troubled)
             self._gauge_active.set(max(0.0, self._gauge_active.value - 1))
 
     # -- telemetry plumbing ---------------------------------------------------
 
-    def _absorb_session_telemetry(self, session: QTask, tenant: str) -> None:
-        """Fold one session (a finished job's fork, or a base session right
-        after its warming build) into the per-tenant and rollup views."""
+    def _absorb_build(self, session: QTask, tenant: str) -> int:
+        """Fold a base session, right after its warming build, into the
+        per-tenant and rollup views; returns its recovery events."""
         telemetry = session.telemetry
         self.tenant_metrics(tenant).merge(telemetry.metrics)
         update_hist = telemetry.metrics.get("update.seconds")
@@ -525,8 +591,26 @@ class Backend:
             except ValueError:  # pragma: no cover - custom session bounds
                 pass
             self._gauge_p95.set(self._update_rollup.percentile(0.95))
-        recovery = telemetry.events.counts_by_kind()
-        troubled = sum(recovery.get(kind, 0) for kind in RECOVERY_EVENT_KINDS)
+        return recovery_events(telemetry)
+
+    def _absorb_walks(self, walks: Sequence[Telemetry], tenant: str) -> int:
+        """Fold the ``recovery.*`` counters of a job's walk forks into the
+        tenant's rollup; returns their recovery events."""
+        troubled = 0
+        for telemetry in walks:
+            metrics = telemetry.metrics
+            for name in metrics.names():
+                if name.startswith("recovery."):
+                    counter = metrics.get(name)
+                    if counter.value:
+                        self.tenant_metrics(tenant).counter(
+                            name, help=counter.help).inc(counter.value)
+            troubled += recovery_events(telemetry)
+        return troubled
+
+    def _fold_health(self, troubled: int) -> None:
+        """One finished job's step of the degraded flag: recovery events
+        set it, ``degraded_grace_jobs`` clean jobs in a row clear it."""
         with self._health_lock:
             if troubled:
                 self._degraded = True

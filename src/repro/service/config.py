@@ -68,7 +68,7 @@ def memory_qubit_cap(
     """Largest ``n`` such that a dense ``n``-qubit state fits in memory.
 
     ``headroom`` keeps a fraction of memory for the engine itself (plans,
-    pooled sessions, fork fleets); with the default 0.5, half the available
+    pooled sessions, shot-walk forks); with the default 0.5, half the available
     bytes budget the worst-case dense state vector.
     """
     if memory_bytes is None:

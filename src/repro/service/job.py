@@ -47,7 +47,7 @@ class JobResult:
     tenant: str
     key: str
     #: True when the job's circuit family was already warm in the session
-    #: pool (the job forked an existing base session instead of building one)
+    #: pool (the job read an existing base session instead of building one)
     pool_hit: bool
     shots: int
     #: measurement histogram (``{bitstring: count}``) when ``shots > 0``

@@ -1,20 +1,25 @@
-"""The warm session pool: COW fork fleets keyed by circuit hash.
+"""The warm session pool: one warm base session per circuit hash.
 
 Building a base :class:`~repro.qtask.QTask` session for a circuit means
 parsing, levelizing and running the full initial ``update_state()`` --
-hundreds of milliseconds to seconds.  *Forking* that session is ~0.1s and
-sublinear in memory (the child references the parent's computed blocks
-copy-on-write).  So the pool keeps one warm **base session per circuit
-family** (keyed by circuit hash) and hands every job a fresh fork of it:
-the first job of a family pays the build, every later job pays only the
-fork.
+hundreds of milliseconds to seconds.  So the pool keeps one warm **base
+session per circuit family** (keyed by circuit hash): the first request of
+a family pays the build, every later one finds it warm.
+
+:meth:`SessionPool.pin` hands out the base itself, pinned against eviction
+until :meth:`SessionPool.unpin`.  A pinned base is warm and nobody edits
+it, so readers (``counts``, ``expectation``, ``state``, ``run_shots``,
+which forks once for its own walk) share it -- the backend serves every
+job this way.  :meth:`SessionPool.lease` is ``pin`` plus a copy-on-write
+``fork()`` of the base for callers that edit: the fork is theirs to close,
+and :meth:`SessionPool.release` returns the pin.
 
 Budget enforcement uses the COW accounting that makes the pool cheap in
 the first place: a base session's cost is its
 :attr:`~repro.core.cow.MemoryReport.owned_bytes` (blocks it materialised
 itself, excluding what it shares with live forks), summed across entries
 and bounded by ``memory_budget_bytes``.  When the pool is over budget or
-over ``max_sessions``, idle entries (zero leased forks) are evicted --
+over ``max_sessions``, idle entries (zero pins) are evicted --
 most-unstable first (recovery events recorded on the base session:
 update retries, chunk fallbacks), then least-recently-used.
 """
@@ -28,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..qtask import QTask
 from ..telemetry.metrics import MetricsRegistry
 
-__all__ = ["SessionPool", "RECOVERY_EVENT_KINDS"]
+__all__ = ["SessionPool", "RECOVERY_EVENT_KINDS", "recovery_events"]
 
 #: event kinds on a base session's recovery log that mark it *unstable* --
 #: an unstable warm session is evicted before a merely old one, because its
@@ -38,6 +43,12 @@ RECOVERY_EVENT_KINDS: Tuple[str, ...] = (
     "update.retry",
     "chunk.fallback",
 )
+
+
+def recovery_events(telemetry) -> int:
+    """How many :data:`RECOVERY_EVENT_KINDS` events ``telemetry`` retains."""
+    counts = telemetry.events.counts_by_kind()
+    return sum(counts.get(kind, 0) for kind in RECOVERY_EVENT_KINDS)
 
 
 class _PoolEntry:
@@ -63,7 +74,8 @@ class _PoolEntry:
         self.error: Optional[BaseException] = None
         self.last_used = time.perf_counter()
         self.hits = 0
-        #: forks currently handed out against this base (eviction blocker)
+        #: pins currently held on this base, leases included (eviction
+        #: blocker)
         self.leases = 0
         self.owned_bytes = 0
         self.build_seconds = 0.0
@@ -72,19 +84,20 @@ class _PoolEntry:
         """Recovery events recorded on the base session (eviction priority)."""
         if self.session is None:
             return 0
-        counts = self.session.telemetry.events.counts_by_kind()
-        return sum(counts.get(kind, 0) for kind in RECOVERY_EVENT_KINDS)
+        return recovery_events(self.session.telemetry)
 
 
 class SessionPool:
-    """Warm COW base sessions keyed by circuit hash, with budget eviction.
+    """Warm base sessions keyed by circuit hash, with budget eviction.
 
-    ``lease(key, factory)`` returns ``(fork, hit)``: a fresh fork of the
-    warm base for ``key`` (building it via ``factory()`` on first use) and
-    whether that base was already warm.  Callers **must** pair every lease
-    with :meth:`release` (the backend does this in a ``finally``) -- leases
-    pin the base against eviction, since evicting a base whose forks still
-    share its blocks would only *move* memory, not free it.
+    ``pin(key, factory)`` returns ``(base, hit)``: the warm base for
+    ``key`` (building it via ``factory()`` on first use) and whether it was
+    already warm; pair it with :meth:`unpin` (the backend does this in a
+    ``finally``).  ``lease(key, factory)`` returns ``(fork, hit)`` with a
+    fresh fork of that base instead; pair it with :meth:`release`.  Either
+    pins the base against eviction: a reader is still using it, and
+    evicting a base whose forks still share its blocks would only *move*
+    memory, not free it.
     """
 
     def __init__(
@@ -103,10 +116,10 @@ class SessionPool:
         self._closed = False
         registry = registry if registry is not None else MetricsRegistry()
         self._hits = registry.counter(
-            "service.pool_hits", help="leases served from a warm base session"
+            "service.pool_hits", help="pins served from a warm base session"
         )
         self._misses = registry.counter(
-            "service.pool_misses", help="leases that had to build the base session"
+            "service.pool_misses", help="pins that had to build the base session"
         )
         self._evictions = registry.counter(
             "service.pool_evictions", help="warm base sessions evicted"
@@ -120,15 +133,16 @@ class SessionPool:
             help="COW bytes owned by warm base sessions (MemoryReport.owned_bytes)",
         )
 
-    # -- leasing ------------------------------------------------------------
+    # -- pinning and leasing ------------------------------------------------
 
-    def lease(self, key: str, factory: Callable[[], QTask]) -> Tuple[QTask, bool]:
-        """A fresh fork of the warm base for ``key``; build the base if cold.
+    def pin(self, key: str, factory: Callable[[], QTask]) -> Tuple[QTask, bool]:
+        """The warm base for ``key``, pinned; build it if cold.
 
         Exactly one thread runs ``factory()`` per cold key; concurrent
-        leases of the same key block on the entry's ready event and then
-        fork the same base.  A failed build is not cached: the entry is
-        removed so the next lease retries.
+        pins of the same key block on the entry's ready event and then
+        share the same base.  A failed build is not cached: the entry is
+        removed so the next pin retries.  The caller reads the base and
+        must not edit it.
         """
         creator = False
         with self._lock:
@@ -172,31 +186,44 @@ class SessionPool:
                 entry.hits += 1
 
         assert entry.session is not None
-        try:
-            fork = entry.session.fork()
-        except BaseException:
-            with self._lock:
-                entry.leases -= 1
-            raise
         entry.last_used = time.perf_counter()
         self._enforce_budgets()
-        return fork, not creator
+        return entry.session, not creator
 
-    def release(self, key: str) -> None:
-        """Return a lease taken by :meth:`lease` (the fork itself is closed
-        by the caller).  Refreshes the base's owned-bytes accounting and
-        re-runs budget enforcement -- closing forks can change what the
-        base owns versus shares."""
+    def lease(self, key: str, factory: Callable[[], QTask]) -> Tuple[QTask, bool]:
+        """A fresh fork of the warm base for ``key`` (:meth:`pin` + fork).
+
+        The fork is the caller's to edit and close; return the pin with
+        :meth:`release`.
+        """
+        base, hit = self.pin(key, factory)
+        try:
+            return base.fork(), hit
+        except BaseException:
+            self.unpin(key)
+            raise
+
+    def unpin(self, key: str) -> None:
+        """Return a pin taken by :meth:`pin` and re-run budget enforcement
+        (an idle base may now be evicted)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 return
             entry.leases = max(0, entry.leases - 1)
             entry.last_used = time.perf_counter()
-            session = entry.session
-        if session is not None:
-            entry.owned_bytes = session.memory_report().owned_bytes
         self._enforce_budgets()
+
+    def release(self, key: str) -> None:
+        """Return a lease taken by :meth:`lease` (the fork itself is closed
+        by the caller).  Also refreshes the base's owned-bytes accounting --
+        closing forks can change what the base owns versus shares; a pin
+        cannot, so :meth:`unpin` skips it."""
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is not None and entry.session is not None:
+            entry.owned_bytes = entry.session.memory_report().owned_bytes
+        self.unpin(key)
 
     # -- eviction -----------------------------------------------------------
 
@@ -229,7 +256,7 @@ class SessionPool:
                     break
                 victim = self._pick_victim_locked()
                 if victim is None:
-                    break  # everything is leased; budgets re-checked on release
+                    break  # everything is pinned; budgets re-checked on unpin
                 del self._entries[victim.key]
             session = victim.session
             if session is not None:

@@ -15,13 +15,18 @@ inside worker threads from the task's trace context, and anything
 downstream reaches it via :func:`current` or fires events through
 :func:`emit_event` (a no-op when nothing is active, which keeps the
 fault-injection hot path allocation-free for untraced sessions).
+
+A fork that closes before its caller returns (``run_shots``'s walk) takes
+its bundle out of sight; :func:`collect_forks` hands the caller the bundle
+of every fork created on its thread instead.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from .events import EventLog
 from .metrics import MetricsRegistry, next_session_id
@@ -33,6 +38,7 @@ __all__ = [
     "activate",
     "deactivate",
     "emit_event",
+    "collect_forks",
 ]
 
 _tls = threading.local()
@@ -61,6 +67,10 @@ class Telemetry:
         )
         self.tracer = Tracer(enabled=bool(tracing), capacity=span_capacity)
         self.events = EventLog(capacity=event_capacity)
+        if parent is not None:
+            forks = getattr(_tls, "forks", None)
+            if forks is not None:
+                forks.append(self)
 
     def report(self) -> Dict[str, Any]:
         """One dict with everything: ids, metrics digest, span/event health."""
@@ -121,3 +131,19 @@ def emit_event(kind: str, **fields: Any) -> None:
     telemetry = getattr(_tls, "telemetry", None)
     if telemetry is not None:
         telemetry.events.emit(kind, **fields)
+
+
+@contextmanager
+def collect_forks() -> Iterator[List[Telemetry]]:
+    """Collect the bundle of every fork created on this thread in the block.
+
+    Yields the list the bundles are appended to.  The service reads the
+    recovery events of ``run_shots``'s walk fork -- created, walked and
+    closed on the calling thread -- through it.
+    """
+    prev = getattr(_tls, "forks", None)
+    _tls.forks = forks = []
+    try:
+        yield forks
+    finally:
+        _tls.forks = prev

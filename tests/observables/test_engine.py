@@ -317,3 +317,35 @@ class TestEngineOwnership:
         # uniform superposition cuts half of the edges in expectation
         assert abs(sim.expectation(obs) - len(edges) / 2) < 1e-10
         sim.close()
+
+
+def test_queries_and_fork_clones_wait_on_the_engine_lock(rng):
+    """Readers of one settled session share its caches (the service reads
+    a warm base from several threads): every query, and a fork's copy of
+    the caches, holds the engine's lock."""
+    import threading
+
+    _, sim = build_sim(rng, 5, block_size=4)
+    try:
+        engine = sim.observables
+        done = []
+        reads = [
+            lambda: sim.counts(8, seed=1),
+            lambda: sim.expectation("ZZIXI"),
+            lambda: sim.fork().close(),
+        ]
+        threads = [
+            threading.Thread(target=lambda read=read: done.append(read()))
+            for read in reads
+        ]
+        with engine._lock:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(0.1)
+                assert t.is_alive()  # waiting for the lock
+        for t in threads:
+            t.join(10)
+        assert len(done) == len(reads)
+    finally:
+        sim.close()

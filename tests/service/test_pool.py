@@ -1,8 +1,9 @@
-"""SessionPool: warm-hit accounting, budgets, eviction, lease pinning."""
+"""SessionPool: warm-hit accounting, budgets, eviction, pins and leases."""
 
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import faults
@@ -61,6 +62,48 @@ def test_forks_are_isolated_from_base():
         assert fork2.num_gates == 1  # just the base's h, not the x
         fork2.close()
         pool.release("a")
+    finally:
+        pool.close()
+
+
+def test_lease_returns_a_fork_whose_edits_leave_the_base_bit_identical():
+    pool = SessionPool()
+    try:
+        base, _ = pool.pin("a", make_factory(num_qubits=3))
+        before = np.array(base.state(), copy=True)
+        epoch = base.simulator.state_epoch
+        fork, hit = pool.lease("a", None)
+        assert hit is True and fork is not base and fork.is_fork
+        net = fork.insert_net()
+        fork.insert_gate("rx", net, 1, params=[0.3])
+        fork.insert_gate("x", net, 2)
+        fork.update_state()
+        assert not np.array_equal(fork.state(), before)
+        np.testing.assert_array_equal(base.state(), before)
+        assert base.simulator.state_epoch == epoch
+        fork.close()
+        pool.release("a")
+        pool.unpin("a")
+        assert pool.stats()["entries"][0]["leases"] == 0
+    finally:
+        pool.close()
+
+
+def test_pin_hands_out_the_warm_base_itself_and_blocks_eviction():
+    pool = SessionPool(max_sessions=1)
+    calls = []
+    try:
+        base, hit = pool.pin("a", make_factory(calls=calls))
+        again, hit2 = pool.pin("a", make_factory(calls=calls))
+        assert (hit, hit2) == (False, True) and again is base
+        assert len(calls) == 1
+        other, _ = pool.pin("b", make_factory())
+        assert set(pool.keys()) == {"a", "b"}  # over budget, both pinned
+        pool.unpin("a")
+        assert set(pool.keys()) == {"a", "b"}  # "a" still has one pin
+        pool.unpin("a")
+        assert pool.keys() == ["b"]  # idle now: the budget applies
+        pool.unpin("b")
     finally:
         pool.close()
 

@@ -245,6 +245,35 @@ def test_one_modify_span_per_wired_batch():
     assert session.telemetry.tracer.spans() == []
 
 
+def test_service_spans_attribute_a_cold_and_a_warm_job():
+    """A cold job parses, pins and builds; a warm one only pins: one
+    ``qasm.parse`` (at submission), two ``service.lease`` under their
+    ``job.run``, one ``service.build`` under the cold lease."""
+    from repro.service import Backend
+
+    text = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
+    with Backend({"max_concurrent_jobs": 1}, num_workers=1, tracing=True) as be:
+        cold = be.run(text, shots=8, seed=1).result(timeout=60)
+        warm = be.run(text, shots=8, seed=2).result(timeout=60)
+        spans = be.telemetry.tracer.spans()
+    by_name = {}
+    for r in spans:
+        by_name.setdefault(r.name, []).append(r)
+    (parse,) = by_name["qasm.parse"]
+    (build,) = by_name["service.build"]
+    jobs = by_name["job.run"]
+    leases = by_name["service.lease"]
+    assert len(jobs) == len(leases) == 2
+    assert parse.parent_id is None
+    assert parse.attrs == {"bytes": len(text.encode()), "ops": 3}
+    assert [r.parent_id for r in leases] == [r.span_id for r in jobs]
+    assert [r.attrs for r in leases] == [
+        {"key": cold.key, "hit": False}, {"key": warm.key, "hit": True},
+    ]
+    assert build.parent_id == leases[0].span_id
+    assert build.attrs == {"key": cold.key}
+
+
 def test_forked_sessions_keep_their_own_tagged_registry():
     # plan.* counters belong to the plan pipeline: pin a backend that has one
     parent = QTask(5, num_workers=2, kernel_backend="numpy")

@@ -33,7 +33,7 @@ GOLDEN_SERVICE_METRICS = {
     # histograms
     "service.job_seconds",
     "service.queue_wait_seconds",
-    # engine-latency rollup merged from job sessions (same name as the
+    # engine-latency rollup merged from base builds (same name as the
     # per-session histogram so fleet dashboards aggregate both)
     "update.seconds",
 }
