@@ -87,9 +87,10 @@ def main() -> None:
     # record (c1, c0) is uniform.  Bitstrings read c2 c1 c0, left to right.
     ones = sum(n for bits, n in counts.items() if bits[0] == "1")
     print(f"\n{shots} shots: counts = {dict(sorted(counts.items()))}")
-    print(f"shots.trajectories = {simulated}: every distinct outcome path was "
-          "simulated once, not once per shot")
-    assert simulated < shots
+    print(f"shots.trajectories = {simulated}: one path per Bell record, not "
+          "one per shot; Bob's bit c2 is the last measurement, so a different "
+          "draw there is a tally")
+    assert simulated == 4
     print(f"empirical P(c2=1) = {ones / shots:.4f}  (analytic {p1:.4f})")
     sigma = math.sqrt(p1 * (1 - p1) / shots)
     assert abs(ones / shots - p1) < 6 * sigma, "teleported statistics off"

@@ -33,6 +33,7 @@ import numpy as np
 from ..parallel import Executor, SequentialExecutor, TaskGraph, make_executor
 from ..telemetry import Telemetry
 from ..telemetry import session as tsession
+from ..telemetry.tracing import NULL_SPAN
 from . import faults
 from .faults import FaultInjected
 from .blocks import (
@@ -220,6 +221,8 @@ class QTaskSimulator(CircuitObserver):
             tracing=knobs.get("tracing"),
             parent=parent.telemetry if parent is not None else None,
         )
+        #: where a fork's ``fork.close`` span lands: its parent's tracer
+        self._parent_tracer = parent.telemetry.tracer if parent is not None else None
 
         self._initial = InitialStateStore(self.dim, self.block_size)
         #: read through :attr:`graph`, which wires queued inserts first
@@ -346,14 +349,17 @@ class QTaskSimulator(CircuitObserver):
         by reference count instead of whenever the cyclic collector reaches
         the simulator <-> stage cycle; arrays a fork adopted live on through
         the fork's own references.  Reads of a closed session raise.
-        Queued inserts are dropped unwired.
+        Queued inserts are dropped unwired.  A fork's close is one
+        ``fork.close`` span on its parent's tracer.
         """
-        self._closed = True
-        self.circuit.unregister_observer(self)
-        for stage in [*self._graph.stages, *self._queued]:
-            stage.store.release()
-        if self._owns_executor:
-            self.executor.close()
+        tracer = self._parent_tracer
+        with tracer.span("fork.close") if tracer is not None else NULL_SPAN:
+            self._closed = True
+            self.circuit.unregister_observer(self)
+            for stage in [*self._graph.stages, *self._queued]:
+                stage.store.release()
+            if self._owns_executor:
+                self.executor.close()
 
     def __enter__(self) -> "QTaskSimulator":
         return self
@@ -412,51 +418,58 @@ class QTaskSimulator(CircuitObserver):
         :class:`~repro.parallel.SequentialExecutor`).  Pending modifiers on
         this simulator are flushed first so the forked state is well
         defined; the child's gate-handle translation table is exposed as
-        ``forked_gate_map`` (parent handle uid -> child handle).
+        ``forked_gate_map`` (parent handle uid -> child handle).  The
+        mirroring is one ``fork`` span on this session's tracer (attrs
+        ``stages`` mirrored, ``blocks`` adopted).
         """
         # The forked state is "the state after all issued modifiers".
         if self._has_edits() or self._num_updates == 0:
             self.update_state()
-        circuit, gate_map, net_map = self.circuit.clone()
+        with self.telemetry.tracer.span("fork") as span:
+            circuit, gate_map, net_map = self.circuit.clone()
 
-        child = QTaskSimulator.__new__(QTaskSimulator)
-        knobs = {name: getattr(self, name) for name in DURABLE_KNOBS}
-        knobs.update(executor=executor, tracing=self.telemetry.tracer.enabled)
-        child._assemble(circuit, knobs, parent=self)
-        child._num_updates = self._num_updates
+            child = QTaskSimulator.__new__(QTaskSimulator)
+            knobs = {name: getattr(self, name) for name in DURABLE_KNOBS}
+            knobs.update(executor=executor, tracing=self.telemetry.tracer.enabled)
+            child._assemble(circuit, knobs, parent=self)
+            child._num_updates = self._num_updates
 
-        # Mirror the parent's stages in its exact global order (seq-based
-        # block resolution depends on it) together with their layout
-        # records and the writer index -- O(stages + index entries).
-        stage_map: Dict[int, Stage] = {}
-        for stage in self._graph.stages:
-            child_stage = stage.clone_for_fork()
-            stage_map[stage.uid] = child_stage
-            members = [gate_map[h.uid] for h in self._stage_handles[stage.uid]]
-            child._stage_handles[child_stage.uid] = members
-            for child_handle in members:
-                child._gate_stage[child_handle.uid] = child_stage
-        child._graph.mirror_from(self._graph, stage_map)
-        for net_uid, stages in self._net_stages.items():
-            child_net = net_map.get(net_uid)
-            if child_net is not None:
-                child._net_stages[child_net.uid] = [
-                    stage_map[s.uid] for s in stages
-                ]
-        for net_uid, stage in self._matvec.items():
-            child._matvec[net_map[net_uid].uid] = stage_map[stage.uid]
+            # Mirror the parent's stages in its exact global order (seq-based
+            # block resolution depends on it) together with their layout
+            # records and the writer index -- O(stages + index entries).
+            stages = self._graph.stages
+            stage_map: Dict[int, Stage] = {}
+            for stage in stages:
+                child_stage = stage.clone_for_fork()
+                stage_map[stage.uid] = child_stage
+                members = [gate_map[h.uid] for h in self._stage_handles[stage.uid]]
+                child._stage_handles[child_stage.uid] = members
+                for child_handle in members:
+                    child._gate_stage[child_handle.uid] = child_stage
+            child._graph.mirror_from(self._graph, stage_map)
+            for net_uid, net_stages in self._net_stages.items():
+                child_net = net_map.get(net_uid)
+                if child_net is not None:
+                    child._net_stages[child_net.uid] = [
+                        stage_map[s.uid] for s in net_stages
+                    ]
+            for net_uid, stage in self._matvec.items():
+                child._matvec[net_map[net_uid].uid] = stage_map[stage.uid]
 
-        # Adopt the parent's computed blocks copy-on-write (zero copies);
-        # the mirrored writer index already lists every adopting stage.
-        for stage in self._graph.stages:
-            stage_map[stage.uid].store.share_from(stage.store)
+            # Adopt the parent's computed blocks copy-on-write (zero copies);
+            # the mirrored writer index already lists every adopting stage.
+            blocks = 0
+            for stage in stages:
+                blocks += stage_map[stage.uid].store.share_from(stage.store)
 
-        # A warm observables cache is valid verbatim (identical state).
-        if self._observables is not None:
-            child._observables = self._observables.clone_for(child)
+            # A warm observables cache is valid verbatim (identical state).
+            if self._observables is not None:
+                child._observables = self._observables.clone_for(child)
 
-        child.forked_gate_map = gate_map
-        circuit.register_observer(child)
+            child.forked_gate_map = gate_map
+            circuit.register_observer(child)
+            span.set("stages", len(stages))
+            span.set("blocks", blocks)
         return child
 
     # ------------------------------------------------------------------
@@ -748,6 +761,37 @@ class QTaskSimulator(CircuitObserver):
             for s in self._dynamic_stages_from(from_op)
             if isinstance(s, (MeasureStage, ResetStage)) and s.masses is not None
         ]
+
+    def _light_cone(self) -> Tuple[Optional[MeasureOp], List[GateHandle]]:
+        """The last measurement, and the gates no measurement can see.
+
+        Scans the stages backwards, from the last one down to the first
+        dynamic stage, growing the set of qubits a later collapse reads.
+        A measure or reset is kept and adds its qubit; a gate (a ``c_if``
+        too, each member of a matvec stage on its own) is kept when its
+        qubits meet the set, and then adds them.  Every other gate there,
+        and every stage after the last measurement, acts on qubits no later
+        collapse reads, so it commutes with all of them: dropping it moves
+        no collapse's masses and no classical bit.  The prefix before the
+        first dynamic stage is shared and never re-run; it is left alone.
+        Returns ``(None, [])`` when the circuit measures nothing.
+        """
+        stages = self.graph.stages
+        first = min((s.seq for s in self._dynamic_stages.values()), default=len(stages))
+        last: Optional[MeasureOp] = None
+        cone: set = set()
+        unobserved: List[GateHandle] = []
+        for stage in reversed(stages[first:]):
+            if last is None and isinstance(stage, MeasureStage):
+                last = stage.op
+            collapse = isinstance(stage, (MeasureStage, ResetStage))
+            for handle in self._stage_handles[stage.uid]:
+                qubits = handle.gate.qubits
+                if last is not None and (collapse or not cone.isdisjoint(qubits)):
+                    cone.update(qubits)
+                else:
+                    unobserved.append(handle)
+        return (last, unobserved) if last is not None else (None, [])
 
     # ------------------------------------------------------------------
     # state update (full or incremental)

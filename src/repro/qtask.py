@@ -325,38 +325,57 @@ class QTask:
         scheduling.  The session is forked once, copy-on-write (the unitary
         prefix before the first measurement is computed once and shared),
         onto a :class:`~repro.parallel.SequentialExecutor`, and the fork
-        walks every shot on the calling thread.
+        walks every shot on the calling thread.  This session is never
+        edited.
 
-        The walk does not replay shots one by one.  Collapse masses depend
-        only on the outcomes before them and draws only on
-        ``(seed, shot, op)``, so after simulating one shot the fork knows,
-        without executing anything, at which operation every other shot
-        first draws a different outcome.  Shots that never do are tallied
-        with the simulated one; the rest branch off at their operation --
-        deepest first, so the prefix held in the fork stays the one they
-        share -- re-simulating from there only.  Every distinct outcome
-        path is simulated exactly once.
+        The walk simulates only what a measurement can see.  The fork first
+        drops every gate outside the collapses' backward light cone: those
+        after the last measurement, and those whose qubits no later
+        measure, reset or kept gate touches (they commute with every later
+        collapse).  Then it walks the outcome tree instead of replaying
+        shots one by one.  Collapse masses depend only on the outcomes
+        before them and draws only on ``(seed, shot, op)``, so after
+        simulating one shot the fork knows, without executing anything, at
+        which operation every other shot first draws a different outcome.
+        Shots that never do are tallied with the simulated one, and so are
+        shots that first differ at the last measurement, with its bit
+        flipped.  The rest branch off at their operation -- deepest first,
+        so the prefix held in the fork stays the one they share --
+        re-simulating from there only.  So one path is simulated per
+        distinct outcome record of the collapses before the last
+        measurement, and none when nothing is measured: every bit stays 0.
         """
         if shots < 0:
             raise ValueError(f"shots must be non-negative, got {shots}")
-        if self.circuit.num_clbits == 0:
+        num_clbits = self.circuit.num_clbits
+        if num_clbits == 0:
             raise CircuitError(
                 "run_shots needs classical bits; declare them with "
                 "QTask(num_clbits=...) or add_classical_register()"
             )
         if shots == 0:
             return {}
+        # Trajectory spans land on the *parent* session's tracer.
+        tracer = self.simulator.telemetry.tracer
+        last, unobserved = self.simulator._light_cone()
+        if last is None:  # nothing writes a bit: one tally, no walk
+            with tracer.span("shot", {"shot": 0, "from_op": None,
+                                      "shots": shots, "tallied": 0}):
+                self._count_shots(shots, 1)
+            return {"0" * num_clbits: shots}
         base_seed = OutcomeRecord._materialise_seed(seed)
         seeds = [
             OutcomeRecord._materialise_seed((base_seed, shot))
             for shot in range(shots)
         ]
-        clbits = range(self.circuit.num_clbits)
-        # Trajectory spans land on the *parent* session's tracer.
-        tracer = self.simulator.telemetry.tracer
+        clbits = range(num_clbits)
+        flip = num_clbits - 1 - last.clbit  # the last measurement's character
         counts: Dict[str, int] = {}
         trajectories = 0
         with self.fork(executor=SequentialExecutor()) as child:
+            with tracer.span("shots.prune", {"gates": len(unobserved)}):
+                for handle in unobserved:
+                    child.remove_gate(child.handle_for(handle))
             sim, record = child.simulator, child.outcomes
             # (op to branch at, the shots that branch there); popping the
             # last entry visits the deepest pending branch first
@@ -379,9 +398,14 @@ class QTask:
                             if record.first_choice(seeds[shot], op, p0, p1) != outcome:
                                 branches.setdefault(op, []).append(shot)
                                 break
-                    followers = len(group) - sum(map(len, branches.values()))
+                    # a different last draw changes one bit and nothing else
+                    tallied = len(branches.pop(last.op_index, ()))
+                    followers = len(group) - tallied - sum(map(len, branches.values()))
                     bits = record.bitstring(clbits)
                     counts[bits] = counts.get(bits, 0) + followers
+                    if tallied:
+                        other = bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1:]
+                        counts[other] = counts.get(other, 0) + tallied
                     trajectories += 1
                     pending += [
                         (op, branches[op]) for op, *_ in path if op in branches
@@ -389,15 +413,20 @@ class QTask:
                     span.set("shot", lead)
                     span.set("from_op", from_op)
                     span.set("shots", followers)
+                    span.set("tallied", tallied)
+        self._count_shots(shots, trajectories)
+        return counts
+
+    def _count_shots(self, shots: int, trajectories: int) -> None:
+        """Bump the ``shots.*`` counters; concurrent walks share them."""
         metrics = self.simulator.telemetry.metrics
         metrics.counter(
             "shots.requested", help="shots asked of run_shots"
         ).inc(shots)
         metrics.counter(
             "shots.trajectories",
-            help="distinct outcome paths run_shots simulated",
+            help="outcome paths run_shots simulated",
         ).inc(trajectories)
-        return counts
 
     # -- state update -------------------------------------------------------------
 

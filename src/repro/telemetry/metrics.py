@@ -12,10 +12,11 @@ the Prometheus text dump) read the registry.
 Design constraints:
 
 * **Zero dependencies** -- stdlib only, importable everywhere.
-* **Cheap writes.** ``Counter.inc`` is an unlocked integer add (GIL-atomic
-  enough for reporting; the simulator's counters are written under the
-  executor's task granularity, not per amplitude).  ``Histogram.observe``
-  is a bisect into a fixed bucket table.
+* **Cheap writes.** ``Counter.inc`` is an integer add under one
+  process-wide lock (counters are bumped a few times per update, at the
+  executor's task granularity, not per amplitude; concurrent jobs share a
+  base's counters).  ``Histogram.observe`` is a bisect into a fixed bucket
+  table.
 * **Mergeable.** Forked sessions get their *own* registry tagged with the
   parent's session id; :meth:`MetricsRegistry.merge` folds several
   sessions' registries into one, which is how ``SweepRunner`` reports its
@@ -49,6 +50,9 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = tuple(
 
 _session_ids = itertools.count(1)
 
+#: serialises :meth:`Counter.inc` across every counter
+_INC_LOCK = threading.Lock()
+
 
 def next_session_id() -> int:
     """Process-unique monotonically increasing session id."""
@@ -69,7 +73,9 @@ class Counter:
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
-        self.value += n
+        # a bare ``+=`` can lose an increment when two threads interleave
+        with _INC_LOCK:
+            self.value += n
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Counter({self.name}={self.value})"

@@ -23,7 +23,7 @@ from repro.core.graph import PartitionGraph
 from repro.core.kernels import KernelBackend
 from repro.core.partition import PartitionSpec, layout_of
 from repro.core.simulator import QTaskSimulator
-from repro.core.stage import Stage
+from repro.core.stage import MeasureStage, ResetStage, Stage
 
 # ---------------------------------------------------------------------------
 # chaos mode: QTASK_FAULT_P=<p> runs the whole suite under an armed fault
@@ -102,6 +102,25 @@ def replay_shots(session, shots: int, seed: int) -> dict:
     for bits, _ in replay_trajectories(session, shots, seed):
         counts[bits] = counts.get(bits, 0) + 1
     return counts
+
+
+def walked_paths(session, trajectories) -> int:
+    """How many paths ``run_shots`` simulates for these replayed shots.
+
+    One per distinct outcome record of the measures and resets executing
+    before the last measurement (a shot that differs only there is a tally),
+    and one when nothing is measured.  ``trajectories`` is the list
+    :func:`replay_trajectories` yields.
+    """
+    collapses = [
+        s for s in session.simulator.graph.stages
+        if isinstance(s, (MeasureStage, ResetStage))
+    ]
+    measured = [i for i, s in enumerate(collapses) if isinstance(s, MeasureStage)]
+    if not measured:
+        return 1
+    early = [s.op.op_index for s in collapses[: measured[-1]]]
+    return len({tuple(outcomes[op] for op in early) for _, outcomes in trajectories})
 
 
 def circuit_levels(circuit: Circuit) -> List[List[Gate]]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.core.gates import Gate
 from repro.core.kernels import ArrayReader, collapse_run, measured_masses
 from repro.core.ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from repro.core.simulator import QTaskSimulator
+from repro.telemetry import metrics
 
 from ..conftest import replay_shots
 
@@ -521,7 +524,8 @@ def trajectories_of(session) -> int:
 
 
 class TestRunShotsWalk:
-    """``run_shots`` simulates each distinct outcome path exactly once."""
+    """``run_shots`` simulates one path per distinct outcome record before
+    the last measurement, over the gates a measurement can see."""
 
     def test_no_collapse_ops_is_one_tally(self):
         ckt = build_qtask(2, 2, seed=0)
@@ -537,15 +541,17 @@ class TestRunShotsWalk:
         ckt.close()
 
     def test_deterministic_collapse_never_branches(self):
-        ckt = build_qtask(2, 1, seed=0)
-        n1, n2, n3 = (ckt.insert_net() for _ in range(3))
+        ckt = build_qtask(2, 2, seed=0)
+        n1, m1, rst, n2, m2 = (ckt.insert_net() for _ in range(5))
         ckt.insert_gate("h", n1, 0)
-        ckt.measure(n2, 0, 0)
-        ckt.reset(n3, 0)  # the measurement left one side with zero mass
+        ckt.measure(m1, 0, 0)
+        ckt.reset(rst, 0)  # q0 is collapsed: one side has zero mass
+        ckt.insert_gate("h", n2, 1)
+        ckt.measure(m2, 1, 1)  # the last measurement keeps the reset in
         counts = ckt.run_shots(64, seed=11)
         assert counts == replay_shots(ckt, 64, 11)
-        assert set(counts) == {"0", "1"}
-        assert trajectories_of(ckt) == 2
+        assert len(counts) == 4
+        assert trajectories_of(ckt) == 2  # one per first outcome, none per reset
         ckt.close()
 
     def test_forced_outcomes_never_branch(self):
@@ -559,7 +565,7 @@ class TestRunShotsWalk:
         counts = ckt.run_shots(40, seed=2)
         assert counts == replay_shots(ckt, 40, 2)
         assert set(counts) == {"01", "11"}
-        assert trajectories_of(ckt) == 2
+        assert trajectories_of(ckt) == 1  # forced, then the last: a tally
         ckt.close()
 
     def test_rewritten_clbit_and_c_if_before_its_measurement(self):
@@ -608,11 +614,14 @@ class TestRunShotsWalk:
 
     def test_a_failing_fork_leaks_no_earlier_fork(self, monkeypatch):
         """Historical id: the walk's one fork raises mid-walk (after it has
-        simulated and published a path) and is closed on the way out."""
-        ckt = build_qtask(3, 1, seed=0, num_workers=3)
-        n1, n2 = ckt.insert_net(), ckt.insert_net()
+        simulated and published a path) and is closed on the way out.  Two
+        random measurements: a branch at the first is a second path."""
+        ckt = build_qtask(3, 2, seed=0, num_workers=3)
+        n1, n2, n3 = (ckt.insert_net() for _ in range(3))
         ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("h", n1, 1)
         ckt.measure(n2, 0, 0)
+        ckt.measure(n3, 1, 1)
         ckt.update_state()
         real_fork, built = QTask.fork, []
         real_reset = QTaskSimulator.reset_trajectory
@@ -637,6 +646,131 @@ class TestRunShotsWalk:
         # closed: off its circuit, and its stores hold nothing
         assert child.simulator not in child.circuit._observers
         assert not any(s.store.stored_blocks() for s in child.simulator.graph.stages)
+        ckt.close()
+
+    def test_gates_no_measurement_sees_are_pruned(self):
+        ckt = build_qtask(4, 2, seed=0, tracing=True)
+        n1, m1, fix, rot, m2, tail = (ckt.insert_net() for _ in range(6))
+        ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("h", n1, 1)
+        ckt.measure(m1, 0, 0)
+        ckt.c_if("x", fix, 3, condition=((0,), 1))  # q3 is never measured
+        ckt.insert_gate("ry", rot, 3, params=[0.4])
+        ckt.measure(m2, 1, 1)
+        ckt.insert_gate("h", tail, 1)  # after the last measurement
+        ckt.insert_gate("x", tail, 2)
+        ckt.reset(tail, 0)
+        counts = ckt.run_shots(48, seed=5)
+        (prune,) = [r for r in ckt.telemetry.tracer.spans() if r.name == "shots.prune"]
+        assert prune.attrs == {"gates": 5}
+        assert counts == replay_shots(ckt, 48, 5)
+        assert len(counts) == 4
+        assert trajectories_of(ckt) == 2  # one per first outcome
+        ckt.close()
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
+    def test_a_correction_coupled_to_a_measured_qubit_is_kept(self, pair):
+        ckt = build_qtask(3, 2, seed=0, tracing=True)
+        n1, m1, fix, couple, m2 = (ckt.insert_net() for _ in range(5))
+        ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("ry", n1, 2, params=[0.9])
+        ckt.measure(m1, 0, 0)
+        ckt.c_if("x", fix, 1, condition=((0,), 1))
+        ckt.insert_gate("cx", couple, *pair)
+        ckt.measure(m2, 2, 1)
+        counts = ckt.run_shots(48, seed=9)
+        (prune,) = [r for r in ckt.telemetry.tracer.spans() if r.name == "shots.prune"]
+        assert prune.attrs == {"gates": 0}
+        assert counts == replay_shots(ckt, 48, 9)
+        ckt.close()
+
+    def test_a_reset_outside_the_cone_is_kept(self):
+        """A reset is a collapse: on a qubit entangled with a measured one it
+        decides that measurement, though nothing measures its own qubit."""
+        ckt = build_qtask(2, 1, seed=0, tracing=True)
+        n1, n2, rst, m1 = (ckt.insert_net() for _ in range(4))
+        ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("cx", n2, 0, 1)
+        ckt.reset(rst, 1)
+        ckt.measure(m1, 0, 0)
+        counts = ckt.run_shots(48, seed=2)
+        (prune,) = [r for r in ckt.telemetry.tracer.spans() if r.name == "shots.prune"]
+        assert prune.attrs == {"gates": 0}
+        assert counts == replay_shots(ckt, 48, 2)
+        assert trajectories_of(ckt) == 2  # one per reset outcome
+        ckt.close()
+
+    def test_the_base_is_never_edited(self):
+        ckt = build_qtask(4, 2, seed=3)
+        n1, m1, fix, m2, tail = (ckt.insert_net() for _ in range(5))
+        ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("h", n1, 1)
+        ckt.measure(m1, 0, 0)
+        ckt.c_if("x", fix, 3, condition=((0,), 1))
+        ckt.measure(m2, 1, 1)
+        ckt.insert_gate("h", tail, 2)
+        ckt.update_state()
+        before = (ckt.state(), ckt.simulator.state_epoch,
+                  ckt.simulator.collapse_path(), ckt.num_gates)
+        assert ckt.run_shots(32, seed=1) == replay_shots(ckt, 32, 1)
+        after = (ckt.state(), ckt.simulator.state_epoch,
+                 ckt.simulator.collapse_path(), ckt.num_gates)
+        assert np.array_equal(before[0], after[0])
+        assert before[1:] == after[1:]
+        ckt.close()
+
+    def test_concurrent_walks_lose_no_shot_counts(self):
+        """``shots.*`` are bumped by every walk on a shared base at once."""
+        ckt = build_qtask(3, 2, seed=0, block_size=2)
+        n1, m1, m2 = (ckt.insert_net() for _ in range(3))
+        ckt.insert_gate("h", n1, 0)
+        ckt.insert_gate("h", n1, 1)
+        ckt.measure(m1, 0, 0)
+        ckt.measure(m2, 1, 1)
+        ckt.update_state()
+        expected = [ckt.run_shots(8, seed=s) for s in range(20)]
+        requested = ckt.telemetry.metrics.get("shots.requested")
+        before = requested.value
+        seen, errors = [], []
+
+        def walk():
+            try:
+                seen.append([ckt.run_shots(8, seed=s) for s in range(20)])
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert seen == [expected] * 4
+        assert requested.value - before == 4 * 20 * 8
+        ckt.close()
+
+    def test_shot_counts_wait_on_the_counter_lock(self):
+        """The stress test above cannot force an interleaving, so this pins
+        the mechanism: ``shots.*`` are bumped by ``Counter.inc``, which a
+        held counter lock stalls."""
+        ckt = build_qtask(1, 1, seed=0)
+        ckt.measure(ckt.insert_net(), 0, 0)
+        ckt.update_state()
+        done = []
+        thread = threading.Thread(target=lambda: done.append(ckt.run_shots(4, seed=0)))
+        with metrics._INC_LOCK:
+            thread.start()
+            thread.join(timeout=0.5)
+            assert thread.is_alive() and not done
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert done == [{"0": 4}]
         ckt.close()
 
 

@@ -80,6 +80,7 @@ from .conftest import (
     replay_trajectories,
     session_handles,
     swept_nodes,
+    walked_paths,
 )
 
 NUM_CLBITS = 2
@@ -649,9 +650,10 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.shots_run < 2)
     @rule(session=sessions, seed=st.integers(0, 9972), force=st.booleans())
     def run_shots(self, session, seed, force):
-        """``run_shots`` is one replay per shot, and simulates each distinct
-        outcome path once.  (Two dozen replays make it the costliest rule:
-        it fires at most twice a run.)"""
+        """``run_shots`` is one replay per shot, and simulates one path per
+        distinct outcome record of the collapses before the last
+        measurement.  (Two dozen replays make it the costliest rule: it
+        fires at most twice a run.)"""
         self.shots_run += 1
         record = session.outcomes
         forced = None
@@ -667,12 +669,11 @@ class SessionMachine(RuleBasedStateMachine):
             })
         try:
             trajectories = list(replay_trajectories(session, SHOTS, seed))
-            paths = {tuple(sorted(outcomes.items())) for _, outcomes in trajectories}
             walked = session.telemetry.metrics.counter("shots.trajectories")
             before = walked.value
             counts = session.run_shots(SHOTS, seed=seed)
             assert counts == Counter(bits for bits, _ in trajectories)
-            assert walked.value - before == len(paths) <= SHOTS
+            assert walked.value - before == walked_paths(session, trajectories) <= SHOTS
         finally:
             if forced is not None:
                 record.replace_forced(forced)

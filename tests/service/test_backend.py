@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import QTask
+from repro.core import faults
 from repro.service import (
     Backend,
     BackendClosedError,
@@ -282,9 +283,14 @@ def test_degraded_backpressure_and_recovery():
 
         be.run(troubled, num_qubits=1, shots=2, key="troubled").result(timeout=60)
         assert be.status()["degraded"] is True
-        # two clean jobs (degraded_grace_jobs) clear the flag
-        be.run(BELL, shots=2).result(timeout=60)
-        be.run(BELL, shots=2).result(timeout=60)
+        # two clean jobs (degraded_grace_jobs) clear the flag; any chaos
+        # plan is parked so that they are clean
+        previous = faults.install(None)
+        try:
+            be.run(BELL, shots=2).result(timeout=60)
+            be.run(BELL, shots=2).result(timeout=60)
+        finally:
+            faults.install(previous)
         assert be.status()["degraded"] is False
     finally:
         be.close()

@@ -334,32 +334,44 @@ def test_sweep_runner_merges_fleet_metrics():
 
 
 def test_run_shots_records_one_shot_span_per_executed_trajectory(tmp_path):
-    """A ``shot`` span is a simulated outcome path, not a requested shot."""
+    """A ``shot`` span is a simulated outcome path, not a requested shot;
+    the walk's fork, its pruning and its close are one span each."""
     ckt = QTask(3, num_clbits=2, block_size=2, num_workers=2, tracing=True)
     try:
         n1, n2, n3, n4 = (ckt.insert_net() for _ in range(4))
         ckt.insert_gate("h", n1, 0)
         ckt.insert_gate("h", n1, 1)
         first = ckt.measure(n2, 0, 0).gate.op_index
-        ckt.c_if("x", n3, 2, condition=((0,), 1))
-        second = ckt.measure(n4, 1, 1).gate.op_index
+        ckt.c_if("x", n3, 2, condition=((0,), 1))  # q2 is never measured
+        ckt.measure(n4, 1, 1)
         counts = ckt.run_shots(40, seed=3)
         assert sum(counts.values()) == 40 and len(counts) == 4
 
-        shot_spans = [r for r in ckt.telemetry.tracer.spans() if r.name == "shot"]
+        spans = ckt.telemetry.tracer.spans()
+        by_name = {name: [r for r in spans if r.name == name]
+                   for name in ("fork", "shots.prune", "fork.close", "shot")}
+        (fork,), (prune,), (close,) = (
+            by_name[name] for name in ("fork", "shots.prune", "fork.close"))
+        assert fork.attrs["stages"] == ckt.simulator.graph.num_stages()
+        assert fork.attrs["blocks"] > 0
+        assert prune.attrs == {"gates": 1}  # the correction on q2
+        shot_spans = by_name["shot"]
+        assert fork.start < prune.start < shot_spans[0].start
+        assert close.start > shot_spans[-1].start
         metrics = ckt.telemetry.metrics
         assert metrics.get("shots.requested").value == 40
         assert metrics.get("shots.trajectories").value == len(shot_spans)
-        # one fork, four outcome paths: one update per path, not per shot
-        assert len(shot_spans) == 4
-        assert sum(r.attrs["shots"] for r in shot_spans) == 40
+        # one fork, two outcome paths of the first measurement: one update
+        # per path, not per shot; a different last draw is a tally
+        assert len(shot_spans) == 2
+        assert sum(r.attrs["shots"] + r.attrs["tallied"] for r in shot_spans) == 40
         for r in shot_spans:
-            assert set(r.attrs) == {"shot", "from_op", "shots"}
+            assert set(r.attrs) == {"shot", "from_op", "shots", "tallied"}
             assert r.attrs["shots"] >= 1
-        # the fork starts one path from scratch and branches into the rest
-        assert [r.attrs["from_op"] for r in shot_spans].count(None) == 1
+        assert sum(r.attrs["tallied"] for r in shot_spans) > 0
+        # the fork starts one path from scratch and branches into the other
         assert shot_spans[0].attrs["shot"] == 0
-        assert {r.attrs["from_op"] for r in shot_spans} == {None, first, second}
+        assert [r.attrs["from_op"] for r in shot_spans] == [None, first]
 
         text = metrics.prometheus_text()
         assert re.search(r"^qtask_shots_requested\{[^}]*\} 40$", text, re.M)

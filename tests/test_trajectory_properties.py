@@ -11,8 +11,9 @@ The acceptance bar of the dynamic-circuit subsystem:
 * ``run_shots`` histograms on teleportation and a repeat-until-success-style
   branch circuit pass a chi-square test against the analytic outcome
   probabilities;
-* ``run_shots`` -- which simulates each distinct outcome path once and
-  branches the session where a shot's draw leaves it -- returns exactly the
+* ``run_shots`` -- which drops the gates no measurement sees from its fork,
+  simulates one path per outcome record before the last measurement and
+  branches the fork where a shot's draw leaves it -- returns exactly the
   histogram of replaying every shot from scratch, over drawn circuits and
   the whole configuration space.
 """
