@@ -17,11 +17,11 @@ describes that frontier *once* as a handful of batch-major structures instead:
   a closure: a row of a table, what the run-granular reference loop and a
   faulted chunk's fallback execute one by one.
 * :class:`StagePlan` -- one affected stage: its reader, whether its sync
-  barrier (``prepare``) must run, and the block ranges to recompute.  For
-  static stages (plain unitary stages, whose operation depends on nothing
-  drawn at execution time) the table is emitted eagerly at plan-build time;
-  dynamic and matrix--vector stages defer emission until after their
-  ``prepare`` ran.  A *coalesced run* -- consecutive static stages swept
+  barrier (``prepare``, a collapse's draw) must run, and the block ranges to
+  recompute.  For static stages (unitary and dense stages, whose operation
+  depends on nothing drawn at execution time) the table is emitted eagerly at
+  plan-build time; dynamic stages defer emission until their controlling
+  outcomes are drawn.  A *coalesced run* -- consecutive static stages swept
   whole -- is one stage plan too (:meth:`StagePlan.for_run`): one table
   applying the members' composed action to the union of their covers, read
   as of the first member and published through a store that routes every
@@ -51,7 +51,7 @@ import numpy as np
 
 __all__ = [
     "RUN_ACTION",
-    "RUN_SLICE",
+    "RUN_DENSE",
     "RUN_COPY",
     "RUN_COLLAPSE",
     "RunSpec",
@@ -62,10 +62,11 @@ __all__ = [
     "PlanReport",
 ]
 
-#: Apply a classified (diagonal/monomial/matvec) action to the range.
+#: Apply a classified (diagonal/monomial) action to the range.
 RUN_ACTION = 0
-#: Publish a slice of a prepared full vector (matvec / superposition c_if).
-RUN_SLICE = 1
+#: Apply a superposition stage's ``(qubits, matrix)`` steps to the range's
+#: window (``kernels.apply_dense``).
+RUN_DENSE = 1
 #: Identity-copy the range from the stage input (condition-false c_if).
 RUN_COPY = 2
 #: Projective collapse of the range (measure/reset); op = (qubit, outcome,
@@ -77,7 +78,8 @@ class RunSpec(NamedTuple):
     """One aligned kernel run, as data instead of a closure.
 
     ``op`` is the kind-specific payload: the classified action for
-    :data:`RUN_ACTION`, the prepared full vector for :data:`RUN_SLICE`,
+    :data:`RUN_ACTION`, the ``(qubits, matrix)`` steps for :data:`RUN_DENSE`
+    (``qubits`` is then the stage's, whose highest sets the window),
     ``None`` for :data:`RUN_COPY` and the ``(qubit, outcome, scale, move)``
     tuple for :data:`RUN_COLLAPSE`.
     """
@@ -198,7 +200,8 @@ class StagePlan:
         self.store = stage.store
         #: the stage-input view, attached once the block sources are resolved
         self.reader = None
-        #: the stage reads everything: its ``prepare`` runs before its runs
+        #: the stage reads everything (a collapse): its ``prepare`` runs
+        #: before its runs
         self.has_sync = has_sync
         #: block ranges of the affected partitions (of a run: of the union of
         #: the members' covers), ascending
@@ -345,11 +348,6 @@ class PlanReport:
     executor-visible chunks those became, which backend executed them and
     how often a faulted chunk fell back run-granular.  ``runs_per_plan`` is
     the headline number -- the dispatch work one executor task now absorbs.
-    ``runs_fallback`` counts the runs a backend handed to the per-run
-    :func:`~repro.core.kernels.execute_run` instead of batching them (the
-    numpy backend: dense matrix--vector actions only, so 0 on default
-    sessions); fault-recovery re-execution is ``backend_fallbacks`` /
-    ``run_retries``, not this.
     """
 
     backend: str
@@ -363,7 +361,6 @@ class PlanReport:
     run_retries: int = 0
     #: whole-update re-executions after a fault escaped every lower layer
     update_retries: int = 0
-    runs_fallback: int = 0
     #: stages that executed as members of a coalesced run (``plans_built``
     #: counts such a run once)
     stages_coalesced: int = 0
@@ -379,7 +376,6 @@ class PlanReport:
             "backend": self.backend,
             "plans_built": self.plans_built,
             "runs_batched": self.runs_batched,
-            "runs_fallback": self.runs_fallback,
             "stages_coalesced": self.stages_coalesced,
             "plan_chunks": self.plan_chunks,
             "backend_fallbacks": self.backend_fallbacks,

@@ -367,8 +367,10 @@ class PartitionGraph:
     def touch_stage(self, stage: Stage) -> None:
         """Mark every block ``stage`` declares as needing recomputation.
 
-        Used when the stage keeps its layout but not its output: a retune, a
-        matvec stage gaining or losing a member gate, a re-armed collapse.
+        Used when the stage keeps its layout but not its output: a retune
+        (a matvec member's included), a re-armed collapse.  A matvec stage
+        gaining or losing a member changes its layout: it is removed and
+        inserted again instead.
         """
         self._dissolve_run(stage)
         self._mark(stage, self._layouts[stage.uid].cover)

@@ -12,13 +12,18 @@ Three families of kernels mirror the paper's gate classification (§III.C):
 
 * ``diagonal`` -- scale amplitudes in place,
 * ``monomial`` -- gather amplitudes along a generalized permutation,
-* ``matvec``  -- dense matrix--vector fallback for superposition gates.
+* ``dense``    -- a superposition stage's member gates applied to a gathered
+  window of whole blocks (:func:`apply_dense`).
+
+``apply_matvec_range`` / ``apply_matrix_dense`` are the dense baselines'
+kernels; the engine does not call them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import (
+    Dict,
     Iterator,
     List,
     NamedTuple,
@@ -36,7 +41,8 @@ from .exec_plan import (
     RUN_ACTION,
     RUN_COLLAPSE,
     RUN_COPY,
-    RUN_SLICE,
+    RUN_DENSE,
+    PlanOp,
     RunSpec,
     RunTable,
 )
@@ -59,6 +65,10 @@ __all__ = [
     "apply_action_range",
     "apply_gate_dense",
     "apply_matrix_dense",
+    "DENSE_WINDOW_QUBITS",
+    "dense_steps",
+    "dense_window",
+    "apply_dense",
     "measured_masses",
     "collapse_run",
     "execute_run",
@@ -272,10 +282,16 @@ def execute_run(reader: StateReader, store, spec: RunSpec) -> None:
         # output is published zero-copy: the store keeps views of it.
         out = apply_action_range(reader, spec.lo, spec.hi, spec.qubits, spec.op)
         store.write_range(spec.lo, out, copy=False)
-    elif kind == RUN_SLICE:
-        # op is a prepared full vector, rebound (never mutated) by the next
-        # prepare() -- its slices are safe to publish zero-copy.
-        store.write_range(spec.lo, spec.op[spec.lo : spec.hi + 1], copy=False)
+    elif kind == RUN_DENSE:
+        lo, hi = spec.lo, spec.hi
+        wlo, whi = dense_window(lo, hi, spec.qubits)
+        out = apply_dense(
+            np.array(reader.read_range(wlo, whi), dtype=_DTYPE),
+            spec.op,
+            whi - wlo + 1,
+        )
+        # a window wider than the run is not pinned by the run's blocks
+        store.write_range(lo, out[lo - wlo : hi - wlo + 1], copy=whi - wlo > hi - lo)
     elif kind == RUN_COPY:
         # read_range returns a fresh array, safe to adopt zero-copy
         store.write_range(
@@ -393,7 +409,151 @@ def collapse_run(
 
 
 # ---------------------------------------------------------------------------
-# Dense full-vector kernels (used by the baselines and the matvec fast path)
+# Dense windows: the superposition stages' kernel
+# ---------------------------------------------------------------------------
+#
+# A dense stage applies the member gates of one net (disjoint qubits, so they
+# commute) to whole aligned windows of ``2**(max qubit + 1)`` amplitudes --
+# the smallest ranges its action is closed under, and the unit its partitions
+# are made of (``partition.dense_layout``).  Its operation's payload is the
+# members' ``(qubits, matrix)`` steps, never their 2^k x 2^k product, and
+# :func:`apply_dense` is the one routine both the run-by-run loop and the
+# slab backend apply them with.  Bit-identity between the two rests on
+# every step computing a *tile* (one run, or one window wider than a run)
+# the same way however many tiles a buffer holds: elementwise ufuncs
+# (multiplies never in place: numpy's in-place complex multiply rounds a
+# one-element array differently) and BLAS calls of one fixed shape per
+# tile or per window -- never one gemm whose size is the buffer's, which
+# OpenBLAS rounds differently by size.  No call exceeds ``_BLAS_MNK``
+# multiply-adds either: OpenBLAS hands larger ones to its thread pool, whose
+# wake-ups cost milliseconds on a shared host.
+
+#: Qubits per Kronecker window: 1-qubit members are grouped by
+#: ``qubit // DENSE_WINDOW_QUBITS``.  Fixed, not a knob: 4 measured best of
+#: 1-5 on a 14-gate layer, 2-CPU host (a wider window spends more flops per
+#: amplitude than the passes it saves).
+DENSE_WINDOW_QUBITS = 4
+
+_EYE2 = np.eye(2, dtype=_DTYPE)
+
+#: Most ``m * n * k`` of one BLAS call of :func:`apply_dense` (below the size
+#: OpenBLAS starts threading at).
+_BLAS_MNK = 1 << 15
+
+
+def dense_steps(
+    members: Sequence[Tuple[Tuple[int, ...], np.ndarray]],
+) -> Tuple[Tuple[Tuple[int, ...], np.ndarray], ...]:
+    """The ``(qubits, matrix)`` steps applying commuting ``members``.
+
+    The 1-qubit members of one window become one step: the Kronecker
+    product over the window's qubits ascending from the lowest member's
+    (from qubit 0 in the first window), identity on the qubits between.  A
+    window above the first holding a single member keeps it as a 2x2 step;
+    a multi-qubit member is a step of its own.  A matrix's local index bit
+    ``j`` is the step's ``qubits[j]``.
+    """
+    windows: Dict[int, Dict[int, np.ndarray]] = {}
+    steps = []
+    for qubits, matrix in members:
+        matrix = np.asarray(matrix, dtype=_DTYPE)
+        if len(qubits) == 1:
+            windows.setdefault(qubits[0] // DENSE_WINDOW_QUBITS, {})[qubits[0]] = matrix
+        else:
+            steps.append((tuple(qubits), matrix))
+    for window, mats in sorted(windows.items()):
+        if window and len(mats) == 1:
+            steps.extend(((q,), m) for q, m in mats.items())
+            continue
+        lo = min(mats) if window else 0
+        kron = np.ones((1, 1), dtype=_DTYPE)
+        for q in range(lo, max(mats) + 1):  # a later qubit is a slower bit
+            m, n = mats.get(q, _EYE2), kron.shape[0]
+            kron = (m[:, None, :, None] * kron[None, :, None, :]).reshape(2 * n, 2 * n)
+        steps.append((tuple(range(lo, max(mats) + 1)), kron))
+    return tuple(steps)
+
+
+def dense_window(lo: int, hi: int, qubits: Sequence[int]) -> Tuple[int, int]:
+    """The aligned window a dense run ``[lo, hi]`` on ``qubits`` reads.
+
+    The run itself when it spans whole ``2**(max(qubits) + 1)``-amplitude
+    windows; otherwise (a dense gate high enough for its window to exceed a
+    run) the one window holding it, of which the run publishes its part.
+    """
+    span = max(hi - lo + 1, 1 << (max(qubits) + 1))
+    first = lo - lo % span
+    return first, first + span - 1
+
+
+def apply_dense(buf: np.ndarray, steps, tile: int) -> np.ndarray:
+    """Apply dense ``steps`` to ``buf`` and return the result.
+
+    ``buf`` is a fresh array of whole ``tile``-amplitude tiles -- runs, or
+    windows (:func:`dense_window`).  A step on qubits ``0..w-1`` is one
+    matmul per tile over its ``(2**w)``-wide rows; one on adjacent ascending
+    qubits from ``lo`` a matmul per ``(2**w, 2**lo)`` view; anything else --
+    a lone 1-qubit member, ``ch`` / ``crx`` / ``rxx`` on qubits apart -- a
+    contraction over its axes of the view.
+    """
+    for qubits, matrix in steps:
+        lo, k = qubits[0], len(qubits)
+        adjacent = qubits == tuple(range(lo, lo + k))
+        if adjacent and lo == 0:
+            rows = max(1, min(tile >> k, _BLAS_MNK >> (2 * k)))
+            buf = np.matmul(buf.reshape(-1, rows, 1 << k), matrix.T).reshape(-1)
+        elif adjacent and k > 1:
+            # (2**k, cols) column slabs of the (2**k, 2**lo) views
+            cols = max(1, min(1 << lo, _BLAS_MNK >> (2 * k)))
+            shape = (-1, 1 << k, (1 << lo) // cols, cols)
+            out = np.empty_like(buf)
+            np.matmul(
+                matrix,
+                buf.reshape(shape).transpose(0, 2, 1, 3),
+                out=out.reshape(shape).transpose(0, 2, 1, 3),
+            )
+            buf = out
+        else:
+            buf = _contract(buf, qubits, matrix)
+    return buf
+
+
+def _contract(buf: np.ndarray, qubits: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+    """A k-qubit step on a ``(..., 2, gap, ..., 2, 2**min)`` view with one
+    axis per qubit: every output slice is the sum of its row's
+    scalar-times-input-slice products -- a ``tensordot`` of the matrix over
+    those axes, done elementwise so that no BLAS call sees the batch (for
+    one qubit, the 2x2 update of a ``(..., 2, 2**q)`` view)."""
+    k = len(qubits)
+    shape: List[int] = [-1]
+    axis = {}
+    top = max(qubits) + 1
+    for q in sorted(qubits, reverse=True):
+        shape += [1 << (top - q - 1), 2]
+        axis[q] = len(shape) - 1
+        top = q
+    shape.append(1 << top)
+    view = buf.reshape(shape)
+
+    def part(local: int):
+        index = [slice(None)] * len(shape)
+        for j, q in enumerate(qubits):
+            index[axis[q]] = (local >> j) & 1
+        return tuple(index)
+
+    parts = [part(local) for local in range(1 << k)]
+    inputs = [view[p] for p in parts]
+    out = np.empty_like(view)
+    for row, p in zip(matrix.tolist(), parts):
+        acc = inputs[0] * row[0]
+        for col in range(1, 1 << k):
+            acc += inputs[col] * row[col]
+        out[p] = acc
+    return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# Dense full-vector kernels (used by the baselines)
 # ---------------------------------------------------------------------------
 
 
@@ -405,7 +565,7 @@ def apply_matrix_dense(
     This is the classic statevector-simulator kernel (Qulacs/qsim style): view
     the state as an n-dimensional tensor, move the gate axes to the front,
     contract with the gate matrix, and move them back.  It is used by the
-    baseline simulators and by qTask's superposition stages.
+    baseline simulators.
     """
     psi = np.asarray(state, dtype=_DTYPE).reshape([2] * num_qubits)
     k = len(qubits)
@@ -471,12 +631,10 @@ class KernelBackend:
 
     name = "base"
 
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
-        """Execute every run of ``table``; returns how many of them went
-        one by one through :func:`execute_run` (``runs_fallback``)."""
+    def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
+        """Execute every run of ``table``."""
         for spec in iter_table_runs(table):
             execute_run(reader, store, spec)
-        return table.num_runs
 
 
 # -- slab execution ---------------------------------------------------------
@@ -596,58 +754,88 @@ class NumpyBatchBackend(KernelBackend):
     qubit-position condition, so every run shape takes this path, and each
     amplitude is the product of the same two operands as in
     :func:`execute_run`: output is bit-identical to the per-run reference.
-    Only dense matrix--vector actions (``MatVecStage(combine_limit>0)``)
-    have no slab form and run one by one.
+    A dense group gathers its runs' windows instead and applies
+    :func:`apply_dense`, the routine :func:`execute_run` applies per run.
     """
 
     name = "numpy"
 
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> int:
+    def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
         block_size, dim = store.block_size, store.dim
         block_len = min(dim, block_size)
-        per_run = 0
         for op, sel in table.groups():
             los, his = table.los[sel], table.his[sel]
             kind, payload = op.kind, op.op
+            if faults.ACTIVE is not None:
+                faults.fire("kernel.run")
+            if kind == RUN_DENSE:
+                ids, rows = self._dense(reader, los, his, op, block_size, block_len)
+                store.write_blocks(ids, rows)
+                continue
             key = coeffs = None
             if kind == RUN_ACTION:
                 if isinstance(payload, DiagonalAction):
                     key = (op.qubits, None)
                     coeffs = payload.phase_array
-                elif isinstance(payload, MonomialAction):
+                else:
                     key = (op.qubits, payload.perm)
                     coeffs = payload.factor_array
-                else:
-                    for lo, hi in zip(los.tolist(), his.tolist()):
-                        execute_run(
-                            reader, store, RunSpec(kind, lo, hi, op.qubits, payload)
-                        )
-                    per_run += los.shape[0]
-                    continue
             elif kind == RUN_COLLAPSE:
                 qubit, outcome, coeffs, move = payload
                 key = (qubit, outcome, move)
-            if faults.ACTIVE is not None:
-                faults.fire("kernel.run")
-            ids: List[int] = []
-            rows: List[np.ndarray] = []
+            ids = []
+            rows = []
             for slab_los, slab_his in _slab_bounds(los, his, block_size):
                 t = _slab_table(
                     kind, key, slab_los.tobytes(), slab_his.tobytes(),
                     block_size, dim,
                 )
                 ids += t.out_ids
-                if kind == RUN_SLICE:
-                    # payload is a prepared full vector, rebound (never
-                    # mutated) by the next prepare(): views are safe
-                    rows += [
-                        payload[b * block_size : b * block_size + block_len]
-                        for b in t.out_ids
-                    ]
-                else:
-                    rows += self._slab(reader, t, coeffs, block_len)
+                rows += self._slab(reader, t, coeffs, block_len)
             store.write_blocks(ids, rows)
-        return per_run
+
+    @staticmethod
+    def _dense(
+        reader, los: np.ndarray, his: np.ndarray, op: PlanOp,
+        block_size: int, block_len: int,
+    ) -> Tuple[List[int], List[np.ndarray]]:
+        """Output block ids and rows of a dense group.
+
+        Runs of one length spanning whole windows are gathered together, a
+        slab of at most ``MAX_RUN_BLOCKS`` blocks at a time, each run a tile
+        of :func:`apply_dense`.  A run narrower than its window shares one
+        gather of the window, the tile, with the group's other runs in it;
+        a window wider than ``MAX_RUN_BLOCKS`` blocks is published as
+        copies, so no surviving block pins more than a slab.
+        """
+        width = 1 << (max(op.qubits) + 1)
+        lens = his - los + 1
+        ids: List[int] = []
+        rows: List[np.ndarray] = []
+        for n in np.unique(lens[lens >= width]).tolist():
+            same = lens == n
+            for slab_los, slab_his in _slab_bounds(los[same], his[same], block_size):
+                blocks = [
+                    b
+                    for lo in slab_los.tolist()
+                    for b in range(lo // block_size, (lo + n - 1) // block_size + 1)
+                ]
+                out = apply_dense(reader.read_blocks(blocks), op.op, n)
+                ids += blocks
+                rows += list(out.reshape(-1, block_len))
+        windows: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for lo, hi in zip(los[lens < width].tolist(), his[lens < width].tolist()):
+            windows.setdefault(dense_window(lo, hi, op.qubits), []).append((lo, hi))
+        for (first, last), runs in windows.items():
+            window = range(first // block_size, last // block_size + 1)
+            out = apply_dense(reader.read_blocks(window), op.op, width)
+            for lo, hi in runs:
+                part = out[lo - first : hi - first + 1]
+                if len(window) > MAX_RUN_BLOCKS:
+                    part = part.copy()
+                ids += range(lo // block_size, hi // block_size + 1)
+                rows += list(part.reshape(-1, block_len))
+        return ids, rows
 
     @staticmethod
     def _slab(reader, t: _SlabTable, coeffs, block_len: int) -> List[np.ndarray]:

@@ -11,9 +11,12 @@ consecutive data blocks -- reproducing the layouts of Fig. 4/5 of the paper
 tasks, ``G7``/``G8`` give two partitions of two blocks each, ``G9`` two
 partitions of three blocks each).
 
-Superposition gates fall back to the matrix--vector path: one partition per
-data block, preceded by a synchronisation barrier (handled at the graph
-level).
+A superposition (dense) action enumerates the same way: it is one orbit-unit
+type spanning all of its local states, so each partition holds only the
+blocks its rows mix -- the paper's MxV partitions (§III.C), each reading its
+own blocks instead of the whole vector.  :func:`matvec_layout` (one
+partition per block behind a synchronisation barrier) is left to the
+collapses (measure / reset), which read every block.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "layout_of",
     "derive_layout",
     "derive_partitions",
+    "dense_layout",
     "matvec_layout",
     "matvec_partitions",
 ]
@@ -164,18 +168,35 @@ def derive_layout(
 ) -> PartitionLayout:
     """Partition layout of a gate on a ``2**qubit_count`` state vector.
 
-    Superposition actions delegate to :func:`matvec_layout`; identity
-    actions (nothing touched) produce no partitions at all.  The layout of a
-    non-superposition action depends only on its orbit-unit types, the
-    qubits and the geometry, so results (block masks included) are shared
-    process-wide under that key and a repeated gate shape costs
-    O(2**len(qubits)), not O(2**n).
+    Superposition actions get :func:`dense_layout`; identity actions
+    (nothing touched) produce no partitions at all.  The layout depends only
+    on the orbit-unit types, the qubits and the geometry, so results (block
+    masks included) are shared process-wide under that key and a repeated
+    gate shape costs O(2**len(qubits)), not O(2**n).
     """
     block_size = validate_block_size(block_size)
     if isinstance(action, MatVecAction):
-        return matvec_layout(qubit_count, block_size)
+        return dense_layout(qubits, qubit_count, block_size)
     return _enumerate_partitions(
         unit_layout_of(action).unit_locals, tuple(qubits), qubit_count, block_size
+    )
+
+
+def dense_layout(
+    qubits: Sequence[int], qubit_count: int, block_size: int
+) -> PartitionLayout:
+    """Partition layout of a dense action on ``qubits``.
+
+    The action mixes every local state of its qubits, so it is one orbit-unit
+    type; only a unit's smallest and largest offset enter the enumeration,
+    hence the type ``(0, 2**k - 1)``.  Every amplitude lies in one unit, so
+    the cover is every block, and a partition is a run of whole aligned
+    ``2**(max(qubits) + 1)``-amplitude windows -- closed under the action, a
+    subset of the "all blocks" an MxV partition reads in the paper.
+    """
+    qubits = tuple(sorted(qubits))
+    return _enumerate_partitions(
+        ((0, (1 << len(qubits)) - 1),), qubits, qubit_count, block_size
     )
 
 

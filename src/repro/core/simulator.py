@@ -13,7 +13,9 @@ table; reads outside an update search the index as of a stage seq.  Each
 affected stage's partitions execute as one run table handed to the kernel
 backend, and a swept run of consecutive diagonal / monomial stages executes
 as one table applying their composed action (``_coalesce``): only the last
-member declaring a block publishes it.
+member declaring a block publishes it.  A net's superposition gates are one
+dense stage whose partitions each read only their own blocks; only a
+collapse (measure / reset) reads the whole vector, behind a sync barrier.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -246,10 +248,14 @@ class QTaskSimulator(CircuitObserver):
         #: stages built since the last wiring, in insert order, with the uid
         #: of their net; :meth:`_wire` files them all at the next graph read
         self._queued: Dict[Stage, int] = {}
-        #: gates inserted since the last wiring (a matvec member included)
+        #: gates inserted since the last wiring (a matvec member included),
+        #: and gates removed / retuned since the last ``modify`` span
         self._inserted = 0
-        #: ``(gates, stages, nets)`` the last update wired before planning
-        self._last_wired = (0, 0, 0)
+        self._removed = 0
+        self._retuned = 0
+        #: ``(gates, stages, nets, removed, retuned)`` the last update's
+        #: ``modify`` span recorded before planning
+        self._last_wired = (0, 0, 0, 0, 0)
 
         #: set by :meth:`close`
         self._closed = False
@@ -309,10 +315,6 @@ class QTaskSimulator(CircuitObserver):
         )
         self._plan_chunks = m.counter(
             "plan.chunks", help="executor-visible plan chunks"
-        )
-        self._runs_fallback = m.counter(
-            "plan.runs_fallback",
-            help="runs a backend executed one by one instead of batched",
         )
         self._stages_coalesced = m.counter(
             "plan.stages_coalesced",
@@ -381,7 +383,7 @@ class QTaskSimulator(CircuitObserver):
 
     def _has_edits(self) -> bool:
         """True when the next update has modifiers to apply."""
-        return bool(self._inserted) or self._graph.has_pending
+        return bool(self._queued) or self._graph.has_pending
 
     # ------------------------------------------------------------------
     # session forking (copy-on-write children)
@@ -576,21 +578,23 @@ class QTaskSimulator(CircuitObserver):
         here -- and queue it: :meth:`_wire` files every queued stage at the
         next graph read.  A superposition gate joins its net's matvec stage.
         """
+        self._insert_handle(handle)
+        self._inserted += 1
+
+    def _insert_handle(self, handle: GateHandle) -> None:
         gate = handle.gate
         net_uid = handle.net.uid
-        args = (circuit.num_qubits, self.block_size, self.copy_on_write)
+        args = (self.circuit.num_qubits, self.block_size, self.copy_on_write)
         if is_dynamic_op(gate):
-            self.outcomes.ensure_bits(circuit.num_clbits)
+            self.outcomes.ensure_bits(self.circuit.num_clbits)
             stage = self._make_dynamic_stage(gate)
         elif gate_shape(gate, *args[:2])[0].creates_superposition:
             stage = self._matvec.get(net_uid)
             if stage is not None:
                 stage.add_gate(gate)
+                self._requeue(stage, net_uid)
                 self._gate_stage[handle.uid] = stage
                 self._stage_handles[stage.uid].append(handle)
-                self._inserted += 1
-                if stage not in self._queued:
-                    self._graph.touch_stage(stage)
                 return
             stage = self._matvec[net_uid] = MatVecStage([gate], *args)
         else:
@@ -598,7 +602,20 @@ class QTaskSimulator(CircuitObserver):
         self._gate_stage[handle.uid] = stage
         self._stage_handles[stage.uid] = [handle]
         self._queued[stage] = net_uid
-        self._inserted += 1
+
+    def _requeue(self, stage: MatVecStage, net_uid: int) -> None:
+        """Take a wired matvec stage whose members are about to change out of
+        the graph, to be filed again at the next wiring.
+
+        Its qubits, and with them its layout, change: the graph forgets the
+        layout it recorded (the removal hands that cover's dirt on) and the
+        wiring files the new one (marking the new cover dirty).
+        """
+        if stage in self._queued:
+            return
+        self._net_stages[net_uid].remove(stage)
+        self._graph.remove_stage(stage)
+        self._queued[stage] = net_uid
 
     def _make_dynamic_stage(self, op) -> DynamicStage:
         """Build the stage for a measure/reset/classically-controlled op."""
@@ -611,15 +628,21 @@ class QTaskSimulator(CircuitObserver):
             return ClassicallyControlledStage(op, *args, record=self.outcomes)
         raise CircuitError(f"unknown dynamic operation {op!r}")
 
-    def _wire(self) -> Tuple[int, int, int]:
+    def _wire(self, *, report: bool = True) -> Tuple[int, int, int, int, int]:
         """Wire every queued stage into the partition graph, in one batch:
         each net with new stages sorted once (:func:`_net_order`), the global
         order rebuilt once, one :meth:`PartitionGraph.insert_stages` call.
-        Returns the ``modify`` span's ``(gates inserted, stages, nets)``.
+
+        One ``modify`` span records the batch together with the gates
+        removed and retuned since the last such span, and its ``(gates
+        inserted, stages, nets, removed, retuned)`` are returned.  A
+        modifier about to edit the graph passes ``report=False``: it wires a
+        queued batch but records no span for removals and retunes alone, so
+        a run of them lands on one span at the next graph read.
         """
-        if not self._inserted:
-            return (0, 0, 0)
         queued = self._queued
+        if not queued and not (report and (self._removed or self._retuned)):
+            return (0, 0, 0, 0, 0)
         with self.telemetry.tracer.span("modify") as span:
             by_net: Dict[int, List[Stage]] = {}
             for stage, net_uid in queued.items():
@@ -631,11 +654,16 @@ class QTaskSimulator(CircuitObserver):
             self._graph.insert_stages(
                 [(i, stage) for i, stage in enumerate(order) if stage in queued]
             )
-            wired = (self._inserted, len(queued), len(by_net))
-            for key, value in zip(("inserted", "stages", "nets"), wired):
+            wired = (
+                self._inserted, len(queued), len(by_net),
+                self._removed, self._retuned,
+            )
+            for key, value in zip(
+                ("inserted", "stages", "nets", "removed", "retuned"), wired
+            ):
                 span.set(key, value)
         queued.clear()
-        self._inserted = 0
+        self._inserted = self._removed = self._retuned = 0
         return wired
 
     def on_gate_updated(
@@ -654,51 +682,54 @@ class QTaskSimulator(CircuitObserver):
         When the retune *does* change the classification (e.g. ``rx(pi)``
         <-> ``rx(pi/2)`` crossing the permutation/superposition boundary) or
         the layout (angles collapsing a gate to the identity), the stage is
-        rebuilt through the ordinary remove+insert observer path; the gate
-        handle keeps its identity either way.
+        rebuilt through the remove+insert path; the gate handle keeps its
+        identity either way, and the edit counts as one retune.
         """
         stage = self._gate_stage.get(handle.uid)
         if stage is None:
             return
-        graph = self.graph
+        self._wire(report=False)
+        self._retuned += 1
         new_gate = handle.gate
         if isinstance(stage, MatVecStage):
             if gate_action(new_gate).creates_superposition and stage.retune_gate(
                 old_gate, new_gate
             ):
-                graph.touch_stage(stage)
+                self._graph.touch_stage(stage)
                 return
         elif stage.retune(new_gate):
-            graph.touch_stage(stage)
+            self._graph.touch_stage(stage)
             return
         # Classification or partition layout changed: rebuild this gate's
         # stage via the remove+insert path.  The removal path must see the
         # *old* gate (matvec stages look members up by value).
         handle.gate = old_gate
-        self.on_gate_removed(circuit, handle)
+        self._remove_handle(handle)
         handle.gate = new_gate
-        self.on_gate_inserted(circuit, handle)
+        self._insert_handle(handle)
 
     def on_gate_removed(self, circuit: Circuit, handle: GateHandle) -> None:
-        stage = self._gate_stage.pop(handle.uid, None)
-        if stage is None:
-            return
-        graph = self.graph  # the stage may still be queued
+        if handle.uid in self._gate_stage:
+            self._remove_handle(handle)
+            self._removed += 1
+
+    def _remove_handle(self, handle: GateHandle) -> None:
+        self._wire(report=False)  # the stage may still be queued
+        stage = self._gate_stage.pop(handle.uid)
         net = handle.net
         if isinstance(stage, MatVecStage):
             stage.remove_gate(handle.gate)
-            members = self._stage_handles.get(stage.uid)
-            if members is not None and handle in members:
-                members.remove(handle)
-            if not stage.is_empty:
-                graph.touch_stage(stage)
+            members = self._stage_handles[stage.uid]
+            members.remove(handle)
+            if members:
+                self._requeue(stage, net.uid)
                 return
             self._matvec.pop(net.uid, None)
         stages = self._net_stages.get(net.uid, [])
         if stage in stages:
             stages.remove(stage)
         self._stage_handles.pop(stage.uid, None)
-        graph.remove_stage(stage)
+        self._graph.remove_stage(stage)
 
     # ------------------------------------------------------------------
     # trajectories (dynamic circuits)
@@ -738,7 +769,8 @@ class QTaskSimulator(CircuitObserver):
 
     def _dynamic_stages_from(self, from_op: Optional[int]) -> List[DynamicStage]:
         """Dynamic stages in execution order, from ``from_op``'s stage on."""
-        self._wire()  # a queued stage is registered, and gets its seq, there
+        # a queued stage is registered, and gets its seq, there
+        self._wire(report=False)
         stages = sorted(self._dynamic_stages.values(), key=lambda s: s.seq)
         if from_op is None:
             return stages
@@ -927,7 +959,8 @@ class QTaskSimulator(CircuitObserver):
 
         for sp in plan.stage_plans:
             stage = sp.stage
-            if stage.plan_static and sp.mask == stage.partition_layout().cover:
+            # a dense stage has nothing to compose: it plans alone
+            if isinstance(stage, UnitaryStage) and sp.mask == stage.partition_layout().cover:
                 if group and (
                     stage.seq != group[-1].stage.seq + 1
                     or len(group) == MAX_RUN_STAGES
@@ -1143,7 +1176,7 @@ class QTaskSimulator(CircuitObserver):
     def _execute_chunk(self, sp: StagePlan, chunk) -> None:
         backend = self._backend
         try:
-            per_run = backend.execute_plan(sp.reader, sp.store, chunk)
+            backend.execute_plan(sp.reader, sp.store, chunk)
         except FaultInjected as exc:
             # An injected fault must not lose the update: chunk writes are
             # deterministic overwrites, so re-executing run-granular is
@@ -1156,9 +1189,6 @@ class QTaskSimulator(CircuitObserver):
                 reason=f"{type(exc).__name__}: {exc}",
             )
             self._run_chunk_fallback(sp, chunk)
-        else:
-            if per_run:
-                self._runs_fallback.inc(per_run)
 
     def _run_chunk_fallback(self, sp: StagePlan, chunk) -> None:
         """Run-granular chunk execution with bounded per-run fault retries.
@@ -1302,7 +1332,6 @@ class QTaskSimulator(CircuitObserver):
             backend=self._backend.name,
             plans_built=self._plans_built.value,
             runs_batched=self._runs_batched.value,
-            runs_fallback=self._runs_fallback.value,
             stages_coalesced=self._stages_coalesced.value,
             plan_chunks=self._plan_chunks.value,
             backend_fallbacks=self._backend_fallbacks.value,
@@ -1372,9 +1401,9 @@ class QTaskSimulator(CircuitObserver):
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
 
-        Renders the update report, the batch of inserts it wired first
-        ("wired G inserted gates as S stages in N nets": the ``modify``
-        span's numbers; 0 when nothing was queued), what the frontier
+        Renders the update report, the edits it wired first ("wired G
+        inserted gates as S stages in N nets, R removed, T retuned": the
+        ``modify`` span's numbers; 0 when it recorded none), what the frontier
         sweep looked at
         ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
         and the affected stages became ``N`` stage plans) and what it
@@ -1387,7 +1416,7 @@ class QTaskSimulator(CircuitObserver):
         """
         report = self.last_update
         coalesced, runs, largest, widest, recomposed = self._last_coalesced
-        inserted, wired, nets = self._last_wired
+        inserted, wired, nets, removed, retuned = self._last_wired
         lines = [
             f"update #{self._num_updates - 1}"
             if self._num_updates else "no update yet",
@@ -1400,7 +1429,7 @@ class QTaskSimulator(CircuitObserver):
             ),
             (
                 f"  wired {inserted} inserted gates as {wired} stages"
-                f" in {nets} nets"
+                f" in {nets} nets, {removed} removed, {retuned} retuned"
             ),
             (
                 f"  swept stages {self._last_sweep[0]}"
@@ -1414,11 +1443,7 @@ class QTaskSimulator(CircuitObserver):
                 if runs
                 else ""
             ),
-            (
-                f"  backend {self._backend.name},"
-                f" {self._plan_chunks.value} chunks total,"
-                f" {self._runs_fallback.value} runs executed one by one"
-            ),
+            f"  backend {self._backend.name}, {self._plan_chunks.value} chunks total",
         ]
         events = self.telemetry.events.events(since=self._update_event_mark)
         if events:

@@ -7,7 +7,8 @@ configuration knobs, the global stage order with each stage's kind and
 member gates, every materialised copy-on-write block (with a per-block CRC),
 the coalesced runs on record (which stage holds a block inside a run is
 only right next to them), and the trajectory's classical state (seed, bits,
-recorded outcomes).
+recorded outcomes, and each collapse's masses and outcome, so a restored
+session's ``collapse_path()`` is the saved one's).
 
 Restoration deliberately does **not** replay circuit modifiers through the
 observer protocol: the original session's stage layout is a product of its
@@ -158,8 +159,10 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
             "gates": [flat_index[h.uid] for h in members],
             "blocks": blocks_json,
         }
-        if isinstance(stage, MatVecStage):
-            entry["combine_limit"] = stage.combine_limit
+        if isinstance(stage, (MeasureStage, ResetStage)) and stage.masses is not None:
+            # what collapse_path() reports; the scale follows from them
+            entry["masses"] = list(stage.masses)
+            entry["outcome"] = stage.outcome
         stages_json.append(entry)
 
     outcomes = sim.outcomes
@@ -313,20 +316,20 @@ def _build_stage(entry, members: List[GateHandle], sim: QTaskSimulator):
         if kind == "unitary":
             return UnitaryStage(members[0].gate, *args)
         if kind == "matvec":
-            return MatVecStage(
-                [h.gate for h in members],
-                *args,
-                combine_limit=entry.get("combine_limit"),
-            )
-        if kind == "measure":
-            return MeasureStage(members[0].gate, *args, record=sim.outcomes)
-        if kind == "reset":
-            return ResetStage(members[0].gate, *args, record=sim.outcomes)
+            # an older file also names the limit of a deleted row-gather
+            # MxV path here: ignored, the stage has one path
+            return MatVecStage([h.gate for h in members], *args)
+        if kind in ("measure", "reset"):
+            cls = MeasureStage if kind == "measure" else ResetStage
+            stage = cls(members[0].gate, *args, record=sim.outcomes)
+            if "masses" in entry:
+                stage.adopt_collapse(tuple(entry["masses"]), int(entry["outcome"]))
+            return stage
         if kind == "c_if":
             return ClassicallyControlledStage(
                 members[0].gate, *args, record=sim.outcomes
             )
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CheckpointError(
             f"cannot reconstruct {kind!r} stage from checkpoint: {exc}"
         ) from exc

@@ -1,8 +1,9 @@
 """Stages: the unit of per-net state-vector management.
 
 The paper keeps several state vectors per net (§III.F.2): superposition gates
-of a net are grouped into one matrix--vector *stage* that owns a state vector,
-and every non-superposition gate of the net gets its own stage/state vector.
+of a net are grouped into one dense *stage* (the paper's matrix--vector stage)
+that owns a state vector, and every non-superposition gate of the net gets
+its own stage/state vector.
 A stage owns
 
 * the gate(s) it applies,
@@ -30,7 +31,7 @@ from .exec_plan import (
     RUN_ACTION,
     RUN_COLLAPSE,
     RUN_COPY,
-    RUN_SLICE,
+    RUN_DENSE,
     PlanOp,
     RunSpec,
     RunTable,
@@ -38,15 +39,15 @@ from .exec_plan import (
 from .gates import (
     Action,
     Gate,
-    MatVecAction,
     classify_matrix,
     composed_runs,
 )
-from .kernels import StateReader, apply_gate_dense, measured_masses
+from .kernels import StateReader, dense_steps, measured_masses
 from .ops import CGate
 from .partition import (
     PartitionLayout,
     PartitionSpec,
+    dense_layout,
     derive_layout,
     layout_of,
     matvec_layout,
@@ -55,6 +56,7 @@ from .partition import (
 __all__ = [
     "gate_action",
     "gate_shape",
+    "dense_op",
     "coalesced_table",
     "Stage",
     "UnitaryStage",
@@ -63,18 +65,8 @@ __all__ = [
     "MeasureStage",
     "ResetStage",
     "ClassicallyControlledStage",
-    "MATVEC_COMBINE_LIMIT",
     "MAX_RUN_BLOCKS",
 ]
-
-#: Compute MxV partitions directly from the combined operator's matrix rows
-#: (the paper's "derive its subset of matrix rows on the fly") only when the
-#: combined operator acts on at most this many qubits.  The default of 0 means
-#: the faster prepared path (sequential reshape contraction over the full
-#: input, then per-block stores) is always used -- in Python the row-gather
-#: path is dominated by per-call overhead.  Tests exercise both paths via the
-#: ``combine_limit`` constructor argument.
-MATVEC_COMBINE_LIMIT = 0
 
 _stage_counter = itertools.count()
 
@@ -104,11 +96,24 @@ def gate_shape(
     amplitudes in ``block_size`` blocks -- one lookup per stage built.
 
     Gates are frozen values, so the key is the gate itself; the layout of a
-    superposition gate is the matrix--vector one.  1 024 entries, the bound
+    superposition gate is the dense one of its qubits.  1 024 entries, the bound
     of the layout cache behind it: it keeps at most as many layouts alive.
     """
     action = gate_action(gate)
     return action, derive_layout(action, gate.qubits, qubit_count, block_size)
+
+
+@lru_cache(maxsize=1024)
+def dense_op(gates: Tuple[Gate, ...]) -> PlanOp:
+    """The operation applying commuting superposition ``gates`` (a net's):
+    their qubits ascending, and their ``(qubits, matrix)`` steps
+    (:func:`~repro.core.kernels.dense_steps`) -- built once per distinct
+    member tuple, like :func:`gate_shape`."""
+    return PlanOp(
+        RUN_DENSE,
+        tuple(sorted(q for g in gates for q in g.qubits)),
+        dense_steps([(g.qubits, gate_action(g).matrix) for g in gates]),
+    )
 
 
 def _aligned_runs(
@@ -180,26 +185,23 @@ class Stage:
     def gate_list(self) -> Tuple[Gate, ...]:
         raise NotImplementedError
 
-    def writes_all_blocks(self) -> bool:
-        """True when executing this stage rewrites the whole state vector."""
-        return False
-
     def reads_all_blocks(self) -> bool:
-        """True when this stage's input is the whole previous state vector."""
+        """True when this stage's input is the whole previous state vector
+        (a collapse: its ``prepare`` runs behind a sync barrier)."""
         return False
 
     #: ``True`` when :meth:`plan_op` depends only on the stage's bound
-    #: gates -- never on execution-time state (``prepare`` results, drawn
-    #: outcomes, classical bits).  Static stages can have their table
-    #: compiled into an execution plan *before* the update runs.
+    #: gates -- never on execution-time state (drawn outcomes, classical
+    #: bits).  Static stages can have their table compiled into an
+    #: execution plan *before* the update runs.
     plan_static: bool = False
 
     def plan_op(self) -> PlanOp:
         """The one operation every kernel run of this stage applies.
 
         Asked strictly after :meth:`prepare` (the sync node precedes every
-        partition), so prepared vectors, drawn outcomes and conditions are
-        final; payloads are rebound, never mutated, by the next update.
+        partition), so drawn outcomes and conditions are final; payloads are
+        rebound, never mutated, by the next update.
         """
         raise NotImplementedError
 
@@ -220,7 +222,8 @@ class Stage:
         ]
 
     def prepare(self, reader: StateReader) -> None:
-        """Hook executed once per update before the stage's runs."""
+        """Hook executed once per update before the runs of a stage that
+        :meth:`reads_all_blocks`."""
 
     def clone_for_fork(self) -> "Stage":
         """A fresh stage applying the same gates with an *empty* store.
@@ -236,8 +239,8 @@ class Stage:
     # -- helpers --------------------------------------------------------------
 
     def write_full(self, vector: np.ndarray) -> None:
-        """Store an entire state vector (used by non-COW mode and matvec),
-        copied once through :meth:`~repro.core.cow.BlockStore.write_range`."""
+        """Store an entire state vector, copied once through
+        :meth:`~repro.core.cow.BlockStore.write_range`."""
         arr = np.asarray(vector).reshape(-1)
         if arr.shape[0] != self.dim:
             raise ValueError(
@@ -354,17 +357,22 @@ def coalesced_table(
 
 
 class MatVecStage(Stage):
-    """All superposition gates of one net, applied via matrix--vector product.
+    """All superposition gates of one net: the paper's matrix--vector stage.
 
-    Gates in a net act on disjoint qubits (the net invariant), so the combined
-    operator is a tensor product.  For small combined arity the stage exposes
-    the combined matrix and each partition computes its output block directly
-    from the matrix rows (the paper's MxV tasks); for larger arity the stage's
-    ``prepare`` hook applies the gates sequentially to the full input vector
-    with the dense reshape kernel, and the block tasks merely store slices.
+    Gates in a net act on disjoint qubits (the net invariant), so they
+    commute and the stage's operator is their tensor product -- which is
+    never formed.  The layout is the dense one of the members' qubits
+    (:func:`~repro.core.partition.dense_layout`: partitions of whole aligned
+    windows, each reading only its own blocks), and every run applies the
+    members' ``(qubits, matrix)`` steps to its window
+    (:func:`~repro.core.kernels.apply_dense`).  A member added or removed
+    changes the qubits and with them the layout; a retune changes only the
+    steps.
     """
 
     kind = "matvec"
+    #: the members' matrices are bound at plan time, like a unitary's action
+    plan_static = True
 
     def __init__(
         self,
@@ -372,14 +380,10 @@ class MatVecStage(Stage):
         qubit_count: int,
         block_size: int,
         copy_on_write: bool = True,
-        combine_limit: Optional[int] = None,
     ) -> None:
         super().__init__(qubit_count, block_size, copy_on_write)
         self.gates: List[Gate] = []
-        self._prepared: Optional[np.ndarray] = None
-        self.combine_limit = (
-            MATVEC_COMBINE_LIMIT if combine_limit is None else int(combine_limit)
-        )
+        self._layout: Optional[PartitionLayout] = None
         for g in gates:
             self.add_gate(g)
 
@@ -393,16 +397,17 @@ class MatVecStage(Stage):
                 "superposition group"
             )
         self.gates.append(gate)
+        self._layout = None
 
     def remove_gate(self, gate: Gate) -> None:
         self.gates.remove(gate)
+        self._layout = None
 
     def retune_gate(self, old: Gate, new: Gate) -> bool:
         """Swap a retuned member in place (same qubits, new parameters).
 
-        The MxV partition layout -- one partition per data block behind a
-        sync barrier -- is independent of the member gates, so a retune
-        never restructures anything; the stage only needs re-execution.
+        The layout depends on the members' qubits only, so a retune never
+        restructures anything; the stage only needs re-execution.
         """
         if new.qubits != old.qubits:
             return False
@@ -417,34 +422,26 @@ class MatVecStage(Stage):
     def is_empty(self) -> bool:
         return not self.gates
 
+    @property
+    def qubits(self) -> Tuple[int, ...]:
+        """The members' qubits, ascending."""
+        return tuple(sorted(q for g in self.gates for q in g.qubits))
+
     def clone_for_fork(self) -> "MatVecStage":
         return MatVecStage(
-            self.gates,
-            self.qubit_count,
-            self.block_size,
-            self.copy_on_write,
-            combine_limit=self.combine_limit,
+            self.gates, self.qubit_count, self.block_size, self.copy_on_write
         )
-
-    def combined_qubits(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for g in self.gates:
-            out.extend(g.qubits)
-        return tuple(out)
-
-    def combined_matrix(self) -> np.ndarray:
-        """Tensor product of the member gates (later gates = slower bits)."""
-        mat = np.eye(1, dtype=complex)
-        for g in self.gates:
-            mat = np.kron(g.matrix(), mat)
-        return mat
 
     # -- Stage interface ------------------------------------------------------
 
     def partition_layout(self) -> PartitionLayout:
-        if self.is_empty:
-            return layout_of(())
-        return matvec_layout(self.qubit_count, self.block_size)
+        if self._layout is None:
+            self._layout = (
+                dense_layout(self.qubits, self.qubit_count, self.block_size)
+                if self.gates
+                else layout_of(())
+            )
+        return self._layout
 
     def label(self) -> str:
         return "MxV{" + ",".join(str(g) for g in self.gates) + "}"
@@ -452,36 +449,8 @@ class MatVecStage(Stage):
     def gate_list(self) -> Tuple[Gate, ...]:
         return tuple(self.gates)
 
-    def writes_all_blocks(self) -> bool:
-        return not self.is_empty
-
-    def reads_all_blocks(self) -> bool:
-        return not self.is_empty
-
-    def _use_combined(self) -> bool:
-        return len(self.combined_qubits()) <= self.combine_limit
-
-    def prepare(self, reader: StateReader) -> None:
-        """Materialise the full output when the combined operator is too wide."""
-        self._prepared = None
-        if self.is_empty or self._use_combined():
-            return
-        state = reader.full_vector()
-        for g in self.gates:
-            state = apply_gate_dense(state, g, self.qubit_count)
-        self._prepared = state
-
     def plan_op(self) -> PlanOp:
-        # _prepared is rebound (never mutated) by the next prepare(), so
-        # slice runs stay zero-copy safe.
-        if self._prepared is not None:
-            return PlanOp(RUN_SLICE, (), self._prepared)
-        qubits = self.combined_qubits()
-        return PlanOp(
-            RUN_ACTION,
-            qubits,
-            MatVecAction(num_qubits=len(qubits), matrix=self.combined_matrix()),
-        )
+        return dense_op(tuple(self.gates))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +528,13 @@ class _CollapseStage(DynamicStage):
         clone._masses = self._masses
         return clone
 
+    def adopt_collapse(self, masses: Tuple[float, float], outcome: int) -> None:
+        """Take on a collapse drawn elsewhere (a checkpoint's): the masses it
+        drew against and its outcome, as if :meth:`prepare` had run."""
+        self._masses = (float(masses[0]), float(masses[1]))
+        self._outcome = outcome
+        self._scale = 1.0 / math.sqrt(masses[outcome])
+
     @property
     def qubit(self) -> int:
         return self.op.qubit
@@ -575,9 +551,6 @@ class _CollapseStage(DynamicStage):
 
     def partition_layout(self) -> PartitionLayout:
         return matvec_layout(self.qubit_count, self.block_size)
-
-    def writes_all_blocks(self) -> bool:
-        return True
 
     def reads_all_blocks(self) -> bool:
         return True
@@ -627,11 +600,10 @@ class ClassicallyControlledStage(DynamicStage):
 
     The condition is evaluated at *execution* time, after every preceding
     stage (in particular the controlling measurements) has run -- partition
-    dependencies guarantee the ordering.  When the inner gate is
-    non-superposition the stage reuses its partition layout and applies the
-    classified action (or an identity copy of the partition's blocks when
-    the condition fails); a superposition inner gate falls back to the
-    matrix--vector layout with a full-vector ``prepare``.
+    dependencies guarantee the ordering.  The stage takes its gate's layout
+    and applies the classified action -- a superposition gate as one dense
+    step, like a one-member :class:`MatVecStage` -- or an identity copy of
+    the partition's blocks when the condition fails.
 
     Condition bits are read *as of this stage's program point*, not from the
     final classical register: the owning simulator installs a lookup
@@ -657,13 +629,17 @@ class ClassicallyControlledStage(DynamicStage):
     ) -> None:
         super().__init__(op, qubit_count, block_size, copy_on_write, record)
         self.gate = op.gate
-        # A superposition gate gets the matrix--vector layout.  Otherwise
-        # condition-false executions rewrite the blocks the condition-true
+        # Condition-false executions rewrite the blocks the condition-true
         # layout writes (identity copies), so the layout -- and with it the
         # graph topology -- is condition-independent.
         self.action, self._layout = gate_shape(self.gate, qubit_count, block_size)
         self.qubits: Tuple[int, ...] = self.gate.qubits
-        self._prepared: Optional[np.ndarray] = None
+        #: the operation of a met condition
+        self._taken = (
+            dense_op((self.gate,))
+            if self.action.creates_superposition
+            else PlanOp(RUN_ACTION, self.qubits, self.action)
+        )
 
     def clone_for_fork(self) -> "ClassicallyControlledStage":
         clone = super().clone_for_fork()
@@ -672,7 +648,7 @@ class ClassicallyControlledStage(DynamicStage):
         clone.action = self.action
         clone.qubits = self.qubits
         clone._layout = self._layout
-        clone._prepared = None
+        clone._taken = self._taken
         return clone
 
     def bind_clbit_lookup(self, lookup) -> None:
@@ -694,29 +670,9 @@ class ClassicallyControlledStage(DynamicStage):
     def partition_layout(self) -> PartitionLayout:
         return self._layout
 
-    def writes_all_blocks(self) -> bool:
-        return self.action.creates_superposition
-
-    def reads_all_blocks(self) -> bool:
-        return self.action.creates_superposition
-
-    def prepare(self, reader: StateReader) -> None:
-        self._prepared = None
-        if not self.action.creates_superposition:
-            return
-        state = reader.full_vector()
-        if self.condition_met():
-            state = apply_gate_dense(state, self.gate, self.qubit_count)
-        self._prepared = state
-
     def plan_op(self) -> PlanOp:
-        # The condition (and, for superposition gates, the prepared vector)
-        # is resolved here -- strictly after every controlling measurement
-        # ran, courtesy of the partition dependencies.
-        if self.action.creates_superposition:
-            if self._prepared is None:  # pragma: no cover - defensive
-                raise RuntimeError(f"{self!r} executed before its prepare()")
-            return PlanOp(RUN_SLICE, (), self._prepared)
+        # The condition is resolved here -- strictly after every controlling
+        # measurement ran, courtesy of the partition dependencies.
         if self.condition_met():
-            return PlanOp(RUN_ACTION, self.qubits, self.action)
+            return self._taken
         return PlanOp(RUN_COPY, (), None)

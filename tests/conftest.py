@@ -477,7 +477,9 @@ class FrontierOracle:
       (insert, retune, a matvec stage gaining or losing a member),
     * for every stage that disappeared, the closest surviving later declarer
       of each block it declared *when it was first seen* (entered through
-      the sync barrier where there is one),
+      the sync barrier where there is one) -- a stage that now declares
+      other ranges (a matvec stage whose members changed its qubits) counts
+      as gone with its old partitions and new with its new ones,
 
     then answers with :func:`closest_writer_reachability` from those seeds
     -- widened to coalesced runs.  The runs the last completed update
@@ -529,7 +531,11 @@ class FrontierOracle:
             self.runs = self._runs()
         now = self._look()
         before = {entry[0]: entry for entry in self.known}
-        alive = {entry[0]: i for i, entry in enumerate(now)}
+        relaid = {
+            stage for stage, _, ranges, _ in now
+            if stage in before and before[stage][2] != ranges
+        }
+        alive = {entry[0]: i for i, entry in enumerate(now) if entry[0] not in relaid}
         full = (0, sim.n_blocks - 1)
         # removed stages: the successors of the removed partitions
         follower = len(now)

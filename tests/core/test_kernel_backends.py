@@ -200,7 +200,8 @@ class TestProcessPoolBackend:
 
     def test_single_worker_never_ships(self):
         """One worker: every table, many runs or not, is one chunk."""
-        sim = _simulator(_mixed_levels(), num_workers=1)
+        # h on qubit 0 alone: eight two-block windows, eight runs
+        sim = _simulator([[Gate("h", (0,))]] + _mixed_levels()[1:], num_workers=1)
         sim.update_state()
         report = sim.plan_report()
         assert report.runs_batched > report.plans_built
@@ -273,7 +274,7 @@ class TestPlanStatistics:
             stats = sim.statistics()
             report = sim.plan_report().as_dict()
         assert set(report) == {
-            "backend", "plans_built", "runs_batched", "runs_fallback",
+            "backend", "plans_built", "runs_batched",
             "stages_coalesced", "plan_chunks", "backend_fallbacks",
             "updates_planned", "runs_per_plan", "run_retries", "update_retries",
         }

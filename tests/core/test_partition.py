@@ -9,6 +9,7 @@ from repro.core.blocks import BlockRange
 from repro.core.gates import Gate, MatVecAction, classify_matrix, gate_matrix
 from repro.core.partition import (
     PartitionSpec,
+    dense_layout,
     derive_partitions,
     matvec_partitions,
     unit_layout_of,
@@ -56,9 +57,37 @@ def test_paper_hadamard_net_one_partition_per_block():
     assert all(p.num_unit_tasks == 1 for p in specs)
 
 
-def test_superposition_gate_delegates_to_matvec_layout():
+def test_superposition_gate_gets_windows_of_its_qubit():
+    """A dense gate mixes an aligned window of ``2**(q+1)`` amplitudes:
+    ``h`` on qubit 2 pairs blocks, on qubit 4 the whole vector."""
     specs = parts(Gate("h", (2,)), 5, 4)
-    assert ranges(specs) == [(b, b) for b in range(8)]
+    assert ranges(specs) == [(0, 1), (2, 3), (4, 5), (6, 7)]
+    assert ranges(parts(Gate("h", (4,)), 5, 4)) == [(0, 7)]
+    assert ranges(parts(Gate("h", (0,)), 5, 4)) == ranges(specs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    log_block=st.integers(0, 6),
+    seed=st.integers(0, 1000),
+)
+def test_dense_layout_partitions_are_whole_windows(n, log_block, seed):
+    """Every dense layout covers every block once, and each partition is a
+    run of whole aligned windows of its highest qubit: closed under the
+    action, and read by nobody else."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n + 1))
+    qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+    block = 1 << log_block
+    specs = dense_layout(qubits, n, block)
+    dim = 1 << n
+    blocks = [b for s in specs.specs for b in s.block_range.blocks()]
+    assert blocks == list(range(max(1, dim // block)))
+    window = 1 << (max(qubits) + 1)
+    for spec in specs.specs:
+        lo, hi = spec.block_range.index_bounds(block, dim)
+        assert lo % window == 0 and (hi + 1) % window == 0
 
 
 # ---------------------------------------------------------------------------

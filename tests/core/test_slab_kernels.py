@@ -26,13 +26,19 @@ from repro.core.exec_plan import (
     RUN_ACTION,
     RUN_COLLAPSE,
     RUN_COPY,
-    RUN_SLICE,
+    RUN_DENSE,
     RunSpec,
     StagePlan,
 )
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import DiagonalAction, MonomialAction
-from repro.core.kernels import KernelBackend, NumpyBatchBackend, _slab_table
+from repro.core.kernels import (
+    KernelBackend,
+    NumpyBatchBackend,
+    _slab_table,
+    apply_matrix_dense,
+    dense_steps,
+)
 from repro.core.simulator import QTaskSimulator
 
 from ..conftest import (
@@ -88,12 +94,30 @@ def _stage_input(rng, dim, block_size, indexed):
     return IndexReader(graph, initial, 2, sources)
 
 
+def _unitary(rng, k):
+    q, r = np.linalg.qr(_amps(rng, (1 << k) * (1 << k)).reshape(1 << k, 1 << k))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _dense_op(rng, n):
+    """A drawn dense operation: 1-qubit members (mostly) and at most one
+    2-qubit member, on disjoint qubits anywhere in the register."""
+    free = [int(q) for q in rng.permutation(n)]
+    members = []
+    while free and (not members or rng.random() < 0.6):
+        k = 2 if len(free) >= 2 and rng.random() < 0.25 else 1
+        qubits, free = tuple(free[:k]), free[k:]
+        members.append((qubits, _unitary(rng, k)))
+    qubits = tuple(sorted(q for m, _ in members for q in m))
+    return RUN_DENSE, qubits, dense_steps(members)
+
+
 def _random_op(rng, kind, n, dim):
     """``(run kind, qubits, payload)`` of one drawn operation."""
     if kind == "copy":
         return RUN_COPY, (), None
-    if kind == "slice":
-        return RUN_SLICE, (), _amps(rng, dim)
+    if kind == "dense":
+        return _dense_op(rng, n)
     if kind in ("measure", "reset"):
         op = (int(rng.integers(n)), int(rng.integers(2)), 1.25, kind == "reset")
         return RUN_COLLAPSE, (), op
@@ -144,10 +168,9 @@ def _random_table(rng, kinds, n, block_size):
 
 def _execute(backend, reader, table, parts):
     out = BlockStore(reader.dim, reader.block_size)
-    per_run = 0
     for chunk in table.split(parts):
-        per_run += backend.execute_plan(reader, out, chunk)
-    return out, per_run
+        backend.execute_plan(reader, out, chunk)
+    return out
 
 
 def _assert_same_blocks(got, want):
@@ -159,7 +182,7 @@ def _assert_same_blocks(got, want):
 KINDS = st.lists(
     st.sampled_from(
         ["diagonal", "monomial", "diagonal", "monomial",
-         "measure", "reset", "copy", "slice"]
+         "measure", "reset", "copy", "dense", "dense"]
     ),
     min_size=1,
     max_size=3,
@@ -180,11 +203,9 @@ def test_slab_plan_equals_per_run_plan(seed, n, log_block, kinds, parts, indexed
     block_size = 1 << log_block  # n < log_block: one short block
     reader = _stage_input(rng, 1 << n, block_size, indexed)
     table = _random_table(rng, kinds, n, block_size)
-    want, ref_per_run = _execute(KernelBackend(), reader, table, parts)
-    got, per_run = _execute(NumpyBatchBackend(), reader, table, parts)
+    want = _execute(KernelBackend(), reader, table, parts)
+    got = _execute(NumpyBatchBackend(), reader, table, parts)
     _assert_same_blocks(got, want)
-    assert ref_per_run == table.num_runs
-    assert per_run == 0
     # never-written inputs are served densely, not materialised
     assert not _initial_of(reader)._blocks
 
@@ -220,8 +241,8 @@ def test_split_chunk_reads_sources_outside_its_own_runs():
     )
     head, tail = table.split(2)
     assert int(head.his.max()) < 16 <= int(tail.los.min())
-    want, _ = _execute(KernelBackend(), reader, table, 2)
-    got, _ = _execute(NumpyBatchBackend(), reader, table, 2)
+    want = _execute(KernelBackend(), reader, table, 2)
+    got = _execute(NumpyBatchBackend(), reader, table, 2)
     _assert_same_blocks(got, want)
 
 
@@ -234,8 +255,8 @@ def test_single_short_block_when_dim_is_below_block_size():
         num_qubits=2, perm=(0, 2, 1, 3), factors=(1.0, 1j, -1j, 1.0)
     )
     table = table_from_runs([RunSpec(RUN_ACTION, 0, 7, (2, 0), swap)])
-    want, _ = _execute(KernelBackend(), reader, table, 1)
-    got, _ = _execute(NumpyBatchBackend(), reader, table, 1)
+    want = _execute(KernelBackend(), reader, table, 1)
+    got = _execute(NumpyBatchBackend(), reader, table, 1)
     assert got.get_block(0).shape == (8,)
     _assert_same_blocks(got, want)
 
@@ -252,8 +273,8 @@ def test_output_arrays_span_at_most_max_run_blocks():
             for fb, lb in aligned_block_runs(0, 511, MAX_RUN_BLOCKS)
         ]
     )
-    got, _ = _execute(NumpyBatchBackend(), reader, table, 1)
-    want, _ = _execute(KernelBackend(), reader, table, 1)
+    got = _execute(NumpyBatchBackend(), reader, table, 1)
+    want = _execute(KernelBackend(), reader, table, 1)
     _assert_same_blocks(got, want)
     backing = set()
     for b in got.stored_blocks():
@@ -263,6 +284,77 @@ def test_output_arrays_span_at_most_max_run_blocks():
         assert owner.size <= MAX_RUN_BLOCKS * block_size
         backing.add(id(owner))
     assert len(backing) >= 512 // MAX_RUN_BLOCKS
+
+
+def _dense_table(members, ranges, block_size, dim):
+    qubits = tuple(sorted(q for m, _ in members for q in m))
+    steps = dense_steps(members)
+    return table_from_runs([
+        RunSpec(RUN_DENSE, fb * block_size, min(dim, (lb + 1) * block_size) - 1,
+                qubits, steps)
+        for first, last in ranges
+        for fb, lb in aligned_block_runs(first, last, MAX_RUN_BLOCKS)
+    ])
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize(
+    "members",
+    [
+        [((0,), "h"), ((1,), "rx"), ((2,), "ry"), ((5,), "h")],  # kron + 2x2
+        [((1,), "h"), ((3,), "h"), ((4,), "rx"), ((5,), "x")],   # two windows
+        [((4, 1), "u2"), ((0,), "h")],                           # contraction
+        [((2, 3), "u2"), ((5,), "ry")],                          # matmul at lo=2
+        [((0,), "h"), ((3,), "rx")],                             # 16-amp windows
+    ],
+)
+def test_dense_slab_equals_the_run_loop(members, parts):
+    """Whatever steps the members make and however the runs are chunked,
+    the slab backend's dense group -- runs of one window each, several in
+    one slab -- is the run loop's bit for bit."""
+    n, block_size = 8, 4
+    rng = np.random.default_rng(7)
+    reader = _chain_over(_amps(rng, 1 << n), block_size)
+    drawn = [(q, _unitary(rng, len(q))) for q, _ in members]
+    window = 1 << (max(q for m, _ in members for q in m) + 1)
+    per_run = window // block_size
+    ranges = [(b, b + per_run - 1) for b in range(0, 64, per_run)]
+    table = _dense_table(drawn, ranges, block_size, 1 << n)
+    assert table.num_runs == len(ranges) > 1
+    want = _execute(KernelBackend(), reader, table, parts)
+    got = _execute(NumpyBatchBackend(), reader, table, parts)
+    _assert_same_blocks(got, want)
+    state = reader.full_vector()
+    for qubits, matrix in drawn:
+        state = apply_matrix_dense(state, matrix, qubits, n)
+    np.testing.assert_allclose(_execute(KernelBackend(), reader, table, 1).get_block(5),
+                               state[20:24], atol=1e-12)
+
+
+def test_dense_window_wider_than_a_run():
+    """A dense gate on qubit 7 at B=2 mixes 256 amplitudes, wider than the
+    64-block cap on a run: each run gathers the whole window and publishes
+    its own blocks, from arrays that pin no more than a run."""
+    n, block_size = 9, 2
+    rng = np.random.default_rng(8)
+    reader = _chain_over(_amps(rng, 1 << n), block_size)
+    members = [((7,), _unitary(rng, 1)), ((0,), _unitary(rng, 1))]
+    table = _dense_table(members, [(0, 255)], block_size, 1 << n)
+    assert table.num_runs == 4  # two windows of two runs each
+    want = _execute(KernelBackend(), reader, table, 1)
+    for parts in (1, 2, 4):
+        _assert_same_blocks(_execute(NumpyBatchBackend(), reader, table, parts), want)
+    got = _execute(NumpyBatchBackend(), reader, table, 1)
+    for b in got.stored_blocks():
+        owner = got.get_block(b)
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.size <= MAX_RUN_BLOCKS * block_size
+    state = reader.full_vector()
+    for qubits, matrix in members:
+        state = apply_matrix_dense(state, matrix, qubits, n)
+    assert np.allclose(np.concatenate([want.get_block(b) for b in range(256)]),
+                       state[:512], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +405,7 @@ def test_injected_fault_leaves_the_store_untouched_and_retry_converges(site):
             NumpyBatchBackend().execute_plan(reader, out, table)
     finally:
         faults.install(previous)
-    want, _ = _execute(KernelBackend(), reader, table, 1)
+    want = _execute(KernelBackend(), reader, table, 1)
     for b in want.stored_blocks():
         assert np.array_equal(out.get_block(b), want.get_block(b))
     assert out.has_block(8)
@@ -335,7 +427,6 @@ def test_session_recovers_from_a_failed_slab_publish(no_plan):
     clean, _ = run(None)
     recovered, stats = run([("cow.publish", 1)])
     assert stats["backend_fallbacks"] == 1
-    assert stats["runs_fallback"] == 0
     assert np.array_equal(recovered, clean)
 
 
@@ -423,7 +514,6 @@ def _check_sessions_agree(seed, **knobs):
             sim.circuit.insert_gate("rz", net, 3, params=(0.77,))
             sim.update_state()
         assert np.array_equal(slab.state(), reference.state())
-        assert slab.statistics()["runs_fallback"] == 0
     finally:
         slab.close()
         reference.close()
@@ -482,8 +572,6 @@ def test_dynamic_trajectories_agree_with_the_reference_backend(
         try:
             sim.update_state()
             states.append((sim.state().copy(), sim.outcomes.recorded_outcomes()))
-            if backend == "numpy":
-                assert sim.statistics()["runs_fallback"] == 0
         finally:
             sim.close()
     assert states[0][1] == states[1][1]

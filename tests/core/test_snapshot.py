@@ -33,6 +33,7 @@ from repro.core.kernels import KernelBackend
 from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator
 from repro.core.snapshot import (
     CHECKPOINT_MAGIC,
+    _read_file,
     decode_block,
     encode_block,
     restore_simulator,
@@ -469,6 +470,8 @@ def test_checkpoint_with_fused_stages_restores_and_survives_edits():
         assert_held_blocks_are_prefix_states(session)
         assert_runs_are_consistent(session)
 
+    header, _ = _read_file(FUSED_FIXTURE)
+    assert header["stages"][0]["combine_limit"] == 0  # a deleted MxV path
     with QTask.restore(FUSED_FIXTURE, num_workers=1) as session:
         assert [s.label() for s in session.simulator.graph.stages] == [
             "MxV{h[q0],h[q2]}", "z[q0]", "t[q3]", "s[q0]", "cp(0.4)[q0, q1]",
@@ -521,7 +524,11 @@ def test_checkpoint_written_on_the_sharded_transport_restores_bit_identically():
     The state restores to the bit, with nothing re-simulated (the digest is
     the parent's ``state().tobytes()``), and stays editable.
     """
+    header, _ = _read_file(SHARDED_FIXTURE)
+    assert header["stages"][0]["combine_limit"] == 0  # a deleted MxV path
     with QTask.restore(SHARDED_FIXTURE, num_workers=1) as session:
+        # the file carries no masses: the collapses have none until they run
+        assert session.simulator.collapse_path() == []
         assert hashlib.sha256(session.state().tobytes()).hexdigest() == (
             "bd81651cdc43d5b45b6288256ab2fd8a5b58f1666cd1ef8367efd568047e217e"
         )
@@ -540,6 +547,33 @@ def test_checkpoint_written_on_the_sharded_transport_restores_bit_identically():
         session.update_state()
         assert session.simulator.last_update.was_incremental
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
+
+
+def test_restored_session_keeps_its_collapse_path(tmp_path):
+    """Each collapse's masses and outcome travel in the file: a restored
+    session reports the saved one's ``collapse_path()``, to the bit, and an
+    edit downstream of every collapse leaves it alone."""
+    from ..test_trajectory_properties import build_rus_branch
+
+    path = str(tmp_path / "rus.qtckpt")
+    with build_rus_branch(seed=9, block_size=2) as session:
+        session.update_state()
+        saved = session.simulator.collapse_path()
+        assert len(saved) == 4
+        session.checkpoint(path)
+    with QTask.restore(path, num_workers=1) as restored:
+        assert restored.simulator.collapse_path() == saved
+        restored.insert_gate("z", restored.insert_net(), 0)
+        restored.update_state()
+        assert restored.simulator.collapse_path() == saved
+        np.testing.assert_allclose(restored.state(), dense_state(restored), atol=1e-10)
+
+    def drop_outcome(header):
+        next(e for e in header["stages"] if "masses" in e).pop("outcome")
+
+    _rewrite_header(path, drop_outcome)
+    with pytest.raises(CheckpointError, match="cannot reconstruct"):
+        QTask.restore(path, num_workers=1)
 
 
 def test_store_transport_is_gone_from_every_entry_point(tmp_path):

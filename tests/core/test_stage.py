@@ -6,8 +6,8 @@ import pytest
 from repro.core.blocks import BlockRange
 from repro.core.classical import OutcomeRecord
 from repro.core.cow import BlockStore, InitialStateStore
-from repro.core.exec_plan import RUN_ACTION, RUN_COLLAPSE, RUN_COPY, RUN_SLICE
-from repro.core.gates import Gate, MatVecAction, embed_gate_matrix, gate_matrix
+from repro.core.exec_plan import RUN_ACTION, RUN_COLLAPSE, RUN_COPY, RUN_DENSE
+from repro.core.gates import Gate, embed_gate_matrix
 from repro.core.kernels import (
     KernelBackend,
     NumpyBatchBackend,
@@ -103,7 +103,6 @@ def test_unitary_stage_label_and_gate_list():
     assert stage.gate_list() == (gate,)
     assert "swap" in stage.label()
     assert not stage.reads_all_blocks()
-    assert not stage.writes_all_blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +134,6 @@ def test_matvec_stage_multiple_gates_disjoint_qubits():
     np.testing.assert_allclose(resolved_output(stage, chain), expected, atol=1e-12)
 
 
-def test_matvec_stage_combined_path_matches_prepared_path():
-    n = 4
-    gates = [Gate("h", (1,)), Gate("rx", (3,), (0.4,))]
-    rng = np.random.default_rng(9)
-    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-
-    prepared = MatVecStage(list(gates), n, 4, combine_limit=0)
-    combined = MatVecStage(list(gates), n, 4, combine_limit=8)
-    chain1 = make_chain(n, 4, psi)
-    chain2 = make_chain(n, 4, psi)
-    run_stage(prepared, chain1)
-    run_stage(combined, chain2)
-    np.testing.assert_allclose(
-        resolved_output(prepared, chain1), resolved_output(combined, chain2), atol=1e-12
-    )
-
-
 def test_matvec_stage_rejects_overlapping_qubits():
     stage = MatVecStage([Gate("h", (1,))], 3, 4)
     with pytest.raises(ValueError):
@@ -170,17 +152,27 @@ def test_matvec_stage_add_remove_gate_membership():
     assert stage.partition_specs() == []
 
 
-def test_matvec_stage_combined_matrix_is_tensor_product():
-    stage = MatVecStage([Gate("h", (0,)), Gate("x", (2,))], 3, 4)
-    expected = np.kron(gate_matrix("x"), gate_matrix("h"))
-    np.testing.assert_allclose(stage.combined_matrix(), expected)
-    assert stage.combined_qubits() == (0, 2)
-
-
 def test_matvec_stage_reads_and_writes_all_blocks():
-    stage = MatVecStage([Gate("h", (0,))], 4, 4)
-    assert stage.reads_all_blocks()
-    assert stage.writes_all_blocks()
+    """Members spanning every qubit mix every block: one partition reads and
+    writes them all -- as a partition, with no barrier in front of it."""
+    stage = MatVecStage([Gate("h", (q,)) for q in (3, 0, 2, 1)], 4, 4)
+    (spec,) = stage.partition_specs()
+    assert spec.block_range == BlockRange(0, 3)
+    assert not stage.reads_all_blocks()
+    assert stage.qubits == (0, 1, 2, 3)
+
+
+def test_matvec_stage_partitions_follow_its_highest_qubit():
+    """A low member mixes neighbouring blocks only: windows of
+    ``2**(max qubit + 1)`` amplitudes, chunked by the block size."""
+    stage = MatVecStage([Gate("h", (0,))], 5, 4)
+    assert [s.block_range.to_tuple() for s in stage.partition_specs()] == [
+        (0, 1), (2, 3), (4, 5), (6, 7)
+    ]
+    stage.add_gate(Gate("ry", (3,), (0.3,)))  # windows of 16 amplitudes
+    assert [s.block_range.to_tuple() for s in stage.partition_specs()] == [
+        (0, 3), (4, 7)
+    ]
 
 
 def test_matvec_stage_writes_every_block():
@@ -217,15 +209,17 @@ STAGE_KINDS = {
     "unitary-monomial": (lambda: UnitaryStage(Gate("cx", (3, 1)), 4, 4), RUN_ACTION),
     "unitary-diagonal": (
         lambda: UnitaryStage(Gate("rz", (0,), (0.7,)), 4, 4), RUN_ACTION),
-    "matvec-prepared": (
-        lambda: MatVecStage([Gate("h", (1,)), Gate("rx", (3,), (0.4,))], 4, 4),
-        RUN_SLICE,
-    ),
+    # one 2x2 step; one Kronecker step over qubits 1..3; a tensordot step
+    "matvec-single": (lambda: MatVecStage([Gate("h", (2,))], 4, 4), RUN_DENSE),
     "matvec-combined": (
+        lambda: MatVecStage([Gate("h", (1,)), Gate("rx", (3,), (0.4,))], 4, 4),
+        RUN_DENSE,
+    ),
+    "matvec-tensordot": (
         lambda: MatVecStage(
-            [Gate("h", (1,)), Gate("rx", (3,), (0.4,))], 4, 4, combine_limit=8
+            [Gate("ch", (3, 1)), Gate("rxx", (2, 0), (0.7,))], 4, 4
         ),
-        RUN_ACTION,
+        RUN_DENSE,
     ),
     "measure": (lambda: _dynamic(MeasureStage, MeasureOp(2, 0)), RUN_COLLAPSE),
     "reset": (
@@ -246,17 +240,14 @@ STAGE_KINDS = {
         lambda: _dynamic(
             ClassicallyControlledStage, CGate(Gate("h", (1,)), (0,), 1), bits=[(0, 1)]
         ),
-        RUN_SLICE,
+        RUN_DENSE,
     ),
 }
 
 
 def _same_payload(a, b) -> bool:
-    if isinstance(a, MatVecAction):
-        return isinstance(b, MatVecAction) and np.array_equal(a.matrix, b.matrix)
-    if isinstance(a, np.ndarray):
-        return a is b
-    return a == b
+    # a dense stage's steps are built once and handed out by reference
+    return a is b or a == b
 
 
 @pytest.mark.parametrize("kind", sorted(STAGE_KINDS))
@@ -294,14 +285,24 @@ def test_emit_table_is_the_per_partition_runs_under_one_operation(kind):
             assert loop.get_block(block).tobytes() == slab.get_block(block).tobytes()
 
 
-def test_combined_matvec_builds_one_action_per_table():
-    """``combine_limit > 0``: the kron of the members is formed once per
-    table, not once per partition."""
-    stage = MatVecStage([Gate("h", (1,)), Gate("rx", (3,), (0.4,))], 4, 4,
-                        combine_limit=8)
+def test_combined_matvec_builds_one_action_per_table(monkeypatch):
+    """The members' combined steps are formed once per membership, not once
+    per partition or per table; a retune re-forms them, keeping the layout."""
+    from repro.core import stage as stage_module
+
+    stage_module.dense_op.cache_clear()
     calls = []
-    combined = stage.combined_matrix
-    stage.combined_matrix = lambda: calls.append(1) or combined()
-    stage.prepare(make_chain(4))
-    table = stage.emit_table([s.block_range for s in stage.partition_specs()])
-    assert table.num_runs == 4 and len(calls) == 1
+    steps = stage_module.dense_steps
+    monkeypatch.setattr(
+        stage_module, "dense_steps", lambda m: calls.append(1) or steps(m)
+    )
+    h, rx = Gate("h", (1,)), Gate("rx", (3,), (0.4,))
+    stage = MatVecStage([h, rx], 5, 4)  # two partitions of 16 amplitudes
+    ranges = [s.block_range for s in stage.partition_specs()]
+    table = stage.emit_table(ranges)
+    assert table.num_runs == 2 and len(calls) == 1
+    assert stage.emit_table(ranges[:1]).ops[0] is table.ops[0]
+    layout = stage.partition_layout()
+    assert stage.retune_gate(rx, Gate("rx", (3,), (0.9,)))
+    assert stage.emit_table(ranges).ops[0] is not table.ops[0] and len(calls) == 2
+    assert stage.partition_layout() is layout

@@ -644,6 +644,8 @@ class SessionMachine(RuleBasedStateMachine):
             kernel_backend=self.knobs["kernel_backend"],
         )
         assert_close(restored.state(), session.state())
+        # the collapses travel with their masses and outcomes
+        assert restored.simulator.collapse_path() == session.simulator.collapse_path()
         self.touched.add(session)
         return self._adopt(restored)
 

@@ -109,8 +109,9 @@ def test_pool_worker_spans_carry_worker_pids():
         ckt.update_gate(next(h for h in ckt.gates() if h.gate.name == "rz"), 0.77)
         sim.update_state()
         spans = sim.telemetry.tracer.spans()
+        # (no collapse: no sync barrier, no ``stage.prepare``)
         assert {r.name for r in spans} == {
-            "update", "modify", "plan.build", "stage.prepare", "run.chunk",
+            "update", "modify", "plan.build", "run.chunk",
         }
         assert {r.pid for r in spans} == {os.getpid()}
     finally:
@@ -182,7 +183,8 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         assert retune["stages"] == sim.statistics()["plans_built"] - 2
         assert sim.statistics()["stages_coalesced"] == 24
         assert 0 < retune["kernel_runs"] <= report.executed_block_writes
-        assert report.affected_partitions == sim.graph.num_nodes() - 17  # - H
+        # all but the H stage's one partition (H on every qubit)
+        assert report.affected_partitions == sim.graph.num_nodes() - 1
         explained = sim.explain_last_update()
         assert "swept stages 1..13, planned 1" in explained
         assert "coalesced 12 stages into 1 runs" in explained
@@ -219,24 +221,40 @@ def test_one_modify_span_per_wired_batch():
         (update,) = [r for r in spans if r.name == "update"]
         (plan,) = [r for r in spans if r.name == "plan.build"]
         # the five H gates are one matvec stage
-        assert modify.attrs == {"inserted": whole.num_gates, "stages": 5, "nets": 3}
+        assert modify.attrs == {
+            "inserted": whole.num_gates, "stages": 5, "nets": 3,
+            "removed": 0, "retuned": 0,
+        }
         assert modify.parent_id == update.span_id == plan.parent_id
         assert modify.start + modify.duration <= plan.start
         assert "wired 9 inserted gates as 5 stages in 3 nets" in (
             whole.explain_last_update()
         )
+        # modifier-only updates: one span each, counting what they did
         rz = next(h for h in whole.circuit.gates() if h.gate.name == "rz")
-        whole.update_gate(rz, 0.9)  # not an insert
+        whole.update_gate(rz, 0.9)
+        whole.update_gate(rz, 1.1)
         whole.update_state()
-        assert "wired 0 inserted gates" in whole.explain_last_update()
+        assert "wired 0 inserted gates as 0 stages in 0 nets, 0 removed, 2 retuned" in (
+            whole.explain_last_update()
+        )
+        for handle in whole.circuit.gates()[-2:]:
+            whole.remove_gate(handle)
+        whole.update_state()
+        assert ", 2 removed, 0 retuned" in whole.explain_last_update()
+        modifies = [r for r in whole.telemetry.tracer.spans() if r.name == "modify"]
+        assert [(r.attrs["inserted"], r.attrs["removed"], r.attrs["retuned"])
+                for r in modifies] == [(9, 0, 0), (0, 0, 2), (0, 2, 0)]
+        whole.update_state()  # nothing to wire, nothing to count: no span
         assert len([r for r in whole.telemetry.tracer.spans()
-                    if r.name == "modify"]) == 1
+                    if r.name == "modify"]) == 3
     with build(stepwise=True) as stepwise:
         spans = stepwise.telemetry.tracer.spans()
         updates = {r.span_id for r in spans if r.name == "update"}
         modifies = [r for r in spans if r.name == "modify"]
-        # the four later H gates join the wired matvec stage: no new stage
-        assert [r.attrs["stages"] for r in modifies] == [1, 0, 0, 0, 0, 1, 1, 1, 1]
+        # the four later H gates each re-file the wired matvec stage, whose
+        # layout a new member changes
+        assert [r.attrs["stages"] for r in modifies] == [1] * 9
         assert all(r.attrs["inserted"] == 1 for r in modifies)
         assert {r.parent_id for r in modifies} == updates
     session = QTask(3, num_workers=1, tracing=True)

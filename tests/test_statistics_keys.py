@@ -31,7 +31,6 @@ GOLDEN_KEYS = {
     "plans_built",
     "run_retries",
     "runs_batched",
-    "runs_fallback",
     "runs_per_plan",
     "stages_coalesced",
     "store_bytes_shipped",
@@ -85,12 +84,10 @@ def _check_numpy_pipeline_counters(stats):
     assert stats["update_retries"] == 0
     assert stats["backend_fallbacks"] == 0
     assert stats["backend"] == "numpy"
-    # the numpy backend batches every run shape: nothing goes run by run
-    assert stats["runs_fallback"] == 0
     assert stats["last_elapsed_seconds"] > 0.0
     # every plain count is a real int, not a Counter/Gauge leaking through
     for key in (
-        "plans_built", "runs_batched", "runs_fallback", "plan_chunks",
+        "plans_built", "runs_batched", "plan_chunks",
         "stages_coalesced", "updates_planned",
         "run_retries", "update_retries", "backend_fallbacks", "task_retries",
         "num_updates",
@@ -114,7 +111,7 @@ def _dynamic_session(backend):
     c = ckt.add_classical_register("c", 1)
     nets = [ckt.insert_net() for _ in range(6)]
     for q in ckt.qubits():
-        ckt.insert_gate("h", nets[0], q)            # prepared slices
+        ckt.insert_gate("h", nets[0], q)            # one dense stage
     ckt.insert_gate("rz", nets[1], 5, params=(0.3,))  # diagonal above every run
     ckt.insert_gate("cx", nets[1], 0, 4)            # monomial across blocks
     ckt.measure(nets[2], 2, c[0])                   # collapse
@@ -125,19 +122,33 @@ def _dynamic_session(backend):
     return ckt
 
 
-def test_numpy_backend_hands_no_run_to_the_per_run_path():
+def _counting_execute_run(monkeypatch):
+    """Count the runs the kernel backends hand to ``execute_run``."""
+    from repro.core import kernels
+
+    calls = []
+    run = kernels.execute_run
+    monkeypatch.setattr(
+        kernels, "execute_run", lambda *a: calls.append(1) or run(*a)
+    )
+    return calls
+
+
+def test_numpy_backend_hands_no_run_to_the_per_run_path(monkeypatch):
+    """Every run kind the pipeline emits -- dense ones included -- has a
+    slab form: nothing goes run by run (there is no counter for it)."""
+    calls = _counting_execute_run(monkeypatch)
     ckt = _dynamic_session("numpy")
     try:
         stats = ckt.statistics()
         assert stats["runs_batched"] > stats["plans_built"]
-        assert stats["runs_fallback"] == 0
-        assert ckt.plan_report().runs_fallback == 0
-        assert "0 runs executed one by one" in ckt.explain_last_update()
+        assert "runs_fallback" not in stats
+        assert calls == []
     finally:
         ckt.close()
 
 
-def test_reference_backend_counts_every_run_as_per_run():
+def test_reference_backend_counts_every_run_as_per_run(monkeypatch):
     """... the runs of a coalesced table included: it is an ordinary table,
     so the per-run loop executes it too -- to the slab path's state, bit for
     bit -- and one plan stands for the two stages it coalesced."""
@@ -145,11 +156,12 @@ def test_reference_backend_counts_every_run_as_per_run():
 
     from repro.core.kernels import KernelBackend
 
+    calls = _counting_execute_run(monkeypatch)
     ckt, slab = _dynamic_session(KernelBackend()), _dynamic_session("numpy")
     try:
         stats = ckt.statistics()
         # (chaos legs re-plan on injected faults, hence not an equality)
-        assert 0 < stats["runs_fallback"] <= stats["runs_batched"]
+        assert 0 < len(calls) <= stats["runs_batched"]
         # rz[q5] and cx[q0, q4] share a net: adjacent, static, swept whole
         runs = ckt.simulator.graph.runs()
         assert [len(run.members) for run in runs] == [2]
