@@ -267,8 +267,12 @@ class OutcomeRecord:
         Nothing is drawn from, or recorded in, this record: the answer is
         :meth:`choose`'s for a freshly reseeded record with the same forced
         table, which is how ``run_shots`` finds where a shot leaves a
-        simulated path without executing it.
+        simulated path without executing it.  When exactly one side has no
+        mass the answer is fixed (``u * total < p0`` for every ``u`` in
+        ``[0, 1)`` or for none), so no stream is built for it.
         """
+        if (p0 == 0.0) != (p1 == 0.0) and op_index not in self._forced:
+            return int(p0 == 0.0)
         return decide_outcome(
             op_index,
             self._forced.get(op_index),

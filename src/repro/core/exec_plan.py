@@ -17,15 +17,17 @@ describes that frontier *once* as a handful of batch-major structures instead:
   a closure: a row of a table, what the run-granular reference loop and a
   faulted chunk's fallback execute one by one.
 * :class:`StagePlan` -- one affected stage: its reader, whether its sync
-  barrier (``prepare``, a collapse's draw) must run, and the block ranges to
-  recompute.  For static stages (unitary and dense stages, whose operation
-  depends on nothing drawn at execution time) the table is emitted eagerly at
+  step (a collapse's draw) must run, and the block ranges to recompute.  For
+  static stages (unitary and dense stages, whose operation depends on
+  nothing drawn at execution time) the table is emitted eagerly at
   plan-build time; dynamic stages defer emission until their controlling
-  outcomes are drawn.  A *coalesced run* -- consecutive static stages swept
-  whole -- is one stage plan too (:meth:`StagePlan.for_run`): one table
-  applying the members' composed action to the union of their covers, read
-  as of the first member and published through a store that routes every
-  block to the last member declaring it.
+  outcomes are drawn.  A *coalesced run* -- consecutive diagonal / monomial
+  stages swept whole, measure and reset included -- is one stage plan too
+  (:meth:`StagePlan.for_run`): one table applying the members' composed
+  action to the union of their covers, read as of the first member and
+  published through a store that routes every block to the last member
+  declaring it.  A run holding collapses composes after its sync step drew
+  them.
 * :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
   order by the partition graph's frontier sweep
   (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
@@ -45,7 +47,9 @@ cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -53,7 +57,6 @@ __all__ = [
     "RUN_ACTION",
     "RUN_DENSE",
     "RUN_COPY",
-    "RUN_COLLAPSE",
     "RunSpec",
     "PlanOp",
     "RunTable",
@@ -69,9 +72,6 @@ RUN_ACTION = 0
 RUN_DENSE = 1
 #: Identity-copy the range from the stage input (condition-false c_if).
 RUN_COPY = 2
-#: Projective collapse of the range (measure/reset); op = (qubit, outcome,
-#: scale, move).
-RUN_COLLAPSE = 3
 
 
 class RunSpec(NamedTuple):
@@ -80,8 +80,7 @@ class RunSpec(NamedTuple):
     ``op`` is the kind-specific payload: the classified action for
     :data:`RUN_ACTION`, the ``(qubits, matrix)`` steps for :data:`RUN_DENSE`
     (``qubits`` is then the stage's, whose highest sets the window),
-    ``None`` for :data:`RUN_COPY` and the ``(qubit, outcome, scale, move)``
-    tuple for :data:`RUN_COLLAPSE`.
+    and ``None`` for :data:`RUN_COPY`.
     """
 
     kind: int
@@ -180,6 +179,7 @@ class StagePlan:
         "block_ranges",
         "mask",
         "_static_table",
+        "_compose",
         "recomposed",
         "emitted_runs",
         "num_chunks",
@@ -200,8 +200,8 @@ class StagePlan:
         self.store = stage.store
         #: the stage-input view, attached once the block sources are resolved
         self.reader = None
-        #: the stage reads everything (a collapse): its ``prepare`` runs
-        #: before its runs
+        #: the plan holds a collapse: its sync step reads everything and
+        #: draws before the table is emitted
         self.has_sync = has_sync
         #: block ranges of the affected partitions (of a run: of the union of
         #: the members' covers), ascending
@@ -209,8 +209,11 @@ class StagePlan:
         #: the blocks of :attr:`block_ranges` as a bitmask
         self.mask = mask
         #: table emitted at build time for static stages; ``None`` defers
-        #: emission to execution time (after ``prepare`` ran)
+        #: emission to execution time (after the sync step drew)
         self._static_table: Optional[RunTable] = None
+        #: a run's ``() -> (table, recomposed)``, deferred to execution time
+        #: when the run holds a collapse
+        self._compose: Optional[Callable[[], Tuple[RunTable, bool]]] = None
         #: a run whose composed operation was not in the cache: composing
         #: it was part of building this plan
         self.recomposed = False
@@ -224,20 +227,24 @@ class StagePlan:
         members: Sequence[object],
         block_ranges: Sequence[object],
         mask: int,
-        table: RunTable,
+        compose: Callable[[], Tuple[RunTable, bool]],
         store,
-        recomposed: bool = False,
+        has_sync: bool = False,
     ) -> "StagePlan":
         """One plan standing for consecutive stages, each planned whole:
-        ``table`` computes every block any of them writes (``block_ranges`` /
-        ``mask``) from the first one's input, ``store`` hands each block to
-        the member owning it.
+        ``compose()`` returns the table computing every block any of them
+        writes (``block_ranges`` / ``mask``) from the first one's input, and
+        whether composing it missed the cache; ``store`` hands each block to
+        the member owning it.  A run with a sync step (it holds collapses)
+        composes after the draws, the others here.
         """
-        run = cls(members[0], block_ranges, False, mask)
+        run = cls(members[0], block_ranges, has_sync, mask)
         run.members = tuple(members)
         run.store = store
-        run._static_table = table
-        run.recomposed = recomposed
+        if has_sync:
+            run._compose = compose
+        else:
+            run._static_table, run.recomposed = compose()
         return run
 
     @property
@@ -256,9 +263,11 @@ class StagePlan:
             self._static_table = self.stage.emit_table(self.block_ranges)
 
     def build_table(self) -> RunTable:
-        """The stage's run table (static, or emitted now, post-``prepare``)."""
+        """The stage's run table (static, or emitted now, after the draws)."""
         table = self._static_table
-        if table is None:
+        if self._compose is not None:
+            table, self.recomposed = self._compose()
+        elif table is None:
             table = self.stage.emit_table(self.block_ranges)
         self.emitted_runs = table.num_runs
         return table
@@ -274,6 +283,7 @@ class ExecutionPlan:
         "written",
         "first_seq",
         "stages_swept",
+        "redraw_from",
     )
 
     def __init__(
@@ -284,6 +294,7 @@ class ExecutionPlan:
         written: int = 0,
         first_seq: int = 0,
         stages_swept: int = 0,
+        redraw_from: int = 0,
     ) -> None:
         #: affected stages (and coalesced runs of them), seq ascending
         self.stage_plans = stage_plans
@@ -298,6 +309,10 @@ class ExecutionPlan:
         #: where the sweep started and how many stages it looked at
         self.first_seq = first_seq
         self.stages_swept = stages_swept
+        #: the first seq an edit or a re-armed trajectory made stale: a
+        #: collapse before it re-executes only because its run did, so it
+        #: replays its recorded outcome instead of drawing again
+        self.redraw_from = redraw_from
 
     @property
     def num_stages(self) -> int:
@@ -312,15 +327,22 @@ class ExecutionPlan:
         """The stage plans that stand for more than one stage."""
         return [sp for sp in self.stage_plans if len(sp.members) > 1]
 
-    def coalesced(self) -> Tuple[int, int, int, int, int]:
-        """``(stages, runs, largest run, widest union in qubits, runs
-        recomposed)`` of the coalesced runs."""
+    def coalesced(self) -> Tuple[int, int, int, int, int, int]:
+        """``(stages, collapses, runs, largest run, widest union in qubits,
+        runs recomposed)`` of the coalesced runs; ``collapses`` counts the
+        measure / reset members among ``stages``."""
         runs = self.runs()
+        drawn = [sp for sp in runs if sp.has_sync]  # composed after their draws
         return (
             sum(len(sp.members) for sp in runs),
+            sum(s.reads_all_blocks() for sp in drawn for s in sp.members),
             len(runs),
             max((len(sp.members) for sp in runs), default=0),
-            max((len(sp._static_table.ops[0].qubits) for sp in runs), default=0),
+            max(
+                [len(sp._static_table.ops[0].qubits) for sp in runs if not sp.has_sync]
+                + [len({q for s in sp.members for q in s.qubits}) for sp in drawn],
+                default=0,
+            ),
             sum(sp.recomposed for sp in runs),
         )
 

@@ -57,6 +57,8 @@ __all__ = [
     "controlled_matrix",
     "embed_gate_matrix",
     "compose_run",
+    "scale_action",
+    "union_sources",
     "ComposedRuns",
     "composed_runs",
     "extract_local",
@@ -557,7 +559,7 @@ def _union_locals(k: int, bits: Tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _union_sources(k: int, bits: Tuple[int, ...], perm: Tuple[int, ...]) -> np.ndarray:
+def union_sources(k: int, bits: Tuple[int, ...], perm: Tuple[int, ...]) -> np.ndarray:
     """Where a local permutation on ``bits`` *takes* each union-local index
     from (the inverse of where it sends it)."""
     base = np.arange(1 << k, dtype=np.int64)
@@ -595,7 +597,7 @@ def compose_run(
         if isinstance(action, DiagonalAction):
             factors *= action.phase_array.take(local)
         elif isinstance(action, MonomialAction):
-            pull = _union_sources(k, bits, action.perm)
+            pull = union_sources(k, bits, action.perm)
             factors *= action.factor_array.take(local)
             factors = factors.take(pull)
             source = pull if source is None else source.take(pull)
@@ -619,6 +621,20 @@ def compose_run(
         )
         composed.__dict__["factor_array"] = _frozen(pushed)
     return composed, union
+
+
+def scale_action(action: Action, scalar: float) -> Action:
+    """``action`` with every phase / factor multiplied by ``scalar`` (a run
+    holding collapses: its composite times their ``1/sqrt(mass)``)."""
+    if isinstance(action, DiagonalAction):
+        phases = action.phase_array * scalar
+        scaled: Action = DiagonalAction(action.num_qubits, tuple(phases.tolist()))
+        scaled.__dict__["phase_array"] = _frozen(phases)
+        return scaled
+    factors = action.factor_array * scalar
+    scaled = MonomialAction(action.num_qubits, action.perm, tuple(factors.tolist()))
+    scaled.__dict__["factor_array"] = _frozen(factors)
+    return scaled
 
 
 RunParts = Tuple[Tuple[Action, Tuple[int, ...]], ...]

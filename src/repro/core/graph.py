@@ -32,7 +32,7 @@ update) of the paper:
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple,
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Set, TextIO, Tuple,
 )
 
 from .blocks import BlockRange
@@ -152,6 +152,10 @@ class PartitionGraph:
         #: as input to it.  Anchored by stage identity, never by seq --
         #: mid-circuit inserts renumber.  Never holds an empty mask.
         self._pending: Dict[Stage, int] = {}
+        #: the anchors of pending dirt an edit or a re-armed trajectory left
+        #: (not only a dissolved run): collapses from the first of them on
+        #: draw again, earlier ones replay (``ExecutionPlan.redraw_from``)
+        self._edited: Set[Stage] = set()
         #: writer index: for every block id, the stages that *declare* that
         #: block, sorted by seq.  The lists survive renumbering because
         #: inserts and removals never permute surviving stages.  The sweep's
@@ -196,6 +200,7 @@ class PartitionGraph:
 
     def clear_pending(self) -> None:
         self._pending.clear()
+        self._edited.clear()
 
     def runs(self) -> List[StageRun]:
         """The coalesced runs on record, in stage order (read-only view)."""
@@ -241,14 +246,15 @@ class PartitionGraph:
 
         What a member holds is only the run's final answer for the blocks it
         declares last, so once the run stops being one unit every member has
-        to recompute: each gets its whole cover marked dirty.
+        to recompute: each gets its whole cover marked dirty -- not edited,
+        so a collapse among them replays its outcome.
         """
         run = self._run_of.get(stage)
         if run is None:
             return
         for member in run.members:
             del self._run_of[member]
-            self._mark(member, self._layouts[member.uid].cover)
+            self._mark(member, self._layouts[member.uid].cover, edited=False)
 
     def stats(self) -> GraphStats:
         return GraphStats(
@@ -264,9 +270,11 @@ class PartitionGraph:
         for i in range(start, len(stages)):
             stages[i].seq = i
 
-    def _mark(self, stage: Stage, blocks: int) -> None:
+    def _mark(self, stage: Stage, blocks: int, edited: bool = True) -> None:
         if blocks:
             self._pending[stage] = self._pending.get(stage, 0) | blocks
+            if edited:
+                self._edited.add(stage)
 
     # ------------------------------------------------------------------
     # circuit modifiers
@@ -334,6 +342,7 @@ class PartitionGraph:
             if layout.cover:
                 dirt[stage] = layout.cover
         self._pending.update(dirt)
+        self._edited.update(dirt)
 
     def remove_stage(self, stage: Stage) -> None:
         """Remove ``stage``; its blocks become stale for whatever follows.
@@ -361,6 +370,7 @@ class PartitionGraph:
         if self._on_stage_removed is not None:
             self._on_stage_removed(stage)
         dirt = self._pending.pop(stage, 0) | layout.cover
+        self._edited.discard(stage)
         if position < len(self._stages):
             self._mark(self._stages[position], dirt)
 
@@ -388,7 +398,7 @@ class PartitionGraph:
         affected partition adds its blocks to ``D`` -- the next declarer of
         any of them is its closest-overlap successor.  A stage behind a sync
         barrier is affected whole (barrier included) as soon as anything it
-        reads is stale: its blocks are computed from one shared prepared
+        reads is stale: its blocks are computed from one shared gathered
         input / drawn outcome.  That is reachability from the frontier list
         over closest-overlap edges without storing either -- widened to
         recorded runs: when the dirt at a run's first member meets the union
@@ -397,6 +407,11 @@ class PartitionGraph:
         set by the members, and their successors, the dirt alone would not
         have reached).
 
+        The plan's ``redraw_from`` is the seq of the first stage an edit or
+        a re-armed trajectory marked (dirt a dissolved run left does not
+        count): a collapse before it re-executes only because its run does,
+        on the input it drew from, so it keeps its outcome.
+
         ``everything`` plans every partition of every stage (the dense-mode
         ablation, where scoping is unsound).  The sweep changes nothing:
         pending dirt stays until :meth:`clear_pending`.
@@ -404,8 +419,12 @@ class PartitionGraph:
         pending = self._pending
         if everything:
             first, dirty = 0, (1 << (self._full_range.last + 1)) - 1
+            redraw_from = 0
         elif pending:
             first, dirty = min(stage.seq for stage in pending), 0
+            redraw_from = min(
+                (stage.seq for stage in self._edited), default=len(self._stages)
+            )
         else:
             return ExecutionPlan([])
         layouts = self._layouts
@@ -442,6 +461,7 @@ class PartitionGraph:
             written=written,
             first_seq=first,
             stages_swept=len(self._stages) - first,
+            redraw_from=redraw_from,
         )
 
     # ------------------------------------------------------------------

@@ -39,7 +39,6 @@ from . import faults
 from .blocks import MAX_RUN_BLOCKS
 from .exec_plan import (
     RUN_ACTION,
-    RUN_COLLAPSE,
     RUN_COPY,
     RUN_DENSE,
     PlanOp,
@@ -69,8 +68,7 @@ __all__ = [
     "dense_steps",
     "dense_window",
     "apply_dense",
-    "measured_masses",
-    "collapse_run",
+    "qubit_marginal",
     "execute_run",
     "iter_table_runs",
     "KernelBackend",
@@ -297,115 +295,39 @@ def execute_run(reader: StateReader, store, spec: RunSpec) -> None:
         store.write_range(
             spec.lo, reader.read_range(spec.lo, spec.hi), copy=False
         )
-    elif kind == RUN_COLLAPSE:
-        qubit, outcome, scale, move = spec.op
-        collapse_run(
-            reader, store, spec.lo, spec.hi, qubit, outcome, scale, move=move
-        )
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown run kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# Projective-collapse kernels (dynamic circuits: measure / reset)
+# Collapse masses (dynamic circuits: measure / reset)
 # ---------------------------------------------------------------------------
 
 
-def measured_masses(
-    reader: StateReader, qubit: int, dim: int, block_size: int
-) -> Tuple[float, float]:
-    """Unnormalised probability masses ``(p0, p1)`` of measuring ``qubit``.
+@lru_cache(maxsize=16)
+def _marginal_index(num_qubits: int, qubits: Tuple[int, ...]) -> np.ndarray:
+    """Local index on ``qubits`` of every amplitude of ``num_qubits``
+    (``uint16``: a run's union is at most ``MAX_RUN_QUBITS`` = 12 qubits, so
+    16 entries of a 20-qubit state hold 32 MB)."""
+    local = extract_local(np.arange(1 << num_qubits, dtype=np.int64), qubits)
+    local = local.astype(np.uint16)
+    local.setflags(write=False)
+    return local
 
-    Accumulated block by block through the COW block resolution -- the same
-    per-block probability masses the observables engine's sampling tree and
-    parity kernels are built on -- so a measurement's ``prepare`` never
-    materialises the full ``2^n`` vector.  For qubits at or above the block
-    width the bit is constant per block and a block contributes its whole
-    mass to one side; below it, one reshape splits each block's probability
-    rows into the two halves.
+
+def qubit_marginal(amps: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """``|amp|**2`` of a whole state vector summed onto ``qubits``.
+
+    ``qubits`` ascending; entry ``l`` of the ``2**len(qubits)`` result is the
+    mass of the amplitudes whose bits on ``qubits`` read ``l`` (bit ``j`` of
+    ``l`` is ``qubits[j]``, the local-index convention of the actions): one
+    ``bincount`` over a cached local-index table.  What a plan holding
+    collapses draws every one of them from.
     """
-    block_len = min(dim, block_size)
-    n_blocks = dim // block_len
-    p0 = 0.0
-    p1 = 0.0
-    nb_bits = block_len.bit_length() - 1
-    if qubit >= nb_bits:
-        for b in range(n_blocks):
-            lo = b * block_len
-            amps = np.asarray(
-                reader.read_range(lo, lo + block_len - 1), dtype=_DTYPE
-            )
-            mass = float(np.real(np.vdot(amps, amps)))
-            if (lo >> qubit) & 1:
-                p1 += mass
-            else:
-                p0 += mass
-        return p0, p1
-    period = 1 << (qubit + 1)
-    half = 1 << qubit
-    for b in range(n_blocks):
-        lo = b * block_len
-        amps = np.asarray(reader.read_range(lo, lo + block_len - 1), dtype=_DTYPE)
-        probs = (amps.conj() * amps).real.reshape(-1, period)
-        p0 += float(probs[:, :half].sum())
-        p1 += float(probs[:, half:].sum())
-    return p0, p1
-
-
-def collapse_run(
-    reader: StateReader,
-    store,
-    lo: int,
-    hi: int,
-    qubit: int,
-    outcome: int,
-    scale: float,
-    *,
-    move: bool = False,
-) -> None:
-    """Collapse ``[lo, hi]`` onto ``qubit == outcome`` and publish zero-copy.
-
-    With ``move=False`` (measurement) amplitudes whose ``qubit`` bit equals
-    ``outcome`` are scaled by ``1/sqrt(p_outcome)`` and everything else is
-    zeroed.  With ``move=True`` (reset) the surviving amplitudes are
-    additionally relocated to the ``qubit = 0`` subspace, so the qubit ends
-    in |0> whatever was measured.  Aligned power-of-two runs where the qubit
-    bit is constant skip the index arithmetic entirely (and runs that
-    collapse to zero never read their input at all).
-    """
-    n = hi - lo + 1
-    nb = _range_alignment(lo, n)
-    if nb >= 0 and qubit >= nb:
-        bit = (lo >> qubit) & 1
-        if not move:
-            if bit == outcome:
-                out = np.asarray(reader.read_range(lo, hi), dtype=_DTYPE) * scale
-            else:
-                out = np.zeros(n, dtype=_DTYPE)
-        else:
-            if bit == 0:
-                src_lo = lo | (outcome << qubit)
-                out = (
-                    np.asarray(
-                        reader.read_range(src_lo, src_lo + n - 1), dtype=_DTYPE
-                    )
-                    * scale
-                )
-            else:
-                out = np.zeros(n, dtype=_DTYPE)
-        store.write_range(lo, out, copy=False)
-        return
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    bits = (idx >> qubit) & 1
-    if not move:
-        src = np.asarray(reader.read_range(lo, hi), dtype=_DTYPE)
-        out = np.where(bits == outcome, src * scale, 0.0 + 0.0j)
-    else:
-        out = np.zeros(n, dtype=_DTYPE)
-        keep = bits == 0
-        src_idx = idx[keep] | (outcome << qubit)
-        out[keep] = reader.gather(src_idx) * scale
-    store.write_range(lo, out, copy=False)
+    probs = amps.real * amps.real
+    probs += amps.imag * amps.imag
+    index = _marginal_index(amps.shape[0].bit_length() - 1, tuple(qubits))
+    return np.bincount(index, weights=probs, minlength=1 << len(qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +565,10 @@ class KernelBackend:
 # that share one operation -- as a *slab*: the input blocks gathered into
 # one buffer, one multiply over it, one publish.  What makes that a single
 # array op is a per-amplitude index table.  It depends only on the
-# operation's index structure (qubits + local permutation, or the collapsed
-# qubit), the blocks the runs cover and the geometry -- never on phases,
-# factors or scale -- so tables are shared process-wide under that key, the
-# key family of ``partition._enumerate_partitions``.
+# operation's index structure (qubits + local permutation), the blocks the
+# runs cover and the geometry -- never on phases or factors -- so tables
+# are shared process-wide under that key, the key family of
+# ``partition._enumerate_partitions``.
 
 
 class _SlabTable(NamedTuple):
@@ -655,18 +577,15 @@ class _SlabTable(NamedTuple):
     #: output block ids, in run order
     out_ids: List[int]
     #: input block ids, ascending.  *Not* ``out_ids`` in general: a monomial
-    #: or reset run reads the mirror range of another run of its partition,
+    #: run reads the mirror range of another run of its partition,
     #: which ``RunTable.split`` may have put in another chunk.
     in_ids: List[int]
     #: ``int32`` position, in the gathered input, of the source of each
     #: written amplitude; ``None`` when the gather is the identity
     srcpos: Optional[np.ndarray]
     #: ``uint8``/``uint16`` local index whose phase / factor multiplies each
-    #: output amplitude; ``None`` when the coefficient is one scalar
+    #: output amplitude; ``None`` for an identity copy
     local: Optional[np.ndarray]
-    #: ``int32`` output positions written, the rest stay zero (collapse);
-    #: ``None`` when every amplitude is written
-    keep: Optional[np.ndarray]
 
 
 @lru_cache(maxsize=256)
@@ -676,7 +595,7 @@ def _slab_table(
     """The table of runs ``los``/``his`` (``int64`` bytes) under one operation.
 
     A slab never exceeds ``MAX_RUN_BLOCKS`` blocks, so the entry bound is a
-    memory bound: at most 10 bytes per amplitude of 64 blocks per entry.
+    memory bound: at most 6 bytes per amplitude of 64 blocks per entry.
     """
     block_len = min(dim, block_size)
     bounds = zip(
@@ -687,7 +606,7 @@ def _slab_table(
     )
     idx = (out_ids[:, None] * block_size + np.arange(block_len)).reshape(-1)
     src = idx
-    local = keep = None
+    local = None
     if kind == RUN_ACTION:
         qubits, perm = key
         local = extract_local(idx, qubits)
@@ -700,13 +619,6 @@ def _slab_table(
         local = local.astype(
             np.uint8 if k <= 8 else np.uint16 if k <= 16 else np.int64
         )
-    elif kind == RUN_COLLAPSE:
-        qubit, outcome, move = key
-        # measure keeps the amplitudes already at ``outcome``; reset keeps
-        # the |0> side and fills it from the ``outcome`` side
-        keep = np.flatnonzero((idx >> qubit) & 1 == (0 if move else outcome))
-        src = idx[keep] | (outcome << qubit)
-        keep = None if keep.size == idx.size else keep.astype(np.int32)
     in_blocks = src // block_size
     in_ids = np.unique(in_blocks)
     srcpos: Optional[np.ndarray] = (
@@ -714,10 +626,10 @@ def _slab_table(
     ).astype(np.int32)
     if np.array_equal(srcpos, np.arange(idx.size)):
         srcpos = None
-    for arr in (srcpos, local, keep):
+    for arr in (srcpos, local):
         if arr is not None:
             arr.setflags(write=False)
-    return _SlabTable(out_ids.tolist(), in_ids.tolist(), srcpos, local, keep)
+    return _SlabTable(out_ids.tolist(), in_ids.tolist(), srcpos, local)
 
 
 def _slab_bounds(
@@ -748,7 +660,8 @@ class NumpyBatchBackend(KernelBackend):
     The owners of all input blocks of a group are resolved in one pass and
     gathered into one buffer (``reader.read_blocks``, so the reader must be
     a block resolver of :mod:`repro.core.cow`), a shared :class:`_SlabTable`
-    turns the diagonal / monomial / collapse operation into one
+    turns the diagonal / monomial operation (a collapse's projector
+    included) into one
     (gather-)multiply over it, and one ``store.write_blocks`` publishes
     every output block.  The table carries no alignment, equal-length or
     qubit-position condition, so every run shape takes this path, and each
@@ -780,9 +693,6 @@ class NumpyBatchBackend(KernelBackend):
                 else:
                     key = (op.qubits, payload.perm)
                     coeffs = payload.factor_array
-            elif kind == RUN_COLLAPSE:
-                qubit, outcome, coeffs, move = payload
-                key = (qubit, outcome, move)
             ids = []
             rows = []
             for slab_los, slab_his in _slab_bounds(los, his, block_size):
@@ -840,19 +750,11 @@ class NumpyBatchBackend(KernelBackend):
     @staticmethod
     def _slab(reader, t: _SlabTable, coeffs, block_len: int) -> List[np.ndarray]:
         """Output rows of one slab; ``coeffs`` is a phase / factor vector,
-        the collapse scale, or ``None`` for an identity copy."""
-        if not t.in_ids:  # collapses to zero: never reads its input
-            return list(np.zeros((len(t.out_ids), block_len), dtype=_DTYPE))
+        or ``None`` for an identity copy."""
         vals = reader.read_blocks(t.in_ids)
         if t.srcpos is not None:
             vals = vals.take(t.srcpos)
         # ``vals`` is a fresh array either way: multiply in place
         if t.local is not None:
             np.multiply(vals, coeffs.take(t.local), out=vals)
-        elif coeffs is not None:
-            np.multiply(vals, coeffs, out=vals)
-        if t.keep is not None:
-            out = np.zeros(len(t.out_ids) * block_len, dtype=_DTYPE)
-            out[t.keep] = vals
-            vals = out
         return list(vals.reshape(-1, block_len))

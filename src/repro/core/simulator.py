@@ -15,7 +15,8 @@ backend, and a swept run of consecutive diagonal / monomial stages executes
 as one table applying their composed action (``_coalesce``): only the last
 member declaring a block publishes it.  A net's superposition gates are one
 dense stage whose partitions each read only their own blocks; only a
-collapse (measure / reset) reads the whole vector, behind a sync barrier.
+collapse (measure / reset) reads the whole vector, in a sync step that draws
+it, after which it is a projector that joins such runs too.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -70,6 +71,7 @@ from .stage import (
     Stage,
     UnitaryStage,
     coalesced_table,
+    draw_collapses,
     gate_action,
     gate_shape,
 )
@@ -261,11 +263,11 @@ class QTaskSimulator(CircuitObserver):
         self._closed = False
         self.last_update: UpdateReport = UpdateReport()
         #: ``(first seq, stages swept, stage plans)`` of the last update's
-        #: frontier sweep and the ``(stages, runs, largest run, widest union
-        #: in qubits, runs recomposed)`` it coalesced, for
+        #: frontier sweep and the ``(stages, collapses, runs, largest run,
+        #: widest union in qubits, runs recomposed)`` it coalesced, for
         #: :meth:`explain_last_update`
         self._last_sweep = (0, 0, 0)
-        self._last_coalesced = (0, 0, 0, 0, 0)
+        self._last_coalesced = (0, 0, 0, 0, 0, 0)
         #: completed ``update_state`` calls; with "is anything pending" this
         #: is the state epoch a sweep's fork uses to detect a diverged base
         self._num_updates = 0
@@ -910,12 +912,13 @@ class QTaskSimulator(CircuitObserver):
             return self._build_plan_impl()
         with tracer.span("plan.build") as span:
             plan = self._build_plan_impl()
-            coalesced, runs, _, _, recomposed = plan.coalesced()
+            coalesced, collapses, runs, _, _, recomposed = plan.coalesced()
             span.set("first_seq", plan.first_seq)
             span.set("stages_swept", plan.stages_swept)
             span.set("stages", plan.num_stages)
             span.set("runs", runs)
             span.set("coalesced_stages", coalesced)
+            span.set("collapses", collapses)
             span.set("runs_recomposed", recomposed)
             span.set("kernel_runs", plan.static_runs())
         return plan
@@ -937,20 +940,29 @@ class QTaskSimulator(CircuitObserver):
         return plan
 
     def _coalesce(self, plan: ExecutionPlan) -> None:
-        """Turn every swept run of static stages into one stage plan.
+        """Turn every swept run of diagonal / monomial stages into one plan.
 
         A run is a maximal sequence of seq-adjacent stage plans whose stages
-        are static (diagonal / monomial actions) and swept whole, cut where
-        the union of the members' qubits would pass ``MAX_RUN_QUBITS`` or
-        the member count ``MAX_RUN_STAGES``.  It executes as one table --
-        the members' composed action over the union of their covers, read
-        as of the first member -- and each block is published to the last
-        member declaring it (``RoutedStore``); what that costs later is the
-        sweep's widening, see ``PartitionGraph.sweep``.
+        are unitary stages or collapses (a measure / reset is a projector
+        once drawn) and swept whole, cut where the union of the members'
+        qubits would pass ``MAX_RUN_QUBITS`` or the member count
+        ``MAX_RUN_STAGES``; a dense or ``c_if`` stage plans alone.  It
+        executes as one table -- the members' composed action over the
+        union of their covers, read as of the first member -- and each
+        block is published to the last member declaring it
+        (``RoutedStore``); what that costs later is the sweep's widening,
+        see ``PartitionGraph.sweep``.  A run holding collapses draws them
+        all in one sync step first (:func:`draw_collapses`).
+
+        A re-armed collapse re-runs its run from the head, and the members
+        before it hold nothing of its blocks: so no collapse joins a run
+        that starts before the first dynamic stage, and the unitary prefix
+        every trajectory shares stays cached.
         """
         merged: List[StagePlan] = []
         group: List[StagePlan] = []
         qubits: set = set()
+        prefix = min((s.seq for s in self._dynamic_stages.values()), default=0)
 
         def close() -> None:
             merged.append(self._run_plan(group) if len(group) > 1 else group[0])
@@ -959,12 +971,17 @@ class QTaskSimulator(CircuitObserver):
 
         for sp in plan.stage_plans:
             stage = sp.stage
-            # a dense stage has nothing to compose: it plans alone
-            if isinstance(stage, UnitaryStage) and sp.mask == stage.partition_layout().cover:
+            collapse = isinstance(stage, (MeasureStage, ResetStage))
+            # a collapse is swept whole; a dense or c_if stage plans alone
+            if collapse or (
+                isinstance(stage, UnitaryStage)
+                and sp.mask == stage.partition_layout().cover
+            ):
                 if group and (
                     stage.seq != group[-1].stage.seq + 1
                     or len(group) == MAX_RUN_STAGES
                     or len(qubits.union(stage.qubits)) > MAX_RUN_QUBITS
+                    or (collapse and group[0].stage.seq < prefix)
                 ):
                     close()
                 group.append(sp)
@@ -992,14 +1009,13 @@ class QTaskSimulator(CircuitObserver):
                 break
         members = [sp.stage for sp in group]
         ranges = mask_ranges(cover)
-        table, recomposed = coalesced_table(members, ranges)
         return StagePlan.for_run(
             members,
             ranges,
             cover,
-            table,
+            lambda: coalesced_table(members, ranges),
             RoutedStore([stage.store for stage in members], owned),
-            recomposed,
+            any(sp.has_sync for sp in group),
         )
 
     def _execute_with_recovery(self, plan: ExecutionPlan) -> int:
@@ -1065,7 +1081,7 @@ class QTaskSimulator(CircuitObserver):
         """Batch-execute the plan, one executor task per stage plan -- an
         affected *stage*, or a coalesced run of them.
 
-        The task runs the stage's ``prepare`` when its sync barrier is
+        The task runs the plan's sync step (the draws) when its barrier is
         affected, materialises the stage's run table, and hands it -- split
         into at most ``Executor.subflow_width`` chunk subflows -- to the
         kernel backend.  The plan's stage-granular edges reproduce the
@@ -1078,7 +1094,7 @@ class QTaskSimulator(CircuitObserver):
         graph = TaskGraph("update_state")
         tasks = []
         for sp in plan.stage_plans:
-            body = self._make_plan_body(sp)
+            body = self._make_plan_body(sp, plan.redraw_from)
             # Trace context rides on the closure: Executor._guarded sees it
             # and re-activates this session's telemetry (and span parent)
             # inside whichever worker thread steals the task.
@@ -1090,22 +1106,22 @@ class QTaskSimulator(CircuitObserver):
         self.executor.run(graph)
 
         self._plans_built.inc(plan.num_stages)
-        self._stages_coalesced.inc(plan.coalesced()[0])
+        self._stages_coalesced.inc(sum(len(sp.members) for sp in plan.runs()))
         self._runs_batched.inc(plan.total_runs())
         self._plan_chunks.inc(plan.total_chunks())
         self._updates_planned.inc()
 
-    def _sync_prepare_runner(self, stage: Stage, reader):
-        """An idempotent ``prepare`` thunk for sync (collapse) stages.
+    def _sync_prepare_runner(self, sp: StagePlan, redraw_from: int):
+        """An idempotent sync-step thunk for a plan holding collapses.
 
-        Executor-level fault retries re-run whole task bodies; a collapse
-        stage's ``prepare`` draws from a keyed stream, so a naive re-run
+        Executor-level fault retries re-run whole task bodies; the sync step
+        (:func:`draw_collapses`) draws from keyed streams, so a naive re-run
         would consume one extra draw and fork the trajectory away from a
         clean run's.  The thunk snapshots the classical state on first
-        entry and rolls back before every re-entry, making re-preparation
-        redraw the identical outcome.  Safe because sync stages are
-        totally ordered by their all-blocks dependencies: no other
-        record-writing task can be in flight concurrently.
+        entry and rolls back before every re-entry, making a re-run redraw
+        the identical outcomes.  Safe because sync steps are totally
+        ordered by their all-blocks dependencies: no other record-writing
+        task can be in flight concurrently.
         """
         snap: List[tuple] = []
 
@@ -1115,14 +1131,14 @@ class QTaskSimulator(CircuitObserver):
                     self.outcomes.restore(snap[0])
                 else:
                     snap.append(self.outcomes.snapshot())
-            stage.prepare(reader)
+            draw_collapses(sp.members, sp.reader, redraw_from)
 
         return run_prepare
 
-    def _make_plan_body(self, sp: StagePlan):
+    def _make_plan_body(self, sp: StagePlan, redraw_from: int):
         width = max(1, int(getattr(self.executor, "subflow_width", 1)))
         run_prepare = (
-            self._sync_prepare_runner(sp.stage, sp.reader) if sp.has_sync else None
+            self._sync_prepare_runner(sp, redraw_from) if sp.has_sync else None
         )
 
         tel = self.telemetry
@@ -1407,15 +1423,18 @@ class QTaskSimulator(CircuitObserver):
         sweep looked at
         ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
         and the affected stages became ``N`` stage plans) and what it
-        coalesced ("coalesced N stages into R runs (M recomposed, ...)": M
-        of the runs were not in the composite cache and were composed for
-        this plan) -- the ``plan.build`` span's numbers --, the plan
+        coalesced ("coalesced N stages (C collapses) into R runs (M
+        recomposed, ...)": C of the N are measure / reset members, M of the
+        runs were not in the composite cache and were composed for this
+        plan) -- the ``plan.build`` span's numbers, except that a run
+        holding collapses composes after its draws, so only this report
+        counts it in M --, the plan
         pipeline's view of it, and -- the part no counter can answer -- the
         time-ordered recovery events (faults, retries, chunk fallbacks,
         trajectory rollbacks) that fired during the update.
         """
         report = self.last_update
-        coalesced, runs, largest, widest, recomposed = self._last_coalesced
+        coalesced, collapses, runs, largest, widest, recomposed = self._last_coalesced
         inserted, wired, nets, removed, retuned = self._last_wired
         lines = [
             f"update #{self._num_updates - 1}"
@@ -1436,7 +1455,7 @@ class QTaskSimulator(CircuitObserver):
                 f"..{self._last_sweep[0] + self._last_sweep[1]},"
                 f" planned {self._last_sweep[2]}"
             ),
-            f"  coalesced {coalesced} stages into {runs} runs"
+            f"  coalesced {coalesced} stages ({collapses} collapses) into {runs} runs"
             + (
                 f" ({recomposed} recomposed, largest {largest},"
                 f" union <= {widest} qubits)"

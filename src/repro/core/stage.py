@@ -29,7 +29,6 @@ from .classical import OutcomeRecord
 from .cow import BlockStore
 from .exec_plan import (
     RUN_ACTION,
-    RUN_COLLAPSE,
     RUN_COPY,
     RUN_DENSE,
     PlanOp,
@@ -38,11 +37,15 @@ from .exec_plan import (
 )
 from .gates import (
     Action,
+    DiagonalAction,
     Gate,
+    MonomialAction,
     classify_matrix,
     composed_runs,
+    scale_action,
+    union_sources,
 )
-from .kernels import StateReader, dense_steps, measured_masses
+from .kernels import StateReader, dense_steps, qubit_marginal
 from .ops import CGate
 from .partition import (
     PartitionLayout,
@@ -58,6 +61,7 @@ __all__ = [
     "gate_shape",
     "dense_op",
     "coalesced_table",
+    "draw_collapses",
     "Stage",
     "UnitaryStage",
     "MatVecStage",
@@ -187,7 +191,7 @@ class Stage:
 
     def reads_all_blocks(self) -> bool:
         """True when this stage's input is the whole previous state vector
-        (a collapse: its ``prepare`` runs behind a sync barrier)."""
+        (a collapse: it is drawn behind a sync barrier, :func:`draw_collapses`)."""
         return False
 
     #: ``True`` when :meth:`plan_op` depends only on the stage's bound
@@ -199,7 +203,7 @@ class Stage:
     def plan_op(self) -> PlanOp:
         """The one operation every kernel run of this stage applies.
 
-        Asked strictly after :meth:`prepare` (the sync node precedes every
+        Asked strictly after the stage's draw (the sync node precedes every
         partition), so drawn outcomes and conditions are final; payloads are
         rebound, never mutated, by the next update.
         """
@@ -220,10 +224,6 @@ class Stage:
             RunSpec(kind, lo, hi, qubits, op)
             for lo, hi in _aligned_runs(block_range, self.block_size, self.dim)
         ]
-
-    def prepare(self, reader: StateReader) -> None:
-        """Hook executed once per update before the runs of a stage that
-        :meth:`reads_all_blocks`."""
 
     def clone_for_fork(self) -> "Stage":
         """A fresh stage applying the same gates with an *empty* store.
@@ -332,7 +332,7 @@ class UnitaryStage(Stage):
 
 
 def coalesced_table(
-    members: Sequence[UnitaryStage], block_ranges: Sequence[BlockRange]
+    members: Sequence[Stage], block_ranges: Sequence[BlockRange]
 ) -> Tuple[RunTable, bool]:
     """One table doing the work of consecutive ``members`` in one pass, and
     whether composing it was paid for now.
@@ -341,14 +341,20 @@ def coalesced_table(
     (:func:`~repro.core.gates.compose_run`, over the union of their qubits),
     taken from :data:`~repro.core.gates.composed_runs` under the members'
     ``(action, qubits)`` values: only a run not planned before (or edited
-    since) composes.  ``block_ranges`` must span the union of the members'
-    covers, which is closed under the composed permutation -- an amplitude
-    moves only within the cover of the member moving it.
+    since) composes.  A drawn collapse's action is its unscaled projector,
+    so the cache holds one composite per outcome pattern; the collapses'
+    ``1/sqrt(mass)`` multiply into one scalar applied to the composite.
+    ``block_ranges`` must span the union of the members' covers, which is
+    closed under the composed permutation -- an amplitude moves only within
+    the cover of the member moving it.
     """
     head = members[0]
     action, qubits, recomposed = composed_runs.lookup(
         tuple((s.action, s.qubits) for s in members)
     )
+    scale = math.prod(s.scale for s in members if isinstance(s, _CollapseStage))
+    if scale != 1.0:
+        action = scale_action(action, scale)
     los, his, op_ids = _packed_run_bounds(
         tuple(block_ranges), head.block_size, head.dim
     )
@@ -499,19 +505,41 @@ class DynamicStage(Stage):
         return clone
 
 
-class _CollapseStage(DynamicStage):
-    """Shared machinery of measure and reset: draw, collapse, renormalise.
+@lru_cache(maxsize=256)
+def _sides(k: int, bit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """0/1 vectors over ``2**k`` union-local indices selecting those whose
+    ``bit`` reads 0 / 1."""
+    one = ((np.arange(1 << k) >> bit) & 1).astype(np.float64)
+    zero = 1.0 - one
+    for side in (zero, one):
+        side.setflags(write=False)
+    return zero, one
 
-    The layout is the matrix--vector one: a sync barrier reading the whole
-    previous state vector (the ``prepare`` hook accumulates the measured
-    qubit's block-wise probability masses and draws the outcome) followed by
-    one partition per data block that projects and rescales -- so a collapse
-    re-executes, and invalidates downstream, exactly like a full-width gate
-    update.
+
+#: a measurement's action per outcome: the projector onto it
+_PROJECTORS = (
+    DiagonalAction(1, (1 + 0j, 0j)),
+    DiagonalAction(1, (0j, 1 + 0j)),
+)
+#: a reset's: the outcome's side moved to |0>, the other zeroed
+_RESETS = (_PROJECTORS[0], MonomialAction(1, perm=(1, 0), factors=(0j, 1 + 0j)))
+
+
+class _CollapseStage(DynamicStage):
+    """Shared machinery of measure and reset: draw, then project.
+
+    The layout is the matrix--vector one: a sync step reading the whole
+    previous state vector, where the outcome is drawn
+    (:func:`draw_collapses`), and one partition per data block.  Drawn, a
+    collapse is an ordinary non-superposition action on its qubit
+    (:attr:`action`: a measurement's projector onto its outcome, a reset's
+    monomial moving that side to |0>) times :attr:`scale`, ``1/sqrt(mass)``
+    -- so it coalesces with its diagonal / monomial neighbours into one run,
+    and re-executes, and invalidates downstream, like a full-width gate.
     """
 
-    #: reset relocates surviving amplitudes to the |0> subspace
-    _move: bool = False
+    #: the action of outcome 0 / 1
+    _actions: Tuple[Action, Action] = _PROJECTORS
 
     def __init__(self, op, *args, **kwargs) -> None:
         super().__init__(op, *args, **kwargs)
@@ -530,7 +558,7 @@ class _CollapseStage(DynamicStage):
 
     def adopt_collapse(self, masses: Tuple[float, float], outcome: int) -> None:
         """Take on a collapse drawn elsewhere (a checkpoint's): the masses it
-        drew against and its outcome, as if :meth:`prepare` had run."""
+        drew against and its outcome, as if it had been drawn here."""
         self._masses = (float(masses[0]), float(masses[1]))
         self._outcome = outcome
         self._scale = 1.0 / math.sqrt(masses[outcome])
@@ -540,14 +568,30 @@ class _CollapseStage(DynamicStage):
         return self.op.qubit
 
     @property
+    def qubits(self) -> Tuple[int, ...]:
+        return (self.op.qubit,)
+
+    @property
     def outcome(self) -> Optional[int]:
         """The most recently drawn outcome (``None`` before first execution)."""
         return self._outcome
 
     @property
     def masses(self) -> Optional[Tuple[float, float]]:
-        """The unnormalised ``(p0, p1)`` the last ``prepare`` drew against."""
+        """The unnormalised ``(p0, p1)`` the last draw was made against."""
         return self._masses
+
+    @property
+    def scale(self) -> float:
+        """``1/sqrt`` of the drawn outcome's mass."""
+        return self._scale
+
+    @property
+    def action(self) -> Action:
+        """The drawn outcome's action on :attr:`qubits`, unscaled."""
+        if self._outcome is None:  # pragma: no cover - defensive
+            raise RuntimeError(f"{self!r} executed before its draw")
+        return self._actions[self._outcome]
 
     def partition_layout(self) -> PartitionLayout:
         return matvec_layout(self.qubit_count, self.block_size)
@@ -555,34 +599,75 @@ class _CollapseStage(DynamicStage):
     def reads_all_blocks(self) -> bool:
         return True
 
-    def prepare(self, reader: StateReader) -> None:
+    def collapse(self, masses: np.ndarray, bit: int, replay: bool) -> np.ndarray:
+        """Draw from ``masses`` -- the ``|amp|**2`` marginal of this stage's
+        input over a run's union qubits, this one at union ``bit`` -- and
+        return the marginal of its (renormalised) output.
+
+        With ``replay`` the recorded outcome is taken instead of a draw
+        while there is one and it still has mass.
+        """
         if self.record is None:
             raise RuntimeError(f"dynamic stage {self!r} has no outcome record bound")
-        p0, p1 = measured_masses(reader, self.qubit, self.dim, self.block_size)
-        outcome = self.record.choose(self.op.op_index, p0, p1)
+        k = masses.shape[0].bit_length() - 1
+        sides = _sides(k, bit)
+        p0 = float(masses @ sides[0])
+        p1 = float(masses @ sides[1])
+        op_index = self.op.op_index
+        outcome = self.record.outcome_of(op_index) if replay else None
+        if outcome is None or (p1 if outcome else p0) <= 0.0:
+            outcome = self.record.choose(op_index, p0, p1)
         mass = p1 if outcome else p0
         self._masses = (p0, p1)
         self._outcome = outcome
         self._scale = 1.0 / math.sqrt(mass)
         self._record_outcome(outcome)
+        masses = masses * (sides[outcome] / mass)
+        action = self._actions[outcome]
+        if isinstance(action, MonomialAction):  # a reset moving |1> to |0>
+            masses = masses.take(union_sources(k, (bit,), action.perm))
+        return masses
 
     def _record_outcome(self, outcome: int) -> None:
         pass
 
     def plan_op(self) -> PlanOp:
-        outcome = self._outcome
-        if outcome is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"{self!r} executed before its prepare()")
-        return PlanOp(
-            RUN_COLLAPSE, (), (self.qubit, outcome, self._scale, self._move)
-        )
+        return PlanOp(RUN_ACTION, self.qubits, scale_action(self.action, self._scale))
+
+
+def draw_collapses(
+    members: Sequence[Stage], reader: StateReader, redraw_from: int = -1
+) -> None:
+    """The sync step of a plan holding collapses: draw every one of them.
+
+    The plan's input (``reader``, as of its first member) is gathered once
+    and reduced to the ``|amp|**2`` marginal over the union of the members'
+    qubits (:func:`~repro.core.kernels.qubit_marginal`), which is pushed
+    through the members in order: a gate moves masses where it moves
+    amplitudes, a collapse draws from them and projects them
+    (:meth:`_CollapseStage.collapse`), up to the last collapse.  So each
+    collapse draws against the masses of its own input, as if the members
+    ran one by one.  A collapse before ``redraw_from`` re-executes only
+    because its run did (:attr:`~repro.core.exec_plan.ExecutionPlan.redraw_from`):
+    it replays its recorded outcome.
+    """
+    last = max(i for i, stage in enumerate(members) if isinstance(stage, _CollapseStage))
+    members = members[: last + 1]  # what follows the last draw moves no mass it reads
+    union = tuple(sorted({q for stage in members for q in stage.qubits}))
+    position = {q: j for j, q in enumerate(union)}
+    masses = qubit_marginal(reader.full_vector(), union)
+    for stage in members:
+        bits = tuple(position[q] for q in stage.qubits)
+        if isinstance(stage, _CollapseStage):
+            masses = stage.collapse(masses, bits[0], stage.seq < redraw_from)
+        elif isinstance(stage.action, MonomialAction):  # a gate: |factors| = 1
+            masses = masses.take(union_sources(len(union), bits, stage.action.perm))
 
 
 class MeasureStage(_CollapseStage):
     """Mid-circuit projective Z measurement of one qubit into a clbit."""
 
     kind = "measure"
-    _move = False
 
     def _record_outcome(self, outcome: int) -> None:
         self.record.set_bit(self.op.clbit, outcome)
@@ -592,7 +677,7 @@ class ResetStage(_CollapseStage):
     """Reset one qubit to |0>: projective measurement plus conditional flip."""
 
     kind = "reset"
-    _move = True
+    _actions = _RESETS
 
 
 class ClassicallyControlledStage(DynamicStage):

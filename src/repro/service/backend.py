@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import queue
 import threading
 import time
@@ -500,6 +501,15 @@ class Backend:
         self._hist_queue_wait.observe(queue_seconds)
         self._gauge_active.set(self._gauge_active.value + 1)
         tracer = self.telemetry.tracer
+        if tracer.enabled and job.submitted_at is not None:
+            # measured before any span could be open: adopted, as it was
+            thread = threading.current_thread()
+            tracer.adopt(
+                "service.queue_wait", job.submitted_at, queue_seconds,
+                parent_id=None, pid=os.getpid(),
+                thread_id=thread.ident or 0, thread_name=thread.name,
+                attrs={"job": job.job_id},
+            )
         pinned = False
         # recovery events the job recorded: its base build's, if it built
         # one, and its run_shots walk fork's

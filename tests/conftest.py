@@ -23,7 +23,7 @@ from repro.core.graph import PartitionGraph
 from repro.core.kernels import KernelBackend
 from repro.core.partition import PartitionSpec, layout_of
 from repro.core.simulator import QTaskSimulator
-from repro.core.stage import MeasureStage, ResetStage, Stage
+from repro.core.stage import MeasureStage, ResetStage, Stage, UnitaryStage
 
 # ---------------------------------------------------------------------------
 # chaos mode: QTASK_FAULT_P=<p> runs the whole suite under an armed fault
@@ -483,8 +483,10 @@ class FrontierOracle:
 
     then answers with :func:`closest_writer_reachability` from those seeds
     -- widened to coalesced runs.  The runs the last completed update
-    executed are read off the public ``graph.runs()`` view; the widening
-    rule itself is applied from outside:
+    executed are read off the public ``graph.runs()`` view (a measure /
+    reset is a member like any diagonal / monomial stage: its sync barrier
+    belongs to the run with its partitions); the widening rule itself is
+    applied from outside:
 
     * a run a modifier landed in (a member removed or rebound, a new stage
       strictly between two members) is dissolved, and every surviving
@@ -565,6 +567,14 @@ class FrontierOracle:
                 self.seeds.update((stage, r, False) for r in ranges)
         # runs a modifier landed in: every surviving member, whole
         ranges_of = {stage: ranges for stage, _, ranges, _ in now}
+        synced = {stage for stage, _, _, is_full in now if is_full}
+
+        def run_nodes(stage):
+            """A member's nodes: its partitions, and a collapse's barrier."""
+            nodes = [(stage, r, False) for r in ranges_of[stage]]
+            if stage in synced:
+                nodes.append((stage, full, True))
+            return nodes
         intact = []
         for members in self.runs:
             at = [alive.get(stage) for stage in members]
@@ -574,9 +584,9 @@ class FrontierOracle:
                 or rebound.intersection(members)
             ):
                 self.seeds.update(
-                    (stage, r, False)
+                    node
                     for stage in members if stage in alive
-                    for r in ranges_of[stage]
+                    for node in run_nodes(stage)
                 )
             else:
                 intact.append(members)
@@ -594,8 +604,9 @@ class FrontierOracle:
             grown = False
             for members in intact:
                 nodes = {
-                    (stage.seq, r, False)
-                    for stage in members for r in ranges_of[stage]
+                    (stage.seq, r, is_sync)
+                    for stage in members
+                    for _, r, is_sync in run_nodes(stage)
                 }
                 if nodes & reached and not nodes <= reached:
                     seeds |= nodes
@@ -667,9 +678,10 @@ def assert_held_blocks_are_prefix_states(session, *, atol: float = 1e-10):
 def assert_runs_are_consistent(session):
     """The run records agree with the stage order and with the stores.
 
-    Members are seq-adjacent static stages; each holds exactly the blocks it
-    owns (declares, with no later member declaring them too); and whatever
-    the runs elide, every block's newest declarer holds it.
+    Members are seq-adjacent unitary stages and collapses (a drawn measure /
+    reset is a projector); each holds exactly the blocks it owns (declares,
+    with no later member declaring them too); and whatever the runs elide,
+    every block's newest declarer holds it.
     """
     sim = session.simulator
     graph = sim.graph
@@ -684,7 +696,7 @@ def assert_runs_are_consistent(session):
         assert list(members) == stages[first : first + len(members)], members
         later: set = set()
         for stage in reversed(members):
-            assert stage.plan_static, stage
+            assert isinstance(stage, (UnitaryStage, MeasureStage, ResetStage)), stage
             held = set(stage.store.stored_blocks())
             assert held == declared[stage] - later, (
                 stage, sorted(held), sorted(declared[stage] - later)

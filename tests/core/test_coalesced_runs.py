@@ -417,7 +417,7 @@ def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
         # planned before; the span and the explanation count the same lookups
         assert 0 <= span["runs_recomposed"] <= 13
         assert (
-            f"coalesced 348 stages into 13 runs ({span['runs_recomposed']}"
+            f"coalesced 348 stages (0 collapses) into 13 runs ({span['runs_recomposed']}"
             f" recomposed, largest {largest}, union <= {widest} qubits)"
         ) in session.explain_last_update()
         # member partitions are still what "affected" counts; block writes
@@ -437,7 +437,7 @@ def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
         assert (span["coalesced_stages"], span["runs"], span["stages"]) == (0, 0, 361)
         assert stats["stages_coalesced"] == 0 and stats["plans_built"] == 361
         assert dense.simulator.graph.runs() == []
-        assert "coalesced 0 stages into 0 runs" in dense.explain_last_update()
+        assert "coalesced 0 stages (0 collapses) into 0 runs" in dense.explain_last_update()
 
 
 def test_qft_sweep_is_the_widened_oracle_and_stays_partial():

@@ -11,17 +11,21 @@ import pytest
 
 from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
+from repro.core import faults
 from repro.core.circuit import Circuit
 from repro.core.classical import ClassicalRegister, OutcomeRecord, decide_outcome
-from repro.core.cow import BlockStore
+from repro.core.cow import BlockStore, InitialStateStore
 from repro.core.exceptions import CircuitError, NetDependencyError
+from repro.core.exec_plan import RUN_ACTION
+from repro.core.faults import FaultPlan
 from repro.core.gates import Gate
-from repro.core.kernels import ArrayReader, collapse_run, measured_masses
+from repro.core.kernels import KernelBackend, NumpyBatchBackend, qubit_marginal
 from repro.core.ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from repro.core.simulator import QTaskSimulator
+from repro.core.stage import MeasureStage, ResetStage, draw_collapses
 from repro.telemetry import metrics
 
-from ..conftest import replay_shots
+from ..conftest import StoreChain, dense_state, replay_shots
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +76,26 @@ class TestOutcomeRecord:
         assert asked.outcome_of(3) is None  # and nothing is recorded
         with pytest.raises(ValueError):
             asked.first_choice(9, 1, 0.0, 0.0)
+
+    def test_first_choice_builds_no_stream_when_a_side_is_empty(self, monkeypatch):
+        """One side without mass fixes the answer: ``first_choice`` agrees
+        with a fresh record's ``choose`` without building a keyed stream."""
+        rng = np.random.default_rng(17)
+        cases = [
+            (int(seed), p0, p1)
+            for seed in rng.integers(0, 2**62, size=40)
+            for p0, p1 in ((0.0, float(rng.uniform(1e-300, 2))),
+                           (float(rng.uniform(1e-300, 2)), 0.0))
+        ]
+        expected = [OutcomeRecord(1, seed=s).choose(0, p0, p1) for s, p0, p1 in cases]
+        asked = OutcomeRecord(1, seed=0)
+
+        def no_stream(seed, op_index):
+            raise AssertionError("keyed stream built")
+
+        monkeypatch.setattr(OutcomeRecord, "keyed_stream", staticmethod(no_stream))
+        assert [asked.first_choice(s, 0, p0, p1) for s, p0, p1 in cases] == expected
+        assert expected.count(1) == len(cases) // 2  # p0 = 0 draws 1, p1 = 0 draws 0
 
     def test_decide_outcome_draws_only_when_it_has_to(self):
         def no_draw():
@@ -217,15 +241,32 @@ class TestCircuitStructure:
 # ---------------------------------------------------------------------------
 
 
+def _collapse_stage(op, n, block_size, forced=None):
+    op.op_index = 0
+    return (MeasureStage if isinstance(op, MeasureOp) else ResetStage)(
+        op, n, block_size, record=OutcomeRecord(1, seed=0, forced=forced)
+    )
+
+
+def _chain(psi, block_size):
+    store = BlockStore(psi.shape[0], block_size)
+    store.write_range(0, psi)
+    return StoreChain([InitialStateStore(psi.shape[0], block_size), store])
+
+
 class TestCollapseKernels:
+    """A collapse's masses come from the marginal its sync step reduces the
+    input to; its write is the projector action, on both backends."""
+
     @pytest.mark.parametrize("qubit", [0, 1, 2, 3])
     @pytest.mark.parametrize("block_size", [2, 4, 16])
     def test_measured_masses_match_dense(self, np_rng, qubit, block_size):
         n = 4
         psi = np_rng.normal(size=1 << n) + 1j * np_rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        reader = ArrayReader(psi)
-        p0, p1 = measured_masses(reader, qubit, 1 << n, block_size)
+        stage = _collapse_stage(MeasureOp(qubit, 0), n, block_size)
+        draw_collapses((stage,), _chain(psi, block_size))
+        p0, p1 = stage.masses
         idx = np.arange(1 << n)
         probs = np.abs(psi) ** 2
         assert p0 == pytest.approx(probs[(idx >> qubit) & 1 == 0].sum(), abs=1e-12)
@@ -241,26 +282,43 @@ class TestCollapseKernels:
         block_size = 4
         psi = np_rng.normal(size=dim) + 1j * np_rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        reader = ArrayReader(psi)
+        op = ResetOp(qubit) if move else MeasureOp(qubit, 0)
+        stage = _collapse_stage(op, n, block_size, forced={0: outcome})
+        reader = _chain(psi, block_size)
+        draw_collapses((stage,), reader)
         idx = np.arange(dim)
         bits = (idx >> qubit) & 1
         mass = float((np.abs(psi) ** 2)[bits == outcome].sum())
         scale = 1.0 / math.sqrt(mass)
-        store = BlockStore(dim, block_size)
-        for lo in range(0, dim, block_size):
-            collapse_run(
-                reader, store, lo, lo + block_size - 1, qubit, outcome, scale,
-                move=move,
-            )
-        got = np.concatenate([store.get_block(b) for b in range(dim // block_size)])
+        assert stage.scale == pytest.approx(scale, rel=1e-12)
+        table = stage.emit_table([s.block_range for s in stage.partition_specs()])
+        assert [op.kind for op in table.ops] == [RUN_ACTION]
         if not move:
             expect = np.where(bits == outcome, psi * scale, 0)
         else:
             expect = np.zeros_like(psi)
             keep = bits == 0
             expect[keep] = psi[idx[keep] | (outcome << qubit)] * scale
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+        outputs = []
+        for backend in (KernelBackend(), NumpyBatchBackend()):
+            store = BlockStore(dim, block_size)
+            backend.execute_plan(reader, store, table)
+            outputs.append(
+                np.concatenate([store.get_block(b) for b in range(dim // block_size)])
+            )
+        assert np.array_equal(outputs[0], outputs[1])
+        np.testing.assert_allclose(outputs[0], expect, atol=1e-12)
+        assert np.linalg.norm(outputs[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_marginal_is_the_dense_sum(self, np_rng):
+        n = 6
+        psi = np_rng.normal(size=1 << n) + 1j * np_rng.normal(size=1 << n)
+        probs = np.abs(psi) ** 2
+        idx = np.arange(1 << n)
+        for qubits in [(0,), (5,), (1, 4), (0, 2, 3, 5), tuple(range(6))]:
+            local = sum(((idx >> q) & 1) << j for j, q in enumerate(qubits))
+            expect = np.bincount(local, weights=probs, minlength=1 << len(qubits))
+            np.testing.assert_allclose(qubit_marginal(psi, qubits), expect, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -953,3 +1011,177 @@ class TestProgramPointConditions:
         assert mine[0].masses == theirs[0].masses is not None
         child.close()
         ckt.close()
+
+
+# ---------------------------------------------------------------------------
+# collapses inside coalesced runs
+# ---------------------------------------------------------------------------
+
+
+def build_collapse_run(seed, **knobs):
+    """H on three qubits, then one run of seven members: measure q0, cx,
+    reset q0, rz q1, rz q2, measure q1, measure q2 (handles returned by
+    name)."""
+    ckt = build_qtask(3, 3, seed=seed, block_size=2, num_workers=1, **knobs)
+    nets = [ckt.insert_net() for _ in range(6)]
+    for q in range(3):
+        ckt.insert_gate("h", nets[0], q)
+    handles = {"m0": ckt.measure(nets[1], 0, 0)}
+    handles["cx"] = ckt.insert_gate("cx", nets[2], 1, 2)
+    handles["r0"] = ckt.reset(nets[2], 0)
+    handles["rz1"] = ckt.insert_gate("rz", nets[3], 1, params=(0.4,))
+    handles["rz2"] = ckt.insert_gate("rz", nets[4], 2, params=(0.9,))
+    handles["m1"] = ckt.measure(nets[4], 1, 1)
+    handles["m2"] = ckt.measure(nets[5], 2, 2)
+    return ckt, handles
+
+
+def _streams(session):
+    """Every keyed stream's position: what a redraw would move."""
+    return session.outcomes.snapshot()[2]
+
+
+def _assert_replays_densely(session):
+    np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
+
+
+class TestCollapseRuns:
+    """A drawn measure / reset is a projector that coalesces with its
+    diagonal / monomial neighbours; coalescing never changes which
+    collapses draw."""
+
+    def test_the_collapses_share_one_run_and_one_draw_step(self):
+        ckt, h = build_collapse_run(3)
+        with ckt:
+            ckt.update_state()
+            (run,) = ckt.simulator.graph.runs()
+            assert [s.label() for s in run.members] == [
+                "measure[q0->c0]", "cx[q1, q2]", "reset[q0]", "rz(0.4)[q1]",
+                "rz(0.9)[q2]", "measure[q1->c1]", "measure[q2->c2]",
+            ]
+            assert ckt.statistics()["plans_built"] == 2  # the H stage, the run
+            assert [op for op, *_ in ckt.simulator.collapse_path()] == [
+                h[k].gate.op_index for k in ("m0", "r0", "m1", "m2")
+            ]
+            # the reset right after a measure of its qubit has an empty side
+            assert 0.0 in ckt.simulator.collapse_path()[1][1:3]
+            _assert_replays_densely(ckt)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gates_in_the_run_move_the_masses_later_collapses_draw(self, seed):
+        """Reset q0, flip it, copy it onto q1: the measurements after them,
+        in the same run, see all the mass on the |1> side."""
+        ckt = build_qtask(2, 3, seed=seed, block_size=2, num_workers=1)
+        nets = [ckt.insert_net() for _ in range(6)]
+        ckt.insert_gate("h", nets[0], 0)
+        ckt.measure(nets[1], 0, 0)
+        ckt.reset(nets[2], 0)
+        ckt.insert_gate("x", nets[3], 0)
+        ckt.insert_gate("cx", nets[4], 0, 1)
+        ckt.measure(nets[5], 0, 1)
+        ckt.measure(nets[5], 1, 2)
+        with ckt:
+            ckt.update_state()
+            assert [len(run.members) for run in ckt.simulator.graph.runs()] == [6]
+            assert (ckt.outcomes.get_bit(1), ckt.outcomes.get_bit(2)) == (1, 1)
+            for _, p0, p1, _ in ckt.simulator.collapse_path()[2:]:
+                assert (p0, p1) == (0.0, pytest.approx(1.0, abs=1e-12))
+            _assert_replays_densely(ckt)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_retune_after_a_measurement_keeps_its_draw(self, seed):
+        """(a) Retuning a gate after a measurement in the same run re-runs
+        the run, but the collapses before the gate replay: same outcomes,
+        same stream positions; those after it draw again."""
+        ckt, h = build_collapse_run(seed)
+        with ckt:
+            ckt.update_state()
+            before, streams = ckt.outcomes.recorded_outcomes(), _streams(ckt)
+            ckt.update_gate(h["rz1"], 1.3)
+            ckt.update_state()
+            assert len(ckt.simulator.graph.runs()[0].members) == 7  # re-ran whole
+            after, moved = ckt.outcomes.recorded_outcomes(), _streams(ckt)
+            for key in ("m0", "r0"):
+                op = h[key].gate.op_index
+                assert after[op] == before[op]
+                assert moved[op] == streams[op]
+            for key in ("m1", "m2"):
+                assert moved[h[key].gate.op_index] != streams[h[key].gate.op_index]
+            _assert_replays_densely(ckt)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_branching_mid_run_keeps_every_earlier_outcome(self, seed, monkeypatch):
+        """(b) ``reset_trajectory(seed, from_op=k)`` with ``k`` inside a run
+        re-runs the run from its head; the earlier collapses replay (they
+        build no stream) and keep their outcomes and bits."""
+        ckt, h = build_collapse_run(seed)
+        with ckt:
+            ckt.update_state()
+            before = ckt.outcomes.recorded_outcomes()
+            bit0 = ckt.outcomes.get_bit(0)
+            keyed = []
+            stream = OutcomeRecord.keyed_stream
+            monkeypatch.setattr(
+                OutcomeRecord, "keyed_stream",
+                staticmethod(lambda s, op: keyed.append(op) or stream(s, op)),
+            )
+            k = h["m1"].gate.op_index
+            ckt.simulator.reset_trajectory((seed, 1), from_op=k)
+            ckt.update_state()
+            assert sorted(keyed) == [k, h["m2"].gate.op_index]
+            after = ckt.outcomes.recorded_outcomes()
+            for key in ("m0", "r0"):
+                op = h[key].gate.op_index
+                assert after[op] == before[op]
+            assert ckt.outcomes.get_bit(0) == bit0
+            _assert_replays_densely(ckt)
+
+    def test_a_checkpoint_restores_runs_holding_collapses(self, tmp_path):
+        """(c) The run records, the collapse path and the state survive a
+        checkpoint; an edit inside a restored run re-runs it, and the
+        collapses before the edit replay their saved outcomes."""
+        path = str(tmp_path / "runs.qtckpt")
+        ckt, _ = build_collapse_run(5)
+        with ckt:
+            ckt.update_state()
+            saved = (
+                ckt.state(), ckt.simulator.collapse_path(),
+                [[s.seq for s in run.members] for run in ckt.simulator.graph.runs()],
+            )
+            ckt.checkpoint(path)
+        with QTask.restore(path, num_workers=1) as restored:
+            sim = restored.simulator
+            np.testing.assert_array_equal(restored.state(), saved[0])
+            assert sim.collapse_path() == saved[1]
+            assert [[s.seq for s in run.members] for run in sim.graph.runs()] == saved[2]
+            rz2 = next(
+                g for g in restored.circuit.gates()
+                if g.gate.name == "rz" and g.gate.qubits == (2,)
+            )
+            restored.update_gate(rz2, 0.2)
+            restored.update_state()
+            assert len(sim.graph.runs()[0].members) == 7
+            outcomes = [(op, outcome) for op, _, _, outcome in sim.collapse_path()]
+            assert outcomes[:2] == [(op, outcome) for op, _, _, outcome in saved[1][:2]]
+            _assert_replays_densely(restored)
+
+    @pytest.mark.parametrize("site", ["executor.task", "kernel.run", "cow.publish"])
+    def test_a_fault_inside_a_collapse_run_redraws_nothing(self, no_plan, site):
+        """(d) Whatever fault hits the run's task (and however it is
+        recovered), the session ends where a clean one does: same outcomes,
+        same stream positions, same state."""
+        clean, _ = build_collapse_run(7)
+        with clean:
+            clean.update_state()
+            want = (clean.outcomes.recorded_outcomes(), _streams(clean), clean.state())
+        for occurrence in (1, 2, 3):
+            faulted, _ = build_collapse_run(7)
+            faults.install(FaultPlan(script=[(site, occurrence)]))
+            try:
+                faulted.update_state()
+            finally:
+                faults.install(None)
+            with faulted:
+                assert faulted.outcomes.recorded_outcomes() == want[0]
+                assert _streams(faulted) == want[1]
+                np.testing.assert_allclose(faulted.state(), want[2], atol=1e-12)

@@ -24,14 +24,13 @@ from repro.core.blocks import MAX_RUN_BLOCKS, aligned_block_runs
 from repro.core.cow import BlockStore, IndexReader, InitialStateStore
 from repro.core.exec_plan import (
     RUN_ACTION,
-    RUN_COLLAPSE,
     RUN_COPY,
     RUN_DENSE,
     RunSpec,
     StagePlan,
 )
 from repro.core.faults import FaultInjected, FaultPlan
-from repro.core.gates import DiagonalAction, MonomialAction
+from repro.core.gates import DiagonalAction, MonomialAction, scale_action
 from repro.core.kernels import (
     KernelBackend,
     NumpyBatchBackend,
@@ -40,6 +39,7 @@ from repro.core.kernels import (
     dense_steps,
 )
 from repro.core.simulator import QTaskSimulator
+from repro.core.stage import MeasureStage, ResetStage
 
 from ..conftest import (
     DeclaringStage,
@@ -119,8 +119,10 @@ def _random_op(rng, kind, n, dim):
     if kind == "dense":
         return _dense_op(rng, n)
     if kind in ("measure", "reset"):
-        op = (int(rng.integers(n)), int(rng.integers(2)), 1.25, kind == "reset")
-        return RUN_COLLAPSE, (), op
+        # a drawn collapse: its outcome's action on one qubit, times a scale
+        actions = (ResetStage if kind == "reset" else MeasureStage)._actions
+        action = actions[int(rng.integers(2))]
+        return RUN_ACTION, (int(rng.integers(n)),), scale_action(action, 1.25)
     k = int(rng.integers(1, min(4, n) + 1))
     # anywhere in the register, in any order: most draws put a qubit at or
     # above the alignment of the short runs
@@ -490,7 +492,7 @@ def test_tables_are_compact_read_only_and_the_cache_is_bounded():
     # 10 bytes per amplitude of that many blocks
     assert table.local.nbytes + table.srcpos.nbytes <= 10 * 64
     rz = _slab_table(RUN_ACTION, ((5,), None), lo.tobytes(), (lo + 63).tobytes(), 16, 1 << 15)
-    assert rz.srcpos is None and rz.keep is None  # a diagonal gathers nothing
+    assert rz.srcpos is None  # a diagonal gathers nothing
     assert rz.in_ids == rz.out_ids == table.out_ids
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.blocks import BlockRange
 from repro.core.classical import OutcomeRecord
 from repro.core.cow import BlockStore, InitialStateStore
-from repro.core.exec_plan import RUN_ACTION, RUN_COLLAPSE, RUN_COPY, RUN_DENSE
+from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE
 from repro.core.gates import Gate, embed_gate_matrix
 from repro.core.kernels import (
     KernelBackend,
@@ -21,6 +21,7 @@ from repro.core.stage import (
     MeasureStage,
     ResetStage,
     UnitaryStage,
+    draw_collapses,
 )
 
 from ..conftest import StoreChain
@@ -35,7 +36,6 @@ def make_chain(n, block=4, state=None):
 
 
 def run_stage(stage, reader):
-    stage.prepare(reader)
     for spec in stage.partition_specs():
         for run in stage.emit_runs(spec.block_range):
             execute_run(reader, stage.store, run)
@@ -221,9 +221,10 @@ STAGE_KINDS = {
         ),
         RUN_DENSE,
     ),
-    "measure": (lambda: _dynamic(MeasureStage, MeasureOp(2, 0)), RUN_COLLAPSE),
+    # drawn, a collapse is its projector action (times 1/sqrt(mass))
+    "measure": (lambda: _dynamic(MeasureStage, MeasureOp(2, 0)), RUN_ACTION),
     "reset": (
-        lambda: _dynamic(ResetStage, ResetOp(1), forced={0: 1}), RUN_COLLAPSE),
+        lambda: _dynamic(ResetStage, ResetOp(1), forced={0: 1}), RUN_ACTION),
     "c_if-taken": (
         lambda: _dynamic(
             ClassicallyControlledStage, CGate(Gate("x", (2,)), (0,), 1), bits=[(0, 1)]
@@ -261,7 +262,8 @@ def test_emit_table_is_the_per_partition_runs_under_one_operation(kind):
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi /= np.linalg.norm(psi)
     reader = make_chain(4, 4, psi)
-    stage.prepare(reader)
+    if stage.reads_all_blocks():  # a collapse is drawn first
+        draw_collapses((stage,), reader)
     every = [spec.block_range for spec in stage.partition_specs()]
     assert every
     for ranges in (every, every[::2], every[-1:]):

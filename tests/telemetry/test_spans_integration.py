@@ -160,7 +160,7 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         explained = sim.explain_last_update()
         assert "swept stages 0..13, planned 2" in explained
         assert re.search(
-            r"coalesced 12 stages into 1 runs \([01] recomposed, largest 12,"
+            r"coalesced 12 stages \(0 collapses\) into 1 runs \([01] recomposed, largest 12,"
             r" union <= 3 qubits\)",
             explained,
         )
@@ -172,7 +172,7 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
             r.attrs for r in sim.telemetry.tracer.spans() if r.name == "plan.build"
         ]
         assert (full["first_seq"], full["stages_swept"], full["stages"]) == (0, 13, 2)
-        assert (full["runs"], full["coalesced_stages"]) == (1, 12)
+        assert (full["runs"], full["coalesced_stages"], full["collapses"]) == (1, 12, 0)
         # the retune landed in the run: the sweep starts at the run's first
         # member (seq 1), not at the retuned stage, and re-plans the run whole
         assert seq > 1 and retune["first_seq"] == 1
@@ -187,9 +187,37 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         assert report.affected_partitions == sim.graph.num_nodes() - 1
         explained = sim.explain_last_update()
         assert "swept stages 1..13, planned 1" in explained
-        assert "coalesced 12 stages into 1 runs" in explained
+        assert "coalesced 12 stages (0 collapses) into 1 runs" in explained
     finally:
         sim.close()
+
+
+def test_plan_build_counts_the_collapses_it_coalesced():
+    """A drawn measure / reset is a projector: it joins its diagonal /
+    monomial neighbours' run, one ``stage.prepare`` draws them all, and
+    ``plan.build`` and ``explain_last_update()`` count the collapses."""
+    ckt = QTask(3, num_clbits=2, block_size=2, num_workers=1, tracing=True, seed=4)
+    nets = [ckt.insert_net() for _ in range(4)]
+    for q in range(3):
+        ckt.insert_gate("h", nets[0], q)
+    ckt.measure(nets[1], 0, 0)
+    ckt.insert_gate("cx", nets[2], 1, 2)
+    ckt.reset(nets[2], 0)
+    ckt.measure(nets[3], 1, 1)
+    try:
+        ckt.update_state()
+        spans = ckt.telemetry.tracer.spans()
+        (build,) = [r for r in spans if r.name == "plan.build"]
+        assert (build.attrs["stages"], build.attrs["runs"]) == (2, 1)
+        assert (build.attrs["coalesced_stages"], build.attrs["collapses"]) == (4, 3)
+        (prepare,) = [r for r in spans if r.name == "stage.prepare"]
+        assert prepare.attrs["stage"] == "measure[q0->c0] (+3 coalesced)"
+        assert "coalesced 4 stages (3 collapses) into 1 runs" in (
+            ckt.explain_last_update()
+        )
+        assert [len(run.members) for run in ckt.simulator.graph.runs()] == [4]
+    finally:
+        ckt.close()
 
 
 def test_one_modify_span_per_wired_batch():
@@ -265,8 +293,9 @@ def test_one_modify_span_per_wired_batch():
 
 def test_service_spans_attribute_a_cold_and_a_warm_job():
     """A cold job parses, pins and builds; a warm one only pins: one
-    ``qasm.parse`` (at submission), two ``service.lease`` under their
-    ``job.run``, one ``service.build`` under the cold lease."""
+    ``qasm.parse`` (at submission), one top-level ``service.queue_wait``
+    per job ending before its ``job.run``, two ``service.lease`` under
+    their ``job.run``, one ``service.build`` under the cold lease."""
     from repro.service import Backend
 
     text = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
@@ -290,6 +319,12 @@ def test_service_spans_attribute_a_cold_and_a_warm_job():
     ]
     assert build.parent_id == leases[0].span_id
     assert build.attrs == {"key": cold.key}
+    waits = by_name["service.queue_wait"]
+    assert [r.attrs for r in waits] == [{"job": cold.job_id}, {"job": warm.job_id}]
+    for wait, job, result in zip(waits, jobs, (cold, warm)):
+        assert wait.parent_id is None
+        assert wait.duration == result.queue_seconds
+        assert wait.start + wait.duration <= job.start
 
 
 def test_forked_sessions_keep_their_own_tagged_registry():
