@@ -26,8 +26,10 @@ describes that frontier *once* as a handful of batch-major structures instead:
   (:meth:`StagePlan.for_run`): one table applying the members' composed
   action to the union of their covers, read as of the first member and
   published through a store that routes every block to the last member
-  declaring it.  A run holding collapses composes after its sync step drew
-  them.
+  declaring it.  Those parts live on the run's record
+  (``graph.StageRun``), so a run the next update meets again is planned
+  from its record as it is.  A run holding collapses composes after its
+  sync step drew them.
 * :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
   order by the partition graph's frontier sweep
   (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -179,7 +181,8 @@ class StagePlan:
         "block_ranges",
         "mask",
         "_static_table",
-        "_compose",
+        "run",
+        "reused",
         "recomposed",
         "emitted_runs",
         "num_chunks",
@@ -211,9 +214,12 @@ class StagePlan:
         #: table emitted at build time for static stages; ``None`` defers
         #: emission to execution time (after the sync step drew)
         self._static_table: Optional[RunTable] = None
-        #: a run's ``() -> (table, recomposed)``, deferred to execution time
+        #: of a coalesced run: its record (``graph.StageRun``), which
+        #: composes the table -- at build time, or after the sync step drew
         #: when the run holds a collapse
-        self._compose: Optional[Callable[[], Tuple[RunTable, bool]]] = None
+        self.run = None
+        #: the run is a record an earlier update formed, emitted whole
+        self.reused = False
         #: a run whose composed operation was not in the cache: composing
         #: it was part of building this plan
         self.recomposed = False
@@ -222,30 +228,16 @@ class StagePlan:
         self.num_chunks = 0
 
     @classmethod
-    def for_run(
-        cls,
-        members: Sequence[object],
-        block_ranges: Sequence[object],
-        mask: int,
-        compose: Callable[[], Tuple[RunTable, bool]],
-        store,
-        has_sync: bool = False,
-    ) -> "StagePlan":
-        """One plan standing for consecutive stages, each planned whole:
-        ``compose()`` returns the table computing every block any of them
-        writes (``block_ranges`` / ``mask``) from the first one's input, and
-        whether composing it missed the cache; ``store`` hands each block to
-        the member owning it.  A run with a sync step (it holds collapses)
-        composes after the draws, the others here.
-        """
-        run = cls(members[0], block_ranges, has_sync, mask)
-        run.members = tuple(members)
-        run.store = store
-        if has_sync:
-            run._compose = compose
-        else:
-            run._static_table, run.recomposed = compose()
-        return run
+    def for_run(cls, run) -> "StagePlan":
+        """One plan standing for a run record's consecutive stages, each
+        planned whole: the run's table computes every block any of them
+        writes (the union of their covers) from the first one's input, and
+        its store hands each block to the member owning it."""
+        sp = cls(run.members[0], run.ranges, run.has_sync, run.cover)
+        sp.members = run.members
+        sp.store = run.store
+        sp.run = run
+        return sp
 
     @property
     def block_writes(self) -> int:
@@ -258,15 +250,20 @@ class StagePlan:
         return f"{head} (+{extra} coalesced)" if extra else head
 
     def freeze_static(self) -> None:
-        """Pre-emit the table of a stage whose operation is input-independent."""
-        if self._static_table is None and getattr(self.stage, "plan_static", False):
+        """Pre-emit the table of a stage -- or a run without collapses --
+        whose operation is input-independent."""
+        if self._static_table is not None or self.has_sync:
+            return
+        if self.run is not None:
+            self._static_table, self.recomposed = self.run.compose()
+        elif getattr(self.stage, "plan_static", False):
             self._static_table = self.stage.emit_table(self.block_ranges)
 
     def build_table(self) -> RunTable:
         """The stage's run table (static, or emitted now, after the draws)."""
         table = self._static_table
-        if self._compose is not None:
-            table, self.recomposed = self._compose()
+        if table is None and self.run is not None:
+            table, self.recomposed = self.run.compose()
         elif table is None:
             table = self.stage.emit_table(self.block_ranges)
         self.emitted_runs = table.num_runs
@@ -327,23 +324,20 @@ class ExecutionPlan:
         """The stage plans that stand for more than one stage."""
         return [sp for sp in self.stage_plans if len(sp.members) > 1]
 
-    def coalesced(self) -> Tuple[int, int, int, int, int, int]:
+    def coalesced(self) -> Tuple[int, int, int, int, int, int, int]:
         """``(stages, collapses, runs, largest run, widest union in qubits,
-        runs recomposed)`` of the coalesced runs; ``collapses`` counts the
-        measure / reset members among ``stages``."""
+        runs recomposed, runs reused)`` of the coalesced runs;
+        ``collapses`` counts the measure / reset members among ``stages``,
+        ``reused`` the runs emitted whole from their records."""
         runs = self.runs()
-        drawn = [sp for sp in runs if sp.has_sync]  # composed after their draws
         return (
             sum(len(sp.members) for sp in runs),
-            sum(s.reads_all_blocks() for sp in drawn for s in sp.members),
+            sum(s.reads_all_blocks() for sp in runs if sp.has_sync for s in sp.members),
             len(runs),
             max((len(sp.members) for sp in runs), default=0),
-            max(
-                [len(sp._static_table.ops[0].qubits) for sp in runs if not sp.has_sync]
-                + [len({q for s in sp.members for q in s.qubits}) for sp in drawn],
-                default=0,
-            ),
+            max((len(sp.run.qubits) for sp in runs), default=0),
             sum(sp.recomposed for sp in runs),
+            sum(sp.reused for sp in runs),
         )
 
     def static_runs(self) -> int:

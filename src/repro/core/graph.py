@@ -23,8 +23,10 @@ update) of the paper:
   record (:meth:`PartitionGraph.runs`): within a run each block is held by
   the last member declaring it only, so the state *between* two members is
   not available and a run is recomputed whole or not at all -- the sweep
-  widens to every member as soon as dirt reaches the run, and a modifier
-  landing in a run dissolves the record and marks every member dirty;
+  widens to every member as soon as dirt reaches the run and emits the
+  record's one plan, a retune or re-armed collapse inside a run dirties the
+  run at its head, and an insert inside a run or a removal dissolves the
+  record and marks every member dirty;
 * nodes and edges are a *derived view* of the index, computed on demand for
   statistics, DOT export and tests.
 """
@@ -32,14 +34,15 @@ update) of the paper:
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Set, TextIO, Tuple,
+    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, TextIO,
+    Tuple,
 )
 
-from .blocks import BlockRange
-from .cow import BlockStore
-from .exec_plan import ExecutionPlan, StagePlan
+from .blocks import BlockRange, mask_ranges
+from .cow import BlockStore, RoutedStore
+from .exec_plan import ExecutionPlan, RunTable, StagePlan
 from .partition import PartitionSpec
-from .stage import Stage
+from .stage import Stage, coalesced_table
 
 __all__ = ["PartitionNode", "PartitionGraph", "GraphStats", "StageRun"]
 
@@ -79,13 +82,68 @@ class StageLayout(NamedTuple):
         return len(self.specs) + self.full_read
 
 
-class StageRun(NamedTuple):
-    """Consecutive stages the last update executed as one coalesced run."""
+class StageRun:
+    """Consecutive stages the last update executed as one coalesced run --
+    and, for as long as the record lives, that run's plan.
 
-    #: seq ascending and seq-adjacent for as long as the record lives
-    members: Tuple[Stage, ...]
-    #: union of the members' block covers
-    cover: int
+    The parts a plan of the run needs are derived once per record
+    (:meth:`derive`): the block ranges of the union cover, the affected
+    partitions it counts, the store routing each block to the last member
+    declaring it, and the union of the members' qubits.  A record an update
+    formed gets them from its plan; one a fork mirrors or a checkpoint
+    adopts derives them on first reuse.  The composed table of a run
+    without collapses is kept too, until a member is rebound.
+    """
+
+    __slots__ = (
+        "members", "cover", "ranges", "nodes", "store", "qubits", "has_sync",
+        "table",
+    )
+
+    def __init__(self, members: Tuple[Stage, ...], cover: int) -> None:
+        #: seq ascending and seq-adjacent for as long as the record lives
+        self.members = members
+        #: union of the members' block covers
+        self.cover = cover
+        #: the derived parts; ``store`` is ``None`` until :meth:`derive`
+        self.ranges: List[BlockRange] = []
+        self.nodes = 0
+        self.store: Optional[RoutedStore] = None
+        self.qubits: FrozenSet[int] = frozenset()
+        self.has_sync = False
+        #: the composed table, while no member has been rebound since
+        self.table: Optional[RunTable] = None
+
+    def derive(
+        self, covers: Sequence[int], nodes: int, has_sync: bool, qubits: FrozenSet[int]
+    ) -> "StageRun":
+        """Fill in the plan parts from the members' covers (seq order), their
+        partitions plus sync barriers, whether one of them is a collapse,
+        and the union of their qubits."""
+        owned = [0] * len(covers)
+        unowned = self.cover
+        for i in range(len(covers) - 1, -1, -1):  # the last declarer owns
+            owned[i] = covers[i] & unowned
+            unowned &= ~owned[i]
+            if not unowned:
+                break
+        self.ranges = mask_ranges(self.cover)
+        self.nodes = nodes
+        self.store = RoutedStore([stage.store for stage in self.members], owned)
+        self.qubits = qubits
+        self.has_sync = has_sync
+        return self
+
+    def compose(self) -> Tuple[RunTable, bool]:
+        """The run's table, and whether composing it missed the composite
+        cache.  A run holding collapses composes after every draw, so only
+        the others keep theirs."""
+        if self.table is not None:
+            return self.table, False
+        table, recomposed = coalesced_table(self.members, self.ranges)
+        if not self.has_sync:
+            self.table = table
+        return table, recomposed
 
 
 def _slot(writers: List[Stage], seq: int) -> int:
@@ -167,9 +225,14 @@ class PartitionGraph:
         ]
         #: the coalesced run each member stage was last executed in.  An
         #: earlier member holds nothing of a block a later one declares, so
-        #: no stage of a recorded run carries pending dirt of its own: a
-        #: modifier that lands in a run dissolves the record first.
+        #: no stage of a recorded run but its head carries pending dirt: a
+        #: retune or a re-armed collapse dirties the run at its head, any
+        #: other modifier that lands in a run dissolves the record first.
         self._run_of: Dict[Stage, StageRun] = {}
+        #: every member of a recorded run holds exactly the blocks it owns
+        #: -- false while an update runs: one that raises may have published
+        #: through another grouping, and the next one settles every run
+        self.runs_settled = True
         #: seq-maintenance hooks: fired after a stage enters the global order
         #: (its seq is valid) and after it leaves it.  The simulator binds
         #: and releases per-stage session state there.  Both events renumber
@@ -212,16 +275,19 @@ class PartitionGraph:
     def record_runs(self, plans: Sequence[StagePlan]) -> None:
         """Note how a completed update executed the stages of ``plans``.
 
-        A plan standing for several stages becomes their run record; a stage
-        that ran alone holds every block it declares and is on no record.
-        Either way whatever record the stage was on before is superseded: a
-        run met by an update is re-planned whole.
+        A plan standing for several stages is their run record: a record
+        the update reused stays as it is, a run the update formed replaces
+        whatever records its members were on.  A stage that ran alone holds
+        every block it declares and is on no record.
         """
+        run_of = self._run_of
         for sp in plans:
-            if len(sp.members) > 1:
-                self._enter_run(sp.members, sp.mask)
-            else:
-                self._run_of.pop(sp.stage, None)
+            run = sp.run
+            if run is None:
+                run_of.pop(sp.stage, None)
+            elif not sp.reused:
+                for stage in run.members:
+                    run_of[stage] = run
 
     def adopt_runs(self, spans: Sequence[Sequence[int]]) -> None:
         """Re-enter run records from ``(first seq, member count)`` pairs
@@ -237,9 +303,33 @@ class PartitionGraph:
             self._enter_run(members, cover)
 
     def _enter_run(self, members: Tuple[Stage, ...], cover: int) -> None:
+        """Record a run whose plan parts are derived on first reuse."""
         run = StageRun(members, cover)
         for stage in members:
             self._run_of[stage] = run
+
+    def run_plan(self, run: StageRun) -> StagePlan:
+        """The one plan executing a recorded run whole."""
+        if run.store is None:
+            layouts = [self._layouts[stage.uid] for stage in run.members]
+            run.derive(
+                [layout.cover for layout in layouts],
+                sum(layout.num_nodes for layout in layouts),
+                any(layout.full_read for layout in layouts),
+                frozenset(q for stage in run.members for q in stage.qubits),
+            )
+        return StagePlan.for_run(run)
+
+    def member_plans(self, run: StageRun) -> List[StagePlan]:
+        """One plan per member of a recorded run, each swept whole -- what
+        the sweep emits for a stage it reaches on no record."""
+        plans = []
+        for stage in run.members:
+            specs, _, cover, full_read = self._layouts[stage.uid]
+            plans.append(
+                StagePlan(stage, [spec.block_range for spec in specs], full_read, cover)
+            )
+        return plans
 
     def _dissolve_run(self, stage: Stage) -> None:
         """Forget the run ``stage`` is on record in, if any.
@@ -381,9 +471,20 @@ class PartitionGraph:
         (a matvec member's included), a re-armed collapse.  A matvec stage
         gaining or losing a member changes its layout: it is removed and
         inserted again instead.
+
+        A stage on a run record keeps its record: membership and layout
+        survive, so the run is dirtied at its head (its union cover: the
+        run is recomputed whole) and loses its composed table.  Only the
+        stage itself counts as edited, so a collapse before it in the run
+        replays its outcome.
         """
-        self._dissolve_run(stage)
-        self._mark(stage, self._layouts[stage.uid].cover)
+        run = self._run_of.get(stage)
+        if run is None:
+            self._mark(stage, self._layouts[stage.uid].cover)
+            return
+        self._mark(run.members[0], run.cover, edited=False)
+        self._edited.add(stage)
+        run.table = None
 
     # ------------------------------------------------------------------
     # incremental scoping: the frontier sweep
@@ -405,7 +506,9 @@ class PartitionGraph:
         of the members' covers, every block of that union counts as stale
         and every member is swept whole (which over-approximates the paper's
         set by the members, and their successors, the dirt alone would not
-        have reached).
+        have reached).  Such a run is emitted as the record's one plan
+        (:meth:`run_plan`), and a run the dirt misses is stepped over: no
+        member but the head carries dirt of its own.
 
         The plan's ``redraw_from`` is the seq of the first stage an edit or
         a re-armed trajectory marked (dirt a dissolved run left does not
@@ -429,15 +532,26 @@ class PartitionGraph:
             return ExecutionPlan([])
         layouts = self._layouts
         run_of = self._run_of
+        stages = self._stages
         plans: List[StagePlan] = []
         written = 0
         affected = 0
-        for stage in self._stages[first:]:
+        at, end = first, len(stages)
+        while at < end:
+            stage = stages[at]
+            at += 1
             if stage in pending:
                 dirty |= pending[stage]
             run = run_of.get(stage)
-            if run is not None and run.members[0] is stage and run.cover & dirty:
-                dirty |= run.cover
+            if run is not None and run.members[0] is stage:
+                at += len(run.members) - 1
+                if run.cover & dirty:
+                    plan = self.run_plan(run)
+                    dirty |= run.cover
+                    written |= run.cover
+                    affected += run.nodes
+                    plans.append(plan)
+                continue
             specs, masks, cover, full_read = layouts[stage.uid]
             if not cover & dirty:
                 continue

@@ -44,17 +44,16 @@ from .blocks import (
     MAX_RUN_QUBITS,
     MAX_RUN_STAGES,
     BlockRange,
-    mask_ranges,
     num_blocks,
     validate_block_size,
 )
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import OutcomeRecord
-from .cow import IndexReader, InitialStateStore, MemoryReport, RoutedStore
+from .cow import IndexReader, InitialStateStore, MemoryReport
 from .exceptions import CircuitError, QTaskError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan
 from .gates import Gate
-from .graph import PartitionGraph
+from .graph import PartitionGraph, StageRun
 from .kernels import (
     KernelBackend,
     NumpyBatchBackend,
@@ -70,7 +69,6 @@ from .stage import (
     ResetStage,
     Stage,
     UnitaryStage,
-    coalesced_table,
     draw_collapses,
     gate_action,
     gate_shape,
@@ -121,6 +119,30 @@ def _net_order(stages: Sequence[Stage]) -> List[Stage]:
         keyed.append((key, stage))
     keyed.sort(key=lambda entry: entry[0])
     return [stage for _, stage in keyed]
+
+
+def _coalescable(sp: StagePlan) -> bool:
+    """Whether a stage plan may be a run member: a recorded run's plan, a
+    collapse, or a unitary stage swept whole."""
+    stage = sp.stage
+    return (
+        sp.run is not None
+        or isinstance(stage, (MeasureStage, ResetStage))
+        or (isinstance(stage, UnitaryStage) and sp.mask == stage.partition_layout().cover)
+    )
+
+
+def _joins(first: int, last: int, size: int, qubits, stage: Stage, prefix: int) -> bool:
+    """Whether an open run of ``size`` members at seqs ``first..last`` on
+    ``qubits`` takes in ``stage`` (a member candidate) next: the stage is
+    adjacent, neither cap is passed, and no collapse joins a run starting
+    before the first dynamic stage (``prefix``)."""
+    return (
+        stage.seq == last + 1
+        and size < MAX_RUN_STAGES
+        and len(qubits.union(stage.qubits)) <= MAX_RUN_QUBITS
+        and not (first < prefix and isinstance(stage, (MeasureStage, ResetStage)))
+    )
 
 
 @dataclass
@@ -263,11 +285,10 @@ class QTaskSimulator(CircuitObserver):
         self._closed = False
         self.last_update: UpdateReport = UpdateReport()
         #: ``(first seq, stages swept, stage plans)`` of the last update's
-        #: frontier sweep and the ``(stages, collapses, runs, largest run,
-        #: widest union in qubits, runs recomposed)`` it coalesced, for
-        #: :meth:`explain_last_update`
+        #: frontier sweep and what it coalesced
+        #: (:meth:`ExecutionPlan.coalesced`), for :meth:`explain_last_update`
         self._last_sweep = (0, 0, 0)
-        self._last_coalesced = (0, 0, 0, 0, 0, 0)
+        self._last_coalesced = (0, 0, 0, 0, 0, 0, 0)
         #: completed ``update_state`` calls; with "is anything pending" this
         #: is the state epoch a sweep's fork uses to detect a diverged base
         self._num_updates = 0
@@ -845,7 +866,7 @@ class QTaskSimulator(CircuitObserver):
         prev = tsession.activate(tel)
         try:
             if tel.tracer.enabled:
-                with tel.tracer.span("update") as span:
+                with tel.tracer.span("update", root=True) as span:
                     report = self._update_state_impl()
                     span.set("affected", report.affected_partitions)
                     span.set("block_writes", report.executed_block_writes)
@@ -859,6 +880,8 @@ class QTaskSimulator(CircuitObserver):
 
     def _update_state_impl(self) -> UpdateReport:
         start = time.perf_counter()
+        graph = self._graph
+        settled, graph.runs_settled = graph.runs_settled, False
         plan = self._build_plan()
         report = UpdateReport(
             affected_partitions=plan.affected_partitions,
@@ -881,10 +904,13 @@ class QTaskSimulator(CircuitObserver):
                 self._notify_dirty(dirty)
         # only now: an update that raised keeps its dirt -- and the runs its
         # stages were last executed in -- for the next one
-        self._graph.clear_pending()
+        graph.clear_pending()
         for sp in plan.runs():
-            sp.store.settle()
-        self._graph.record_runs(plan.stage_plans)
+            # a reused record's members already hold exactly what they own
+            if not (sp.reused and settled):
+                sp.store.settle()
+        graph.record_runs(plan.stage_plans)
+        graph.runs_settled = True
         report.elapsed_seconds = time.perf_counter() - start
         self.last_update = report
         self._last_sweep = (plan.first_seq, plan.stages_swept, plan.num_stages)
@@ -912,7 +938,7 @@ class QTaskSimulator(CircuitObserver):
             return self._build_plan_impl()
         with tracer.span("plan.build") as span:
             plan = self._build_plan_impl()
-            coalesced, collapses, runs, _, _, recomposed = plan.coalesced()
+            coalesced, collapses, runs, _, _, recomposed, reused = plan.coalesced()
             span.set("first_seq", plan.first_seq)
             span.set("stages_swept", plan.stages_swept)
             span.set("stages", plan.num_stages)
@@ -920,6 +946,7 @@ class QTaskSimulator(CircuitObserver):
             span.set("coalesced_stages", coalesced)
             span.set("collapses", collapses)
             span.set("runs_recomposed", recomposed)
+            span.set("runs_reused", reused)
             span.set("kernel_runs", plan.static_runs())
         return plan
 
@@ -958,6 +985,12 @@ class QTaskSimulator(CircuitObserver):
         before it hold nothing of its blocks: so no collapse joins a run
         that starts before the first dynamic stage, and the unitary prefix
         every trajectory shares stays cached.
+
+        The sweep emits a recorded run as its record's one plan.  That plan
+        is kept (reused) exactly where this greedy pass would form the same
+        run again: no open group takes its head in, its follower would not
+        join it, and it meets the caps and the collapse rule.  Otherwise the
+        record is expanded into its members' plans and regrouped.
         """
         merged: List[StagePlan] = []
         group: List[StagePlan] = []
@@ -965,57 +998,67 @@ class QTaskSimulator(CircuitObserver):
         prefix = min((s.seq for s in self._dynamic_stages.values()), default=0)
 
         def close() -> None:
-            merged.append(self._run_plan(group) if len(group) > 1 else group[0])
+            merged.append(self._run_plan(group, qubits) if len(group) > 1 else group[0])
             group.clear()
             qubits.clear()
 
-        for sp in plan.stage_plans:
-            stage = sp.stage
-            collapse = isinstance(stage, (MeasureStage, ResetStage))
-            # a collapse is swept whole; a dense or c_if stage plans alone
-            if collapse or (
-                isinstance(stage, UnitaryStage)
-                and sp.mask == stage.partition_layout().cover
-            ):
-                if group and (
-                    stage.seq != group[-1].stage.seq + 1
-                    or len(group) == MAX_RUN_STAGES
-                    or len(qubits.union(stage.qubits)) > MAX_RUN_QUBITS
-                    or (collapse and group[0].stage.seq < prefix)
-                ):
-                    close()
-                group.append(sp)
-                qubits.update(stage.qubits)
-            else:
+        def add(sp: StagePlan) -> None:
+            if group and not _joins(group[0].stage.seq, group[-1].stage.seq,
+                                    len(group), qubits, sp.stage, prefix):
+                close()
+            group.append(sp)
+            qubits.update(sp.stage.qubits)
+
+        plans = plan.stage_plans
+        for k, sp in enumerate(plans):
+            run = sp.run
+            if run is None:
+                if _coalescable(sp):
+                    add(sp)
+                    continue
                 if group:
                     close()
                 merged.append(sp)
+                continue
+            head, size = run.members[0], len(run.members)
+            follower = plans[k + 1] if k + 1 < len(plans) else None
+            if not (
+                (group and _joins(group[0].stage.seq, group[-1].stage.seq,
+                                  len(group), qubits, head, prefix))
+                or size > MAX_RUN_STAGES
+                or len(run.qubits) > MAX_RUN_QUBITS
+                or (run.has_sync and head.seq < prefix)
+                or (
+                    follower is not None
+                    and _coalescable(follower)
+                    and _joins(head.seq, run.members[-1].seq, size, run.qubits,
+                               follower.stage, prefix)
+                )
+            ):
+                if group:
+                    close()
+                sp.reused = True
+                merged.append(sp)
+                continue
+            for member in self._graph.member_plans(run):
+                add(member)
         if group:
             close()
         plan.stage_plans = merged
 
     @staticmethod
-    def _run_plan(group: Sequence[StagePlan]) -> StagePlan:
-        """The one plan executing ``group``; decides who owns which block."""
-        cover = 0
+    def _run_plan(group: Sequence[StagePlan], qubits) -> StagePlan:
+        """The one plan executing ``group`` (on ``qubits``), and the run's
+        new record."""
+        cover = nodes = 0
+        has_sync = False
         for sp in group:
             cover |= sp.mask
-        owned = [0] * len(group)
-        unowned = cover
-        for i in range(len(group) - 1, -1, -1):  # the last declarer owns
-            owned[i] = group[i].mask & unowned
-            unowned &= ~owned[i]
-            if not unowned:
-                break
-        members = [sp.stage for sp in group]
-        ranges = mask_ranges(cover)
+            nodes += len(sp.block_ranges) + sp.has_sync
+            has_sync |= sp.has_sync
+        run = StageRun(tuple(sp.stage for sp in group), cover)
         return StagePlan.for_run(
-            members,
-            ranges,
-            cover,
-            lambda: coalesced_table(members, ranges),
-            RoutedStore([stage.store for stage in members], owned),
-            any(sp.has_sync for sp in group),
+            run.derive([sp.mask for sp in group], nodes, has_sync, frozenset(qubits))
         )
 
     def _execute_with_recovery(self, plan: ExecutionPlan) -> int:
@@ -1423,9 +1466,10 @@ class QTaskSimulator(CircuitObserver):
         sweep looked at
         ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
         and the affected stages became ``N`` stage plans) and what it
-        coalesced ("coalesced N stages (C collapses) into R runs (M
-        recomposed, ...)": C of the N are measure / reset members, M of the
-        runs were not in the composite cache and were composed for this
+        coalesced ("coalesced N stages (C collapses) into R runs (K reused,
+        M recomposed, ...)": C of the N are measure / reset members, K of
+        the runs were emitted whole from their records, M were not in the
+        composite cache and were composed for this
         plan) -- the ``plan.build`` span's numbers, except that a run
         holding collapses composes after its draws, so only this report
         counts it in M --, the plan
@@ -1434,7 +1478,9 @@ class QTaskSimulator(CircuitObserver):
         trajectory rollbacks) that fired during the update.
         """
         report = self.last_update
-        coalesced, collapses, runs, largest, widest, recomposed = self._last_coalesced
+        coalesced, collapses, runs, largest, widest, recomposed, reused = (
+            self._last_coalesced
+        )
         inserted, wired, nets, removed, retuned = self._last_wired
         lines = [
             f"update #{self._num_updates - 1}"
@@ -1457,7 +1503,7 @@ class QTaskSimulator(CircuitObserver):
             ),
             f"  coalesced {coalesced} stages ({collapses} collapses) into {runs} runs"
             + (
-                f" ({recomposed} recomposed, largest {largest},"
+                f" ({reused} reused, {recomposed} recomposed, largest {largest},"
                 f" union <= {widest} qubits)"
                 if runs
                 else ""

@@ -538,6 +538,7 @@ class Backend:
             with tracer.span(
                 "job.run",
                 {"job": job.job_id, "tenant": request.tenant, "key": request.key},
+                root=True,
             ):
                 with tracer.span("service.lease", {"key": request.key}) as span:
                     base, hit = self.pool.pin(request.key, warmed_factory)

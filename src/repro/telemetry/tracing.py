@@ -7,7 +7,9 @@ explicit via :meth:`Tracer.attach`/:meth:`Tracer.detach` (the executor
 threads a ``(telemetry, parent_span_id)`` tuple on task closures and
 attaches it inside ``_guarded``).  A span timed outside any ``with`` block
 (the checkpoint restore, whose tracer does not exist when it starts) is
-recorded by value with :meth:`Tracer.adopt`.
+recorded by value with :meth:`Tracer.adopt`.  A *root* span (``update``,
+``job.run``) also reports the time none of its direct children covers, as
+attr ``unattributed_s``.
 
 The disabled path is a single attribute check returning a module-level
 null span -- no allocation, no branches downstream.  Enabled spans land in
@@ -114,16 +116,20 @@ class Span:
     set via :meth:`set` are carried onto the record.
     """
 
-    __slots__ = ("_tracer", "name", "span_id", "_parent_id", "_start", "attrs")
+    __slots__ = (
+        "_tracer", "name", "span_id", "_parent_id", "_start", "attrs", "_root",
+    )
 
     def __init__(self, tracer: "Tracer", name: str,
-                 attrs: Optional[Dict[str, Any]] = None) -> None:
+                 attrs: Optional[Dict[str, Any]] = None,
+                 root: bool = False) -> None:
         self._tracer = tracer
         self.name = name
         self.span_id = next(tracer._ids)
         self._parent_id: Optional[int] = None
         self._start = 0.0
         self.attrs = attrs
+        self._root = root
 
     def set(self, key: str, value: Any) -> None:
         if self.attrs is None:
@@ -134,6 +140,8 @@ class Span:
         tls = self._tracer._tls
         self._parent_id = getattr(tls, "span", None)
         tls.span = self.span_id
+        if self._root:
+            self._tracer._open_root(self.span_id)
         self._start = perf_counter()
         return self
 
@@ -142,6 +150,11 @@ class Span:
         self._tracer._tls.span = self._parent_id
         if exc_type is not None:
             self.set("error", exc_type.__name__)
+        if self._root:
+            self.set(
+                "unattributed_s",
+                self._tracer._unattributed(self.span_id, self._start, duration),
+            )
         thread = threading.current_thread()
         self._tracer._record(
             SpanRecord(
@@ -169,20 +182,48 @@ class Tracer:
         self._tls = threading.local()
         self._spans: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
+        #: open root spans: span id -> its direct children's intervals
+        self._children: Dict[int, List[Tuple[float, float]]] = {}
 
     # -- span lifecycle ------------------------------------------------------
 
-    def span(self, name: str, attrs: Optional[Dict[str, Any]] = None):
-        """A context-managed span, or the shared null span when disabled."""
+    def span(self, name: str, attrs: Optional[Dict[str, Any]] = None, *,
+             root: bool = False):
+        """A context-managed span, or the shared null span when disabled.
+
+        A ``root`` span reports, as attr ``unattributed_s``, its duration
+        minus the union of its direct children's intervals (children
+        recorded on any thread): the time no nested span accounts for.
+        """
         if not self.enabled:
             return NULL_SPAN
-        return Span(self, name, attrs)
+        return Span(self, name, attrs, root)
 
     def _record(self, record: SpanRecord) -> None:
         with self._lock:
             if len(self._spans) == self.capacity:
                 self.dropped += 1
             self._spans.append(record)
+            siblings = self._children.get(record.parent_id)
+            if siblings is not None:
+                siblings.append((record.start, record.start + record.duration))
+
+    def _open_root(self, span_id: int) -> None:
+        with self._lock:
+            self._children[span_id] = []
+
+    def _unattributed(self, span_id: int, start: float, duration: float) -> float:
+        """``duration`` minus the union of the closed root span's children."""
+        with self._lock:
+            intervals = sorted(self._children.pop(span_id))
+        end = start + duration
+        covered, reach = 0.0, start
+        for lo, hi in intervals:
+            lo, hi = max(lo, reach), min(hi, end)
+            if hi > lo:
+                covered += hi - lo
+                reach = hi
+        return max(0.0, duration - covered)
 
     # -- cross-thread propagation -------------------------------------------
 

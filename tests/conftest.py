@@ -14,7 +14,7 @@ import pytest
 
 from repro import QTask
 from repro.core import faults
-from repro.core.blocks import BlockRange
+from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.exec_plan import PlanOp, RunSpec, RunTable
@@ -23,7 +23,9 @@ from repro.core.graph import PartitionGraph
 from repro.core.kernels import KernelBackend
 from repro.core.partition import PartitionSpec, layout_of
 from repro.core.simulator import QTaskSimulator
-from repro.core.stage import MeasureStage, ResetStage, Stage, UnitaryStage
+from repro.core.stage import (
+    DynamicStage, MeasureStage, ResetStage, Stage, UnitaryStage,
+)
 
 # ---------------------------------------------------------------------------
 # chaos mode: QTASK_FAULT_P=<p> runs the whole suite under an armed fault
@@ -488,9 +490,9 @@ class FrontierOracle:
     belongs to the run with its partitions); the widening rule itself is
     applied from outside:
 
-    * a run a modifier landed in (a member removed or rebound, a new stage
-      strictly between two members) is dissolved, and every surviving
-      member is seeded whole;
+    * a run a modifier landed in (a member removed or laid out anew, a new
+      stage strictly between two members) is dissolved, and every surviving
+      member is seeded whole; a rebound member (a retune) keeps its run;
     * a run the closure reaches at all (any member partition) is affected
       whole: every member partition is seeded and the closure taken again,
       until nothing grows.
@@ -557,13 +559,11 @@ class FrontierOracle:
                             )
                             break
         # new stages, and stages whose gates were rebound
-        rebound = set()
         for stage, gates, ranges, _ in now:
             seen = before.get(stage)
             if seen is None or len(seen[1]) != len(gates) or any(
                 a is not b for a, b in zip(seen[1], gates)
             ):
-                rebound.add(stage)
                 self.seeds.update((stage, r, False) for r in ranges)
         # runs a modifier landed in: every surviving member, whole
         ranges_of = {stage: ranges for stage, _, ranges, _ in now}
@@ -578,11 +578,7 @@ class FrontierOracle:
         intact = []
         for members in self.runs:
             at = [alive.get(stage) for stage in members]
-            if (
-                None in at
-                or at != list(range(at[0], at[0] + len(at)))
-                or rebound.intersection(members)
-            ):
+            if None in at or at != list(range(at[0], at[0] + len(at))):
                 self.seeds.update(
                     node
                     for stage in members if stage in alive
@@ -614,6 +610,55 @@ class FrontierOracle:
             if grown:
                 reached = closest_writer_reachability(stages, seeds)
         return reached
+
+
+def greedy_runs(session, nodes) -> list:
+    """The member tuples an update executing ``nodes`` plans, by the
+    coalescing rule applied from scratch.
+
+    ``nodes`` are the affected ``(seq, range, is_sync)`` (a
+    :class:`FrontierOracle`'s answer).  Walking the affected stages in seq
+    order, a measure / reset or a unitary stage with every node affected
+    joins the open group when it is the next seq, the group has fewer than
+    ``MAX_RUN_STAGES`` members, the union of their qubits stays within
+    ``MAX_RUN_QUBITS``, and -- for a collapse -- the group does not start
+    before the first dynamic stage; otherwise it opens a new group.  Any
+    other stage plans alone, and so does every stage in dense mode.
+    """
+    sim = session.simulator
+    stages = sim.graph.stages
+    affected: dict = {}
+    for seq, _, _ in nodes:
+        affected[seq] = affected.get(seq, 0) + 1
+    prefix = min(
+        (s.seq for s in stages if isinstance(s, DynamicStage)), default=0
+    )
+    groups: list = []
+    open_group: list = []
+    qubits: set = set()
+    for seq in sorted(affected):
+        stage = stages[seq]
+        collapse = isinstance(stage, (MeasureStage, ResetStage))
+        whole = affected[seq] == len(stage.partition_specs()) + collapse
+        if not sim.copy_on_write or not (
+            collapse or (isinstance(stage, UnitaryStage) and whole)
+        ):
+            open_group = []
+            groups.append((stage,))
+            continue
+        if not (
+            open_group
+            and seq == open_group[-1].seq + 1
+            and len(open_group) < MAX_RUN_STAGES
+            and len(qubits.union(stage.qubits)) <= MAX_RUN_QUBITS
+            and not (collapse and open_group[0].seq < prefix)
+        ):
+            open_group = []
+            qubits = set()
+            groups.append(open_group)
+        open_group.append(stage)
+        qubits.update(stage.qubits)
+    return [tuple(group) for group in groups]
 
 
 def session_handles(session):

@@ -15,6 +15,8 @@ inline scripts.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from repro.baselines import QulacsLikeSimulator
 from repro.circuits import build_levels
 from repro.core import faults
 from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES
+from repro.core.classical import OutcomeRecord
 from repro.core.exceptions import CheckpointError
 from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.gates import composed_runs
 
 from ..conftest import (
     FrontierOracle,
@@ -34,6 +38,7 @@ from ..conftest import (
     dense_state,
     swept_nodes,
 )
+from ..machine import update_and_check_planned_sources
 from .test_snapshot import _rewrite_header
 
 
@@ -156,21 +161,24 @@ def test_insert_inside_a_run_widens_and_insert_next_to_it_does_not():
 
 
 def test_retuning_one_member_recomputes_the_run():
-    """Mutation: ``touch_stage`` marks the stage without dissolving its run
-    -> the retuned member reads an input its predecessor never published."""
+    """Mutation: ``touch_stage`` marks the retuned stage instead of the run's
+    union cover at its head -> the sweep starts inside the run, and the
+    retuned member reads an input its predecessor never published."""
     session, handles = built(RUN_OF_FOUR)
     with session:
         session.update_state()
         oracle = FrontierOracle(session)
+        (record,) = session.simulator.graph.runs()
         session.update_gate(handles[-2], 1.9)  # cp(2,4): third member of four
         pending = run_lengths(session), affected_stages(session)
         swept, expected = swept_nodes(session), oracle.expected()
         report = session.update_state()
         assert_computed(session)
-        assert pending == ([], [1, 2, 3, 4]) and swept == expected
+        # the retune keeps the record: the run is re-planned whole from it
+        assert pending == ([4], [1, 2, 3, 4]) and swept == expected
         graph = session.simulator.graph  # all but the H stage's partition
         assert report.affected_partitions == graph.num_nodes() - 1
-        assert run_lengths(session) == [4]
+        assert graph.runs() == [record]
 
 
 def test_dirt_that_misses_the_head_still_reaches_the_run():
@@ -245,10 +253,11 @@ def test_fork_inherits_the_run_records_on_both_sides():
         with parent.fork() as child:
             inherited = run_lengths(child)
             child.update_gate(child.simulator.forked_gate_map[handles[-2].uid], 0.1)
-            dissolved = run_lengths(child), run_lengths(parent)
+            retuned = run_lengths(child), run_lengths(parent)
             child.update_state()
             assert_computed(child)
-            assert inherited == [4] and dissolved == ([], [4])
+            # (a retune keeps the record it lands in)
+            assert inherited == [4] and retuned == ([4], [4])
             assert child.simulator.graph.runs()[0].members == tuple(
                 child.simulator.graph.stages[1:]
             )
@@ -417,8 +426,9 @@ def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
         # planned before; the span and the explanation count the same lookups
         assert 0 <= span["runs_recomposed"] <= 13
         assert (
-            f"coalesced 348 stages (0 collapses) into 13 runs ({span['runs_recomposed']}"
-            f" recomposed, largest {largest}, union <= {widest} qubits)"
+            f"coalesced 348 stages (0 collapses) into 13 runs (0 reused,"
+            f" {span['runs_recomposed']} recomposed, largest {largest},"
+            f" union <= {widest} qubits)"
         ) in session.explain_last_update()
         # member partitions are still what "affected" counts; block writes
         # are what was published: each run's union cover, once
@@ -472,3 +482,235 @@ def test_numpy_backend_batches_every_run_of_a_qft(no_plan):
         stats = session.statistics()
         assert stats["runs_batched"] > 0 and stats["stages_coalesced"] > 0
         assert stats["backend_fallbacks"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a run record is its own plan: reused where the greedy pass would form it
+# ---------------------------------------------------------------------------
+
+
+def reused(session):
+    """``(runs, reused)`` of the last update, as the session explains it."""
+    found = re.search(
+        r"into (\d+) runs(?: \((\d+) reused)?", session.explain_last_update()
+    )
+    return int(found.group(1)), int(found.group(2) or 0)
+
+
+def run_spans(session):
+    return [(run.members[0].seq, len(run.members)) for run in session.simulator.graph.runs()]
+
+
+def test_removing_a_gate_regroups_only_its_record():
+    """(a) Every other record the dirt reaches is emitted as it is (the same
+    object), and the records equal a fresh session's."""
+    session, levels, nets, handles = qft_session(8)
+    with session:
+        session.update_state()
+        graph = session.simulator.graph
+        records = graph.runs()
+        oracle = FrontierOracle(session)
+        first = records[0]
+        stage = first.members[len(first.members) // 2]
+        (handle,) = [
+            h for level in handles for h in level
+            if session.simulator._gate_stage[h.uid] is stage
+        ]
+        session.remove_gate(handle)
+        update_and_check_planned_sources(session, oracle)
+        assert_computed(session)
+        assert reused(session) == (len(records), len(records) - 1)
+        assert graph.runs()[1:] == records[1:]
+        fresh = QTask(session.num_qubits, num_workers=1)
+        with fresh:
+            for net in session.nets():
+                fresh_net = fresh.insert_net()
+                for h in net.gates:
+                    fresh.insert_gate(h.gate, fresh_net)
+            fresh.update_state()
+            assert run_spans(fresh) == run_spans(session)
+
+
+def test_a_stage_the_open_group_takes_in_expands_the_record():
+    """(b) Mutation: emit a record whole whatever group is open before its
+    head -> the new stage plans alone, the update's runs are not the rule's."""
+    session, handles = built(RUN_OF_FOUR)
+    with session:
+        session.update_state()
+        (record,) = session.simulator.graph.runs()
+        oracle = FrontierOracle(session)
+        # a diagonal right before the head, swept whole: it opens the group
+        session.insert_gate("z", session.insert_net(session.nets()[0]), 1)
+        plan = update_and_check_planned_sources(session, oracle)
+        assert_computed(session)
+        assert [len(sp.members) for sp in plan.stage_plans] == [5]
+        assert reused(session) == (1, 0) and run_lengths(session) == [5]
+        assert session.simulator.graph.runs() != [record]
+
+
+def test_a_follower_that_would_join_expands_the_record():
+    """Mutation: emit a record whole whatever plan follows it -> a stage that
+    ran alone behind the tail, swept whole now, is left out of the run."""
+    session, handles = built(RUN_OF_FOUR + [hadamards(1)])
+    with session:
+        session.update_state()
+        session.insert_gate("z", session.insert_net(session.nets()[4]), 3)
+        session.update_state()  # the z alone: the dirt starts behind the run
+        assert run_lengths(session) == [4]
+        oracle = FrontierOracle(session)
+        session.update_gate(handles[-3], 1.9)  # the cp
+        plan = update_and_check_planned_sources(session, oracle)
+        assert_computed(session)
+        assert [len(sp.members) for sp in plan.stage_plans] == [5, 1]
+        assert reused(session) == (1, 0) and run_lengths(session) == [5]
+
+
+def test_a_collapse_run_behind_the_new_first_dynamic_stage_expands():
+    """Mutation: drop the collapse rule from the reuse test -> removing the
+    ``c_if`` in front of a record makes its measure the first dynamic stage,
+    but the record starting before it is emitted whole."""
+    session = QTask(3, num_clbits=1, block_size=2, num_workers=1, seed=2)
+    with session:
+        net = session.insert_net()
+        for q in range(3):
+            session.insert_gate("h", net, q)
+        c_if = session.c_if("x", session.insert_net(), 1, condition=((0,), 1))
+        session.insert_gate("rz", session.insert_net(), 2, params=(0.3,))
+        session.measure(session.insert_net(), 0, 0)
+        session.insert_gate("cx", session.insert_net(), 1, 2)
+        session.update_state()
+        assert run_lengths(session) == [3]
+        oracle = FrontierOracle(session)
+        session.remove_gate(c_if)
+        update_and_check_planned_sources(session, oracle)
+        assert_computed(session)
+        # the rz alone, then the measure and the cx
+        assert run_spans(session) == [(2, 2)] and reused(session) == (1, 0)
+
+
+def test_a_record_reused_after_a_failed_regroup_is_settled(no_plan):
+    """Mutation: a reused record's stores are never settled -> the copy the
+    failed update's other grouping published stays behind in a member that
+    owns nothing of it."""
+    session = QTask(3, num_clbits=1, block_size=2, num_workers=1, seed=2)
+    with session:
+        net = session.insert_net()
+        for q in range(3):
+            session.insert_gate("h", net, q)
+        c_if = session.c_if("x", session.insert_net(), 1, condition=((0,), 1))
+        session.insert_gate("rz", session.insert_net(), 2, params=(0.3,))
+        session.measure(session.insert_net(), 0, 0)
+        session.insert_gate("cx", session.insert_net(), 1, 2)
+        session.update_state()
+        (record,) = session.simulator.graph.runs()
+        rz = record.members[0]
+        assert rz.store.stored_blocks() == ()
+        # the rz plans alone and publishes, then every later publish fails
+        session.remove_gate(c_if)
+        faults.install(FaultPlan(script=[("cow.publish", i) for i in range(2, 400)]))
+        try:
+            with pytest.raises(FaultInjected):
+                session.update_state()
+        finally:
+            faults.install(None)
+        assert rz.store.stored_blocks() and session.simulator.graph.runs() == [record]
+        # the c_if back in front: the record is emitted whole again
+        session.c_if("x", session.insert_net(session.nets()[0]), 1, condition=((0,), 1))
+        session.update_state()
+        assert_computed(session)
+        assert reused(session) == (1, 1) and rz.store.stored_blocks() == ()
+
+
+def streams(session):
+    """Every keyed stream's position: what a draw would move."""
+    return session.outcomes.snapshot()[2]
+
+
+def collapse_record(seed=3, **knobs):
+    """H on three qubits, then one run: measure q0, rz q1, cp(1, 2), rz q2."""
+    session = QTask(3, num_clbits=1, block_size=2, num_workers=1, seed=seed, **knobs)
+    net = session.insert_net()
+    for q in range(3):
+        session.insert_gate("h", net, q)
+    session.measure(session.insert_net(), 0, 0)
+    session.insert_gate("rz", session.insert_net(), 1, params=(0.4,))
+    cp = session.insert_gate("cp", session.insert_net(), 1, 2, params=(0.7,))
+    session.insert_gate("rz", session.insert_net(), 2, params=(0.9,))
+    return session, cp
+
+
+def test_a_retune_keeps_its_record_and_the_earlier_measure(monkeypatch):
+    """(c) The retuned run is the same record, recomposed once, and the
+    measure before the retuned member replays: same outcome, no new stream
+    and no draw.  Mutation: ``touch_stage`` counts the head as edited -> the
+    measure draws again."""
+    composed_runs.clear()
+    session, cp = collapse_record()
+    with session:
+        session.update_state()
+        (record,) = session.simulator.graph.runs()
+        assert len(record.members) == 4
+        (op,) = [p[0] for p in session.simulator.collapse_path()]
+        outcome, position = session.outcomes.outcome_of(op), streams(session)[op]
+        keyed = []
+        stream = OutcomeRecord.keyed_stream
+        monkeypatch.setattr(
+            OutcomeRecord, "keyed_stream",
+            staticmethod(lambda s, k: keyed.append(k) or stream(s, k)),
+        )
+        session.update_gate(cp, 1.3)
+        session.update_state()
+        assert_computed(session)
+        assert session.simulator.graph.runs() == [record]
+        assert "(1 reused, 1 recomposed," in session.explain_last_update()
+        assert session.outcomes.outcome_of(op) == outcome and keyed == []
+        assert streams(session)[op] == position
+
+
+def test_forks_and_restored_sessions_reuse_their_records(tmp_path):
+    """(d) A mirrored and an adopted record derive their plan parts on first
+    reuse and land where the session they came from lands."""
+    path = str(tmp_path / "record.qtckpt")
+    session, cp = collapse_record()
+    with session:
+        session.update_state()
+        session.checkpoint(path)
+        with session.fork() as child:
+            child.update_gate(child.simulator.forked_gate_map[cp.uid], 1.3)
+            child.update_state()
+            assert_computed(child)
+            assert reused(child) == (1, 1)
+            session.update_gate(cp, 1.3)
+            session.update_state()
+            np.testing.assert_array_equal(child.state(), session.state())
+            assert child.simulator.collapse_path() == session.simulator.collapse_path()
+        with QTask.restore(path, num_workers=1) as restored:
+            tuned = [h for h in restored.circuit.gates() if h.gate.name == "cp"]
+            restored.update_gate(tuned[0], 1.3)
+            restored.update_state()
+            assert_computed(restored)
+            assert reused(restored) == (1, 1)
+            np.testing.assert_allclose(restored.state(), session.state(), atol=1e-12)
+            assert (
+                restored.simulator.collapse_path() == session.simulator.collapse_path()
+            )
+
+
+@pytest.mark.parametrize("site", ["executor.task", "kernel.run", "cow.publish"])
+def test_a_fault_inside_a_reused_run_leaves_the_record(site, no_plan):
+    """(e) Recovery re-executes the reused run; state and record survive."""
+    session, handles = built(RUN_OF_FOUR)
+    with session:
+        session.update_state()
+        (record,) = session.simulator.graph.runs()
+        session.update_gate(handles[-2], 1.9)
+        plan = FaultPlan(script=[(site, 1)])
+        faults.install(plan)
+        try:
+            session.update_state()
+        finally:
+            faults.install(None)
+        assert plan.total_injected() == 1
+        assert_computed(session)
+        assert session.simulator.graph.runs() == [record]
+        assert reused(session) == (1, 1)

@@ -241,7 +241,8 @@ def test_nothing_is_composed_before_a_run_is_planned():
 def coalesced(session):
     """``(runs, recomposed)`` of the last update, as the session explains it."""
     found = re.search(
-        r"coalesced \d+ stages \(\d+ collapses\) into (\d+) runs(?: \((\d+) recomposed)?",
+        r"coalesced \d+ stages \(\d+ collapses\) into (\d+) runs"
+        r"(?: \(\d+ reused, (\d+) recomposed)?",
         session.explain_last_update(),
     )
     return int(found.group(1)), int(found.group(2) or 0)

@@ -75,6 +75,7 @@ from .conftest import (
     assert_held_blocks_declared,
     assert_runs_are_consistent,
     dense_state,
+    greedy_runs,
     newest_holder,
     random_gate,
     replay_trajectories,
@@ -315,11 +316,14 @@ def assert_reads_equal_the_scan(sim, *, every_view=True):
         assert sim.amplitude(basis) == chain.read_range(basis, basis)[0]
 
 
-def update_and_check_planned_sources(session):
+def update_and_check_planned_sources(session, oracle=None):
     """Run the pending update, look at the plan it executed (the last one it
     built: a recovery re-plans), and compare every planned source with the
-    scan over the updated stores."""
+    scan over the updated stores -- and, given the session's
+    :class:`FrontierOracle`, its runs with the coalescing rule applied from
+    scratch to what the oracle says is affected."""
     sim = session.simulator
+    runs = None if oracle is None else greedy_runs(session, oracle.expected())
     built = []
     build = sim._build_plan
     sim._build_plan = lambda: built.append(build()) or built[-1]
@@ -328,6 +332,7 @@ def update_and_check_planned_sources(session):
     finally:
         del sim._build_plan  # the instance attribute shadowing the method
     plan = built[-1]
+    assert runs is None or [sp.members for sp in plan.stage_plans] == runs
     member_stores = [{m.store for m in sp.members} for sp in plan.stage_plans]
     for succ, sp in enumerate(plan.stage_plans):
         declared = {b for r in sp.block_ranges for b in r}
@@ -466,7 +471,7 @@ class SessionMachine(RuleBasedStateMachine):
             self.observables = [first, self._sharing(first, rng)]
             self.asked = True
         assert swept_nodes(session) == self.oracles[session].expected()
-        update_and_check_planned_sources(session)
+        update_and_check_planned_sources(session, self.oracles[session])
         return session
 
     # -- circuit edits ------------------------------------------------------
@@ -578,7 +583,7 @@ class SessionMachine(RuleBasedStateMachine):
     @rule(session=sessions)
     def update_state(self, session):
         """The update's planned sources and every as-of view are the scan's."""
-        update_and_check_planned_sources(session)
+        update_and_check_planned_sources(session, self.oracles[session])
         assert_reads_equal_the_scan(session.simulator)
         self.touched.add(session)
 

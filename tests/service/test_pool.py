@@ -130,7 +130,9 @@ def test_failed_warm_update_closes_the_base_and_the_next_lease_rebuilds(no_plan)
         pool.close()
 
 
-def test_max_sessions_evicts_lru():
+def test_max_sessions_evicts_lru(no_plan):
+    """(Eviction takes the most unstable base first: an injected fault on a
+    later build would outrank age, so no plan surrounds this one.)"""
     pool = SessionPool(max_sessions=2)
     try:
         for key in ("a", "b", "c"):

@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.circuits import build_levels
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
@@ -160,7 +161,8 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         explained = sim.explain_last_update()
         assert "swept stages 0..13, planned 2" in explained
         assert re.search(
-            r"coalesced 12 stages \(0 collapses\) into 1 runs \([01] recomposed, largest 12,"
+            r"coalesced 12 stages \(0 collapses\) into 1 runs \(0 reused, [01] recomposed,"
+            r" largest 12,"
             r" union <= 3 qubits\)",
             explained,
         )
@@ -173,6 +175,8 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         ]
         assert (full["first_seq"], full["stages_swept"], full["stages"]) == (0, 13, 2)
         assert (full["runs"], full["coalesced_stages"], full["collapses"]) == (1, 12, 0)
+        # the retune kept the run's record: it is emitted whole, reused
+        assert (full["runs_reused"], retune["runs_reused"]) == (0, 1)
         # the retune landed in the run: the sweep starts at the run's first
         # member (seq 1), not at the retuned stage, and re-plans the run whole
         assert seq > 1 and retune["first_seq"] == 1
@@ -190,6 +194,76 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         assert "coalesced 12 stages (0 collapses) into 1 runs" in explained
     finally:
         sim.close()
+
+
+def test_plan_build_counts_the_records_it_reused():
+    """12q QFT: removing a gate from the middle of the first run record
+    dissolves that record alone; every later one the dirt reaches is
+    emitted whole from its record."""
+    n, levels = build_levels("qft", num_qubits=12)
+    with QTask(n, num_workers=1, tracing=True) as session:
+        handles = []
+        for level in levels:
+            net = session.insert_net()
+            handles += [session.insert_gate(g, net) for g in level]
+        session.update_state()
+        sim = session.simulator
+        records = sim.graph.runs()
+        first = records[0]
+        middle = first.members[len(first.members) // 2]
+        (handle,) = [h for h in handles if sim._gate_stage[h.uid] is middle]
+        session.remove_gate(handle)
+        session.update_state()
+        build = [r for r in session.telemetry.tracer.spans() if r.name == "plan.build"]
+        assert [r.attrs["runs_reused"] for r in build] == [0, len(records) - 1]
+        assert f"({len(records) - 1} reused," in session.explain_last_update()
+        assert sim.graph.runs()[1:] == records[1:]
+
+
+def covered(children, start, end):
+    """The length of the union of ``children``'s intervals within
+    ``[start, end]``, by sweeping every interval boundary."""
+    cuts = sorted({start, end} | {
+        t for r in children for t in (r.start, r.start + r.duration)
+        if start <= t <= end
+    })
+    return sum(
+        b - a for a, b in zip(cuts, cuts[1:])
+        if any(r.start <= a and b <= r.start + r.duration for r in children)
+    )
+
+
+def assert_unattributed(spans, root):
+    children = [r for r in spans if r.parent_id == root.span_id]
+    assert children
+    want = root.duration - covered(children, root.start, root.start + root.duration)
+    assert root.attrs["unattributed_s"] >= 0
+    assert abs(root.attrs["unattributed_s"] - max(0.0, want)) < 1e-9
+
+
+def test_update_and_job_spans_report_their_unattributed_time():
+    """``unattributed_s`` on ``update`` and ``job.run``: the span's duration
+    minus the union of its direct children, worker-thread children
+    included."""
+    from repro.service import Backend
+
+    ckt, sim = build_cascade(6, 40, block_size=4, num_workers=2, tracing=True)
+    try:
+        sim.update_state()
+        spans = sim.telemetry.tracer.spans()
+        (update,) = [r for r in spans if r.name == "update"]
+        assert_unattributed(spans, update)
+        assert "unattributed_s" not in (
+            next(r for r in spans if r.name == "plan.build").attrs
+        )
+    finally:
+        sim.close()
+    text = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\n"
+    with Backend({"max_concurrent_jobs": 1}, num_workers=1, tracing=True) as be:
+        be.run(text, shots=8, seed=1).result(timeout=60)
+        spans = be.telemetry.tracer.spans()
+    (job,) = [r for r in spans if r.name == "job.run"]
+    assert_unattributed(spans, job)
 
 
 def test_plan_build_counts_the_collapses_it_coalesced():
