@@ -38,11 +38,13 @@ from typing import (
     Tuple,
 )
 
-from .blocks import BlockRange, mask_ranges
+from .blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange, mask_ranges
 from .cow import BlockStore, RoutedStore
 from .exec_plan import ExecutionPlan, RunTable, StagePlan
 from .partition import PartitionSpec
-from .stage import Stage, coalesced_table
+from .stage import (
+    DynamicStage, MeasureStage, ResetStage, Stage, UnitaryStage, coalesced_table,
+)
 
 __all__ = ["PartitionNode", "PartitionGraph", "GraphStats", "StageRun"]
 
@@ -86,12 +88,12 @@ class StageRun:
     """Consecutive stages the last update executed as one coalesced run --
     and, for as long as the record lives, that run's plan.
 
-    The parts a plan of the run needs are derived once per record
-    (:meth:`derive`): the block ranges of the union cover, the affected
-    partitions it counts, the store routing each block to the last member
-    declaring it, and the union of the members' qubits.  A record an update
-    formed gets them from its plan; one a fork mirrors or a checkpoint
-    adopts derives them on first reuse.  The composed table of a run
+    The parts a plan of the run needs are derived once per record, from
+    the members' layouts (:meth:`derive`): the block ranges of the union
+    cover, the affected partitions it counts, the store routing each block
+    to the last member declaring it, and the union of the members' qubits.
+    A record an update formed derives them for its plan; one a fork mirrors
+    or a checkpoint adopts, on first reuse.  The composed table of a run
     without collapses is kept too, until a member is rebound.
     """
 
@@ -114,24 +116,16 @@ class StageRun:
         #: the composed table, while no member has been rebound since
         self.table: Optional[RunTable] = None
 
-    def derive(
-        self, covers: Sequence[int], nodes: int, has_sync: bool, qubits: FrozenSet[int]
-    ) -> "StageRun":
-        """Fill in the plan parts from the members' covers (seq order), their
-        partitions plus sync barriers, whether one of them is a collapse,
-        and the union of their qubits."""
-        owned = [0] * len(covers)
-        unowned = self.cover
-        for i in range(len(covers) - 1, -1, -1):  # the last declarer owns
-            owned[i] = covers[i] & unowned
-            unowned &= ~owned[i]
-            if not unowned:
-                break
+    def derive(self, layouts: Sequence[StageLayout]) -> "StageRun":
+        """Fill in the plan parts from the members' layouts (seq order)."""
         self.ranges = mask_ranges(self.cover)
-        self.nodes = nodes
-        self.store = RoutedStore([stage.store for stage in self.members], owned)
-        self.qubits = qubits
-        self.has_sync = has_sync
+        self.nodes = sum(layout.num_nodes for layout in layouts)
+        self.store = RoutedStore(
+            [stage.store for stage in self.members],
+            _owned_masks([layout.cover for layout in layouts], self.cover),
+        )
+        self.qubits = frozenset(q for stage in self.members for q in stage.qubits)
+        self.has_sync = any(layout.full_read for layout in layouts)
         return self
 
     def compose(self) -> Tuple[RunTable, bool]:
@@ -144,6 +138,18 @@ class StageRun:
         if not self.has_sync:
             self.table = table
         return table, recomposed
+
+
+def _owned_masks(covers: Sequence[int], union: int) -> List[int]:
+    """What each of a run's members owns of the run's ``union`` cover, given
+    their ``covers`` in seq order: the blocks it is the last to declare."""
+    owned = [0] * len(covers)
+    for i in range(len(covers) - 1, -1, -1):
+        owned[i] = covers[i] & union
+        union &= ~owned[i]
+        if not union:
+            break
+    return owned
 
 
 def _slot(writers: List[Stage], seq: int) -> int:
@@ -291,16 +297,45 @@ class PartitionGraph:
 
     def adopt_runs(self, spans: Sequence[Sequence[int]]) -> None:
         """Re-enter run records from ``(first seq, member count)`` pairs
-        (a checkpoint header's)."""
-        layouts = self._layouts
+        (a checkpoint header's), in stage order.
+
+        A record is executed whole as its own plan, so a span is taken only
+        where an update could have formed that run: disjoint from the
+        others, unitary stages and collapses only, within the caps, no
+        collapse in a run starting before the first dynamic stage, and every
+        member holding the blocks it owns in it (it keeps only those).
+        Anything else raises ``ValueError``.
+        """
+        prefix = next(
+            (s.seq for s in self._stages if isinstance(s, DynamicStage)),
+            len(self._stages),
+        )
+        end = 0
         for first, count in spans:
-            members = tuple(self._stages[first : first + count])
-            if first < 0 or count < 2 or len(members) != count:
+            members = tuple(self._stages[first : first + count]) if first >= end else ()
+            if not 2 <= count <= MAX_RUN_STAGES or len(members) != count:
                 raise ValueError(f"no run of {count} stages at seq {first}")
+            if not all(
+                isinstance(stage, UnitaryStage)
+                or (first >= prefix and isinstance(stage, (MeasureStage, ResetStage)))
+                for stage in members
+            ) or len({q for stage in members for q in stage.qubits}) > MAX_RUN_QUBITS:
+                raise ValueError(f"the {count} stages at seq {first} form no run")
+            covers = [self._layouts[stage.uid].cover for stage in members]
             cover = 0
-            for stage in members:
-                cover |= layouts[stage.uid].cover
+            for member_cover in covers:
+                cover |= member_cover
+            for stage, owned in zip(members, _owned_masks(covers, cover)):
+                missing = owned
+                for b in stage.store.stored_blocks():
+                    missing &= ~(1 << b)
+                if missing:
+                    raise ValueError(
+                        f"stage {stage.seq} of the run at seq {first} lacks blocks it owns"
+                    )
+                stage.store.keep_only(owned)
             self._enter_run(members, cover)
+            end = first + count
 
     def _enter_run(self, members: Tuple[Stage, ...], cover: int) -> None:
         """Record a run whose plan parts are derived on first reuse."""
@@ -309,15 +344,10 @@ class PartitionGraph:
             self._run_of[stage] = run
 
     def run_plan(self, run: StageRun) -> StagePlan:
-        """The one plan executing a recorded run whole."""
+        """The one plan executing ``run`` whole: a recorded run, or one an
+        update is forming (its new record)."""
         if run.store is None:
-            layouts = [self._layouts[stage.uid] for stage in run.members]
-            run.derive(
-                [layout.cover for layout in layouts],
-                sum(layout.num_nodes for layout in layouts),
-                any(layout.full_read for layout in layouts),
-                frozenset(q for stage in run.members for q in stage.qubits),
-            )
+            run.derive([self._layouts[stage.uid] for stage in run.members])
         return StagePlan.for_run(run)
 
     def member_plans(self, run: StageRun) -> List[StagePlan]:

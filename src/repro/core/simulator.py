@@ -989,16 +989,25 @@ class QTaskSimulator(CircuitObserver):
         The sweep emits a recorded run as its record's one plan.  That plan
         is kept (reused) exactly where this greedy pass would form the same
         run again: no open group takes its head in, its follower would not
-        join it, and it meets the caps and the collapse rule.  Otherwise the
-        record is expanded into its members' plans and regrouped.
+        join it, and it still meets the collapse rule (a record meets the
+        caps for as long as it lives).  Otherwise the record is expanded
+        into its members' plans and regrouped.
         """
+        graph = self._graph
         merged: List[StagePlan] = []
         group: List[StagePlan] = []
         qubits: set = set()
         prefix = min((s.seq for s in self._dynamic_stages.values()), default=0)
 
         def close() -> None:
-            merged.append(self._run_plan(group, qubits) if len(group) > 1 else group[0])
+            if len(group) > 1:
+                cover = 0
+                for sp in group:
+                    cover |= sp.mask
+                run = StageRun(tuple(sp.stage for sp in group), cover)
+                merged.append(graph.run_plan(run))
+            else:
+                merged.append(group[0])
             group.clear()
             qubits.clear()
 
@@ -1025,8 +1034,6 @@ class QTaskSimulator(CircuitObserver):
             if not (
                 (group and _joins(group[0].stage.seq, group[-1].stage.seq,
                                   len(group), qubits, head, prefix))
-                or size > MAX_RUN_STAGES
-                or len(run.qubits) > MAX_RUN_QUBITS
                 or (run.has_sync and head.seq < prefix)
                 or (
                     follower is not None
@@ -1040,26 +1047,11 @@ class QTaskSimulator(CircuitObserver):
                 sp.reused = True
                 merged.append(sp)
                 continue
-            for member in self._graph.member_plans(run):
+            for member in graph.member_plans(run):
                 add(member)
         if group:
             close()
         plan.stage_plans = merged
-
-    @staticmethod
-    def _run_plan(group: Sequence[StagePlan], qubits) -> StagePlan:
-        """The one plan executing ``group`` (on ``qubits``), and the run's
-        new record."""
-        cover = nodes = 0
-        has_sync = False
-        for sp in group:
-            cover |= sp.mask
-            nodes += len(sp.block_ranges) + sp.has_sync
-            has_sync |= sp.has_sync
-        run = StageRun(tuple(sp.stage for sp in group), cover)
-        return StagePlan.for_run(
-            run.derive([sp.mask for sp in group], nodes, has_sync, frozenset(qubits))
-        )
 
     def _execute_with_recovery(self, plan: ExecutionPlan) -> int:
         """Run ``_execute`` inside the fault envelope.

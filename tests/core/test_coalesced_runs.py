@@ -290,6 +290,57 @@ def test_checkpoint_carries_the_run_records(tmp_path):
         QTask.restore(path, num_workers=1)
 
 
+def test_a_run_table_adopts_only_runs_an_update_could_form(tmp_path):
+    """A record is executed whole as its own plan, so a well-formed span an
+    update could not have formed is a corrupt file, not a restore that fails
+    at the first edit.  Mutation: ``adopt_runs`` checks only the span's shape
+    -> each case below restores, and the first edit raises or goes wrong."""
+
+    def rejected(levels, runs, num_qubits=5, measure=None):
+        path = str(tmp_path / "table.ckpt")
+        session, _ = built(levels, num_qubits=num_qubits, num_clbits=1)
+        with session:
+            if measure is not None:
+                session.measure(session.insert_net(session.nets()[measure]), 0, 0)
+            session.update_state()
+            session.checkpoint(path)
+        _rewrite_header(path, lambda header: header.update(runs=runs))
+        with pytest.raises(CheckpointError, match="run table"):
+            QTask.restore(path, num_workers=1)
+
+    rejected(RUN_OF_FOUR, [[0, 2]])  # the superposition (matvec) stage
+    rejected(RUN_OF_FOUR, [[1, 4], [3, 2]])  # overlapping spans
+    rejected(RUN_OF_FOUR, [[1, 2], [3, 2]])  # a split: members lack what they own
+    # the rz, measure, rz: a collapse in a run starting before it
+    rejected(RUN_OF_FOUR[:2] + [[("rz", (4,), [0.2])]], [[1, 3]], measure=1)
+    # the caps: one stage over MAX_RUN_STAGES, one qubit over MAX_RUN_QUBITS
+    tall = [[("rz", (s % 5,), [0.1 * s])] for s in range(MAX_RUN_STAGES + 1)]
+    rejected([hadamards()] + tall, [[1, MAX_RUN_STAGES + 1]])
+    wide = [[("rz", (q,), [0.1 * q])] for q in range(MAX_RUN_QUBITS + 1)]
+    rejected(
+        [hadamards(MAX_RUN_QUBITS + 1)] + wide, [[1, MAX_RUN_QUBITS + 1]],
+        num_qubits=MAX_RUN_QUBITS + 1,
+    )
+
+    # stages that ran alone hold every block they declare: a run over them
+    # is taken, and its members drop the copies a later member owns
+    # (mutation: no ``keep_only`` -> the held blocks are not the owned ones)
+    path = str(tmp_path / "merged.ckpt")
+    levels = [level for stage in RUN_OF_FOUR for level in (stage, "update")]
+    session, _ = built(levels)
+    with session:
+        session.checkpoint(path)
+    _rewrite_header(path, lambda header: header.update(runs=[[1, 4]]))
+    with QTask.restore(path, num_workers=1) as restored:
+        assert run_lengths(restored) == [4]
+        assert_runs_are_consistent(restored)
+        tuned = [h for net in restored.nets() for h in net.gates][-2]
+        restored.update_gate(tuned, 2.5)
+        restored.update_state()
+        assert_computed(restored)
+        assert reused(restored) == (1, 1)
+
+
 def test_checkpoint_without_a_run_table_restores_and_edits(tmp_path):
     """A file from before there were runs: every stage holds every block it
     declares, no key in the header, and that means no runs."""
