@@ -780,7 +780,9 @@ class QTaskSimulator(CircuitObserver):
         operations executing before ``from_op`` are kept, and only the
         dynamic stages from it onward are re-armed and redrawn under
         ``seed``.  :meth:`repro.QTask.run_shots` branches this way wherever a
-        shot's draw leaves a path it has already simulated.
+        shot's draw leaves a path it has already simulated, passing a
+        :class:`~repro.core.classical.PrimedSeed` so the re-armed collapses
+        take their first draws from its row.
         """
         stages = self._dynamic_stages_from(from_op)
         if from_op is None:
@@ -801,6 +803,14 @@ class QTaskSimulator(CircuitObserver):
             if stage.op.op_index == from_op:
                 return stages[i:]
         raise CircuitError(f"no dynamic operation has op_index {from_op}")
+
+    def collapse_ops(self) -> List[int]:
+        """``op_index`` of every measure/reset, execution order."""
+        return [
+            s.op.op_index
+            for s in self._dynamic_stages_from(None)
+            if isinstance(s, (MeasureStage, ResetStage))
+        ]
 
     def collapse_path(
         self, from_op: Optional[int] = None

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 import numpy as np
 
 from .core.circuit import Circuit, GateHandle, NetHandle
-from .core.classical import ClassicalRegister, OutcomeRecord
+from .core.classical import ClassicalRegister, OutcomeRecord, primed_seeds
 from .core.cow import MemoryReport
 from .core.exceptions import CircuitError, StaleHandleError
 from .core.gates import Gate
@@ -344,6 +344,10 @@ class QTask:
         re-simulating from there only.  So one path is simulated per
         distinct outcome record of the collapses before the last
         measurement, and none when nothing is measured: every bit stays 0.
+        Every shot's seed and its first draw at every collapse come from one
+        vectorised pass (:func:`~repro.core.classical.primed_seeds`),
+        bit-identical to building each keyed stream, so neither finding the
+        branches nor simulating a path builds a generator for a first draw.
         """
         if shots < 0:
             raise ValueError(f"shots must be non-negative, got {shots}")
@@ -364,10 +368,6 @@ class QTask:
                 self._count_shots(shots, 1)
             return {"0" * num_clbits: shots}
         base_seed = OutcomeRecord._materialise_seed(seed)
-        seeds = [
-            OutcomeRecord._materialise_seed((base_seed, shot))
-            for shot in range(shots)
-        ]
         clbits = range(num_clbits)
         flip = num_clbits - 1 - last.clbit  # the last measurement's character
         counts: Dict[str, int] = {}
@@ -377,6 +377,10 @@ class QTask:
                 for handle in unobserved:
                     child.remove_gate(child.handle_for(handle))
             sim, record = child.simulator, child.outcomes
+            # every shot's seed and first draw at every collapse, at once
+            ops = sim.collapse_ops()
+            with tracer.span("shots.keys", {"keys": shots * len(ops), "shots": shots}):
+                keys = primed_seeds(base_seed, shots, ops)
             # (op to branch at, the shots that branch there); popping the
             # last entry visits the deepest pending branch first
             pending: List[Tuple[Optional[int], List[int]]] = [
@@ -386,7 +390,7 @@ class QTask:
                 from_op, group = pending.pop()
                 lead = group[0]
                 with tracer.span("shot") as span:
-                    sim.reset_trajectory((base_seed, lead), from_op=from_op)
+                    sim.reset_trajectory(keys[lead], from_op=from_op)
                     child.update_state()
                     path = sim.collapse_path(from_op)
                     if from_op is not None:
@@ -395,7 +399,7 @@ class QTask:
                     branches: Dict[int, List[int]] = {}
                     for shot in group[1:]:
                         for op, p0, p1, outcome in path:
-                            if record.first_choice(seeds[shot], op, p0, p1) != outcome:
+                            if record.first_choice(keys[shot], op, p0, p1) != outcome:
                                 branches.setdefault(op, []).append(shot)
                                 break
                     # a different last draw changes one bit and nothing else

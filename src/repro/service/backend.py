@@ -563,8 +563,7 @@ class Backend:
                     np.array(base.state(), copy=True)
                     if request.return_state else None
                 )
-            elapsed = time.perf_counter() - started
-            job._finish(JobResult(
+            result = JobResult(
                 job_id=job.job_id,
                 tenant=request.tenant,
                 key=request.key,
@@ -573,20 +572,28 @@ class Backend:
                 counts=counts,
                 expectation=expectation,
                 statevector=statevector,
-                seconds=elapsed,
+                seconds=time.perf_counter() - started,
                 queue_seconds=queue_seconds,
-            ))
-            self._jobs_completed.inc()
-            self._hist_job.observe(elapsed)
+            )
+            error = None
         except BaseException as exc:
-            self._jobs_failed.inc()
-            job._fail(exc)
-        finally:
+            result, error = None, exc
+        # The job is published last: whoever result() wakes reads the
+        # lease, the degraded flag and the gauges as this job left them.
+        try:
             if pinned:
                 self.pool.unpin(request.key)
                 troubled += self._absorb_walks(walks, request.tenant)
                 self._fold_health(troubled)
+        finally:
             self._gauge_active.set(max(0.0, self._gauge_active.value - 1))
+        if error is None:
+            self._jobs_completed.inc()
+            self._hist_job.observe(result.seconds)
+            job._finish(result)
+        else:
+            self._jobs_failed.inc()
+            job._fail(error)
 
     # -- telemetry plumbing ---------------------------------------------------
 

@@ -11,9 +11,17 @@ import pytest
 
 from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
+from repro.baselines.statevector import QulacsLikeSimulator
 from repro.core import faults
 from repro.core.circuit import Circuit
-from repro.core.classical import ClassicalRegister, OutcomeRecord, decide_outcome
+from repro.core.classical import (
+    ClassicalRegister,
+    OutcomeRecord,
+    decide_outcome,
+    fold_seeds,
+    keyed_uniforms,
+    primed_seeds,
+)
 from repro.core.cow import BlockStore, InitialStateStore
 from repro.core.exceptions import CircuitError, NetDependencyError
 from repro.core.exec_plan import RUN_ACTION
@@ -579,6 +587,217 @@ class TestTrajectoriesAndForks:
 
 def trajectories_of(session) -> int:
     return session.telemetry.metrics.get("shots.trajectories").value
+
+
+def dynamic_qasm(num_qubits: int, rounds: int) -> str:
+    """The ledger's ``shots_dynamic`` circuit: measure, conditioned
+    correction and reset, ``rounds`` deep, then two final measurements."""
+    n = num_qubits
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
+    lines += [f"creg m{r}[1];" for r in range(rounds)] + ["creg out[2];"]
+    lines += [f"h q[{q}];" for q in range(n)]
+    lines += [f"cx q[{q}],q[{q + 1}];" for q in range(n - 1)]
+    lines += [f"rz({0.1 * (q + 1):.3f}) q[{q}];" for q in range(n)]
+    lines += [f"rx({0.2 * (q + 1):.3f}) q[{q}];" for q in range(n)]
+    for r in range(rounds):
+        a, b = r, n - 1 - r
+        lines += [
+            f"measure q[{a}] -> m{r}[0];",
+            f"if(m{r}==1) x q[{b}];",
+            f"reset q[{a}];",
+            f"h q[{a}];",
+            f"cx q[{a}],q[{a + 1}];",
+            f"ry({0.3 * (r + 1):.3f}) q[{b}];",
+        ]
+    lines += [f"measure q[{n // 2}] -> out[0];",
+              f"measure q[{n // 2 + 1}] -> out[1];"]
+    return "\n".join(lines) + "\n"
+
+
+def dense_shots(circuit, shots: int, seed: int) -> dict:
+    """``run_shots``'s histogram by full dense replays, one per shot, each
+    keyed ``(seed, shot)`` and drawing through ``keyed_stream``."""
+    dense = QulacsLikeSimulator(circuit, num_workers=1)
+    base = OutcomeRecord._materialise_seed(seed)
+    counts: dict = {}
+    for shot in range(shots):
+        dense.outcomes.reseed((base, shot))
+        dense.update_state()
+        bits = dense.outcomes.bitstring(range(circuit.num_clbits))
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1)
+EDGE_OPS = (0, 1, 2**32 + 5)
+
+
+class TestKeyedDraws:
+    """The vectorised keyed draw is ``default_rng((seed, op)).random()``
+    bit for bit, and the fold is ``_materialise_seed((base, shot))``."""
+
+    @staticmethod
+    def _oracle(seeds, ops):
+        return np.array([
+            np.random.default_rng((int(s), int(k))).random()
+            for s, k in zip(seeds, ops)
+        ])
+
+    def test_edge_keys(self):
+        seeds = np.array([s for s in EDGE_SEEDS for _ in EDGE_OPS], dtype=np.uint64)
+        ops = np.array([k for _ in EDGE_SEEDS for k in EDGE_OPS], dtype=np.uint64)
+        got = keyed_uniforms(seeds, ops)
+        np.testing.assert_array_equal(got, self._oracle(seeds, ops))
+
+    def test_random_keys(self):
+        rng = np.random.default_rng(20261017)
+        seeds = rng.integers(0, 2**64, size=5000, dtype=np.uint64, endpoint=False)
+        ops = rng.integers(0, 2**16, size=5000).astype(np.uint64)
+        np.testing.assert_array_equal(
+            keyed_uniforms(seeds, ops), self._oracle(seeds, ops)
+        )
+
+    @pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 8_675_309])
+    def test_fold_is_materialise_seed(self, base):
+        shots = np.array(list(range(300)) + [2**32 - 1, 2**32, 2**63 - 1], dtype=np.uint64)
+        want = [OutcomeRecord._materialise_seed((base, int(i))) for i in shots]
+        assert fold_seeds(base, shots).tolist() == want
+        assert max(want) >= 2**63  # folded seeds are not reduced mod 2**63
+
+    def test_primed_seeds_are_the_table_rows(self):
+        ops = [4, 0, 9]
+        keys = primed_seeds(77, 5, ops)
+        for shot, key in enumerate(keys):
+            assert key.seed == OutcomeRecord._materialise_seed((77, shot))
+            for op in ops:
+                assert key.first(op) == OutcomeRecord.keyed_stream(key.seed, op).random()
+            assert key.first(5) is None
+
+    def test_chunked_table_equals_one_pass(self, monkeypatch):
+        from repro.core import classical
+
+        whole = primed_seeds(3, 40, [1, 2, 3])
+        monkeypatch.setattr(classical, "_KEY_CHUNK", 7)
+        chunked = primed_seeds(3, 40, [1, 2, 3])
+        assert [k.seed for k in chunked] == [k.seed for k in whole]
+        np.testing.assert_array_equal(
+            np.stack([k.firsts for k in chunked]), np.stack([k.firsts for k in whole])
+        )
+
+
+class TestPrimedRecord:
+    """A record keyed by a :class:`PrimedSeed` serves first draws from its
+    row and builds a stream only when the op draws again."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        built = []
+        stream = OutcomeRecord.keyed_stream
+        monkeypatch.setattr(
+            OutcomeRecord, "keyed_stream",
+            staticmethod(lambda s, op: built.append(op) or stream(s, op)),
+        )
+        return built
+
+    def test_first_draw_comes_from_the_row(self, monkeypatch):
+        (key,) = primed_seeds(11, 1, [2, 5])
+        want = OutcomeRecord.keyed_stream(key.seed, 5)
+        first, second = want.random(), want.random()
+        built = self._counting(monkeypatch)
+        rec = OutcomeRecord(1, seed=0)
+        rec.reseed(key)
+        assert rec.seed == key.seed
+        assert rec._draw(5) == first
+        assert built == []
+        assert rec._draw(5) == second  # the stream, past the served value
+        assert built == [5]
+        assert rec._draw(7) == OutcomeRecord.keyed_stream(key.seed, 7).random()
+
+    def test_snapshot_restore_after_a_served_draw(self, monkeypatch):
+        (key,) = primed_seeds(21, 1, [3])
+        want = OutcomeRecord.keyed_stream(key.seed, 3)
+        want.random()
+        second = want.random()
+        rec = OutcomeRecord(1, seed=0)
+        rec.reseed(key)
+        rec.choose(3, 0.5, 0.5)  # served from the row
+        built = self._counting(monkeypatch)
+        snap = rec.snapshot()
+        assert built == []  # a snapshot builds no stream
+        assert rec._draw(3) == second
+        rec.restore(snap)
+        assert rec._draw(3) == second
+        rec.restore(snap)
+        assert rec.snapshot()[2] == {}
+
+    def test_restore_before_a_served_draw_serves_it_again(self):
+        (key,) = primed_seeds(5, 1, [0])
+        rec = OutcomeRecord(1, seed=0)
+        rec.reseed(key)
+        snap = rec.snapshot()
+        first = rec._draw(0)
+        rec.restore(snap)
+        assert rec._draw(0) == first == key.first(0)
+
+    def test_reseed_branch_and_clone_drop_the_row(self):
+        (key,) = primed_seeds(8, 1, [0, 1])
+        rec = OutcomeRecord(1, seed=0)
+        rec.reseed(key)
+        assert rec.clone()._draw(0) == key.first(0)  # a fresh stream, same value
+        rec.branch(99, [1])
+        assert rec._draw(1) == OutcomeRecord.keyed_stream(99, 1).random()
+        rec.reseed(key)
+        rec._draw(1)
+        rec.discard_op(1)
+        assert rec._draw(1) == key.first(1)
+
+    def test_first_choice_reads_the_row(self, monkeypatch):
+        keys = primed_seeds(13, 40, [0])
+        expected = [OutcomeRecord(1, seed=k).choose(0, 0.3, 0.7) for k in keys]
+        unprimed = OutcomeRecord(1, seed=keys[0].seed).choose(4, 0.3, 0.7)
+        built = self._counting(monkeypatch)
+        asked = OutcomeRecord(1, seed=0)
+        assert [asked.first_choice(k, 0, 0.3, 0.7) for k in keys] == expected
+        assert built == []
+        # an op the row does not hold falls back to its stream
+        assert asked.first_choice(keys[0], 4, 0.3, 0.7) == unprimed
+        assert built == [4]
+
+
+class TestWalkDraws:
+    """``run_shots`` takes every first draw from one vectorised pass."""
+
+    def test_a_walk_builds_no_generator(self, monkeypatch):
+        with QTask.from_qasm(dynamic_qasm(10, 3), num_workers=1) as session:
+            session.update_state()
+            built = TestPrimedRecord._counting(monkeypatch)
+            counts = session.run_shots(32, seed=2026)
+            assert built == []
+            monkeypatch.undo()
+            assert counts == dense_shots(session.circuit, 32, 2026)
+            assert trajectories_of(session) > 1  # the walk branched
+
+    def test_shots_keys_span(self):
+        with QTask.from_qasm(dynamic_qasm(6, 2), num_workers=1, tracing=True) as session:
+            session.run_shots(9, seed=4)
+            (span,) = [s for s in session.telemetry.tracer.spans() if s.name == "shots.keys"]
+            # two rounds of measure + reset, then two measurements
+            assert span.attrs == {"keys": 9 * 6, "shots": 9}
+
+    def test_a_faulted_walk_keeps_its_counts(self, no_plan):
+        source = dynamic_qasm(6, 2)
+        with QTask.from_qasm(source, num_workers=1) as session:
+            session.update_state()
+            clean = session.run_shots(24, seed=31)
+            plans = [FaultPlan(script=[("kernel.run", k)]) for k in (1, 3, 6)]
+            plans.append(FaultPlan(7, probabilities={"kernel.run": 0.3}))
+            for plan in plans:
+                faults.install(plan)
+                try:
+                    assert session.run_shots(24, seed=31) == clean
+                finally:
+                    faults.install(None)
+                assert plan.total_injected() > 0
 
 
 class TestRunShotsWalk:

@@ -10,6 +10,7 @@ readers, an untouched base afterwards, and recovery events of a
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -199,3 +200,37 @@ def test_a_walk_absorbing_faults_marks_the_backend_degraded(no_plan):
         for _ in range(config["degraded_grace_jobs"]):
             be.run(DYNAMIC, shots=16, seed=3).result(timeout=60)
         assert be.status()["degraded"] is False
+
+
+def test_a_result_is_published_after_its_job_settles(monkeypatch):
+    """``result()`` returns, or raises, only once the job has unpinned its
+    base, folded its health and counted itself: a slow unpin leaves no
+    stale lease or counter behind for the caller to read."""
+    config = {"max_concurrent_jobs": 1, "degraded_grace_jobs": 1}
+    with Backend(config, num_workers=1) as be:
+        real_unpin = be.pool.unpin
+
+        def slow_unpin(key):
+            time.sleep(0.05)
+            real_unpin(key)
+
+        monkeypatch.setattr(be.pool, "unpin", slow_unpin)
+
+        def leases():
+            return [e["leases"] for e in be.pool.stats()["entries"]]
+
+        for source in (STATIC, DYNAMIC):
+            be.run(source, shots=8, seed=1).result(timeout=60)
+            assert leases() == [0] * len(leases())
+            assert be.status()["active_jobs"] == 0
+        assert be.status()["jobs"]["completed"] == 2
+
+        def walk_fails(self, shots, *, seed=None):
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(QTask, "run_shots", walk_fails)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            be.run(DYNAMIC, shots=8, seed=1).result(timeout=60)
+        assert leases() == [0, 0]
+        assert be.status()["jobs"]["failed"] == 1
+        assert be.status()["active_jobs"] == 0
