@@ -54,8 +54,7 @@ def levels_cache():
 def make_factory(kind: str, **kwargs):
     if kind == "qTask":
         return qtask_factory(num_workers=kwargs.get("num_workers"),
-                             block_size=kwargs.get("block_size", 256),
-                             copy_on_write=kwargs.get("copy_on_write", True))
+                             block_size=kwargs.get("block_size", 256))
     if kind == "Qulacs-like":
         return qulacs_like_factory(num_workers=kwargs.get("num_workers"))
     if kind == "Qiskit-like":

@@ -520,7 +520,7 @@ class PartitionGraph:
     # incremental scoping: the frontier sweep
     # ------------------------------------------------------------------
 
-    def sweep(self, *, everything: bool = False) -> ExecutionPlan:
+    def sweep(self) -> ExecutionPlan:
         """The partitions the pending dirt reaches, as stage plans by seq.
 
         One forward pass from the first anchored stage carries the set ``D``
@@ -545,21 +545,16 @@ class PartitionGraph:
         count): a collapse before it re-executes only because its run does,
         on the input it drew from, so it keeps its outcome.
 
-        ``everything`` plans every partition of every stage (the dense-mode
-        ablation, where scoping is unsound).  The sweep changes nothing:
-        pending dirt stays until :meth:`clear_pending`.
+        The sweep changes nothing: pending dirt stays until
+        :meth:`clear_pending`.
         """
         pending = self._pending
-        if everything:
-            first, dirty = 0, (1 << (self._full_range.last + 1)) - 1
-            redraw_from = 0
-        elif pending:
-            first, dirty = min(stage.seq for stage in pending), 0
-            redraw_from = min(
-                (stage.seq for stage in self._edited), default=len(self._stages)
-            )
-        else:
+        if not pending:
             return ExecutionPlan([])
+        first, dirty = min(stage.seq for stage in pending), 0
+        redraw_from = min(
+            (stage.seq for stage in self._edited), default=len(self._stages)
+        )
         layouts = self._layouts
         run_of = self._run_of
         stages = self._stages

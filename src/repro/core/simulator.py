@@ -82,11 +82,7 @@ logger = logging.getLogger(__name__)
 #: the child, a checkpoint header stores them and ``statistics()`` reports
 #: them.  Execution resources (executor, kernel backend) are not durable
 #: state; a fork shares them and a restore may override them.
-DURABLE_KNOBS: Tuple[str, ...] = (
-    "block_size",
-    "copy_on_write",
-    "observable_cache",
-)
+DURABLE_KNOBS: Tuple[str, ...] = ("block_size",)
 
 #: bounded per-run re-executions inside the run-granular fallback loop
 _RUN_FAULT_RETRIES = 5
@@ -172,8 +168,6 @@ class QTaskSimulator(CircuitObserver):
         block_size: int = DEFAULT_BLOCK_SIZE,
         executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
-        copy_on_write: bool = True,
-        observable_cache: bool = True,
         kernel_backend: Optional[object] = None,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
@@ -200,11 +194,6 @@ class QTaskSimulator(CircuitObserver):
         """
         self.circuit = circuit
         self.block_size = validate_block_size(knobs["block_size"])
-        self.copy_on_write = bool(knobs["copy_on_write"])
-        #: cache per-(term, block) observable partials across updates; with
-        #: ``False`` the (lazily created) observables engine recomputes every
-        #: query from the block stores (the caching-ablation baseline).
-        self.observable_cache = bool(knobs["observable_cache"])
         self.dim = 1 << circuit.num_qubits
         self.n_blocks = num_blocks(self.dim, self.block_size)
 
@@ -607,11 +596,11 @@ class QTaskSimulator(CircuitObserver):
     def _insert_handle(self, handle: GateHandle) -> None:
         gate = handle.gate
         net_uid = handle.net.uid
-        args = (self.circuit.num_qubits, self.block_size, self.copy_on_write)
+        args = (self.circuit.num_qubits, self.block_size)
         if is_dynamic_op(gate):
             self.outcomes.ensure_bits(self.circuit.num_clbits)
             stage = self._make_dynamic_stage(gate)
-        elif gate_shape(gate, *args[:2])[0].creates_superposition:
+        elif gate_shape(gate, *args)[0].creates_superposition:
             stage = self._matvec.get(net_uid)
             if stage is not None:
                 stage.add_gate(gate)
@@ -642,7 +631,7 @@ class QTaskSimulator(CircuitObserver):
 
     def _make_dynamic_stage(self, op) -> DynamicStage:
         """Build the stage for a measure/reset/classically-controlled op."""
-        args = (self.circuit.num_qubits, self.block_size, self.copy_on_write)
+        args = (self.circuit.num_qubits, self.block_size)
         if isinstance(op, MeasureOp):
             return MeasureStage(op, *args, record=self.outcomes)
         if isinstance(op, ResetOp):
@@ -863,14 +852,7 @@ class QTaskSimulator(CircuitObserver):
     # ------------------------------------------------------------------
 
     def update_state(self) -> UpdateReport:
-        """Re-simulate every partition affected by modifiers since last call.
-
-        With copy-on-write disabled (the §IV.F ablation) every stage
-        materialises -- and therefore depends on -- the entire previous state
-        vector, so incremental scoping is not sound and every update
-        re-simulates all partitions.  COW is precisely what makes scoped
-        updates possible.
-        """
+        """Re-simulate every partition affected by modifiers since last call."""
         tel = self.telemetry
         self._update_event_mark = tel.events.last_seq
         prev = tsession.activate(tel)
@@ -899,19 +881,17 @@ class QTaskSimulator(CircuitObserver):
             was_incremental=self._num_updates > 0,
         )
         if plan.stage_plans:
-            report.executed_block_writes = self._execute_with_recovery(plan)
+            self._execute_with_recovery(plan)
+            report.executed_block_writes = plan.block_writes
             if self._dirty_listeners:
-                if self.copy_on_write:
-                    # the blocks the affected partitions wrote, bit by bit
-                    bits = np.frombuffer(
-                        plan.written.to_bytes((self.n_blocks + 7) // 8, "little"),
-                        dtype=np.uint8,
-                    )
-                    dirty = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-                else:
-                    # dense mode rewrites (and back-fills) whole vectors
-                    dirty = np.arange(self.n_blocks)
-                self._notify_dirty(dirty)
+                # the blocks the affected partitions wrote, bit by bit
+                bits = np.frombuffer(
+                    plan.written.to_bytes((self.n_blocks + 7) // 8, "little"),
+                    dtype=np.uint8,
+                )
+                self._notify_dirty(
+                    np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+                )
         # only now: an update that raised keeps its dirt -- and the runs its
         # stages were last executed in -- for the next one
         graph.clear_pending()
@@ -936,11 +916,8 @@ class QTaskSimulator(CircuitObserver):
         of static stages coalesce into one plan each, the writer index
         gives every recomputed block's source store and with it the
         plan-granular task edges, and static stages freeze their run
-        tables.  With copy-on-write off every stage depends on the whole
-        previous vector, so anything pending (or a first update) plans
-        everything -- stage by stage: a dense-mode stage holds the whole
-        vector, there is nothing for a run-mate to elide.  Queued inserts
-        are wired first, in the ``modify`` span before it.
+        tables.  Queued inserts are wired first, in the ``modify`` span
+        before it.
         """
         self._last_wired = self._wire()
         tracer = self.telemetry.tracer
@@ -962,13 +939,8 @@ class QTaskSimulator(CircuitObserver):
 
     def _build_plan_impl(self) -> ExecutionPlan:
         graph = self._graph
-        if self.copy_on_write:
-            plan = graph.sweep()
-            self._coalesce(plan)
-        elif graph.has_pending or self._num_updates == 0:
-            plan = graph.sweep(everything=True)
-        else:
-            plan = ExecutionPlan([])
+        plan = graph.sweep()
+        self._coalesce(plan)
         stage_plans = plan.stage_plans
         tables, plan.edges = graph.plan_sources(stage_plans, self._initial)
         for sp, sources in zip(stage_plans, tables):
@@ -1063,7 +1035,7 @@ class QTaskSimulator(CircuitObserver):
             close()
         plan.stage_plans = merged
 
-    def _execute_with_recovery(self, plan: ExecutionPlan) -> int:
+    def _execute_with_recovery(self, plan: ExecutionPlan) -> None:
         """Run ``_execute`` inside the fault envelope.
 
         The armed scope is what lets an installed :class:`FaultPlan` fire
@@ -1077,13 +1049,15 @@ class QTaskSimulator(CircuitObserver):
         could not absorb lands here before giving up.
         """
         if faults.ACTIVE is None:
-            return self._execute(plan)
+            self._execute(plan)
+            return
         with faults.armed():
             attempt = 0
             rollback = self.outcomes.snapshot()
             while True:
                 try:
-                    return self._execute(plan)
+                    self._execute(plan)
+                    return
                 except FaultInjected as exc:
                     attempt += 1
                     if attempt > _UPDATE_FAULT_RETRIES:
@@ -1110,19 +1084,7 @@ class QTaskSimulator(CircuitObserver):
             raise QTaskError("session is closed")
         return IndexReader(self._graph, self._initial, before_seq)
 
-    def _execute(self, plan: ExecutionPlan) -> int:
-        if not self.copy_on_write:
-            # Dense mode re-simulates everything: drop previously materialised
-            # blocks so no stale copy can shadow the recomputation.
-            for stage in self._graph.stages:
-                stage.store.clear()
-        self._execute_plan(plan)
-        block_writes = plan.block_writes
-        if not self.copy_on_write:
-            block_writes += self._fill_dense_blocks(plan)
-        return block_writes
-
-    def _execute_plan(self, plan: ExecutionPlan) -> None:
+    def _execute(self, plan: ExecutionPlan) -> None:
         """Batch-execute the plan, one executor task per stage plan -- an
         affected *stage*, or a coalesced run of them.
 
@@ -1275,24 +1237,6 @@ class QTaskSimulator(CircuitObserver):
                         attempt=attempt,
                     )
 
-    def _fill_dense_blocks(self, plan: ExecutionPlan) -> int:
-        """In non-COW mode every affected stage materialises its full vector.
-
-        Blocks a stage's partitions did not write are copied from the stage
-        input *after* the task graph ran, in ascending stage order, so that a
-        fill never captures a value an earlier affected stage had yet to
-        produce.
-        """
-        added = 0
-        for sp in plan.stage_plans:
-            covered = {b for blocks in sp.block_ranges for b in blocks}
-            store = sp.stage.store
-            for b in range(self.n_blocks):
-                if b not in covered:
-                    store.write_block(b, sp.reader.resolve_block(b))
-                    added += 1
-        return added
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -1342,12 +1286,12 @@ class QTaskSimulator(CircuitObserver):
 
         One engine per simulator; its per-block caches subscribe to the
         dirty-block notifications and therefore stay consistent across
-        incremental updates.  ``observable_cache=False`` disables caching.
+        incremental updates.
         """
         if self._observables is None:
             from ..observables.engine import ObservablesEngine
 
-            self._observables = ObservablesEngine(self, cache=self.observable_cache)
+            self._observables = ObservablesEngine(self)
         return self._observables
 
     def expectation(self, observable) -> float:
@@ -1376,8 +1320,9 @@ class QTaskSimulator(CircuitObserver):
         Returns a :class:`~repro.core.cow.MemoryReport` whose
         ``allocated_bytes`` counts only the blocks stages actually
         materialised, ``dense_bytes`` what one dense vector per stage would
-        cost, and ``savings_fraction`` the headroom between the two (the
-        §III.F.3 copy-on-write saving).
+        cost -- byte for byte what a store per stage without copy-on-write
+        held, the §IV.F baseline -- and ``savings_fraction`` the headroom
+        between the two (the §III.F.3 copy-on-write saving).
         """
         return MemoryReport.from_stores(s.store for s in self.graph.stages)
 

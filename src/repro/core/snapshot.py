@@ -311,7 +311,7 @@ def _rebuild_circuit(header: Dict[str, object]) -> Tuple[Circuit, List[GateHandl
 
 def _build_stage(entry, members: List[GateHandle], sim: QTaskSimulator):
     kind = entry["kind"]
-    args = (sim.circuit.num_qubits, sim.block_size, sim.copy_on_write)
+    args = (sim.circuit.num_qubits, sim.block_size)
     try:
         if kind == "unitary":
             return UnitaryStage(members[0].gate, *args)
@@ -475,6 +475,11 @@ def _load_state(sim, path, header, payload, handles) -> int:
             f"checkpoint {path!r} has {len(payload) - offset} trailing "
             "payload bytes"
         )
+    # A stage holds only blocks it declares.  A file written by the deleted
+    # dense storage mode lists every block of every stage; the undeclared
+    # ones are never read, so they are dropped here.
+    for stage in stages:
+        stage.store.keep_only(stage.partition_layout().cover)
 
     # Every inserted stage marked itself dirty; the checkpointed state is
     # computed, so there is no pending work.  The runs on record explain why

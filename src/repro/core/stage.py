@@ -159,12 +159,11 @@ class Stage:
 
     kind: str = "stage"
 
-    def __init__(self, qubit_count: int, block_size: int, copy_on_write: bool = True) -> None:
+    def __init__(self, qubit_count: int, block_size: int) -> None:
         self.uid = next(_stage_counter)
         self.qubit_count = qubit_count
         self.dim = 1 << qubit_count
         self.block_size = block_size
-        self.copy_on_write = copy_on_write
         self.store = BlockStore(self.dim, block_size)
         self.n_blocks = self.store.n_blocks
         #: sequence index in the simulator's global stage order (maintained
@@ -260,14 +259,8 @@ class UnitaryStage(Stage):
     #: can be compiled into the plan before execution starts
     plan_static = True
 
-    def __init__(
-        self,
-        gate: Gate,
-        qubit_count: int,
-        block_size: int,
-        copy_on_write: bool = True,
-    ) -> None:
-        super().__init__(qubit_count, block_size, copy_on_write)
+    def __init__(self, gate: Gate, qubit_count: int, block_size: int) -> None:
+        super().__init__(qubit_count, block_size)
         self.gate = gate
         action, self._layout = gate_shape(gate, qubit_count, block_size)
         if action.creates_superposition:
@@ -297,7 +290,7 @@ class UnitaryStage(Stage):
         # shares them by reference instead of re-deriving -- forking a deep
         # circuit must not re-run gate classification per stage.
         clone = type(self).__new__(type(self))
-        Stage.__init__(clone, self.qubit_count, self.block_size, self.copy_on_write)
+        Stage.__init__(clone, self.qubit_count, self.block_size)
         clone.gate = self.gate
         clone.action = self.action
         clone.qubits = self.qubits
@@ -381,13 +374,9 @@ class MatVecStage(Stage):
     plan_static = True
 
     def __init__(
-        self,
-        gates: Sequence[Gate],
-        qubit_count: int,
-        block_size: int,
-        copy_on_write: bool = True,
+        self, gates: Sequence[Gate], qubit_count: int, block_size: int
     ) -> None:
-        super().__init__(qubit_count, block_size, copy_on_write)
+        super().__init__(qubit_count, block_size)
         self.gates: List[Gate] = []
         self._layout: Optional[PartitionLayout] = None
         for g in gates:
@@ -434,9 +423,7 @@ class MatVecStage(Stage):
         return tuple(sorted(q for g in self.gates for q in g.qubits))
 
     def clone_for_fork(self) -> "MatVecStage":
-        return MatVecStage(
-            self.gates, self.qubit_count, self.block_size, self.copy_on_write
-        )
+        return MatVecStage(self.gates, self.qubit_count, self.block_size)
 
     # -- Stage interface ------------------------------------------------------
 
@@ -479,10 +466,9 @@ class DynamicStage(Stage):
         op,
         qubit_count: int,
         block_size: int,
-        copy_on_write: bool = True,
         record: Optional[OutcomeRecord] = None,
     ) -> None:
-        super().__init__(qubit_count, block_size, copy_on_write)
+        super().__init__(qubit_count, block_size)
         self.op = op
         self.record = record
 
@@ -499,9 +485,7 @@ class DynamicStage(Stage):
         # The op object is shared (immutable apart from its one-shot
         # op_index); the record is rebound by the forking simulator.
         clone = type(self).__new__(type(self))
-        DynamicStage.__init__(
-            clone, self.op, self.qubit_count, self.block_size, self.copy_on_write
-        )
+        DynamicStage.__init__(clone, self.op, self.qubit_count, self.block_size)
         return clone
 
 
@@ -709,10 +693,9 @@ class ClassicallyControlledStage(DynamicStage):
         op: CGate,
         qubit_count: int,
         block_size: int,
-        copy_on_write: bool = True,
         record: Optional[OutcomeRecord] = None,
     ) -> None:
-        super().__init__(op, qubit_count, block_size, copy_on_write, record)
+        super().__init__(op, qubit_count, block_size, record)
         self.gate = op.gate
         # Condition-false executions rewrite the blocks the condition-true
         # layout writes (identity copies), so the layout -- and with it the

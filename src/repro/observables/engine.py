@@ -131,10 +131,9 @@ class ObservablesEngine:
     """Measurement queries over one simulator's COW-resolved state.
 
     Created lazily by :attr:`repro.core.simulator.QTaskSimulator.observables`
-    (one engine per simulator); direct construction is useful in tests.  With
-    ``cache=False`` nothing is kept between queries: the same code runs with
-    no partial and no block mass ever valid, so every query recomputes from
-    the block stores -- the A/B baseline for the caching ablation.
+    (one engine per simulator); direct construction is useful in tests.
+    :meth:`invalidate` drops every cached result, so the next query
+    recomputes from the block stores.
 
     Every query holds the engine's lock while it reads or fills the caches,
     so concurrent readers of one settled session (the service reads a warm
@@ -142,9 +141,8 @@ class ObservablesEngine:
     caches) never see a half-filled partial or a half-built tree.
     """
 
-    def __init__(self, simulator, *, cache: bool = True) -> None:
+    def __init__(self, simulator) -> None:
         self.simulator = simulator
-        self.cache = bool(cache)
         self.dim = simulator.dim
         self.block_size = simulator.block_size
         self.n_blocks = simulator.n_blocks
@@ -180,8 +178,6 @@ class ObservablesEngine:
         by an incremental update plus the blocks orphaned by stage removals;
         everything else stays cached.
         """
-        if not self.cache:
-            return
         idx = (
             blocks
             if isinstance(blocks, np.ndarray)
@@ -215,12 +211,11 @@ class ObservablesEngine:
         afterwards -- it registers its own dirty listener on ``simulator``
         and each side's edits invalidate only its own cache.
         """
-        clone = ObservablesEngine(simulator, cache=self.cache)
-        if self.cache:
-            with self._lock:
-                clone._terms = {key: e.copy() for key, e in self._terms.items()}
-                clone._tree.build(self._tree.values())
-                clone._stale = self._stale.copy()
+        clone = ObservablesEngine(simulator)
+        with self._lock:
+            clone._terms = {key: e.copy() for key, e in self._terms.items()}
+            clone._tree.build(self._tree.values())
+            clone._stale = self._stale.copy()
         return clone
 
     @property
@@ -267,15 +262,13 @@ class ObservablesEngine:
                     f"outside [0, {self.num_qubits})"
                 )
 
-    def _term_entry(
-        self, term: PauliString, terms: Dict[_TermKey, _TermCache]
-    ) -> _TermCache:
-        entry = terms.get(term.key)
+    def _term_entry(self, term: PauliString) -> _TermCache:
+        entry = self._terms.get(term.key)
         if entry is None:
             bits = self._block_bits
             flip = term.flip_mask()
             flip_low, flip_high = flip & (self._block_len - 1), flip >> bits
-            entry = terms[term.key] = _TermCache(
+            entry = self._terms[term.key] = _TermCache(
                 flip_low,
                 flip_high,
                 _phase_table(
@@ -355,8 +348,7 @@ class ObservablesEngine:
         self._check_support(obs)
         reader = self.simulator.state_reader()
         with self._lock:
-            terms = self._terms if self.cache else {}
-            entries = [self._term_entry(term, terms) for term in obs.terms]
+            entries = [self._term_entry(term) for term in obs.terms]
             with self._observe("expectation", len(entries)) as span:
                 self._fill_partials(reader, entries, span)
                 total = 0.0 + 0.0j
@@ -378,7 +370,7 @@ class ObservablesEngine:
 
     def _refresh_tree(self, reader: StateReader, span) -> None:
         """Recompute the masses of the stale blocks (lock held)."""
-        stale = np.flatnonzero(self._stale) if self.cache else np.arange(self.n_blocks)
+        stale = np.flatnonzero(self._stale)
         if not stale.size:
             return
         span.set("blocks_missing", int(stale.size))
@@ -390,8 +382,7 @@ class ObservablesEngine:
         else:
             for b, mass in zip(stale.tolist(), masses.tolist()):
                 self._tree.set(b, mass)
-        if self.cache:
-            self._stale[:] = False
+        self._stale[:] = False
 
     def block_probability(self, block: int) -> float:
         """Total probability mass inside one data block."""
@@ -399,7 +390,7 @@ class ObservablesEngine:
             raise IndexError(f"block {block} out of range [0, {self.n_blocks})")
         reader = self.simulator.state_reader()
         with self._lock:
-            if self.cache and not self._stale[block]:
+            if not self._stale[block]:
                 return self._tree.value(block)
         with self._observe("block_probability") as span:
             span.set("blocks_missing", 1)

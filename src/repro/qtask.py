@@ -43,7 +43,7 @@ class QTask:
     def __init__(self, num_qubits: int, *, num_clbits: int = 0, **knobs) -> None:
         """A fresh session; ``knobs`` are the
         :class:`~repro.core.simulator.QTaskSimulator` keywords (``block_size``,
-        ``num_workers``, ``copy_on_write``, ``kernel_backend``, ``seed``, ...)."""
+        ``num_workers``, ``kernel_backend``, ``seed``, ...)."""
         self.circuit = Circuit(num_qubits, num_clbits=num_clbits)
         self.simulator = QTaskSimulator(self.circuit, **knobs)
         #: parent handle uid -> this session's handle (forked sessions only)

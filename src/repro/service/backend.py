@@ -34,6 +34,7 @@ counters, pool gauges, latency histograms and the engine's rolled-up
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import os
 import queue
@@ -45,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.exceptions import QTaskError
+from ..core.simulator import QTaskSimulator
 from ..parallel import Executor, WorkStealingExecutor
 from ..qasm.parser import ParsedProgram, parse_qasm
 from ..telemetry.metrics import MetricsRegistry
@@ -66,6 +68,11 @@ __all__ = ["Backend"]
 #: program, or a builder callable ``(session: QTask) -> None`` that inserts
 #: gates into a fresh session of ``num_qubits`` qubits
 CircuitLike = Union[str, ParsedProgram, Callable[[QTask], None]]
+
+#: the session keywords ``session_knobs`` may name: the engine's own, less
+#: the execution resources (the backend's executor runs every session)
+SESSION_KNOBS = frozenset(inspect.signature(QTaskSimulator).parameters) - {
+    "circuit", "executor", "num_workers"}
 
 #: QASM requests whose parse a backend keeps (by text digest, least
 #: recently submitted out first)
@@ -137,8 +144,14 @@ class Backend:
         self.configuration = BackendConfiguration.coerce(configuration)
         cfg = self.configuration
         #: extra QTask constructor knobs applied to every pooled base
-        #: session (``block_size``, ``copy_on_write``, ``seed``, ...)
+        #: session (``block_size``, ``seed``, ...)
         self._session_knobs = dict(session_knobs or {})
+        unknown = sorted(set(self._session_knobs) - SESSION_KNOBS)
+        if unknown:
+            raise ValueError(
+                f"unknown session knob(s): {', '.join(unknown)} "
+                f"(known: {', '.join(sorted(SESSION_KNOBS))})"
+            )
         self._owns_executor = executor is None
         self._executor = (
             executor if executor is not None else WorkStealingExecutor(num_workers)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.adapters import (
+    SimulatorFactory,
     qiskit_like_factory,
     qtask_factory,
     qulacs_like_factory,
@@ -13,9 +14,31 @@ from repro.core.circuit import Circuit
 from repro.observables import maxcut_hamiltonian
 from repro.qasm.levelize import levelize
 
+def cold_qtask_factory(name: str) -> SimulatorFactory:
+    """qTask sessions whose observables engine drops every cached result
+    before each query, so every answer is computed from the block stores."""
+    base = qtask_factory(name=name)
+
+    def build(circuit):
+        adapter = base.create(circuit)
+        engine = adapter.impl.observables
+        for query in ("expectation_value", "total_probability",
+                      "marginal_probabilities", "sample"):
+            warm = getattr(engine, query)
+
+            def cold(*args, _warm=warm, **kwargs):
+                engine.invalidate()
+                return _warm(*args, **kwargs)
+
+            setattr(engine, query, cold)
+        return adapter
+
+    return SimulatorFactory(name=name, builder=build)
+
+
 FACTORIES = [
     qtask_factory(),
-    qtask_factory(observable_cache=False, name="qTask-nocache"),
+    cold_qtask_factory("qTask-nocache"),
     # the id is historical (the knob it named is gone): a many-block corner
     qtask_factory(block_size=4, name="qTask-fused"),
     qulacs_like_factory(),

@@ -206,8 +206,9 @@ class _UpdateAfterEachGate(CircuitObserver):
         self.sim.update_state()
 
 
-#: the (stepwise, copy_on_write) corners the equivalence files cross
-BUILD_CORNERS = [(False, True), (True, True), (False, False), (True, False)]
+#: the (stepwise, restored) corners the equivalence files cross: built in one
+#: update or one per gate, used live or round-tripped through a checkpoint
+BUILD_CORNERS = [(False, False), (True, False), (False, True), (True, True)]
 
 
 def open_session(target, *, stepwise: bool = False, **knobs):
@@ -406,13 +407,10 @@ def plan_nodes(graph, plan) -> list:
 
 def swept_nodes(session) -> set:
     """What the next update would re-simulate, as ``(seq, range, is_sync)``."""
-    sim = session.simulator
-    dense = not sim.copy_on_write and (
-        sim.graph.has_pending or sim.state_epoch[0] == 0
-    )
+    graph = session.simulator.graph
     return {
         (node.stage.seq, node.block_range.to_tuple(), node.is_sync)
-        for node in plan_nodes(sim.graph, sim.graph.sweep(everything=dense))
+        for node in plan_nodes(graph, graph.sweep())
     }
 
 
@@ -589,9 +587,6 @@ class FrontierOracle:
         self.runs = intact
         self.known = now
         seeds = {(stage.seq, r, is_sync) for stage, r, is_sync in self.seeds}
-        if not sim.copy_on_write and (sim.graph.has_pending or self.epoch == 0):
-            # dense mode re-simulates every partition of every stage
-            seeds = {(stage.seq, r, False) for stage, _, ranges, _ in now for r in ranges}
         stages = [entry[0] for entry in now]
         reached = closest_writer_reachability(stages, seeds)
         # runs the closure meets: whole or not at all
@@ -623,10 +618,9 @@ def greedy_runs(session, nodes) -> list:
     ``MAX_RUN_STAGES`` members, the union of their qubits stays within
     ``MAX_RUN_QUBITS``, and -- for a collapse -- the group does not start
     before the first dynamic stage; otherwise it opens a new group.  Any
-    other stage plans alone, and so does every stage in dense mode.
+    other stage plans alone.
     """
-    sim = session.simulator
-    stages = sim.graph.stages
+    stages = session.simulator.graph.stages
     affected: dict = {}
     for seq, _, _ in nodes:
         affected[seq] = affected.get(seq, 0) + 1
@@ -640,9 +634,7 @@ def greedy_runs(session, nodes) -> list:
         stage = stages[seq]
         collapse = isinstance(stage, (MeasureStage, ResetStage))
         whole = affected[seq] == len(stage.partition_specs()) + collapse
-        if not sim.copy_on_write or not (
-            collapse or (isinstance(stage, UnitaryStage) and whole)
-        ):
+        if not (collapse or (isinstance(stage, UnitaryStage) and whole)):
             open_group = []
             groups.append((stage,))
             continue

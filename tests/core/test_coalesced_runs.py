@@ -488,17 +488,6 @@ def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
             bin(run.cover).count("1") for run in runs
         )
         assert report.executed_block_writes < 5054  # one write per stage and block
-    dense, *_ = qft_session(12, kernel_backend="numpy", copy_on_write=False, tracing=True)
-    with dense:
-        dense.update_state()
-        stats = dense.statistics()
-        (span,) = [
-            r.attrs for r in dense.telemetry.tracer.spans() if r.name == "plan.build"
-        ]
-        assert (span["coalesced_stages"], span["runs"], span["stages"]) == (0, 0, 361)
-        assert stats["stages_coalesced"] == 0 and stats["plans_built"] == 361
-        assert dense.simulator.graph.runs() == []
-        assert "coalesced 0 stages (0 collapses) into 0 runs" in dense.explain_last_update()
 
 
 def test_qft_sweep_is_the_widened_oracle_and_stays_partial():

@@ -49,9 +49,8 @@ def assert_oracle(session):
     for stage in graph.stages:
         # the graph files the layout the stage has now
         assert graph._layouts[stage.uid].specs == stage.partition_layout().specs
-    if session.simulator.copy_on_write:
-        assert_held_blocks_declared(session)
-        assert_held_blocks_are_prefix_states(session)
+    assert_held_blocks_declared(session)
+    assert_held_blocks_are_prefix_states(session)
 
 
 #: two nets putting every qubit in a distinct, entangled state
@@ -146,14 +145,17 @@ def test_member_retune_add_and_remove_refile_the_layout(block_size):
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-def test_dense_mode_matches_the_oracle(block_size, no_plan):
+def test_dense_mode_matches_the_oracle(block_size):
+    """An update re-running every stage -- what the deleted dense storage
+    mode did on every update -- lands on the oracle."""
     levels = PREP + NETS["mixed"] + NETS["two-qubit"]
-    session, handles = session_of(levels, block_size=block_size, copy_on_write=False)
+    session, handles = session_of(levels, block_size=block_size)
     with session:
         assert_oracle(session)
-        session.update_gate(handles[-2], 1.4)  # the rxx: re-runs everything
+        session.update_gate(handles[0], 1.4)  # the first ry: re-runs everything
         session.insert_gate("ry", session.nets()[1], 1, params=(0.2,))
-        session.update_state()
+        report = session.update_state()
+        assert report.affected_partitions == report.total_partitions
         assert_oracle(session)
 
 

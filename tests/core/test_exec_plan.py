@@ -117,12 +117,6 @@ class TestBuildExecutionPlan:
         assert sorted(members) == sorted(stage_uids) and len(stage_uids) == 5
         assert [len(sp.members) for sp in plan.stage_plans] == [1, 4]
         assert all(sp.stage is sp.members[0] for sp in plan.stage_plans)
-        # dense mode holds whole vectors per stage: nothing to coalesce
-        dense = _simulator([[Gate("h", (q,)) for q in range(4)],
-                            [Gate("rz", (q,), (0.3,)) for q in range(4)]],
-                           copy_on_write=False)
-        plan, _ = _plan_for(dense)
-        assert [len(sp.members) for sp in plan.stage_plans] == [1] * 5
 
     def test_stage_plans_in_topological_stage_order(self):
         # plans by seq, and within a run the members by seq, no gaps

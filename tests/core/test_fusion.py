@@ -293,8 +293,8 @@ def test_fusion_knob_in_statistics_and_facade():
         with pytest.raises(TypeError):
             QTask(3, **knob)
     keywords = inspect.signature(QTaskSimulator.__init__).parameters.values()
-    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 8
-    assert DURABLE_KNOBS == ("block_size", "copy_on_write", "observable_cache")
+    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 6
+    assert DURABLE_KNOBS == ("block_size",)
     with QTask(3) as session:
         stats = session.statistics()
         assert not {"fusion", "max_fused_qubits", "num_fused_stages"} & set(stats)

@@ -17,6 +17,7 @@ from ..conftest import (
     reference_state,
     worker_threads,
 )
+from .test_snapshot import DENSE_FIXTURE, build_dense_fixture_circuit
 
 
 def make_sim(n, levels, **kwargs):
@@ -246,33 +247,32 @@ def test_rebuild_from_empty_to_full_level_by_level(rng):
 
 
 # ---------------------------------------------------------------------------
-# copy-on-write ablation
+# copy-on-write (§IV.F): what one dense vector per stage would cost is the
+# memory report's ``dense_bytes``
 # ---------------------------------------------------------------------------
 
 
-def test_copy_on_write_disabled_gives_same_state(rng):
-    levels = random_levels(rng, 4, 5)
-    _, sim_cow = make_sim(4, levels, block_size=4, num_workers=1, copy_on_write=True)
-    _, sim_dense = make_sim(4, levels, block_size=4, num_workers=1, copy_on_write=False)
-    sim_cow.update_state()
-    sim_dense.update_state()
-    assert_states_close(sim_cow.state(), sim_dense.state())
-    sim_cow.close()
-    sim_dense.close()
+def test_copy_on_write_disabled_gives_same_state():
+    """A session the deleted dense storage mode checkpointed restores to the
+    state a copy-on-write session of the same circuit computes."""
+    with QTask.restore(DENSE_FIXTURE, num_workers=1) as dense, QTask(
+        5, num_clbits=2, block_size=4, num_workers=1, seed=11
+    ) as cow:
+        build_dense_fixture_circuit(cow)
+        cow.update_state()
+        assert_states_close(cow.state(), dense.state())
+        assert cow.outcomes.recorded_outcomes() == dense.outcomes.recorded_outcomes()
 
 
-def test_copy_on_write_uses_less_memory(no_plan):
-    # dense mode's block-by-block publishes can exhaust the update retries
-    # at chaos-mode rates
+def test_copy_on_write_uses_less_memory():
     n = 6
     levels = [[Gate("h", (5,))]] + [[Gate("cz", (5, q))] for q in range(4)]
-    _, cow = make_sim(n, levels, block_size=4, num_workers=1, copy_on_write=True)
-    _, dense = make_sim(n, levels, block_size=4, num_workers=1, copy_on_write=False)
+    _, cow = make_sim(n, levels, block_size=4, num_workers=1)
     cow.update_state()
-    dense.update_state()
-    assert cow.memory_report().allocated_bytes < dense.memory_report().allocated_bytes
+    report = cow.memory_report()
+    assert report.dense_bytes == 5 * 16 * 2**n  # one vector per stage
+    assert report.allocated_bytes < report.dense_bytes
     cow.close()
-    dense.close()
 
 
 # ---------------------------------------------------------------------------

@@ -544,18 +544,14 @@ def test_sessions_agree_with_the_per_run_reference_backend(
 
 @pytest.mark.parametrize("stepwise", [True, False])
 @pytest.mark.parametrize("num_workers", [1, 4])
-def test_dense_mode_sessions_agree_with_the_reference_backend(
-    no_plan, stepwise, num_workers
-):
-    # copy_on_write=False publishes every block of every stage one by one
-    # after the kernels ran; at chaos-mode rates that alone exhausts the
-    # update-level retries, so this corner runs with the plan parked.
+def test_dense_mode_sessions_agree_with_the_reference_backend(stepwise, num_workers):
+    """One block holds the whole 6-qubit state, so every stage that runs
+    stores a full vector -- what the deleted dense storage mode kept."""
     _check_sessions_agree(
         20260927,
-        block_size=4,
+        block_size=64,
         num_workers=num_workers,
         stepwise=stepwise,
-        copy_on_write=False,
     )
 
 

@@ -60,15 +60,38 @@ def _fill_session(session: QTask, levels) -> None:
     session.circuit.from_levels(levels)
 
 
+DENSE_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "..", "data", "dense_pr34.qtckpt"
+)
+
+
+def build_dense_fixture_circuit(session: QTask) -> None:
+    """The circuit of ``dense_pr34.qtckpt`` (see
+    :func:`test_checkpoint_written_in_dense_mode_restores_trimmed`)."""
+    s = session
+    n = [s.insert_net() for _ in range(8)]
+    for q in (0, 1, 3, 4):
+        s.insert_gate("h", n[0], q)
+    s.insert_gate("t", n[1], 4)
+    s.insert_gate("cp", n[2], 3, 4, params=(0.7,))
+    s.insert_gate("cx", n[2], 0, 1)
+    s.measure(n[3], 4, 0)
+    s.c_if("x", n[4], 2, condition=([0], 0))
+    s.reset(n[5], 1)
+    s.insert_gate("rz", n[6], 3, params=(0.3,))
+    s.measure(n[7], 3, 1)
+
+
 # the ids are the ones the test floor pins: "fusion" marks the corners built
 # one update per gate (``conftest.open_session``; it used to select
 # insert-time fusion), "chain" marked the corners that also turned the
-# since-deleted store-chain knob off
+# since-deleted store-chain knob off, and "dense" is a session restored
+# from a file the deleted dense storage mode wrote
 KNOB_COMBOS = [
     pytest.param(dict(block_size=4), id="defaults-bs4"),
     pytest.param(dict(block_size=4, stepwise=True), id="fusion-bs4"),
     pytest.param(dict(block_size=8), id="chain-bs8"),
-    pytest.param(dict(block_size=4, copy_on_write=False), id="dense-bs4"),
+    pytest.param(dict(restore=DENSE_FIXTURE), id="dense-bs4"),
     pytest.param(dict(block_size=16, stepwise=True), id="fusion-chain-bs16"),
 ]
 
@@ -80,12 +103,16 @@ KNOB_COMBOS = [
 
 @pytest.mark.parametrize("knobs", KNOB_COMBOS)
 def test_round_trip_preserves_state_and_structure(tmp_path, knobs):
-    num_qubits = 6
+    knobs = dict(knobs)
+    fixture = knobs.pop("restore", None)
     rng = random.Random(20260807)
-    levels = random_levels(rng, num_qubits, 6)
     path = str(tmp_path / "session.qtckpt")
-    with open_session(num_qubits, num_workers=1, **knobs) as session:
-        _fill_session(session, levels)
+    with (
+        QTask.restore(fixture, num_workers=1)
+        if fixture is not None
+        else open_session(6, num_workers=1, **knobs)
+    ) as session:
+        _fill_session(session, random_levels(rng, session.num_qubits, 6))
         session.update_state()
         original_state = session.state().copy()
         original_stats = session.statistics()
@@ -99,6 +126,7 @@ def test_round_trip_preserves_state_and_structure(tmp_path, knobs):
     try:
         # the checkpointed amplitudes load bit-exactly, without simulating
         np.testing.assert_array_equal(restored.state(), original_state)
+        assert_held_blocks_declared(restored)
         stats = restored.statistics()
         for key in ("num_stages", "num_nodes", "block_size"):
             assert stats[key] == original_stats[key], key
@@ -261,7 +289,7 @@ def test_direct_simulator_round_trip(tmp_path):
 def test_new_forked_and_restored_sessions_are_assembled_alike(tmp_path):
     """One assembler: a fresh session, its fork and its restore carry the same
     instance attributes and the same durable-knob values."""
-    knobs = dict(copy_on_write=False, observable_cache=False, block_size=4)
+    knobs = dict(block_size=4)
     circuit = Circuit(5)
     circuit.from_levels(random_levels(random.Random(36), 5, 4))
     fresh = QTaskSimulator(circuit, num_workers=1, **knobs)
@@ -547,6 +575,64 @@ def test_checkpoint_written_on_the_sharded_transport_restores_bit_identically():
         session.update_state()
         assert session.simulator.last_update.was_incremental
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
+
+
+def test_checkpoint_written_in_dense_mode_restores_trimmed(tmp_path):
+    """A file written at ``366f28f``, the last version with the dense storage
+    mode, with ``copy_on_write=False`` (its header names the knob, and every
+    stage lists every block).  Written there by::
+
+        with QTask(5, num_clbits=2, block_size=4, num_workers=1, seed=11,
+                   copy_on_write=False) as s:
+            n = [s.insert_net() for _ in range(8)]
+            for q in (0, 1, 3, 4):
+                s.insert_gate("h", n[0], q)
+            s.insert_gate("t", n[1], 4)                     # half the blocks
+            s.insert_gate("cp", n[2], 3, 4, params=(0.7,))  # a quarter of them
+            s.insert_gate("cx", n[2], 0, 1)
+            s.measure(n[3], 4, 0)                           # draws 0
+            s.c_if("x", n[4], 2, condition=([0], 0))        # ... so x fires
+            s.reset(n[5], 1)
+            s.insert_gate("rz", n[6], 3, params=(0.3,))
+            s.measure(n[7], 3, 1)
+            s.update_state()
+            s.checkpoint("tests/data/dense_pr34.qtckpt")
+
+    The state restores to the bit (the digest is the parent's
+    ``state().tobytes()``), each stage keeps only the blocks it declares --
+    as many bytes as a copy-on-write checkpoint of the same session, built
+    one update per gate so that no run elides a block -- and it stays
+    editable.
+    """
+    header, _ = _read_file(DENSE_FIXTURE)
+    assert header["knobs"]["copy_on_write"] is False
+    assert all(len(entry["blocks"]) == 8 for entry in header["stages"])
+    path = str(tmp_path / "cow.qtckpt")
+    with open_session(5, num_clbits=2, block_size=4, num_workers=1, seed=11,
+                      stepwise=True) as cow:
+        build_dense_fixture_circuit(cow)
+        cow.checkpoint(path)
+    with QTask.restore(path, num_workers=1) as cow:
+        cow_bytes = cow.memory_report().allocated_bytes
+    with QTask.restore(DENSE_FIXTURE, num_workers=1) as session:
+        assert hashlib.sha256(session.state().tobytes()).hexdigest() == (
+            "1a0bb99a4aa77669eec68cca5e4166cfef02af18ce14be9cb8262baf757cd1bc"
+        )
+        np.testing.assert_array_equal(session.state(), dense_state(session))
+        assert session.outcomes.recorded_outcomes() == {0: 0, 2: 1, 3: 1}
+        assert session.simulator.graph.runs() == []
+        assert_held_blocks_declared(session)
+        assert_held_blocks_are_prefix_states(session)
+        report = session.memory_report()
+        assert report.allocated_bytes == cow_bytes < report.dense_bytes
+        nets = session.nets()
+        session.update_gate(nets[6].gates[0], 1.1)  # rz, between the measures
+        session.insert_gate("s", nets[1], 0)
+        session.update_state()
+        assert session.simulator.last_update.was_incremental
+        np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
+        assert_held_blocks_declared(session)
+        assert_runs_are_consistent(session)
 
 
 def test_restored_session_keeps_its_collapse_path(tmp_path):

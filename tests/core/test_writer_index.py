@@ -26,8 +26,7 @@ Four things are pinned here:
   under the ``(unit layout, qubits, geometry)`` key; the enumerator behind
   the cache must give the same layout (block masks included) for any drawn
   action.
-* **Held blocks lie inside declared ranges** (``copy_on_write=True``): the
-  invariant block resolution rests on -- reads resolve through the writer
+* **Held blocks lie inside declared ranges**: the invariant block resolution rests on -- reads resolve through the writer
   index, which lists *declared* writers (``test_block_sources.py`` pins the
   resolution itself).
 """

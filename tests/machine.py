@@ -12,11 +12,11 @@ engine (``tests/conftest.py``).  After every step:
   :class:`FrontierOracle` derives from outside, and the writer index lists
   the declaring stages by seq;
 * a session with nothing pending has the dense oracle's state (1e-10), its
-  held blocks are declared ones (copy-on-write) and prefix states, its run
-  records agree with its stores, and every read resolves to the
-  newest-holder scan; a session no rule touched has not moved by a bit;
+  held blocks are declared ones and prefix states, its run records agree
+  with its stores, and every read resolves to the newest-holder scan; a
+  session no rule touched has not moved by a bit;
 * every Pauli sum asked so far gets the same answer from the session's
-  engine, a ``cache=False`` engine and ``dense_expectation``;
+  engine, an engine invalidated before each query and ``dense_expectation``;
 * ``memory_report()`` adds up, and fresh, forked and restored simulators
   have one attribute set (``forked_gate_map`` is a fork's alone).
 
@@ -94,8 +94,6 @@ SHOTS = 24
 KNOBS = dict(
     num_qubits=st.integers(3, 6),
     block_size=st.sampled_from([2, 2, 4, 4, 8, 16, 64, 256]),
-    copy_on_write=st.booleans(),
-    observable_cache=st.booleans(),
     num_workers=st.sampled_from([1, 2]),
     kernel_backend=st.sampled_from([None, KernelBackend()]),
     seed=st.integers(0, 999),
@@ -275,21 +273,6 @@ def assert_index_matches_stage_order(graph):
     assert graph.num_nodes() == len(graph.all_nodes())
 
 
-def assert_same_source(sim, store, want, block, where):
-    """``store`` is ``want``, the newest holder of ``block``.
-
-    With copy-on-write that is an identity; a dense-mode stage also holds
-    copies of blocks it never declared, so there the newest holder is a
-    later store with the same amplitudes.
-    """
-    if sim.copy_on_write:
-        assert store is want, (where, block)
-    else:
-        assert np.array_equal(store.get_block(block), want.get_block(block)), (
-            where, block,
-        )
-
-
 def assert_reads_equal_the_scan(sim, *, every_view=True):
     """Reads as of every stage seq (or only the final state's) resolve to
     the newest holder a forward scan over the stage stores finds, and read
@@ -300,7 +283,7 @@ def assert_reads_equal_the_scan(sim, *, every_view=True):
     def check(view):
         reader = IndexReader(sim.graph, sim._initial, view)
         for block, store in enumerate(reader.resolve_stores(range(sim.n_blocks))):
-            assert_same_source(sim, store, holders[block], block, view)
+            assert store is holders[block], (view, block)
 
     for seq, stage in enumerate(stages):
         if every_view:
@@ -343,7 +326,7 @@ def update_and_check_planned_sources(session, oracle=None):
             # ... read as of the plan's first stage: a source inside an
             # earlier run is that run's last declarer, the one that holds it
             want = newest_holder(sim._initial, sim.graph.stages, block, sp.stage.seq)
-            assert_same_source(sim, store, want, block, sp.stage)
+            assert store is want, (sp.stage, block)
         # the task edges are the planned stages among those sources
         sources = set(sp.reader.sources.values())
         preds = {pred for pred, s in plan.edges if s == succ}
@@ -396,8 +379,9 @@ class SessionMachine(RuleBasedStateMachine):
         super().__init__()
         self.live = []
         self.oracles = {}
-        #: a ``cache=False`` engine shadowing each session's own
-        self.uncached = {}
+        #: an engine shadowing each session's own, invalidated before each
+        #: query: every answer it gives is computed cold
+        self.cold = {}
         #: each session's ``state()`` and version when last checked
         self.seen = {}
         self.versions = {}
@@ -421,7 +405,7 @@ class SessionMachine(RuleBasedStateMachine):
     def _adopt(self, session):
         self.live.append(session)
         self.oracles[session] = FrontierOracle(session)
-        self.uncached[session] = ObservablesEngine(session.simulator, cache=False)
+        self.cold[session] = ObservablesEngine(session.simulator)
         self.touched.add(session)
         return session
 
@@ -730,7 +714,7 @@ class SessionMachine(RuleBasedStateMachine):
         """An untouched session has not moved a bit; a touched one that did
         is held against the dense oracle (when computed) and the scan.
         Every session's cached expectations equal the dense values, and --
-        when those may have moved -- its uncached engine's."""
+        when those may have moved -- its cold engine's."""
         for session in self.live:
             sim = session.simulator
             state = session.state()
@@ -744,15 +728,15 @@ class SessionMachine(RuleBasedStateMachine):
             if moved or self.asked:
                 self.wants[session] = [dense_value(state, obs) for obs in self.observables]
             engine = sim.observables
-            uncached = self.uncached[session]
+            cold = self.cold[session]
             for obs, want in zip(self.observables, self.wants.get(session, ())):
                 assert abs(engine.expectation_value(obs) - want) < 1e-10
-                if engine.cache:
-                    # a query leaves every partial of its terms valid
-                    assert all(engine._terms[t.key].valid.all() for t in obs.terms)
+                # a query leaves every partial of its terms valid
+                assert all(engine._terms[t.key].valid.all() for t in obs.terms)
                 if moved or self.asked:
-                    assert abs(uncached.expectation_value(obs) - want) < 1e-10
-            assert uncached.cached_partials == 0
+                    cold.invalidate()
+                    assert cold.cached_partials == 0
+                    assert abs(cold.expectation_value(obs) - want) < 1e-10
 
     def _check_touched(self, session, state):
         sim = session.simulator
@@ -765,14 +749,10 @@ class SessionMachine(RuleBasedStateMachine):
         computed = not sim.graph.has_pending and sim.state_epoch[0]
         if computed:
             assert_close(state, dense_state(session), atol=1e-10, rtol=1e-7)
-            if sim.copy_on_write:
-                assert_held_blocks_declared(session)
+            assert_held_blocks_declared(session)
             assert_held_blocks_are_prefix_states(session)
             assert_runs_are_consistent(session)
-        if computed or sim.copy_on_write:
-            # (a pending dense-mode edit leaves copies of undeclared blocks
-            # stale: newest holder and newest declarer differ)
-            assert_reads_equal_the_scan(sim, every_view=False)
+        assert_reads_equal_the_scan(sim, every_view=False)
 
     def _memory_reports_add_up(self):
         for session in self.live:

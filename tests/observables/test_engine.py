@@ -150,18 +150,15 @@ class TestExpectation:
         sim.close()
 
     def test_cache_disabled_matches_cached(self, rng):
-        ckt_a, sim_a = build_sim(rng, 3, block_size=2, observable_cache=True)
+        """A cold query -- after ``invalidate()`` -- equals the cached one."""
+        ckt, sim = build_sim(rng, 3, block_size=2)
         obs = random_observable(rng, 3)
-        rng2 = __import__("random").Random(99)
-        ckt_b = Circuit(3)
-        sim_b = QTaskSimulator(ckt_b, num_workers=1, block_size=2,
-                               observable_cache=False)
-        ckt_b.from_levels([[h.gate for h in net.gates] for net in ckt_a.nets()])
-        sim_b.update_state()
-        assert abs(sim_a.expectation(obs) - sim_b.expectation(obs)) < 1e-12
-        assert sim_b.statistics()["observable_cache"] is False
-        sim_a.close()
-        sim_b.close()
+        sim.expectation(obs)
+        cached = sim.expectation(obs)
+        sim.observables.invalidate()
+        assert sim.statistics()["cached_observable_partials"] == 0
+        assert abs(sim.expectation(obs) - cached) < 1e-12
+        sim.close()
 
     def test_cached_partials_reported_in_statistics(self, rng):
         ckt, sim = build_sim(rng, 3, block_size=2)
@@ -187,7 +184,9 @@ class TestSupportValidation:
     )
     @pytest.mark.parametrize("cache", [True, False])
     def test_pauli_beyond_the_register_is_rejected(self, rng, observable, cache):
-        ckt, sim = build_sim(rng, 4, block_size=4, observable_cache=cache)
+        ckt, sim = build_sim(rng, 4, block_size=4)
+        if not cache:  # a cold engine
+            sim.observables.invalidate()
         with pytest.raises(QubitIndexError, match="outside"):
             sim.expectation(observable)
         # rejected before anything was read or cached
@@ -206,11 +205,13 @@ class TestNormAndMarginals:
 
     @pytest.mark.parametrize("cache", [True, False])
     def test_block_probability_is_the_blocks_mass(self, rng, cache):
-        ckt, sim = build_sim(rng, 4, block_size=4, observable_cache=cache)
+        ckt, sim = build_sim(rng, 4, block_size=4)
         masses = sim.probabilities().reshape(sim.n_blocks, -1).sum(axis=1)
         engine = sim.observables
         for warm in (False, True):  # stale, then served from the tree
             for b in range(sim.n_blocks):
+                if not cache:  # every query cold
+                    engine.invalidate()
                 assert abs(engine.block_probability(b) - masses[b]) < 1e-12
             assert abs(engine.total_probability() - 1.0) < 1e-10
         with pytest.raises(IndexError):

@@ -9,8 +9,8 @@ must agree to 1e-10 after every step of the state machine in
 faults, queries with modifiers still pending:
 
 * the session's own (caching) engine,
-* a ``cache=False`` engine on the same simulator (the same code with nothing
-  valid), and
+* a second engine on the same simulator, invalidated before each query
+  (the same code with nothing valid), and
 * the dense path, term by term on ``state()`` (``dense_expectation``, which
   shares no code with the slab routine).
 
@@ -38,9 +38,9 @@ from ..machine import MODIFIERS, run_machine
 
 
 def test_slab_engine_equals_dense_and_uncached(tmp_path):
-    # the session's own engine caches (the uncached one is the machine's)
+    # the session's own engine caches (the cold one is the machine's)
     run_machine(tmp_path, rules=MODIFIERS | {"expectation", "inject_fault"},
-                observable_cache=True, max_examples=25, steps=24)
+                max_examples=25, steps=24)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +110,17 @@ def test_one_gather_when_dirty_none_when_clean(no_plan):
 
 def test_uncached_engine_runs_the_same_slab_routine(no_plan):
     session, _ = layered_session()
-    twin, _ = layered_session(observable_cache=False)
+    twin, _ = layered_session()
     with session, twin:
         cached_calls = count_reads(session.simulator)
         uncached_calls = count_reads(twin.simulator)
         assert session.expectation(MIXED) == twin.expectation(MIXED)
         assert cached_calls == uncached_calls == [list(range(16))]
-        # nothing is ever valid without the cache: same gather again
+        # nothing is valid after invalidate(): the same gather again
+        twin.simulator.observables.invalidate()
+        assert twin.statistics()["cached_observable_partials"] == 0
         assert twin.expectation(MIXED) == session.expectation(MIXED)
         assert len(cached_calls) == 1 and len(uncached_calls) == 2
-        assert twin.statistics()["cached_observable_partials"] == 0
 
 
 def test_partial_query_gathers_missing_blocks_and_their_partners(no_plan):

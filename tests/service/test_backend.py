@@ -58,6 +58,22 @@ def test_unknown_configuration_key_rejected():
         Backend({"max_qubits": 5})
 
 
+@pytest.mark.parametrize(
+    "knobs", [{"bogus_knob": 1}, {"copy_on_write": False}, {"num_workers": 2}]
+)
+def test_unknown_session_knob_rejected_at_construction(knobs):
+    """A knob no pooled session takes fails the constructor, naming it,
+    instead of every job's ``result()``; no executor is started for it."""
+    before = {t for t in threading.enumerate() if t.name.startswith("qtask-worker")}
+    with pytest.raises(ValueError, match=f"unknown session knob.*{next(iter(knobs))}"):
+        Backend(num_workers=2, session_knobs=knobs)
+    after = {t for t in threading.enumerate() if t.name.startswith("qtask-worker")}
+    assert after <= before
+    with Backend({"n_qubits": 4}, num_workers=1,
+                 session_knobs={"block_size": 4, "seed": 3}) as be:
+        assert sum(be.run(BELL, shots=8).result().counts.values()) == 8
+
+
 def test_configuration_dict_roundtrip():
     cfg = BackendConfiguration.coerce({"max_shots": 128, "n_qubits": 10})
     assert cfg.max_shots == 128

@@ -1,8 +1,7 @@
 """Backend parity: every way a run table executes computes the same states.
 
 How a table is executed must not show in the result: for any circuit, any
-knob combination (build order, copy-on-write, block size) and any modifier
-sequence, the slab backend, the run-granular reference loop, the fallback
+knob combination (build order, block size) and any modifier sequence, the slab backend, the run-granular reference loop, the fallback
 of a faulted chunk and the dense oracle must agree to 1e-10.
 """
 
@@ -32,22 +31,22 @@ ATOL = 1e-10
 
 # knob combinations exercising every structural code path the plan layer
 # interacts with: one update for the whole circuit (coalesced runs) vs one
-# per gate (``conftest.open_session``), COW vs dense stores (the dense
-# back-fill after a plan run) and block sizes from sub-gate to whole-state.
-# The ids are the ones the test floor pins: "fusion" marks the stepwise
-# corners (it used to select insert-time fusion), "chain" marked the corners
-# that also turned the since-deleted store-chain knob off.
+# per gate (``conftest.open_session``), an edit ahead of every level that
+# re-sweeps the whole circuit (``resweep``) and block sizes from sub-gate to
+# whole-state.  The ids are the ones the test floor pins: "fusion" marks the
+# stepwise corners (it used to select insert-time fusion), "chain" marked
+# the corners that also turned the since-deleted store-chain knob off, and
+# "dense" the deleted dense storage mode, which re-simulated every stage on
+# every update -- what a ``resweep`` update does through the frontier.
 KNOB_COMBOS = [
-    pytest.param(dict(copy_on_write=True, block_size=4), id="defaults-bs4"),
+    pytest.param(dict(block_size=4), id="defaults-bs4"),
+    pytest.param(dict(stepwise=True, block_size=4), id="fusion-bs4"),
+    pytest.param(dict(block_size=8), id="chain-bs8"),
     pytest.param(
-        dict(stepwise=True, copy_on_write=True, block_size=4), id="fusion-bs4"
-    ),
-    pytest.param(dict(copy_on_write=True, block_size=8), id="chain-bs8"),
-    pytest.param(
-        dict(stepwise=True, copy_on_write=False, block_size=4),
+        dict(stepwise=True, resweep=True, block_size=4),
         id="fusion-chain-dense-bs4",
     ),
-    pytest.param(dict(copy_on_write=False, block_size=16), id="dense-bs16"),
+    pytest.param(dict(resweep=True, block_size=16), id="dense-bs16"),
 ]
 
 # Each leg is a factory for the session knobs that pick how run tables
@@ -79,6 +78,16 @@ def _build(levels, num_qubits, backend, knobs) -> QTaskSimulator:
     return sim
 
 
+def _resweep(circuit, flip):
+    """Toggle an ``x`` in a net ahead of every level: it rewrites every
+    block, so the next update re-sweeps the whole circuit.  Returns the
+    ``x`` inserted, ``None`` when ``flip`` was removed."""
+    if flip is None:
+        return circuit.insert_gate(Gate("x", (0,)), circuit.prepend_net())
+    circuit.remove_net(flip.net)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # static circuits: backend == dense across every knob combo
 # ---------------------------------------------------------------------------
@@ -90,10 +99,20 @@ def test_random_circuit_matches_dense(backend, knobs):
     num_qubits = 6
     rng = random.Random(20260807)
     levels = random_levels(rng, num_qubits, 8)
+    knobs = dict(knobs)
+    resweep = knobs.pop("resweep", False)
     with _build(levels, num_qubits, backend, knobs) as sim:
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
+        if resweep:
+            _resweep(sim.circuit, None)
+            if sim.graph.has_pending:  # (a stepwise session updated already)
+                sim.update_state()
+            report = sim.last_update
+            assert report.affected_partitions == report.total_partitions
+            expected = reference_state(num_qubits, circuit_levels(sim.circuit))
+            np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -124,7 +143,7 @@ def test_incremental_insert_matches_dense(backend):
     [
         pytest.param(dict(block_size=4), id="defaults"),
         pytest.param(dict(block_size=4, stepwise=True), id="fusion"),
-        pytest.param(dict(block_size=8, copy_on_write=False), id="dense-bs8"),
+        pytest.param(dict(block_size=8, resweep=True), id="dense-bs8"),
     ],
 )
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -139,15 +158,22 @@ def test_retune_sequence_matches_dense(backend, knobs):
             [Gate("rz", (q,), (0.1 + 0.2 * layer + 0.05 * q,)) for q in range(num_qubits)]
         )
         levels.append([Gate("cx", (q, q + 1)) for q in range(0, num_qubits - 1, 2)])
+    knobs = dict(knobs)
+    resweep = knobs.pop("resweep", False)
     with open_session(circuit, **backend(), **knobs) as sim:
         circuit.from_levels(levels)
         sim.update_state()
         handles = [h for h in circuit.gates() if h.gate.name == "rz"]
         rng = random.Random(3)
+        flip = None
         for step in range(3):
             for h in rng.sample(handles, 4):
                 circuit.update_gate(h, rng.uniform(0, 2 * np.pi))
-            sim.update_state()
+            if resweep:
+                flip = _resweep(circuit, flip)
+            report = sim.update_state()
+            if resweep:
+                assert report.affected_partitions == report.total_partitions
             expected = reference_state(num_qubits, circuit_levels(circuit))
             np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
 

@@ -13,12 +13,14 @@ import pytest
 from .machine import CLEAR, EDITS, run_machine
 
 
-# the ids are historical: the axis is the machine's ``stepwise`` knob
+# the ids are historical: the axes are the machine's ``stepwise`` knob and
+# its block size -- drawn, or one block holding the whole state, so that
+# every stage that runs stores a full vector (what the deleted dense
+# storage mode kept for every stage)
 @pytest.mark.parametrize("stepwise", [False, True], ids=["unfused", "fused"])
-@pytest.mark.parametrize("cow", [True, False], ids=["cow", "dense"])
-def test_directory_matches_chain_under_modifiers(stepwise, cow):
-    run_machine(rules=EDITS, stepwise=stepwise, copy_on_write=cow,
-                max_examples=15, steps=8)
+@pytest.mark.parametrize("blocks", [{}, {"block_size": 256}], ids=["cow", "dense"])
+def test_directory_matches_chain_under_modifiers(stepwise, blocks):
+    run_machine(rules=EDITS, stepwise=stepwise, max_examples=15, steps=8, **blocks)
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["sequential", "workstealing"])

@@ -7,7 +7,7 @@ The fork invariants:
 * edits on the child never perturb the parent, and edits on the parent
   never perturb the child -- in both directions, to machine precision;
 * ``fork + retune`` equals a fresh build of the edited circuit to 1e-10,
-  built in one update or stepwise, with copy-on-write on and off;
+  built in one update or stepwise, of a live or a restored parent;
 * ``memory_report()`` shows forked sessions *sharing* blocks: a fleet of
   forks owns (almost) nothing beyond the parent until it diverges, i.e.
   memory grows sublinearly in the number of forks.
@@ -48,12 +48,24 @@ def _build_workload(session):
     return rz_handles, rx_handles
 
 
-@pytest.mark.parametrize("stepwise,copy_on_write", BUILD_CORNERS)
-def test_fresh_fork_matches_parent_exactly(stepwise, copy_on_write):
-    with open_session(N_QUBITS, num_workers=1, stepwise=stepwise,
-                      copy_on_write=copy_on_write) as parent:
-        _build_workload(parent)
-        parent.update_state()
+def _parent(stepwise, restored, tmp_path):
+    """The workload, built and updated -- and, ``restored``, round-tripped
+    through a checkpoint -- with its rz and rx handles."""
+    parent = open_session(N_QUBITS, num_workers=1, stepwise=stepwise)
+    _build_workload(parent)
+    parent.update_state()
+    if restored:
+        path = parent.checkpoint(str(tmp_path / "parent.qtckpt"))
+        parent.close()
+        parent = QTask.restore(path, num_workers=1)
+    nets = parent.nets()
+    return parent, nets[2].gates, nets[3].gates
+
+
+@pytest.mark.parametrize("stepwise,restored", BUILD_CORNERS)
+def test_fresh_fork_matches_parent_exactly(stepwise, restored, tmp_path):
+    parent, _, _ = _parent(stepwise, restored, tmp_path)
+    with parent:
         parent_state = parent.state()
         np.testing.assert_allclose(
             parent_state,
@@ -74,13 +86,11 @@ def test_fresh_fork_matches_parent_exactly(stepwise, copy_on_write):
             child.close()
 
 
-@pytest.mark.parametrize("stepwise,copy_on_write", BUILD_CORNERS)
-def test_fork_retune_equals_fresh_build(stepwise, copy_on_write):
+@pytest.mark.parametrize("stepwise,restored", BUILD_CORNERS)
+def test_fork_retune_equals_fresh_build(stepwise, restored, tmp_path):
     """fork + update_gate == building the edited circuit from scratch."""
-    with open_session(N_QUBITS, num_workers=1, stepwise=stepwise,
-                      copy_on_write=copy_on_write) as parent:
-        rz_handles, rx_handles = _build_workload(parent)
-        parent.update_state()
+    parent, rz_handles, rx_handles = _parent(stepwise, restored, tmp_path)
+    with parent:
         child = parent.fork()
         try:
             for i, h in enumerate(rz_handles):
@@ -90,8 +100,7 @@ def test_fork_retune_equals_fresh_build(stepwise, copy_on_write):
             report = child.update_state()
             assert report.was_incremental
 
-            with open_session(N_QUBITS, num_workers=1, stepwise=stepwise,
-                              copy_on_write=copy_on_write) as fresh:
+            with open_session(N_QUBITS, num_workers=1, stepwise=stepwise) as fresh:
                 rz2, rx2 = _build_workload(fresh)
                 for i, h in enumerate(rz2):
                     fresh.update_gate(h, 1.1 + 0.2 * i)

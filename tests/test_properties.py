@@ -22,8 +22,9 @@ def test_incremental_always_matches_from_scratch():
 
 
 def test_cow_and_dense_storage_agree_under_modifiers():
-    """The dense-storage corner (every other run draws copy-on-write)."""
-    run_machine(rules=EDITS, copy_on_write=False, max_examples=25, steps=8)
+    """The dense-storage corner: one block holds the whole state, so every
+    stage that runs stores a full vector (other runs draw smaller blocks)."""
+    run_machine(rules=EDITS, block_size=256, max_examples=25, steps=8)
 
 
 def test_parallel_and_sequential_execution_agree():

@@ -24,4 +24,4 @@ def test_retune_equals_reinsert_equals_dense():
 def test_expectation_tracks_retunes():
     """Cached block-wise expectations match the dense ground truth per edit."""
     run_machine(rules={"insert_net", "insert_gate", "update_gate", "expectation"},
-                observable_cache=True, max_examples=15, steps=8)
+                max_examples=15, steps=8)

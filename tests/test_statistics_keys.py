@@ -16,7 +16,6 @@ GOLDEN_KEYS = {
     "backend_fallbacks",
     "block_size",
     "cached_observable_partials",
-    "copy_on_write",
     "last_affected_partitions",
     "last_elapsed_seconds",
     "num_dynamic_stages",
@@ -26,7 +25,6 @@ GOLDEN_KEYS = {
     "num_stages",
     "num_updates",
     "num_workers",
-    "observable_cache",
     "plan_chunks",
     "plans_built",
     "run_retries",

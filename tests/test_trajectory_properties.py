@@ -30,6 +30,7 @@ from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
+from repro.core.kernels import KernelBackend
 
 from .conftest import open_session, random_level
 from .machine import DYNAMIC, run_machine
@@ -38,13 +39,13 @@ from .machine import DYNAMIC, run_machine
 # (``stepwise``: one update per gate instead of one for the whole circuit,
 # see ``conftest.open_session``)
 KNOB_MATRIX = [
-    dict(stepwise=False, copy_on_write=True, block_size=4),
-    dict(stepwise=True, copy_on_write=True, block_size=4),
-    dict(stepwise=False, copy_on_write=True, block_size=16),
-    dict(stepwise=True, copy_on_write=True, block_size=8),
-    dict(stepwise=False, copy_on_write=False, block_size=4),
-    dict(stepwise=True, copy_on_write=False, block_size=16),
-    dict(stepwise=False, copy_on_write=False, block_size=2),
+    dict(stepwise=False, block_size=4),
+    dict(stepwise=True, block_size=4),
+    dict(stepwise=False, block_size=16),
+    dict(stepwise=True, block_size=8),
+    dict(stepwise=False, block_size=2),
+    dict(stepwise=True, block_size=16, kernel_backend=KernelBackend()),
+    dict(stepwise=False, block_size=4, num_workers=2),
 ]
 
 
@@ -118,8 +119,7 @@ def test_incremental_edits_match_dense_per_trajectory(knobs):
         for step, angle in enumerate((1.7, 0.4, 2.9)):
             ckt.update_gate(theta, angle)
             report = sim.update_state()
-            if knobs["copy_on_write"]:
-                assert report.was_incremental
+            assert report.was_incremental
             dense = DenseReferenceSimulator(
                 ckt, forced_outcomes=sim.outcomes.recorded_outcomes()
             )
