@@ -4,8 +4,8 @@ qTask divides every state vector into disjoint, equal-size *blocks* whose size
 ``B`` is a power of two (§III.C).  Partitions are runs of consecutive blocks,
 and the incremental machinery reasons exclusively in terms of inclusive block
 ranges ``[first, last]``.  This module provides the small but heavily used
-vocabulary for that reasoning: :class:`BlockRange`, block bitmasks, and the
-range-intersection helpers used by the circuit modifiers (§III.D).
+vocabulary for that reasoning: :class:`BlockRange` (with its intersection
+helpers, used by the circuit modifiers, §III.D) and block bitmasks.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ __all__ = [
     "aligned_block_runs",
     "BlockRange",
     "mask_blocks",
+    "mask_spans",
     "mask_ranges",
-    "ranges_intersect",
-    "intersect_ranges",
+    "span_mask",
     "merge_overlapping",
 ]
 
@@ -167,28 +167,29 @@ def mask_blocks(mask: int) -> List[int]:
     return blocks
 
 
-def mask_ranges(mask: int) -> List[BlockRange]:
-    """The maximal runs of set bits of ``mask`` as block ranges, ascending."""
-    ranges: List[BlockRange] = []
+def mask_spans(mask: int) -> List[Tuple[int, int]]:
+    """The maximal runs of set bits of ``mask`` as inclusive ``(first,
+    last)`` block pairs, ascending."""
+    spans: List[Tuple[int, int]] = []
     base = 0
     while mask:
         zeros = (mask & -mask).bit_length() - 1
         mask >>= zeros
         ones = (~mask & (mask + 1)).bit_length() - 1
-        ranges.append(BlockRange(base + zeros, base + zeros + ones - 1))
+        spans.append((base + zeros, base + zeros + ones - 1))
         mask >>= ones
         base += zeros + ones
-    return ranges
+    return spans
 
 
-def ranges_intersect(a: BlockRange, b: BlockRange) -> bool:
-    """Range-intersection predicate used throughout §III.D."""
-    return a.intersects(b)
+def span_mask(first: int, last: int) -> int:
+    """The bitmask of blocks ``first`` to ``last`` inclusive."""
+    return ((1 << (last - first + 1)) - 1) << first
 
 
-def intersect_ranges(a: BlockRange, b: BlockRange) -> Optional[BlockRange]:
-    """The intersection of two block ranges, or ``None`` when disjoint."""
-    return a.intersection(b)
+def mask_ranges(mask: int) -> List[BlockRange]:
+    """The maximal runs of set bits of ``mask`` as block ranges, ascending."""
+    return [BlockRange(first, last) for first, last in mask_spans(mask)]
 
 
 def merge_overlapping(ranges: Sequence[BlockRange]) -> List[BlockRange]:

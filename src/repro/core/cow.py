@@ -1,47 +1,39 @@
 """Copy-on-write (COW) block storage for per-stage state vectors.
 
-qTask keeps one state vector per gate stage (the paper calls this *per-net
-state vector management*, §III.F.2) so that incremental update can restart
-from any intermediate result.  Storing every vector densely would be very
-expensive, so each stage only materialises the blocks its partitions actually
-write; every other block is implicitly inherited from the closest preceding
-stage that wrote it (ultimately the |0...0> initial state).  This is the
+qTask keeps one state vector per gate stage (the paper's *per-net state
+vector management*, §III.F.2) so that incremental update can restart from
+any intermediate result.  Each stage only materialises the blocks its
+partitions write; every other block is inherited from the closest preceding
+stage that wrote it (ultimately the |0...0> initial state): the
 *copy-on-write data optimization* of §III.F.3.
 
-Reads resolve through :class:`IndexReader`: the partition graph's writer
-index (:mod:`repro.core.graph`) is the only per-block ownership structure --
-for every block id, the seq-sorted partitions that *declare* it.  With
-copy-on-write a stage's store holds only blocks its partitions declare, so
-"which store holds block b as of stage k?" is the closest earlier declarer
-of b -- which an update's plan reads off the index once per block and hands
-to the stage's reader as a table.  Stores know nothing of the index: they
-carry no back-reference and report no writes, and a declarer that holds
-nothing (not executed yet, left half-written by a failed update,
-or a member of a coalesced run whose later run-mate declares the block too)
-is stepped over at read time.  (The naive reference -- walk the stores
-backwards until one holds the block -- is ``tests/conftest.py::StoreChain``.)
+Ownership is bitmasks, never a per-block table: the partition graph
+(:mod:`repro.core.graph`) records each stage's *cover* -- the blocks its
+partitions declare -- and each store keeps :attr:`BlockStore.held`.  A
+store holds only blocks its stage declares, so "which stores hold blocks B
+as of stage k?" is the closest earlier declarer of each: an update's plan
+resolves it in one pass as ``(store, mask)`` pairs for the stage's
+:class:`IndexReader`, which takes ``mask & held`` from each and resolves
+what is left -- a declarer holding nothing: not executed yet, half-written
+by a failed update, or a coalesced-run member whose later run-mate
+declares the block too -- by one backward walk over ``cover & held``.
+Stores carry no back-reference and report no writes.  (The naive
+reference is ``tests/conftest.py::StoreChain``.)
 
-A coalesced run of stages (:mod:`repro.core.exec_plan`) computes every block
-of its members' union cover once and publishes it through a
-:class:`RoutedStore`: each block lands in the store of the *last* member that
-declares it, and earlier members keep nothing for it.
+A coalesced run of stages (:mod:`repro.core.exec_plan`) publishes through a
+:class:`RoutedStore`: each block lands in the store of the *last* member
+that declares it, and earlier members keep nothing for it.
 
-Writes are single-copy: ``write_block`` copies at most once (``np.asarray``'s
-dtype conversion already produces owned memory), and both ``write_block`` and
-``write_range`` accept ``copy=False`` for freshly allocated kernel outputs so
-publishing a computed run into the store is zero-copy (the store keeps views
-of the kernel's output array).
+Writes are single-copy: ``write_block`` copies at most once, and
+``write_range(copy=False)`` / ``write_blocks`` adopt freshly computed kernel
+outputs zero-copy (the store keeps views of the output array).
 
-Session forking extends the copy-on-write idea *across* simulators:
+Session forking extends copy-on-write *across* simulators:
 :meth:`BlockStore.share_from` adopts every block of another store by
-reference (the arrays are marked read-only -- published blocks are immutable
-by contract, stores rebind rather than mutate).  The origin store refcounts
-each exported block (:attr:`BlockStore.exported_block_refs`), and the first
-write to an adopted block in the sharing store simply rebinds the dict entry
-to the freshly computed array and drops the reference -- copy-on-first-write
-with zero copies at fork time.  :class:`MemoryReport` splits the accounting
-into owned and shared bytes so a fleet of forked sessions can demonstrate
-sublinear memory growth.
+reference (sealed read-only; published blocks are immutable by contract).
+The origin refcounts each exported block, the sharing store's first write
+to a block rebinds its entry and drops the reference, and
+:class:`MemoryReport` splits the accounting into owned and shared bytes.
 """
 
 from __future__ import annotations
@@ -54,10 +46,11 @@ import numpy as np
 
 from . import faults
 from .blocks import (
-    BlockRange,
     block_bounds,
     mask_blocks,
+    mask_spans,
     num_blocks,
+    span_mask,
     validate_block_size,
 )
 
@@ -70,10 +63,15 @@ __all__ = [
 ]
 
 _DTYPE = np.complex128
+_ITEMSIZE = np.dtype(_DTYPE).itemsize
 
 #: guards every store's export counts; they change only when a session
 #: forks or a fork rebinds an adopted block, so all stores share one lock
 _EXPORT_LOCK = threading.Lock()
+
+#: guards the read-modify-writes of every store's ``held`` mask: the chunks
+#: of one plan publish into one store from worker threads
+_HELD_LOCK = threading.Lock()
 
 
 class BlockStore:
@@ -89,11 +87,11 @@ class BlockStore:
         self.n_blocks = num_blocks(self.dim, self.block_size)
         #: block id -> the block's amplitudes
         self._blocks: Dict[int, np.ndarray] = {}
-        # Every block has the same length: dim is a power of two, so it is
-        # either a multiple of the block size or smaller than one block.
-        # Precomputing it keeps the hot write path free of per-call
-        # block_bounds arithmetic.
+        #: bitmask of the blocks held (the keys of ``_blocks``)
+        self.held = 0
+        # dim is a power of two: every block has the same length
         self._block_len = min(self.dim, self.block_size)
+        self._block_bytes = self._block_len * _ITEMSIZE
         #: blocks adopted from another store (block id -> origin store);
         #: rebinding such a block on first write releases the origin's ref
         self._shared: Dict[int, "BlockStore"] = {}
@@ -103,15 +101,12 @@ class BlockStore:
         self._export_refs: Dict[int, int] = {}
 
     def release(self) -> None:
-        """Session teardown: drop every block reference this store holds.
-
-        Two dict clears -- no per-block work, a forked session is closed
-        once per service job.  Arrays another store adopted live on through
-        that store's own references; the origins' export counts are left as
-        they are.
-        """
+        """Session teardown: drop every block reference, no per-block work.
+        Arrays another store adopted live on through its own references;
+        the origins' export counts are left as they are."""
         self._blocks.clear()
         self._shared.clear()
+        self.held = 0
 
     # -- cross-store sharing (session forking) ----------------------------
 
@@ -141,6 +136,8 @@ class BlockStore:
             blocks[b] = arr
             self._shared[b] = other
             shared_ids.append(b)
+        with _HELD_LOCK:
+            self.held |= other.held
         other._export_retain(shared_ids)
         return len(shared_ids)
 
@@ -175,18 +172,12 @@ class BlockStore:
 
     def shared_bytes(self) -> int:
         """Bytes of :meth:`allocated_bytes` that are shared, not owned."""
-        blocks = self._blocks
-        return sum(blocks[b].nbytes for b in self._shared)
+        return len(self._shared) * self._block_bytes
 
     def exported_block_refs(self) -> Dict[int, int]:
         """Live per-block reference counts held by sharing stores."""
         with _EXPORT_LOCK:
             return dict(self._export_refs)
-
-    @property
-    def num_exported_blocks(self) -> int:
-        with _EXPORT_LOCK:
-            return len(self._export_refs)
 
     # -- write side -------------------------------------------------------
 
@@ -199,11 +190,6 @@ class BlockStore:
         touch again -- the store then adopts ``values`` (or a view of it)
         without copying.
         """
-        # The publish fault site fires before any store mutation, so a
-        # failed publish leaves the store exactly as it was and the run
-        # that produced ``values`` can simply re-execute.
-        if faults.ACTIVE is not None:
-            faults.fire("cow.publish")
         arr = np.asarray(values, dtype=_DTYPE)
         if arr.shape != (self._block_len,):
             raise ValueError(
@@ -212,7 +198,7 @@ class BlockStore:
             )
         if not 0 <= block < self.n_blocks:
             raise ValueError(f"block {block} out of range [0, {self.n_blocks})")
-        self._publish((block,), (self._owned(arr, values, copy),))
+        self._publish((block,), (self._owned(arr, values, copy),), 1 << block)
 
     def write_range(self, lo: int, values: np.ndarray, *, copy: bool = True) -> None:
         """Write a block-aligned contiguous range starting at index ``lo``.
@@ -222,9 +208,6 @@ class BlockStore:
         mutate ``values`` afterwards.  With ``copy=True`` the range is copied
         once as a whole, never block by block.
         """
-        # Fires before any mutation; see write_block.
-        if faults.ACTIVE is not None:
-            faults.fire("cow.publish")
         if lo % self.block_size != 0:
             raise ValueError(f"range start {lo} is not block aligned")
         arr = np.asarray(values, dtype=_DTYPE)
@@ -247,23 +230,19 @@ class BlockStore:
         self._publish(
             range(first, last + 1),
             [arr[offset : offset + size] for offset in range(0, n, size)],
+            span_mask(first, last),
         )
 
     def write_blocks(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
         """Publish ``rows[i]`` as the contents of ``blocks[i]``, zero-copy.
 
-        The slab kernels' publish: any set of distinct blocks (a whole
-        operation group's outputs, contiguous or not) lands with one fault
-        check and one dict update.  The rows
-        are adopted as they are -- ``write_range(copy=False)``'s contract:
-        whole-block ``complex128`` rows of freshly computed arrays the
-        caller never touches again.  How much memory a row pins is the
-        caller's choice of backing array (kernels cut their outputs at
+        The slab kernels' publish: any set of distinct blocks lands with
+        one fault check and one dict update.  The rows are adopted as they
+        are -- ``write_range(copy=False)``'s contract: whole-block
+        ``complex128`` rows of fresh arrays the caller never touches again
+        (kernels cut their outputs at
         :data:`~repro.core.blocks.MAX_RUN_BLOCKS` blocks).
         """
-        # Fires before any mutation; see write_block.
-        if faults.ACTIVE is not None:
-            faults.fire("cow.publish")
         if len(rows) != len(blocks):
             raise ValueError(f"{len(blocks)} blocks but {len(rows)} rows")
         shape = (self._block_len,)
@@ -271,9 +250,12 @@ class BlockStore:
             raise ValueError(
                 f"every row must be {self._block_len} complex128 amplitudes"
             )
-        if blocks and not (0 <= min(blocks) and max(blocks) < self.n_blocks):
+        mask = 0
+        for b in blocks:
+            mask |= 1 << b  # a negative id raises here
+        if mask >> self.n_blocks:
             raise ValueError(f"block ids out of range [0, {self.n_blocks})")
-        self._publish(blocks, rows)
+        self._publish(blocks, rows, mask)
 
     @staticmethod
     def _owned(arr: np.ndarray, values, copy: bool) -> np.ndarray:
@@ -282,22 +264,32 @@ class BlockStore:
             return arr.copy()
         return arr
 
-    def _publish(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
-        """Bind ``rows[i]`` as the contents of ``blocks[i]``: the one
-        mutation path behind every ``write_*``."""
+    def _publish(
+        self, blocks: Sequence[int], rows: Sequence[np.ndarray], mask: int
+    ) -> None:
+        """Bind ``rows[i]`` as the contents of ``blocks[i]`` (``mask`` is
+        their bitmask): the one mutation path behind every ``write_*``.
+
+        The publish fault site fires before any store mutation, so a failed
+        publish leaves the store exactly as it was and the run that produced
+        the rows can simply re-execute.
+        """
+        if faults.ACTIVE is not None:
+            faults.fire("cow.publish")
         if self._shared:
             for b in blocks:
                 self._release_shared(b)
-        self._blocks.update(zip(blocks, rows))
-
-    def drop_block(self, block: int) -> None:
-        self.drop_blocks((block,))
+        with _HELD_LOCK:
+            self._blocks.update(zip(blocks, rows))
+            self.held |= mask
 
     def drop_blocks(self, blocks: Iterable[int]) -> None:
         """Forget ``blocks`` (those held)."""
         for b in blocks:
             if self._blocks.pop(b, None) is not None:
                 self._release_shared(b)
+                with _HELD_LOCK:
+                    self.held &= ~(1 << b)
 
     def keep_only(self, owned: int) -> None:
         """Drop every held block whose bit is not set in ``owned``.
@@ -305,17 +297,16 @@ class BlockStore:
         A stage coalesced into a run keeps only the blocks it is the run's
         last declarer of; a copy from before it joined the run goes here.
         """
-        self.drop_blocks([b for b in self._blocks if not (owned >> b) & 1])
+        if self.held & ~owned:
+            self.drop_blocks(mask_blocks(self.held & ~owned))
 
     def clear(self) -> None:
         for b in tuple(self._shared):
             self._release_shared(b)
         self._blocks.clear()
+        self.held = 0
 
     # -- read side --------------------------------------------------------
-
-    def has_block(self, block: int) -> bool:
-        return block in self._blocks
 
     def get_block(self, block: int) -> Optional[np.ndarray]:
         return self._blocks.get(block)
@@ -336,7 +327,8 @@ class BlockStore:
         return len(self._blocks)
 
     def allocated_bytes(self) -> int:
-        return sum(b.nbytes for b in self._blocks.values())
+        # every held block is one block's worth of complex128
+        return len(self._blocks) * self._block_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -353,8 +345,9 @@ class InitialStateStore(BlockStore):
     empty circuit costs (almost) nothing.
     """
 
-    def has_block(self, block: int) -> bool:  # every block is defined here
-        return 0 <= block < self.n_blocks
+    def __init__(self, dim: int, block_size: int) -> None:
+        super().__init__(dim, block_size)
+        self.held = span_mask(0, self.n_blocks - 1)  # every block is defined here
 
     def get_block(self, block: int) -> np.ndarray:
         if not 0 <= block < self.n_blocks:
@@ -370,14 +363,10 @@ class InitialStateStore(BlockStore):
         return arr
 
     def read_dense(self, lo: int, hi: int) -> np.ndarray:
-        """Amplitudes of ``[lo, hi]`` in one allocation, without caching blocks.
-
-        Readers that resolve a long run of never-written blocks to the
-        initial state use this instead of per-block :meth:`get_block` calls,
-        which would materialise (and cache) one zero array per block.
-        Blocks already materialised in the cache (tests preload custom
-        initial states there) overlay the implicit |0...0>.
-        """
+        """Amplitudes of ``[lo, hi]`` in one allocation, caching no block
+        (a run of never-written blocks read at once).  Blocks already in
+        the cache (tests preload custom initial states there) overlay the
+        implicit |0...0>."""
         out = np.zeros(hi - lo + 1, dtype=_DTYPE)
         if lo == 0:
             out[0] = 1.0
@@ -401,33 +390,36 @@ class RoutedStore:
 
     ``stores`` are the member stages' stores in seq order and ``owned[i]``
     the bitmask of the blocks ``stores[i]`` owns -- those its stage is the
-    run's last declarer of.  Kernels, the run-granular fallback and the
-    publish fault site see the ``write_*`` surface of a
-    :class:`BlockStore`; every published
-    block is handed to the store that owns it, so after the run each block
-    is held by the newest stage that declares it and every read through the
-    writer index resolves as if the members had run one by one.
+    run's last declarer of.  Kernels see the ``write_*`` surface of a
+    :class:`BlockStore`; each published block goes to its owner, so every
+    read resolves as if the members had run one by one.
     """
 
     def __init__(self, stores: Sequence[BlockStore], owned: Sequence[int]) -> None:
-        self._stores = list(stores)
-        self._owned = list(owned)
-        self._owner: Dict[int, BlockStore] = {
-            block: store
-            for store, mask in zip(stores, owned)
-            for block in mask_blocks(mask)
-        }
+        self._members = list(zip(stores, owned))
+        #: ``(store, owned mask)`` of the members owning anything, seq order
+        self.routes = [(store, mask) for store, mask in self._members if mask]
         self.dim = stores[0].dim
         self.block_size = stores[0].block_size
 
     def write_blocks(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
-        """``BlockStore.write_blocks``, one call per owning store."""
-        owner = self._owner
+        """``BlockStore.write_blocks``, one call per owning store: each
+        stretch of consecutive ids is cut by the owned masks."""
         routed: Dict[BlockStore, Tuple[List[int], List[np.ndarray]]] = {}
-        for block, row in zip(blocks, rows):
-            ids, held = routed.setdefault(owner[block], ([], []))
-            ids.append(block)
-            held.append(row)
+        at = 0
+        for first, last in _stretches(blocks):
+            stretch = whole = span_mask(first, last)
+            for store, owned in self.routes:
+                part = owned & stretch
+                if part:
+                    ids, held = routed.setdefault(store, ([], []))
+                    for lo, hi in [(first, last)] if part == whole else mask_spans(part):
+                        ids.extend(range(lo, hi + 1))
+                        held.extend(rows[at + lo - first : at + hi - first + 1])
+                    stretch &= ~owned
+            if stretch:
+                raise KeyError(mask_spans(stretch)[0][0])
+            at += last - first + 1
         for store, (ids, held) in routed.items():
             store.write_blocks(ids, held)
 
@@ -446,39 +438,49 @@ class RoutedStore:
 
     def settle(self) -> None:
         """Drop what members hold of blocks a later run-mate now owns."""
-        for store, mask in zip(self._stores, self._owned):
+        for store, mask in self._members:
             store.keep_only(mask)
+
+
+def _stretches(blocks: Sequence[int]) -> List[Tuple[int, int]]:
+    """``blocks`` cut into maximal stretches of consecutive ascending ids,
+    as inclusive ``(first, last)`` pairs in list order."""
+    n = len(blocks)
+    if not n:
+        return []
+    first, last = blocks[0], blocks[-1]
+    if last - first == n - 1 and (  # the common case, without a loop
+        n < 3 or isinstance(blocks, range) or list(blocks) == list(range(first, last + 1))
+    ):
+        return [(first, last)]
+    out: List[Tuple[int, int]] = []
+    ids = iter(blocks)
+    first = last = next(ids)
+    for b in ids:
+        if b != last + 1:
+            out.append((first, last))
+            first = b
+        last = b
+    out.append((first, last))
+    return out
 
 
 class _ResolvingReader:
     """The one read-side implementation behind every block resolver.
 
-    Subclasses provide ``dim``/``block_size``/``n_blocks`` attributes and a
-    single ``resolve_store`` method; block-list reads, range reads, gathers
-    and full-vector materialisation all derive from it through one loop,
-    :meth:`read_blocks`.  Reads batch maximal same-owner runs of consecutive
-    blocks: a run of never-written blocks becomes one dense zero allocation
-    (:meth:`InitialStateStore.read_dense`, which caches nothing) and a run
-    owned by one store becomes one :meth:`BlockStore.get_block_many` call.
-
-    :class:`IndexReader` (and the tests' ``StoreChain`` oracle) are pure
-    resolution strategies on top of it.
+    Subclasses provide ``dim``/``block_size``/``n_blocks`` and
+    ``resolve_masks``; every read derives from them through one loop,
+    :meth:`read_blocks`, which batches maximal same-owner runs of
+    consecutive blocks (never-written ones in one
+    :meth:`InitialStateStore.read_dense`).
     """
 
     __slots__ = ()
 
-    def resolve_store(self, block: int) -> BlockStore:
-        """The store holding the current contents of ``block``."""
+    def resolve_masks(self, mask: int) -> List[Tuple[BlockStore, int]]:
+        """``mask`` split into disjoint ``(store, bits)`` pairs: each store
+        holds the current contents of its bits."""
         raise NotImplementedError
-
-    def resolve_stores(self, blocks: Sequence[int]) -> List[BlockStore]:
-        """:meth:`resolve_store` for each of ``blocks``, in order."""
-        return [self.resolve_store(b) for b in blocks]
-
-    def resolve_block(self, block: int) -> np.ndarray:
-        got = self.resolve_store(block).get_block(block)
-        assert got is not None
-        return got
 
     def _check_range(self, lo: int, hi: int) -> None:
         if lo < 0 or hi >= self.dim or lo > hi:
@@ -487,24 +489,33 @@ class _ResolvingReader:
     def owner_runs(
         self, blocks: Sequence[int]
     ) -> List[Tuple[BlockStore, int, int]]:
-        """``blocks`` cut into maximal ``(store, first_block, last_block)`` runs.
-
-        A run is a stretch of the list with consecutive ids and one owner.
-        """
-        stores = self.resolve_stores(blocks)
+        """``blocks`` cut into maximal ``(store, first_block, last_block)``
+        runs: the list's stretches of consecutive ids, each cut by the
+        owners' masks (resolved once, for all of them)."""
+        stretches = _stretches(blocks)
+        want = 0
+        for first, last in stretches:
+            want |= ((1 << (last - first + 1)) - 1) << first
+        resolved = self.resolve_masks(want)
+        if len(resolved) == 1:  # one owner: the stretches are the runs
+            store = resolved[0][0]
+            if len(stretches) == 1:
+                return [(store, first, last)]
+            return [(store, lo, hi) for lo, hi in stretches]
+        owners: Dict[BlockStore, int] = {}
+        for store, bits in resolved:
+            owners[store] = owners.get(store, 0) | bits
+        stores = list(owners)
         runs: List[Tuple[BlockStore, int, int]] = []
-        i, n = 0, len(stores)
-        while i < n:
-            store = stores[i]
-            j = i
-            while (
-                j + 1 < n
-                and stores[j + 1] is store
-                and blocks[j + 1] == blocks[j] + 1
-            ):
-                j += 1
-            runs.append((store, blocks[i], blocks[j]))
-            i = j + 1
+        for first, last in stretches:
+            stretch = span_mask(first, last)
+            cut = sorted(
+                (lo, hi, k)
+                for k, bits in enumerate(owners.values())
+                if bits & stretch
+                for lo, hi in mask_spans(bits & stretch)
+            )
+            runs.extend((stores[k], lo, hi) for lo, hi, k in cut)
         return runs
 
     def read_blocks(self, blocks: Sequence[int]) -> np.ndarray:
@@ -557,21 +568,18 @@ class _ResolvingReader:
 
 
 class IndexReader(_ResolvingReader):
-    """A :class:`StateReader` over a writer index "as of" one stage.
+    """A :class:`StateReader` over the partition graph "as of" one stage.
 
-    ``index`` is the partition graph (anything with its ``holder(block,
-    before_seq)``): the one per-block ownership structure, listing the
-    stages that *declare* each block.  ``before_seq`` is exclusive -- a
-    stage reads the output of stages strictly before it; ``sys.maxsize``
-    reads the final state.
+    ``index`` is the partition graph (anything with its ``holders(mask,
+    before_seq)``): the stages in seq order with the block cover each
+    declares.  ``before_seq`` is exclusive -- a stage reads the output of
+    stages strictly before it; ``sys.maxsize`` reads the final state.
 
-    ``sources`` is the table an update's plan resolved once for the stage
-    (``PartitionGraph.plan_sources``): block id -> the store of the closest
-    earlier declarer.  A planned block costs one dict lookup per read.  The
-    index itself is searched only for a block outside the table or one
-    whose planned store holds nothing -- before a first update, after a
-    failed one -- and the search steps to the
-    next older declarer that does hold it, ending at ``initial``.
+    ``sources`` are what an update's plan resolved for the stage
+    (``PartitionGraph.plan_sources``): disjoint ``(store, mask)`` pairs.  A
+    read takes ``mask & held`` from each; the graph is walked only for the
+    bits left (outside the plan, before a first update, after a failed
+    one), all at once, down to ``initial``.
     """
 
     __slots__ = (
@@ -584,28 +592,30 @@ class IndexReader(_ResolvingReader):
         index,
         initial: BlockStore,
         before_seq: int,
-        sources: Optional[Dict[int, BlockStore]] = None,
+        sources: Sequence[Tuple[BlockStore, int]] = (),
     ) -> None:
         self.index = index
         self.initial = initial
         self.before_seq = before_seq
-        self.sources: Dict[int, BlockStore] = {} if sources is None else sources
+        self.sources = sources
         self.dim = initial.dim
         self.block_size = initial.block_size
         self.n_blocks = initial.n_blocks
 
-    def resolve_stores(self, blocks: Sequence[int]) -> List[BlockStore]:
-        planned = self.sources.get
-        out: List[BlockStore] = []
-        for block in blocks:
-            store = planned(block)
-            if store is None or not store.has_block(block):
-                store = self.index.holder(block, self.before_seq) or self.initial
-            out.append(store)
+    def resolve_masks(self, mask: int) -> List[Tuple[BlockStore, int]]:
+        out: List[Tuple[BlockStore, int]] = []
+        for store, bits in self.sources:
+            hit = bits & mask & store.held
+            if hit:
+                out.append((store, hit))
+                mask &= ~hit
+        if mask:
+            for store, hit in self.index.holders(mask, self.before_seq):
+                out.append((store, hit))
+                mask &= ~hit
+            if mask:
+                out.append((self.initial, mask))
         return out
-
-    def resolve_store(self, block: int) -> BlockStore:
-        return self.resolve_stores((block,))[0]
 
 
 @dataclass(frozen=True)
@@ -639,25 +649,17 @@ class MemoryReport:
             return 0.0
         return 1.0 - self.allocated_bytes / self.dense_bytes
 
-    @property
-    def allocated_gib(self) -> float:
-        return self.allocated_bytes / 2**30
-
     @staticmethod
     def from_stores(stores: Iterable[BlockStore]) -> "MemoryReport":
+        """One pass of block counts: every held block is one block's worth
+        of complex128, so bytes are counts times block bytes."""
         stores = list(stores)
-        stored = sum(s.num_stored_blocks for s in stores)
-        total = sum(s.n_blocks for s in stores)
-        alloc = sum(s.allocated_bytes() for s in stores)
-        dense = sum(s.dim * np.dtype(_DTYPE).itemsize for s in stores)
-        shared = sum(s.shared_block_count for s in stores)
-        shared_b = sum(s.shared_bytes() for s in stores)
         return MemoryReport(
             num_stores=len(stores),
-            stored_blocks=stored,
-            total_blocks=total,
-            allocated_bytes=alloc,
-            dense_bytes=dense,
-            shared_blocks=shared,
-            shared_bytes=shared_b,
+            stored_blocks=sum(s.num_stored_blocks for s in stores),
+            total_blocks=sum(s.n_blocks for s in stores),
+            allocated_bytes=sum(s.allocated_bytes() for s in stores),
+            dense_bytes=sum(s.dim for s in stores) * _ITEMSIZE,
+            shared_blocks=sum(s.shared_block_count for s in stores),
+            shared_bytes=sum(s.shared_bytes() for s in stores),
         )

@@ -33,7 +33,7 @@ describes that frontier *once* as a handful of batch-major structures instead:
 * :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
   order by the partition graph's frontier sweep
   (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
-  source pass (``PartitionGraph.plan_sources``) reads off the writer index.
+  source pass (``PartitionGraph.plan_sources``) reads off the stage covers.
 
 The executors then receive one task per *stage* (optionally split into at
 most ``Executor.subflow_width`` chunk subflows) instead of one per

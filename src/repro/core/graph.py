@@ -1,4 +1,4 @@
-"""The partition graph: writer index, pending dirt and the frontier sweep.
+"""The partition graph: declared covers, pending dirt and the frontier sweep.
 
 This module implements §III.D (circuit modifiers) and §III.E (incremental
 update) of the paper:
@@ -7,10 +7,10 @@ update) of the paper:
   the whole previous state vector); what it declares is recorded once, when
   the stage enters the graph;
 * a connection exists between two partitions of different stages when they
-  are the *closest pair of overlapped blocks*.  Those pairs are not stored:
-  the per-block **writer index** lists the stages declaring each block,
-  sorted by seq, so the closest earlier and later declarer of a block are
-  the neighbouring entries of its list;
+  are the *closest pair of overlapped blocks*.  Those pairs are not stored,
+  nor is anything per block: each stage's **cover** (the bitmask of the
+  blocks it declares) is, and whole-mask walks over the covers find the
+  closest declarers of any set of blocks;
 * circuit modifiers leave **pending dirt** -- ``{anchor stage: block
   bitmask}``, "these blocks are stale as input to this stage": an inserted,
   retuned or re-armed stage marks its own blocks, a removed one hands its
@@ -27,16 +27,18 @@ update) of the paper:
   record's one plan, a retune or re-armed collapse inside a run dirties the
   run at its head, and an insert inside a run or a removal dissolves the
   record and marks every member dirty;
-* nodes and edges are a *derived view* of the index, computed on demand for
-  statistics, DOT export and tests.
+* nodes and edges are a *derived view* of the covers, computed on demand
+  for statistics, DOT export and tests.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, TextIO,
-    Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
+    Set, TextIO, Tuple,
 )
+
+import numpy as np
 
 from .blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange, mask_ranges
 from .cow import BlockStore, RoutedStore
@@ -68,7 +70,7 @@ class StageLayout(NamedTuple):
 
     Captured at insert and never re-asked: a matrix--vector stage emptied of
     its last gate answers ``partition_specs() == []`` by the time it is
-    removed, and the index must forget exactly what it registered.
+    removed, and the graph must forget exactly what it registered.
     """
 
     specs: Tuple[PartitionSpec, ...]
@@ -152,50 +154,16 @@ def _owned_masks(covers: Sequence[int], union: int) -> List[int]:
     return owned
 
 
-def _slot(writers: List[Stage], seq: int) -> int:
-    """Index of the first writer with ``seq`` or a later one.
-
-    ``writers`` is one block's entry of the writer index, sorted by stage
-    seq.  Hand-rolled: ``bisect`` only grew ``key=`` in Python 3.10 and this
-    package supports 3.9.
-    """
-    # Fast path: a circuit under construction appends stages, so the probed
-    # seq lies past every registered writer.
-    if not writers or writers[-1].seq < seq:
-        return len(writers)
-    lo, hi = 0, len(writers) - 1
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if writers[mid].seq < seq:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-class GraphStats:
+class GraphStats(NamedTuple):
     """Lightweight counters describing the current partition graph."""
 
-    def __init__(self, num_stages: int, num_nodes: int, num_edges: int,
-                 num_frontiers: int) -> None:
-        self.num_stages = num_stages
-        self.num_nodes = num_nodes
-        self.num_edges = num_edges
-        self.num_frontiers = num_frontiers
+    num_stages: int
+    num_nodes: int
+    num_edges: int
+    num_frontiers: int
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "num_stages": self.num_stages,
-            "num_nodes": self.num_nodes,
-            "num_edges": self.num_edges,
-            "num_frontiers": self.num_frontiers,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"GraphStats(stages={self.num_stages}, nodes={self.num_nodes}, "
-            f"edges={self.num_edges}, frontiers={self.num_frontiers})"
-        )
+        return self._asdict()
 
 
 class PartitionGraph:
@@ -220,15 +188,6 @@ class PartitionGraph:
         #: (not only a dissolved run): collapses from the first of them on
         #: draw again, earlier ones replay (``ExecutionPlan.redraw_from``)
         self._edited: Set[Stage] = set()
-        #: writer index: for every block id, the stages that *declare* that
-        #: block, sorted by seq.  The lists survive renumbering because
-        #: inserts and removals never permute surviving stages.  The sweep's
-        #: edges, the derived node view and block reads (``holder`` /
-        #: ``plan_sources``) all come off it: with copy-on-write a store
-        #: holds only blocks its stage declares.
-        self._writers: List[List[Stage]] = [
-            [] for _ in range(full_block_range.last + 1)
-        ]
         #: the coalesced run each member stage was last executed in.  An
         #: earlier member holds nothing of a block a later one declares, so
         #: no stage of a recorded run but its head carries pending dirt: a
@@ -243,7 +202,7 @@ class PartitionGraph:
         #: (its seq is valid) and after it leaves it.  The simulator binds
         #: and releases per-stage session state there.  Both events renumber
         #: stage seqs, but never permute surviving stages relative to each
-        #: other -- an invariant the writer index relies on.
+        #: other.
         self._on_stage_inserted = on_stage_inserted
         self._on_stage_removed = on_stage_removed
 
@@ -326,10 +285,7 @@ class PartitionGraph:
             for member_cover in covers:
                 cover |= member_cover
             for stage, owned in zip(members, _owned_masks(covers, cover)):
-                missing = owned
-                for b in stage.store.stored_blocks():
-                    missing &= ~(1 << b)
-                if missing:
+                if owned & ~stage.store.held:
                     raise ValueError(
                         f"stage {stage.seq} of the run at seq {first} lacks blocks it owns"
                     )
@@ -410,17 +366,15 @@ class PartitionGraph:
         ``placed`` lists ``(position, stage)`` by ascending position in the
         resulting order; the stages already in the graph keep their relative
         order.  Renumbers once, dissolves a run a new stage lands
-        strictly inside, records each new stage's layout, lists it in the
-        writer index and marks its blocks dirty on it: all partitions of a
-        newly inserted gate are frontiers (§III.E).
+        strictly inside, records each new stage's layout and marks its
+        blocks dirty on it: all partitions of a newly inserted gate are
+        frontiers (§III.E).
         """
         if not placed:
             return
         old = self._stages
         merged: List[Stage] = []
         taken = 0
-        tail = len(old) + len(placed)  # position of the first new stage
-        # behind every old one
         for position, stage in placed:
             cut = taken + position - len(merged)
             if not taken <= cut <= len(old):
@@ -434,8 +388,6 @@ class PartitionGraph:
                     # strictly between two members of a run (before its head
                     # or after its tail the run stays one unit)
                     self._dissolve_run(follower)
-            else:
-                tail = min(tail, position)
             merged.append(stage)
         merged.extend(old[taken:])
         self._stages = merged
@@ -450,15 +402,6 @@ class PartitionGraph:
             )
             self._layouts[stage.uid] = layout
             self._num_nodes += layout.num_nodes
-            seq = stage.seq
-            behind = seq >= tail  # every entry so far precedes it
-            for spec in layout.specs:
-                blocks = spec.block_range
-                for writers in self._writers[blocks.first : blocks.last + 1]:
-                    if behind or not writers or writers[-1].seq < seq:
-                        writers.append(stage)
-                    else:
-                        writers.insert(_slot(writers, seq), stage)
             if layout.cover:
                 dirt[stage] = layout.cover
         self._pending.update(dirt)
@@ -480,10 +423,6 @@ class PartitionGraph:
         self._dissolve_run(stage)
         layout = self._layouts.pop(stage.uid)
         position = stage.seq
-        for spec in layout.specs:
-            blocks = spec.block_range
-            for writers in self._writers[blocks.first : blocks.last + 1]:
-                del writers[_slot(writers, position)]
         del self._stages[position]
         self._num_nodes -= layout.num_nodes
         self._renumber(position)
@@ -604,77 +543,103 @@ class PartitionGraph:
         )
 
     # ------------------------------------------------------------------
-    # block resolution: which store holds a block, read off the index
+    # block resolution: which store holds a block, read off the covers
     # ------------------------------------------------------------------
 
-    def holder(self, block: int, before_seq: int) -> Optional[BlockStore]:
-        """The store holding ``block`` as of stage sequence ``before_seq``.
-
-        That is the closest declarer of ``block`` with ``seq < before_seq``
-        whose store holds it; a declarer holding nothing (not executed yet,
-        half-written by a failed update) is stepped over.
-        ``None`` when no stage holds the block: it is still the initial
-        state's.
+    def holders(
+        self, mask: int, before_seq: int
+    ) -> List[Tuple[BlockStore, int]]:
+        """The stores holding the blocks of ``mask`` as of stage sequence
+        ``before_seq``, as disjoint ``(store, bits)`` pairs: one backward
+        walk over ``cover & store.held`` that stops when ``mask`` is
+        resolved.  A declarer holding nothing (not executed yet,
+        half-written by a failed update) is stepped over; a bit no pair
+        covers is still the initial state's.
         """
-        writers = self._writers[block]
-        i = _slot(writers, before_seq)
-        while i:
-            i -= 1
-            store = writers[i].store
-            if store.has_block(block):
-                return store
-        return None
+        found: List[Tuple[BlockStore, int]] = []
+        layouts = self._layouts
+        stages = self._stages
+        for at in range(min(before_seq, len(stages)) - 1, -1, -1):
+            stage = stages[at]
+            store = stage.store
+            hit = layouts[stage.uid].cover & store.held & mask
+            if hit:
+                found.append((store, hit))
+                mask &= ~hit
+                if not mask:
+                    break
+        return found
 
     def plan_sources(
         self, plans: Sequence[StagePlan], initial: BlockStore
-    ) -> Tuple[List[Dict[int, BlockStore]], List[Tuple[int, int]]]:
+    ) -> Tuple[List[List[Tuple[BlockStore, int]]], List[Tuple[int, int]]]:
         """Per stage plan, where its input holds each recomputed block --
         and with that, which planned stages it has to wait for.
 
-        ``plans`` lists an update's stage plans, seq ascending.  One table
-        per plan maps every block of its ranges to the store of the closest
-        declarer before the plan's (first) stage (``initial`` when there is
-        none) -- where the block will be held by the time the plan runs: a
-        declarer inside an earlier run is that run's last one for the block,
-        which is the member holding it.  When that declarer is itself
-        planned it is a predecessor task: the second result lists those
-        ``(pred, succ)`` positions, once each.  The index is searched once
-        per block per update: every declarer downstream of an affected one
-        is affected too, so the next plan in the pass that recomputes the
-        block starts in the slot right after.
+        ``plans`` lists an update's stage plans, seq ascending.  A plan's
+        sources are disjoint ``(store, mask)`` pairs covering its mask:
+        each store is the closest declarer of its bits before the plan's
+        (first) stage that holds them, or will once its plan has run
+        (``initial`` when there is none): a declarer inside an earlier run
+        is that run's last one for the block, the member owning it.  A
+        planned source is a predecessor task: the second result lists those
+        ``(pred, succ)`` positions, once each.
+
+        One pass from the first plan's seq keeps the owners of the plans'
+        union as a short list of ``(store, mask, plan position)`` entries
+        (seeded by :meth:`holders`): a plan's sources are the entries
+        meeting its mask, then its stage (a run: each member) and every
+        unplanned stage up to the next plan take over what they declare.
         """
-        position = {
-            stage: k for k, sp in enumerate(plans) for stage in sp.members
-        }
-        cursor = [-1] * len(self._writers)
-        tables: List[Dict[int, BlockStore]] = []
+        if not plans:
+            return [], []
+        union = 0
+        for sp in plans:
+            union |= sp.mask
+        layouts = self._layouts
+        stages = self._stages
+        at = plans[0].stage.seq
+        owners = [(store, bits, -1) for store, bits in self.holders(union, at)]
+        rest = union
+        for _, bits, _ in owners:
+            rest &= ~bits
+        if rest:
+            owners.append((initial, rest, -1))
+
+        tables: List[List[Tuple[BlockStore, int]]] = []
         edges: List[Tuple[int, int]] = []
+        #: ``(store, cover, plan position)`` of what declared since the
+        #: owners were brought up to date, seq ascending
+        takers: List[Tuple[BlockStore, int, int]] = []
         for succ, sp in enumerate(plans):
-            seq = sp.stage.seq
-            last = sp.members[-1].seq
-            sources: Dict[int, BlockStore] = {}
+            for stage in stages[at : sp.stage.seq]:
+                takers.append((stage.store, layouts[stage.uid].cover, -1))
+            taken = 0
+            fresh = []
+            for store, bits, pos in reversed(takers):  # the newest declarer wins
+                bits &= union & ~taken
+                if bits:
+                    fresh.append((store, bits, pos))
+                    taken |= bits
+            for store, bits, pos in owners:
+                if bits & ~taken:
+                    fresh.append((store, bits & ~taken, pos))
+            owners = fresh
+            mask = sp.mask
+            sources = []
             preds = set()
-            source = None
-            for blocks in sp.block_ranges:
-                block = blocks.first
-                for writers in self._writers[block : blocks.last + 1]:
-                    i = cursor[block]
-                    if not (0 <= i < len(writers) and seq <= writers[i].seq <= last):
-                        i = _slot(writers, seq)
-                    if i:
-                        if writers[i - 1] is not source:
-                            source = writers[i - 1]
-                            if source in position:
-                                preds.add(position[source])
-                        sources[block] = source.store
-                    else:
-                        sources[block] = initial
-                    # past the plan's own declarers of the block (a run's
-                    # mates declare it too)
-                    cursor[block] = i + 1 if last == seq else _slot(writers, last + 1)
-                    block += 1
+            for store, bits, pos in owners:
+                if bits & mask:
+                    sources.append((store, bits & mask))
+                    if pos >= 0:
+                        preds.add(pos)
             tables.append(sources)
             edges.extend((pred, succ) for pred in sorted(preds))
+            if sp.run is None:
+                takers = [(sp.stage.store, layouts[sp.stage.uid].cover, succ)]
+            else:
+                takers = [(store, owned, succ) for store, owned in sp.store.routes]
+            at = sp.members[-1].seq + 1
         return tables, edges
 
     # ------------------------------------------------------------------
@@ -683,13 +648,12 @@ class PartitionGraph:
 
     def mirror_from(self, other: "PartitionGraph",
                     stage_map: Dict[int, Stage]) -> None:
-        """Clone another graph's stage order, layouts and writer index.
+        """Clone another graph's stage order and layouts.
 
         ``stage_map`` maps the other graph's stage uids to the stages this
         (empty) graph should hold: fresh clones with empty stores.  Layout
-        records are immutable and shared; the index is translated entry by
-        entry -- O(stages + index entries), which is what makes forking a
-        deep circuit cheap.  Run records are translated too (the clones
+        records are immutable and shared -- O(stages), which is what makes
+        forking a deep circuit cheap.  Run records are translated too (the clones
         adopt stores that hold what the records say).  Pending dirt is *not*
         mirrored: a fork inherits computed state, not pending work.
         """
@@ -702,10 +666,6 @@ class PartitionGraph:
                 self._on_stage_inserted(clone)
             self._layouts[clone.uid] = other._layouts[stage.uid]
         self._num_nodes = other._num_nodes
-        self._writers = [
-            [stage_map[stage.uid] for stage in writers]
-            for writers in other._writers
-        ]
         for run in other.runs():
             self._enter_run(
                 tuple(stage_map[stage.uid] for stage in run.members), run.cover
@@ -735,34 +695,70 @@ class PartitionGraph:
     def all_nodes(self) -> List[PartitionNode]:
         return [node for stage in self._stages for node in self.stage_nodes(stage)]
 
-    def edges(self) -> List[Tuple[PartitionNode, PartitionNode]]:
-        """The closest-overlap pairs, read off the writer index.
-
-        Neighbouring declarers of a block are a closest pair; a later stage
-        that reads everything is entered through its sync barrier, which in
-        turn precedes that stage's own partitions.  Canonical: a function of
-        the circuit, whatever sequence of modifiers built it.
-        """
-        owner: Dict[int, Dict[int, PartitionNode]] = {}
-        syncs: Dict[int, Optional[PartitionNode]] = {}
-        pairs: Dict[Tuple[PartitionNode, PartitionNode], None] = {}
+    def _closest_pairs(
+        self,
+    ) -> Iterator[Tuple[Stage, StageLayout, np.ndarray, np.ndarray, np.ndarray]]:
+        """The closest-overlap pairs, by entered stage in seq order: one
+        forward walk keeps the latest declaring partition of each block
+        (numbered in declaration order), and each overlap is one pair.
+        Yields ``(stage, layout, earlier partition numbers, entered
+        partition index or -1 for its sync barrier, first shared block)``."""
+        owner = np.full(self._full_range.last + 1, -1, dtype=np.int64)
+        base = 0
         for stage in self._stages:
-            nodes = self.partition_nodes(stage)
-            owner[stage.uid] = {
-                block: node for node in nodes for block in node.block_range
-            }
-            sync = syncs[stage.uid] = self.sync_node(stage)
+            layout = self._layouts[stage.uid]
+            k = len(layout.specs)
+            if not k:
+                continue
+            firsts = np.array([spec.block_range.first for spec in layout.specs])
+            lens = np.array([len(spec.block_range) for spec in layout.specs])
+            part = np.repeat(np.arange(k), lens)  # partition index per block
+            starts = np.cumsum(lens) - lens
+            blocks = np.arange(part.size) + np.repeat(firsts - starts, lens)
+            earlier = owner[blocks]
+            seen = earlier >= 0
+            entered = np.full(part.size, -1) if layout.full_read else part
+            keys, first = np.unique(
+                earlier[seen] * (k + 1) + entered[seen] + 1, return_index=True
+            )
+            yield stage, layout, keys // (k + 1), keys % (k + 1) - 1, blocks[seen][first]
+            owner[blocks] = base + part
+            base += k
+
+    def edges(self) -> List[Tuple[PartitionNode, PartitionNode]]:
+        """The closest-overlap pairs, derived from the covers.
+
+        A later stage that reads everything is entered through its sync
+        barrier, which in turn precedes that stage's own partitions.
+        Canonical: a function of the circuit, whatever modifiers built it.
+        Barrier pairs come first, the others by first shared block, then
+        earlier partition.
+        """
+        nodes: List[PartitionNode] = []
+        pairs: List[Tuple[PartitionNode, PartitionNode]] = []
+        overlaps = []
+        for stage, _, earlier, entered, first in self._closest_pairs():
+            own = self.partition_nodes(stage)
+            nodes.extend(own)
+            sync = self.sync_node(stage)
             if sync is not None:
-                for node in nodes:
-                    pairs[sync, node] = None
-        for block, writers in enumerate(self._writers):
-            for earlier, later in zip(writers, writers[1:]):
-                target = syncs[later.uid] or owner[later.uid][block]
-                pairs[owner[earlier.uid][block], target] = None
-        return list(pairs)
+                pairs.extend((sync, node) for node in own)
+            overlaps.extend(
+                (block, pred, sync or own[at])
+                for block, pred, at in zip(
+                    first.tolist(), earlier.tolist(), entered.tolist()
+                )
+            )
+        overlaps.sort(key=lambda o: o[:2])
+        pairs.extend((nodes[pred], node) for _, pred, node in overlaps)
+        return pairs
 
     def num_edges(self) -> int:
-        return len(self.edges())
+        """``len(edges())``, counted without building a node."""
+        return sum(
+            earlier.size + layout.full_read * len(layout.specs)
+            for _, layout, earlier, _, _ in self._closest_pairs()
+        )
 
     # ------------------------------------------------------------------
     # export

@@ -101,12 +101,6 @@ class UnitLayout:
     def num_types(self) -> int:
         return len(self.unit_locals)
 
-    def min_locals(self) -> Tuple[int, ...]:
-        return tuple(min(u) for u in self.unit_locals)
-
-    def max_locals(self) -> Tuple[int, ...]:
-        return tuple(max(u) for u in self.unit_locals)
-
 
 def unit_layout_of(action: Action) -> UnitLayout:
     """Orbit units of a non-superposition action.

@@ -5,18 +5,19 @@ maintains, across circuit modifiers, the partition task graph of §III.C-D.
 Calling :meth:`QTaskSimulator.update_state` re-simulates exactly the
 partitions affected by the modifiers issued since the previous update (the
 partition graph's frontier sweep, §III.E), executing them as a Taskflow-style
-task graph on the configured executor.  Stage inputs are resolved through
-the same writer index the sweep runs on: an update's plan reads each
-recomputed block's source store off it once (``PartitionGraph.plan_sources``,
-which also yields the task edges) and the kernels look sources up in that
-table; reads outside an update search the index as of a stage seq.  Each
-affected stage's partitions execute as one run table handed to the kernel
-backend, and a swept run of consecutive diagonal / monomial stages executes
-as one table applying their composed action (``_coalesce``): only the last
-member declaring a block publishes it.  A net's superposition gates are one
-dense stage whose partitions each read only their own blocks; only a
-collapse (measure / reset) reads the whole vector, in a sync step that draws
-it, after which it is a projector that joins such runs too.
+task graph on the configured executor.  Stage inputs are resolved from
+the same stage covers the sweep runs on: an update's plan resolves every
+recomputed block's source store in one pass (``PartitionGraph.plan_sources``,
+which also yields the task edges) as ``(store, mask)`` pairs the kernels
+read through; reads outside an update walk the covers back from a stage
+seq.  Each affected stage's partitions execute as one run table handed to
+the kernel backend, and a swept run of consecutive diagonal / monomial
+stages executes as one table applying their composed action
+(``_coalesce``): only the last member declaring a block publishes it.  A
+net's superposition gates are one dense stage whose partitions each read
+only their own blocks; only a collapse (measure / reset) reads the whole
+vector, in a sync step that draws it, after which it is a projector that
+joins such runs too.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -416,7 +417,7 @@ class QTaskSimulator(CircuitObserver):
         """A child simulator sharing this one's computed state copy-on-write.
 
         The child gets its own circuit (a structural clone with fresh
-        handles), its own stages, partition graph (writer index included)
+        handles), its own stages, partition graph (layout records included)
         and observables engine -- but every stage store *adopts* the parent
         stage's blocks by reference (:meth:`BlockStore.share_from`), so
         forking costs O(stages + stored blocks) bookkeeping and zero block
@@ -450,7 +451,7 @@ class QTaskSimulator(CircuitObserver):
 
             # Mirror the parent's stages in its exact global order (seq-based
             # block resolution depends on it) together with their layout
-            # records and the writer index -- O(stages + index entries).
+            # records -- O(stages).
             stages = self._graph.stages
             stage_map: Dict[int, Stage] = {}
             for stage in stages:
@@ -471,7 +472,7 @@ class QTaskSimulator(CircuitObserver):
                 child._matvec[net_map[net_uid].uid] = stage_map[stage.uid]
 
             # Adopt the parent's computed blocks copy-on-write (zero copies);
-            # the mirrored writer index already lists every adopting stage.
+            # the mirrored layouts already declare every adopted block.
             blocks = 0
             for stage in stages:
                 blocks += stage_map[stage.uid].store.share_from(stage.store)
@@ -913,8 +914,8 @@ class QTaskSimulator(CircuitObserver):
 
         One pass, inside the ``plan.build`` span: the partition graph's
         frontier sweep emits the affected stages in seq order, swept runs
-        of static stages coalesce into one plan each, the writer index
-        gives every recomputed block's source store and with it the
+        of static stages coalesce into one plan each, one pass over the
+        covers gives every recomputed block's source store and with it the
         plan-granular task edges, and static stages freeze their run
         tables.  Queued inserts are wired first, in the ``modify`` span
         before it.
@@ -1350,7 +1351,8 @@ class QTaskSimulator(CircuitObserver):
         """Counters describing the simulator's current incremental state.
 
         Combines the partition-graph shape (``num_stages``, ``num_nodes``,
-        ``num_edges`` -- derived from the writer index on every call --
+        ``num_edges`` -- counted from the stage covers on every call,
+        without building a node --
         and ``num_frontiers``, the stages carrying pending dirt) with the
         configuration knobs (:data:`DURABLE_KNOBS` and the worker count) and the
         outcome of the most recent update (affected partitions, elapsed

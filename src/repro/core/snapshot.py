@@ -410,9 +410,8 @@ def _load_state(sim, path, header, payload, handles) -> int:
     sim.outcomes._forced = {int(i): int(v) for i, v in rec["forced"]}
 
     # Rebuild the stage table in the checkpointed global order.  One
-    # insert_stages batch records the layouts and lists the stages in the
-    # writer index (there is no source graph to mirror), and the graph's
-    # insertion hook binds dynamic records.
+    # insert_stages batch records the layouts (there is no source graph to
+    # mirror), and the graph's insertion hook binds dynamic records.
     entries, runs = header["stages"], header.get("runs", ())
     for entry in entries:
         gates = entry["gates"]

@@ -290,7 +290,7 @@ def np_rng() -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# a writer index over bare stores (block-resolution tests below the session)
+# a partition graph over bare stores (block-resolution tests below the session)
 # ---------------------------------------------------------------------------
 
 
@@ -311,11 +311,34 @@ class DeclaringStage(Stage):
 
 
 def index_over(stages: Sequence[Stage]) -> PartitionGraph:
-    """A partition graph (the writer index) holding ``stages`` in order."""
+    """A partition graph holding ``stages`` in order."""
     graph = PartitionGraph(BlockRange(0, stages[0].n_blocks - 1))
     for position, stage in enumerate(stages):
         graph.insert_stage(stage, position)
     return graph
+
+
+def declarers(graph) -> List[List[Stage]]:
+    """Per block id, the stages whose recorded cover declares it, by seq:
+    the per-block view of the graph's covers."""
+    covers = [(stage, graph._layouts[stage.uid].cover) for stage in graph.stages]
+    return [
+        [stage for stage, cover in covers if cover >> block & 1]
+        for block in range(graph._full_range.last + 1)
+    ]
+
+
+def resolve_store(reader, block: int):
+    """The store ``reader`` reads ``block`` from."""
+    return reader.resolve_masks(1 << block)[0][0]
+
+
+def block_mask(blocks) -> int:
+    """The bitmask of block ids ``blocks``."""
+    mask = 0
+    for block in blocks:
+        mask |= 1 << block
+    return mask
 
 
 class StoreChain(_ResolvingReader):
@@ -324,7 +347,7 @@ class StoreChain(_ResolvingReader):
     ``stores[0]`` is the oldest (usually an ``InitialStateStore``) and
     ``stores[-1]`` the most recent stage.  Reading block ``b`` walks the
     chain backwards until a store holds ``b`` -- O(S) per read, the ground
-    truth the writer index is checked against.  The simulator never builds
+    truth the graph's resolution is checked against.  The simulator never builds
     one.
     """
 
@@ -340,11 +363,16 @@ class StoreChain(_ResolvingReader):
         self.block_size = stores[0].block_size
         self.n_blocks = stores[0].n_blocks
 
-    def resolve_store(self, block: int) -> BlockStore:
+    def resolve_masks(self, mask: int):
+        found = []
         for store in reversed(self._stores):
-            if store.has_block(block):
-                return store
-        raise LookupError(f"block {block} resolved by no store in the chain")
+            hit = store.held & mask
+            if hit:
+                found.append((store, hit))
+                mask &= ~hit
+        if mask:
+            raise LookupError(f"blocks {mask:#x} resolved by no store in the chain")
+        return found
 
 
 def table_from_runs(runs: Sequence[RunSpec]) -> RunTable:
@@ -376,7 +404,7 @@ def table_from_runs(runs: Sequence[RunSpec]) -> RunTable:
 def newest_holder(initial, stages: Sequence[Stage], block: int, before_seq: int):
     """Brute force: the newest store before ``before_seq`` holding ``block``."""
     stores = [initial] + [s.store for s in stages[:before_seq]]
-    return StoreChain(stores).resolve_store(block)
+    return resolve_store(StoreChain(stores), block)
 
 
 # ---------------------------------------------------------------------------
@@ -746,4 +774,4 @@ def assert_runs_are_consistent(session):
     for stage in stages:
         newest.update((block, stage) for block in declared[stage])
     for block, stage in newest.items():
-        assert stage.store.has_block(block), (block, stage)
+        assert stage.store.held >> block & 1, (block, stage)

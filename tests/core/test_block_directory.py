@@ -1,9 +1,10 @@
-"""Unit tests for block resolution through the writer index, and store writes.
+"""Unit tests for block resolution over the partition graph, and store writes.
 
-The index is the partition graph: ``holder`` answers "which store holds
-block b as of stage k", ``plan_sources`` resolves an update's reads once,
-and :class:`IndexReader` serves amplitudes through either.  Stores know
-nothing of the index, so every case here writes stores by hand.
+The graph records each stage's cover: ``holders`` answers "which stores
+hold these blocks as of stage k" in one backward walk, ``plan_sources``
+resolves an update's reads once as ``(store, mask)`` pairs, and
+:class:`IndexReader` serves amplitudes through either.  Stores know nothing
+of the graph, so every case here writes stores by hand.
 """
 
 import numpy as np
@@ -13,7 +14,10 @@ from repro.core.blocks import BlockRange, aligned_block_runs
 from repro.core.cow import BlockStore, IndexReader, InitialStateStore
 from repro.core.exec_plan import StagePlan
 
-from ..conftest import DeclaringStage, StoreChain, index_over, newest_holder
+from ..conftest import (
+    DeclaringStage, StoreChain, block_mask, index_over, newest_holder,
+    resolve_store,
+)
 
 
 def _stage(*ranges, qubits=5, block=4):
@@ -32,7 +36,14 @@ def _index_with_layers():
 
 
 def _resolve(graph, init, block, before_seq):
-    return IndexReader(graph, init, before_seq).resolve_store(block)
+    return resolve_store(IndexReader(graph, init, before_seq), block)
+
+
+def _plan(stage, ranges):
+    """The plan recomputing ``ranges`` (``(first, last)`` pairs or block
+    ranges) of ``stage``, with its mask."""
+    ranges = [r if isinstance(r, BlockRange) else BlockRange(*r) for r in ranges]
+    return StagePlan(stage, ranges, mask=block_mask(b for r in ranges for b in r))
 
 
 # ---------------------------------------------------------------------------
@@ -47,24 +58,26 @@ def test_resolve_store_picks_most_recent_writer():
     assert _resolve(g, init, 1, 2) is a.store
     assert _resolve(g, init, 0, 2) is init      # nobody declares block 0
     assert _resolve(g, init, 2, 0) is init      # before any writer
-    assert g.holder(0, 2) is None and g.holder(2, 0) is None
+    assert g.holders(0b001, 2) == [] and g.holders(0b100, 0) == []
+    # one walk resolves every block of a mask
+    assert g.holders(0b111, 2) == [(b.store, 0b100), (a.store, 0b010)]
 
 
 def test_resolve_block_values():
     init, _, _, g = _index_with_layers()
-    assert IndexReader(g, init, 2).resolve_block(2)[0] == 99.0
-    assert IndexReader(g, init, 1).resolve_block(2)[0] == 20.0
-    assert IndexReader(g, init, 2).resolve_block(0)[0] == 1.0
+    assert IndexReader(g, init, 2).read_blocks([2])[0] == 99.0
+    assert IndexReader(g, init, 1).read_blocks([2])[0] == 20.0
+    assert IndexReader(g, init, 2).read_blocks([0])[0] == 1.0
 
 
 def test_a_declarer_holding_nothing_is_stepped_over():
     """No store callbacks: drop/clear/release simply stop holding."""
     init, a, b, g = _index_with_layers()
-    b.store.drop_block(2)
+    b.store.drop_blocks([2])
     assert _resolve(g, init, 2, 2) is a.store
     a.store.clear()
     assert _resolve(g, init, 2, 2) is init
-    assert g.holder(1, 2) is None
+    assert g.holders(0b10, 2) == []
     b.store.write_block(2, np.full(4, 5.0, dtype=complex))
     b.store.release()
     assert _resolve(g, init, 2, 2) is init
@@ -77,7 +90,7 @@ def test_removed_stage_leaves_the_index():
     assert _resolve(g, init, 2, 2) is b.store
     # a removed stage's store is out of every later resolution
     a.store.write_block(3, np.zeros(4, dtype=complex))
-    assert g.holder(3, 2) is None
+    assert g.holders(1 << 3, 2) == []
 
 
 def test_stage_entering_with_held_blocks_resolves():
@@ -117,15 +130,15 @@ def test_owner_runs_groups_consecutive_blocks():
 
 
 class _CountingIndex:
-    """Forwards to a graph and counts the per-block searches."""
+    """Forwards to a graph and records the masks it is walked for."""
 
     def __init__(self, graph):
         self.graph = graph
-        self.searches = 0
+        self.searches = []
 
-    def holder(self, block, before_seq):
-        self.searches += 1
-        return self.graph.holder(block, before_seq)
+    def holders(self, mask, before_seq):
+        self.searches.append(mask)
+        return self.graph.holders(mask, before_seq)
 
 
 def _planned_case():
@@ -144,55 +157,62 @@ def _planned_case():
 
 def test_plan_sources_lists_the_closest_earlier_declarer():
     init, (s0, s1, s2), g = _planned_case()
-    (t1, t2), edges = g.plan_sources([StagePlan(s1, s1.ranges), StagePlan(s2, s2.ranges)], init)
-    assert t1 == {0: s0.store, 1: s0.store, 3: s0.store}
-    assert t2 == {0: s1.store, 1: s1.store, 2: s0.store, 3: s1.store}
+    (t1, t2), edges = g.plan_sources([_plan(s1, s1.ranges), _plan(s2, s2.ranges)], init)
+    assert dict(t1) == {s0.store: 0b1011}
+    assert dict(t2) == {s1.store: 0b1011, s0.store: 0b0100}
     # s1 is planned and a source of s2: one edge; s0 is not planned: none
     assert edges == [(0, 1)]
     # the first stage of a circuit reads the initial state
-    (t0,), edges = g.plan_sources([StagePlan(s0, s0.ranges)], init)
-    assert t0 == {blk: init for blk in range(4)} and edges == []
+    (t0,), edges = g.plan_sources([_plan(s0, s0.ranges)], init)
+    assert t0 == [(init, 0b1111)] and edges == []
     # only the recomputed ranges are planned: memory is O(affected blocks)
-    (part,), _ = g.plan_sources([StagePlan(s2, [BlockRange(2, 3)])], init)
-    assert part == {2: s0.store, 3: s1.store}
+    (part,), _ = g.plan_sources([_plan(s2, [(2, 3)])], init)
+    assert dict(part) == {s0.store: 0b0100, s1.store: 0b1000}
     # every planned source is a predecessor, once, by position
-    _, edges = g.plan_sources([StagePlan(s, s.ranges) for s in (s0, s1, s2)], init)
+    _, edges = g.plan_sources([_plan(s, s.ranges) for s in (s0, s1, s2)], init)
     assert edges == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_planned_sources_equal_the_newest_holder_scan():
     init, stages, g = _planned_case()
-    tables, _ = g.plan_sources([StagePlan(s, s.ranges) for s in stages], init)
+    tables, _ = g.plan_sources([_plan(s, s.ranges) for s in stages], init)
     for stage, table in zip(stages, tables):
-        for blk, store in table.items():
-            assert store is newest_holder(init, stages, blk, stage.seq)
+        assert sum(mask for _, mask in table) == block_mask(
+            b for r in stage.ranges for b in r
+        )
+        for store, mask in table:
+            for blk in range(mask.bit_length()):
+                if mask >> blk & 1:
+                    assert store is newest_holder(init, stages, blk, stage.seq)
 
 
 def test_planned_read_never_searches_the_index():
     init, (s0, s1, s2), g = _planned_case()
-    (table,), _ = g.plan_sources([StagePlan(s2, s2.ranges)], init)
+    (table,), _ = g.plan_sources([_plan(s2, s2.ranges)], init)
     index = _CountingIndex(g)
     reader = IndexReader(index, init, s2.seq, table)
     np.testing.assert_array_equal(
         reader.read_blocks([0, 1, 2, 3]),
         StoreChain([init, s0.store, s1.store]).read_blocks([0, 1, 2, 3]),
     )
-    assert index.searches == 0
+    assert index.searches == []
     # a block outside the table is searched for, as of the stage
-    assert reader.resolve_store(5) is init
-    assert index.searches == 1
+    assert resolve_store(reader, 5) is init
+    assert index.searches == [1 << 5]
 
 
 def test_planned_source_holding_nothing_falls_back_to_the_older_holder():
     init, (s0, s1, s2), g = _planned_case()
-    (table,), _ = g.plan_sources([StagePlan(s2, s2.ranges)], init)
-    s1.store.drop_block(1)       # e.g. a failed publish left s1 half-written
+    (table,), _ = g.plan_sources([_plan(s2, s2.ranges)], init)
+    s1.store.drop_blocks([1])     # e.g. a failed publish left s1 half-written
     index = _CountingIndex(g)
     reader = IndexReader(index, init, s2.seq, table)
-    assert reader.resolve_stores([0, 1, 2]) == [s1.store, s0.store, s0.store]
-    assert index.searches == 1   # only the block whose source held nothing
+    assert reader.owner_runs([0, 1, 2]) == [
+        (s1.store, 0, 0), (s0.store, 1, 2),
+    ]
+    assert index.searches == [0b10]   # only the block whose source held nothing
     s0.store.clear()
-    assert reader.resolve_store(1) is init
+    assert resolve_store(reader, 1) is init
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Block sources come from the writer index, and equal a newest-holder scan.
+"""Block sources come from the stage covers, and equal a newest-holder scan.
 
 An update resolves, at plan time, the store every recomputed block is read
-from (``PartitionGraph.plan_sources``); reads outside an update search the
-same index as of a stage seq.  Neither consults the stores, so both are
-checked here against the brute-force answer -- the newest stage store
+from (``PartitionGraph.plan_sources``); reads outside an update walk the
+same covers back from a stage seq.  Both are checked here against the
+brute-force answer -- the newest stage store
 holding the block (``conftest.newest_holder``, a scan over the stores) --
 after every update of the state machine in ``tests/machine.py``, whose
 sessions must also match the dense reference.
@@ -23,7 +23,9 @@ from repro.core import faults
 from repro.core.cow import IndexReader
 from repro.core.faults import FaultPlan
 
-from ..conftest import assert_held_blocks_declared, dense_state, newest_holder
+from ..conftest import (
+    assert_held_blocks_declared, dense_state, newest_holder, resolve_store,
+)
 from ..machine import (
     MODIFIERS,
     assert_reads_equal_the_scan,
@@ -73,7 +75,9 @@ def test_plan_memory_is_the_affected_blocks_not_the_register(no_plan):
         assert sim.graph.runs() == []
         session.update_gate(handle, 1.3)  # the last rz, on qubit 5
         plan = update_and_check_planned_sources(session)
-        planned = sum(len(sp.reader.sources) for sp in plan.stage_plans)
+        planned = sum(
+            bin(mask).count("1") for sp in plan.stage_plans for _, mask in sp.reader.sources
+        )
         assert planned == plan.block_writes
         # the retuned stage and the cx behind it, nothing upstream: less
         # than a register per affected stage, let alone per stage
@@ -89,7 +93,8 @@ def test_plan_memory_is_the_affected_blocks_not_the_register(no_plan):
         plan = update_and_check_planned_sources(session)
         (sp,) = plan.stage_plans
         assert len(sp.members) == 7
-        assert len(sp.reader.sources) == plan.block_writes == sim.n_blocks
+        planned = sum(bin(mask).count("1") for _, mask in sp.reader.sources)
+        assert planned == plan.block_writes == sim.n_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +136,10 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
         # declared, empty: the final-state read lands on the older holder
         final = sim.state_reader()
         for block in declared:
-            assert final.resolve_store(block) is newest_holder(
+            assert resolve_store(final, block) is newest_holder(
                 sim._initial, sim.graph.stages, block, sys.maxsize
             )
-            assert final.resolve_store(block) is not c_if_stage.store
+            assert resolve_store(final, block) is not c_if_stage.store
         assert np.array_equal(session.state(), before)
 
         update_and_check_planned_sources(session)
@@ -144,7 +149,7 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
             assert np.array_equal(
                 c_if_stage.store.get_block(block),
                 IndexReader(sim.graph, sim._initial, c_if_stage.seq)
-                .resolve_block(block),
+                .read_blocks([block]),
             )
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
     finally:
@@ -175,7 +180,7 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
             final = sim.state_reader()
             for stage in sim.graph.stages:
                 for block in _declared(sim, stage) - set(stage.store.stored_blocks()):
-                    store = final.resolve_store(block)
+                    store = resolve_store(final, block)
                     want = newest_holder(
                         sim._initial, sim.graph.stages, block, sys.maxsize
                     )

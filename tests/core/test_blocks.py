@@ -9,12 +9,10 @@ from repro.core.blocks import (
     DEFAULT_BLOCK_SIZE,
     block_bounds,
     block_of,
-    intersect_ranges,
     mask_blocks,
     mask_ranges,
     merge_overlapping,
     num_blocks,
-    ranges_intersect,
     validate_block_size,
 )
 
@@ -72,13 +70,13 @@ def test_block_range_len_contains_iter():
 
 
 def test_block_range_intersects():
-    assert ranges_intersect(BlockRange(0, 3), BlockRange(3, 5))
-    assert not ranges_intersect(BlockRange(0, 2), BlockRange(3, 5))
+    assert BlockRange(0, 3).intersects(BlockRange(3, 5))
+    assert not BlockRange(0, 2).intersects(BlockRange(3, 5))
 
 
 def test_block_range_intersection_value():
-    assert intersect_ranges(BlockRange(0, 4), BlockRange(2, 8)) == BlockRange(2, 4)
-    assert intersect_ranges(BlockRange(0, 1), BlockRange(2, 3)) is None
+    assert BlockRange(0, 4).intersection(BlockRange(2, 8)) == BlockRange(2, 4)
+    assert BlockRange(0, 1).intersection(BlockRange(2, 3)) is None
 
 
 def test_block_range_union_span():

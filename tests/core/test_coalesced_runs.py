@@ -491,7 +491,7 @@ def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
 
 
 def test_qft_sweep_is_the_widened_oracle_and_stays_partial():
-    """The writer index is the partition graph: a 12q QFT built gate by gate
+    """The stage covers are the partition graph: a 12q QFT built gate by gate
     has 2201 nodes, all affected on the first update; one mid-circuit remove
     + re-insert sweeps exactly what the from-scratch closest-writer closure,
     widened to the recorded runs it meets, reaches -- fewer than all."""

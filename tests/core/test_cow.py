@@ -1,5 +1,8 @@
 """Tests for the copy-on-write block stores and store chains."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,8 @@ def test_write_and_get_block_roundtrip():
     data = np.arange(4, dtype=complex)
     s.write_block(2, data)
     np.testing.assert_allclose(s.get_block(2), data)
-    assert s.has_block(2)
-    assert not s.has_block(3)
+    assert s.held >> 2 & 1
+    assert not s.held >> 3 & 1
 
 
 def test_write_block_copies_input():
@@ -53,8 +56,8 @@ def test_write_range_unaligned_raises():
 def test_drop_and_clear():
     s = _store()
     s.write_block(1, np.zeros(4, dtype=complex))
-    s.drop_block(1)
-    assert not s.has_block(1)
+    s.drop_blocks([1])
+    assert not s.held >> 1 & 1
     s.write_block(1, np.zeros(4, dtype=complex))
     s.clear()
     assert s.num_stored_blocks == 0
@@ -87,8 +90,7 @@ def test_initial_state_store_other_blocks_zero():
 
 def test_initial_state_store_every_block_defined():
     init = InitialStateStore(32, 4)
-    assert all(init.has_block(b) for b in range(8))
-    assert not init.has_block(8)
+    assert init.held == 0xFF  # every block, and only those
 
 
 def test_initial_state_store_out_of_range_raises():
@@ -121,10 +123,10 @@ def _chain_with_layers():
 
 def test_chain_resolves_most_recent_writer():
     _, _, _, chain = _chain_with_layers()
-    assert chain.resolve_block(2)[0] == 99.0
-    assert chain.resolve_block(1)[0] == 10.0
-    assert chain.resolve_block(0)[0] == 1.0   # initial state
-    assert chain.resolve_block(5)[0] == 0.0
+    assert chain.read_blocks([2])[0] == 99.0
+    assert chain.read_blocks([1])[0] == 10.0
+    assert chain.read_blocks([0])[0] == 1.0   # initial state
+    assert chain.read_blocks([5])[0] == 0.0
 
 
 def test_chain_read_range_across_blocks():
@@ -335,11 +337,10 @@ def test_share_from_copy_on_first_write_releases_refs():
     assert child.shared_block_count == 2
     assert parent.exported_block_refs() == {0: 1, 2: 1}
     # drop and clear release the remaining refs
-    child.drop_block(0)
+    child.drop_blocks([0])
     assert parent.exported_block_refs() == {2: 1}
     child.clear()
     assert parent.exported_block_refs() == {}
-    assert parent.num_exported_blocks == 0
 
 
 def test_share_from_multiple_children_refcounts():
@@ -390,6 +391,36 @@ def test_memory_report_accounts_shared_bytes():
     both = MemoryReport.from_stores([parent, child])
     assert both.allocated_bytes == 5 * 64
     assert both.owned_bytes == 3 * 64  # de-duplicated fleet footprint
+
+
+def test_concurrent_publishes_keep_every_held_bit():
+    """The chunks of one plan publish into one store from worker threads: no
+    ``held`` update may be lost, or a read would step over a held block."""
+    store = BlockStore(4 * 4096, 4)
+    row = np.zeros(4, dtype=complex)
+    threads = 8
+
+    def publish(k):
+        for b in range(k, store.n_blocks, threads):
+            store.write_blocks([b], [row])
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            store.clear()
+            workers = [
+                threading.Thread(target=publish, args=(k,)) for k in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert store.held == (1 << store.n_blocks) - 1
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert store.stored_blocks() == tuple(range(store.n_blocks))
 
 
 # ---------------------------------------------------------------------------

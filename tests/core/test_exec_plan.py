@@ -142,7 +142,7 @@ class TestBuildExecutionPlan:
         assert [len(sp.members) for sp in plan.stage_plans] == [1, 3]
         for succ, sp in enumerate(plan.stage_plans):
             sources = {
-                store for store in sp.reader.sources.values()
+                store for store, _ in sp.reader.sources
                 if store is not sim._initial
             }
             preds = [plan.stage_plans[pred] for pred, s in plan.edges if s == succ]

@@ -1,7 +1,7 @@
 """Tests for the partition graph: connections, modifiers, frontiers (§III.D/E).
 
 Connections are the graph's derived view (``edges()``: closest-overlap pairs
-read off the writer index); the affected set is the frontier sweep.
+derived from the stage covers); the affected set is the frontier sweep.
 """
 
 import io
@@ -15,7 +15,7 @@ from repro.core.graph import PartitionGraph
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import MatVecStage, UnitaryStage
 
-from ..conftest import assert_states_close, plan_nodes, reference_state
+from ..conftest import assert_states_close, declarers, plan_nodes, reference_state
 
 
 def build_paper_simulator(block=4):
@@ -297,8 +297,8 @@ def test_removing_last_superposition_gate_removes_stage():
     sim.update_state()
     ckt.remove_gate(h0)
     assert sim.graph.stages == []
-    # the index forgets what the stage registered, not what it answers now
-    assert sim.graph.num_nodes() == 0 and not any(sim.graph._writers)
+    # the graph forgets what the stage registered, not what it answers now
+    assert sim.graph.num_nodes() == 0 and not any(declarers(sim.graph))
 
 
 def test_remove_net_dismantles_all_its_stages():

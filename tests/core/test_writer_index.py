@@ -1,4 +1,4 @@
-"""The writer index is the partition graph -- and sweeping it finds exactly
+"""The partition graph's recorded covers -- and sweeping them finds exactly
 what the paper's frontier DFS finds.
 
 Four things are pinned here:
@@ -21,14 +21,16 @@ Four things are pinned here:
   that stage, and the run records must agree with the stores
   (``conftest.assert_held_blocks_are_prefix_states`` /
   ``assert_runs_are_consistent``).
-* **The index lists exactly the declaring stages**, by seq, after every step.
+* **The covers declare exactly the declaring stages' blocks**: the
+  per-block declarer view derived from them lists each block's declaring
+  stages by seq, after every step.
 * **Cached derivation == enumerator.**  ``derive_partitions`` shares results
   under the ``(unit layout, qubits, geometry)`` key; the enumerator behind
   the cache must give the same layout (block masks included) for any drawn
   action.
-* **Held blocks lie inside declared ranges**: the invariant block resolution rests on -- reads resolve through the writer
-  index, which lists *declared* writers (``test_block_sources.py`` pins the
-  resolution itself).
+* **Held blocks lie inside declared ranges**: the invariant block
+  resolution rests on -- reads resolve through the covers, which list
+  *declared* blocks (``test_block_sources.py`` pins the resolution itself).
 """
 
 import numpy as np
@@ -53,6 +55,7 @@ from repro.core.partition import (
 from ..conftest import (
     FrontierOracle,
     closest_writer_reachability,
+    declarers,
     dense_state,
     session_handles,
     swept_nodes,
@@ -228,7 +231,7 @@ def test_forked_graph_owns_its_index():
         parent.insert_gate("cx", net, 0, 3)
         parent.update_state()
         before = wiring(parent.simulator.graph)
-        entries = [list(w) for w in parent.simulator.graph._writers]
+        entries = declarers(parent.simulator.graph)
         with parent.fork() as child:
             assert wiring(child.simulator.graph) == before
             assert not child.simulator.graph.has_pending
@@ -237,7 +240,7 @@ def test_forked_graph_owns_its_index():
             assert_index_matches_stage_order(child.simulator.graph)
             assert child.simulator.graph.has_pending
         assert wiring(parent.simulator.graph) == before
-        assert parent.simulator.graph._writers == entries
+        assert declarers(parent.simulator.graph) == entries
         assert not parent.simulator.graph.has_pending
 
 

@@ -9,8 +9,9 @@ and holds every live session against oracles that share no code with the
 engine (``tests/conftest.py``).  After every step:
 
 * in every session the step touched, the frontier sweep names exactly what
-  :class:`FrontierOracle` derives from outside, and the writer index lists
-  the declaring stages by seq;
+  :class:`FrontierOracle` derives from outside, the declarers the covers
+  give each block are the declaring stages by seq, and every store's held
+  mask and memory report add up to its blocks;
 * a session with nothing pending has the dense oracle's state (1e-10), its
   held blocks are declared ones and prefix states, its run records agree
   with its stores, and every read resolves to the newest-holder scan; a
@@ -21,7 +22,7 @@ engine (``tests/conftest.py``).  After every step:
   have one attribute set (``forked_gate_map`` is a fork's alone).
 
 The rules check what they alone can see: an update's planned sources and
-every as-of view against the scan, a cleared circuit's empty writer index,
+every as-of view against the scan, a cleared circuit's empty declarer view,
 ``run_shots`` against one replay per shot, and recovery from a scripted
 :class:`~repro.core.faults.FaultPlan`.
 The machine parks the ambient (chaos-mode) plan for its whole run, so its
@@ -57,7 +58,7 @@ from hypothesis.stateful import (
 from repro import QTask
 from repro.core import faults
 from repro.core.circuit import CircuitObserver
-from repro.core.cow import IndexReader
+from repro.core.cow import IndexReader, MemoryReport
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
 from repro.core.kernels import KernelBackend
@@ -74,6 +75,8 @@ from .conftest import (
     assert_held_blocks_are_prefix_states,
     assert_held_blocks_declared,
     assert_runs_are_consistent,
+    block_mask,
+    declarers,
     dense_state,
     greedy_runs,
     newest_holder,
@@ -258,19 +261,42 @@ def assert_close(actual, desired, *, atol=0.0, rtol=0.0):
 
 
 # ---------------------------------------------------------------------------
-# the writer index and block sources, against the newest-holder scan
+# the declared covers and block sources, against the newest-holder scan
 # ---------------------------------------------------------------------------
 
 
 def assert_index_matches_stage_order(graph):
-    """Each block's entry lists exactly its declaring stages, by seq."""
-    expected = [[] for _ in graph._writers]
+    """The declarers the covers give each block are exactly its declaring
+    partitions' stages, by seq; the edge count is the edge view's length;
+    every store's held mask is its blocks, and the memory report is their
+    bytes."""
+    expected = [[] for _ in range(graph._full_range.last + 1)]
     for stage in graph.stages:
         for node in graph.partition_nodes(stage):
             for block in node.block_range:
                 expected[block].append(stage)
-    assert graph._writers == expected
+    assert declarers(graph) == expected
     assert graph.num_nodes() == len(graph.all_nodes())
+    assert graph.num_edges() == len(graph.edges())
+    stores = [stage.store for stage in graph.stages]
+    for store in stores:
+        assert store.held == block_mask(store.stored_blocks())
+    report = MemoryReport.from_stores(stores)
+    assert report.allocated_bytes == sum(
+        store.get_block(b).nbytes for store in stores for b in store.stored_blocks()
+    )
+    assert report.shared_bytes == sum(
+        store.get_block(b).nbytes for store in stores for b in store._shared
+    )
+
+
+def owner_per_block(reader, n_blocks):
+    """The store ``reader`` resolves each block to, off its owner runs."""
+    return [
+        store
+        for store, first, last in reader.owner_runs(range(n_blocks))
+        for _ in range(first, last + 1)
+    ]
 
 
 def assert_reads_equal_the_scan(sim, *, every_view=True):
@@ -282,7 +308,7 @@ def assert_reads_equal_the_scan(sim, *, every_view=True):
 
     def check(view):
         reader = IndexReader(sim.graph, sim._initial, view)
-        for block, store in enumerate(reader.resolve_stores(range(sim.n_blocks))):
+        for block, store in enumerate(owner_per_block(reader, sim.n_blocks)):
             assert store is holders[block], (view, block)
 
     for seq, stage in enumerate(stages):
@@ -318,17 +344,25 @@ def update_and_check_planned_sources(session, oracle=None):
     assert runs is None or [sp.members for sp in plan.stage_plans] == runs
     member_stores = [{m.store for m in sp.members} for sp in plan.stage_plans]
     for succ, sp in enumerate(plan.stage_plans):
-        declared = {b for r in sp.block_ranges for b in r}
         # O(affected blocks): exactly the recomputed ranges are planned -- of
-        # a coalesced run, the union of its members' covers, once
-        assert set(sp.reader.sources) == declared
-        for block, store in sp.reader.sources.items():
-            # ... read as of the plan's first stage: a source inside an
-            # earlier run is that run's last declarer, the one that holds it
-            want = newest_holder(sim._initial, sim.graph.stages, block, sp.stage.seq)
-            assert store is want, (sp.stage, block)
+        # a coalesced run, the union of its members' covers, once -- as
+        # disjoint (store, mask) pairs
+        union = 0
+        for store, mask in sp.reader.sources:
+            assert mask and not union & mask, (sp.stage, mask)
+            union |= mask
+            for block in range(mask.bit_length()):
+                if mask >> block & 1:
+                    # ... read as of the plan's first stage: a source inside
+                    # an earlier run is that run's last declarer, the one
+                    # that holds it
+                    want = newest_holder(
+                        sim._initial, sim.graph.stages, block, sp.stage.seq
+                    )
+                    assert store is want, (sp.stage, block)
+        assert union == block_mask(b for r in sp.block_ranges for b in r)
         # the task edges are the planned stages among those sources
-        sources = set(sp.reader.sources.values())
+        sources = {store for store, _ in sp.reader.sources}
         preds = {pred for pred, s in plan.edges if s == succ}
         assert preds == {
             k for k, stores in enumerate(member_stores) if sources & stores
@@ -509,14 +543,14 @@ class SessionMachine(RuleBasedStateMachine):
 
     @rule(session=sessions)
     def clear_circuit(self, session):
-        """Remove every net: the update leaves no writer entries behind and
-        lands on |0>."""
+        """Remove every net: the update leaves no declarer behind and lands
+        on |0>."""
         for net in session.nets():
             session.remove_net(net)
         session.update_state()
         sim = session.simulator
-        assert not any(sim.graph._writers)
-        assert all(sim.graph.holder(b, sys.maxsize) is None for b in range(sim.n_blocks))
+        assert not any(declarers(sim.graph))
+        assert sim.graph.holders((1 << sim.n_blocks) - 1, sys.maxsize) == []
         state = session.state()
         assert state[0] == 1.0 and not state[1:].any()
         self.touched.add(session)
