@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..baselines import QiskitLikeSimulator, QulacsLikeSimulator
-from ..core.blocks import DEFAULT_BLOCK_SIZE
 from ..core.circuit import Circuit, GateHandle
 from ..core.simulator import QTaskSimulator
 from ..telemetry import MetricsRegistry
@@ -160,7 +159,7 @@ def qiskit_like_factory(*, name: str = "Qiskit-like") -> SimulatorFactory:
 
 def standard_factories(
     *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    block_size: Optional[int] = None,
     num_workers: Optional[int] = None,
 ) -> List[SimulatorFactory]:
     """The three simulators of Table III, in the paper's column order."""

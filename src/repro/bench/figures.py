@@ -33,7 +33,7 @@ FIGURE_CIRCUITS = ("qft", "big_adder")
 
 
 def default_factories(num_workers: Optional[int] = None,
-                      block_size: int = 256) -> List[SimulatorFactory]:
+                      block_size: Optional[int] = None) -> List[SimulatorFactory]:
     """qTask vs. Qulacs-like (the paper drops Qiskit after Table III)."""
     return [
         qtask_factory(block_size=block_size, num_workers=num_workers),

@@ -47,7 +47,7 @@ class CowComparison:
 def cow_memory_comparison(
     circuit: str = "qft",
     *,
-    block_size: int = 256,
+    block_size: Optional[int] = None,
     num_qubits: Optional[int] = None,
     max_levels: Optional[int] = None,
 ) -> CowComparison:
@@ -84,7 +84,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--circuit", default="qft")
     parser.add_argument("--qubits", type=int, default=None)
-    parser.add_argument("--block-size", type=int, default=256)
+    parser.add_argument("--block-size", type=int, default=None,
+                        help="amplitudes per block (default: the session rule)")
     parser.add_argument("--max-levels", type=int, default=None)
     args = parser.parse_args(argv)
 

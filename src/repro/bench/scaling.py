@@ -39,7 +39,7 @@ def figure17_full_scaling(
     circuit: str = "qft",
     *,
     max_workers: Optional[int] = None,
-    block_size: int = 256,
+    block_size: Optional[int] = None,
     num_qubits: Optional[int] = None,
 ) -> List[FigureSeries]:
     """Full-simulation runtime (ms) vs. number of cores (Fig. 17)."""
@@ -64,7 +64,7 @@ def figure18_incremental_scaling(
     circuit: str = "qft",
     *,
     max_workers: Optional[int] = None,
-    block_size: int = 256,
+    block_size: Optional[int] = None,
     iterations: int = 50,
     num_qubits: Optional[int] = None,
 ) -> List[FigureSeries]:

@@ -66,7 +66,7 @@ def run_table3(
     circuits: Optional[Sequence[str]] = None,
     scale: Optional[str] = None,
     num_workers: Optional[int] = None,
-    block_size: int = 256,
+    block_size: Optional[int] = None,
     max_qubits: int = 20,
     max_levels: Optional[int] = None,
 ) -> List[Table3Row]:
@@ -92,7 +92,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help=f"run the quick subset {QUICK_SUBSET}")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--block-size", type=int, default=256)
+    parser.add_argument("--block-size", type=int, default=None,
+                        help="amplitudes per block (default: the session rule)")
     parser.add_argument("--max-qubits", type=int, default=18)
     parser.add_argument("--max-levels", type=int, default=None)
     args = parser.parse_args(argv)

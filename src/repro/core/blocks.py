@@ -15,6 +15,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
+    "default_block_size",
     "validate_block_size",
     "num_blocks",
     "block_of",
@@ -31,8 +32,19 @@ __all__ = [
     "merge_overlapping",
 ]
 
-#: The paper's default block size (§IV: "The default block size of qTask is 256").
+#: The paper's default block size (§IV: "The default block size of qTask is
+#: 256"): the floor of :func:`default_block_size`, so up to 11 qubits.
 DEFAULT_BLOCK_SIZE = 256
+
+
+def default_block_size(num_qubits: int) -> int:
+    """The block size a session on ``num_qubits`` takes when none is given.
+
+    Eight blocks per state, floored at the paper's 256: in this engine a
+    block costs more Python than the memory traffic finer blocks save (Fig.
+    19's axis), so the block count stays fixed as the state grows.
+    """
+    return max(DEFAULT_BLOCK_SIZE, (1 << num_qubits) // 8)
 
 
 def validate_block_size(block_size: int) -> int:

@@ -594,8 +594,10 @@ def _slab_table(
 ) -> _SlabTable:
     """The table of runs ``los``/``his`` (``int64`` bytes) under one operation.
 
-    A slab never exceeds ``MAX_RUN_BLOCKS`` blocks, so the entry bound is a
-    memory bound: at most 6 bytes per amplitude of 64 blocks per entry.
+    A slab never exceeds ``MAX_RUN_BLOCKS`` blocks nor the state, so the
+    entry bound is a memory bound: an entry holds at most 6 bytes per
+    amplitude of min(64 blocks, the state), the cache 256 such entries.  At
+    the default eight blocks per state an entry can index a whole state.
     """
     block_len = min(dim, block_size)
     bounds = zip(

@@ -41,10 +41,10 @@ from ..telemetry.tracing import NULL_SPAN
 from . import faults
 from .faults import FaultInjected
 from .blocks import (
-    DEFAULT_BLOCK_SIZE,
     MAX_RUN_QUBITS,
     MAX_RUN_STAGES,
     BlockRange,
+    default_block_size,
     num_blocks,
     validate_block_size,
 )
@@ -160,13 +160,19 @@ class UpdateReport:
 
 
 class QTaskSimulator(CircuitObserver):
-    """Incremental task-parallel simulator attached to a circuit."""
+    """Incremental task-parallel simulator attached to a circuit.
+
+    ``block_size=None`` is :func:`~repro.core.blocks.default_block_size`'s
+    rule, eight blocks per state floored at the paper's 256, resolved once:
+    the session's ``block_size`` holds the value, which forks and
+    checkpoints carry.
+    """
 
     def __init__(
         self,
         circuit: Circuit,
         *,
-        block_size: int = DEFAULT_BLOCK_SIZE,
+        block_size: Optional[int] = None,
         executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
         kernel_backend: Optional[object] = None,
@@ -194,7 +200,10 @@ class QTaskSimulator(CircuitObserver):
         to the parent's telemetry and starts from a clone of its outcomes.
         """
         self.circuit = circuit
-        self.block_size = validate_block_size(knobs["block_size"])
+        block_size = knobs["block_size"]
+        if block_size is None:  # resolved once: forks and checkpoints carry it
+            block_size = default_block_size(circuit.num_qubits)
+        self.block_size = validate_block_size(block_size)
         self.dim = 1 << circuit.num_qubits
         self.n_blocks = num_blocks(self.dim, self.block_size)
 

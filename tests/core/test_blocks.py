@@ -1,14 +1,17 @@
 """Tests for block arithmetic, block ranges and block sets."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import QTask
 from repro.core.blocks import (
     BlockRange,
     DEFAULT_BLOCK_SIZE,
     block_bounds,
     block_of,
+    default_block_size,
     mask_blocks,
     mask_ranges,
     merge_overlapping,
@@ -204,3 +207,35 @@ def test_mask_blocks_and_ranges_read_a_bitmask_back(blocks):
     assert [b for r in ranges for b in r] == sorted(blocks)
     # maximal: consecutive ranges never touch
     assert all(a.last + 1 < b.first for a, b in zip(ranges, ranges[1:]))
+
+
+def test_default_block_size_is_eight_blocks_per_state_floored_at_256(tmp_path):
+    """``block_size=None`` resolves once, to ``max(256, 2**n // 8)``; the
+    session holds the value, so forks, checkpoints and statistics carry it."""
+    assert [default_block_size(n) for n in range(1, 25)] == [256] * 11 + [
+        1 << (n - 3) for n in range(12, 25)
+    ]
+    for n, expected in ((11, 256), (12, 512), (14, 2048), (18, 32768)):
+        with QTask(n, num_workers=1) as session:
+            assert session.simulator.block_size == expected
+            assert session.simulator.n_blocks == 8
+    with QTask(14, num_workers=1, block_size=64) as session:
+        assert session.simulator.block_size == 64
+
+    for knobs in ({}, {"block_size": 256}):
+        with QTask(14, num_workers=1, **knobs) as session:
+            resolved = session.simulator.block_size
+            assert resolved == knobs.get("block_size", 2048)
+            net = session.insert_net()
+            for q in range(14):
+                session.insert_gate("h", net, q)
+            session.insert_gate("rz", session.insert_net(), 13, params=[0.3])
+            session.update_state()
+            assert session.statistics()["block_size"] == resolved
+            with session.fork() as child:
+                assert child.simulator.block_size == resolved
+            path = session.checkpoint(str(tmp_path / f"{resolved}.qtckpt"))
+            with QTask.restore(path, num_workers=1) as restored:
+                assert restored.simulator.block_size == resolved
+                assert restored.statistics()["block_size"] == resolved
+                np.testing.assert_array_equal(restored.state(), session.state())

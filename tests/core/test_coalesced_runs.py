@@ -442,8 +442,10 @@ def test_a_run_is_cut_at_the_member_and_qubit_caps():
 
 
 def qft_session(num_qubits, **knobs):
+    """A QFT inserted level by level, not updated; blocks of 256 (the counts
+    asserted below are facts of that geometry, not of the default rule)."""
     n, levels = build_levels("qft", num_qubits=num_qubits)
-    session = QTask(n, num_workers=1, **knobs)
+    session = QTask(n, num_workers=1, block_size=256, **knobs)
     nets, handles = [], []
     for level in levels:
         nets.append(session.insert_net())
