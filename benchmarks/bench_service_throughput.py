@@ -131,7 +131,7 @@ def main(argv=None):
     parser.add_argument("--concurrent", type=int, default=4,
                         help="backend max_concurrent_jobs")
     parser.add_argument("--workers", type=int, default=4,
-                        help="shared executor workers")
+                        help="executor width of each pooled session")
     parser.add_argument("--out", default="BENCH_service.json",
                         help="output JSON path")
     args = parser.parse_args(argv)

@@ -2,7 +2,7 @@
 """Service quickstart: concurrent jobs against a multi-tenant Backend.
 
 Spins up a :class:`repro.service.Backend` (bounded admission queue, warm
-copy-on-write session pool, shared work-stealing executor), submits a mix
+copy-on-write session pool, dispatcher threads), submits a mix
 of Bell / GHZ / dynamic-teleportation jobs from two tenants *concurrently*,
 then prints each job's histogram, the warm-pool hit rate and a per-tenant
 metrics rollup.
@@ -54,7 +54,7 @@ def main() -> None:
           f"max_shots={cfg.max_shots}, {len(cfg.basis_gates)} basis gates")
 
     # Submit everything up front: run() returns immediately with an async
-    # Job; the dispatcher pool drains the queue on the shared executor.
+    # Job; the dispatcher threads drain the queue.
     workload = [
         ("alice", "bell", BELL),
         ("alice", "ghz", GHZ),

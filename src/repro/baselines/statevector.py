@@ -4,8 +4,8 @@ Qulacs' defining traits for the paper's experiments are (1) highly optimized
 per-gate kernels and (2) no incrementality -- every simulation call replays
 the whole circuit.  This baseline mirrors both: diagonal and permutation
 gates use vectorised in-place index kernels, everything else uses the dense
-reshape kernel, and optional multi-threading splits the index space into
-chunks executed by the shared work-stealing executor.
+reshape kernel, and ``num_workers > 1`` splits a dense gate's index space
+into chunks mapped over the executor's thread pool.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..core.kernels import (
     extract_local,
     replace_local,
 )
-from ..parallel import Executor, SequentialExecutor, make_executor
+from ..parallel import Executor
 from .base import BaselineSimulator
 
 __all__ = ["QulacsLikeSimulator"]
@@ -51,17 +51,14 @@ class QulacsLikeSimulator(BaselineSimulator):
         circuit: Circuit,
         *,
         num_workers: Optional[int] = None,
-        executor: Optional[Executor] = None,
         chunk_size: int = 1 << 14,
     ) -> None:
         super().__init__(circuit)
-        self._owns_executor = executor is None
-        self.executor = executor or make_executor(num_workers)
+        self.executor = Executor(num_workers)
         self.chunk_size = int(chunk_size)
 
     def close(self) -> None:
-        if self._owns_executor:
-            self.executor.close()
+        self.executor.close()
 
     # -- gate kernels -----------------------------------------------------
 
@@ -107,11 +104,7 @@ class QulacsLikeSimulator(BaselineSimulator):
 
     def _apply_dense(self, state: np.ndarray, gate: Gate) -> np.ndarray:
         n = self.circuit.num_qubits
-        if (
-            state.shape[0] < _MIN_PARALLEL_DIM
-            or isinstance(self.executor, SequentialExecutor)
-            or self.executor.num_workers <= 1
-        ):
+        if state.shape[0] < _MIN_PARALLEL_DIM or self.executor.num_workers <= 1:
             return apply_gate_dense(state, gate, n)
         # Chunked parallel application: each chunk of output amplitudes is
         # computed independently from the (read-only) input vector.

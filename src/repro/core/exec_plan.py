@@ -35,8 +35,8 @@ describes that frontier *once* as a handful of batch-major structures instead:
   (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
   source pass (``PartitionGraph.plan_sources``) reads off the stage covers.
 
-The executors then receive one task per *stage* (optionally split into at
-most ``Executor.subflow_width`` chunk subflows) instead of one per
+The executor then receives one task per *stage* (optionally split into at
+most ``Executor.num_workers`` chunk subflows) instead of one per
 partition, and a :class:`~repro.core.kernels.KernelBackend` executes each
 run table in bulk.
 

@@ -11,7 +11,7 @@ site               where it fires
 =================  ========================================================
 ``kernel.run``     kernel execution: once per run (``kernels.execute_run``),
                    once per operation group on the slab backend
-``executor.task``  work-stealing executor task body
+``executor.task``  executor task body (a graph task or a subflow chunk)
 ``cow.publish``    block publish into a :class:`~repro.core.cow.BlockStore`
 =================  ========================================================
 

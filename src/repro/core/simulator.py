@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, T
 
 import numpy as np
 
-from ..parallel import Executor, SequentialExecutor, TaskGraph, make_executor
+from ..parallel import Executor, TaskGraph
 from ..telemetry import Telemetry
 from ..telemetry import session as tsession
 from ..telemetry.tracing import NULL_SPAN
@@ -173,7 +173,6 @@ class QTaskSimulator(CircuitObserver):
         circuit: Circuit,
         *,
         block_size: Optional[int] = None,
-        executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
         kernel_backend: Optional[object] = None,
         seed: Optional[int] = None,
@@ -195,9 +194,9 @@ class QTaskSimulator(CircuitObserver):
         restore.  ``knobs`` maps ``__init__`` keywords to values: the
         :data:`DURABLE_KNOBS` are required, an absent execution knob means
         what ``None`` means to ``__init__``.  A fork passes itself as
-        ``parent``: the child then shares the parent's kernel backend, and
-        its executor unless ``knobs`` name one, reports
-        to the parent's telemetry and starts from a clone of its outcomes.
+        ``parent``: the child then shares the parent's kernel backend and
+        executor, reports to the parent's telemetry and starts from a clone
+        of its outcomes.
         """
         self.circuit = circuit
         block_size = knobs["block_size"]
@@ -206,10 +205,6 @@ class QTaskSimulator(CircuitObserver):
         self.block_size = validate_block_size(block_size)
         self.dim = 1 << circuit.num_qubits
         self.n_blocks = num_blocks(self.dim, self.block_size)
-
-        executor = knobs.get("executor")
-        if executor is not None and knobs.get("num_workers") is not None:
-            raise CircuitError("pass either an executor or num_workers, not both")
 
         #: what executes the run tables: the numpy slab backend unless the
         #: session was handed a :class:`KernelBackend` instance (the seam the
@@ -230,14 +225,11 @@ class QTaskSimulator(CircuitObserver):
             self._backend = NumpyBatchBackend()
 
         # Last of the knobs: a rejected one above must not leak worker threads.
-        if parent is None:
-            self._owns_executor = executor is None
-            self.executor: Executor = executor or make_executor(
-                knobs.get("num_workers")
-            )
-        else:  # a fork owns only an executor of its own
-            self._owns_executor = executor is not None
-            self.executor = executor or parent.executor
+        #: a fork shares its parent's executor; only a root session closes one
+        self._owns_executor = parent is None
+        self.executor: Executor = (
+            Executor(knobs.get("num_workers")) if parent is None else parent.executor
+        )
 
         # A fork gets its own registry (counters start at zero) tagged with
         # the parent session's id, so aggregation can merge fork stats back
@@ -422,7 +414,7 @@ class QTaskSimulator(CircuitObserver):
         """
         return self._num_updates, self.graph.has_pending
 
-    def fork(self, *, executor: Optional[Executor] = None) -> "QTaskSimulator":
+    def fork(self) -> "QTaskSimulator":
         """A child simulator sharing this one's computed state copy-on-write.
 
         The child gets its own circuit (a structural clone with fresh
@@ -434,12 +426,9 @@ class QTaskSimulator(CircuitObserver):
         child's entry, leaving the parent untouched; edits on either side
         never perturb the other.
 
-        The child always runs on this simulator's kernel backend.  By
-        default it also *shares the executor* (``close()`` on
-        the child will not shut it down); pass ``executor`` to give the
-        child its own instead (``run_shots`` and
-        :class:`~repro.parallel.sweep.SweepRunner` hand their one fork a
-        :class:`~repro.parallel.SequentialExecutor`).  Pending modifiers on
+        The child always runs on this simulator's kernel backend and
+        *shares its executor* (``close()`` on the child will not shut it
+        down).  Pending modifiers on
         this simulator are flushed first so the forked state is well
         defined; the child's gate-handle translation table is exposed as
         ``forked_gate_map`` (parent handle uid -> child handle).  The
@@ -454,7 +443,7 @@ class QTaskSimulator(CircuitObserver):
 
             child = QTaskSimulator.__new__(QTaskSimulator)
             knobs = {name: getattr(self, name) for name in DURABLE_KNOBS}
-            knobs.update(executor=executor, tracing=self.telemetry.tracer.enabled)
+            knobs["tracing"] = self.telemetry.tracer.enabled
             child._assemble(circuit, knobs, parent=self)
             child._num_updates = self._num_updates
 
@@ -1100,7 +1089,7 @@ class QTaskSimulator(CircuitObserver):
 
         The task runs the plan's sync step (the draws) when its barrier is
         affected, materialises the stage's run table, and hands it -- split
-        into at most ``Executor.subflow_width`` chunk subflows -- to the
+        into at most ``Executor.num_workers`` chunk subflows -- to the
         kernel backend.  The plan's stage-granular edges reproduce the
         partition graph's ordering (edges only ever point to later stages).
         """
@@ -1114,7 +1103,7 @@ class QTaskSimulator(CircuitObserver):
             body = self._make_plan_body(sp, plan.redraw_from)
             # Trace context rides on the closure: Executor._guarded sees it
             # and re-activates this session's telemetry (and span parent)
-            # inside whichever worker thread steals the task.
+            # on whichever thread runs the task.
             body.trace_context = (tel, parent_span)
             # named lazily: only a failing task or a graph dump formats it
             tasks.append(graph.emplace(body, name=sp.label))
@@ -1153,7 +1142,7 @@ class QTaskSimulator(CircuitObserver):
         return run_prepare
 
     def _make_plan_body(self, sp: StagePlan, redraw_from: int):
-        width = max(1, int(getattr(self.executor, "subflow_width", 1)))
+        width = self.executor.num_workers
         run_prepare = (
             self._sync_prepare_runner(sp, redraw_from) if sp.has_sync else None
         )
@@ -1177,7 +1166,7 @@ class QTaskSimulator(CircuitObserver):
             if len(chunks) == 1:
                 self._run_plan_chunk(sp, chunks[0])
                 return None
-            # Subflow children run on arbitrary worker threads; carry the
+            # Subflow children may run on pool threads; carry the
             # trace context (parented to the current span, i.e. the update)
             # onto each chunk closure so their spans nest correctly.
             parent = tel.tracer.current_span_id()
@@ -1389,7 +1378,7 @@ class QTaskSimulator(CircuitObserver):
         )
         stats.update(self.plan_report().as_dict())
         # Recovery visibility: executor-level fault retries.
-        stats["task_retries"] = getattr(self.executor, "task_retries", 0)
+        stats["task_retries"] = self.executor.task_retries
         self._refresh_gauges(stats)
         return stats
 

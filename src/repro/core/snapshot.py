@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel import Executor
 from .circuit import Circuit, GateHandle
 from .exceptions import CheckpointError
 from .gates import Gate
@@ -339,7 +338,6 @@ def _build_stage(entry, members: List[GateHandle], sim: QTaskSimulator):
 def restore_simulator(
     path: str,
     *,
-    executor: Optional[Executor] = None,
     num_workers: Optional[int] = None,
     kernel_backend: Optional[object] = None,
 ) -> QTaskSimulator:
@@ -350,8 +348,8 @@ def restore_simulator(
     entries) and is immediately editable: subsequent circuit
     modifiers re-simulate incrementally from the loaded blocks, exactly as
     they would have in the original session.  Execution resources are not
-    part of the durable state -- pass ``executor``/``num_workers``/
-    ``kernel_backend`` as to a new session.
+    part of the durable state -- pass ``num_workers``/``kernel_backend``
+    as to a new session.
 
     Trajectory randomness follows fork semantics: recorded outcomes and
     classical bits are restored verbatim, but the keyed per-op random
@@ -371,7 +369,6 @@ def restore_simulator(
     saved = header["knobs"]
     knobs = {name: saved[name] for name in DURABLE_KNOBS}
     knobs.update(
-        executor=executor,
         num_workers=num_workers,
         kernel_backend=kernel_backend,
         seed=int(rec["seed"]),

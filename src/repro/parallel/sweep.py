@@ -4,8 +4,8 @@ A variational workload evaluates the same circuit at many parameter points.
 The retune path makes each point cheap (``update_gate`` + incremental
 ``update_state``); :class:`SweepRunner` packages it without touching the base
 session: it forks the base session once (:meth:`repro.QTask.fork` -- zero
-amplitude copies) onto a :class:`~repro.parallel.executor.SequentialExecutor`
-and evaluates the points on that fork in submission order.  The fork carries
+amplitude copies; the fork shares the base's executor) and evaluates the
+points on that fork in submission order.  The fork carries
 its own observables cache, so per-point expectations stay incremental from
 one point to the next.
 
@@ -18,8 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from .executor import SequentialExecutor
 
 __all__ = ["SweepPoint", "SweepResult", "SweepRunner"]
 
@@ -116,7 +114,7 @@ class SweepRunner:
         if self._fork is not None and epoch != self._fork_epoch:
             self._drop_fork()
         if self._fork is None:
-            child = self.session.fork(executor=SequentialExecutor())
+            child = self.session.fork()
             self._fork = (child, [child.handle_for(h) for h in self.handles])
             # fork() flushes pending parent modifiers, so read the epoch after.
             self._fork_epoch = getattr(self.session.simulator, "state_epoch", None)

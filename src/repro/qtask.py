@@ -32,7 +32,6 @@ from .core.exceptions import CircuitError, StaleHandleError
 from .core.gates import Gate
 from .core.simulator import QTaskSimulator, UpdateReport
 from .observables.pauli import PauliLike
-from .parallel import Executor, SequentialExecutor
 
 __all__ = ["QTask"]
 
@@ -58,7 +57,7 @@ class QTask:
         ``program`` is a :class:`~repro.qasm.ParsedProgram`; it is levelized
         QASMBench-style (one net per structural level, dynamic operations
         serialised per classical bit) and loaded into a fresh session.
-        ``knobs`` are the :class:`QTask` constructor keywords (``executor``,
+        ``knobs`` are the :class:`QTask` constructor keywords (``num_workers``,
         ``kernel_backend``, ``seed``, ...).  Call ``update_state()`` to
         simulate.
         """
@@ -84,17 +83,15 @@ class QTask:
 
         return cls.from_program(parse_qasm(text), **knobs)
 
-    def fork(self, *, executor: Optional[Executor] = None) -> "QTask":
+    def fork(self) -> "QTask":
         """A cheap child session sharing this session's state copy-on-write.
 
         The child has its own circuit (fresh handles), simulator, partition
         graph and observables cache, but its stage stores reference the
         parent's computed blocks until first write -- forking copies no
         amplitudes.  Edits on either session never perturb the other.  The
-        child always runs on its parent's kernel backend; it shares the
-        parent's executor unless ``executor`` gives it its own (``run_shots`` and
-        :class:`~repro.parallel.sweep.SweepRunner` hand their one fork a
-        :class:`~repro.parallel.SequentialExecutor`).
+        child always runs on its parent's kernel backend and shares its
+        executor (closing the child leaves it running).
 
         Translate parent gate handles with :meth:`handle_for`::
 
@@ -108,7 +105,7 @@ class QTask:
         before forking so the inherited state is well defined.
         """
         child = QTask.__new__(QTask)
-        child.simulator = self.simulator.fork(executor=executor)
+        child.simulator = self.simulator.fork()
         child.circuit = child.simulator.circuit
         child._fork_gate_map = child.simulator.forked_gate_map
         return child
@@ -156,7 +153,6 @@ class QTask:
         cls,
         path: str,
         *,
-        executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
         kernel_backend: Optional[object] = None,
     ) -> "QTask":
@@ -165,8 +161,8 @@ class QTask:
         The restored session holds the checkpointed computed state and is
         immediately editable -- subsequent modifiers re-simulate
         incrementally from the loaded blocks.  Execution resources are not
-        durable state: pass ``executor``/``num_workers``/``kernel_backend``
-        as to a new session.
+        durable state: pass ``num_workers``/``kernel_backend`` as to a new
+        session.
         Raises :class:`~repro.core.exceptions.CheckpointError` on corrupt,
         truncated or incompatible files.
         """
@@ -175,7 +171,6 @@ class QTask:
         session = cls.__new__(cls)
         session.simulator = restore_simulator(
             path,
-            executor=executor,
             num_workers=num_workers,
             kernel_backend=kernel_backend,
         )
@@ -324,8 +319,7 @@ class QTask:
         depend only on those two -- never on the executor width or
         scheduling.  The session is forked once, copy-on-write (the unitary
         prefix before the first measurement is computed once and shared),
-        onto a :class:`~repro.parallel.SequentialExecutor`, and the fork
-        walks every shot on the calling thread.  This session is never
+        and the fork walks every shot on the calling thread.  This session is never
         edited.
 
         The walk simulates only what a measurement can see.  The fork first
@@ -372,7 +366,7 @@ class QTask:
         flip = num_clbits - 1 - last.clbit  # the last measurement's character
         counts: Dict[str, int] = {}
         trajectories = 0
-        with self.fork(executor=SequentialExecutor()) as child:
+        with self.fork() as child:
             with tracer.span("shots.prune", {"gates": len(unobserved)}):
                 for handle in unobserved:
                     child.remove_gate(child.handle_for(handle))

@@ -5,8 +5,8 @@ traffic; this package is the step from library to service.  The
 :class:`Backend` facade validates requests against a declarative
 :class:`BackendConfiguration` (basis gates, ``max_shots``, a memory-derived
 ``n_qubits`` cap), admits them to a bounded queue with health-based
-backpressure, executes them as async :class:`Job` objects on one shared
-work-stealing executor, and serves every job by reading the pinned warm
+backpressure, executes them as async :class:`Job` objects on a small pool
+of dispatcher threads, and serves every job by reading the pinned warm
 base session of its circuit family in the :class:`SessionPool` -- see
 ``docs/service.md``.
 """

@@ -16,9 +16,12 @@ drains the queue; each job pins the warm base session of its circuit
 family in the :class:`~repro.service.pool.SessionPool` and reads it
 directly -- ``counts``, ``expectation`` and ``state`` need no fork, since a
 pinned base is warm and never edited, and a dynamic job's ``run_shots``
-forks once for its own walk.  All simulation work of every concurrent job
-lands on ONE shared work-stealing executor (the executor's ``run`` is
-re-entrant; external threads park while workers help-execute).
+forks once for its own walk.  Concurrency lives at the job level, in the
+dispatcher threads: jobs share no writes.  Each base session owns its
+executor (``num_workers`` wide: inline at 1, the default; chunks of one
+stage over a thread pool above it), and a job's walk fork shares its
+base's; the pool evicts a base only when nothing holds it, so no executor
+closes under a running job.
 
 Telemetry is first-class: every request runs under a ``job.run`` span
 (with ``service.lease`` / ``service.build`` under it and ``qasm.parse`` at
@@ -47,7 +50,6 @@ import numpy as np
 
 from ..core.exceptions import QTaskError
 from ..core.simulator import QTaskSimulator
-from ..parallel import Executor, WorkStealingExecutor
 from ..qasm.parser import ParsedProgram, parse_qasm
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.session import Telemetry, collect_forks
@@ -70,9 +72,9 @@ __all__ = ["Backend"]
 CircuitLike = Union[str, ParsedProgram, Callable[[QTask], None]]
 
 #: the session keywords ``session_knobs`` may name: the engine's own, less
-#: the execution resources (the backend's executor runs every session)
+#: the worker count (the backend's own ``num_workers`` sets every session's)
 SESSION_KNOBS = frozenset(inspect.signature(QTaskSimulator).parameters) - {
-    "circuit", "executor", "num_workers"}
+    "circuit", "num_workers"}
 
 #: QASM requests whose parse a backend keeps (by text digest, least
 #: recently submitted out first)
@@ -136,15 +138,14 @@ class Backend:
         self,
         configuration: Union[None, Dict[str, object], BackendConfiguration] = None,
         *,
-        executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
         tracing: Optional[bool] = None,
         session_knobs: Optional[Dict[str, object]] = None,
     ) -> None:
         self.configuration = BackendConfiguration.coerce(configuration)
         cfg = self.configuration
-        #: extra QTask constructor knobs applied to every pooled base
-        #: session (``block_size``, ``seed``, ...)
+        #: QTask constructor knobs applied to every pooled base session
+        #: (``block_size``, ``seed``, ... and the backend's ``num_workers``)
         self._session_knobs = dict(session_knobs or {})
         unknown = sorted(set(self._session_knobs) - SESSION_KNOBS)
         if unknown:
@@ -152,10 +153,7 @@ class Backend:
                 f"unknown session knob(s): {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(SESSION_KNOBS))})"
             )
-        self._owns_executor = executor is None
-        self._executor = (
-            executor if executor is not None else WorkStealingExecutor(num_workers)
-        )
+        self._session_knobs["num_workers"] = num_workers
         self.telemetry = Telemetry(tracing=tracing)
         m = self.telemetry.metrics
         self._jobs_submitted = m.counter(
@@ -172,9 +170,6 @@ class Backend:
             "service.queue_depth", help="jobs waiting in the admission queue")
         self._gauge_active = m.gauge(
             "service.active_jobs", help="jobs currently executing")
-        self._gauge_load = m.gauge(
-            "service.executor_load",
-            help="tasks outstanding on the shared executor")
         self._gauge_degraded = m.gauge(
             "service.degraded",
             help="1 while recent jobs recorded recovery events")
@@ -251,14 +246,11 @@ class Backend:
                     f"gate {name!r} is outside this backend's basis gates"
                 )
 
-    def _knobs(self) -> Dict[str, object]:
-        return {**self._session_knobs, "executor": self._executor}
-
     def _program_entry(self, program: ParsedProgram):
         """``(key, factory)`` of a program; raises CircuitValidationError."""
         self._validate_program(program)
-        knobs = self._knobs()
-        return _program_key(program), lambda: QTask.from_program(program, **knobs)
+        return _program_key(program), lambda: QTask.from_program(
+            program, **self._session_knobs)
 
     def _parse(self, text: str):
         """``(key, factory)`` of QASM text, parsed once per distinct text.
@@ -310,10 +302,9 @@ class Backend:
                 qual = getattr(circuit, "__qualname__", repr(circuit))
                 key = f"builder:{mod}.{qual}/{num_qubits}"
             builder = circuit
-            knobs = self._knobs()
 
             def factory() -> QTask:
-                session = QTask(num_qubits, **knobs)
+                session = QTask(num_qubits, **self._session_knobs)
                 builder(session)
                 return session
 
@@ -403,7 +394,6 @@ class Backend:
             "max_queued_jobs": self.configuration.max_queued_jobs,
             "active_jobs": int(self._gauge_active.value),
             "max_concurrent_jobs": self.configuration.max_concurrent_jobs,
-            "executor_load": self._executor.load(),
             "degraded": self._degraded,
             "update_p95_seconds": self._update_rollup.percentile(0.95),
             "jobs": {
@@ -430,8 +420,6 @@ class Backend:
         for t in self._dispatchers:
             t.join(timeout=timeout)
         self.pool.close()
-        if self._owns_executor:
-            self._executor.close()
 
     def __enter__(self) -> "Backend":
         return self
@@ -655,7 +643,6 @@ class Backend:
 
     def _refresh_gauges(self) -> None:
         self._gauge_queue.set(self._queue.qsize())
-        self._gauge_load.set(self._executor.load())
         self._gauge_degraded.set(1.0 if self._degraded else 0.0)
         self._gauge_p95.set(self._update_rollup.percentile(0.95))
         self.pool._refresh_gauges()

@@ -233,7 +233,7 @@ def open_session(target, *, stepwise: bool = False, **knobs):
 
 
 def worker_threads() -> set:
-    """The work-stealing executors' worker threads alive now."""
+    """The executors' pool threads alive now."""
     return {t for t in threading.enumerate() if t.name.startswith("qtask-worker")}
 
 

@@ -24,6 +24,7 @@ import pytest
 from repro.core import faults
 from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.gates import Gate
 from repro.core.kernels import KernelBackend
 from repro.core.simulator import QTaskSimulator
 
@@ -189,6 +190,31 @@ def test_task_retries_visible_in_statistics():
     finally:
         faults.uninstall()
         sim.close()
+
+
+def test_task_retries_count_every_retry_across_threads():
+    """Chunks retry on the caller and the pool thread at once: the counter
+    (taken under a lock) equals the ``task.retry`` events emitted."""
+    levels = [[Gate("h", (q,))] for q in range(7)] + random_levels(
+        random.Random(15), 7, 6)
+    plan = faults.plan_from_env({
+        "QTASK_FAULT_P": "0.25", "QTASK_FAULT_SEED": "15",
+        "QTASK_FAULT_SITES": "executor.task",
+    })
+    with _build_sim(7, levels, kernel_backend="numpy", block_size=2) as sim:
+        faults.install(plan)
+        try:
+            sim.update_state()
+        finally:
+            faults.uninstall()
+        stats = sim.statistics()
+        events = sim.telemetry.events
+        assert stats["plan_chunks"] > stats["plans_built"]  # chunks split
+        assert events.dropped == 0
+        assert stats["task_retries"] > 0
+        assert stats["task_retries"] == events.counts_by_kind()["task.retry"]
+        np.testing.assert_allclose(
+            sim.state(), reference_state(7, levels), atol=ATOL, rtol=0)
 
 
 def test_unrecoverable_fault_storm_raises_fault_injected():

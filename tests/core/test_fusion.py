@@ -289,11 +289,11 @@ def test_mid_circuit_insert_dissolves_conflicting_fusion():
 
 def test_fusion_knob_in_statistics_and_facade():
     # (a historical name) the knobs are gone from every surface
-    for knob in ({"fusion": True}, {"max_fused_qubits": 5}):
+    for knob in ({"fusion": True}, {"max_fused_qubits": 5}, {"executor": None}):
         with pytest.raises(TypeError):
             QTask(3, **knob)
     keywords = inspect.signature(QTaskSimulator.__init__).parameters.values()
-    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 6
+    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 5
     assert DURABLE_KNOBS == ("block_size",)
     with QTask(3) as session:
         stats = session.statistics()

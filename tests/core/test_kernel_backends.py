@@ -20,7 +20,7 @@ from repro.core.faults import FaultInjected
 from repro.core.gates import Gate
 from repro.core.kernels import KernelBackend, NumpyBatchBackend, iter_table_runs
 from repro.core.simulator import QTaskSimulator
-from repro.parallel import SweepRunner, WorkStealingExecutor
+from repro.parallel import SweepRunner
 
 from ..conftest import FaultingBackend, table_from_runs
 
@@ -181,12 +181,10 @@ class TestNumbaBackend:
 class TestProcessPoolBackend:
     def test_small_tables_stay_in_parent(self):
         """A one-run table is never split, however wide the executor."""
-        executor = WorkStealingExecutor(4)
-        try:
-            # one block: every stage's table is a single run
-            sim = _simulator(
-                _mixed_levels(2), num_qubits=2, block_size=4, executor=executor
-            )
+        # one block: every stage's table is a single run
+        with _simulator(
+            _mixed_levels(2), num_qubits=2, block_size=4, num_workers=4
+        ) as sim:
             sim.update_state()
             report = sim.plan_report()
             assert report.runs_batched == report.plan_chunks == report.plans_built
@@ -195,8 +193,6 @@ class TestProcessPoolBackend:
                 _reference_state(_mixed_levels(2), num_qubits=2),
                 atol=1e-10,
             )
-        finally:
-            executor.close()
 
     def test_single_worker_never_ships(self):
         """One worker: every table, many runs or not, is one chunk."""

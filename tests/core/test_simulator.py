@@ -8,7 +8,6 @@ from repro.core.circuit import Circuit
 from repro.core.exceptions import CheckpointError
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
-from repro.parallel import SequentialExecutor, WorkStealingExecutor
 
 from ..conftest import (
     assert_states_close,
@@ -73,20 +72,22 @@ def test_full_simulation_matches_reference_across_workers(rng, workers):
 
 
 def test_external_executor_is_not_closed():
-    executor = SequentialExecutor()
+    """A fork shares its parent's executor: closing the fork leaves it
+    running, closing the parent stops it."""
     ckt = Circuit(2)
-    sim = QTaskSimulator(ckt, block_size=2, executor=executor)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=2)
     ckt.from_levels(BELL_LEVELS)
     sim.update_state()
+    child = sim.fork()
+    assert child.executor is sim.executor
+    child.close()
+    # the parent's executor still works after the fork released it
+    assert sim.executor.map(lambda x: x + 1, [1, 2]) == [2, 3]
+    with pytest.raises(TypeError, match="executor"):
+        sim.fork(executor=sim.executor)
     sim.close()
-    # the executor still works after the simulator released it
-    executor.map(lambda x: x, [1, 2])
-
-
-def test_executor_and_workers_are_mutually_exclusive():
-    ckt = Circuit(2)
-    with pytest.raises(Exception):
-        QTaskSimulator(ckt, executor=SequentialExecutor(), num_workers=2)
+    with pytest.raises(RuntimeError):
+        sim.executor.map(lambda x: x, [1, 2])
 
 
 def test_norm_preserved_on_random_circuits(rng):

@@ -1,4 +1,4 @@
-"""Tests for the sequential and work-stealing executors."""
+"""Tests for the executor: inline at width 1, a chunk pool above it."""
 
 import threading
 import time
@@ -7,18 +7,13 @@ import pytest
 
 from repro.baselines.statevector import chunk_indices
 from repro.core.exceptions import ExecutorError
-from repro.parallel import (
-    SequentialExecutor,
-    TaskGraph,
-    WorkStealingExecutor,
-    make_executor,
-)
-from repro.parallel.workqueue import StealScheduler, WorkDeque
+from repro.parallel import Executor, TaskGraph
 
+# the ``<lambda>N`` ids the test floor pins: inline, one and three pool threads
 EXECUTOR_FACTORIES = [
-    lambda: SequentialExecutor(),
-    lambda: WorkStealingExecutor(2),
-    lambda: WorkStealingExecutor(4),
+    lambda: Executor(1),
+    lambda: Executor(2),
+    lambda: Executor(4),
 ]
 
 
@@ -123,7 +118,7 @@ def test_work_stealing_executor_propagates_exceptions():
         raise ValueError("boom")
 
     g.emplace(boom)
-    ex = WorkStealingExecutor(2)
+    ex = Executor(2)
     try:
         with pytest.raises(ValueError, match="boom"):
             ex.run(g)
@@ -161,7 +156,7 @@ def test_task_names_are_formatted_only_for_a_failure(factory):
         assert err.value.task_label == "loud"
         with pytest.raises(ValueError) as err:
             ex.run(sub)
-        assert err.value.task_label in ("parent", "parent[subflow]")
+        assert err.value.task_label == "parent"
     finally:
         ex.close()
     assert set(formatted) == {"loud", "parent"}
@@ -178,11 +173,12 @@ def test_sequential_executor_nested_subflows():
         return [child]
 
     g.emplace(parent)
-    SequentialExecutor().run(g)
+    Executor().run(g)
     assert seen == ["grandchild"]
 
 
 def test_work_stealing_executor_actually_uses_threads():
+    """Historical id: a subflow's children spread over the pool's threads."""
     g = TaskGraph()
     threads = set()
     lock = threading.Lock()
@@ -192,9 +188,8 @@ def test_work_stealing_executor_actually_uses_threads():
             threads.add(threading.current_thread().name)
         time.sleep(0.01)
 
-    for i in range(16):
-        g.emplace(record)
-    ex = WorkStealingExecutor(4)
+    g.emplace(lambda: [record for _ in range(16)])
+    ex = Executor(4)
     try:
         ex.run(g)
     finally:
@@ -208,7 +203,7 @@ def test_executor_rejects_cyclic_graph():
     a.precede(b)
     b.precede(a)
     with pytest.raises(ExecutorError):
-        SequentialExecutor().run(g)
+        Executor().run(g)
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
@@ -231,18 +226,19 @@ def test_executor_orders_a_graph_once_per_run(factory, monkeypatch):
 
 
 def test_make_executor_selects_implementation():
-    assert isinstance(make_executor(1), SequentialExecutor)
-    assert isinstance(make_executor(0), SequentialExecutor)
-    ex = make_executor(3)
+    """Historical id: the width picks inline (no pool) or a pool of width - 1."""
+    for workers in (None, 0, 1):
+        ex = Executor(workers)
+        assert ex.num_workers == 1 and ex._pool is None
+    ex = Executor(3)
     try:
-        assert isinstance(ex, WorkStealingExecutor)
-        assert ex.num_workers == 3
+        assert ex.num_workers == 3 and ex._pool._max_workers == 2
     finally:
         ex.close()
 
 
 def test_executor_context_manager():
-    with make_executor(2) as ex:
+    with Executor(2) as ex:
         assert ex.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
 
@@ -279,41 +275,10 @@ def test_parallel_for_visits_every_index_once(workers):
             for i in range(start, stop):
                 hits[i] += 1
 
-    ex = SequentialExecutor() if workers is None else make_executor(workers)
+    ex = Executor(workers)
     try:
         ex.map(lambda se: body(*se), chunk_indices(100, 7))
     finally:
         ex.close()
     assert hits == [1] * 100
 
-
-# ---------------------------------------------------------------------------
-# work-stealing deques
-# ---------------------------------------------------------------------------
-
-
-def test_work_deque_lifo_pop_fifo_steal():
-    d = WorkDeque()
-    for i in range(3):
-        d.push(i)
-    assert d.pop() == 2          # owner pops newest
-    assert d.steal() == 0        # thief steals oldest
-    assert len(d) == 1
-
-
-def test_work_deque_empty_returns_none():
-    d = WorkDeque()
-    assert d.pop() is None and d.steal() is None
-
-
-def test_steal_scheduler_takes_own_then_external_then_steals():
-    sched = StealScheduler(2)
-    sched.push("own", worker=0)
-    sched.push("external")          # no worker -> overflow queue
-    sched.push("victim", worker=1)
-    rng = [1]
-    assert sched.take(0, rng) == "own"
-    assert sched.take(0, rng) == "external"
-    assert sched.take(0, rng) == "victim"
-    assert sched.take(0, rng) is None
-    assert sched.outstanding() == 0

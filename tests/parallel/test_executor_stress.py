@@ -1,20 +1,17 @@
-"""High-contention and determinism tests for the executors.
+"""High-contention and determinism tests for the executor.
 
-These tests pin down two subtle executor behaviours:
+These tests pin down three executor behaviours:
 
-* the subflow join counter must tolerate *nested* spawns racing finishing
-  siblings (the ``_Join.add_children`` lock -- an unlocked ``remaining +=``
-  either loses the increment, hanging the join, or lets ``on_done`` fire
-  before the new children ran);
-* spawned subflow children execute in spawn order on both executors, so
-  order-sensitive subflows cannot diverge between ``SequentialExecutor``
-  and a single-worker ``WorkStealingExecutor``;
-* ``run`` is re-entrant: nested runs issued from worker threads and
-  concurrent runs from external threads both complete (the execution model
-  behind forked-session sweeps).
+* a subflow joins every child, nested spawns included, before the next
+  task starts, however the children spread over the pool;
+* spawned subflow children execute depth-first in spawn order at width 1,
+  and a child's own spawns follow it in order on its thread at any width;
+* ``run`` is re-entrant: a run issued from a pool thread completes (the
+  join runs any chunk no pool thread has started itself), and concurrent
+  runs from external threads share one pool.
 
-CI runs this module with ``num_workers >= 4`` (the stress tests hard-code a
-4-worker pool) so the join race cannot silently regress.
+CI runs this module explicitly; the stress tests hard-code a 4-wide
+executor so the join sees real contention.
 """
 
 import sys
@@ -22,13 +19,9 @@ import threading
 
 import pytest
 
-from repro.parallel import (
-    SequentialExecutor,
-    TaskGraph,
-    WorkStealingExecutor,
-)
+from repro.parallel import Executor, TaskGraph
 
-STRESS_WORKERS = 4  # keep >= 4: the join race needs real contention
+STRESS_WORKERS = 4  # keep >= 4: the join needs real contention
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +50,8 @@ def _nested_subflow_graph(num_children, num_grandchildren, counter, observed):
     def make_child():
         def child():
             bump()
-            # Nested spawn: these join the *same* parent join counter,
-            # racing the locked decrements of finishing siblings.
+            # Nested spawn: these join the *same* subflow, on this
+            # child's thread, while siblings finish on others.
             return [make_grandchild() for _ in range(num_grandchildren)]
         return child
 
@@ -73,13 +66,13 @@ def _nested_subflow_graph(num_children, num_grandchildren, counter, observed):
 
 
 def test_nested_subflow_join_survives_high_contention():
-    """A racy join increment loses children (hang) or fires early."""
+    """A join that loses children hangs; one that fires early undercounts."""
     num_children, num_grandchildren, rounds = 24, 4, 25
     expected = num_children * (1 + num_grandchildren)
-    ex = WorkStealingExecutor(STRESS_WORKERS)
+    ex = Executor(STRESS_WORKERS)
     old_interval = sys.getswitchinterval()
-    # Force thread switches at nearly every bytecode so the unlocked
-    # read-modify-write window is actually hit.
+    # Force thread switches at nearly every bytecode so children and the
+    # join interleave as finely as the interpreter allows.
     sys.setswitchinterval(1e-6)
     try:
         for round_no in range(rounds):
@@ -92,8 +85,8 @@ def test_nested_subflow_join_survives_high_contention():
             runner.start()
             runner.join(timeout=60.0)
             assert not runner.is_alive(), (
-                f"round {round_no}: run() hung -- the subflow join lost an "
-                "increment under contention"
+                f"round {round_no}: run() hung -- the subflow join lost a "
+                "child under contention"
             )
             assert observed == [expected], (
                 f"round {round_no}: successor released after "
@@ -103,74 +96,6 @@ def test_nested_subflow_join_survives_high_contention():
     finally:
         sys.setswitchinterval(old_interval)
         ex.close()
-
-
-def test_join_counter_mutations_always_hold_the_lock(monkeypatch):
-    """Every mutation of a join's ``remaining`` must hold ``_Join.lock``.
-
-    The historical bug -- ``work.parent.remaining += len(extra)`` without
-    the lock -- is only *observably* racy on interpreters that preempt
-    between the attribute load and store (CPython <= 3.10 and free-threaded
-    builds; 3.11+ never checks the eval breaker around C calls, making the
-    faulty line coincidentally quasi-atomic).  This white-box check fails
-    deterministically on any unlocked mutation, independent of scheduler
-    luck: it swaps in an instrumented ``_Join`` whose counter records
-    whether the current thread held the lock at every write.
-    """
-    from repro.parallel import executor as executor_mod
-
-    violations = []
-
-    class TrackingLock:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._owner = None
-
-        def __enter__(self):
-            self._lock.acquire()
-            self._owner = threading.get_ident()
-            return self
-
-        def __exit__(self, *exc):
-            self._owner = None
-            self._lock.release()
-
-        def held_by_me(self):
-            return self._owner == threading.get_ident()
-
-    class InstrumentedJoin(executor_mod._Join):
-        __slots__ = ("_rem",)
-
-        def __init__(self, remaining, on_done):
-            self.lock = TrackingLock()
-            self._rem = remaining
-            self.on_done = on_done
-
-        @property
-        def remaining(self):
-            return self._rem
-
-        @remaining.setter
-        def remaining(self, value):
-            if not self.lock.held_by_me():
-                violations.append(value)
-            self._rem = value
-
-    monkeypatch.setattr(executor_mod, "_Join", InstrumentedJoin)
-
-    counter = [0]
-    observed = []
-    graph = _nested_subflow_graph(8, 3, counter, observed)
-    ex = WorkStealingExecutor(STRESS_WORKERS)
-    try:
-        ex.run(graph)
-    finally:
-        ex.close()
-    assert observed == [8 * 4]
-    assert not violations, (
-        f"{len(violations)} join-counter mutation(s) happened without "
-        "holding _Join.lock"
-    )
 
 
 def test_deeply_nested_subflows_join_once():
@@ -192,7 +117,7 @@ def test_deeply_nested_subflows_join_once():
     p = graph.emplace(make(0), "root")
     succ = graph.emplace(lambda: order.append(counter[0]), "after")
     p.precede(succ)
-    ex = WorkStealingExecutor(STRESS_WORKERS)
+    ex = Executor(STRESS_WORKERS)
     try:
         ex.run(graph)
     finally:
@@ -234,8 +159,8 @@ EXPECTED_ORDER = ["p"] + [
 
 @pytest.mark.parametrize(
     "factory",
-    [SequentialExecutor, lambda: WorkStealingExecutor(1)],
-    ids=["sequential", "work-stealing-1"],
+    [Executor, lambda: Executor(1)],
+    ids=["sequential", "work-stealing-1"],  # historical ids: default, explicit 1
 )
 def test_subflow_children_run_in_spawn_order(factory):
     """Children (and nested children) execute depth-first in spawn order."""
@@ -249,15 +174,17 @@ def test_subflow_children_run_in_spawn_order(factory):
 
 
 def test_sequential_and_single_worker_observe_identical_order():
-    """The determinism contract: both executors see one child schedule."""
-    seq_log, ws_log = [], []
-    SequentialExecutor().run(_order_graph(seq_log))
-    ex = WorkStealingExecutor(1)
-    try:
-        ex.run(_order_graph(ws_log))
-    finally:
-        ex.close()
-    assert seq_log == ws_log == EXPECTED_ORDER
+    """Width 1 sees one child schedule; wider, each child's spawns follow it."""
+    inline_log = []
+    Executor().run(_order_graph(inline_log))
+    assert inline_log == EXPECTED_ORDER
+    wide_log = []
+    with Executor(STRESS_WORKERS) as ex:
+        ex.run(_order_graph(wide_log))
+    assert sorted(wide_log) == sorted(EXPECTED_ORDER) and wide_log[0] == "p"
+    for i in range(4):
+        mine = [tag for tag in wide_log if tag.startswith(f"c{i}")]
+        assert mine == [f"c{i}", f"c{i}.g0", f"c{i}.g1"]
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +193,38 @@ def test_sequential_and_single_worker_observe_identical_order():
 
 
 def test_nested_run_from_worker_threads():
-    """map inside map: a worker issuing run() helps instead of blocking."""
-    ex = WorkStealingExecutor(STRESS_WORKERS)
-    try:
-        def outer(x):
-            return sum(ex.map(lambda y: y + x, range(6)))
+    """A map issued inside a chunk on a pool thread completes at width 2.
 
-        out = ex.map(outer, range(12))
+    The pool's one thread is busy running the outer chunk, so the inner
+    map's submitted chunks would never start; the join cancels each one
+    nobody started and runs it on the calling (pool) thread instead.
+    """
+    ex = Executor(2)
+    on_pool = []
+    pool_started = threading.Event()
+
+    def outer(x):
+        if threading.current_thread().name.startswith("qtask-worker"):
+            on_pool.append(x)
+            pool_started.set()
+        elif x == 0:  # hold the caller until the pool thread has a chunk
+            pool_started.wait(10.0)
+        return sum(ex.map(lambda y: y + x, range(6)))
+
+    out = []
+    runner = threading.Thread(target=lambda: out.extend(ex.map(outer, range(12))))
+    try:
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive(), "a run issued from a pool thread hung"
     finally:
         ex.close()
     assert out == [sum(y + x for y in range(6)) for x in range(12)]
+    assert on_pool, "no outer chunk ran on the pool thread"
 
 
 def test_nested_run_propagates_exceptions():
-    ex = WorkStealingExecutor(2)
+    ex = Executor(2)
 
     def outer(x):
         def inner(y):
@@ -298,7 +243,7 @@ def test_nested_run_propagates_exceptions():
 
 def test_concurrent_runs_from_external_threads():
     """Independent graphs share one pool without interference."""
-    ex = WorkStealingExecutor(STRESS_WORKERS)
+    ex = Executor(STRESS_WORKERS)
     results = {}
     errors = []
 

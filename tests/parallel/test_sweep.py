@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import QTask, SweepRunner
-from repro.parallel import SequentialExecutor
 
 N_QUBITS = 5
 OBSERVABLE = "Z" * N_QUBITS
@@ -84,7 +83,7 @@ def test_sweep_gathers_in_submission_order_across_forks():
             assert child.simulator.statistics()["num_updates"] == (
                 session.simulator.statistics()["num_updates"] + len(points)
             )
-            assert isinstance(child.simulator.executor, SequentialExecutor)
+            assert child.simulator.executor is session.simulator.executor
 
 
 def test_sweep_results_independent_of_fleet_size():
@@ -191,8 +190,8 @@ def test_sweep_fleet_refreshes_after_parent_edits():
 
 def test_sweep_nested_parallelism_matches_default():
     """Historical id: ``nested_parallelism`` is gone.  The one fork updates
-    on its own sequential executor whatever the base executor is, and the
-    results equal a plain sequential loop's."""
+    on its base's executor, whatever its width, and the results equal a
+    plain sequential loop's."""
     with QTask(N_QUBITS, num_workers=4) as session:
         handles = _build(session)
         session.update_state()
@@ -200,8 +199,7 @@ def test_sweep_nested_parallelism_matches_default():
         points = _grid(handles, 5)
         with SweepRunner(session, handles, observable=OBSERVABLE) as runner:
             results = runner.run(points)
-            assert isinstance(runner._fork[0].simulator.executor,
-                              SequentialExecutor)
+            assert runner._fork[0].simulator.executor is session.simulator.executor
         for r, e in zip(results, _sequential_reference(points)):
             assert r.expectation == pytest.approx(e, abs=1e-10)
         with pytest.raises(TypeError, match="nested_parallelism"):

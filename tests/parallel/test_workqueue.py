@@ -1,120 +1,156 @@
-"""Dedicated coverage for :mod:`repro.parallel.workqueue` (steal deques)."""
+"""The executor's chunk queue: who runs a subflow's children, and when.
 
-from __future__ import annotations
+Historical module: the work-stealing deques it covered are gone.  The ids
+(pinned by the test floor) now cover the stdlib thread pool the caller
+shares a subflow with: the caller runs the first child, takes back every
+child no pool thread has started (``Future.cancel()``), then waits.
+"""
 
 import threading
+import time
 
 import pytest
 
-from repro.parallel.workqueue import StealScheduler, WorkDeque
+from repro.parallel import Executor, TaskGraph
+
+WAIT = 10.0
+
+
+def _subflow(width, children):
+    graph = TaskGraph("subflow")
+    graph.emplace(lambda: list(children), "parent")
+    with Executor(width) as ex:
+        ex.run(graph)
+
+
+def _here():
+    return threading.current_thread().name
 
 
 class TestWorkDeque:
-    def test_empty_pop_and_steal(self):
-        d = WorkDeque()
-        assert d.pop() is None
-        assert d.steal() is None
-        assert len(d) == 0
-
     def test_owner_pop_is_lifo(self):
-        d = WorkDeque()
-        for i in range(3):
-            d.push(i)
-        assert [d.pop(), d.pop(), d.pop()] == [2, 1, 0]
+        """Width 1 keeps a stack: a child's spawns run before its next sibling."""
+        log = []
+
+        def child(i):
+            def run():
+                log.append(i)
+                return [child(10 * i + 10), child(10 * i + 11)] if i < 2 else None
+            return run
+
+        _subflow(1, [child(0), child(1), child(2)])
+        assert log == [0, 10, 11, 1, 20, 21, 2]
 
     def test_thief_steal_is_fifo(self):
-        d = WorkDeque()
-        for i in range(3):
-            d.push(i)
-        assert [d.steal(), d.steal(), d.steal()] == [0, 1, 2]
+        """The pool thread takes submitted children oldest first."""
+        log, done = [], threading.Event()
+
+        def child(i):
+            return lambda: log.append(i) or (i == 6 and done.set())
+
+        _subflow(2, [lambda: done.wait(WAIT)] + [child(i) for i in range(1, 7)])
+        assert log == [1, 2, 3, 4, 5, 6]
+
+    def test_empty_pop_and_steal(self):
+        """An empty subflow or map submits nothing and starts no thread."""
+        graph = TaskGraph()
+        graph.emplace(lambda: [])
+        with Executor(2) as ex:
+            ex.run(graph)
+            assert ex.map(abs, []) == []
+            assert ex._pool._threads == set()
 
     def test_mixed_ends(self):
-        d = WorkDeque()
-        for i in range(4):
-            d.push(i)
-        assert d.steal() == 0   # oldest from the top
-        assert d.pop() == 3     # newest from the bottom
-        assert len(d) == 2
+        """Caller and pool thread split one subflow; each child runs once."""
+        started, taken_back, ran = threading.Event(), threading.Event(), {}
+
+        def child(i, after=None, then=None):
+            def run():
+                ran[i] = _here()
+                if then is not None:
+                    then.set()
+                assert after is None or after.wait(WAIT)
+            return run
+
+        _subflow(2, [child(0, after=started), child(1, then=started, after=taken_back),
+                     child(2, then=taken_back), *(child(i) for i in range(3, 8))])
+        assert sorted(ran) == list(range(8))
+        assert ran[0] == ran[2] == _here() and ran[1].startswith("qtask-worker")
 
 
 class TestStealScheduler:
+    def test_concurrent_drain_is_exact(self):
+        """Runs from several threads on one executor lose and repeat nothing."""
+        counts, lock = [0] * 400, threading.Lock()
+
+        def bump(i):
+            with lock:
+                counts[i] += 1
+
+        with Executor(2) as ex:
+            threads = [threading.Thread(target=ex.map, args=(bump, range(k, 400, 4)))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(WAIT)
+        assert not any(t.is_alive() for t in threads)
+        assert counts == [1] * 400
+
     def test_external_push_lands_in_overflow(self):
-        s = StealScheduler(2)
-        s.push("a")                   # no worker: external queue
-        s.push("b", worker=5)         # out-of-range worker: external queue
-        assert s.outstanding() == 2
-        # any worker can take external work
-        assert s.take(1, [1]) in {"a", "b"}
-
-    def test_own_deque_preferred(self):
-        s = StealScheduler(2)
-        s.push("external")
-        s.push("mine", worker=0)
-        assert s.take(0, [1]) == "mine"
-        assert s.take(0, [1]) == "external"
-        assert s.take(0, [1]) is None
-
-    def test_steal_from_victim(self):
-        s = StealScheduler(3)
-        s.push("w2-old", worker=2)
-        s.push("w2-new", worker=2)
-        # worker 0 has nothing: it steals from a victim.  Victim selection is
-        # randomised and may miss in one sweep, so callers retry -- but the
-        # first successful steal must take the victim's *oldest* item.
-        state = [7]
-        item = None
-        for _ in range(32):
-            item = s.take(0, state)
-            if item is not None:
-                break
-        assert item == "w2-old"
-
-    def test_single_worker_never_steals(self):
-        s = StealScheduler(1)
-        assert s.take(0, [1]) is None
-        s.push("x", worker=0)
-        assert s.take(0, [1]) == "x"
-
-    def test_rng_state_advances(self):
-        s = StealScheduler(4)
-        state = [12345]
-        assert s.take(0, state) is None  # full sweep of victims
-        assert state[0] != 12345
+        """A run from a thread outside the pool runs its first child itself."""
+        seen = []
+        outsider = threading.Thread(
+            target=_subflow, args=(2, [lambda: seen.append(_here()), lambda: None]),
+            name="outsider")
+        outsider.start()
+        outsider.join(WAIT)
+        assert not outsider.is_alive() and seen == ["outsider"]
 
     def test_outstanding_counts_everything(self):
-        s = StealScheduler(2)
-        s.push("a", worker=0)
-        s.push("b", worker=1)
-        s.push("c")
-        assert s.outstanding() == 3
-        s.take(0, [1])
-        assert s.outstanding() == 2
+        """A failed join returns only after the children already running end."""
+        started, finished = threading.Event(), []
 
-    def test_concurrent_drain_is_exact(self):
-        """All pushed items are taken exactly once under contention."""
-        workers = 4
-        per_worker = 200
-        s = StealScheduler(workers)
-        for w in range(workers):
-            for i in range(per_worker):
-                s.push((w, i), worker=w)
-        taken = [[] for _ in range(workers)]
+        def boom():
+            assert started.wait(WAIT)
+            raise ValueError("boom")
 
-        def drain(w):
-            state = [w + 1]
-            while True:
-                item = s.take(w, state)
-                if item is None:
-                    if s.outstanding() == 0:
-                        return
-                    continue
-                taken[w].append(item)
+        def slow():
+            started.set()
+            time.sleep(0.05)
+            finished.append(True)
 
-        threads = [threading.Thread(target=drain, args=(w,)) for w in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        flat = [x for chunk in taken for x in chunk]
-        assert len(flat) == workers * per_worker
-        assert len(set(flat)) == len(flat)  # no duplicates
+        with pytest.raises(ValueError, match="boom"):
+            _subflow(2, [boom, slow])
+        assert finished == [True]
+
+    def test_own_deque_preferred(self):
+        """The caller runs a subflow's first child on its own thread."""
+        first = []
+        for _ in range(20):
+            _subflow(4, [lambda: first.append(_here()), lambda: time.sleep(0.001)])
+        assert set(first) == {_here()}
+
+    def test_rng_state_advances(self):
+        """Victim selection is gone; consecutive runs reuse the pool's thread."""
+        names = set()
+        with Executor(2) as ex:
+            for _ in range(10):
+                graph = TaskGraph()
+                graph.emplace(lambda: [lambda: time.sleep(0.005),
+                                       lambda: names.add(_here())])
+                ex.run(graph)
+        assert len({n for n in names if n.startswith("qtask-worker")}) <= 1
+
+    def test_single_worker_never_steals(self):
+        """Width 1 starts no thread: every child runs on the caller."""
+        seen = set()
+        _subflow(1, [lambda: seen.add(_here())] * 8)
+        assert seen == {_here()}
+
+    def test_steal_from_victim(self):
+        """While the caller is busy, the idle pool thread takes a child."""
+        taken, where = threading.Event(), []
+        _subflow(2, [lambda: taken.wait(WAIT),
+                     lambda: where.append(_here()) or taken.set()])
+        assert where and where[0].startswith("qtask-worker")

@@ -216,6 +216,35 @@ def test_concurrent_jobs_match_sequential_bit_identical():
         be.close()
 
 
+def test_close_under_load_resolves_every_queued_job():
+    """close() with two busy dispatchers and six queued jobs: every job
+    resolves, and no dispatcher or executor thread outlives the backend."""
+    release = threading.Event()
+
+    def blocker(session):
+        net = session.insert_net()
+        for q in range(session.circuit.num_qubits):
+            session.insert_gate("h", net, q)
+        release.wait(15)
+
+    before = set(threading.enumerate())
+    be = Backend({"max_concurrent_jobs": 2, "max_queued_jobs": 8}, num_workers=2)
+    jobs = [be.run(blocker, num_qubits=10, shots=4, seed=i, key=f"load{i}")
+            for i in range(2)]
+    _wait_until(lambda: all(job.running() for job in jobs))
+    jobs += [be.run(GHZ if i % 2 else BELL, shots=8, seed=i) for i in range(6)]
+    assert be.status()["queue_depth"] == 6
+    closer = threading.Thread(target=be.close, kwargs={"timeout": 60.0})
+    closer.start()
+    release.set()
+    closer.join(90)
+    assert not closer.is_alive()
+    for job in jobs:
+        assert sum(job.result(timeout=1).counts.values()) in (4, 8)
+    assert not [t.name for t in set(threading.enumerate()) - before
+                if t.name.startswith(("qtask-worker", "qtask-backend"))]
+
+
 # -- admission control ------------------------------------------------------
 
 def test_queue_full_rejection_typed_and_counted():

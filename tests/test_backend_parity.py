@@ -57,8 +57,8 @@ KNOB_COMBOS = [
 # is now a backend faulting on every chunk, so every chunk of every update
 # goes through the simulator's ``_run_chunk_fallback``.  "process"
 # named the deleted fork-pool backend: the leg keeps the multi-worker fan-out
-# it alone forced on every host -- the slab backend on a two-worker
-# work-stealing executor, every table split into chunk subflows.
+# it alone forced on every host -- the slab backend on a two-wide executor,
+# every table split into chunk subflows over its thread pool.
 def _reference_loop():
     return dict(kernel_backend=KernelBackend())
 
@@ -251,27 +251,25 @@ def test_forked_sessions_match_dense(backend):
 
 
 # ---------------------------------------------------------------------------
-# executor interplay: plan chunking across a real worker pool
+# executor interplay: plan chunking across a real thread pool
 # ---------------------------------------------------------------------------
 
 
 def test_plan_chunking_on_work_stealing_pool():
-    from repro.parallel import WorkStealingExecutor
-
+    """Historical id: a two-wide executor splits tables over its pool."""
     num_qubits = 6
     rng = random.Random(5)
-    levels = random_levels(rng, num_qubits, 8)
-    executor = WorkStealingExecutor(4)
-    try:
-        circuit = Circuit(num_qubits)
-        circuit.from_levels(levels)
-        sim = QTaskSimulator(
-            circuit, block_size=4, executor=executor, kernel_backend="numpy"
-        )
+    # one h per qubit leads: windows of a few blocks, many runs a table
+    levels = [[Gate("h", (q,))] for q in range(num_qubits)]
+    levels += random_levels(rng, num_qubits, 8)
+    circuit = Circuit(num_qubits)
+    circuit.from_levels(levels)
+    with QTaskSimulator(
+        circuit, block_size=4, num_workers=2, kernel_backend="numpy"
+    ) as sim:
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-        # wide executor -> tables split into multiple chunk subflows
-        assert sim.plan_report().plan_chunks >= sim.plan_report().plans_built
-    finally:
-        executor.close()
+        # wide executor -> multi-run tables split into two chunk subflows
+        report = sim.plan_report()
+        assert report.plans_built < report.plan_chunks <= 2 * report.plans_built

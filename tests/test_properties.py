@@ -28,5 +28,5 @@ def test_cow_and_dense_storage_agree_under_modifiers():
 
 
 def test_parallel_and_sequential_execution_agree():
-    """The work-stealing corner (every other run draws either executor)."""
+    """The two-wide executor corner (every other run draws either width)."""
     run_machine(rules=EDITS, num_workers=2, max_examples=25, steps=8)

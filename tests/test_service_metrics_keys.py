@@ -25,7 +25,6 @@ GOLDEN_SERVICE_METRICS = {
     # gauges
     "service.queue_depth",
     "service.active_jobs",
-    "service.executor_load",
     "service.degraded",
     "service.update_p95_seconds",
     "service.pool_sessions",
