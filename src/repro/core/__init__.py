@@ -12,7 +12,6 @@ from .cow import (
 from .exceptions import (
     CheckpointError,
     CircuitError,
-    ExecutorError,
     GateArityError,
     NetDependencyError,
     QasmSyntaxError,
@@ -74,7 +73,6 @@ __all__ = [
     "QubitIndexError",
     "StaleHandleError",
     "QasmSyntaxError",
-    "ExecutorError",
     "CheckpointError",
     "FaultInjected",
     "FaultPlan",

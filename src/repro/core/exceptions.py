@@ -17,7 +17,6 @@ __all__ = [
     "QubitIndexError",
     "StaleHandleError",
     "QasmSyntaxError",
-    "ExecutorError",
     "CheckpointError",
 ]
 
@@ -56,10 +55,6 @@ class StaleHandleError(CircuitError):
 
 class QasmSyntaxError(QTaskError):
     """Raised by the OpenQASM parser on malformed input."""
-
-
-class ExecutorError(QTaskError):
-    """Raised by the task-parallel runtime on invalid graphs (e.g. cycles)."""
 
 
 class CheckpointError(QTaskError):

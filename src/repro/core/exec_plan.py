@@ -32,13 +32,14 @@ describes that frontier *once* as a handful of batch-major structures instead:
   sync step drew them.
 * :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
   order by the partition graph's frontier sweep
-  (``PartitionGraph.sweep``), plus the stage-granular dependency edges its
-  source pass (``PartitionGraph.plan_sources``) reads off the stage covers.
+  (``PartitionGraph.sweep``); its source pass
+  (``PartitionGraph.plan_sources``) reads each plan's inputs off the stage
+  covers, all from earlier plans or unplanned stages.
 
-The executor then receives one task per *stage* (optionally split into at
-most ``Executor.num_workers`` chunk subflows) instead of one per
-partition, and a :class:`~repro.core.kernels.KernelBackend` executes each
-run table in bulk.
+The executor then runs one step per *stage* plan, in plan order
+(optionally split into at most ``Executor.num_workers`` chunks) instead
+of one task per partition, and a :class:`~repro.core.kernels.KernelBackend`
+executes each run table in bulk.
 
 This module is pure data/plumbing: it imports no kernels and no executor,
 so the backend implementations in :mod:`repro.core.kernels` and the
@@ -271,11 +272,10 @@ class StagePlan:
 
 
 class ExecutionPlan:
-    """One update's worth of stage plans plus stage-granular dependencies."""
+    """One update's worth of stage plans, in the order they run."""
 
     __slots__ = (
         "stage_plans",
-        "edges",
         "affected_partitions",
         "written",
         "first_seq",
@@ -295,9 +295,6 @@ class ExecutionPlan:
     ) -> None:
         #: affected stages (and coalesced runs of them), seq ascending
         self.stage_plans = stage_plans
-        #: ``(pred, succ)`` positions in :attr:`stage_plans`, deduplicated;
-        #: filled in once the block sources are resolved
-        self.edges: List[Tuple[int, int]] = []
         #: affected partitions plus one per affected sync barrier, counted
         #: per member stage whether or not the stages were coalesced
         self.affected_partitions = affected_partitions

@@ -11,7 +11,7 @@ site               where it fires
 =================  ========================================================
 ``kernel.run``     kernel execution: once per run (``kernels.execute_run``),
                    once per operation group on the slab backend
-``executor.task``  executor task body (a graph task or a subflow chunk)
+``executor.task``  executor step body (one stage plan) or one of its chunks
 ``cow.publish``    block publish into a :class:`~repro.core.cow.BlockStore`
 =================  ========================================================
 

@@ -572,75 +572,67 @@ class PartitionGraph:
 
     def plan_sources(
         self, plans: Sequence[StagePlan], initial: BlockStore
-    ) -> Tuple[List[List[Tuple[BlockStore, int]]], List[Tuple[int, int]]]:
-        """Per stage plan, where its input holds each recomputed block --
-        and with that, which planned stages it has to wait for.
+    ) -> List[List[Tuple[BlockStore, int]]]:
+        """Per stage plan, where its input holds each recomputed block.
 
         ``plans`` lists an update's stage plans, seq ascending.  A plan's
         sources are disjoint ``(store, mask)`` pairs covering its mask:
         each store is the closest declarer of its bits before the plan's
         (first) stage that holds them, or will once its plan has run
         (``initial`` when there is none): a declarer inside an earlier run
-        is that run's last one for the block, the member owning it.  A
-        planned source is a predecessor task: the second result lists those
-        ``(pred, succ)`` positions, once each.
+        is that run's last one for the block, the member owning it.  So
+        every source is an earlier plan's store or no plan's, and running
+        the plans in list order is correct.
 
         One pass from the first plan's seq keeps the owners of the plans'
-        union as a short list of ``(store, mask, plan position)`` entries
-        (seeded by :meth:`holders`): a plan's sources are the entries
-        meeting its mask, then its stage (a run: each member) and every
-        unplanned stage up to the next plan take over what they declare.
+        union as a short list of ``(store, mask)`` pairs (seeded by
+        :meth:`holders`): a plan's sources are the pairs meeting its mask,
+        then its stage (a run: each member) and every unplanned stage up
+        to the next plan take over what they declare.
         """
         if not plans:
-            return [], []
+            return []
         union = 0
         for sp in plans:
             union |= sp.mask
         layouts = self._layouts
         stages = self._stages
         at = plans[0].stage.seq
-        owners = [(store, bits, -1) for store, bits in self.holders(union, at)]
+        owners = self.holders(union, at)
         rest = union
-        for _, bits, _ in owners:
+        for _, bits in owners:
             rest &= ~bits
         if rest:
-            owners.append((initial, rest, -1))
+            owners.append((initial, rest))
 
         tables: List[List[Tuple[BlockStore, int]]] = []
-        edges: List[Tuple[int, int]] = []
-        #: ``(store, cover, plan position)`` of what declared since the
-        #: owners were brought up to date, seq ascending
-        takers: List[Tuple[BlockStore, int, int]] = []
-        for succ, sp in enumerate(plans):
+        #: ``(store, cover)`` of what declared since the owners were
+        #: brought up to date, seq ascending
+        takers: List[Tuple[BlockStore, int]] = []
+        for sp in plans:
             for stage in stages[at : sp.stage.seq]:
-                takers.append((stage.store, layouts[stage.uid].cover, -1))
+                takers.append((stage.store, layouts[stage.uid].cover))
             taken = 0
             fresh = []
-            for store, bits, pos in reversed(takers):  # the newest declarer wins
+            for store, bits in reversed(takers):  # the newest declarer wins
                 bits &= union & ~taken
                 if bits:
-                    fresh.append((store, bits, pos))
+                    fresh.append((store, bits))
                     taken |= bits
-            for store, bits, pos in owners:
+            for store, bits in owners:
                 if bits & ~taken:
-                    fresh.append((store, bits & ~taken, pos))
+                    fresh.append((store, bits & ~taken))
             owners = fresh
             mask = sp.mask
-            sources = []
-            preds = set()
-            for store, bits, pos in owners:
-                if bits & mask:
-                    sources.append((store, bits & mask))
-                    if pos >= 0:
-                        preds.add(pos)
-            tables.append(sources)
-            edges.extend((pred, succ) for pred in sorted(preds))
+            tables.append(
+                [(store, bits & mask) for store, bits in owners if bits & mask]
+            )
             if sp.run is None:
-                takers = [(sp.stage.store, layouts[sp.stage.uid].cover, succ)]
+                takers = [(sp.stage.store, layouts[sp.stage.uid].cover)]
             else:
-                takers = [(store, owned, succ) for store, owned in sp.store.routes]
+                takers = list(sp.store.routes)
             at = sp.members[-1].seq + 1
-        return tables, edges
+        return tables
 
     # ------------------------------------------------------------------
     # graph mirroring (session forking)

@@ -4,17 +4,17 @@
 maintains, across circuit modifiers, the partition task graph of §III.C-D.
 Calling :meth:`QTaskSimulator.update_state` re-simulates exactly the
 partitions affected by the modifiers issued since the previous update (the
-partition graph's frontier sweep, §III.E), executing them as a Taskflow-style
-task graph on the configured executor.  Stage inputs are resolved from
-the same stage covers the sweep runs on: an update's plan resolves every
-recomputed block's source store in one pass (``PartitionGraph.plan_sources``,
-which also yields the task edges) as ``(store, mask)`` pairs the kernels
-read through; reads outside an update walk the covers back from a stage
-seq.  Each affected stage's partitions execute as one run table handed to
-the kernel backend, and a swept run of consecutive diagonal / monomial
-stages executes as one table applying their composed action
-(``_coalesce``): only the last member declaring a block publishes it.  A
-net's superposition gates are one dense stage whose partitions each read
+partition graph's frontier sweep, §III.E), one stage plan after another in
+seq order on the configured executor, each plan's chunks the only fan-out.
+Stage inputs are resolved from the same stage covers the sweep runs on: an
+update's plan resolves every recomputed block's source store in one pass
+(``PartitionGraph.plan_sources``) as ``(store, mask)`` pairs the kernels
+read through, all from earlier plans or unplanned stages; reads outside an
+update walk the covers back from a stage seq.  Each affected stage's
+partitions execute as one run table handed to the kernel backend, and a
+swept run of consecutive diagonal / monomial stages executes as one table
+applying their composed action (``_coalesce``): only the last member
+declaring a block publishes it.  A net's superposition gates are one dense stage whose partitions each read
 only their own blocks; only a collapse (measure / reset) reads the whole
 vector, in a sync step that draws it, after which it is a projector that
 joins such runs too.
@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, T
 
 import numpy as np
 
-from ..parallel import Executor, TaskGraph
+from ..parallel import Executor
 from ..telemetry import Telemetry
 from ..telemetry import session as tsession
 from ..telemetry.tracing import NULL_SPAN
@@ -913,10 +913,9 @@ class QTaskSimulator(CircuitObserver):
         One pass, inside the ``plan.build`` span: the partition graph's
         frontier sweep emits the affected stages in seq order, swept runs
         of static stages coalesce into one plan each, one pass over the
-        covers gives every recomputed block's source store and with it the
-        plan-granular task edges, and static stages freeze their run
-        tables.  Queued inserts are wired first, in the ``modify`` span
-        before it.
+        covers gives every recomputed block's source store, and static
+        stages freeze their run tables.  Queued inserts are wired first,
+        in the ``modify`` span before it.
         """
         self._last_wired = self._wire()
         tracer = self.telemetry.tracer
@@ -941,7 +940,7 @@ class QTaskSimulator(CircuitObserver):
         plan = graph.sweep()
         self._coalesce(plan)
         stage_plans = plan.stage_plans
-        tables, plan.edges = graph.plan_sources(stage_plans, self._initial)
+        tables = graph.plan_sources(stage_plans, self._initial)
         for sp, sources in zip(stage_plans, tables):
             sp.reader = IndexReader(graph, self._initial, sp.stage.seq, sources)
             sp.freeze_static()
@@ -1084,32 +1083,21 @@ class QTaskSimulator(CircuitObserver):
         return IndexReader(self._graph, self._initial, before_seq)
 
     def _execute(self, plan: ExecutionPlan) -> None:
-        """Batch-execute the plan, one executor task per stage plan -- an
-        affected *stage*, or a coalesced run of them.
+        """Batch-execute the plan, one executor step per stage plan -- an
+        affected *stage*, or a coalesced run of them -- in plan order.
 
-        The task runs the plan's sync step (the draws) when its barrier is
+        A step runs the plan's sync step (the draws) when its barrier is
         affected, materialises the stage's run table, and hands it -- split
-        into at most ``Executor.num_workers`` chunk subflows -- to the
-        kernel backend.  The plan's stage-granular edges reproduce the
-        partition graph's ordering (edges only ever point to later stages).
+        into at most ``Executor.num_workers`` chunks -- to the kernel
+        backend.  Plan order is seq order, which every block source
+        respects: a plan reads only what earlier plans (or unplanned
+        stages) wrote.
         """
-        tel = self.telemetry
-        # Parent span for executor-side task spans: the enclosing ``update``
-        # span on this thread (None when tracing is off).
-        parent_span = tel.tracer.current_span_id()
-        graph = TaskGraph("update_state")
-        tasks = []
-        for sp in plan.stage_plans:
-            body = self._make_plan_body(sp, plan.redraw_from)
-            # Trace context rides on the closure: Executor._guarded sees it
-            # and re-activates this session's telemetry (and span parent)
-            # on whichever thread runs the task.
-            body.trace_context = (tel, parent_span)
-            # named lazily: only a failing task or a graph dump formats it
-            tasks.append(graph.emplace(body, name=sp.label))
-        for pred, succ in plan.edges:
-            tasks[pred].precede(tasks[succ])
-        self.executor.run(graph)
+        # labelled lazily: only a failing step formats its label
+        self.executor.run(
+            (self._make_plan_body(sp, plan.redraw_from), sp.label)
+            for sp in plan.stage_plans
+        )
 
         self._plans_built.inc(plan.num_stages)
         self._stages_coalesced.inc(sum(len(sp.members) for sp in plan.runs()))
@@ -1120,14 +1108,13 @@ class QTaskSimulator(CircuitObserver):
     def _sync_prepare_runner(self, sp: StagePlan, redraw_from: int):
         """An idempotent sync-step thunk for a plan holding collapses.
 
-        Executor-level fault retries re-run whole task bodies; the sync step
+        Executor-level fault retries re-run whole step bodies; the sync step
         (:func:`draw_collapses`) draws from keyed streams, so a naive re-run
         would consume one extra draw and fork the trajectory away from a
         clean run's.  The thunk snapshots the classical state on first
         entry and rolls back before every re-entry, making a re-run redraw
-        the identical outcomes.  Safe because sync steps are totally
-        ordered by their all-blocks dependencies: no other record-writing
-        task can be in flight concurrently.
+        the identical outcomes.  Safe because steps run one at a time, in
+        plan order: no other record-writing step can be in flight.
         """
         snap: List[tuple] = []
 
@@ -1166,9 +1153,9 @@ class QTaskSimulator(CircuitObserver):
             if len(chunks) == 1:
                 self._run_plan_chunk(sp, chunks[0])
                 return None
-            # Subflow children may run on pool threads; carry the
-            # trace context (parented to the current span, i.e. the update)
-            # onto each chunk closure so their spans nest correctly.
+            # Chunks may run on pool threads; carry the trace context
+            # (parented to the current span, i.e. the update) onto each
+            # chunk closure so their spans nest correctly.
             parent = tel.tracer.current_span_id()
             subtasks = []
             for c in chunks:

@@ -1,60 +1,61 @@
-"""The executor: a task graph run in topological order, chunks over a pool.
+"""The executor: an update's steps in order, a step's chunks over a pool.
 
 qTask gets two kinds of parallelism from Taskflow's work-stealing pool
 (§III.F.1): *inter-gate* (independent stage tasks of the graph run
 concurrently) and *intra-gate* (a stage task spawns a subflow of chunks
 over its partitions).  Here only the second is kept.  :meth:`Executor.run`
-walks the graph's topological order on the calling thread; a task's
-subflow children -- the chunk closures of one stage plan -- run inline at
-``num_workers == 1`` (the default) and, above 1, over a stdlib thread pool
-of ``num_workers - 1`` threads with the caller running chunks too.  The
-numpy kernels release the GIL during the heavy array work, which is where
-the chunks overlap.
+takes an update's steps -- one per stage plan -- in plan order and runs
+each body on the calling thread; the chunk closures a body returns run
+inline at ``num_workers == 1`` (the default) and, above 1, over a stdlib
+thread pool of ``num_workers - 1`` threads with the caller running chunks
+too.  The numpy kernels release the GIL during the heavy array work,
+which is where the chunks overlap.
 
 Inter-gate concurrency went with the work-stealing runtime that provided
 it: timed at the default block size (at most eight blocks per stage, so a
 stage is one fat task), neither that runtime nor this chunk pool beat
 inline by 10 % on any qft / qaoa / ising row of 12-18 qubits (CHANGES.md,
-the executor verdict), hence the inline default.
+the executor verdict), hence the inline default.  Plan order needs no
+graph walk: every block a plan reads comes from an earlier plan or from
+no plan at all.
 
 The join never blocks on a chunk nobody has started: before waiting on a
 pooled chunk the caller tries ``Future.cancel()`` and, when that succeeds,
 runs the chunk itself.  A ``run`` issued from a pool thread (a nested
 session update inside a chunk) therefore completes even when every pool
-thread is busy.  Children run in spawn order at width 1 (depth-first for
-nested spawns, which join the same subflow).
+thread is busy.  Chunks run in list order at width 1.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core import faults
 from ..core.faults import FaultInjected
 from ..telemetry import session as tsession
-from .taskgraph import TaskGraph
 
 __all__ = ["Executor"]
 
-#: bounded in-place retries of a task body that hit an injected fault.
-#: Task bodies write disjoint output ranges (the contract that makes the
-#: graph parallelisable in the first place), so re-running one is safe; the
-#: bound keeps a pathological plan from spinning forever -- past it the
-#: fault propagates to ``run()`` and the simulator's update-level retry.
+#: a step's label: a string, or a zero-argument callable formatting one
+Label = Union[str, Callable[[], str]]
+
+#: bounded in-place retries of a step body or chunk that hit an injected
+#: fault.  Bodies and chunks write disjoint output ranges, so re-running
+#: one is safe; the bound keeps a pathological plan from spinning forever
+#: -- past it the fault propagates to ``run()`` and the simulator's
+#: update-level retry.
 _TASK_FAULT_RETRIES = 3
 
 
-def _attach_task_context(
-    exc: BaseException, label: Union[None, str, Callable[[], str]]
-) -> None:
-    """Stamp the failing task's identity onto ``exc`` before re-raising.
+def _attach_task_context(exc: BaseException, label: Optional[Label]) -> None:
+    """Stamp the failing step's identity onto ``exc`` before re-raising.
 
     Sets ``exc.task_label`` (first failure wins) and, on Python >= 3.11,
     adds a traceback note -- so the exception surfacing from ``run()``
-    says *which* stage/task died instead of arriving bare.  ``label`` may
-    be a callable: tasks carry their label unformatted and only a
+    says *which* stage plan died instead of arriving bare.  ``label`` may
+    be a callable: steps carry their label unformatted and only a
     failure pays for the string.
     """
     if label is None or getattr(exc, "task_label", None) is not None:
@@ -73,48 +74,45 @@ def _attach_task_context(
 
 
 class Executor:
-    """Run a task graph, or map a function over items, ``num_workers`` wide.
+    """Run steps in order, or map a function over items, ``num_workers`` wide.
 
-    ``num_workers`` of ``None``, 0 or 1 runs everything inline on the
-    calling thread.  Above 1, subflow children and :meth:`map` items spread
-    over ``num_workers - 1`` pool threads (named ``qtask-worker_*``) plus
-    the caller.
+    ``num_workers`` is ``None`` (the default, same as 1) or an ``int`` of
+    at least 1; 1 runs everything inline on the calling thread.  Above 1,
+    a step's chunks and :meth:`map` items spread over ``num_workers - 1``
+    pool threads (named ``qtask-worker_*``) plus the caller.
     """
 
     def __init__(self, num_workers: Optional[int] = None) -> None:
-        self.num_workers = max(1, int(num_workers or 1))
-        #: task bodies re-run in place after an injected fault (see
+        if num_workers is None:
+            num_workers = 1
+        elif isinstance(num_workers, bool) or not isinstance(num_workers, int):
+            raise TypeError(
+                f"num_workers must be None or an int >= 1, got {num_workers!r}"
+            )
+        elif num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        self.num_workers = num_workers
+        #: bodies and chunks re-run in place after an injected fault (see
         #: ``_TASK_FAULT_RETRIES``); informational, merged into statistics()
         self.task_retries = 0
         self._retry_lock = threading.Lock()
         self._pool = (
-            ThreadPoolExecutor(self.num_workers - 1, thread_name_prefix="qtask-worker")
-            if self.num_workers > 1
+            ThreadPoolExecutor(num_workers - 1, thread_name_prefix="qtask-worker")
+            if num_workers > 1
             else None
         )
 
     def _guarded(self, fn: Callable[[], object]) -> object:
-        """Run a task body under the ``executor.task`` fault site.
+        """Run a chunk under the ``executor.task`` fault site.
 
-        Task bodies stamped with a ``trace_context`` attribute -- a
-        ``(telemetry, parent_span_id)`` tuple the simulator's plan pipeline
-        attaches -- first re-activate that session's telemetry on *this*
-        thread (a chunk may run on a pool thread, where ambient context does
-        not follow) and parent any spans the body opens to the caller's
-        span.  Unmarked bodies skip all of it on a single ``getattr`` miss.
-
-        With no fault plan installed the fault envelope is one global-load
-        branch around ``fn()``; with one armed, injected faults trigger
-        bounded in-place retries (task bodies are idempotent by the
-        disjoint-writes contract) before propagating.
+        A chunk stamped with a ``trace_context`` attribute -- a
+        ``(telemetry, parent_span_id)`` tuple the simulator attaches --
+        first re-activates that session's telemetry on *this* thread (a
+        chunk may run on a pool thread, where ambient context does not
+        follow) and parents any spans it opens to the caller's span.
+        Unmarked chunks skip all of it on a single ``getattr`` miss.
         """
         ctx = getattr(fn, "trace_context", None)
-        if ctx is None:
-            # graph tasks arrive as the bound ``Task.run`` method; the
-            # stamped closure is the task's ``fn``
-            task = getattr(fn, "__self__", None)
-            if task is not None:
-                ctx = getattr(getattr(task, "fn", None), "trace_context", None)
         if ctx is None:
             return self._run_guarded(fn)
         telemetry, parent_span = ctx
@@ -129,6 +127,13 @@ class Executor:
             tsession.deactivate(prev_tel)
 
     def _run_guarded(self, fn: Callable[[], object]) -> object:
+        """Run ``fn`` under the ``executor.task`` fault site.
+
+        With no fault plan installed the fault envelope is one global-load
+        branch around ``fn()``; with one armed, injected faults trigger
+        bounded in-place retries (bodies and chunks are idempotent by the
+        disjoint-writes contract) before propagating.
+        """
         if faults.ACTIVE is None:
             return fn()
         attempt = 0
@@ -144,19 +149,21 @@ class Executor:
                     self.task_retries += 1
                 tsession.emit_event("task.retry", attempt=attempt)
 
-    def run(self, graph: TaskGraph) -> None:
-        """Execute every task of ``graph`` in topological order.
+    def run(self, steps: Iterable[Tuple[Callable[[], object], Label]]) -> None:
+        """Run ``(body, label)`` steps in order.
 
-        A task returning callables spawns a subflow: its children all
-        finish (see :meth:`_join`) before the next task starts.
+        Each body runs on the calling thread and returns ``None`` or a
+        list of chunk callables, which all finish (see :meth:`_join`)
+        before the next step starts.  A failure carries its step's label
+        as ``task_label``.
         """
-        for task in graph.validate():
+        for body, label in steps:
             try:
-                children = self._guarded(task.run)
-                if children:
-                    self._join(children)
+                chunks = self._run_guarded(body)
+                if chunks:
+                    self._join(chunks)
             except BaseException as exc:
-                _attach_task_context(exc, task.name)
+                _attach_task_context(exc, label)
                 raise
 
     def map(self, fn: Callable[[object], object], items: Sequence[object]) -> List[object]:
@@ -173,44 +180,34 @@ class Executor:
             self._join([body(i) for i in range(len(items))])
         return results
 
-    def _expand(self, fn: Callable[[], object]) -> None:
-        """Run one child and, depth-first in spawn order, whatever it spawns."""
-        stack = [fn]
-        while stack:
-            result = self._guarded(stack.pop())
-            if callable(result):
-                stack.append(result)
-            elif isinstance(result, (list, tuple)) and all(callable(c) for c in result):
-                stack.extend(reversed(result))
+    def _join(self, chunks: List[Callable[[], object]]) -> None:
+        """Run ``chunks`` to completion; the first error raises after all stop.
 
-    def _join(self, children: List[Callable[[], object]]) -> None:
-        """Run ``children`` to completion; the first error raises after all stop.
-
-        Inline when there is no pool.  Otherwise every child but the first
+        Inline when there is no pool.  Otherwise every chunk but the first
         is submitted; the caller runs the first, then runs each submitted
-        child no pool thread has started yet (a successful ``cancel()``),
-        and only then waits on the rest.  After a failure no further child
+        chunk no pool thread has started yet (a successful ``cancel()``),
+        and only then waits on the rest.  After a failure no further chunk
         is started, but the running ones finish before the error raises, so
         nothing writes behind the caller's back.
         """
         pool = self._pool
         if pool is None:
-            for fn in children:
-                self._expand(fn)
+            for fn in chunks:
+                self._guarded(fn)
             return
-        futures = [pool.submit(self._expand, fn) for fn in children[1:]]
+        futures = [pool.submit(self._guarded, fn) for fn in chunks[1:]]
         error: Optional[BaseException] = None
-        for fn, future in zip(children, [None, *futures]):
+        for fn, future in zip(chunks, [None, *futures]):
             if future is not None and not future.cancel():
                 continue  # a pool thread has it
             if error is None:
                 try:
-                    self._expand(fn)
+                    self._guarded(fn)
                 except BaseException as exc:
                     error = exc
         for future in futures:
             if not future.cancelled():
-                exc = future.exception()  # waits for a running child
+                exc = future.exception()  # waits for a running chunk
                 error = error or exc
         if error is not None:
             raise error

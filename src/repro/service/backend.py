@@ -211,6 +211,9 @@ class Backend:
             maxsize=cfg.max_queued_jobs
         )
         self._closed = False
+        #: makes ``_admit``'s closed-check-and-put and ``close``'s
+        #: flag-and-sentinels atomic: no job lands behind the sentinels
+        self._admit_lock = threading.Lock()
         self._job_ids = itertools.count(1)
         self._dispatchers: List[threading.Thread] = []
         for i in range(cfg.max_concurrent_jobs):
@@ -412,11 +415,12 @@ class Backend:
         Already-queued jobs still run to completion (their ``result()``
         resolves); new ``run()`` calls raise :class:`BackendClosedError`.
         """
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._dispatchers:
-            self._queue.put(None)  # sentinel after all queued work
+        with self._admit_lock:
+            if self._closed:
+                return
+            self._closed = True
+            for _ in self._dispatchers:
+                self._queue.put(None)  # sentinel after all queued work
         for t in self._dispatchers:
             t.join(timeout=timeout)
         self.pool.close()
@@ -431,8 +435,6 @@ class Backend:
 
     def _admit(self, job: Job) -> None:
         """Called by ``Job.submit``: enforce backpressure, then the bound."""
-        if self._closed:
-            raise BackendClosedError("backend is closed")
         cfg = self.configuration
         depth = self._queue.qsize()
         soft = max(1, cfg.max_queued_jobs // 2)
@@ -460,16 +462,20 @@ class Backend:
                     reason="degraded", p95_seconds=p95,
                     threshold_seconds=cfg.p95_reject_seconds,
                 )
-        try:
-            self._queue.put_nowait(job._request)  # type: ignore[attr-defined]
-        except queue.Full:
-            self._jobs_rejected.inc()
-            raise QueueFullError(
-                f"admission queue full ({cfg.max_queued_jobs} jobs)",
-                queue_depth=cfg.max_queued_jobs,
-                limit=cfg.max_queued_jobs,
-            ) from None
-        job.submitted_at = time.perf_counter()
+        with self._admit_lock:
+            if self._closed:
+                raise BackendClosedError("backend is closed")
+            # stamped first: an idle dispatcher may dequeue the job at once
+            job.submitted_at = time.perf_counter()
+            try:
+                self._queue.put_nowait(job._request)  # type: ignore[attr-defined]
+            except queue.Full:
+                self._jobs_rejected.inc()
+                raise QueueFullError(
+                    f"admission queue full ({cfg.max_queued_jobs} jobs)",
+                    queue_depth=cfg.max_queued_jobs,
+                    limit=cfg.max_queued_jobs,
+                ) from None
         self._jobs_submitted.inc()
         self._gauge_queue.set(self._queue.qsize())
 
@@ -495,14 +501,11 @@ class Backend:
         job = request.job
         if not job._start():  # cancelled while queued
             return
-        queue_seconds = (
-            time.perf_counter() - job.submitted_at
-            if job.submitted_at is not None else 0.0
-        )
+        queue_seconds = time.perf_counter() - job.submitted_at
         self._hist_queue_wait.observe(queue_seconds)
-        self._gauge_active.set(self._gauge_active.value + 1)
+        self._gauge_active.inc(1)
         tracer = self.telemetry.tracer
-        if tracer.enabled and job.submitted_at is not None:
+        if tracer.enabled:
             # measured before any span could be open: adopted, as it was
             thread = threading.current_thread()
             tracer.adopt(
@@ -587,7 +590,7 @@ class Backend:
                 troubled += self._absorb_walks(walks, request.tenant)
                 self._fold_health(troubled)
         finally:
-            self._gauge_active.set(max(0.0, self._gauge_active.value - 1))
+            self._gauge_active.inc(-1)
         if error is None:
             self._jobs_completed.inc()
             self._hist_job.observe(result.seconds)

@@ -79,7 +79,7 @@ class Job:
         self._done = threading.Event()
         self._result: Optional[JobResult] = None
         self._exception: Optional[BaseException] = None
-        #: perf_counter timestamp of successful admission (queue-wait metric)
+        #: perf_counter timestamp taken as the job is queued (queue-wait metric)
         self.submitted_at: Optional[float] = None
 
     # -- lifecycle ----------------------------------------------------------

@@ -50,7 +50,7 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = tuple(
 
 _session_ids = itertools.count(1)
 
-#: serialises :meth:`Counter.inc` across every counter
+#: serialises :meth:`Counter.inc` and :meth:`Gauge.inc` across every metric
 _INC_LOCK = threading.Lock()
 
 
@@ -96,6 +96,11 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
+
+    def inc(self, delta: float = 1) -> None:
+        # several threads move one gauge up and down (active jobs)
+        with _INC_LOCK:
+            self.value += delta
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Gauge({self.name}={self.value})"

@@ -407,6 +407,16 @@ def newest_holder(initial, stages: Sequence[Stage], block: int, before_seq: int)
     return resolve_store(StoreChain(stores), block)
 
 
+def assert_sources_come_from_earlier_plans(plans, tables) -> None:
+    """Plan order is a valid run order: no source store of plan k is a
+    member store of a plan at position >= k (``tables`` lists each plan's
+    ``(store, mask)`` sources)."""
+    later: set = set()
+    for sp, sources in reversed(list(zip(plans, tables))):
+        later |= {m.store for m in sp.members}
+        assert not {store for store, _ in sources} & later, sp.stage
+
+
 # ---------------------------------------------------------------------------
 # the frontier oracle: closest-writer reachability, built from scratch
 # ---------------------------------------------------------------------------

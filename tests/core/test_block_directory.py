@@ -15,8 +15,8 @@ from repro.core.cow import BlockStore, IndexReader, InitialStateStore
 from repro.core.exec_plan import StagePlan
 
 from ..conftest import (
-    DeclaringStage, StoreChain, block_mask, index_over, newest_holder,
-    resolve_store,
+    DeclaringStage, StoreChain, assert_sources_come_from_earlier_plans,
+    block_mask, index_over, newest_holder, resolve_store,
 )
 
 
@@ -157,25 +157,25 @@ def _planned_case():
 
 def test_plan_sources_lists_the_closest_earlier_declarer():
     init, (s0, s1, s2), g = _planned_case()
-    (t1, t2), edges = g.plan_sources([_plan(s1, s1.ranges), _plan(s2, s2.ranges)], init)
+    plans = [_plan(s1, s1.ranges), _plan(s2, s2.ranges)]
+    t1, t2 = tables = g.plan_sources(plans, init)
     assert dict(t1) == {s0.store: 0b1011}
     assert dict(t2) == {s1.store: 0b1011, s0.store: 0b0100}
-    # s1 is planned and a source of s2: one edge; s0 is not planned: none
-    assert edges == [(0, 1)]
+    # s2 reads the planned s1 before it, never a plan at or after its own
+    assert_sources_come_from_earlier_plans(plans, tables)
     # the first stage of a circuit reads the initial state
-    (t0,), edges = g.plan_sources([_plan(s0, s0.ranges)], init)
-    assert t0 == [(init, 0b1111)] and edges == []
+    assert g.plan_sources([_plan(s0, s0.ranges)], init) == [[(init, 0b1111)]]
     # only the recomputed ranges are planned: memory is O(affected blocks)
-    (part,), _ = g.plan_sources([_plan(s2, [(2, 3)])], init)
+    (part,) = g.plan_sources([_plan(s2, [(2, 3)])], init)
     assert dict(part) == {s0.store: 0b0100, s1.store: 0b1000}
-    # every planned source is a predecessor, once, by position
-    _, edges = g.plan_sources([_plan(s, s.ranges) for s in (s0, s1, s2)], init)
-    assert edges == [(0, 1), (0, 2), (1, 2)]
+    # with every stage planned, each reads only plans listed before it
+    plans = [_plan(s, s.ranges) for s in (s0, s1, s2)]
+    assert_sources_come_from_earlier_plans(plans, g.plan_sources(plans, init))
 
 
 def test_planned_sources_equal_the_newest_holder_scan():
     init, stages, g = _planned_case()
-    tables, _ = g.plan_sources([_plan(s, s.ranges) for s in stages], init)
+    tables = g.plan_sources([_plan(s, s.ranges) for s in stages], init)
     for stage, table in zip(stages, tables):
         assert sum(mask for _, mask in table) == block_mask(
             b for r in stage.ranges for b in r
@@ -188,7 +188,7 @@ def test_planned_sources_equal_the_newest_holder_scan():
 
 def test_planned_read_never_searches_the_index():
     init, (s0, s1, s2), g = _planned_case()
-    (table,), _ = g.plan_sources([_plan(s2, s2.ranges)], init)
+    (table,) = g.plan_sources([_plan(s2, s2.ranges)], init)
     index = _CountingIndex(g)
     reader = IndexReader(index, init, s2.seq, table)
     np.testing.assert_array_equal(
@@ -203,7 +203,7 @@ def test_planned_read_never_searches_the_index():
 
 def test_planned_source_holding_nothing_falls_back_to_the_older_holder():
     init, (s0, s1, s2), g = _planned_case()
-    (table,), _ = g.plan_sources([_plan(s2, s2.ranges)], init)
+    (table,) = g.plan_sources([_plan(s2, s2.ranges)], init)
     s1.store.drop_blocks([1])     # e.g. a failed publish left s1 half-written
     index = _CountingIndex(g)
     reader = IndexReader(index, init, s2.seq, table)

@@ -15,7 +15,9 @@ from repro.core.exec_plan import (
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
-from ..conftest import plan_nodes, table_from_runs
+from ..conftest import (
+    assert_sources_come_from_earlier_plans, plan_nodes, table_from_runs,
+)
 
 
 def _spec(lo, hi, op, qubits=(0,), kind=RUN_ACTION):
@@ -128,28 +130,21 @@ class TestBuildExecutionPlan:
         assert [len(sp.members) for sp in plan.stage_plans] == [1, 2, 1, 1]
 
     def test_edges_point_forward_and_are_unique(self):
+        # plan order is the run order: every source store is the initial
+        # state, an unplanned stage's or a member's of an earlier plan
         sim = _simulator(
             [[Gate("h", (q,)) for q in range(4)], [Gate("cx", (0, 1))],
              [Gate("cx", (2, 3))], [Gate("rz", (0,), (0.5,))]]
         )
         plan, _ = _plan_for(sim)
-        assert plan.edges and len(set(plan.edges)) == len(plan.edges)
-        for pred, succ in plan.edges:  # positions in plan.stage_plans
-            assert pred < succ
-        # a plan waits for exactly the planned stages its blocks come from:
-        # every source store belongs to a member of a predecessor, and every
-        # predecessor is the source of something
         assert [len(sp.members) for sp in plan.stage_plans] == [1, 3]
-        for succ, sp in enumerate(plan.stage_plans):
-            sources = {
-                store for store, _ in sp.reader.sources
-                if store is not sim._initial
-            }
-            preds = [plan.stage_plans[pred] for pred, s in plan.edges if s == succ]
-            assert sources <= {m.store for pred in preds for m in pred.members}
-            assert all(
-                sources & {m.store for m in pred.members} for pred in preds
-            )
+        plans = plan.stage_plans
+        assert_sources_come_from_earlier_plans(
+            plans, [sp.reader.sources for sp in plans]
+        )
+        # ... and the run does read the plan before it
+        first = {m.store for m in plans[0].members}
+        assert first & {store for store, _ in plans[1].reader.sources}
 
     def test_static_stage_runs_frozen_at_build_time(self):
         # z is diagonal -> UnitaryStage, whose emission is input-independent

@@ -91,7 +91,7 @@ def _stage_input(rng, dim, block_size, indexed):
     ]
     graph = index_over(stages)
     plan = StagePlan(stages[2], stages[2].ranges, mask=(1 << initial.n_blocks) - 1)
-    (sources,), _ = graph.plan_sources([plan], initial)
+    (sources,) = graph.plan_sources([plan], initial)
     return IndexReader(graph, initial, 2, sources)
 
 

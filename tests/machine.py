@@ -75,6 +75,7 @@ from .conftest import (
     assert_held_blocks_are_prefix_states,
     assert_held_blocks_declared,
     assert_runs_are_consistent,
+    assert_sources_come_from_earlier_plans,
     block_mask,
     declarers,
     dense_state,
@@ -342,8 +343,7 @@ def update_and_check_planned_sources(session, oracle=None):
         del sim._build_plan  # the instance attribute shadowing the method
     plan = built[-1]
     assert runs is None or [sp.members for sp in plan.stage_plans] == runs
-    member_stores = [{m.store for m in sp.members} for sp in plan.stage_plans]
-    for succ, sp in enumerate(plan.stage_plans):
+    for sp in plan.stage_plans:
         # O(affected blocks): exactly the recomputed ranges are planned -- of
         # a coalesced run, the union of its members' covers, once -- as
         # disjoint (store, mask) pairs
@@ -361,13 +361,10 @@ def update_and_check_planned_sources(session, oracle=None):
                     )
                     assert store is want, (sp.stage, block)
         assert union == block_mask(b for r in sp.block_ranges for b in r)
-        # the task edges are the planned stages among those sources
-        sources = {store for store, _ in sp.reader.sources}
-        preds = {pred for pred, s in plan.edges if s == succ}
-        assert preds == {
-            k for k, stores in enumerate(member_stores) if sources & stores
-        }
-        assert not sources & member_stores[succ]
+    # the plans run in list order: each reads only what earlier plans wrote
+    assert_sources_come_from_earlier_plans(
+        plan.stage_plans, [sp.reader.sources for sp in plan.stage_plans]
+    )
     return plan
 
 

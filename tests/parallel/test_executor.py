@@ -1,4 +1,5 @@
-"""Tests for the executor: inline at width 1, a chunk pool above it."""
+"""Tests for the executor: steps in order, a step's chunks inline at width 1
+and over a pool above it."""
 
 import threading
 import time
@@ -6,8 +7,7 @@ import time
 import pytest
 
 from repro.baselines.statevector import chunk_indices
-from repro.core.exceptions import ExecutorError
-from repro.parallel import Executor, TaskGraph
+from repro.parallel import Executor
 
 # the ``<lambda>N`` ids the test floor pins: inline, one and three pool threads
 EXECUTOR_FACTORIES = [
@@ -17,68 +17,60 @@ EXECUTOR_FACTORIES = [
 ]
 
 
-def diamond_graph(log):
-    g = TaskGraph("diamond")
-    a = g.emplace(lambda: log.append("a"), "a")
-    b = g.emplace(lambda: log.append("b"), "b")
-    c = g.emplace(lambda: log.append("c"), "c")
-    d = g.emplace(lambda: log.append("d"), "d")
-    a.precede(b, c)
-    d.succeed(b, c)
-    return g
+def fan_steps(log):
+    """``a``, then ``b`` fanning out four chunks, then ``d``."""
+    lock = threading.Lock()
+
+    def chunk(i):
+        def run():
+            with lock:
+                log.append(f"c{i}")
+        return run
+
+    def b():
+        log.append("b")
+        return [chunk(i) for i in range(4)]
+
+    return [(lambda: log.append("a"), "a"), (b, "b"), (lambda: log.append("d"), "d")]
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
 def test_executor_respects_dependencies(factory):
     log = []
-    ex = factory()
-    try:
-        ex.run(diamond_graph(log))
-    finally:
-        ex.close()
-    assert sorted(log) == ["a", "b", "c", "d"]
-    assert log[0] == "a" and log[-1] == "d"
+    with factory() as ex:
+        ex.run(fan_steps(log))
+    assert log[:2] == ["a", "b"] and log[-1] == "d"
+    assert sorted(log[2:-1]) == ["c0", "c1", "c2", "c3"]
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
 def test_executor_runs_every_task_once(factory):
     counter = {"n": 0}
-    lock = threading.Lock()
-    g = TaskGraph()
 
     def bump():
-        with lock:
-            counter["n"] += 1
+        counter["n"] += 1
 
-    tasks = [g.emplace(bump, f"t{i}") for i in range(50)]
-    for i in range(1, 50):
-        tasks[i - 1].precede(tasks[i])
-    ex = factory()
-    try:
-        ex.run(g)
-    finally:
-        ex.close()
+    with factory() as ex:
+        ex.run([(bump, f"t{i}") for i in range(50)])
     assert counter["n"] == 50
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
 def test_executor_subflow_joins_before_successors(factory):
-    """A task spawning a subflow must complete all children before its succs."""
+    """A step's chunks all complete before the next step starts."""
     seen = []
     lock = threading.Lock()
-    g = TaskGraph()
 
-    def parent():
-        return [lambda i=i: seen.append(f"child{i}") for i in range(8)]
+    def chunk(i):
+        def run():
+            time.sleep(0.001)
+            with lock:
+                seen.append(f"child{i}")
+        return run
 
-    p = g.emplace(parent, "parent")
-    after = g.emplace(lambda: seen.append("after"), "after")
-    p.precede(after)
-    ex = factory()
-    try:
-        ex.run(g)
-    finally:
-        ex.close()
+    with factory() as ex:
+        ex.run([(lambda: [chunk(i) for i in range(8)], "parent"),
+                (lambda: seen.append("after"), "after")])
     assert seen[-1] == "after"
     assert sorted(seen[:-1]) == [f"child{i}" for i in range(8)]
 
@@ -104,31 +96,33 @@ def test_executor_map_empty(factory):
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
 def test_executor_empty_graph(factory):
-    ex = factory()
-    try:
-        ex.run(TaskGraph())
-    finally:
-        ex.close()
+    with factory() as ex:
+        ex.run([])
 
 
 def test_work_stealing_executor_propagates_exceptions():
-    g = TaskGraph()
+    """A failing chunk raises from ``run`` after the running chunks end."""
+    finished = []
 
     def boom():
         raise ValueError("boom")
 
-    g.emplace(boom)
-    ex = Executor(2)
-    try:
-        with pytest.raises(ValueError, match="boom"):
-            ex.run(g)
-    finally:
-        ex.close()
+    def slow():
+        time.sleep(0.01)
+        finished.append(True)
+
+    with Executor(2) as ex:
+        with pytest.raises(ValueError, match="boom") as err:
+            ex.run([(lambda: [boom, slow], "stage")])
+    assert err.value.task_label == "stage"
+    settled = list(finished)  # slow never started, or ran to its end
+    time.sleep(0.02)
+    assert finished == settled  # nothing runs on behind the raise
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
 def test_task_names_are_formatted_only_for_a_failure(factory):
-    """A callable name costs nothing until an error needs the label."""
+    """A callable label costs nothing until an error needs it."""
     formatted = []
 
     def namer(label):
@@ -140,46 +134,31 @@ def test_task_names_are_formatted_only_for_a_failure(factory):
     def boom():
         raise ValueError("boom")
 
-    fine = TaskGraph()
-    fine.emplace(lambda: None, namer("quiet"))
-    fine.emplace(lambda: [lambda: None, lambda: None], namer("quiet-subflow"))
-    failing = TaskGraph()
-    failing.emplace(boom, namer("loud"))
-    sub = TaskGraph()
-    sub.emplace(lambda: [boom, lambda: None], namer("parent"))
-    ex = factory()
-    try:
-        ex.run(fine)
+    with factory() as ex:
+        ex.run([(lambda: None, namer("quiet")),
+                (lambda: [lambda: None, lambda: None], namer("quiet-chunks"))])
         assert formatted == []
         with pytest.raises(ValueError) as err:
-            ex.run(failing)
+            ex.run([(boom, namer("loud"))])
         assert err.value.task_label == "loud"
         with pytest.raises(ValueError) as err:
-            ex.run(sub)
+            ex.run([(lambda: [boom, lambda: None], namer("parent"))])
         assert err.value.task_label == "parent"
-    finally:
-        ex.close()
-    assert set(formatted) == {"loud", "parent"}
-    assert formatted.count("loud") == 1  # cached after the first call
+    assert formatted == ["loud", "parent"]  # each formatted once
 
 
 def test_sequential_executor_nested_subflows():
+    """Historical id: the default executor runs a step's chunks inline, in
+    list order, and ignores what a chunk returns (nothing nests)."""
     seen = []
-    g = TaskGraph()
-
-    def parent():
-        def child():
-            return [lambda: seen.append("grandchild")]
-        return [child]
-
-    g.emplace(parent)
-    Executor().run(g)
-    assert seen == ["grandchild"]
+    ex = Executor()
+    ex.run([(lambda: [lambda i=i: seen.append(i) or [lambda: seen.append("x")]
+                      for i in range(5)], "inline")])
+    assert seen == [0, 1, 2, 3, 4] and ex._pool is None
 
 
 def test_work_stealing_executor_actually_uses_threads():
-    """Historical id: a subflow's children spread over the pool's threads."""
-    g = TaskGraph()
+    """Historical id: a step's chunks spread over the pool's threads."""
     threads = set()
     lock = threading.Lock()
 
@@ -188,53 +167,54 @@ def test_work_stealing_executor_actually_uses_threads():
             threads.add(threading.current_thread().name)
         time.sleep(0.01)
 
-    g.emplace(lambda: [record for _ in range(16)])
-    ex = Executor(4)
-    try:
-        ex.run(g)
-    finally:
-        ex.close()
+    with Executor(4) as ex:
+        ex.run([(lambda: [record for _ in range(16)], "wide")])
     assert len(threads) >= 2
 
 
 def test_executor_rejects_cyclic_graph():
-    g = TaskGraph()
-    a, b = g.emplace(lambda: None), g.emplace(lambda: None)
-    a.precede(b)
-    b.precede(a)
-    with pytest.raises(ExecutorError):
-        Executor().run(g)
+    """Historical id: there is no graph to reject.  A body that raises
+    starts none of the chunks it would have returned, nor a later step."""
+    log = []
+
+    def body():
+        raise RuntimeError("before the fan-out")
+
+    with Executor(2) as ex:
+        with pytest.raises(RuntimeError) as err:
+            ex.run([(body, "first"), (lambda: log.append("second"), "second")])
+    assert err.value.task_label == "first" and log == []
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
-def test_executor_orders_a_graph_once_per_run(factory, monkeypatch):
-    """Cycle check and execution order come from one Kahn pass."""
-    passes = []
-    kahn = TaskGraph.topological_order
-    monkeypatch.setattr(
-        TaskGraph, "topological_order",
-        lambda self: passes.append(self.name) or kahn(self),
-    )
+def test_executor_orders_a_graph_once_per_run(factory):
+    """One lazy pass over the steps: step k is drawn after step k - 1 ran."""
     log = []
-    ex = factory()
-    try:
-        ex.run(diamond_graph(log))
-    finally:
-        ex.close()
-    assert sorted(log) == ["a", "b", "c", "d"] and log[0] == "a" and log[-1] == "d"
-    assert passes == ["diamond"]
+
+    def steps():
+        for k in range(4):
+            log.append(f"draw {k}")
+            yield (lambda k=k: [lambda: log.append(f"chunk {k}")]), str(k)
+
+    with factory() as ex:
+        ex.run(steps())
+    assert log == [f"{what} {k}" for k in range(4) for what in ("draw", "chunk")]
 
 
 def test_make_executor_selects_implementation():
-    """Historical id: the width picks inline (no pool) or a pool of width - 1."""
-    for workers in (None, 0, 1):
+    """Historical id: the width picks inline (no pool) or a pool of width - 1;
+    anything but ``None`` or an ``int`` >= 1 is rejected."""
+    for workers in (None, 1):
         ex = Executor(workers)
         assert ex.num_workers == 1 and ex._pool is None
-    ex = Executor(3)
-    try:
+    with Executor(3) as ex:
         assert ex.num_workers == 3 and ex._pool._max_workers == 2
-    finally:
-        ex.close()
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="num_workers"):
+            Executor(workers)
+    for workers in (2.9, "3", True, 1.0):
+        with pytest.raises(TypeError, match="num_workers"):
+            Executor(workers)
 
 
 def test_executor_context_manager():

@@ -1,11 +1,11 @@
-"""High-contention and determinism tests for the executor.
+"""High-contention and determinism tests for ``Executor.run(steps)``.
 
 These tests pin down three executor behaviours:
 
-* a subflow joins every child, nested spawns included, before the next
-  task starts, however the children spread over the pool;
-* spawned subflow children execute depth-first in spawn order at width 1,
-  and a child's own spawns follow it in order on its thread at any width;
+* a step's chunks all join before the next step starts, however they
+  spread over the pool;
+* steps run in list order, and at width 1 a step's chunks run in list
+  order on the caller;
 * ``run`` is re-entrant: a run issued from a pool thread completes (the
   join runs any chunk no pool thread has started itself), and concurrent
   runs from external threads share one pool.
@@ -19,22 +19,22 @@ import threading
 
 import pytest
 
-from repro.parallel import Executor, TaskGraph
+from repro.parallel import Executor
 
 STRESS_WORKERS = 4  # keep >= 4: the join needs real contention
 
 
 # ---------------------------------------------------------------------------
-# nested-subflow join race
+# join race, with nested runs from the chunks
 # ---------------------------------------------------------------------------
 
 
-def _nested_subflow_graph(num_children, num_grandchildren, counter, observed):
-    """One parent spawning children that each spawn nested grandchildren.
+def _nested_steps(ex, num_chunks, num_inner, counter, observed):
+    """One step fanning out chunks that each run a nested step of their own.
 
-    Every child/grandchild bumps ``counter``; the parent's successor
-    records the count it observes.  The join must not release the
-    successor until every (grand)child ran.
+    Every chunk and inner chunk bumps ``counter``; the next step records
+    the count it observes.  The join must not let it start until every
+    chunk, nested ones included, ran.
     """
     lock = threading.Lock()
 
@@ -42,55 +42,41 @@ def _nested_subflow_graph(num_children, num_grandchildren, counter, observed):
         with lock:
             counter[0] += 1
 
-    def make_grandchild():
-        def grandchild():
-            bump()
-        return grandchild
+    def chunk():
+        bump()
+        # a nested run on this chunk's thread, possibly a pool thread
+        ex.run([(lambda: [bump for _ in range(num_inner)], "inner")])
 
-    def make_child():
-        def child():
-            bump()
-            # Nested spawn: these join the *same* subflow, on this
-            # child's thread, while siblings finish on others.
-            return [make_grandchild() for _ in range(num_grandchildren)]
-        return child
-
-    def parent():
-        return [make_child() for _ in range(num_children)]
-
-    graph = TaskGraph("nested-stress")
-    p = graph.emplace(parent, "parent")
-    succ = graph.emplace(lambda: observed.append(counter[0]), "after-join")
-    p.precede(succ)
-    return graph
+    return [
+        (lambda: [chunk for _ in range(num_chunks)], "fan"),
+        (lambda: observed.append(counter[0]), "after-join"),
+    ]
 
 
 def test_nested_subflow_join_survives_high_contention():
-    """A join that loses children hangs; one that fires early undercounts."""
-    num_children, num_grandchildren, rounds = 24, 4, 25
-    expected = num_children * (1 + num_grandchildren)
+    """A join that loses a chunk hangs; one that fires early undercounts."""
+    num_chunks, num_inner, rounds = 24, 4, 25
+    expected = num_chunks * (1 + num_inner)
     ex = Executor(STRESS_WORKERS)
     old_interval = sys.getswitchinterval()
-    # Force thread switches at nearly every bytecode so children and the
+    # Force thread switches at nearly every bytecode so chunks and the
     # join interleave as finely as the interpreter allows.
     sys.setswitchinterval(1e-6)
     try:
         for round_no in range(rounds):
             counter = [0]
             observed = []
-            graph = _nested_subflow_graph(
-                num_children, num_grandchildren, counter, observed
-            )
-            runner = threading.Thread(target=ex.run, args=(graph,), daemon=True)
+            steps = _nested_steps(ex, num_chunks, num_inner, counter, observed)
+            runner = threading.Thread(target=ex.run, args=(steps,), daemon=True)
             runner.start()
             runner.join(timeout=60.0)
             assert not runner.is_alive(), (
-                f"round {round_no}: run() hung -- the subflow join lost a "
-                "child under contention"
+                f"round {round_no}: run() hung -- the join lost a chunk "
+                "under contention"
             )
             assert observed == [expected], (
-                f"round {round_no}: successor released after "
-                f"{observed} of {expected} children -- join fired early"
+                f"round {round_no}: next step started after "
+                f"{observed} of {expected} chunks -- join fired early"
             )
             assert counter[0] == expected
     finally:
@@ -99,61 +85,50 @@ def test_nested_subflow_join_survives_high_contention():
 
 
 def test_deeply_nested_subflows_join_once():
-    """Chains of nested spawns all fold into one parent join."""
+    """Runs nested five deep from chunks each join before returning."""
     depth, width = 5, 3
     counter = [0]
     lock = threading.Lock()
+    ex = Executor(STRESS_WORKERS)
 
-    def make(level):
-        def body():
+    def level(k):
+        def chunk():
             with lock:
                 counter[0] += 1
-            if level < depth:
-                return [make(level + 1) for _ in range(1 if level else width)]
-        return body
+            if k < depth:
+                ex.run([(lambda: [level(k + 1) for _ in range(1 if k else width)],
+                         f"level {k}")])
+        return chunk
 
     order = []
-    graph = TaskGraph()
-    p = graph.emplace(make(0), "root")
-    succ = graph.emplace(lambda: order.append(counter[0]), "after")
-    p.precede(succ)
-    ex = Executor(STRESS_WORKERS)
     try:
-        ex.run(graph)
+        ex.run([(lambda: [level(0)], "root"),
+                (lambda: order.append(counter[0]), "after")])
     finally:
         ex.close()
-    expected = 1 + width * depth
-    assert order == [expected]
+    assert order == [1 + width * depth]
 
 
 # ---------------------------------------------------------------------------
-# spawn-order determinism
+# order determinism
 # ---------------------------------------------------------------------------
 
 
-def _order_graph(log):
-    def make_grandchild(tag):
-        def grandchild():
-            log.append(tag)
-        return grandchild
+def _order_steps(log):
+    def chunk(tag):
+        return lambda: log.append(tag)
 
-    def make_child(i):
-        def child():
-            log.append(f"c{i}")
-            return [make_grandchild(f"c{i}.g{j}") for j in range(2)]
-        return child
+    def step(i):
+        def body():
+            log.append(f"s{i}")
+            return [chunk(f"s{i}.c{j}") for j in range(3)]
+        return body
 
-    def parent():
-        log.append("p")
-        return [make_child(i) for i in range(4)]
-
-    graph = TaskGraph("order")
-    graph.emplace(parent, "parent")
-    return graph
+    return [(step(i), f"s{i}") for i in range(4)]
 
 
-EXPECTED_ORDER = ["p"] + [
-    item for i in range(4) for item in (f"c{i}", f"c{i}.g0", f"c{i}.g1")
+EXPECTED_ORDER = [
+    item for i in range(4) for item in (f"s{i}", f"s{i}.c0", f"s{i}.c1", f"s{i}.c2")
 ]
 
 
@@ -163,28 +138,25 @@ EXPECTED_ORDER = ["p"] + [
     ids=["sequential", "work-stealing-1"],  # historical ids: default, explicit 1
 )
 def test_subflow_children_run_in_spawn_order(factory):
-    """Children (and nested children) execute depth-first in spawn order."""
+    """Steps in list order, and each step's chunks in list order, at width 1."""
     log = []
-    ex = factory()
-    try:
-        ex.run(_order_graph(log))
-    finally:
-        ex.close()
+    with factory() as ex:
+        ex.run(_order_steps(log))
     assert log == EXPECTED_ORDER
 
 
 def test_sequential_and_single_worker_observe_identical_order():
-    """Width 1 sees one child schedule; wider, each child's spawns follow it."""
+    """Width 1 sees one schedule; wider, only a step's chunks may reorder."""
     inline_log = []
-    Executor().run(_order_graph(inline_log))
+    Executor().run(_order_steps(inline_log))
     assert inline_log == EXPECTED_ORDER
     wide_log = []
     with Executor(STRESS_WORKERS) as ex:
-        ex.run(_order_graph(wide_log))
-    assert sorted(wide_log) == sorted(EXPECTED_ORDER) and wide_log[0] == "p"
+        ex.run(_order_steps(wide_log))
     for i in range(4):
-        mine = [tag for tag in wide_log if tag.startswith(f"c{i}")]
-        assert mine == [f"c{i}", f"c{i}.g0", f"c{i}.g1"]
+        mine = wide_log[4 * i : 4 * i + 4]
+        assert mine[0] == f"s{i}"
+        assert sorted(mine[1:]) == [f"s{i}.c{j}" for j in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +165,37 @@ def test_sequential_and_single_worker_observe_identical_order():
 
 
 def test_nested_run_from_worker_threads():
-    """A map issued inside a chunk on a pool thread completes at width 2.
+    """A run issued inside a chunk on a pool thread completes at width 2.
 
     The pool's one thread is busy running the outer chunk, so the inner
-    map's submitted chunks would never start; the join cancels each one
+    run's submitted chunks would never start; the join cancels each one
     nobody started and runs it on the calling (pool) thread instead.
     """
     ex = Executor(2)
     on_pool = []
     pool_started = threading.Event()
+    out = [None] * 12
 
     def outer(x):
-        if threading.current_thread().name.startswith("qtask-worker"):
-            on_pool.append(x)
-            pool_started.set()
-        elif x == 0:  # hold the caller until the pool thread has a chunk
-            pool_started.wait(10.0)
-        return sum(ex.map(lambda y: y + x, range(6)))
+        def run():
+            if threading.current_thread().name.startswith("qtask-worker"):
+                on_pool.append(x)
+                pool_started.set()
+            elif x == 0:  # hold the caller until the pool thread has a chunk
+                pool_started.wait(10.0)
+            inner = [0] * 6
 
-    out = []
-    runner = threading.Thread(target=lambda: out.extend(ex.map(outer, range(12))))
+            def put(y):
+                def chunk():
+                    inner[y] = y + x
+                return chunk
+
+            ex.run([(lambda: [put(y) for y in range(6)], f"inner {x}")])
+            out[x] = sum(inner)
+        return run
+
+    runner = threading.Thread(
+        target=ex.run, args=([(lambda: [outer(x) for x in range(12)], "outer")],))
     try:
         runner.start()
         runner.join(timeout=30.0)
@@ -224,32 +207,44 @@ def test_nested_run_from_worker_threads():
 
 
 def test_nested_run_propagates_exceptions():
+    """A nested run's failure surfaces from the outer run, inner label kept."""
     ex = Executor(2)
 
-    def outer(x):
-        def inner(y):
+    def inner(y):
+        def chunk():
             if y == 3:
                 raise RuntimeError("inner boom")
-            return y
+        return chunk
 
-        return ex.map(inner, range(5))
+    def outer():
+        ex.run([(lambda: [inner(y) for y in range(5)], "inner")])
 
     try:
-        with pytest.raises(RuntimeError, match="inner boom"):
-            ex.map(outer, range(4))
+        with pytest.raises(RuntimeError, match="inner boom") as err:
+            ex.run([(lambda: [outer for _ in range(4)], "outer")])
     finally:
         ex.close()
+    assert err.value.task_label == "inner"
 
 
 def test_concurrent_runs_from_external_threads():
-    """Independent graphs share one pool without interference."""
+    """Independent step lists share one pool without interference."""
     ex = Executor(STRESS_WORKERS)
     results = {}
     errors = []
 
     def run_one(k):
+        out = [None] * 50
+
+        def put(x):
+            def chunk():
+                out[x] = x * k
+            return chunk
+
         try:
-            results[k] = ex.map(lambda x, k=k: x * k, range(50))
+            ex.run([(lambda: [put(x) for x in range(25)], "low"),
+                    (lambda: [put(x) for x in range(25, 50)], "high")])
+            results[k] = out
         except BaseException as exc:  # pragma: no cover - diagnostic
             errors.append(exc)
 

@@ -1,9 +1,9 @@
-"""The executor's chunk queue: who runs a subflow's children, and when.
+"""The executor's chunk queue: who runs a step's chunks, and when.
 
 Historical module: the work-stealing deques it covered are gone.  The ids
 (pinned by the test floor) now cover the stdlib thread pool the caller
-shares a subflow with: the caller runs the first child, takes back every
-child no pool thread has started (``Future.cancel()``), then waits.
+shares a step's chunks with: the caller runs the first chunk, takes back
+every chunk no pool thread has started (``Future.cancel()``), then waits.
 """
 
 import threading
@@ -11,16 +11,15 @@ import time
 
 import pytest
 
-from repro.parallel import Executor, TaskGraph
+from repro.parallel import Executor
 
 WAIT = 10.0
 
 
-def _subflow(width, children):
-    graph = TaskGraph("subflow")
-    graph.emplace(lambda: list(children), "parent")
+def _subflow(width, chunks):
+    """One step fanning out ``chunks``, on a fresh ``width``-wide executor."""
     with Executor(width) as ex:
-        ex.run(graph)
+        ex.run([(lambda: list(chunks), "step")])
 
 
 def _here():
@@ -29,20 +28,15 @@ def _here():
 
 class TestWorkDeque:
     def test_owner_pop_is_lifo(self):
-        """Width 1 keeps a stack: a child's spawns run before its next sibling."""
+        """Width 1 runs a step's chunks in list order, then the next step."""
         log = []
-
-        def child(i):
-            def run():
-                log.append(i)
-                return [child(10 * i + 10), child(10 * i + 11)] if i < 2 else None
-            return run
-
-        _subflow(1, [child(0), child(1), child(2)])
-        assert log == [0, 10, 11, 1, 20, 21, 2]
+        with Executor(1) as ex:
+            ex.run([(lambda: [lambda i=i: log.append(i) for i in range(3)], "a"),
+                    (lambda: [lambda: log.append("b")], "b")])
+        assert log == [0, 1, 2, "b"]
 
     def test_thief_steal_is_fifo(self):
-        """The pool thread takes submitted children oldest first."""
+        """The pool thread takes submitted chunks oldest first."""
         log, done = [], threading.Event()
 
         def child(i):
@@ -52,16 +46,14 @@ class TestWorkDeque:
         assert log == [1, 2, 3, 4, 5, 6]
 
     def test_empty_pop_and_steal(self):
-        """An empty subflow or map submits nothing and starts no thread."""
-        graph = TaskGraph()
-        graph.emplace(lambda: [])
+        """An empty step or map submits nothing and starts no thread."""
         with Executor(2) as ex:
-            ex.run(graph)
+            ex.run([(lambda: [], "empty")])
             assert ex.map(abs, []) == []
             assert ex._pool._threads == set()
 
     def test_mixed_ends(self):
-        """Caller and pool thread split one subflow; each child runs once."""
+        """Caller and pool thread split one step's chunks; each runs once."""
         started, taken_back, ran = threading.Event(), threading.Event(), {}
 
         def child(i, after=None, then=None):
@@ -98,7 +90,7 @@ class TestStealScheduler:
         assert counts == [1] * 400
 
     def test_external_push_lands_in_overflow(self):
-        """A run from a thread outside the pool runs its first child itself."""
+        """A run from a thread outside the pool runs its first chunk itself."""
         seen = []
         outsider = threading.Thread(
             target=_subflow, args=(2, [lambda: seen.append(_here()), lambda: None]),
@@ -108,7 +100,7 @@ class TestStealScheduler:
         assert not outsider.is_alive() and seen == ["outsider"]
 
     def test_outstanding_counts_everything(self):
-        """A failed join returns only after the children already running end."""
+        """A failed join returns only after the chunks already running end."""
         started, finished = threading.Event(), []
 
         def boom():
@@ -125,7 +117,7 @@ class TestStealScheduler:
         assert finished == [True]
 
     def test_own_deque_preferred(self):
-        """The caller runs a subflow's first child on its own thread."""
+        """The caller runs a step's first chunk on its own thread."""
         first = []
         for _ in range(20):
             _subflow(4, [lambda: first.append(_here()), lambda: time.sleep(0.001)])
@@ -136,20 +128,18 @@ class TestStealScheduler:
         names = set()
         with Executor(2) as ex:
             for _ in range(10):
-                graph = TaskGraph()
-                graph.emplace(lambda: [lambda: time.sleep(0.005),
-                                       lambda: names.add(_here())])
-                ex.run(graph)
+                ex.run([(lambda: [lambda: time.sleep(0.005),
+                                  lambda: names.add(_here())], "step")])
         assert len({n for n in names if n.startswith("qtask-worker")}) <= 1
 
     def test_single_worker_never_steals(self):
-        """Width 1 starts no thread: every child runs on the caller."""
+        """Width 1 starts no thread: every chunk runs on the caller."""
         seen = set()
         _subflow(1, [lambda: seen.add(_here())] * 8)
         assert seen == {_here()}
 
     def test_steal_from_victim(self):
-        """While the caller is busy, the idle pool thread takes a child."""
+        """While the caller is busy, the idle pool thread takes a chunk."""
         taken, where = threading.Event(), []
         _subflow(2, [lambda: taken.wait(WAIT),
                      lambda: where.append(_here()) or taken.set()])

@@ -245,6 +245,50 @@ def test_close_under_load_resolves_every_queued_job():
                 if t.name.startswith(("qtask-worker", "qtask-backend"))]
 
 
+def test_close_racing_run_strands_no_job():
+    """close() landing while run() is admitting: the job raises
+    BackendClosedError or resolves -- it never waits behind the sentinels.
+    The put is held until close() posts a sentinel (or half a second has
+    passed, when close() waits for the admission instead); the job is
+    stamped before the put, so a dispatcher never sees it unstamped."""
+    be = Backend({"max_concurrent_jobs": 1}, num_workers=1)
+    admitting, sentinel_posted, stamped = threading.Event(), threading.Event(), []
+    put_nowait, put = be._queue.put_nowait, be._queue.put
+
+    def held_put_nowait(request):
+        stamped.append(request.job.submitted_at)
+        admitting.set()
+        sentinel_posted.wait(0.5)
+        put_nowait(request)
+
+    def recorded_put(item, *args, **kwargs):
+        put(item, *args, **kwargs)
+        if item is None:
+            sentinel_posted.set()
+
+    be._queue.put_nowait, be._queue.put = held_put_nowait, recorded_put
+    outcome = []
+
+    def submit():
+        try:
+            outcome.append(be.run(BELL, shots=4, seed=1))
+        except BackendClosedError as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=submit)
+    runner.start()
+    assert admitting.wait(15)
+    closer = threading.Thread(target=be.close)
+    closer.start()
+    runner.join(15)
+    closer.join(30)
+    assert not runner.is_alive() and not closer.is_alive()
+    (job,) = outcome
+    if not isinstance(job, BackendClosedError):
+        assert sum(job.result(timeout=5).counts.values()) == 4
+    assert stamped[0] is not None
+
+
 # -- admission control ------------------------------------------------------
 
 def test_queue_full_rejection_typed_and_counted():

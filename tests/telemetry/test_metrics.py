@@ -1,5 +1,8 @@
 """Unit tests for the metrics pillar: counters, gauges, histograms, registry."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.telemetry import MetricsRegistry
@@ -29,6 +32,33 @@ def test_gauge_set_overwrites():
     g.set(7)
     g.set(3)
     assert g.value == 3
+
+
+def test_gauge_inc_loses_no_update_across_threads():
+    """Eight threads moving one gauge up and down end exactly where it began
+    (``Backend`` counts its active jobs so, one dispatcher per thread)."""
+    g = MetricsRegistry().gauge("service.active_jobs")
+    errors = []
+
+    def churn():
+        try:
+            for _ in range(10_000):
+                g.inc(1)
+                g.inc(-1)
+        except BaseException as exc:  # a thread's error would pass silently
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors and g.value == 0
 
 
 def test_metric_kind_conflict_raises():
