@@ -27,7 +27,6 @@ instead of a statistical one.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -349,39 +348,6 @@ class OutcomeRecord:
         incremental engine's re-collapses.
         """
         self._bits.clear()
-
-    def snapshot(self) -> tuple:
-        """Freeze bits, recorded outcomes and keyed-stream positions.
-
-        The simulator takes one before each ``update_state`` attempt: an
-        update-level fault retry re-executes every affected dynamic stage,
-        and each re-executed ``choose`` would otherwise advance its keyed
-        stream one extra draw -- silently forking the trajectory away from
-        what a clean (un-faulted) run of the same session produces.  The
-        fourth entry lists the ops whose one draw so far came from the
-        primed row: they have no stream state to freeze, and none is built.
-        """
-        return (
-            dict(self._bits),
-            dict(self._op_outcomes),
-            {
-                op: copy.deepcopy(gen.bit_generator.state)
-                for op, gen in self._streams.items()
-            },
-            frozenset(self._served),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Roll classical state back to a :meth:`snapshot` (same record)."""
-        bits, outcomes, streams, served = snap
-        self._bits = dict(bits)
-        self._op_outcomes = dict(outcomes)
-        self._streams = {}
-        self._served = set(served)
-        for op, state in streams.items():
-            gen = self.keyed_stream(self.seed, op)
-            gen.bit_generator.state = copy.deepcopy(state)
-            self._streams[op] = gen
 
     def clone(self) -> "OutcomeRecord":
         """An independent copy (used by session forking)."""

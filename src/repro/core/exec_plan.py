@@ -359,8 +359,10 @@ class PlanReport:
     The :class:`~repro.core.cow.MemoryReport` sibling for execution plans:
     how many plans were compiled, how many runs they batched, how many
     executor-visible chunks those became, which backend executed them and
-    how often a faulted chunk fell back run-granular.  ``runs_per_plan`` is
-    the headline number -- the dispatch work one executor task now absorbs.
+    the one fault recovery's counts: how often a faulted chunk fell back
+    run-granular (``backend_fallbacks``) and how often a run was retried in
+    place there (``run_retries``).  ``runs_per_plan`` is the headline number
+    -- the dispatch work one executor task now absorbs.
     """
 
     backend: str
@@ -372,8 +374,6 @@ class PlanReport:
     #: per-run re-executions after an injected fault inside the
     #: run-granular fallback loop
     run_retries: int = 0
-    #: whole-update re-executions after a fault escaped every lower layer
-    update_retries: int = 0
     #: stages that executed as members of a coalesced run (``plans_built``
     #: counts such a run once)
     stages_coalesced: int = 0
@@ -395,5 +395,4 @@ class PlanReport:
             "updates_planned": self.updates_planned,
             "runs_per_plan": self.runs_per_plan,
             "run_retries": self.run_retries,
-            "update_retries": self.update_retries,
         }

@@ -1,8 +1,8 @@
 """Seeded fault injection for chaos-testing the execution stack.
 
-The fault-tolerance machinery (run / task / update retries, the
-run-granular chunk fallback, checkpoint recovery) is only trustworthy if every
-failure path can be exercised *deterministically*.  This module provides that:
+The fault recovery (a faulted chunk re-executes run by run, each run
+retried in place a bounded number of times) and checkpoint recovery are only
+trustworthy if every failure path can be exercised *deterministically*.  This module provides that:
 a :class:`FaultPlan` is a seeded schedule of synthetic failures at named
 **fault sites** threaded through the hot paths:
 
@@ -11,9 +11,11 @@ site               where it fires
 =================  ========================================================
 ``kernel.run``     kernel execution: once per run (``kernels.execute_run``),
                    once per operation group on the slab backend
-``executor.task``  executor step body (one stage plan) or one of its chunks
 ``cow.publish``    block publish into a :class:`~repro.core.cow.BlockStore`
 =================  ========================================================
+
+Both fire inside a chunk's kernel execution, which is where the simulator
+recovers: nothing outside a chunk can fault.
 
 Design constraints (all load-bearing):
 
@@ -61,11 +63,7 @@ __all__ = [
 
 #: Every site name threaded through the execution stack.  ``FaultPlan``
 #: rejects unknown sites so a typo'd probability map fails loudly.
-FAULT_SITES: Tuple[str, ...] = (
-    "kernel.run",
-    "executor.task",
-    "cow.publish",
-)
+FAULT_SITES: Tuple[str, ...] = ("kernel.run", "cow.publish")
 
 
 class FaultInjected(RuntimeError):
@@ -100,7 +98,8 @@ class FaultPlan:
         not listed in ``probabilities``.
     probabilities:
         Per-site overrides, e.g. ``{"cow.publish": 0.2}``.  A site mapped
-        to ``0.0`` never fires probabilistically.
+        to ``0.0`` never fires probabilistically.  Every probability, the
+        default and each override, must lie in ``[0, 1]`` (NaN does not).
     script:
         Exact triggers: an iterable of ``(site, occurrence)`` pairs; the
         plan fires on that site's N-th armed evaluation (1-based),
@@ -121,11 +120,12 @@ class FaultPlan:
         for site in overrides:
             if site not in FAULT_SITES:
                 raise ValueError(f"unknown fault site {site!r}")
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
         self._probs: Dict[str, float] = {
             site: float(overrides.get(site, probability)) for site in FAULT_SITES
         }
+        for p in (float(probability), *self._probs.values()):
+            if not 0.0 <= p <= 1.0:  # false for NaN
+                raise ValueError(f"probability must be in [0, 1], got {p}")
         self._script: Dict[str, set] = {}
         for site, occurrence in script or ():
             if site not in FAULT_SITES:
@@ -149,7 +149,7 @@ class FaultPlan:
 
         Returns ``(fire, occurrence)`` where ``occurrence`` is the
         1-based index of this evaluation.  Thread-safe: concurrent
-        executor workers evaluating the same site serialize on the plan
+        chunks on pool threads evaluating the same site serialize on the plan
         lock so counters stay exact (the *order* of concurrent draws is
         scheduling-dependent, but the multiset of decisions is not).
         """
@@ -215,7 +215,7 @@ ACTIVE: Optional[FaultPlan] = None
 
 #: Armed-scope depth.  Process-global (not thread-local) on purpose: the
 #: thread that arms a scope (``update_state``) is not the thread that hits
-#: the sites -- executor workers run the tasks -- so a thread-local flag
+#: the sites -- pool threads run chunks -- so a thread-local flag
 #: would never fire there.
 _armed_depth = 0
 _armed_lock = threading.Lock()

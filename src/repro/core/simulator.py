@@ -19,13 +19,17 @@ only their own blocks; only a collapse (measure / reset) reads the whole
 vector, in a sync step that draws it, after which it is a projector that
 joins such runs too.
 
+Fault recovery is one loop: a chunk that raises an injected fault
+(``repro.core.faults``) re-executes run by run, each run retried in place up
+to ``_RUN_FAULT_RETRIES`` times; past that the fault surfaces from
+``update_state``, which keeps its dirt for the next call.
+
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 import time
@@ -77,19 +81,16 @@ from .stage import (
 
 __all__ = ["UpdateReport", "QTaskSimulator"]
 
-logger = logging.getLogger(__name__)
-
 #: the constructor knobs that define a session durably: ``fork`` hands them to
 #: the child, a checkpoint header stores them and ``statistics()`` reports
 #: them.  Execution resources (executor, kernel backend) are not durable
 #: state; a fork shares them and a restore may override them.
 DURABLE_KNOBS: Tuple[str, ...] = ("block_size",)
 
-#: bounded per-run re-executions inside the run-granular fallback loop
-_RUN_FAULT_RETRIES = 5
-
-#: bounded whole-update re-executions (the outermost recovery layer)
-_UPDATE_FAULT_RETRIES = 3
+#: bounded in-place re-executions of one run inside the run-granular
+#: fallback, the only fault recovery: 16 attempts per run, past which the
+#: fault surfaces from ``update_state`` (which keeps its dirt)
+_RUN_FAULT_RETRIES = 15
 
 
 def _net_order(stages: Sequence[Stage]) -> List[Stage]:
@@ -343,9 +344,6 @@ class QTaskSimulator(CircuitObserver):
         )
         self._run_retries = m.counter(
             "recovery.run_retries", help="per-run fault retries"
-        )
-        self._update_retries = m.counter(
-            "recovery.update_retries", help="whole-update fault retries"
         )
         self._update_seconds = m.histogram(
             "update.seconds", unit="s", help="update_state wall time"
@@ -880,7 +878,9 @@ class QTaskSimulator(CircuitObserver):
             was_incremental=self._num_updates > 0,
         )
         if plan.stage_plans:
-            self._execute_with_recovery(plan)
+            # an installed FaultPlan fires inside this scope and nowhere else
+            with faults.armed():
+                self._execute(plan)
             report.executed_block_writes = plan.block_writes
             if self._dirty_listeners:
                 # the blocks the affected partitions wrote, bit by bit
@@ -1033,48 +1033,6 @@ class QTaskSimulator(CircuitObserver):
             close()
         plan.stage_plans = merged
 
-    def _execute_with_recovery(self, plan: ExecutionPlan) -> None:
-        """Run ``_execute`` inside the fault envelope.
-
-        The armed scope is what lets an installed :class:`FaultPlan` fire
-        inside this update (and nowhere else).  The bounded retry is the
-        outermost recovery layer: stage outputs are deterministic overwrites
-        of their own stores, so re-executing the whole affected cone is
-        always safe -- provided the classical state is first rolled back to
-        the attempt boundary, because a re-executed collapse would otherwise
-        advance its keyed stream one extra draw and fork the trajectory away
-        from a clean run's.  Anything the per-run and chunk-level layers
-        could not absorb lands here before giving up.
-        """
-        if faults.ACTIVE is None:
-            self._execute(plan)
-            return
-        with faults.armed():
-            attempt = 0
-            rollback = self.outcomes.snapshot()
-            while True:
-                try:
-                    self._execute(plan)
-                    return
-                except FaultInjected as exc:
-                    attempt += 1
-                    if attempt > _UPDATE_FAULT_RETRIES:
-                        raise
-                    self.outcomes.restore(rollback)
-                    self._update_retries.inc()
-                    tsession.emit_event(
-                        "trajectory.rollback", update=self._num_updates
-                    )
-                    tsession.emit_event(
-                        "update.retry", attempt=attempt, reason=str(exc)
-                    )
-                    logger.warning(
-                        "update attempt %d failed (%s); re-executing the "
-                        "affected cone",
-                        attempt,
-                        exc,
-                    )
-
     def _reader_asof(self, before_seq: int):
         """A writer-index view of everything written before ``before_seq``."""
         if self._closed:
@@ -1105,46 +1063,17 @@ class QTaskSimulator(CircuitObserver):
         self._plan_chunks.inc(plan.total_chunks())
         self._updates_planned.inc()
 
-    def _sync_prepare_runner(self, sp: StagePlan, redraw_from: int):
-        """An idempotent sync-step thunk for a plan holding collapses.
-
-        Executor-level fault retries re-run whole step bodies; the sync step
-        (:func:`draw_collapses`) draws from keyed streams, so a naive re-run
-        would consume one extra draw and fork the trajectory away from a
-        clean run's.  The thunk snapshots the classical state on first
-        entry and rolls back before every re-entry, making a re-run redraw
-        the identical outcomes.  Safe because steps run one at a time, in
-        plan order: no other record-writing step can be in flight.
-        """
-        snap: List[tuple] = []
-
-        def run_prepare():
-            if faults.ACTIVE is not None:
-                if snap:
-                    self.outcomes.restore(snap[0])
-                else:
-                    snap.append(self.outcomes.snapshot())
-            draw_collapses(sp.members, sp.reader, redraw_from)
-
-        return run_prepare
-
     def _make_plan_body(self, sp: StagePlan, redraw_from: int):
         width = self.executor.num_workers
-        run_prepare = (
-            self._sync_prepare_runner(sp, redraw_from) if sp.has_sync else None
-        )
-
         tel = self.telemetry
 
         def body():
-            if run_prepare is not None:
-                if tel.tracer.enabled:
-                    with tel.tracer.span(
-                        "stage.prepare", {"stage": sp.label()}
-                    ):
-                        run_prepare()
-                else:
-                    run_prepare()
+            if sp.has_sync:
+                with (
+                    tel.tracer.span("stage.prepare", {"stage": sp.label()})
+                    if tel.tracer.enabled else NULL_SPAN
+                ):
+                    draw_collapses(sp.members, sp.reader, redraw_from)
             table = sp.build_table()
             if table.num_runs == 0:
                 return None
@@ -1187,8 +1116,9 @@ class QTaskSimulator(CircuitObserver):
         try:
             backend.execute_plan(sp.reader, sp.store, chunk)
         except FaultInjected as exc:
-            # An injected fault must not lose the update: chunk writes are
-            # deterministic overwrites, so re-executing run-granular is
+            # The one fault recovery.  Both fault sites (``kernel.run``,
+            # ``cow.publish``) fire inside the chunk, and its writes are
+            # deterministic overwrites, so re-executing it run by run is
             # always safe.  Anything else is a programming error.
             self._backend_fallbacks.inc()
             tsession.emit_event(
@@ -1203,8 +1133,10 @@ class QTaskSimulator(CircuitObserver):
         """Run-granular chunk execution with bounded per-run fault retries.
 
         Each run is retried in place on an injected fault (it redraws the
-        site streams, so retries converge); past the bound the fault
-        propagates to the update-level retry.
+        site streams, so retries converge); past ``_RUN_FAULT_RETRIES`` the
+        fault propagates out of ``update_state``, whose dirt stays for the
+        caller's next call.  No draw re-runs: the plan's draws happened
+        before its chunks, so no classical state needs rolling back.
         """
         for spec in iter_table_runs(chunk):
             attempt = 0
@@ -1329,7 +1261,6 @@ class QTaskSimulator(CircuitObserver):
             backend_fallbacks=self._backend_fallbacks.value,
             updates_planned=self._updates_planned.value,
             run_retries=self._run_retries.value,
-            update_retries=self._update_retries.value,
         )
 
     def statistics(self) -> Dict[str, object]:
@@ -1364,8 +1295,6 @@ class QTaskSimulator(CircuitObserver):
             }
         )
         stats.update(self.plan_report().as_dict())
-        # Recovery visibility: executor-level fault retries.
-        stats["task_retries"] = self.executor.task_retries
         self._refresh_gauges(stats)
         return stats
 
@@ -1389,7 +1318,6 @@ class QTaskSimulator(CircuitObserver):
         m.gauge("update.last_elapsed_seconds", unit="s").set(
             stats["last_elapsed_seconds"]
         )
-        m.gauge("executor.task_retries").set(stats["task_retries"])
 
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
@@ -1408,8 +1336,8 @@ class QTaskSimulator(CircuitObserver):
         holding collapses composes after its draws, so only this report
         counts it in M --, the plan
         pipeline's view of it, and -- the part no counter can answer -- the
-        time-ordered recovery events (faults, retries, chunk fallbacks,
-        trajectory rollbacks) that fired during the update.
+        time-ordered recovery events (injected faults, chunk fallbacks, run
+        retries) that fired during the update.
         """
         report = self.last_update
         coalesced, collapses, runs, largest, widest, recomposed, reused = (

@@ -24,29 +24,23 @@ pooled chunk the caller tries ``Future.cancel()`` and, when that succeeds,
 runs the chunk itself.  A ``run`` issued from a pool thread (a nested
 session update inside a chunk) therefore completes even when every pool
 thread is busy.  Chunks run in list order at width 1.
+
+The executor has no fault recovery of its own: the simulator re-executes a
+faulted chunk run by run inside the chunk, so a failure reaching ``run``
+is final and carries its step's label.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core import faults
-from ..core.faults import FaultInjected
 from ..telemetry import session as tsession
 
 __all__ = ["Executor"]
 
 #: a step's label: a string, or a zero-argument callable formatting one
 Label = Union[str, Callable[[], str]]
-
-#: bounded in-place retries of a step body or chunk that hit an injected
-#: fault.  Bodies and chunks write disjoint output ranges, so re-running
-#: one is safe; the bound keeps a pathological plan from spinning forever
-#: -- past it the fault propagates to ``run()`` and the simulator's
-#: update-level retry.
-_TASK_FAULT_RETRIES = 3
 
 
 def _attach_task_context(exc: BaseException, label: Optional[Label]) -> None:
@@ -92,18 +86,14 @@ class Executor:
         elif num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
-        #: bodies and chunks re-run in place after an injected fault (see
-        #: ``_TASK_FAULT_RETRIES``); informational, merged into statistics()
-        self.task_retries = 0
-        self._retry_lock = threading.Lock()
         self._pool = (
             ThreadPoolExecutor(num_workers - 1, thread_name_prefix="qtask-worker")
             if num_workers > 1
             else None
         )
 
-    def _guarded(self, fn: Callable[[], object]) -> object:
-        """Run a chunk under the ``executor.task`` fault site.
+    def _traced(self, fn: Callable[[], object]) -> object:
+        """Run a chunk in the telemetry context it was stamped with.
 
         A chunk stamped with a ``trace_context`` attribute -- a
         ``(telemetry, parent_span_id)`` tuple the simulator attaches --
@@ -114,40 +104,17 @@ class Executor:
         """
         ctx = getattr(fn, "trace_context", None)
         if ctx is None:
-            return self._run_guarded(fn)
+            return fn()
         telemetry, parent_span = ctx
         prev_tel = tsession.activate(telemetry)
         tracer = telemetry.tracer
         prev_span = tracer.attach(parent_span) if tracer.enabled else None
         try:
-            return self._run_guarded(fn)
+            return fn()
         finally:
             if tracer.enabled:
                 tracer.detach(prev_span)
             tsession.deactivate(prev_tel)
-
-    def _run_guarded(self, fn: Callable[[], object]) -> object:
-        """Run ``fn`` under the ``executor.task`` fault site.
-
-        With no fault plan installed the fault envelope is one global-load
-        branch around ``fn()``; with one armed, injected faults trigger
-        bounded in-place retries (bodies and chunks are idempotent by the
-        disjoint-writes contract) before propagating.
-        """
-        if faults.ACTIVE is None:
-            return fn()
-        attempt = 0
-        while True:
-            try:
-                faults.fire("executor.task")
-                return fn()
-            except FaultInjected:
-                attempt += 1
-                if attempt > _TASK_FAULT_RETRIES:
-                    raise
-                with self._retry_lock:  # chunks retry on several threads
-                    self.task_retries += 1
-                tsession.emit_event("task.retry", attempt=attempt)
 
     def run(self, steps: Iterable[Tuple[Callable[[], object], Label]]) -> None:
         """Run ``(body, label)`` steps in order.
@@ -159,7 +126,7 @@ class Executor:
         """
         for body, label in steps:
             try:
-                chunks = self._run_guarded(body)
+                chunks = body()
                 if chunks:
                     self._join(chunks)
             except BaseException as exc:
@@ -193,16 +160,16 @@ class Executor:
         pool = self._pool
         if pool is None:
             for fn in chunks:
-                self._guarded(fn)
+                self._traced(fn)
             return
-        futures = [pool.submit(self._guarded, fn) for fn in chunks[1:]]
+        futures = [pool.submit(self._traced, fn) for fn in chunks[1:]]
         error: Optional[BaseException] = None
         for fn, future in zip(chunks, [None, *futures]):
             if future is not None and not future.cancel():
                 continue  # a pool thread has it
             if error is None:
                 try:
-                    self._guarded(fn)
+                    self._traced(fn)
                 except BaseException as exc:
                     error = exc
         for future in futures:

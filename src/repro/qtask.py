@@ -550,8 +550,8 @@ class QTask:
         """A human-readable account of the most recent update.
 
         Shows what the update touched, which backend executed it, and the
-        time-ordered recovery events (injected faults, retries, chunk
-        fallbacks, trajectory rollbacks) that fired during it.
+        time-ordered recovery events (injected faults, chunk fallbacks, run
+        retries) that fired during it.
         """
         return self.simulator.explain_last_update()
 

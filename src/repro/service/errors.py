@@ -56,7 +56,7 @@ class BackpressureError(QueueFullError):
 
     The queue still had room, but the backend's health signals -- the
     rolled-up ``update.seconds`` p95 above the configured threshold, or
-    recent recovery events (update retries, chunk fallbacks) marking
+    recent recovery events (chunk fallbacks) marking
     the engine degraded -- say accepting more work would only grow latency.
     ``reason`` is ``"p95"`` or ``"degraded"``; ``p95_seconds`` carries the
     gauge reading that tripped (0.0 for degraded-mode rejections).

@@ -21,7 +21,7 @@ itself, excluding what it shares with live forks), summed across entries
 and bounded by ``memory_budget_bytes``.  When the pool is over budget or
 over ``max_sessions``, idle entries (zero pins) are evicted --
 most-unstable first (recovery events recorded on the base session:
-update retries, chunk fallbacks), then least-recently-used.
+chunk fallbacks), then least-recently-used.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ __all__ = ["SessionPool", "RECOVERY_EVENT_KINDS", "recovery_events"]
 #: an unstable warm session is evicted before a merely old one, because its
 #: updates have already needed recovery and a rebuild is likely cheaper
 #: than another recovery cycle
-RECOVERY_EVENT_KINDS: Tuple[str, ...] = (
-    "update.retry",
-    "chunk.fallback",
-)
+RECOVERY_EVENT_KINDS: Tuple[str, ...] = ("chunk.fallback",)
 
 
 def recovery_events(telemetry) -> int:

@@ -10,7 +10,7 @@ Three pillars, one bundle per simulator session:
   gauges and fixed-bucket histograms (p50/p95/max) with Prometheus text
   exposition and fleet-wide ``merge``.
 * :class:`~repro.telemetry.events.EventLog` -- bounded timestamped log of
-  discrete recovery events (fault injected, retry, fallback, rollback,
+  discrete recovery events (fault injected, chunk fallback, run retry,
   checkpoint).
 
 See the README's "Observability" section for usage.

@@ -2,8 +2,8 @@
 
 Spans answer "where did the time go"; the event log answers "what did
 recovery *do*" -- fault injected at which site, which run retried, which
-chunk fell back to run-granular execution, which trajectory rolled back,
-which checkpoint was saved/restored.  Events are tiny (kind + seq + two clocks +
+chunk fell back to run-granular execution, which checkpoint was
+saved/restored.  Events are tiny (kind + seq + two clocks +
 a small field dict), land in a bounded deque, and are queryable by kind
 and by sequence number so ``explain_last_update()`` can render "events
 since the last update started" without scanning history.

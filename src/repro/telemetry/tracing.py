@@ -5,7 +5,7 @@ implicit through a thread-local "current span" -- opening a span inside
 another (on the same thread) nests it; crossing a thread boundary is
 explicit via :meth:`Tracer.attach`/:meth:`Tracer.detach` (the executor
 threads a ``(telemetry, parent_span_id)`` tuple on task closures and
-attaches it inside ``_guarded``).  A span timed outside any ``with`` block
+attaches it inside ``_traced``).  A span timed outside any ``with`` block
 (the checkpoint restore, whose tracer does not exist when it starts) is
 recorded by value with :meth:`Tracer.adopt`.  A *root* span (``update``,
 ``job.run``) also reports the time none of its direct children covers, as

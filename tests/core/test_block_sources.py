@@ -17,11 +17,13 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+import pytest
 
 from repro import QTask
 from repro.core import faults
 from repro.core.cow import IndexReader
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.simulator import _RUN_FAULT_RETRIES
 
 from ..conftest import (
     assert_held_blocks_declared, dense_state, newest_holder, resolve_store,
@@ -157,11 +159,11 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
 
 
 def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
-    """A ``cow.publish`` storm deep enough to reach the update-level retry.
+    """A ``cow.publish`` storm one past the per-run bound fails the update.
 
-    When the retry starts, the stage whose publish kept failing declares
-    blocks it does not hold; reads of those land on the next older holder,
-    and the re-execution fills the hole.
+    When the caller's next update starts, the stage whose publish kept
+    failing declares blocks it does not hold; reads of those land on the
+    next older holder, and the re-execution fills the hole.
     """
     session = QTask(4, block_size=4, num_workers=1, kernel_backend="numpy")
     try:
@@ -172,6 +174,17 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
         for q in range(4):
             session.insert_gate("rz", session.insert_net(), q, params=[0.3 + q])
         sim = session.simulator
+
+        # one failing slab publish, then every attempt the bound gives the
+        # first run: the update raises and keeps its dirt
+        storm = [("cow.publish", i) for i in range(1, _RUN_FAULT_RETRIES + 3)]
+        faults.install(FaultPlan(script=storm))
+        try:
+            with pytest.raises(FaultInjected):
+                session.update_state()
+        finally:
+            faults.install(None)
+        assert sim.graph.has_pending
 
         holes = []
         execute = sim._execute
@@ -188,15 +201,8 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
             return execute(affected)
 
         sim._execute = spy
-        # one failing slab publish, then the per-run fallback's 6 attempts:
-        # 7 fires per task-body attempt, 4 body attempts -> update retry
-        faults.install(FaultPlan(script=[("cow.publish", i) for i in range(1, 29)]))
-        try:
-            session.update_state()
-        finally:
-            faults.install(None)
-        stats = session.statistics()
-        assert stats["update_retries"] == 1
+        session.update_state()
+        assert not sim.graph.has_pending
         first_try = [h for h in holes if h[0] >= 1]
         assert first_try and all(ok for _, _, ok in holes)
         assert_held_blocks_declared(session)

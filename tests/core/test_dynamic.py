@@ -714,30 +714,33 @@ class TestPrimedRecord:
         assert rec._draw(7) == OutcomeRecord.keyed_stream(key.seed, 7).random()
 
     def test_snapshot_restore_after_a_served_draw(self, monkeypatch):
+        """Historical id (a record has no snapshot any more): after a draw
+        served from the row, a clone keeps the outcome and builds no
+        stream, and the record's next draw is its stream's second value."""
         (key,) = primed_seeds(21, 1, [3])
         want = OutcomeRecord.keyed_stream(key.seed, 3)
         want.random()
         second = want.random()
         rec = OutcomeRecord(1, seed=0)
         rec.reseed(key)
-        rec.choose(3, 0.5, 0.5)  # served from the row
+        outcome = rec.choose(3, 0.5, 0.5)  # served from the row
         built = self._counting(monkeypatch)
-        snap = rec.snapshot()
-        assert built == []  # a snapshot builds no stream
+        assert rec.clone().outcome_of(3) == outcome
+        assert built == []  # a clone builds no stream
         assert rec._draw(3) == second
-        rec.restore(snap)
-        assert rec._draw(3) == second
-        rec.restore(snap)
-        assert rec.snapshot()[2] == {}
+        assert built == [3]
 
-    def test_restore_before_a_served_draw_serves_it_again(self):
+    def test_restore_before_a_served_draw_serves_it_again(self, monkeypatch):
+        """Historical id: reseeding with the same key after a served draw
+        serves it from the row again, building no stream."""
         (key,) = primed_seeds(5, 1, [0])
         rec = OutcomeRecord(1, seed=0)
         rec.reseed(key)
-        snap = rec.snapshot()
         first = rec._draw(0)
-        rec.restore(snap)
+        built = self._counting(monkeypatch)
+        rec.reseed(key)
         assert rec._draw(0) == first == key.first(0)
+        assert built == []
 
     def test_reseed_branch_and_clone_drop_the_row(self):
         (key,) = primed_seeds(8, 1, [0, 1])
@@ -1257,7 +1260,10 @@ def build_collapse_run(seed, **knobs):
 
 def _streams(session):
     """Every keyed stream's position: what a redraw would move."""
-    return session.outcomes.snapshot()[2]
+    return {
+        op: gen.bit_generator.state
+        for op, gen in session.outcomes._streams.items()
+    }
 
 
 def _assert_replays_densely(session):
@@ -1386,9 +1392,14 @@ class TestCollapseRuns:
 
     @pytest.mark.parametrize("site", ["executor.task", "kernel.run", "cow.publish"])
     def test_a_fault_inside_a_collapse_run_redraws_nothing(self, no_plan, site):
-        """(d) Whatever fault hits the run's task (and however it is
-        recovered), the session ends where a clean one does: same outcomes,
-        same stream positions, same state."""
+        """(d) Whatever fault hits the run's chunk (it re-executes run by
+        run), the session ends where a clean one does: same outcomes, same
+        stream positions, same state.  ``executor.task`` names the deleted
+        executor site, which a plan now rejects."""
+        if site not in faults.FAULT_SITES:
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultPlan(script=[(site, 1)])
+            return
         clean, _ = build_collapse_run(7)
         with clean:
             clean.update_state()

@@ -1,11 +1,10 @@
 """Chaos integration tests: injected faults never corrupt computed states.
 
-Every recovery layer is exercised end to end against the seeded fault
-plans from ``repro.core.faults``:
-
-* per-run retries and the chunk fallback (``run_retries``),
-* executor task-body retries (``task_retries``),
-* whole-update retries (``update_retries``).
+The one recovery loop is exercised end to end against the seeded fault
+plans from ``repro.core.faults``: a chunk that faults re-executes run by run
+(``backend_fallbacks``), each run retried in place up to
+``_RUN_FAULT_RETRIES`` times (``run_retries``); past that the fault surfaces
+from ``update_state``, which keeps its dirt for the caller's next call.
 
 The invariant throughout: with faults firing at every site, the final
 state still equals the dense reference to 1e-10 and every recovery action
@@ -26,7 +25,7 @@ from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
 from repro.core.kernels import KernelBackend
-from repro.core.simulator import QTaskSimulator
+from repro.core.simulator import _RUN_FAULT_RETRIES, QTaskSimulator
 
 from ..conftest import (
     FaultingBackend,
@@ -103,7 +102,7 @@ def test_chaos_parity_against_dense(backend):
 
 
 def test_chaos_parity_high_rate_numpy():
-    """Even at p=0.2 the layered retries converge to the exact state."""
+    """Even at p=0.2 the per-run retries converge to the exact state."""
     num_qubits = 5
     rng = random.Random(99)
     levels = random_levels(rng, num_qubits, 5)
@@ -178,13 +177,20 @@ def test_run_retries_visible_in_statistics():
 
 
 def test_task_retries_visible_in_statistics():
+    """Historical id: there is no task retry.  A chunk falling back on the
+    caller counts its run retries: ``run_retries`` equals the ``run.retry``
+    events."""
     rng = random.Random(13)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4)
-    faults.install(FaultPlan(script=[("executor.task", 1)]))
+    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4, num_workers=1)
+    # the slab attempt, then the first run's first two attempts
+    faults.install(FaultPlan(script=[("kernel.run", k) for k in (1, 2, 3)]))
     try:
         sim.update_state()
-        assert sim.statistics()["task_retries"] >= 1
+        stats = sim.statistics()
+        assert stats["backend_fallbacks"] == 1
+        assert stats["run_retries"] == 2
+        assert stats["run_retries"] == sim.telemetry.events.counts_by_kind()["run.retry"]
         expected = reference_state(5, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
     finally:
@@ -193,13 +199,14 @@ def test_task_retries_visible_in_statistics():
 
 
 def test_task_retries_count_every_retry_across_threads():
-    """Chunks retry on the caller and the pool thread at once: the counter
-    (taken under a lock) equals the ``task.retry`` events emitted."""
+    """Historical id: chunks fall back on the caller and the pool thread at
+    once, and ``run_retries`` (a locked counter) equals the ``run.retry``
+    events emitted."""
     levels = [[Gate("h", (q,))] for q in range(7)] + random_levels(
         random.Random(15), 7, 6)
     plan = faults.plan_from_env({
         "QTASK_FAULT_P": "0.25", "QTASK_FAULT_SEED": "15",
-        "QTASK_FAULT_SITES": "executor.task",
+        "QTASK_FAULT_SITES": "kernel.run",
     })
     with _build_sim(7, levels, kernel_backend="numpy", block_size=2) as sim:
         faults.install(plan)
@@ -208,17 +215,18 @@ def test_task_retries_count_every_retry_across_threads():
         finally:
             faults.uninstall()
         stats = sim.statistics()
-        events = sim.telemetry.events
+        kinds = sim.telemetry.events.counts_by_kind()
         assert stats["plan_chunks"] > stats["plans_built"]  # chunks split
-        assert events.dropped == 0
-        assert stats["task_retries"] > 0
-        assert stats["task_retries"] == events.counts_by_kind()["task.retry"]
+        assert sim.telemetry.events.dropped == 0
+        assert stats["run_retries"] > 0
+        assert stats["run_retries"] == kinds["run.retry"]
+        assert stats["backend_fallbacks"] == kinds["chunk.fallback"]
         np.testing.assert_allclose(
             sim.state(), reference_state(7, levels), atol=ATOL, rtol=0)
 
 
 def test_unrecoverable_fault_storm_raises_fault_injected():
-    """With p=1 at the kernel site every retry layer exhausts and the
+    """With p=1 at the kernel site the per-run retries exhaust and the
     original fault surfaces (it is never silently swallowed)."""
     rng = random.Random(14)
     levels = random_levels(rng, 4, 3)
@@ -227,6 +235,33 @@ def test_unrecoverable_fault_storm_raises_fault_injected():
     try:
         with pytest.raises(FaultInjected):
             sim.update_state()
+    finally:
+        faults.uninstall()
+        sim.close()
+
+
+def test_fault_past_the_bound_leaves_the_update_to_the_caller():
+    """A fault storm one past the bound surfaces from ``update_state`` with
+    its step's label and the dirt kept; the caller's next call redoes the
+    work and lands on the exact state."""
+    rng = random.Random(16)
+    levels = random_levels(rng, 5, 4)
+    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4, num_workers=1)
+    # the slab attempt, then every attempt the bound gives the first run
+    storm = [("kernel.run", k) for k in range(1, _RUN_FAULT_RETRIES + 3)]
+    assert len(storm) == 17
+    faults.install(FaultPlan(script=storm))
+    try:
+        with pytest.raises(FaultInjected) as err:
+            sim.update_state()
+        faults.uninstall()
+        assert err.value.task_label
+        assert sim.graph.has_pending
+        assert sim.statistics()["run_retries"] == _RUN_FAULT_RETRIES
+        sim.update_state()
+        assert not sim.graph.has_pending
+        np.testing.assert_allclose(
+            sim.state(), reference_state(5, levels), atol=ATOL, rtol=0)
     finally:
         faults.uninstall()
         sim.close()
@@ -256,9 +291,9 @@ def _dynamic_session(seed):
 
 def test_retries_do_not_fork_trajectories():
     """A chaos run of a dynamic circuit must observe the *same* trajectory
-    as a fault-free run with the same seed: every retry layer rolls the
-    classical state back before re-drawing, so injected faults are
-    invisible in the outcomes."""
+    as a fault-free run with the same seed: a faulted chunk re-executes its
+    runs after the plan's draws, so no draw is repeated and injected faults
+    are invisible in the outcomes."""
     clean, c_clean = _dynamic_session(seed=5)
     try:
         clean.update_state()
@@ -271,7 +306,6 @@ def test_retries_do_not_fork_trajectories():
     faults.install(FaultPlan(seed=8, probabilities={"kernel.run": 0.3}))
     try:
         chaotic.update_state()
-        stats = chaotic.statistics()
         assert faults.active_plan().total_injected() > 0
         np.testing.assert_allclose(
             chaotic.state(), clean_state, atol=ATOL, rtol=0
@@ -283,9 +317,10 @@ def test_retries_do_not_fork_trajectories():
 
 
 def test_update_level_retry_preserves_trajectory():
-    """A scripted fault storm deep enough to exhaust the run- and
-    task-level retries escalates to a whole-update re-execution -- which
-    rolls back the keyed streams and redraws the identical outcomes."""
+    """Historical id: there is no update-level retry.  Fifteen scripted
+    ``kernel.run`` faults in a row -- the slab attempt and fourteen attempts
+    of one run -- stay within the per-run bound, and the dynamic circuit's
+    outcomes equal a clean run's."""
     clean, c_clean = _dynamic_session(seed=6)
     try:
         clean.update_state()
@@ -295,14 +330,12 @@ def test_update_level_retry_preserves_trajectory():
         clean.close()
 
     chaotic, c_chaos = _dynamic_session(seed=6)
-    # a contiguous block of scripted kernel.run failures: one run fails
-    # 6x in a row (exhausting _RUN_FAULT_RETRIES), the task body retries
-    # exhaust next, and the fault lands at the update-level retry
-    faults.install(FaultPlan(script=[("kernel.run", i) for i in range(1, 29)]))
+    faults.install(FaultPlan(script=[("kernel.run", i) for i in range(1, 16)]))
     try:
         chaotic.update_state()
         stats = chaotic.statistics()
-        assert stats["update_retries"] >= 1
+        assert faults.active_plan().total_injected() == 15
+        assert stats["run_retries"] == 14
         np.testing.assert_allclose(
             chaotic.state(), clean_state, atol=ATOL, rtol=0
         )

@@ -43,6 +43,16 @@ def test_bad_probability_and_occurrence_rejected():
         FaultPlan(script=[("kernel.run", 0)])
 
 
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_every_probability_is_range_checked(p):
+    """A per-site override is checked like the default: NaN is rejected
+    too, or a plan would install that never fires."""
+    with pytest.raises(ValueError, match="probability"):
+        FaultPlan(probability=p)
+    with pytest.raises(ValueError, match="probability"):
+        FaultPlan(probabilities={"kernel.run": p})
+
+
 def test_should_fire_unknown_site_rejected():
     with pytest.raises(ValueError, match="unknown fault site"):
         FaultPlan().should_fire("bogus")
@@ -100,12 +110,12 @@ def test_scripted_hits_do_not_shift_probabilistic_draws():
 
 def test_reset_rewinds_counters_and_streams():
     plan = FaultPlan(seed=11, probability=0.5)
-    first = [plan.should_fire("executor.task")[0] for _ in range(30)]
-    assert plan.stats()["executor.task"]["calls"] == 30
+    first = [plan.should_fire("cow.publish")[0] for _ in range(30)]
+    assert plan.stats()["cow.publish"]["calls"] == 30
     plan.reset()
     assert plan.stats() == {}
     assert plan.total_injected() == 0
-    replay = [plan.should_fire("executor.task")[0] for _ in range(30)]
+    replay = [plan.should_fire("cow.publish")[0] for _ in range(30)]
     assert replay == first
 
 
@@ -193,26 +203,42 @@ def test_plan_from_env_disabled_without_probability():
 
 def test_plan_from_env_excludes_worker_kill_by_default():
     """Historical id: no site is excluded by default, because the one that
-    was (a pool worker SIGKILLing itself) left with the pool sites."""
+    was (a pool worker SIGKILLing itself) left with the pool sites.  Two
+    sites are left, both inside a chunk: the executor's is gone too."""
     plan = faults.plan_from_env({"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SEED": "9"})
     assert plan is not None
     assert plan.seed == 9
-    assert FAULT_SITES == ("kernel.run", "executor.task", "cow.publish")
+    assert FAULT_SITES == ("kernel.run", "cow.publish")
     for site in FAULT_SITES:
         fired, _ = plan.should_fire(site)
         assert fired
-    for gone in ("pool.worker.kill", "store.shard"):
+    for gone in ("pool.worker.kill", "store.shard", "executor.task"):
         with pytest.raises(ValueError, match="unknown fault site"):
             plan.should_fire(gone)
 
 
 def test_plan_from_env_site_whitelist():
     plan = faults.plan_from_env(
-        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "cow.publish, executor.task"}
+        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "cow.publish, "}
     )
     assert plan.should_fire("cow.publish")[0]
-    assert plan.should_fire("executor.task")[0]
     assert not plan.should_fire("kernel.run")[0]
+    with pytest.raises(ValueError, match="unknown fault site"):
+        faults.plan_from_env(
+            {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "executor.task"}
+        )
+
+
+@pytest.mark.parametrize("raw", ["1.5", "nan"])
+@pytest.mark.parametrize("sites", [None, "kernel.run"])
+def test_plan_from_env_range_checks_every_probability(raw, sites):
+    """An out-of-range or NaN ``QTASK_FAULT_P`` raises with or without a
+    site list (with one it used to install, and ``nan`` never fired)."""
+    env = {"QTASK_FAULT_P": raw}
+    if sites is not None:
+        env["QTASK_FAULT_SITES"] = sites
+    with pytest.raises(ValueError, match="probability"):
+        faults.plan_from_env(env)
 
 
 def test_fault_sites_registry_is_exhaustive():

@@ -272,7 +272,7 @@ class TestPlanStatistics:
         assert set(report) == {
             "backend", "plans_built", "runs_batched",
             "stages_coalesced", "plan_chunks", "backend_fallbacks",
-            "updates_planned", "runs_per_plan", "run_retries", "update_retries",
+            "updates_planned", "runs_per_plan", "run_retries",
         }
         assert {key: stats[key] for key in report} == report
         assert stats["backend"] == "numpy"

@@ -123,14 +123,9 @@ SEEDS = st.integers(0, 2**32 - 1)
 #: identity) can flip under a retune
 ANGLES = st.sampled_from([0.0, np.pi, 2 * np.pi]) | st.floats(0.0, 2 * np.pi)
 
-#: the recovery counters ``statistics()`` reports, and those an absorbed
-#: fault at each site grows
-RETRIES = ("backend_fallbacks", "run_retries", "task_retries", "update_retries")
-ABSORBED_BY = {
-    "kernel.run": RETRIES,
-    "cow.publish": RETRIES,
-    "executor.task": ("task_retries", "update_retries"),
-}
+#: the recovery counters ``statistics()`` reports; a fault absorbed at
+#: either site grows the first (its chunk re-executed run by run)
+RETRIES = ("backend_fallbacks", "run_retries")
 
 
 def run_machine(tmp_path=None, *, rules=RULES, max_examples=25, steps=30, **pins):
@@ -626,8 +621,8 @@ class SessionMachine(RuleBasedStateMachine):
             session.update_state()
         else:
             after = _recoveries(session)
-            assert not plan.total_injected() or any(
-                after[key] > before[key] for key in ABSORBED_BY[site]
+            assert not plan.total_injected() or (
+                after["backend_fallbacks"] > before["backend_fallbacks"]
             ), (site, count, before, after)
         assert_close(session.state(), dense_state(session), atol=1e-10, rtol=1e-7)
 

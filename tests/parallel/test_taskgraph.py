@@ -108,16 +108,17 @@ def test_validate_detects_cycle():
 
 
 def test_validate_passes_for_dag():
-    """An injected ``executor.task`` fault re-runs the body in place."""
+    """The executor has no fault site: under an armed plan firing every
+    site on every evaluation, a step and its chunks run once, unfaulted."""
     log = []
-    previous = faults.install(FaultPlan(script=[("executor.task", 1)]))
+    previous = faults.install(FaultPlan(probability=1.0))
     try:
-        with faults.armed(), Executor(1) as ex:
-            ex.run([(_logging(log, "a"), "a")])
-            assert ex.task_retries == 1
+        for width in WIDTHS:
+            with faults.armed(), Executor(width) as ex:
+                ex.run([(lambda: [_logging(log, "chunk")] * 2, "a")])
     finally:
         faults.install(previous)
-    assert log == ["a"]
+    assert log == ["chunk"] * 2 * len(WIDTHS)
 
 
 def test_placeholder_has_no_callable():
@@ -185,12 +186,15 @@ def test_add_external_task():
 
 
 def test_fault_past_the_bound_propagates():
-    """Past the retry bound an injected fault leaves ``run`` labelled."""
-    previous = faults.install(
-        FaultPlan(script=[("executor.task", k) for k in range(1, 5)]))
-    try:
-        with faults.armed(), pytest.raises(FaultInjected) as err:
-            _run([(lambda: None, "doomed")])
-    finally:
-        faults.install(previous)
+    """A raising step body propagates on its first raise, with its label:
+    the executor retries nothing."""
+    calls = []
+
+    def doomed():
+        calls.append(1)
+        raise FaultInjected("kernel.run", 1)
+
+    with pytest.raises(FaultInjected) as err:
+        _run([(doomed, "doomed")])
+    assert calls == [1]
     assert err.value.task_label == "doomed"

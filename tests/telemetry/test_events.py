@@ -158,8 +158,7 @@ def test_breaker_transition_is_logged():
     fallbacks = events.events(kind="chunk.fallback")
     assert fallbacks and {e.fields["backend"] for e in fallbacks} == {"numpy"}
     assert {e.kind for e in events.events()} <= {
-        "fault.injected", "chunk.fallback", "run.retry", "task.retry",
-        "update.retry", "trajectory.rollback",
+        "fault.injected", "chunk.fallback", "run.retry",
     }
     assert sim.statistics()["backend"] == "numpy"
 
