@@ -350,14 +350,32 @@ class OutcomeRecord:
         self._bits.clear()
 
     def clone(self) -> "OutcomeRecord":
-        """An independent copy (used by session forking)."""
-        out = OutcomeRecord(self.num_bits, seed=self.seed, forced=self._forced)
-        out._bits = dict(self._bits)
-        out._op_outcomes = dict(self._op_outcomes)
-        # streams (and primed first draws) are deliberately NOT copied: a
-        # fork's re-collapse draws from the start of each keyed stream,
-        # exactly like a fresh session with the same seed would.
+        """An independent copy (session forking), via the export pair."""
+        out = OutcomeRecord(self.num_bits, seed=0)
+        out.import_state(self.export_state())
         return out
+
+    def export_state(self) -> Dict[str, object]:
+        """The record as JSON-safe data, less its streams and primed draws: a
+        copy's re-collapse draws from the start of each keyed stream."""
+        return {
+            "num_bits": self.num_bits,
+            "seed": self.seed,
+            "bits": sorted(self._bits.items()),
+            "ops": sorted(self._op_outcomes.items()),
+            "forced": sorted(self._forced.items()),
+        }
+
+    def import_state(self, state: Mapping[str, object]) -> None:
+        """Become what :meth:`export_state` gave; the seed is kept as it is."""
+        self.num_bits = int(state["num_bits"])
+        self.seed = int(state["seed"])
+        self._bits = {int(b): int(v) for b, v in state["bits"]}
+        self._op_outcomes = {int(i): int(v) for i, v in state["ops"]}
+        self._forced = {int(i): int(v) for i, v in state["forced"]}
+        self._primed = None
+        self._streams.clear()
+        self._served.clear()
 
     # -- classical bits -----------------------------------------------------
 

@@ -4,25 +4,18 @@
 maintains, across circuit modifiers, the partition task graph of §III.C-D.
 Calling :meth:`QTaskSimulator.update_state` re-simulates exactly the
 partitions affected by the modifiers issued since the previous update (the
-partition graph's frontier sweep, §III.E), one stage plan after another in
-seq order on the configured executor, each plan's chunks the only fan-out.
-Stage inputs are resolved from the same stage covers the sweep runs on: an
-update's plan resolves every recomputed block's source store in one pass
-(``PartitionGraph.plan_sources``) as ``(store, mask)`` pairs the kernels
-read through, all from earlier plans or unplanned stages; reads outside an
-update walk the covers back from a stage seq.  Each affected stage's
-partitions execute as one run table handed to the kernel backend, and a
-swept run of consecutive diagonal / monomial stages executes as one table
-applying their composed action (``_coalesce``): only the last member
-declaring a block publishes it.  A net's superposition gates are one dense stage whose partitions each read
-only their own blocks; only a collapse (measure / reset) reads the whole
-vector, in a sync step that draws it, after which it is a projector that
-joins such runs too.
+partition graph's frontier sweep, §III.E).
 
-Fault recovery is one loop: a chunk that raises an injected fault
-(``repro.core.faults``) re-executes run by run, each run retried in place up
-to ``_RUN_FAULT_RETRIES`` times; past that the fault surfaces from
-``update_state``, which keeps its dirt for the next call.
+A session is assembled from three owners:
+
+* :class:`~repro.core.stage_table.StageTable` -- modifier handling: the
+  circuit observer that builds, queues and wires each gate's stage, and the
+  one filing path forks and checkpoint restores take too;
+* :class:`~repro.core.update.Updater` -- update orchestration: planning,
+  coalescing, executing and the one fault-recovery loop;
+* this module -- the session itself: assembly and forking, trajectory
+  control of dynamic circuits (re-arming, collapse paths, the light cone
+  ``run_shots`` prunes to), queries and reporting.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -32,52 +25,31 @@ from __future__ import annotations
 
 import math
 import sys
-import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from ..parallel import Executor
 from ..telemetry import Telemetry
-from ..telemetry import session as tsession
 from ..telemetry.tracing import NULL_SPAN
-from . import faults
-from .faults import FaultInjected
-from .blocks import (
-    MAX_RUN_QUBITS,
-    MAX_RUN_STAGES,
-    BlockRange,
-    default_block_size,
-    num_blocks,
-    validate_block_size,
-)
-from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
+from .blocks import BlockRange, default_block_size, num_blocks, validate_block_size
+from .circuit import Circuit, GateHandle
 from .classical import OutcomeRecord
 from .cow import IndexReader, InitialStateStore, MemoryReport
 from .exceptions import CircuitError, QTaskError
-from .exec_plan import ExecutionPlan, PlanReport, StagePlan
-from .gates import Gate
-from .graph import PartitionGraph, StageRun
-from .kernels import (
-    KernelBackend,
-    NumpyBatchBackend,
-    execute_run,
-    iter_table_runs,
-)
-from .ops import CGate, MeasureOp, ResetOp, is_dynamic_op
+from .exec_plan import PlanReport
+from .graph import PartitionGraph
+from .kernels import KernelBackend, NumpyBatchBackend
+from .ops import MeasureOp
 from .stage import (
     ClassicallyControlledStage,
     DynamicStage,
-    MatVecStage,
     MeasureStage,
     ResetStage,
     Stage,
-    UnitaryStage,
-    draw_collapses,
-    gate_action,
-    gate_shape,
 )
+from .stage_table import StageTable
+from .update import Updater, UpdateReport
 
 __all__ = ["UpdateReport", "QTaskSimulator"]
 
@@ -87,80 +59,8 @@ __all__ = ["UpdateReport", "QTaskSimulator"]
 #: state; a fork shares them and a restore may override them.
 DURABLE_KNOBS: Tuple[str, ...] = ("block_size",)
 
-#: bounded in-place re-executions of one run inside the run-granular
-#: fallback, the only fault recovery: 16 attempts per run, past which the
-#: fault surfaces from ``update_state`` (which keeps its dirt)
-_RUN_FAULT_RETRIES = 15
 
-
-def _net_order(stages: Sequence[Stage]) -> List[Stage]:
-    """A net's stages in the paper's within-net order, by one sort.
-
-    ``stages`` is the net's order followed by its new stages in insert
-    order; the result equals inserting the new ones one by one.  The
-    matrix--vector stage leads; the paper orders the other gates "in an
-    increasing order of block count in partitions" (ties: insert order).  A
-    dynamic stage stays behind what was there before it: it sorts as the
-    widest non-superposition stage before it.
-    """
-    keyed = []
-    widest = -1
-    for t, stage in enumerate(stages):
-        if isinstance(stage, MatVecStage):
-            key = (-2, t)
-        elif isinstance(stage, UnitaryStage):
-            count = stage.total_block_count()
-            widest = max(widest, count)
-            key = (count, t)
-        else:
-            key = (widest, t)
-        keyed.append((key, stage))
-    keyed.sort(key=lambda entry: entry[0])
-    return [stage for _, stage in keyed]
-
-
-def _coalescable(sp: StagePlan) -> bool:
-    """Whether a stage plan may be a run member: a recorded run's plan, a
-    collapse, or a unitary stage swept whole."""
-    stage = sp.stage
-    return (
-        sp.run is not None
-        or isinstance(stage, (MeasureStage, ResetStage))
-        or (isinstance(stage, UnitaryStage) and sp.mask == stage.partition_layout().cover)
-    )
-
-
-def _joins(first: int, last: int, size: int, qubits, stage: Stage, prefix: int) -> bool:
-    """Whether an open run of ``size`` members at seqs ``first..last`` on
-    ``qubits`` takes in ``stage`` (a member candidate) next: the stage is
-    adjacent, neither cap is passed, and no collapse joins a run starting
-    before the first dynamic stage (``prefix``)."""
-    return (
-        stage.seq == last + 1
-        and size < MAX_RUN_STAGES
-        and len(qubits.union(stage.qubits)) <= MAX_RUN_QUBITS
-        and not (first < prefix and isinstance(stage, (MeasureStage, ResetStage)))
-    )
-
-
-@dataclass
-class UpdateReport:
-    """What one ``update_state`` call did."""
-
-    affected_partitions: int = 0
-    total_partitions: int = 0
-    executed_block_writes: int = 0
-    elapsed_seconds: float = 0.0
-    was_incremental: bool = False
-
-    @property
-    def affected_fraction(self) -> float:
-        if self.total_partitions == 0:
-            return 0.0
-        return self.affected_partitions / self.total_partitions
-
-
-class QTaskSimulator(CircuitObserver):
+class QTaskSimulator:
     """Incremental task-parallel simulator attached to a circuit.
 
     ``block_size=None`` is :func:`~repro.core.blocks.default_block_size`'s
@@ -179,11 +79,10 @@ class QTaskSimulator(CircuitObserver):
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
-        self._assemble(circuit, locals())  # the keywords above, by name
-        circuit.register_observer(self)
-        self._sync_existing()
+        self.assemble(circuit, locals())  # the keywords above, by name
+        self.stages.insert_all()
 
-    def _assemble(
+    def assemble(
         self,
         circuit: Circuit,
         knobs: Dict[str, object],
@@ -192,12 +91,14 @@ class QTaskSimulator(CircuitObserver):
         """Assign every attribute of a session, once; stages are the caller's.
 
         The one routine behind a new session, a fork and a checkpoint
-        restore.  ``knobs`` maps ``__init__`` keywords to values: the
+        restore, called on a bare ``QTaskSimulator.__new__`` instance by the
+        latter two.  ``knobs`` maps ``__init__`` keywords to values: the
         :data:`DURABLE_KNOBS` are required, an absent execution knob means
         what ``None`` means to ``__init__``.  A fork passes itself as
         ``parent``: the child then shares the parent's kernel backend and
         executor, reports to the parent's telemetry and starts from a clone
-        of its outcomes.
+        of its outcomes.  The session's (empty) stage table is registered
+        as the circuit's observer last.
         """
         self.circuit = circuit
         block_size = knobs["block_size"]
@@ -235,55 +136,16 @@ class QTaskSimulator(CircuitObserver):
         # A fork gets its own registry (counters start at zero) tagged with
         # the parent session's id, so aggregation can merge fork stats back
         # instead of losing them -- see SweepRunner.merged_metrics().
-        self._init_telemetry(
+        self.telemetry = Telemetry(
             tracing=knobs.get("tracing"),
             parent=parent.telemetry if parent is not None else None,
         )
+        #: the update-orchestration half; its plan counters live in the registry
+        self.updater = Updater(self)
         #: where a fork's ``fork.close`` span lands: its parent's tracer
         self._parent_tracer = parent.telemetry.tracer if parent is not None else None
 
         self._initial = InitialStateStore(self.dim, self.block_size)
-        #: read through :attr:`graph`, which wires queued inserts first
-        self._graph = PartitionGraph(
-            BlockRange(0, self.n_blocks - 1),
-            on_stage_inserted=self._on_stage_entered,
-            on_stage_removed=self._on_stage_left,
-        )
-
-        #: wired stages of each net, in within-net order
-        self._net_stages: Dict[int, List[Stage]] = {
-            net.uid: [] for net in circuit.nets()
-        }
-        #: the (single) matvec stage of each net, when present
-        self._matvec: Dict[int, MatVecStage] = {}
-        #: stage owning each gate handle
-        self._gate_stage: Dict[int, Stage] = {}
-        #: gate handles whose gates each stage applies (the members of a
-        #: matvec stage; one handle for every other stage)
-        self._stage_handles: Dict[int, List[GateHandle]] = {}
-        #: stages built since the last wiring, in insert order, with the uid
-        #: of their net; :meth:`_wire` files them all at the next graph read
-        self._queued: Dict[Stage, int] = {}
-        #: gates inserted since the last wiring (a matvec member included),
-        #: and gates removed / retuned since the last ``modify`` span
-        self._inserted = 0
-        self._removed = 0
-        self._retuned = 0
-        #: ``(gates, stages, nets, removed, retuned)`` the last update's
-        #: ``modify`` span recorded before planning
-        self._last_wired = (0, 0, 0, 0, 0)
-
-        #: set by :meth:`close`
-        self._closed = False
-        self.last_update: UpdateReport = UpdateReport()
-        #: ``(first seq, stages swept, stage plans)`` of the last update's
-        #: frontier sweep and what it coalesced
-        #: (:meth:`ExecutionPlan.coalesced`), for :meth:`explain_last_update`
-        self._last_sweep = (0, 0, 0)
-        self._last_coalesced = (0, 0, 0, 0, 0, 0, 0)
-        #: completed ``update_state`` calls; with "is anything pending" this
-        #: is the state epoch a sweep's fork uses to detect a diverged base
-        self._num_updates = 0
 
         #: per-trajectory classical state: measurement outcomes, classical
         #: bits and the keyed randomness that draws collapses.  Dynamic
@@ -297,6 +159,24 @@ class QTaskSimulator(CircuitObserver):
         )
         #: live dynamic stages, in no particular order (trajectory re-arming)
         self._dynamic_stages: Dict[int, DynamicStage] = {}
+        #: read through :attr:`graph`, which wires queued inserts first
+        self._graph = PartitionGraph(
+            BlockRange(0, self.n_blocks - 1),
+            on_stage_inserted=self._on_stage_entered,
+            on_stage_removed=self._on_stage_left,
+        )
+        #: the modifier-handling half: which stage applies each gate
+        self.stages = StageTable(
+            circuit, self.block_size, self._graph, self.outcomes,
+            self.telemetry.tracer,
+        )
+
+        #: set by :meth:`close`
+        self._closed = False
+        self.last_update: UpdateReport = UpdateReport()
+        #: completed ``update_state`` calls; with "is anything pending" this
+        #: is the state epoch a sweep's fork uses to detect a diverged base
+        self.num_updates = 0
 
         #: dirty-block listeners: callables receiving the ids of every block
         #: (re)written by an update or orphaned by a stage removal.  The
@@ -304,57 +184,9 @@ class QTaskSimulator(CircuitObserver):
         #: invalidated by exactly the frontier the incremental update scopes.
         self._dirty_listeners: List[Callable[[Iterable[int]], None]] = []
         self._observables = None
+        circuit.register_observer(self.stages)
 
-    def _init_telemetry(
-        self,
-        *,
-        tracing: Optional[bool] = None,
-        parent: Optional[Telemetry] = None,
-    ) -> None:
-        """One telemetry bundle per session; plan counters live in it.
-
-        The plan-pipeline counters keep their ``self._x`` attribute names,
-        but each is now a registry-owned :class:`~repro.telemetry.Counter`
-        -- write sites call ``.inc()``, report sites read ``.value``, and
-        the same numbers surface through ``telemetry_report()`` and the
-        Prometheus dump without a second bookkeeping path.
-        """
-        self.telemetry = Telemetry(tracing=tracing, parent=parent)
-        m = self.telemetry.metrics
-        #: plan-pipeline counters (see :meth:`plan_report`)
-        self._plans_built = m.counter(
-            "plan.plans_built", help="stage plans compiled"
-        )
-        self._runs_batched = m.counter(
-            "plan.runs_batched", help="block runs batched into plans"
-        )
-        self._plan_chunks = m.counter(
-            "plan.chunks", help="executor-visible plan chunks"
-        )
-        self._stages_coalesced = m.counter(
-            "plan.stages_coalesced",
-            help="stages executed as members of a coalesced run",
-        )
-        self._updates_planned = m.counter(
-            "plan.updates_planned", help="updates through the plan pipeline"
-        )
-        self._backend_fallbacks = m.counter(
-            "recovery.backend_fallbacks",
-            help="chunk executions that fell back run-granular",
-        )
-        self._run_retries = m.counter(
-            "recovery.run_retries", help="per-run fault retries"
-        )
-        self._update_seconds = m.histogram(
-            "update.seconds", unit="s", help="update_state wall time"
-        )
-        #: event-log high-water mark when the last update began, so
-        #: ``explain_last_update`` can scope "what recovery did" exactly.
-        self._update_event_mark = 0
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
+    # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
         """Detach from the circuit, drop the state, release the executor.
@@ -369,8 +201,8 @@ class QTaskSimulator(CircuitObserver):
         tracer = self._parent_tracer
         with tracer.span("fork.close") if tracer is not None else NULL_SPAN:
             self._closed = True
-            self.circuit.unregister_observer(self)
-            for stage in [*self._graph.stages, *self._queued]:
+            self.circuit.unregister_observer(self.stages)
+            for stage in [*self._graph.stages, *self.stages.queued]:
                 stage.store.release()
             if self._owns_executor:
                 self.executor.close()
@@ -381,25 +213,19 @@ class QTaskSimulator(CircuitObserver):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _sync_existing(self) -> None:
-        """Adopt gates already present in the circuit at attach time."""
-        for net in self.circuit.nets():
-            for handle in net.gates:
-                self.on_gate_inserted(self.circuit, handle)
-
     @property
     def graph(self) -> PartitionGraph:
         """The partition graph, with every queued insert wired into it."""
-        self._wire()
+        self.stages.wire()
         return self._graph
 
-    def _has_edits(self) -> bool:
-        """True when the next update has modifiers to apply."""
-        return bool(self._queued) or self._graph.has_pending
+    def flush(self) -> None:
+        """Run :meth:`update_state` unless the state after every issued
+        modifier is already computed: what a fork and a checkpoint take."""
+        if self.stages.queued or self._graph.has_pending or self.num_updates == 0:
+            self.update_state()
 
-    # ------------------------------------------------------------------
-    # session forking (copy-on-write children)
-    # ------------------------------------------------------------------
+    # -- session forking (copy-on-write children) -----------------------------
 
     @property
     def state_epoch(self) -> Tuple[int, bool]:
@@ -410,7 +236,7 @@ class QTaskSimulator(CircuitObserver):
         :class:`~repro.parallel.sweep.SweepRunner` compares epochs to detect
         that its base session has diverged from its fork.
         """
-        return self._num_updates, self.graph.has_pending
+        return self.num_updates, self.graph.has_pending
 
     def fork(self) -> "QTaskSimulator":
         """A child simulator sharing this one's computed state copy-on-write.
@@ -424,68 +250,34 @@ class QTaskSimulator(CircuitObserver):
         child's entry, leaving the parent untouched; edits on either side
         never perturb the other.
 
-        The child always runs on this simulator's kernel backend and
-        *shares its executor* (``close()`` on the child will not shut it
-        down).  Pending modifiers on
-        this simulator are flushed first so the forked state is well
-        defined; the child's gate-handle translation table is exposed as
-        ``forked_gate_map`` (parent handle uid -> child handle).  The
-        mirroring is one ``fork`` span on this session's tracer (attrs
-        ``stages`` mirrored, ``blocks`` adopted).
+        The child runs on this simulator's kernel backend and *shares its
+        executor* (its ``close()`` leaves it running).  Pending modifiers
+        here are flushed first; ``forked_gate_map`` maps parent handle uids
+        to child handles.  The mirroring is one ``fork`` span on this
+        session's tracer (attrs ``stages`` mirrored, ``blocks`` adopted).
         """
         # The forked state is "the state after all issued modifiers".
-        if self._has_edits() or self._num_updates == 0:
-            self.update_state()
+        self.flush()
         with self.telemetry.tracer.span("fork") as span:
-            circuit, gate_map, net_map = self.circuit.clone()
+            circuit, gate_map, _ = self.circuit.clone()
 
             child = QTaskSimulator.__new__(QTaskSimulator)
             knobs = {name: getattr(self, name) for name in DURABLE_KNOBS}
             knobs["tracing"] = self.telemetry.tracer.enabled
-            child._assemble(circuit, knobs, parent=self)
-            child._num_updates = self._num_updates
-
-            # Mirror the parent's stages in its exact global order (seq-based
-            # block resolution depends on it) together with their layout
-            # records -- O(stages).
-            stages = self._graph.stages
-            stage_map: Dict[int, Stage] = {}
-            for stage in stages:
-                child_stage = stage.clone_for_fork()
-                stage_map[stage.uid] = child_stage
-                members = [gate_map[h.uid] for h in self._stage_handles[stage.uid]]
-                child._stage_handles[child_stage.uid] = members
-                for child_handle in members:
-                    child._gate_stage[child_handle.uid] = child_stage
-            child._graph.mirror_from(self._graph, stage_map)
-            for net_uid, net_stages in self._net_stages.items():
-                child_net = net_map.get(net_uid)
-                if child_net is not None:
-                    child._net_stages[child_net.uid] = [
-                        stage_map[s.uid] for s in net_stages
-                    ]
-            for net_uid, stage in self._matvec.items():
-                child._matvec[net_map[net_uid].uid] = stage_map[stage.uid]
-
-            # Adopt the parent's computed blocks copy-on-write (zero copies);
-            # the mirrored layouts already declare every adopted block.
-            blocks = 0
-            for stage in stages:
-                blocks += stage_map[stage.uid].store.share_from(stage.store)
+            child.assemble(circuit, knobs, parent=self)
+            child.num_updates = self.num_updates
+            blocks = child.stages.mirror(self.stages, gate_map)
 
             # A warm observables cache is valid verbatim (identical state).
             if self._observables is not None:
                 child._observables = self._observables.clone_for(child)
 
             child.forked_gate_map = gate_map
-            circuit.register_observer(child)
-            span.set("stages", len(stages))
+            span.set("stages", len(child._graph.stages))
             span.set("blocks", blocks)
         return child
 
-    # ------------------------------------------------------------------
-    # partition-graph hooks: per-stage session state
-    # ------------------------------------------------------------------
+    # -- partition-graph hooks: per-stage session state -----------------------
 
     def _on_stage_entered(self, stage: Stage) -> None:
         if isinstance(stage, DynamicStage):
@@ -531,33 +323,17 @@ class QTaskSimulator(CircuitObserver):
             # which the removal's frontier re-executes -- read the value a
             # from-scratch run of the edited circuit would produce.
             self.outcomes.discard_op(stage.op.op_index)
-            self._restore_clbit(stage.op.clbit)
+            bit = stage.op.clbit
+            self.outcomes.set_bit(bit, self._clbit_value_asof(bit, sys.maxsize))
         elif isinstance(stage, ResetStage):
             self.outcomes.discard_op(stage.op.op_index)
 
-    def _restore_clbit(self, clbit: int) -> None:
-        """Rebind ``clbit`` to the last surviving measurement that wrote it."""
-        value = 0
-        for handle in self.circuit.gates():
-            op = handle.gate
-            if isinstance(op, MeasureOp) and op.clbit == clbit:
-                outcome = self.outcomes.outcome_of(op.op_index)
-                if outcome is not None:
-                    value = outcome
-        self.outcomes.set_bit(clbit, value)
-
-    # ------------------------------------------------------------------
-    # dirty-block listeners (observable caches)
-    # ------------------------------------------------------------------
+    # -- dirty-block listeners (observable caches) ----------------------------
 
     def add_dirty_listener(self, listener: Callable[[Iterable[int]], None]) -> None:
         """Subscribe to dirty-block notifications (see ``_dirty_listeners``)."""
         if listener not in self._dirty_listeners:
             self._dirty_listeners.append(listener)
-
-    def remove_dirty_listener(self, listener: Callable[[Iterable[int]], None]) -> None:
-        if listener in self._dirty_listeners:
-            self._dirty_listeners.remove(listener)
 
     def _notify_dirty(self, blocks: Sequence[int]) -> None:
         """Hand listeners the dirty block ids as one index array."""
@@ -569,185 +345,12 @@ class QTaskSimulator(CircuitObserver):
         for listener in self._dirty_listeners:
             listener(ids)
 
-    # ------------------------------------------------------------------
-    # CircuitObserver callbacks: maintain stages + partition graph
-    # ------------------------------------------------------------------
-
-    def on_net_inserted(self, circuit: Circuit, net: NetHandle, position: int) -> None:
-        self._net_stages.setdefault(net.uid, [])
-
-    def on_net_removed(self, circuit: Circuit, net: NetHandle,
-                       removed_gates: Sequence[GateHandle]) -> None:
-        # Individual gate removals already wired and dismantled its stages.
-        self._net_stages.pop(net.uid, None)
-        self._matvec.pop(net.uid, None)
-
-    def on_gate_inserted(self, circuit: Circuit, handle: GateHandle) -> None:
-        """Build the gate's stage -- classification and layout errors raise
-        here -- and queue it: :meth:`_wire` files every queued stage at the
-        next graph read.  A superposition gate joins its net's matvec stage.
-        """
-        self._insert_handle(handle)
-        self._inserted += 1
-
-    def _insert_handle(self, handle: GateHandle) -> None:
-        gate = handle.gate
-        net_uid = handle.net.uid
-        args = (self.circuit.num_qubits, self.block_size)
-        if is_dynamic_op(gate):
-            self.outcomes.ensure_bits(self.circuit.num_clbits)
-            stage = self._make_dynamic_stage(gate)
-        elif gate_shape(gate, *args)[0].creates_superposition:
-            stage = self._matvec.get(net_uid)
-            if stage is not None:
-                stage.add_gate(gate)
-                self._requeue(stage, net_uid)
-                self._gate_stage[handle.uid] = stage
-                self._stage_handles[stage.uid].append(handle)
-                return
-            stage = self._matvec[net_uid] = MatVecStage([gate], *args)
-        else:
-            stage = UnitaryStage(gate, *args)
-        self._gate_stage[handle.uid] = stage
-        self._stage_handles[stage.uid] = [handle]
-        self._queued[stage] = net_uid
-
-    def _requeue(self, stage: MatVecStage, net_uid: int) -> None:
-        """Take a wired matvec stage whose members are about to change out of
-        the graph, to be filed again at the next wiring.
-
-        Its qubits, and with them its layout, change: the graph forgets the
-        layout it recorded (the removal hands that cover's dirt on) and the
-        wiring files the new one (marking the new cover dirty).
-        """
-        if stage in self._queued:
-            return
-        self._net_stages[net_uid].remove(stage)
-        self._graph.remove_stage(stage)
-        self._queued[stage] = net_uid
-
-    def _make_dynamic_stage(self, op) -> DynamicStage:
-        """Build the stage for a measure/reset/classically-controlled op."""
-        args = (self.circuit.num_qubits, self.block_size)
-        if isinstance(op, MeasureOp):
-            return MeasureStage(op, *args, record=self.outcomes)
-        if isinstance(op, ResetOp):
-            return ResetStage(op, *args, record=self.outcomes)
-        if isinstance(op, CGate):
-            return ClassicallyControlledStage(op, *args, record=self.outcomes)
-        raise CircuitError(f"unknown dynamic operation {op!r}")
-
-    def _wire(self, *, report: bool = True) -> Tuple[int, int, int, int, int]:
-        """Wire every queued stage into the partition graph, in one batch:
-        each net with new stages sorted once (:func:`_net_order`), the global
-        order rebuilt once, one :meth:`PartitionGraph.insert_stages` call.
-
-        One ``modify`` span records the batch together with the gates
-        removed and retuned since the last such span, and its ``(gates
-        inserted, stages, nets, removed, retuned)`` are returned.  A
-        modifier about to edit the graph passes ``report=False``: it wires a
-        queued batch but records no span for removals and retunes alone, so
-        a run of them lands on one span at the next graph read.
-        """
-        queued = self._queued
-        if not queued and not (report and (self._removed or self._retuned)):
-            return (0, 0, 0, 0, 0)
-        with self.telemetry.tracer.span("modify") as span:
-            by_net: Dict[int, List[Stage]] = {}
-            for stage, net_uid in queued.items():
-                by_net.setdefault(net_uid, []).append(stage)
-            net_stages = self._net_stages
-            for net_uid, new in by_net.items():
-                net_stages[net_uid] = _net_order(net_stages[net_uid] + new)
-            order = [s for net in self.circuit.nets() for s in net_stages[net.uid]]
-            self._graph.insert_stages(
-                [(i, stage) for i, stage in enumerate(order) if stage in queued]
-            )
-            wired = (
-                self._inserted, len(queued), len(by_net),
-                self._removed, self._retuned,
-            )
-            for key, value in zip(
-                ("inserted", "stages", "nets", "removed", "retuned"), wired
-            ):
-                span.set(key, value)
-        queued.clear()
-        self._inserted = self._removed = self._retuned = 0
-        return wired
-
-    def on_gate_updated(
-        self, circuit: Circuit, handle: GateHandle, old_gate: Gate
-    ) -> None:
-        """A gate was retuned in place: keep its stage, mark it dirty.
-
-        The stage object, its store, and the partition-graph topology all
-        survive a retune whenever the new parameters preserve the action's
-        classification and partition layout (the overwhelmingly common case
-        in variational sweeps: ``rz``/``rx``/``cp`` angle changes).  Only the
-        stage's own partitions join the frontier; the incremental update then
-        re-simulates exactly the downstream cone -- the same scope a newly
-        inserted gate would have, without any graph surgery.
-
-        When the retune *does* change the classification (e.g. ``rx(pi)``
-        <-> ``rx(pi/2)`` crossing the permutation/superposition boundary) or
-        the layout (angles collapsing a gate to the identity), the stage is
-        rebuilt through the remove+insert path; the gate handle keeps its
-        identity either way, and the edit counts as one retune.
-        """
-        stage = self._gate_stage.get(handle.uid)
-        if stage is None:
-            return
-        self._wire(report=False)
-        self._retuned += 1
-        new_gate = handle.gate
-        if isinstance(stage, MatVecStage):
-            if gate_action(new_gate).creates_superposition and stage.retune_gate(
-                old_gate, new_gate
-            ):
-                self._graph.touch_stage(stage)
-                return
-        elif stage.retune(new_gate):
-            self._graph.touch_stage(stage)
-            return
-        # Classification or partition layout changed: rebuild this gate's
-        # stage via the remove+insert path.  The removal path must see the
-        # *old* gate (matvec stages look members up by value).
-        handle.gate = old_gate
-        self._remove_handle(handle)
-        handle.gate = new_gate
-        self._insert_handle(handle)
-
-    def on_gate_removed(self, circuit: Circuit, handle: GateHandle) -> None:
-        if handle.uid in self._gate_stage:
-            self._remove_handle(handle)
-            self._removed += 1
-
-    def _remove_handle(self, handle: GateHandle) -> None:
-        self._wire(report=False)  # the stage may still be queued
-        stage = self._gate_stage.pop(handle.uid)
-        net = handle.net
-        if isinstance(stage, MatVecStage):
-            stage.remove_gate(handle.gate)
-            members = self._stage_handles[stage.uid]
-            members.remove(handle)
-            if members:
-                self._requeue(stage, net.uid)
-                return
-            self._matvec.pop(net.uid, None)
-        stages = self._net_stages.get(net.uid, [])
-        if stage in stages:
-            stages.remove(stage)
-        self._stage_handles.pop(stage.uid, None)
-        self._graph.remove_stage(stage)
-
-    # ------------------------------------------------------------------
-    # trajectories (dynamic circuits)
-    # ------------------------------------------------------------------
+    # -- trajectories (dynamic circuits) --------------------------------------
 
     @property
     def num_dynamic_stages(self) -> int:
         """Live measure/reset/classically-controlled stages."""
-        self._wire()
+        self.stages.wire()
         return len(self._dynamic_stages)
 
     def reset_trajectory(self, seed=None, from_op: Optional[int] = None) -> None:
@@ -781,7 +384,7 @@ class QTaskSimulator(CircuitObserver):
     def _dynamic_stages_from(self, from_op: Optional[int]) -> List[DynamicStage]:
         """Dynamic stages in execution order, from ``from_op``'s stage on."""
         # a queued stage is registered, and gets its seq, there
-        self._wire(report=False)
+        self.stages.wire(report=False)
         stages = sorted(self._dynamic_stages.values(), key=lambda s: s.seq)
         if from_op is None:
             return stages
@@ -836,7 +439,7 @@ class QTaskSimulator(CircuitObserver):
             if last is None and isinstance(stage, MeasureStage):
                 last = stage.op
             collapse = isinstance(stage, (MeasureStage, ResetStage))
-            for handle in self._stage_handles[stage.uid]:
+            for handle in self.stages.members(stage):
                 qubits = handle.gate.qubits
                 if last is not None and (collapse or not cone.isdisjoint(qubits)):
                     cone.update(qubits)
@@ -844,194 +447,11 @@ class QTaskSimulator(CircuitObserver):
                     unobserved.append(handle)
         return (last, unobserved) if last is not None else (None, [])
 
-    # ------------------------------------------------------------------
-    # state update (full or incremental)
-    # ------------------------------------------------------------------
+    # -- state update (full or incremental): repro.core.update ----------------
 
     def update_state(self) -> UpdateReport:
         """Re-simulate every partition affected by modifiers since last call."""
-        tel = self.telemetry
-        self._update_event_mark = tel.events.last_seq
-        prev = tsession.activate(tel)
-        try:
-            if tel.tracer.enabled:
-                with tel.tracer.span("update", root=True) as span:
-                    report = self._update_state_impl()
-                    span.set("affected", report.affected_partitions)
-                    span.set("block_writes", report.executed_block_writes)
-                    span.set("update", self._num_updates - 1)
-            else:
-                report = self._update_state_impl()
-            self._update_seconds.observe(report.elapsed_seconds)
-            return report
-        finally:
-            tsession.deactivate(prev)
-
-    def _update_state_impl(self) -> UpdateReport:
-        start = time.perf_counter()
-        graph = self._graph
-        settled, graph.runs_settled = graph.runs_settled, False
-        plan = self._build_plan()
-        report = UpdateReport(
-            affected_partitions=plan.affected_partitions,
-            total_partitions=self._graph.num_nodes(),
-            was_incremental=self._num_updates > 0,
-        )
-        if plan.stage_plans:
-            # an installed FaultPlan fires inside this scope and nowhere else
-            with faults.armed():
-                self._execute(plan)
-            report.executed_block_writes = plan.block_writes
-            if self._dirty_listeners:
-                # the blocks the affected partitions wrote, bit by bit
-                bits = np.frombuffer(
-                    plan.written.to_bytes((self.n_blocks + 7) // 8, "little"),
-                    dtype=np.uint8,
-                )
-                self._notify_dirty(
-                    np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-                )
-        # only now: an update that raised keeps its dirt -- and the runs its
-        # stages were last executed in -- for the next one
-        graph.clear_pending()
-        for sp in plan.runs():
-            # a reused record's members already hold exactly what they own
-            if not (sp.reused and settled):
-                sp.store.settle()
-        graph.record_runs(plan.stage_plans)
-        graph.runs_settled = True
-        report.elapsed_seconds = time.perf_counter() - start
-        self.last_update = report
-        self._last_sweep = (plan.first_seq, plan.stages_swept, plan.num_stages)
-        self._last_coalesced = plan.coalesced()
-        self._num_updates += 1
-        return report
-
-    def _build_plan(self) -> ExecutionPlan:
-        """Sweep the pending dirt into stage plans and resolve their inputs.
-
-        One pass, inside the ``plan.build`` span: the partition graph's
-        frontier sweep emits the affected stages in seq order, swept runs
-        of static stages coalesce into one plan each, one pass over the
-        covers gives every recomputed block's source store, and static
-        stages freeze their run tables.  Queued inserts are wired first,
-        in the ``modify`` span before it.
-        """
-        self._last_wired = self._wire()
-        tracer = self.telemetry.tracer
-        if not tracer.enabled:
-            return self._build_plan_impl()
-        with tracer.span("plan.build") as span:
-            plan = self._build_plan_impl()
-            coalesced, collapses, runs, _, _, recomposed, reused = plan.coalesced()
-            span.set("first_seq", plan.first_seq)
-            span.set("stages_swept", plan.stages_swept)
-            span.set("stages", plan.num_stages)
-            span.set("runs", runs)
-            span.set("coalesced_stages", coalesced)
-            span.set("collapses", collapses)
-            span.set("runs_recomposed", recomposed)
-            span.set("runs_reused", reused)
-            span.set("kernel_runs", plan.static_runs())
-        return plan
-
-    def _build_plan_impl(self) -> ExecutionPlan:
-        graph = self._graph
-        plan = graph.sweep()
-        self._coalesce(plan)
-        stage_plans = plan.stage_plans
-        tables = graph.plan_sources(stage_plans, self._initial)
-        for sp, sources in zip(stage_plans, tables):
-            sp.reader = IndexReader(graph, self._initial, sp.stage.seq, sources)
-            sp.freeze_static()
-        return plan
-
-    def _coalesce(self, plan: ExecutionPlan) -> None:
-        """Turn every swept run of diagonal / monomial stages into one plan.
-
-        A run is a maximal sequence of seq-adjacent stage plans whose stages
-        are unitary stages or collapses (a measure / reset is a projector
-        once drawn) and swept whole, cut where the union of the members'
-        qubits would pass ``MAX_RUN_QUBITS`` or the member count
-        ``MAX_RUN_STAGES``; a dense or ``c_if`` stage plans alone.  It
-        executes as one table -- the members' composed action over the
-        union of their covers, read as of the first member -- and each
-        block is published to the last member declaring it
-        (``RoutedStore``); what that costs later is the sweep's widening,
-        see ``PartitionGraph.sweep``.  A run holding collapses draws them
-        all in one sync step first (:func:`draw_collapses`).
-
-        A re-armed collapse re-runs its run from the head, and the members
-        before it hold nothing of its blocks: so no collapse joins a run
-        that starts before the first dynamic stage, and the unitary prefix
-        every trajectory shares stays cached.
-
-        The sweep emits a recorded run as its record's one plan.  That plan
-        is kept (reused) exactly where this greedy pass would form the same
-        run again: no open group takes its head in, its follower would not
-        join it, and it still meets the collapse rule (a record meets the
-        caps for as long as it lives).  Otherwise the record is expanded
-        into its members' plans and regrouped.
-        """
-        graph = self._graph
-        merged: List[StagePlan] = []
-        group: List[StagePlan] = []
-        qubits: set = set()
-        prefix = min((s.seq for s in self._dynamic_stages.values()), default=0)
-
-        def close() -> None:
-            if len(group) > 1:
-                cover = 0
-                for sp in group:
-                    cover |= sp.mask
-                run = StageRun(tuple(sp.stage for sp in group), cover)
-                merged.append(graph.run_plan(run))
-            else:
-                merged.append(group[0])
-            group.clear()
-            qubits.clear()
-
-        def add(sp: StagePlan) -> None:
-            if group and not _joins(group[0].stage.seq, group[-1].stage.seq,
-                                    len(group), qubits, sp.stage, prefix):
-                close()
-            group.append(sp)
-            qubits.update(sp.stage.qubits)
-
-        plans = plan.stage_plans
-        for k, sp in enumerate(plans):
-            run = sp.run
-            if run is None:
-                if _coalescable(sp):
-                    add(sp)
-                    continue
-                if group:
-                    close()
-                merged.append(sp)
-                continue
-            head, size = run.members[0], len(run.members)
-            follower = plans[k + 1] if k + 1 < len(plans) else None
-            if not (
-                (group and _joins(group[0].stage.seq, group[-1].stage.seq,
-                                  len(group), qubits, head, prefix))
-                or (run.has_sync and head.seq < prefix)
-                or (
-                    follower is not None
-                    and _coalescable(follower)
-                    and _joins(head.seq, run.members[-1].seq, size, run.qubits,
-                               follower.stage, prefix)
-                )
-            ):
-                if group:
-                    close()
-                sp.reused = True
-                merged.append(sp)
-                continue
-            for member in graph.member_plans(run):
-                add(member)
-        if group:
-            close()
-        plan.stage_plans = merged
+        return self.updater.run()
 
     def _reader_asof(self, before_seq: int):
         """A writer-index view of everything written before ``before_seq``."""
@@ -1040,124 +460,7 @@ class QTaskSimulator(CircuitObserver):
             raise QTaskError("session is closed")
         return IndexReader(self._graph, self._initial, before_seq)
 
-    def _execute(self, plan: ExecutionPlan) -> None:
-        """Batch-execute the plan, one executor step per stage plan -- an
-        affected *stage*, or a coalesced run of them -- in plan order.
-
-        A step runs the plan's sync step (the draws) when its barrier is
-        affected, materialises the stage's run table, and hands it -- split
-        into at most ``Executor.num_workers`` chunks -- to the kernel
-        backend.  Plan order is seq order, which every block source
-        respects: a plan reads only what earlier plans (or unplanned
-        stages) wrote.
-        """
-        # labelled lazily: only a failing step formats its label
-        self.executor.run(
-            (self._make_plan_body(sp, plan.redraw_from), sp.label)
-            for sp in plan.stage_plans
-        )
-
-        self._plans_built.inc(plan.num_stages)
-        self._stages_coalesced.inc(sum(len(sp.members) for sp in plan.runs()))
-        self._runs_batched.inc(plan.total_runs())
-        self._plan_chunks.inc(plan.total_chunks())
-        self._updates_planned.inc()
-
-    def _make_plan_body(self, sp: StagePlan, redraw_from: int):
-        width = self.executor.num_workers
-        tel = self.telemetry
-
-        def body():
-            if sp.has_sync:
-                with (
-                    tel.tracer.span("stage.prepare", {"stage": sp.label()})
-                    if tel.tracer.enabled else NULL_SPAN
-                ):
-                    draw_collapses(sp.members, sp.reader, redraw_from)
-            table = sp.build_table()
-            if table.num_runs == 0:
-                return None
-            chunks = table.split(width)
-            sp.num_chunks = len(chunks)
-            if len(chunks) == 1:
-                self._run_plan_chunk(sp, chunks[0])
-                return None
-            # Chunks may run on pool threads; carry the trace context
-            # (parented to the current span, i.e. the update) onto each
-            # chunk closure so their spans nest correctly.
-            parent = tel.tracer.current_span_id()
-            subtasks = []
-            for c in chunks:
-                fn = (lambda c=c: self._run_plan_chunk(sp, c))
-                fn.trace_context = (tel, parent)
-                subtasks.append(fn)
-            return subtasks
-
-        return body
-
-    def _run_plan_chunk(self, sp: StagePlan, chunk) -> None:
-        if self.telemetry.tracer.enabled:
-            amps = int((chunk.his - chunk.los + 1).sum()) if chunk.num_runs else 0
-            with self.telemetry.tracer.span(
-                "run.chunk",
-                {
-                    "stage": sp.label(),
-                    "backend": self._backend.name,
-                    "runs": chunk.num_runs,
-                    "amps": amps,
-                },
-            ):
-                self._execute_chunk(sp, chunk)
-        else:
-            self._execute_chunk(sp, chunk)
-
-    def _execute_chunk(self, sp: StagePlan, chunk) -> None:
-        backend = self._backend
-        try:
-            backend.execute_plan(sp.reader, sp.store, chunk)
-        except FaultInjected as exc:
-            # The one fault recovery.  Both fault sites (``kernel.run``,
-            # ``cow.publish``) fire inside the chunk, and its writes are
-            # deterministic overwrites, so re-executing it run by run is
-            # always safe.  Anything else is a programming error.
-            self._backend_fallbacks.inc()
-            tsession.emit_event(
-                "chunk.fallback",
-                stage=sp.label(),
-                backend=backend.name,
-                reason=f"{type(exc).__name__}: {exc}",
-            )
-            self._run_chunk_fallback(sp, chunk)
-
-    def _run_chunk_fallback(self, sp: StagePlan, chunk) -> None:
-        """Run-granular chunk execution with bounded per-run fault retries.
-
-        Each run is retried in place on an injected fault (it redraws the
-        site streams, so retries converge); past ``_RUN_FAULT_RETRIES`` the
-        fault propagates out of ``update_state``, whose dirt stays for the
-        caller's next call.  No draw re-runs: the plan's draws happened
-        before its chunks, so no classical state needs rolling back.
-        """
-        for spec in iter_table_runs(chunk):
-            attempt = 0
-            while True:
-                try:
-                    execute_run(sp.reader, sp.store, spec)
-                    break
-                except FaultInjected:
-                    attempt += 1
-                    if attempt > _RUN_FAULT_RETRIES:
-                        raise
-                    self._run_retries.inc()
-                    tsession.emit_event(
-                        "run.retry",
-                        stage=sp.label(),
-                        attempt=attempt,
-                    )
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
+    # -- queries --------------------------------------------------------------
 
     def state_reader(self):
         """A block-resolving :class:`StateReader` over the final state.
@@ -1252,34 +555,29 @@ class QTaskSimulator(CircuitObserver):
         backend that executed them and how often a faulted chunk fell back
         to run-granular execution.
         """
+        u = self.updater
         return PlanReport(
             backend=self._backend.name,
-            plans_built=self._plans_built.value,
-            runs_batched=self._runs_batched.value,
-            stages_coalesced=self._stages_coalesced.value,
-            plan_chunks=self._plan_chunks.value,
-            backend_fallbacks=self._backend_fallbacks.value,
-            updates_planned=self._updates_planned.value,
-            run_retries=self._run_retries.value,
+            plans_built=u.plans_built.value,
+            runs_batched=u.runs_batched.value,
+            stages_coalesced=u.stages_coalesced.value,
+            plan_chunks=u.plan_chunks.value,
+            backend_fallbacks=u.backend_fallbacks.value,
+            updates_planned=u.updates_planned.value,
+            run_retries=u.run_retries.value,
         )
 
     def statistics(self) -> Dict[str, object]:
-        """Counters describing the simulator's current incremental state.
-
-        Combines the partition-graph shape (``num_stages``, ``num_nodes``,
-        ``num_edges`` -- counted from the stage covers on every call,
-        without building a node --
-        and ``num_frontiers``, the stages carrying pending dirt) with the
-        configuration knobs (:data:`DURABLE_KNOBS` and the worker count) and the
-        outcome of the most recent update (affected partitions, elapsed
-        seconds), so benchmark rows and debugging sessions can snapshot one
-        dict instead of poking internals.
-        """
+        """Counters describing the simulator's current incremental state:
+        the partition-graph shape (``num_edges`` counted from the stage covers
+        on every call; ``num_frontiers``, the stages carrying pending dirt),
+        the knobs (:data:`DURABLE_KNOBS`, the worker count), the last
+        update's outcome and the plan-pipeline counters, in one dict."""
         stats = self.graph.stats().as_dict()
         stats.update((name, getattr(self, name)) for name in DURABLE_KNOBS)
         stats.update(
             {
-                "num_updates": self._num_updates,
+                "num_updates": self.num_updates,
                 "num_workers": self.executor.num_workers,
                 "num_dynamic_stages": self.num_dynamic_stages,
                 "cached_observable_partials": (
@@ -1299,13 +597,8 @@ class QTaskSimulator(CircuitObserver):
         return stats
 
     def _refresh_gauges(self, stats: Dict[str, object]) -> None:
-        """Mirror point-in-time statistics into the registry as gauges.
-
-        Counters already live in the registry; the graph shape, last-update
-        outcome and executor mirror are point-in-time readings,
-        so they surface as gauges -- refreshed on every ``statistics()`` /
-        ``telemetry_report()`` call rather than written on the hot path.
-        """
+        """Mirror point-in-time statistics (graph shape, last update) into
+        the registry as gauges, refreshed here rather than on the hot path."""
         m = self.telemetry.metrics
         m.gauge("graph.num_stages").set(stats["num_stages"])
         m.gauge("graph.num_nodes").set(stats["num_nodes"])
@@ -1322,31 +615,24 @@ class QTaskSimulator(CircuitObserver):
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
 
-        Renders the update report, the edits it wired first ("wired G
-        inserted gates as S stages in N nets, R removed, T retuned": the
-        ``modify`` span's numbers; 0 when it recorded none), what the frontier
-        sweep looked at
-        ("swept stages k..S, planned N": it started at stage ``k`` of ``S``
-        and the affected stages became ``N`` stage plans) and what it
-        coalesced ("coalesced N stages (C collapses) into R runs (K reused,
-        M recomposed, ...)": C of the N are measure / reset members, K of
-        the runs were emitted whole from their records, M were not in the
-        composite cache and were composed for this
-        plan) -- the ``plan.build`` span's numbers, except that a run
-        holding collapses composes after its draws, so only this report
-        counts it in M --, the plan
-        pipeline's view of it, and -- the part no counter can answer -- the
-        time-ordered recovery events (injected faults, chunk fallbacks, run
-        retries) that fired during the update.
+        The update report; the ``modify`` span's numbers ("wired G inserted
+        gates as S stages in N nets, R removed, T retuned"); the
+        ``plan.build`` span's ("swept stages k..S, planned N" stage plans;
+        "coalesced N stages (C collapses) into R runs (K reused from their
+        records, M recomposed, ...)", where a run holding collapses composes
+        after its draws, so only this report counts it in M); the plan
+        pipeline's view; and -- what no counter answers -- the time-ordered
+        recovery events (injected faults, chunk fallbacks, run retries).
         """
-        report = self.last_update
+        report, u = self.last_update, self.updater
         coalesced, collapses, runs, largest, widest, recomposed, reused = (
-            self._last_coalesced
+            u.last_coalesced
         )
-        inserted, wired, nets, removed, retuned = self._last_wired
+        inserted, wired, nets, removed, retuned = u.last_wired
+        first, swept, planned = u.last_sweep
         lines = [
-            f"update #{self._num_updates - 1}"
-            if self._num_updates else "no update yet",
+            f"update #{self.num_updates - 1}"
+            if self.num_updates else "no update yet",
             (
                 f"  affected {report.affected_partitions}"
                 f"/{report.total_partitions} partitions"
@@ -1358,11 +644,7 @@ class QTaskSimulator(CircuitObserver):
                 f"  wired {inserted} inserted gates as {wired} stages"
                 f" in {nets} nets, {removed} removed, {retuned} retuned"
             ),
-            (
-                f"  swept stages {self._last_sweep[0]}"
-                f"..{self._last_sweep[0] + self._last_sweep[1]},"
-                f" planned {self._last_sweep[2]}"
-            ),
+            f"  swept stages {first}..{first + swept}, planned {planned}",
             f"  coalesced {coalesced} stages ({collapses} collapses) into {runs} runs"
             + (
                 f" ({reused} reused, {recomposed} recomposed, largest {largest},"
@@ -1370,16 +652,14 @@ class QTaskSimulator(CircuitObserver):
                 if runs
                 else ""
             ),
-            f"  backend {self._backend.name}, {self._plan_chunks.value} chunks total",
+            f"  backend {self._backend.name}, {u.plan_chunks.value} chunks total",
         ]
-        events = self.telemetry.events.events(since=self._update_event_mark)
+        events = self.telemetry.events.events(since=u.event_mark)
         if events:
             lines.append(f"  recovery events ({len(events)}):")
             base = events[0].time
             for e in events:
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in e.fields.items()
-                )
+                detail = ", ".join(f"{k}={v}" for k, v in e.fields.items())
                 lines.append(
                     f"    +{(e.time - base) * 1e3:8.2f} ms  {e.kind}"
                     + (f"  [{detail}]" if detail else "")

@@ -13,11 +13,14 @@ session's ``collapse_path()`` is the saved one's).
 Restoration deliberately does **not** replay circuit modifiers through the
 observer protocol: the original session's stage layout is a product of its
 full edit history (within-net heuristics, retunes), which
-the final circuit alone cannot reproduce.  Instead the stage table is
-reconstructed *directly*, in the checkpointed global order, the way
-:meth:`~repro.core.simulator.QTaskSimulator.fork` rebuilds a child -- so the
-loaded blocks land in stores at the sequence positions the rebuilt writer
-index resolves them through.
+the final circuit alone cannot reproduce.  Instead the session's
+:class:`~repro.core.stage_table.StageTable` builds each recorded stage with
+its one stage factory and files it in the checkpointed global order
+(:meth:`~repro.core.stage_table.StageTable.load`), the filing a fork's
+mirror takes too -- so the loaded blocks land in stores at the sequence
+positions the rebuilt covers resolve them through.  The classical state is
+the :class:`~repro.core.classical.OutcomeRecord`'s own export
+(``export_state`` / ``import_state``), seed kept as it is.
 
 File format (version 1)::
 
@@ -46,17 +49,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .circuit import Circuit, GateHandle
-from .exceptions import CheckpointError
+from .exceptions import CheckpointError, CircuitError
 from .gates import Gate
 from .ops import CGate, MeasureOp, ResetOp
 from .simulator import DURABLE_KNOBS, QTaskSimulator
-from .stage import (
-    ClassicallyControlledStage,
-    MatVecStage,
-    MeasureStage,
-    ResetStage,
-    UnitaryStage,
-)
+from .stage import MeasureStage, ResetStage
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -134,12 +131,7 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
     stages_json: List[Dict[str, object]] = []
     payload: List[np.ndarray] = []
     for stage in sim.graph.stages:
-        members = sim._stage_handles.get(stage.uid)
-        if members is None:
-            raise CheckpointError(
-                f"stage {stage!r} has no member bookkeeping; session is "
-                "inconsistent and cannot be checkpointed"
-            )
+        members = sim.stages.members(stage)
         blocks_json: List[List[int]] = []
         store = stage.store
         for b in store.stored_blocks():
@@ -164,7 +156,6 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
             entry["outcome"] = stage.outcome
         stages_json.append(entry)
 
-    outcomes = sim.outcomes
     registers = [
         {"name": r.name, "offset": r.offset, "size": r.size}
         for r in circuit.classical_registers()
@@ -178,20 +169,14 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
         "registers": registers,
         "allow_net_dependencies": circuit.allow_net_dependencies,
         "knobs": {name: getattr(sim, name) for name in DURABLE_KNOBS},
-        "num_updates": sim._num_updates,
+        "num_updates": sim.num_updates,
         "nets": nets_json,
         "stages": stages_json,
         # coalesced runs as (first stage position, member count)
         "runs": [
             [run.members[0].seq, len(run.members)] for run in sim.graph.runs()
         ],
-        "outcomes": {
-            "num_bits": outcomes.num_bits,
-            "seed": outcomes.seed,
-            "bits": sorted(outcomes._bits.items()),
-            "ops": sorted(outcomes._op_outcomes.items()),
-            "forced": sorted(outcomes._forced.items()),
-        },
+        "outcomes": sim.outcomes.export_state(),
     }
     return header, payload
 
@@ -203,8 +188,7 @@ def save_checkpoint(sim: QTaskSimulator, path: str) -> str:
     checkpoint always describes a fully computed state -- the same contract
     session forking uses.
     """
-    if sim._has_edits() or sim._num_updates == 0:
-        sim.update_state()
+    sim.flush()
     with sim.telemetry.tracer.span("checkpoint.save") as span:
         header, payload = _build_header(sim)
         header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -308,33 +292,6 @@ def _rebuild_circuit(header: Dict[str, object]) -> Tuple[Circuit, List[GateHandl
     return circuit, handles
 
 
-def _build_stage(entry, members: List[GateHandle], sim: QTaskSimulator):
-    kind = entry["kind"]
-    args = (sim.circuit.num_qubits, sim.block_size)
-    try:
-        if kind == "unitary":
-            return UnitaryStage(members[0].gate, *args)
-        if kind == "matvec":
-            # an older file also names the limit of a deleted row-gather
-            # MxV path here: ignored, the stage has one path
-            return MatVecStage([h.gate for h in members], *args)
-        if kind in ("measure", "reset"):
-            cls = MeasureStage if kind == "measure" else ResetStage
-            stage = cls(members[0].gate, *args, record=sim.outcomes)
-            if "masses" in entry:
-                stage.adopt_collapse(tuple(entry["masses"]), int(entry["outcome"]))
-            return stage
-        if kind == "c_if":
-            return ClassicallyControlledStage(
-                members[0].gate, *args, record=sim.outcomes
-            )
-    except (ValueError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise CheckpointError(
-            f"cannot reconstruct {kind!r} stage from checkpoint: {exc}"
-        ) from exc
-    raise CheckpointError(f"unknown stage kind {kind!r}")
-
-
 def restore_simulator(
     path: str,
     *,
@@ -361,26 +318,20 @@ def restore_simulator(
     t0 = time.perf_counter()
     header, payload = _read_file(path)
     circuit, handles = _rebuild_circuit(header)
-    rec = header["outcomes"]
     # The durable knobs come from the header; whatever else an older file
     # lists there (knobs since deleted, whose settings read bit-identically)
     # is ignored, the kernel backend and store transport names older files
     # carry included.
     saved = header["knobs"]
     knobs = {name: saved[name] for name in DURABLE_KNOBS}
-    knobs.update(
-        num_workers=num_workers,
-        kernel_backend=kernel_backend,
-        seed=int(rec["seed"]),
-    )
+    knobs.update(num_workers=num_workers, kernel_backend=kernel_backend)
     sim = QTaskSimulator.__new__(QTaskSimulator)
-    sim._assemble(circuit, knobs)
+    sim.assemble(circuit, knobs)
     try:
         loaded = _load_state(sim, path, header, payload, handles)
     except BaseException:
         sim.close()  # a rejected file must not keep the executor running
         raise
-    circuit.register_observer(sim)
     duration = time.perf_counter() - t0
     if sim.telemetry.tracer.enabled:
         sim.telemetry.tracer.adopt(
@@ -401,14 +352,12 @@ def restore_simulator(
 def _load_state(sim, path, header, payload, handles) -> int:
     """Fill an assembled simulator with a checkpoint's stages and blocks;
     returns the payload bytes loaded."""
-    rec = header["outcomes"]
-    sim.outcomes._bits = {int(b): int(v) for b, v in rec["bits"]}
-    sim.outcomes._op_outcomes = {int(i): int(v) for i, v in rec["ops"]}
-    sim.outcomes._forced = {int(i): int(v) for i, v in rec["forced"]}
+    sim.outcomes.import_state(header["outcomes"])
 
-    # Rebuild the stage table in the checkpointed global order.  One
-    # insert_stages batch records the layouts (there is no source graph to
-    # mirror), and the graph's insertion hook binds dynamic records.
+    # Rebuild the stage table in the checkpointed global order, through the
+    # table's stage factory: one insert_stages batch records the layouts
+    # (there is no source graph to mirror), and the graph's insertion hook
+    # binds dynamic records.
     entries, runs = header["stages"], header.get("runs", ())
     for entry in entries:
         gates = entry["gates"]
@@ -426,23 +375,22 @@ def _load_state(sim, path, header, payload, handles) -> int:
     # their outcomes instead of redrawing).
     if any(entry["kind"] == "fused" for entry in entries):
         entries, runs, payload = [], (), b""
-        sim._sync_existing()
+        sim.stages.insert_all()
         forced = sim.outcomes.replace_forced(sim.outcomes.recorded_outcomes())
         sim.update_state()
         sim.outcomes.replace_forced(forced)
-    stages = []
-    for entry in entries:
-        members = [handles[g] for g in entry["gates"]]
-        stage = _build_stage(entry, members, sim)
-        net = members[0].net
-        sim._net_stages[net.uid].append(stage)
-        sim._stage_handles[stage.uid] = members
-        for h in members:
-            sim._gate_stage[h.uid] = stage
-        if isinstance(stage, MatVecStage):
-            sim._matvec[net.uid] = stage
-        stages.append(stage)
-    sim._graph.insert_stages(list(enumerate(stages)))
+    try:
+        stages = sim.stages.load(
+            (entry["kind"], [handles[g] for g in entry["gates"]]) for entry in entries
+        )
+        for entry, stage in zip(entries, stages):
+            if "masses" in entry and isinstance(stage, (MeasureStage, ResetStage)):
+                stage.adopt_collapse(tuple(entry["masses"]), int(entry["outcome"]))
+    except (CircuitError, ValueError, IndexError, KeyError, TypeError,
+            ZeroDivisionError) as exc:
+        raise CheckpointError(
+            f"cannot reconstruct the stage table of checkpoint {path!r}: {exc}"
+        ) from exc
 
     # Load the block payloads (stage order, ascending block id), verifying
     # each CRC.
@@ -481,12 +429,13 @@ def _load_state(sim, path, header, payload, handles) -> int:
     # computed, so there is no pending work.  The runs on record explain why
     # some declarers hold nothing; a file from before there were runs lists
     # none, and its stages hold every block they declare.
-    sim._graph.clear_pending()
+    graph = sim.graph
+    graph.clear_pending()
     try:
-        sim._graph.adopt_runs(runs)
+        graph.adopt_runs(runs)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint {path!r} has a corrupt run table: {exc}"
         ) from exc
-    sim._num_updates = max(1, int(header["num_updates"]))
+    sim.num_updates = max(1, int(header["num_updates"]))
     return offset

@@ -1,0 +1,409 @@
+"""Update orchestration: what one ``update_state`` call does.
+
+An :class:`Updater` sweeps a session's pending dirt into stage plans in seq
+order (the partition graph's frontier sweep, §III.E), coalesces swept runs
+of diagonal / monomial stages into one plan each and resolves every
+recomputed block's source store in one pass (``PartitionGraph.plan_sources``)
+as ``(store, mask)`` pairs, all from earlier plans or unplanned stages.  The
+plans then run one after another on the session's executor, each plan's
+chunks the only fan-out.
+
+Fault recovery is one loop: a chunk that raises an injected fault
+(``repro.core.faults``) re-executes run by run, each run retried in place up
+to ``_RUN_FAULT_RETRIES`` times; past that the fault surfaces from
+``update_state``, which keeps its dirt for the next call.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import List
+
+import numpy as np
+
+from ..telemetry import session as tsession
+from ..telemetry.tracing import NULL_SPAN
+from . import faults
+from .blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES
+from .cow import IndexReader
+from .exec_plan import ExecutionPlan, StagePlan
+from .faults import FaultInjected
+from .graph import StageRun
+from .kernels import execute_run, iter_table_runs
+from .stage import MeasureStage, ResetStage, Stage, UnitaryStage, draw_collapses
+
+__all__ = ["UpdateReport", "Updater"]
+
+#: bounded in-place re-executions of one run inside the run-granular
+#: fallback, the only fault recovery: 16 attempts per run, past which the
+#: fault surfaces from ``update_state`` (which keeps its dirt)
+_RUN_FAULT_RETRIES = 15
+
+
+def _coalescable(sp: StagePlan) -> bool:
+    """Whether a stage plan may be a run member: a recorded run's plan, a
+    collapse, or a unitary stage swept whole."""
+    stage = sp.stage
+    return (
+        sp.run is not None
+        or isinstance(stage, (MeasureStage, ResetStage))
+        or (isinstance(stage, UnitaryStage) and sp.mask == stage.partition_layout().cover)
+    )
+
+
+def _joins(first: int, last: int, size: int, qubits, stage: Stage, prefix: int) -> bool:
+    """Whether an open run of ``size`` members at seqs ``first..last`` on
+    ``qubits`` takes in ``stage`` (a member candidate) next: the stage is
+    adjacent, neither cap is passed, and no collapse joins a run starting
+    before the first dynamic stage (``prefix``)."""
+    return (
+        stage.seq == last + 1
+        and size < MAX_RUN_STAGES
+        and len(qubits.union(stage.qubits)) <= MAX_RUN_QUBITS
+        and not (first < prefix and isinstance(stage, (MeasureStage, ResetStage)))
+    )
+
+
+@dataclass
+class UpdateReport:
+    """What one ``update_state`` call did."""
+
+    affected_partitions: int = 0
+    total_partitions: int = 0
+    executed_block_writes: int = 0
+    elapsed_seconds: float = 0.0
+    was_incremental: bool = False
+
+    @property
+    def affected_fraction(self) -> float:
+        if self.total_partitions == 0:
+            return 0.0
+        return self.affected_partitions / self.total_partitions
+
+
+class Updater:
+    """Runs the updates of one session; its plan-pipeline counters live in
+    the session's metrics registry, which ``plan_report()`` reads."""
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        m = sim.telemetry.metrics
+        self.plans_built = m.counter("plan.plans_built", help="stage plans compiled")
+        self.runs_batched = m.counter("plan.runs_batched", help="block runs batched into plans")
+        self.plan_chunks = m.counter("plan.chunks", help="executor-visible plan chunks")
+        self.stages_coalesced = m.counter(
+            "plan.stages_coalesced",
+            help="stages executed as members of a coalesced run",
+        )
+        self.updates_planned = m.counter(
+            "plan.updates_planned", help="updates through the plan pipeline"
+        )
+        self.backend_fallbacks = m.counter(
+            "recovery.backend_fallbacks",
+            help="chunk executions that fell back run-granular",
+        )
+        self.run_retries = m.counter("recovery.run_retries", help="per-run fault retries")
+        self.seconds = m.histogram("update.seconds", unit="s", help="update_state wall time")
+        #: event-log high-water mark when the last update began, so
+        #: ``explain_last_update`` can scope "what recovery did" exactly
+        self.event_mark = 0
+        #: ``(gates, stages, nets, removed, retuned)`` the last update's
+        #: ``modify`` span recorded before planning
+        self.last_wired = (0, 0, 0, 0, 0)
+        #: ``(first seq, stages swept, stage plans)`` of the last update's
+        #: frontier sweep, and what it coalesced (:meth:`ExecutionPlan.coalesced`)
+        self.last_sweep = (0, 0, 0)
+        self.last_coalesced = (0, 0, 0, 0, 0, 0, 0)
+
+    def run(self) -> UpdateReport:
+        """Re-simulate every partition affected by modifiers since last call."""
+        tel = self.sim.telemetry
+        self.event_mark = tel.events.last_seq
+        prev = tsession.activate(tel)
+        try:
+            if tel.tracer.enabled:
+                with tel.tracer.span("update", root=True) as span:
+                    report = self._run()
+                    span.set("affected", report.affected_partitions)
+                    span.set("block_writes", report.executed_block_writes)
+                    span.set("update", self.sim.num_updates - 1)
+            else:
+                report = self._run()
+            self.seconds.observe(report.elapsed_seconds)
+            return report
+        finally:
+            tsession.deactivate(prev)
+
+    def _run(self) -> UpdateReport:
+        start = time.perf_counter()
+        sim = self.sim
+        graph = sim._graph
+        settled, graph.runs_settled = graph.runs_settled, False
+        plan = self.build_plan()
+        report = UpdateReport(
+            affected_partitions=plan.affected_partitions,
+            total_partitions=graph.num_nodes(),
+            was_incremental=sim.num_updates > 0,
+        )
+        if plan.stage_plans:
+            # an installed FaultPlan fires inside this scope and nowhere else
+            with faults.armed():
+                self.execute(plan)
+            report.executed_block_writes = plan.block_writes
+            if sim._dirty_listeners:
+                # the blocks the affected partitions wrote, bit by bit
+                bits = np.frombuffer(
+                    plan.written.to_bytes((sim.n_blocks + 7) // 8, "little"),
+                    dtype=np.uint8,
+                )
+                sim._notify_dirty(
+                    np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+                )
+        # only now: an update that raised keeps its dirt -- and the runs its
+        # stages were last executed in -- for the next one
+        graph.clear_pending()
+        for sp in plan.runs():
+            # a reused record's members already hold exactly what they own
+            if not (sp.reused and settled):
+                sp.store.settle()
+        graph.record_runs(plan.stage_plans)
+        graph.runs_settled = True
+        report.elapsed_seconds = time.perf_counter() - start
+        sim.last_update = report
+        self.last_sweep = (plan.first_seq, plan.stages_swept, plan.num_stages)
+        self.last_coalesced = plan.coalesced()
+        sim.num_updates += 1
+        return report
+
+    def build_plan(self) -> ExecutionPlan:
+        """Sweep the pending dirt into stage plans and resolve their inputs.
+
+        One pass, inside the ``plan.build`` span: the partition graph's
+        frontier sweep emits the affected stages in seq order, swept runs
+        of static stages coalesce into one plan each, one pass over the
+        covers gives every recomputed block's source store, and static
+        stages freeze their run tables.  Queued inserts are wired first,
+        in the ``modify`` span before it.
+        """
+        self.last_wired = self.sim.stages.wire()
+        tracer = self.sim.telemetry.tracer
+        if not tracer.enabled:
+            return self._build_plan()
+        with tracer.span("plan.build") as span:
+            plan = self._build_plan()
+            coalesced, collapses, runs, _, _, recomposed, reused = plan.coalesced()
+            span.set("first_seq", plan.first_seq)
+            span.set("stages_swept", plan.stages_swept)
+            span.set("stages", plan.num_stages)
+            span.set("runs", runs)
+            span.set("coalesced_stages", coalesced)
+            span.set("collapses", collapses)
+            span.set("runs_recomposed", recomposed)
+            span.set("runs_reused", reused)
+            span.set("kernel_runs", plan.static_runs())
+        return plan
+
+    def _build_plan(self) -> ExecutionPlan:
+        graph, initial = self.sim._graph, self.sim._initial
+        plan = graph.sweep()
+        self.coalesce(plan)
+        stage_plans = plan.stage_plans
+        tables = graph.plan_sources(stage_plans, initial)
+        for sp, sources in zip(stage_plans, tables):
+            sp.reader = IndexReader(graph, initial, sp.stage.seq, sources)
+            sp.freeze_static()
+        return plan
+
+    def coalesce(self, plan: ExecutionPlan) -> None:
+        """Turn every swept run of diagonal / monomial stages into one plan.
+
+        A run is a maximal sequence of seq-adjacent stage plans whose stages
+        are unitary stages or collapses (a measure / reset is a projector
+        once drawn) and swept whole, cut where the union of the members'
+        qubits would pass ``MAX_RUN_QUBITS`` or the member count
+        ``MAX_RUN_STAGES``; a dense or ``c_if`` stage plans alone.  It
+        executes as one table -- the members' composed action over the
+        union of their covers, read as of the first member -- and each
+        block is published to the last member declaring it
+        (``RoutedStore``); what that costs later is the sweep's widening,
+        see ``PartitionGraph.sweep``.  A run holding collapses draws them
+        all in one sync step first (:func:`draw_collapses`).
+
+        A re-armed collapse re-runs its run from the head, and the members
+        before it hold nothing of its blocks: so no collapse joins a run
+        that starts before the first dynamic stage, and the unitary prefix
+        every trajectory shares stays cached.
+
+        The sweep emits a recorded run as its record's one plan.  That plan
+        is kept (reused) exactly where this greedy pass would form the same
+        run again: no open group takes its head in, its follower would not
+        join it, and it still meets the collapse rule (a record meets the
+        caps for as long as it lives).  Otherwise the record is expanded
+        into its members' plans and regrouped.
+        """
+        graph = self.sim._graph
+        merged: List[StagePlan] = []
+        group: List[StagePlan] = []
+        qubits: set = set()
+        prefix = min((s.seq for s in self.sim._dynamic_stages.values()), default=0)
+
+        def close() -> None:
+            if len(group) > 1:
+                cover = 0
+                for sp in group:
+                    cover |= sp.mask
+                run = StageRun(tuple(sp.stage for sp in group), cover)
+                merged.append(graph.run_plan(run))
+            else:
+                merged.append(group[0])
+            group.clear()
+            qubits.clear()
+
+        def add(sp: StagePlan) -> None:
+            if group and not _joins(group[0].stage.seq, group[-1].stage.seq,
+                                    len(group), qubits, sp.stage, prefix):
+                close()
+            group.append(sp)
+            qubits.update(sp.stage.qubits)
+
+        plans = plan.stage_plans
+        for k, sp in enumerate(plans):
+            run = sp.run
+            if run is None:
+                if _coalescable(sp):
+                    add(sp)
+                    continue
+                if group:
+                    close()
+                merged.append(sp)
+                continue
+            head, size = run.members[0], len(run.members)
+            follower = plans[k + 1] if k + 1 < len(plans) else None
+            if not (
+                (group and _joins(group[0].stage.seq, group[-1].stage.seq,
+                                  len(group), qubits, head, prefix))
+                or (run.has_sync and head.seq < prefix)
+                or (
+                    follower is not None
+                    and _coalescable(follower)
+                    and _joins(head.seq, run.members[-1].seq, size, run.qubits,
+                               follower.stage, prefix)
+                )
+            ):
+                if group:
+                    close()
+                sp.reused = True
+                merged.append(sp)
+                continue
+            for member in graph.member_plans(run):
+                add(member)
+        if group:
+            close()
+        plan.stage_plans = merged
+
+    def execute(self, plan: ExecutionPlan) -> None:
+        """Batch-execute the plan, one executor step per stage plan -- an
+        affected *stage*, or a coalesced run of them -- in plan order.
+
+        A step runs the plan's sync step (the draws) when its barrier is
+        affected, materialises the stage's run table, and hands it -- split
+        into at most ``Executor.num_workers`` chunks -- to the kernel
+        backend.  Plan order is seq order, which every block source
+        respects: a plan reads only what earlier plans (or unplanned
+        stages) wrote.
+        """
+        # labelled lazily: only a failing step formats its label
+        self.sim.executor.run(
+            (self._plan_body(sp, plan.redraw_from), sp.label)
+            for sp in plan.stage_plans
+        )
+
+        self.plans_built.inc(plan.num_stages)
+        self.stages_coalesced.inc(sum(len(sp.members) for sp in plan.runs()))
+        self.runs_batched.inc(plan.total_runs())
+        self.plan_chunks.inc(plan.total_chunks())
+        self.updates_planned.inc()
+
+    def _plan_body(self, sp: StagePlan, redraw_from: int):
+        width = self.sim.executor.num_workers
+        tel = self.sim.telemetry
+
+        def body():
+            if sp.has_sync:
+                with (
+                    tel.tracer.span("stage.prepare", {"stage": sp.label()})
+                    if tel.tracer.enabled else NULL_SPAN
+                ):
+                    draw_collapses(sp.members, sp.reader, redraw_from)
+            table = sp.build_table()
+            if table.num_runs == 0:
+                return None
+            chunks = table.split(width)
+            sp.num_chunks = len(chunks)
+            if len(chunks) == 1:
+                self._run_chunk(sp, chunks[0])
+                return None
+            # Chunks may run on pool threads; carry the trace context
+            # (parented to the current span, i.e. the update) onto each
+            # chunk closure so their spans nest correctly.
+            parent = tel.tracer.current_span_id()
+            subtasks = []
+            for c in chunks:
+                fn = (lambda c=c: self._run_chunk(sp, c))
+                fn.trace_context = (tel, parent)
+                subtasks.append(fn)
+            return subtasks
+
+        return body
+
+    def _run_chunk(self, sp: StagePlan, chunk) -> None:
+        tracer = self.sim.telemetry.tracer
+        if tracer.enabled:
+            amps = int((chunk.his - chunk.los + 1).sum()) if chunk.num_runs else 0
+            attrs = {"stage": sp.label(), "backend": self.sim._backend.name,
+                     "runs": chunk.num_runs, "amps": amps}
+            with tracer.span("run.chunk", attrs):
+                self._execute_chunk(sp, chunk)
+        else:
+            self._execute_chunk(sp, chunk)
+
+    def _execute_chunk(self, sp: StagePlan, chunk) -> None:
+        backend = self.sim._backend
+        try:
+            backend.execute_plan(sp.reader, sp.store, chunk)
+        except FaultInjected as exc:
+            # The one fault recovery.  Both fault sites (``kernel.run``,
+            # ``cow.publish``) fire inside the chunk, and its writes are
+            # deterministic overwrites, so re-executing it run by run is
+            # always safe.  Anything else is a programming error.
+            self.backend_fallbacks.inc()
+            tsession.emit_event(
+                "chunk.fallback",
+                stage=sp.label(),
+                backend=backend.name,
+                reason=f"{type(exc).__name__}: {exc}",
+            )
+            self._run_chunk_fallback(sp, chunk)
+
+    def _run_chunk_fallback(self, sp: StagePlan, chunk) -> None:
+        """Run-granular chunk execution with bounded per-run fault retries.
+
+        Each run is retried in place on an injected fault (it redraws the
+        site streams, so retries converge); past ``_RUN_FAULT_RETRIES`` the
+        fault propagates out of ``update_state``, whose dirt stays for the
+        caller's next call.  No draw re-runs: the plan's draws happened
+        before its chunks, so no classical state needs rolling back.
+        """
+        for spec in iter_table_runs(chunk):
+            attempt = 0
+            while True:
+                try:
+                    execute_run(sp.reader, sp.store, spec)
+                    break
+                except FaultInjected:
+                    attempt += 1
+                    if attempt > _RUN_FAULT_RETRIES:
+                        raise
+                    self.run_retries.inc()
+                    tsession.emit_event("run.retry", stage=sp.label(), attempt=attempt)

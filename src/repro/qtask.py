@@ -513,10 +513,9 @@ class QTask:
         """A flat dict snapshot of the simulator's incremental state.
 
         Includes the partition-graph shape (stages/nodes/edges/frontiers),
-        every configuration knob (block size, workers, COW,
-        observable cache, kernel backend) and the last update's
-        outcome plus the plan-pipeline counters -- the record benchmarks
-        and bug reports attach to a run.
+        every configuration knob (block size, workers, kernel backend) and
+        the last update's outcome plus the plan-pipeline counters -- the
+        record benchmarks and bug reports attach to a run.
         """
         return self.simulator.statistics()
 

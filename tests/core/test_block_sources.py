@@ -23,13 +23,14 @@ from repro import QTask
 from repro.core import faults
 from repro.core.cow import IndexReader
 from repro.core.faults import FaultInjected, FaultPlan
-from repro.core.simulator import _RUN_FAULT_RETRIES
+from repro.core.update import _RUN_FAULT_RETRIES
 
 from ..conftest import (
     assert_held_blocks_declared, dense_state, newest_holder, resolve_store,
 )
 from ..machine import (
     MODIFIERS,
+    MODIFIERS_BUDGET,
     assert_reads_equal_the_scan,
     run_machine,
     update_and_check_planned_sources,
@@ -43,7 +44,7 @@ from ..machine import (
 def test_planned_and_asof_sources_equal_the_newest_holder_scan(tmp_path):
     # injected faults: a recovery re-plans, and the plan it runs is checked
     run_machine(tmp_path, rules=MODIFIERS | {"inject_fault"}, num_workers=1,
-                max_examples=25, steps=30)
+                **MODIFIERS_BUDGET)
 
 
 def test_plan_memory_is_the_affected_blocks_not_the_register(no_plan):
@@ -132,7 +133,7 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
             "x", session.insert_net(), 2, condition=((0,), 1 - outcome)
         )
         session.insert_gate("z", session.insert_net(), 2)
-        c_if_stage = sim._gate_stage[handle.uid]
+        c_if_stage = sim.stages.stage_of(handle)
         declared = _declared(sim, c_if_stage)
         assert declared and not c_if_stage.store.stored_blocks()
         # declared, empty: the final-state read lands on the older holder
@@ -187,7 +188,7 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
         assert sim.graph.has_pending
 
         holes = []
-        execute = sim._execute
+        execute = sim.updater.execute
 
         def spy(affected):
             final = sim.state_reader()
@@ -200,7 +201,7 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
                     holes.append((stage.seq, block, store is want))
             return execute(affected)
 
-        sim._execute = spy
+        sim.updater.execute = spy
         session.update_state()
         assert not sim.graph.has_pending
         first_try = [h for h in holes if h[0] >= 1]

@@ -556,7 +556,7 @@ def test_removing_a_gate_regroups_only_its_record():
         stage = first.members[len(first.members) // 2]
         (handle,) = [
             h for level in handles for h in level
-            if session.simulator._gate_stage[h.uid] is stage
+            if session.simulator.stages.stage_of(h) is stage
         ]
         session.remove_gate(handle)
         update_and_check_planned_sources(session, oracle)

@@ -108,7 +108,7 @@ def test_member_retune_add_and_remove_refile_the_layout(block_size):
     with session:
         sim = session.simulator
         net = handles[-2].net
-        stage = sim._gate_stage[handles[-2].uid]
+        stage = sim.stages.stage_of(handles[-2])
         assert isinstance(stage, MatVecStage)
         oracle = FrontierOracle(session)
         before = sim.graph._layouts[stage.uid]
@@ -122,7 +122,7 @@ def test_member_retune_add_and_remove_refile_the_layout(block_size):
 
         # a member on a higher qubit widens every window: filed again
         added = session.insert_gate("h", net, 5)
-        assert sim._gate_stage[added.uid] is stage
+        assert sim.stages.stage_of(added) is stage
         assert swept_nodes(session) == oracle.expected()
         assert sim.graph._layouts[stage.uid] is not before
         assert stage.qubits == (1, 3, 5)

@@ -585,6 +585,55 @@ class TestTrajectoriesAndForks:
         ckt.close()
 
 
+#: materialised seeds of 2**63 and more: tuple folds and a primed row
+WIDE_SEEDS = [(3, 1), (5, 1), primed_seeds(21, 1, [3])[0]]
+
+
+class TestWideSeeds:
+    """A materialised seed is carried as it is by a clone, a fork and a
+    checkpoint round-trip: none folds it below 2**63 again."""
+
+    @staticmethod
+    def session(seed):
+        # six fair measurements: the fork's redraws name its seed
+        ckt = build_qtask(6, 6, seed=seed, block_size=4)
+        n1, n2 = ckt.insert_net(), ckt.insert_net()
+        handles = [ckt.insert_gate("ry", n1, q, params=[math.pi / 2]) for q in range(6)]
+        for q in range(6):
+            ckt.measure(n2, q, q)
+        ckt.update_state()
+        return ckt, handles
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_clone_keeps_the_seed(self, seed):
+        record = OutcomeRecord(1, seed=seed)
+        assert record.seed >= 2**63
+        assert record.clone().seed == record.seed
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_checkpoint_round_trip_keeps_the_seed(self, seed, tmp_path):
+        ckt, _ = self.session(seed)
+        path = ckt.checkpoint(str(tmp_path / "wide.qtckpt"))
+        with QTask.restore(path, num_workers=1) as restored:
+            assert restored.outcomes.seed == ckt.outcomes.seed
+            assert restored.outcomes.export_state() == ckt.outcomes.export_state()
+        ckt.close()
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_fork_redraws_what_its_parent_drew(self, seed):
+        # a retune re-collapses every measurement on unchanged masses: the
+        # fork's first draws are the parent's first draws
+        ckt, handles = self.session(seed)
+        drawn = ckt.outcomes.bitstring(range(6))
+        with ckt.fork() as child:
+            assert child.outcomes.seed == ckt.outcomes.seed
+            for handle in handles:
+                child.update_gate(child.handle_for(handle), math.pi / 2)
+            child.update_state()
+            assert child.outcomes.bitstring(range(6)) == drawn
+        ckt.close()
+
+
 def trajectories_of(session) -> int:
     return session.telemetry.metrics.get("shots.trajectories").value
 
@@ -924,7 +973,7 @@ class TestRunShotsWalk:
             ckt.simulator.statistics()["num_updates"]
         )
         # closed: off its circuit, and its stores hold nothing
-        assert child.simulator not in child.circuit._observers
+        assert child.simulator.stages not in child.circuit._observers
         assert not any(s.store.stored_blocks() for s in child.simulator.graph.stages)
         ckt.close()
 

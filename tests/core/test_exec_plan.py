@@ -102,7 +102,7 @@ def _simulator(levels, num_qubits=4, **kwargs):
 
 def _plan_for(sim):
     """The plan ``update_state`` would build, and the nodes it covers."""
-    plan = sim._build_plan()
+    plan = sim.updater.build_plan()
     return plan, plan_nodes(sim.graph, plan)
 
 

@@ -25,7 +25,8 @@ from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
 from repro.core.kernels import KernelBackend
-from repro.core.simulator import _RUN_FAULT_RETRIES, QTaskSimulator
+from repro.core.simulator import QTaskSimulator
+from repro.core.update import _RUN_FAULT_RETRIES
 
 from ..conftest import (
     FaultingBackend,

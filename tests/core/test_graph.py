@@ -41,7 +41,7 @@ def node_ranges(graph, stage):
 
 
 def stage_of(sim, handle):
-    return sim._gate_stage[handle.uid]
+    return sim.stages.stage_of(handle)
 
 
 def preds_of(graph, node):

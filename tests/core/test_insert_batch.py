@@ -1,7 +1,7 @@
 """A build is one batch: queued inserts, wired at the next graph read, give
 exactly what wiring them one by one gives.
 
-``QTaskSimulator.on_gate_inserted`` builds a gate's stage and queues it;
+``StageTable.on_gate_inserted`` builds a gate's stage and queues it;
 whatever reads the partition graph next wires the whole queue in one pass.
 Each circuit below is built twice -- every insert queued and wired by one
 ``update_state()``, and stepwise (``open_session(stepwise=True)``: an update
@@ -124,7 +124,7 @@ def open_built(name, *, stepwise=False, **knobs):
 def net_labels(session):
     sim = session.simulator
     sim.graph  # wire the queue: the per-net lists hold wired stages
-    return [[s.label() for s in sim._net_stages[net.uid]] for net in session.nets()]
+    return [[s.label() for s in sim.stages.net_stages(net)] for net in session.nets()]
 
 
 def global_labels(session):
@@ -146,7 +146,7 @@ def assert_paper_net_order(session):
     sim = session.simulator
     sim.graph
     for net in session.nets():
-        stages = sim._net_stages[net.uid]
+        stages = sim.stages.net_stages(net)
         assert not any(isinstance(s, MatVecStage) for s in stages[1:])
         counts = [s.total_block_count() for s in stages if isinstance(s, UnitaryStage)]
         assert counts == sorted(counts)
@@ -169,7 +169,7 @@ def test_batched_build_equals_stepwise_build(name):
         # nothing is wired until something reads the graph
         assert batched.simulator._graph.num_stages() == 0
         batched.update_state()
-        assert not batched.simulator._queued
+        assert not batched.simulator.stages.queued
         assert shape(batched) == shape(stepwise)
         assert batched.simulator.graph.stats().num_frontiers == 0
         assert_paper_net_order(batched)
@@ -273,7 +273,7 @@ def test_insert_then_fork():
                                 1, 4, params=[0.6])
         explicit.update_state()
         with queued.fork() as child, explicit.fork() as twin:
-            assert not queued.simulator._queued
+            assert not queued.simulator.stages.queued
             assert shape(child) == shape(twin) == shape(queued)
             np.testing.assert_allclose(child.state(), twin.state(), atol=1e-10)
             for fork in (child, twin):
@@ -337,7 +337,7 @@ def test_batched_insert_inside_a_run_dissolves_it():
         oracle = FrontierOracle(session)
         session.insert_gate("x", session.insert_net(after=nets[1]), 2)
         session.insert_gate("z", nets[3], 2)
-        assert session.simulator._queued
+        assert session.simulator.stages.queued
         assert swept_nodes(session) == oracle.expected()
         assert session.simulator.graph.runs() == []
         session.update_state()

@@ -57,7 +57,7 @@ def _reference_state(levels=None, **knobs):
 # ---------------------------------------------------------------------------
 # the ``kernel_backend`` keyword: None (or its spellings) or an instance
 # (the class name is historical: ``make_backend`` is gone, the few lines left
-# of spec resolution live in ``QTaskSimulator._assemble``)
+# of spec resolution live in ``QTaskSimulator.assemble``)
 # ---------------------------------------------------------------------------
 
 

@@ -417,6 +417,13 @@ def test_unknown_version_raises_checkpoint_error(tmp_path):
         QTask.restore(path)
 
 
+def test_unknown_stage_kind_raises_checkpoint_error(tmp_path):
+    # the stage table's factory knows every kind; anything else is damage
+    path, _ = _checkpointed_session(tmp_path)
+    _rewrite_header(path, lambda header: header["stages"][0].update(kind="bogus"))
+    with pytest.raises(CheckpointError, match="unknown stage kind 'bogus'"):
+        QTask.restore(path, num_workers=1)
+
 def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
     """A version-1 file written when ``block_directory``, ``fusion`` /
     ``max_fused_qubits`` and the ``legacy`` / ``numba`` / ``process``

@@ -74,11 +74,11 @@ class TestSimulatorRetune:
         ckt.append_level([Gate("h", (q,)) for q in range(3)])
         _, (h,) = ckt.append_level([Gate("rz", (2,), (0.4,))])
         sim.update_state()
-        stage = sim._gate_stage[h.uid]
+        stage = sim.stages.stage_of(h)
         assert isinstance(stage, UnitaryStage)
         stats_before = sim.statistics()
         ckt.update_gate(h, 2.9)
-        assert sim._gate_stage[h.uid] is stage  # same stage object
+        assert sim.stages.stage_of(h) is stage  # same stage object
         stats_after = sim.statistics()
         for key in ("num_stages", "num_nodes", "num_edges"):
             assert stats_after[key] == stats_before[key]
@@ -93,10 +93,10 @@ class TestSimulatorRetune:
         ckt.append_level([Gate("h", (q,)) for q in range(3)])
         _, (h,) = ckt.append_level([Gate("rx", (1,), (0.7,))])
         sim.update_state()
-        stage = sim._gate_stage[h.uid]
+        stage = sim.stages.stage_of(h)
         assert isinstance(stage, MatVecStage)
         ckt.update_gate(h, 1.3)
-        assert sim._gate_stage[h.uid] is stage
+        assert sim.stages.stage_of(h) is stage
         sim.update_state()
         assert_matches_reference(sim, ckt)
         sim.close()
@@ -108,13 +108,13 @@ class TestSimulatorRetune:
         ckt.append_level([Gate("h", (q,)) for q in range(3)])
         _, (h,) = ckt.append_level([Gate("rx", (0,), (0.5,))])
         sim.update_state()
-        assert isinstance(sim._gate_stage[h.uid], MatVecStage)
+        assert isinstance(sim.stages.stage_of(h), MatVecStage)
         ckt.update_gate(h, np.pi)  # rx(pi) is a monomial (bit-flip) gate
-        assert isinstance(sim._gate_stage[h.uid], UnitaryStage)
+        assert isinstance(sim.stages.stage_of(h), UnitaryStage)
         sim.update_state()
         assert_matches_reference(sim, ckt)
         ckt.update_gate(h, 0.25)  # back to superposition
-        assert isinstance(sim._gate_stage[h.uid], MatVecStage)
+        assert isinstance(sim.stages.stage_of(h), MatVecStage)
         sim.update_state()
         assert_matches_reference(sim, ckt)
         sim.close()

@@ -60,7 +60,12 @@ from ..conftest import (
     session_handles,
     swept_nodes,
 )
-from ..machine import MODIFIERS, assert_index_matches_stage_order, run_machine
+from ..machine import (
+    MODIFIERS,
+    MODIFIERS_BUDGET,
+    assert_index_matches_stage_order,
+    run_machine,
+)
 
 COMMON_SETTINGS = dict(
     deadline=None,
@@ -83,7 +88,9 @@ def wiring(graph):
 
 
 def test_sweep_equals_closest_writer_reachability(tmp_path):
-    run_machine(tmp_path, rules=MODIFIERS, num_workers=1, max_examples=150, steps=30)
+    # "writer": the per-block writer index the covers replaced; the sweep is
+    # checked against the closest-writer oracle all the same
+    run_machine(tmp_path, rules=MODIFIERS, num_workers=1, **MODIFIERS_BUDGET)
 
 
 def test_failed_update_keeps_its_pending_dirt(no_plan):
@@ -204,7 +211,7 @@ def test_mid_circuit_edits_do_not_move_pending_dirt():
         tuned = session.insert_gate("cp", nets[2], 0, 1, params=[0.3])  # [1,3], [5,7]
         session.update_state()
         oracle = FrontierOracle(session)
-        stage = session.simulator._gate_stage[tuned.uid]
+        stage = session.simulator.stages.stage_of(tuned)
         session.update_gate(tuned, 0.9)
         assert stage.seq == 2
         session.remove_gate(early)  # renumbers `stage`; stales [5,7], not [1,3]
@@ -275,7 +282,7 @@ def test_derived_edges_do_not_depend_on_the_edit_history():
 def test_removing_an_unknown_stage_is_a_key_error():
     with QTask(3, block_size=2, num_workers=1) as session:
         handle = session.insert_gate("x", session.insert_net(), 0)
-        stage = session.simulator._gate_stage[handle.uid]
+        stage = session.simulator.stages.stage_of(handle)
         session.remove_gate(handle)
         with pytest.raises(KeyError):
             session.simulator.graph.remove_stage(stage)
@@ -341,11 +348,11 @@ def test_same_layout_shares_one_derivation():
 def test_layout_preserving_retune_derives_nothing():
     with QTask(8, block_size=16, num_workers=1) as session:
         handle = session.insert_gate("rz", session.insert_net(), 3, params=[0.3])
-        stage = session.simulator._gate_stage[handle.uid]
+        stage = session.simulator.stages.stage_of(handle)
         specs = stage.partition_specs()
         misses = _enumerate_partitions.cache_info().misses
         session.update_gate(handle, 0.9)
-        assert session.simulator._gate_stage[handle.uid] is stage
+        assert session.simulator.stages.stage_of(handle) is stage
         assert stage.partition_specs() == specs
         assert _enumerate_partitions.cache_info().misses == misses
 

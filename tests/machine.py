@@ -112,6 +112,8 @@ DYNAMIC = frozenset({"measure", "reset", "c_if"})
 #: this and add what they check (faults, expectations, shots)
 MODIFIERS = EDITS | DYNAMIC | {"fork", "close_fork", "checkpoint_restore"}
 RULES = MODIFIERS | {"run_shots", "expectation", "inject_fault"}
+#: the budget the ids driving the ``MODIFIERS`` rules share
+MODIFIERS_BUDGET = dict(max_examples=25, steps=30)
 #: fires only where named: emptying the circuit every few steps would keep
 #: every other run's circuits shallow
 CLEAR = "clear_circuit"
@@ -330,12 +332,12 @@ def update_and_check_planned_sources(session, oracle=None):
     sim = session.simulator
     runs = None if oracle is None else greedy_runs(session, oracle.expected())
     built = []
-    build = sim._build_plan
-    sim._build_plan = lambda: built.append(build()) or built[-1]
+    build = sim.updater.build_plan
+    sim.updater.build_plan = lambda: built.append(build()) or built[-1]
     try:
         session.update_state()
     finally:
-        del sim._build_plan  # the instance attribute shadowing the method
+        del sim.updater.build_plan  # the instance attribute shadowing the method
     plan = built[-1]
     assert runs is None or [sp.members for sp in plan.stage_plans] == runs
     for sp in plan.stage_plans:

@@ -174,7 +174,7 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         )
         handle = [h for h in ckt.gates() if h.gate.name == "rz"][3]
         ckt.update_gate(handle, 0.7)
-        seq = sim._gate_stage[handle.uid].seq
+        seq = sim.stages.stage_of(handle).seq
         report = sim.update_state()
         full, retune = [
             r.attrs for r in sim.telemetry.tracer.spans() if r.name == "plan.build"
@@ -217,7 +217,7 @@ def test_plan_build_counts_the_records_it_reused():
         records = sim.graph.runs()
         first = records[0]
         middle = first.members[len(first.members) // 2]
-        (handle,) = [h for h in handles if sim._gate_stage[h.uid] is middle]
+        (handle,) = [h for h in handles if sim.stages.stage_of(h) is middle]
         session.remove_gate(handle)
         session.update_state()
         build = [r for r in session.telemetry.tracer.spans() if r.name == "plan.build"]
