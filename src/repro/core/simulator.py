@@ -25,14 +25,20 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from ..parallel import Executor
 from ..telemetry import Telemetry
 from ..telemetry.tracing import NULL_SPAN
-from .blocks import BlockRange, default_block_size, num_blocks, validate_block_size
+from .blocks import (
+    BlockRange,
+    default_block_size,
+    mask_blocks,
+    num_blocks,
+    validate_block_size,
+)
 from .circuit import Circuit, GateHandle
 from .classical import OutcomeRecord
 from .cow import IndexReader, InitialStateStore, MemoryReport
@@ -178,11 +184,7 @@ class QTaskSimulator:
         #: is the state epoch a sweep's fork uses to detect a diverged base
         self.num_updates = 0
 
-        #: dirty-block listeners: callables receiving the ids of every block
-        #: (re)written by an update or orphaned by a stage removal.  The
-        #: observables engine registers here so its per-block caches are
-        #: invalidated by exactly the frontier the incremental update scopes.
-        self._dirty_listeners: List[Callable[[Iterable[int]], None]] = []
+        #: created by the first query; :meth:`invalidate_blocks` feeds it
         self._observables = None
         circuit.register_observer(self.stages)
 
@@ -314,7 +316,7 @@ class QTaskSimulator:
         # A departing stage's stored blocks now resolve to an *older* writer,
         # which changes the final state even when nothing re-executes (e.g.
         # removing the last gate of the circuit) -- so they are dirty now.
-        self._notify_dirty(stage.store.stored_blocks())
+        self.invalidate_blocks(stage.store.held)
         self._dynamic_stages.pop(stage.uid, None)
         if isinstance(stage, MeasureStage):
             # A removed measurement no longer backs its classical bit:
@@ -328,22 +330,14 @@ class QTaskSimulator:
         elif isinstance(stage, ResetStage):
             self.outcomes.discard_op(stage.op.op_index)
 
-    # -- dirty-block listeners (observable caches) ----------------------------
+    # -- dirty blocks (observable caches) -------------------------------------
 
-    def add_dirty_listener(self, listener: Callable[[Iterable[int]], None]) -> None:
-        """Subscribe to dirty-block notifications (see ``_dirty_listeners``)."""
-        if listener not in self._dirty_listeners:
-            self._dirty_listeners.append(listener)
-
-    def _notify_dirty(self, blocks: Sequence[int]) -> None:
-        """Hand listeners the dirty block ids as one index array."""
-        if not self._dirty_listeners:
-            return
-        ids = np.asarray(blocks, dtype=np.intp)
-        if not ids.size:
-            return
-        for listener in self._dirty_listeners:
-            listener(ids)
+    def invalidate_blocks(self, mask: int) -> None:
+        """Hand the observables engine, when one exists, the blocks set in
+        ``mask``: (re)written by an update or orphaned by a stage removal,
+        exactly the frontier the incremental update scopes."""
+        if self._observables is not None and mask:
+            self._observables.mark_blocks_dirty(mask_blocks(mask))
 
     # -- trajectories (dynamic circuits) --------------------------------------
 
@@ -493,9 +487,9 @@ class QTaskSimulator:
     def norm(self) -> float:
         """The state's 2-norm, accumulated block-wise.
 
-        Uses the observables engine's per-block probability masses (cached
-        in its sampling tree and invalidated by the dirty frontier) instead
-        of materialising the full ``probabilities()`` array.
+        Uses the observables engine's per-block probability masses (the
+        identity term's cached partials, invalidated by the dirty frontier)
+        instead of materialising the full ``probabilities()`` array.
         """
         return float(math.sqrt(self.observables.total_probability()))
 
@@ -505,8 +499,8 @@ class QTaskSimulator:
     def observables(self):
         """The lazily created observables engine bound to this simulator.
 
-        One engine per simulator; its per-block caches subscribe to the
-        dirty-block notifications and therefore stay consistent across
+        One engine per simulator; :meth:`invalidate_blocks` hands it every
+        dirty block, so its per-block caches stay consistent across
         incremental updates.
         """
         if self._observables is None:

@@ -142,8 +142,8 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
                     f"stage {stage!r} block {b} has shape {arr.shape}, "
                     f"expected ({block_len},)"
                 )
-            raw, crc = encode_block(arr)
-            blocks_json.append([int(b), crc])
+            # the CRC over the array's own buffer, which is what is written
+            blocks_json.append([int(b), zlib.crc32(arr)])
             payload.append(arr)
         entry: Dict[str, object] = {
             "kind": stage.kind,
@@ -203,9 +203,8 @@ def save_checkpoint(sim: QTaskSimulator, path: str) -> str:
                     header_bytes
                 )
                 for arr in payload:
-                    raw = arr.tobytes()
-                    fh.write(raw)
-                    written += len(raw)
+                    fh.write(arr)
+                    written += arr.nbytes
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

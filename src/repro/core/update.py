@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from ..telemetry import session as tsession
 from ..telemetry.tracing import NULL_SPAN
 from . import faults
@@ -151,15 +149,7 @@ class Updater:
             with faults.armed():
                 self.execute(plan)
             report.executed_block_writes = plan.block_writes
-            if sim._dirty_listeners:
-                # the blocks the affected partitions wrote, bit by bit
-                bits = np.frombuffer(
-                    plan.written.to_bytes((sim.n_blocks + 7) // 8, "little"),
-                    dtype=np.uint8,
-                )
-                sim._notify_dirty(
-                    np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-                )
+            sim.invalidate_blocks(plan.written)
         # only now: an update that raised keeps its dirt -- and the runs its
         # stages were last executed in -- for the next one
         graph.clear_pending()

@@ -6,9 +6,8 @@ and dirty frontier the incremental update uses -- so observables inherit
 qTask's incrementality: a localised circuit edit invalidates only the
 per-block partials its dirty blocks cover.
 
-See :mod:`repro.observables.pauli` for the observable vocabulary,
-:mod:`repro.observables.engine` for the evaluation engine, and
-:mod:`repro.observables.sampling` for the prefix-sum sampling tree.
+See :mod:`repro.observables.pauli` for the observable vocabulary and
+:mod:`repro.observables.engine` for the evaluation engine.
 """
 
 from .engine import ObservablesEngine, dense_expectation, statevector_counts
@@ -19,13 +18,11 @@ from .pauli import (
     ising_hamiltonian,
     maxcut_hamiltonian,
 )
-from .sampling import PrefixSumTree
 
 __all__ = [
     "ObservablesEngine",
     "PauliString",
     "PauliSum",
-    "PrefixSumTree",
     "as_pauli_sum",
     "dense_expectation",
     "statevector_counts",

@@ -10,20 +10,21 @@ only the blocks whose cached results are missing, each query in one gather:
   misses (plus their X/Y flip partners) with a single ``read_blocks`` and
   computes every missing partial of every term sharing a flip mask with one
   matmul (see :meth:`ObservablesEngine.expectation_value`).
-* ``sample(shots)`` / ``counts(shots)`` draw measurement shots via a lazily
-  maintained Fenwick prefix-sum tree over per-block probability masses
-  (:class:`repro.observables.sampling.PrefixSumTree`).
+* ``sample(shots)`` / ``counts(shots)`` draw measurement shots from the
+  per-block probability masses -- the identity term's partials -- with one
+  ``searchsorted`` over their cumulative sum for the block and one over the
+  hit block's cumulative probabilities for the index.
 * ``marginal_probabilities(qubits)`` folds the gathered probabilities onto
   a qubit subset with one bincount.
 
-All per-block results -- one partial array plus validity bitmap per term,
-and the per-block probability masses feeding the sampling tree -- are
-cached, and the cache is invalidated by exactly the dirty frontier the
-incremental update already computes: the simulator reports every block
-(re)written by an update or orphaned by a stage removal through its
-dirty-listener hook, and only those entries are recomputed on the next
-query.  A parameter-retune sweep that touches the tail of a circuit
-therefore re-evaluates only the partials its dirty blocks invalidated.
+The per-block results -- one partial array plus validity bitmap per term,
+the identity term's being the block masses -- are the engine's one cache,
+and it is invalidated by exactly the dirty frontier the incremental update
+already computes: the simulator hands :meth:`ObservablesEngine.mark_blocks_dirty`
+every block (re)written by an update or orphaned by a stage removal, and
+only those entries are recomputed on the next query.  A parameter-retune
+sweep that touches the tail of a circuit therefore re-evaluates only the
+partials its dirty blocks invalidated.
 
 ``dense_expectation`` / ``statevector_counts`` at the bottom are the dense
 baselines' path and the tests' oracle; they share no code with the engine.
@@ -42,11 +43,13 @@ from ..core.gates import extract_local
 from ..core.kernels import ArrayReader, StateReader, apply_action_range
 from ..telemetry.tracing import NULL_SPAN
 from .pauli import PauliLike, PauliString, PauliSum, as_pauli_sum, pauli_phases
-from .sampling import PrefixSumTree
 
 __all__ = ["ObservablesEngine", "dense_expectation", "statevector_counts"]
 
 _TermKey = Tuple[Tuple[int, str], ...]
+
+#: the term whose per-block partials are the block probability masses
+_IDENTITY = PauliString()
 
 
 def _parity_signs(lo: int, hi: int, z_qubits: Sequence[int]) -> np.ndarray:
@@ -58,33 +61,15 @@ def _parity_signs(lo: int, hi: int, z_qubits: Sequence[int]) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def _term_partial(
-    term: PauliString,
-    reader: StateReader,
-    lo: int,
-    hi: int,
-    *,
-    psi: Optional[np.ndarray] = None,
-    probs: Optional[np.ndarray] = None,
-    action=None,
-) -> complex:
-    """``sum_{i in [lo, hi]} conj(psi_i) * (P psi)_i`` for a unit-coefficient P.
-
-    ``psi``/``probs``/``action`` are optional precomputed ingredients so a
-    multi-term evaluation can share one amplitude read (and one probability
-    vector) per block across every term.
-    """
-    if psi is None:
-        psi = np.asarray(reader.read_range(lo, hi), dtype=np.complex128)
+def _term_partial(term: PauliString, reader: StateReader, lo: int, hi: int) -> complex:
+    """``sum_{i in [lo, hi]} conj(psi_i) * (P psi)_i`` for a unit-coefficient P."""
+    psi = np.asarray(reader.read_range(lo, hi), dtype=np.complex128)
     if term.is_identity or term.is_diagonal:
-        if probs is None:
-            probs = (psi.conj() * psi).real
+        probs = (psi.conj() * psi).real
         if term.is_identity:
             return complex(probs.sum())
         return complex(np.dot(probs, _parity_signs(lo, hi, term.support)))
-    out = apply_action_range(
-        reader, lo, hi, term.support, term.action() if action is None else action
-    )
+    out = apply_action_range(reader, lo, hi, term.support, term.action())
     return complex(np.vdot(psi, out))
 
 
@@ -138,7 +123,7 @@ class ObservablesEngine:
     Every query holds the engine's lock while it reads or fills the caches,
     so concurrent readers of one settled session (the service reads a warm
     base from several dispatcher threads, and ``run_shots`` forks clone its
-    caches) never see a half-filled partial or a half-built tree.
+    caches) never see a half-filled partial.
     """
 
     def __init__(self, simulator) -> None:
@@ -152,11 +137,9 @@ class ObservablesEngine:
         self._block_bits = self._block_len.bit_length() - 1
         self._cols = np.arange(self._block_len)
         #: term key -> array-backed partials of the unit-coefficient term
+        #: (the identity's are the block probability masses)
         self._terms: Dict[_TermKey, _TermCache] = {}
-        #: per-block probability masses, lazily pushed into the Fenwick tree
-        self._tree = PrefixSumTree(self.n_blocks)
-        self._stale = np.ones(self.n_blocks, dtype=bool)
-        #: guards ``_terms``, ``_tree`` and ``_stale``
+        #: guards ``_terms``
         self._lock = threading.Lock()
         metrics = simulator.telemetry.metrics
         self._partials_computed = metrics.counter(
@@ -167,7 +150,6 @@ class ObservablesEngine:
             "observe.blocks_gathered",
             help="state blocks read by observable queries",
         )
-        simulator.add_dirty_listener(self.mark_blocks_dirty)
 
     # -- invalidation (driven by the simulator's dirty frontier) -----------
 
@@ -186,7 +168,6 @@ class ObservablesEngine:
         if not idx.size:
             return
         with self._lock:
-            self._stale[idx] = True
             for entry in self._terms.values():
                 # An X/Y term's partial for block b is computed from
                 # amplitudes in the flip-partner block b ^ flip_high, so a
@@ -197,25 +178,22 @@ class ObservablesEngine:
                 entry.valid[idx ^ entry.flip_high] = False
 
     def invalidate(self) -> None:
-        """Drop every cached result (all blocks stale)."""
+        """Drop every cached result."""
         with self._lock:
             self._terms.clear()
-            self._stale[:] = True
 
     def clone_for(self, simulator) -> "ObservablesEngine":
         """A new engine for ``simulator`` seeded with this engine's caches.
 
         Used by session forking: at fork time the child's state is identical
-        to the parent's, so every cached (term, block) partial and per-block
-        probability mass is valid verbatim.  The clone is fully independent
-        afterwards -- it registers its own dirty listener on ``simulator``
-        and each side's edits invalidate only its own cache.
+        to the parent's, so every cached (term, block) partial is valid
+        verbatim.  The clone is fully independent afterwards: ``simulator``
+        hands its dirty blocks to the clone alone, and each side's edits
+        invalidate only its own cache.
         """
         clone = ObservablesEngine(simulator)
         with self._lock:
             clone._terms = {key: e.copy() for key, e in self._terms.items()}
-            clone._tree.build(self._tree.values())
-            clone._stale = self._stale.copy()
         return clone
 
     @property
@@ -368,41 +346,26 @@ class ObservablesEngine:
 
     # -- probabilities ------------------------------------------------------
 
-    def _refresh_tree(self, reader: StateReader, span) -> None:
-        """Recompute the masses of the stale blocks (lock held)."""
-        stale = np.flatnonzero(self._stale)
-        if not stale.size:
-            return
-        span.set("blocks_missing", int(stale.size))
-        masses = self._probability_rows(reader, stale, span).sum(axis=1)
-        if stale.size > self.n_blocks // 2:
-            sums = self._tree.values()
-            sums[stale] = masses
-            self._tree.build(sums)
-        else:
-            for b, mass in zip(stale.tolist(), masses.tolist()):
-                self._tree.set(b, mass)
-        self._stale[:] = False
+    def _masses(self, reader: StateReader, span) -> np.ndarray:
+        """The per-block probability masses: the identity term's partials,
+        filling the missing ones (lock held)."""
+        entry = self._term_entry(_IDENTITY)
+        self._fill_partials(reader, [entry], span)
+        return entry.partials.real
 
     def block_probability(self, block: int) -> float:
         """Total probability mass inside one data block."""
         if not 0 <= block < self.n_blocks:
             raise IndexError(f"block {block} out of range [0, {self.n_blocks})")
         reader = self.simulator.state_reader()
-        with self._lock:
-            if not self._stale[block]:
-                return self._tree.value(block)
-        with self._observe("block_probability") as span:
-            span.set("blocks_missing", 1)
-            probs = self._probability_rows(reader, np.array([block]), span)
-            return float(probs[0].sum())
+        with self._lock, self._observe("block_probability") as span:
+            return float(self._masses(reader, span)[block])
 
     def total_probability(self) -> float:
         """``sum_i |psi_i|^2`` accumulated block-wise (the squared norm)."""
         reader = self.simulator.state_reader()
         with self._lock, self._observe("total_probability") as span:
-            self._refresh_tree(reader, span)
-            return self._tree.total()
+            return float(self._masses(reader, span).sum())
 
     def marginal_probabilities(self, qubits: Sequence[int]) -> np.ndarray:
         """Outcome distribution of measuring ``qubits`` (qubits[0] = bit 0).
@@ -433,23 +396,28 @@ class ObservablesEngine:
     def sample(self, shots: int, *, seed: Optional[int] = None) -> np.ndarray:
         """Draw ``shots`` basis-state indices from ``|psi|^2``.
 
-        Each draw binary-searches the per-block Fenwick tree for its block
-        and then a within-block cumulative sum for its index, so only the
-        blocks actually hit by draws are materialised (in one gather).
+        Each draw finds its block by a ``searchsorted`` over the cumulative
+        block masses and then its index by one over the hit block's
+        cumulative probabilities, so beyond the masses only the blocks
+        actually hit by draws are materialised (in one gather).
         """
         if shots < 0:
             raise ValueError(f"shots must be non-negative, got {shots}")
         rng = np.random.default_rng(seed)
         reader = self.simulator.state_reader()
         with self._lock, self._observe("sample") as span:
-            self._refresh_tree(reader, span)
-            total = self._tree.total()
+            prefix = np.concatenate(([0.0], np.cumsum(self._masses(reader, span))))
+            total = prefix[-1]
             if total <= 0.0:
                 raise ValueError("cannot sample from a zero-norm state")
             if not shots:
                 return np.empty(0, dtype=np.int64)
             draws = rng.random(shots) * total
-            blocks, residuals = self._tree.find(draws)
+            # a draw at or beyond the total (rounding) lands in the last block
+            blocks = np.minimum(
+                np.searchsorted(prefix[1:], draws, side="right"), self.n_blocks - 1
+            )
+            residuals = draws - prefix[blocks]
             out = np.empty(shots, dtype=np.int64)
             order = np.argsort(blocks, kind="stable")
             sorted_blocks = blocks[order]

@@ -459,7 +459,8 @@ class QTask:
         return self.simulator.probability(basis_state)
 
     def norm(self) -> float:
-        """The state's 2-norm, accumulated block-wise (never materialised)."""
+        """The state's 2-norm from the cached per-block masses (the identity
+        term's partials; the state is never materialised)."""
         return self.simulator.norm()
 
     # -- observables & measurement --------------------------------------------

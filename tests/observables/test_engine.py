@@ -1,4 +1,4 @@
-"""Tests for the block-wise observables engine and the sampling tree."""
+"""Tests for the block-wise observables engine and its shot sampling."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.observables import (
     ObservablesEngine,
     PauliString,
     PauliSum,
-    PrefixSumTree,
     dense_expectation,
     maxcut_hamiltonian,
 )
@@ -45,38 +44,67 @@ def build_sim(rng, num_qubits, levels=4, **kwargs):
 
 
 class TestPrefixSumTree:
-    def test_build_set_and_prefix(self, np_rng):
-        vals = np_rng.random(13)
-        tree = PrefixSumTree(13)
-        tree.build(vals)
-        for i in range(14):
-            assert abs(tree.prefix_sum(i) - vals[:i].sum()) < 1e-12
-        tree.set(5, 3.5)
-        vals[5] = 3.5
-        assert abs(tree.total() - vals.sum()) < 1e-12
-        assert tree.value(5) == 3.5
+    """Block masses are the identity term's cached partials; a shot's block
+    is ``searchsorted`` over their cumulative sum (the ids are historical:
+    a Fenwick tree answered both once)."""
 
-    def test_find_matches_searchsorted(self, np_rng):
-        vals = np_rng.random(32)
-        vals[[3, 7, 20]] = 0.0  # zero-mass entries must be skipped
-        tree = PrefixSumTree(32)
-        tree.build(vals)
-        cum = np.cumsum(vals)
-        targets = np_rng.random(200) * cum[-1]
-        idx, resid = tree.find(targets)
-        expected = np.searchsorted(cum, targets, side="right")
-        np.testing.assert_array_equal(idx, expected)
-        prefix = np.concatenate(([0.0], cum))[idx]
-        np.testing.assert_allclose(resid, targets - prefix, atol=1e-9)
+    def test_build_set_and_prefix(self, rng):
+        ckt, sim = build_sim(rng, 4, block_size=2)
+        engine = sim.observables
+        masses = sim.probabilities().reshape(sim.n_blocks, -1).sum(axis=1)
+        for b in range(sim.n_blocks):
+            assert abs(engine.block_probability(b) - masses[b]) < 1e-12
+        assert abs(engine.total_probability() - masses.sum()) < 1e-12
+        # the masses are the identity term's partials, not a second cache
+        assert engine.cached_partials == sim.n_blocks
+        np.testing.assert_allclose(
+            engine._terms[PauliString().key].partials.real, masses, atol=1e-12
+        )
+        # a retune dirties some blocks; their masses follow the new state
+        net = ckt.insert_net()
+        h = ckt.insert_gate("rx", net, 3, params=[0.4])
+        sim.update_state()
+        ckt.update_gate(h, 2.1)
+        sim.update_state()
+        masses = sim.probabilities().reshape(sim.n_blocks, -1).sum(axis=1)
+        for b in range(sim.n_blocks):
+            assert abs(engine.block_probability(b) - masses[b]) < 1e-12
+        assert abs(engine.total_probability() - 1.0) < 1e-10
+        sim.close()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PrefixSumTree(0)
-        tree = PrefixSumTree(4)
-        with pytest.raises(IndexError):
-            tree.set(4, 1.0)
-        with pytest.raises(ValueError):
-            tree.build(np.ones(3))
+    def test_find_matches_searchsorted(self):
+        ckt = Circuit(5)
+        sim = QTaskSimulator(ckt, block_size=2, num_workers=1)
+        # h on qubits 0, 2, 4: every block with qubit 1 or 3 set has no mass,
+        # and zero-mass blocks must never be drawn
+        ckt.append_level([Gate("h", (q,)) for q in (0, 2, 4)])
+        ckt.append_level([Gate("ry", (2,), (0.7,))])
+        sim.update_state()
+        engine = sim.observables
+        engine.total_probability()
+        masses = engine._terms[PauliString().key].partials.real.copy()
+        cum = np.cumsum(masses)
+        for seed in (0, 1, 7):
+            samples = sim.sample(200, seed=seed)
+            draws = np.random.default_rng(seed).random(200) * cum[-1]
+            expected = np.searchsorted(cum, draws, side="right")
+            np.testing.assert_array_equal(samples // sim.block_size, expected)
+            assert np.all(masses[samples // sim.block_size] > 0)
+        sim.close()
+
+    def test_validation(self, rng):
+        ckt, sim = build_sim(rng, 3, block_size=2)
+        engine = sim.observables
+        for block in (-1, sim.n_blocks):
+            with pytest.raises(IndexError, match="out of range"):
+                engine.block_probability(block)
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.sample(-1)
+        with pytest.raises(ValueError, match="out of range"):
+            engine.marginal_probabilities((3,))
+        # rejected before anything was read or cached
+        assert engine.cached_partials == 0
+        sim.close()
 
 
 class TestExpectation:
@@ -208,7 +236,7 @@ class TestNormAndMarginals:
         ckt, sim = build_sim(rng, 4, block_size=4)
         masses = sim.probabilities().reshape(sim.n_blocks, -1).sum(axis=1)
         engine = sim.observables
-        for warm in (False, True):  # stale, then served from the tree
+        for warm in (False, True):  # missing, then the cached partials
             for b in range(sim.n_blocks):
                 if not cache:  # every query cold
                     engine.invalidate()

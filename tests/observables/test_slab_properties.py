@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro import QTask
-from repro.observables import PauliString, PauliSum, PrefixSumTree, dense_expectation
+from repro.observables import PauliString, PauliSum, dense_expectation
 
 from ..machine import MODIFIERS, run_machine
 
@@ -123,6 +123,54 @@ def test_uncached_engine_runs_the_same_slab_routine(no_plan):
         assert len(cached_calls) == 1 and len(uncached_calls) == 2
 
 
+@pytest.mark.parametrize("masses", ["counts", "norm"])
+def test_block_masses_and_the_identity_term_are_one_cache(masses, no_plan):
+    """``counts`` / ``norm`` read block masses, ``expectation("I")`` the
+    identity term's partials: the same cached array, so whichever query
+    comes second gathers nothing for it, in either order and after an
+    edit that dirtied half the blocks."""
+    session, _ = layered_session(tracing=True)
+    with session:
+        sim = session.simulator
+        n_blocks = sim.n_blocks
+        gathered = sim.telemetry.metrics.counter("observe.blocks_gathered")
+
+        def cost(query):
+            """``(blocks_missing, blocks_gathered, hit)`` of one query; ``hit``
+            is the blocks a sample's draws landed in."""
+            before = gathered.value
+            result = query()
+            span = [r for r in session.telemetry.tracer.spans() if r.name == "observe"][-1]
+            assert span.attrs["blocks_gathered"] == gathered.value - before
+            hit = (
+                {int(k, 2) // sim.block_size for k in result}
+                if isinstance(result, dict) else set()
+            )
+            return span.attrs["blocks_missing"], span.attrs["blocks_gathered"], hit
+
+        def read_masses():
+            if masses == "counts":
+                return session.counts(64, seed=9)
+            return session.norm()
+
+        def identity():
+            return session.expectation(PauliString())
+
+        # masses first: the identity term is already cached
+        missing, read, hit = cost(read_masses)
+        assert (missing, read) == (n_blocks, n_blocks + len(hit))
+        assert cost(identity) == (0, 0, set())
+        # a phase on the top qubit dirties the upper half of the blocks
+        session.insert_gate("p", session.insert_net(), 5, params=[0.4])
+        session.update_state()
+        assert cost(identity) == (n_blocks // 2, n_blocks // 2, set())
+        # identity first: the masses are already cached (a sample still
+        # reads the blocks its draws hit, and nothing else)
+        missing, read, hit = cost(read_masses)
+        assert (missing, read) == (0, len(hit))
+        assert abs(identity() - 1.0) < 1e-10
+
+
 def test_partial_query_gathers_missing_blocks_and_their_partners(no_plan):
     session, _ = layered_session()
     with session:
@@ -188,8 +236,9 @@ def test_fork_owns_its_partials_and_validity(no_plan):
 
 
 def reference_sample(sim, shots, seed):
-    """``sample`` as it was before the slab gather: one read and one
-    ``.sum()`` per block, one read per hit block."""
+    """``sample`` as a per-block loop: one read and one ``.sum()`` per block
+    for the masses, a ``cumsum`` over them for each draw's block, one read
+    per hit block for its index."""
     reader = sim.state_reader()
     size = min(sim.dim, sim.block_size)
 
@@ -198,16 +247,15 @@ def reference_sample(sim, shots, seed):
         amps = reader.read_range(lo, lo + size - 1)
         return (amps.conj() * amps).real
 
-    tree = PrefixSumTree(sim.n_blocks)
-    tree.build(np.array([float(probs(b).sum()) for b in range(sim.n_blocks)]))
-    draws = np.random.default_rng(seed).random(shots) * tree.total()
-    blocks, residuals = tree.find(draws)
+    cum = np.cumsum([float(probs(b).sum()) for b in range(sim.n_blocks)])
+    draws = np.random.default_rng(seed).random(shots) * cum[-1]
+    blocks = np.minimum(np.searchsorted(cum, draws, side="right"), sim.n_blocks - 1)
+    residuals = draws - np.concatenate(([0.0], cum))[blocks]
     out = np.empty(shots, dtype=np.int64)
     for b in np.unique(blocks):
         sel = np.flatnonzero(blocks == b)
-        cum = np.cumsum(probs(int(b)))
-        local = np.searchsorted(cum, residuals[sel], side="right")
-        out[sel] = b * sim.block_size + np.minimum(local, cum.shape[0] - 1)
+        local = np.searchsorted(np.cumsum(probs(int(b))), residuals[sel], side="right")
+        out[sel] = b * sim.block_size + np.minimum(local, size - 1)
     return out
 
 
@@ -220,11 +268,16 @@ def test_samples_equal_the_per_block_loop(block_size, seed, no_plan):
         np.testing.assert_array_equal(
             session.sample(300, seed=seed), reference_sample(sim, 300, seed)
         )
-        # the vectorised block masses are the per-block sums, bit for bit
+        # the block masses sampling drew from are the identity term's
+        # partials: the per-block sums, and what expectation("I") adds up
         state = sim.state().reshape(sim.n_blocks, -1)
-        assert sim.observables._tree.values().tolist() == [
-            float((row.conj() * row).real.sum()) for row in state
-        ]
+        masses = sim.observables._terms[PauliString().key].partials
+        np.testing.assert_allclose(
+            masses.real, [(row.conj() * row).real.sum() for row in state],
+            rtol=0, atol=1e-15,
+        )
+        assert not masses.imag.any()
+        assert session.expectation(PauliString()) == masses.sum().real
 
 
 def test_counts_equal_the_parent_commits(no_plan):

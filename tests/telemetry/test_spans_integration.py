@@ -562,19 +562,24 @@ def test_engine_queries_record_one_observe_span_each():
         )
         assert (cached["blocks_missing"], cached["blocks_gathered"]) == (0, 0)
         assert half["blocks_missing"] == half["blocks_gathered"] == n_blocks // 2
-        # the tree refresh reads every block, the draws a few more
+        # the block masses (the identity term's partials) read every block,
+        # the draws a few more
         assert sample["blocks_missing"] == n_blocks
         assert n_blocks < sample["blocks_gathered"] <= 2 * n_blocks
         assert marginal["blocks_gathered"] == n_blocks
 
         counters = ckt.telemetry_report()["counters"]
-        assert counters["observe.partials_computed"] == n_blocks + n_blocks // 2
+        # ZZ on every block, then on the dirty half; the sample's masses
+        # are the identity term's partials, one per block
+        assert counters["observe.partials_computed"] == (
+            n_blocks + n_blocks // 2 + n_blocks
+        )
         assert counters["observe.blocks_gathered"] == sum(
             r.attrs["blocks_gathered"] for r in spans
         )
         text = ckt.telemetry.metrics.prometheus_text()
         assert re.search(
-            rf"^qtask_observe_partials_computed\{{[^}}]*\}} {n_blocks * 3 // 2}$",
+            rf"^qtask_observe_partials_computed\{{[^}}]*\}} {n_blocks * 5 // 2}$",
             text, re.M,
         )
         assert "qtask_observe_blocks_gathered" in text
