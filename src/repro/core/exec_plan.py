@@ -184,7 +184,7 @@ class StagePlan:
         "_static_table",
         "run",
         "reused",
-        "recomposed",
+        "gathers",
         "emitted_runs",
         "num_chunks",
     )
@@ -221,9 +221,9 @@ class StagePlan:
         self.run = None
         #: the run is a record an earlier update formed, emitted whole
         self.reused = False
-        #: a run whose composed operation was not in the cache: composing
-        #: it was part of building this plan
-        self.recomposed = False
+        #: of a run whose composed operation was not in the cache (composing
+        #: it was part of building this plan): the gathers it took
+        self.gathers: Optional[int] = None
         #: filled in by the executing task body (one writer, read after join)
         self.emitted_runs = 0
         self.num_chunks = 0
@@ -241,6 +241,11 @@ class StagePlan:
         return sp
 
     @property
+    def recomposed(self) -> bool:
+        """The run's composed operation was not in the cache."""
+        return self.gathers is not None
+
+    @property
     def block_writes(self) -> int:
         """Blocks the plan publishes."""
         return bin(self.mask).count("1")
@@ -256,7 +261,7 @@ class StagePlan:
         if self._static_table is not None or self.has_sync:
             return
         if self.run is not None:
-            self._static_table, self.recomposed = self.run.compose()
+            self._static_table, self.gathers = self.run.compose()
         elif getattr(self.stage, "plan_static", False):
             self._static_table = self.stage.emit_table(self.block_ranges)
 
@@ -264,7 +269,7 @@ class StagePlan:
         """The stage's run table (static, or emitted now, after the draws)."""
         table = self._static_table
         if table is None and self.run is not None:
-            table, self.recomposed = self.run.compose()
+            table, self.gathers = self.run.compose()
         elif table is None:
             table = self.stage.emit_table(self.block_ranges)
         self.emitted_runs = table.num_runs
@@ -321,11 +326,12 @@ class ExecutionPlan:
         """The stage plans that stand for more than one stage."""
         return [sp for sp in self.stage_plans if len(sp.members) > 1]
 
-    def coalesced(self) -> Tuple[int, int, int, int, int, int, int]:
+    def coalesced(self) -> Tuple[int, int, int, int, int, int, int, int]:
         """``(stages, collapses, runs, largest run, widest union in qubits,
-        runs recomposed, runs reused)`` of the coalesced runs;
+        runs recomposed, runs reused, gathers)`` of the coalesced runs;
         ``collapses`` counts the measure / reset members among ``stages``,
-        ``reused`` the runs emitted whole from their records."""
+        ``reused`` the runs emitted whole from their records, ``gathers``
+        those the recomposed ones took."""
         runs = self.runs()
         return (
             sum(len(sp.members) for sp in runs),
@@ -335,6 +341,7 @@ class ExecutionPlan:
             max((len(sp.run.qubits) for sp in runs), default=0),
             sum(sp.recomposed for sp in runs),
             sum(sp.reused for sp in runs),
+            sum(sp.gathers or 0 for sp in runs),
         )
 
     def static_runs(self) -> int:

@@ -33,10 +33,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, ClassVar, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
+from ..telemetry.session import current as current_telemetry
 from .exceptions import GateArityError, UnknownGateError
 
 __all__ = [
@@ -57,6 +60,8 @@ __all__ = [
     "controlled_matrix",
     "embed_gate_matrix",
     "compose_run",
+    "run_gathers",
+    "run_structure",
     "scale_action",
     "union_sources",
     "ComposedRuns",
@@ -109,13 +114,39 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Action:
-    """Base class describing how a gate acts on the state vector."""
+    """Base class describing how a gate acts on the state vector.
+
+    A composite (:func:`compose_run`, :func:`scale_action`) is *array-backed*:
+    built from its arrays, it derives a tuple field from them on first read.
+    """
 
     num_qubits: int
+
+    #: tuple field -> the array field an array-backed action derives it from
+    _derived: ClassVar[Mapping[str, str]] = {}
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance has not set
+        source = self._derived.get(name)
+        array = self.__dict__.get(source) if source is not None else None
+        if array is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = self.__dict__[name] = tuple(array.tolist())
+        return value
 
     @property
     def creates_superposition(self) -> bool:
         raise NotImplementedError
+
+
+def _array_backed(cls, num_qubits: int, **fields) -> Action:
+    """An array-backed ``cls``: ``fields`` set as they are, the tuple fields
+    left to :meth:`Action.__getattr__`."""
+    action = object.__new__(cls)
+    action.__dict__.update(num_qubits=num_qubits, **fields)
+    return action
 
 
 @dataclass(frozen=True)
@@ -127,7 +158,9 @@ class DiagonalAction(Action):
     Entries equal to 1 are *untouched* and never generate work.
     """
 
-    phases: Tuple[complex, ...] = ()
+    phases: Tuple[complex, ...]
+
+    _derived: ClassVar[Mapping[str, str]] = {"phases": "phase_array"}
 
     @property
     def creates_superposition(self) -> bool:
@@ -137,6 +170,11 @@ class DiagonalAction(Action):
     def phase_array(self) -> np.ndarray:
         """:attr:`phases` as a read-only ``complex128`` array, built once."""
         return _frozen(np.asarray(self.phases, dtype=complex))
+
+    @cached_property
+    def unit(self) -> bool:
+        """Every phase is exactly 1: composing it multiplies nothing."""
+        return bool((self.phase_array == 1).all())
 
     def touched_locals(self) -> Tuple[int, ...]:
         """Local indices whose amplitude actually changes."""
@@ -154,8 +192,10 @@ class MonomialAction(Action):
     points with factor 1 are untouched.
     """
 
-    perm: Tuple[int, ...] = ()
-    factors: Tuple[complex, ...] = ()
+    perm: Tuple[int, ...]
+    factors: Tuple[complex, ...]
+
+    _derived: ClassVar[Mapping[str, str]] = {"factors": "factor_array"}
 
     @property
     def creates_superposition(self) -> bool:
@@ -165,6 +205,16 @@ class MonomialAction(Action):
     def factor_array(self) -> np.ndarray:
         """:attr:`factors` as a read-only ``complex128`` array, built once."""
         return _frozen(np.asarray(self.factors, dtype=complex))
+
+    @cached_property
+    def perm_array(self) -> np.ndarray:
+        """:attr:`perm` as a read-only ``int64`` array, built once."""
+        return _frozen(np.asarray(self.perm, dtype=np.int64))
+
+    @cached_property
+    def unit(self) -> bool:
+        """Every factor is exactly 1: composing it multiplies nothing."""
+        return bool((self.factor_array == 1).all())
 
     def touched_locals(self) -> Tuple[int, ...]:
         out = []
@@ -549,7 +599,10 @@ def classify_gate(gate: Gate) -> Action:
 # another monomial.  Composing a swept run of consecutive diagonal/monomial
 # stages into one action over the union of their qubit supports lets an
 # update execute one plan (one table, one set of CoW block writes) instead
-# of one per stage.
+# of one per stage.  Where each member's coefficient lands depends only on
+# the members' qubits and permutations, the run's *structure*, derived once
+# (:func:`run_structure`); a retuned angle changes only the values, one
+# gather and one multiply per member (:func:`compose_run`).
 
 
 @lru_cache(maxsize=512)
@@ -569,6 +622,97 @@ def union_sources(k: int, bits: Tuple[int, ...], perm: Tuple[int, ...]) -> np.nd
     return _frozen(sources)
 
 
+class _SharedPerm(tuple):
+    """A composite permutation: one tuple per run structure, shared by every
+    composite of that structure, its hash computed once -- a table keyed by
+    it (``kernels._slab_table``) pays no ``2**k``-entry pass per lookup."""
+
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+#: one member's structure: its qubits and its permutation (``None``: diagonal)
+MemberShape = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
+
+
+class RunStructure(NamedTuple):
+    """Everything a run's composite depends on but its members' values."""
+
+    #: the sorted union of the members' qubits
+    union: Tuple[int, ...]
+    #: the composite's push-form permutation; ``None`` when it is diagonal
+    perm: Optional[_SharedPerm]
+    perm_array: Optional[np.ndarray]
+    #: per member, the index (``uint16`` up to 16 qubits) into its phases /
+    #: factors of what it contributes at each composite (push-form) position
+    tables: Tuple[np.ndarray, ...]
+
+
+#: entries of :func:`run_structure`, least recently used first out
+RUN_STRUCTURES = 32
+
+
+@lru_cache(maxsize=RUN_STRUCTURES)
+def run_structure(shape: Tuple[MemberShape, ...]) -> RunStructure:
+    """The structure of a run whose members have ``shape``, derived once.
+
+    In pull form the members in order put ``factors[j] * input[source[j]]``
+    at union-local index ``j``: a permuting member pulls through its
+    ``union_sources`` table after multiplying, so a member's coefficient
+    reaches the end through every pull from its own on.  Walking the members
+    backwards folds that chain into one table per member, in push form
+    (a composite's ``pushed[l]`` is the pull-form ``factors[perm[l]]``).
+    Bound: ``RUN_STRUCTURES`` entries, each at most ``MAX_RUN_STAGES`` = 64
+    tables of 8 KB at 12 qubits plus one permutation (~140 KB as a tuple,
+    32 KB as an array): ~0.7 MB an entry, under 24 MB in all.
+    """
+    union = tuple(sorted({q for qubits, _ in shape for q in qubits}))
+    k = len(union)
+    position = {q: j for j, q in enumerate(union)}
+    bits = [tuple(position[q] for q in qubits) for qubits, _ in shape]
+    pulls = [
+        None if perm is None else union_sources(k, b, perm)
+        for b, (_, perm) in zip(bits, shape)
+    ]
+    source: Optional[np.ndarray] = None  # ``None``: nothing has moved yet
+    for pull in pulls:
+        if pull is not None:
+            source = pull if source is None else source.take(pull)
+    base = np.arange(1 << k, dtype=np.int64)
+    perm = shared = None
+    if source is not None and not np.array_equal(source, base):
+        perm = np.empty_like(base)
+        perm[source] = base
+        shared = _SharedPerm(perm.tolist())
+    tables, dtype = [], np.uint16 if k <= 16 else np.int64
+    reads = perm  # composite position -> pull-form index after the member
+    for b, pull in zip(reversed(bits), reversed(pulls)):
+        if pull is not None:
+            reads = pull if reads is None else pull.take(reads)
+        local = _union_locals(k, b)
+        table = local if reads is None else local.take(reads)
+        tables.append(_frozen(table.astype(dtype)))
+    tables.reverse()
+    return RunStructure(
+        union, shared, None if perm is None else _frozen(perm), tuple(tables)
+    )
+
+
+def _member_shape(action: Action, qubits: Sequence[int]) -> MemberShape:
+    if isinstance(action, DiagonalAction):
+        return tuple(qubits), None
+    if isinstance(action, MonomialAction):
+        return tuple(qubits), action.perm
+    raise TypeError(
+        f"only non-superposition actions compose, got {type(action).__name__}"
+    )
+
+
 def compose_run(
     parts: Sequence[Tuple[Action, Sequence[int]]]
 ) -> Tuple[Action, Tuple[int, ...]]:
@@ -578,63 +722,60 @@ def compose_run(
     must be non-superposition actions: diagonals multiply into one phase
     table, a monomial part also composes into the running permutation, and
     a permutation that collapses to the identity is classified back to a
-    :class:`DiagonalAction`.  Array algebra over the ``2**k`` union-local
-    indices off cached index tables -- one gather and one multiply per
-    diagonal part, two more gathers per permuting one: this is what lets an
-    update execute a run of swept stages as one slab.
+    :class:`DiagonalAction`.  The run's structure comes from
+    :func:`run_structure`; the value pass is one gather and one in-place
+    multiply per member whose coefficients are not all 1, in member order.
+    The result is array-backed: its permutation is the structure's shared
+    tuple, and no ``2**k``-entry Python object is built.
     """
-    union = tuple(sorted({q for _, qubits in parts for q in qubits}))
-    k = len(union)
-    position = {q: j for j, q in enumerate(union)}
-    # Pull form, indexed by where an amplitude ends up: the composition so
-    # far puts ``factors[j] * input[source[j]]`` at index ``j``.  A diagonal
-    # part then scales in place, whatever was permuted before it.
-    source: Optional[np.ndarray] = None  # ``None``: nothing has moved yet
-    factors = np.ones(1 << k, dtype=complex)
-    for action, qubits in parts:
-        bits = tuple(position[q] for q in qubits)
-        local = _union_locals(k, bits)
-        if isinstance(action, DiagonalAction):
-            factors *= action.phase_array.take(local)
-        elif isinstance(action, MonomialAction):
-            pull = union_sources(k, bits, action.perm)
-            factors *= action.factor_array.take(local)
-            factors = factors.take(pull)
-            source = pull if source is None else source.take(pull)
-        else:
-            raise TypeError(
-                f"only non-superposition actions compose, got {type(action).__name__}"
-            )
-    base = np.arange(1 << k, dtype=np.int64)
-    if source is None or np.array_equal(source, base):
-        composed: Action = DiagonalAction(num_qubits=k, phases=tuple(factors.tolist()))
-        composed.__dict__["phase_array"] = _frozen(factors)  # seeds the cache
-    else:
-        # back to the actions' push form: index ``l`` moves to ``perm[l]``
-        # and picks up ``factors[l]`` on the way
-        perm = np.empty_like(base)
-        perm[source] = base
-        pushed = np.empty_like(factors)
-        pushed[source] = factors
-        composed = MonomialAction(
-            num_qubits=k, perm=tuple(perm.tolist()), factors=tuple(pushed.tolist())
+    structure = run_structure(tuple(_member_shape(a, q) for a, q in parts))
+    factors: Optional[np.ndarray] = None
+    for (action, _), table in zip(parts, structure.tables):
+        if action.unit:
+            continue
+        coeffs = (
+            action.phase_array if isinstance(action, DiagonalAction)
+            else action.factor_array
         )
-        composed.__dict__["factor_array"] = _frozen(pushed)
+        if factors is None:
+            factors = coeffs.take(table)
+        else:
+            factors *= coeffs.take(table)
+    union = structure.union
+    if factors is None:
+        factors = np.ones(1 << len(union), dtype=complex)
+    if structure.perm is None:
+        composed = _array_backed(
+            DiagonalAction, len(union), phase_array=_frozen(factors)
+        )
+    else:
+        composed = _array_backed(
+            MonomialAction, len(union), perm=structure.perm,
+            perm_array=structure.perm_array, factor_array=_frozen(factors),
+        )
     return composed, union
+
+
+def run_gathers(parts: Sequence[Tuple[Action, Sequence[int]]]) -> int:
+    """Gathers :func:`compose_run` makes for ``parts``: one per member whose
+    coefficients are not all 1 (a ``cx`` or a ``swap`` costs none)."""
+    return sum(not action.unit for action, _ in parts)
 
 
 def scale_action(action: Action, scalar: float) -> Action:
     """``action`` with every phase / factor multiplied by ``scalar`` (a run
-    holding collapses: its composite times their ``1/sqrt(mass)``)."""
+    holding collapses: its composite times their ``1/sqrt(mass)``); as
+    array-backed as a composite."""
     if isinstance(action, DiagonalAction):
-        phases = action.phase_array * scalar
-        scaled: Action = DiagonalAction(action.num_qubits, tuple(phases.tolist()))
-        scaled.__dict__["phase_array"] = _frozen(phases)
-        return scaled
-    factors = action.factor_array * scalar
-    scaled = MonomialAction(action.num_qubits, action.perm, tuple(factors.tolist()))
-    scaled.__dict__["factor_array"] = _frozen(factors)
-    return scaled
+        return _array_backed(
+            DiagonalAction, action.num_qubits,
+            phase_array=_frozen(action.phase_array * scalar),
+        )
+    return _array_backed(
+        MonomialAction, action.num_qubits, perm=action.perm,
+        perm_array=action.perm_array,
+        factor_array=_frozen(action.factor_array * scalar),
+    )
 
 
 RunParts = Tuple[Tuple[Action, Tuple[int, ...]], ...]
@@ -649,17 +790,21 @@ class ComposedRuns:
     stage.  So a run whose members did not change since it was last planned
     composes nothing, and neither does the same run planned by another
     session (a fresh build of the same circuit, a fork, a restore); a
-    retuned, reordered, moved or edited run is another key and misses.
+    retuned, reordered, moved or edited run is another key and misses, and
+    is composed over its structure (:func:`run_structure`, its own cache).
 
     The bound is an entry count, least recently used first out, and with it
-    a memory bound: a composite over ``MAX_RUN_QUBITS`` = 12 qubits is at
-    most ~0.4 MB (a monomial's two 4 096-entry tuples of boxed ints /
-    complexes plus its 64 KB factor array; a diagonal is ~0.23 MB), so
-    ``maxsize`` = 64 entries hold at most ~26 MB (ceiling: 32 MB) whatever
-    is planned -- the keys' own members are a few hundred bytes each.
-    Lookups from concurrently planning sessions are serialised by a lock;
-    composing happens outside it (two planners missing on one run both
-    compose it, either result is the value).
+    a memory bound: a composite over ``MAX_RUN_QUBITS`` = 12 qubits is
+    array-backed, 64 KB of phases / factors of its own plus, if it permutes,
+    its structure's shared permutation (~170 KB as tuple and array); so
+    ``maxsize`` = 64 entries hold ~4 MB, ~15 MB if no two share a
+    structure (ceiling: 16 MB).  Reading ``phases`` / ``factors`` adds a
+    ~0.2 MB tuple to an entry; nothing in the engine does.  A miss composes
+    inside a ``plan.compose`` span (``members``, ``qubits``, ``gathers``)
+    when the active session traces.  Lookups from concurrently planning
+    sessions are serialised by a lock; composing happens outside it (two
+    planners missing on one run both compose it, either result is the
+    value).
     """
 
     def __init__(self, maxsize: int = 64) -> None:
@@ -677,7 +822,14 @@ class ComposedRuns:
             if composed is not None:
                 entries.move_to_end(parts)
                 return composed + (False,)
-        composed = compose_run(parts)
+        telemetry = current_telemetry()
+        if telemetry is not None and telemetry.tracer.enabled:
+            with telemetry.tracer.span("plan.compose", {"members": len(parts)}) as span:
+                composed = compose_run(parts)
+                span.set("qubits", len(composed[1]))
+                span.set("gathers", run_gathers(parts))
+        else:
+            composed = compose_run(parts)
         with self._lock:
             entries[parts] = composed
             while len(entries) > self.maxsize:

@@ -130,16 +130,16 @@ class StageRun:
         self.has_sync = any(layout.full_read for layout in layouts)
         return self
 
-    def compose(self) -> Tuple[RunTable, bool]:
-        """The run's table, and whether composing it missed the composite
-        cache.  A run holding collapses composes after every draw, so only
-        the others keep theirs."""
+    def compose(self) -> Tuple[RunTable, Optional[int]]:
+        """The run's table, and the gathers composing it took now (``None``:
+        it came from the composite cache or this record).  A run holding
+        collapses composes after every draw, so only the others keep theirs."""
         if self.table is not None:
-            return self.table, False
-        table, recomposed = coalesced_table(self.members, self.ranges)
+            return self.table, None
+        table, gathers = coalesced_table(self.members, self.ranges)
         if not self.has_sync:
             self.table = table
-        return table, recomposed
+        return table, gathers
 
 
 def _owned_masks(covers: Sequence[int], union: int) -> List[int]:

@@ -181,7 +181,7 @@ def apply_monomial_range(
     always lies inside the same gate orbit, which partitions are closed under,
     so the reads stay within the partition's index span.
     """
-    perm = np.asarray(action.perm, dtype=np.int64)
+    perm = action.perm_array
     factors = action.factor_array
     dim = perm.shape[0]
     inv = np.empty(dim, dtype=np.int64)

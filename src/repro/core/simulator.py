@@ -613,13 +613,14 @@ class QTaskSimulator:
         gates as S stages in N nets, R removed, T retuned"); the
         ``plan.build`` span's ("swept stages k..S, planned N" stage plans;
         "coalesced N stages (C collapses) into R runs (K reused from their
-        records, M recomposed, ...)", where a run holding collapses composes
-        after its draws, so only this report counts it in M); the plan
-        pipeline's view; and -- what no counter answers -- the time-ordered
-        recovery events (injected faults, chunk fallbacks, run retries).
+        records, M recomposed by G gathers, ...)", where a run holding
+        collapses composes after its draws, so only this report counts it in
+        M and G); the plan pipeline's view; and -- what no counter answers --
+        the time-ordered recovery events (injected faults, chunk fallbacks,
+        run retries).
         """
         report, u = self.last_update, self.updater
-        coalesced, collapses, runs, largest, widest, recomposed, reused = (
+        coalesced, collapses, runs, largest, widest, recomposed, reused, gathers = (
             u.last_coalesced
         )
         inserted, wired, nets, removed, retuned = u.last_wired
@@ -641,7 +642,8 @@ class QTaskSimulator:
             f"  swept stages {first}..{first + swept}, planned {planned}",
             f"  coalesced {coalesced} stages ({collapses} collapses) into {runs} runs"
             + (
-                f" ({reused} reused, {recomposed} recomposed, largest {largest},"
+                f" ({reused} reused, {recomposed} recomposed by {gathers} gathers,"
+                f" largest {largest},"
                 f" union <= {widest} qubits)"
                 if runs
                 else ""

@@ -42,6 +42,7 @@ from .gates import (
     MonomialAction,
     classify_matrix,
     composed_runs,
+    run_gathers,
     scale_action,
     union_sources,
 )
@@ -326,25 +327,28 @@ class UnitaryStage(Stage):
 
 def coalesced_table(
     members: Sequence[Stage], block_ranges: Sequence[BlockRange]
-) -> Tuple[RunTable, bool]:
+) -> Tuple[RunTable, Optional[int]]:
     """One table doing the work of consecutive ``members`` in one pass, and
-    whether composing it was paid for now.
+    the gathers composing it took now (``None``: it was not composed now).
 
     Its single operation is the members' actions composed in stage order
     (:func:`~repro.core.gates.compose_run`, over the union of their qubits),
     taken from :data:`~repro.core.gates.composed_runs` under the members'
     ``(action, qubits)`` values: only a run not planned before (or edited
-    since) composes.  A drawn collapse's action is its unscaled projector,
-    so the cache holds one composite per outcome pattern; the collapses'
-    ``1/sqrt(mass)`` multiply into one scalar applied to the composite.
+    since) composes.  It is composed once per structure and multiplied once
+    per value: a retuned run gathers its members' coefficients over its
+    cached structure (:func:`~repro.core.gates.run_structure`), one gather
+    and one multiply a member.  A drawn collapse's action is its unscaled
+    projector, so the cache holds one composite per outcome pattern; the
+    collapses' ``1/sqrt(mass)`` multiply into one scalar applied to the
+    composite.
     ``block_ranges`` must span the union of the members' covers, which is
     closed under the composed permutation -- an amplitude moves only within
     the cover of the member moving it.
     """
     head = members[0]
-    action, qubits, recomposed = composed_runs.lookup(
-        tuple((s.action, s.qubits) for s in members)
-    )
+    parts = tuple((s.action, s.qubits) for s in members)
+    action, qubits, recomposed = composed_runs.lookup(parts)
     scale = math.prod(s.scale for s in members if isinstance(s, _CollapseStage))
     if scale != 1.0:
         action = scale_action(action, scale)
@@ -352,7 +356,7 @@ def coalesced_table(
         tuple(block_ranges), head.block_size, head.dim
     )
     table = RunTable(los, his, op_ids, [PlanOp(RUN_ACTION, qubits, action)])
-    return table, recomposed
+    return table, run_gathers(parts) if recomposed else None
 
 
 class MatVecStage(Stage):

@@ -112,7 +112,7 @@ class Updater:
         #: ``(first seq, stages swept, stage plans)`` of the last update's
         #: frontier sweep, and what it coalesced (:meth:`ExecutionPlan.coalesced`)
         self.last_sweep = (0, 0, 0)
-        self.last_coalesced = (0, 0, 0, 0, 0, 0, 0)
+        self.last_coalesced = (0, 0, 0, 0, 0, 0, 0, 0)
 
     def run(self) -> UpdateReport:
         """Re-simulate every partition affected by modifiers since last call."""
@@ -182,7 +182,9 @@ class Updater:
             return self._build_plan()
         with tracer.span("plan.build") as span:
             plan = self._build_plan()
-            coalesced, collapses, runs, _, _, recomposed, reused = plan.coalesced()
+            coalesced, collapses, runs, _, _, recomposed, reused, gathers = (
+                plan.coalesced()
+            )
             span.set("first_seq", plan.first_seq)
             span.set("stages_swept", plan.stages_swept)
             span.set("stages", plan.num_stages)
@@ -190,6 +192,7 @@ class Updater:
             span.set("coalesced_stages", coalesced)
             span.set("collapses", collapses)
             span.set("runs_recomposed", recomposed)
+            span.set("gathers", gathers)
             span.set("runs_reused", reused)
             span.set("kernel_runs", plan.static_runs())
         return plan

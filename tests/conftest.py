@@ -18,7 +18,7 @@ from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.exec_plan import PlanOp, RunSpec, RunTable
-from repro.core.gates import Gate, embed_gate_matrix
+from repro.core.gates import DiagonalAction, Gate, embed_gate_matrix, extract_local, union_sources
 from repro.core.graph import PartitionGraph
 from repro.core.kernels import KernelBackend
 from repro.core.partition import PartitionSpec, layout_of
@@ -65,13 +65,50 @@ def reference_state(num_qubits: int, levels: Sequence[Sequence[Gate]]) -> np.nda
     return psi
 
 
+def coefficients(action) -> np.ndarray:
+    """A diagonal's phases / a monomial's factors, as the kernels read them."""
+    return action.phase_array if isinstance(action, DiagonalAction) else action.factor_array
+
+
+def reference_compose(parts):
+    """``compose_run``'s oracle, the pull-form loop it replaced: ``(factors,
+    perm or None, union)`` of the composite in push form (index ``l`` moves
+    to ``perm[l]`` and picks up ``factors[l]``), built from the tuples."""
+    union = tuple(sorted({q for _, qubits in parts for q in qubits}))
+    k = len(union)
+    source, factors = None, np.ones(1 << k, dtype=complex)
+    for action, qubits in parts:
+        bits = tuple(union.index(q) for q in qubits)
+        local = extract_local(np.arange(1 << k), bits)
+        if isinstance(action, DiagonalAction):
+            factors *= np.asarray(action.phases).take(local)
+            continue
+        pull = union_sources(k, bits, action.perm)
+        factors = (factors * np.asarray(action.factors).take(local)).take(pull)
+        source = pull if source is None else source.take(pull)
+    if source is None or np.array_equal(source, np.arange(1 << k)):
+        return factors, None, union
+    perm = np.argsort(source)
+    return factors.take(perm), perm, union
+
+
+def failing_update(session, plan) -> None:
+    """``update_state()`` under the fault ``plan``, which must make it raise."""
+    faults.install(plan)
+    try:
+        with pytest.raises(faults.FaultInjected):
+            session.update_state()
+    finally:
+        faults.install(None)
+
+
 def dense_state(session) -> np.ndarray:
-    """The session's circuit on the dense reference, replaying its outcomes."""
+    """The circuit of a session (or any simulator) on the dense reference,
+    replaying its outcomes."""
     from repro.baselines.dense import DenseReferenceSimulator
 
     dense = DenseReferenceSimulator(
-        session.circuit,
-        forced_outcomes=session.simulator.outcomes.recorded_outcomes(),
+        session.circuit, forced_outcomes=session.outcomes.recorded_outcomes()
     )
     dense.update_state()
     return dense.state()

@@ -17,16 +17,14 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-import pytest
 
 from repro import QTask
-from repro.core import faults
 from repro.core.cow import IndexReader
-from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.faults import FaultPlan
 from repro.core.update import _RUN_FAULT_RETRIES
 
 from ..conftest import (
-    assert_held_blocks_declared, dense_state, newest_holder, resolve_store,
+    assert_held_blocks_declared, dense_state, failing_update, newest_holder, resolve_store,
 )
 from ..machine import (
     MODIFIERS,
@@ -179,12 +177,7 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
         # one failing slab publish, then every attempt the bound gives the
         # first run: the update raises and keeps its dirt
         storm = [("cow.publish", i) for i in range(1, _RUN_FAULT_RETRIES + 3)]
-        faults.install(FaultPlan(script=storm))
-        try:
-            with pytest.raises(FaultInjected):
-                session.update_state()
-        finally:
-            faults.install(None)
+        failing_update(session, FaultPlan(script=storm))
         assert sim.graph.has_pending
 
         holes = []

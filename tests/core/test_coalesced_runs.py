@@ -27,7 +27,7 @@ from repro.core import faults
 from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES
 from repro.core.classical import OutcomeRecord
 from repro.core.exceptions import CheckpointError
-from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.faults import FaultPlan
 from repro.core.gates import composed_runs
 
 from ..conftest import (
@@ -36,6 +36,7 @@ from ..conftest import (
     assert_held_blocks_declared,
     assert_runs_are_consistent,
     dense_state,
+    failing_update,
     swept_nodes,
 )
 from ..machine import update_and_check_planned_sources
@@ -230,12 +231,7 @@ def test_failed_update_keeps_the_old_run_record_and_its_dirt(no_plan):
         pending = swept_nodes(session)
         assert len(affected_stages(session)) == 5 and pending == oracle.expected()
         # every publish fails: all four update attempts raise mid-run
-        faults.install(FaultPlan(probabilities={"cow.publish": 1.0}))
-        try:
-            with pytest.raises(FaultInjected):
-                session.update_state()
-        finally:
-            faults.install(None)
+        failing_update(session, FaultPlan(probabilities={"cow.publish": 1.0}))
         assert [run.members for run in graph.runs()] == old
         assert graph.has_pending and swept_nodes(session) == pending
         session.update_state()
@@ -480,7 +476,8 @@ def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
         assert 0 <= span["runs_recomposed"] <= 13
         assert (
             f"coalesced 348 stages (0 collapses) into 13 runs (0 reused,"
-            f" {span['runs_recomposed']} recomposed, largest {largest},"
+            f" {span['runs_recomposed']} recomposed by {span['gathers']} gathers,"
+            f" largest {largest},"
             f" union <= {widest} qubits)"
         ) in session.explain_last_update()
         # member partitions are still what "affected" counts; block writes
@@ -649,12 +646,7 @@ def test_a_record_reused_after_a_failed_regroup_is_settled(no_plan):
         assert rz.store.stored_blocks() == ()
         # the rz plans alone and publishes, then every later publish fails
         session.remove_gate(c_if)
-        faults.install(FaultPlan(script=[("cow.publish", i) for i in range(2, 400)]))
-        try:
-            with pytest.raises(FaultInjected):
-                session.update_state()
-        finally:
-            faults.install(None)
+        failing_update(session, FaultPlan(script=[("cow.publish", i) for i in range(2, 400)]))
         assert rz.store.stored_blocks() and session.simulator.graph.runs() == [record]
         # the c_if back in front: the record is emitted whole again
         session.c_if("x", session.insert_net(session.nets()[0]), 1, condition=((0,), 1))
@@ -707,7 +699,7 @@ def test_a_retune_keeps_its_record_and_the_earlier_measure(monkeypatch):
         session.update_state()
         assert_computed(session)
         assert session.simulator.graph.runs() == [record]
-        assert "(1 reused, 1 recomposed," in session.explain_last_update()
+        assert "(1 reused, 1 recomposed by " in session.explain_last_update()
         assert session.outcomes.outcome_of(op) == outcome and keyed == []
         assert streams(session)[op] == position
 

@@ -23,16 +23,19 @@ from hypothesis import strategies as st
 from repro import QTask
 from repro.core.blocks import MAX_RUN_QUBITS
 from repro.core.gates import (
+    RUN_STRUCTURES,
     ComposedRuns,
-    DiagonalAction,
     Gate,
     MonomialAction,
+    _member_shape,
     compose_run,
     composed_runs,
+    run_structure,
 )
 from repro.core import stage as stage_module
 from repro.core.stage import gate_action
 
+from ..conftest import coefficients
 from .test_coalesced_runs import RUN_OF_FOUR, assert_computed, built, run_lengths
 
 # new hypothesis draws would shift the seeded fault streams of later tests
@@ -56,10 +59,11 @@ SHAPES = [
 
 
 @st.composite
-def runs(draw, num_qubits=5):
-    """A run of 2-6 non-superposition gates on ``num_qubits`` qubits."""
+def runs(draw, num_qubits=5, min_size=2, max_size=6):
+    """A run of ``min_size``-``max_size`` non-superposition gates on
+    ``num_qubits`` qubits."""
     gates = []
-    for _ in range(draw(st.integers(2, 6))):
+    for _ in range(draw(st.integers(min_size, max_size))):
         name, arity, angles = draw(st.sampled_from(SHAPES))
         qubits = draw(
             st.lists(st.integers(0, num_qubits - 1), min_size=arity,
@@ -83,15 +87,8 @@ def as_bytes(action, qubits):
     sign of zero: the key is the value, and rz(0) and p(0) classify to equal
     phases (1-0j, 1+0j) and (1+0j, 1+0j), so what another test cached first
     may carry either sign.  (``+ 0.0`` turns -0.0 into 0.0.)"""
-    if isinstance(action, DiagonalAction):
-        body = ("diag", action.phases, (action.phase_array + 0.0).tobytes())
-    else:
-        assert isinstance(action, MonomialAction)
-        body = (
-            "mono", action.perm, action.factors,
-            (action.factor_array + 0.0).tobytes(),
-        )
-    return (action.num_qubits, tuple(qubits)) + body
+    perm = getattr(action, "perm", None)
+    return action.num_qubits, tuple(qubits), perm, (coefficients(action) + 0.0).tobytes()
 
 
 def assert_lookup_is_compose_run(cache, gates):
@@ -183,35 +180,31 @@ def test_key_is_the_value_not_the_object():
 # ---------------------------------------------------------------------------
 
 
-def deep_bytes(action) -> int:
-    """Bytes of a composed action in tuple + array form, every boxed entry
-    counted (small ints are interned: an upper bound)."""
-    fields = [action.phases] if isinstance(action, DiagonalAction) else [
-        action.perm, action.factors
-    ]
-    array = (
-        action.phase_array if isinstance(action, DiagonalAction)
-        else action.factor_array
-    )
-    return array.nbytes + sum(
-        sys.getsizeof(field) + sum(sys.getsizeof(entry) for entry in field)
-        for field in fields
-    )
-
-
 def test_entry_bound_and_its_byte_ceiling():
-    """64 entries, least recently used first out; the widest composite there
-    can be (``MAX_RUN_QUBITS`` qubits, permuting) is under 0.4 MB, so the
-    cache holds under 32 MB whatever is planned."""
+    """64 composites and ``RUN_STRUCTURES`` structures, least recently used
+    first out.  The widest composite there can be (``MAX_RUN_QUBITS``
+    qubits, permuting) owns one 64 KB array, and shares its structure's
+    permutation (under 0.2 MB): the cache holds under 16 MB whatever is
+    planned.  A structure of ``MAX_RUN_STAGES`` members is under 0.75 MB, so
+    the structure cache holds under 24 MB."""
     assert composed_runs.maxsize == 64
-    widest = [Gate("cx", (q, (q + 1) % MAX_RUN_QUBITS)) for q in range(MAX_RUN_QUBITS)]
-    widest += [Gate("rz", (q,), (0.1 * (q + 1),)) for q in range(MAX_RUN_QUBITS)]
+    ring = [Gate("cx", (q, (q + 1) % MAX_RUN_QUBITS)) for q in range(MAX_RUN_QUBITS)]
+    widest = [ring[q % 12] if q % 2 else Gate("rz", (q % 12,), (0.1 * q,)) for q in range(64)]
     action, qubits = compose_run(parts_of(widest))
     assert isinstance(action, MonomialAction) and len(qubits) == MAX_RUN_QUBITS
-    assert deep_bytes(action) <= 400_000
-    diagonal, _ = compose_run(parts_of(widest[MAX_RUN_QUBITS:]))
-    assert deep_bytes(diagonal) < deep_bytes(action)
-    assert composed_runs.maxsize * deep_bytes(action) <= 32 * 2**20
+    assert set(vars(action)) == {"num_qubits", "perm", "perm_array", "factor_array"}
+    structure = run_structure(tuple(_member_shape(a, q) for a, q in parts_of(widest)))
+    assert action.perm is structure.perm and action.perm_array is structure.perm_array
+    # the tuple and its boxed entries (small ints are interned: an upper bound)
+    shared = sum(map(sys.getsizeof, action.perm)) + sys.getsizeof(action.perm)
+    shared += action.perm_array.nbytes
+    assert action.factor_array.nbytes == 2**16 and shared < 200_000
+    assert composed_runs.maxsize * (2**16 + shared) <= 16 * 2**20
+    entry = shared + sum(table.nbytes for table in structure.tables)
+    assert len(structure.tables) == 64 and entry < 750_000 and RUN_STRUCTURES * entry <= 24 * 2**20
+    for k in range(RUN_STRUCTURES + 8):  # distinct structures: more than the bound
+        compose_run(parts_of([Gate("cx", (k % 5, 5 + k // 5)), Gate("z", (0,))]))
+        assert run_structure.cache_info().currsize <= RUN_STRUCTURES
 
     cache = ComposedRuns(maxsize=3)
     keys = [parts_of([Gate("rz", (0,), (0.1 * k,)), Gate("x", (0,))]) for k in range(5)]
@@ -253,45 +246,38 @@ def coalesced(session):
 BEHIND_RY = [[("ry", (q,), [0.4 + 0.1 * q]) for q in range(5)]] + RUN_OF_FOUR[1:]
 
 
+def retune_there_and_back(levels, name, there, back):
+    """Update, retune the ``name`` member to ``there`` and update, retune it
+    back and update: ``(runs, recomposed)`` of each update, every state the
+    dense oracle's."""
+    composed_runs.clear()
+    session, handles = built(levels)
+    with session:
+        session.update_state()
+        seen = [coalesced(session)]
+        handle = next(h for h in handles if h.gate.name == name)
+        for angle in (there, back):
+            handle = session.update_gate(handle, angle)
+            session.update_state()
+            assert_computed(session)
+            seen.append(coalesced(session))
+        return seen, run_lengths(session)
+
+
 def test_retune_and_back_recomposes_once():
     """Retuning a member is another key (a miss); retuning it back is the
     first key again -- the second plan composes nothing -- and both states
     are the dense oracle's."""
-    composed_runs.clear()
-    session, handles = built(RUN_OF_FOUR)
-    with session:
-        session.update_state()
-        assert coalesced(session) == (1, 1)
-        cp = next(h for h in handles if h.gate.name == "cp")
-        cp = session.update_gate(cp, 2.5)
-        session.update_state()
-        assert_computed(session)
-        assert coalesced(session) == (1, 1)
-        session.update_gate(cp, 0.7)
-        session.update_state()
-        assert_computed(session)
-        assert coalesced(session) == (1, 0)
-        assert run_lengths(session) == [4]
+    assert retune_there_and_back(RUN_OF_FOUR, "cp", 2.5, 0.7) == (
+        [(1, 1), (1, 1), (1, 0)], [4])
 
 
 def test_retune_across_a_classification_crossover_misses_and_is_right():
     """rx(pi) permutes, rx(2 pi) is diagonal: same gate name, same qubits,
     other member action, so another key."""
-    composed_runs.clear()
     levels = [RUN_OF_FOUR[0], [("rx", (0,), [math.pi])]] + RUN_OF_FOUR[1:]
-    session, handles = built(levels)
-    with session:
-        session.update_state()
-        assert coalesced(session) == (1, 1)
-        rx = next(h for h in handles if h.gate.name == "rx")
-        rx = session.update_gate(rx, 2 * math.pi)
-        session.update_state()
-        assert_computed(session)
-        assert coalesced(session) == (1, 1)
-        session.update_gate(rx, math.pi)
-        session.update_state()
-        assert_computed(session)
-        assert coalesced(session) == (1, 0)
+    seen, _ = retune_there_and_back(levels, "rx", 2 * math.pi, math.pi)
+    assert seen == [(1, 1), (1, 1), (1, 0)]
 
 
 def retune_the_first_ry(session):
@@ -332,18 +318,41 @@ def test_fork_restore_and_fresh_build_replan_without_recomposing(tmp_path):
     assert len(composed_runs) == 1
 
 
+def compose_spans(session, *retune):
+    """``plan.build``'s ``runs_recomposed``, ``plan.compose``'s attrs."""
+    session.telemetry.tracer.clear()
+    session.update_gate(*retune)
+    session.update_state()
+    spans = session.telemetry.tracer.spans()
+    return ([r.attrs["runs_recomposed"] for r in spans if r.name == "plan.build"],
+            [r.attrs for r in spans if r.name == "plan.compose"])
+
+
 def test_span_and_explanation_count_the_same_lookups():
+    """``plan.build`` and the explanation count the lookups that missed, and
+    each miss is one ``plan.compose`` span whose gathers are its members not
+    all 1: a 12-qubit run with one ``rz`` retuned gathers its 12 ``rz`` and
+    none of its 12 ``cx``; a 64-member run retuned at its last member
+    gathers at most once per member.  A run re-planned unchanged (behind a
+    retuned ``ry``) composes nothing."""
     composed_runs.clear()
-    session, _ = built(BEHIND_RY, tracing=True)
-    with session:
-        session.update_state()
-        retune_the_first_ry(session)
-        spans = [
-            r.attrs for r in session.telemetry.tracer.spans() if r.name == "plan.build"
-        ]
-        assert [s["runs_recomposed"] for s in spans] == [1, 0]
-        assert [s["runs"] for s in spans] == [1, 1]
-        assert coalesced(session) == (1, 0)
+    ring = [[("cx", (q, (q + 1) % 12), ())] for q in range(12)]
+    rzs = [[("rz", (q,), [0.1 * (q + 1)])] for q in range(12)]
+    long = [[("rz", (k % 3,), [0.1 * k])] if k % 2 else [("cx", (k % 3, (k + 1) % 3), ())]
+            for k in range(64)]
+    for levels, n, member, expected in [
+        (ring + rzs, 12, 27, {"members": 24, "qubits": 12, "gathers": 12}),
+        (long, 3, -1, {"members": 64, "qubits": 3, "gathers": 32}),
+    ]:
+        rys = [[("ry", (q,), [0.4]) for q in range(n)]]
+        session, handles = built(rys + levels, n, block_size=256, tracing=True)
+        with session:
+            session.update_state()
+            assert compose_spans(session, handles[0], 1.9) == ([0], [])
+            assert coalesced(session) == (1, 0)
+            assert compose_spans(session, handles[member], 2.5) == ([1], [expected])
+            assert f"(1 reused, 1 recomposed by {expected['gathers']} gathers," in (
+                session.explain_last_update())
 
 
 def test_concurrent_planners_agree():

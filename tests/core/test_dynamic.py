@@ -432,11 +432,7 @@ class TestClassicalControl:
         ckt.measure(n2, 0, 0)      # deterministically 1
         ckt.c_if(gate, n3, *qubits, condition=((0,), 1))
         ckt.update_state()
-        dense = DenseReferenceSimulator(
-            ckt.circuit, forced_outcomes=ckt.outcomes.recorded_outcomes()
-        )
-        dense.update_state()
-        np.testing.assert_allclose(ckt.state(), dense.state(), atol=1e-12)
+        np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-12)
         ckt.close()
 
     def test_register_condition_value(self):
@@ -469,11 +465,7 @@ class TestIncrementalDynamics:
             ckt.update_gate(theta, angle)
             report = ckt.update_state()
             assert report.was_incremental
-            dense = DenseReferenceSimulator(
-                ckt.circuit, forced_outcomes=ckt.outcomes.recorded_outcomes()
-            )
-            dense.update_state()
-            np.testing.assert_allclose(ckt.state(), dense.state(), atol=1e-10)
+            np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-10)
         ckt.close()
 
     def test_downstream_edit_preserves_outcome(self):
@@ -488,11 +480,7 @@ class TestIncrementalDynamics:
         report = ckt.update_state()
         assert report.was_incremental
         assert ckt.outcomes.outcome_of(m.gate.op_index) == outcome
-        dense = DenseReferenceSimulator(
-            ckt.circuit, forced_outcomes=ckt.outcomes.recorded_outcomes()
-        )
-        dense.update_state()
-        np.testing.assert_allclose(ckt.state(), dense.state(), atol=1e-10)
+        np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-10)
         ckt.close()
 
     def test_measure_removal_restores_unitary_state(self):
@@ -1134,11 +1122,7 @@ class TestReviewRegressions:
             ckt.remove_gate(m)
             ckt.update_state()
             assert ckt.outcomes.get_bit(0) == 0
-            dense = DenseReferenceSimulator(
-                ckt.circuit, forced_outcomes=ckt.outcomes.recorded_outcomes()
-            )
-            dense.update_state()
-            np.testing.assert_allclose(ckt.state(), dense.state(), atol=1e-10)
+            np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-10)
             ckt.close()
             if drew_one:
                 break
@@ -1176,11 +1160,7 @@ class TestReviewRegressions:
             sim.update_state()
             state = sim.state()
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
-            dense = DenseReferenceSimulator(
-                ckt, forced_outcomes=sim.outcomes.recorded_outcomes()
-            )
-            dense.update_state()
-            np.testing.assert_allclose(state, dense.state(), atol=1e-10)
+            np.testing.assert_allclose(state, dense_state(sim), atol=1e-10)
             sim.close()
 
     def test_op_reuse_across_circuits_rejected(self):
@@ -1219,11 +1199,7 @@ class TestProgramPointConditions:
             ckt.update_state()
             ckt.update_gate(ry, 2.6)
             ckt.update_state()
-            dense = DenseReferenceSimulator(
-                ckt.circuit, forced_outcomes=ckt.outcomes.recorded_outcomes()
-            )
-            dense.update_state()
-            np.testing.assert_allclose(ckt.state(), dense.state(), atol=1e-10)
+            np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-10)
             ckt.close()
 
     def test_removed_writer_does_not_leak_later_writer_value(self):
@@ -1240,11 +1216,7 @@ class TestProgramPointConditions:
             ckt.update_state()
             ckt.remove_gate(m1)
             ckt.update_state()
-            dense = DenseReferenceSimulator(
-                ckt.circuit, forced_outcomes=ckt.outcomes.recorded_outcomes()
-            )
-            dense.update_state()
-            np.testing.assert_allclose(ckt.state(), dense.state(), atol=1e-10)
+            np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-10)
             ckt.close()
 
     def test_dense_repeated_passes_start_bits_clean(self):

@@ -10,6 +10,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import QTask
 from repro.core.blocks import mask_ranges
@@ -20,6 +22,8 @@ from repro.core.gates import (
     MonomialAction,
     compose_run,
     embed_gate_matrix,
+    run_structure,
+    scale_action,
 )
 from repro.core.kernels import (
     ArrayReader,
@@ -27,10 +31,11 @@ from repro.core.kernels import (
     apply_action_range,
 )
 from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator
-from repro.core.stage import UnitaryStage, coalesced_table
+from repro.core.stage import _PROJECTORS, _RESETS, UnitaryStage, coalesced_table
 
-from ..conftest import StoreChain
+from ..conftest import StoreChain, coefficients, reference_compose
 from .test_coalesced_runs import assert_computed, built, run_lengths
+from .test_composite_cache import runs
 
 
 def dense_op(gates, n):
@@ -49,6 +54,15 @@ def action_as_matrix(action, qubits, n):
         e[col] = 1.0
         out[:, col] = apply_action_range(ArrayReader(e), 0, dim - 1, qubits, action)
     return out
+
+
+def assert_is_reference(composed, parts):
+    """``compose_run``'s ``(action, union)`` for ``parts`` is the pull-form
+    oracle's, array for array."""
+    (action, union), (factors, perm, expected) = composed, reference_compose(parts)
+    assert union == expected and isinstance(action, DiagonalAction) == (perm is None)
+    assert np.array_equal(coefficients(action), factors)
+    assert perm is None or np.array_equal(action.perm, perm)
 
 
 def compose(*gates, n=None, atol=1e-12):
@@ -109,45 +123,46 @@ def test_fuse_gate_actions_rejects_superposition():
         compose(Gate("z", (0,)), Gate("h", (0,)))
 
 
-def test_fuse_gate_actions_random_runs(rng):
-    # (a historical name: the algebra is ``compose_run``)
-    pool = [
-        Gate("z", (0,)), Gate("s", (1,)), Gate("t", (2,)), Gate("x", (0,)),
-        Gate("y", (2,)), Gate("cx", (0, 2)), Gate("cz", (1, 2)),
-        Gate("swap", (0, 1)), Gate("rz", (1,), (0.3,)),
-        Gate("cp", (2, 0), (1.1,)), Gate("ccx", (0, 1, 2)),
-    ]
-    for _ in range(25):
-        compose(*(rng.choice(pool) for _ in range(rng.randint(2, 5))), n=3, atol=1e-10)
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_fuse_gate_actions_random_runs(data):
+    """(a historical name) Runs of 1-64 members on 3-8 qubits, drawn
+    collapse projectors among them: ``compose_run`` and ``scale_action`` of
+    it are the pull-form oracle's composite, its tuples the arrays'."""
+    n = data.draw(st.integers(3, 8))
+    parts = [(g.action(), g.qubits) for g in data.draw(runs(n, 1, 64))]
+    for i in data.draw(st.lists(st.integers(0, len(parts)), max_size=4)):
+        projector = data.draw(st.sampled_from(_PROJECTORS + _RESETS[1:]))
+        parts.insert(i, (projector, (data.draw(st.integers(0, n - 1)),)))
+    action, union = compose_run(parts)
+    assert_is_reference((action, union), parts)
+    scaled = scale_action(action, 0.5)
+    assert np.array_equal(coefficients(scaled), reference_compose(parts)[0] * 0.5)
+    assert getattr(scaled, "perm", None) is getattr(action, "perm", None)
+    tuples = scaled.phases if isinstance(scaled, DiagonalAction) else scaled.factors
+    assert tuples == tuple(coefficients(scaled).tolist())
 
 
 def test_compose_run_is_the_one_algebra(rng):
-    """Any number of parts in one call == the dense product == composing
-    pair by pair; the array forms it seeds equal the tuple fields."""
+    """Any number of parts in one call == the dense product == the oracle;
+    a retuned member recomposes over the cached structure exactly as over a
+    cold one; a composite is array-backed, read-only, tuples not built."""
     pool = [
         Gate("z", (0,)), Gate("s", (4,)), Gate("x", (3,)), Gate("y", (1,)),
         Gate("cx", (0, 4)), Gate("cz", (1, 2)), Gate("swap", (2, 3)),
         Gate("rz", (1,), (0.3,)), Gate("cp", (4, 0), (1.1,)), Gate("ccx", (3, 1, 2)),
     ]
     for length in (1, 2, 7, 40):
-        gates = [rng.choice(pool) for _ in range(length)]
-        action, qubits = compose(*gates, n=5, atol=1e-10)
-        assert qubits == tuple(sorted({q for g in gates for q in g.qubits}))
-        pairwise = (gates[0].action(), gates[0].qubits)
-        for nxt in gates[1:]:
-            pairwise = compose_run([pairwise, (nxt.action(), nxt.qubits)])
-        np.testing.assert_allclose(
-            action_as_matrix(*pairwise, 5),
-            action_as_matrix(action, qubits, 5), atol=1e-10,
-        )
-        if isinstance(action, DiagonalAction):
-            assert action.phase_array.tolist() == list(action.phases)
-        else:
-            assert action.factor_array.tolist() == list(action.factors)
-            assert sorted(action.perm) == list(range(1 << len(qubits)))
-        assert not (action.phase_array if isinstance(action, DiagonalAction)
-                    else action.factor_array).flags.writeable
-    # x then x: the permutation collapses, the result is classified back
+        gates = [rng.choice(pool) for _ in range(length)] + [Gate("rz", (2,), (0.4,))]
+        action, _ = compose(*gates, n=5, atol=1e-10)
+        assert not {"factors", "phases"} & set(vars(action))
+        assert not coefficients(action).flags.writeable
+        retuned = [(g.action(), g.qubits) for g in gates[:-1]]
+        retuned.append((Gate("rz", (2,), (1.9,)).action(), (2,)))
+        warm = compose_run(retuned)
+        run_structure.cache_clear()
+        for composed in (warm, compose_run(retuned)):
+            assert_is_reference(composed, retuned)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import QTask
-from repro.core import faults
 from repro.core import stage as stage_module
-from repro.core.faults import FaultInjected, FaultPlan
+from repro.core.faults import FaultPlan
 from repro.core.gates import DiagonalAction, Gate, MonomialAction
 from repro.core.partition import (
     _enumerate_partitions,
@@ -57,6 +56,7 @@ from ..conftest import (
     closest_writer_reachability,
     declarers,
     dense_state,
+    failing_update,
     session_handles,
     swept_nodes,
 )
@@ -105,12 +105,7 @@ def test_failed_update_keeps_its_pending_dirt(no_plan):
         pending = swept_nodes(session)
         assert pending and pending == oracle.expected()
         # every publish fails: all four update attempts raise
-        faults.install(FaultPlan(probabilities={"cow.publish": 1.0}))
-        try:
-            with pytest.raises(FaultInjected):
-                session.update_state()
-        finally:
-            faults.install(None)
+        failing_update(session, FaultPlan(probabilities={"cow.publish": 1.0}))
         assert session.simulator.state_epoch == (1, True)
         assert swept_nodes(session) == pending == oracle.expected()
         session.update_state()

@@ -12,7 +12,7 @@ from repro.qasm.expressions import evaluate_expression
 from repro.qasm.levelize import program_to_circuit
 from repro.qasm.parser import parse_qasm_file
 
-from ..conftest import assert_states_close, reference_state
+from ..conftest import assert_states_close, dense_state, reference_state
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,6 @@ def test_writer_rejects_bit_subset_condition():
 def test_parsed_dynamic_circuit_simulates_like_dense():
     import numpy as np
 
-    from repro.baselines.dense import DenseReferenceSimulator
     from repro.core.simulator import QTaskSimulator
 
     prog = parse_qasm(DYNAMIC)
@@ -399,11 +398,7 @@ def test_parsed_dynamic_circuit_simulates_like_dense():
     sim = QTaskSimulator(ckt, block_size=4, seed=13)
     try:
         sim.update_state()
-        dense = DenseReferenceSimulator(
-            ckt, forced_outcomes=sim.outcomes.recorded_outcomes()
-        )
-        dense.update_state()
-        np.testing.assert_allclose(sim.state(), dense.state(), atol=1e-10)
+        np.testing.assert_allclose(sim.state(), dense_state(sim), atol=1e-10)
     finally:
         sim.close()
 

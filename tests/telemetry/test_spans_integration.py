@@ -118,7 +118,7 @@ def test_pool_worker_spans_carry_worker_pids():
         spans = sim.telemetry.tracer.spans()
         # (no collapse: no sync barrier, no ``stage.prepare``)
         assert {r.name for r in spans} == {
-            "update", "modify", "plan.build", "run.chunk",
+            "update", "modify", "plan.build", "plan.compose", "run.chunk",
         }
         assert {r.pid for r in spans} == {os.getpid()}
     finally:
@@ -167,8 +167,8 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
         explained = sim.explain_last_update()
         assert "swept stages 0..13, planned 2" in explained
         assert re.search(
-            r"coalesced 12 stages \(0 collapses\) into 1 runs \(0 reused, [01] recomposed,"
-            r" largest 12,"
+            r"coalesced 12 stages \(0 collapses\) into 1 runs \(0 reused, [01] recomposed"
+            r" by \d+ gathers, largest 12,"
             r" union <= 3 qubits\)",
             explained,
         )

@@ -32,7 +32,7 @@ from repro.core.circuit import Circuit
 from repro.core.gates import Gate
 from repro.core.kernels import KernelBackend
 
-from .conftest import open_session, random_level
+from .conftest import dense_state, open_session, random_level
 from .machine import DYNAMIC, run_machine
 
 # every incremental-engine knob combination the equivalence bar names
@@ -120,11 +120,7 @@ def test_incremental_edits_match_dense_per_trajectory(knobs):
             ckt.update_gate(theta, angle)
             report = sim.update_state()
             assert report.was_incremental
-            dense = DenseReferenceSimulator(
-                ckt, forced_outcomes=sim.outcomes.recorded_outcomes()
-            )
-            dense.update_state()
-            np.testing.assert_allclose(sim.state(), dense.state(), atol=1e-10)
+            np.testing.assert_allclose(sim.state(), dense_state(sim), atol=1e-10)
     finally:
         sim.close()
 
@@ -194,11 +190,7 @@ def test_teleportation_trajectory_matches_dense():
     ckt = build_teleportation(1.234, seed=11, block_size=2)
     try:
         ckt.update_state()
-        dense = DenseReferenceSimulator(
-            ckt.circuit, forced_outcomes=ckt.outcomes.recorded_outcomes()
-        )
-        dense.update_state()
-        np.testing.assert_allclose(ckt.state(), dense.state(), atol=1e-10)
+        np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-10)
     finally:
         ckt.close()
 
