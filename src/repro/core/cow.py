@@ -31,8 +31,8 @@ outputs zero-copy (the store keeps views of the output array).
 Session forking extends copy-on-write *across* simulators:
 :meth:`BlockStore.share_from` adopts every block of another store by
 reference (sealed read-only; published blocks are immutable by contract).
-The origin refcounts each exported block, the sharing store's first write
-to a block rebinds its entry and drops the reference, and
+The sharing store marks the adopted blocks in its :attr:`BlockStore.shared`
+mask, its first write to a block rebinds the entry and clears the bit, and
 :class:`MemoryReport` splits the accounting into owned and shared bytes.
 """
 
@@ -65,12 +65,8 @@ __all__ = [
 _DTYPE = np.complex128
 _ITEMSIZE = np.dtype(_DTYPE).itemsize
 
-#: guards every store's export counts; they change only when a session
-#: forks or a fork rebinds an adopted block, so all stores share one lock
-_EXPORT_LOCK = threading.Lock()
-
-#: guards the read-modify-writes of every store's ``held`` mask: the chunks
-#: of one plan publish into one store from worker threads
+#: guards the read-modify-writes of every store's ``held`` and ``shared``
+#: masks: the chunks of one plan publish into one store from worker threads
 _HELD_LOCK = threading.Lock()
 
 
@@ -92,21 +88,15 @@ class BlockStore:
         # dim is a power of two: every block has the same length
         self._block_len = min(self.dim, self.block_size)
         self._block_bytes = self._block_len * _ITEMSIZE
-        #: blocks adopted from another store (block id -> origin store);
-        #: rebinding such a block on first write releases the origin's ref
-        self._shared: Dict[int, "BlockStore"] = {}
-        #: per-block count of live references other stores hold to blocks
-        #: exported by :meth:`share_from` (mutated under ``_EXPORT_LOCK``:
-        #: forked sessions release refs from worker threads)
-        self._export_refs: Dict[int, int] = {}
+        #: bitmask of the held blocks adopted from another store and not
+        #: rewritten since (a subset of ``held``)
+        self.shared = 0
 
     def release(self) -> None:
         """Session teardown: drop every block reference, no per-block work.
-        Arrays another store adopted live on through its own references;
-        the origins' export counts are left as they are."""
+        Arrays another store adopted live on through its own references."""
         self._blocks.clear()
-        self._shared.clear()
-        self.held = 0
+        self.held = self.shared = 0
 
     # -- cross-store sharing (session forking) ----------------------------
 
@@ -115,7 +105,7 @@ class BlockStore:
 
         The arrays are shared, not copied: both stores reference the same
         (read-only) memory until this store's first write to a block rebinds
-        its entry.  ``other`` refcounts each exported block so memory
+        its entry; :attr:`shared` marks them until then, so memory
         attribution stays honest while forks diverge.  Returns the number of
         blocks adopted.
         """
@@ -125,59 +115,25 @@ class BlockStore:
                 f"and block size, got ({other.dim}, {other.block_size}) "
                 f"vs ({self.dim}, {self.block_size})"
             )
-        blocks = self._blocks
-        shared_ids: List[int] = []
-        for b, arr in other._blocks.items():
+        for arr in other._blocks.values():
             # Published blocks are immutable by contract (kernels allocate
             # fresh outputs and stores rebind); sealing enforces it for
             # memory two stores now share.
             arr.setflags(write=False)
-            self._release_shared(b)
-            blocks[b] = arr
-            self._shared[b] = other
-            shared_ids.append(b)
+        self._blocks.update(other._blocks)
         with _HELD_LOCK:
             self.held |= other.held
-        other._export_retain(shared_ids)
-        return len(shared_ids)
-
-    def _export_retain(self, blocks: Sequence[int]) -> None:
-        if not blocks:
-            return
-        with _EXPORT_LOCK:
-            refs = self._export_refs
-            for b in blocks:
-                refs[b] = refs.get(b, 0) + 1
-
-    def _export_release(self, block: int) -> None:
-        with _EXPORT_LOCK:
-            n = self._export_refs.get(block, 0) - 1
-            if n <= 0:
-                self._export_refs.pop(block, None)
-            else:
-                self._export_refs[block] = n
-
-    def _release_shared(self, block: int) -> None:
-        """Drop the shared marker of ``block`` (it is being rebound/removed)."""
-        if not self._shared:
-            return
-        origin = self._shared.pop(block, None)
-        if origin is not None:
-            origin._export_release(block)
+            self.shared |= other.held
+        return len(other._blocks)
 
     @property
     def shared_block_count(self) -> int:
         """Blocks currently referencing another store's memory."""
-        return len(self._shared)
+        return self.shared.bit_count()
 
     def shared_bytes(self) -> int:
         """Bytes of :meth:`allocated_bytes` that are shared, not owned."""
-        return len(self._shared) * self._block_bytes
-
-    def exported_block_refs(self) -> Dict[int, int]:
-        """Live per-block reference counts held by sharing stores."""
-        with _EXPORT_LOCK:
-            return dict(self._export_refs)
+        return self.shared.bit_count() * self._block_bytes
 
     # -- write side -------------------------------------------------------
 
@@ -276,20 +232,19 @@ class BlockStore:
         """
         if faults.ACTIVE is not None:
             faults.fire("cow.publish")
-        if self._shared:
-            for b in blocks:
-                self._release_shared(b)
         with _HELD_LOCK:
             self._blocks.update(zip(blocks, rows))
             self.held |= mask
+            if self.shared:
+                self.shared &= ~mask
 
     def drop_blocks(self, blocks: Iterable[int]) -> None:
         """Forget ``blocks`` (those held)."""
         for b in blocks:
             if self._blocks.pop(b, None) is not None:
-                self._release_shared(b)
                 with _HELD_LOCK:
                     self.held &= ~(1 << b)
+                    self.shared &= ~(1 << b)
 
     def keep_only(self, owned: int) -> None:
         """Drop every held block whose bit is not set in ``owned``.
@@ -301,10 +256,8 @@ class BlockStore:
             self.drop_blocks(mask_blocks(self.held & ~owned))
 
     def clear(self) -> None:
-        for b in tuple(self._shared):
-            self._release_shared(b)
         self._blocks.clear()
-        self.held = 0
+        self.held = self.shared = 0
 
     # -- read side --------------------------------------------------------
 

@@ -6,16 +6,11 @@ counters for a deep dirty cone, all dispatched under the GIL.  The plan layer
 describes that frontier *once* as a handful of batch-major structures instead:
 
 * :class:`RunTable` -- the runs of one stage packed into contiguous arrays
-  (``los``/``his``/``op_ids``) plus an operation table, the shape a
-  vectorised or compiled kernel backend consumes whole.  Every stage kind
-  applies one operation (``Stage.plan_op``) to all of its runs, so
-  ``Stage.emit_table`` is the bounds of the planned block ranges -- shared
-  per range tuple and geometry -- plus that one :class:`PlanOp`; nothing is
-  built per run.
-* :class:`RunSpec` -- one aligned kernel run, described as data (kind,
-  amplitude range, qubit tuple, classified action / payload) rather than as
-  a closure: a row of a table, what the run-granular reference loop and a
-  faulted chunk's fallback execute one by one.
+  (``los``/``his``/``op_ids``) plus an operation table, the shape the
+  slab backend consumes whole.  Every stage kind applies one operation
+  (``Stage.plan_op``) to all of its runs, so ``Stage.emit_table`` is the
+  bounds of the planned block ranges -- shared per range tuple and
+  geometry -- plus that one :class:`PlanOp`; nothing is built per run.
 * :class:`StagePlan` -- one affected stage: its reader, whether its sync
   step (a collapse's draw) must run, and the block ranges to recompute.  For
   static stages (unitary and dense stages, whose operation depends on
@@ -38,13 +33,13 @@ describes that frontier *once* as a handful of batch-major structures instead:
 
 The executor then runs one step per *stage* plan, in plan order
 (optionally split into at most ``Executor.num_workers`` chunks) instead
-of one task per partition, and a :class:`~repro.core.kernels.KernelBackend`
-executes each run table in bulk.
+of one task per partition, and the slab backend
+(:class:`~repro.core.kernels.NumpyBatchBackend`) executes each run table in
+bulk.
 
 This module is pure data/plumbing: it imports no kernels and no executor,
-so the backend implementations in :mod:`repro.core.kernels` and the
-orchestration in :mod:`repro.core.simulator` can both build on it without
-cycles.
+so the slab backend in :mod:`repro.core.kernels` and the orchestration in
+:mod:`repro.core.update` can both build on it without cycles.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ __all__ = [
     "RUN_ACTION",
     "RUN_DENSE",
     "RUN_COPY",
-    "RunSpec",
     "PlanOp",
     "RunTable",
     "StagePlan",
@@ -77,22 +71,6 @@ RUN_DENSE = 1
 RUN_COPY = 2
 
 
-class RunSpec(NamedTuple):
-    """One aligned kernel run, as data instead of a closure.
-
-    ``op`` is the kind-specific payload: the classified action for
-    :data:`RUN_ACTION`, the ``(qubits, matrix)`` steps for :data:`RUN_DENSE`
-    (``qubits`` is then the stage's, whose highest sets the window),
-    and ``None`` for :data:`RUN_COPY`.
-    """
-
-    kind: int
-    lo: int
-    hi: int
-    qubits: Tuple[int, ...]
-    op: object
-
-
 class PlanOp(NamedTuple):
     """One operation of a run table (shared by many runs)."""
 
@@ -106,10 +84,9 @@ class RunTable:
 
     ``los``/``his`` are the inclusive amplitude bounds per run and
     ``op_ids[i]`` indexes the :attr:`ops` table -- the batch-major layout
-    kernel backends consume whole (grouping runs by operation lets the
-    numpy backend execute a homogeneous group in a handful of stacked array
-    ops, and gives compiled backends plain int64 arrays to iterate without
-    touching Python objects).  The tables stages emit hold one operation.
+    slab backend consumes whole (grouping runs by operation lets it execute
+    a homogeneous group in a handful of stacked array ops).  The tables
+    stages emit hold one operation.
     """
 
     __slots__ = ("los", "his", "op_ids", "ops")
@@ -365,14 +342,13 @@ class PlanReport:
 
     The :class:`~repro.core.cow.MemoryReport` sibling for execution plans:
     how many plans were compiled, how many runs they batched, how many
-    executor-visible chunks those became, which backend executed them and
-    the one fault recovery's counts: how often a faulted chunk fell back
-    run-granular (``backend_fallbacks``) and how often a run was retried in
-    place there (``run_retries``).  ``runs_per_plan`` is the headline number
+    executor-visible chunks those became and the one fault recovery's
+    counts: how often a faulted chunk was re-executed run by run
+    (``backend_fallbacks``) and how often a run was retried in place there
+    (``run_retries``).  ``runs_per_plan`` is the headline number
     -- the dispatch work one executor task now absorbs.
     """
 
-    backend: str
     plans_built: int
     runs_batched: int
     plan_chunks: int
@@ -393,7 +369,6 @@ class PlanReport:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "backend": self.backend,
             "plans_built": self.plans_built,
             "runs_batched": self.runs_batched,
             "stages_coalesced": self.stages_coalesced,

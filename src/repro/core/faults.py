@@ -9,8 +9,8 @@ a :class:`FaultPlan` is a seeded schedule of synthetic failures at named
 =================  ========================================================
 site               where it fires
 =================  ========================================================
-``kernel.run``     kernel execution: once per run (``kernels.execute_run``),
-                   once per operation group on the slab backend
+``kernel.run``     kernel execution: once per operation group of a run
+                   table (``NumpyBatchBackend.execute_plan``)
 ``cow.publish``    block publish into a :class:`~repro.core.cow.BlockStore`
 =================  ========================================================
 

@@ -15,8 +15,9 @@ Three families of kernels mirror the paper's gate classification (§III.C):
 * ``dense``    -- a superposition stage's member gates applied to a gathered
   window of whole blocks (:func:`apply_dense`).
 
-``apply_matvec_range`` / ``apply_matrix_dense`` are the dense baselines'
-kernels; the engine does not call them.
+The range kernels serve the dense baselines and the observables engine;
+every update's run tables execute on the one slab backend,
+:class:`NumpyBatchBackend`.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from . import faults
 from .blocks import MAX_RUN_BLOCKS
 from .exec_plan import (
     RUN_ACTION,
-    RUN_COPY,
     RUN_DENSE,
     PlanOp,
-    RunSpec,
     RunTable,
 )
 from .gates import (
@@ -69,9 +68,6 @@ __all__ = [
     "dense_window",
     "apply_dense",
     "qubit_marginal",
-    "execute_run",
-    "iter_table_runs",
-    "KernelBackend",
     "NumpyBatchBackend",
 ]
 
@@ -261,42 +257,6 @@ def apply_action_range(
     if isinstance(action, MatVecAction):
         return apply_matvec_range(reader, lo, hi, qubits, action.matrix)
     raise TypeError(f"unknown action type {type(action)!r}")
-
-
-def execute_run(reader: StateReader, store, spec: RunSpec) -> None:
-    """Execute one :class:`~repro.core.exec_plan.RunSpec` against a store.
-
-    The run-granular counterpart of the plan backends below: the body of
-    the base :class:`KernelBackend` loop and of the simulator's fault
-    fallback, and the reference the batching backends must match bit for
-    bit.
-    """
-    if faults.ACTIVE is not None:
-        faults.fire("kernel.run")
-    kind = spec.kind
-    if kind == RUN_ACTION:
-        # One kernel invocation covers the whole aligned run (the strided
-        # fast paths only need an aligned power-of-two range) and its fresh
-        # output is published zero-copy: the store keeps views of it.
-        out = apply_action_range(reader, spec.lo, spec.hi, spec.qubits, spec.op)
-        store.write_range(spec.lo, out, copy=False)
-    elif kind == RUN_DENSE:
-        lo, hi = spec.lo, spec.hi
-        wlo, whi = dense_window(lo, hi, spec.qubits)
-        out = apply_dense(
-            np.array(reader.read_range(wlo, whi), dtype=_DTYPE),
-            spec.op,
-            whi - wlo + 1,
-        )
-        # a window wider than the run is not pinned by the run's blocks
-        store.write_range(lo, out[lo - wlo : hi - wlo + 1], copy=whi - wlo > hi - lo)
-    elif kind == RUN_COPY:
-        # read_range returns a fresh array, safe to adopt zero-copy
-        store.write_range(
-            spec.lo, reader.read_range(spec.lo, spec.hi), copy=False
-        )
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown run kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,39 +484,14 @@ def apply_gate_dense(state: np.ndarray, gate, num_qubits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernel backends: batch-major execution of compiled run tables
+# The slab backend: batch-major execution of compiled run tables
 # ---------------------------------------------------------------------------
 #
-# A backend consumes one RunTable (the runs of one stage, or a chunk of
+# The backend consumes one RunTable (the runs of one stage, or a chunk of
 # them) at a time through ``execute_plan(reader, store, table)``.  Runs of
-# one table write disjoint ranges, so a backend is free to reorder or batch
-# them; reads go through the block-resolving reader either way, so the slab
-# backend and the reference loop observe the same stage input and produce
-# bit-identical output.
-
-
-def iter_table_runs(table: RunTable) -> Iterator[RunSpec]:
-    """The rows of a run table as :class:`RunSpec` values, in table order."""
-    los, his, op_ids, ops = table.los, table.his, table.op_ids, table.ops
-    for i in range(los.shape[0]):
-        op = ops[op_ids[i]]
-        yield RunSpec(op.kind, int(los[i]), int(his[i]), op.qubits, op.op)
-
-
-class KernelBackend:
-    """Interface: execute one compiled run table against a stage store.
-
-    The base implementation is the run-granular reference loop -- what a
-    faulted chunk falls back to and the behaviour contract the slab backend
-    must be bit-identical to.
-    """
-
-    name = "base"
-
-    def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
-        """Execute every run of ``table``."""
-        for spec in iter_table_runs(table):
-            execute_run(reader, store, spec)
+# one table write disjoint ranges, so it is free to reorder or batch them;
+# a one-row table (what a faulted chunk re-executes, run by run) produces
+# the same bits for its run as the whole table does.
 
 
 # -- slab execution ---------------------------------------------------------
@@ -656,8 +591,8 @@ def _slab_bounds(
     yield los[start:], his[start:]
 
 
-class NumpyBatchBackend(KernelBackend):
-    """Default backend: one gather, one multiply, one publish per group.
+class NumpyBatchBackend:
+    """The one kernel path: one gather, one multiply, one publish per group.
 
     The owners of all input blocks of a group are resolved in one pass and
     gathered into one buffer (``reader.read_blocks``, so the reader must be
@@ -667,13 +602,11 @@ class NumpyBatchBackend(KernelBackend):
     (gather-)multiply over it, and one ``store.write_blocks`` publishes
     every output block.  The table carries no alignment, equal-length or
     qubit-position condition, so every run shape takes this path, and each
-    amplitude is the product of the same two operands as in
-    :func:`execute_run`: output is bit-identical to the per-run reference.
+    amplitude is the product of the same two operands however the runs
+    are grouped: output is bit-identical to executing the runs one by one.
     A dense group gathers its runs' windows instead and applies
-    :func:`apply_dense`, the routine :func:`execute_run` applies per run.
+    :func:`apply_dense` to each run's window.
     """
-
-    name = "numpy"
 
     def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
         block_size, dim = store.block_size, store.dim

@@ -45,7 +45,6 @@ from .cow import IndexReader, InitialStateStore, MemoryReport
 from .exceptions import CircuitError, QTaskError
 from .exec_plan import PlanReport
 from .graph import PartitionGraph
-from .kernels import KernelBackend, NumpyBatchBackend
 from .ops import MeasureOp
 from .stage import (
     ClassicallyControlledStage,
@@ -61,8 +60,8 @@ __all__ = ["UpdateReport", "QTaskSimulator"]
 
 #: the constructor knobs that define a session durably: ``fork`` hands them to
 #: the child, a checkpoint header stores them and ``statistics()`` reports
-#: them.  Execution resources (executor, kernel backend) are not durable
-#: state; a fork shares them and a restore may override them.
+#: them.  The executor is not durable state; a fork shares it and a restore
+#: may override its width.
 DURABLE_KNOBS: Tuple[str, ...] = ("block_size",)
 
 
@@ -81,7 +80,6 @@ class QTaskSimulator:
         *,
         block_size: Optional[int] = None,
         num_workers: Optional[int] = None,
-        kernel_backend: Optional[object] = None,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
@@ -101,10 +99,10 @@ class QTaskSimulator:
         latter two.  ``knobs`` maps ``__init__`` keywords to values: the
         :data:`DURABLE_KNOBS` are required, an absent execution knob means
         what ``None`` means to ``__init__``.  A fork passes itself as
-        ``parent``: the child then shares the parent's kernel backend and
-        executor, reports to the parent's telemetry and starts from a clone
-        of its outcomes.  The session's (empty) stage table is registered
-        as the circuit's observer last.
+        ``parent``: the child then shares the parent's executor, reports to
+        the parent's telemetry and starts from a clone of its outcomes.  The
+        session's (empty) stage table is registered as the circuit's
+        observer last.
         """
         self.circuit = circuit
         block_size = knobs["block_size"]
@@ -113,24 +111,6 @@ class QTaskSimulator:
         self.block_size = validate_block_size(block_size)
         self.dim = 1 << circuit.num_qubits
         self.n_blocks = num_blocks(self.dim, self.block_size)
-
-        #: what executes the run tables: the numpy slab backend unless the
-        #: session was handed a :class:`KernelBackend` instance (the seam the
-        #: tests use to run a session on the reference loop).  "auto" and
-        #: "numpy" are accepted spellings of ``None``; backends are
-        #: stateless, so a fork shares its parent's.
-        spec = knobs.get("kernel_backend")
-        if parent is not None:
-            self._backend = parent._backend
-        elif isinstance(spec, KernelBackend):
-            self._backend = spec
-        elif spec is not None and spec not in ("auto", "numpy"):
-            raise ValueError(
-                f"unknown kernel backend {spec!r}; expected None, 'auto', "
-                "'numpy' or a KernelBackend instance"
-            )
-        else:
-            self._backend = NumpyBatchBackend()
 
         # Last of the knobs: a rejected one above must not leak worker threads.
         #: a fork shares its parent's executor; only a root session closes one
@@ -252,11 +232,11 @@ class QTaskSimulator:
         child's entry, leaving the parent untouched; edits on either side
         never perturb the other.
 
-        The child runs on this simulator's kernel backend and *shares its
-        executor* (its ``close()`` leaves it running).  Pending modifiers
-        here are flushed first; ``forked_gate_map`` maps parent handle uids
-        to child handles.  The mirroring is one ``fork`` span on this
-        session's tracer (attrs ``stages`` mirrored, ``blocks`` adopted).
+        The child *shares this simulator's executor* (its ``close()`` leaves
+        it running).  Pending modifiers here are flushed first;
+        ``forked_gate_map`` maps parent handle uids to child handles.  The
+        mirroring is one ``fork`` span on this session's tracer (attrs
+        ``stages`` mirrored, ``blocks`` adopted).
         """
         # The forked state is "the state after all issued modifiers".
         self.flush()
@@ -545,13 +525,11 @@ class QTaskSimulator:
         """Dispatch-overhead accounting of the plan pipeline.
 
         The :meth:`memory_report` sibling for execution plans: plans
-        compiled, runs batched into them, executor-visible chunks, the
-        backend that executed them and how often a faulted chunk fell back
-        to run-granular execution.
+        compiled, runs batched into them, executor-visible chunks and how
+        often a faulted chunk fell back to run-granular execution.
         """
         u = self.updater
         return PlanReport(
-            backend=self._backend.name,
             plans_built=u.plans_built.value,
             runs_batched=u.runs_batched.value,
             stages_coalesced=u.stages_coalesced.value,
@@ -648,7 +626,7 @@ class QTaskSimulator:
                 if runs
                 else ""
             ),
-            f"  backend {self._backend.name}, {u.plan_chunks.value} chunks total",
+            f"  {u.plan_chunks.value} chunks total",
         ]
         events = self.telemetry.events.events(since=u.event_mark)
         if events:

@@ -295,7 +295,6 @@ def restore_simulator(
     path: str,
     *,
     num_workers: Optional[int] = None,
-    kernel_backend: Optional[object] = None,
 ) -> QTaskSimulator:
     """Reconstruct a :class:`QTaskSimulator` from a checkpoint file.
 
@@ -303,9 +302,8 @@ def restore_simulator(
     re-simulation happens, except for an older file with ``"fused"`` stage
     entries) and is immediately editable: subsequent circuit
     modifiers re-simulate incrementally from the loaded blocks, exactly as
-    they would have in the original session.  Execution resources are not
-    part of the durable state -- pass ``num_workers``/``kernel_backend``
-    as to a new session.
+    they would have in the original session.  The executor is not part of
+    the durable state -- pass ``num_workers`` as to a new session.
 
     Trajectory randomness follows fork semantics: recorded outcomes and
     classical bits are restored verbatim, but the keyed per-op random
@@ -323,7 +321,7 @@ def restore_simulator(
     # carry included.
     saved = header["knobs"]
     knobs = {name: saved[name] for name in DURABLE_KNOBS}
-    knobs.update(num_workers=num_workers, kernel_backend=kernel_backend)
+    knobs["num_workers"] = num_workers
     sim = QTaskSimulator.__new__(QTaskSimulator)
     sim.assemble(circuit, knobs)
     try:

@@ -32,7 +32,6 @@ from .exec_plan import (
     RUN_COPY,
     RUN_DENSE,
     PlanOp,
-    RunSpec,
     RunTable,
 )
 from .gates import (
@@ -216,14 +215,6 @@ class Stage:
             tuple(block_ranges), self.block_size, self.dim
         )
         return RunTable(los, his, op_ids, [self.plan_op()])
-
-    def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
-        """One partition's kernel runs, one by one (the tables' reference)."""
-        kind, qubits, op = self.plan_op()
-        return [
-            RunSpec(kind, lo, hi, qubits, op)
-            for lo, hi in _aligned_runs(block_range, self.block_size, self.dim)
-        ]
 
     def clone_for_fork(self) -> "Stage":
         """A fresh stage applying the same gates with an *empty* store.

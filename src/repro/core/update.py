@@ -8,10 +8,12 @@ as ``(store, mask)`` pairs, all from earlier plans or unplanned stages.  The
 plans then run one after another on the session's executor, each plan's
 chunks the only fan-out.
 
-Fault recovery is one loop: a chunk that raises an injected fault
-(``repro.core.faults``) re-executes run by run, each run retried in place up
-to ``_RUN_FAULT_RETRIES`` times; past that the fault surfaces from
-``update_state``, which keeps its dirt for the next call.
+Every run table executes on one kernel path, the slab backend
+(:data:`BACKEND`).  Fault recovery is one loop on the same kernels: a chunk
+that raises an injected fault (``repro.core.faults``) re-executes run by
+run, each run a one-row table retried in place up to ``_RUN_FAULT_RETRIES``
+times; past that the fault surfaces from ``update_state``, which keeps its
+dirt for the next call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .cow import IndexReader
 from .exec_plan import ExecutionPlan, StagePlan
 from .faults import FaultInjected
 from .graph import StageRun
-from .kernels import execute_run, iter_table_runs
+from .kernels import NumpyBatchBackend
 from .stage import MeasureStage, ResetStage, Stage, UnitaryStage, draw_collapses
 
 __all__ = ["UpdateReport", "Updater"]
@@ -37,6 +39,9 @@ __all__ = ["UpdateReport", "Updater"]
 #: fallback, the only fault recovery: 16 attempts per run, past which the
 #: fault surfaces from ``update_state`` (which keeps its dirt)
 _RUN_FAULT_RETRIES = 15
+
+#: what executes every run table of every session; stateless, so shared
+BACKEND = NumpyBatchBackend()
 
 
 def _coalescable(sp: StagePlan) -> bool:
@@ -301,7 +306,7 @@ class Updater:
 
         A step runs the plan's sync step (the draws) when its barrier is
         affected, materialises the stage's run table, and hands it -- split
-        into at most ``Executor.num_workers`` chunks -- to the kernel
+        into at most ``Executor.num_workers`` chunks -- to the slab
         backend.  Plan order is seq order, which every block source
         respects: a plan reads only what earlier plans (or unplanned
         stages) wrote.
@@ -354,17 +359,15 @@ class Updater:
         tracer = self.sim.telemetry.tracer
         if tracer.enabled:
             amps = int((chunk.his - chunk.los + 1).sum()) if chunk.num_runs else 0
-            attrs = {"stage": sp.label(), "backend": self.sim._backend.name,
-                     "runs": chunk.num_runs, "amps": amps}
+            attrs = {"stage": sp.label(), "runs": chunk.num_runs, "amps": amps}
             with tracer.span("run.chunk", attrs):
                 self._execute_chunk(sp, chunk)
         else:
             self._execute_chunk(sp, chunk)
 
     def _execute_chunk(self, sp: StagePlan, chunk) -> None:
-        backend = self.sim._backend
         try:
-            backend.execute_plan(sp.reader, sp.store, chunk)
+            BACKEND.execute_plan(sp.reader, sp.store, chunk)
         except FaultInjected as exc:
             # The one fault recovery.  Both fault sites (``kernel.run``,
             # ``cow.publish``) fire inside the chunk, and its writes are
@@ -374,7 +377,6 @@ class Updater:
             tsession.emit_event(
                 "chunk.fallback",
                 stage=sp.label(),
-                backend=backend.name,
                 reason=f"{type(exc).__name__}: {exc}",
             )
             self._run_chunk_fallback(sp, chunk)
@@ -382,17 +384,18 @@ class Updater:
     def _run_chunk_fallback(self, sp: StagePlan, chunk) -> None:
         """Run-granular chunk execution with bounded per-run fault retries.
 
-        Each run is retried in place on an injected fault (it redraws the
-        site streams, so retries converge); past ``_RUN_FAULT_RETRIES`` the
-        fault propagates out of ``update_state``, whose dirt stays for the
-        caller's next call.  No draw re-runs: the plan's draws happened
-        before its chunks, so no classical state needs rolling back.
+        Each run is a one-row table on the same slab kernels, retried in
+        place on an injected fault (it redraws the site streams, so retries
+        converge); past ``_RUN_FAULT_RETRIES`` the fault propagates out of
+        ``update_state``, whose dirt stays for the caller's next call.  No
+        draw re-runs: the plan's draws happened before its chunks, so no
+        classical state needs rolling back.
         """
-        for spec in iter_table_runs(chunk):
+        for row in chunk.split(chunk.num_runs):
             attempt = 0
             while True:
                 try:
-                    execute_run(sp.reader, sp.store, spec)
+                    BACKEND.execute_plan(sp.reader, sp.store, row)
                     break
                 except FaultInjected:
                     attempt += 1

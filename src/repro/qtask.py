@@ -42,7 +42,7 @@ class QTask:
     def __init__(self, num_qubits: int, *, num_clbits: int = 0, **knobs) -> None:
         """A fresh session; ``knobs`` are the
         :class:`~repro.core.simulator.QTaskSimulator` keywords (``block_size``,
-        ``num_workers``, ``kernel_backend``, ``seed``, ...)."""
+        ``num_workers``, ``seed``, ``tracing``)."""
         self.circuit = Circuit(num_qubits, num_clbits=num_clbits)
         self.simulator = QTaskSimulator(self.circuit, **knobs)
         #: parent handle uid -> this session's handle (forked sessions only)
@@ -57,8 +57,8 @@ class QTask:
         ``program`` is a :class:`~repro.qasm.ParsedProgram`; it is levelized
         QASMBench-style (one net per structural level, dynamic operations
         serialised per classical bit) and loaded into a fresh session.
-        ``knobs`` are the :class:`QTask` constructor keywords (``num_workers``,
-        ``kernel_backend``, ``seed``, ...).  Call ``update_state()`` to
+        ``knobs`` are the :class:`QTask` constructor keywords (``block_size``,
+        ``num_workers``, ``seed``, ``tracing``).  Call ``update_state()`` to
         simulate.
         """
         from .qasm.levelize import program_to_circuit
@@ -90,8 +90,8 @@ class QTask:
         graph and observables cache, but its stage stores reference the
         parent's computed blocks until first write -- forking copies no
         amplitudes.  Edits on either session never perturb the other.  The
-        child always runs on its parent's kernel backend and shares its
-        executor (closing the child leaves it running).
+        child shares its parent's executor (closing the child leaves it
+        running).
 
         Translate parent gate handles with :meth:`handle_for`::
 
@@ -154,26 +154,20 @@ class QTask:
         path: str,
         *,
         num_workers: Optional[int] = None,
-        kernel_backend: Optional[object] = None,
     ) -> "QTask":
         """Resume a session from a :meth:`checkpoint` file, without re-simulating.
 
         The restored session holds the checkpointed computed state and is
         immediately editable -- subsequent modifiers re-simulate
-        incrementally from the loaded blocks.  Execution resources are not
-        durable state: pass ``num_workers``/``kernel_backend`` as to a new
-        session.
+        incrementally from the loaded blocks.  The executor is not durable
+        state: pass ``num_workers`` as to a new session.
         Raises :class:`~repro.core.exceptions.CheckpointError` on corrupt,
         truncated or incompatible files.
         """
         from .core.snapshot import restore_simulator
 
         session = cls.__new__(cls)
-        session.simulator = restore_simulator(
-            path,
-            num_workers=num_workers,
-            kernel_backend=kernel_backend,
-        )
+        session.simulator = restore_simulator(path, num_workers=num_workers)
         session.circuit = session.simulator.circuit
         session._fork_gate_map = None
         return session
@@ -504,9 +498,9 @@ class QTask:
 
         The returned :class:`~repro.core.exec_plan.PlanReport` counts the
         plans compiled across every update so far, the kernel runs batched
-        into them, the executor-visible chunks they were split into, the
-        backend that executed them and any fallbacks -- ``runs_per_plan``
-        is the dispatch work one executor task absorbs.
+        into them, the executor-visible chunks they were split into and any
+        fallbacks -- ``runs_per_plan`` is the dispatch work one executor
+        task absorbs.
         """
         return self.simulator.plan_report()
 
@@ -514,7 +508,7 @@ class QTask:
         """A flat dict snapshot of the simulator's incremental state.
 
         Includes the partition-graph shape (stages/nodes/edges/frontiers),
-        every configuration knob (block size, workers, kernel backend) and
+        every configuration knob (block size, workers) and
         the last update's outcome plus the plan-pipeline counters -- the
         record benchmarks and bug reports attach to a run.
         """
@@ -549,7 +543,7 @@ class QTask:
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent update.
 
-        Shows what the update touched, which backend executed it, and the
+        Shows what the update touched, how many chunks it ran, and the
         time-ordered recovery events (injected faults, chunk fallbacks, run
         retries) that fired during it.
         """

@@ -7,8 +7,8 @@ fleet aggregation can reassemble the family tree instead of silently
 losing fork stats.
 
 Deep modules (``core/faults``, ``core/kernels``) must not take a
-telemetry object through every signature, and kernel backends are shared
-across forked sessions -- so discovery is ambient: the simulator
+telemetry object through every signature, and the slab backend is shared
+by every session -- so discovery is ambient: the simulator
 *activates* its bundle on the current thread around an update
 (:func:`activate`/:func:`deactivate`), the executor re-activates it
 inside worker threads from the task's trace context, and anything

@@ -2,29 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import multiprocessing
 import os
 import random
 import threading
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from repro import QTask
-from repro.core import faults
+from repro.core import faults, update
 from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
-from repro.core.exec_plan import PlanOp, RunSpec, RunTable
+from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE, PlanOp, RunTable
 from repro.core.gates import DiagonalAction, Gate, embed_gate_matrix, extract_local, union_sources
 from repro.core.graph import PartitionGraph
-from repro.core.kernels import KernelBackend
+from repro.core.kernels import NumpyBatchBackend, apply_action_range, apply_dense, dense_window
 from repro.core.partition import PartitionSpec, layout_of
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import (
-    DynamicStage, MeasureStage, ResetStage, Stage, UnitaryStage,
+    DynamicStage, MeasureStage, ResetStage, Stage, UnitaryStage, _aligned_runs,
 )
 
 # ---------------------------------------------------------------------------
@@ -217,22 +218,86 @@ def random_levels(rng: random.Random, num_qubits: int, num_levels: int) -> List[
 
 
 # ---------------------------------------------------------------------------
-# the one build axis the property files cross: batched or stepwise
+# the run-granular reference loop: what the slab backend must equal, bit for
+# bit (swap it in for a session with ``running_on(ReferenceLoop())``)
 # ---------------------------------------------------------------------------
 
 
-class FaultingBackend(KernelBackend):
-    """A backend whose every chunk dies with an injected fault, so every
-    chunk of every update takes the simulator's run-granular fallback."""
+class RunSpec(NamedTuple):
+    """One aligned kernel run: a row of a run table (``op`` as ``PlanOp.op``)."""
 
-    name = "faulting"
+    kind: int
+    lo: int
+    hi: int
+    qubits: Tuple[int, ...]
+    op: object
+
+
+def iter_table_runs(table: RunTable):
+    """The rows of a run table as :class:`RunSpec` values, in table order."""
+    for i in range(table.num_runs):
+        op = table.ops[table.op_ids[i]]
+        yield RunSpec(op.kind, int(table.los[i]), int(table.his[i]), op.qubits, op.op)
+
+
+def execute_run(reader, store, spec: RunSpec) -> None:
+    """One run on the range kernels, published with ``write_range``."""
+    if faults.ACTIVE is not None:
+        faults.fire("kernel.run")
+    lo, hi = spec.lo, spec.hi
+    if spec.kind == RUN_ACTION:
+        out = apply_action_range(reader, lo, hi, spec.qubits, spec.op)
+        store.write_range(lo, out, copy=False)
+    elif spec.kind == RUN_DENSE:
+        wlo, whi = dense_window(lo, hi, spec.qubits)
+        window = np.array(reader.read_range(wlo, whi), dtype=np.complex128)
+        out = apply_dense(window, spec.op, whi - wlo + 1)
+        store.write_range(lo, out[lo - wlo : hi - wlo + 1], copy=whi - wlo > hi - lo)
+    else:
+        assert spec.kind == RUN_COPY, spec.kind
+        store.write_range(lo, reader.read_range(lo, hi), copy=False)
+
+
+def emit_runs(stage, block_range) -> List[RunSpec]:
+    """One partition's runs, one by one (``Stage.emit_table``'s reference)."""
+    kind, qubits, op = stage.plan_op()
+    return [RunSpec(kind, lo, hi, qubits, op)
+            for lo, hi in _aligned_runs(block_range, stage.block_size, stage.dim)]
+
+
+class ReferenceLoop:
+    """Executes a run table run by run through :func:`execute_run`."""
+
+    def execute_plan(self, reader, store, table: RunTable) -> None:
+        for spec in iter_table_runs(table):
+            execute_run(reader, store, spec)
+
+
+class FaultingBackend:
+    """Faults once on every multi-run chunk -- the update then re-executes
+    it run by run -- and runs one-row tables on the slab backend."""
 
     def __init__(self):
         self.attempts = 0
 
     def execute_plan(self, reader, store, table):
-        self.attempts += 1
-        raise faults.FaultInjected("kernel.run", self.attempts)
+        if table.num_runs > 1:
+            self.attempts += 1
+            raise faults.FaultInjected("kernel.run", self.attempts)
+        NumpyBatchBackend().execute_plan(reader, store, table)
+
+
+@contextlib.contextmanager
+def running_on(backend):
+    """Every update inside the block executes its tables on ``backend``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(update, "BACKEND", backend)
+        yield backend
+
+
+# ---------------------------------------------------------------------------
+# the one build axis the property files cross: batched or stepwise
+# ---------------------------------------------------------------------------
 
 
 class _UpdateAfterEachGate(CircuitObserver):

@@ -164,7 +164,7 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
     failing declares blocks it does not hold; reads of those land on the
     next older holder, and the re-execution fills the hole.
     """
-    session = QTask(4, block_size=4, num_workers=1, kernel_backend="numpy")
+    session = QTask(4, block_size=4, num_workers=1)
     try:
         net = session.insert_net()
         for q in range(4):

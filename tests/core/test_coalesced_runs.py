@@ -451,7 +451,7 @@ def qft_session(num_qubits, **knobs):
 
 def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
     """12q QFT: 348 of 361 stages sit in 13 runs between the 13 H stages."""
-    session, *_ = qft_session(12, kernel_backend="numpy", tracing=True)
+    session, *_ = qft_session(12, tracing=True)
     with session:
         report = session.update_state()
         stats = session.statistics()
@@ -515,7 +515,7 @@ def test_qft_sweep_is_the_widened_oracle_and_stays_partial():
 
 def test_numpy_backend_batches_every_run_of_a_qft(no_plan):
     """No quiet per-run path: composed tables are ordinary slab work."""
-    session, *_ = qft_session(10, kernel_backend="numpy")
+    session, *_ = qft_session(10)
     with session:
         session.update_state()
         stats = session.statistics()

@@ -317,7 +317,7 @@ def test_share_from_adopts_blocks_by_reference():
     assert child.get_block(0) is parent.get_block(0)  # same memory
     assert child.shared_block_count == 2
     assert child.shared_bytes() == child.allocated_bytes()
-    assert parent.exported_block_refs() == {0: 1, 3: 1}
+    assert (child.shared, parent.shared) == (0b1001, 0)
     # adopted blocks are sealed read-only (published blocks are immutable)
     with pytest.raises(ValueError):
         child.get_block(0)[0] = 9.0
@@ -334,13 +334,12 @@ def test_share_from_copy_on_first_write_releases_refs():
     np.testing.assert_allclose(parent.get_block(1), np.full(4, 2.0))
     np.testing.assert_allclose(child.get_block(1), np.full(4, -1.0))
     assert child.get_block(1) is not parent.get_block(1)
-    assert child.shared_block_count == 2
-    assert parent.exported_block_refs() == {0: 1, 2: 1}
-    # drop and clear release the remaining refs
+    assert (child.shared, child.shared_block_count) == (0b101, 2)
+    # drop and clear unmark the remaining blocks
     child.drop_blocks([0])
-    assert parent.exported_block_refs() == {2: 1}
+    assert (child.shared, child.shared_bytes()) == (0b100, child.allocated_bytes() // 2)
     child.clear()
-    assert parent.exported_block_refs() == {}
+    assert child.shared == child.shared_bytes() == 0
 
 
 def test_share_from_multiple_children_refcounts():
@@ -349,14 +348,15 @@ def test_share_from_multiple_children_refcounts():
     children = [BlockStore(16, 4) for _ in range(3)]
     for c in children:
         c.share_from(parent)
-    assert parent.exported_block_refs() == {2: 3}
+    assert [c.shared for c in children] == [0b100] * 3
     children[0].write_block(2, np.zeros(4, dtype=complex))
-    assert parent.exported_block_refs() == {2: 2}
-    # chained sharing: a grandchild refs the child, not the grandparent
+    assert [c.shared for c in children] == [0, 0b100, 0b100]
+    # chained sharing: the grandchild's mask is its own, the child's stays
     grandchild = BlockStore(16, 4)
     grandchild.share_from(children[1])
-    assert children[1].exported_block_refs() == {2: 1}
-    assert parent.exported_block_refs() == {2: 2}
+    assert grandchild.shared == children[1].shared == 0b100
+    assert grandchild.get_block(2) is parent.get_block(2)
+    assert children[0].shared_bytes() == parent.shared_bytes() == 0
 
 
 def test_share_from_rejects_mismatched_geometry():

@@ -15,19 +15,21 @@ import pytest
 
 from repro import QTask
 from repro.core.blocks import MAX_RUN_BLOCKS
-from repro.core.kernels import KernelBackend
+from repro.core.kernels import NumpyBatchBackend
 from repro.core.stage import MatVecStage
 
 from ..conftest import (
     FrontierOracle,
+    ReferenceLoop,
     assert_held_blocks_are_prefix_states,
     assert_held_blocks_declared,
     dense_state,
+    running_on,
     swept_nodes,
 )
 
 BLOCK_SIZES = [2, 4, 16, 256]
-BACKENDS = [None, KernelBackend()]
+BACKENDS = [NumpyBatchBackend(), ReferenceLoop()]
 
 
 def session_of(levels, num_qubits=7, **knobs):
@@ -73,7 +75,8 @@ NETS = {
 @pytest.mark.parametrize("case", sorted(NETS))
 def test_dense_nets_match_the_oracle(case, block_size, backend):
     levels = PREP + NETS[case] + [[("cz", (1, 6), ())]] + NETS[case]
-    session, _ = session_of(levels, block_size=block_size, kernel_backend=backend)
+    with running_on(backend):
+        session, _ = session_of(levels, block_size=block_size)
     with session:
         assert_oracle(session)
         assert not any(node.is_sync for node in session.simulator.graph.all_nodes())
@@ -165,7 +168,8 @@ def test_window_wider_than_a_run(backend):
     ``MAX_RUN_BLOCKS``.  Each run gathers its window, publishes its own
     blocks, and no surviving block pins more than a run."""
     levels = PREP[:1] + [[("h", (7,), ()), ("rx", (0,), (0.3,))], [("cx", (7, 2), ())]]
-    session, _ = session_of(levels, num_qubits=9, block_size=2, kernel_backend=backend)
+    with running_on(backend):
+        session, _ = session_of(levels, num_qubits=9, block_size=2)
     with session:
         assert_oracle(session)
         (stage,) = [

@@ -27,13 +27,13 @@ from repro.core.exceptions import CircuitError, NetDependencyError
 from repro.core.exec_plan import RUN_ACTION
 from repro.core.faults import FaultPlan
 from repro.core.gates import Gate
-from repro.core.kernels import KernelBackend, NumpyBatchBackend, qubit_marginal
+from repro.core.kernels import NumpyBatchBackend, qubit_marginal
 from repro.core.ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import MeasureStage, ResetStage, draw_collapses
 from repro.telemetry import metrics
 
-from ..conftest import StoreChain, dense_state, replay_shots
+from ..conftest import ReferenceLoop, StoreChain, dense_state, replay_shots
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ class TestCollapseKernels:
             keep = bits == 0
             expect[keep] = psi[idx[keep] | (outcome << qubit)] * scale
         outputs = []
-        for backend in (KernelBackend(), NumpyBatchBackend()):
+        for backend in (ReferenceLoop(), NumpyBatchBackend()):
             store = BlockStore(dim, block_size)
             backend.execute_plan(reader, store, table)
             outputs.append(

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.exec_plan import (
-    RUN_ACTION,
-    RUN_COPY,
-    PlanReport,
-    RunSpec,
-)
+from repro.core.exec_plan import RUN_ACTION, RUN_COPY, PlanReport
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
 from ..conftest import (
-    assert_sources_come_from_earlier_plans, plan_nodes, table_from_runs,
+    RunSpec, assert_sources_come_from_earlier_plans, emit_runs, plan_nodes,
+    table_from_runs,
 )
 
 
@@ -95,7 +91,6 @@ def _simulator(levels, num_qubits=4, **kwargs):
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
     kwargs.setdefault("block_size", 4)
-    kwargs.setdefault("kernel_backend", "numpy")
     kwargs.setdefault("num_workers", 1)  # no worker pool to leave behind
     return QTaskSimulator(circuit, **kwargs)
 
@@ -167,7 +162,7 @@ class TestBuildExecutionPlan:
         plan, _ = _plan_for(sim)
         sp = next(sp for sp in plan.stage_plans if sp.stage.plan_static)
         table = sp.build_table()
-        runs = [r for br in sp.block_ranges for r in sp.stage.emit_runs(br)]
+        runs = [r for br in sp.block_ranges for r in emit_runs(sp.stage, br)]
         reference = table_from_runs(runs)
         assert list(table.los) == list(reference.los)
         assert list(table.his) == list(reference.his)
@@ -214,8 +209,7 @@ def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
     levels = [[Gate("x", (q,)) for q in range(4)], [Gate("h", (0,))],
               [Gate("cz", (0, 3))]]
     for tracing in (False, True):
-        sim = _simulator(levels, kernel_backend="numpy", num_workers=1,
-                         tracing=tracing)
+        sim = _simulator(levels, num_workers=1, tracing=tracing)
         try:
             del calls[:]
             sim.update_state()
@@ -244,7 +238,6 @@ def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
 class TestPlanReport:
     def test_runs_per_plan(self):
         report = PlanReport(
-            backend="numpy",
             plans_built=4,
             runs_batched=40,
             plan_chunks=4,
@@ -255,5 +248,5 @@ class TestPlanReport:
         assert report.as_dict()["runs_per_plan"] == 10.0
 
     def test_zero_plans_zero_ratio(self):
-        report = PlanReport("numpy", 0, 0, 0, 0, 0)
+        report = PlanReport(0, 0, 0, 0, 0)
         assert report.runs_per_plan == 0.0

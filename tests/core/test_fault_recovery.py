@@ -24,46 +24,40 @@ from repro.core import faults
 from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
-from repro.core.kernels import KernelBackend
 from repro.core.simulator import QTaskSimulator
 from repro.core.update import _RUN_FAULT_RETRIES
 
 from ..conftest import (
-    FaultingBackend,
+    ReferenceLoop,
     circuit_levels,
     random_levels,
     reference_state,
+    running_on,
     shm_entries,
 )
 
 ATOL = 1e-10
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """Restore whatever plan (chaos-mode or none) surrounded each test."""
-    previous = faults.install(None)
-    yield
-    faults.install(previous)
+#: each test installs its own plan; whatever surrounded it is restored after
+pytestmark = pytest.mark.usefixtures("no_plan")
 
 
-def _build_sim(num_qubits, levels, *, kernel_backend=None, num_workers=2, **knobs):
+def _build_sim(num_qubits, levels, *, num_workers=2, **knobs):
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
-    return QTaskSimulator(
-        circuit, num_workers=num_workers, kernel_backend=kernel_backend, **knobs
-    )
+    return QTaskSimulator(circuit, num_workers=num_workers, **knobs)
 
 
 # Session knobs per leg; the ids are the ones the test floor pins.  "legacy"
-# is the run-granular reference loop (the base ``KernelBackend``, every run
-# through ``execute_run``), under the id of the deleted per-run path it
-# replaces.  "process" named the deleted fork-pool backend; the leg keeps the
-# wide fan-out it stood for: four workers over 32 two-amplitude blocks, so
-# every table splits into chunk subflows that draw from the sites at once.
+# runs on the run-granular reference loop (``conftest.ReferenceLoop``), under
+# the id of the deleted per-run path it replaces.  "process" named the
+# deleted fork-pool backend; the leg keeps the wide fan-out it stood for:
+# four workers over 32 two-amplitude blocks, so every table splits into
+# chunk subflows that draw from the sites at once.
 CHAOS_BACKENDS = [
-    pytest.param(dict(kernel_backend=KernelBackend(), block_size=4), id="legacy"),
-    pytest.param(dict(kernel_backend="numpy", block_size=4), id="numpy"),
+    pytest.param(dict(reference=True, block_size=4), id="legacy"),
+    pytest.param(dict(block_size=4), id="numpy"),
     pytest.param(dict(num_workers=4, block_size=2), id="process"),
 ]
 
@@ -74,15 +68,17 @@ CHAOS_BACKENDS = [
 
 
 @pytest.mark.parametrize("backend", CHAOS_BACKENDS)
-def test_chaos_parity_against_dense(backend):
+def test_chaos_parity_against_dense(backend, monkeypatch):
     """p=0.05 at every recoverable site; final states match dense to 1e-10."""
     num_qubits = 6
     rng = random.Random(20260807)
     levels = random_levels(rng, num_qubits, 6)
-    sim = _build_sim(num_qubits, levels, **backend)
+    backend = dict(backend)
+    if backend.pop("reference", False):
+        monkeypatch.setattr("repro.core.update.BACKEND", ReferenceLoop())
     plan = FaultPlan(seed=1, probability=0.05)
     faults.install(plan)
-    try:
+    with _build_sim(num_qubits, levels, **backend) as sim:
         sim.update_state()
         # incremental updates under fire: grow the circuit, then retune
         net = sim.circuit.insert_net()
@@ -97,9 +93,6 @@ def test_chaos_parity_against_dense(backend):
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
         # the plan was really consulted inside the armed update scopes
         assert plan.stats(), "no fault site was ever evaluated"
-    finally:
-        faults.uninstall()
-        sim.close()
 
 
 def test_chaos_parity_high_rate_numpy():
@@ -107,17 +100,13 @@ def test_chaos_parity_high_rate_numpy():
     num_qubits = 5
     rng = random.Random(99)
     levels = random_levels(rng, num_qubits, 5)
-    sim = _build_sim(num_qubits, levels, kernel_backend="numpy", block_size=4)
     plan = FaultPlan(seed=3, probability=0.2)
     faults.install(plan)
-    try:
+    with _build_sim(num_qubits, levels, block_size=4) as sim:
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
         assert plan.total_injected() > 0
-    finally:
-        faults.uninstall()
-        sim.close()
 
 
 def test_chaos_replay_is_deterministic():
@@ -131,17 +120,11 @@ def test_chaos_replay_is_deterministic():
     def run_once():
         rng = random.Random(4)
         levels = random_levels(rng, 5, 4)
-        sim = _build_sim(
-            5, levels, kernel_backend="numpy", block_size=4, num_workers=1
-        )
         plan = FaultPlan(seed=17, probability=0.15)
         faults.install(plan)
-        try:
+        with _build_sim(5, levels, block_size=4, num_workers=1) as sim:
             sim.update_state()
             return plan.stats(), sim.state().copy()
-        finally:
-            faults.uninstall()
-            sim.close()
 
     stats_a, state_a = run_once()
     stats_b, state_b = run_once()
@@ -161,20 +144,14 @@ def test_run_retries_visible_in_statistics():
     # One worker: with two, a second chunk's publish can take the scripted
     # occurrence 2 before the first chunk's fallback reaches it, and then
     # nothing is retried run-granular (~1% of runs).
-    sim = _build_sim(
-        5, levels, kernel_backend="numpy", block_size=4, num_workers=1
-    )
     faults.install(FaultPlan(script=[("cow.publish", 1), ("cow.publish", 2)]))
-    try:
+    with _build_sim(5, levels, block_size=4, num_workers=1) as sim:
         sim.update_state()
         stats = sim.statistics()
         assert stats["backend_fallbacks"] >= 1
         assert stats["run_retries"] >= 1
         expected = reference_state(5, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-    finally:
-        faults.uninstall()
-        sim.close()
 
 
 def test_task_retries_visible_in_statistics():
@@ -183,10 +160,9 @@ def test_task_retries_visible_in_statistics():
     events."""
     rng = random.Random(13)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4, num_workers=1)
     # the slab attempt, then the first run's first two attempts
     faults.install(FaultPlan(script=[("kernel.run", k) for k in (1, 2, 3)]))
-    try:
+    with _build_sim(5, levels, block_size=4, num_workers=1) as sim:
         sim.update_state()
         stats = sim.statistics()
         assert stats["backend_fallbacks"] == 1
@@ -194,9 +170,6 @@ def test_task_retries_visible_in_statistics():
         assert stats["run_retries"] == sim.telemetry.events.counts_by_kind()["run.retry"]
         expected = reference_state(5, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-    finally:
-        faults.uninstall()
-        sim.close()
 
 
 def test_task_retries_count_every_retry_across_threads():
@@ -209,12 +182,10 @@ def test_task_retries_count_every_retry_across_threads():
         "QTASK_FAULT_P": "0.25", "QTASK_FAULT_SEED": "15",
         "QTASK_FAULT_SITES": "kernel.run",
     })
-    with _build_sim(7, levels, kernel_backend="numpy", block_size=2) as sim:
+    with _build_sim(7, levels, block_size=2) as sim:
         faults.install(plan)
-        try:
-            sim.update_state()
-        finally:
-            faults.uninstall()
+        sim.update_state()
+        faults.uninstall()
         stats = sim.statistics()
         kinds = sim.telemetry.events.counts_by_kind()
         assert stats["plan_chunks"] > stats["plans_built"]  # chunks split
@@ -231,14 +202,10 @@ def test_unrecoverable_fault_storm_raises_fault_injected():
     original fault surfaces (it is never silently swallowed)."""
     rng = random.Random(14)
     levels = random_levels(rng, 4, 3)
-    sim = _build_sim(4, levels, kernel_backend="numpy", block_size=4)
     faults.install(FaultPlan(probabilities={"kernel.run": 1.0}))
-    try:
+    with _build_sim(4, levels, block_size=4) as sim:
         with pytest.raises(FaultInjected):
             sim.update_state()
-    finally:
-        faults.uninstall()
-        sim.close()
 
 
 def test_fault_past_the_bound_leaves_the_update_to_the_caller():
@@ -247,12 +214,11 @@ def test_fault_past_the_bound_leaves_the_update_to_the_caller():
     work and lands on the exact state."""
     rng = random.Random(16)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4, num_workers=1)
     # the slab attempt, then every attempt the bound gives the first run
     storm = [("kernel.run", k) for k in range(1, _RUN_FAULT_RETRIES + 3)]
     assert len(storm) == 17
     faults.install(FaultPlan(script=storm))
-    try:
+    with _build_sim(5, levels, block_size=4, num_workers=1) as sim:
         with pytest.raises(FaultInjected) as err:
             sim.update_state()
         faults.uninstall()
@@ -263,9 +229,6 @@ def test_fault_past_the_bound_leaves_the_update_to_the_caller():
         assert not sim.graph.has_pending
         np.testing.assert_allclose(
             sim.state(), reference_state(5, levels), atol=ATOL, rtol=0)
-    finally:
-        faults.uninstall()
-        sim.close()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +239,7 @@ def test_fault_past_the_bound_leaves_the_update_to_the_caller():
 def _dynamic_session(seed):
     from repro import QTask
 
-    session = QTask(3, block_size=4, num_workers=1, seed=seed, kernel_backend="numpy")
+    session = QTask(3, block_size=4, num_workers=1, seed=seed)
     c = session.add_classical_register("c", 2)
     net1 = session.insert_net()
     for q in range(3):
@@ -296,25 +259,20 @@ def test_retries_do_not_fork_trajectories():
     runs after the plan's draws, so no draw is repeated and injected faults
     are invisible in the outcomes."""
     clean, c_clean = _dynamic_session(seed=5)
-    try:
+    with clean:
         clean.update_state()
         clean_state = clean.state().copy()
         clean_value = clean.classical_value(c_clean)
-    finally:
-        clean.close()
 
     chaotic, c_chaos = _dynamic_session(seed=5)
     faults.install(FaultPlan(seed=8, probabilities={"kernel.run": 0.3}))
-    try:
+    with chaotic:
         chaotic.update_state()
         assert faults.active_plan().total_injected() > 0
         np.testing.assert_allclose(
             chaotic.state(), clean_state, atol=ATOL, rtol=0
         )
         assert chaotic.classical_value(c_chaos) == clean_value
-    finally:
-        faults.uninstall()
-        chaotic.close()
 
 
 def test_update_level_retry_preserves_trajectory():
@@ -323,16 +281,14 @@ def test_update_level_retry_preserves_trajectory():
     of one run -- stay within the per-run bound, and the dynamic circuit's
     outcomes equal a clean run's."""
     clean, c_clean = _dynamic_session(seed=6)
-    try:
+    with clean:
         clean.update_state()
         clean_state = clean.state().copy()
         clean_value = clean.classical_value(c_clean)
-    finally:
-        clean.close()
 
     chaotic, c_chaos = _dynamic_session(seed=6)
     faults.install(FaultPlan(script=[("kernel.run", i) for i in range(1, 16)]))
-    try:
+    with chaotic:
         chaotic.update_state()
         stats = chaotic.statistics()
         assert faults.active_plan().total_injected() == 15
@@ -341,9 +297,6 @@ def test_update_level_retry_preserves_trajectory():
             chaotic.state(), clean_state, atol=ATOL, rtol=0
         )
         assert chaotic.classical_value(c_chaos) == clean_value
-    finally:
-        faults.uninstall()
-        chaotic.close()
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +304,25 @@ def test_update_level_retry_preserves_trajectory():
 # ---------------------------------------------------------------------------
 
 
+class _AlwaysFaulting:
+    def execute_plan(self, reader, store, table):
+        raise FaultInjected("kernel.run", 0)
+
+
 def test_breaker_degrades_persistently_failing_backend():
-    """Historical id: there is no ladder to walk.  A backend failing on
-    every chunk stays the session's backend -- every chunk of every update
-    asks it first, falls back run-granular, and nothing is quarantined."""
-    rng = random.Random(15)
-    levels = random_levels(rng, 5, 6)  # several stages => several chunks
-    broken = FaultingBackend()
-    sim = _build_sim(5, levels, kernel_backend=broken, block_size=4)
-    try:
-        sim.update_state()
+    """Historical id: there is no ladder to walk.  A backend faulting on
+    every call exhausts the first run's retries: the fault surfaces from
+    ``update_state`` and the dirt stays for the next call."""
+    levels = random_levels(random.Random(15), 5, 6)
+    with _build_sim(5, levels, block_size=4, num_workers=1) as sim:
+        with running_on(_AlwaysFaulting()), pytest.raises(FaultInjected):
+            sim.update_state()
         stats = sim.statistics()
-        assert stats["backend"] == "faulting"
-        assert stats["backend_fallbacks"] == broken.attempts == stats["plan_chunks"]
-        expected = reference_state(5, levels)
-        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-        before = broken.attempts
-        net = sim.circuit.insert_net()
-        sim.circuit.insert_gate("h", net, 0)
+        assert (stats["backend_fallbacks"], stats["run_retries"]) == (1, _RUN_FAULT_RETRIES)
+        assert sim.graph.has_pending
         sim.update_state()
-        assert broken.attempts > before
-        assert sim.statistics()["backend"] == "faulting"
-        expected = reference_state(5, circuit_levels(sim.circuit))
-        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-    finally:
-        sim.close()
+        np.testing.assert_allclose(
+            sim.state(), reference_state(5, levels), atol=ATOL, rtol=0)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
@@ -387,14 +334,13 @@ def test_no_shared_memory_leaks_under_ship_faults():
     children = set(multiprocessing.active_children())
     rng = random.Random(18)
     levels = random_levels(rng, 6, 4)
-    sim = _build_sim(6, levels, block_size=4)
     faults.install(
         FaultPlan(
             seed=2,
             probabilities={"kernel.run": 0.3, "cow.publish": 0.3},
         )
     )
-    try:
+    with _build_sim(6, levels, block_size=4) as sim:
         for _ in range(3):
             net = sim.circuit.insert_net()
             sim.circuit.insert_gate("h", net, 0)
@@ -403,7 +349,4 @@ def test_no_shared_memory_leaks_under_ship_faults():
             assert set(multiprocessing.active_children()) == children
         expected = reference_state(6, circuit_levels(sim.circuit))
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-    finally:
-        faults.uninstall()
-        sim.close()
     assert shm_entries() == before

@@ -308,7 +308,7 @@ def test_fusion_knob_in_statistics_and_facade():
         with pytest.raises(TypeError):
             QTask(3, **knob)
     keywords = inspect.signature(QTaskSimulator.__init__).parameters.values()
-    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 5
+    assert sum(p.kind is p.KEYWORD_ONLY for p in keywords) == 4
     assert DURABLE_KNOBS == ("block_size",)
     with QTask(3) as session:
         stats = session.statistics()

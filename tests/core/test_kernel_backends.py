@@ -1,13 +1,16 @@
-"""Unit tests for the kernel backend seam: the ``kernel_backend`` keyword,
-the run-granular fallback of a faulted chunk and the plan statistics.
+"""Unit tests for the one kernel path: the slab backend every update runs
+its tables on, the run-by-run re-execution of a faulted chunk on the same
+kernels, and the plan statistics.
 
-There is one execution strategy (the numpy slab backend) plus the base
-``KernelBackend`` reference loop.  Several ids below predate that -- the test
-floor pins them -- and say so where the name no longer describes the body.
+Sessions take no ``kernel_backend`` keyword any more; tests swap the module's
+``update.BACKEND`` (``conftest.running_on``).  Several ids below predate that
+-- the test floor pins them -- and say so where the name no longer
+describes the body.
 """
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 
 import numpy as np
@@ -15,16 +18,18 @@ import pytest
 
 import repro.core.kernels as kernels
 from repro import QTask
+from repro.core import update
 from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected
 from repro.core.gates import Gate
-from repro.core.kernels import KernelBackend, NumpyBatchBackend, iter_table_runs
+from repro.core.kernels import NumpyBatchBackend
 from repro.core.simulator import QTaskSimulator
 from repro.parallel import SweepRunner
 
-from ..conftest import FaultingBackend, table_from_runs
-
-ACCEPTED = "expected None, 'auto', 'numpy' or a KernelBackend instance$"
+from ..conftest import (
+    FaultingBackend, ReferenceLoop, RunSpec, iter_table_runs, reference_state,
+    running_on, table_from_runs,
+)
 
 
 def _simulator(levels, num_qubits=6, **kwargs):
@@ -46,80 +51,79 @@ def _mixed_levels(num_qubits=6):
     return levels
 
 
-def _reference_state(levels=None, **knobs):
-    with _simulator(
-        levels or _mixed_levels(), kernel_backend=KernelBackend(), **knobs
-    ) as ref:
-        ref.update_state()
-        return ref.state()
+def _many_runs():
+    """h on qubit 0 leads: one two-amplitude window a block, 16 runs."""
+    return [[Gate("h", (0,))]] + _mixed_levels()
 
 
 # ---------------------------------------------------------------------------
-# the ``kernel_backend`` keyword: None (or its spellings) or an instance
-# (the class name is historical: ``make_backend`` is gone, the few lines left
-# of spec resolution live in ``QTaskSimulator.assemble``)
+# no ``kernel_backend`` keyword: every spelling of it is an unknown keyword
+# (the class name is historical: ``make_backend`` is gone)
 # ---------------------------------------------------------------------------
 
 
 class TestMakeBackend:
     def test_numpy(self):
-        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
-            assert type(sim._backend) is NumpyBatchBackend
+        assert list(inspect.signature(QTaskSimulator).parameters) == [
+            "circuit", "block_size", "num_workers", "seed", "tracing",
+        ]
 
     def test_legacy_is_rejected(self):
-        with pytest.raises(ValueError, match=ACCEPTED):
+        with pytest.raises(TypeError, match="kernel_backend"):
             _simulator([[Gate("h", (0,))]], kernel_backend="legacy")
 
     @pytest.mark.parametrize("name", ["process", "numba"])
     def test_deleted_names_are_rejected(self, name):
-        with pytest.raises(ValueError, match=ACCEPTED):
+        with pytest.raises(TypeError, match="kernel_backend"):
             QTask(3, kernel_backend=name)
 
     def test_auto_never_falls_back(self, no_plan):
-        """``auto`` and no spec at all are the slab backend, and a clean
-        update on it (chaos plan parked: an injected ``kernel.run`` fault is
-        a fallback) never takes the run-granular fallback."""
-        for spec in ("auto", None):
-            with _simulator(_mixed_levels(), kernel_backend=spec) as sim:
-                sim.update_state()
-                assert type(sim._backend) is NumpyBatchBackend
-                assert sim.plan_report().backend_fallbacks == 0
+        """A clean update (chaos plan parked: an injected ``kernel.run``
+        fault is a fallback) never re-executes a chunk run by run."""
+        with _simulator(_mixed_levels()) as sim:
+            sim.update_state()
+            assert sim.plan_report().backend_fallbacks == 0
 
     def test_unknown_name_raises(self):
-        for spec in ("cuda", 42):
-            with pytest.raises(ValueError, match=ACCEPTED):
+        for spec in ("auto", "numpy", None):
+            with pytest.raises(TypeError, match="kernel_backend"):
                 _simulator([[Gate("h", (0,))]], kernel_backend=spec)
 
     def test_env_var_drives_default(self, monkeypatch):
-        """Historical id: nothing reads ``QTASK_KERNEL_BACKEND`` any more, so
-        a value the keyword would reject changes nothing."""
+        """Historical id: nothing reads ``QTASK_KERNEL_BACKEND``."""
         monkeypatch.setenv("QTASK_KERNEL_BACKEND", "legacy")
         with _simulator([[Gate("h", (0,))]]) as sim:
-            assert sim._backend.name == "numpy"
+            sim.update_state()
+            assert type(update.BACKEND) is NumpyBatchBackend
 
-    def test_explicit_knob_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")  # never read
-        backend = KernelBackend()
-        with _simulator([[Gate("h", (0,))]], kernel_backend=backend) as sim:
-            assert sim._backend is backend
+    def test_explicit_knob_beats_env(self):
+        """Historical id: a session keeps no backend of its own, so a
+        swapped module backend runs an open session's next update."""
+        with _simulator(_mixed_levels()) as sim:
+            assert not hasattr(sim, "_backend")
+            sim.circuit.from_levels(_many_runs()[:1])
+            with running_on(FaultingBackend()) as backend:
+                sim.update_state()
+            assert backend.attempts == sim.plan_report().backend_fallbacks > 0
 
     def test_available_backends_contents(self):
-        """Historical id: the backends there are, are the module's two classes."""
+        """Historical id: the module's one backend class has no base."""
         classes = {
             name for name, obj in vars(kernels).items()
-            if isinstance(obj, type) and issubclass(obj, KernelBackend)
+            if isinstance(obj, type) and name.endswith("Backend")
         }
-        assert classes == {"KernelBackend", "NumpyBatchBackend"}
-        assert classes <= set(kernels.__all__)
+        assert classes == {"NumpyBatchBackend"} and classes <= set(kernels.__all__)
+        assert NumpyBatchBackend.__bases__ == (object,)
+        assert not {"execute_run", "iter_table_runs", "KernelBackend"} & set(vars(kernels))
 
 
 # ---------------------------------------------------------------------------
-# iter_table_runs
+# iter_table_runs (the reference loop's row view, in conftest)
 # ---------------------------------------------------------------------------
 
 
 def test_iter_table_runs_roundtrip():
-    from repro.core.exec_plan import RUN_ACTION, RunSpec
+    from repro.core.exec_plan import RUN_ACTION
 
     op = object()
     runs = [RunSpec(RUN_ACTION, 4 * i, 4 * i + 3, (0,), op) for i in range(3)]
@@ -134,48 +138,46 @@ def test_iter_table_runs_roundtrip():
 
 
 class _FaultsOncePublished(NumpyBatchBackend):
-    """The slab backend reporting an injected fault after it published."""
+    """The slab backend reporting an injected fault after it published a
+    multi-run table."""
 
     def execute_plan(self, reader, store, table):
         super().execute_plan(reader, store, table)
-        raise FaultInjected("kernel.run", 0)
+        if table.num_runs > 1:
+            raise FaultInjected("kernel.run", 0)
 
 
 class TestNumbaBackend:
     def test_jit_unavailable_raises(self, tmp_path):
-        """The name is rejected wherever the keyword is taken, not only by
-        the constructor; a fork and a sweep take no backend at all."""
+        """The keyword is gone wherever it was taken: restore, fork, sweep."""
         path = str(tmp_path / "s.qtckpt")
         with QTask(3, block_size=4, num_workers=1) as session:
             net = session.insert_net()
             gate = session.insert_gate("rz", net, 0, params=[0.1])
             session.update_state()
             session.checkpoint(path)
-            with pytest.raises(ValueError, match=ACCEPTED):
+            with pytest.raises(TypeError, match="kernel_backend"):
                 QTask.restore(path, kernel_backend="numba")
             with pytest.raises(TypeError, match="kernel_backend"):
                 session.fork(kernel_backend="numba")
             with pytest.raises(TypeError, match="kernel_backend"):
-                session.simulator.fork(kernel_backend=KernelBackend())
+                session.simulator.fork(kernel_backend=None)
             with pytest.raises(TypeError, match="kernel_backend"):
                 SweepRunner(session, [gate], kernel_backend="numba")
 
-    def test_interpreted_kernels_match_legacy(self):
+    def test_interpreted_kernels_match_legacy(self, no_plan):
         """A chunk that faults *after* publishing is re-executed run by run
         over its own output: the writes are plain overwrites, so the state
-        is the reference loop's and no block is held twice."""
-        with _simulator(
-            _mixed_levels(), kernel_backend=_FaultsOncePublished()
-        ) as sim, _simulator(_mixed_levels()) as clean:
+        is the clean run's bit for bit and no block is held twice."""
+        with running_on(_FaultsOncePublished()), _simulator(_many_runs()) as sim:
             sim.update_state()
-            np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
-            report = sim.plan_report()
-            assert report.backend_fallbacks == report.plan_chunks > 0
+            state, report = sim.state(), sim.plan_report()
+            allocated = sim.memory_report().allocated_bytes
+        assert report.backend_fallbacks > 0
+        with _simulator(_many_runs()) as clean:
             clean.update_state()
-            assert (
-                sim.memory_report().allocated_bytes
-                == clean.memory_report().allocated_bytes
-            )
+            assert np.array_equal(state, clean.state())
+            assert allocated == clean.memory_report().allocated_bytes
 
 
 class TestProcessPoolBackend:
@@ -189,15 +191,13 @@ class TestProcessPoolBackend:
             report = sim.plan_report()
             assert report.runs_batched == report.plan_chunks == report.plans_built
             np.testing.assert_allclose(
-                sim.state(),
-                _reference_state(_mixed_levels(2), num_qubits=2),
-                atol=1e-10,
+                sim.state(), reference_state(2, _mixed_levels(2)), atol=1e-10
             )
 
     def test_single_worker_never_ships(self):
         """One worker: every table, many runs or not, is one chunk."""
         # h on qubit 0 alone: eight two-block windows, eight runs
-        sim = _simulator([[Gate("h", (0,))]] + _mixed_levels()[1:], num_workers=1)
+        sim = _simulator(_many_runs(), num_workers=1)
         sim.update_state()
         report = sim.plan_report()
         assert report.runs_batched > report.plans_built
@@ -216,29 +216,32 @@ class TestProcessPoolBackend:
 
 
 # ---------------------------------------------------------------------------
-# a failing chunk: an injected fault falls back run-granular, anything else
-# is a programming error and propagates
+# a failing chunk: an injected fault re-executes it run by run on the same
+# kernels, anything else is a programming error and propagates
 # ---------------------------------------------------------------------------
 
 
-class _FragileBackend(KernelBackend):
-    name = "fragile"
-
+class _FragileBackend:
     def execute_plan(self, reader, store, table):
         raise RuntimeError("boom")
 
 
 class TestFailureSafety:
-    def test_failure_safe_backend_falls_back_per_run(self):
-        with _simulator(_mixed_levels(), kernel_backend=FaultingBackend()) as sim:
+    def test_failure_safe_backend_falls_back_per_run(self, no_plan):
+        """Every multi-run chunk faults once: the session still ends
+        byte-identical to the fault-free one."""
+        with running_on(FaultingBackend()), _simulator(_many_runs()) as sim:
             sim.update_state()
-            np.testing.assert_allclose(sim.state(), _reference_state(), atol=1e-10)
+            state = sim.state()
             assert sim.plan_report().backend_fallbacks > 0
-            fallbacks = sim.telemetry.events.events(kind="chunk.fallback")
-            assert {e.fields["backend"] for e in fallbacks} == {"faulting"}
+            (event, *_) = sim.telemetry.events.events(kind="chunk.fallback")
+            assert set(event.fields) == {"stage", "reason"}
+        with _simulator(_many_runs()) as clean:
+            clean.update_state()
+            assert np.array_equal(state, clean.state())
 
     def test_non_failure_safe_backend_propagates(self):
-        with _simulator(_mixed_levels(), kernel_backend=_FragileBackend()) as sim:
+        with running_on(_FragileBackend()), _simulator(_mixed_levels()) as sim:
             with pytest.raises(RuntimeError, match="boom"):
                 sim.update_state()
             assert sim.plan_report().backend_fallbacks == 0
@@ -251,7 +254,7 @@ class TestFailureSafety:
 
 class TestPlanStatistics:
     def test_counters_accumulate_across_updates(self):
-        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
+        with _simulator(_mixed_levels()) as sim:
             sim.update_state()
             first = sim.plan_report()
             assert first.updates_planned == 1
@@ -265,30 +268,29 @@ class TestPlanStatistics:
             assert second.plans_built > first.plans_built
 
     def test_statistics_merges_plan_report(self):
-        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
+        with _simulator(_mixed_levels()) as sim:
             sim.update_state()
             stats = sim.statistics()
             report = sim.plan_report().as_dict()
         assert set(report) == {
-            "backend", "plans_built", "runs_batched",
+            "plans_built", "runs_batched",
             "stages_coalesced", "plan_chunks", "backend_fallbacks",
             "updates_planned", "runs_per_plan", "run_retries",
         }
         assert {key: stats[key] for key in report} == report
-        assert stats["backend"] == "numpy"
+        assert "backend" not in stats
 
     def test_fork_inherits_backend(self):
-        with _simulator(_mixed_levels(), kernel_backend="numpy") as sim:
+        """Historical id: a fork has no backend to inherit; its updates run
+        on the module's backend like its parent's, on counters of its own."""
+        with _simulator(_mixed_levels()) as sim:
             sim.update_state()
             with sim.fork() as child:
-                assert child._backend is sim._backend
                 assert child.plan_report().updates_planned == 0
-        # a parent on the reference loop forks onto the reference loop
-        with _simulator(_mixed_levels(), kernel_backend=KernelBackend()) as reference:
-            reference.update_state()
-            with reference.fork() as child2:
-                assert child2._backend is reference._backend
-                assert child2.plan_report().backend == "base"
-                child2.circuit.update_gate(child2.circuit.gates()[6], 1.234)
-                child2.update_state()
-                assert child2.plan_report().updates_planned == 1
+                child.circuit.update_gate(child.circuit.gates()[6], 1.234)
+                with running_on(ReferenceLoop()):
+                    child.update_state()
+                assert child.plan_report().updates_planned == 1
+                sim.circuit.update_gate(sim.circuit.gates()[6], 1.234)
+                sim.update_state()
+                assert np.array_equal(child.state(), sim.state())

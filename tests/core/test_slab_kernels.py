@@ -1,8 +1,8 @@
 """Slab execution equals the per-run reference, bit for bit.
 
 ``NumpyBatchBackend.execute_plan`` runs each operation group of a run table
-as one gather, one multiply and one publish; the base
-``KernelBackend.execute_plan`` is the run-by-run loop it replaced.  Every
+as one gather, one multiply and one publish; ``conftest.ReferenceLoop`` is
+the run-by-run loop it replaced, kept as its oracle.  Every
 amplitude is the product of the same two operands on both paths, so the
 comparison here is ``np.array_equal``, never ``allclose`` -- over drawn
 tables at the backend boundary, and over drawn circuits at the session
@@ -22,31 +22,22 @@ from hypothesis import strategies as st
 from repro.core import faults
 from repro.core.blocks import MAX_RUN_BLOCKS, aligned_block_runs
 from repro.core.cow import BlockStore, IndexReader, InitialStateStore
-from repro.core.exec_plan import (
-    RUN_ACTION,
-    RUN_COPY,
-    RUN_DENSE,
-    RunSpec,
-    StagePlan,
-)
+from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE, StagePlan
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import DiagonalAction, MonomialAction, scale_action
-from repro.core.kernels import (
-    KernelBackend,
-    NumpyBatchBackend,
-    _slab_table,
-    apply_matrix_dense,
-    dense_steps,
-)
+from repro.core.kernels import NumpyBatchBackend, _slab_table, apply_matrix_dense, dense_steps
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import MeasureStage, ResetStage
 
 from ..conftest import (
     DeclaringStage,
+    ReferenceLoop,
+    RunSpec,
     StoreChain,
     index_over,
     open_session,
     random_levels,
+    running_on,
     table_from_runs,
 )
 from ..test_trajectory_properties import build_dynamic_circuit
@@ -206,7 +197,7 @@ def test_slab_plan_equals_per_run_plan(seed, n, log_block, kinds, parts, indexed
     block_size = 1 << log_block  # n < log_block: one short block
     reader = _stage_input(rng, 1 << n, block_size, indexed)
     table = _random_table(rng, kinds, n, block_size)
-    want = _execute(KernelBackend(), reader, table, parts)
+    want = _execute(ReferenceLoop(), reader, table, parts)
     got = _execute(NumpyBatchBackend(), reader, table, parts)
     _assert_same_blocks(got, want)
     # never-written inputs are served densely, not materialised
@@ -244,7 +235,7 @@ def test_split_chunk_reads_sources_outside_its_own_runs():
     )
     head, tail = table.split(2)
     assert int(head.his.max()) < 16 <= int(tail.los.min())
-    want = _execute(KernelBackend(), reader, table, 2)
+    want = _execute(ReferenceLoop(), reader, table, 2)
     got = _execute(NumpyBatchBackend(), reader, table, 2)
     _assert_same_blocks(got, want)
 
@@ -258,7 +249,7 @@ def test_single_short_block_when_dim_is_below_block_size():
         num_qubits=2, perm=(0, 2, 1, 3), factors=(1.0, 1j, -1j, 1.0)
     )
     table = table_from_runs([RunSpec(RUN_ACTION, 0, 7, (2, 0), swap)])
-    want = _execute(KernelBackend(), reader, table, 1)
+    want = _execute(ReferenceLoop(), reader, table, 1)
     got = _execute(NumpyBatchBackend(), reader, table, 1)
     assert got.get_block(0).shape == (8,)
     _assert_same_blocks(got, want)
@@ -277,7 +268,7 @@ def test_output_arrays_span_at_most_max_run_blocks():
         ]
     )
     got = _execute(NumpyBatchBackend(), reader, table, 1)
-    want = _execute(KernelBackend(), reader, table, 1)
+    want = _execute(ReferenceLoop(), reader, table, 1)
     _assert_same_blocks(got, want)
     backing = set()
     for b in got.stored_blocks():
@@ -324,13 +315,13 @@ def test_dense_slab_equals_the_run_loop(members, parts):
     ranges = [(b, b + per_run - 1) for b in range(0, 64, per_run)]
     table = _dense_table(drawn, ranges, block_size, 1 << n)
     assert table.num_runs == len(ranges) > 1
-    want = _execute(KernelBackend(), reader, table, parts)
+    want = _execute(ReferenceLoop(), reader, table, parts)
     got = _execute(NumpyBatchBackend(), reader, table, parts)
     _assert_same_blocks(got, want)
     state = reader.full_vector()
     for qubits, matrix in drawn:
         state = apply_matrix_dense(state, matrix, qubits, n)
-    np.testing.assert_allclose(_execute(KernelBackend(), reader, table, 1).get_block(5),
+    np.testing.assert_allclose(_execute(ReferenceLoop(), reader, table, 1).get_block(5),
                                state[20:24], atol=1e-12)
 
 
@@ -344,7 +335,7 @@ def test_dense_window_wider_than_a_run():
     members = [((7,), _unitary(rng, 1)), ((0,), _unitary(rng, 1))]
     table = _dense_table(members, [(0, 255)], block_size, 1 << n)
     assert table.num_runs == 4  # two windows of two runs each
-    want = _execute(KernelBackend(), reader, table, 1)
+    want = _execute(ReferenceLoop(), reader, table, 1)
     for parts in (1, 2, 4):
         _assert_same_blocks(_execute(NumpyBatchBackend(), reader, table, parts), want)
     got = _execute(NumpyBatchBackend(), reader, table, 1)
@@ -408,7 +399,7 @@ def test_injected_fault_leaves_the_store_untouched_and_retry_converges(site):
             NumpyBatchBackend().execute_plan(reader, out, table)
     finally:
         faults.install(previous)
-    want = _execute(KernelBackend(), reader, table, 1)
+    want = _execute(ReferenceLoop(), reader, table, 1)
     for b in want.stored_blocks():
         assert np.array_equal(out.get_block(b), want.get_block(b))
     assert out.held >> 8 & 1
@@ -439,7 +430,6 @@ def _sim(levels, num_qubits=5, **knobs):
     circuit = Circuit(num_qubits)
     knobs.setdefault("block_size", 4)
     knobs.setdefault("num_workers", 1)
-    knobs.setdefault("kernel_backend", "numpy")
     sim = open_session(circuit, **knobs)
     circuit.from_levels(levels)
     return sim
@@ -503,23 +493,20 @@ def test_tables_are_compact_read_only_and_the_cache_is_bounded():
 
 
 def _check_sessions_agree(seed, **knobs):
+    """A build and an incremental edit (a subset of the partitions re-planned)
+    leave identical states on the slab backend and the reference loop."""
     levels = random_levels(random.Random(seed), 6, 5)
-    slab = _sim(levels, 6, **knobs)
-    reference = _sim(levels, 6, **dict(knobs, kernel_backend=KernelBackend()))
-    try:
-        slab.update_state()
-        reference.update_state()
-        assert np.array_equal(slab.state(), reference.state())
-        # an incremental edit re-plans a subset of the partitions
-        for sim in (slab, reference):
+    states = []
+    for backend in (NumpyBatchBackend(), ReferenceLoop()):
+        with running_on(backend), _sim(levels, 6, **knobs) as sim:
+            sim.update_state()
+            states.append(sim.state())
             net = sim.circuit.insert_net()
             sim.circuit.insert_gate("cx", net, 0, 5)
             sim.circuit.insert_gate("rz", net, 3, params=(0.77,))
             sim.update_state()
-        assert np.array_equal(slab.state(), reference.state())
-    finally:
-        slab.close()
-        reference.close()
+            states.append(sim.state())
+    assert all(np.array_equal(a, b) for a, b in zip(states[:2], states[2:]))
 
 
 @given(
@@ -533,8 +520,8 @@ def test_sessions_agree_with_the_per_run_reference_backend(
     seed, block_size, num_workers, stepwise
 ):
     """Runs under whatever fault plan the environment set
-    (``QTASK_FAULT_P``): recovery re-executes
-    through the per-run path, so even then the states are identical."""
+    (``QTASK_FAULT_P``): recovery re-executes run by run, on the backend
+    that faulted, so even then the states are identical."""
     _check_sessions_agree(
         seed,
         block_size=block_size,
@@ -563,15 +550,11 @@ def test_dynamic_trajectories_agree_with_the_reference_backend(
 ):
     ckt = build_dynamic_circuit(circuit_seed)
     states = []
-    for backend in ("numpy", KernelBackend()):
-        sim = QTaskSimulator(
-            ckt, seed=5, block_size=4, num_workers=num_workers,
-            kernel_backend=backend,
-        )
-        try:
+    for backend in (NumpyBatchBackend(), ReferenceLoop()):
+        with running_on(backend), QTaskSimulator(
+            ckt, seed=5, block_size=4, num_workers=num_workers
+        ) as sim:
             sim.update_state()
-            states.append((sim.state().copy(), sim.outcomes.recorded_outcomes()))
-        finally:
-            sim.close()
+            states.append((sim.state(), sim.outcomes.recorded_outcomes()))
     assert states[0][1] == states[1][1]
     assert np.array_equal(states[0][0], states[1][0])

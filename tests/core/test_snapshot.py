@@ -29,7 +29,6 @@ import pytest
 from repro import CheckpointError, QTask
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.kernels import KernelBackend
 from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator
 from repro.core.snapshot import (
     CHECKPOINT_MAGIC,
@@ -41,6 +40,7 @@ from repro.core.snapshot import (
 )
 
 from ..conftest import (
+    ReferenceLoop,
     assert_held_blocks_are_prefix_states,
     assert_held_blocks_declared,
     assert_runs_are_consistent,
@@ -50,6 +50,7 @@ from ..conftest import (
     open_session,
     random_levels,
     reference_state,
+    running_on,
 )
 
 ATOL = 1e-12
@@ -241,23 +242,26 @@ def test_restored_session_equals_fork_under_identical_edits(tmp_path):
 
 
 def test_restore_kernel_backend_override(tmp_path):
-    """Execution resources are not durable state: the restored session can
-    run on a different backend and still computes the same states."""
+    """Historical id: a restore takes no ``kernel_backend`` keyword; a
+    restored session updates on whatever backend the updates run on (here
+    the reference loop) and still computes the same states."""
     num_qubits = 5
     rng = random.Random(33)
     levels = random_levels(rng, num_qubits, 4)
     path = str(tmp_path / "session.qtckpt")
-    with QTask(num_qubits, block_size=4, num_workers=1, kernel_backend="numpy") as s:
+    with QTask(num_qubits, block_size=4, num_workers=1) as s:
         _fill_session(s, levels)
         s.update_state()
         s.checkpoint(path)
 
-    restored = QTask.restore(path, num_workers=1, kernel_backend=KernelBackend())
+    with pytest.raises(TypeError, match="kernel_backend"):
+        QTask.restore(path, num_workers=1, kernel_backend=None)
+    restored = QTask.restore(path, num_workers=1)
     try:
-        assert restored.statistics()["backend"] == "base"
         net = restored.insert_net()
         restored.insert_gate("cx", net, 0, num_qubits - 1)
-        restored.update_state()
+        with running_on(ReferenceLoop()):
+            restored.update_state()
         expected = reference_state(num_qubits, circuit_levels(restored.circuit))
         assert_states_close(restored.state(), expected, atol=1e-10)
     finally:
@@ -443,7 +447,6 @@ def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
         try:
             np.testing.assert_array_equal(restored.state(), state)
             np.testing.assert_array_equal(restored.state(), dense_state(restored))
-            assert restored.statistics()["backend"] == "numpy"
             assert restored.statistics()["plans_built"] == 0
             net = restored.insert_net()
             restored.insert_gate("cx", net, 0, 4)
@@ -464,7 +467,7 @@ def test_header_without_a_backend_name_restores(tmp_path):
     try:
         np.testing.assert_array_equal(restored.state(), state)
         np.testing.assert_array_equal(restored.state(), dense_state(restored))
-        assert restored.statistics()["backend"] == "numpy"
+        assert "backend" not in restored.statistics()
     finally:
         restored.close()
 

@@ -8,12 +8,7 @@ from repro.core.classical import OutcomeRecord
 from repro.core.cow import BlockStore, InitialStateStore
 from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE
 from repro.core.gates import Gate, embed_gate_matrix
-from repro.core.kernels import (
-    KernelBackend,
-    NumpyBatchBackend,
-    execute_run,
-    iter_table_runs,
-)
+from repro.core.kernels import NumpyBatchBackend
 from repro.core.ops import CGate, MeasureOp, ResetOp
 from repro.core.stage import (
     ClassicallyControlledStage,
@@ -24,7 +19,7 @@ from repro.core.stage import (
     draw_collapses,
 )
 
-from ..conftest import StoreChain
+from ..conftest import ReferenceLoop, StoreChain, emit_runs, execute_run, iter_table_runs
 
 
 def make_chain(n, block=4, state=None):
@@ -37,7 +32,7 @@ def make_chain(n, block=4, state=None):
 
 def run_stage(stage, reader):
     for spec in stage.partition_specs():
-        for run in stage.emit_runs(spec.block_range):
+        for run in emit_runs(stage, spec.block_range):
             execute_run(reader, stage.store, run)
 
 
@@ -269,7 +264,7 @@ def test_emit_table_is_the_per_partition_runs_under_one_operation(kind):
     for ranges in (every, every[::2], every[-1:]):
         table = stage.emit_table(ranges)
         rows = list(iter_table_runs(table))
-        reference = [run for br in ranges for run in stage.emit_runs(br)]
+        reference = [run for br in ranges for run in emit_runs(stage, br)]
         assert len(table.ops) == 1 and table.ops[0].kind == op_kind
         assert not table.op_ids.any()
         assert [r[:4] for r in rows] == [r[:4] for r in reference]
@@ -277,7 +272,7 @@ def test_emit_table_is_the_per_partition_runs_under_one_operation(kind):
         # the bounds are shared per range tuple: asking again builds nothing
         assert stage.emit_table(list(ranges)).los is table.los
         outputs = []
-        for backend in (KernelBackend(), NumpyBatchBackend()):
+        for backend in (ReferenceLoop(), NumpyBatchBackend()):
             out = BlockStore(16, 4)
             backend.execute_plan(reader, out, table)
             outputs.append(out)

@@ -57,11 +57,11 @@ from hypothesis.stateful import (
 
 from repro import QTask
 from repro.core import faults
+from repro.core.blocks import mask_blocks
 from repro.core.circuit import CircuitObserver
 from repro.core.cow import IndexReader, MemoryReport
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
-from repro.core.kernels import KernelBackend
 from repro.observables import (
     ObservablesEngine,
     PauliString,
@@ -99,7 +99,6 @@ KNOBS = dict(
     num_qubits=st.integers(3, 6),
     block_size=st.sampled_from([2, 2, 4, 4, 8, 16, 64, 256]),
     num_workers=st.sampled_from([1, 2]),
-    kernel_backend=st.sampled_from([None, KernelBackend()]),
     seed=st.integers(0, 999),
     tracing=st.booleans(),
     stepwise=st.booleans(),
@@ -284,7 +283,7 @@ def assert_index_matches_stage_order(graph):
         store.get_block(b).nbytes for store in stores for b in store.stored_blocks()
     )
     assert report.shared_bytes == sum(
-        store.get_block(b).nbytes for store in stores for b in store._shared
+        store.get_block(b).nbytes for store in stores for b in mask_blocks(store.shared)
     )
 
 
@@ -655,11 +654,7 @@ class SessionMachine(RuleBasedStateMachine):
     def checkpoint_restore(self, session):
         path = os.path.join(self.tmp_path, f"{next(self.checkpoints)}.qtckpt")
         session.checkpoint(path)
-        restored = QTask.restore(
-            path,
-            num_workers=self.knobs["num_workers"],
-            kernel_backend=self.knobs["kernel_backend"],
-        )
+        restored = QTask.restore(path, num_workers=self.knobs["num_workers"])
         assert_close(restored.state(), session.state())
         # the collapses travel with their masses and outcomes
         assert restored.simulator.collapse_path() == session.simulator.collapse_path()

@@ -368,7 +368,7 @@ def test_degraded_backpressure_and_recovery():
         def troubled(session):
             net = session.insert_net()
             session.insert_gate("h", net, 0)
-            session.telemetry.events.emit("chunk.fallback", backend="numpy")
+            session.telemetry.events.emit("chunk.fallback", reason="x")
 
         be.run(troubled, num_qubits=1, shots=2, key="troubled").result(timeout=60)
         assert be.status()["degraded"] is True

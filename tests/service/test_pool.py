@@ -197,7 +197,7 @@ def test_unstable_sessions_evicted_first():
         pool.release("b")
         # mark "b" (the *most recent*) unstable: recovery events on its base
         entry_b = pool._entries["b"]
-        entry_b.session.telemetry.events.emit("chunk.fallback", backend="numpy")
+        entry_b.session.telemetry.events.emit("chunk.fallback", reason="x")
         forkc, _ = pool.lease("c", make_factory())
         forkc.close()
         pool.release("c")

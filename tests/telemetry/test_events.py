@@ -49,10 +49,10 @@ def test_event_log_is_bounded_and_counts_drops():
 
 def test_event_as_dict_flattens_fields():
     log = EventLog()
-    e = log.emit("chunk.fallback", backend="numpy", reason="x")
+    e = log.emit("chunk.fallback", stage="rz[q0]", reason="x")
     d = e.as_dict()
     assert d["kind"] == "chunk.fallback"
-    assert d["backend"] == "numpy" and d["reason"] == "x"
+    assert d["stage"] == "rz[q0]" and d["reason"] == "x"
     assert d["seq"] == 1 and "time" in d and "wall_time" in d
 
 
@@ -72,9 +72,7 @@ def test_scripted_fault_leaves_injection_and_retry_events():
     levels = random_levels(rng, 5, 4)
     # One worker: with more, another chunk's publish can take the scripted
     # occurrence 2 and nothing is retried run-granular (~1% of runs).
-    sim = _build_sim(
-        5, levels, kernel_backend="numpy", block_size=4, num_workers=1
-    )
+    sim = _build_sim(5, levels, block_size=4, num_workers=1)
     faults.install(FaultPlan(script=[("cow.publish", 1), ("cow.publish", 2)]))
     try:
         sim.update_state()
@@ -97,13 +95,13 @@ def test_scripted_fault_leaves_injection_and_retry_events():
 def test_explain_last_update_renders_recovery_events():
     rng = random.Random(12)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4)
+    sim = _build_sim(5, levels, block_size=4)
     faults.install(FaultPlan(script=[("cow.publish", 1)]))
     try:
         sim.update_state()
         text = sim.explain_last_update()
         assert "update #0" in text
-        assert "backend numpy" in text
+        assert "chunks total" in text and "backend" not in text
         assert "recovery events" in text and "none" not in text
         assert "fault.injected" in text
         assert "site=cow.publish" in text
@@ -116,7 +114,7 @@ def test_explain_last_update_renders_recovery_events():
 def test_explain_last_update_clean_run_reports_no_events():
     rng = random.Random(7)
     levels = random_levels(rng, 4, 3)
-    sim = _build_sim(4, levels, kernel_backend="numpy", block_size=4)
+    sim = _build_sim(4, levels, block_size=4)
     try:
         sim.update_state()
         text = sim.explain_last_update()
@@ -140,11 +138,11 @@ def test_explain_last_update_clean_run_reports_no_events():
 
 def test_breaker_transition_is_logged():
     """Historical id: no breaker is left.  A publish storm is absorbed
-    chunk by chunk: every fallback is logged with its backend, and the log
-    holds only the recovery kinds the engine emits."""
+    chunk by chunk: every fallback is logged with its stage and reason, and
+    the log holds only the recovery kinds the engine emits."""
     rng = random.Random(5)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4)
+    sim = _build_sim(5, levels, block_size=4)
     faults.install(FaultPlan(script=[("cow.publish", i) for i in range(1, 40)]))
     try:
         sim.update_state()
@@ -156,11 +154,10 @@ def test_breaker_transition_is_logged():
     events = sim.telemetry.events
     assert events.events(kind="fault.injected")
     fallbacks = events.events(kind="chunk.fallback")
-    assert fallbacks and {e.fields["backend"] for e in fallbacks} == {"numpy"}
+    assert fallbacks and all(set(e.fields) == {"stage", "reason"} for e in fallbacks)
     assert {e.kind for e in events.events()} <= {
         "fault.injected", "chunk.fallback", "run.retry",
     }
-    assert sim.statistics()["backend"] == "numpy"
 
 
 def test_checkpoint_save_and_restore_emit_events(tmp_path):
@@ -168,7 +165,7 @@ def test_checkpoint_save_and_restore_emit_events(tmp_path):
 
     rng = random.Random(3)
     levels = random_levels(rng, 4, 3)
-    sim = _build_sim(4, levels, kernel_backend="numpy", block_size=4)
+    sim = _build_sim(4, levels, block_size=4)
     path = str(tmp_path / "ckpt.qtask")
     try:
         sim.update_state()

@@ -38,10 +38,7 @@ def build_cascade(num_qubits, num_stages, *, block_size, **kwargs):
 
 def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
     """The ISSUE acceptance criterion: 120 stages, 2 workers, valid export."""
-    ckt, sim = build_cascade(
-        10, 120, block_size=16, num_workers=2,
-        kernel_backend="numpy", tracing=True,
-    )
+    ckt, sim = build_cascade(10, 120, block_size=16, num_workers=2, tracing=True)
     try:
         sim.update_state()
         handle = next(h for h in ckt.gates() if h.gate.name == "rz")
@@ -61,7 +58,7 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
             assert build.attrs["stages"] >= 1
         for chunk in by_name["run.chunk"]:
             assert chunk.parent_id in updates
-            assert chunk.attrs["backend"] == "numpy"
+            assert set(chunk.attrs) == {"stage", "runs", "amps"}
             assert chunk.attrs["runs"] >= 1
             assert chunk.attrs["amps"] >= 1
             # a chunk's time lies inside its parent update's window
@@ -159,7 +156,7 @@ def test_plan_build_span_and_explain_report_the_same_sweep():
     """``plan.build`` covers sweep + coalesce + sources + freeze, and says
     what it swept and what it coalesced."""
     ckt, sim = build_cascade(
-        6, 12, block_size=4, num_workers=1, kernel_backend="numpy", tracing=True,
+        6, 12, block_size=4, num_workers=1, tracing=True,
     )
     try:
         sim.update_state()
@@ -409,7 +406,7 @@ def test_service_spans_attribute_a_cold_and_a_warm_job():
 
 def test_forked_sessions_keep_their_own_tagged_registry():
     # plan.* counters belong to the plan pipeline: pin a backend that has one
-    parent = QTask(5, num_workers=2, kernel_backend="numpy")
+    parent = QTask(5, num_workers=2)
     net = parent.insert_net()
     for q in parent.qubits():
         parent.insert_gate("h", net, q)
@@ -437,7 +434,7 @@ def test_sweep_runner_merges_fleet_metrics():
     from repro.parallel.sweep import SweepRunner
 
     # counts plan.updates_planned: pin a backend with a plan pipeline
-    ckt = QTask(5, num_workers=2, kernel_backend="numpy")
+    ckt = QTask(5, num_workers=2)
     net = ckt.insert_net()
     for q in ckt.qubits():
         ckt.insert_gate("h", net, q)

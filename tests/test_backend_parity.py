@@ -1,7 +1,8 @@
 """Backend parity: every way a run table executes computes the same states.
 
 How a table is executed must not show in the result: for any circuit, any
-knob combination (build order, block size) and any modifier sequence, the slab backend, the run-granular reference loop, the fallback
+knob combination (build order, block size) and any modifier sequence, the
+slab backend, the run-granular reference loop, the run-by-run re-execution
 of a faulted chunk and the dense oracle must agree to 1e-10.
 """
 
@@ -13,18 +14,21 @@ import numpy as np
 import pytest
 
 from repro import QTask
+from repro.core import update
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.kernels import KernelBackend
+from repro.core.kernels import NumpyBatchBackend
 from repro.core.simulator import QTaskSimulator
 
 from .conftest import (
     FaultingBackend,
+    ReferenceLoop,
     circuit_levels,
     dense_state,
     open_session,
     random_levels,
     reference_state,
+    running_on,
 )
 
 ATOL = 1e-10
@@ -49,31 +53,35 @@ KNOB_COMBOS = [
     pytest.param(dict(resweep=True, block_size=16), id="dense-bs16"),
 ]
 
-# Each leg is a factory for the session knobs that pick how run tables
-# execute; the ids are the ones the test floor pins, two of them historical.
-# "legacy" is the run-granular reference loop (the base ``KernelBackend``:
-# every run through ``execute_run``) under the id of the deleted per-run path.
-# "numba-interp" named the deleted numba backend's interpreted mode: the leg
-# is now a backend faulting on every chunk, so every chunk of every update
-# goes through the simulator's ``_run_chunk_fallback``.  "process"
+# Each leg is the backend its updates run on (``None``: the slab backend)
+# and the session knobs it adds; the ids are the ones the test floor pins,
+# two of them historical.  "legacy" is the run-granular reference loop under
+# the id of the deleted per-run path.  "numba-interp" named the deleted
+# numba backend's interpreted mode: the leg is now a backend faulting once
+# on every multi-run chunk, which then re-executes run by run.  "process"
 # named the deleted fork-pool backend: the leg keeps the multi-worker fan-out
 # it alone forced on every host -- the slab backend on a two-wide executor,
 # every table split into chunk subflows over its thread pool.
-def _reference_loop():
-    return dict(kernel_backend=KernelBackend())
-
-
 BACKENDS = [
-    pytest.param(_reference_loop, id="legacy"),
-    pytest.param(lambda: dict(kernel_backend="numpy"), id="numpy"),
-    pytest.param(lambda: dict(kernel_backend=FaultingBackend()), id="numba-interp"),
-    pytest.param(lambda: dict(num_workers=2), id="process"),
+    pytest.param((ReferenceLoop, {}), id="legacy"),
+    pytest.param((None, {}), id="numpy"),
+    pytest.param((FaultingBackend, {}), id="numba-interp"),
+    pytest.param((None, dict(num_workers=2)), id="process"),
 ]
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Install the leg's backend for the test; the leg's session knobs."""
+    factory, knobs = request.param
+    if factory is not None:
+        monkeypatch.setattr(update, "BACKEND", factory())
+    return knobs
 
 
 def _build(levels, num_qubits, backend, knobs) -> QTaskSimulator:
     circuit = Circuit(num_qubits)
-    sim = open_session(circuit, **backend(), **knobs)
+    sim = open_session(circuit, **backend, **knobs)
     circuit.from_levels(levels)
     return sim
 
@@ -94,7 +102,7 @@ def _resweep(circuit, flip):
 
 
 @pytest.mark.parametrize("knobs", KNOB_COMBOS)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_random_circuit_matches_dense(backend, knobs):
     num_qubits = 6
     rng = random.Random(20260807)
@@ -105,6 +113,11 @@ def test_random_circuit_matches_dense(backend, knobs):
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
+        if isinstance(update.BACKEND, FaultingBackend):  # the clean run's bits
+            assert sim.plan_report().backend_fallbacks > 0
+            with running_on(NumpyBatchBackend()), _build(levels, num_qubits, {}, knobs) as clean:
+                clean.update_state()
+                assert np.array_equal(sim.state(), clean.state())
         if resweep:
             _resweep(sim.circuit, None)
             if sim.graph.has_pending:  # (a stepwise session updated already)
@@ -115,7 +128,7 @@ def test_random_circuit_matches_dense(backend, knobs):
             np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_incremental_insert_matches_dense(backend):
     num_qubits = 5
     rng = random.Random(7)
@@ -146,7 +159,7 @@ def test_incremental_insert_matches_dense(backend):
         pytest.param(dict(block_size=8, resweep=True), id="dense-bs8"),
     ],
 )
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_retune_sequence_matches_dense(backend, knobs):
     num_qubits = 5
     circuit = Circuit(num_qubits)
@@ -160,7 +173,7 @@ def test_retune_sequence_matches_dense(backend, knobs):
         levels.append([Gate("cx", (q, q + 1)) for q in range(0, num_qubits - 1, 2)])
     knobs = dict(knobs)
     resweep = knobs.pop("resweep", False)
-    with open_session(circuit, **backend(), **knobs) as sim:
+    with open_session(circuit, **backend, **knobs) as sim:
         circuit.from_levels(levels)
         sim.update_state()
         handles = [h for h in circuit.gates() if h.gate.name == "rz"]
@@ -185,7 +198,7 @@ def test_retune_sequence_matches_dense(backend, knobs):
 
 def _dynamic_session(seed, backend, **knobs) -> QTask:
     knobs.setdefault("block_size", 4)
-    ckt = QTask(3, num_clbits=2, seed=seed, **backend(), **knobs)
+    ckt = QTask(3, num_clbits=2, seed=seed, **backend, **knobs)
     n1, n2, n3, n4, n5 = (ckt.insert_net() for _ in range(5))
     ckt.insert_gate("h", n1, 0)
     ckt.insert_gate("cx", n2, 0, 1)
@@ -197,13 +210,14 @@ def _dynamic_session(seed, backend, **knobs) -> QTask:
     return ckt
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_dynamic_trajectory_matches_legacy(backend, seed):
     """Same seed, same outcome bits as the run-granular reference loop; the
     state is the dense oracle's under those outcomes."""
-    ref = _dynamic_session(seed, _reference_loop)
-    ref.update_state()
+    ref = _dynamic_session(seed, {})
+    with running_on(ReferenceLoop()):
+        ref.update_state()
     got = _dynamic_session(seed, backend)
     got.update_state()
     assert got.outcomes.get_bit(0) == ref.outcomes.get_bit(0)
@@ -219,7 +233,7 @@ def test_dynamic_trajectory_matches_legacy(backend, seed):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_forked_sessions_match_dense(backend):
     num_qubits = 5
     rng = random.Random(99)
@@ -264,9 +278,7 @@ def test_plan_chunking_on_work_stealing_pool():
     levels += random_levels(rng, num_qubits, 8)
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
-    with QTaskSimulator(
-        circuit, block_size=4, num_workers=2, kernel_backend="numpy"
-    ) as sim:
+    with QTaskSimulator(circuit, block_size=4, num_workers=2) as sim:
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)

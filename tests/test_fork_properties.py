@@ -175,25 +175,21 @@ def test_memory_report_shows_forks_sharing_blocks():
             )
             assert total_owned == parent_report.allocated_bytes
 
-            # The parent refcounts every exported block once per fork.
-            refs = {}
-            for stage in parent.simulator.graph.stages:
-                for block, count in stage.store.exported_block_refs().items():
-                    refs[(stage.uid, block)] = count
-            assert refs and all(count == num_forks for count in refs.values())
+            # Each fork marks exactly the blocks its stage holds as shared.
+            for fork in forks:
+                for stage in fork.simulator.graph.stages:
+                    assert stage.store.shared == stage.store.held
 
             # Divergence: one fork rewrites its retuned cone and now owns
-            # those blocks; the parent's refcounts drop accordingly.
+            # those blocks, unmarked; the parent owns all of its own.
             diverging = forks[0]
             diverging.update_gate(diverging.handle_for(rz_handles[0]), 3.0)
             diverging.update_state()
             diverged = diverging.memory_report()
             assert 0 < diverged.owned_bytes < diverged.allocated_bytes
-            new_refs = {}
-            for stage in parent.simulator.graph.stages:
-                for block, count in stage.store.exported_block_refs().items():
-                    new_refs[(stage.uid, block)] = count
-            assert any(count == num_forks - 1 for count in new_refs.values())
+            stores = [stage.store for stage in diverging.simulator.graph.stages]
+            assert any(s.held & ~s.shared for s in stores)
+            assert parent.memory_report().owned_bytes == parent_report.allocated_bytes
             # The other forks still share everything.
             assert forks[1].memory_report().owned_bytes == 0
         finally:

@@ -6,13 +6,17 @@ and any future one -- cannot silently drop or rename a key downstream
 dashboards grab by name.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.kernels import NumpyBatchBackend
 from repro.qtask import QTask
 
-#: the statistics() contract, whatever the backend instance
+from . import conftest
+from .conftest import ReferenceLoop, running_on
+
+#: the statistics() contract
 GOLDEN_KEYS = {
-    "backend",
     "backend_fallbacks",
     "block_size",
     "cached_observable_partials",
@@ -60,7 +64,7 @@ def test_statistics_keys_are_exactly_the_golden_set(session):
 
 def test_statistics_values_reflect_the_registry_counters():
     # the slab pipeline's counters, pinned
-    session = _built_session(kernel_backend="numpy")
+    session = _built_session()
     try:
         _check_numpy_pipeline_counters(session.simulator.statistics())
     finally:
@@ -78,7 +82,6 @@ def _check_numpy_pipeline_counters(stats):
     )
     assert stats["run_retries"] == 0
     assert stats["backend_fallbacks"] == 0
-    assert stats["backend"] == "numpy"
     assert stats["last_elapsed_seconds"] > 0.0
     # every plain count is a real int, not a Counter/Gauge leaking through
     for key in (
@@ -100,9 +103,9 @@ def test_statistics_keys_stable_across_updates(session):
     assert session.simulator.statistics()["num_updates"] == 2
 
 
-def _dynamic_session(backend):
+def _dynamic_session():
     """Every run kind the default pipeline emits, on small blocks."""
-    ckt = QTask(6, block_size=4, kernel_backend=backend, seed=11)
+    ckt = QTask(6, block_size=4, seed=11)
     c = ckt.add_classical_register("c", 1)
     nets = [ckt.insert_net() for _ in range(6)]
     for q in ckt.qubits():
@@ -117,28 +120,21 @@ def _dynamic_session(backend):
     return ckt
 
 
-def _counting_execute_run(monkeypatch):
-    """Count the runs the kernel backends hand to ``execute_run``."""
-    from repro.core import kernels
-
-    calls = []
-    run = kernels.execute_run
-    monkeypatch.setattr(
-        kernels, "execute_run", lambda *a: calls.append(1) or run(*a)
-    )
-    return calls
-
-
-def test_numpy_backend_hands_no_run_to_the_per_run_path(monkeypatch):
+def test_numpy_backend_hands_no_run_to_the_per_run_path(no_plan):
     """Every run kind the pipeline emits -- dense ones included -- has a
-    slab form: nothing goes run by run (there is no counter for it)."""
-    calls = _counting_execute_run(monkeypatch)
-    ckt = _dynamic_session("numpy")
+    slab form: each chunk reaches the backend whole, never run by run
+    (there is no counter for it)."""
+    rows = []
+    backend = NumpyBatchBackend()
+    execute = backend.execute_plan
+    backend.execute_plan = lambda r, s, t: rows.append(t.num_runs) or execute(r, s, t)
+    with running_on(backend):
+        ckt = _dynamic_session()
     try:
         stats = ckt.statistics()
         assert stats["runs_batched"] > stats["plans_built"]
         assert "runs_fallback" not in stats
-        assert calls == []
+        assert (len(rows), sum(rows)) == (stats["plan_chunks"], stats["runs_batched"])
     finally:
         ckt.close()
 
@@ -147,12 +143,12 @@ def test_reference_backend_counts_every_run_as_per_run(monkeypatch):
     """... the runs of a coalesced table included: it is an ordinary table,
     so the per-run loop executes it too -- to the slab path's state, bit for
     bit -- and one plan stands for the two stages it coalesced."""
-    import numpy as np
-
-    from repro.core.kernels import KernelBackend
-
-    calls = _counting_execute_run(monkeypatch)
-    ckt, slab = _dynamic_session(KernelBackend()), _dynamic_session("numpy")
+    calls = []
+    run = conftest.execute_run
+    monkeypatch.setattr(conftest, "execute_run", lambda *a: calls.append(1) or run(*a))
+    with running_on(ReferenceLoop()):
+        ckt = _dynamic_session()
+    slab = _dynamic_session()
     try:
         stats = ckt.statistics()
         # (chaos legs re-plan on injected faults, hence not an equality)
@@ -172,7 +168,7 @@ def test_reference_backend_counts_every_run_as_per_run(monkeypatch):
 def test_run_shots_counters_live_in_the_registry_not_in_statistics():
     """``shots.*`` are registry counters; the statistics() contract is
     untouched by sampling (the parent session does no update work)."""
-    ckt = _dynamic_session("numpy")
+    ckt = _dynamic_session()
     try:
         ckt.run_shots(12, seed=1)
         assert set(ckt.simulator.statistics()) == GOLDEN_KEYS
@@ -191,7 +187,7 @@ def test_observe_counters_live_in_the_registry_not_in_statistics(session):
     keys = set(session.simulator.statistics())
     session.expectation("ZZIII")
     stats = session.simulator.statistics()
-    assert set(stats) == keys  # whatever the backend adds, the engine adds none
+    assert set(stats) == keys  # the engine adds none
     n_blocks = session.simulator.n_blocks
     assert stats["cached_observable_partials"] == n_blocks
     counters = session.telemetry_report()["counters"]

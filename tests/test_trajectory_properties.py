@@ -30,21 +30,21 @@ from repro import QTask
 from repro.baselines.dense import DenseReferenceSimulator
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.kernels import KernelBackend
+from repro.core.kernels import NumpyBatchBackend
 
-from .conftest import dense_state, open_session, random_level
+from .conftest import ReferenceLoop, dense_state, open_session, random_level, running_on
 from .machine import DYNAMIC, run_machine
 
 # every incremental-engine knob combination the equivalence bar names
 # (``stepwise``: one update per gate instead of one for the whole circuit,
-# see ``conftest.open_session``)
+# see ``conftest.open_session``; ``reference``: updates on the reference loop)
 KNOB_MATRIX = [
     dict(stepwise=False, block_size=4),
     dict(stepwise=True, block_size=4),
     dict(stepwise=False, block_size=16),
     dict(stepwise=True, block_size=8),
     dict(stepwise=False, block_size=2),
-    dict(stepwise=True, block_size=16, kernel_backend=KernelBackend()),
+    dict(stepwise=True, block_size=16, reference=True),
     dict(stepwise=False, block_size=4, num_workers=2),
 ]
 
@@ -81,10 +81,13 @@ def test_incremental_matches_dense_across_all_knobs(circuit_seed, trajectory_see
     reference_outcomes = None
     for knobs in KNOB_MATRIX:
         ckt = Circuit(4, num_clbits=4)
+        knobs = dict(knobs)
+        backend = ReferenceLoop() if knobs.pop("reference", False) else NumpyBatchBackend()
         sim = open_session(ckt, seed=trajectory_seed, **knobs)
         try:
-            build_dynamic_circuit(circuit_seed, into=ckt)
-            sim.update_state()
+            with running_on(backend):
+                build_dynamic_circuit(circuit_seed, into=ckt)
+                sim.update_state()
             state = sim.state()
             outcomes = sim.outcomes.recorded_outcomes()
             # equal seeds must give equal trajectories across configurations
