@@ -24,9 +24,10 @@ A coalesced run of stages (:mod:`repro.core.exec_plan`) publishes through a
 :class:`RoutedStore`: each block lands in the store of the *last* member
 that declares it, and earlier members keep nothing for it.
 
-Writes are single-copy: ``write_block`` copies at most once, and
-``write_range(copy=False)`` / ``write_blocks`` adopt freshly computed kernel
-outputs zero-copy (the store keeps views of the output array).
+Every write is one publish, :meth:`BlockStore.write_blocks`: it adopts
+freshly computed kernel outputs (or a restore's decoded blocks) zero-copy,
+keeping views of the output array, with one fault check and one dict update
+however many blocks land.
 
 Session forking extends copy-on-write *across* simulators:
 :meth:`BlockStore.share_from` adopts every block of another store by
@@ -137,67 +138,15 @@ class BlockStore:
 
     # -- write side -------------------------------------------------------
 
-    def write_block(self, block: int, values: np.ndarray, *, copy: bool = True) -> None:
-        """Store the full contents of ``block``.
-
-        By default the values are copied into store-owned memory (at most one
-        copy: a dtype conversion already yields a fresh array).  Pass
-        ``copy=False`` only for freshly allocated arrays the caller will never
-        touch again -- the store then adopts ``values`` (or a view of it)
-        without copying.
-        """
-        arr = np.asarray(values, dtype=_DTYPE)
-        if arr.shape != (self._block_len,):
-            raise ValueError(
-                f"block {block} expects {self._block_len} amplitudes, "
-                f"got shape {arr.shape}"
-            )
-        if not 0 <= block < self.n_blocks:
-            raise ValueError(f"block {block} out of range [0, {self.n_blocks})")
-        self._publish((block,), (self._owned(arr, values, copy),), 1 << block)
-
-    def write_range(self, lo: int, values: np.ndarray, *, copy: bool = True) -> None:
-        """Write a block-aligned contiguous range starting at index ``lo``.
-
-        With ``copy=False`` the per-block entries are *views* of ``values``
-        (the zero-copy publish path for kernel outputs); the caller must not
-        mutate ``values`` afterwards.  With ``copy=True`` the range is copied
-        once as a whole, never block by block.
-        """
-        if lo % self.block_size != 0:
-            raise ValueError(f"range start {lo} is not block aligned")
-        arr = np.asarray(values, dtype=_DTYPE)
-        if arr.ndim != 1:
-            raise ValueError(f"expected a 1-D amplitude range, got shape {arr.shape}")
-        size = self._block_len
-        n = arr.shape[0]
-        if n % size != 0:
-            raise ValueError(
-                f"range of {n} amplitudes is not a whole number of "
-                f"{size}-amplitude blocks"
-            )
-        first = lo // self.block_size
-        last = first + n // size - 1
-        if not (0 <= first and last < self.n_blocks):
-            raise ValueError(
-                f"blocks [{first}, {last}] out of range [0, {self.n_blocks})"
-            )
-        arr = self._owned(arr, values, copy)
-        self._publish(
-            range(first, last + 1),
-            [arr[offset : offset + size] for offset in range(0, n, size)],
-            span_mask(first, last),
-        )
-
     def write_blocks(self, blocks: Sequence[int], rows: Sequence[np.ndarray]) -> None:
         """Publish ``rows[i]`` as the contents of ``blocks[i]``, zero-copy.
 
-        The slab kernels' publish: any set of distinct blocks lands with
-        one fault check and one dict update.  The rows are adopted as they
-        are -- ``write_range(copy=False)``'s contract: whole-block
-        ``complex128`` rows of fresh arrays the caller never touches again
-        (kernels cut their outputs at
-        :data:`~repro.core.blocks.MAX_RUN_BLOCKS` blocks).
+        The store's one write: any set of distinct blocks lands with one
+        fault check and one dict update.  The rows are adopted as they are:
+        whole-block ``complex128`` rows of fresh arrays the caller never
+        touches again (kernels cut their outputs at
+        :data:`~repro.core.blocks.MAX_RUN_BLOCKS` blocks, so a surviving
+        row pins no more than that).
         """
         if len(rows) != len(blocks):
             raise ValueError(f"{len(blocks)} blocks but {len(rows)} rows")
@@ -213,18 +162,11 @@ class BlockStore:
             raise ValueError(f"block ids out of range [0, {self.n_blocks})")
         self._publish(blocks, rows, mask)
 
-    @staticmethod
-    def _owned(arr: np.ndarray, values, copy: bool) -> np.ndarray:
-        """``arr`` detached from the caller's ``values`` when ``copy`` asks."""
-        if copy and np.may_share_memory(arr, values):
-            return arr.copy()
-        return arr
-
     def _publish(
         self, blocks: Sequence[int], rows: Sequence[np.ndarray], mask: int
     ) -> None:
         """Bind ``rows[i]`` as the contents of ``blocks[i]`` (``mask`` is
-        their bitmask): the one mutation path behind every ``write_*``.
+        their bitmask): the one mutation path behind :meth:`write_blocks`.
 
         The publish fault site fires before any store mutation, so a failed
         publish leaves the store exactly as it was and the run that produced
@@ -343,9 +285,9 @@ class RoutedStore:
 
     ``stores`` are the member stages' stores in seq order and ``owned[i]``
     the bitmask of the blocks ``stores[i]`` owns -- those its stage is the
-    run's last declarer of.  Kernels see the ``write_*`` surface of a
-    :class:`BlockStore`; each published block goes to its owner, so every
-    read resolves as if the members had run one by one.
+    run's last declarer of.  Kernels see the :meth:`BlockStore.write_blocks`
+    of a store; each published block goes to its owner, so every read
+    resolves as if the members had run one by one.
     """
 
     def __init__(self, stores: Sequence[BlockStore], owned: Sequence[int]) -> None:
@@ -375,19 +317,6 @@ class RoutedStore:
             at += last - first + 1
         for store, (ids, held) in routed.items():
             store.write_blocks(ids, held)
-
-    def write_range(self, lo: int, values: np.ndarray, *, copy: bool = True) -> None:
-        """``BlockStore.write_range``: the range's blocks, each to its owner
-        (one publish per owning store, not one per stretch of the range)."""
-        if lo % self.block_size != 0:
-            raise ValueError(f"range start {lo} is not block aligned")
-        arr = np.asarray(values, dtype=_DTYPE)
-        if copy and np.may_share_memory(arr, values):
-            arr = arr.copy()
-        size = min(self.dim, self.block_size)
-        first = lo // self.block_size
-        rows = [arr[i : i + size] for i in range(0, arr.shape[0], size)]
-        self.write_blocks(range(first, first + len(rows)), rows)
 
     def settle(self) -> None:
         """Drop what members hold of blocks a later run-mate now owns."""

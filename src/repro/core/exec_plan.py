@@ -6,11 +6,11 @@ counters for a deep dirty cone, all dispatched under the GIL.  The plan layer
 describes that frontier *once* as a handful of batch-major structures instead:
 
 * :class:`RunTable` -- the runs of one stage packed into contiguous arrays
-  (``los``/``his``/``op_ids``) plus an operation table, the shape the
-  slab backend consumes whole.  Every stage kind applies one operation
-  (``Stage.plan_op``) to all of its runs, so ``Stage.emit_table`` is the
-  bounds of the planned block ranges -- shared per range tuple and
-  geometry -- plus that one :class:`PlanOp`; nothing is built per run.
+  (``los``/``his``) under the one :class:`PlanOp` every run applies, the
+  shape the slab backend consumes whole.  Every stage kind applies one
+  operation (``Stage.plan_op``) to all of its runs, so ``Stage.emit_table``
+  is the bounds of the planned block ranges -- shared per range tuple and
+  geometry -- plus that operation; nothing is built per run.
 * :class:`StagePlan` -- one affected stage: its reader, whether its sync
   step (a collapse's draw) must run, and the block ranges to recompute.  For
   static stages (unitary and dense stages, whose operation depends on
@@ -45,9 +45,7 @@ so the slab backend in :mod:`repro.core.kernels` and the orchestration in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +70,7 @@ RUN_COPY = 2
 
 
 class PlanOp(NamedTuple):
-    """One operation of a run table (shared by many runs)."""
+    """The operation of a run table (shared by all of its runs)."""
 
     kind: int
     qubits: Tuple[int, ...]
@@ -80,70 +78,43 @@ class PlanOp(NamedTuple):
 
 
 class RunTable:
-    """The runs of one stage packed into contiguous arrays.
+    """The runs of one stage packed into contiguous arrays under one operation.
 
-    ``los``/``his`` are the inclusive amplitude bounds per run and
-    ``op_ids[i]`` indexes the :attr:`ops` table -- the batch-major layout
-    slab backend consumes whole (grouping runs by operation lets it execute
-    a homogeneous group in a handful of stacked array ops).  The tables
-    stages emit hold one operation.
+    ``los``/``his`` are the inclusive amplitude bounds per run and ``op``
+    the :class:`PlanOp` every run applies -- the batch-major layout the
+    slab backend consumes whole, in a handful of stacked array ops.
     """
 
-    __slots__ = ("los", "his", "op_ids", "ops")
+    __slots__ = ("op", "los", "his")
 
-    def __init__(
-        self,
-        los: np.ndarray,
-        his: np.ndarray,
-        op_ids: np.ndarray,
-        ops: List[PlanOp],
-    ) -> None:
+    def __init__(self, op: PlanOp, los: np.ndarray, his: np.ndarray) -> None:
+        self.op = op
         self.los = los
         self.his = his
-        self.op_ids = op_ids
-        self.ops = ops
 
     @property
     def num_runs(self) -> int:
         return int(self.los.shape[0])
 
-    def groups(self) -> Iterator[Tuple[PlanOp, object]]:
-        """Yield ``(op, run_indices)`` per distinct operation, in op order.
-
-        ``run_indices`` indexes :attr:`los` / :attr:`his`: an index array,
-        or ``slice(None)`` for the common single-operation table (nothing
-        to search for).
-        """
-        if len(self.ops) == 1:
-            if self.num_runs:
-                yield self.ops[0], slice(None)
-            return
-        for op_id, op in enumerate(self.ops):
-            idx = np.flatnonzero(self.op_ids == op_id)
-            if idx.size:
-                yield op, idx
-
     def split(self, parts: int) -> List["RunTable"]:
         """At most ``parts`` contiguous sub-tables covering every run.
 
         Runs of one stage write disjoint ranges, so the sub-tables can
-        execute concurrently; the operation table is shared by reference.
+        execute concurrently; the operation is shared by reference.
         """
         n = self.num_runs
         parts = max(1, min(int(parts), n)) if n else 1
         if parts <= 1:
             return [self]
         bounds = np.linspace(0, n, parts + 1, dtype=np.int64)
-        out: List[RunTable] = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b > a:
-                out.append(
-                    RunTable(self.los[a:b], self.his[a:b], self.op_ids[a:b], self.ops)
-                )
-        return out
+        return [
+            RunTable(self.op, self.los[a:b], self.his[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])
+            if b > a
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RunTable(runs={self.num_runs}, ops={len(self.ops)})"
+        return f"RunTable(runs={self.num_runs}, kind={self.op.kind})"
 
 
 class StagePlan:

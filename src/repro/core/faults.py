@@ -9,8 +9,8 @@ a :class:`FaultPlan` is a seeded schedule of synthetic failures at named
 =================  ========================================================
 site               where it fires
 =================  ========================================================
-``kernel.run``     kernel execution: once per operation group of a run
-                   table (``NumpyBatchBackend.execute_plan``)
+``kernel.run``     kernel execution: once per run table
+                   (``NumpyBatchBackend.execute_plan``)
 ``cow.publish``    block publish into a :class:`~repro.core.cow.BlockStore`
 =================  ========================================================
 
@@ -25,7 +25,7 @@ Design constraints (all load-bearing):
 
 * **Armed scope.**  Even with a plan installed, faults only fire inside
   an :func:`armed` scope.  The simulator arms the plan around recovered
-  regions (``update_state``); direct unit-test calls to ``write_block``
+  regions (``update_state``); direct unit-test calls to ``write_blocks``
   or ``execute_plan`` outside an update therefore never see synthetic
   faults, which is what lets the chaos CI job run the *whole* tier-1
   suite with a plan installed and still expect green.

@@ -496,13 +496,13 @@ def apply_gate_dense(state: np.ndarray, gate, num_qubits: int) -> np.ndarray:
 
 # -- slab execution ---------------------------------------------------------
 #
-# The numpy backend executes an operation group -- the runs of one table
-# that share one operation -- as a *slab*: the input blocks gathered into
-# one buffer, one multiply over it, one publish.  What makes that a single
-# array op is a per-amplitude index table.  It depends only on the
-# operation's index structure (qubits + local permutation), the blocks the
-# runs cover and the geometry -- never on phases or factors -- so tables
-# are shared process-wide under that key, the key family of
+# The numpy backend executes a run table -- runs that share one operation
+# -- as *slabs*: the input blocks gathered into one buffer, one multiply
+# over it, and one publish for the table.  What makes that a single array
+# op is a per-amplitude index table.  It depends only on the operation's
+# index structure (qubits + local permutation), the blocks the runs cover
+# and the geometry -- never on phases or factors -- so tables are shared
+# process-wide under that key, the key family of
 # ``partition._enumerate_partitions``.
 
 
@@ -572,7 +572,7 @@ def _slab_table(
 def _slab_bounds(
     los: np.ndarray, his: np.ndarray, block_size: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Cut a group's runs into slabs of at most ``MAX_RUN_BLOCKS`` blocks.
+    """Cut a table's runs into slabs of at most ``MAX_RUN_BLOCKS`` blocks.
 
     A slab's output is one array the store adopts zero-copy; the cap keeps
     what a surviving block view can pin where the per-run path has it (no
@@ -592,64 +592,61 @@ def _slab_bounds(
 
 
 class NumpyBatchBackend:
-    """The one kernel path: one gather, one multiply, one publish per group.
+    """The one kernel path: one gather and one multiply per slab, one publish
+    per table.
 
-    The owners of all input blocks of a group are resolved in one pass and
+    The owners of all input blocks of a slab are resolved in one pass and
     gathered into one buffer (``reader.read_blocks``, so the reader must be
     a block resolver of :mod:`repro.core.cow`), a shared :class:`_SlabTable`
     turns the diagonal / monomial operation (a collapse's projector
     included) into one
     (gather-)multiply over it, and one ``store.write_blocks`` publishes
-    every output block.  The table carries no alignment, equal-length or
-    qubit-position condition, so every run shape takes this path, and each
-    amplitude is the product of the same two operands however the runs
-    are grouped: output is bit-identical to executing the runs one by one.
-    A dense group gathers its runs' windows instead and applies
+    every output block of the table.  The slab table carries no alignment,
+    equal-length or qubit-position condition, so every run shape takes this
+    path, and each amplitude is the product of the same two operands however
+    the runs are chunked: output is bit-identical to executing the runs one
+    by one.  A dense table gathers its runs' windows instead and applies
     :func:`apply_dense` to each run's window.
     """
 
     def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
         block_size, dim = store.block_size, store.dim
         block_len = min(dim, block_size)
-        for op, sel in table.groups():
-            los, his = table.los[sel], table.his[sel]
-            kind, payload = op.kind, op.op
-            if faults.ACTIVE is not None:
-                faults.fire("kernel.run")
-            if kind == RUN_DENSE:
-                ids, rows = self._dense(reader, los, his, op, block_size, block_len)
-                store.write_blocks(ids, rows)
-                continue
-            key = coeffs = None
-            if kind == RUN_ACTION:
-                if isinstance(payload, DiagonalAction):
-                    key = (op.qubits, None)
-                    coeffs = payload.phase_array
-                else:
-                    key = (op.qubits, payload.perm)
-                    coeffs = payload.factor_array
-            ids = []
-            rows = []
-            for slab_los, slab_his in _slab_bounds(los, his, block_size):
-                t = _slab_table(
-                    kind, key, slab_los.tobytes(), slab_his.tobytes(),
-                    block_size, dim,
-                )
-                ids += t.out_ids
-                rows += self._slab(reader, t, coeffs, block_len)
-            store.write_blocks(ids, rows)
+        op, los, his = table.op, table.los, table.his
+        if faults.ACTIVE is not None:
+            faults.fire("kernel.run")
+        if op.kind == RUN_DENSE:
+            store.write_blocks(*self._dense(reader, los, his, op, block_size, block_len))
+            return
+        key = coeffs = None
+        if op.kind == RUN_ACTION:
+            if isinstance(op.op, DiagonalAction):
+                key = (op.qubits, None)
+                coeffs = op.op.phase_array
+            else:
+                key = (op.qubits, op.op.perm)
+                coeffs = op.op.factor_array
+        ids = []
+        rows = []
+        for slab_los, slab_his in _slab_bounds(los, his, block_size):
+            t = _slab_table(
+                op.kind, key, slab_los.tobytes(), slab_his.tobytes(), block_size, dim
+            )
+            ids += t.out_ids
+            rows += self._slab(reader, t, coeffs, block_len)
+        store.write_blocks(ids, rows)
 
     @staticmethod
     def _dense(
         reader, los: np.ndarray, his: np.ndarray, op: PlanOp,
         block_size: int, block_len: int,
     ) -> Tuple[List[int], List[np.ndarray]]:
-        """Output block ids and rows of a dense group.
+        """Output block ids and rows of a dense table.
 
         Runs of one length spanning whole windows are gathered together, a
         slab of at most ``MAX_RUN_BLOCKS`` blocks at a time, each run a tile
         of :func:`apply_dense`.  A run narrower than its window shares one
-        gather of the window, the tile, with the group's other runs in it;
+        gather of the window, the tile, with the table's other runs in it;
         a window wider than ``MAX_RUN_BLOCKS`` blocks is published as
         copies, so no surviving block pins more than a slab.
         """

@@ -395,6 +395,7 @@ def _load_state(sim, path, header, payload, handles) -> int:
     block_bytes = block_len * np.dtype(_DTYPE).itemsize
     offset = 0
     for entry, stage in zip(entries, stages):
+        ids, rows = [], []
         for b, crc in entry["blocks"]:
             chunk = payload[offset : offset + block_bytes]
             if len(chunk) != block_bytes:
@@ -409,8 +410,16 @@ def _load_state(sim, path, header, payload, handles) -> int:
                     f"checksum mismatch on block {b} of stage {stage!r}; "
                     f"checkpoint {path!r} is corrupt"
                 ) from exc
-            stage.store.write_block(int(b), arr, copy=False)
+            ids.append(int(b))
+            rows.append(arr)
             offset += block_bytes
+        try:
+            stage.store.write_blocks(ids, rows)
+        except ValueError as exc:  # a block id the geometry has no room for
+            raise CheckpointError(
+                f"checkpoint {path!r} lists a block of stage {stage!r} "
+                f"the session cannot hold: {exc}"
+            ) from exc
     if offset != len(payload):
         raise CheckpointError(
             f"checkpoint {path!r} has {len(payload) - offset} trailing "

@@ -134,8 +134,8 @@ def _aligned_runs(
 @lru_cache(maxsize=4096)
 def _packed_run_bounds(
     block_ranges: Tuple[BlockRange, ...], block_size: int, dim: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(los, his, op_ids)`` of a single-operation table over ``block_ranges``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(los, his)`` of a run table over ``block_ranges``.
 
     The aligned runs depend on nothing but the ranges and the geometry, and
     an update re-plans the same partitions of the same layouts again and
@@ -148,10 +148,9 @@ def _packed_run_bounds(
     ]
     los = np.array([lo for lo, _ in runs], dtype=np.int64)
     his = np.array([hi for _, hi in runs], dtype=np.int64)
-    op_ids = np.zeros(len(runs), dtype=np.int32)
-    for arr in (los, his, op_ids):
+    for arr in (los, his):
         arr.setflags(write=False)
-    return los, his, op_ids
+    return los, his
 
 
 class Stage:
@@ -211,10 +210,8 @@ class Stage:
     def emit_table(self, block_ranges: Sequence[BlockRange]) -> RunTable:
         """The aligned runs recomputing the given partitions, packed for a
         backend: shared bounds per range tuple, one operation for all."""
-        los, his, op_ids = _packed_run_bounds(
-            tuple(block_ranges), self.block_size, self.dim
-        )
-        return RunTable(los, his, op_ids, [self.plan_op()])
+        los, his = _packed_run_bounds(tuple(block_ranges), self.block_size, self.dim)
+        return RunTable(self.plan_op(), los, his)
 
     def clone_for_fork(self) -> "Stage":
         """A fresh stage applying the same gates with an *empty* store.
@@ -226,18 +223,6 @@ class Stage:
         :meth:`~repro.core.cow.BlockStore.share_from`.
         """
         raise NotImplementedError
-
-    # -- helpers --------------------------------------------------------------
-
-    def write_full(self, vector: np.ndarray) -> None:
-        """Store an entire state vector, copied once through
-        :meth:`~repro.core.cow.BlockStore.write_range`."""
-        arr = np.asarray(vector).reshape(-1)
-        if arr.shape[0] != self.dim:
-            raise ValueError(
-                f"full write expects {self.dim} amplitudes, got {arr.shape[0]}"
-            )
-        self.store.write_range(0, arr)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.label()}, seq={self.seq})"
@@ -343,10 +328,8 @@ def coalesced_table(
     scale = math.prod(s.scale for s in members if isinstance(s, _CollapseStage))
     if scale != 1.0:
         action = scale_action(action, scale)
-    los, his, op_ids = _packed_run_bounds(
-        tuple(block_ranges), head.block_size, head.dim
-    )
-    table = RunTable(los, his, op_ids, [PlanOp(RUN_ACTION, qubits, action)])
+    los, his = _packed_run_bounds(tuple(block_ranges), head.block_size, head.dim)
+    table = RunTable(PlanOp(RUN_ACTION, qubits, action), los, his)
     return table, run_gathers(parts) if recomposed else None
 
 

@@ -235,27 +235,36 @@ class RunSpec(NamedTuple):
 
 def iter_table_runs(table: RunTable):
     """The rows of a run table as :class:`RunSpec` values, in table order."""
-    for i in range(table.num_runs):
-        op = table.ops[table.op_ids[i]]
-        yield RunSpec(op.kind, int(table.los[i]), int(table.his[i]), op.qubits, op.op)
+    kind, qubits, op = table.op
+    for lo, hi in zip(table.los.tolist(), table.his.tolist()):
+        yield RunSpec(kind, lo, hi, qubits, op)
+
+
+def put_blocks(store, first: int, values) -> None:
+    """Publish ``values`` -- whole blocks -- as blocks ``first, first + 1,
+    ...`` with the store's one write; the rows are views of ``values``."""
+    block_len = min(store.dim, store.block_size)
+    rows = list(np.asarray(values, dtype=np.complex128).reshape(-1, block_len))
+    store.write_blocks(range(first, first + len(rows)), rows)
 
 
 def execute_run(reader, store, spec: RunSpec) -> None:
-    """One run on the range kernels, published with ``write_range``."""
+    """One run on the range kernels, published with ``write_blocks``."""
     if faults.ACTIVE is not None:
         faults.fire("kernel.run")
     lo, hi = spec.lo, spec.hi
     if spec.kind == RUN_ACTION:
         out = apply_action_range(reader, lo, hi, spec.qubits, spec.op)
-        store.write_range(lo, out, copy=False)
     elif spec.kind == RUN_DENSE:
         wlo, whi = dense_window(lo, hi, spec.qubits)
         window = np.array(reader.read_range(wlo, whi), dtype=np.complex128)
-        out = apply_dense(window, spec.op, whi - wlo + 1)
-        store.write_range(lo, out[lo - wlo : hi - wlo + 1], copy=whi - wlo > hi - lo)
+        out = apply_dense(window, spec.op, whi - wlo + 1)[lo - wlo : hi - wlo + 1]
+        if whi - wlo > hi - lo:
+            out = out.copy()  # a view would pin the whole window
     else:
         assert spec.kind == RUN_COPY, spec.kind
-        store.write_range(lo, reader.read_range(lo, hi), copy=False)
+        out = reader.read_range(lo, hi)
+    put_blocks(store, lo // store.block_size, out)
 
 
 def emit_runs(stage, block_range) -> List[RunSpec]:
@@ -478,29 +487,16 @@ class StoreChain(_ResolvingReader):
 
 
 def table_from_runs(runs: Sequence[RunSpec]) -> RunTable:
-    """Pack loose runs into a table, one operation per distinct ``(kind,
-    payload identity, qubits)``.
-
-    The multi-operation reference the kernel tests build tables with
-    (``RunTable.from_runs`` until PR 24): stages emit single-operation
-    tables off shared bounds, so nothing in ``src/`` packs run by run.
-    """
-    n = len(runs)
-    los = np.empty(n, dtype=np.int64)
-    his = np.empty(n, dtype=np.int64)
-    op_ids = np.empty(n, dtype=np.int32)
-    ops: List[PlanOp] = []
-    index: dict = {}
-    for i, r in enumerate(runs):
-        los[i] = r.lo
-        his[i] = r.hi
-        key = (r.kind, id(r.op), r.qubits)
-        op_id = index.get(key)
-        if op_id is None:
-            op_id = index[key] = len(ops)
-            ops.append(PlanOp(r.kind, r.qubits, r.op))
-        op_ids[i] = op_id
-    return RunTable(los, his, op_ids, ops)
+    """Pack runs of one operation -- one ``(kind, qubits)`` and one payload
+    by identity -- into a run table, ``Stage.emit_table``'s shape."""
+    kind, _, _, qubits, op = runs[0]
+    if any((r.kind, r.qubits) != (kind, qubits) or r.op is not op for r in runs):
+        raise ValueError("a run table applies one operation")
+    return RunTable(
+        PlanOp(kind, qubits, op),
+        np.array([r.lo for r in runs], dtype=np.int64),
+        np.array([r.hi for r in runs], dtype=np.int64),
+    )
 
 
 def newest_holder(initial, stages: Sequence[Stage], block: int, before_seq: int):

@@ -16,7 +16,7 @@ from repro.core.exec_plan import StagePlan
 
 from ..conftest import (
     DeclaringStage, StoreChain, assert_sources_come_from_earlier_plans,
-    block_mask, index_over, newest_holder, resolve_store,
+    block_mask, index_over, newest_holder, put_blocks, resolve_store,
 )
 
 
@@ -29,9 +29,9 @@ def _index_with_layers():
     init = InitialStateStore(32, 4)
     a, b = _stage((1, 2)), _stage((2, 2))
     graph = index_over([a, b])
-    a.store.write_block(1, np.full(4, 10.0, dtype=complex))
-    a.store.write_block(2, np.full(4, 20.0, dtype=complex))
-    b.store.write_block(2, np.full(4, 99.0, dtype=complex))
+    put_blocks(a.store, 1, np.full(4, 10.0, dtype=complex))
+    put_blocks(a.store, 2, np.full(4, 20.0, dtype=complex))
+    put_blocks(b.store, 2, np.full(4, 99.0, dtype=complex))
     return init, a, b, graph
 
 
@@ -78,7 +78,7 @@ def test_a_declarer_holding_nothing_is_stepped_over():
     a.store.clear()
     assert _resolve(g, init, 2, 2) is init
     assert g.holders(0b10, 2) == []
-    b.store.write_block(2, np.full(4, 5.0, dtype=complex))
+    put_blocks(b.store, 2, np.full(4, 5.0, dtype=complex))
     b.store.release()
     assert _resolve(g, init, 2, 2) is init
 
@@ -89,14 +89,14 @@ def test_removed_stage_leaves_the_index():
     assert _resolve(g, init, 1, 2) is init
     assert _resolve(g, init, 2, 2) is b.store
     # a removed stage's store is out of every later resolution
-    a.store.write_block(3, np.zeros(4, dtype=complex))
+    put_blocks(a.store, 3, np.zeros(4, dtype=complex))
     assert g.holders(1 << 3, 2) == []
 
 
 def test_stage_entering_with_held_blocks_resolves():
     init = InitialStateStore(32, 4)
     o = _stage((5, 5))
-    o.store.write_block(5, np.full(4, 7.0, dtype=complex))
+    put_blocks(o.store, 5, np.full(4, 7.0, dtype=complex))
     g = index_over([o])
     assert _resolve(g, init, 5, 1) is o.store
 
@@ -112,7 +112,7 @@ def test_resolution_follows_stage_order_not_write_order():
     assert [s.seq for s in order] == [0, 1, 2, 3]
     # ... and write in yet another order
     for stage in (order[3], order[0], order[2], order[1]):
-        stage.store.write_block(0, np.full(4, float(stage.seq), dtype=complex))
+        put_blocks(stage.store, 0, np.full(4, float(stage.seq), dtype=complex))
     assert _resolve(g, init, 0, 0) is init
     for k in range(1, 5):
         assert _resolve(g, init, 0, k).get_block(0)[0] == k - 1
@@ -149,9 +149,7 @@ def _planned_case():
     for stage in stages:
         for r in stage.ranges:
             for blk in r:
-                stage.store.write_block(
-                    blk, np.full(4, 10.0 * stage.seq + blk, dtype=complex)
-                )
+                put_blocks(stage.store, blk, np.full(4, 10.0 * stage.seq + blk))
     return init, stages, g
 
 
@@ -253,63 +251,49 @@ def test_index_reader_returns_copy():
 # ---------------------------------------------------------------------------
 
 
-def test_write_block_default_still_copies():
-    s = BlockStore(32, 4)
-    data = np.zeros(4, dtype=complex)
-    s.write_block(0, data)
-    data[0] = 99
-    assert s.get_block(0)[0] == 0
-
-
 def test_write_block_nocopy_adopts_array():
     s = BlockStore(32, 4)
     data = np.zeros(4, dtype=complex)
-    s.write_block(0, data, copy=False)
+    s.write_blocks([0], [data])
     assert s.get_block(0) is data
 
 
 def test_write_block_dtype_conversion_is_single_copy():
+    """No conversion on the way in: a row that is not complex128 is refused
+    (kernels publish complex128 outputs as they are)."""
     s = BlockStore(32, 4)
-    data = np.arange(4, dtype=np.float64)
-    s.write_block(0, data)
-    got = s.get_block(0)
-    assert got.dtype == np.complex128
-    np.testing.assert_allclose(got, data)
+    with pytest.raises(ValueError, match="complex128"):
+        s.write_blocks([0], [np.arange(4, dtype=np.float64)])
+    assert s.held == 0
 
 
 def test_write_block_out_of_range_raises():
     s = BlockStore(32, 4)
     with pytest.raises(ValueError):
-        s.write_block(8, np.zeros(4, dtype=complex))
+        s.write_blocks([8], [np.zeros(4, dtype=complex)])
 
 
 def test_write_range_nocopy_stores_views():
     s = BlockStore(32, 4)
     data = np.arange(8, dtype=complex)
-    s.write_range(4, data, copy=False)
+    s.write_blocks([1, 2], list(data.reshape(2, 4)))
     assert s.get_block(1).base is data
     assert s.get_block(2).base is data
     np.testing.assert_array_equal(s.get_block(2), np.arange(4, 8))
 
 
-def test_write_range_copy_detaches_from_caller():
-    s = BlockStore(32, 4)
-    data = np.arange(8, dtype=complex)
-    s.write_range(4, data)
-    data[:] = -1
-    np.testing.assert_array_equal(s.get_block(1), np.arange(4))
-
-
 def test_write_range_partial_block_raises():
     s = BlockStore(32, 4)
     with pytest.raises(ValueError):
-        s.write_range(4, np.zeros(6, dtype=complex))
+        s.write_blocks([1, 2], [np.zeros(4, dtype=complex), np.zeros(2, dtype=complex)])
+    assert s.held == 0
 
 
 def test_write_range_past_end_raises():
     s = BlockStore(32, 4)
     with pytest.raises(ValueError):
-        s.write_range(28, np.zeros(8, dtype=complex))
+        s.write_blocks([7, 8], list(np.zeros((2, 4), dtype=complex)))
+    assert s.held == 0
 
 
 # ---------------------------------------------------------------------------

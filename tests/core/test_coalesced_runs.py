@@ -266,13 +266,18 @@ def test_fork_inherits_the_run_records_on_both_sides():
 
 def test_checkpoint_carries_the_run_records(tmp_path):
     """Mutation: the header does not list the runs -> a restored session
-    edits inside a former run as if every member held its blocks."""
+    edits inside a former run as if every member held its blocks.  Members
+    holding nothing restore holding nothing, one publish per stage."""
     path = str(tmp_path / "runs.ckpt")
     session, handles = built(RUN_OF_FOUR)
     with session:
         session.checkpoint(path)
         assert run_lengths(session) == [4]
+        held = [stage.store.held for stage in session.simulator.graph.stages]
+        state = session.state().copy()
     with QTask.restore(path, num_workers=1) as restored:
+        assert [s.store.held for s in restored.simulator.graph.stages] == held
+        assert held.count(0) == 3 and np.array_equal(restored.state(), state)
         carried = run_lengths(restored)
         tuned = [h for net in restored.nets() for h in net.gates][-2]
         restored.update_gate(tuned, 2.5)  # the cp: third member of four

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.cow import BlockStore, InitialStateStore, MemoryReport, RoutedStore
 
-from ..conftest import StoreChain
+from ..conftest import StoreChain, put_blocks
 
 
 def _store(dim=32, block=4):
@@ -20,29 +20,21 @@ def _store(dim=32, block=4):
 def test_write_and_get_block_roundtrip():
     s = _store()
     data = np.arange(4, dtype=complex)
-    s.write_block(2, data)
+    s.write_blocks([2], [data])
     np.testing.assert_allclose(s.get_block(2), data)
     assert s.held >> 2 & 1
     assert not s.held >> 3 & 1
 
 
-def test_write_block_copies_input():
-    s = _store()
-    data = np.zeros(4, dtype=complex)
-    s.write_block(0, data)
-    data[0] = 99
-    assert s.get_block(0)[0] == 0
-
-
 def test_write_block_wrong_size_raises():
     s = _store()
     with pytest.raises(ValueError):
-        s.write_block(0, np.zeros(3, dtype=complex))
+        s.write_blocks([0], [np.zeros(3, dtype=complex)])
 
 
 def test_write_range_spans_blocks():
     s = _store()
-    s.write_range(4, np.arange(8, dtype=complex))
+    s.write_blocks(range(1, 3), list(np.arange(8, dtype=complex).reshape(2, 4)))
     np.testing.assert_allclose(s.get_block(1), np.arange(4))
     np.testing.assert_allclose(s.get_block(2), np.arange(4, 8))
 
@@ -50,15 +42,16 @@ def test_write_range_spans_blocks():
 def test_write_range_unaligned_raises():
     s = _store()
     with pytest.raises(ValueError):
-        s.write_range(2, np.zeros(4, dtype=complex))
+        s.write_blocks([-1], [np.zeros(4, dtype=complex)])
+    assert s.held == 0
 
 
 def test_drop_and_clear():
     s = _store()
-    s.write_block(1, np.zeros(4, dtype=complex))
+    put_blocks(s, 1, np.zeros(4, dtype=complex))
     s.drop_blocks([1])
     assert not s.held >> 1 & 1
-    s.write_block(1, np.zeros(4, dtype=complex))
+    put_blocks(s, 1, np.zeros(4, dtype=complex))
     s.clear()
     assert s.num_stored_blocks == 0
 
@@ -66,7 +59,7 @@ def test_drop_and_clear():
 def test_allocated_bytes_counts_only_stored_blocks():
     s = _store()
     assert s.allocated_bytes() == 0
-    s.write_block(0, np.zeros(4, dtype=complex))
+    put_blocks(s, 0, np.zeros(4, dtype=complex))
     assert s.allocated_bytes() == 4 * 16
 
 
@@ -114,10 +107,10 @@ def _chain_with_layers():
     """initial |0..0>, layer A writes blocks 1-2, layer B overwrites block 2."""
     init = InitialStateStore(32, 4)
     a = BlockStore(32, 4)
-    a.write_block(1, np.full(4, 10.0, dtype=complex))
-    a.write_block(2, np.full(4, 20.0, dtype=complex))
+    put_blocks(a, 1, np.full(4, 10.0, dtype=complex))
+    put_blocks(a, 2, np.full(4, 20.0, dtype=complex))
     b = BlockStore(32, 4)
-    b.write_block(2, np.full(4, 99.0, dtype=complex))
+    put_blocks(b, 2, np.full(4, 99.0, dtype=complex))
     return init, a, b, StoreChain([init, a, b])
 
 
@@ -204,7 +197,7 @@ def test_chain_gather_property(writes, idx):
             if layer != layer_order:
                 continue
             data = np.full(4, value, dtype=complex)
-            layers[layer].write_block(block, data)
+            put_blocks(layers[layer], block, data)
             dense[block * 4 : block * 4 + 4] = value
     chain = StoreChain([init] + layers)
     np.testing.assert_allclose(chain.gather(np.array(idx)), dense[np.array(idx)])
@@ -271,7 +264,7 @@ def test_read_blocks_returns_stored_arrays():
     stored arrays back as they are."""
     s = _store()
     arr = np.arange(4, dtype=complex)
-    s.write_block(1, arr, copy=False)
+    s.write_blocks([1], [arr])
     (got,) = s.get_block_many(1, 1)
     assert got is arr
     assert s.get_block(1) is arr
@@ -284,7 +277,7 @@ def test_read_blocks_returns_stored_arrays():
 
 def test_memory_report_accounting():
     a = BlockStore(32, 4)
-    a.write_block(0, np.zeros(4, dtype=complex))
+    put_blocks(a, 0, np.zeros(4, dtype=complex))
     b = BlockStore(32, 4)
     report = MemoryReport.from_stores([a, b])
     assert report.num_stores == 2
@@ -308,8 +301,8 @@ def test_memory_report_empty():
 
 def test_share_from_adopts_blocks_by_reference():
     parent = BlockStore(32, 4)
-    parent.write_block(0, np.full(4, 1.0, dtype=complex))
-    parent.write_block(3, np.full(4, 2.0, dtype=complex))
+    put_blocks(parent, 0, np.full(4, 1.0, dtype=complex))
+    put_blocks(parent, 3, np.full(4, 2.0, dtype=complex))
     child = BlockStore(32, 4)
     adopted = child.share_from(parent)
     assert adopted == 2
@@ -326,10 +319,10 @@ def test_share_from_adopts_blocks_by_reference():
 def test_share_from_copy_on_first_write_releases_refs():
     parent = BlockStore(32, 4)
     for b in range(3):
-        parent.write_block(b, np.full(4, b + 1.0, dtype=complex))
+        put_blocks(parent, b, np.full(4, b + 1.0, dtype=complex))
     child = BlockStore(32, 4)
     child.share_from(parent)
-    child.write_block(1, np.full(4, -1.0, dtype=complex))
+    put_blocks(child, 1, np.full(4, -1.0, dtype=complex))
     # the child rebound its entry; the parent's block is untouched
     np.testing.assert_allclose(parent.get_block(1), np.full(4, 2.0))
     np.testing.assert_allclose(child.get_block(1), np.full(4, -1.0))
@@ -344,12 +337,12 @@ def test_share_from_copy_on_first_write_releases_refs():
 
 def test_share_from_multiple_children_refcounts():
     parent = BlockStore(16, 4)
-    parent.write_block(2, np.full(4, 5.0, dtype=complex))
+    put_blocks(parent, 2, np.full(4, 5.0, dtype=complex))
     children = [BlockStore(16, 4) for _ in range(3)]
     for c in children:
         c.share_from(parent)
     assert [c.shared for c in children] == [0b100] * 3
-    children[0].write_block(2, np.zeros(4, dtype=complex))
+    put_blocks(children[0], 2, np.zeros(4, dtype=complex))
     assert [c.shared for c in children] == [0, 0b100, 0b100]
     # chained sharing: the grandchild's mask is its own, the child's stays
     grandchild = BlockStore(16, 4)
@@ -370,7 +363,7 @@ def test_share_from_seals_the_origins_blocks():
     """The seal is on the arrays themselves: the origin's own references
     turn read-only too, so neither side can write what the other reads."""
     parent = BlockStore(32, 4)
-    parent.write_range(0, np.arange(8, dtype=complex), copy=False)
+    parent.write_blocks([0, 1], list(np.arange(8, dtype=complex).reshape(2, 4)))
     assert parent.get_block(0).flags.writeable
     BlockStore(32, 4).share_from(parent)
     assert not any(parent.get_block(b).flags.writeable for b in (0, 1))
@@ -378,11 +371,11 @@ def test_share_from_seals_the_origins_blocks():
 
 def test_memory_report_accounts_shared_bytes():
     parent = BlockStore(32, 4)
-    parent.write_block(0, np.zeros(4, dtype=complex))
-    parent.write_block(1, np.zeros(4, dtype=complex))
+    put_blocks(parent, 0, np.zeros(4, dtype=complex))
+    put_blocks(parent, 1, np.zeros(4, dtype=complex))
     child = BlockStore(32, 4)
     child.share_from(parent)
-    child.write_block(2, np.zeros(4, dtype=complex))  # owned outright
+    put_blocks(child, 2, np.zeros(4, dtype=complex))  # owned outright
     report = MemoryReport.from_stores([child])
     assert report.stored_blocks == 3
     assert report.shared_blocks == 2
@@ -442,22 +435,18 @@ def test_routed_store_hands_each_block_to_its_owner():
     assert a.stored_blocks() == (0,) and c.stored_blocks() == (3, 6)
     assert b.stored_blocks() == ()
     assert c.get_block(6) is rows[0]  # adopted zero-copy, like write_blocks
-    # a range is cut per block, whoever owns which: blocks 0-3 in one call
+    # a stretch is cut per block, whoever owns which: blocks 0-3 in one call
     values = np.arange(16, dtype=complex)
-    routed.write_range(0, values, copy=False)
+    routed.write_blocks(range(4), list(values.reshape(4, 4)))
     assert a.stored_blocks() == (0, 1) and c.stored_blocks() == (2, 3, 6)
     np.testing.assert_array_equal(c.get_block(2), values[8:12])
     assert np.shares_memory(c.get_block(2), values)
-    routed.write_range(0, values[:8])  # copy=True detaches from the caller
-    assert not np.shares_memory(a.get_block(1), values)
 
 
 def test_routed_store_rejects_what_a_store_rejects():
     _, routed = _routed()
-    with pytest.raises(ValueError, match="block aligned"):
-        routed.write_range(2, np.zeros(4, dtype=complex))
     with pytest.raises(ValueError, match="complex128"):
-        routed.write_range(0, np.zeros(6, dtype=complex))  # not whole blocks
+        routed.write_blocks([0], [np.zeros(6, dtype=complex)])  # not a whole block
     with pytest.raises(KeyError):
         routed.write_blocks([4], [np.zeros(4, dtype=complex)])  # nobody owns 4
 
@@ -466,7 +455,7 @@ def test_routed_store_settle_drops_what_members_do_not_own():
     (a, b, c), routed = _routed()
     for store in (a, b, c):  # copies from when each stage ran alone
         for blk in range(4):
-            store.write_block(blk, np.full(4, 9.0, dtype=complex))
+            put_blocks(store, blk, np.full(4, 9.0, dtype=complex))
     routed.settle()
     assert a.stored_blocks() == (0, 1)
     assert b.stored_blocks() == ()

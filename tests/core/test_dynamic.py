@@ -33,7 +33,7 @@ from repro.core.simulator import QTaskSimulator
 from repro.core.stage import MeasureStage, ResetStage, draw_collapses
 from repro.telemetry import metrics
 
-from ..conftest import ReferenceLoop, StoreChain, dense_state, replay_shots
+from ..conftest import ReferenceLoop, StoreChain, dense_state, put_blocks, replay_shots
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def _collapse_stage(op, n, block_size, forced=None):
 
 def _chain(psi, block_size):
     store = BlockStore(psi.shape[0], block_size)
-    store.write_range(0, psi)
+    put_blocks(store, 0, psi)
     return StoreChain([InitialStateStore(psi.shape[0], block_size), store])
 
 
@@ -300,7 +300,7 @@ class TestCollapseKernels:
         scale = 1.0 / math.sqrt(mass)
         assert stage.scale == pytest.approx(scale, rel=1e-12)
         table = stage.emit_table([s.block_range for s in stage.partition_specs()])
-        assert [op.kind for op in table.ops] == [RUN_ACTION]
+        assert table.op.kind == RUN_ACTION
         if not move:
             expect = np.where(bits == outcome, psi * scale, 0)
         else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.exec_plan import RUN_ACTION, RUN_COPY, PlanReport
+from repro.core.exec_plan import RUN_ACTION, RUN_COPY, PlanOp, PlanReport, RunTable
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
 
@@ -32,38 +32,26 @@ class TestRunTable:
         np.testing.assert_array_equal(table.los, [0, 8])
         np.testing.assert_array_equal(table.his, [3, 11])
         assert table.num_runs == 2
+        assert RunTable.__slots__ == ("op", "los", "his")
 
     def test_from_runs_dedupes_shared_ops(self):
-        op_a, op_b = object(), object()
-        runs = [
-            _spec(0, 3, op_a),
-            _spec(4, 7, op_b),
-            _spec(8, 11, op_a),
-            _spec(12, 15, op_a),
-        ]
-        table = table_from_runs(runs)
-        assert len(table.ops) == 2
-        np.testing.assert_array_equal(table.op_ids, [0, 1, 0, 0])
+        op = object()
+        table = table_from_runs([_spec(4 * i, 4 * i + 3, op) for i in range(4)])
+        assert table.op == PlanOp(RUN_ACTION, (0,), op) and table.op.op is op
+        with pytest.raises(ValueError, match="one operation"):
+            table_from_runs([_spec(0, 3, op), _spec(4, 7, object())])
 
     def test_same_payload_different_qubits_not_merged(self):
         op = object()
-        table = table_from_runs([_spec(0, 3, op, (0,)), _spec(4, 7, op, (1,))])
-        assert len(table.ops) == 2
+        with pytest.raises(ValueError, match="one operation"):
+            table_from_runs([_spec(0, 3, op, (0,)), _spec(4, 7, op, (1,))])
 
     def test_same_payload_different_kind_not_merged(self):
         op = object()
-        table = table_from_runs(
-            [_spec(0, 3, op, (), RUN_ACTION), _spec(4, 7, op, (), RUN_COPY)]
-        )
-        assert len(table.ops) == 2
-
-    def test_groups_yield_runs_by_op(self):
-        op_a, op_b = object(), object()
-        table = table_from_runs(
-            [_spec(0, 3, op_a), _spec(4, 7, op_b), _spec(8, 11, op_a)]
-        )
-        got = {id(op.op): list(idx) for op, idx in table.groups()}
-        assert got == {id(op_a): [0, 2], id(op_b): [1]}
+        with pytest.raises(ValueError, match="one operation"):
+            table_from_runs(
+                [_spec(0, 3, op, (), RUN_ACTION), _spec(4, 7, op, (), RUN_COPY)]
+            )
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 5, 100])
     def test_split_covers_every_run_once(self, parts):
@@ -72,14 +60,17 @@ class TestRunTable:
         chunks = table.split(parts)
         assert len(chunks) <= max(1, parts)
         los = np.concatenate([c.los for c in chunks])
+        his = np.concatenate([c.his for c in chunks])
         np.testing.assert_array_equal(los, table.los)
-        # the op table is shared by reference, not copied per chunk
-        assert all(c.ops is table.ops for c in chunks)
+        np.testing.assert_array_equal(his, table.his)
+        # the operation is shared by reference, not copied per chunk
+        assert all(c.op is table.op for c in chunks)
 
     def test_split_empty_table(self):
-        table = table_from_runs([])
+        empty = np.empty(0, dtype=np.int64)
+        table = RunTable(PlanOp(RUN_COPY, (), None), empty, empty)
         assert table.num_runs == 0
-        assert len(table.split(4)) == 1
+        assert table.split(4) == [table]
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +157,7 @@ class TestBuildExecutionPlan:
         reference = table_from_runs(runs)
         assert list(table.los) == list(reference.los)
         assert list(table.his) == list(reference.his)
-        assert list(table.op_ids) == list(reference.op_ids)
-        assert table.ops == reference.ops
+        assert table.op == reference.op
 
     def test_block_writes_match_affected_blocks(self):
         sim = _simulator([[Gate("h", (q,)) for q in range(4)]])

@@ -199,7 +199,7 @@ def test_fused_stage_label_and_gate_list():
     # the blocks some member writes: x(1) permutes inside every block, a
     # lone z(2) would leave the blocks with bit 2 clear alone
     table, cover = run_table([Gate("z", (2,)), Gate("x", (1,))], 3, 4)
-    assert len(table.ops) == 1 and table.ops[0].qubits == (1, 2)
+    assert table.op.qubits == (1, 2)
     assert cover == 0b11 and table.num_runs == 1
     table, cover = run_table([Gate("z", (2,)), Gate("s", (2,))], 3, 4)
     assert cover == 0b10 and (table.los[0], table.his[0]) == (4, 7)

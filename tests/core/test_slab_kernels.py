@@ -1,7 +1,7 @@
 """Slab execution equals the per-run reference, bit for bit.
 
-``NumpyBatchBackend.execute_plan`` runs each operation group of a run table
-as one gather, one multiply and one publish; ``conftest.ReferenceLoop`` is
+``NumpyBatchBackend.execute_plan`` runs a run table -- runs under one
+operation -- as one gather and one multiply per slab and one publish; ``conftest.ReferenceLoop`` is
 the run-by-run loop it replaced, kept as its oracle.  Every
 amplitude is the product of the same two operands on both paths, so the
 comparison here is ``np.array_equal``, never ``allclose`` -- over drawn
@@ -36,6 +36,7 @@ from ..conftest import (
     StoreChain,
     index_over,
     open_session,
+    put_blocks,
     random_levels,
     running_on,
     table_from_runs,
@@ -71,7 +72,7 @@ def _stage_input(rng, dim, block_size, indexed):
     for _ in range(2):
         store = BlockStore(dim, block_size)
         for b in np.flatnonzero(rng.random(store.n_blocks) < 0.6):
-            store.write_block(int(b), _amps(rng, block_len))
+            put_blocks(store, int(b), _amps(rng, block_len))
         stores.append(store)
     if not indexed:
         return StoreChain([initial] + stores)
@@ -130,16 +131,18 @@ def _random_op(rng, kind, n, dim):
     )
 
 
-def _random_table(rng, kinds, n, block_size):
-    """Aligned runs over random disjoint block ranges, one range set per op."""
+def _random_tables(rng, kinds, n, block_size):
+    """One table per drawn op: aligned runs over random disjoint block
+    ranges, one range set per op."""
     dim = 1 << n
     n_blocks = max(1, dim // block_size)
     owner = rng.integers(-1, len(kinds), size=n_blocks)  # -1: not written
     if not np.any(owner >= 0):
         owner[int(rng.integers(n_blocks))] = 0
-    runs = []
+    tables = []
     for op_id, kind in enumerate(kinds):
         run_kind, qubits, payload = _random_op(rng, kind, n, dim)
+        runs = []
         mine = np.flatnonzero(owner == op_id)
         # maximal block ranges -> aligned power-of-two runs of mixed lengths
         for piece in np.split(mine, np.flatnonzero(np.diff(mine) > 1) + 1):
@@ -157,13 +160,16 @@ def _random_table(rng, kinds, n, block_size):
                         payload,
                     )
                 )
-    return table_from_runs(runs)
+        if runs:
+            tables.append(table_from_runs(runs))
+    return tables
 
 
-def _execute(backend, reader, table, parts):
+def _execute(backend, reader, tables, parts):
     out = BlockStore(reader.dim, reader.block_size)
-    for chunk in table.split(parts):
-        backend.execute_plan(reader, out, chunk)
+    for table in tables:
+        for chunk in table.split(parts):
+            backend.execute_plan(reader, out, chunk)
     return out
 
 
@@ -196,9 +202,9 @@ def test_slab_plan_equals_per_run_plan(seed, n, log_block, kinds, parts, indexed
     rng = np.random.default_rng(seed)
     block_size = 1 << log_block  # n < log_block: one short block
     reader = _stage_input(rng, 1 << n, block_size, indexed)
-    table = _random_table(rng, kinds, n, block_size)
-    want = _execute(ReferenceLoop(), reader, table, parts)
-    got = _execute(NumpyBatchBackend(), reader, table, parts)
+    tables = _random_tables(rng, kinds, n, block_size)
+    want = _execute(ReferenceLoop(), reader, tables, parts)
+    got = _execute(NumpyBatchBackend(), reader, tables, parts)
     _assert_same_blocks(got, want)
     # never-written inputs are served densely, not materialised
     assert not _initial_of(reader)._blocks
@@ -217,7 +223,7 @@ def _initial_of(reader):
 
 def _chain_over(state, block_size):
     store = BlockStore(state.shape[0], block_size)
-    store.write_range(0, state)
+    put_blocks(store, 0, state)
     return StoreChain([InitialStateStore(state.shape[0], block_size), store])
 
 
@@ -235,28 +241,28 @@ def test_split_chunk_reads_sources_outside_its_own_runs():
     )
     head, tail = table.split(2)
     assert int(head.his.max()) < 16 <= int(tail.los.min())
-    want = _execute(ReferenceLoop(), reader, table, 2)
-    got = _execute(NumpyBatchBackend(), reader, table, 2)
+    want = _execute(ReferenceLoop(), reader, [table], 2)
+    got = _execute(NumpyBatchBackend(), reader, [table], 2)
     _assert_same_blocks(got, want)
 
 
 def test_single_short_block_when_dim_is_below_block_size():
     rng = np.random.default_rng(4)
     held = BlockStore(8, 256)
-    held.write_block(0, _amps(rng, 8))
+    put_blocks(held, 0, _amps(rng, 8))
     reader = StoreChain([InitialStateStore(8, 256), held])
     swap = MonomialAction(
         num_qubits=2, perm=(0, 2, 1, 3), factors=(1.0, 1j, -1j, 1.0)
     )
     table = table_from_runs([RunSpec(RUN_ACTION, 0, 7, (2, 0), swap)])
-    want = _execute(ReferenceLoop(), reader, table, 1)
-    got = _execute(NumpyBatchBackend(), reader, table, 1)
+    want = _execute(ReferenceLoop(), reader, [table], 1)
+    got = _execute(NumpyBatchBackend(), reader, [table], 1)
     assert got.get_block(0).shape == (8,)
     _assert_same_blocks(got, want)
 
 
 def test_output_arrays_span_at_most_max_run_blocks():
-    """One group of 512 blocks publishes zero-copy out of >= 8 arrays."""
+    """One table of 512 blocks publishes zero-copy out of >= 8 arrays."""
     n, block_size = 10, 2
     rng = np.random.default_rng(5)
     reader = _chain_over(_amps(rng, 1 << n), block_size)
@@ -267,8 +273,8 @@ def test_output_arrays_span_at_most_max_run_blocks():
             for fb, lb in aligned_block_runs(0, 511, MAX_RUN_BLOCKS)
         ]
     )
-    got = _execute(NumpyBatchBackend(), reader, table, 1)
-    want = _execute(ReferenceLoop(), reader, table, 1)
+    got = _execute(NumpyBatchBackend(), reader, [table], 1)
+    want = _execute(ReferenceLoop(), reader, [table], 1)
     _assert_same_blocks(got, want)
     backing = set()
     for b in got.stored_blocks():
@@ -304,7 +310,7 @@ def _dense_table(members, ranges, block_size, dim):
 )
 def test_dense_slab_equals_the_run_loop(members, parts):
     """Whatever steps the members make and however the runs are chunked,
-    the slab backend's dense group -- runs of one window each, several in
+    the slab backend's dense table -- runs of one window each, several in
     one slab -- is the run loop's bit for bit."""
     n, block_size = 8, 4
     rng = np.random.default_rng(7)
@@ -315,13 +321,13 @@ def test_dense_slab_equals_the_run_loop(members, parts):
     ranges = [(b, b + per_run - 1) for b in range(0, 64, per_run)]
     table = _dense_table(drawn, ranges, block_size, 1 << n)
     assert table.num_runs == len(ranges) > 1
-    want = _execute(ReferenceLoop(), reader, table, parts)
-    got = _execute(NumpyBatchBackend(), reader, table, parts)
+    want = _execute(ReferenceLoop(), reader, [table], parts)
+    got = _execute(NumpyBatchBackend(), reader, [table], parts)
     _assert_same_blocks(got, want)
     state = reader.full_vector()
     for qubits, matrix in drawn:
         state = apply_matrix_dense(state, matrix, qubits, n)
-    np.testing.assert_allclose(_execute(ReferenceLoop(), reader, table, 1).get_block(5),
+    np.testing.assert_allclose(_execute(ReferenceLoop(), reader, [table], 1).get_block(5),
                                state[20:24], atol=1e-12)
 
 
@@ -335,10 +341,10 @@ def test_dense_window_wider_than_a_run():
     members = [((7,), _unitary(rng, 1)), ((0,), _unitary(rng, 1))]
     table = _dense_table(members, [(0, 255)], block_size, 1 << n)
     assert table.num_runs == 4  # two windows of two runs each
-    want = _execute(ReferenceLoop(), reader, table, 1)
+    want = _execute(ReferenceLoop(), reader, [table], 1)
     for parts in (1, 2, 4):
-        _assert_same_blocks(_execute(NumpyBatchBackend(), reader, table, parts), want)
-    got = _execute(NumpyBatchBackend(), reader, table, 1)
+        _assert_same_blocks(_execute(NumpyBatchBackend(), reader, [table], parts), want)
+    got = _execute(NumpyBatchBackend(), reader, [table], 1)
     for b in got.stored_blocks():
         owner = got.get_block(b)
         while owner.base is not None:
@@ -368,7 +374,7 @@ def _fault_case():
     rng = np.random.default_rng(6)
     state = _amps(rng, 64)
     held = BlockStore(64, 4)
-    held.write_range(0, state)
+    put_blocks(held, 0, state)
     reader = _CountingReader([InitialStateStore(64, 4), held])
     rz = DiagonalAction(num_qubits=1, phases=(np.exp(-0.3j), np.exp(0.3j)))
     table = table_from_runs(
@@ -376,7 +382,7 @@ def _fault_case():
     )
     # the output store already holds an older result
     out = BlockStore(64, 4)
-    out.write_range(0, _amps(rng, 16))
+    put_blocks(out, 0, _amps(rng, 16))
     return reader, table, out
 
 
@@ -394,12 +400,12 @@ def test_injected_fault_leaves_the_store_untouched_and_retry_converges(site):
             with pytest.raises(FaultInjected):
                 NumpyBatchBackend().execute_plan(reader, out, table)
             assert _snapshot(out) == before
-            # kernel.run fires once per group, before any read
+            # kernel.run fires once per table, before any read
             assert reader.reads == (0 if site == "kernel.run" else 1)
             NumpyBatchBackend().execute_plan(reader, out, table)
     finally:
         faults.install(previous)
-    want = _execute(ReferenceLoop(), reader, table, 1)
+    want = _execute(ReferenceLoop(), reader, [table], 1)
     for b in want.stored_blocks():
         assert np.array_equal(out.get_block(b), want.get_block(b))
     assert out.held >> 8 & 1

@@ -428,6 +428,17 @@ def test_unknown_stage_kind_raises_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="unknown stage kind 'bogus'"):
         QTask.restore(path, num_workers=1)
 
+def test_block_id_out_of_range_raises_checkpoint_error(tmp_path):
+    path, _ = _checkpointed_session(tmp_path)
+
+    def move_a_block(header):
+        next(e for e in header["stages"] if e["blocks"])["blocks"][0][0] = 999
+
+    _rewrite_header(path, move_a_block)
+    with pytest.raises(CheckpointError, match="out of range"):
+        QTask.restore(path, num_workers=1)
+
+
 def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
     """A version-1 file written when ``block_directory``, ``fusion`` /
     ``max_fused_qubits`` and the ``legacy`` / ``numba`` / ``process``

@@ -178,14 +178,6 @@ def test_matvec_stage_writes_every_block():
     assert stage.store.stored_blocks() == tuple(range(4))
 
 
-def test_stage_write_full_helper():
-    stage = UnitaryStage(Gate("x", (0,)), 3, 4)
-    vec = np.arange(8, dtype=complex)
-    stage.write_full(vec)
-    assert stage.store.num_stored_blocks == 2
-    np.testing.assert_allclose(stage.store.get_block(1), [4, 5, 6, 7])
-
-
 # ---------------------------------------------------------------------------
 # the one emitter: every stage kind is one operation over shared bounds
 # ---------------------------------------------------------------------------
@@ -265,8 +257,7 @@ def test_emit_table_is_the_per_partition_runs_under_one_operation(kind):
         table = stage.emit_table(ranges)
         rows = list(iter_table_runs(table))
         reference = [run for br in ranges for run in emit_runs(stage, br)]
-        assert len(table.ops) == 1 and table.ops[0].kind == op_kind
-        assert not table.op_ids.any()
+        assert table.op.kind == op_kind
         assert [r[:4] for r in rows] == [r[:4] for r in reference]
         assert all(_same_payload(r.op, ref.op) for r, ref in zip(rows, reference))
         # the bounds are shared per range tuple: asking again builds nothing
@@ -298,8 +289,8 @@ def test_combined_matvec_builds_one_action_per_table(monkeypatch):
     ranges = [s.block_range for s in stage.partition_specs()]
     table = stage.emit_table(ranges)
     assert table.num_runs == 2 and len(calls) == 1
-    assert stage.emit_table(ranges[:1]).ops[0] is table.ops[0]
+    assert stage.emit_table(ranges[:1]).op is table.op
     layout = stage.partition_layout()
     assert stage.retune_gate(rx, Gate("rx", (3,), (0.9,)))
-    assert stage.emit_table(ranges).ops[0] is not table.ops[0] and len(calls) == 2
+    assert stage.emit_table(ranges).op is not table.op and len(calls) == 2
     assert stage.partition_layout() is layout
