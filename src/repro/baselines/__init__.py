@@ -3,16 +3,13 @@
 The paper compares qTask against Qulacs and Qiskit, two optimized C++
 state-vector simulators that support circuit modification but *re-simulate
 the whole circuit* on every update.  Neither ships in this offline
-environment, so the package provides in-repo stand-ins that preserve the
+environment, so the package provides one in-repo stand-in that preserves the
 property the experiments measure (full re-simulation on every update) while
-running on the same machine and runtime as qTask:
+running on the same machine and runtime as qTask, plus the tests' oracle:
 
 * :class:`QulacsLikeSimulator` -- an optimized numpy state-vector engine with
   specialized diagonal/permutation kernels and reshape-based dense kernels
   (the "fast full simulator" role of Qulacs);
-* :class:`QiskitLikeSimulator` -- a generic per-gate operator engine without
-  the specialized fast paths (the "slower, more general simulator" role the
-  paper's Qiskit numbers exhibit);
 * :class:`DenseReferenceSimulator` -- an intentionally naive full-matrix
   simulator used as ground truth in the test suite.
 
@@ -23,13 +20,11 @@ See docs/architecture.md for where they sit beside the engine; the ledger
 
 from .base import BaselineResult, BaselineSimulator
 from .dense import DenseReferenceSimulator
-from .generic import QiskitLikeSimulator
 from .statevector import QulacsLikeSimulator
 
 __all__ = [
     "BaselineResult",
     "BaselineSimulator",
     "DenseReferenceSimulator",
-    "QiskitLikeSimulator",
     "QulacsLikeSimulator",
 ]

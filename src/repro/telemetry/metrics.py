@@ -2,12 +2,12 @@
 
 One :class:`MetricsRegistry` per session owns every quantitative signal the
 engine produces -- the plan-pipeline counters, the recovery counters, the
-per-update latency histogram, the bench harness's iteration timings.  The
-registry replaces the scattered ``self._x += 1`` integers the simulator
-used to keep: call sites hold the :class:`Counter`/:class:`Histogram`
-object directly (one attribute load + method call on the hot path, no name
-lookup), while reporting surfaces (``statistics()``, ``telemetry_report()``,
-the Prometheus text dump) read the registry.
+per-update latency histogram.  The registry replaces the scattered
+``self._x += 1`` integers the simulator used to keep: call sites hold the
+:class:`Counter`/:class:`Histogram` object directly (one attribute load +
+method call on the hot path, no name lookup), while reporting surfaces
+(``statistics()``, ``telemetry_report()``, the Prometheus text dump) read
+the registry.
 
 Design constraints:
 
@@ -130,14 +130,12 @@ class Histogram:
     bucket catches everything beyond the last edge.  Percentiles are
     estimated by linear interpolation inside the bucket where the requested
     rank falls -- coarse, but stable, allocation-free and mergeable, which
-    is what an always-on runtime histogram needs.  ``keep_samples=True``
-    additionally retains every raw observation (the bench harness uses this
-    for exact per-iteration series); runtime histograms leave it off.
+    is what an always-on runtime histogram needs.
     """
 
     __slots__ = (
         "name", "unit", "help", "bounds", "bucket_counts",
-        "count", "total", "min", "max", "samples",
+        "count", "total", "min", "max",
     )
 
     kind = "histogram"
@@ -149,7 +147,6 @@ class Histogram:
         unit: str = "",
         help: str = "",
         bounds: Optional[Iterable[float]] = None,
-        keep_samples: bool = False,
     ) -> None:
         self.name = name
         self.unit = unit
@@ -164,7 +161,6 @@ class Histogram:
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.samples: Optional[List[float]] = [] if keep_samples else None
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
@@ -174,8 +170,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if self.samples is not None:
-            self.samples.append(value)
 
     def time(self) -> _HistogramTimer:
         """``with hist.time(): ...`` -- observe the block's wall time."""
@@ -218,8 +212,6 @@ class Histogram:
         if other.count:
             self.min = min(self.min, other.min)
             self.max = max(self.max, other.max)
-        if self.samples is not None and other.samples is not None:
-            self.samples.extend(other.samples)
 
     def summary(self) -> Dict[str, float]:
         """The report-facing digest (count/sum/min/mean/max/p50/p95)."""
@@ -300,13 +292,9 @@ class MetricsRegistry:
         unit: str = "",
         help: str = "",
         bounds: Optional[Iterable[float]] = None,
-        keep_samples: bool = False,
     ) -> Histogram:
         return self._get(
-            Histogram,
-            name,
-            {"unit": unit, "help": help, "bounds": bounds,
-             "keep_samples": keep_samples},
+            Histogram, name, {"unit": unit, "help": help, "bounds": bounds}
         )
 
     def get(self, name: str):
@@ -395,7 +383,6 @@ class MetricsRegistry:
                     unit=metric.unit,
                     help=metric.help,
                     bounds=metric.bounds,
-                    keep_samples=metric.samples is not None,
                 )
                 mine.merge(metric)
         return self

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    DenseReferenceSimulator,
-    QiskitLikeSimulator,
-    QulacsLikeSimulator,
-)
+from repro.baselines import DenseReferenceSimulator, QulacsLikeSimulator
 from repro.core.circuit import Circuit
 from repro.core.exceptions import CircuitError
 from repro.core.gates import Gate
@@ -25,7 +21,7 @@ def build_circuit(n, levels):
 BELL = [[Gate("h", (1,))], [Gate("cx", (1, 0))]]
 
 
-@pytest.mark.parametrize("cls", [QulacsLikeSimulator, QiskitLikeSimulator, DenseReferenceSimulator])
+@pytest.mark.parametrize("cls", [QulacsLikeSimulator, DenseReferenceSimulator])
 def test_baseline_bell_state(cls):
     sim = cls(build_circuit(2, BELL))
     sim.update_state()
@@ -35,7 +31,7 @@ def test_baseline_bell_state(cls):
     sim.close()
 
 
-@pytest.mark.parametrize("cls", [QulacsLikeSimulator, QiskitLikeSimulator])
+@pytest.mark.parametrize("cls", [QulacsLikeSimulator])
 def test_baseline_matches_dense_reference_on_random_circuits(cls, rng):
     for trial in range(3):
         n = 5
@@ -65,15 +61,12 @@ def test_all_simulators_agree_including_qtask(rng):
     levels = random_levels(rng, n, 7)
     ckt = build_circuit(n, levels)
     qulacs = QulacsLikeSimulator(ckt)
-    qiskit = QiskitLikeSimulator(ckt)
     qtask = QTaskSimulator(ckt, block_size=8, num_workers=1)
     qulacs.update_state()
-    qiskit.update_state()
     qtask.update_state()
-    assert_states_close(qulacs.state(), qiskit.state())
+    assert_states_close(qulacs.state(), reference_state(n, levels))
     assert_states_close(qulacs.state(), qtask.state())
     qulacs.close()
-    qiskit.close()
     qtask.close()
 
 
@@ -114,7 +107,7 @@ def test_baseline_state_returns_copy():
 
 
 def test_baseline_empty_circuit_is_initial_state():
-    sim = QiskitLikeSimulator(Circuit(3))
+    sim = QulacsLikeSimulator(Circuit(3))
     sim.update_state()
     expected = np.zeros(8, dtype=complex)
     expected[0] = 1

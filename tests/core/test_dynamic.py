@@ -1146,7 +1146,6 @@ class TestReviewRegressions:
         ckt.close()
 
     def test_all_baselines_run_dynamic_circuits(self):
-        from repro.baselines.generic import QiskitLikeSimulator
         from repro.baselines.statevector import QulacsLikeSimulator
         from repro.qasm import parse_qasm
         from repro.qasm.levelize import program_to_circuit
@@ -1155,13 +1154,12 @@ class TestReviewRegressions:
             "qreg q[2]; creg c[2]; h q[0]; measure q -> c; if (c==1) x q[1];"
         )
         ckt = program_to_circuit(prog)
-        for cls in (QulacsLikeSimulator, QiskitLikeSimulator):
-            sim = cls(ckt)
-            sim.update_state()
-            state = sim.state()
-            assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
-            np.testing.assert_allclose(state, dense_state(sim), atol=1e-10)
-            sim.close()
+        sim = QulacsLikeSimulator(ckt)
+        sim.update_state()
+        state = sim.state()
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(state, dense_state(sim), atol=1e-10)
+        sim.close()
 
     def test_op_reuse_across_circuits_rejected(self):
         a = Circuit(1, num_clbits=1)

@@ -110,16 +110,16 @@ def test_histogram_empty_summary_is_zeroed():
 
 
 def test_histogram_keep_samples_and_timer():
+    # the name is older than the body: histograms keep no raw samples
     reg = MetricsRegistry()
-    h = reg.histogram("bench.iteration_seconds", keep_samples=True)
+    h = reg.histogram("update.seconds")
     with h.time():
         pass
+    assert h.count == 1
+    assert 0.0 <= h.min == h.max == h.total < 1.0
     h.observe(0.25)
-    assert h.count == 2
-    assert h.samples is not None and len(h.samples) == 2
-    assert h.samples[1] == 0.25
-    # runtime histograms keep no raw samples
-    assert reg.histogram("update.seconds").samples is None
+    assert h.count == 2 and h.max == 0.25
+    assert reg.histogram("update.seconds") is h
 
 
 def test_histogram_merge_accumulates_and_rejects_bound_mismatch():

@@ -45,6 +45,21 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
         ckt.update_gate(handle, 0.7)
         sim.update_state()
 
+        # tracing changes no amplitude: an untraced twin driven through the
+        # same build and retune holds the same state bit for bit
+        twin_ckt, twin = build_cascade(
+            10, 120, block_size=16, num_workers=2, tracing=False
+        )
+        try:
+            twin.update_state()
+            twin_ckt.update_gate(
+                next(h for h in twin_ckt.gates() if h.gate.name == "rz"), 0.7
+            )
+            twin.update_state()
+            assert np.array_equal(sim.state(), twin.state())
+        finally:
+            twin.close()
+
         spans = sim.telemetry.tracer.spans()
         by_name = {}
         for r in spans:
