@@ -8,8 +8,8 @@ property the experiments measure (full re-simulation on every update) while
 running on the same machine and runtime as qTask, plus the tests' oracle:
 
 * :class:`QulacsLikeSimulator` -- an optimized numpy state-vector engine with
-  specialized diagonal/permutation kernels and reshape-based dense kernels
-  (the "fast full simulator" role of Qulacs);
+  specialized diagonal/permutation kernels and a reshape-based dense kernel,
+  on one thread (the "fast full simulator" role of Qulacs);
 * :class:`DenseReferenceSimulator` -- an intentionally naive full-matrix
   simulator used as ground truth in the test suite.
 

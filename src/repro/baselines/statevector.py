@@ -4,41 +4,67 @@ Qulacs' defining traits for the paper's experiments are (1) highly optimized
 per-gate kernels and (2) no incrementality -- every simulation call replays
 the whole circuit.  This baseline mirrors both: diagonal and permutation
 gates use vectorised in-place index kernels, everything else uses the dense
-reshape kernel, and ``num_workers > 1`` splits a dense gate's index space
-into chunks mapped over the executor's thread pool.
+reshape kernel (:func:`apply_matrix_dense`), on the calling thread.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.circuit import Circuit
-from ..core.gates import DiagonalAction, Gate, MonomialAction
-from ..core.kernels import (
-    ArrayReader,
-    apply_action_range,
-    apply_gate_dense,
+from ..core.gates import (
+    DiagonalAction,
+    Gate,
+    MonomialAction,
     extract_local,
     replace_local,
 )
-from ..parallel import Executor
 from .base import BaselineSimulator
 
-__all__ = ["QulacsLikeSimulator"]
+__all__ = ["QulacsLikeSimulator", "apply_matrix_dense"]
 
-#: Below this many amplitudes threading is pure overhead.
-_MIN_PARALLEL_DIM = 1 << 12
+_DTYPE = np.complex128
 
 
-def chunk_indices(total: int, chunk: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ``(start, stop)`` chunks of size ``chunk``."""
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
-    if chunk <= 0:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    return [(s, min(total, s + chunk)) for s in range(0, total, chunk)]
+def apply_matrix_dense(
+    state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    """Apply a k-qubit unitary to a dense state vector via tensor reshaping.
+
+    This is the classic statevector-simulator kernel (Qulacs/qsim style): view
+    the state as an n-dimensional tensor, move the gate axes to the front,
+    contract with the gate matrix, and move them back.  The baseline's kernel
+    for superposition gates.
+    """
+    psi = np.asarray(state, dtype=_DTYPE).reshape([2] * num_qubits)
+    k = len(qubits)
+    # Axis j of the reshaped tensor corresponds to qubit (num_qubits - 1 - j):
+    # the state index's most-significant bit is the first axis.
+    axes = [num_qubits - 1 - q for q in qubits]
+    perm = axes + [a for a in range(num_qubits) if a not in axes]
+    psi_t = np.transpose(psi, perm)
+    rest = psi_t.shape[k:]
+    mat = np.asarray(matrix, dtype=_DTYPE)
+    # Local index bit j corresponds to qubits[j]; axis order after transpose is
+    # qubits[0], qubits[1], ... so axis j carries local bit j, and flattening
+    # axes 0..k-1 in C order makes qubits[0] the *slowest* varying bit.  Build
+    # the tensor form of the matrix accordingly.
+    tensor = mat.reshape([2] * (2 * k))
+    # tensor indices: (out bit k-1 ... out bit 0, in bit k-1 ... in bit 0) when
+    # reshaped in C order from a (2^k, 2^k) matrix whose index bit j is local
+    # bit j (bit 0 = fastest).  We need out/in axes ordered to match psi_t's
+    # axis order (local bit 0 first), i.e. reverse each group.
+    tensor = np.transpose(
+        tensor,
+        list(range(k - 1, -1, -1)) + list(range(2 * k - 1, k - 1, -1)),
+    )
+    contracted = np.tensordot(tensor, psi_t, axes=(list(range(k, 2 * k)), list(range(k))))
+    out = np.transpose(
+        contracted.reshape([2] * k + list(rest)), np.argsort(perm)
+    )
+    return out.reshape(-1)
 
 
 class QulacsLikeSimulator(BaselineSimulator):
@@ -51,14 +77,14 @@ class QulacsLikeSimulator(BaselineSimulator):
         circuit: Circuit,
         *,
         num_workers: Optional[int] = None,
-        chunk_size: int = 1 << 14,
     ) -> None:
+        # one thread; the keyword stays for callers that pass 1
+        if num_workers is not None and (type(num_workers) is not int or num_workers != 1):
+            raise ValueError(
+                f"QulacsLikeSimulator runs on one thread: num_workers must be "
+                f"None or 1, got {num_workers!r}"
+            )
         super().__init__(circuit)
-        self.executor = Executor(num_workers)
-        self.chunk_size = int(chunk_size)
-
-    def close(self) -> None:
-        self.executor.close()
 
     # -- gate kernels -----------------------------------------------------
 
@@ -104,21 +130,7 @@ class QulacsLikeSimulator(BaselineSimulator):
 
     def _apply_dense(self, state: np.ndarray, gate: Gate) -> np.ndarray:
         n = self.circuit.num_qubits
-        if state.shape[0] < _MIN_PARALLEL_DIM or self.executor.num_workers <= 1:
-            return apply_gate_dense(state, gate, n)
-        # Chunked parallel application: each chunk of output amplitudes is
-        # computed independently from the (read-only) input vector.
-        reader = ArrayReader(state)
-        action = gate.action()
-        out = np.empty_like(state)
-        chunks = chunk_indices(state.shape[0], self.chunk_size)
-
-        def work(se):
-            s, e = se
-            out[s:e] = apply_action_range(reader, s, e - 1, gate.qubits, action)
-
-        self.executor.map(work, chunks)
-        return out
+        return apply_matrix_dense(state, gate.matrix(), gate.qubits, n)
 
     @staticmethod
     def _indices_with_local(dim: int, qubits: Sequence[int], local: int) -> np.ndarray:

@@ -102,8 +102,7 @@ def aligned_block_runs(first: int, last: int, max_blocks: int) -> List[Tuple[int
     larger than ``max_blocks`` (itself a power of two) and starts at a
     multiple of its length -- the buddy decomposition.  Blocks are a power of
     two amplitudes, so an aligned run of blocks is an aligned power-of-two
-    amplitude range, which is exactly what the strided kernel fast paths in
-    :mod:`repro.core.kernels` require.  A run of ``n`` blocks yields at most
+    amplitude range.  A run of ``n`` blocks yields at most
     ``2*log2(n)`` chunks, so batched execution stays run-granular instead of
     block-granular.
     """

@@ -431,19 +431,6 @@ class _ResolvingReader:
         base = first * self.block_size
         return buf[lo - base : hi - base + 1]
 
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Fancy-indexed read of arbitrary amplitude indices."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.empty(idx.shape, dtype=_DTYPE)
-        blocks = idx // self.block_size
-        held = np.unique(blocks)
-        buf = self.read_blocks(held.tolist())
-        return buf[
-            np.searchsorted(held, blocks) * min(self.dim, self.block_size)
-            + (idx - blocks * self.block_size)
-        ]
-
     def full_vector(self) -> np.ndarray:
         """Materialise the whole state vector (mostly for queries/tests)."""
         return self.read_range(0, self.dim - 1)

@@ -1,23 +1,22 @@
-"""Vectorised numpy kernels for gate application on index ranges.
+"""Vectorised numpy kernels: the one slab backend every update runs on.
 
-These kernels are the computational payload of qTask's partition tasks.  Each
-kernel computes the *output* amplitudes of a contiguous index range ``[lo,
-hi]`` of one stage from a *reader* exposing the stage input.  Because output
-ranges of different tasks are disjoint, tasks can run in parallel without
-locks; the heavy lifting is done by numpy (which releases the GIL), matching
-the hpc-parallel guidance of vectorising inner loops instead of iterating in
-Python.
+These kernels are the computational payload of qTask's partition tasks.  A
+stage's run table -- aligned block runs under one operation -- executes on
+:class:`NumpyBatchBackend`, which reads the stage input from a *reader* and
+publishes the output blocks.  Because output ranges of different chunks are
+disjoint, chunks can run in parallel without locks; the heavy lifting is
+done by numpy (which releases the GIL), matching the hpc-parallel guidance
+of vectorising inner loops instead of iterating in Python.
 
-Three families of kernels mirror the paper's gate classification (§III.C):
+One kernel per gate class of the paper's classification (§III.C):
 
-* ``diagonal`` -- scale amplitudes in place,
-* ``monomial`` -- gather amplitudes along a generalized permutation,
+* ``diagonal`` -- scale amplitudes by a phase table,
+* ``monomial`` -- gather amplitudes along a generalized permutation, times
+  a factor table (the two are one gather-multiply over a slab),
 * ``dense``    -- a superposition stage's member gates applied to a gathered
   window of whole blocks (:func:`apply_dense`).
 
-The range kernels serve the dense baselines and the observables engine;
-every update's run tables execute on the one slab backend,
-:class:`NumpyBatchBackend`.
+:func:`qubit_marginal` is the collapse draws' mass kernel.
 """
 
 from __future__ import annotations
@@ -44,25 +43,10 @@ from .exec_plan import (
     PlanOp,
     RunTable,
 )
-from .gates import (
-    DiagonalAction,
-    MatVecAction,
-    MonomialAction,
-    extract_local,
-    replace_local,
-)
+from .gates import DiagonalAction, extract_local, replace_local
 
 __all__ = [
     "StateReader",
-    "ArrayReader",
-    "extract_local",
-    "replace_local",
-    "apply_diagonal_range",
-    "apply_monomial_range",
-    "apply_matvec_range",
-    "apply_action_range",
-    "apply_gate_dense",
-    "apply_matrix_dense",
     "DENSE_WINDOW_QUBITS",
     "dense_steps",
     "dense_window",
@@ -78,185 +62,12 @@ class StateReader(Protocol):
     """Anything that can serve gate-input amplitudes.
 
     Implemented by :class:`~repro.core.cow.IndexReader` (and the tests'
-    ``StoreChain`` oracle) and :class:`ArrayReader`.
+    ``StoreChain`` oracle).
     """
 
     def read_range(self, lo: int, hi: int) -> np.ndarray: ...
 
-    def gather(self, indices: np.ndarray) -> np.ndarray: ...
-
     def full_vector(self) -> np.ndarray: ...
-
-
-class ArrayReader:
-    """Adapt a plain ndarray to the :class:`StateReader` protocol."""
-
-    def __init__(self, state: np.ndarray) -> None:
-        self.state = np.asarray(state, dtype=_DTYPE)
-
-    def read_range(self, lo: int, hi: int) -> np.ndarray:
-        return self.state[lo : hi + 1]
-
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        return self.state[np.asarray(indices, dtype=np.int64)]
-
-    def full_vector(self) -> np.ndarray:
-        return np.array(self.state, copy=True)
-
-
-# ---------------------------------------------------------------------------
-# Range kernels (the bit helpers extract_local/replace_local live in .gates
-# and are re-exported here for backward compatibility)
-# ---------------------------------------------------------------------------
-
-
-def _range_alignment(lo: int, n: int) -> int:
-    """``log2(n)`` when ``[lo, lo+n)`` is an aligned power-of-two range, else -1.
-
-    Every in-tree call site applies kernels one data block at a time, so the
-    range is a whole (power-of-two, aligned) block: every state-index bit at
-    or above ``log2(n)`` is then *constant* across the range and the
-    per-amplitude local-index pattern repeats with the period set by the
-    highest gate qubit below ``log2(n)``.  The strided fast paths exploit
-    this to replace full-size ``arange``/``extract_local``/``replace_local``
-    index arithmetic with one small per-period table.
-    """
-    if n <= 0 or n & (n - 1) or lo % n:
-        return -1
-    return n.bit_length() - 1
-
-
-def _local_pattern(
-    lo: int, nb: int, qubits: Sequence[int]
-) -> Tuple[int, np.ndarray]:
-    """Period and per-period local indices of ``qubits`` over an aligned range.
-
-    Bits of qubits at or above ``nb`` are constant (taken from ``lo``); the
-    remaining low qubits make the pattern repeat every ``2**(max_low+1)``
-    amplitudes.
-    """
-    low = [q for q in qubits if q < nb]
-    period = (1 << (max(low) + 1)) if low else 1
-    base = np.arange(lo, lo + period, dtype=np.int64)
-    return period, extract_local(base, qubits)
-
-
-def apply_diagonal_range(
-    reader: StateReader,
-    lo: int,
-    hi: int,
-    qubits: Sequence[int],
-    action: DiagonalAction,
-) -> np.ndarray:
-    """Output amplitudes of ``[lo, hi]`` for a diagonal gate."""
-    src = np.asarray(reader.read_range(lo, hi), dtype=_DTYPE)
-    phases = action.phase_array
-    n = hi - lo + 1
-    nb = _range_alignment(lo, n)
-    if nb >= 0:
-        # Strided fast path: one small phase table broadcasts over the range.
-        period, local = _local_pattern(lo, nb, qubits)
-        if period == 1:
-            return src * phases[local[0]]
-        return (src.reshape(-1, period) * phases[local]).reshape(-1)
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    return src * phases[extract_local(idx, qubits)]
-
-
-def apply_monomial_range(
-    reader: StateReader,
-    lo: int,
-    hi: int,
-    qubits: Sequence[int],
-    action: MonomialAction,
-) -> np.ndarray:
-    """Output amplitudes of ``[lo, hi]`` for a generalized-permutation gate.
-
-    The output amplitude at global index ``j`` with local index ``l`` is
-    ``factors[perm^-1(l)] * input[replace(j, perm^-1(l))]``; the source index
-    always lies inside the same gate orbit, which partitions are closed under,
-    so the reads stay within the partition's index span.
-    """
-    perm = action.perm_array
-    factors = action.factor_array
-    dim = perm.shape[0]
-    inv = np.empty(dim, dtype=np.int64)
-    inv[perm] = np.arange(dim, dtype=np.int64)
-
-    n = hi - lo + 1
-    nb = _range_alignment(lo, n)
-    if nb >= 0:
-        period, local_out = _local_pattern(lo, nb, qubits)
-        local_src = inv[local_out]
-        pattern = replace_local(
-            np.arange(lo, lo + period, dtype=np.int64), qubits, local_src
-        )
-        # The source bits above the period are constant whenever the
-        # permutation maps the constant high-qubit bits to a single value;
-        # the sources then tile the aligned mirror range [start, start+n)
-        # and one contiguous read plus a small in-row gather suffices.
-        start = int(pattern[0]) & ~(period - 1)
-        offsets = pattern - start
-        if np.all((offsets >= 0) & (offsets < period)):
-            row_factors = factors[local_src]
-            src = np.asarray(
-                reader.read_range(start, start + n - 1), dtype=_DTYPE
-            )
-            if period == 1:
-                return src * row_factors[0]
-            return (src.reshape(-1, period)[:, offsets] * row_factors).reshape(-1)
-
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    local_out = extract_local(idx, qubits)
-    local_src = inv[local_out]
-    src_idx = replace_local(idx, qubits, local_src)
-    return reader.gather(src_idx) * factors[local_src]
-
-
-def apply_matvec_range(
-    reader: StateReader,
-    lo: int,
-    hi: int,
-    qubits: Sequence[int],
-    matrix: np.ndarray,
-) -> np.ndarray:
-    """Output amplitudes of ``[lo, hi]`` for a dense (superposition) gate.
-
-    ``out[j] = sum_l  M[local(j), l] * in[replace(j, l)]`` -- i.e. the rows of
-    the full transformation matrix restricted to the output range, exactly the
-    role of the paper's MxV partitions, without materialising the 2^n x 2^n
-    matrix.
-    """
-    m = np.asarray(matrix, dtype=_DTYPE)
-    dim = m.shape[0]
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    local_out = extract_local(idx, qubits)
-    out = np.zeros(idx.shape[0], dtype=_DTYPE)
-    for l_in in range(dim):
-        col = m[local_out, l_in]
-        nz = np.abs(col) > 0.0
-        if not np.any(nz):
-            continue
-        src_idx = replace_local(idx, qubits, np.full_like(idx, l_in))
-        out += col * reader.gather(src_idx)
-    return out
-
-
-def apply_action_range(
-    reader: StateReader,
-    lo: int,
-    hi: int,
-    qubits: Sequence[int],
-    action,
-) -> np.ndarray:
-    """Dispatch on the classified action type."""
-    if isinstance(action, DiagonalAction):
-        return apply_diagonal_range(reader, lo, hi, qubits, action)
-    if isinstance(action, MonomialAction):
-        return apply_monomial_range(reader, lo, hi, qubits, action)
-    if isinstance(action, MatVecAction):
-        return apply_matvec_range(reader, lo, hi, qubits, action.matrix)
-    raise TypeError(f"unknown action type {type(action)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,55 +243,6 @@ def _contract(buf: np.ndarray, qubits: Sequence[int], matrix: np.ndarray) -> np.
             acc += inputs[col] * row[col]
         out[p] = acc
     return out.reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# Dense full-vector kernels (used by the baselines)
-# ---------------------------------------------------------------------------
-
-
-def apply_matrix_dense(
-    state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Apply a k-qubit unitary to a dense state vector via tensor reshaping.
-
-    This is the classic statevector-simulator kernel (Qulacs/qsim style): view
-    the state as an n-dimensional tensor, move the gate axes to the front,
-    contract with the gate matrix, and move them back.  It is used by the
-    baseline simulators.
-    """
-    psi = np.asarray(state, dtype=_DTYPE).reshape([2] * num_qubits)
-    k = len(qubits)
-    # Axis j of the reshaped tensor corresponds to qubit (num_qubits - 1 - j):
-    # the state index's most-significant bit is the first axis.
-    axes = [num_qubits - 1 - q for q in qubits]
-    perm = axes + [a for a in range(num_qubits) if a not in axes]
-    psi_t = np.transpose(psi, perm)
-    rest = psi_t.shape[k:]
-    mat = np.asarray(matrix, dtype=_DTYPE)
-    # Local index bit j corresponds to qubits[j]; axis order after transpose is
-    # qubits[0], qubits[1], ... so axis j carries local bit j, and flattening
-    # axes 0..k-1 in C order makes qubits[0] the *slowest* varying bit.  Build
-    # the tensor form of the matrix accordingly.
-    tensor = mat.reshape([2] * (2 * k))
-    # tensor indices: (out bit k-1 ... out bit 0, in bit k-1 ... in bit 0) when
-    # reshaped in C order from a (2^k, 2^k) matrix whose index bit j is local
-    # bit j (bit 0 = fastest).  We need out/in axes ordered to match psi_t's
-    # axis order (local bit 0 first), i.e. reverse each group.
-    tensor = np.transpose(
-        tensor,
-        list(range(k - 1, -1, -1)) + list(range(2 * k - 1, k - 1, -1)),
-    )
-    contracted = np.tensordot(tensor, psi_t, axes=(list(range(k, 2 * k)), list(range(k))))
-    out = np.transpose(
-        contracted.reshape([2] * k + list(rest)), np.argsort(perm)
-    )
-    return out.reshape(-1)
-
-
-def apply_gate_dense(state: np.ndarray, gate, num_qubits: int) -> np.ndarray:
-    """Apply a :class:`repro.core.gates.Gate` to a dense state vector."""
-    return apply_matrix_dense(state, gate.matrix(), gate.qubits, num_qubits)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ sweep that touches the tail of a circuit therefore re-evaluates only the
 partials its dirty blocks invalidated.
 
 ``dense_expectation`` / ``statevector_counts`` at the bottom are the dense
-baselines' path and the tests' oracle; they share no code with the engine.
+baselines' path and the tests' oracle; they share no code with the engine
+(each term is index arithmetic over the whole vector, no reader).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from ..core.exceptions import QubitIndexError
 from ..core.gates import extract_local
-from ..core.kernels import ArrayReader, StateReader, apply_action_range
+from ..core.kernels import StateReader
 from ..telemetry.tracing import NULL_SPAN
 from .pauli import PauliLike, PauliString, PauliSum, as_pauli_sum, pauli_phases
 
@@ -50,27 +51,6 @@ _TermKey = Tuple[Tuple[int, str], ...]
 
 #: the term whose per-block partials are the block probability masses
 _IDENTITY = PauliString()
-
-
-def _parity_signs(lo: int, hi: int, z_qubits: Sequence[int]) -> np.ndarray:
-    """``(-1)^popcount(i & z_mask)`` for every index in ``[lo, hi]``."""
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    parity = np.zeros(idx.shape[0], dtype=np.int64)
-    for q in z_qubits:
-        parity ^= (idx >> q) & 1
-    return 1.0 - 2.0 * parity
-
-
-def _term_partial(term: PauliString, reader: StateReader, lo: int, hi: int) -> complex:
-    """``sum_{i in [lo, hi]} conj(psi_i) * (P psi)_i`` for a unit-coefficient P."""
-    psi = np.asarray(reader.read_range(lo, hi), dtype=np.complex128)
-    if term.is_identity or term.is_diagonal:
-        probs = (psi.conj() * psi).real
-        if term.is_identity:
-            return complex(probs.sum())
-        return complex(np.dot(probs, _parity_signs(lo, hi, term.support)))
-    out = apply_action_range(reader, lo, hi, term.support, term.action())
-    return complex(np.vdot(psi, out))
 
 
 @lru_cache(maxsize=256)
@@ -458,17 +438,32 @@ class ObservablesEngine:
 def dense_expectation(state: np.ndarray, observable: PauliLike) -> float:
     """``<psi|H|psi>`` of a dense state vector (baseline/ground-truth path).
 
-    Evaluates each term with the same classified-action kernels as the
-    block-wise engine but over the whole vector at once, so baselines are
-    A/B-comparable with qTask on observable workloads.
+    Each term over the whole vector at once, from index arithmetic alone
+    (independent of :func:`~repro.observables.pauli.pauli_phases`, which the
+    engine is built on): a Z-only term is ``probs . (1 - 2 parity)``; one
+    with X / Y flipping ``f`` is ``i^{nY} vdot(psi[idx ^ f], signs psi)``,
+    ``signs`` the parities over its Z and Y qubits.
     """
     obs = as_pauli_sum(observable)
     psi = np.asarray(state, dtype=np.complex128).reshape(-1)
-    reader = ArrayReader(psi)
-    hi = psi.shape[0] - 1
+    idx = np.arange(psi.shape[0], dtype=np.int64)
     total = 0.0 + 0.0j
     for term in obs.terms:
-        total += term.coefficient * _term_partial(term, reader, 0, hi)
+        parity = np.zeros(idx.shape[0], dtype=np.int64)
+        for q, letter in term.paulis:
+            if letter != "X":
+                parity ^= (idx >> q) & 1
+        if term.is_diagonal:
+            probs = (psi.conj() * psi).real
+            if term.is_identity:
+                value = complex(probs.sum())
+            else:
+                value = complex(np.dot(probs, 1.0 - 2.0 * parity))
+        else:
+            n_y = sum(letter == "Y" for _, letter in term.paulis)
+            flipped = psi[idx ^ term.flip_mask()]
+            value = 1j**n_y * np.vdot(flipped, (1.0 - 2.0 * parity) * psi)
+        total += term.coefficient * value
     return float(total.real)
 
 

@@ -10,10 +10,9 @@ a *non-superposition* operator in the paper's gate classification -- a
 Z-only string is a :class:`~repro.core.gates.DiagonalAction` (signs on the
 diagonal) and any string containing X or Y is a
 :class:`~repro.core.gates.MonomialAction` (a bit-flip permutation with ±1/±i
-factors).  The dense evaluation therefore computes ``<psi|P|psi>`` with the
-very same strided kernels the simulator uses for permutation/diagonal gates;
-the block-wise engine goes one step further and uses that the factors are a
-product of single-bit functions (:func:`pauli_phases`).  Neither
+factors).  The block-wise engine uses that the factors are a product of
+single-bit functions (:func:`pauli_phases`); the dense evaluation
+(``dense_expectation``) is index arithmetic over the whole vector.  Neither
 materialises the 2^n operator.
 """
 
@@ -181,7 +180,7 @@ class PauliString:
 
         Local bit ``j`` corresponds to ``support[j]`` -- the same convention
         as :class:`~repro.core.gates.Gate` qubit tuples -- so the result
-        plugs straight into the strided block kernels.
+        plugs straight into the slab kernels.
         """
         k = self.weight
         if k > MAX_ACTION_QUBITS:

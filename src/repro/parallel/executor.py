@@ -33,7 +33,7 @@ is final and carries its step's label.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from ..telemetry import session as tsession
 
@@ -68,12 +68,12 @@ def _attach_task_context(exc: BaseException, label: Optional[Label]) -> None:
 
 
 class Executor:
-    """Run steps in order, or map a function over items, ``num_workers`` wide.
+    """Run steps in order, a step's chunks ``num_workers`` wide.
 
     ``num_workers`` is ``None`` (the default, same as 1) or an ``int`` of
     at least 1; 1 runs everything inline on the calling thread.  Above 1,
-    a step's chunks and :meth:`map` items spread over ``num_workers - 1``
-    pool threads (named ``qtask-worker_*``) plus the caller.
+    a step's chunks spread over ``num_workers - 1`` pool threads (named
+    ``qtask-worker_*``) plus the caller.
     """
 
     def __init__(self, num_workers: Optional[int] = None) -> None:
@@ -132,20 +132,6 @@ class Executor:
             except BaseException as exc:
                 _attach_task_context(exc, label)
                 raise
-
-    def map(self, fn: Callable[[object], object], items: Sequence[object]) -> List[object]:
-        """Apply ``fn`` to every item (over the pool when wider than 1), keeping order."""
-        items = list(items)
-        results: List[object] = [None] * len(items)
-
-        def body(i: int) -> Callable[[], None]:
-            def run() -> None:
-                results[i] = fn(items[i])
-            return run
-
-        if items:
-            self._join([body(i) for i in range(len(items))])
-        return results
 
     def _join(self, chunks: List[Callable[[], object]]) -> None:
         """Run ``chunks`` to completion; the first error raises after all stop.

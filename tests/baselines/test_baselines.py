@@ -44,16 +44,19 @@ def test_baseline_matches_dense_reference_on_random_circuits(cls, rng):
 
 
 def test_qulacs_like_multithreaded_matches_single_threaded(rng):
+    """Historical id: one thread, so ``num_workers`` is None or 1, no ``chunk_size``."""
     n = 6
     levels = random_levels(rng, n, 6)
     ckt = build_circuit(n, levels)
-    s1 = QulacsLikeSimulator(ckt, num_workers=1)
-    s4 = QulacsLikeSimulator(ckt, num_workers=4, chunk_size=8)
+    for bad in (2, 4, 0, True, 1.0):
+        with pytest.raises(ValueError, match="num_workers"):
+            QulacsLikeSimulator(ckt, num_workers=bad)
+    with pytest.raises(TypeError, match="chunk_size"):
+        QulacsLikeSimulator(ckt, chunk_size=8)
+    s1, default = QulacsLikeSimulator(ckt, num_workers=1), QulacsLikeSimulator(ckt)
     s1.update_state()
-    s4.update_state()
-    assert_states_close(s1.state(), s4.state())
-    s1.close()
-    s4.close()
+    default.update_state()
+    assert np.array_equal(s1.state(), default.state())
 
 
 def test_all_simulators_agree_including_qtask(rng):

@@ -19,9 +19,10 @@ from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE, PlanOp, RunTable
-from repro.core.gates import DiagonalAction, Gate, embed_gate_matrix, extract_local, union_sources
+from repro.core.gates import (DiagonalAction, Gate, embed_gate_matrix, extract_local,
+                              replace_local, union_sources)
 from repro.core.graph import PartitionGraph
-from repro.core.kernels import NumpyBatchBackend, apply_action_range, apply_dense, dense_window
+from repro.core.kernels import NumpyBatchBackend, apply_dense, dense_window
 from repro.core.partition import PartitionSpec, layout_of
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import (
@@ -249,12 +250,22 @@ def put_blocks(store, first: int, values) -> None:
 
 
 def execute_run(reader, store, spec: RunSpec) -> None:
-    """One run on the range kernels, published with ``write_blocks``."""
+    """One run by index arithmetic, published with ``write_blocks``; an action
+    makes one multiply per amplitude, of the slab backend's two operands."""
     if faults.ACTIVE is not None:
         faults.fire("kernel.run")
     lo, hi = spec.lo, spec.hi
     if spec.kind == RUN_ACTION:
-        out = apply_action_range(reader, lo, hi, spec.qubits, spec.op)
+        idx = np.arange(lo, hi + 1, dtype=np.int64)
+        local = extract_local(idx, spec.qubits)
+        if isinstance(spec.op, DiagonalAction):
+            coeffs = spec.op.phase_array
+        else:
+            local = np.argsort(spec.op.perm_array)[local]
+            idx = replace_local(idx, spec.qubits, local)
+            coeffs = spec.op.factor_array
+        first = int(idx.min())
+        out = reader.read_range(first, int(idx.max()))[idx - first] * coeffs[local]
     elif spec.kind == RUN_DENSE:
         wlo, whi = dense_window(lo, hi, spec.qubits)
         window = np.array(reader.read_range(wlo, whi), dtype=np.complex128)
@@ -484,6 +495,16 @@ class StoreChain(_ResolvingReader):
         if mask:
             raise LookupError(f"blocks {mask:#x} resolved by no store in the chain")
         return found
+
+
+def on_slabs(psi, kind, qubits, op, runs, block_size=None) -> np.ndarray:
+    """``psi`` after the table of ``runs`` (``(lo, hi)`` pairs) under one
+    operation ran on the slab backend; blocks it does not write keep ``psi``."""
+    held, out = (BlockStore(psi.size, block_size or psi.size) for _ in range(2))
+    put_blocks(held, 0, psi)
+    table = table_from_runs([RunSpec(kind, lo, hi, tuple(qubits), op) for lo, hi in runs])
+    NumpyBatchBackend().execute_plan(StoreChain([held]), out, table)
+    return StoreChain([held, out]).full_vector()
 
 
 def table_from_runs(runs: Sequence[RunSpec]) -> RunTable:

@@ -224,8 +224,6 @@ def test_index_reader_matches_chain():
     reader = IndexReader(g, init, 2)
     np.testing.assert_array_equal(reader.full_vector(), chain.full_vector())
     np.testing.assert_array_equal(reader.read_range(5, 11), chain.read_range(5, 11))
-    idx = np.array([0, 31, 8, 5, 8, 1], dtype=np.int64)
-    np.testing.assert_array_equal(reader.gather(idx), chain.gather(idx))
 
 
 def test_index_reader_invalid_range():

@@ -153,14 +153,10 @@ def test_chain_full_vector():
 
 
 def test_chain_gather_matches_full_vector():
+    """Historical id (``gather`` is gone): single-amplitude reads agree."""
     _, _, _, chain = _chain_with_layers()
-    idx = np.array([0, 31, 8, 5, 8, 1], dtype=np.int64)
-    np.testing.assert_allclose(chain.gather(idx), chain.full_vector()[idx])
-
-
-def test_chain_gather_empty():
-    _, _, _, chain = _chain_with_layers()
-    assert chain.gather(np.array([], dtype=np.int64)).shape == (0,)
+    idx = [0, 31, 8, 5, 8, 1]
+    assert [chain.read_range(i, i)[0] for i in idx] == list(chain.full_vector()[idx])
 
 
 def test_chain_requires_consistent_stores():
@@ -186,7 +182,7 @@ def test_chain_read_range_returns_copy():
     idx=st.lists(st.integers(0, 31), min_size=1, max_size=10),
 )
 def test_chain_gather_property(writes, idx):
-    """gather() always agrees with resolving block by block."""
+    """Reads always agree with resolving block by block."""
     init = InitialStateStore(32, 4)
     layers = [BlockStore(32, 4) for _ in range(3)]
     dense = np.zeros(32, dtype=complex)
@@ -200,16 +196,16 @@ def test_chain_gather_property(writes, idx):
             put_blocks(layers[layer], block, data)
             dense[block * 4 : block * 4 + 4] = value
     chain = StoreChain([init] + layers)
-    np.testing.assert_allclose(chain.gather(np.array(idx)), dense[np.array(idx)])
+    np.testing.assert_allclose(chain.full_vector()[idx], dense[idx])
 
 
 def test_reads_of_never_written_blocks_cache_nothing_in_the_initial_store():
-    """Regression: ``gather()`` used to resolve never-written blocks through
+    """Regression: a read used to resolve never-written blocks through
     ``InitialStateStore.get_block``, which allocates *and keeps* one zero
     block per block touched -- memory ``allocated_bytes()`` reports as 0."""
     init, _, _, chain = _chain_with_layers()
     idx = np.array([0, 1, 13, 31, 20], dtype=np.int64)
-    np.testing.assert_array_equal(chain.gather(idx), [1.0, 0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(chain.full_vector()[idx], [1.0, 0.0, 0.0, 0.0, 0.0])
     out = chain.read_blocks([7, 0, 3])
     assert out.shape == (12,)
     assert out[4] == 1.0 and np.count_nonzero(out) == 1

@@ -1,5 +1,5 @@
 """Tests for composing adjacent gates: the ``compose_run`` algebra, the one
-table a coalesced run executes, the strided kernels, and what a session does
+table a coalesced run executes, the slab backend, and what a session does
 with a run of diagonal / monomial stages.
 
 Several names say "fuse": they predate the deletion of insert-time fusion
@@ -25,15 +25,12 @@ from repro.core.gates import (
     run_structure,
     scale_action,
 )
-from repro.core.kernels import (
-    ArrayReader,
-    NumpyBatchBackend,
-    apply_action_range,
-)
+from repro.core.exec_plan import RUN_ACTION
+from repro.core.kernels import NumpyBatchBackend
 from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator
 from repro.core.stage import _PROJECTORS, _RESETS, UnitaryStage, coalesced_table
 
-from ..conftest import StoreChain, coefficients, reference_compose
+from ..conftest import StoreChain, coefficients, on_slabs, reference_compose
 from .test_coalesced_runs import assert_computed, built, run_lengths
 from .test_composite_cache import runs
 
@@ -46,14 +43,10 @@ def dense_op(gates, n):
 
 
 def action_as_matrix(action, qubits, n):
-    """Dense operator of a classified action via a synthetic gate application."""
-    dim = 1 << n
-    out = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[col] = 1.0
-        out[:, col] = apply_action_range(ArrayReader(e), 0, dim - 1, qubits, action)
-    return out
+    """Dense operator of a classified action: its columns are the slab
+    backend's output on the basis states."""
+    cols = [on_slabs(e, RUN_ACTION, qubits, action, [(0, e.size - 1)]) for e in np.eye(1 << n)]
+    return np.stack(cols, axis=1)
 
 
 def assert_is_reference(composed, parts):
@@ -206,7 +199,8 @@ def test_fused_stage_label_and_gate_list():
 
 
 # ---------------------------------------------------------------------------
-# strided kernels agree with the general gather path
+# the slab backend on every block size and on unaligned runs (the ids name
+# the deleted strided range kernels and their gather fallback)
 # ---------------------------------------------------------------------------
 
 
@@ -223,12 +217,8 @@ def test_strided_kernels_match_dense_per_block(name, qubits, np_rng):
     psi = np_rng.normal(size=64) + 1j * np_rng.normal(size=64)
     ref = embed_gate_matrix(gate, n) @ psi
     for block in (4, 8, 32, 64):
-        out = np.concatenate([
-            apply_action_range(
-                ArrayReader(psi), b * block, (b + 1) * block - 1, qubits, action
-            )
-            for b in range(64 // block)
-        ])
+        runs = [(b * block, (b + 1) * block - 1) for b in range(64 // block)]
+        out = on_slabs(psi, RUN_ACTION, qubits, action, runs, block)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
@@ -236,8 +226,9 @@ def test_unaligned_range_falls_back_to_gather(np_rng):
     gate = Gate("cz", (0, 3))
     psi = np_rng.normal(size=64) + 1j * np_rng.normal(size=64)
     ref = embed_gate_matrix(gate, 6) @ psi
-    out = apply_action_range(ArrayReader(psi), 5, 41, gate.qubits, gate.action())
-    np.testing.assert_allclose(out, ref[5:42], atol=1e-12)
+    # ten blocks of four from block 1: no power-of-two length, no alignment
+    out = on_slabs(psi, RUN_ACTION, gate.qubits, gate.action(), [(4, 43)], 4)
+    np.testing.assert_allclose(out[4:44], ref[4:44], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,31 @@
-"""Tests for the numpy gate kernels against the dense oracle."""
+"""Tests for the numpy gate kernels against the dense oracle (the ids naming
+deleted range kernels run the slab backend or the baseline's kernel)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gates import (
-    DiagonalAction,
-    Gate,
-    MonomialAction,
-    embed_gate_matrix,
-    gate_matrix,
-)
-from repro.core.kernels import (
-    ArrayReader,
-    apply_action_range,
-    apply_diagonal_range,
-    apply_gate_dense,
-    apply_matrix_dense,
-    apply_matvec_range,
-    apply_monomial_range,
-    extract_local,
-    replace_local,
-)
+from repro.baselines.statevector import apply_matrix_dense
+from repro.core.exec_plan import RUN_ACTION, RUN_DENSE
+from repro.core.gates import Gate, MatVecAction, embed_gate_matrix, extract_local, replace_local
+from repro.core.kernels import dense_steps
+
+from ..conftest import on_slabs
 
 
 def random_state(n, seed=0):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return psi / np.linalg.norm(psi)
+
+
+def run_one(psi, lo, hi, gate, block_size=None):
+    """``gate`` on ``[lo, hi]`` of ``psi``, a one-row table on the slab backend."""
+    kind, qubits, op = RUN_ACTION, gate.qubits, gate.action()
+    if isinstance(op, MatVecAction):
+        kind, qubits, op = RUN_DENSE, sorted(qubits), dense_steps([(qubits, gate.matrix())])
+    return on_slabs(psi, kind, qubits, op, [(lo, hi)], block_size)[lo : hi + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +63,7 @@ def test_replace_local_sets_bits():
 
 
 # ---------------------------------------------------------------------------
-# range kernels vs. dense oracle
+# slab kernels and the baseline's dense kernel vs. dense oracle
 # ---------------------------------------------------------------------------
 
 GATE_CASES = [
@@ -86,8 +83,7 @@ def test_apply_action_range_full_vector(name, qubits, params):
     gate = Gate(name, qubits, params)
     psi = random_state(n, seed=hash((name, qubits)) % 1000)
     expected = embed_gate_matrix(gate, n) @ psi
-    out = apply_action_range(ArrayReader(psi), 0, (1 << n) - 1, gate.qubits, gate.action())
-    np.testing.assert_allclose(out, expected, atol=1e-10)
+    np.testing.assert_allclose(run_one(psi, 0, (1 << n) - 1, gate), expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("name,qubits,params", GATE_CASES)
@@ -96,7 +92,7 @@ def test_apply_gate_dense_matches_oracle(name, qubits, params):
     gate = Gate(name, qubits, params)
     psi = random_state(n, seed=hash((name, qubits, "d")) % 1000)
     expected = embed_gate_matrix(gate, n) @ psi
-    np.testing.assert_allclose(apply_gate_dense(psi, gate, n), expected, atol=1e-10)
+    np.testing.assert_allclose(apply_matrix_dense(psi, gate.matrix(), gate.qubits, n), expected, atol=1e-10)
 
 
 def test_apply_action_range_subrange_diagonal():
@@ -105,7 +101,7 @@ def test_apply_action_range_subrange_diagonal():
     gate = Gate("cz", (1, 3))
     psi = random_state(n, 7)
     expected = embed_gate_matrix(gate, n) @ psi
-    out = apply_action_range(ArrayReader(psi), 4, 11, gate.qubits, gate.action())
+    out = run_one(psi, 4, 11, gate, block_size=4)
     np.testing.assert_allclose(out, expected[4:12], atol=1e-12)
 
 
@@ -115,22 +111,20 @@ def test_apply_action_range_subrange_monomial_orbit_closed():
     gate = Gate("cx", (3, 1))  # control q3, target q1: orbit within upper half
     psi = random_state(n, 8)
     expected = embed_gate_matrix(gate, n) @ psi
-    out = apply_action_range(ArrayReader(psi), 8, 15, gate.qubits, gate.action())
+    out = run_one(psi, 8, 15, gate, block_size=8)
     np.testing.assert_allclose(out, expected[8:16], atol=1e-12)
 
 
 def test_apply_diagonal_range_uses_phases():
     gate = Gate("z", (0,))
     psi = np.ones(4, dtype=complex)
-    out = apply_diagonal_range(ArrayReader(psi), 0, 3, gate.qubits, gate.action())
-    np.testing.assert_allclose(out, [1, -1, 1, -1])
+    np.testing.assert_allclose(run_one(psi, 0, 3, gate), [1, -1, 1, -1])
 
 
 def test_apply_monomial_range_swaps():
     gate = Gate("x", (1,))
     psi = np.array([1, 2, 3, 4], dtype=complex)
-    out = apply_monomial_range(ArrayReader(psi), 0, 3, gate.qubits, gate.action())
-    np.testing.assert_allclose(out, [3, 4, 1, 2])
+    np.testing.assert_allclose(run_one(psi, 0, 3, gate), [3, 4, 1, 2])
 
 
 def test_apply_matvec_range_single_block():
@@ -138,8 +132,8 @@ def test_apply_matvec_range_single_block():
     gate = Gate("h", (2,))
     psi = random_state(n, 5)
     expected = embed_gate_matrix(gate, n) @ psi
-    # compute only the second half of the output
-    out = apply_matvec_range(ArrayReader(psi), 4, 7, gate.qubits, gate.matrix())
+    # compute only the second half of the output (its window is the state)
+    out = run_one(psi, 4, 7, gate, block_size=4)
     np.testing.assert_allclose(out, expected[4:], atol=1e-12)
 
 
@@ -151,11 +145,6 @@ def test_apply_matrix_dense_two_qubit_nonadjacent():
     np.testing.assert_allclose(
         apply_matrix_dense(psi, gate.matrix(), gate.qubits, n), expected, atol=1e-10
     )
-
-
-def test_apply_action_range_unknown_action_type():
-    with pytest.raises(TypeError):
-        apply_action_range(ArrayReader(np.zeros(4, dtype=complex)), 0, 3, (0,), object())
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +165,8 @@ def test_sequential_application_matches_operator_product(seed, first, second, q1
     g2 = Gate(second, (0, 3) if q1 not in (0, 3) else (1, 2))
     psi = random_state(n, seed)
     expected = embed_gate_matrix(g2, n) @ (embed_gate_matrix(g1, n) @ psi)
-    out = apply_gate_dense(apply_gate_dense(psi, g1, n), g2, n)
+    out = apply_matrix_dense(psi, g1.matrix(), g1.qubits, n)
+    out = apply_matrix_dense(out, g2.matrix(), g2.qubits, n)
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
@@ -189,5 +179,5 @@ def test_non_superposition_kernels_preserve_norm(seed, name):
     qubits = tuple(rng.choice(n, size=arity, replace=False).tolist())
     gate = Gate(name, qubits)
     psi = random_state(n, seed)
-    out = apply_action_range(ArrayReader(psi), 0, 31, gate.qubits, gate.action())
+    out = run_one(psi, 0, 31, gate)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10

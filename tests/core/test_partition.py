@@ -216,7 +216,7 @@ def test_partition_invariants(name, n, log_block, seed):
         lo, hi = p.block_range.index_bounds(block, dim)
         covered[lo : hi + 1] = True
 
-    from repro.core.kernels import extract_local, replace_local
+    from repro.core.gates import extract_local, replace_local
 
     idx = np.arange(dim, dtype=np.int64)
     local = extract_local(idx, gate.qubits)

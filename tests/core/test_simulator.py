@@ -82,12 +82,15 @@ def test_external_executor_is_not_closed():
     assert child.executor is sim.executor
     child.close()
     # the parent's executor still works after the fork released it
-    assert sim.executor.map(lambda x: x + 1, [1, 2]) == [2, 3]
+    ran = []
+    step = [(lambda: [lambda: ran.append(1), lambda: ran.append(2)], "probe")]
+    sim.executor.run(step)
+    assert sorted(ran) == [1, 2]
     with pytest.raises(TypeError, match="executor"):
         sim.fork(executor=sim.executor)
     sim.close()
     with pytest.raises(RuntimeError):
-        sim.executor.map(lambda x: x, [1, 2])
+        sim.executor.run(step)
 
 
 def test_norm_preserved_on_random_circuits(rng):

@@ -8,6 +8,7 @@ from repro.observables import (
     PauliString,
     PauliSum,
     as_pauli_sum,
+    dense_expectation,
     ising_hamiltonian,
     maxcut_hamiltonian,
 )
@@ -84,6 +85,17 @@ class TestPauliString:
             m[action.perm[l_in], l_in] = action.factors[l_in]
         # support == (0..k-1) here, so the local operator is the full one
         np.testing.assert_allclose(m, pauli_matrix(p, p.weight), atol=1e-12)
+
+    def test_dense_expectation_matches_the_operator(self):
+        """The tests' oracle on random X / Y / Z strings of up to 5 qubits."""
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            label = "".join(rng.choice(list("IXYZ"), size=n))
+            term = PauliString.from_label(label, coefficient=rng.normal())
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            want = np.vdot(psi, pauli_matrix(term, n) @ psi).real
+            assert abs(dense_expectation(psi, term) - want) < 1e-12, label
 
     def test_algebra(self):
         p = PauliString.from_label("Z", coefficient=2.0)

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from repro.baselines.statevector import chunk_indices
 from repro.parallel import Executor
 
 # the ``<lambda>N`` ids the test floor pins: inline, one and three pool threads
@@ -75,23 +74,25 @@ def test_executor_subflow_joins_before_successors(factory):
     assert sorted(seen[:-1]) == [f"child{i}" for i in range(8)]
 
 
+def squares(out):
+    """One step whose chunks fill ``out[i] = i * i``."""
+    return [(lambda: [lambda i=i: out.__setitem__(i, i * i) for i in range(len(out))], "sq")]
+
+
+# the ``map`` ids are historical: a step's chunk closures are the fan-out
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
 def test_executor_map_preserves_order(factory):
-    ex = factory()
-    try:
-        out = ex.map(lambda x: x * x, list(range(37)))
-    finally:
-        ex.close()
+    out = [None] * 37
+    with factory() as ex:
+        ex.run(squares(out))
     assert out == [x * x for x in range(37)]
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
 def test_executor_map_empty(factory):
-    ex = factory()
-    try:
-        assert ex.map(lambda x: x, []) == []
-    finally:
-        ex.close()
+    with factory() as ex:
+        ex.run([(lambda: [], "empty"), (lambda: None, "none")])
+        assert ex._pool is None or ex._pool._threads == set()
 
 
 @pytest.mark.parametrize("factory", EXECUTOR_FACTORIES)
@@ -218,31 +219,17 @@ def test_make_executor_selects_implementation():
 
 
 def test_executor_context_manager():
+    out = [None] * 3
     with Executor(2) as ex:
-        assert ex.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        ex.run(squares(out))
+    assert out == [0, 1, 4]
+    with pytest.raises(RuntimeError):  # the pool is shut down on exit
+        ex.run(squares(out))
 
 
 # ---------------------------------------------------------------------------
-# chunked map (the dense baseline's intra-gate parallel-for); the
-# ``parallel_for`` id is historical -- the helper left the package, and the
-# body drives ``executor.map`` over ``chunk_indices`` as the baseline does
+# a parallel-for as chunk closures (the ``parallel_for`` id is historical)
 # ---------------------------------------------------------------------------
-
-
-def test_chunk_indices_covers_range_exactly():
-    chunks = chunk_indices(10, 3)
-    assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-
-def test_chunk_indices_validation():
-    with pytest.raises(ValueError):
-        chunk_indices(-1, 3)
-    with pytest.raises(ValueError):
-        chunk_indices(10, 0)
-
-
-def test_chunk_indices_empty_total():
-    assert chunk_indices(0, 4) == []
 
 
 @pytest.mark.parametrize("workers", [None, 1, 3])
@@ -255,10 +242,7 @@ def test_parallel_for_visits_every_index_once(workers):
             for i in range(start, stop):
                 hits[i] += 1
 
-    ex = Executor(workers)
-    try:
-        ex.map(lambda se: body(*se), chunk_indices(100, 7))
-    finally:
-        ex.close()
+    with Executor(workers) as ex:
+        ex.run([(lambda: [lambda s=s: body(s, min(100, s + 7)) for s in range(0, 100, 7)], "for")])
     assert hits == [1] * 100
 

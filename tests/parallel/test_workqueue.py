@@ -46,10 +46,9 @@ class TestWorkDeque:
         assert log == [1, 2, 3, 4, 5, 6]
 
     def test_empty_pop_and_steal(self):
-        """An empty step or map submits nothing and starts no thread."""
+        """An empty step submits nothing and starts no thread."""
         with Executor(2) as ex:
             ex.run([(lambda: [], "empty")])
-            assert ex.map(abs, []) == []
             assert ex._pool._threads == set()
 
     def test_mixed_ends(self):
@@ -76,12 +75,15 @@ class TestStealScheduler:
         counts, lock = [0] * 400, threading.Lock()
 
         def bump(i):
-            with lock:
-                counts[i] += 1
+            def run():
+                with lock:
+                    counts[i] += 1
+            return run
 
         with Executor(2) as ex:
-            threads = [threading.Thread(target=ex.map, args=(bump, range(k, 400, 4)))
-                       for k in range(4)]
+            threads = [threading.Thread(target=ex.run, args=(
+                [(lambda k=k: [bump(i) for i in range(k, 400, 4)], f"drain {k}")],))
+                for k in range(4)]
             for t in threads:
                 t.start()
             for t in threads:

@@ -4,9 +4,9 @@ The retune invariant: for any circuit and any parameter change,
 
     ``update_gate``  ==  ``remove_gate`` + ``insert_gate``  ==  dense baseline
 
-to 1e-10, built in one update or stepwise, with copy-on-write on and off
--- and the block-wise expectation engine must agree with the dense ground
-truth on the resulting states.  Both ids are thin calls of the state
+to 1e-10, built in one update or stepwise -- and the block-wise
+expectation engine must agree with the dense ground truth on the
+resulting states.  Both ids are thin calls of the state
 machine in ``tests/machine.py``.
 """
 
