@@ -454,6 +454,8 @@ def dense_expectation(state: np.ndarray, observable: PauliLike) -> float:
             if letter != "X":
                 parity ^= (idx >> q) & 1
         if term.is_diagonal:
+            # per term, as the dense side has always paid: its cost is the
+            # base of every vs-dense ratio
             probs = (psi.conj() * psi).real
             if term.is_identity:
                 value = complex(probs.sum())

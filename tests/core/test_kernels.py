@@ -92,7 +92,8 @@ def test_apply_gate_dense_matches_oracle(name, qubits, params):
     gate = Gate(name, qubits, params)
     psi = random_state(n, seed=hash((name, qubits, "d")) % 1000)
     expected = embed_gate_matrix(gate, n) @ psi
-    np.testing.assert_allclose(apply_matrix_dense(psi, gate.matrix(), gate.qubits, n), expected, atol=1e-10)
+    out = apply_matrix_dense(psi, gate.matrix(), gate.qubits, n)
+    np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
 def test_apply_action_range_subrange_diagonal():
@@ -165,9 +166,9 @@ def test_sequential_application_matches_operator_product(seed, first, second, q1
     g2 = Gate(second, (0, 3) if q1 not in (0, 3) else (1, 2))
     psi = random_state(n, seed)
     expected = embed_gate_matrix(g2, n) @ (embed_gate_matrix(g1, n) @ psi)
-    out = apply_matrix_dense(psi, g1.matrix(), g1.qubits, n)
-    out = apply_matrix_dense(out, g2.matrix(), g2.qubits, n)
-    np.testing.assert_allclose(out, expected, atol=1e-10)
+    for g in (g1, g2):
+        psi = apply_matrix_dense(psi, g.matrix(), g.qubits, n)
+    np.testing.assert_allclose(psi, expected, atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
@@ -179,5 +180,4 @@ def test_non_superposition_kernels_preserve_norm(seed, name):
     qubits = tuple(rng.choice(n, size=arity, replace=False).tolist())
     gate = Gate(name, qubits)
     psi = random_state(n, seed)
-    out = run_one(psi, 0, 31, gate)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(run_one(psi, 0, 31, gate)) - 1.0) < 1e-10
