@@ -10,7 +10,7 @@ sessions carry independent trajectories over a shared circuit.
 
 Randomness is keyed, not streamed: operation ``op_index`` of trajectory
 ``seed`` draws from ``default_rng((seed, op_index))``, so the outcome of one
-measurement never depends on which executor worker ran it, how many other
+measurement never depends on which pool thread ran it, how many other
 measurements the circuit holds, or which session simulated the shot.
 Re-executions of the same operation (incremental updates re-collapsing a
 dirty measurement) consume successive values of that same per-op stream.

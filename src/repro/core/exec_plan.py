@@ -1,9 +1,8 @@
 """Batch-major execution plans: the dirty frontier as run tables.
 
-One executor task per affected partition and one Python closure per aligned
-block run means thousands of closures, task-graph nodes and dependency
-counters for a deep dirty cone, all dispatched under the GIL.  The plan layer
-describes that frontier *once* as a handful of batch-major structures instead:
+The dirty frontier of one update is described *once*, as a handful of
+batch-major structures, rather than as a task or a Python closure per
+affected block run:
 
 * :class:`RunTable` -- the runs of one stage packed into contiguous arrays
   (``los``/``his``) under the one :class:`PlanOp` every run applies, the
@@ -31,13 +30,12 @@ describes that frontier *once* as a handful of batch-major structures instead:
   (``PartitionGraph.plan_sources``) reads each plan's inputs off the stage
   covers, all from earlier plans or unplanned stages.
 
-The executor then runs one step per *stage* plan, in plan order
-(optionally split into at most ``Executor.num_workers`` chunks) instead
-of one task per partition, and the slab backend
-(:class:`~repro.core.kernels.NumpyBatchBackend`) executes each run table in
+:mod:`repro.core.update` then runs the stage plans in plan order, each
+table split into at most ``num_workers`` chunks, and the slab backend
+(:class:`~repro.core.kernels.NumpyBatchBackend`) executes each chunk in
 bulk.
 
-This module is pure data/plumbing: it imports no kernels and no executor,
+This module is pure data/plumbing: it imports no kernels and no threads,
 so the slab backend in :mod:`repro.core.kernels` and the orchestration in
 :mod:`repro.core.update` can both build on it without cycles.
 """
@@ -313,11 +311,11 @@ class PlanReport:
 
     The :class:`~repro.core.cow.MemoryReport` sibling for execution plans:
     how many plans were compiled, how many runs they batched, how many
-    executor-visible chunks those became and the one fault recovery's
+    chunks their tables were split into and the one fault recovery's
     counts: how often a faulted chunk was re-executed run by run
     (``backend_fallbacks``) and how often a run was retried in place there
     (``run_retries``).  ``runs_per_plan`` is the headline number
-    -- the dispatch work one executor task now absorbs.
+    -- the dispatch work one stage plan absorbs.
     """
 
     plans_built: int

@@ -61,13 +61,21 @@ _DTYPE = np.complex128
 class StateReader(Protocol):
     """Anything that can serve gate-input amplitudes.
 
-    Implemented by :class:`~repro.core.cow.IndexReader` (and the tests'
-    ``StoreChain`` oracle).
+    Implemented by the subclasses of :class:`~repro.core.cow._ResolvingReader`:
+    :class:`~repro.core.cow.IndexReader`, which every plan and query reads
+    through, and the tests' ``StoreChain`` oracle.
     """
 
-    def read_range(self, lo: int, hi: int) -> np.ndarray: ...
+    def read_blocks(self, blocks: Sequence[int]) -> np.ndarray:
+        """Whole blocks ``blocks`` concatenated in list order, as a fresh
+        array the caller owns: the slab kernels compute in it and publish it
+        zero-copy, the observables engine reads its partials from it."""
 
-    def full_vector(self) -> np.ndarray: ...
+    def read_range(self, lo: int, hi: int) -> np.ndarray:
+        """Amplitudes ``lo..hi`` inclusive (single-amplitude queries)."""
+
+    def full_vector(self) -> np.ndarray:
+        """The whole state vector (collapse draws and ``state()``)."""
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ A session is assembled from three owners:
   circuit observer that builds, queues and wires each gate's stage, and the
   one filing path forks and checkpoint restores take too;
 * :class:`~repro.core.update.Updater` -- update orchestration: planning,
-  coalescing, executing and the one fault-recovery loop;
-* this module -- the session itself: assembly and forking, trajectory
-  control of dynamic circuits (re-arming, collapse paths, the light cone
-  ``run_shots`` prunes to), queries and reporting.
+  coalescing, executing (a plan's chunks fan out over the session's thread
+  pool, ``pool``, above ``num_workers=1``) and the one fault-recovery loop;
+* this module -- the session itself: assembly (the worker count and the
+  pool a fork shares) and forking, trajectory control of dynamic circuits
+  (re-arming, collapse paths, the light cone ``run_shots`` prunes to),
+  queries and reporting.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from ..parallel import Executor
 from ..telemetry import Telemetry
 from ..telemetry.tracing import NULL_SPAN
 from .blocks import (
@@ -60,9 +62,23 @@ __all__ = ["UpdateReport", "QTaskSimulator"]
 
 #: the constructor knobs that define a session durably: ``fork`` hands them to
 #: the child, a checkpoint header stores them and ``statistics()`` reports
-#: them.  The executor is not durable state; a fork shares it and a restore
-#: may override its width.
+#: them.  The worker count is not durable state; a fork shares its parent's
+#: pool and a restore may override its width.
 DURABLE_KNOBS: Tuple[str, ...] = ("block_size",)
+
+
+def _worker_count(num_workers: Optional[int]) -> int:
+    """``num_workers`` as given to a new session: ``None`` (1) or an ``int``
+    of at least 1."""
+    if num_workers is None:
+        return 1
+    if isinstance(num_workers, bool) or not isinstance(num_workers, int):
+        raise TypeError(
+            f"num_workers must be None or an int >= 1, got {num_workers!r}"
+        )
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    return num_workers
 
 
 class QTaskSimulator:
@@ -99,7 +115,7 @@ class QTaskSimulator:
         latter two.  ``knobs`` maps ``__init__`` keywords to values: the
         :data:`DURABLE_KNOBS` are required, an absent execution knob means
         what ``None`` means to ``__init__``.  A fork passes itself as
-        ``parent``: the child then shares the parent's executor, reports to
+        ``parent``: the child then shares the parent's pool, reports to
         the parent's telemetry and starts from a clone of its outcomes.  The
         session's (empty) stage table is registered as the circuit's
         observer last.
@@ -113,11 +129,20 @@ class QTaskSimulator:
         self.n_blocks = num_blocks(self.dim, self.block_size)
 
         # Last of the knobs: a rejected one above must not leak worker threads.
-        #: a fork shares its parent's executor; only a root session closes one
-        self._owns_executor = parent is None
-        self.executor: Executor = (
-            Executor(knobs.get("num_workers")) if parent is None else parent.executor
-        )
+        if parent is None:
+            num_workers = _worker_count(knobs.get("num_workers"))
+            pool = (
+                ThreadPoolExecutor(num_workers - 1, thread_name_prefix="qtask-worker")
+                if num_workers > 1 else None
+            )
+        else:
+            num_workers, pool = parent.num_workers, parent.pool
+        #: how many chunks a plan's run table splits into at most
+        self.num_workers = num_workers
+        #: the ``num_workers - 1`` threads a plan's chunks fan out over
+        #: besides the caller (``None`` at width 1); a fork shares its
+        #: parent's, and only a root session shuts it down
+        self.pool: Optional[ThreadPoolExecutor] = pool
 
         # A fork gets its own registry (counters start at zero) tagged with
         # the parent session's id, so aggregation can merge fork stats back
@@ -171,7 +196,7 @@ class QTaskSimulator:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the circuit, drop the state, release the executor.
+        """Detach from the circuit, drop the state, stop a root's pool.
 
         Every stage store is cleared, so the session's blocks are freed here
         by reference count instead of whenever the cyclic collector reaches
@@ -186,8 +211,8 @@ class QTaskSimulator:
             self.circuit.unregister_observer(self.stages)
             for stage in [*self._graph.stages, *self.stages.queued]:
                 stage.store.release()
-            if self._owns_executor:
-                self.executor.close()
+            if tracer is None and self.pool is not None:  # a root session
+                self.pool.shutdown(wait=True)
 
     def __enter__(self) -> "QTaskSimulator":
         return self
@@ -232,7 +257,7 @@ class QTaskSimulator:
         child's entry, leaving the parent untouched; edits on either side
         never perturb the other.
 
-        The child *shares this simulator's executor* (its ``close()`` leaves
+        The child *shares this simulator's pool* (its ``close()`` leaves
         it running).  Pending modifiers here are flushed first;
         ``forked_gate_map`` maps parent handle uids to child handles.  The
         mirroring is one ``fork`` span on this session's tracer (attrs
@@ -525,8 +550,9 @@ class QTaskSimulator:
         """Dispatch-overhead accounting of the plan pipeline.
 
         The :meth:`memory_report` sibling for execution plans: plans
-        compiled, runs batched into them, executor-visible chunks and how
-        often a faulted chunk fell back to run-granular execution.
+        compiled, runs batched into them, the chunks their tables split
+        into and how often a faulted chunk fell back to run-granular
+        execution.
         """
         u = self.updater
         return PlanReport(
@@ -550,7 +576,7 @@ class QTaskSimulator:
         stats.update(
             {
                 "num_updates": self.num_updates,
-                "num_workers": self.executor.num_workers,
+                "num_workers": self.num_workers,
                 "num_dynamic_stages": self.num_dynamic_stages,
                 "cached_observable_partials": (
                     self._observables.cached_partials

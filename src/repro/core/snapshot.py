@@ -302,8 +302,8 @@ def restore_simulator(
     re-simulation happens, except for an older file with ``"fused"`` stage
     entries) and is immediately editable: subsequent circuit
     modifiers re-simulate incrementally from the loaded blocks, exactly as
-    they would have in the original session.  The executor is not part of
-    the durable state -- pass ``num_workers`` as to a new session.
+    they would have in the original session.  The worker count is not part
+    of the durable state -- pass ``num_workers`` as to a new session.
 
     Trajectory randomness follows fork semantics: recorded outcomes and
     classical bits are restored verbatim, but the keyed per-op random
@@ -327,7 +327,7 @@ def restore_simulator(
     try:
         loaded = _load_state(sim, path, header, payload, handles)
     except BaseException:
-        sim.close()  # a rejected file must not keep the executor running
+        sim.close()  # a rejected file must not keep the pool running
         raise
     duration = time.perf_counter() - t0
     if sim.telemetry.tracer.enabled:

@@ -5,8 +5,14 @@ order (the partition graph's frontier sweep, §III.E), coalesces swept runs
 of diagonal / monomial stages into one plan each and resolves every
 recomputed block's source store in one pass (``PartitionGraph.plan_sources``)
 as ``(store, mask)`` pairs, all from earlier plans or unplanned stages.  The
-plans then run one after another on the session's executor, each plan's
-chunks the only fan-out.
+plans then run one after another on the calling thread; a plan's run table
+splits into at most ``num_workers`` chunks, the only fan-out, which run
+inline at width 1 (the default) and above it over the session's stdlib
+thread pool of ``num_workers - 1`` threads plus the caller -- the paper's
+intra-gate parallelism (§III.F.1).  Inter-gate concurrency is not
+reproduced: timed at the default block size, no pool running independent
+stages at once beat inline by 10 % on any qft / qaoa / ising row of 12-18
+qubits (CHANGES.md, the executor verdict).
 
 Every run table executes on one kernel path, the slab backend
 (:data:`BACKEND`).  Fault recovery is one loop on the same kernels: a chunk
@@ -94,7 +100,7 @@ class Updater:
         m = sim.telemetry.metrics
         self.plans_built = m.counter("plan.plans_built", help="stage plans compiled")
         self.runs_batched = m.counter("plan.runs_batched", help="block runs batched into plans")
-        self.plan_chunks = m.counter("plan.chunks", help="executor-visible plan chunks")
+        self.plan_chunks = m.counter("plan.chunks", help="plan chunks a table split into")
         self.stages_coalesced = m.counter(
             "plan.stages_coalesced",
             help="stages executed as members of a coalesced run",
@@ -301,21 +307,24 @@ class Updater:
         plan.stage_plans = merged
 
     def execute(self, plan: ExecutionPlan) -> None:
-        """Batch-execute the plan, one executor step per stage plan -- an
-        affected *stage*, or a coalesced run of them -- in plan order.
+        """Batch-execute the plan, one stage plan -- an affected *stage*, or
+        a coalesced run of them -- after another, in plan order.
 
-        A step runs the plan's sync step (the draws) when its barrier is
-        affected, materialises the stage's run table, and hands it -- split
-        into at most ``Executor.num_workers`` chunks -- to the slab
-        backend.  Plan order is seq order, which every block source
-        respects: a plan reads only what earlier plans (or unplanned
-        stages) wrote.
+        Plan order is seq order, which every block source respects: a plan
+        reads only what earlier plans (or unplanned stages) wrote.  A
+        failing plan stops the update; its exception carries the plan's
+        label as ``task_label`` (the first failure wins) and, on Python >=
+        3.11, a note naming it.
         """
-        # labelled lazily: only a failing step formats its label
-        self.sim.executor.run(
-            (self._plan_body(sp, plan.redraw_from), sp.label)
-            for sp in plan.stage_plans
-        )
+        for sp in plan.stage_plans:
+            try:
+                self._run_plan(sp, plan.redraw_from)
+            except BaseException as exc:
+                if getattr(exc, "task_label", None) is None:
+                    exc.task_label = label = sp.label()
+                    if hasattr(exc, "add_note"):
+                        exc.add_note(f"raised by stage plan {label!r}")
+                raise
 
         self.plans_built.inc(plan.num_stages)
         self.stages_coalesced.inc(sum(len(sp.members) for sp in plan.runs()))
@@ -323,37 +332,69 @@ class Updater:
         self.plan_chunks.inc(plan.total_chunks())
         self.updates_planned.inc()
 
-    def _plan_body(self, sp: StagePlan, redraw_from: int):
-        width = self.sim.executor.num_workers
+    def _run_plan(self, sp: StagePlan, redraw_from: int) -> None:
+        """Run one stage plan on the calling thread: its sync step (the
+        draws) when its barrier is affected, then its run table, split into
+        at most ``num_workers`` chunks, on the slab backend."""
+        tracer = self.sim.telemetry.tracer
+        if sp.has_sync:
+            with (
+                tracer.span("stage.prepare", {"stage": sp.label()})
+                if tracer.enabled else NULL_SPAN
+            ):
+                draw_collapses(sp.members, sp.reader, redraw_from)
+        table = sp.build_table()
+        if table.num_runs == 0:
+            return
+        chunks = table.split(self.sim.num_workers)
+        sp.num_chunks = len(chunks)
+        if len(chunks) == 1:
+            self._run_chunk(sp, chunks[0])
+        else:
+            self._fan_out(sp, chunks)
+
+    def _fan_out(self, sp: StagePlan, chunks) -> None:
+        """Run ``chunks`` over the session's pool; the first error raises
+        after every started chunk has stopped.
+
+        Every chunk but the first is submitted; the caller runs the first,
+        then runs each submitted chunk no pool thread has started yet (a
+        successful ``cancel()``), and only then waits on the rest.  After a
+        failure no further chunk starts, but the running ones finish before
+        the error raises, so nothing writes behind the caller's back.  The
+        numpy kernels release the GIL during the heavy array work, which is
+        where the chunks overlap.
+        """
         tel = self.sim.telemetry
+        parent = tel.tracer.current_span_id()
 
-        def body():
-            if sp.has_sync:
-                with (
-                    tel.tracer.span("stage.prepare", {"stage": sp.label()})
-                    if tel.tracer.enabled else NULL_SPAN
-                ):
-                    draw_collapses(sp.members, sp.reader, redraw_from)
-            table = sp.build_table()
-            if table.num_runs == 0:
-                return None
-            chunks = table.split(width)
-            sp.num_chunks = len(chunks)
-            if len(chunks) == 1:
-                self._run_chunk(sp, chunks[0])
-                return None
-            # Chunks may run on pool threads; carry the trace context
-            # (parented to the current span, i.e. the update) onto each
-            # chunk closure so their spans nest correctly.
-            parent = tel.tracer.current_span_id()
-            subtasks = []
-            for c in chunks:
-                fn = (lambda c=c: self._run_chunk(sp, c))
-                fn.trace_context = (tel, parent)
-                subtasks.append(fn)
-            return subtasks
+        def pooled(chunk) -> None:
+            # a pool thread has no ambient context: re-activate the
+            # session's telemetry and parent its spans to the caller's
+            prev_tel = tsession.activate(tel)
+            prev_span = tel.tracer.attach(parent)
+            try:
+                self._run_chunk(sp, chunk)
+            finally:
+                tel.tracer.detach(prev_span)
+                tsession.deactivate(prev_tel)
 
-        return body
+        futures = [self.sim.pool.submit(pooled, c) for c in chunks[1:]]
+        error = None
+        for chunk, future in zip(chunks, [None, *futures]):
+            if future is not None and not future.cancel():
+                continue  # a pool thread has it
+            if error is None:
+                try:
+                    self._run_chunk(sp, chunk)
+                except BaseException as exc:
+                    error = exc
+        for future in futures:
+            if not future.cancelled():
+                exc = future.exception()  # waits for a running chunk
+                error = error or exc
+        if error is not None:
+            raise error
 
     def _run_chunk(self, sp: StagePlan, chunk) -> None:
         tracer = self.sim.telemetry.tracer

@@ -5,13 +5,12 @@ A :class:`PauliString` is a tensor product of single-qubit Pauli operators
 :class:`PauliSum` is a linear combination of Pauli strings (a Hamiltonian).
 Both are immutable value types.
 
-The crucial design point is :meth:`PauliString.action`: every Pauli string is
-a *non-superposition* operator in the paper's gate classification -- a
-Z-only string is a :class:`~repro.core.gates.DiagonalAction` (signs on the
-diagonal) and any string containing X or Y is a
-:class:`~repro.core.gates.MonomialAction` (a bit-flip permutation with ±1/±i
-factors).  The block-wise engine uses that the factors are a product of
-single-bit functions (:func:`pauli_phases`); the dense evaluation
+The crucial design point: every Pauli string is a *non-superposition*
+operator in the paper's gate classification -- a Z-only string is diagonal
+(signs on the diagonal) and any string containing X or Y is monomial (a
+bit-flip permutation, :meth:`PauliString.flip_mask`, with ±1/±i factors).
+The block-wise engine uses that the factors are a product of single-bit
+functions (:func:`pauli_phases`); the dense evaluation
 (``dense_expectation``) is index arithmetic over the whole vector.  Neither
 materialises the 2^n operator.
 """
@@ -23,8 +22,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.gates import Action, DiagonalAction, MonomialAction
-
 __all__ = [
     "PauliString",
     "PauliSum",
@@ -35,12 +32,6 @@ __all__ = [
 ]
 
 _LETTERS = ("X", "Y", "Z")
-
-#: Largest Pauli support for which the local permutation tables of
-#: :meth:`PauliString.action` are enumerated (2^16 entries).  Diagonal
-#: (Z-only) strings never build these tables -- the engine evaluates them
-#: from bit parities -- so the cap only limits X/Y supports.
-MAX_ACTION_QUBITS = 16
 
 PauliLike = Union["PauliString", "PauliSum", str]
 
@@ -58,8 +49,7 @@ def pauli_phases(
     factor of the *source* amplitude that lands on ``x``.  The product of
     single-bit functions is why it splits into a table over the low bits
     times a table over the high bits, which is what the expectation engine
-    exploits.  This is the one definition of the convention;
-    :meth:`PauliString.action` is built on it.
+    exploits.  This is the one definition of the convention.
     """
     source = np.arange(size, dtype=np.int64) ^ flip
     factors = np.ones(size, dtype=complex)
@@ -172,34 +162,6 @@ class PauliString:
                 f"label of {num_qubits} qubits is too short"
             )
         return "".join(letters.get(q, "I") for q in range(num_qubits - 1, -1, -1))
-
-    # -- the engine-facing view --------------------------------------------
-
-    def action(self) -> Action:
-        """The string as a classified local action over :attr:`support`.
-
-        Local bit ``j`` corresponds to ``support[j]`` -- the same convention
-        as :class:`~repro.core.gates.Gate` qubit tuples -- so the result
-        plugs straight into the slab kernels.
-        """
-        k = self.weight
-        if k > MAX_ACTION_QUBITS:
-            raise ValueError(
-                f"Pauli support of {k} qubits exceeds MAX_ACTION_QUBITS="
-                f"{MAX_ACTION_QUBITS}; split the observable into smaller terms"
-            )
-        dim = 1 << k
-        letters = tuple((j, l) for j, (_, l) in enumerate(self.paulis))
-        factors = pauli_phases(letters, dim)
-        flip = sum(1 << j for j, l in letters if l != "Z")
-        if flip == 0:
-            return DiagonalAction(num_qubits=k, phases=tuple(factors))
-        perm = np.arange(dim, dtype=np.int64) ^ flip
-        return MonomialAction(
-            num_qubits=k,
-            perm=tuple(int(p) for p in perm),
-            factors=tuple(factors),
-        )
 
     # -- algebra ------------------------------------------------------------
 

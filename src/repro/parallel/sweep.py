@@ -4,7 +4,7 @@ A variational workload evaluates the same circuit at many parameter points.
 The retune path makes each point cheap (``update_gate`` + incremental
 ``update_state``); :class:`SweepRunner` packages it without touching the base
 session: it forks the base session once (:meth:`repro.QTask.fork` -- zero
-amplitude copies; the fork shares the base's executor) and evaluates the
+amplitude copies; the fork shares the base's pool) and evaluates the
 points on that fork in submission order.  The fork carries
 its own observables cache, so per-point expectations stay incremental from
 one point to the next.

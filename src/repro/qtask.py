@@ -90,7 +90,7 @@ class QTask:
         graph and observables cache, but its stage stores reference the
         parent's computed blocks until first write -- forking copies no
         amplitudes.  Edits on either session never perturb the other.  The
-        child shares its parent's executor (closing the child leaves it
+        child shares its parent's thread pool (closing the child leaves it
         running).
 
         Translate parent gate handles with :meth:`handle_for`::
@@ -159,8 +159,8 @@ class QTask:
 
         The restored session holds the checkpointed computed state and is
         immediately editable -- subsequent modifiers re-simulate
-        incrementally from the loaded blocks.  The executor is not durable
-        state: pass ``num_workers`` as to a new session.
+        incrementally from the loaded blocks.  The worker count is not
+        durable state: pass ``num_workers`` as to a new session.
         Raises :class:`~repro.core.exceptions.CheckpointError` on corrupt,
         truncated or incompatible files.
         """
@@ -310,7 +310,7 @@ class QTask:
         Returns a histogram over the classical register bits (leftmost
         character = highest clbit), one entry per shot.  Each shot is an
         independent trajectory keyed ``(seed, shot_index)``: its outcomes
-        depend only on those two -- never on the executor width or
+        depend only on those two -- never on the worker count or
         scheduling.  The session is forked once, copy-on-write (the unitary
         prefix before the first measurement is computed once and shared),
         and the fork walks every shot on the calling thread.  This session is never
@@ -498,9 +498,9 @@ class QTask:
 
         The returned :class:`~repro.core.exec_plan.PlanReport` counts the
         plans compiled across every update so far, the kernel runs batched
-        into them, the executor-visible chunks they were split into and any
-        fallbacks -- ``runs_per_plan`` is the dispatch work one executor
-        task absorbs.
+        into them, the chunks their tables were split into and any
+        fallbacks -- ``runs_per_plan`` is the dispatch work one plan
+        absorbs.
         """
         return self.simulator.plan_report()
 
@@ -531,7 +531,7 @@ class QTask:
         """Everything the telemetry subsystem knows, as one nested dict.
 
         Session ids, every counter, every gauge (refreshed from the live
-        graph/executor state first), every histogram's
+        graph state first), every histogram's
         count/sum/min/mean/max/p50/p95, and span/event buffer health.  The
         flat legacy view with stable keys remains :meth:`statistics`;
         Prometheus text exposition is

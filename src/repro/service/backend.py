@@ -17,11 +17,11 @@ family in the :class:`~repro.service.pool.SessionPool` and reads it
 directly -- ``counts``, ``expectation`` and ``state`` need no fork, since a
 pinned base is warm and never edited, and a dynamic job's ``run_shots``
 forks once for its own walk.  Concurrency lives at the job level, in the
-dispatcher threads: jobs share no writes.  Each base session owns its
-executor (``num_workers`` wide: inline at 1, the default; chunks of one
-stage over a thread pool above it), and a job's walk fork shares its
-base's; the pool evicts a base only when nothing holds it, so no executor
-closes under a running job.
+dispatcher threads: jobs share no writes.  Each base session is
+``num_workers`` wide (inline at 1, the default; above it a plan's chunks
+fan out over the session's thread pool), and a job's walk fork shares its
+base's pool; the session pool evicts a base only when nothing holds it, so
+no thread pool shuts down under a running job.
 
 Telemetry is first-class: every request runs under a ``job.run`` span
 (with ``service.lease`` / ``service.build`` under it and ``qasm.parse`` at

@@ -4,7 +4,7 @@ Three pillars, one bundle per simulator session:
 
 * :class:`~repro.telemetry.tracing.Tracer` -- nested spans (``update`` >
   ``plan.build`` > ``run.chunk`` ...) with a bounded ring buffer and a
-  chrome://tracing / Perfetto JSON exporter.  Context crosses executor
+  chrome://tracing / Perfetto JSON exporter.  Context crosses pool
   thread boundaries via attach/detach.
 * :class:`~repro.telemetry.metrics.MetricsRegistry` -- named counters,
   gauges and fixed-bucket histograms (p50/p95/max) with Prometheus text

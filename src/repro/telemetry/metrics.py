@@ -14,7 +14,7 @@ Design constraints:
 * **Zero dependencies** -- stdlib only, importable everywhere.
 * **Cheap writes.** ``Counter.inc`` is an integer add under one
   process-wide lock (counters are bumped a few times per update, at the
-  executor's task granularity, not per amplitude; concurrent jobs share a
+  granularity of plans and chunks, not per amplitude; concurrent jobs share a
   base's counters).  ``Histogram.observe`` is a bisect into a fixed bucket
   table.
 * **Mergeable.** Forked sessions get their *own* registry tagged with the

@@ -10,8 +10,8 @@ Deep modules (``core/faults``, ``core/kernels``) must not take a
 telemetry object through every signature, and the slab backend is shared
 by every session -- so discovery is ambient: the simulator
 *activates* its bundle on the current thread around an update
-(:func:`activate`/:func:`deactivate`), the executor re-activates it
-inside worker threads from the task's trace context, and anything
+(:func:`activate`/:func:`deactivate`), a plan chunk re-activates it
+on the pool thread it runs on (``repro.core.update``), and anything
 downstream reaches it via :func:`current` or fires events through
 :func:`emit_event` (a no-op when nothing is active, which keeps the
 fault-injection hot path allocation-free for untraced sessions).

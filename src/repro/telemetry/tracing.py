@@ -3,9 +3,9 @@
 A :class:`Tracer` hands out :class:`Span` context managers.  Parentage is
 implicit through a thread-local "current span" -- opening a span inside
 another (on the same thread) nests it; crossing a thread boundary is
-explicit via :meth:`Tracer.attach`/:meth:`Tracer.detach` (the executor
-threads a ``(telemetry, parent_span_id)`` tuple on task closures and
-attaches it inside ``_traced``).  A span timed outside any ``with`` block
+explicit via :meth:`Tracer.attach`/:meth:`Tracer.detach` (a plan chunk
+on a pool thread attaches the span its update was in when it fanned out,
+``repro.core.update``).  A span timed outside any ``with`` block
 (the checkpoint restore, whose tracer does not exist when it starts) is
 recorded by value with :meth:`Tracer.adopt`.  A *root* span (``update``,
 ``job.run``) also reports the time none of its direct children covers, as

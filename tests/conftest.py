@@ -355,7 +355,7 @@ def open_session(target, *, stepwise: bool = False, **knobs):
 
 
 def worker_threads() -> set:
-    """The executors' pool threads alive now."""
+    """The sessions' pool threads alive now."""
     return {t for t in threading.enumerate() if t.name.startswith("qtask-worker")}
 
 
@@ -382,7 +382,7 @@ def _leaks(threads_before, children_before, shm_before) -> list:
 
 @pytest.fixture(autouse=True)
 def leak_audit():
-    """Fail a test that leaves an executor thread, a child process or a
+    """Fail a test that leaves a pool thread, a child process or a
     ``/dev/shm`` entry behind."""
     before = worker_threads(), set(multiprocessing.active_children()), shm_entries()
     yield

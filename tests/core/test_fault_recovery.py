@@ -16,6 +16,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
-from repro.core.update import _RUN_FAULT_RETRIES
+from repro.core.update import _RUN_FAULT_RETRIES, BACKEND
 
 from ..conftest import (
     ReferenceLoop,
@@ -208,10 +210,29 @@ def test_unrecoverable_fault_storm_raises_fault_injected():
             sim.update_state()
 
 
+class _SlowSibling:
+    """Faults every table on the calling thread once a pool thread holds its
+    chunk, which runs on the slab backend a beat later."""
+
+    def __init__(self):
+        self.started, self.stopped = threading.Event(), threading.Event()
+
+    def execute_plan(self, reader, store, table):
+        if not threading.current_thread().name.startswith("qtask-worker"):
+            assert self.started.wait(10)
+            raise FaultInjected("kernel.run", 0)
+        self.started.set()
+        time.sleep(0.1)
+        BACKEND.execute_plan(reader, store, table)
+        self.stopped.set()
+
+
 def test_fault_past_the_bound_leaves_the_update_to_the_caller():
     """A fault storm one past the bound surfaces from ``update_state`` with
-    its step's label and the dirt kept; the caller's next call redoes the
-    work and lands on the exact state."""
+    its plan's label and the dirt kept; the caller's next call redoes the
+    work and lands on the exact state.  Two wide, the caller's chunk fails
+    while its sibling runs on the pool thread: the error raises only after
+    the sibling has stopped."""
     rng = random.Random(16)
     levels = random_levels(rng, 5, 4)
     # the slab attempt, then every attempt the bound gives the first run
@@ -225,6 +246,22 @@ def test_fault_past_the_bound_leaves_the_update_to_the_caller():
         assert err.value.task_label
         assert sim.graph.has_pending
         assert sim.statistics()["run_retries"] == _RUN_FAULT_RETRIES
+        sim.update_state()
+        assert not sim.graph.has_pending
+        np.testing.assert_allclose(
+            sim.state(), reference_state(5, levels), atol=ATOL, rtol=0)
+
+    # h on qubit 0 first: sixteen two-amplitude blocks, a two-chunk plan
+    levels = [[Gate("h", (0,))]] + levels
+    with _build_sim(5, levels, block_size=2, num_workers=2) as sim:
+        with running_on(_SlowSibling()) as backend, pytest.raises(FaultInjected) as err:
+            sim.update_state()
+        assert backend.stopped.is_set()
+        assert err.value.task_label
+        assert sim.graph.has_pending
+        stats = sim.statistics()
+        assert stats["backend_fallbacks"] == 1
+        assert stats["run_retries"] == _RUN_FAULT_RETRIES
         sim.update_state()
         assert not sim.graph.has_pending
         np.testing.assert_allclose(

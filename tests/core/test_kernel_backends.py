@@ -182,7 +182,7 @@ class TestNumbaBackend:
 
 class TestProcessPoolBackend:
     def test_small_tables_stay_in_parent(self):
-        """A one-run table is never split, however wide the executor."""
+        """A one-run table is never split, however wide the session."""
         # one block: every stage's table is a single run
         with _simulator(
             _mixed_levels(2), num_qubits=2, block_size=4, num_workers=4
@@ -210,7 +210,7 @@ class TestProcessPoolBackend:
         before = set(multiprocessing.active_children())
         sim = _simulator(_mixed_levels(), num_workers=2)
         sim.update_state()
-        assert sim.executor.num_workers == 2
+        assert sim.num_workers == 2 and sim.pool._max_workers == 1
         assert set(multiprocessing.active_children()) == before
         sim.close()
 

@@ -1,5 +1,9 @@
 """End-to-end correctness tests for the incremental simulator."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from repro.core.circuit import Circuit
 from repro.core.exceptions import CheckpointError
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
+from repro.service import Backend
 
 from ..conftest import (
     assert_states_close,
@@ -72,25 +77,64 @@ def test_full_simulation_matches_reference_across_workers(rng, workers):
 
 
 def test_external_executor_is_not_closed():
-    """A fork shares its parent's executor: closing the fork leaves it
-    running, closing the parent stops it."""
-    ckt = Circuit(2)
+    """Historical id: a fork shares its parent's pool.  Closing the fork
+    leaves it running -- the parent still fans its chunks out two wide --
+    and closing the parent stops its threads."""
+    before = worker_threads()
+    ckt = Circuit(4)
     sim = QTaskSimulator(ckt, block_size=2, num_workers=2)
     ckt.from_levels(BELL_LEVELS)
     sim.update_state()
     child = sim.fork()
-    assert child.executor is sim.executor
+    assert child.pool is sim.pool and child.num_workers == 2
     child.close()
-    # the parent's executor still works after the fork released it
-    ran = []
-    step = [(lambda: [lambda: ran.append(1), lambda: ran.append(2)], "probe")]
-    sim.executor.run(step)
-    assert sorted(ran) == [1, 2]
+    # h on qubit 0: eight two-block windows, a table of many runs
+    ckt.from_levels([[Gate("h", (0,))]])
+    sim.update_state()
+    report = sim.plan_report()
+    assert report.plan_chunks > report.plans_built
+    assert worker_threads() - before
+    assert_states_close(sim.state(), reference_state(4, circuit_levels(ckt)))
     with pytest.raises(TypeError, match="executor"):
-        sim.fork(executor=sim.executor)
+        sim.fork(executor=None)
     sim.close()
-    with pytest.raises(RuntimeError):
-        sim.executor.run(step)
+    assert worker_threads() == before
+
+
+def test_concurrent_runs_from_external_threads():
+    """Forks of a four-wide session, updated from several threads at once
+    over the one pool they share, each land on the dense oracle."""
+    levels = [[Gate("h", (q,)) for q in range(6)]]
+    ckt, sim = make_sim(6, levels, block_size=2, num_workers=4)
+    sim.update_state()
+    forks = [sim.fork() for _ in range(4)]
+    errors = []
+
+    def edit(k, fork):
+        try:
+            rng = random.Random(k)
+            for _ in range(3):
+                fork.circuit.from_levels(random_levels(rng, 6, 2))
+                fork.update_state()
+        except BaseException as exc:  # pragma: no cover - diagnostic
+            errors.append(exc)
+
+    threads = [threading.Thread(target=edit, args=kf) for kf in enumerate(forks)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' Python finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for fork in forks:
+        assert fork.plan_report().plan_chunks > fork.plan_report().plans_built
+        assert_states_close(fork.state(), reference_state(6, circuit_levels(fork.circuit)))
+        fork.close()
+    sim.close()
 
 
 def test_norm_preserved_on_random_circuits(rng):
@@ -386,24 +430,51 @@ def test_reads_of_a_closed_session_raise(no_plan):
             read()
 
 
+def _run_one_job(**knobs):
+    with Backend(**knobs) as backend:
+        backend.run("OPENQASM 2.0;\nqreg q[2];\nh q[0];", shots=1, seed=1).result(
+            timeout=60)
+
+
+#: a width no session takes, with the error it raises: before any thread exists
+BAD_WIDTHS = [(0, ValueError), (-1, ValueError), (True, TypeError),
+              (1.5, TypeError), ("2", TypeError)]
+#: every entry point taking ``num_workers``; a backend's first job opens a session
+WIDTH_OPENERS = {
+    "QTaskSimulator": lambda path, w: QTaskSimulator(Circuit(3), num_workers=w),
+    "QTask": lambda path, w: QTask(3, num_workers=w),
+    "Backend": lambda path, w: _run_one_job(num_workers=w),
+    "restore": lambda path, w: QTask.restore(path, num_workers=w),
+}
+
+
 @pytest.mark.parametrize(
-    "open_rejected",
+    "open_rejected, error",
     [
-        pytest.param(lambda path: QTask(3, kernel_backend="numba"), id="kernel_backend"),
-        pytest.param(lambda path: QTask(3, store_transport="bogus"), id="store_transport"),
-        pytest.param(lambda path: QTask.restore(path), id="corrupt_checkpoint"),
+        pytest.param(lambda path: QTask(3, kernel_backend="numba"), TypeError,
+                     id="kernel_backend"),
+        pytest.param(lambda path: QTask(3, store_transport="bogus"), TypeError,
+                     id="store_transport"),
+        pytest.param(lambda path: QTask.restore(path + ".bad"), CheckpointError,
+                     id="corrupt_checkpoint"),
+        *(
+            pytest.param(lambda path, o=opener, w=width: o(path, w), error,
+                         id=f"{name}-num_workers={width!r}")
+            for name, opener in WIDTH_OPENERS.items()
+            for width, error in BAD_WIDTHS
+        ),
     ],
 )
-def test_a_rejected_session_leaves_no_worker_running(open_rejected, tmp_path):
-    """A knob or a file refused after the executor would have started."""
+def test_a_rejected_session_leaves_no_worker_running(open_rejected, error, tmp_path):
+    """A knob or a file refused after the pool would have started."""
     path = tmp_path / "s.qtckpt"
     with QTask(3, block_size=2, num_workers=1) as session:
         session.insert_gate("h", session.insert_net(), 0)
         session.checkpoint(str(path))
     payload = bytearray(path.read_bytes())
     payload[-1] ^= 0xFF  # a checksum mismatch in the last block
-    path.write_bytes(bytes(payload))
+    (tmp_path / "s.qtckpt.bad").write_bytes(bytes(payload))
     before = worker_threads()
-    with pytest.raises((TypeError, ValueError, CheckpointError)):
+    with pytest.raises(error):
         open_rejected(str(path))
     assert worker_threads() == before

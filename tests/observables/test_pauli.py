@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.gates import DiagonalAction, MonomialAction
 from repro.observables import (
     PauliString,
     PauliSum,
@@ -12,6 +11,7 @@ from repro.observables import (
     ising_hamiltonian,
     maxcut_hamiltonian,
 )
+from repro.observables.pauli import pauli_phases
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,21 +68,24 @@ class TestPauliString:
 
     @pytest.mark.parametrize("label", ["Z", "ZZ", "IZ"])
     def test_z_strings_are_diagonal_actions(self, label):
+        """A Z-only string flips nothing: its phases are the diagonal."""
         p = PauliString.from_label(label)
-        action = p.action()
-        assert isinstance(action, DiagonalAction)
-        ref = pauli_matrix(PauliString.from_label(label.replace("I", "")), p.weight)
-        np.testing.assert_allclose(np.diag(action.phases), ref, atol=1e-12)
+        assert p.flip_mask() == 0
+        phases = pauli_phases(p.paulis, 1 << len(label))
+        np.testing.assert_allclose(np.diag(phases), pauli_matrix(p, len(label)),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("label", ["X", "Y", "XY", "XZ", "YZ", "XYZ"])
     def test_xy_strings_are_monomial_actions(self, label):
+        """With X or Y in it, a string moves amplitude ``x ^ flip`` to ``x``
+        times the phase ``pauli_phases`` gives ``x`` (the engine's form)."""
         p = PauliString.from_label(label)
-        action = p.action()
-        assert isinstance(action, MonomialAction)
-        dim = 1 << p.weight
+        flip, dim = p.flip_mask(), 1 << p.weight
+        assert flip
+        phases = pauli_phases(p.paulis, dim, flip)
         m = np.zeros((dim, dim), dtype=complex)
-        for l_in in range(dim):
-            m[action.perm[l_in], l_in] = action.factors[l_in]
+        for x in range(dim):
+            m[x, x ^ flip] = phases[x]
         # support == (0..k-1) here, so the local operator is the full one
         np.testing.assert_allclose(m, pauli_matrix(p, p.weight), atol=1e-12)
 

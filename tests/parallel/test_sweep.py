@@ -83,11 +83,12 @@ def test_sweep_gathers_in_submission_order_across_forks():
             assert child.simulator.statistics()["num_updates"] == (
                 session.simulator.statistics()["num_updates"] + len(points)
             )
-            assert child.simulator.executor is session.simulator.executor
+            assert child.simulator.pool is session.simulator.pool
+            assert child.simulator.num_workers == session.simulator.num_workers
 
 
 def test_sweep_results_independent_of_fleet_size():
-    """Historical id: results do not depend on the base executor's width."""
+    """Historical id: results do not depend on the base session's width."""
     points = None
     runs = []
     for num_workers in (1, 2, 4):
@@ -190,7 +191,7 @@ def test_sweep_fleet_refreshes_after_parent_edits():
 
 def test_sweep_nested_parallelism_matches_default():
     """Historical id: ``nested_parallelism`` is gone.  The one fork updates
-    on its base's executor, whatever its width, and the results equal a
+    on its base's pool, whatever its width, and the results equal a
     plain sequential loop's."""
     with QTask(N_QUBITS, num_workers=4) as session:
         handles = _build(session)
@@ -199,7 +200,8 @@ def test_sweep_nested_parallelism_matches_default():
         points = _grid(handles, 5)
         with SweepRunner(session, handles, observable=OBSERVABLE) as runner:
             results = runner.run(points)
-            assert runner._fork[0].simulator.executor is session.simulator.executor
+            fork = runner._fork[0].simulator
+            assert fork.pool is session.simulator.pool and fork.num_workers == 4
         for r, e in zip(results, _sequential_reference(points)):
             assert r.expectation == pytest.approx(e, abs=1e-10)
         with pytest.raises(TypeError, match="nested_parallelism"):

@@ -1,9 +1,9 @@
-"""End-to-end tracing: spans nest across executor tasks.
+"""End-to-end tracing: spans nest across pool threads.
 
 The acceptance scenario for the telemetry subsystem: a traced incremental
 update on a deep cascade must export a valid chrome-trace JSON whose
 ``run.chunk`` spans nest under ``plan.build``/``update`` even when they
-executed on the executor's pool thread rather than the caller.
+executed on the session's pool thread rather than the caller.
 """
 
 import json
@@ -93,7 +93,7 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
         assert min(e["ts"] for e in slices) == 0.0
 
         # chunks really ran on >= 2 distinct threads: the caller and the
-        # executor's pool thread.  The cascade coalesces into one-run tables,
+        # session's pool thread.  The cascade coalesces into one-run tables,
         # which never split, so a last ``h`` on qubit 0 adds a table of one
         # run per block.  Whether the pool thread starts its chunk before
         # the caller takes it back is a race it can lose on a loaded host,
@@ -119,7 +119,7 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
 
 
 def test_pool_worker_spans_carry_worker_pids():
-    """Historical id: the only workers are the executor's threads.  Every
+    """Historical id: the only workers are the session's pool threads.  Every
     span of a traced multi-worker update carries this process's pid and one
     of the engine's span names -- nothing is timed in another process."""
     ckt, sim = build_cascade(8, 24, block_size=2, num_workers=2, tracing=True)

@@ -60,7 +60,7 @@ KNOB_COMBOS = [
 # numba backend's interpreted mode: the leg is now a backend faulting once
 # on every multi-run chunk, which then re-executes run by run.  "process"
 # named the deleted fork-pool backend: the leg keeps the multi-worker fan-out
-# it alone forced on every host -- the slab backend on a two-wide executor,
+# it alone forced on every host -- the slab backend on a two-wide session,
 # every table split into chunk subflows over its thread pool.
 BACKENDS = [
     pytest.param((ReferenceLoop, {}), id="legacy"),
@@ -265,12 +265,12 @@ def test_forked_sessions_match_dense(backend):
 
 
 # ---------------------------------------------------------------------------
-# executor interplay: plan chunking across a real thread pool
+# plan chunking across a real thread pool
 # ---------------------------------------------------------------------------
 
 
 def test_plan_chunking_on_work_stealing_pool():
-    """Historical id: a two-wide executor splits tables over its pool."""
+    """Historical id: a two-wide session splits tables over its pool."""
     num_qubits = 6
     rng = random.Random(5)
     # one h per qubit leads: windows of a few blocks, many runs a table
@@ -282,6 +282,6 @@ def test_plan_chunking_on_work_stealing_pool():
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-        # wide executor -> multi-run tables split into two chunk subflows
+        # two wide -> multi-run tables split into two chunk subflows
         report = sim.plan_report()
         assert report.plans_built < report.plan_chunks <= 2 * report.plans_built
