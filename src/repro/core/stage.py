@@ -40,11 +40,8 @@ from .gates import (
     Gate,
     MonomialAction,
     classify_matrix,
-    composed_runs,
-    run_gathers,
-    scale_action,
-    union_sources,
 )
+from .compose import composed_runs, run_gathers, scale_action, union_sources
 from .kernels import StateReader, dense_steps, qubit_marginal
 from .ops import CGate
 from .partition import (
@@ -308,12 +305,12 @@ def coalesced_table(
     the gathers composing it took now (``None``: it was not composed now).
 
     Its single operation is the members' actions composed in stage order
-    (:func:`~repro.core.gates.compose_run`, over the union of their qubits),
-    taken from :data:`~repro.core.gates.composed_runs` under the members'
+    (:func:`~repro.core.compose.compose_run`, over the union of their qubits),
+    taken from :data:`~repro.core.compose.composed_runs` under the members'
     ``(action, qubits)`` values: only a run not planned before (or edited
     since) composes.  It is composed once per structure and multiplied once
     per value: a retuned run gathers its members' coefficients over its
-    cached structure (:func:`~repro.core.gates.run_structure`), one gather
+    cached structure (:func:`~repro.core.compose.run_structure`), one gather
     and one multiply a member.  A drawn collapse's action is its unscaled
     projector, so the cache holds one composite per outcome pattern; the
     collapses' ``1/sqrt(mass)`` multiply into one scalar applied to the

@@ -19,8 +19,9 @@ from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE, PlanOp, RunTable
+from repro.core.compose import union_sources
 from repro.core.gates import (DiagonalAction, Gate, embed_gate_matrix, extract_local,
-                              replace_local, union_sources)
+                              replace_local)
 from repro.core.graph import PartitionGraph
 from repro.core.kernels import NumpyBatchBackend, apply_dense, dense_window
 from repro.core.partition import PartitionSpec, layout_of

@@ -28,7 +28,7 @@ from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES
 from repro.core.classical import OutcomeRecord
 from repro.core.exceptions import CheckpointError
 from repro.core.faults import FaultPlan
-from repro.core.gates import composed_runs
+from repro.core.compose import composed_runs
 
 from ..conftest import (
     FrontierOracle,

@@ -1,5 +1,5 @@
 """The composite cache: a run's composed operation is looked up by the value
-of what was composed (``gates.composed_runs``), so re-planning a run whose
+of what was composed (``compose.composed_runs``), so re-planning a run whose
 members did not change composes nothing -- in this session, a fork, a
 restored session or a fresh build of the same circuit -- and anything else
 misses and is composed by ``compose_run``, the one algebra.
@@ -22,16 +22,15 @@ from hypothesis import strategies as st
 
 from repro import QTask
 from repro.core.blocks import MAX_RUN_QUBITS
-from repro.core.gates import (
+from repro.core.compose import (
     RUN_STRUCTURES,
     ComposedRuns,
-    Gate,
-    MonomialAction,
     _member_shape,
     compose_run,
     composed_runs,
     run_structure,
 )
+from repro.core.gates import Gate, MonomialAction
 from repro.core import stage as stage_module
 from repro.core.stage import gate_action
 

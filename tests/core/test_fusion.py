@@ -16,15 +16,8 @@ from hypothesis import strategies as st
 from repro import QTask
 from repro.core.blocks import mask_ranges
 from repro.core.cow import BlockStore, InitialStateStore
-from repro.core.gates import (
-    DiagonalAction,
-    Gate,
-    MonomialAction,
-    compose_run,
-    embed_gate_matrix,
-    run_structure,
-    scale_action,
-)
+from repro.core.compose import compose_run, run_structure, scale_action
+from repro.core.gates import DiagonalAction, Gate, MonomialAction, embed_gate_matrix
 from repro.core.exec_plan import RUN_ACTION
 from repro.core.kernels import NumpyBatchBackend
 from repro.core.simulator import DURABLE_KNOBS, QTaskSimulator

@@ -24,7 +24,8 @@ from repro.core.blocks import MAX_RUN_BLOCKS, aligned_block_runs
 from repro.core.cow import BlockStore, IndexReader, InitialStateStore
 from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE, StagePlan
 from repro.core.faults import FaultInjected, FaultPlan
-from repro.core.gates import DiagonalAction, MonomialAction, scale_action
+from repro.core.compose import scale_action
+from repro.core.gates import DiagonalAction, MonomialAction
 from repro.baselines.statevector import apply_matrix_dense
 from repro.core.kernels import NumpyBatchBackend, _slab_table, dense_steps
 from repro.core.simulator import QTaskSimulator
