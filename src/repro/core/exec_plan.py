@@ -20,7 +20,9 @@ affected block run:
   (:meth:`StagePlan.for_run`): one table applying the members' composed
   action to the union of their covers, read as of the first member and
   published through a store that routes every block to the last member
-  declaring it.  Those parts live on the run's record
+  declaring it.  A superposition stage right after such a run closes it as
+  its last member: the table's operation then carries that stage's dense
+  steps too, applied to the same buffer before the one publish.  Those parts live on the run's record
   (``graph.StageRun``), so a run the next update meets again is planned
   from its record as it is.  A run holding collapses composes after its
   sync step drew them.
@@ -73,6 +75,10 @@ class PlanOp(NamedTuple):
     kind: int
     qubits: Tuple[int, ...]
     op: object
+    #: of a run closed by a superposition stage (``RUN_ACTION`` only): that
+    #: stage's ``(steps, tile)``, applied (``kernels.apply_dense``) to what
+    #: ``op`` left in the same buffer
+    dense: object = None
 
 
 class RunTable:
@@ -272,12 +278,13 @@ class ExecutionPlan:
         """The stage plans that stand for more than one stage."""
         return [sp for sp in self.stage_plans if len(sp.members) > 1]
 
-    def coalesced(self) -> Tuple[int, int, int, int, int, int, int, int]:
+    def coalesced(self) -> Tuple[int, int, int, int, int, int, int, int, int]:
         """``(stages, collapses, runs, largest run, widest union in qubits,
-        runs recomposed, runs reused, gathers)`` of the coalesced runs;
-        ``collapses`` counts the measure / reset members among ``stages``,
-        ``reused`` the runs emitted whole from their records, ``gathers``
-        those the recomposed ones took."""
+        runs recomposed, runs reused, gathers, runs closed)`` of the
+        coalesced runs; ``collapses`` counts the measure / reset members
+        among ``stages``, ``reused`` the runs emitted whole from their
+        records, ``gathers`` those the recomposed ones took, ``closed`` the
+        runs a superposition stage closed."""
         runs = self.runs()
         return (
             sum(len(sp.members) for sp in runs),
@@ -288,6 +295,7 @@ class ExecutionPlan:
             sum(sp.recomposed for sp in runs),
             sum(sp.reused for sp in runs),
             sum(sp.gathers or 0 for sp in runs),
+            sum(sp.run.tail is not None for sp in runs),
         )
 
     def static_runs(self) -> int:

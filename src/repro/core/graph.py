@@ -40,12 +40,15 @@ from typing import (
 
 import numpy as np
 
-from .blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange, mask_ranges
+from .blocks import (
+    MAX_RUN_BLOCKS, MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange, mask_ranges,
+)
 from .cow import BlockStore, RoutedStore
 from .exec_plan import ExecutionPlan, RunTable, StagePlan
 from .partition import PartitionSpec
 from .stage import (
-    DynamicStage, MeasureStage, ResetStage, Stage, UnitaryStage, coalesced_table,
+    DynamicStage, MatVecStage, MeasureStage, ResetStage, Stage, UnitaryStage,
+    coalesced_table,
 )
 
 __all__ = ["PartitionNode", "PartitionGraph", "GraphStats", "StageRun"]
@@ -93,7 +96,9 @@ class StageRun:
     The parts a plan of the run needs are derived once per record, from
     the members' layouts (:meth:`derive`): the block ranges of the union
     cover, the affected partitions it counts, the store routing each block
-    to the last member declaring it, and the union of the members' qubits.
+    to the last member declaring it, and the union of the composed members'
+    qubits -- all but the :attr:`tail`, a superposition stage that closed
+    the run, which declares every block and so owns them all.
     A record an update formed derives them for its plan; one a fork mirrors
     or a checkpoint adopts, on first reuse.  The composed table of a run
     without collapses is kept too, until a member is rebound.
@@ -101,12 +106,17 @@ class StageRun:
 
     __slots__ = (
         "members", "cover", "ranges", "nodes", "store", "qubits", "has_sync",
-        "table",
+        "table", "tail",
     )
 
     def __init__(self, members: Tuple[Stage, ...], cover: int) -> None:
         #: seq ascending and seq-adjacent for as long as the record lives
         self.members = members
+        #: the superposition stage closing the run, if one does (the last
+        #: member; ``Updater.coalesce`` says when)
+        self.tail: Optional[MatVecStage] = (
+            members[-1] if isinstance(members[-1], MatVecStage) else None
+        )
         #: union of the members' block covers
         self.cover = cover
         #: the derived parts; ``store`` is ``None`` until :meth:`derive`
@@ -126,7 +136,8 @@ class StageRun:
             [stage.store for stage in self.members],
             _owned_masks([layout.cover for layout in layouts], self.cover),
         )
-        self.qubits = frozenset(q for stage in self.members for q in stage.qubits)
+        composed = self.members[:-1] if self.tail is not None else self.members
+        self.qubits = frozenset(q for stage in composed for q in stage.qubits)
         self.has_sync = any(layout.full_read for layout in layouts)
         return self
 
@@ -262,7 +273,9 @@ class PartitionGraph:
         where an update could have formed that run: disjoint from the
         others, unitary stages and collapses only, within the caps, no
         collapse in a run starting before the first dynamic stage, and every
-        member holding the blocks it owns in it (it keeps only those).
+        member holding the blocks it owns in it (it keeps only those); the
+        last member may be a superposition stage closing a run without
+        collapses on a state of at most ``MAX_RUN_BLOCKS`` blocks.
         Anything else raises ``ValueError``.
         """
         prefix = next(
@@ -274,11 +287,18 @@ class PartitionGraph:
             members = tuple(self._stages[first : first + count]) if first >= end else ()
             if not 2 <= count <= MAX_RUN_STAGES or len(members) != count:
                 raise ValueError(f"no run of {count} stages at seq {first}")
+            tail = members[-1] if isinstance(members[-1], MatVecStage) else None
+            composed = members[:-1] if tail is not None else members
             if not all(
                 isinstance(stage, UnitaryStage)
-                or (first >= prefix and isinstance(stage, (MeasureStage, ResetStage)))
-                for stage in members
-            ) or len({q for stage in members for q in stage.qubits}) > MAX_RUN_QUBITS:
+                or (
+                    first >= prefix and tail is None
+                    and isinstance(stage, (MeasureStage, ResetStage))
+                )
+                for stage in composed
+            ) or len({q for stage in composed for q in stage.qubits}) > MAX_RUN_QUBITS or (
+                tail is not None and tail.n_blocks > MAX_RUN_BLOCKS
+            ):
                 raise ValueError(f"the {count} stages at seq {first} form no run")
             covers = [self._layouts[stage.uid].cover for stage in members]
             cover = 0

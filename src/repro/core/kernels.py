@@ -16,6 +16,10 @@ One kernel per gate class of the paper's classification (§III.C):
 * ``dense``    -- a superposition stage's member gates applied to a gathered
   window of whole blocks (:func:`apply_dense`).
 
+A coalesced run closed by a superposition stage is one table of the first
+kind whose operation carries the second's steps: one gather-multiply, then
+:func:`apply_dense` on the same buffer, then one publish.
+
 :func:`qubit_marginal` is the collapse draws' mass kernel.
 """
 
@@ -52,6 +56,7 @@ __all__ = [
     "dense_window",
     "apply_dense",
     "qubit_marginal",
+    "amps_read",
     "NumpyBatchBackend",
 ]
 
@@ -376,7 +381,10 @@ class NumpyBatchBackend:
     path, and each amplitude is the product of the same two operands however
     the runs are chunked: output is bit-identical to executing the runs one
     by one.  A dense table gathers its runs' windows instead and applies
-    :func:`apply_dense` to each run's window.
+    :func:`apply_dense` to each run's window.  An action whose operation
+    carries dense steps (a run closed by a superposition stage: one slab,
+    the whole state in order) applies them to the multiplied slab before
+    it is published, on the tile that stage's own table has.
     """
 
     def execute_plan(self, reader: StateReader, store, table: RunTable) -> None:
@@ -403,7 +411,7 @@ class NumpyBatchBackend:
                 op.kind, key, slab_los.tobytes(), slab_his.tobytes(), block_size, dim
             )
             ids += t.out_ids
-            rows += self._slab(reader, t, coeffs, block_len)
+            rows += self._slab(reader, t, coeffs, block_len, op.dense)
         store.write_blocks(ids, rows)
 
     @staticmethod
@@ -450,13 +458,32 @@ class NumpyBatchBackend:
         return ids, rows
 
     @staticmethod
-    def _slab(reader, t: _SlabTable, coeffs, block_len: int) -> List[np.ndarray]:
+    def _slab(
+        reader, t: _SlabTable, coeffs, block_len: int, dense=None
+    ) -> List[np.ndarray]:
         """Output rows of one slab; ``coeffs`` is a phase / factor vector,
-        or ``None`` for an identity copy."""
+        or ``None`` for an identity copy, and ``dense`` the ``(steps,
+        tile)`` applied after it, if any."""
         vals = reader.read_blocks(t.in_ids)
         if t.srcpos is not None:
             vals = vals.take(t.srcpos)
         # ``vals`` is a fresh array either way: multiply in place
         if t.local is not None:
             np.multiply(vals, coeffs.take(t.local), out=vals)
+        if dense is not None:
+            vals = apply_dense(vals, *dense)
         return list(vals.reshape(-1, block_len))
+
+
+def amps_read(table: RunTable) -> int:
+    """Amplitudes the kernels read executing ``table`` whole: its runs' --
+    a composite's inputs are the cover it writes, closed under its
+    permutation -- or, for a dense run narrower than its window, the
+    window's, once per window."""
+    lens = table.his - table.los + 1
+    if table.op.kind != RUN_DENSE:
+        return int(lens.sum())
+    width = 1 << (max(table.op.qubits) + 1)
+    narrow = lens < width
+    windows = np.unique(table.los[narrow] // width).size
+    return int(lens[~narrow].sum()) + windows * width

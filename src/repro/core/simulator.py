@@ -570,7 +570,10 @@ class QTaskSimulator:
         the partition-graph shape (``num_edges`` counted from the stage covers
         on every call; ``num_frontiers``, the stages carrying pending dirt),
         the knobs (:data:`DURABLE_KNOBS`, the worker count), the last
-        update's outcome and the plan-pipeline counters, in one dict."""
+        update's outcome, the plan-pipeline counters and the passes over
+        the state every update so far made (``amps_swept``, the amplitudes
+        the kernels read, and ``sweeps``, that over ``2**n``), in one
+        dict."""
         stats = self.graph.stats().as_dict()
         stats.update((name, getattr(self, name)) for name in DURABLE_KNOBS)
         stats.update(
@@ -584,6 +587,8 @@ class QTaskSimulator:
                     else 0
                 ),
                 "last_affected_partitions": self.last_update.affected_partitions,
+                "amps_swept": self.updater.amps_swept.value,
+                "sweeps": self.updater.amps_swept.value / self.dim,
                 "last_elapsed_seconds": self.last_update.elapsed_seconds,
                 # 0: blocks stay in process; kept while the ledger reads them
                 "store_remote_reads": 0,
@@ -617,16 +622,19 @@ class QTaskSimulator:
         gates as S stages in N nets, R removed, T retuned"); the
         ``plan.build`` span's ("swept stages k..S, planned N" stage plans;
         "coalesced N stages (C collapses) into R runs (K reused from their
-        records, M recomposed by G gathers, ...)", where a run holding
-        collapses composes after its draws, so only this report counts it in
-        M and G); the plan pipeline's view; and -- what no counter answers --
+        records, M recomposed by G gathers, ...), X closed by a superposition
+        stage", where a run holding collapses composes after its draws, so
+        only this report counts it in M and G); the amplitudes the kernels
+        read ("swept A amplitudes, W passes over the state"); the plan
+        pipeline's view; and -- what no counter answers --
         the time-ordered recovery events (injected faults, chunk fallbacks,
         run retries).
         """
         report, u = self.last_update, self.updater
-        coalesced, collapses, runs, largest, widest, recomposed, reused, gathers = (
-            u.last_coalesced
-        )
+        (
+            coalesced, collapses, runs, largest, widest, recomposed, reused, gathers,
+            closed,
+        ) = u.last_coalesced
         inserted, wired, nets, removed, retuned = u.last_wired
         first, swept, planned = u.last_sweep
         lines = [
@@ -648,9 +656,14 @@ class QTaskSimulator:
             + (
                 f" ({reused} reused, {recomposed} recomposed by {gathers} gathers,"
                 f" largest {largest},"
-                f" union <= {widest} qubits)"
+                f" union <= {widest} qubits),"
+                f" {closed} closed by a superposition stage"
                 if runs
                 else ""
+            ),
+            (
+                f"  swept {report.amps_swept} amplitudes,"
+                f" {report.sweeps:g} passes over the state"
             ),
             f"  {u.plan_chunks.value} chunks total",
         ]

@@ -318,15 +318,27 @@ def coalesced_table(
     ``block_ranges`` must span the union of the members' covers, which is
     closed under the composed permutation -- an amplitude moves only within
     the cover of the member moving it.
+
+    A last member that is a :class:`MatVecStage` (a run's tail: then the
+    ranges are the whole state, one run) is not composed: the operation
+    carries its dense steps and the tile its own table applies them on (one
+    run length, every run of a dense layout's table on such a state), so
+    the kernel applies them to the composite's output as the stage alone
+    would.
     """
-    head = members[0]
+    head, tail = members[0], members[-1]
+    dense = None
+    if isinstance(tail, MatVecStage):
+        members = members[:-1]
+        own = tail.emit_table([spec.block_range for spec in tail.partition_layout().specs])
+        dense = (own.op.op, int(own.his[0] - own.los[0]) + 1)
     parts = tuple((s.action, s.qubits) for s in members)
     action, qubits, recomposed = composed_runs.lookup(parts)
     scale = math.prod(s.scale for s in members if isinstance(s, _CollapseStage))
     if scale != 1.0:
         action = scale_action(action, scale)
     los, his = _packed_run_bounds(tuple(block_ranges), head.block_size, head.dim)
-    table = RunTable(PlanOp(RUN_ACTION, qubits, action), los, his)
+    table = RunTable(PlanOp(RUN_ACTION, qubits, action, dense), los, his)
     return table, run_gathers(parts) if recomposed else None
 
 

@@ -31,13 +31,15 @@ from typing import List
 from ..telemetry import session as tsession
 from ..telemetry.tracing import NULL_SPAN
 from . import faults
-from .blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES
+from .blocks import MAX_RUN_BLOCKS, MAX_RUN_QUBITS, MAX_RUN_STAGES
 from .cow import IndexReader
 from .exec_plan import ExecutionPlan, StagePlan
 from .faults import FaultInjected
 from .graph import StageRun
-from .kernels import NumpyBatchBackend
-from .stage import MeasureStage, ResetStage, Stage, UnitaryStage, draw_collapses
+from .kernels import NumpyBatchBackend, amps_read
+from .stage import (
+    MatVecStage, MeasureStage, ResetStage, Stage, UnitaryStage, draw_collapses,
+)
 
 __all__ = ["UpdateReport", "Updater"]
 
@@ -61,16 +63,34 @@ def _coalescable(sp: StagePlan) -> bool:
     )
 
 
-def _joins(first: int, last: int, size: int, qubits, stage: Stage, prefix: int) -> bool:
-    """Whether an open run of ``size`` members at seqs ``first..last`` on
-    ``qubits`` takes in ``stage`` (a member candidate) next: the stage is
-    adjacent, neither cap is passed, and no collapse joins a run starting
-    before the first dynamic stage (``prefix``)."""
+def _closes(sp: StagePlan) -> bool:
+    """Whether a stage plan may close a run as its tail: a superposition
+    stage swept whole, on a state of at most ``MAX_RUN_BLOCKS`` blocks (so
+    the run's table is one run of the whole state)."""
+    stage = sp.stage
     return (
-        stage.seq == last + 1
-        and size < MAX_RUN_STAGES
-        and len(qubits.union(stage.qubits)) <= MAX_RUN_QUBITS
-        and not (first < prefix and isinstance(stage, (MeasureStage, ResetStage)))
+        isinstance(stage, MatVecStage)
+        and stage.n_blocks <= MAX_RUN_BLOCKS
+        and sp.mask == stage.partition_layout().cover
+    )
+
+
+def _joins(
+    first: int, last: int, size: int, qubits, stage: Stage, prefix: int,
+    synced: bool,
+) -> bool:
+    """Whether an open run of ``size`` members at seqs ``first..last`` on
+    ``qubits`` takes in ``stage`` (a member or tail candidate) next: the
+    stage is adjacent and the member cap not passed; a tail (which closes
+    the run) joins no run holding a collapse (``synced``), a member keeps
+    the qubit cap, and no collapse joins a run starting before the first
+    dynamic stage (``prefix``)."""
+    if stage.seq != last + 1 or size >= MAX_RUN_STAGES:
+        return False
+    if isinstance(stage, MatVecStage):
+        return not synced
+    return len(qubits.union(stage.qubits)) <= MAX_RUN_QUBITS and not (
+        first < prefix and isinstance(stage, (MeasureStage, ResetStage))
     )
 
 
@@ -83,6 +103,10 @@ class UpdateReport:
     executed_block_writes: int = 0
     elapsed_seconds: float = 0.0
     was_incremental: bool = False
+    #: amplitudes the kernels read, and that over the state's size: the
+    #: passes over the state the update made
+    amps_swept: int = 0
+    sweeps: float = 0.0
 
     @property
     def affected_fraction(self) -> float:
@@ -113,6 +137,9 @@ class Updater:
             help="chunk executions that fell back run-granular",
         )
         self.run_retries = m.counter("recovery.run_retries", help="per-run fault retries")
+        self.amps_swept = m.counter(
+            "update.amps_swept", help="amplitudes the kernels read"
+        )
         self.seconds = m.histogram("update.seconds", unit="s", help="update_state wall time")
         #: event-log high-water mark when the last update began, so
         #: ``explain_last_update`` can scope "what recovery did" exactly
@@ -123,7 +150,7 @@ class Updater:
         #: ``(first seq, stages swept, stage plans)`` of the last update's
         #: frontier sweep, and what it coalesced (:meth:`ExecutionPlan.coalesced`)
         self.last_sweep = (0, 0, 0)
-        self.last_coalesced = (0, 0, 0, 0, 0, 0, 0, 0)
+        self.last_coalesced = (0, 0, 0, 0, 0, 0, 0, 0, 0)
 
     def run(self) -> UpdateReport:
         """Re-simulate every partition affected by modifiers since last call."""
@@ -136,6 +163,8 @@ class Updater:
                     report = self._run()
                     span.set("affected", report.affected_partitions)
                     span.set("block_writes", report.executed_block_writes)
+                    span.set("amps_swept", report.amps_swept)
+                    span.set("sweeps", report.sweeps)
                     span.set("update", self.sim.num_updates - 1)
             else:
                 report = self._run()
@@ -158,7 +187,8 @@ class Updater:
         if plan.stage_plans:
             # an installed FaultPlan fires inside this scope and nowhere else
             with faults.armed():
-                self.execute(plan)
+                report.amps_swept = self.execute(plan)
+            report.sweeps = report.amps_swept / sim.dim
             report.executed_block_writes = plan.block_writes
             sim.invalidate_blocks(plan.written)
         # only now: an update that raised keeps its dirt -- and the runs its
@@ -193,7 +223,7 @@ class Updater:
             return self._build_plan()
         with tracer.span("plan.build") as span:
             plan = self._build_plan()
-            coalesced, collapses, runs, _, _, recomposed, reused, gathers = (
+            coalesced, collapses, runs, _, _, recomposed, reused, gathers, _ = (
                 plan.coalesced()
             )
             span.set("first_seq", plan.first_seq)
@@ -226,13 +256,22 @@ class Updater:
         are unitary stages or collapses (a measure / reset is a projector
         once drawn) and swept whole, cut where the union of the members'
         qubits would pass ``MAX_RUN_QUBITS`` or the member count
-        ``MAX_RUN_STAGES``; a dense or ``c_if`` stage plans alone.  It
-        executes as one table -- the members' composed action over the
-        union of their covers, read as of the first member -- and each
-        block is published to the last member declaring it
-        (``RoutedStore``); what that costs later is the sweep's widening,
-        see ``PartitionGraph.sweep``.  A run holding collapses draws them
-        all in one sync step first (:func:`draw_collapses`).
+        ``MAX_RUN_STAGES``.  It executes as one table -- the members'
+        composed action over the union of their covers, read as of the
+        first member -- and each block is published to the last member
+        declaring it (``RoutedStore``); what that costs later is the
+        sweep's widening, see ``PartitionGraph.sweep``.  A run holding
+        collapses draws them all in one sync step first
+        (:func:`draw_collapses`).
+
+        A superposition stage right after a run without collapses joins it
+        as its last member, its *tail*, and the run closes -- when the tail
+        is swept whole and the state has at most ``MAX_RUN_BLOCKS`` blocks
+        (the default geometry has 8).  The run then reads every block once,
+        applies the composite and the tail's dense steps to the one buffer
+        and publishes it once, all to the tail, which declares every block.
+        The tail counts toward ``MAX_RUN_STAGES``, not toward the qubit
+        cap.  Any other dense stage, and a ``c_if`` stage, plans alone.
 
         A re-armed collapse re-runs its run from the head, and the members
         before it hold nothing of its blocks: so no collapse joins a run
@@ -242,17 +281,27 @@ class Updater:
         The sweep emits a recorded run as its record's one plan.  That plan
         is kept (reused) exactly where this greedy pass would form the same
         run again: no open group takes its head in, its follower would not
-        join it, and it still meets the collapse rule (a record meets the
-        caps for as long as it lives).  Otherwise the record is expanded
-        into its members' plans and regrouped.
+        join it (nothing joins a closed run), and it still meets the
+        collapse rule (a record meets the caps for as long as it lives).
+        Otherwise the record is expanded into its members' plans and
+        regrouped.
         """
         graph = self.sim._graph
         merged: List[StagePlan] = []
         group: List[StagePlan] = []
         qubits: set = set()
+        synced = False  # the open group holds a collapse
         prefix = min((s.seq for s in self.sim._dynamic_stages.values()), default=0)
 
+        def takes(stage: Stage) -> bool:
+            return bool(group) and _joins(
+                group[0].stage.seq, group[-1].stage.seq, len(group), qubits,
+                stage, prefix, synced,
+            )
+
         def close() -> None:
+            nonlocal synced
+            synced = False
             if len(group) > 1:
                 cover = 0
                 for sp in group:
@@ -264,35 +313,40 @@ class Updater:
             group.clear()
             qubits.clear()
 
-        def add(sp: StagePlan) -> None:
-            if group and not _joins(group[0].stage.seq, group[-1].stage.seq,
-                                    len(group), qubits, sp.stage, prefix):
+        def place(sp: StagePlan) -> None:
+            """Group one single-stage plan."""
+            nonlocal synced
+            if _coalescable(sp):
+                if group and not takes(sp.stage):
+                    close()
+                group.append(sp)
+                qubits.update(sp.stage.qubits)
+                synced = synced or sp.has_sync
+            elif _closes(sp) and takes(sp.stage):
+                group.append(sp)
                 close()
-            group.append(sp)
-            qubits.update(sp.stage.qubits)
+            else:
+                if group:
+                    close()
+                merged.append(sp)
 
         plans = plan.stage_plans
         for k, sp in enumerate(plans):
             run = sp.run
             if run is None:
-                if _coalescable(sp):
-                    add(sp)
-                    continue
-                if group:
-                    close()
-                merged.append(sp)
+                place(sp)
                 continue
             head, size = run.members[0], len(run.members)
             follower = plans[k + 1] if k + 1 < len(plans) else None
             if not (
-                (group and _joins(group[0].stage.seq, group[-1].stage.seq,
-                                  len(group), qubits, head, prefix))
+                takes(head)
                 or (run.has_sync and head.seq < prefix)
                 or (
-                    follower is not None
-                    and _coalescable(follower)
+                    run.tail is None
+                    and follower is not None
+                    and (_coalescable(follower) or _closes(follower))
                     and _joins(head.seq, run.members[-1].seq, size, run.qubits,
-                               follower.stage, prefix)
+                               follower.stage, prefix, run.has_sync)
                 )
             ):
                 if group:
@@ -301,14 +355,16 @@ class Updater:
                 merged.append(sp)
                 continue
             for member in graph.member_plans(run):
-                add(member)
+                place(member)
         if group:
             close()
         plan.stage_plans = merged
 
-    def execute(self, plan: ExecutionPlan) -> None:
+    def execute(self, plan: ExecutionPlan) -> int:
         """Batch-execute the plan, one stage plan -- an affected *stage*, or
-        a coalesced run of them -- after another, in plan order.
+        a coalesced run of them -- after another, in plan order, and return
+        the amplitudes its kernels read (:func:`~repro.core.kernels.amps_read`
+        of each table, whole: chunking and fault retries do not count).
 
         Plan order is seq order, which every block source respects: a plan
         reads only what earlier plans (or unplanned stages) wrote.  A
@@ -316,9 +372,10 @@ class Updater:
         label as ``task_label`` (the first failure wins) and, on Python >=
         3.11, a note naming it.
         """
+        swept = 0
         for sp in plan.stage_plans:
             try:
-                self._run_plan(sp, plan.redraw_from)
+                swept += self._run_plan(sp, plan.redraw_from)
             except BaseException as exc:
                 if getattr(exc, "task_label", None) is None:
                     exc.task_label = label = sp.label()
@@ -330,12 +387,15 @@ class Updater:
         self.stages_coalesced.inc(sum(len(sp.members) for sp in plan.runs()))
         self.runs_batched.inc(plan.total_runs())
         self.plan_chunks.inc(plan.total_chunks())
+        self.amps_swept.inc(swept)
         self.updates_planned.inc()
+        return swept
 
-    def _run_plan(self, sp: StagePlan, redraw_from: int) -> None:
+    def _run_plan(self, sp: StagePlan, redraw_from: int) -> int:
         """Run one stage plan on the calling thread: its sync step (the
         draws) when its barrier is affected, then its run table, split into
-        at most ``num_workers`` chunks, on the slab backend."""
+        at most ``num_workers`` chunks, on the slab backend; return the
+        amplitudes the table reads."""
         tracer = self.sim.telemetry.tracer
         if sp.has_sync:
             with (
@@ -345,13 +405,14 @@ class Updater:
                 draw_collapses(sp.members, sp.reader, redraw_from)
         table = sp.build_table()
         if table.num_runs == 0:
-            return
+            return 0
         chunks = table.split(self.sim.num_workers)
         sp.num_chunks = len(chunks)
         if len(chunks) == 1:
             self._run_chunk(sp, chunks[0])
         else:
             self._fan_out(sp, chunks)
+        return amps_read(table)
 
     def _fan_out(self, sp: StagePlan, chunks) -> None:
         """Run ``chunks`` over the session's pool; the first error raises

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.exceptions import QTaskError
-from ..core.simulator import QTaskSimulator
+from ..core.simulator import QTaskSimulator, _worker_count
 from ..qasm.parser import ParsedProgram, parse_qasm
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.session import Telemetry, collect_forks
@@ -142,6 +142,7 @@ class Backend:
         tracing: Optional[bool] = None,
         session_knobs: Optional[Dict[str, object]] = None,
     ) -> None:
+        _worker_count(num_workers)  # refused here, before any thread starts
         self.configuration = BackendConfiguration.coerce(configuration)
         cfg = self.configuration
         #: QTask constructor knobs applied to every pooled base session

@@ -15,7 +15,7 @@ import pytest
 
 from repro import QTask
 from repro.core import faults, update
-from repro.core.blocks import MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange
+from repro.core.blocks import MAX_RUN_BLOCKS, MAX_RUN_QUBITS, MAX_RUN_STAGES, BlockRange
 from repro.core.circuit import Circuit, CircuitObserver
 from repro.core.cow import BlockStore, _ResolvingReader
 from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE, PlanOp, RunTable
@@ -27,7 +27,8 @@ from repro.core.kernels import NumpyBatchBackend, apply_dense, dense_window
 from repro.core.partition import PartitionSpec, layout_of
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import (
-    DynamicStage, MeasureStage, ResetStage, Stage, UnitaryStage, _aligned_runs,
+    DynamicStage, MatVecStage, MeasureStage, ResetStage, Stage, UnitaryStage,
+    _aligned_runs,
 )
 
 # ---------------------------------------------------------------------------
@@ -226,20 +227,22 @@ def random_levels(rng: random.Random, num_qubits: int, num_levels: int) -> List[
 
 
 class RunSpec(NamedTuple):
-    """One aligned kernel run: a row of a run table (``op`` as ``PlanOp.op``)."""
+    """One aligned kernel run: a row of a run table (``op`` and ``dense`` as
+    in ``PlanOp``)."""
 
     kind: int
     lo: int
     hi: int
     qubits: Tuple[int, ...]
     op: object
+    dense: object = None
 
 
 def iter_table_runs(table: RunTable):
     """The rows of a run table as :class:`RunSpec` values, in table order."""
-    kind, qubits, op = table.op
+    kind, qubits, op, dense = table.op
     for lo, hi in zip(table.los.tolist(), table.his.tolist()):
-        yield RunSpec(kind, lo, hi, qubits, op)
+        yield RunSpec(kind, lo, hi, qubits, op, dense)
 
 
 def put_blocks(store, first: int, values) -> None:
@@ -252,7 +255,8 @@ def put_blocks(store, first: int, values) -> None:
 
 def execute_run(reader, store, spec: RunSpec) -> None:
     """One run by index arithmetic, published with ``write_blocks``; an action
-    makes one multiply per amplitude, of the slab backend's two operands."""
+    makes one multiply per amplitude, of the slab backend's two operands,
+    then applies the dense steps of a run's closing stage to its output."""
     if faults.ACTIVE is not None:
         faults.fire("kernel.run")
     lo, hi = spec.lo, spec.hi
@@ -267,6 +271,8 @@ def execute_run(reader, store, spec: RunSpec) -> None:
             coeffs = spec.op.factor_array
         first = int(idx.min())
         out = reader.read_range(first, int(idx.max()))[idx - first] * coeffs[local]
+        if spec.dense is not None:
+            out = apply_dense(out, *spec.dense)
     elif spec.kind == RUN_DENSE:
         wlo, whi = dense_window(lo, hi, spec.qubits)
         window = np.array(reader.read_range(wlo, whi), dtype=np.complex128)
@@ -281,7 +287,7 @@ def execute_run(reader, store, spec: RunSpec) -> None:
 
 def emit_runs(stage, block_range) -> List[RunSpec]:
     """One partition's runs, one by one (``Stage.emit_table``'s reference)."""
-    kind, qubits, op = stage.plan_op()
+    kind, qubits, op, _ = stage.plan_op()
     return [RunSpec(kind, lo, hi, qubits, op)
             for lo, hi in _aligned_runs(block_range, stage.block_size, stage.dim)]
 
@@ -295,14 +301,17 @@ class ReferenceLoop:
 
 
 class FaultingBackend:
-    """Faults once on every multi-run chunk -- the update then re-executes
-    it run by run -- and runs one-row tables on the slab backend."""
+    """Faults on the first chunk of every table operation it meets -- the
+    update then re-executes that chunk run by run -- and runs everything
+    else on the slab backend."""
 
     def __init__(self):
         self.attempts = 0
+        self.faulted: list = []  # (held, so no two ops share an id)
 
     def execute_plan(self, reader, store, table):
-        if table.num_runs > 1:
+        if not any(op is table.op for op in self.faulted):
+            self.faulted.append(table.op)
             self.attempts += 1
             raise faults.FaultInjected("kernel.run", self.attempts)
         NumpyBatchBackend().execute_plan(reader, store, table)
@@ -511,11 +520,14 @@ def on_slabs(psi, kind, qubits, op, runs, block_size=None) -> np.ndarray:
 def table_from_runs(runs: Sequence[RunSpec]) -> RunTable:
     """Pack runs of one operation -- one ``(kind, qubits)`` and one payload
     by identity -- into a run table, ``Stage.emit_table``'s shape."""
-    kind, _, _, qubits, op = runs[0]
-    if any((r.kind, r.qubits) != (kind, qubits) or r.op is not op for r in runs):
+    kind, _, _, qubits, op, dense = runs[0]
+    if any(
+        (r.kind, r.qubits) != (kind, qubits) or r.op is not op or r.dense is not dense
+        for r in runs
+    ):
         raise ValueError("a run table applies one operation")
     return RunTable(
-        PlanOp(kind, qubits, op),
+        PlanOp(kind, qubits, op, dense),
         np.array([r.lo for r in runs], dtype=np.int64),
         np.array([r.hi for r in runs], dtype=np.int64),
     )
@@ -775,8 +787,11 @@ def greedy_runs(session, nodes) -> list:
     joins the open group when it is the next seq, the group has fewer than
     ``MAX_RUN_STAGES`` members, the union of their qubits stays within
     ``MAX_RUN_QUBITS``, and -- for a collapse -- the group does not start
-    before the first dynamic stage; otherwise it opens a new group.  Any
-    other stage plans alone.
+    before the first dynamic stage; otherwise it opens a new group.  A
+    superposition stage with every node affected, on at most
+    ``MAX_RUN_BLOCKS`` blocks, closes the open group as its last member when
+    it is the next seq, the group has fewer than ``MAX_RUN_STAGES`` members
+    and no collapse.  Any other stage plans alone.
     """
     stages = session.simulator.graph.stages
     affected: dict = {}
@@ -792,6 +807,18 @@ def greedy_runs(session, nodes) -> list:
         stage = stages[seq]
         collapse = isinstance(stage, (MeasureStage, ResetStage))
         whole = affected[seq] == len(stage.partition_specs()) + collapse
+        if (
+            isinstance(stage, MatVecStage)
+            and whole
+            and stage.n_blocks <= MAX_RUN_BLOCKS
+            and open_group
+            and seq == open_group[-1].seq + 1
+            and len(open_group) < MAX_RUN_STAGES
+            and not any(isinstance(s, (MeasureStage, ResetStage)) for s in open_group)
+        ):
+            open_group.append(stage)
+            open_group = []
+            continue
         if not (collapse or (isinstance(stage, UnitaryStage) and whole)):
             open_group = []
             groups.append((stage,))
@@ -874,9 +901,10 @@ def assert_runs_are_consistent(session):
     """The run records agree with the stage order and with the stores.
 
     Members are seq-adjacent unitary stages and collapses (a drawn measure /
-    reset is a projector); each holds exactly the blocks it owns (declares,
-    with no later member declaring them too); and whatever the runs elide,
-    every block's newest declarer holds it.
+    reset is a projector), the last one possibly a superposition stage
+    closing a run without collapses; each holds exactly the blocks it owns
+    (declares, with no later member declaring them too); and whatever the
+    runs elide, every block's newest declarer holds it.
     """
     sim = session.simulator
     graph = sim.graph
@@ -889,9 +917,13 @@ def assert_runs_are_consistent(session):
         seen.update(members)
         first = members[0].seq
         assert list(members) == stages[first : first + len(members)], members
+        kinds = (UnitaryStage, MeasureStage, ResetStage)
+        if isinstance(members[-1], MatVecStage):  # a tail closes no collapse
+            assert all(isinstance(s, UnitaryStage) for s in members[:-1]), members
+        else:
+            assert all(isinstance(s, kinds) for s in members), members
         later: set = set()
         for stage in reversed(members):
-            assert isinstance(stage, (UnitaryStage, MeasureStage, ResetStage)), stage
             held = set(stage.store.stored_blocks())
             assert held == declared[stage] - later, (
                 stage, sorted(held), sorted(declared[stage] - later)

@@ -123,26 +123,26 @@ def test_insert_inside_a_run_widens_and_insert_next_to_it_does_not():
     with session:
         session.update_state()
         graph = session.simulator.graph
-        assert run_lengths(session) == [4]
+        assert run_lengths(session) == [5]  # the H stage closes the run
         nets = session.nets()
         oracle = FrontierOracle(session)
 
-        # right behind the tail (its own net, before the closing H stage):
-        # the run stays one unit, only the new stage and the H stage run
-        session.insert_gate("z", session.insert_net(nets[4]), 3)
-        assert run_lengths(session) == [4]
-        assert affected_stages(session) == [5, 6]
+        # right behind the tail (its own net): the run stays one unit, only
+        # the new stage runs
+        session.insert_gate("z", session.insert_net(nets[5]), 3)
+        assert run_lengths(session) == [5]
+        assert affected_stages(session) == [6]
         assert swept_nodes(session) == oracle.expected()
         report = session.update_state()
-        # (the H stage re-runs only the four two-block windows the z wrote)
-        assert report.affected_partitions == len(graph.stage_nodes(graph.stages[5])) + 4
+        assert report.affected_partitions == len(graph.stage_nodes(graph.stages[6]))
         assert_computed(session)
         oracle.expected()
 
         # right before the head, on blocks the run declares: the new stage
-        # is not *in* the run, but its dirt reaches it -- whole
+        # is not *in* the run, but its dirt reaches it -- whole -- and it
+        # joins the run it opens; the z behind the tail runs alone
         session.insert_gate("z", session.insert_net(nets[0]), 2)
-        assert run_lengths(session) == [4]
+        assert run_lengths(session) == [5]
         assert affected_stages(session) == [1, 2, 3, 4, 5, 6, 7]
         assert swept_nodes(session) == oracle.expected()
         session.update_state()
@@ -455,43 +455,49 @@ def qft_session(num_qubits, **knobs):
 
 
 def test_span_counter_and_explanation_agree_on_what_was_coalesced(no_plan):
-    """12q QFT: 348 of 361 stages sit in 13 runs between the 13 H stages."""
+    """12q QFT: 348 of 361 stages sit in 13 runs between the 13 H stages,
+    and each H stage but the first closes the run before it: 14 plans (26
+    before runs closed), each one pass over the state, each publishing
+    only to its last member."""
     session, *_ = qft_session(12, tracing=True)
     with session:
         report = session.update_state()
         stats = session.statistics()
-        (span,) = [
-            r.attrs for r in session.telemetry.tracer.spans() if r.name == "plan.build"
-        ]
+        spans = session.telemetry.tracer.spans()
+        (span,) = [r.attrs for r in spans if r.name == "plan.build"]
+        (update,) = [r.attrs for r in spans if r.name == "update"]
         runs = session.simulator.graph.runs()
         largest = max(len(run.members) for run in runs)
-        widest = max(
-            len({q for stage in run.members for q in stage.qubits}) for run in runs
-        )
+        widest = max(len(run.qubits) for run in runs)  # (a tail's not counted)
         assert (stats["num_stages"], stats["stages_coalesced"], len(runs)) == (
-            361, 348, 13
+            361, 360, 13
         )
-        assert (span["coalesced_stages"], span["runs"], span["stages"]) == (348, 13, 26)
-        assert stats["plans_built"] == stats["plan_chunks"] == 26
-        assert session.plan_report().stages_coalesced == 348
-        assert session.telemetry.metrics.get("plan.stages_coalesced").value == 348
-        assert (largest, widest) == (52, 12)
+        assert (span["coalesced_stages"], span["runs"], span["stages"]) == (360, 13, 14)
+        assert stats["plans_built"] == stats["plan_chunks"] == 14
+        assert session.plan_report().stages_coalesced == 360
+        assert session.telemetry.metrics.get("plan.stages_coalesced").value == 360
+        assert (largest, widest) == (53, 12)
+        assert sum(run.tail is not None for run in runs) == 12
+        assert (stats["sweeps"], stats["amps_swept"]) == (14, 14 * 4096)
+        assert (update["sweeps"], update["amps_swept"]) == (14, 14 * 4096)
+        assert session.memory_report().stored_blocks == 14 * 16
         # how many of the 13 were composed now depends on what this process
         # planned before; the span and the explanation count the same lookups
         assert 0 <= span["runs_recomposed"] <= 13
+        explained = session.explain_last_update()
         assert (
-            f"coalesced 348 stages (0 collapses) into 13 runs (0 reused,"
+            f"coalesced 360 stages (0 collapses) into 13 runs (0 reused,"
             f" {span['runs_recomposed']} recomposed by {span['gathers']} gathers,"
             f" largest {largest},"
-            f" union <= {widest} qubits)"
-        ) in session.explain_last_update()
+            f" union <= {widest} qubits), 12 closed by a superposition stage"
+        ) in explained
+        assert "swept 57344 amplitudes, 14 passes over the state" in explained
         # member partitions are still what "affected" counts; block writes
         # are what was published: each run's union cover, once
         assert report.affected_partitions == report.total_partitions == 2201
-        assert report.executed_block_writes == 13 * 16 + sum(
+        assert report.executed_block_writes == 16 + sum(
             bin(run.cover).count("1") for run in runs
-        )
-        assert report.executed_block_writes < 5054  # one write per stage and block
+        ) == 14 * 16
 
 
 def test_qft_sweep_is_the_widened_oracle_and_stays_partial():
@@ -595,17 +601,17 @@ def test_a_stage_the_open_group_takes_in_expands_the_record():
 def test_a_follower_that_would_join_expands_the_record():
     """Mutation: emit a record whole whatever plan follows it -> a stage that
     ran alone behind the tail, swept whole now, is left out of the run."""
-    session, handles = built(RUN_OF_FOUR + [hadamards(1)])
+    session, handles = built(RUN_OF_FOUR)
     with session:
         session.update_state()
         session.insert_gate("z", session.insert_net(session.nets()[4]), 3)
         session.update_state()  # the z alone: the dirt starts behind the run
         assert run_lengths(session) == [4]
         oracle = FrontierOracle(session)
-        session.update_gate(handles[-3], 1.9)  # the cp
+        session.update_gate(handles[-2], 1.9)  # the cp
         plan = update_and_check_planned_sources(session, oracle)
         assert_computed(session)
-        assert [len(sp.members) for sp in plan.stage_plans] == [5, 1]
+        assert [len(sp.members) for sp in plan.stage_plans] == [5]
         assert reused(session) == (1, 0) and run_lengths(session) == [5]
 
 

@@ -122,6 +122,7 @@ def test_member_retune_add_and_remove_refile_the_layout(block_size):
         assert swept_nodes(session) == oracle.expected()
         session.update_state()
         assert_oracle(session)
+        oracle.expected()  # (reads the runs the update formed)
 
         # a member on a higher qubit widens every window: filed again
         added = session.insert_gate("h", net, 5)
@@ -131,6 +132,7 @@ def test_member_retune_add_and_remove_refile_the_layout(block_size):
         assert stage.qubits == (1, 3, 5)
         session.update_state()
         assert_oracle(session)
+        oracle.expected()
 
         # and removing it narrows them back
         session.remove_gate(added)

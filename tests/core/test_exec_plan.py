@@ -107,13 +107,14 @@ class TestBuildExecutionPlan:
         assert all(sp.stage is sp.members[0] for sp in plan.stage_plans)
 
     def test_stage_plans_in_topological_stage_order(self):
-        # plans by seq, and within a run the members by seq, no gaps
+        # plans by seq, and within a run the members by seq, no gaps (the
+        # second H closes the x / z run)
         sim = _simulator([[Gate("h", (0,))], [Gate("x", (0,))], [Gate("z", (0,))],
                           [Gate("h", (1,))], [Gate("s", (1,))]])
         plan, _ = _plan_for(sim)
         seqs = [s.seq for sp in plan.stage_plans for s in sp.members]
         assert seqs == [0, 1, 2, 3, 4]
-        assert [len(sp.members) for sp in plan.stage_plans] == [1, 2, 1, 1]
+        assert [len(sp.members) for sp in plan.stage_plans] == [1, 3, 1]
 
     def test_edges_point_forward_and_are_unique(self):
         # plan order is the run order: every source store is the initial
@@ -208,12 +209,11 @@ def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
                 if r.name == "run.chunk"
             }
             if tracing:
-                # one chunk per stage plan: a coalesced run is named after
-                # its first member, a stage that ran alone after itself
-                x0, h, cz = (sim.graph.stages[i] for i in (0, 4, 5))
-                assert named == {
-                    f"{label(x0)} (+3 coalesced)", h.label(), label(cz)
-                }
+                # one chunk per stage plan: a coalesced run (the H closes
+                # it) is named after its first member, a stage that ran
+                # alone after itself
+                x0, cz = (sim.graph.stages[i] for i in (0, 5))
+                assert named == {f"{label(x0)} (+4 coalesced)", label(cz)}
             else:
                 assert not calls and not named
         finally:

@@ -243,11 +243,12 @@ def test_consecutive_diagonal_run_fuses_into_one_stage():
 
 
 def test_superposition_gate_breaks_the_run():
+    # (it closes the z's run as its last member; the s starts anew)
     session, _ = built([[("z", (0,), ())], [("h", (1,), ())], [("s", (0,), ())]], 3)
     with session:
         session.update_state()
-        assert session.statistics()["plans_built"] == 3
-        assert run_lengths(session) == []
+        assert session.statistics()["plans_built"] == 2
+        assert run_lengths(session) == [2]
         assert_computed(session)
 
 

@@ -230,8 +230,10 @@ def test_removing_final_gate_affects_nothing_downstream():
     hold it.  The members of a coalesced run keep nothing of a block a later
     member declares, so removing a run's tail makes the others recompute."""
     ckt, sim, nets, handles = build_paper_simulator()
-    # last stages that ran alone (a superposition stage, and a gate that
-    # stage keeps out of the cx run): the paper's statement as it stands
+    # last stages that ran alone (a superposition stage an update after the
+    # cx run's leaves alone -- it closes no run -- and a gate that stage
+    # keeps out of the cx run): the paper's statement as it stands
+    sim.update_state()
     barrier = ckt.insert_gate("h", ckt.insert_net(), 4)
     alone = ckt.insert_gate("cx", ckt.insert_net(), 1, 0)
     sim.update_state()

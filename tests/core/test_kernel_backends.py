@@ -228,7 +228,7 @@ class _FragileBackend:
 
 class TestFailureSafety:
     def test_failure_safe_backend_falls_back_per_run(self, no_plan):
-        """Every multi-run chunk faults once: the session still ends
+        """Every table operation faults once: the session still ends
         byte-identical to the fault-free one."""
         with running_on(FaultingBackend()), _simulator(_many_runs()) as sim:
             sim.update_state()

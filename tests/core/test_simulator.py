@@ -430,20 +430,15 @@ def test_reads_of_a_closed_session_raise(no_plan):
             read()
 
 
-def _run_one_job(**knobs):
-    with Backend(**knobs) as backend:
-        backend.run("OPENQASM 2.0;\nqreg q[2];\nh q[0];", shots=1, seed=1).result(
-            timeout=60)
-
-
 #: a width no session takes, with the error it raises: before any thread exists
 BAD_WIDTHS = [(0, ValueError), (-1, ValueError), (True, TypeError),
               (1.5, TypeError), ("2", TypeError)]
-#: every entry point taking ``num_workers``; a backend's first job opens a session
+#: every entry point taking ``num_workers`` (a backend refuses it at
+#: construction, before its dispatcher threads start)
 WIDTH_OPENERS = {
     "QTaskSimulator": lambda path, w: QTaskSimulator(Circuit(3), num_workers=w),
     "QTask": lambda path, w: QTask(3, num_workers=w),
-    "Backend": lambda path, w: _run_one_job(num_workers=w),
+    "Backend": lambda path, w: Backend(num_workers=w),
     "restore": lambda path, w: QTask.restore(path, num_workers=w),
 }
 
@@ -474,7 +469,12 @@ def test_a_rejected_session_leaves_no_worker_running(open_rejected, error, tmp_p
     payload = bytearray(path.read_bytes())
     payload[-1] ^= 0xFF  # a checksum mismatch in the last block
     (tmp_path / "s.qtckpt.bad").write_bytes(bytes(payload))
-    before = worker_threads()
+    def threads():  # session pools' and backend dispatchers'
+        return worker_threads() | {
+            t for t in threading.enumerate() if t.name.startswith("qtask-backend-")
+        }
+
+    before = threads()
     with pytest.raises(error):
         open_rejected(str(path))
-    assert worker_threads() == before
+    assert threads() == before

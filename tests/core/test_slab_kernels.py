@@ -20,16 +20,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import faults
-from repro.core.blocks import MAX_RUN_BLOCKS, aligned_block_runs
+from repro.core.blocks import MAX_RUN_BLOCKS, BlockRange, aligned_block_runs
 from repro.core.cow import BlockStore, IndexReader, InitialStateStore
 from repro.core.exec_plan import RUN_ACTION, RUN_COPY, RUN_DENSE, StagePlan
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.compose import scale_action
-from repro.core.gates import DiagonalAction, MonomialAction
+from repro.core.gates import DiagonalAction, Gate, MonomialAction
 from repro.baselines.statevector import apply_matrix_dense
 from repro.core.kernels import NumpyBatchBackend, _slab_table, dense_steps
 from repro.core.simulator import QTaskSimulator
-from repro.core.stage import MeasureStage, ResetStage
+from repro.core.stage import (
+    MatVecStage, MeasureStage, ResetStage, UnitaryStage, coalesced_table,
+)
 
 from ..conftest import (
     DeclaringStage,
@@ -357,6 +359,38 @@ def test_dense_window_wider_than_a_run():
         state = apply_matrix_dense(state, matrix, qubits, n)
     assert np.allclose(np.concatenate([want.get_block(b) for b in range(256)]),
                        state[:512], atol=1e-12)
+
+
+@pytest.mark.parametrize("gates", [
+    [Gate("rz", (1,), (0.3,)), Gate("cp", (0, 5), (0.7,)), Gate("t", (3,))],
+    [Gate("cx", (0, 3)), Gate("y", (2,)), Gate("rz", (5,), (1.1,))],
+], ids=["diagonal", "monomial"])
+def test_a_closed_run_is_its_table_then_its_tails(gates):
+    """A run closed by a superposition stage -- one read, the composite and
+    the stage's steps on one buffer, one publish -- is bit for bit the run
+    loop running the run's table, then the stage's own table on that."""
+    n, block_size = 6, 4
+    members = [UnitaryStage(g, n, block_size) for g in gates]
+    tail = MatVecStage([Gate("h", (0,)), Gate("rx", (4,), (0.9,))], n, block_size)
+    reader = _chain_over(_amps(np.random.default_rng(3), 1 << n), block_size)
+    whole = [BlockRange(0, 15)]
+    closed, _ = coalesced_table(members + [tail], whole)
+    assert closed.num_runs == 1 and closed.op.dense is not None
+    got = _execute(NumpyBatchBackend(), reader, [closed], 1)
+    _assert_same_blocks(_execute(ReferenceLoop(), reader, [closed], 1), got)
+    mid = _execute(ReferenceLoop(), reader, [coalesced_table(members, whole)[0]], 1)
+    own = tail.emit_table([spec.block_range for spec in tail.partition_layout().specs])
+    after = StoreChain([InitialStateStore(1 << n, block_size), mid])
+    _assert_same_blocks(got, _execute(ReferenceLoop(), after, [own], 1))
+
+
+@pytest.mark.parametrize("block_size, plans, runs", [(4, 1, [2]), (2, 2, [])])
+def test_a_tail_closes_runs_of_states_of_at_most_max_run_blocks(block_size, plans, runs):
+    """8 qubits: 64 blocks of 4 take the H as the z's tail, 128 of 2 do not."""
+    with _sim([[Gate("z", (0,))], [Gate("h", (1,))]], 8, block_size=block_size) as sim:
+        sim.update_state()
+        assert sim.statistics()["plans_built"] == plans
+        assert [len(run.members) for run in sim.graph.runs()] == runs
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,12 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
 
         # chunks really ran on >= 2 distinct threads: the caller and the
         # session's pool thread.  The cascade coalesces into one-run tables,
-        # which never split, so a last ``h`` on qubit 0 adds a table of one
-        # run per block.  Whether the pool thread starts its chunk before
-        # the caller takes it back is a race it can lose on a loaded host,
-        # so it gets a bounded number of further retunes.
+        # which never split, so an ``h`` on qubit 1 closes its last run and
+        # an ``h`` on qubit 0 after it adds a table of one run per block.
+        # Whether the pool thread starts its chunk before the caller takes
+        # it back is a race it can lose on a loaded host, so it gets a
+        # bounded number of further retunes.
+        ckt.insert_gate(Gate("h", (1,)), ckt.insert_net())
         ckt.insert_gate(Gate("h", (0,)), ckt.insert_net())
 
         def chunk_threads():

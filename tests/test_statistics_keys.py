@@ -17,6 +17,7 @@ from .conftest import ReferenceLoop, running_on
 
 #: the statistics() contract
 GOLDEN_KEYS = {
+    "amps_swept",
     "backend_fallbacks",
     "block_size",
     "cached_observable_partials",
@@ -37,6 +38,7 @@ GOLDEN_KEYS = {
     "stages_coalesced",
     "store_bytes_shipped",
     "store_remote_reads",
+    "sweeps",
     "updates_planned",
 }
 
