@@ -62,6 +62,7 @@ from repro.core.circuit import CircuitObserver
 from repro.core.cow import IndexReader, MemoryReport
 from repro.core.faults import FaultInjected, FaultPlan
 from repro.core.gates import Gate
+from repro.core.stage import MatVecStage
 from repro.observables import (
     ObservablesEngine,
     PauliString,
@@ -93,8 +94,9 @@ NUM_CLBITS = 2
 MAX_LIVE = 3
 SHOTS = 24
 
-#: the knob space: ``QTaskSimulator``'s keywords, the register width, and
+#: the knob space: ``QTaskSimulator``'s keywords, the register width,
 #: ``stepwise`` (one update per inserted gate instead of per update rule)
+#: and ``ladder`` (QAOA-like layers prebuilt instead of random nets)
 KNOBS = dict(
     num_qubits=st.integers(3, 6),
     block_size=st.sampled_from([2, 2, 4, 4, 8, 16, 64, 256]),
@@ -102,10 +104,13 @@ KNOBS = dict(
     seed=st.integers(0, 999),
     tracing=st.booleans(),
     stepwise=st.booleans(),
+    ladder=st.booleans(),
 )
 
 #: circuit edits (``update_state`` may always fire)
-EDITS = frozenset({"insert_net", "insert_gate", "remove", "remove_net", "update_gate"})
+EDITS = frozenset(
+    {"insert_net", "insert_gate", "remove", "remove_net", "update_gate", "edit_tail"}
+)
 DYNAMIC = frozenset({"measure", "reset", "c_if"})
 #: everything that changes a circuit or makes a session: the ids below pin
 #: this and add what they check (faults, expectations, shots)
@@ -182,6 +187,25 @@ def mostly_classical_gate(rng, qubits):
     name = rng.choice(["x", "y", "z", "s", "t", "rz", "p"])
     params = (rng.uniform(0, 2 * np.pi),) if name in ("rz", "p") else ()
     return Gate(name, (rng.choice(list(qubits)),), params)
+
+
+def build_ladder(session, rng, levels):
+    """``levels`` QAOA-like layers after an H on every qubit: two nets of
+    ``rzz`` on neighbouring pairs and one of ``rx`` on every qubit, whose
+    superposition stage closes the ``rzz`` run before it."""
+    n = session.num_qubits
+    nets = [session.insert_net()]
+    for _ in range(levels):
+        nets += [session.insert_net() for _ in range(3)]
+    for q in range(n):
+        session.insert_gate(Gate("h", (q,)), nets[0])
+    for layer in range(levels):
+        even, odd, mixer = nets[1 + 3 * layer : 4 + 3 * layer]
+        for q in range(n - 1):
+            angle = (rng.uniform(0, 2 * np.pi),)
+            session.insert_gate(Gate("rzz", (q, q + 1), angle), (even, odd)[q % 2])
+        for q in range(n):
+            session.insert_gate(Gate("rx", (q,), (rng.uniform(0.1, 3.0),)), mixer)
 
 
 def _pick_net(session, rng):
@@ -451,7 +475,7 @@ class SessionMachine(RuleBasedStateMachine):
         pinned = {name: st.just(value) for name, value in self.pins.items()}
         knobs = data.draw(st.fixed_dictionaries({**KNOBS, **pinned}), label="knobs")
         self.knobs = dict(knobs)
-        stepwise = knobs.pop("stepwise")
+        stepwise, ladder = knobs.pop("stepwise"), knobs.pop("ladder")
         session = QTask(knobs.pop("num_qubits"), num_clbits=NUM_CLBITS, **knobs)
         self.attrs = set(vars(session.simulator))
         self._adopt(session)
@@ -463,7 +487,10 @@ class SessionMachine(RuleBasedStateMachine):
         draw = mostly_classical_gate if classical else random_gate
         dynamic = sorted(DYNAMIC & self.enabled)
         n = session.num_qubits
-        if dynamic:
+        if ladder:
+            build_ladder(session, rng, (levels + 1) // 2)
+            levels = 0
+        elif dynamic:
             spread = session.insert_net()
             for q in range(n):
                 session.insert_gate(Gate("ry", (q,), (rng.uniform(0.8, 2.4),)), spread)
@@ -565,6 +592,26 @@ class SessionMachine(RuleBasedStateMachine):
         params = history[-1] if back and history else angles[: len(handle.gate.params)]
         history.append(handle.gate.params)
         session.update_gate(handle, *params)
+        self.touched.add(session)
+
+    @rule(session=sessions, at=st.integers(0, 63), angle=ANGLES, remove=st.booleans())
+    def edit_tail(self, session, at, angle, remove):
+        """Retune a gate of a superposition stage closing a run (the run
+        recomputes from its head), or remove its net (the run dissolves);
+        with no run closed, of any superposition stage."""
+        sim = session.simulator
+        tails = [run.tail for run in sim.graph.runs() if run.tail is not None] or [
+            stage for stage in sim.graph.stages if isinstance(stage, MatVecStage)
+        ]
+        if tails:
+            tail = tails[at % len(tails)]
+            members = sim.stages.members(tail)
+            handles = [h for h in members if h.gate.params]
+            if remove or not handles:
+                session.remove_net(members[0].net)
+            else:
+                handle = handles[at % len(handles)]
+                session.update_gate(handle, *[angle] * len(handle.gate.params))
         self.touched.add(session)
 
     # -- dynamic operations and updates -----------------------------------------
