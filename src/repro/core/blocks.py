@@ -90,7 +90,10 @@ MAX_RUN_BLOCKS = 64
 #: permutation table (``2**12`` entries, 64 KB of factors) fits in cache and
 #: the slab tables' compact local-index dtypes hold; a run takes at most
 #: ``MAX_RUN_STAGES`` members so that an edit inside it recomposes a bounded
-#: number of actions.
+#: number of actions.  A superposition stage closing a run counts as a
+#: member but adds no qubit to the union (it is applied, not composed), and
+#: closes runs only on states of at most ``MAX_RUN_BLOCKS`` blocks, where
+#: the run's table is one whole-state run.
 MAX_RUN_QUBITS = 12
 MAX_RUN_STAGES = 64
 

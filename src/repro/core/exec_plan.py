@@ -22,10 +22,10 @@ affected block run:
   published through a store that routes every block to the last member
   declaring it.  A superposition stage right after such a run closes it as
   its last member: the table's operation then carries that stage's dense
-  steps too, applied to the same buffer before the one publish.  Those parts live on the run's record
-  (``graph.StageRun``), so a run the next update meets again is planned
-  from its record as it is.  A run holding collapses composes after its
-  sync step drew them.
+  steps too, applied to the same buffer before the one publish.  Those
+  parts live on the run's record (``graph.StageRun``), so a run the next
+  update meets again is planned from its record as it is.  A run holding
+  collapses composes after its sync step drew them.
 * :class:`ExecutionPlan` -- every stage plan of one update, emitted in seq
   order by the partition graph's frontier sweep
   (``PartitionGraph.sweep``); its source pass

@@ -56,7 +56,6 @@ __all__ = [
     "dense_window",
     "apply_dense",
     "qubit_marginal",
-    "amps_read",
     "NumpyBatchBackend",
 ]
 
@@ -474,16 +473,3 @@ class NumpyBatchBackend:
             vals = apply_dense(vals, *dense)
         return list(vals.reshape(-1, block_len))
 
-
-def amps_read(table: RunTable) -> int:
-    """Amplitudes the kernels read executing ``table`` whole: its runs' --
-    a composite's inputs are the cover it writes, closed under its
-    permutation -- or, for a dense run narrower than its window, the
-    window's, once per window."""
-    lens = table.his - table.los + 1
-    if table.op.kind != RUN_DENSE:
-        return int(lens.sum())
-    width = 1 << (max(table.op.qubits) + 1)
-    narrow = lens < width
-    windows = np.unique(table.los[narrow] // width).size
-    return int(lens[~narrow].sum()) + windows * width

@@ -36,7 +36,7 @@ from .cow import IndexReader
 from .exec_plan import ExecutionPlan, StagePlan
 from .faults import FaultInjected
 from .graph import StageRun
-from .kernels import NumpyBatchBackend, amps_read
+from .kernels import NumpyBatchBackend
 from .stage import (
     MatVecStage, MeasureStage, ResetStage, Stage, UnitaryStage, draw_collapses,
 )
@@ -187,9 +187,14 @@ class Updater:
         if plan.stage_plans:
             # an installed FaultPlan fires inside this scope and nowhere else
             with faults.armed():
-                report.amps_swept = self.execute(plan)
-            report.sweeps = report.amps_swept / sim.dim
+                self.execute(plan)
             report.executed_block_writes = plan.block_writes
+            # a plan reads exactly the blocks it writes: a table's runs are
+            # whole partitions, closed under its permutation or made of
+            # whole dense windows
+            report.amps_swept = plan.block_writes * min(sim.dim, sim.block_size)
+            report.sweeps = report.amps_swept / sim.dim
+            self.amps_swept.inc(report.amps_swept)
             sim.invalidate_blocks(plan.written)
         # only now: an update that raised keeps its dirt -- and the runs its
         # stages were last executed in -- for the next one
@@ -360,11 +365,9 @@ class Updater:
             close()
         plan.stage_plans = merged
 
-    def execute(self, plan: ExecutionPlan) -> int:
+    def execute(self, plan: ExecutionPlan) -> None:
         """Batch-execute the plan, one stage plan -- an affected *stage*, or
-        a coalesced run of them -- after another, in plan order, and return
-        the amplitudes its kernels read (:func:`~repro.core.kernels.amps_read`
-        of each table, whole: chunking and fault retries do not count).
+        a coalesced run of them -- after another, in plan order.
 
         Plan order is seq order, which every block source respects: a plan
         reads only what earlier plans (or unplanned stages) wrote.  A
@@ -372,10 +375,9 @@ class Updater:
         label as ``task_label`` (the first failure wins) and, on Python >=
         3.11, a note naming it.
         """
-        swept = 0
         for sp in plan.stage_plans:
             try:
-                swept += self._run_plan(sp, plan.redraw_from)
+                self._run_plan(sp, plan.redraw_from)
             except BaseException as exc:
                 if getattr(exc, "task_label", None) is None:
                     exc.task_label = label = sp.label()
@@ -387,15 +389,12 @@ class Updater:
         self.stages_coalesced.inc(sum(len(sp.members) for sp in plan.runs()))
         self.runs_batched.inc(plan.total_runs())
         self.plan_chunks.inc(plan.total_chunks())
-        self.amps_swept.inc(swept)
         self.updates_planned.inc()
-        return swept
 
-    def _run_plan(self, sp: StagePlan, redraw_from: int) -> int:
+    def _run_plan(self, sp: StagePlan, redraw_from: int) -> None:
         """Run one stage plan on the calling thread: its sync step (the
         draws) when its barrier is affected, then its run table, split into
-        at most ``num_workers`` chunks, on the slab backend; return the
-        amplitudes the table reads."""
+        at most ``num_workers`` chunks, on the slab backend."""
         tracer = self.sim.telemetry.tracer
         if sp.has_sync:
             with (
@@ -405,14 +404,13 @@ class Updater:
                 draw_collapses(sp.members, sp.reader, redraw_from)
         table = sp.build_table()
         if table.num_runs == 0:
-            return 0
+            return
         chunks = table.split(self.sim.num_workers)
         sp.num_chunks = len(chunks)
         if len(chunks) == 1:
             self._run_chunk(sp, chunks[0])
         else:
             self._fan_out(sp, chunks)
-        return amps_read(table)
 
     def _fan_out(self, sp: StagePlan, chunks) -> None:
         """Run ``chunks`` over the session's pool; the first error raises

@@ -126,8 +126,7 @@ def replay_trajectories(session, shots: int, seed: int):
     ``run_shots`` shares work between shots.
     """
     clbits = range(session.num_clbits)
-    child = session.fork()
-    try:
+    with session.fork() as child:
         for shot in range(shots):
             child.simulator.reset_trajectory((seed, shot))
             child.update_state()
@@ -135,8 +134,6 @@ def replay_trajectories(session, shots: int, seed: int):
                 child.outcomes.bitstring(clbits),
                 child.outcomes.recorded_outcomes(),
             )
-    finally:
-        child.close()
 
 
 def replay_shots(session, shots: int, seed: int) -> dict:
@@ -807,16 +804,12 @@ def greedy_runs(session, nodes) -> list:
         stage = stages[seq]
         collapse = isinstance(stage, (MeasureStage, ResetStage))
         whole = affected[seq] == len(stage.partition_specs()) + collapse
-        if (
-            isinstance(stage, MatVecStage)
-            and whole
-            and stage.n_blocks <= MAX_RUN_BLOCKS
-            and open_group
-            and seq == open_group[-1].seq + 1
-            and len(open_group) < MAX_RUN_STAGES
+        if isinstance(stage, MatVecStage) and whole and (
+            stage.n_blocks <= MAX_RUN_BLOCKS and open_group
+            and seq == open_group[-1].seq + 1 and len(open_group) < MAX_RUN_STAGES
             and not any(isinstance(s, (MeasureStage, ResetStage)) for s in open_group)
         ):
-            open_group.append(stage)
+            open_group.append(stage)  # a tail: the group closes
             open_group = []
             continue
         if not (collapse or (isinstance(stage, UnitaryStage) and whole)):

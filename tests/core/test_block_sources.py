@@ -114,8 +114,7 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
     taken then publishes identity copies of its input, so downstream
     sources stay exactly the planned ones.
     """
-    session = QTask(3, num_clbits=1, block_size=2, num_workers=1, seed=3)
-    try:
+    with QTask(3, num_clbits=1, block_size=2, num_workers=1, seed=3) as session:
         net = session.insert_net()
         for q in range(3):
             session.insert_gate("h", net, q)
@@ -153,8 +152,6 @@ def test_c_if_not_taken_reads_land_on_the_older_holder(no_plan):
                 .read_blocks([block]),
             )
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
-    finally:
-        session.close()
 
 
 def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
@@ -164,8 +161,7 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
     failing declares blocks it does not hold; reads of those land on the
     next older holder, and the re-execution fills the hole.
     """
-    session = QTask(4, block_size=4, num_workers=1)
-    try:
+    with QTask(4, block_size=4, num_workers=1) as session:
         net = session.insert_net()
         for q in range(4):
             session.insert_gate("h", net, q)
@@ -202,5 +198,3 @@ def test_failed_publish_leaves_a_hole_the_retry_reads_around(no_plan):
         assert_held_blocks_declared(session)
         assert_reads_equal_the_scan(sim)
         np.testing.assert_allclose(session.state(), dense_state(session), atol=1e-10)
-    finally:
-        session.close()

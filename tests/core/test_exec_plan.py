@@ -200,8 +200,7 @@ def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
     levels = [[Gate("x", (q,)) for q in range(4)], [Gate("h", (0,))],
               [Gate("cz", (0, 3))]]
     for tracing in (False, True):
-        sim = _simulator(levels, num_workers=1, tracing=tracing)
-        try:
+        with _simulator(levels, num_workers=1, tracing=tracing) as sim:
             del calls[:]
             sim.update_state()
             named = {
@@ -216,8 +215,6 @@ def test_untraced_update_formats_no_stage_label(monkeypatch, no_plan):
                 assert named == {f"{label(x0)} (+4 coalesced)", label(cz)}
             else:
                 assert not calls and not named
-        finally:
-            sim.close()
 
 
 # ---------------------------------------------------------------------------

@@ -469,12 +469,10 @@ def test_a_rejected_session_leaves_no_worker_running(open_rejected, error, tmp_p
     payload = bytearray(path.read_bytes())
     payload[-1] ^= 0xFF  # a checksum mismatch in the last block
     (tmp_path / "s.qtckpt.bad").write_bytes(bytes(payload))
-    def threads():  # session pools' and backend dispatchers'
-        return worker_threads() | {
-            t for t in threading.enumerate() if t.name.startswith("qtask-backend-")
-        }
+    def ours():  # session pools' (qtask-worker) and backend dispatchers'
+        return {t for t in threading.enumerate() if t.name.startswith("qtask-")}
 
-    before = threads()
+    before = ours()
     with pytest.raises(error):
         open_rejected(str(path))
-    assert threads() == before
+    assert ours() == before

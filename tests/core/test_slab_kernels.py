@@ -29,9 +29,7 @@ from repro.core.gates import DiagonalAction, Gate, MonomialAction
 from repro.baselines.statevector import apply_matrix_dense
 from repro.core.kernels import NumpyBatchBackend, _slab_table, dense_steps
 from repro.core.simulator import QTaskSimulator
-from repro.core.stage import (
-    MatVecStage, MeasureStage, ResetStage, UnitaryStage, coalesced_table,
-)
+from repro.core.stage import MatVecStage, MeasureStage, ResetStage, UnitaryStage, coalesced_table
 
 from ..conftest import (
     DeclaringStage,
@@ -380,7 +378,7 @@ def test_a_closed_run_is_its_table_then_its_tails(gates):
     _assert_same_blocks(_execute(ReferenceLoop(), reader, [closed], 1), got)
     mid = _execute(ReferenceLoop(), reader, [coalesced_table(members, whole)[0]], 1)
     own = tail.emit_table([spec.block_range for spec in tail.partition_layout().specs])
-    after = StoreChain([InitialStateStore(1 << n, block_size), mid])
+    after = StoreChain([_initial_of(reader), mid])
     _assert_same_blocks(got, _execute(ReferenceLoop(), after, [own], 1))
 
 

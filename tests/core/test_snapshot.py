@@ -123,8 +123,7 @@ def test_round_trip_preserves_state_and_structure(tmp_path, knobs):
     assert set(headers[0]["knobs"]) == set(DURABLE_KNOBS)
     assert "fused" not in {entry["kind"] for entry in headers[0]["stages"]}
 
-    restored = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as restored:
         # the checkpointed amplitudes load bit-exactly, without simulating
         np.testing.assert_array_equal(restored.state(), original_state)
         assert_held_blocks_declared(restored)
@@ -133,8 +132,6 @@ def test_round_trip_preserves_state_and_structure(tmp_path, knobs):
             assert stats[key] == original_stats[key], key
         assert stats["num_updates"] >= 1
         assert stats["plans_built"] == 0  # nothing was re-simulated
-    finally:
-        restored.close()
 
 
 def test_restore_resumes_incrementally(tmp_path):
@@ -148,8 +145,7 @@ def test_restore_resumes_incrementally(tmp_path):
         session.update_state()
         session.checkpoint(path)
 
-    restored = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as restored:
         net = restored.insert_net()
         restored.insert_gate("rz", net, 0, params=[0.5])
         report = restored.update_state()
@@ -157,8 +153,6 @@ def test_restore_resumes_incrementally(tmp_path):
         assert report.affected_partitions < report.total_partitions
         expected = reference_state(num_qubits, circuit_levels(restored.circuit))
         assert_states_close(restored.state(), expected, atol=1e-10)
-    finally:
-        restored.close()
 
 
 def test_checkpoint_flushes_pending_modifiers(tmp_path):
@@ -171,12 +165,9 @@ def test_checkpoint_flushes_pending_modifiers(tmp_path):
         _fill_session(session, levels)
         session.checkpoint(path)  # no update_state() before this
 
-    restored = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as restored:
         expected = reference_state(num_qubits, levels)
         assert_states_close(restored.state(), expected, atol=1e-10)
-    finally:
-        restored.close()
 
 
 def test_dynamic_circuit_round_trip(tmp_path):
@@ -199,13 +190,10 @@ def test_dynamic_circuit_round_trip(tmp_path):
         original_value = session.classical_value(c)
         session.checkpoint(path)
 
-    restored = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as restored:
         np.testing.assert_array_equal(restored.state(), original_state)
         assert restored.classical_value(restored.creg("c")) == original_value
         assert restored.outcomes.seed == 7
-    finally:
-        restored.close()
 
 
 def test_restored_session_equals_fork_under_identical_edits(tmp_path):
@@ -256,16 +244,13 @@ def test_restore_kernel_backend_override(tmp_path):
 
     with pytest.raises(TypeError, match="kernel_backend"):
         QTask.restore(path, num_workers=1, kernel_backend=None)
-    restored = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as restored:
         net = restored.insert_net()
         restored.insert_gate("cx", net, 0, num_qubits - 1)
         with running_on(ReferenceLoop()):
             restored.update_state()
         expected = reference_state(num_qubits, circuit_levels(restored.circuit))
         assert_states_close(restored.state(), expected, atol=1e-10)
-    finally:
-        restored.close()
 
 
 def test_direct_simulator_round_trip(tmp_path):
@@ -283,11 +268,8 @@ def test_direct_simulator_round_trip(tmp_path):
         expected = sim.state().copy()
     finally:
         sim.close()
-    restored = restore_simulator(path, num_workers=1)
-    try:
+    with restore_simulator(path, num_workers=1) as restored:
         np.testing.assert_array_equal(restored.state(), expected)
-    finally:
-        restored.close()
 
 
 def test_new_forked_and_restored_sessions_are_assembled_alike(tmp_path):
@@ -342,21 +324,15 @@ def test_checkpoint_overwrite_is_atomic(tmp_path):
     """Re-checkpointing onto an existing file replaces it wholesale."""
     path, _ = _checkpointed_session(tmp_path)
     first_size = os.path.getsize(path)
-    restored = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as restored:
         net = restored.insert_net()
         restored.insert_gate("h", net, 0)
         restored.update_state()
         restored.checkpoint(path)
         state = restored.state().copy()
-    finally:
-        restored.close()
     assert os.path.getsize(path) >= first_size
-    second = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as second:
         np.testing.assert_array_equal(second.state(), state)
-    finally:
-        second.close()
 
 
 def test_missing_file_raises_checkpoint_error(tmp_path):
@@ -454,8 +430,7 @@ def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
                 fusion=True, max_fused_qubits=4,
             ),
         )
-        restored = QTask.restore(path, num_workers=1)
-        try:
+        with QTask.restore(path, num_workers=1) as restored:
             np.testing.assert_array_equal(restored.state(), state)
             np.testing.assert_array_equal(restored.state(), dense_state(restored))
             assert restored.statistics()["plans_built"] == 0
@@ -464,8 +439,6 @@ def test_checkpoint_naming_deleted_knobs_still_restores(tmp_path):
             restored.update_state()
             expected = reference_state(5, circuit_levels(restored.circuit))
             assert_states_close(restored.state(), expected, atol=1e-10)
-        finally:
-            restored.close()
 
 
 def test_header_without_a_backend_name_restores(tmp_path):
@@ -474,13 +447,10 @@ def test_header_without_a_backend_name_restores(tmp_path):
     headers = []
     _rewrite_header(path, headers.append)  # an edit that only looks
     assert "kernel_backend" not in headers[0]["knobs"]
-    restored = QTask.restore(path, num_workers=1)
-    try:
+    with QTask.restore(path, num_workers=1) as restored:
         np.testing.assert_array_equal(restored.state(), state)
         np.testing.assert_array_equal(restored.state(), dense_state(restored))
         assert "backend" not in restored.statistics()
-    finally:
-        restored.close()
 
 
 FUSED_FIXTURE = os.path.join(

@@ -61,8 +61,7 @@ def _matvec(session: QTask, net):
 
 
 def test_fork_and_restore_rebuild_the_stage_table(tmp_path):
-    parent = _edited_session()
-    try:
+    with _edited_session() as parent:
         per_net, order = _table(parent)
         assert [kind for kind, _ in per_net[1]][0] == "matvec"  # the retuned rx
         assert {kind for net in per_net for kind, _ in net} == {
@@ -92,5 +91,3 @@ def test_fork_and_restore_rebuild_the_stage_table(tmp_path):
             # the parent redraws the re-collapsed measurement from its stream's
             # second value; a fork and a restore both from the first
             np.testing.assert_array_equal(restored.state(), child.state())
-    finally:
-        parent.close()

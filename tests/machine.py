@@ -194,18 +194,15 @@ def build_ladder(session, rng, levels):
     ``rzz`` on neighbouring pairs and one of ``rx`` on every qubit, whose
     superposition stage closes the ``rzz`` run before it."""
     n = session.num_qubits
-    nets = [session.insert_net()]
+    layers = [[Gate("h", (q,)) for q in range(n)]]
     for _ in range(levels):
-        nets += [session.insert_net() for _ in range(3)]
-    for q in range(n):
-        session.insert_gate(Gate("h", (q,)), nets[0])
-    for layer in range(levels):
-        even, odd, mixer = nets[1 + 3 * layer : 4 + 3 * layer]
-        for q in range(n - 1):
-            angle = (rng.uniform(0, 2 * np.pi),)
-            session.insert_gate(Gate("rzz", (q, q + 1), angle), (even, odd)[q % 2])
-        for q in range(n):
-            session.insert_gate(Gate("rx", (q,), (rng.uniform(0.1, 3.0),)), mixer)
+        layers += [[Gate("rzz", (q, q + 1), (rng.uniform(0, 2 * np.pi),))
+                    for q in range(first, n - 1, 2)] for first in (0, 1)]
+        layers.append([Gate("rx", (q,), (rng.uniform(0.1, 3.0),)) for q in range(n)])
+    for layer in layers:
+        net = session.insert_net()
+        for gate in layer:
+            session.insert_gate(gate, net)
 
 
 def _pick_net(session, rng):

@@ -395,12 +395,9 @@ def test_parsed_dynamic_circuit_simulates_like_dense():
 
     prog = parse_qasm(DYNAMIC)
     ckt = program_to_circuit(prog)
-    sim = QTaskSimulator(ckt, block_size=4, seed=13)
-    try:
+    with QTaskSimulator(ckt, block_size=4, seed=13) as sim:
         sim.update_state()
         np.testing.assert_allclose(sim.state(), dense_state(sim), atol=1e-10)
-    finally:
-        sim.close()
 
 
 def test_writer_condition_over_anonymous_register():

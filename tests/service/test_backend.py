@@ -105,12 +105,9 @@ def test_shots_beyond_max_rejected(backend):
 
 
 def test_gate_outside_basis_rejected():
-    be = Backend({"basis_gates": ("h",), "max_concurrent_jobs": 1})
-    try:
+    with Backend({"basis_gates": ("h",), "max_concurrent_jobs": 1}) as be:
         with pytest.raises(CircuitValidationError, match="basis"):
             be.run(BELL, shots=1)
-    finally:
-        be.close()
 
 
 def test_unparsable_qasm_rejected(backend):
@@ -185,8 +182,7 @@ def test_concurrent_jobs_match_sequential_bit_identical():
             expected.append(session.counts(shots, seed=seed))
         session.close()
 
-    be = Backend({"max_concurrent_jobs": 4}, num_workers=4)
-    try:
+    with Backend({"max_concurrent_jobs": 4}, num_workers=4) as be:
         jobs = [None] * len(requests)
         errors = []
 
@@ -212,8 +208,6 @@ def test_concurrent_jobs_match_sequential_bit_identical():
         hits = [l for l in text.splitlines()
                 if l.startswith("qtask_service_pool_hits{")]
         assert hits and float(hits[0].rsplit(" ", 1)[1]) >= 7
-    finally:
-        be.close()
 
 
 def test_close_under_load_resolves_every_queued_job():
@@ -388,8 +382,7 @@ def test_degraded_backpressure_and_recovery():
 # -- telemetry wiring -------------------------------------------------------
 
 def test_tenant_rollups_accumulate_per_tenant():
-    be = Backend({"max_concurrent_jobs": 2}, num_workers=2)
-    try:
+    with Backend({"max_concurrent_jobs": 2}, num_workers=2) as be:
         for _ in range(2):
             be.run(BELL, shots=8, seed=1, tenant="alice").result(timeout=60)
         be.run(GHZ, shots=8, seed=1, tenant="bob").result(timeout=60)
@@ -401,19 +394,14 @@ def test_tenant_rollups_accumulate_per_tenant():
         assert alice["histograms"]["update.seconds"]["count"] >= 1
         assert bob["histograms"]["update.seconds"]["count"] >= 1
         assert "plan.updates_planned" in alice["counters"]
-    finally:
-        be.close()
 
 
 def test_job_run_span_recorded_when_tracing():
-    be = Backend({"max_concurrent_jobs": 1}, num_workers=1, tracing=True)
-    try:
+    with Backend({"max_concurrent_jobs": 1}, num_workers=1, tracing=True) as be:
         be.run(BELL, shots=4, seed=0, tenant="traced").result(timeout=60)
         spans = [s for s in be.telemetry.tracer.spans() if s.name == "job.run"]
         assert len(spans) == 1
         assert spans[0].attrs["tenant"] == "traced"
-    finally:
-        be.close()
 
 
 def test_status_snapshot_shape(backend):

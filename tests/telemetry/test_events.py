@@ -114,8 +114,7 @@ def test_explain_last_update_renders_recovery_events():
 def test_explain_last_update_clean_run_reports_no_events():
     rng = random.Random(7)
     levels = random_levels(rng, 4, 3)
-    sim = _build_sim(4, levels, block_size=4)
-    try:
+    with _build_sim(4, levels, block_size=4) as sim:
         sim.update_state()
         text = sim.explain_last_update()
         assert "recovery events: none" in text
@@ -132,8 +131,6 @@ def test_explain_last_update_clean_run_reports_no_events():
         sim.circuit.insert_gate("x", net2, 1)
         sim.update_state()
         assert "recovery events: none" in sim.explain_last_update()
-    finally:
-        sim.close()
 
 
 def test_breaker_transition_is_logged():
@@ -176,13 +173,10 @@ def test_checkpoint_save_and_restore_emit_events(tmp_path):
     finally:
         sim.close()
 
-    restored = restore_simulator(path)
-    try:
+    with restore_simulator(path) as restored:
         (loaded,) = restored.telemetry.events.events(kind="checkpoint.restore")
         assert loaded.fields["path"] == path
         assert loaded.fields["seconds"] >= 0.0
         np.testing.assert_allclose(
             restored.state(), reference_state(4, levels), atol=1e-10, rtol=0
         )
-    finally:
-        restored.close()

@@ -483,8 +483,7 @@ def test_sweep_runner_merges_fleet_metrics():
 def test_run_shots_records_one_shot_span_per_executed_trajectory(tmp_path):
     """A ``shot`` span is a simulated outcome path, not a requested shot;
     the walk's fork, its pruning and its close are one span each."""
-    ckt = QTask(3, num_clbits=2, block_size=2, num_workers=2, tracing=True)
-    try:
+    with QTask(3, num_clbits=2, block_size=2, num_workers=2, tracing=True) as ckt:
         n1, n2, n3, n4 = (ckt.insert_net() for _ in range(4))
         ckt.insert_gate("h", n1, 0)
         ckt.insert_gate("h", n1, 1)
@@ -534,14 +533,11 @@ def test_run_shots_records_one_shot_span_per_executed_trajectory(tmp_path):
         # share their outcome prefix" step scripted): every shot replayed
         # from scratch on a fork tallies the same
         assert counts == replay_shots(ckt, 40, 3)
-    finally:
-        ckt.close()
 
 
 def test_engine_queries_record_one_observe_span_each():
     """Every observables query is one ``observe`` span saying what it read."""
-    ckt = QTask(6, block_size=4, num_workers=1, tracing=True)
-    try:
+    with QTask(6, block_size=4, num_workers=1, tracing=True) as ckt:
         net = ckt.insert_net()
         for q in ckt.qubits():
             ckt.insert_gate("h", net, q)
@@ -611,5 +607,3 @@ def test_engine_queries_record_one_observe_span_each():
         assert first["terms"] == retuned["terms"] == len(maxcut.terms) > 1
         assert first["blocks_gathered"] == n_blocks
         assert retuned["blocks_missing"] == retuned["blocks_gathered"] == n_blocks // 2
-    finally:
-        ckt.close()

@@ -72,8 +72,7 @@ def test_fresh_fork_matches_parent_exactly(stepwise, restored, tmp_path):
             reference_state(N_QUBITS, circuit_levels(parent.circuit)),
             atol=1e-10,
         )
-        child = parent.fork()
-        try:
+        with parent.fork() as child:
             assert child.is_fork and not parent.is_fork
             np.testing.assert_allclose(child.state(), parent_state, atol=1e-14)
             assert child.expectation(OBSERVABLE) == pytest.approx(
@@ -82,8 +81,6 @@ def test_fresh_fork_matches_parent_exactly(stepwise, restored, tmp_path):
             np.testing.assert_array_equal(
                 child.sample(64, seed=7), parent.sample(64, seed=7)
             )
-        finally:
-            child.close()
 
 
 @pytest.mark.parametrize("stepwise,restored", BUILD_CORNERS)
@@ -91,8 +88,7 @@ def test_fork_retune_equals_fresh_build(stepwise, restored, tmp_path):
     """fork + update_gate == building the edited circuit from scratch."""
     parent, rz_handles, rx_handles = _parent(stepwise, restored, tmp_path)
     with parent:
-        child = parent.fork()
-        try:
+        with parent.fork() as child:
             for i, h in enumerate(rz_handles):
                 child.update_gate(child.handle_for(h), 1.1 + 0.2 * i)
             for i, h in enumerate(rx_handles):
@@ -113,8 +109,6 @@ def test_fork_retune_equals_fresh_build(stepwise, restored, tmp_path):
                 assert child.expectation(OBSERVABLE) == pytest.approx(
                     fresh.expectation(OBSERVABLE), abs=1e-10
                 )
-        finally:
-            child.close()
 
 
 def test_edits_never_cross_fork_boundary():
@@ -220,8 +214,7 @@ def test_fork_inherits_warm_observable_cache():
         expected = parent.expectation(OBSERVABLE)  # warm the cache
         warm = parent.simulator.observables.cached_partials
         assert warm > 0
-        child = parent.fork()
-        try:
+        with parent.fork() as child:
             engine = child.simulator._observables
             assert engine is not None and engine.cached_partials == warm
             assert child.expectation(OBSERVABLE) == pytest.approx(
@@ -231,8 +224,6 @@ def test_fork_inherits_warm_observable_cache():
             # the parent's untouched.
             engine.invalidate()
             assert parent.simulator.observables.cached_partials == warm
-        finally:
-            child.close()
 
 
 def test_handle_for_rejects_foreign_and_non_fork_sessions():
@@ -244,15 +235,12 @@ def test_handle_for_rejects_foreign_and_non_fork_sessions():
         with pytest.raises(CircuitError):
             parent.handle_for(g)
         parent.update_state()
-        child = parent.fork()
-        try:
+        with parent.fork() as child:
             late_net = parent.insert_net()
             late = parent.insert_gate("x", late_net, 1)
             with pytest.raises(StaleHandleError):
                 child.handle_for(late)
             assert child.handle_for(g).gate == g.gate
-        finally:
-            child.close()
 
 
 def test_fork_flushes_pending_modifiers():
@@ -260,15 +248,12 @@ def test_fork_flushes_pending_modifiers():
         net = parent.insert_net()
         parent.insert_gate("h", net, 0)
         # No update_state() yet: fork must flush so the child inherits H|000>.
-        child = parent.fork()
-        try:
+        with parent.fork() as child:
             amp = 1.0 / np.sqrt(2.0)
             np.testing.assert_allclose(
                 child.state()[[0, 1]], [amp, amp], atol=1e-12
             )
             assert parent.simulator.last_update.affected_partitions > 0
-        finally:
-            child.close()
 
 
 def test_fork_matches_dense_expectation_ground_truth():
@@ -277,13 +262,10 @@ def test_fork_matches_dense_expectation_ground_truth():
         rz_handles, _ = _build_workload(parent)
         parent.update_state()
         parent.expectation(OBSERVABLE)
-        child = parent.fork()
-        try:
+        with parent.fork() as child:
             child.update_gate(child.handle_for(rz_handles[2]), 1.9)
             child.update_state()
             dense = dense_expectation(child.state(), OBSERVABLE)
             assert child.expectation(OBSERVABLE) == pytest.approx(
                 dense, abs=1e-10
             )
-        finally:
-            child.close()

@@ -66,11 +66,8 @@ def test_statistics_keys_are_exactly_the_golden_set(session):
 
 def test_statistics_values_reflect_the_registry_counters():
     # the slab pipeline's counters, pinned
-    session = _built_session()
-    try:
+    with _built_session() as session:
         _check_numpy_pipeline_counters(session.simulator.statistics())
-    finally:
-        session.close()
 
 
 def _check_numpy_pipeline_counters(stats):
@@ -170,8 +167,7 @@ def test_reference_backend_counts_every_run_as_per_run(monkeypatch):
 def test_run_shots_counters_live_in_the_registry_not_in_statistics():
     """``shots.*`` are registry counters; the statistics() contract is
     untouched by sampling (the parent session does no update work)."""
-    ckt = _dynamic_session()
-    try:
+    with _dynamic_session() as ckt:
         ckt.run_shots(12, seed=1)
         assert set(ckt.simulator.statistics()) == GOLDEN_KEYS
         counters = ckt.telemetry_report()["counters"]
@@ -180,8 +176,6 @@ def test_run_shots_counters_live_in_the_registry_not_in_statistics():
         text = ckt.telemetry.metrics.prometheus_text()
         assert "qtask_shots_requested" in text
         assert "qtask_shots_trajectories" in text
-    finally:
-        ckt.close()
 
 
 def test_observe_counters_live_in_the_registry_not_in_statistics(session):

@@ -83,8 +83,7 @@ def test_incremental_matches_dense_across_all_knobs(circuit_seed, trajectory_see
         ckt = Circuit(4, num_clbits=4)
         knobs = dict(knobs)
         backend = ReferenceLoop() if knobs.pop("reference", False) else NumpyBatchBackend()
-        sim = open_session(ckt, seed=trajectory_seed, **knobs)
-        try:
+        with open_session(ckt, seed=trajectory_seed, **knobs) as sim:
             with running_on(backend):
                 build_dynamic_circuit(circuit_seed, into=ckt)
                 sim.update_state()
@@ -102,8 +101,6 @@ def test_incremental_matches_dense_across_all_knobs(circuit_seed, trajectory_see
                 err_msg=f"knobs={knobs}",
             )
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
-        finally:
-            sim.close()
 
 
 @pytest.mark.parametrize("knobs", KNOB_MATRIX[:4])
@@ -172,11 +169,8 @@ def test_teleportation_counts_chi_square():
     theta = 2 * math.pi / 3
     p1 = math.sin(theta / 2) ** 2
     shots = 1600
-    ckt = build_teleportation(theta, seed=3, block_size=2)
-    try:
+    with build_teleportation(theta, seed=3, block_size=2) as ckt:
         counts = ckt.run_shots(shots, seed=2024)
-    finally:
-        ckt.close()
     assert sum(counts.values()) == shots
     # c0/c1 uniform, c2 Bernoulli(p1) independent of them
     expected = {}
@@ -190,12 +184,9 @@ def test_teleportation_counts_chi_square():
 
 def test_teleportation_trajectory_matches_dense():
     """Measurement-conditioned correction reproduces the dense oracle."""
-    ckt = build_teleportation(1.234, seed=11, block_size=2)
-    try:
+    with build_teleportation(1.234, seed=11, block_size=2) as ckt:
         ckt.update_state()
         np.testing.assert_allclose(ckt.state(), dense_state(ckt), atol=1e-10)
-    finally:
-        ckt.close()
 
 
 def build_rus_branch(**kwargs) -> QTask:
@@ -219,11 +210,8 @@ def build_rus_branch(**kwargs) -> QTask:
 
 def test_rus_branch_counts_chi_square():
     shots = 1600
-    ckt = build_rus_branch(seed=9, block_size=2)
-    try:
+    with build_rus_branch(seed=9, block_size=2) as ckt:
         counts = ckt.run_shots(shots, seed=555)
-    finally:
-        ckt.close()
     # c0 and c1 are independent fair coins; c2 mirrors c0 (the flag qubit)
     expected = {}
     for c2 in (0, 1):
@@ -280,16 +268,13 @@ def test_a_fresh_fork_has_its_parents_collapse_path():
     """A fork holds its parent's collapsed blocks, so it holds the collapses
     that wrote them: same operations, masses and outcomes before the fork
     has executed anything."""
-    ckt = build_rus_branch(seed=9, block_size=2)
-    try:
+    with build_rus_branch(seed=9, block_size=2) as ckt:
         ckt.update_state()
         path = ckt.simulator.collapse_path()
         assert len(path) == 4  # measure, reset, measure, measure
         with ckt.fork() as child:
             assert child.simulator.collapse_path() == path
             assert child.simulator.collapse_path(path[1][0]) == path[1:]
-    finally:
-        ckt.close()
 
 
 # ---------------------------------------------------------------------------
