@@ -188,11 +188,11 @@ class Updater:
             # an installed FaultPlan fires inside this scope and nowhere else
             with faults.armed():
                 self.execute(plan)
-            report.executed_block_writes = plan.block_writes
+            report.executed_block_writes = writes = plan.block_writes
             # a plan reads exactly the blocks it writes: a table's runs are
             # whole partitions, closed under its permutation or made of
             # whole dense windows
-            report.amps_swept = plan.block_writes * min(sim.dim, sim.block_size)
+            report.amps_swept = writes * min(sim.dim, sim.block_size)
             report.sweeps = report.amps_swept / sim.dim
             self.amps_swept.inc(report.amps_swept)
             sim.invalidate_blocks(plan.written)
