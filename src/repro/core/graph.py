@@ -48,7 +48,7 @@ from .exec_plan import ExecutionPlan, RunTable, StagePlan
 from .partition import PartitionSpec
 from .stage import (
     DynamicStage, MatVecStage, MeasureStage, ResetStage, Stage, UnitaryStage,
-    coalesced_table,
+    coalesced_table, run_tail,
 )
 
 __all__ = ["PartitionNode", "PartitionGraph", "GraphStats", "StageRun"]
@@ -114,9 +114,7 @@ class StageRun:
         self.members = members
         #: the superposition stage closing the run, if one does (the last
         #: member; ``Updater.coalesce`` says when)
-        self.tail: Optional[MatVecStage] = (
-            members[-1] if isinstance(members[-1], MatVecStage) else None
-        )
+        self.tail: Optional[MatVecStage] = run_tail(members)[1]
         #: union of the members' block covers
         self.cover = cover
         #: the derived parts; ``store`` is ``None`` until :meth:`derive`
@@ -136,7 +134,7 @@ class StageRun:
             [stage.store for stage in self.members],
             _owned_masks([layout.cover for layout in layouts], self.cover),
         )
-        composed = self.members[:-1] if self.tail is not None else self.members
+        composed, _ = run_tail(self.members)
         self.qubits = frozenset(q for stage in composed for q in stage.qubits)
         self.has_sync = any(layout.full_read for layout in layouts)
         return self
@@ -287,8 +285,7 @@ class PartitionGraph:
             members = tuple(self._stages[first : first + count]) if first >= end else ()
             if not 2 <= count <= MAX_RUN_STAGES or len(members) != count:
                 raise ValueError(f"no run of {count} stages at seq {first}")
-            tail = members[-1] if isinstance(members[-1], MatVecStage) else None
-            composed = members[:-1] if tail is not None else members
+            composed, tail = run_tail(members)
             if not all(
                 isinstance(stage, UnitaryStage)
                 or (

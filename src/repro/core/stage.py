@@ -58,6 +58,7 @@ __all__ = [
     "gate_shape",
     "dense_op",
     "coalesced_table",
+    "run_tail",
     "draw_collapses",
     "Stage",
     "UnitaryStage",
@@ -298,6 +299,16 @@ class UnitaryStage(Stage):
         return True
 
 
+def run_tail(
+    members: Sequence[Stage],
+) -> Tuple[Sequence[Stage], Optional["MatVecStage"]]:
+    """A run's composed members and the superposition stage closing it as
+    its last member (``None`` when none does)."""
+    if isinstance(members[-1], MatVecStage):
+        return members[:-1], members[-1]
+    return members, None
+
+
 def coalesced_table(
     members: Sequence[Stage], block_ranges: Sequence[BlockRange]
 ) -> Tuple[RunTable, Optional[int]]:
@@ -326,10 +337,10 @@ def coalesced_table(
     the kernel applies them to the composite's output as the stage alone
     would.
     """
-    head, tail = members[0], members[-1]
+    head = members[0]
+    members, tail = run_tail(members)
     dense = None
-    if isinstance(tail, MatVecStage):
-        members = members[:-1]
+    if tail is not None:
         own = tail.emit_table([spec.block_range for spec in tail.partition_layout().specs])
         dense = (own.op.op, int(own.his[0] - own.los[0]) + 1)
     parts = tuple((s.action, s.qubits) for s in members)
